@@ -29,7 +29,7 @@ PPROF_PKG ?= .
 
 .PHONY: build test vet fmt fmt-check bench bench-json bench-compare \
 	pprof-cpu pprof-alloc cover-check tidy-check \
-	failure-race service-race chunk-race stream-race adapt-race failure-smoke restart-smoke c1-smoke fuzz-smoke lint docs-check \
+	failure-race service-race chunk-race stream-race adapt-race race-stress failure-smoke restart-smoke c1-smoke fuzz-smoke lint docs-check \
 	smoke-e1 smoke-e6 smoke-e6-cross smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 ci
 
 build:
@@ -55,11 +55,13 @@ service-race:
 chunk-race:
 	$(GO) test -race -run 'Chunk|Dedup' ./internal/cluster ./internal/storage/chunk
 
-# Focused race-detector pass over the streaming pipeline: publisher vs
-# slow-consumer policies, subscriber churn during root failure, the
-# streaming hook racing the store write (see docs/STREAMING.md).
+# Focused race-detector pass over the streaming pipeline: the hub's
+# publisher vs slow-consumer policies and subscriber churn
+# (internal/storage), the streaming hook racing the store write and
+# root failure (internal/cluster), the DES in-situ mirror
+# (internal/iostrat) — see docs/STREAMING.md.
 stream-race:
-	$(GO) test -race -run 'Stream|Subscribe|Publish|InSitu' ./internal/storage ./internal/cluster ./internal/iostrat
+	$(GO) test -race -run 'Stream|Subscri|Publish|SlowPolicy|Block|Sample|TryRecv|InSitu' ./internal/storage ./internal/cluster ./internal/iostrat
 
 # Focused race-detector pass over mid-run tree re-formation: the epoch
 # fence racing concurrent writers, streaming subscribers, and failure
@@ -67,6 +69,15 @@ stream-race:
 # docs/SCENARIOS.md).
 adapt-race:
 	$(GO) test -race -run 'Adapt|Reform|Scenario' ./internal/cluster ./internal/iostrat
+
+# Repeated race-detector pass over the shared-ledger paths a single
+# -count=1 run misses: tenants finishing while other roots are still
+# inside the broker's accounting (the E9 pinned-admission race showed
+# up about once in six runs), the service lifecycle, and both brokers.
+race-stress:
+	$(GO) test -race -count=10 -run 'TestE9PinnedAdmission' ./internal/experiments
+	$(GO) test -race -count=10 -run 'Service' ./internal/cluster
+	$(GO) test -race -count=10 -run 'Broker|Sharded' ./internal/storage
 
 # Experiment smoke matrix — one target per experiment so a broken
 # experiment names itself in the CI job list (ci.yml fans these out via
@@ -217,5 +228,5 @@ cover-check:
 tidy-check:
 	$(GO) mod tidy -diff
 
-ci: build vet fmt-check tidy-check docs-check test failure-race service-race chunk-race stream-race adapt-race cover-check bench \
+ci: build vet fmt-check tidy-check docs-check test failure-race service-race chunk-race stream-race adapt-race race-stress cover-check bench \
 	smoke-e1 smoke-e6 smoke-e6-cross smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 fuzz-smoke

@@ -297,15 +297,14 @@ func BenchmarkClusterAggregation(b *testing.B) {
 	}
 	const nodes, clients = 16, 2
 	data := make([]byte, 8192*8)
-	c, err := cluster.New(cluster.Config{
+	c, err := cluster.New(cluster.ClusterConfig{
 		Platform: topology.Platform{Name: "bench", Nodes: nodes, CoresPerNode: clients + 1},
-		Meta:     cfg,
 		Fanout:   2,
 		Store:    &countingStore{},
 		// Manifests are per-iteration metadata writes; the benchmark
 		// isolates the data path.
 		DisableManifests: true,
-	})
+	}, cluster.RunSpec{Meta: cfg})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -36,12 +36,11 @@
 //
 //	cfg, _ := damaris.ParseConfigString(configXML)
 //	store := storage.NewMemory(nil, 8, 1e9) // or storage.NewSDF(...)
-//	c, _ := cluster.New(cluster.Config{
+//	c, _ := cluster.New(cluster.ClusterConfig{
 //		Platform: topology.Platform{Nodes: 16, CoresPerNode: 4},
-//		Meta:     cfg,
 //		Fanout:   4, // children per interior node
 //		Store:    store,
-//	})
+//	}, cluster.RunSpec{Meta: cfg})
 //	client := c.Client(nodeID, coreID)
 //	client.Write("theta", it, thetaBytes)
 //	client.EndIteration(it)

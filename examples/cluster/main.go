@@ -52,11 +52,12 @@ func main() {
 		storage.NewMemory(nil, 4, 1e9),
 		mustSDF("cluster-out"),
 	} {
-		c, err := cluster.New(cluster.Config{
+		c, err := cluster.New(cluster.ClusterConfig{
 			Platform: plat,
-			Meta:     cfg,
 			Fanout:   2,
 			Store:    store,
+		}, cluster.RunSpec{
+			Meta: cfg,
 			Hooks: []cluster.Hook{cluster.HookFunc{
 				HookName: "report",
 				Fn: func(it int, b *cluster.Batch) error {

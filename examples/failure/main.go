@@ -47,11 +47,12 @@ func main() {
 		log.Fatal(err)
 	}
 	store := storage.NewMemory(nil, 4, 1e9)
-	c, err := cluster.New(cluster.Config{
+	c, err := cluster.New(cluster.ClusterConfig{
 		Platform: topology.Platform{Name: "demo", Nodes: nodes, CoresPerNode: clients + 1},
-		Meta:     cfg,
 		Fanout:   2,
 		Store:    store,
+	}, cluster.RunSpec{
+		Meta:     cfg,
 		Failures: cluster.NewFailureSchedule().Add(deadNode, failAt),
 	})
 	if err != nil {

@@ -83,11 +83,12 @@ func main() {
 	store := storage.NewCompressing(sdfStore, storage.CompressionOptions{
 		Codec: storage.AdaptiveCodec,
 	})
-	c, err := cluster.New(cluster.Config{
+	c, err := cluster.New(cluster.ClusterConfig{
 		Platform: topology.Platform{Name: "demo", Nodes: nodes, CoresPerNode: clients + 1},
-		Meta:     cfg,
 		Fanout:   2,
 		Store:    store,
+	}, cluster.RunSpec{
+		Meta:     cfg,
 		Failures: cluster.NewFailureSchedule().Add(deadNode, failAt),
 	})
 	if err != nil {

@@ -46,13 +46,12 @@ func collectBlocks(t *testing.T, store *storage.Memory) map[int]map[[2]int]bool 
 func TestReformMidRunCompleteness(t *testing.T) {
 	const nodes, clients, iters = 12, 2, 6
 	store := storage.NewMemory(nil, 4, 1e9)
-	c, err := New(Config{
+	c, err := New(ClusterConfig{
 		Platform: testPlatform(nodes, clients+1),
-		Meta:     testMeta(t),
 		Fanout:   2,
 		Roots:    1,
 		Store:    store,
-	})
+	}, RunSpec{Meta: testMeta(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,13 +112,14 @@ func TestAdaptReformRaceWithStreaming(t *testing.T) {
 	store := storage.NewMemory(nil, 4, 1e9)
 	stream := storage.NewStream()
 	sub := stream.Subscribe(storage.SubOptions{Buffer: nodes * iters})
-	c, err := New(Config{
+	c, err := New(ClusterConfig{
 		Platform: testPlatform(nodes, clients+1),
-		Meta:     testMeta(t),
 		Fanout:   2,
 		Roots:    2,
 		Store:    store,
-		Hooks:    []Hook{NewStreamingHook(stream)},
+	}, RunSpec{
+		Meta:  testMeta(t),
+		Hooks: []Hook{NewStreamingHook(stream)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,12 +217,13 @@ func TestAdaptReformRaceWithStreaming(t *testing.T) {
 func TestReformWithFailures(t *testing.T) {
 	const nodes, clients, iters, victim, failAt = 8, 2, 5, 5, 2
 	store := storage.NewMemory(nil, 4, 1e9)
-	c, err := New(Config{
+	c, err := New(ClusterConfig{
 		Platform: testPlatform(nodes, clients+1),
-		Meta:     testMeta(t),
 		Fanout:   2,
 		Roots:    2,
 		Store:    store,
+	}, RunSpec{
+		Meta:     testMeta(t),
 		Failures: NewFailureSchedule().Add(victim, failAt),
 	})
 	if err != nil {
@@ -230,6 +231,13 @@ func TestReformWithFailures(t *testing.T) {
 	}
 
 	for it := 0; it < iters; it++ {
+		if it == failAt {
+			// The victim's earlier iterations must be stored before it
+			// dies: the death shrinks its root's required coverage at
+			// once, and a root that already stored an iteration drops
+			// the victim's late drain as a counted loss (by design).
+			c.WaitIteration(it - 1)
+		}
 		for n := 0; n < nodes; n++ {
 			for s := 0; s < clients; s++ {
 				cl := c.Client(n, s)
@@ -278,12 +286,11 @@ func TestReformWithFailures(t *testing.T) {
 // TestReformValidation exercises the argument checks and the in-place
 // replacement of an epoch that never routed.
 func TestReformValidation(t *testing.T) {
-	c, err := New(Config{
+	c, err := New(ClusterConfig{
 		Platform: testPlatform(4, 2),
-		Meta:     testMeta(t),
 		Fanout:   2,
 		Store:    storage.NewMemory(nil, 4, 1e9),
-	})
+	}, RunSpec{Meta: testMeta(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,14 +62,13 @@ func TestClusterBrokerCoordinatesRoots(t *testing.T) {
 		Policy:  storage.PolicyDeadline,
 		Targets: 1, // both trees contend for the same target
 	})
-	c, err := New(Config{
+	c, err := New(ClusterConfig{
 		Platform: topology.Platform{Name: "broker", Nodes: nodes, CoresPerNode: clients + 1},
-		Meta:     cfg,
 		Fanout:   2,
 		Roots:    roots,
 		Store:    storage.NewMemory(nil, 4, 1e9),
 		Broker:   broker,
-	})
+	}, RunSpec{Meta: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,15 +129,16 @@ func TestDeadRootReleasesToken(t *testing.T) {
 	}
 	// Two single-node trees; node 0 dies at iteration 1, while iteration
 	// 0's store is still gated in flight.
-	c, err := New(Config{
+	c, err := New(ClusterConfig{
 		Platform:         topology.Platform{Name: "broker", Nodes: 2, CoresPerNode: 2},
-		Meta:             cfg,
 		Fanout:           2,
 		Roots:            2,
 		Store:            gate,
 		Broker:           broker,
 		DisableManifests: true,
-		Failures:         NewFailureSchedule().Add(0, 1),
+	}, RunSpec{
+		Meta:     cfg,
+		Failures: NewFailureSchedule().Add(0, 1),
 	})
 	if err != nil {
 		t.Fatal(err)

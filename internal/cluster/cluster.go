@@ -50,7 +50,7 @@ type Stats struct {
 	ObjectBytes int64
 	// ManifestsWritten counts per-iteration manifest objects stored
 	// alongside the data objects (one per data object unless
-	// Config.DisableManifests is set or the manifest Put failed).
+	// ClusterConfig.DisableManifests is set or the manifest Put failed).
 	ManifestsWritten int
 	// IterationsCompleted counts iterations all live roots finished.
 	IterationsCompleted int
@@ -171,10 +171,10 @@ type Cluster struct {
 
 // New builds and starts a standalone single-tenant cluster: every
 // node's shared-memory runtime, the forwarding plugin on each dedicated
-// core, and one aggregator per node. It is Config split into its two
-// halves and handed to newTenantCluster as tenant 0.
-func New(cfg Config) (*Cluster, error) {
-	cc, spec := cfg.split()
+// core, and one aggregator per node. It takes the same two halves a
+// Service does — the substrate and what one run does on it — and runs
+// them as tenant 0.
+func New(cc ClusterConfig, spec RunSpec) (*Cluster, error) {
 	return newTenantCluster(cc, spec, 0)
 }
 

@@ -182,12 +182,11 @@ func runWorkload(t *testing.T, c *Cluster, clientsPerNode, iters int) {
 func TestClusterFanInCorrectness(t *testing.T) {
 	const nodes, clients, iters = 9, 2, 3
 	store := storage.NewMemory(nil, 4, 1e9)
-	c, err := New(Config{
+	c, err := New(ClusterConfig{
 		Platform: testPlatform(nodes, clients+1),
-		Meta:     testMeta(t),
 		Fanout:   2,
 		Store:    store,
-	})
+	}, RunSpec{Meta: testMeta(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,13 +254,12 @@ func TestClusterFanInCorrectness(t *testing.T) {
 func TestClusterMultiRoot(t *testing.T) {
 	const nodes, clients, iters, roots = 16, 1, 2, 4
 	store := storage.NewMemory(nil, 4, 1e9)
-	c, err := New(Config{
+	c, err := New(ClusterConfig{
 		Platform: testPlatform(nodes, clients+1),
-		Meta:     testMeta(t),
 		Fanout:   2,
 		Roots:    roots,
 		Store:    store,
-	})
+	}, RunSpec{Meta: testMeta(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,12 +310,11 @@ func TestBackendSwapEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	objects := func(store storage.ObjectStore) map[string][]byte {
-		c, err := New(Config{
+		c, err := New(ClusterConfig{
 			Platform: testPlatform(nodes, clients+1),
-			Meta:     testMeta(t),
 			Fanout:   3,
 			Store:    store,
-		})
+		}, RunSpec{Meta: testMeta(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,11 +361,12 @@ func TestClusterHooks(t *testing.T) {
 		mu.Unlock()
 		return nil
 	}}
-	c, err := New(Config{
+	c, err := New(ClusterConfig{
 		Platform: testPlatform(nodes, clients+1),
-		Meta:     testMeta(t),
 		Store:    storage.NewMemory(nil, 4, 1e9),
-		Hooks:    []Hook{hook},
+	}, RunSpec{
+		Meta:  testMeta(t),
+		Hooks: []Hook{hook},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -391,11 +389,12 @@ func TestClusterHookError(t *testing.T) {
 	boom := HookFunc{HookName: "boom", Fn: func(int, *Batch) error {
 		return fmt.Errorf("synthetic failure")
 	}}
-	c, err := New(Config{
+	c, err := New(ClusterConfig{
 		Platform: testPlatform(2, 2),
-		Meta:     testMeta(t),
 		Store:    storage.NewMemory(nil, 4, 1e9),
-		Hooks:    []Hook{boom},
+	}, RunSpec{
+		Meta:  testMeta(t),
+		Hooks: []Hook{boom},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -414,23 +413,25 @@ func TestClusterHookError(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
-	good := Config{
+	good := ClusterConfig{
 		Platform: testPlatform(2, 2),
-		Meta:     testMeta(t),
 		Store:    storage.NewMemory(nil, 4, 1e9),
 	}
-	bad := []func(Config) Config{
-		func(c Config) Config { c.Platform.Nodes = 0; return c },
-		func(c Config) Config { c.Meta = nil; return c },
-		func(c Config) Config { c.Store = nil; return c },
-		func(c Config) Config { c.Platform.CoresPerNode = 1; return c }, // no sim cores left
+	spec := RunSpec{Meta: testMeta(t)}
+	bad := []func(cc *ClusterConfig, spec *RunSpec){
+		func(cc *ClusterConfig, _ *RunSpec) { cc.Platform.Nodes = 0 },
+		func(_ *ClusterConfig, spec *RunSpec) { spec.Meta = nil },
+		func(cc *ClusterConfig, _ *RunSpec) { cc.Store = nil },
+		func(cc *ClusterConfig, _ *RunSpec) { cc.Platform.CoresPerNode = 1 }, // no sim cores left
 	}
 	for i, mutate := range bad {
-		if _, err := New(mutate(good)); err == nil {
+		cc, sp := good, spec
+		mutate(&cc, &sp)
+		if _, err := New(cc, sp); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
-	c, err := New(good)
+	c, err := New(good, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,13 +447,12 @@ func TestClusterValidation(t *testing.T) {
 func TestClusterDeterministicObjects(t *testing.T) {
 	run := func() map[string][]byte {
 		store := storage.NewMemory(nil, 4, 1e9)
-		c, err := New(Config{
+		c, err := New(ClusterConfig{
 			Platform: testPlatform(8, 3),
-			Meta:     testMeta(t),
 			Fanout:   2,
 			Roots:    2,
 			Store:    store,
-		})
+		}, RunSpec{Meta: testMeta(t)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,11 +30,12 @@ func Example_streamingHook() {
 
 	stream := storage.NewStream()
 	sub := stream.Subscribe(storage.SubOptions{Buffer: 4, Policy: storage.DropOldest})
-	c, err := cluster.New(cluster.Config{
+	c, err := cluster.New(cluster.ClusterConfig{
 		Platform: topology.Platform{Name: "example", Nodes: 1, CoresPerNode: 2},
-		Meta:     metaCfg,
 		Store:    storage.NewMemory(nil, 4, 1e9),
-		Hooks:    []cluster.Hook{cluster.NewStreamingHook(stream)},
+	}, cluster.RunSpec{
+		Meta:  metaCfg,
+		Hooks: []cluster.Hook{cluster.NewStreamingHook(stream)},
 	})
 	if err != nil {
 		fmt.Println("cluster:", err)

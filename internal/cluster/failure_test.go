@@ -159,11 +159,12 @@ func TestTreeCloneIndependent(t *testing.T) {
 func TestClusterInteriorFailure(t *testing.T) {
 	const nodes, clients, iters, failAt = 9, 2, 4, 1
 	store := storage.NewMemory(nil, 4, 1e9)
-	c, err := New(Config{
+	c, err := New(ClusterConfig{
 		Platform: testPlatform(nodes, clients+1),
-		Meta:     testMeta(t),
 		Fanout:   2, // 0 → {1,2}; 1 → {3,4}; 2 → {5,6}; 3 → {7,8}
 		Store:    store,
+	}, RunSpec{
+		Meta:     testMeta(t),
 		Failures: NewFailureSchedule().Add(1, failAt),
 	})
 	if err != nil {
@@ -246,12 +247,13 @@ func TestClusterInteriorFailure(t *testing.T) {
 func TestClusterRootFailure(t *testing.T) {
 	const nodes, clients, iters, failAt = 12, 1, 3, 1
 	store := storage.NewMemory(nil, 4, 1e9)
-	c, err := New(Config{
+	c, err := New(ClusterConfig{
 		Platform: testPlatform(nodes, clients+1),
-		Meta:     testMeta(t),
 		Fanout:   2,
 		Roots:    2, // subtrees [0..5] and [6..11]
 		Store:    store,
+	}, RunSpec{
+		Meta:     testMeta(t),
 		Failures: NewFailureSchedule().Add(6, failAt),
 	})
 	if err != nil {
@@ -308,12 +310,13 @@ func TestClusterRootFailure(t *testing.T) {
 func TestClusterEmptyScheduleIdentical(t *testing.T) {
 	run := func(sched *FailureSchedule) map[string][]byte {
 		store := storage.NewMemory(nil, 4, 1e9)
-		c, err := New(Config{
+		c, err := New(ClusterConfig{
 			Platform: testPlatform(8, 3),
-			Meta:     testMeta(t),
 			Fanout:   2,
 			Roots:    2,
 			Store:    store,
+		}, RunSpec{
+			Meta:     testMeta(t),
 			Failures: sched,
 		})
 		if err != nil {
@@ -355,11 +358,12 @@ func TestClusterEmptyScheduleIdentical(t *testing.T) {
 func TestClusterCascadingFailures(t *testing.T) {
 	const nodes, clients, iters = 9, 1, 5
 	store := storage.NewMemory(nil, 4, 1e9)
-	c, err := New(Config{
+	c, err := New(ClusterConfig{
 		Platform: testPlatform(nodes, clients+1),
-		Meta:     testMeta(t),
 		Fanout:   2,
 		Store:    store,
+	}, RunSpec{
+		Meta: testMeta(t),
 		// 1 dies at it 1 (3,4 → 0); 2 dies at it 3 (5,6 → 0).
 		Failures: NewFailureSchedule().Add(1, 1).Add(2, 3),
 	})
@@ -405,12 +409,11 @@ func TestClusterCascadingFailures(t *testing.T) {
 func TestPartialIterationsCountedOncePerIteration(t *testing.T) {
 	const nodes, clients = 7, 1
 	store := storage.NewMemory(nil, 4, 1e9)
-	c, err := New(Config{
+	c, err := New(ClusterConfig{
 		Platform: testPlatform(nodes, clients+1),
-		Meta:     testMeta(t),
 		Fanout:   2, // depth 3: 0 → {1,2} → {3,4,5,6}
 		Store:    store,
-	})
+	}, RunSpec{Meta: testMeta(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,12 +472,13 @@ func TestHookSeesNormalizedOrder(t *testing.T) {
 		}
 		return nil
 	}}
-	c, err := New(Config{
+	c, err := New(ClusterConfig{
 		Platform: testPlatform(nodes, clients+1),
-		Meta:     testMeta(t),
 		Fanout:   3,
 		Store:    storage.NewMemory(nil, 4, 1e9),
-		Hooks:    []Hook{hook},
+	}, RunSpec{
+		Meta:  testMeta(t),
+		Hooks: []Hook{hook},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -516,12 +520,13 @@ func equalInts(a, b []int) bool {
 func TestClusterAllRootsDead(t *testing.T) {
 	const nodes, clients, iters = 3, 1, 2
 	store := storage.NewMemory(nil, 4, 1e9)
-	c, err := New(Config{
+	c, err := New(ClusterConfig{
 		Platform: testPlatform(nodes, clients+1),
-		Meta:     testMeta(t),
 		Fanout:   2,
 		Roots:    3, // every node its own (childless) root
 		Store:    store,
+	}, RunSpec{
+		Meta:     testMeta(t),
 		Failures: NewFailureSchedule().Add(0, 0).Add(1, 0).Add(2, 0),
 	})
 	if err != nil {

@@ -37,11 +37,12 @@ func payloadDedup(node, source, it int) []byte {
 // the given store stack and returns its stats.
 func runDedupWorkload(t *testing.T, store storage.ObjectStore, nodes, clients, iters, retain int, sched *FailureSchedule) Stats {
 	t.Helper()
-	c, err := New(Config{
+	c, err := New(ClusterConfig{
 		Platform: testPlatform(nodes, clients+1),
-		Meta:     testMeta(t),
 		Fanout:   2,
 		Store:    store,
+	}, RunSpec{
+		Meta:     testMeta(t),
 		Failures: sched,
 		Retain:   retain,
 	})

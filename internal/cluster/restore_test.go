@@ -49,11 +49,12 @@ func TestManifestCodecRoundTrip(t *testing.T) {
 // final stats.
 func runRestoreWorkload(t *testing.T, store storage.ObjectStore, nodes, clients, iters int, sched *FailureSchedule) Stats {
 	t.Helper()
-	c, err := New(Config{
+	c, err := New(ClusterConfig{
 		Platform: testPlatform(nodes, clients+1),
-		Meta:     testMeta(t),
 		Fanout:   2,
 		Store:    store,
+	}, RunSpec{
+		Meta:     testMeta(t),
 		Failures: sched,
 	})
 	if err != nil {
@@ -328,12 +329,11 @@ func TestRestoreJobIsolation(t *testing.T) {
 // navigate by — the restore comes back empty, not broken.
 func TestRestoreDisabledManifests(t *testing.T) {
 	store := storage.NewMemory(nil, 4, 1e9)
-	c, err := New(Config{
+	c, err := New(ClusterConfig{
 		Platform:         testPlatform(2, 2),
-		Meta:             testMeta(t),
 		Store:            store,
 		DisableManifests: true,
-	})
+	}, RunSpec{Meta: testMeta(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

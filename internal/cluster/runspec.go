@@ -144,72 +144,6 @@ func (spec RunSpec) validate() error {
 	return nil
 }
 
-// Config describes a single-tenant cluster run — the pre-Service API,
-// kept as the convenient front door for one-run-per-process callers.
-// It is exactly ClusterConfig + RunSpec flattened; New splits it.
-type Config struct {
-	// Platform sizes the cluster; see ClusterConfig.Platform.
-	Platform topology.Platform
-	// Meta is the per-node Damaris XML configuration.
-	Meta *meta.Config
-	// DedicatedPerNode is the number of cores per node devoted to data
-	// management (default 1).
-	DedicatedPerNode int
-	// Fanout is the children-per-node limit of the aggregation trees
-	// (default 2).
-	Fanout int
-	// Roots is the number of aggregation trees (default 1).
-	Roots int
-	// Store receives the root objects; any storage.Backend works.
-	Store storage.ObjectStore
-	// Broker, when non-nil, arbitrates root object writes across every
-	// aggregation tree of the run; see ClusterConfig.Broker.
-	Broker storage.TokenBroker
-	// BrokerStripes is how many broker targets each root's write claims
-	// (default 1).
-	BrokerStripes int
-	// DisableManifests turns off per-iteration manifest objects.
-	DisableManifests bool
-	// JobName prefixes object names (default Meta.Name).
-	JobName string
-	// OutputDir is passed to each node for its local plugins.
-	OutputDir string
-	// Logger defaults to a silent logger.
-	Logger *log.Logger
-	// Hooks run at tree roots on every merged iteration.
-	Hooks []Hook
-	// Failures schedules node deaths (nil or empty: no failures).
-	Failures *FailureSchedule
-	// Retain is the checkpoint retention window in iterations; see
-	// RunSpec.Retain.
-	Retain int
-}
-
-// split separates the flat single-tenant Config into its service-level
-// and per-tenant halves.
-func (cfg Config) split() (ClusterConfig, RunSpec) {
-	cc := ClusterConfig{
-		Platform:         cfg.Platform,
-		DedicatedPerNode: cfg.DedicatedPerNode,
-		Fanout:           cfg.Fanout,
-		Roots:            cfg.Roots,
-		Store:            cfg.Store,
-		Broker:           cfg.Broker,
-		BrokerStripes:    cfg.BrokerStripes,
-		DisableManifests: cfg.DisableManifests,
-		OutputDir:        cfg.OutputDir,
-		Logger:           cfg.Logger,
-	}
-	spec := RunSpec{
-		Meta:     cfg.Meta,
-		JobName:  cfg.JobName,
-		Hooks:    cfg.Hooks,
-		Failures: cfg.Failures,
-		Retain:   cfg.Retain,
-	}
-	return cc, spec
-}
-
 // holderSpan is the holder-id space reserved per tenant on a shared
 // broker: tenant t's node n acquires as holder t*holderSpan+n. A
 // million-node platform per tenant is far beyond any configuration

@@ -314,12 +314,13 @@ func TestServiceEvictionReturnsPooledBuffers(t *testing.T) {
 	}
 	c := tn.Cluster()
 
-	// Mid-iteration state: every node except the tree root writes, so
+	// Mid-iteration state: every node except the deepest leaf writes, so
 	// iteration 0 forwards batches up the tree but can never reach full
-	// coverage — the merges sit pending at the root holding pooled
-	// buffers.
+	// coverage — the merges sit pending holding pooled buffers. (The
+	// silent node must not be the root: Cancel kills nodes one by one,
+	// and a promoted sibling would complete and store the iteration.)
 	var wg sync.WaitGroup
-	for n := 1; n < c.Nodes(); n++ {
+	for n := 0; n < c.Nodes()-1; n++ {
 		for s := 0; s < c.ClientsPerNode(); s++ {
 			wg.Add(1)
 			go func(n, s int) {

@@ -18,12 +18,13 @@ func TestStreamingHookDeliversLiveBatches(t *testing.T) {
 	stream := storage.NewStream()
 	sub := stream.Subscribe(storage.SubOptions{Buffer: 2 * iters})
 	store := storage.NewMemory(nil, 4, 1e9)
-	c, err := New(Config{
+	c, err := New(ClusterConfig{
 		Platform: testPlatform(nodes, clients+1),
-		Meta:     testMeta(t),
 		Fanout:   2,
 		Store:    store,
-		Hooks:    []Hook{NewStreamingHook(stream)},
+	}, RunSpec{
+		Meta:  testMeta(t),
+		Hooks: []Hook{NewStreamingHook(stream)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,12 +83,13 @@ func TestStreamingHookNeverBlocksWritePath(t *testing.T) {
 	stream := storage.NewStream()
 	sub := stream.Subscribe(storage.SubOptions{Buffer: 1, Policy: storage.DropOldest})
 	store := storage.NewMemory(nil, 4, 1e9)
-	c, err := New(Config{
+	c, err := New(ClusterConfig{
 		Platform: testPlatform(nodes, clients+1),
-		Meta:     testMeta(t),
 		Fanout:   2,
 		Store:    store,
-		Hooks:    []Hook{NewStreamingHook(stream)},
+	}, RunSpec{
+		Meta:  testMeta(t),
+		Hooks: []Hook{NewStreamingHook(stream)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,12 +127,13 @@ func TestStreamSubscriberChurnDuringFailure(t *testing.T) {
 	rootID := NewTree(nodes, 2, roots).Roots()[1]
 	stream := storage.NewStream()
 	store := storage.NewMemory(nil, 4, 1e9)
-	c, err := New(Config{
+	c, err := New(ClusterConfig{
 		Platform: testPlatform(nodes, clients+1),
-		Meta:     testMeta(t),
 		Fanout:   2,
 		Roots:    roots,
 		Store:    store,
+	}, RunSpec{
+		Meta:     testMeta(t),
 		Hooks:    []Hook{NewStreamingHook(stream)},
 		Failures: NewFailureSchedule().Add(rootID, 2),
 	})

@@ -306,12 +306,11 @@ func c1RoundTrip(opts Options, kind storage.Kind) (c1RoundTripResult, error) {
 	if err != nil {
 		return c1RoundTripResult{}, err
 	}
-	c, err := cluster.New(cluster.Config{
+	c, err := cluster.New(cluster.ClusterConfig{
 		Platform: plat,
-		Meta:     cfg,
 		Fanout:   2,
 		Store:    store,
-	})
+	}, cluster.RunSpec{Meta: cfg})
 	if err != nil {
 		return c1RoundTripResult{}, err
 	}

@@ -279,12 +279,13 @@ func runE10Cluster(nodes, clients, iters, retain int, store storage.ObjectStore,
 	if err != nil {
 		return 0, err
 	}
-	c, err := cluster.New(cluster.Config{
+	c, err := cluster.New(cluster.ClusterConfig{
 		Platform: topology.Platform{Name: "e10", Nodes: nodes, CoresPerNode: clients + 1},
-		Meta:     cfg,
 		Fanout:   2,
 		Store:    store,
-		Retain:   retain,
+	}, cluster.RunSpec{
+		Meta:   cfg,
+		Retain: retain,
 	})
 	if err != nil {
 		return 0, err

@@ -296,13 +296,14 @@ func runE11Cluster(seed uint64, adapt bool) (e11Run, error) {
 	mem := storage.NewMemory(nil, 4, 1e9)
 	stream := storage.NewStream()
 	sub := stream.Subscribe(storage.SubOptions{Buffer: nodes * iters})
-	c, err := cluster.New(cluster.Config{
+	c, err := cluster.New(cluster.ClusterConfig{
 		Platform: topology.Platform{Name: "e11", Nodes: nodes, CoresPerNode: clients + 1},
-		Meta:     metaCfg,
 		Fanout:   2,
 		Roots:    1,
 		Store:    mem,
-		Hooks:    []cluster.Hook{cluster.NewStreamingHook(stream)},
+	}, cluster.RunSpec{
+		Meta:  metaCfg,
+		Hooks: []cluster.Hook{cluster.NewStreamingHook(stream)},
 	})
 	if err != nil {
 		return e11Run{}, err

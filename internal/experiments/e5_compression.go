@@ -72,7 +72,7 @@ func RunE5(opts Options) (Report, error) {
 		return Report{}, err
 	}
 	withComp := base
-	withComp.CompressRatio = 6.0
+	withComp.Codec = "gorilla" // assumed ratio 6, the §IV.D 600%
 	compressed, err := iostrat.Run(iostrat.Damaris, withComp)
 	if err != nil {
 		return Report{}, err

@@ -431,15 +431,14 @@ func runE6Runtime(opts Options, rep *Report) error {
 		} else {
 			broker = newPerRootBrokers(1)
 		}
-		c, err := cluster.New(cluster.Config{
+		c, err := cluster.New(cluster.ClusterConfig{
 			Platform:         topology.Platform{Name: "e6", Nodes: rtNodes, CoresPerNode: rtClients + 1},
-			Meta:             cfg,
 			Fanout:           2,
 			Roots:            rtRoots,
 			Store:            paced,
 			Broker:           broker,
 			DisableManifests: true,
-		})
+		}, cluster.RunSpec{Meta: cfg})
 		if err != nil {
 			return rtResult{}, err
 		}

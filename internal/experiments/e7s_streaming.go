@@ -325,12 +325,13 @@ func runE7SCluster(nodes, clients, iters int, cons e7sConsumer) (e7sRun, error) 
 	mem := storage.NewMemory(nil, 4, 1e9)
 	stream := storage.NewStream()
 	sub := stream.Subscribe(cons.opts)
-	c, err := cluster.New(cluster.Config{
+	c, err := cluster.New(cluster.ClusterConfig{
 		Platform: topology.Platform{Name: "e7s", Nodes: nodes, CoresPerNode: clients + 1},
-		Meta:     metaCfg,
 		Fanout:   nodes, // one tree, one root: one object per iteration
 		Store:    &delayedStore{inner: mem, delay: e7sWriteDelay},
-		Hooks:    []cluster.Hook{cluster.NewStreamingHook(stream)},
+	}, cluster.RunSpec{
+		Meta:  metaCfg,
+		Hooks: []cluster.Hook{cluster.NewStreamingHook(stream)},
 	})
 	if err != nil {
 		return e7sRun{}, err

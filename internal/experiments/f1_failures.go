@@ -208,11 +208,12 @@ func runF1Cluster(nodes, clients, iters int, sched *cluster.FailureSchedule) (cl
 	if err != nil {
 		return cluster.Stats{}, 0, err
 	}
-	c, err := cluster.New(cluster.Config{
+	c, err := cluster.New(cluster.ClusterConfig{
 		Platform: topology.Platform{Name: "f1", Nodes: nodes, CoresPerNode: clients + 1},
-		Meta:     cfg,
 		Fanout:   2,
 		Store:    storage.NewMemory(nil, 4, 1e9),
+	}, cluster.RunSpec{
+		Meta:     cfg,
 		Failures: sched,
 	})
 	if err != nil {

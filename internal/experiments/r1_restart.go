@@ -264,11 +264,12 @@ func runR1Cluster(nodes, clients, iters int, sched *cluster.FailureSchedule, sto
 	if err != nil {
 		return cluster.Stats{}, err
 	}
-	c, err := cluster.New(cluster.Config{
+	c, err := cluster.New(cluster.ClusterConfig{
 		Platform: topology.Platform{Name: "r1", Nodes: nodes, CoresPerNode: clients + 1},
-		Meta:     cfg,
 		Fanout:   2,
 		Store:    store,
+	}, cluster.RunSpec{
+		Meta:     cfg,
 		Failures: sched,
 	})
 	if err != nil {

@@ -425,16 +425,8 @@ func runDamaris(cfg Config) (Result, error) {
 					return
 				}
 				t0 := p.Now()
-				payload := item.bytes
-				if cfg.CompressRatio > 1 {
-					// Compression runs on the dedicated core: CPU time
-					// here, fewer bytes toward the file system, and no
-					// cost at all on the simulation side.
-					p.Wait(payload / cfg.CompressRate)
-					payload /= cfg.CompressRatio
-				}
 				files := cfg.FilesPerIter
-				per := payload / float64(files)
+				per := item.bytes / float64(files)
 				pat := storage.BigSequential
 				if per < 64e6 {
 					pat = storage.SmallFile
@@ -534,7 +526,7 @@ type desEpoch struct {
 type treeRun struct {
 	cfg      Config
 	eng      *des.Engine
-	be       storage.Backend
+	be       storage.CostModel
 	schedule writeScheduler
 	res      *Result
 	aggs     []*desAgg
@@ -725,14 +717,6 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 		// re-formation fences past it.
 		tr.noteStarted(item.iter)
 		ep := tr.epochFor(item.iter)
-		busy := 0.0
-		t0 := p.Now()
-		own := item.bytes
-		if cfg.CompressRatio > 1 && own > 0 {
-			p.Wait(own / cfg.CompressRate)
-			own /= cfg.CompressRatio
-		}
-		busy += p.Now() - t0
 
 		// The coverage this node must merge before forwarding: its live
 		// subtree under the iteration's epoch, minus itself (own output
@@ -749,7 +733,7 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 			return req
 		}
 		childBytes, covers := tr.aggs[node].await(p, item.iter, required)
-		subtree := own + childBytes
+		subtree := item.bytes + childBytes
 		covers = append(covers, node)
 
 		t1 := p.Now()
@@ -821,9 +805,8 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 				tr.publishInSitu(p, ord, shmIter{iter: item.iter, bytes: subtree})
 			}
 		}
-		busy += p.Now() - t1
 		shm.free(item.bytes)
-		res.DedicatedBusy += busy
+		res.DedicatedBusy += p.Now() - t1
 	}
 }
 

@@ -184,22 +184,13 @@ type Config struct {
 	// FilesPerIter is the number of files each dedicated core writes per
 	// iteration (default 1; the A2 ablation sweeps it).
 	FilesPerIter int
-	// CompressRatio, when > 1, makes the dedicated core compress the
-	// node's output before writing: bytes on storage shrink by the ratio
-	// and the core spends bytes/CompressRate seconds of CPU on it (E5).
-	CompressRatio float64
-	// CompressRate is the dedicated-core compression speed in bytes/s
-	// (default 400 MB/s).
-	CompressRate float64
 	// Codec enables the storage-layer compression pipeline: the backend
 	// is wrapped in storage.Compressing, so every Write/Read charges
 	// real per-codec CPU rates on the dedicated cores and moves only
 	// the encoded volume (and, on backends that persist objects, real
 	// payloads are framed and encoded). "" or "none" disables it; a
 	// codec name fixes the codec; storage.AdaptiveCodec lets the
-	// selector choose. Codec supersedes the abstract CompressRatio knob
-	// — setting both resets CompressRatio to 1 so the cost is not
-	// charged twice.
+	// selector choose (E5, C1).
 	Codec string
 	// Dedup wraps the backend in the content-addressed chunk store
 	// (internal/storage/chunk), outermost — dedup sees raw payload
@@ -222,7 +213,7 @@ type Config struct {
 	// See InSituConfig. The zero value disables it.
 	InSitu InSituConfig
 	// Failures schedules node deaths in tree mode (nil: none), the DES
-	// mirror of cluster.Config.Failures: when a scheduled node's
+	// mirror of cluster.RunSpec.Failures: when a scheduled node's
 	// dedicated core reaches its death iteration, the node's I/O stack
 	// stops (its output from that iteration on is lost), its children
 	// re-route to its parent (or a promoted sibling when a root dies),
@@ -250,7 +241,7 @@ type Config struct {
 
 	// testWrapBackend, when set (tests only), wraps the run's backend
 	// outermost, so probes observe every strategy-level operation.
-	testWrapBackend func(*des.Engine, storage.Backend) storage.Backend
+	testWrapBackend func(storage.CostModel) storage.CostModel
 }
 
 func (c Config) withDefaults() Config {
@@ -291,19 +282,8 @@ func (c Config) withDefaults() Config {
 	if c.FilesPerIter == 0 {
 		c.FilesPerIter = 1
 	}
-	if c.CompressRatio == 0 {
-		c.CompressRatio = 1
-	}
-	if c.CompressRate == 0 {
-		c.CompressRate = 400e6
-	}
 	if c.Codec == "none" {
 		c.Codec = ""
-	}
-	if c.Codec != "" {
-		// The pipeline prices compression inside the backend; the legacy
-		// per-strategy knob must not charge it a second time.
-		c.CompressRatio = 1
 	}
 	if c.CollectiveBuffer == 0 {
 		c.CollectiveBuffer = 16e6
@@ -321,33 +301,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// newBackend builds the configured storage backend for one run,
-// wrapped in the compression pipeline when a codec is configured. The
+// newBackend builds the cost face of the configured storage backend for
+// one run, under the codec and dedup layers when configured. The
 // unwrapped base is returned alongside, so scenario platform shifts can
-// reach model-level knobs (bandwidth factors) through the wrappers.
-func (c Config) newBackend(eng *des.Engine, r *rng.Stream) (storage.Backend, storage.Backend, error) {
-	base, err := storage.New(c.Backend, eng, c.Platform, r, c.BackendDir)
+// reach model-level knobs (bandwidth factors) through the layers.
+func (c Config) newBackend(eng *des.Engine, r *rng.Stream) (be, base storage.CostModel, err error) {
+	store, err := storage.New(c.Backend, eng, c.Platform, r, c.BackendDir)
 	if err != nil {
 		return nil, nil, err
 	}
-	be := base
+	base = store
 	if c.Codec != "" {
 		if err := storage.ValidateCodecName(c.Codec); err != nil {
 			return nil, nil, err
 		}
-		be = storage.NewCompressing(be, storage.CompressionOptions{
-			Codec:  c.Codec,
-			Engine: eng,
-		})
+		store = storage.NewCompressing(store, storage.CompressionOptions{Codec: c.Codec})
 	}
 	if c.Dedup {
-		be = chunk.New(be, chunk.Options{
-			Engine:             eng,
-			AssumedNewFraction: c.DedupNewFraction,
-		})
+		store = chunk.New(store, chunk.Options{AssumedNewFraction: c.DedupNewFraction})
 	}
+	be = store
 	if c.testWrapBackend != nil {
-		be = c.testWrapBackend(eng, be)
+		be = c.testWrapBackend(be)
 	}
 	return be, base, nil
 }

@@ -264,16 +264,16 @@ func TestCodecPipelineWiring(t *testing.T) {
 		t.Fatal("unknown codec must error")
 	}
 
-	// "none" is a disable alias, and Codec supersedes CompressRatio.
+	// "none" is a disable alias: the run is the plain run.
 	alias := cfg
 	alias.Codec = "none"
-	alias.CompressRatio = 6
 	al, err := Run(Damaris, alias)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if al.BytesSaved != 0 {
-		t.Errorf("codec \"none\" still saved bytes: %v", al.BytesSaved)
+	if al.BytesSaved != 0 || al.BytesWritten != plain.BytesWritten {
+		t.Errorf("codec \"none\" changed the run: saved %v, wrote %v vs %v",
+			al.BytesSaved, al.BytesWritten, plain.BytesWritten)
 	}
 }
 

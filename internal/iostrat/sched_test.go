@@ -19,11 +19,10 @@ type writeInterval struct {
 	start, end float64
 }
 
-// probeBackend wraps a Backend and records every write's target
+// probeBackend wraps a cost model and records every write's target
 // occupancy interval, async submissions included.
 type probeBackend struct {
-	storage.Backend
-	eng *des.Engine
+	storage.CostModel
 
 	mu        sync.Mutex
 	intervals []writeInterval
@@ -37,21 +36,22 @@ func (pb *probeBackend) record(target int, start, end float64) {
 
 func (pb *probeBackend) Write(p *des.Proc, target int, bytes float64, pat storage.Pattern) {
 	start := p.Now()
-	pb.Backend.Write(p, target, bytes, pat)
+	pb.CostModel.Write(p, target, bytes, pat)
 	pb.record(target, start, p.Now())
 }
 
 func (pb *probeBackend) WriteChunk(p *des.Proc, target int, bytes float64, pat storage.Pattern) {
 	start := p.Now()
-	pb.Backend.WriteChunk(p, target, bytes, pat)
+	pb.CostModel.WriteChunk(p, target, bytes, pat)
 	pb.record(target, start, p.Now())
 }
 
 func (pb *probeBackend) WriteAsync(target int, bytes float64, pat storage.Pattern) *des.Future {
-	start := pb.eng.Now()
-	inner := pb.Backend.WriteAsync(target, bytes, pat)
-	done := pb.eng.NewFuture()
-	pb.eng.Spawn("probe", func(p *des.Proc) {
+	eng := pb.Engine()
+	start := eng.Now()
+	inner := pb.CostModel.WriteAsync(target, bytes, pat)
+	done := eng.NewFuture()
+	eng.Spawn("probe", func(p *des.Proc) {
 		p.Await(inner)
 		pb.record(target, start, p.Now())
 		done.Complete()
@@ -102,9 +102,8 @@ func clusterTokenConfig(seed uint64, nodes, fanout, roots, osts int) (Config, *p
 		AggRoots:    roots,
 		RootStripes: osts, // every root stripes the full array: maximal collision
 		Scheduling:  SchedClusterToken,
-		testWrapBackend: func(eng *des.Engine, be storage.Backend) storage.Backend {
-			pb.eng = eng
-			pb.Backend = be
+		testWrapBackend: func(be storage.CostModel) storage.CostModel {
+			pb.CostModel = be
 			return pb
 		},
 	}, pb

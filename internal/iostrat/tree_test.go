@@ -125,13 +125,14 @@ func TestDamarisTreeWithScheduling(t *testing.T) {
 
 func TestDamarisTreeCompression(t *testing.T) {
 	cfg := treeConfig()
-	cfg.CompressRatio = 2
+	cfg.Codec = "delta"
 	res, err := Run(Damaris, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	prof, _ := storage.Profile("delta")
 	want := cfg.Workload.NodeBytes(cfg.Platform.CoresPerNode) *
-		float64(cfg.Platform.Nodes) * float64(cfg.Workload.Iterations) / 2
+		float64(cfg.Platform.Nodes) * float64(cfg.Workload.Iterations) / prof.AssumedRatio
 	if res.BytesWritten < want*0.999 || res.BytesWritten > want*1.001 {
 		t.Errorf("compressed tree mode wrote %v bytes, want %v", res.BytesWritten, want)
 	}

@@ -564,12 +564,17 @@ func (b *Broker) QueueLen() int {
 func (b *Broker) Stats() BrokerStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s := b.stats
-	s.GrantsByTarget = copyIntMap(b.stats.GrantsByTarget)
-	s.GrantsByHolder = copyIntMap(b.stats.GrantsByHolder)
-	s.BytesByTenant = copyFloatMap(b.stats.BytesByTenant)
-	s.WaitByHolder = copyFloatMap(b.stats.WaitByHolder)
-	s.ContendedByHolder = copyIntMap(b.stats.ContendedByHolder)
+	return b.stats.clone()
+}
+
+// clone deep-copies the ledger: every map is the caller's own, so a
+// snapshot can be ranged over while the broker keeps accounting.
+func (s BrokerStats) clone() BrokerStats {
+	s.GrantsByTarget = copyIntMap(s.GrantsByTarget)
+	s.GrantsByHolder = copyIntMap(s.GrantsByHolder)
+	s.BytesByTenant = copyFloatMap(s.BytesByTenant)
+	s.WaitByHolder = copyFloatMap(s.WaitByHolder)
+	s.ContendedByHolder = copyIntMap(s.ContendedByHolder)
 	return s
 }
 

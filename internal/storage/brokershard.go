@@ -248,9 +248,7 @@ func (s *ShardedBroker) Outstanding() int {
 // queue independently).
 func (s *ShardedBroker) Stats() BrokerStats {
 	s.mu.Lock()
-	out := s.stats
-	out.WaitByHolder = copyFloatMap(s.stats.WaitByHolder)
-	out.ContendedByHolder = copyIntMap(s.stats.ContendedByHolder)
+	out := s.stats.clone()
 	s.mu.Unlock()
 	for _, sh := range s.shards {
 		bs := sh.Stats()

@@ -233,3 +233,70 @@ func TestShardedBrokerDeathBetweenAcquisitionAndRollback(t *testing.T) {
 		t.Fatalf("dead holder shows %d request-level grants, want 0", n)
 	}
 }
+
+// TestShardedBrokerStatsSnapshot: every map Stats returns is the
+// caller's own. Several holders hammer Acquire — contending on one
+// target so the wait and contention ledgers fill too — while another
+// goroutine ranges over each map of fresh snapshots; under -race a map
+// handed out by reference is a detected race with account(). The
+// scribble check catches the same aliasing without the detector.
+func TestShardedBrokerStatsSnapshot(t *testing.T) {
+	const holders, rounds = 6, 300
+	b := NewShardedBroker(BrokerOptions{Policy: PolicyPerTarget, Targets: 8}, 4)
+	var wg sync.WaitGroup
+	for h := 0; h < holders; h++ {
+		wg.Add(1)
+		go func(h int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				g := b.Acquire(TokenRequest{Holder: h, Tenant: h % 2, Targets: []int{0, 1 + h}, Bytes: 1})
+				g.Release()
+			}
+		}(h)
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		seen := 0
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st := b.Stats()
+			for range st.GrantsByTarget {
+				seen++
+			}
+			for range st.GrantsByHolder {
+				seen++
+			}
+			for range st.BytesByTenant {
+				seen++
+			}
+			for range st.WaitByHolder {
+				seen++
+			}
+			for range st.ContendedByHolder {
+				seen++
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-done
+
+	st := b.Stats()
+	if st.Grants != holders*rounds || st.GrantsByHolder[0] != rounds || st.BytesByTenant[0] != holders/2*rounds {
+		t.Fatalf("ledger off: %+v", st)
+	}
+	st.GrantsByTarget[0], st.GrantsByHolder[0], st.BytesByTenant[0] = -1, -1, -1
+	if st.ContendedGrants > 0 { // the wait ledgers exist once anyone queued
+		st.WaitByHolder[0], st.ContendedByHolder[0] = -1, -1
+	}
+	again := b.Stats()
+	if again.GrantsByTarget[0] < 0 || again.GrantsByHolder[0] < 0 || again.BytesByTenant[0] < 0 ||
+		again.WaitByHolder[0] < 0 || again.ContendedByHolder[0] < 0 {
+		t.Fatalf("Stats handed out the broker's own maps: %+v", again)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/des"
 	"repro/internal/storage"
 )
 
@@ -30,10 +29,6 @@ type Options struct {
 	// the way CodecProfile.AssumedRatio stands in for real compression.
 	// Default 1 (no dedup assumed).
 	AssumedNewFraction float64
-	// Engine lets the DES face charge hash CPU on WriteAsync/ReadAsync
-	// (which have no blocking proc to wait on). nil is fine when only
-	// the real object face or the blocking simulated face is used.
-	Engine *des.Engine
 }
 
 func (o Options) withDefaults() Options {
@@ -93,11 +88,12 @@ type SweepStats struct {
 // Put-time dedup check atomic with Sweep's collection, so a chunk can
 // never be judged "already stored" by a Put while a sweep deletes it.
 //
-// Simulated face: Write charges chunk+hash CPU on the calling proc —
-// the dedicated core — and forwards only the assumed-new fraction of
-// the volume (plus recipe overhead) to the inner backend; Read forwards
-// the full raw volume and charges verify CPU. The ledger grows
-// ChunkHashTime and DedupBytesSaved on top of the inner accounting.
+// Cost face: the inner model under storage.Reduce, with desWrite and
+// desRead as the layer's two cost functions — a write charges chunk+hash
+// CPU on the dedicated core and forwards only the assumed-new fraction
+// of the volume (plus recipe overhead); a read forwards the full raw
+// volume and charges verify CPU. The ledger grows ChunkHashTime and
+// DedupBytesSaved on top of the inner accounting.
 //
 // Layering: wrap Store outermost (chunk.New(storage.NewCompressing(...)))
 // so each chunk and recipe is compressed individually by the inner
@@ -105,8 +101,9 @@ type SweepStats struct {
 // would smear a one-byte edit across the whole compressed stream and
 // destroy dedup.
 type Store struct {
-	storage.Backend
-	opts Options
+	storage.CostModel
+	inner storage.Backend
+	opts  Options
 
 	mu      sync.Mutex
 	chunks  map[string]*chunkEntry
@@ -124,19 +121,18 @@ type Store struct {
 
 // New wraps inner with the dedup chunk store.
 func New(inner storage.Backend, opts Options) *Store {
-	return &Store{
-		Backend: inner,
+	s := &Store{
+		inner:   inner,
 		opts:    opts.withDefaults(),
 		chunks:  map[string]*chunkEntry{},
 		objects: map[string]*objectEntry{},
 	}
+	s.CostModel = storage.Reduce(inner, s.desWrite, s.desRead)
+	return s
 }
 
 // Name implements Backend: the inner name tagged with the dedup layer.
-func (s *Store) Name() string { return s.Backend.Name() + "+dedup" }
-
-// Inner returns the wrapped backend.
-func (s *Store) Inner() storage.Backend { return s.Backend }
+func (s *Store) Name() string { return s.inner.Name() + "+dedup" }
 
 // passThreshold is the size below which chunking cannot dedup anything
 // (a single chunk would cover the whole object).
@@ -147,7 +143,7 @@ func (s *Store) passThreshold() int { return 2 * s.opts.Params.Min }
 // with the recipe magic.
 func (s *Store) Put(name string, data []byte) error {
 	if len(data) < s.passThreshold() && !IsRecipe(data) {
-		if err := s.Backend.Put(name, data); err != nil {
+		if err := s.inner.Put(name, data); err != nil {
 			return err
 		}
 		n := int64(len(data))
@@ -182,7 +178,7 @@ func (s *Store) Put(name string, data []byte) error {
 			s.dedupSaved += float64(len(p))
 			continue
 		}
-		if err := s.Backend.Put(ChunkObjectName(h), p); err != nil {
+		if err := s.inner.Put(ChunkObjectName(h), p); err != nil {
 			s.unrefLocked(refs[:i])
 			return err
 		}
@@ -191,7 +187,7 @@ func (s *Store) Put(name string, data []byte) error {
 		s.bytesStored += int64(len(p))
 		newBytes += int64(len(p))
 	}
-	if err := s.Backend.Put(name, recipe); err != nil {
+	if err := s.inner.Put(name, recipe); err != nil {
 		s.unrefLocked(refs)
 		return err
 	}
@@ -201,13 +197,6 @@ func (s *Store) Put(name string, data []byte) error {
 		NewBytes: newBytes,
 	}})
 	return nil
-}
-
-// PutVec implements VecStore: the chunker needs one contiguous view of
-// the payload, so the segments are gathered once here — the same single
-// copy a pre-flattened Put would have paid.
-func (s *Store) PutVec(name string, segs [][]byte) error {
-	return s.Put(name, storage.FlattenSegs(segs))
 }
 
 // unrefLocked rolls back the chunk references a failed Put took (newly
@@ -240,7 +229,7 @@ func (s *Store) replaceLocked(name string, e *objectEntry) {
 // needs no index entry), so a fresh process can restore a store left by
 // an earlier run.
 func (s *Store) Get(name string) ([]byte, error) {
-	obj, err := s.Backend.Get(name)
+	obj, err := s.inner.Get(name)
 	if err != nil || !IsRecipe(obj) {
 		return obj, err
 	}
@@ -250,7 +239,7 @@ func (s *Store) Get(name string) ([]byte, error) {
 	}
 	out := make([]byte, 0, rawSize)
 	for i, r := range refs {
-		cb, err := s.Backend.Get(ChunkObjectName(r.Hash))
+		cb, err := s.inner.Get(ChunkObjectName(r.Hash))
 		if errors.Is(err, storage.ErrNotFound) {
 			return nil, fmt.Errorf("%w: object %q chunk %d/%d (%s)",
 				ErrDanglingChunk, name, i, len(refs), r.Hash)
@@ -274,7 +263,7 @@ func (s *Store) Get(name string) ([]byte, error) {
 // callers see the logical objects they stored, not the content-addressed
 // pieces behind them.
 func (s *Store) List(prefix string) ([]string, error) {
-	names, err := s.Backend.List(prefix)
+	names, err := s.inner.List(prefix)
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +288,7 @@ func (s *Store) Retain(name string) error {
 		e.refs++
 		return nil
 	}
-	obj, err := s.Backend.Get(name)
+	obj, err := s.inner.Get(name)
 	if err != nil {
 		return fmt.Errorf("chunk: retain %q: %w", name, err)
 	}
@@ -346,9 +335,9 @@ func (s *Store) Release(name string) error {
 // object can never lose a chunk.
 func (s *Store) Sweep() (SweepStats, error) {
 	var stats SweepStats
-	del, ok := s.Backend.(storage.ObjectDeleter)
+	del, ok := s.inner.(storage.ObjectDeleter)
 	if !ok {
-		return stats, fmt.Errorf("chunk: backend %s cannot delete objects", s.Backend.Name())
+		return stats, fmt.Errorf("chunk: backend %s cannot delete objects", s.inner.Name())
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -392,9 +381,10 @@ func (s *Store) ObjectChunks(name string) (storage.ChunkInfo, bool) {
 	return e.info, true
 }
 
-// desWrite charges chunk+hash CPU for the DES face and returns the wait
-// time plus the deduplicated transfer volume: the assumed-new fraction
-// of the payload, plus one recipe entry per average chunk.
+// desWrite is the layer's write-side storage.TransferCost: it charges
+// chunk+hash CPU and returns the wait time plus the deduplicated
+// transfer volume — the assumed-new fraction of the payload, plus one
+// recipe entry per average chunk.
 func (s *Store) desWrite(bytes float64) (wait, forwarded float64) {
 	if bytes <= 0 {
 		return 0, bytes
@@ -412,85 +402,25 @@ func (s *Store) desWrite(bytes float64) (wait, forwarded float64) {
 	return wait, forwarded
 }
 
-// desRead is desWrite's restore mirror: every chunk of the object must
-// travel back regardless of how it deduplicated on the way in, so the
-// full raw volume is forwarded and the verify CPU charged.
-func (s *Store) desRead(bytes float64) (wait float64) {
+// desRead is the read-side storage.TransferCost, desWrite's restore
+// mirror: every chunk of the object must travel back regardless of how
+// it deduplicated on the way in, so the full raw volume is forwarded and
+// the verify CPU charged.
+func (s *Store) desRead(bytes float64) (wait, forwarded float64) {
 	if bytes <= 0 {
-		return 0
+		return 0, bytes
 	}
 	wait = bytes / s.opts.HashRate
 	s.mu.Lock()
 	s.hashTime += wait
 	s.mu.Unlock()
-	return wait
-}
-
-// Write implements Backend: the dedicated core chunks and hashes (CPU
-// time on p), then only the not-seen-before volume travels inward.
-func (s *Store) Write(p *des.Proc, target int, bytes float64, pat storage.Pattern) {
-	wait, fwd := s.desWrite(bytes)
-	if wait > 0 {
-		p.Wait(wait)
-	}
-	s.Backend.Write(p, target, fwd, pat)
-}
-
-// WriteChunk implements Backend (one round of an open file).
-func (s *Store) WriteChunk(p *des.Proc, target int, bytes float64, pat storage.Pattern) {
-	wait, fwd := s.desWrite(bytes)
-	if wait > 0 {
-		p.Wait(wait)
-	}
-	s.Backend.WriteChunk(p, target, fwd, pat)
-}
-
-// WriteAsync implements Backend. With an engine configured the hash CPU
-// is charged inside the async transfer (hash, then write); without one
-// the volume still shrinks but the CPU is not modeled.
-func (s *Store) WriteAsync(target int, bytes float64, pat storage.Pattern) *des.Future {
-	wait, fwd := s.desWrite(bytes)
-	if wait <= 0 || s.opts.Engine == nil {
-		return s.Backend.WriteAsync(target, fwd, pat)
-	}
-	f := s.opts.Engine.NewFuture()
-	s.opts.Engine.Spawn("chunk-hash", func(p *des.Proc) {
-		p.Wait(wait)
-		p.Await(s.Backend.WriteAsync(target, fwd, pat))
-		f.Complete()
-	})
-	return f
-}
-
-// Read implements Backend: the full raw volume travels from the inner
-// backend, then the dedicated core verifies chunk hashes (CPU on p).
-func (s *Store) Read(p *des.Proc, target int, bytes float64, pat storage.Pattern) {
-	wait := s.desRead(bytes)
-	s.Backend.Read(p, target, bytes, pat)
-	if wait > 0 {
-		p.Wait(wait)
-	}
-}
-
-// ReadAsync implements Backend; see WriteAsync for the engine note.
-func (s *Store) ReadAsync(target int, bytes float64, pat storage.Pattern) *des.Future {
-	wait := s.desRead(bytes)
-	if wait <= 0 || s.opts.Engine == nil {
-		return s.Backend.ReadAsync(target, bytes, pat)
-	}
-	f := s.opts.Engine.NewFuture()
-	s.opts.Engine.Spawn("chunk-verify", func(p *des.Proc) {
-		p.Await(s.Backend.ReadAsync(target, bytes, pat))
-		p.Wait(wait)
-		f.Complete()
-	})
-	return f
+	return wait, bytes
 }
 
 // Accounting implements Backend: the inner ledger plus the dedup
 // counters.
 func (s *Store) Accounting() storage.Accounting {
-	acc := s.Backend.Accounting()
+	acc := s.inner.Accounting()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	acc.ChunkHashTime += s.hashTime

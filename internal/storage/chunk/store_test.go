@@ -376,7 +376,7 @@ func TestDedupStoreConcurrentSweep(t *testing.T) {
 func TestDedupStoreDESFace(t *testing.T) {
 	eng := des.NewEngine()
 	mem := storage.NewMemory(eng, 4, 1e9)
-	st := New(mem, Options{AssumedNewFraction: 0.25, Engine: eng})
+	st := New(mem, Options{AssumedNewFraction: 0.25})
 	const vol = 8 << 20
 	eng.Spawn("writer", func(p *des.Proc) {
 		st.Write(p, 0, vol, storage.BigSequential)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/buf"
 	"repro/internal/compress"
-	"repro/internal/des"
 )
 
 // AdaptiveCodec selects the per-dataset adaptive codec choice instead
@@ -111,10 +110,6 @@ type CompressionOptions struct {
 	// "spare time" on compression), so a second of codec CPU costs less
 	// than a second of transfer. 1 prices CPU and transfer equally.
 	CPUCostWeight float64
-	// Engine lets the DES face charge codec CPU on WriteAsync/ReadAsync
-	// (which have no blocking proc to wait on). nil is fine when only
-	// the real object face or the blocking simulated face is used.
-	Engine *des.Engine
 	// DatasetKey maps an object name to the dataset the selector caches
 	// its choice under (default: strip the "-it<digits>" iteration part,
 	// so every iteration of a variable shares one choice).
@@ -176,14 +171,15 @@ func (o CompressionOptions) elemSizeFor(n int) int {
 // passes unframed ones through, so compressed and plain stores read
 // the same way.
 //
-// Simulated face: Write/Read charge the codec CPU time on the calling
-// proc — the dedicated core — and forward only the encoded volume to
-// the inner backend, the §IV.D trade of spare core time against NIC
-// and PFS bytes. The ledger grows BytesSaved, Encode/DecodeTime and
-// per-codec counters on top of the inner accounting.
+// Cost face: the inner model under Reduce, with desEncode/desDecode as
+// the layer's two cost functions — every transfer charges the codec CPU
+// time on the dedicated core and moves only the encoded volume. The
+// ledger grows BytesSaved, Encode/DecodeTime and per-codec counters on
+// top of the inner accounting.
 type Compressing struct {
-	Backend
-	opts CompressionOptions
+	CostModel
+	inner Backend
+	opts  CompressionOptions
 
 	mu     sync.Mutex
 	choice map[string]string // dataset key → cached codec choice
@@ -191,7 +187,7 @@ type Compressing struct {
 	// object name, the same per-object footprint the inner backends'
 	// accounting maps (sdf/pfs objSize) already keep.
 	info map[string]CodecInfo
-	des  *selected // lazily chosen DES-face codec
+	des  string // lazily chosen cost-face codec ("" until first priced)
 
 	bytesSaved float64
 	encodeTime float64
@@ -202,30 +198,23 @@ type Compressing struct {
 	perCodec   map[string]CodecCount
 }
 
-// selected is one resolved codec choice.
-type selected struct {
-	codec    string
-	elemSize int
-}
-
 // NewCompressing wraps inner with the compression pipeline.
 func NewCompressing(inner Backend, opts CompressionOptions) *Compressing {
-	return &Compressing{
-		Backend:  inner,
+	c := &Compressing{
+		inner:    inner,
 		opts:     opts.withDefaults(),
 		choice:   map[string]string{},
 		info:     map[string]CodecInfo{},
 		perCodec: map[string]CodecCount{},
 	}
+	c.CostModel = Reduce(inner, c.desEncode, c.desDecode)
+	return c
 }
 
 // Name implements Backend: the inner name tagged with the codec mode.
 func (c *Compressing) Name() string {
-	return c.Backend.Name() + "+" + c.opts.Codec
+	return c.inner.Name() + "+" + c.opts.Codec
 }
-
-// Inner returns the wrapped backend.
-func (c *Compressing) Inner() Backend { return c.Backend }
 
 // cpuCost converts codec CPU seconds for n raw bytes into
 // transfer-byte equivalents under the configured bandwidth, discounted
@@ -349,7 +338,7 @@ func (c *Compressing) Put(name string, data []byte) error {
 		}
 		used = "none"
 	}
-	if err := c.Backend.Put(name, framed); err != nil {
+	if err := c.inner.Put(name, framed); err != nil {
 		return err
 	}
 	c.recordPut(name, used, int64(len(data)), int64(len(framed)-frameHeaderLen(used)))
@@ -378,7 +367,7 @@ func (c *Compressing) PutVec(name string, segs [][]byte) error {
 		flat := FlattenSegs(segs)
 		framed, ferr := EncodeFrame(used, flat, c.opts.elemSizeFor(total))
 		if ferr == nil && len(framed) < total {
-			if err := c.Backend.Put(name, framed); err != nil {
+			if err := c.inner.Put(name, framed); err != nil {
 				return err
 			}
 			c.recordPut(name, used, int64(total), int64(len(framed)-frameHeaderLen(used)))
@@ -394,7 +383,7 @@ func (c *Compressing) PutVec(name string, segs [][]byte) error {
 	vec := make([][]byte, 0, len(segs)+1)
 	vec = append(vec, appendFrameHeader(make([]byte, 0, frameHeaderLen("none")), "none", total, 1))
 	vec = append(vec, segs...)
-	if err := PutVec(c.Backend, name, vec); err != nil {
+	if err := PutVec(c.inner, name, vec); err != nil {
 		return err
 	}
 	c.recordPut(name, "none", int64(total), int64(total))
@@ -452,7 +441,7 @@ func frameHeaderLen(codec string) int {
 // written without compression) pass through byte-for-byte; inner
 // errors (ErrNotFound, ErrNoPayload) propagate unchanged.
 func (c *Compressing) Get(name string) ([]byte, error) {
-	obj, err := c.Backend.Get(name)
+	obj, err := c.inner.Get(name)
 	if err != nil {
 		return obj, err
 	}
@@ -469,12 +458,15 @@ func (c *Compressing) Get(name string) ([]byte, error) {
 	return raw, nil
 }
 
+// List implements ObjectReader: framing does not rename objects.
+func (c *Compressing) List(prefix string) ([]string, error) { return c.inner.List(prefix) }
+
 // Delete implements ObjectDeleter when the inner backend does,
 // dropping the local codec-info entry either way.
 func (c *Compressing) Delete(name string) error {
-	del, ok := c.Backend.(ObjectDeleter)
+	del, ok := c.inner.(ObjectDeleter)
 	if !ok {
-		return fmt.Errorf("storage: backend %s cannot delete objects", c.Backend.Name())
+		return fmt.Errorf("storage: backend %s cannot delete objects", c.inner.Name())
 	}
 	err := del.Delete(name)
 	if err == nil {
@@ -493,41 +485,38 @@ func (c *Compressing) ObjectCodec(name string) (CodecInfo, bool) {
 	return info, ok
 }
 
-// desChoice resolves the single codec the DES face prices. A fixed
+// desProfile resolves the single codec the cost face prices. A fixed
 // configuration uses that codec; adaptive mode picks the candidate
 // minimizing assumed-ratio×cost under the configured bandwidth — the
 // same objective as the real face, evaluated on the profile table
 // because no real bytes flow on this face.
-func (c *Compressing) desChoice() selected {
+func (c *Compressing) desProfile() CodecProfile {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.des != nil {
-		return *c.des
-	}
-	sel := selected{codec: c.opts.Codec, elemSize: 8}
-	if c.opts.Codec == AdaptiveCodec {
-		sel.codec = "none"
-		best := c.score("none", 1<<20, 1<<20)
-		for _, cand := range c.opts.Candidates {
-			prof, ok := defaultProfiles[cand]
-			if !ok || cand == "none" {
-				continue
-			}
-			if s := c.score(cand, int((1<<20)/prof.AssumedRatio), 1<<20); s < best {
-				best = s
-				sel.codec = cand
+	if c.des == "" {
+		c.des = c.opts.Codec
+		if c.opts.Codec == AdaptiveCodec {
+			c.des = "none"
+			best := c.score("none", 1<<20, 1<<20)
+			for _, cand := range c.opts.Candidates {
+				prof, ok := defaultProfiles[cand]
+				if !ok || cand == "none" {
+					continue
+				}
+				if s := c.score(cand, int((1<<20)/prof.AssumedRatio), 1<<20); s < best {
+					best = s
+					c.des = cand
+				}
 			}
 		}
 	}
-	c.des = &sel
-	return sel
+	return defaultProfiles[c.des]
 }
 
-// desEncode charges encode CPU for the DES face and returns the wait
-// time plus the shrunken transfer volume.
+// desEncode is the layer's write-side TransferCost: it charges encode
+// CPU and returns the wait time plus the shrunken transfer volume.
 func (c *Compressing) desEncode(bytes float64) (wait, encoded float64) {
-	sel := c.desChoice()
-	prof := defaultProfiles[sel.codec]
+	prof := c.desProfile()
 	encoded = bytes / prof.AssumedRatio
 	c.mu.Lock()
 	wait = c.chargeEncode(prof, bytes)
@@ -536,11 +525,11 @@ func (c *Compressing) desEncode(bytes float64) (wait, encoded float64) {
 	return wait, encoded
 }
 
-// desDecode is desEncode's read mirror: the raw volume is reassembled
-// from encoded bytes read back, charging decode CPU.
+// desDecode is the read-side TransferCost, desEncode's mirror: the raw
+// volume is reassembled from encoded bytes read back, charging decode
+// CPU.
 func (c *Compressing) desDecode(bytes float64) (wait, encoded float64) {
-	sel := c.desChoice()
-	prof := defaultProfiles[sel.codec]
+	prof := c.desProfile()
 	encoded = bytes / prof.AssumedRatio
 	c.mu.Lock()
 	wait = c.chargeDecode(prof, bytes)
@@ -548,71 +537,10 @@ func (c *Compressing) desDecode(bytes float64) (wait, encoded float64) {
 	return wait, encoded
 }
 
-// Write implements Backend: the dedicated core encodes (CPU time on
-// p), then only the encoded volume travels to the inner backend.
-func (c *Compressing) Write(p *des.Proc, target int, bytes float64, pat Pattern) {
-	wait, encoded := c.desEncode(bytes)
-	if wait > 0 {
-		p.Wait(wait)
-	}
-	c.Backend.Write(p, target, encoded, pat)
-}
-
-// WriteChunk implements Backend (one round of an open file).
-func (c *Compressing) WriteChunk(p *des.Proc, target int, bytes float64, pat Pattern) {
-	wait, encoded := c.desEncode(bytes)
-	if wait > 0 {
-		p.Wait(wait)
-	}
-	c.Backend.WriteChunk(p, target, encoded, pat)
-}
-
-// WriteAsync implements Backend. With an engine configured the codec
-// CPU is charged inside the async transfer (encode, then write);
-// without one the volume still shrinks but the CPU is not modeled.
-func (c *Compressing) WriteAsync(target int, bytes float64, pat Pattern) *des.Future {
-	wait, encoded := c.desEncode(bytes)
-	if wait <= 0 || c.opts.Engine == nil {
-		return c.Backend.WriteAsync(target, encoded, pat)
-	}
-	f := c.opts.Engine.NewFuture()
-	c.opts.Engine.Spawn("codec-encode", func(p *des.Proc) {
-		p.Wait(wait)
-		p.Await(c.Backend.WriteAsync(target, encoded, pat))
-		f.Complete()
-	})
-	return f
-}
-
-// Read implements Backend: only the encoded volume travels from the
-// inner backend, then the dedicated core decodes (CPU time on p).
-func (c *Compressing) Read(p *des.Proc, target int, bytes float64, pat Pattern) {
-	wait, encoded := c.desDecode(bytes)
-	c.Backend.Read(p, target, encoded, pat)
-	if wait > 0 {
-		p.Wait(wait)
-	}
-}
-
-// ReadAsync implements Backend; see WriteAsync for the engine note.
-func (c *Compressing) ReadAsync(target int, bytes float64, pat Pattern) *des.Future {
-	wait, encoded := c.desDecode(bytes)
-	if wait <= 0 || c.opts.Engine == nil {
-		return c.Backend.ReadAsync(target, encoded, pat)
-	}
-	f := c.opts.Engine.NewFuture()
-	c.opts.Engine.Spawn("codec-decode", func(p *des.Proc) {
-		p.Await(c.Backend.ReadAsync(target, encoded, pat))
-		p.Wait(wait)
-		f.Complete()
-	})
-	return f
-}
-
 // Accounting implements Backend: the inner ledger plus the
 // compression counters.
 func (c *Compressing) Accounting() Accounting {
-	acc := c.Backend.Accounting()
+	acc := c.inner.Accounting()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	acc.BytesSaved = c.bytesSaved

@@ -256,7 +256,7 @@ func TestCompressingDESFace(t *testing.T) {
 	run := func() (float64, Accounting) {
 		eng := des.NewEngine()
 		inner := NewMemory(eng, 4, 1e8)
-		b := NewCompressing(inner, CompressionOptions{Codec: "gorilla", Engine: eng})
+		b := NewCompressing(inner, CompressionOptions{Codec: "gorilla"})
 		eng.Spawn("dedicated", func(p *des.Proc) {
 			b.BeginPhase()
 			b.Create(p)
@@ -321,9 +321,6 @@ func TestCompressingName(t *testing.T) {
 	b := NewCompressing(NewMemory(nil, 1, 1e8), CompressionOptions{Codec: "rle"})
 	if b.Name() != "memory+rle" {
 		t.Fatalf("Name = %q", b.Name())
-	}
-	if b.Inner().Name() != "memory" {
-		t.Fatalf("Inner().Name = %q", b.Inner().Name())
 	}
 }
 

@@ -6,21 +6,18 @@ import (
 	"repro/internal/storage"
 )
 
-// Example_subscribe wraps a backend with the streaming face, attaches
-// a bounded subscriber, and receives each stored object live — the
-// consumer side of the in-situ pipeline (see docs/STREAMING.md).
+// Example_subscribe attaches a bounded subscriber to a stream hub and
+// receives each published object live — the consumer side of the
+// in-situ pipeline. A run publishes its root objects on such a hub
+// through cluster.NewStreamingHook (see docs/STREAMING.md).
 func Example_subscribe() {
-	st := storage.NewStreaming(storage.NewMemory(nil, 4, 1e9))
+	st := storage.NewStream()
 	sub := st.Subscribe(storage.SubOptions{Buffer: 4, Policy: storage.DropOldest})
 
 	for it := 0; it < 3; it++ {
-		name := fmt.Sprintf("job-root000-it%06d", it)
-		if err := st.Put(name, []byte{byte(it)}); err != nil {
-			fmt.Println("put:", err)
-			return
-		}
+		st.Publish(fmt.Sprintf("job-root000-it%06d", it), []byte{byte(it)})
 	}
-	st.CloseStream()
+	st.Close()
 
 	for {
 		msg, err := sub.Recv()

@@ -11,9 +11,10 @@ import (
 )
 
 // simModel is the deterministic cost model shared by the memory and SDF
-// backends: per-target FIFO service at a fixed bandwidth, constant
-// pattern efficiencies, a per-file overhead and a constant metadata
-// service time. No jitter, no congestion — two runs are bit-identical.
+// backends, which embed it as their whole cost face: per-target FIFO
+// service at a fixed bandwidth, constant pattern efficiencies, a
+// per-file overhead and a constant metadata service time. No jitter, no
+// congestion — two runs are bit-identical.
 type simModel struct {
 	eng      *des.Engine
 	targets  []*des.Resource
@@ -62,12 +63,19 @@ func newSimModel(eng *des.Engine, targets int, bandwidth float64) *simModel {
 	return m
 }
 
-func (m *simModel) targetCount() int {
+// Engine implements CostModel.
+func (m *simModel) Engine() *des.Engine { return m.eng }
+
+// Targets implements CostModel.
+func (m *simModel) Targets() int {
 	if m.targets == nil {
 		return 1
 	}
 	return len(m.targets)
 }
+
+// BeginPhase implements CostModel (no congestion model: nothing to draw).
+func (m *simModel) BeginPhase() {}
 
 func (m *simModel) eff(pat Pattern) float64 {
 	switch pat {
@@ -85,6 +93,20 @@ func (m *simModel) metaOp(p *des.Proc) {
 	p.Wait(m.metaTime)
 	m.metaRes.Release(1)
 }
+
+// Create implements CostModel.
+func (m *simModel) Create(p *des.Proc) {
+	m.mu.Lock()
+	m.files++
+	m.mu.Unlock()
+	m.metaOp(p)
+}
+
+// Open implements CostModel.
+func (m *simModel) Open(p *des.Proc) { m.metaOp(p) }
+
+// Close implements CostModel.
+func (m *simModel) Close(p *des.Proc) { m.metaOp(p) }
 
 func (m *simModel) beginTransfer() {
 	m.mu.Lock()
@@ -124,11 +146,18 @@ func (m *simModel) transfer(p *des.Proc, target int, bytes float64, pat Pattern,
 	t.Release(1)
 }
 
-func (m *simModel) write(p *des.Proc, target int, bytes float64, pat Pattern, overhead float64) {
-	m.transfer(p, target, bytes, pat, overhead, false)
+// Write implements CostModel.
+func (m *simModel) Write(p *des.Proc, target int, bytes float64, pat Pattern) {
+	m.transfer(p, target, bytes, pat, m.overhead, false)
 }
 
-func (m *simModel) read(p *des.Proc, target int, bytes float64, pat Pattern) {
+// WriteChunk implements CostModel.
+func (m *simModel) WriteChunk(p *des.Proc, target int, bytes float64, pat Pattern) {
+	m.transfer(p, target, bytes, pat, 0, false)
+}
+
+// Read implements CostModel.
+func (m *simModel) Read(p *des.Proc, target int, bytes float64, pat Pattern) {
 	m.transfer(p, target, bytes, pat, m.overhead, true)
 }
 
@@ -145,15 +174,23 @@ func (m *simModel) transferAsync(target int, bytes float64, pat Pattern, read bo
 	return f
 }
 
-func (m *simModel) writeAsync(target int, bytes float64, pat Pattern) *des.Future {
+// WriteAsync implements CostModel.
+func (m *simModel) WriteAsync(target int, bytes float64, pat Pattern) *des.Future {
 	return m.transferAsync(target, bytes, pat, false)
 }
 
-func (m *simModel) readAsync(target int, bytes float64, pat Pattern) *des.Future {
+// ReadAsync implements CostModel.
+func (m *simModel) ReadAsync(target int, bytes float64, pat Pattern) *des.Future {
 	return m.transferAsync(target, bytes, pat, true)
 }
 
-func (m *simModel) accounting() Accounting {
+// PlaceFile implements CostModel: a reproducible random draw of targets.
+func (m *simModel) PlaceFile(stripes int, r *rng.Stream) []int {
+	return placeUniform(m.Targets(), stripes, r)
+}
+
+// Accounting implements CostModel: the simulated-face ledger.
+func (m *simModel) Accounting() Accounting {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	busy := m.busyTotal
@@ -193,56 +230,6 @@ func NewMemory(eng *des.Engine, targets int, bandwidth float64) *Memory {
 
 // Name implements Backend.
 func (b *Memory) Name() string { return string(KindMemory) }
-
-// Targets implements Backend.
-func (b *Memory) Targets() int { return b.targetCount() }
-
-// BeginPhase implements Backend (no congestion model: nothing to draw).
-func (b *Memory) BeginPhase() {}
-
-// Create implements Backend.
-func (b *Memory) Create(p *des.Proc) {
-	b.mu.Lock()
-	b.files++
-	b.mu.Unlock()
-	b.metaOp(p)
-}
-
-// Open implements Backend.
-func (b *Memory) Open(p *des.Proc) { b.metaOp(p) }
-
-// Close implements Backend.
-func (b *Memory) Close(p *des.Proc) { b.metaOp(p) }
-
-// Write implements Backend.
-func (b *Memory) Write(p *des.Proc, target int, bytes float64, pat Pattern) {
-	b.write(p, target, bytes, pat, b.overhead)
-}
-
-// WriteChunk implements Backend.
-func (b *Memory) WriteChunk(p *des.Proc, target int, bytes float64, pat Pattern) {
-	b.write(p, target, bytes, pat, 0)
-}
-
-// WriteAsync implements Backend.
-func (b *Memory) WriteAsync(target int, bytes float64, pat Pattern) *des.Future {
-	return b.writeAsync(target, bytes, pat)
-}
-
-// Read implements Backend.
-func (b *Memory) Read(p *des.Proc, target int, bytes float64, pat Pattern) {
-	b.read(p, target, bytes, pat)
-}
-
-// ReadAsync implements Backend.
-func (b *Memory) ReadAsync(target int, bytes float64, pat Pattern) *des.Future {
-	return b.readAsync(target, bytes, pat)
-}
-
-// PlaceFile implements Backend: a reproducible random draw of targets.
-func (b *Memory) PlaceFile(stripes int, r *rng.Stream) []int {
-	return placeUniform(b.targetCount(), stripes, r)
-}
 
 // Put implements ObjectStore: the object is kept in memory.
 func (b *Memory) Put(name string, data []byte) error {
@@ -322,7 +309,7 @@ func (b *Memory) ObjectNames() []string {
 
 // Accounting implements Backend.
 func (b *Memory) Accounting() Accounting {
-	acc := b.simModel.accounting()
+	acc := b.simModel.Accounting()
 	b.omu.Lock()
 	acc.Objects = len(b.objects)
 	acc.ObjectBytes = b.objByte

@@ -18,7 +18,8 @@ import (
 // charges the read before reporting ErrNoPayload. Names are retained,
 // so List works and Get can tell "never stored" from "not retained".
 type PFS struct {
-	fs *pfs.FS
+	eng *des.Engine
+	fs  *pfs.FS
 
 	mu       sync.Mutex
 	creates  int
@@ -30,7 +31,7 @@ type PFS struct {
 
 // NewPFS wraps a fresh pfs.FS over the given parameters.
 func NewPFS(eng *des.Engine, params topology.PFSParams, r *rng.Stream) *PFS {
-	return &PFS{fs: pfs.New(eng, params, r), objSize: map[string]int64{}}
+	return &PFS{eng: eng, fs: pfs.New(eng, params, r), objSize: map[string]int64{}}
 }
 
 // FS exposes the underlying model (diagnostics, pfs-specific tests).
@@ -43,6 +44,9 @@ func (b *PFS) SetBandwidthFactor(factor float64) { b.fs.SetBandwidthFactor(facto
 
 // Name implements Backend.
 func (b *PFS) Name() string { return string(KindPFS) }
+
+// Engine implements CostModel.
+func (b *PFS) Engine() *des.Engine { return b.eng }
 
 // Targets implements Backend.
 func (b *PFS) Targets() int { return b.fs.OSTCount() }

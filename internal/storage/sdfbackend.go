@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/meta"
-	"repro/internal/rng"
 	"repro/internal/sdf"
 )
 
@@ -57,64 +56,6 @@ func (b *SDF) Dir() string { return b.dir }
 
 // Name implements Backend.
 func (b *SDF) Name() string { return string(KindSDF) }
-
-// Targets implements Backend.
-func (b *SDF) Targets() int { return b.targetCount() }
-
-// BeginPhase implements Backend.
-func (b *SDF) BeginPhase() {}
-
-// Create implements Backend.
-func (b *SDF) Create(p *des.Proc) {
-	b.mu.Lock()
-	b.files++
-	b.mu.Unlock()
-	b.metaOp(p)
-}
-
-// Open implements Backend.
-func (b *SDF) Open(p *des.Proc) { b.metaOp(p) }
-
-// Close implements Backend.
-func (b *SDF) Close(p *des.Proc) { b.metaOp(p) }
-
-// Write implements Backend.
-func (b *SDF) Write(p *des.Proc, target int, bytes float64, pat Pattern) {
-	b.write(p, target, bytes, pat, b.overhead)
-}
-
-// WriteChunk implements Backend.
-func (b *SDF) WriteChunk(p *des.Proc, target int, bytes float64, pat Pattern) {
-	b.write(p, target, bytes, pat, 0)
-}
-
-// WriteAsync implements Backend.
-func (b *SDF) WriteAsync(target int, bytes float64, pat Pattern) *des.Future {
-	return b.writeAsync(target, bytes, pat)
-}
-
-// Read implements Backend.
-func (b *SDF) Read(p *des.Proc, target int, bytes float64, pat Pattern) {
-	b.read(p, target, bytes, pat)
-}
-
-// ReadAsync implements Backend.
-func (b *SDF) ReadAsync(target int, bytes float64, pat Pattern) *des.Future {
-	return b.readAsync(target, bytes, pat)
-}
-
-// PlaceFile implements Backend.
-func (b *SDF) PlaceFile(stripes int, r *rng.Stream) []int {
-	return placeUniform(b.targetCount(), stripes, r)
-}
-
-// PutVec implements VecStore. The SDF container needs one contiguous
-// dataset, so the segments are gathered once here — the same single
-// copy a pre-flattened Put would have paid, kept inside the backend so
-// scatter-gather callers need no special case.
-func (b *SDF) PutVec(name string, segs [][]byte) error {
-	return b.Put(name, FlattenSegs(segs))
-}
 
 // Put implements ObjectStore: the object becomes one SDF file.
 // Overwriting an existing name replaces the object (accounted once,
@@ -311,7 +252,7 @@ func (b *SDF) objectPath(name string) string {
 
 // Accounting implements Backend.
 func (b *SDF) Accounting() Accounting {
-	acc := b.simModel.accounting()
+	acc := b.simModel.Accounting()
 	b.omu.Lock()
 	acc.Objects = len(b.objSize)
 	acc.ObjectBytes = b.objByte

@@ -12,12 +12,16 @@
 //     model, but real objects are persisted as SDF files via
 //     internal/sdf, so small runs leave inspectable artifacts.
 //
-// A Backend has two faces. The simulated face (Create/Open/Close/
-// Write/Read, *des.Proc-blocking) charges virtual time and feeds the
-// cost accounting; it is what the iostrat strategies drive. The real
-// face (Put/Get/List) stores and serves actual bytes and is what the
-// runtime cluster layer, restart path and plugins use; on the pure DES
-// model it degrades to accounting only (Get returns ErrNoPayload).
+// A Backend is the composition of two independent faces. The cost face
+// (CostModel: Create/Open/Close/Write/Read..., *des.Proc-blocking)
+// charges virtual time and feeds the cost accounting; it is all the
+// iostrat strategies depend on. The object faces (ObjectStore,
+// ObjectReader: Put/Get/List) store and serve actual bytes and are what
+// the runtime cluster layer, restart path and plugins depend on; on the
+// pure DES model they degrade to accounting only (Get returns
+// ErrNoPayload). A reduction layer (Compressing, the chunk store) is a
+// codec on the object faces plus two cost functions on the cost face,
+// applied by Reduce — it never re-implements a transfer method.
 package storage
 
 import (
@@ -254,10 +258,9 @@ type Retainer interface {
 // bytes arrive as an iovec-style segment list. Implementations must
 // treat the concatenation of segs as the object's bytes and must own
 // their copy by the time PutVec returns — callers are free to recycle
-// the segment buffers immediately afterwards. All built-in backends
-// (and the Compressing wrapper) implement it; callers should go
-// through the PutVec helper, which falls back to flattening for plain
-// ObjectStores.
+// the segment buffers immediately afterwards. Stores that can do better
+// than gather-then-Put implement it (Memory, PFS, Compressing); callers
+// go through the PutVec helper, which flattens for everyone else.
 type VecStore interface {
 	// PutVec durably stores the concatenation of segs under name.
 	// Implementations must be safe for concurrent use.
@@ -295,14 +298,13 @@ func FlattenSegs(segs [][]byte) []byte {
 	return out
 }
 
-// Backend is a storage target: simulated operations that charge virtual
-// time on a des.Proc, a real object path, and cost accounting.
-type Backend interface {
-	ObjectStore
-	ObjectReader
-
-	// Name identifies the backend kind in logs and reports.
-	Name() string
+// CostModel is the simulated face of a storage target: operations that
+// charge virtual time on a des.Proc, and the ledger they feed. The
+// iostrat strategies depend on this face alone.
+type CostModel interface {
+	// Engine returns the DES engine the model charges time on (nil for a
+	// backend built for its object faces only).
+	Engine() *des.Engine
 	// Targets returns the number of independent storage targets (OSTs,
 	// disks); placement indices are taken modulo this.
 	Targets() int
@@ -341,6 +343,18 @@ type Backend interface {
 
 	// Accounting returns a snapshot of the cost ledger.
 	Accounting() Accounting
+}
+
+// Backend is a storage target: the cost face and the object faces of
+// one store, composed. Code that needs only one of them should depend
+// on that face.
+type Backend interface {
+	CostModel
+	ObjectStore
+	ObjectReader
+
+	// Name identifies the backend kind in logs and reports.
+	Name() string
 }
 
 // Kind names a backend implementation.

@@ -108,8 +108,8 @@ func (o SubOptions) withDefaults() SubOptions {
 	return o
 }
 
-// Stream is a fan-out hub from publishers (tree roots, the Streaming
-// store wrapper) to in-situ subscribers. Each subscriber owns a bounded
+// Stream is a fan-out hub from publishers (tree roots, through
+// cluster.NewStreamingHook) to in-situ subscribers. Each subscriber owns a bounded
 // FIFO queue; when it falls behind, its SlowPolicy — not the other
 // subscribers' — decides what gives. Publish order is delivery order
 // within one publisher; messages carry stream-wide sequence numbers so
@@ -380,144 +380,4 @@ func (c *Subscription) close(cause error) {
 	c.mu.Unlock()
 	signal(c.notEmpty)
 	signal(c.notFull)
-}
-
-// StreamPublisher is the streaming write face: store an object and
-// publish its payload to live subscribers in one call. The Streaming
-// wrapper implements it; callers should go through the PutStream
-// helper, which degrades to a plain Put on stores without the face.
-type StreamPublisher interface {
-	// PutStream durably stores data under name and then publishes it.
-	PutStream(name string, data []byte) error
-}
-
-// Subscribable is implemented by stores that can hand out live
-// subscriptions (the Streaming wrapper). Consumers test for it with a
-// type assertion, so plain backends keep working unchanged.
-type Subscribable interface {
-	// Subscribe attaches a new subscriber to the store's stream.
-	Subscribe(opts SubOptions) *Subscription
-}
-
-// PutStream stores one object and publishes it to live subscribers:
-// through the store's StreamPublisher face when it has one, or as a
-// plain Put (no publication) otherwise.
-func PutStream(store ObjectStore, name string, data []byte) error {
-	if sp, ok := store.(StreamPublisher); ok {
-		return sp.PutStream(name, data)
-	}
-	return store.Put(name, data)
-}
-
-// Streaming adds the streaming face to any backend: every object
-// stored through Put/PutVec/PutStream is also published on an embedded
-// Stream, after the inner store accepted it. The wrapper belongs
-// *outermost* in the pipeline stack — above the chunk store, above
-// Compressing — so subscribers receive the payload as the application
-// wrote it (decoded, unchunked), not the framed form that lands on the
-// device. Payloads are copied once per publish and only while someone
-// is subscribed, so an unwatched stream costs nothing on the write
-// path.
-type Streaming struct {
-	Backend
-	stream *Stream
-}
-
-// NewStreaming wraps inner with the streaming face.
-func NewStreaming(inner Backend) *Streaming {
-	return &Streaming{Backend: inner, stream: NewStream()}
-}
-
-// Name implements Backend: the inner name tagged with the face.
-func (s *Streaming) Name() string { return s.Backend.Name() + "+stream" }
-
-// Inner returns the wrapped backend.
-func (s *Streaming) Inner() Backend { return s.Backend }
-
-// Stream returns the hub publishers and subscribers share.
-func (s *Streaming) Stream() *Stream { return s.stream }
-
-// Subscribe implements Subscribable.
-func (s *Streaming) Subscribe(opts SubOptions) *Subscription {
-	return s.stream.Subscribe(opts)
-}
-
-// Put implements ObjectStore: store, then publish a copy to live
-// subscribers (the inner store may alias or recycle data; subscribers
-// need their own stable bytes).
-func (s *Streaming) Put(name string, data []byte) error {
-	if err := s.Backend.Put(name, data); err != nil {
-		return err
-	}
-	if s.stream.HasSubscribers() {
-		s.stream.Publish(name, append([]byte(nil), data...))
-	}
-	return nil
-}
-
-// PutVec implements VecStore: the scatter-gather path publishes the
-// flattened payload, and flattens only when someone is subscribed.
-func (s *Streaming) PutVec(name string, segs [][]byte) error {
-	var flat []byte
-	if s.stream.HasSubscribers() {
-		flat = FlattenSegs(segs) // before the store recycles the segments
-	}
-	if err := PutVec(s.Backend, name, segs); err != nil {
-		return err
-	}
-	if flat != nil {
-		s.stream.Publish(name, flat)
-	}
-	return nil
-}
-
-// PutStream implements StreamPublisher. On this wrapper it is Put —
-// the face exists so callers can require publication via the
-// storage.PutStream helper.
-func (s *Streaming) PutStream(name string, data []byte) error {
-	return s.Put(name, data)
-}
-
-// CloseStream shuts the stream down (subscribers drain, then see
-// ErrStreamClosed). The inner backend is untouched.
-func (s *Streaming) CloseStream() { s.stream.Close() }
-
-// Delete forwards ObjectDeleter to the inner backend.
-func (s *Streaming) Delete(name string) error {
-	if d, ok := s.Backend.(ObjectDeleter); ok {
-		return d.Delete(name)
-	}
-	return fmt.Errorf("storage: backend %s cannot delete objects", s.Backend.Name())
-}
-
-// Retain forwards Retainer to the inner backend.
-func (s *Streaming) Retain(name string) error {
-	if r, ok := s.Backend.(Retainer); ok {
-		return r.Retain(name)
-	}
-	return fmt.Errorf("storage: backend %s has no retain face", s.Backend.Name())
-}
-
-// Release forwards Retainer to the inner backend.
-func (s *Streaming) Release(name string) error {
-	if r, ok := s.Backend.(Retainer); ok {
-		return r.Release(name)
-	}
-	return fmt.Errorf("storage: backend %s has no retain face", s.Backend.Name())
-}
-
-// ObjectCodec forwards ObjectCodecInfoer to the inner backend.
-func (s *Streaming) ObjectCodec(name string) (CodecInfo, bool) {
-	if ci, ok := s.Backend.(ObjectCodecInfoer); ok {
-		return ci.ObjectCodec(name)
-	}
-	return CodecInfo{}, false
-}
-
-// ObjectChunks forwards ObjectChunkInfoer to the inner backend.
-func (s *Streaming) ObjectChunks(name string) (ChunkInfo, bool) {
-	if ci, ok := s.Backend.(ObjectChunkInfoer); ok {
-		return ci.ObjectChunks(name)
-	}
-	return ChunkInfo{}, false
 }

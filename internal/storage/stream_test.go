@@ -254,109 +254,3 @@ func TestStreamChurnRace(t *testing.T) {
 	wg.Wait()
 	s.Close()
 }
-
-func TestStreamingWrapper(t *testing.T) {
-	inner := NewMemory(nil, 4, 1e8)
-	st := NewStreaming(inner)
-	if st.Name() != inner.Name()+"+stream" {
-		t.Fatalf("Name = %q", st.Name())
-	}
-	// No subscriber: Put stores without publishing a copy.
-	if err := st.Put("quiet", []byte("x")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if n := st.Stream().Published(); n != 0 {
-		t.Fatalf("Published with no subscribers = %d, want 0", n)
-	}
-	sub := st.Subscribe(SubOptions{Buffer: 4})
-	payload := []byte("hello stream")
-	if err := st.Put("obj-1", payload); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	msg, err := sub.Recv()
-	if err != nil || msg.Name != "obj-1" || string(msg.Data) != string(payload) {
-		t.Fatalf("Recv = %+v, %v", msg, err)
-	}
-	// The published copy must be independent of the caller's buffer.
-	payload[0] = '!'
-	if string(msg.Data) != "hello stream" {
-		t.Fatal("published payload aliases the caller's buffer")
-	}
-	// Scatter-gather path: subscriber sees the flattened payload.
-	if err := st.PutVec("obj-2", [][]byte{[]byte("ab"), []byte("cd")}); err != nil {
-		t.Fatalf("PutVec: %v", err)
-	}
-	if msg, err = sub.Recv(); err != nil || string(msg.Data) != "abcd" {
-		t.Fatalf("Recv after PutVec = %q, %v", msg.Data, err)
-	}
-	// The inner store saw both objects.
-	if got, err := st.Get("obj-2"); err != nil || string(got) != "abcd" {
-		t.Fatalf("Get = %q, %v", got, err)
-	}
-	// PutStream face and helper.
-	if err := PutStream(st, "obj-3", []byte("z")); err != nil {
-		t.Fatalf("PutStream: %v", err)
-	}
-	if msg, err = sub.Recv(); err != nil || msg.Name != "obj-3" {
-		t.Fatalf("Recv after PutStream = %q, %v", msg.Name, err)
-	}
-	// Optional faces forward.
-	if err := st.Delete("obj-3"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if _, err := st.Get("obj-3"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get after Delete = %v, want ErrNotFound", err)
-	}
-	if err := st.Retain("obj-1"); err == nil {
-		t.Fatal("Retain over a store without the face = nil, want error")
-	}
-	if _, ok := st.ObjectCodec("obj-1"); ok {
-		t.Fatal("ObjectCodec over a plain store reported info")
-	}
-	if _, ok := st.ObjectChunks("obj-1"); ok {
-		t.Fatal("ObjectChunks over a plain store reported info")
-	}
-	st.CloseStream()
-	if _, err := sub.Recv(); !errors.Is(err, ErrStreamClosed) {
-		t.Fatalf("Recv after CloseStream = %v, want ErrStreamClosed", err)
-	}
-}
-
-// TestPutStreamFallback: the helper degrades to a plain Put on stores
-// without the streaming face.
-func TestPutStreamFallback(t *testing.T) {
-	inner := NewMemory(nil, 1, 1e8)
-	if err := PutStream(inner, "plain", []byte("p")); err != nil {
-		t.Fatalf("PutStream fallback: %v", err)
-	}
-	if got, err := inner.Get("plain"); err != nil || string(got) != "p" {
-		t.Fatalf("Get = %q, %v", got, err)
-	}
-}
-
-// TestStreamingForwardsCompressedPayloads: stacked outermost over
-// Compressing, subscribers receive the raw payload while the inner
-// store holds the framed form.
-func TestStreamingForwardsCompressedPayloads(t *testing.T) {
-	mem := NewMemory(nil, 4, 1e8)
-	st := NewStreaming(NewCompressing(mem, CompressionOptions{Codec: "rle"}))
-	sub := st.Subscribe(SubOptions{Buffer: 2})
-	raw := make([]byte, 4096) // zeros: RLE-friendly
-	if err := st.Put("field-it000001", raw); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	msg, err := sub.Recv()
-	if err != nil || len(msg.Data) != len(raw) {
-		t.Fatalf("Recv = %d bytes, %v; want the raw payload", len(msg.Data), err)
-	}
-	stored, err := mem.Get("field-it000001")
-	if err != nil {
-		t.Fatalf("inner Get: %v", err)
-	}
-	if len(stored) >= len(raw) {
-		t.Fatalf("inner store holds %d bytes, want framed/compressed (< %d)", len(stored), len(raw))
-	}
-	if got, err := st.Get("field-it000001"); err != nil || len(got) != len(raw) {
-		t.Fatalf("outer Get = %d bytes, %v", len(got), err)
-	}
-}
