@@ -13,21 +13,11 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # go test -cover must not report a combined total below this.
 COVER_FLOOR ?= 65
 
-# Label baked into the bench-json artifact (CI passes the commit sha).
-BENCH_LABEL ?= local
-
-# Previous artifact for bench-compare (CI downloads the last run's
-# upload here before comparing).
-BENCH_BASELINE ?= out/bench/previous/BENCH_previous.json
-
-# Regression threshold for bench-compare, as a fraction (0.10 = 10%).
-BENCH_THRESHOLD ?= 0.10
-
 # Benchmark driven by the pprof-* targets (see docs/PERFORMANCE.md).
 PPROF_BENCH ?= BenchmarkClusterAggregation
 PPROF_PKG ?= .
 
-.PHONY: build test vet fmt fmt-check bench bench-json bench-compare \
+.PHONY: build test vet fmt fmt-check bench \
 	pprof-cpu pprof-alloc cover-check tidy-check \
 	failure-race service-race chunk-race stream-race adapt-race race-stress failure-smoke restart-smoke c1-smoke fuzz-smoke lint docs-check \
 	smoke-e1 smoke-e6 smoke-e6-cross smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 ci
@@ -70,14 +60,18 @@ stream-race:
 adapt-race:
 	$(GO) test -race -run 'Adapt|Reform|Scenario' ./internal/cluster ./internal/iostrat
 
-# Repeated race-detector pass over the shared-ledger paths a single
-# -count=1 run misses: tenants finishing while other roots are still
-# inside the broker's accounting (the E9 pinned-admission race showed
-# up about once in six runs), the service lifecycle, and both brokers.
+# Repeated passes over what a single -count=1 run misses. Under the
+# race detector: tenants finishing while other roots are still inside
+# the broker's accounting (the E9 pinned-admission race showed up about
+# once in six runs), the service lifecycle, both brokers and the
+# stream's Seq order under racing publishers. Without it, at -count=200
+# (~5 s): the three routing-protocol tests that flaked 1-3 % until
+# Forest decided the late-drain rule — they guard its rules 1 and 2.
 race-stress:
 	$(GO) test -race -count=10 -run 'TestE9PinnedAdmission' ./internal/experiments
 	$(GO) test -race -count=10 -run 'Service' ./internal/cluster
-	$(GO) test -race -count=10 -run 'Broker|Sharded' ./internal/storage
+	$(GO) test -race -count=10 -run 'Broker|Sharded|TestStreamPublishSeqOrder' ./internal/storage
+	$(GO) test -count=200 -run 'TestClusterInteriorFailure|TestRestoreAfterFailure|TestAdaptReformRaceWithStreaming' ./internal/cluster
 
 # Experiment smoke matrix — one target per experiment so a broken
 # experiment names itself in the CI job list (ci.yml fans these out via
@@ -171,27 +165,11 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# bench is the kernels' smoke run: every Benchmark* function once, so a
+# broken benchmark names itself. It gates nothing — the regression gate
+# is the repo benchmark's -collect/-compare (benchmark/README.md).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-
-# bench-json runs the benchmarks and archives them as a machine-readable
-# BENCH_<label>.json under out/bench/, so the perf trajectory accumulates
-# run over run (CI uploads the file as an artifact). Two steps, not a
-# pipe: a failing benchmark run must fail the target, not hand benchjson
-# a truncated stream it would happily parse.
-bench-json:
-	@mkdir -p out/bench
-	$(GO) test -bench=. -benchtime=1x -run='^$$' ./... > out/bench/bench.txt
-	$(GO) run ./cmd/benchjson -label $(BENCH_LABEL) \
-		-out out/bench/BENCH_$(BENCH_LABEL).json < out/bench/bench.txt
-
-# bench-compare diffs the freshly built BENCH_<label>.json against the
-# previous run's artifact and fails on a >$(BENCH_THRESHOLD) regression
-# in ns/op or MB/s. A missing baseline (first run, expired artifact)
-# passes with a notice — see cmd/benchcompare.
-bench-compare: bench-json
-	$(GO) run ./cmd/benchcompare -old $(BENCH_BASELINE) \
-		-new out/bench/BENCH_$(BENCH_LABEL).json -threshold $(BENCH_THRESHOLD)
 
 # Profiling entry points for the hot-path work: run one benchmark long
 # enough to sample, drop the profile under out/pprof/, and print the

@@ -154,8 +154,6 @@ var docDepthDirs = []string{
 	"internal/cluster",
 	"internal/insitu",
 	"internal/visitsim",
-	"cmd/benchcompare",
-	"cmd/benchjson",
 }
 
 // checkExportedDocs flags exported top-level declarations without doc

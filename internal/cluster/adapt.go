@@ -1,122 +1,31 @@
 package cluster
 
-import (
-	"fmt"
-	"sort"
-)
-
-// treeEpoch binds one aggregation topology to the iteration range it
-// routes: from fromIter until the next epoch's fromIter. Failures
-// mutate every epoch's overlay (the corpse is dead in all of them);
-// re-formation only ever appends epochs.
-type treeEpoch struct {
-	fromIter int
-	tree     Tree
-}
-
-// curTree returns the current (latest) epoch's tree. Callers hold c.mu.
-func (c *Cluster) curTree() *Tree { return &c.epochs[len(c.epochs)-1].tree }
-
-// epochIndexFor returns the index of the epoch routing iteration it.
-// Callers hold c.mu.
-func (c *Cluster) epochIndexFor(it int) int {
-	for i := len(c.epochs) - 1; i > 0; i-- {
-		if c.epochs[i].fromIter <= it {
-			return i
-		}
-	}
-	return 0
-}
-
-// treeFor returns the tree routing iteration it. Callers hold c.mu.
-func (c *Cluster) treeFor(it int) *Tree {
-	return &c.epochs[c.epochIndexFor(it)].tree
-}
-
-// noteRouted records that a routing decision was made for iteration it,
-// fencing future re-formations past it. Callers hold c.mu.
-func (c *Cluster) noteRouted(it int) {
-	if it > c.maxRouted {
-		c.maxRouted = it
-	}
-}
-
-// parentsUnion returns the distinct parents of node across all epochs,
-// ascending. Callers hold c.mu.
-func (c *Cluster) parentsUnion(node int) []int {
-	seen := map[int]bool{}
-	for i := range c.epochs {
-		if p, ok := c.epochs[i].tree.Parent(node); ok {
-			seen[p] = true
-		}
-	}
-	return sortedCovers(seen)
-}
-
-// childrenUnion returns the distinct live children of node across all
-// epochs, ascending. Callers hold c.mu.
-func (c *Cluster) childrenUnion(node int) []int {
-	seen := map[int]bool{}
-	for i := range c.epochs {
-		for _, k := range c.epochs[i].tree.Children(node) {
-			seen[k] = true
-		}
-	}
-	return sortedCovers(seen)
-}
-
 // Reform re-forms the aggregation forest mid-run with a new fanout and
 // root count, returning the first iteration the new topology routes.
 // Iterations below that fence keep flowing through their original
 // epoch — parent edges, coverage requirements, root sets and broker
 // windows included — so no in-flight mailbox entry is stranded or
-// double-stored; acknowledged data is never lost to a re-formation.
-// Nodes already killed by the failure schedule stay dead in the new
-// epoch. Safe to call concurrently with client writes; it composes
-// with failure re-routing and streaming hooks (the stream hub's
-// sequence numbers are cluster-wide and simply continue).
+// double-stored; acknowledged data is never lost to a re-formation:
+// an aggregator's readiness check, its choice of destination and the
+// fence move are one Forest.Route call in one lock hold (rule 2), so no
+// Reform lands between "covered" and "route by that epoch". Nodes
+// already killed stay dead in the new epoch, and their pre-death
+// iterations stay awaited there (rule 1). Safe to call concurrently
+// with client writes; it composes with failure re-routing and streaming
+// hooks (the stream's sequence numbers are cluster-wide and continue).
 func (c *Cluster) Reform(fanout, roots int) (fromIter int, err error) {
-	if fanout < 2 {
-		return 0, fmt.Errorf("cluster: Reform fanout %d < 2", fanout)
-	}
-	if roots < 1 {
-		return 0, fmt.Errorf("cluster: Reform roots %d < 1", roots)
-	}
 	c.mu.Lock()
-	nt := NewTree(len(c.nodes), fanout, roots)
-	var dead []int
-	for d, f := range c.failed {
-		if f {
-			dead = append(dead, d)
-		}
-	}
-	sort.Ints(dead)
-	for _, d := range dead {
-		nt.Fail(d)
-	}
-	if len(nt.Roots()) == 0 {
+	fromIter, err = c.forest.Reform(fanout, roots)
+	if err != nil {
 		c.mu.Unlock()
-		return 0, fmt.Errorf("cluster: Reform with every node dead")
+		return 0, err
 	}
-	fromIter = c.maxRouted + 1
-	last := &c.epochs[len(c.epochs)-1]
-	if last.fromIter >= fromIter {
-		// The previous epoch never routed anything: replace it in place
-		// rather than stacking unused epochs.
-		fromIter = last.fromIter
-		last.tree = nt
-	} else {
-		c.epochs = append(c.epochs, treeEpoch{fromIter: fromIter, tree: nt})
-	}
-	c.failEpoch++
 	c.stats.TreeReforms++
-	// Wake every live aggregator: an iteration already pending under
-	// the new epoch may satisfy its (possibly smaller) new coverage
-	// requirement immediately.
-	for i, a := range c.aggs {
-		if !c.failed[i] && !c.exited[i] {
-			a.post(aggMsg{poke: true})
-		}
+	// Wake every aggregator: an iteration already pending under the new
+	// epoch may satisfy its (possibly smaller) new coverage requirement
+	// immediately.
+	for i := range c.aggs {
+		c.postTo(i, aggMsg{poke: true})
 	}
 	c.mu.Unlock()
 	c.cc.Logger.Printf("cluster: re-formed tree from iteration %d (fanout %d, %d roots)",
@@ -129,7 +38,7 @@ func (c *Cluster) Reform(fanout, roots int) (fromIter int, err error) {
 func (c *Cluster) Epochs() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.epochs)
+	return c.forest.Epochs()
 }
 
 // RecommendTopology picks an aggregation forest shape — fanout and
@@ -165,7 +74,7 @@ func RecommendTopology(nodes int, nodeBytes, nicBW, streamBW float64, targets in
 	fanout, roots = 2, 1
 	for r := 1; r <= nodes; r *= 2 {
 		sub := (nodes + r - 1) / r
-		stripes := adaptStripes(targets, r)
+		stripes := StripeWidth(0, targets, r)
 		// Per-root write time: the subtree's bytes over the root's
 		// stripe window, derated once the forest's streams outnumber
 		// the targets (sequential efficiency loss per shared OST).
@@ -201,24 +110,4 @@ func aggChainTime(s, fanout int, nodeBytes, nicBW float64) float64 {
 		s = child
 	}
 	return t
-}
-
-// adaptStripes mirrors the DES face's per-root stripe window sizing:
-// divide the targets across the roots, clamped to [8, 64] and to the
-// target count itself.
-func adaptStripes(targets, roots int) int {
-	s := targets / (2 * roots)
-	if s < 8 {
-		s = 8
-	}
-	if s > 64 {
-		s = 64
-	}
-	if s > targets {
-		s = targets
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
 }

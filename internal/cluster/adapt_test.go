@@ -105,8 +105,8 @@ func TestReformMidRunCompleteness(t *testing.T) {
 
 // TestAdaptReformRaceWithStreaming re-forms the tree continuously while
 // every client writes concurrently and a streaming subscriber consumes
-// merged batches — the race the epoch fence and the maxRouted high-water
-// mark must survive (run under -race by `make adapt-race`).
+// merged batches — the race the Forest's epoch fence must survive (run
+// under -race by `make adapt-race`, at -count=200 by `make race-stress`).
 func TestAdaptReformRaceWithStreaming(t *testing.T) {
 	const nodes, clients, iters = 10, 2, 8
 	store := storage.NewMemory(nil, 4, 1e9)
@@ -149,6 +149,36 @@ func TestAdaptReformRaceWithStreaming(t *testing.T) {
 		}
 	}()
 
+	stop := make(chan struct{})
+	var reformWG sync.WaitGroup
+	reformWG.Add(1)
+	// The re-forming loop starts before the writers and the writers wait
+	// for its first call: on a loaded host the whole workload can finish
+	// before a goroutine started afterwards is first scheduled, and the
+	// run would then race nothing.
+	reforming := make(chan struct{})
+	var first sync.Once
+	go func() {
+		defer reformWG.Done()
+		defer first.Do(func() { close(reforming) })
+		shapes := [][2]int{{2, 1}, {4, 4}, {3, 2}, {2, 5}}
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			sh := shapes[i%len(shapes)]
+			if _, err := c.Reform(sh[0], sh[1]); err != nil {
+				t.Errorf("reform %v: %v", sh, err)
+				return
+			}
+			first.Do(func() { close(reforming) })
+		}
+	}()
+
+	<-reforming
+
 	var writerWG sync.WaitGroup
 	for n := 0; n < nodes; n++ {
 		for s := 0; s < clients; s++ {
@@ -166,26 +196,6 @@ func TestAdaptReformRaceWithStreaming(t *testing.T) {
 			}(n, s)
 		}
 	}
-
-	stop := make(chan struct{})
-	var reformWG sync.WaitGroup
-	reformWG.Add(1)
-	go func() {
-		defer reformWG.Done()
-		shapes := [][2]int{{2, 1}, {4, 4}, {3, 2}, {2, 5}}
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			sh := shapes[i%len(shapes)]
-			if _, err := c.Reform(sh[0], sh[1]); err != nil {
-				t.Errorf("reform %v: %v", sh, err)
-				return
-			}
-		}
-	}()
 
 	writerWG.Wait()
 	c.WaitIteration(iters - 1)
@@ -232,10 +242,10 @@ func TestReformWithFailures(t *testing.T) {
 
 	for it := 0; it < iters; it++ {
 		if it == failAt {
-			// The victim's earlier iterations must be stored before it
-			// dies: the death shrinks its root's required coverage at
-			// once, and a root that already stored an iteration drops
-			// the victim's late drain as a counted loss (by design).
+			// Let the victim's earlier iterations be stored before it
+			// dies. Since Forest rule 1 its root awaits them either way
+			// (TestClusterInteriorFailure covers the unsynchronised
+			// case); the wait keeps this test about re-formation.
 			c.WaitIteration(it - 1)
 		}
 		for n := 0; n < nodes; n++ {

@@ -63,10 +63,16 @@ type Stats struct {
 	// NodesFailed counts nodes killed by the failure schedule.
 	NodesFailed int
 	// BlocksLost counts blocks that never reached a root object:
-	// produced on a dead node, or orphaned with nowhere to drain.
+	// produced on a dead node from its death iteration on, dropped by
+	// the byte quota, orphaned with nowhere to drain, or reaching a live
+	// root that had already stored their iteration — the only loss a
+	// live root decides (Forest rule 4), and, since roots wait for a
+	// dead node's pre-death iterations (rule 1), reachable only from
+	// the end-of-run flush of a straggler.
 	BlocksLost int
 	// ReroutedEdges counts tree edges moved by failures, including
-	// root promotions.
+	// root promotions, in the epoch routing the iteration the node died
+	// at.
 	ReroutedEdges int
 	// TreeReforms counts mid-run topology re-formations (Reform): new
 	// tree epochs opened by elastic adaptation. Failures re-route
@@ -141,32 +147,22 @@ type Cluster struct {
 	aggs       []*aggregator
 	wg         sync.WaitGroup
 
-	// mu guards the tree epochs (failures re-route them and Reform
-	// appends new ones mid-run), the stats and the exited flags. Each
-	// aggregator's mailbox has its own lock (aggregator.mboxMu) so
-	// concurrent leaf deliveries do not contend on one cluster-wide
-	// mutex; routing lookups and the posts they decide still happen
-	// while c.mu is held, so a re-route or re-formation stays atomic
-	// with respect to in-flight deliveries. Lock order: c.mu before
-	// mboxMu, never the reverse.
+	// mu guards the forest (failures re-route it and Reform appends
+	// epochs mid-run), the stats and the exited flags. Each aggregator's
+	// mailbox has its own lock (aggregator.mboxMu) so concurrent leaf
+	// deliveries do not contend on one cluster-wide mutex; a routing
+	// decision and the post it decides still happen in one c.mu hold, so
+	// a re-route or re-formation stays atomic with respect to in-flight
+	// deliveries. Lock order: c.mu before mboxMu, never the reverse.
 	mu sync.Mutex
-	// epochs is the topology history, ascending by fromIter; the last
-	// entry is the current tree. Iteration k routes through treeFor(k)
-	// for its whole life — parent lookup, coverage requirement, root
-	// set, broker window — so re-formation never strands an in-flight
-	// iteration (see Reform in adapt.go).
-	epochs    []treeEpoch
-	maxRouted int // highest iteration any routing decision was made for
-	failEpoch int // bumped by killNode and Reform; invalidates coverage caches
-	stats     Stats
-	covered   map[int]int  // iteration → origin nodes stored at roots
-	partials  map[int]bool // iterations stored below full live coverage
-	completed map[int]bool // iterations done at every live root
-	failed    []bool       // node → killed by the schedule
-	exited    []bool       // node → aggregator goroutine returned
-	errs      []error
-	doneRoots map[int]int // iteration → roots that stored it
-	iterDone  *sync.Cond
+	// forest is the routing protocol: topology epochs, failure overlay,
+	// coverage requirements, root windows and the completeness ledger.
+	forest   *Forest
+	stats    Stats
+	partials map[int]bool // iterations stored below full live coverage
+	exited   []bool       // node → aggregator goroutine returned
+	errs     []error
+	iterDone *sync.Cond
 }
 
 // New builds and starts a standalone single-tenant cluster: every
@@ -205,16 +201,11 @@ func newTenantCluster(cc ClusterConfig, spec RunSpec, tenant int) (*Cluster, err
 		spec:       spec,
 		tenant:     tenant,
 		holderBase: tenantHolderBase(tenant),
-		epochs:     []treeEpoch{{tree: NewTree(cc.Platform.Nodes, cc.Fanout, cc.Roots)}},
-		maxRouted:  -1,
+		forest:     NewForest(cc.Platform.Nodes, cc.Fanout, cc.Roots),
 		nodes:      make([]*core.Node, cc.Platform.Nodes),
 		aggs:       make([]*aggregator, cc.Platform.Nodes),
-		covered:    map[int]int{},
 		partials:   map[int]bool{},
-		completed:  map[int]bool{},
-		failed:     make([]bool, cc.Platform.Nodes),
 		exited:     make([]bool, cc.Platform.Nodes),
-		doneRoots:  map[int]int{},
 	}
 	c.iterDone = sync.NewCond(&c.mu)
 
@@ -223,8 +214,6 @@ func newTenantCluster(cc ClusterConfig, spec RunSpec, tenant int) (*Cluster, err
 			c:       c,
 			node:    i,
 			pending: map[int]*pendingIter{},
-			eofFrom: map[int]bool{},
-			stored:  map[int]bool{},
 			written: map[int]bool{},
 		}
 		a.avail = sync.NewCond(&a.mboxMu)
@@ -256,16 +245,12 @@ func newTenantCluster(cc ClusterConfig, spec RunSpec, tenant int) (*Cluster, err
 	return c, nil
 }
 
-type nullWriter struct{}
-
-func (nullWriter) Write(p []byte) (int, error) { return len(p), nil }
-
 // Tree returns a snapshot of the current aggregation topology — the
 // latest epoch — including any failure re-routing applied so far.
 func (c *Cluster) Tree() Tree {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.curTree().Clone()
+	return c.forest.Tree()
 }
 
 // Nodes returns the number of nodes.
@@ -293,10 +278,8 @@ func (c *Cluster) Client(node, source int) *core.Client {
 func (c *Cluster) Stats() Stats {
 	c.mu.Lock()
 	s := c.stats
-	s.Completeness = make(map[int]float64, len(c.covered))
-	for it, n := range c.covered {
-		s.Completeness[it] = float64(n) / float64(len(c.nodes))
-	}
+	s.IterationsCompleted = c.forest.Completed()
+	s.Completeness = c.forest.Completeness()
 	c.mu.Unlock()
 	if c.cc.Broker != nil {
 		bs := c.cc.Broker.Stats()
@@ -333,27 +316,6 @@ func (c *Cluster) objectName(node, it int) string {
 	return fmt.Sprintf("%s-root%03d-it%06d", c.spec.JobName, node, it)
 }
 
-// rootTargets maps a root to its broker target window for one
-// iteration: one BrokerStripes-wide window per aggregation tree,
-// indexed by the subtree the root leads in the iteration's epoch — a
-// promoted root inherits the dead root's window, mirroring the DES
-// side's rootOrdinal inheritance, and a re-formed epoch gets its own
-// window layout without disturbing older iterations'.
-func (c *Cluster) rootTargets(node, it int) []int {
-	stripes := c.cc.BrokerStripes
-	if stripes < 1 {
-		stripes = 1
-	}
-	c.mu.Lock()
-	idx := c.treeFor(it).SubtreeIndex(node)
-	c.mu.Unlock()
-	targets := make([]int, stripes)
-	for i := range targets {
-		targets[i] = idx*stripes + i
-	}
-	return targets
-}
-
 // Errors returns the aggregation/store/hook errors collected so far.
 func (c *Cluster) Errors() []error {
 	c.mu.Lock()
@@ -368,7 +330,7 @@ func (c *Cluster) Errors() []error {
 func (c *Cluster) WaitIteration(it int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for !c.completed[it] && len(c.treeFor(it).Roots()) > 0 {
+	for !c.forest.Done(it) {
 		c.iterDone.Wait()
 	}
 }
@@ -384,7 +346,7 @@ func (c *Cluster) Shutdown() error {
 			first = fmt.Errorf("node %d: %w", i, err)
 		}
 		c.mu.Lock()
-		c.postTo(i, aggMsg{eof: true, from: i})
+		c.postTo(i, aggMsg{eof: true})
 		c.mu.Unlock()
 	}
 	c.wg.Wait()
@@ -412,36 +374,25 @@ func (c *Cluster) fail(err error) {
 // enforces an eviction.
 func (c *Cluster) Cancel() error {
 	for i := range c.nodes {
-		c.killNode(i, 0)
+		c.killNode(i, 0, 0) // at iteration 0: nothing it posted is awaited (rule 1)
 	}
 	return c.Shutdown()
 }
 
-// killNode executes one scheduled death: atomically re-route the tree,
-// then tell the dead node's aggregator to flush and every survivor to
-// re-check completion against the shrunken coverage requirements.
-// blocksDropped are the dead node's own blocks for the triggering
-// iteration — the mid-iteration loss. Repeat calls (every later
-// iteration of the dead node) only account further dropped blocks.
-func (c *Cluster) killNode(d, blocksDropped int) {
+// killNode executes one scheduled death at iteration atIter: atomically
+// re-route the forest, then wake every aggregator — the dead node's
+// drains what it holds, survivors re-ask the forest under their new
+// coverage requirements. blocksDropped are the dead node's own blocks
+// for the triggering iteration — the mid-iteration loss. Repeat calls
+// (every later iteration of the dead node) only account further drops.
+func (c *Cluster) killNode(d, atIter, blocksDropped int) {
 	c.mu.Lock()
 	c.stats.BlocksLost += blocksDropped
-	if c.failed[d] {
+	edges, ok := c.forest.Fail(d, atIter)
+	if !ok {
 		c.mu.Unlock()
 		return
 	}
-	c.failed[d] = true
-	// The death applies to every epoch: an in-flight iteration routing
-	// through an older tree must re-route around the corpse too. Edge
-	// accounting reports the current epoch's re-routing.
-	var edges []RerouteEdge
-	for i := range c.epochs {
-		e := c.epochs[i].tree.Fail(d)
-		if i == len(c.epochs)-1 {
-			edges = e
-		}
-	}
-	c.failEpoch++
 	c.stats.NodesFailed++
 	c.stats.ReroutedEdges += len(edges)
 	if c.cc.Broker != nil {
@@ -451,15 +402,8 @@ func (c *Cluster) killNode(d, blocksDropped int) {
 		// HolderReleases tally mixes in other tenants' reclaims.
 		c.stats.TokensReclaimed += c.cc.Broker.ReleaseHolder(c.holderBase + d)
 	}
-	c.postTo(d, aggMsg{die: true})
-	for i, a := range c.aggs {
-		if i != d && !c.exited[i] {
-			a.post(aggMsg{poke: true})
-		}
-	}
-	// Iterations waiting on the dead root's store may be complete now.
-	for it := range c.doneRoots {
-		c.checkIterComplete(it)
+	for i := range c.aggs {
+		c.postTo(i, aggMsg{poke: true})
 	}
 	c.mu.Unlock()
 	c.iterDone.Broadcast()
@@ -479,25 +423,6 @@ func (c *Cluster) postTo(i int, m aggMsg) {
 	c.aggs[i].post(m)
 }
 
-// noteRootStored records one root having stored an iteration. Callers
-// hold c.mu.
-func (c *Cluster) noteRootStored(it int) {
-	c.doneRoots[it]++
-	c.checkIterComplete(it)
-}
-
-// checkIterComplete marks an iteration completed once every live root
-// of the iteration's epoch has stored it. A forest with no live roots
-// left completes nothing — WaitIteration observes that state directly
-// instead. Callers hold c.mu.
-func (c *Cluster) checkIterComplete(it int) {
-	roots := len(c.treeFor(it).Roots())
-	if roots > 0 && !c.completed[it] && c.doneRoots[it] >= roots {
-		c.completed[it] = true
-		c.stats.IterationsCompleted++
-	}
-}
-
 // forwarder is the per-node plugin that snapshots a completed
 // iteration out of shared memory and hands it to the aggregation
 // layer. It runs on the dedicated core, before the node frees the
@@ -513,7 +438,7 @@ func (f *forwarder) OnEvent(ctx *core.PluginContext, ev core.Event) error {
 	c := f.agg.c
 	refs := ctx.Index.Iteration(ev.Iteration)
 	if at, ok := c.spec.Failures.At(f.agg.node); ok && ev.Iteration >= at {
-		c.killNode(f.agg.node, len(refs))
+		c.killNode(f.agg.node, ev.Iteration, len(refs))
 		return nil
 	}
 	b := &Batch{Iteration: ev.Iteration}
@@ -529,19 +454,18 @@ func (f *forwarder) OnEvent(ctx *core.PluginContext, ev core.Event) error {
 			Data: buf.Clone(ctx.BlockBytes(ref)),
 		})
 	}
-	f.agg.post(aggMsg{batch: b, covers: []int{f.agg.node}, from: f.agg.node})
+	f.agg.post(aggMsg{batch: b, covers: []int{f.agg.node}})
 	return nil
 }
 
 // aggMsg is one message into an aggregator's mailbox: a batch tagged
-// with the origin nodes it covers, a producer's end-of-stream marker, a
-// death order, or a poke to re-check completion after a re-route.
+// with the origin nodes it covers, the node's own end-of-stream marker
+// (Shutdown, after the node drained), or a poke to ask the forest again
+// — after a death, a re-formation or a sender's exit.
 type aggMsg struct {
 	batch  *Batch
 	covers []int // origin node ids whose data the batch carries
-	from   int   // sending node (producer identity for eof)
 	eof    bool
-	die    bool
 	poke   bool
 }
 
@@ -552,11 +476,11 @@ type pendingIter struct {
 }
 
 // aggregator is one node's position in the aggregation tree: it merges
-// the node's own iteration batches with its children's and forwards
-// the result upward, or stores it when the node is a root. An
-// iteration is complete when its coverage set spans the node's live
-// subtree — a requirement that shrinks when nodes die, which is what
-// lets the forest re-route around failures without deadlocking.
+// the node's own iteration batches with its children's and hands each
+// merged iteration to the forest's Route decision — forward it upward,
+// store it as a root, or keep waiting. The coverage requirement Route
+// checks shrinks when nodes die, which is what lets the forest re-route
+// around failures without deadlocking.
 type aggregator struct {
 	c    *Cluster
 	node int
@@ -568,21 +492,28 @@ type aggregator struct {
 	mboxMu sync.Mutex
 	avail  *sync.Cond // on mboxMu
 	mbox   []aggMsg   // unbounded so posts never block
+	poked  bool       // a poke is queued; pokes are idempotent, one is enough
 
 	// Goroutine-local state (only touched by run()).
-	pending  map[int]*pendingIter
-	eofFrom  map[int]bool
-	stored   map[int]bool // iterations this root has stored
-	written  map[int]bool // iterations whose object actually landed (retention)
-	dead     bool
-	reqCache map[int][]int // epoch index → memoized live subtree, valid while reqEpoch holds
-	reqEpoch int
+	pending map[int]*pendingIter
+	its     []int        // scratch for pendingIterations
+	eof     bool         // the node drained: no more own batches
+	written map[int]bool // iterations whose object actually landed (retention)
 }
 
 // post enqueues a message. Safe with or without c.mu held (routing
-// callers hold it; the forwarder does not).
+// callers hold it; the forwarder does not). A poke only asks for a
+// re-check, so a second one behind a queued one is dropped: a tight
+// Reform loop cannot grow a mailbox faster than run() drains it.
 func (a *aggregator) post(m aggMsg) {
 	a.mboxMu.Lock()
+	if m.poke {
+		if a.poked {
+			a.mboxMu.Unlock()
+			return
+		}
+		a.poked = true
+	}
 	a.mbox = append(a.mbox, m)
 	a.mboxMu.Unlock()
 	a.avail.Signal()
@@ -597,6 +528,9 @@ func (a *aggregator) recv() aggMsg {
 	m := a.mbox[0]
 	a.mbox[0] = aggMsg{}
 	a.mbox = a.mbox[1:]
+	if m.poke {
+		a.poked = false
+	}
 	a.mboxMu.Unlock()
 	return m
 }
@@ -613,17 +547,9 @@ func (a *aggregator) run() {
 	for {
 		m := a.recv()
 		switch {
-		case m.die:
-			a.die()
 		case m.eof:
-			a.eofFrom[m.from] = true
+			a.eof = true
 		case m.batch != nil:
-			if a.dead {
-				// Late delivery that raced the re-route: relay it toward
-				// the drain target, coverage intact.
-				a.drainUp(m.batch, m.covers)
-				continue
-			}
 			p := a.pending[m.batch.Iteration]
 			if p == nil {
 				p = &pendingIter{
@@ -637,67 +563,46 @@ func (a *aggregator) run() {
 				p.covered[n] = true
 			}
 		}
-		if !a.dead {
-			a.emitComplete()
-		}
+		a.routePending(false)
 		if a.finished() {
 			break
 		}
 	}
-	if !a.dead {
-		// Every producer is done: flush incomplete iterations upward
-		// rather than losing them silently (partial data beats no data —
-		// the same trade the §V.C skip policy makes).
-		for _, it := range a.pendingIterations() {
-			p := a.pending[it]
-			delete(a.pending, it)
-			a.emit(p.batch, p.covered, true)
-		}
-	}
+	// Every producer is done: flush incomplete iterations upward rather
+	// than losing them silently (partial data beats no data — the same
+	// trade the §V.C skip policy makes).
+	a.routePending(true)
 	c.mu.Lock()
-	if !a.dead {
-		// The eof goes to every node that considers this one a child in
-		// any epoch — a parent from an older topology may still be
-		// waiting on it for an in-flight iteration.
-		for _, parent := range c.parentsUnion(a.node) {
-			c.postTo(parent, aggMsg{eof: true, from: a.node})
-		}
+	// Wake every node that may be waiting on this one for an in-flight
+	// iteration: a parent in any epoch — one from an older topology
+	// included — or, from a dead node, its drain target.
+	for _, to := range c.forest.Receivers(a.node) {
+		c.postTo(to, aggMsg{poke: true})
 	}
 	c.exited[a.node] = true
 	c.mu.Unlock()
 	c.wg.Done()
 }
 
-// die flushes the node's in-flight merges toward the drain target as
-// orphaned partials and switches the aggregator into relay mode.
-func (a *aggregator) die() {
-	a.dead = true
-	for _, it := range a.pendingIterations() {
-		p := a.pending[it]
-		delete(a.pending, it)
-		a.drainUp(p.batch, sortedCovers(p.covered))
-	}
-}
-
 // pendingIterations returns the pending iteration numbers ascending,
-// so flush order (and stored partial objects) is deterministic.
+// so routing order (and stored partial objects) is deterministic.
 func (a *aggregator) pendingIterations() []int {
-	its := make([]int, 0, len(a.pending))
+	a.its = a.its[:0]
 	for it := range a.pending {
-		its = append(its, it)
+		a.its = append(a.its, it)
 	}
-	sort.Ints(its)
-	return its
+	sort.Ints(a.its)
+	return a.its
 }
 
-// finished reports whether every producer this aggregator still waits
-// on has signalled end-of-stream. A dead aggregator only waits for its
-// own node's eof (delivered by Shutdown); a live one also waits for
-// every currently live child that has not already exited. The mailbox
-// must be drained too: a child that exited may still have unprocessed
-// deliveries queued here, and they must be merged before the flush.
+// finished reports whether nothing more can arrive here: the node has
+// drained (Shutdown's eof), the mailbox is empty — a sender that exited
+// may still have unprocessed deliveries queued, and they must be merged
+// before the flush — and every sender has exited: live children, and
+// dead nodes still draining into this one. A dead node has no senders
+// and relays everything at once, so it waits only for its own eof.
 func (a *aggregator) finished() bool {
-	if !a.eofFrom[a.node] {
+	if !a.eof {
 		return false
 	}
 	c := a.c
@@ -706,51 +611,70 @@ func (a *aggregator) finished() bool {
 	if !a.mboxEmpty() {
 		return false
 	}
-	if a.dead {
-		return true
-	}
-	// Wait on the union of children across epochs: any node that might
-	// still forward an in-flight iteration here must end its stream
-	// first. The union graph stays acyclic because every tree keeps
-	// parent id < child id, re-routing included.
-	for _, k := range c.childrenUnion(a.node) {
-		if !a.eofFrom[k] && !c.exited[k] {
+	for _, k := range c.forest.Senders(a.node) {
+		if !c.exited[k] {
 			return false
 		}
 	}
 	return true
 }
 
-// emitComplete emits every pending iteration whose coverage spans the
-// node's live subtree in that iteration's epoch. The subtree walks are
-// memoized per epoch — the topology only changes when a node dies or
-// the forest re-forms, both of which bump failEpoch.
-func (a *aggregator) emitComplete() {
-	c := a.c
-	c.mu.Lock()
-	if a.reqCache == nil || a.reqEpoch != c.failEpoch {
-		a.reqCache = map[int][]int{}
-		a.reqEpoch = c.failEpoch
+// rootWrite is one Store decision, carried out once c.mu is released.
+type rootWrite struct {
+	batch  *Batch
+	covers []int
+	window int
+}
+
+// routePending puts every pending iteration to the forest and carries
+// out what it decides: forward to the parent, drain a dead node's
+// holdings, count a loss, or store at a root. flush skips the readiness
+// check and marks root objects partial (the end-of-run flush). Each
+// decision and the post it leads to share one c.mu hold; the stores run
+// after the lock is dropped.
+func (a *aggregator) routePending(flush bool) {
+	if len(a.pending) == 0 {
+		return
 	}
-	var ready []int
-	for it, p := range a.pending {
-		ei := c.epochIndexFor(it)
-		required, ok := a.reqCache[ei]
-		if !ok {
-			required = c.epochs[ei].tree.LiveSubtree(a.node)
-			a.reqCache[ei] = required
+	c := a.c
+	var writes []rootWrite
+	its := a.pendingIterations()
+	c.mu.Lock()
+	for _, it := range its {
+		p := a.pending[it]
+		var d Decision
+		if flush {
+			d = c.forest.Flush(a.node, it)
+		} else {
+			d = c.forest.Route(a.node, it, p.covered)
 		}
-		if CoversAll(p.covered, required) {
-			ready = append(ready, it)
+		if d.Kind == NotReady {
+			continue
+		}
+		delete(a.pending, it)
+		covers := sortedCovers(p.covered)
+		if d.Kind == Store {
+			writes = append(writes, rootWrite{p.batch, covers, d.Window})
+		} else {
+			c.carryOut(d, p.batch, covers)
 		}
 	}
 	c.mu.Unlock()
-	sort.Ints(ready)
-	for _, it := range ready {
-		p := a.pending[it]
-		delete(a.pending, it)
-		a.emit(p.batch, p.covered, false)
+	for _, w := range writes {
+		a.store(w.batch, w.covers, flush, w.window)
 	}
+}
+
+// carryOut executes a Forward, Drain or Lose. Callers hold c.mu.
+func (c *Cluster) carryOut(d Decision, b *Batch, covers []int) {
+	if d.Kind == Lose {
+		c.stats.BlocksLost += len(b.Blocks)
+		b.ReleaseBuffers()
+		return
+	}
+	c.stats.BatchesForwarded++
+	c.stats.BytesForwarded += int64(b.Bytes())
+	c.postTo(d.To, aggMsg{batch: b, covers: covers})
 }
 
 func sortedCovers(covered map[int]bool) []int {
@@ -762,55 +686,11 @@ func sortedCovers(covered map[int]bool) []int {
 	return covers
 }
 
-// drainUp forwards a batch toward the dead node's drain target,
-// counting it as lost when there is none.
-func (a *aggregator) drainUp(b *Batch, covers []int) {
+// store writes a merged batch as this root's object for the iteration,
+// through root window window. partial marks batches flushed without
+// full live coverage.
+func (a *aggregator) store(b *Batch, covers []int, partial bool, window int) {
 	c := a.c
-	c.mu.Lock()
-	c.noteRouted(b.Iteration)
-	dest, ok := c.treeFor(b.Iteration).DrainTarget(a.node)
-	if !ok {
-		c.stats.BlocksLost += len(b.Blocks)
-		b.ReleaseBuffers()
-	} else {
-		c.stats.BatchesForwarded++
-		c.stats.BytesForwarded += int64(b.Bytes())
-		c.postTo(dest, aggMsg{batch: b, covers: covers, from: a.node})
-	}
-	c.mu.Unlock()
-}
-
-// emit sends a merged batch to the parent, or stores it at a root.
-// partial marks batches flushed without full live coverage.
-func (a *aggregator) emit(b *Batch, covered map[int]bool, partial bool) {
-	c := a.c
-	covers := sortedCovers(covered)
-	c.mu.Lock()
-	c.noteRouted(b.Iteration)
-	if c.failed[a.node] {
-		// Killed between recv and emit: the data still drains upward.
-		c.mu.Unlock()
-		a.drainUp(b, covers)
-		return
-	}
-	if parent, ok := c.treeFor(b.Iteration).Parent(a.node); ok {
-		c.stats.BatchesForwarded++
-		c.stats.BytesForwarded += int64(b.Bytes())
-		c.postTo(parent, aggMsg{batch: b, covers: covers, from: a.node})
-		c.mu.Unlock()
-		return
-	}
-	if a.stored[b.Iteration] {
-		// A straggler for an iteration this root already stored: the
-		// object is immutable, so the late blocks are lost.
-		c.stats.BlocksLost += len(b.Blocks)
-		c.mu.Unlock()
-		b.ReleaseBuffers()
-		return
-	}
-	a.stored[b.Iteration] = true
-	c.mu.Unlock()
-
 	// Cluster-wide write scheduling: claim this root's target window
 	// before touching the store, earliest iteration first, so roots of
 	// different trees — this tenant's or another's — never hit the same
@@ -821,20 +701,28 @@ func (a *aggregator) emit(b *Batch, covered map[int]bool, partial bool) {
 		if c.spec.Deadline > 0 {
 			deadline += c.spec.Deadline
 		}
+		// Windows are BrokerStripes targets wide, side by side in ordinal
+		// order: a promoted root claims what the dead root claimed.
+		targets := make([]int, max(c.cc.BrokerStripes, 1))
+		for i := range targets {
+			targets[i] = window*len(targets) + i
+		}
 		grant := c.cc.Broker.Acquire(storage.TokenRequest{
 			Holder:   c.holderBase + a.node,
 			Tenant:   c.tenant,
 			Priority: c.spec.Priority,
 			Weight:   c.spec.Weight,
-			Targets:  c.rootTargets(a.node, b.Iteration),
+			Targets:  targets,
 			Deadline: deadline,
 			Bytes:    float64(b.Bytes()),
 		})
 		if grant.Denied {
 			// Killed while queued for the token: the write never starts;
-			// the batch drains toward the re-route target instead.
-			delete(a.stored, b.Iteration)
-			a.drainUp(b, covers)
+			// the forest now sees a dead node and drains the batch toward
+			// the re-route target instead.
+			c.mu.Lock()
+			c.carryOut(c.forest.Flush(a.node, b.Iteration), b, covers)
+			c.mu.Unlock()
 			return
 		}
 		defer grant.Release()
@@ -866,7 +754,7 @@ func (a *aggregator) emit(b *Batch, covered map[int]bool, partial bool) {
 		if over {
 			c.stats.QuotaDroppedObjects++
 			c.stats.BlocksLost += len(b.Blocks)
-			c.noteRootStored(b.Iteration)
+			c.forest.RootDone(b.Iteration, 0)
 		}
 		c.mu.Unlock()
 		if over {
@@ -914,6 +802,7 @@ func (a *aggregator) emit(b *Batch, covered map[int]bool, partial bool) {
 	// iteration's snapshots.
 	b.ReleaseBuffers()
 	c.mu.Lock()
+	storedNodes := 0
 	if err == nil {
 		// Coverage and partial accounting describe *stored* objects; a
 		// failed Put stored nothing, so the loss shows in Completeness.
@@ -922,7 +811,7 @@ func (a *aggregator) emit(b *Batch, covered map[int]bool, partial bool) {
 		if manifestStored {
 			c.stats.ManifestsWritten++
 		}
-		c.covered[b.Iteration] += len(covers)
+		storedNodes = len(covers)
 		if partial {
 			c.partials[b.Iteration] = true
 			c.stats.PartialIterations = len(c.partials)
@@ -931,7 +820,7 @@ func (a *aggregator) emit(b *Batch, covered map[int]bool, partial bool) {
 	// Completion tracking is liveness, not accuracy: the root is done
 	// with this iteration either way, and waiters must not hang on a
 	// store error (the error itself surfaces through Errors/Shutdown).
-	c.noteRootStored(b.Iteration)
+	c.forest.RootDone(b.Iteration, storedNodes)
 	c.mu.Unlock()
 	c.iterDone.Broadcast()
 	if err == nil {

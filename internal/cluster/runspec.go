@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"io"
 	"log"
 
 	"repro/internal/meta"
@@ -65,7 +66,7 @@ func (cc ClusterConfig) withDefaults() ClusterConfig {
 		cc.Roots = 1
 	}
 	if cc.Logger == nil {
-		cc.Logger = log.New(nullWriter{}, "", 0)
+		cc.Logger = log.New(io.Discard, "", 0)
 	}
 	return cc
 }

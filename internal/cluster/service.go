@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -67,20 +66,14 @@ type ServiceOptions struct {
 // the storage targets is arbitrated by the shared broker through
 // holder-tagged grants; see ClusterConfig.Broker.
 type Service struct {
-	cc   ClusterConfig
-	opts ServiceOptions
+	cc ClusterConfig
 
-	mu        sync.Mutex
-	freeNodes int
-	nextID    int
-	tenants   []*Tenant // submission order, all states
-	queue     []*Tenant // waiting for cores
-	jobNames  map[string]bool
-	closed    bool
-
-	// rollup counters not derivable from tenant states alone
-	maxQueued int
-	degraded  int
+	mu       sync.Mutex
+	gate     *Admission // free nodes and the policy-ordered queue
+	tenants  []*Tenant  // submission order, all states; index = tenant id
+	jobNames map[string]bool
+	closed   bool
+	degraded int // rollup counter not derivable from tenant states alone
 }
 
 // NewService opens a multi-tenant run host over the given substrate.
@@ -99,10 +92,9 @@ func NewService(cc ClusterConfig, opts ServiceOptions) (*Service, error) {
 		return nil, err
 	}
 	return &Service{
-		cc:        cc,
-		opts:      opts,
-		freeNodes: cc.Platform.Nodes,
-		jobNames:  map[string]bool{},
+		cc:       cc,
+		gate:     NewAdmission(opts.Admission, cc.Platform.Nodes),
+		jobNames: map[string]bool{},
 	}, nil
 }
 
@@ -205,12 +197,11 @@ func (s *Service) Submit(spec RunSpec) (*Tenant, error) {
 	}
 	t := &Tenant{
 		svc:     s,
-		id:      s.nextID,
+		id:      len(s.tenants),
 		spec:    spec,
 		state:   TenantQueued,
 		decided: make(chan struct{}),
 	}
-	s.nextID++
 	// Tenants share one object store; distinct JobName prefixes keep
 	// their objects (and manifests) disjoint.
 	if s.jobNames[t.spec.JobName] {
@@ -223,40 +214,30 @@ func (s *Service) Submit(spec RunSpec) (*Tenant, error) {
 	}
 	s.tenants = append(s.tenants, t)
 
-	if t.need <= s.freeNodes {
-		s.startLocked(t, t.need)
-		return t, t.err
-	}
-	switch s.opts.Admission {
-	case AdmitReject:
+	grant, queued := s.gate.Offer(Ask{ID: t.id, Nodes: t.need,
+		Priority: t.spec.Priority, Deadline: t.spec.Deadline})
+	switch {
+	case grant > 0:
+		s.startLocked(t, grant)
+	case !queued:
 		s.rejectLocked(t, fmt.Errorf(
-			"cluster: tenant %d needs %d nodes, %d free", t.id, t.need, s.freeNodes))
-		return t, t.err
-	case AdmitDegrade:
-		if s.freeNodes > 0 {
-			s.startLocked(t, s.freeNodes)
-			return t, t.err
-		}
-		fallthrough // nothing free: even a degraded tenant must wait
-	default: // AdmitFIFO, AdmitDeadline
-		s.queue = append(s.queue, t)
-		if len(s.queue) > s.maxQueued {
-			s.maxQueued = len(s.queue)
-		}
+			"cluster: tenant %d needs %d nodes, %d free", t.id, t.need, s.gate.Free()))
 	}
-	return t, nil
+	return t, t.err
 }
 
-// startLocked admits t on `grant` nodes. Callers hold s.mu.
+// startLocked runs t on the grant nodes the gate gave it; a tenant
+// whose cluster cannot be built is rejected and its nodes go back.
+// Callers hold s.mu.
 func (s *Service) startLocked(t *Tenant, grant int) {
 	cc := s.cc
 	cc.Platform = cc.Platform.WithNodes(grant)
 	c, err := newTenantCluster(cc, t.spec, t.id)
 	if err != nil {
 		s.rejectLocked(t, err)
+		s.releaseLocked(grant)
 		return
 	}
-	s.freeNodes -= grant
 	t.nodes = grant
 	t.degraded = grant < t.need
 	if t.degraded {
@@ -289,13 +270,7 @@ func (s *Service) end(t *Tenant, final TenantState) error {
 	s.mu.Lock()
 	if t.state != TenantRunning {
 		// Not running: dequeue if queued, keep terminal states as-is.
-		if t.state == TenantQueued {
-			for i, q := range s.queue {
-				if q == t {
-					s.queue = append(s.queue[:i], s.queue[i+1:]...)
-					break
-				}
-			}
+		if s.gate.Withdraw(t.id) {
 			s.rejectLocked(t, fmt.Errorf("cluster: tenant %d withdrawn while queued", t.id))
 		}
 		err := t.err
@@ -319,53 +294,18 @@ func (s *Service) end(t *Tenant, final TenantState) error {
 	t.state = final
 	t.err = err
 	t.final = final2
-	s.freeNodes += t.nodes
-	s.dispatchLocked()
+	s.releaseLocked(t.nodes)
 	s.mu.Unlock()
 	return err
 }
 
-// dispatchLocked starts queued tenants that now fit, in policy order.
-// Head-of-line blocking is deliberate for FIFO and EDF: a wide tenant
-// at the head is not overtaken by narrow latecomers, mirroring the
-// broker's own anti-starvation rule. Callers hold s.mu.
-func (s *Service) dispatchLocked() {
-	if s.opts.Admission == AdmitDeadline {
-		// Highest priority first, then earliest deadline, then arrival.
-		sort.SliceStable(s.queue, func(i, j int) bool {
-			a, b := s.queue[i], s.queue[j]
-			if a.spec.Priority != b.spec.Priority {
-				return a.spec.Priority > b.spec.Priority
-			}
-			da, db := a.spec.Deadline, b.spec.Deadline
-			if da <= 0 {
-				da = infDeadline
-			}
-			if db <= 0 {
-				db = infDeadline
-			}
-			if da != db {
-				return da < db
-			}
-			return a.id < b.id
-		})
-	}
-	for len(s.queue) > 0 {
-		t := s.queue[0]
-		grant := t.need
-		if grant > s.freeNodes {
-			if s.opts.Admission != AdmitDegrade || s.freeNodes <= 0 {
-				return
-			}
-			grant = s.freeNodes
-		}
-		s.queue = s.queue[1:]
-		s.startLocked(t, grant)
+// releaseLocked returns n nodes to the gate and starts the queued
+// tenants it admits, in the gate's policy order. Callers hold s.mu.
+func (s *Service) releaseLocked(n int) {
+	for _, a := range s.gate.Release(n) {
+		s.startLocked(s.tenants[a.ID], a.Nodes)
 	}
 }
-
-// infDeadline stands in for "no deadline" in EDF ordering.
-const infDeadline = 1e18
 
 // ServiceStats is the cross-tenant rollup: per-tenant Stats plus their
 // sum and the admission counters. PerTenant holds every tenant that
@@ -391,7 +331,7 @@ func (s *Service) Stats() ServiceStats {
 	out := ServiceStats{
 		Submitted: len(s.tenants),
 		Degraded:  s.degraded,
-		MaxQueued: s.maxQueued,
+		MaxQueued: s.gate.MaxQueued(),
 		PerTenant: map[int]Stats{},
 	}
 	type live struct {
@@ -434,12 +374,11 @@ func (s *Service) Stats() ServiceStats {
 func (s *Service) Close() error {
 	s.mu.Lock()
 	s.closed = true
-	for _, t := range s.queue {
-		s.rejectLocked(t, fmt.Errorf("cluster: service closed while tenant %d queued", t.id))
-	}
-	s.queue = nil
 	var running []*Tenant
 	for _, t := range s.tenants {
+		if s.gate.Withdraw(t.id) {
+			s.rejectLocked(t, fmt.Errorf("cluster: service closed while tenant %d queued", t.id))
+		}
 		if t.state == TenantRunning {
 			running = append(running, t)
 		}

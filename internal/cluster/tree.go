@@ -6,9 +6,9 @@
 // payloads; tree roots issue few large sequential streams to a
 // storage.Backend and drive cluster-wide end-of-iteration hooks.
 //
-// The same Tree arithmetic also routes the discrete-event model of the
-// strategies in internal/iostrat, so simulated and runtime clusters
-// aggregate along identical topologies.
+// Routing is one protocol, Forest, driven by this package's Cluster and
+// by the discrete-event model of the strategies in internal/iostrat, so
+// simulated and runtime clusters aggregate identically.
 //
 // # Failure semantics
 //
@@ -24,9 +24,9 @@
 //
 //   - the dead node's own blocks from its failure iteration onward are
 //     lost (Stats.BlocksLost);
-//   - iterations already merged but not yet forwarded by the dead node
-//     are flushed toward the drain target as partial contributions, so
-//     the children's data still reaches a root;
+//   - iterations the dead node had posted or merged but not forwarded
+//     drain to its drain target, which waits for them (Forest rule 1),
+//     so its earlier output and the children's data still reach a root;
 //   - re-routed children's blocks from later iterations flow to the new
 //     parent directly (Stats.ReroutedEdges counts the moved edges).
 //
@@ -98,10 +98,6 @@ func NewTree(n, fanout, roots int) Tree {
 
 // Nodes returns the number of nodes in the forest, dead or alive.
 func (t Tree) Nodes() int { return t.n }
-
-// Fanout returns the children-per-node limit of the base arithmetic
-// (re-routing may push a live node past it).
-func (t Tree) Fanout() int { return t.fanout }
 
 // Alive reports whether node i has not been failed.
 func (t Tree) Alive(i int) bool {
@@ -305,19 +301,6 @@ func (t Tree) LiveSubtree(i int) []int {
 	walk(i)
 	sort.Ints(nodes)
 	return nodes
-}
-
-// CoversAll reports whether every required node id is present in the
-// covered set — the completion test of coverage-based aggregation,
-// shared by the runtime aggregators and the DES mirror in
-// internal/iostrat.
-func CoversAll(covered map[int]bool, required []int) bool {
-	for _, n := range required {
-		if !covered[n] {
-			return false
-		}
-	}
-	return true
 }
 
 // IsRoot reports whether node i is a live subtree root.

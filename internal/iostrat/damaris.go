@@ -11,6 +11,22 @@ import (
 	"repro/internal/workload"
 )
 
+// parked is the DES face's condition variable: at most one process waits
+// on it, and whoever changes what it waits for wakes it to look again.
+type parked struct{ f *des.Future }
+
+func (w *parked) wait(p *des.Proc, eng *des.Engine) {
+	w.f = eng.NewFuture()
+	p.Await(w.f)
+}
+
+func (w *parked) wake() {
+	if f := w.f; f != nil {
+		w.f = nil
+		f.Complete()
+	}
+}
+
 // nodeShm models one node's shared-memory segment between simulation
 // cores and the dedicated core: bounded capacity, a FIFO of pending
 // iterations, and the paper's §V.C policy of *skipping* an iteration
@@ -20,7 +36,7 @@ type nodeShm struct {
 	capacity float64
 	occupied float64
 	pending  []shmIter
-	waiting  *des.Future // dedicated core parked on an empty queue
+	waiting  parked // dedicated core, on an empty queue
 	skipped  int
 	closed   bool
 	dead     bool    // node failed: offers are dropped, not skipped
@@ -46,7 +62,7 @@ func (s *nodeShm) offer(it int, bytes float64) bool {
 	}
 	s.occupied += bytes
 	s.pending = append(s.pending, shmIter{iter: it, bytes: bytes})
-	s.wake()
+	s.waiting.wake()
 	return true
 }
 
@@ -58,7 +74,7 @@ func (s *nodeShm) offerEmpty(it int) {
 		return
 	}
 	s.pending = append(s.pending, shmIter{iter: it})
-	s.wake()
+	s.waiting.wake()
 }
 
 // kill marks the node's I/O stack dead: queued and future offers are
@@ -72,14 +88,6 @@ func (s *nodeShm) kill() {
 	s.occupied = 0
 }
 
-func (s *nodeShm) wake() {
-	if s.waiting != nil {
-		f := s.waiting
-		s.waiting = nil
-		f.Complete()
-	}
-}
-
 // take blocks the dedicated core until data is pending, then dequeues one
 // iteration. It returns false when closed and drained.
 func (s *nodeShm) take(p *des.Proc) (shmIter, bool) {
@@ -87,8 +95,7 @@ func (s *nodeShm) take(p *des.Proc) (shmIter, bool) {
 		if s.closed {
 			return shmIter{}, false
 		}
-		s.waiting = s.eng.NewFuture()
-		p.Await(s.waiting)
+		s.waiting.wait(p, s.eng)
 	}
 	it := s.pending[0]
 	s.pending = s.pending[1:]
@@ -102,7 +109,7 @@ func (s *nodeShm) free(bytes float64) { s.occupied -= bytes }
 // observe the closure.
 func (s *nodeShm) close() {
 	s.closed = true
-	s.wake()
+	s.waiting.wake()
 }
 
 // desAgg collects child-subtree contributions at one node of the
@@ -112,49 +119,35 @@ func (s *nodeShm) close() {
 // fixed child count, so failures that re-route children or shrink the
 // required coverage mid-run cannot wedge a parked dedicated core.
 type desAgg struct {
-	eng     *des.Engine
 	covered map[int]map[int]bool // iteration → origin nodes delivered
 	bytes   map[int]float64
-	waiting *des.Future
-}
-
-func newDesAgg(eng *des.Engine) *desAgg {
-	return &desAgg{eng: eng, covered: map[int]map[int]bool{}, bytes: map[int]float64{}}
+	waiting parked // the node's dedicated core, on missing coverage
 }
 
 // deliver records a contribution covering the given origin nodes for an
 // iteration and wakes the parked dedicated core to re-check.
 func (a *desAgg) deliver(it int, b float64, covers []int) {
+	for _, n := range covers {
+		a.cover(it, n)
+	}
+	a.bytes[it] += b
+	a.waiting.wake()
+}
+
+// cover marks origin node n as delivered for iteration it without adding
+// bytes: a node's own output arrives through its shm loop, not a child.
+func (a *desAgg) cover(it, n int) {
 	m := a.covered[it]
 	if m == nil {
 		m = map[int]bool{}
 		a.covered[it] = m
 	}
-	for _, n := range covers {
-		m[n] = true
-	}
-	a.bytes[it] += b
-	a.wake()
+	m[n] = true
 }
 
-// wake unparks the dedicated core, if parked; it re-evaluates its
-// coverage requirement on resumption.
-func (a *desAgg) wake() {
-	if a.waiting != nil {
-		f := a.waiting
-		a.waiting = nil
-		f.Complete()
-	}
-}
-
-// await blocks until the delivered coverage for iteration it spans
-// required (re-evaluated after every wake — failures shrink it), then
-// consumes and returns the merged volume and its coverage set.
-func (a *desAgg) await(p *des.Proc, it int, required func() []int) (float64, []int) {
-	for !cluster.CoversAll(a.covered[it], required()) {
-		a.waiting = a.eng.NewFuture()
-		p.Await(a.waiting)
-	}
+// take consumes iteration it: the merged child volume and the coverage
+// set delivered so far.
+func (a *desAgg) take(it int) (float64, []int) {
 	b := a.bytes[it]
 	covers := sortedIntKeys(a.covered[it])
 	delete(a.covered, it)
@@ -267,15 +260,6 @@ func runDamaris(cfg Config) (Result, error) {
 	}
 
 	treeMode := cfg.Fanout >= 2
-	var aggs []*desAgg
-	var rootCovered []int // per iteration, origin nodes reaching a root
-	if treeMode {
-		aggs = make([]*desAgg, plat.Nodes)
-		for n := 0; n < plat.Nodes; n++ {
-			aggs[n] = newDesAgg(eng)
-		}
-		rootCovered = make([]int, w.Iterations)
-	}
 
 	res := Result{Approach: Damaris, Platform: plat, Workload: w, Backend: cfg.Backend}
 	res.IOTimes = make([]float64, w.Iterations)
@@ -388,10 +372,9 @@ func runDamaris(cfg Config) (Result, error) {
 			be:          be,
 			schedule:    schedule,
 			res:         &res,
-			aggs:        aggs,
+			aggs:        make([]*desAgg, plat.Nodes),
 			failures:    failures,
-			maxStarted:  -1,
-			rootCovered: rootCovered,
+			forest:      cluster.NewForest(plat.Nodes, cfg.Fanout, cfg.AggRoots),
 			writeEnd:    make([]float64, w.Iterations),
 			phaseStart:  phaseStart,
 			computeAt:   computeAt,
@@ -402,12 +385,14 @@ func runDamaris(cfg Config) (Result, error) {
 			lastAdapt:   -adaptCooldown,
 			liveNodes:   plat.Nodes,
 		}
-		tr.epochs = []*desEpoch{tr.newEpoch(0, cfg.Fanout, cfg.AggRoots)}
+		for n := range tr.aggs {
+			tr.aggs[n] = &desAgg{covered: map[int]map[int]bool{}, bytes: map[int]float64{}}
+		}
 		// One bounded frame queue and one analysis consumer per root
-		// ordinal — a promoted root inherits its predecessor's queue
+		// window — a promoted root inherits its predecessor's queue
 		// along with the stripe window, and re-formations that widen
 		// the root set grow the array mid-run.
-		tr.growInsitu(tr.curEpoch().numRoots)
+		tr.growInsitu(tr.forest.Windows(0))
 	}
 	for n := 0; n < plat.Nodes; n++ {
 		node := n
@@ -476,8 +461,9 @@ func runDamaris(cfg Config) (Result, error) {
 	if treeMode {
 		res.Completeness = make([]float64, w.Iterations)
 		res.TreeWriteLatencies = make([]float64, w.Iterations)
+		completeness := tr.forest.Completeness()
 		for it := 0; it < w.Iterations; it++ {
-			res.Completeness[it] = float64(rootCovered[it]) / float64(plat.Nodes)
+			res.Completeness[it] = completeness[it]
 			if tr.writeEnd[it] > phaseStart[it] {
 				res.TreeWriteLatencies[it] = tr.writeEnd[it] - phaseStart[it]
 			}
@@ -485,7 +471,7 @@ func runDamaris(cfg Config) (Result, error) {
 		// Aggregations nobody consumed (their consumer died or moved on
 		// when the coverage requirement shrank) are lost payload, as is
 		// everything a dead node's shm dropped.
-		for _, a := range aggs {
+		for _, a := range tr.aggs {
 			for _, it := range sortedIntKeys(a.bytes) {
 				res.LostBytes += a.bytes[it]
 			}
@@ -504,23 +490,8 @@ func runDamaris(cfg Config) (Result, error) {
 // decisions that were not forced by a platform shift or node death.
 const adaptCooldown = 2
 
-// desEpoch binds one aggregation topology to the iterations it routes:
-// from from until the next epoch's from. It carries everything derived
-// from the root set — ordinals, count, stripe window width — so an
-// iteration keeps its parents, coverage requirement and stripe layout
-// for its whole life even when later iterations route differently.
-type desEpoch struct {
-	from        int
-	fanout      int
-	roots       int // requested root count (before failure overlays)
-	tree        cluster.Tree
-	rootOrdinal map[int]int
-	numRoots    int
-	stripes     int
-}
-
 // treeRun bundles the state shared by every dedicated core of a
-// tree-mode run: the topology epochs, the per-node aggregators, the
+// tree-mode run: the routing forest, the per-node aggregators, the
 // shared write scheduler, the adaptation controller state and the
 // per-iteration measurements.
 type treeRun struct {
@@ -532,17 +503,10 @@ type treeRun struct {
 	aggs     []*desAgg
 	failures *cluster.FailureSchedule
 
-	// epochs is the append-only topology history: epochs[i] routes
-	// iterations in [epochs[i].from, epochs[i+1].from). maxStarted is
-	// the routing high-water mark fencing re-formations — once any
-	// node has taken an iteration from its shm, that iteration's epoch
-	// is fixed for every node. dead lists failed nodes in death order;
-	// every new epoch re-applies them.
-	epochs     []*desEpoch
-	maxStarted int
-	dead       []int
+	// forest is the routing protocol shared with the runtime cluster,
+	// driven here from the single simulation thread.
+	forest *cluster.Forest
 
-	rootCovered []int
 	writeEnd    []float64 // per iteration, last root-write completion
 	phaseStart  []float64
 	computeAt   func(it int) float64
@@ -566,74 +530,11 @@ type treeRun struct {
 	liveNodes int
 }
 
-// epochFor returns the epoch routing iteration it.
-func (tr *treeRun) epochFor(it int) *desEpoch {
-	for i := len(tr.epochs) - 1; i > 0; i-- {
-		if tr.epochs[i].from <= it {
-			return tr.epochs[i]
-		}
-	}
-	return tr.epochs[0]
-}
-
-// curEpoch returns the newest epoch — the one new iterations route by.
-func (tr *treeRun) curEpoch() *desEpoch { return tr.epochs[len(tr.epochs)-1] }
-
-// noteStarted records that iteration it began routing, fencing future
-// re-formations past it.
-func (tr *treeRun) noteStarted(it int) {
-	if it > tr.maxStarted {
-		tr.maxStarted = it
-	}
-}
-
-// newEpoch builds a fresh topology epoch with the accumulated failure
-// overlay re-applied, ordinals assigned to its live roots ascending.
-func (tr *treeRun) newEpoch(from, fanout, roots int) *desEpoch {
-	t := cluster.NewTree(tr.cfg.Platform.Nodes, fanout, roots)
-	for _, d := range tr.dead {
-		t.Fail(d)
-	}
-	rs := t.Roots()
-	ro := make(map[int]int, len(rs))
-	for i, r := range rs {
-		ro[r] = i
-	}
-	nr := len(rs)
-	if nr == 0 {
-		nr = 1 // stripe math only; a rootless epoch is never installed
-	}
-	return &desEpoch{
-		from:        from,
-		fanout:      fanout,
-		roots:       roots,
-		tree:        t,
-		rootOrdinal: ro,
-		numRoots:    len(rs),
-		stripes:     rootStripes(tr.cfg, tr.be.Targets(), nr),
-	}
-}
-
-// reform installs a new topology epoch at the fence maxStarted+1: every
-// iteration at or past the fence routes through the new tree, every
-// older one keeps its original epoch end to end. When the previous
-// epoch never routed anything it is replaced in place instead of
-// stacking unused epochs.
-func (tr *treeRun) reform(fanout, roots int) {
-	from := tr.maxStarted + 1
-	ep := tr.newEpoch(from, fanout, roots)
-	if ep.numRoots == 0 {
-		return
-	}
-	last := tr.epochs[len(tr.epochs)-1]
-	if last.from >= from {
-		ep.from = last.from
-		tr.epochs[len(tr.epochs)-1] = ep
-	} else {
-		tr.epochs = append(tr.epochs, ep)
-	}
-	tr.res.TreeReforms++
-	tr.growInsitu(ep.numRoots)
+// stripes is the width of a root's stripe window for iteration it: the
+// write path, the in-situ read-back and (through the same rule) the
+// restart-read model all price the layout of the iteration's own epoch.
+func (tr *treeRun) stripes(it int) int {
+	return cluster.StripeWidth(tr.cfg.RootStripes, tr.be.Targets(), tr.forest.Windows(it))
 }
 
 // maybeAdapt re-derives the forest shape from the bandwidths observed
@@ -656,11 +557,15 @@ func (tr *treeRun) maybeAdapt(it int) {
 	}
 	fanout, roots := cluster.RecommendTopology(tr.cfg.Platform.Nodes,
 		tr.nodeBytesAt(next), tr.obsNIC, tr.obsPFS, tr.be.Targets())
-	cur := tr.curEpoch()
-	if fanout == cur.fanout && roots == cur.roots {
+	if curFanout, curRoots := tr.forest.Shape(); fanout == curFanout && roots == curRoots {
 		return
 	}
-	tr.reform(fanout, roots)
+	// The new epoch opens at the forest's fence; a shape that would leave
+	// no live root is not installed.
+	if from, err := tr.forest.Reform(fanout, roots); err == nil {
+		tr.res.TreeReforms++
+		tr.growInsitu(tr.forest.Windows(from))
+	}
 }
 
 // observeNIC and observePFS fold one measured transfer into the EWMAs
@@ -712,32 +617,24 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 			tr.failNode(shm, node, item)
 			return
 		}
-		// Routing decision point: from here on, iteration item.iter
-		// flows through this epoch's tree on every node, so any
-		// re-formation fences past it.
-		tr.noteStarted(item.iter)
-		ep := tr.epochFor(item.iter)
-
-		// The coverage this node must merge before forwarding: its live
-		// subtree under the iteration's epoch, minus itself (own output
-		// arrives through the shm loop). Awaiting stragglers is idle
-		// time, not work.
-		required := func() []int {
-			subtree := ep.tree.LiveSubtree(node)
-			req := subtree[:0]
-			for _, n := range subtree {
-				if n != node {
-					req = append(req, n)
-				}
-			}
-			return req
+		// Routing decision point: the first Route call fences iteration
+		// item.iter — from here on it flows through this epoch's tree on
+		// every node. The node then idles (awaiting stragglers is not
+		// work) until the forest says its coverage is met; every wake
+		// re-asks, because a failure elsewhere can shrink the requirement
+		// or re-route this node meanwhile.
+		agg := tr.aggs[node]
+		agg.cover(item.iter, node)
+		d := tr.forest.Route(node, item.iter, agg.covered[item.iter])
+		for d.Kind == cluster.NotReady {
+			agg.waiting.wait(p, tr.eng)
+			d = tr.forest.Route(node, item.iter, agg.covered[item.iter])
 		}
-		childBytes, covers := tr.aggs[node].await(p, item.iter, required)
+		childBytes, covers := agg.take(item.iter)
 		subtree := item.bytes + childBytes
-		covers = append(covers, node)
 
 		t1 := p.Now()
-		if parent, hasParent := ep.tree.Parent(node); hasParent {
+		if d.Kind == cluster.Forward {
 			if subtree > 0 {
 				// Store-and-forward: the sender serializes the batch onto
 				// its NIC (at the trace's current effective bandwidth);
@@ -748,12 +645,20 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 					tr.observeNIC(subtree / el)
 				}
 			}
-			// The parent may have died during the transfer: relay along
-			// the drain chain, like the runtime cluster's dead relays.
-			deliverUp(&ep.tree, tr.aggs, res, parent, item.iter, subtree, covers)
+			// The parent may have died during the transfer: the forest then
+			// relays along its drain chain, as the runtime's dead
+			// aggregators do, or has nowhere left to send it.
+			if !tr.forest.Alive(d.To) {
+				d = tr.forest.Route(d.To, item.iter, nil)
+			}
+			if d.Kind == cluster.Lose {
+				res.LostBytes += subtree
+			} else {
+				tr.aggs[d.To].deliver(item.iter, subtree, covers)
+			}
 		} else {
-			tr.rootCovered[item.iter] += len(covers)
-			ord := ep.rootOrdinal[node]
+			tr.forest.RootDone(item.iter, len(covers))
+			ord, stripes, numRoots := d.Window, tr.stripes(item.iter), tr.forest.Windows(item.iter)
 			if cfg.InSitu.Mode == InSituStream {
 				// Streaming coupling: the consumer sees the merged frame
 				// the moment aggregation completes, overlapped with the
@@ -767,27 +672,20 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 				for f := 0; f < files; f++ {
 					// Spread root files over the target array, stripes-wide
 					// windows per file so roots do not collide.
-					base := ((ord + fileSeq*ep.numRoots) * ep.stripes) % be.Targets()
+					base := ((ord + fileSeq*numRoots) * stripes) % be.Targets()
 					fileSeq++
 					release := tr.schedule.acquire(p, writeReq{
 						holder:   node,
 						base:     base,
-						stripes:  ep.stripes,
+						stripes:  stripes,
 						deadline: tr.deadline(item.iter),
 						bytes:    subtree,
 					})
 					be.Create(p)
 					tw := p.Now()
-					futs := make([]*des.Future, ep.stripes)
-					for s := 0; s < ep.stripes; s++ {
-						futs[s] = be.WriteAsync((base+s)%be.Targets(), per/float64(ep.stripes),
-							storage.BigSequential)
-					}
-					for _, fu := range futs {
-						p.Await(fu)
-					}
+					stripeAcross(p, be.WriteAsync, base, stripes, be.Targets(), per)
 					if el := p.Now() - tw; el > 0 {
-						tr.observePFS(per / float64(ep.stripes) / el)
+						tr.observePFS(per / float64(stripes) / el)
 					}
 					be.Close(p)
 					release()
@@ -810,77 +708,33 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 	}
 }
 
-// rootStripes resolves how many backend targets each root stream is
-// striped over: the configured override, or wide enough that the few
-// root streams can saturate the target array while staying "few large
-// streams". The write path and the restart-read model share this, so
-// the read mirror always prices the layout the write side produced.
-func rootStripes(cfg Config, targets, numRoots int) int {
-	stripes := cfg.RootStripes
-	if stripes <= 0 {
-		stripes = targets / (2 * numRoots)
-		if stripes < 8 {
-			stripes = 8
-		}
-		if stripes > 64 {
-			stripes = 64
-		}
-	}
-	if stripes > targets {
-		stripes = targets
-	}
-	return stripes
-}
+// stripeAcross runs one big sequential transfer (be.WriteAsync or
+// be.ReadAsync) of bytes split evenly over a root window — stripes
+// targets from base, wrapping at targets — and waits for all of it.
+func stripeAcross(p *des.Proc, io func(int, float64, storage.Pattern) *des.Future,
+	base, stripes, targets int, bytes float64) {
 
-// deliverUp hands a merged batch to dest's aggregator, chasing the
-// drain chain when dest died mid-transfer; a batch with no live
-// destination is lost.
-func deliverUp(tree *cluster.Tree, aggs []*desAgg, res *Result, dest, it int,
-	b float64, covers []int) {
-
-	for !tree.Alive(dest) {
-		next, ok := tree.DrainTarget(dest)
-		if !ok {
-			res.LostBytes += b
-			return
-		}
-		dest = next
+	futs := make([]*des.Future, stripes)
+	for s := range futs {
+		futs[s] = io((base+s)%targets, bytes/float64(stripes), storage.BigSequential)
 	}
-	aggs[dest].deliver(it, b, covers)
+	for _, f := range futs {
+		p.Await(f)
+	}
 }
 
 // failNode executes one scheduled death on the DES side, mirroring
-// Cluster.killNode: re-route every topology epoch (the corpse is dead
-// in all of them, with per-epoch root-ordinal inheritance on
-// promotions), free any scheduling tokens the dead node holds or waits
-// for, hand each in-flight aggregation to its own iteration's drain
-// target with its coverage intact, account the lost own output, and
-// wake every parked dedicated core so it re-checks its (now smaller)
-// coverage requirement.
+// Cluster.killNode: fail the node in the forest (every epoch re-routes,
+// promoted roots inherit windows), free any scheduling tokens the dead
+// node holds or waits for, hand each in-flight aggregation to its own
+// iteration's drain target with its coverage intact, account the lost
+// own output, and wake every parked dedicated core so it re-asks the
+// forest against its new coverage requirement.
 func (tr *treeRun) failNode(shm *nodeShm, node int, item shmIter) {
 	res := tr.res
-	tr.dead = append(tr.dead, node)
+	edges, _ := tr.forest.Fail(node, item.iter)
 	res.NodesFailed++
-	routing := tr.epochFor(item.iter)
-	for _, ep := range tr.epochs {
-		if !ep.tree.Alive(node) {
-			continue
-		}
-		wasRoot := ep.tree.IsRoot(node)
-		edges := ep.tree.Fail(node)
-		if ep == routing {
-			res.ReroutedEdges += len(edges)
-		}
-		if wasRoot {
-			// The promoted sibling inherits the dead root's stripe
-			// window in this epoch.
-			for _, e := range edges {
-				if e.NewParent == -1 {
-					ep.rootOrdinal[e.Child] = ep.rootOrdinal[node]
-				}
-			}
-		}
-	}
+	res.ReroutedEdges += len(edges)
 	// A dead root must not strand an OST token for the rest of the run:
 	// whatever it held or queued for goes back to the broker.
 	tr.schedule.releaseHolder(node)
@@ -891,9 +745,8 @@ func (tr *treeRun) failNode(shm *nodeShm, node int, item shmIter) {
 
 	a := tr.aggs[node]
 	for _, it := range sortedIntKeys(a.covered) {
-		ep := tr.epochFor(it)
-		if dest, ok := ep.tree.DrainTarget(node); ok {
-			tr.aggs[dest].deliver(it, a.bytes[it], sortedIntKeys(a.covered[it]))
+		if d := tr.forest.Route(node, it, nil); d.Kind == cluster.Drain {
+			tr.aggs[d.To].deliver(it, a.bytes[it], sortedIntKeys(a.covered[it]))
 			delete(a.covered, it)
 			delete(a.bytes, it)
 		}
@@ -901,7 +754,7 @@ func (tr *treeRun) failNode(shm *nodeShm, node int, item shmIter) {
 	// Orphans with no drain target stay in a.bytes and are swept into
 	// LostBytes after the run.
 	for _, other := range tr.aggs {
-		other.wake()
+		other.waiting.wake()
 	}
 	// The machine shrank: an adaptive run may want a different forest.
 	tr.adaptDirty = true

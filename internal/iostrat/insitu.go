@@ -101,8 +101,8 @@ type insituQ struct {
 	capacity int
 	policy   storage.SlowPolicy
 	pending  []shmIter
-	waiting  *des.Future // consumer parked on an empty queue
-	space    *des.Future // Block-policy publisher parked on a full queue
+	waiting  parked // consumer, on an empty queue
+	space    parked // Block-policy publisher, on a full queue
 	closed   bool
 	dropped  int
 }
@@ -117,7 +117,7 @@ func (q *insituQ) publish(p *des.Proc, item shmIter) float64 {
 		}
 		if len(q.pending) < q.capacity {
 			q.pending = append(q.pending, item)
-			q.wakeConsumer()
+			q.waiting.wake()
 			return blocked
 		}
 		switch q.policy {
@@ -126,8 +126,7 @@ func (q *insituQ) publish(p *des.Proc, item shmIter) float64 {
 			return blocked
 		case storage.Block:
 			t0 := p.Now()
-			q.space = q.eng.NewFuture()
-			p.Await(q.space)
+			q.space.wait(p, q.eng)
 			blocked += p.Now() - t0
 		default: // storage.DropOldest
 			q.pending = q.pending[1:]
@@ -143,37 +142,20 @@ func (q *insituQ) take(p *des.Proc) (shmIter, bool) {
 		if q.closed {
 			return shmIter{}, false
 		}
-		q.waiting = q.eng.NewFuture()
-		p.Await(q.waiting)
+		q.waiting.wait(p, q.eng)
 	}
 	item := q.pending[0]
 	q.pending = q.pending[1:]
-	if q.space != nil {
-		f := q.space
-		q.space = nil
-		f.Complete()
-	}
+	q.space.wake()
 	return item, true
-}
-
-func (q *insituQ) wakeConsumer() {
-	if q.waiting != nil {
-		f := q.waiting
-		q.waiting = nil
-		f.Complete()
-	}
 }
 
 // close ends the stream: the consumer drains what is queued and exits;
 // a parked Block publisher is released.
 func (q *insituQ) close() {
 	q.closed = true
-	q.wakeConsumer()
-	if q.space != nil {
-		f := q.space
-		q.space = nil
-		f.Complete()
-	}
+	q.waiting.wake()
+	q.space.wake()
 }
 
 // publishInSitu hands a completed root frame to the given root
@@ -212,14 +194,6 @@ func (tr *treeRun) growInsitu(numRoots int) {
 	}
 }
 
-// closeInSituOrdinal ends one root ordinal's stream (no-op when
-// in-situ is off).
-func (tr *treeRun) closeInSituOrdinal(ord int) {
-	if tr.insituQs != nil {
-		tr.insituQs[ord].close()
-	}
-}
-
 // runConsumer is one root's analysis consumer: a proc on the root's
 // dedicated-core pool that drains the frame queue and pays analysis
 // CPU per frame — §V's visualization running on the cores' spare time.
@@ -239,16 +213,8 @@ func (tr *treeRun) runConsumer(p *des.Proc, ord int) {
 			// stripe window the write used — the frame's own epoch's,
 			// which a later re-formation does not retarget; the read
 			// competes with whatever the storage system is serving.
-			stripes := tr.epochFor(item.iter).stripes
-			base := (ord * stripes) % be.Targets()
-			futs := make([]*des.Future, stripes)
-			for s := 0; s < stripes; s++ {
-				futs[s] = be.ReadAsync((base+s)%be.Targets(), item.bytes/float64(stripes),
-					storage.BigSequential)
-			}
-			for _, f := range futs {
-				p.Await(f)
-			}
+			stripes := tr.stripes(item.iter)
+			stripeAcross(p, be.ReadAsync, (ord*stripes)%be.Targets(), stripes, be.Targets(), item.bytes)
 		}
 		cpu := item.bytes / cfg.InSitu.AnalysisBandwidth
 		p.Wait(cpu)

@@ -64,26 +64,25 @@ func RestartRead(cfg Config) (RestartResult, error) {
 		return res, nil
 	}
 
-	tree := cluster.NewTree(plat.Nodes, cfg.Fanout, cfg.AggRoots)
-	if cfg.Failures != nil {
-		for _, n := range cfg.Failures.Nodes() {
-			if tree.Alive(n) {
-				tree.Fail(n)
-			}
-		}
+	// A restart happens after the deaths: every scheduled node is dead
+	// before iteration 0, so the forest awaits none of them.
+	forest := cluster.NewForest(plat.Nodes, cfg.Fanout, cfg.AggRoots)
+	for _, n := range cfg.Failures.Nodes() {
+		forest.Fail(n, 0)
 	}
+	tree := forest.Tree()
 	roots := tree.Roots()
 	numRoots := len(roots)
 	if numRoots == 0 {
 		// Every root died: nothing stored, nothing to restart from.
 		return res, nil
 	}
-	stripes := rootStripes(cfg, be.Targets(), numRoots)
+	stripes := cluster.StripeWidth(cfg.RootStripes, be.Targets(), numRoots)
 	res.Roots = numRoots
 	res.Stripes = stripes
 
 	subtreeBytes := func(n int) float64 {
-		return nodeBytes * float64(len(tree.LiveSubtree(n)))
+		return nodeBytes * float64(len(forest.Required(n, 0)))
 	}
 	// scatter pushes a node's children their subtree state: the sender
 	// serializes the transfers onto its NIC, each child then forwards
@@ -99,16 +98,9 @@ func RestartRead(cfg Config) (RestartResult, error) {
 	for i, r := range roots {
 		ordinal, rootID := i, r
 		eng.Spawn("restart-root", func(p *des.Proc) {
-			base := (ordinal * stripes) % be.Targets()
 			be.Open(p)
-			per := subtreeBytes(rootID) / float64(stripes)
-			futs := make([]*des.Future, stripes)
-			for s := 0; s < stripes; s++ {
-				futs[s] = be.ReadAsync((base+s)%be.Targets(), per, storage.BigSequential)
-			}
-			for _, f := range futs {
-				p.Await(f)
-			}
+			stripeAcross(p, be.ReadAsync, (ordinal*stripes)%be.Targets(), stripes, be.Targets(),
+				subtreeBytes(rootID))
 			be.Close(p)
 			if p.Now() > res.ReadTime {
 				res.ReadTime = p.Now()

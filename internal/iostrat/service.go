@@ -164,79 +164,8 @@ func (r ServiceResult) MeanWriteLatency() float64 {
 // desJob is one job's in-flight state.
 type desJob struct {
 	res     JobResult
-	need    int
 	granted int
-	fut     *des.Future
-	prio    int
-}
-
-// desAdmission is the DES mirror of cluster.Service admission: a node
-// counter and a policy-ordered queue. The engine is single-threaded, so
-// no locking — everything runs in event order.
-type desAdmission struct {
-	eng       *des.Engine
-	policy    cluster.AdmissionPolicy
-	free      int
-	queue     []*desJob
-	maxQueued int
-}
-
-// admit blocks p until the job has nodes; ok=false means rejected.
-func (ad *desAdmission) admit(p *des.Proc, j *desJob) (granted int, ok bool) {
-	if j.need <= ad.free {
-		ad.free -= j.need
-		return j.need, true
-	}
-	switch ad.policy {
-	case cluster.AdmitReject:
-		return 0, false
-	case cluster.AdmitDegrade:
-		if ad.free > 0 {
-			g := ad.free
-			ad.free = 0
-			return g, true
-		}
-		// Nothing free: even a degradable job waits its turn.
-	}
-	j.fut = ad.eng.NewFuture()
-	ad.queue = append(ad.queue, j)
-	if len(ad.queue) > ad.maxQueued {
-		ad.maxQueued = len(ad.queue)
-	}
-	p.Await(j.fut)
-	return j.granted, true
-}
-
-// release returns nodes and dispatches the queue in policy order, with
-// the same deliberate head-of-line blocking as the runtime face.
-func (ad *desAdmission) release(n int) {
-	ad.free += n
-	if ad.policy == cluster.AdmitDeadline {
-		sort.SliceStable(ad.queue, func(i, k int) bool {
-			a, b := ad.queue[i], ad.queue[k]
-			if a.prio != b.prio {
-				return a.prio > b.prio
-			}
-			if a.res.Deadline != b.res.Deadline {
-				return a.res.Deadline < b.res.Deadline
-			}
-			return a.res.ID < b.res.ID
-		})
-	}
-	for len(ad.queue) > 0 {
-		head := ad.queue[0]
-		g := head.need
-		if g > ad.free {
-			if ad.policy != cluster.AdmitDegrade || ad.free <= 0 {
-				return
-			}
-			g = ad.free
-		}
-		ad.queue = ad.queue[1:]
-		ad.free -= g
-		head.granted = g
-		head.fut.Complete()
-	}
+	fut     *des.Future // parked on the admission gate
 }
 
 // RunService executes the multi-tenant DES model and returns its
@@ -278,7 +207,9 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 		return ServiceResult{}, fmt.Errorf("iostrat: platform has no PFS bandwidth")
 	}
 
-	ad := &desAdmission{eng: eng, policy: cfg.Admission, free: cfg.Platform.Nodes}
+	// The admission gate is the one the runtime Service drives; the engine
+	// is single-threaded, so no locking — everything runs in event order.
+	gate := cluster.NewAdmission(cfg.Admission, cfg.Platform.Nodes)
 	jobs := make([]*desJob, cfg.Jobs)
 	nodeBytes := cfg.Workload.NodeBytes(cfg.Platform.CoresPerNode)
 
@@ -300,7 +231,6 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 		idealWrite := nodeBytes * float64(need) / perWriterBW
 		ideal := float64(iters) * (cfg.Workload.ComputeTime + idealWrite)
 		j := &desJob{
-			need: need,
 			res: JobResult{
 				ID:         i,
 				Arrival:    at,
@@ -313,17 +243,23 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 
 		jitter := root.Child(uint64(i))
 		eng.SpawnAt(at, fmt.Sprintf("job%d", i), func(p *des.Proc) {
-			granted, ok := ad.admit(p, j)
-			if !ok {
+			granted, queued := gate.Offer(cluster.Ask{ID: j.res.ID, Nodes: j.res.NodesAsked,
+				Deadline: j.res.Deadline})
+			if queued {
+				j.fut = eng.NewFuture()
+				p.Await(j.fut)
+				granted = j.granted
+			}
+			if granted == 0 {
 				j.res.Rejected = true
 				return
 			}
 			j.res.AdmitTime = p.Now()
 			j.res.Nodes = granted
-			j.res.Degraded = granted < j.need
+			j.res.Degraded = granted < j.res.NodesAsked
 			jobBytes := nodeBytes * float64(granted)
-			j.res.LostBytes = nodeBytes * float64(j.need-granted) * float64(j.res.Iterations)
-			idealWrite := nodeBytes * float64(j.need) / perWriterBW
+			j.res.LostBytes = nodeBytes * float64(j.res.NodesAsked-granted) * float64(j.res.Iterations)
+			idealWrite := nodeBytes * float64(j.res.NodesAsked) / perWriterBW
 			for it := 0; it < j.res.Iterations; it++ {
 				p.Wait(cfg.Workload.ComputeTime * jitter.UnitLogNormal(cfg.Workload.ComputeJitter))
 				g := broker.AcquireSim(p, storage.TokenRequest{
@@ -345,12 +281,15 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 				j.res.WriteLatencies = append(j.res.WriteLatencies, p.Now()-idealDone)
 			}
 			j.res.Finish = p.Now()
-			ad.release(granted)
+			for _, a := range gate.Release(granted) {
+				jobs[a.ID].granted = a.Nodes
+				jobs[a.ID].fut.Complete()
+			}
 		})
 	}
 	eng.Run()
 
-	out := ServiceResult{Config: cfg, MaxQueued: ad.maxQueued}
+	out := ServiceResult{Config: cfg, MaxQueued: gate.MaxQueued()}
 	for _, j := range jobs {
 		out.Jobs = append(out.Jobs, j.res)
 		switch {

@@ -9,7 +9,7 @@ import (
 )
 
 // DefaultHashRate is the dedicated-core chunk+hash throughput in raw
-// bytes per second the cost model charges: rolling-hash boundary
+// bytes per second charged on both faces: rolling-hash boundary
 // detection plus SHA-256 on one core lands near 1 GB/s, an order of
 // magnitude above the flate codec and in the rle/delta band — cheap
 // enough that §IV.D spare time absorbs it.
@@ -20,9 +20,6 @@ type Options struct {
 	// Params bound the content-defined chunk sizes (zero fields take the
 	// package defaults).
 	Params Params
-	// HashRate is the dedicated-core chunking+hashing throughput in raw
-	// bytes per second, charged on both faces (default DefaultHashRate).
-	HashRate float64
 	// AssumedNewFraction is the fraction of each simulated write the DES
 	// face assumes has not been stored before and must travel to the
 	// inner backend — the model's stand-in for the overwrite fraction,
@@ -33,9 +30,6 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	o.Params = o.Params.withDefaults()
-	if o.HashRate <= 0 {
-		o.HashRate = DefaultHashRate
-	}
 	if o.AssumedNewFraction <= 0 || o.AssumedNewFraction > 1 {
 		o.AssumedNewFraction = 1
 	}
@@ -167,7 +161,7 @@ func (s *Store) Put(name string, data []byte) error {
 	// it "already stored" and the recipe landing.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.hashTime += float64(len(data)) / s.opts.HashRate
+	s.hashTime += float64(len(data)) / DefaultHashRate
 	var newBytes int64
 	for i, p := range pieces {
 		h := refs[i].Hash
@@ -254,7 +248,7 @@ func (s *Store) Get(name string) ([]byte, error) {
 		out = append(out, cb...)
 	}
 	s.mu.Lock()
-	s.hashTime += float64(rawSize) / s.opts.HashRate
+	s.hashTime += float64(rawSize) / DefaultHashRate
 	s.mu.Unlock()
 	return out, nil
 }
@@ -389,7 +383,7 @@ func (s *Store) desWrite(bytes float64) (wait, forwarded float64) {
 	if bytes <= 0 {
 		return 0, bytes
 	}
-	wait = bytes / s.opts.HashRate
+	wait = bytes / DefaultHashRate
 	forwarded = bytes*s.opts.AssumedNewFraction +
 		bytes/float64(s.opts.Params.Avg)*recipeEntryLen + recipeHeaderLen
 	if forwarded > bytes {
@@ -410,7 +404,7 @@ func (s *Store) desRead(bytes float64) (wait, forwarded float64) {
 	if bytes <= 0 {
 		return 0, bytes
 	}
-	wait = bytes / s.opts.HashRate
+	wait = bytes / DefaultHashRate
 	s.mu.Lock()
 	s.hashTime += wait
 	s.mu.Unlock()

@@ -88,13 +88,6 @@ type CompressionOptions struct {
 	// Codec is a fixed codec name, or AdaptiveCodec (also the ""
 	// default) for the per-dataset selector.
 	Codec string
-	// Candidates are the codecs the adaptive selector trials (default:
-	// the full registry).
-	Candidates []string
-	// ElemSize is the element width handed to element-structured codecs
-	// (default: 8 when the payload length is a multiple of 8, else 4,
-	// else 1).
-	ElemSize int
 	// SampleBytes bounds the trial-encode sample per dataset (default
 	// 64 KiB).
 	SampleBytes int
@@ -104,23 +97,14 @@ type CompressionOptions struct {
 	// equivalent of its CPU. Default 200 MB/s, the per-stream share a
 	// dedicated core typically sees of the modeled OST array.
 	TransferBandwidth float64
-	// CPUCostWeight discounts codec CPU in the score (default
-	// DefaultCPUCostWeight). Dedicated cores are mostly idle between
-	// drains (E4 measures the idle fraction; §IV.D spends exactly that
-	// "spare time" on compression), so a second of codec CPU costs less
-	// than a second of transfer. 1 prices CPU and transfer equally.
-	CPUCostWeight float64
-	// DatasetKey maps an object name to the dataset the selector caches
-	// its choice under (default: strip the "-it<digits>" iteration part,
-	// so every iteration of a variable shares one choice).
-	DatasetKey func(name string) string
 }
 
 var iterationPart = regexp.MustCompile(`-it\d+`)
 
-// defaultDatasetKey strips the per-iteration part of cluster object
-// names, so "job-root000-it000042" and "-it000043" share a choice.
-func defaultDatasetKey(name string) string {
+// datasetKey maps an object name to the dataset the selector caches its
+// choice under: the per-iteration part of cluster object names is
+// stripped, so "job-root000-it000042" and "-it000043" share a choice.
+func datasetKey(name string) string {
 	return iterationPart.ReplaceAllString(name, "")
 }
 
@@ -128,29 +112,19 @@ func (o CompressionOptions) withDefaults() CompressionOptions {
 	if o.Codec == "" {
 		o.Codec = AdaptiveCodec
 	}
-	if len(o.Candidates) == 0 {
-		o.Candidates = compress.Names()
-	}
 	if o.SampleBytes <= 0 {
 		o.SampleBytes = 64 << 10
 	}
 	if o.TransferBandwidth <= 0 {
 		o.TransferBandwidth = 200e6
 	}
-	if o.CPUCostWeight <= 0 {
-		o.CPUCostWeight = DefaultCPUCostWeight
-	}
-	if o.DatasetKey == nil {
-		o.DatasetKey = defaultDatasetKey
-	}
 	return o
 }
 
-// elemSizeFor resolves the element width for one payload.
-func (o CompressionOptions) elemSizeFor(n int) int {
-	if o.ElemSize > 0 {
-		return o.ElemSize
-	}
+// elemSizeFor resolves the element width handed to element-structured
+// codecs for one payload: 8 when its length is a multiple of 8, else
+// 4, else 1.
+func elemSizeFor(n int) int {
 	switch {
 	case n%8 == 0:
 		return 8
@@ -223,7 +197,7 @@ func (c *Compressing) cpuCost(p CodecProfile, n float64) float64 {
 	if p.EncodeRate <= 0 {
 		return 0
 	}
-	return n / p.EncodeRate * c.opts.TransferBandwidth * c.opts.CPUCostWeight
+	return n / p.EncodeRate * c.opts.TransferBandwidth * DefaultCPUCostWeight
 }
 
 // score is the selector's objective for one candidate on a sample:
@@ -250,11 +224,11 @@ func (c *Compressing) chooseFor(name string, sample []byte, total int) (string, 
 		}
 		return c.opts.Codec, nil
 	}
-	key := c.opts.DatasetKey(name)
+	key := datasetKey(name)
 	if codec, ok := c.choice[key]; ok {
 		return codec, nil
 	}
-	elem := c.opts.elemSizeFor(total)
+	elem := elemSizeFor(total)
 	if len(sample) > c.opts.SampleBytes {
 		sample = sample[:c.opts.SampleBytes]
 	}
@@ -263,7 +237,7 @@ func (c *Compressing) chooseFor(name string, sample []byte, total int) (string, 
 	}
 	best := "none"
 	bestScore := c.score("none", len(sample), float64(len(sample)))
-	for _, cand := range c.opts.Candidates {
+	for _, cand := range compress.Names() {
 		if cand == "none" {
 			continue
 		}
@@ -322,7 +296,7 @@ func (c *Compressing) Put(name string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	framed, err := EncodeFrame(used, data, c.opts.elemSizeFor(len(data)))
+	framed, err := EncodeFrame(used, data, elemSizeFor(len(data)))
 	if err != nil {
 		// The codec is registered (chooseFor validated it), so the
 		// failure is a capability mismatch with this payload.
@@ -365,7 +339,7 @@ func (c *Compressing) PutVec(name string, segs [][]byte) error {
 	}
 	if used != "none" {
 		flat := FlattenSegs(segs)
-		framed, ferr := EncodeFrame(used, flat, c.opts.elemSizeFor(total))
+		framed, ferr := EncodeFrame(used, flat, elemSizeFor(total))
 		if ferr == nil && len(framed) < total {
 			if err := c.inner.Put(name, framed); err != nil {
 				return err
@@ -498,7 +472,7 @@ func (c *Compressing) desProfile() CodecProfile {
 		if c.opts.Codec == AdaptiveCodec {
 			c.des = "none"
 			best := c.score("none", 1<<20, 1<<20)
-			for _, cand := range c.opts.Candidates {
+			for _, cand := range compress.Names() {
 				prof, ok := defaultProfiles[cand]
 				if !ok || cand == "none" {
 					continue

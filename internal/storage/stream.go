@@ -111,10 +111,15 @@ func (o SubOptions) withDefaults() SubOptions {
 // Stream is a fan-out hub from publishers (tree roots, through
 // cluster.NewStreamingHook) to in-situ subscribers. Each subscriber owns a bounded
 // FIFO queue; when it falls behind, its SlowPolicy — not the other
-// subscribers' — decides what gives. Publish order is delivery order
-// within one publisher; messages carry stream-wide sequence numbers so
-// consumers can detect drops. All methods are safe for concurrent use.
+// subscribers' — decides what gives. Every subscriber sees Seq strictly
+// increasing, whichever publishers the messages came from; gaps are
+// messages its policy dropped. All methods are safe for concurrent use.
 type Stream struct {
+	// pubMu serialises publishers: a message gets its Seq and reaches
+	// every queue in one hold, so no later Seq is enqueued ahead of it.
+	// A Block-policy subscriber thus holds back every publisher.
+	pubMu sync.Mutex
+
 	mu     sync.Mutex
 	subs   map[*Subscription]struct{}
 	seq    uint64
@@ -165,6 +170,8 @@ func (s *Stream) Published() uint64 {
 // ErrSlowConsumer and the publisher moves on. Publishing on a closed
 // stream is a no-op.
 func (s *Stream) Publish(name string, data []byte) {
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

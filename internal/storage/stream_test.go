@@ -254,3 +254,40 @@ func TestStreamChurnRace(t *testing.T) {
 	wg.Wait()
 	s.Close()
 }
+
+// TestStreamPublishSeqOrder is the ordering guarantee: with several
+// publishers racing, a subscriber whose queue never fills must see Seq
+// strictly increasing — a message's sequence number and its place in
+// every queue are decided together (run under -race by `make
+// race-stress`).
+func TestStreamPublishSeqOrder(t *testing.T) {
+	const publishers, each = 4, 5000
+	s := NewStream()
+	sub := s.Subscribe(SubOptions{Buffer: publishers * each})
+	var wg sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				s.Publish("obj", nil)
+			}
+		}()
+	}
+	wg.Wait()
+	s.Close()
+	var last uint64
+	for n := 0; ; n++ {
+		msg, err := sub.Recv()
+		if err != nil {
+			if n != publishers*each {
+				t.Fatalf("received %d messages, want %d", n, publishers*each)
+			}
+			return
+		}
+		if msg.Seq <= last {
+			t.Fatalf("Seq %d delivered after %d", msg.Seq, last)
+		}
+		last = msg.Seq
+	}
+}
