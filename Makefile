@@ -17,7 +17,7 @@ COVER_FLOOR ?= 65
 PPROF_BENCH ?= BenchmarkClusterAggregation
 PPROF_PKG ?= .
 
-.PHONY: build test vet fmt fmt-check bench \
+.PHONY: build test vet fmt fmt-check bench loc \
 	pprof-cpu pprof-alloc cover-check tidy-check \
 	failure-race service-race chunk-race stream-race adapt-race race-stress failure-smoke restart-smoke c1-smoke fuzz-smoke lint docs-check \
 	smoke-e1 smoke-e6 smoke-e6-cross smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 ci
@@ -201,10 +201,19 @@ cover-check:
 			printf "coverage %.1f%% (floor %d%%)\n", $$3, $(COVER_FLOOR) \
 		} }'
 
+# loc prints non-test Go lines per package and for the whole module —
+# the ROADMAP aim-2 scoreboard. Informational: it gates nothing.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './.git/*' -not -path './.bench_build/*' \
+		| xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); d = "."; \
+			for (i = 2; i < n; i++) d = d "/" p[i]; loc[d] += $$1; all += $$1 } \
+		END { for (d in loc) printf "%7d  %s\n", loc[d], d | "sort -k2"; close("sort -k2"); \
+			printf "%7d  whole module, non-test Go\n", all }'
+
 # tidy-check fails when go.mod/go.sum drift from what go mod tidy would
 # write.
 tidy-check:
 	$(GO) mod tidy -diff
 
-ci: build vet fmt-check tidy-check docs-check test failure-race service-race chunk-race stream-race adapt-race race-stress cover-check bench \
+ci: build vet fmt-check tidy-check docs-check test failure-race service-race chunk-race stream-race adapt-race race-stress cover-check loc bench \
 	smoke-e1 smoke-e6 smoke-e6-cross smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 fuzz-smoke

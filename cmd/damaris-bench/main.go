@@ -242,14 +242,8 @@ func restoreReport(dir string) error {
 	if err != nil {
 		return err
 	}
-	// The decompressing and dedup wrappers are always safe on the read
-	// side: framed objects decode, chunk recipes reassemble, plain
-	// objects pass through — so one code path replays compressed,
-	// deduplicated and raw stores alike.
-	store := chunk.New(
-		storage.NewCompressing(sdfStore, storage.CompressionOptions{}),
-		chunk.Options{})
-	r, err := cluster.Restore(store, "")
+	// One code path replays compressed, deduplicated and raw stores alike.
+	r, err := cluster.Restore(chunk.ReadStack(sdfStore), "")
 	if err != nil {
 		return err
 	}

@@ -62,11 +62,8 @@ func dumpStore(dir string) error {
 	if err != nil {
 		return err
 	}
-	// The same read stack -restart-from uses: recipes reassemble,
-	// frames decode, plain objects pass through untouched.
-	stack := chunk.New(
-		storage.NewCompressing(inner, storage.CompressionOptions{}),
-		chunk.Options{})
+	// The same read stack -restart-from uses.
+	stack := chunk.ReadStack(inner)
 	names, err := inner.List("")
 	if err != nil {
 		return err

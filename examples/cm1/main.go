@@ -1,9 +1,14 @@
 // CM1 example: the paper's primary workload on a miniature cluster —
-// two simulated SMP nodes of four cores each run the CM1 proxy with real
-// halo exchanges, and write their output three ways: file-per-process,
-// collective two-phase into a shared file, and through Damaris dedicated
-// cores. It prints what each approach produced and how long the
-// simulation loop spent blocked on I/O.
+// by default two simulated SMP nodes of four cores each run the CM1
+// proxy with real halo exchanges, and write their output three ways:
+// file-per-process, collective two-phase into a shared file, and through
+// Damaris dedicated cores. It prints what each approach produced and how
+// long the simulation loop spent blocked on I/O.
+//
+// Usage:
+//
+//	cm1                                  # all three approaches, 8 ranks
+//	cm1 -io damaris -ranks 16 -steps 40 -every 5 -codec gorilla
 package main
 
 import (
@@ -12,6 +17,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -22,12 +28,14 @@ import (
 	"repro/internal/mpi"
 )
 
-const (
-	coresPerNode = 4
-	nodes        = 2
-	ranks        = coresPerNode * nodes
-	outputEvery  = 5
-	totalSteps   = 15
+var (
+	outDir       = flag.String("out", "cm1-out", "output directory")
+	ioMode       = flag.String("io", "", "run one I/O approach only: fpp, collective or damaris (default: all three)")
+	ranks        = flag.Int("ranks", 8, "MPI world size")
+	coresPerNode = flag.Int("cores-per-node", 4, "simulated cores per SMP node")
+	totalSteps   = flag.Int("steps", 15, "simulation time steps")
+	outputEvery  = flag.Int("every", 5, "output every N steps")
+	codec        = flag.String("codec", "none", "damaris output codec")
 )
 
 const configTemplate = `
@@ -43,15 +51,23 @@ const configTemplate = `
     <variable name="w" layout="grid" unit="m/s"/>
   </data>
   <plugins>
-    <plugin name="sdf-writer" event="end_iteration" dir="%s" codec="none"/>
+    <plugin name="sdf-writer" event="end_iteration" dir="%s" codec="%s"/>
   </plugins>
 </simulation>`
 
 func main() {
-	outDir := flag.String("out", "cm1-out", "output directory")
 	flag.Parse()
-
-	for _, mode := range []string{"fpp", "collective", "damaris"} {
+	if *ranks%*coresPerNode != 0 {
+		log.Fatalf("ranks (%d) must be a multiple of cores-per-node (%d)", *ranks, *coresPerNode)
+	}
+	modes := []string{"fpp", "collective", "damaris"}
+	if *ioMode != "" {
+		if !slices.Contains(modes, *ioMode) {
+			log.Fatalf("unknown -io mode %q", *ioMode)
+		}
+		modes = []string{*ioMode}
+	}
+	for _, mode := range modes {
 		dir := filepath.Join(*outDir, mode)
 		blocked, err := run(mode, dir)
 		if err != nil {
@@ -73,9 +89,9 @@ func run(mode, dir string) (time.Duration, error) {
 	// Damaris mode: one node runtime per simulated SMP node.
 	var nodeRuntimes []*damaris.Node
 	if mode == "damaris" {
-		for n := 0; n < nodes; n++ {
-			cfgXML := fmt.Sprintf(configTemplate, dir)
-			node, err := damaris.NewNodeFromXML(cfgXML, coresPerNode, damaris.Options{NodeID: n})
+		for n := 0; n < *ranks / *coresPerNode; n++ {
+			cfgXML := fmt.Sprintf(configTemplate, dir, *codec)
+			node, err := damaris.NewNodeFromXML(cfgXML, *coresPerNode, damaris.Options{NodeID: n})
 			if err != nil {
 				return 0, err
 			}
@@ -87,7 +103,7 @@ func run(mode, dir string) (time.Duration, error) {
 	var blocked time.Duration
 	var runErr error
 
-	mpi.Run(ranks, func(c *mpi.Comm) {
+	mpi.Run(*ranks, func(c *mpi.Comm) {
 		model, err := cm1.New(cm1.DefaultParams(), c)
 		if err != nil {
 			mu.Lock()
@@ -95,20 +111,20 @@ func run(mode, dir string) (time.Duration, error) {
 			mu.Unlock()
 			return
 		}
-		node := c.Rank() / coresPerNode
-		local := c.Rank() % coresPerNode
-		for step := 1; step <= totalSteps; step++ {
+		node := c.Rank() / *coresPerNode
+		local := c.Rank() % *coresPerNode
+		for step := 1; step <= *totalSteps; step++ {
 			model.Step()
-			if step%outputEvery != 0 {
+			if step%*outputEvery != 0 {
 				continue
 			}
-			it := step / outputEvery
+			it := step / *outputEvery
 			t0 := time.Now()
 			switch mode {
 			case "fpp":
 				_, err = baselines.WriteFPP(c, dir, "cm1", it, model.Fields())
 			case "collective":
-				_, err = baselines.WriteCollective(c, coresPerNode, dir, "cm1", it, model.Fields())
+				_, err = baselines.WriteCollective(c, *coresPerNode, dir, "cm1", it, model.Fields())
 			case "damaris":
 				client := nodeRuntimes[node].Client(local)
 				for _, f := range model.Fields() {

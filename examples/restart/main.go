@@ -24,6 +24,7 @@ import (
 	damaris "repro"
 	"repro/internal/cluster"
 	"repro/internal/storage"
+	"repro/internal/storage/chunk"
 	"repro/internal/topology"
 )
 
@@ -80,9 +81,10 @@ func main() {
 	// The compression pipeline wraps any backend: every root object is
 	// trial-encoded per dataset, framed with its codec choice, and
 	// manifests record the codec and sizes.
-	store := storage.NewCompressing(sdfStore, storage.CompressionOptions{
-		Codec: storage.AdaptiveCodec,
-	})
+	store, err := chunk.Stack(sdfStore, storage.AdaptiveCodec, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	c, err := cluster.New(cluster.ClusterConfig{
 		Platform: topology.Platform{Name: "demo", Nodes: nodes, CoresPerNode: clients + 1},
 		Fanout:   2,
@@ -124,8 +126,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	reader := storage.NewCompressing(sdfReader, storage.CompressionOptions{})
-	r, err := cluster.Restore(reader, "restartdemo")
+	r, err := cluster.Restore(chunk.ReadStack(sdfReader), "restartdemo")
 	if err != nil {
 		log.Fatal(err)
 	}

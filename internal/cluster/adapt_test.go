@@ -57,20 +57,13 @@ func TestReformMidRunCompleteness(t *testing.T) {
 	}
 
 	shapes := [][2]int{{4, 2}, {2, 4}, {3, 1}} // fanout, roots per re-formation
-	for it := 0; it < iters; it++ {
-		for n := 0; n < nodes; n++ {
-			for s := 0; s < clients; s++ {
-				cl := c.Client(n, s)
-				if err := cl.Write("theta", it, payload(n, s, it)); err != nil {
-					t.Fatalf("node %d src %d it %d: %v", n, s, it, err)
-				}
-				cl.EndIteration(it)
+	err = Drive(c, Workload{Variable: "theta", To: iters, Payload: payload,
+		// Lockstep: the iteration has routed, so the fence lands past it
+		// and each re-formation opens a genuinely new epoch.
+		EachIteration: func(it int) error {
+			if it >= len(shapes) {
+				return nil
 			}
-		}
-		if it < len(shapes) {
-			// Wait until the iteration has routed, so the fence lands
-			// past it and each re-formation opens a genuinely new epoch.
-			c.WaitIteration(it)
 			from, err := c.Reform(shapes[it][0], shapes[it][1])
 			if err != nil {
 				t.Fatalf("reform %v: %v", shapes[it], err)
@@ -78,9 +71,11 @@ func TestReformMidRunCompleteness(t *testing.T) {
 			if from <= it {
 				t.Fatalf("reform fence %d not past routed iteration %d", from, it)
 			}
-		}
+			return nil
+		}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.WaitIteration(iters - 1)
 	if err := c.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -179,26 +174,7 @@ func TestAdaptReformRaceWithStreaming(t *testing.T) {
 
 	<-reforming
 
-	var writerWG sync.WaitGroup
-	for n := 0; n < nodes; n++ {
-		for s := 0; s < clients; s++ {
-			writerWG.Add(1)
-			go func(n, s int) {
-				defer writerWG.Done()
-				cl := c.Client(n, s)
-				for it := 0; it < iters; it++ {
-					if err := cl.Write("theta", it, payload(n, s, it)); err != nil {
-						t.Errorf("node %d src %d it %d: %v", n, s, it, err)
-						return
-					}
-					cl.EndIteration(it)
-				}
-			}(n, s)
-		}
-	}
-
-	writerWG.Wait()
-	c.WaitIteration(iters - 1)
+	runWorkload(t, c, iters)
 	close(stop)
 	reformWG.Wait()
 	if err := c.Shutdown(); err != nil {
@@ -240,37 +216,29 @@ func TestReformWithFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for it := 0; it < iters; it++ {
-		if it == failAt {
-			// Let the victim's earlier iterations be stored before it
-			// dies. Since Forest rule 1 its root awaits them either way
-			// (TestClusterInteriorFailure covers the unsynchronised
-			// case); the wait keeps this test about re-formation.
-			c.WaitIteration(it - 1)
-		}
-		for n := 0; n < nodes; n++ {
-			for s := 0; s < clients; s++ {
-				cl := c.Client(n, s)
-				if err := cl.Write("theta", it, payload(n, s, it)); err != nil {
-					t.Fatalf("node %d src %d it %d: %v", n, s, it, err)
-				}
-				cl.EndIteration(it)
+	// Lockstep lets the victim's earlier iterations be stored before it
+	// dies. Since Forest rule 1 its root awaits them either way
+	// (TestClusterInteriorFailure covers the unsynchronised case); the
+	// barrier keeps this test about re-formation.
+	err = Drive(c, Workload{Variable: "theta", To: iters, Payload: payload,
+		EachIteration: func(it int) error {
+			if it != failAt {
+				return nil
 			}
-		}
-		if it == failAt {
-			// The death happens when the victim's aggregator reaches
-			// iteration failAt; wait for the round to settle, then
-			// re-form — the overlay must carry over.
-			c.WaitIteration(it)
+			// The death happened when the victim's aggregator reached
+			// iteration failAt and the round has settled: re-form — the
+			// overlay must carry over.
 			if _, err := c.Reform(4, 1); err != nil {
 				t.Fatalf("reform after failure: %v", err)
 			}
 			if tr := c.Tree(); tr.Alive(victim) {
 				t.Fatal("re-formed tree resurrected the dead node")
 			}
-		}
+			return nil
+		}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.WaitIteration(iters - 1)
 	if err := c.Shutdown(); err != nil {
 		t.Fatal(err)
 	}

@@ -20,28 +20,16 @@ const brokerTestMeta = `<simulation name="broker">
   </data>
 </simulation>`
 
-// driveBrokerCluster pushes iterations [from, to) through every client.
-func driveBrokerCluster(t *testing.T, c *Cluster, nodes, clients, from, to int) {
+// driveBrokerCluster pushes iterations [from, to) through every client
+// and waits for the last to be stored.
+func driveBrokerCluster(t *testing.T, c *Cluster, from, to int) {
 	t.Helper()
 	data := make([]byte, 16*8)
-	var wg sync.WaitGroup
-	for n := 0; n < nodes; n++ {
-		for s := 0; s < clients; s++ {
-			wg.Add(1)
-			go func(n, s int) {
-				defer wg.Done()
-				cl := c.Client(n, s)
-				for it := from; it < to; it++ {
-					if err := cl.Write("theta", it, data); err != nil {
-						t.Errorf("node %d src %d it %d: %v", n, s, it, err)
-						return
-					}
-					cl.EndIteration(it)
-				}
-			}(n, s)
-		}
+	err := Drive(c, Workload{Variable: "theta", From: from, To: to,
+		Payload: func(int, int, int) []byte { return data }})
+	if err != nil {
+		t.Error(err)
 	}
-	wg.Wait()
 }
 
 // TestClusterBrokerCoordinatesRoots runs a 2-tree cluster through a
@@ -72,7 +60,7 @@ func TestClusterBrokerCoordinatesRoots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveBrokerCluster(t, c, nodes, clients, 0, iters)
+	driveBrokerCluster(t, c, 0, iters)
 	c.WaitIteration(iters - 1)
 	if err := c.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -145,8 +133,17 @@ func TestDeadRootReleasesToken(t *testing.T) {
 	}
 
 	// Iteration 0: both roots head for the store; one holds the token
-	// inside the gated Put, the other queues on the broker.
-	driveBrokerCluster(t, c, 2, 1, 0, 1)
+	// inside the gated Put, the other queues on the broker. The drivers
+	// return once the gate has opened and their iteration is stored.
+	var drivers sync.WaitGroup
+	drive := func(it int) {
+		drivers.Add(1)
+		go func() {
+			defer drivers.Done()
+			driveBrokerCluster(t, c, it, it+1)
+		}()
+	}
+	drive(0)
 	select {
 	case <-gate.started:
 	case <-time.After(5 * time.Second):
@@ -158,12 +155,13 @@ func TestDeadRootReleasesToken(t *testing.T) {
 
 	// Iteration 1 kills node 0 (its forwarder sees the death iteration)
 	// while the token is held and the queue populated.
-	driveBrokerCluster(t, c, 2, 1, 1, 2)
+	drive(1)
 	if err := waitFor(func() bool { return c.Stats().NodesFailed == 1 }); err != nil {
 		t.Fatalf("scheduled death never happened: %v", err)
 	}
 
 	close(gate.gate)
+	drivers.Wait()
 	if err := c.Shutdown(); err != nil {
 		t.Fatal(err)
 	}

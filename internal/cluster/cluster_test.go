@@ -156,27 +156,12 @@ func payload(node, source, it int) []byte {
 }
 
 // runWorkload drives every client of the cluster through iters
-// iterations with unique payloads.
-func runWorkload(t *testing.T, c *Cluster, clientsPerNode, iters int) {
+// iterations with unique payloads and waits for the last to be stored.
+func runWorkload(t *testing.T, c *Cluster, iters int) {
 	t.Helper()
-	var wg sync.WaitGroup
-	for n := 0; n < c.Nodes(); n++ {
-		for s := 0; s < clientsPerNode; s++ {
-			wg.Add(1)
-			go func(n, s int) {
-				defer wg.Done()
-				cl := c.Client(n, s)
-				for it := 0; it < iters; it++ {
-					if err := cl.Write("theta", it, payload(n, s, it)); err != nil {
-						t.Errorf("node %d src %d it %d: %v", n, s, it, err)
-						return
-					}
-					cl.EndIteration(it)
-				}
-			}(n, s)
-		}
+	if err := Drive(c, Workload{Variable: "theta", To: iters, Payload: payload}); err != nil {
+		t.Error(err)
 	}
-	wg.Wait()
 }
 
 func TestClusterFanInCorrectness(t *testing.T) {
@@ -190,7 +175,7 @@ func TestClusterFanInCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runWorkload(t, c, clients, iters)
+	runWorkload(t, c, iters)
 	c.WaitIteration(iters - 1)
 	if err := c.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -266,7 +251,7 @@ func TestClusterMultiRoot(t *testing.T) {
 	if got := len(c.Tree().Roots()); got != roots {
 		t.Fatalf("%d roots, want %d", got, roots)
 	}
-	runWorkload(t, c, clients, iters)
+	runWorkload(t, c, iters)
 	c.WaitIteration(iters - 1)
 	if err := c.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -318,7 +303,7 @@ func TestBackendSwapEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runWorkload(t, c, clients, iters)
+		runWorkload(t, c, iters)
 		if err := c.Shutdown(); err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +356,7 @@ func TestClusterHooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runWorkload(t, c, clients, iters)
+	runWorkload(t, c, iters)
 	if err := c.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +384,7 @@ func TestClusterHookError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runWorkload(t, c, 1, 1)
+	runWorkload(t, c, 1)
 	if err := c.Shutdown(); err == nil {
 		t.Fatal("hook error must surface from Shutdown")
 	}
@@ -435,7 +420,7 @@ func TestClusterValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runWorkload(t, c, 1, 1)
+	runWorkload(t, c, 1)
 	if err := c.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +441,7 @@ func TestClusterDeterministicObjects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runWorkload(t, c, 2, 2)
+		runWorkload(t, c, 2)
 		if err := c.Shutdown(); err != nil {
 			t.Fatal(err)
 		}

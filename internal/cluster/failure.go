@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/rng"
+	"repro/internal/workload"
 )
 
 // FailureSchedule declares which nodes die and when: node id × first
@@ -35,6 +36,25 @@ func (s *FailureSchedule) Add(node, iteration int) *FailureSchedule {
 		s.at[node] = iteration
 	}
 	return s
+}
+
+// WithTrace returns the schedule a scenario runs under on either face:
+// s plus the trace's node-loss events; on a node listed twice the
+// earliest death wins, as always. s is left unmodified and returned
+// as is when the trace (nil included) loses no node. Safe on nil.
+func (s *FailureSchedule) WithTrace(tr *workload.Trace) *FailureSchedule {
+	if tr == nil || len(tr.NodeLosses()) == 0 {
+		return s
+	}
+	merged := NewFailureSchedule()
+	for _, n := range s.Nodes() {
+		k, _ := s.At(n)
+		merged.Add(n, k)
+	}
+	for _, l := range tr.NodeLosses() {
+		merged.Add(l.Node, l.Iteration)
+	}
+	return merged
 }
 
 // At returns the death iteration of node, ok=false when the node never

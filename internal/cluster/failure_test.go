@@ -170,7 +170,7 @@ func TestClusterInteriorFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runWorkload(t, c, clients, iters)
+	runWorkload(t, c, iters)
 	c.WaitIteration(iters - 1) // must not deadlock
 	if err := c.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestClusterRootFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runWorkload(t, c, clients, iters)
+	runWorkload(t, c, iters)
 	c.WaitIteration(iters - 1)
 	if err := c.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -322,7 +322,7 @@ func TestClusterEmptyScheduleIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runWorkload(t, c, 2, 2)
+		runWorkload(t, c, 2)
 		if err := c.Shutdown(); err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +370,7 @@ func TestClusterCascadingFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runWorkload(t, c, clients, iters)
+	runWorkload(t, c, iters)
 	c.WaitIteration(iters - 1)
 	if err := c.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -483,7 +483,7 @@ func TestHookSeesNormalizedOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runWorkload(t, c, clients, iters)
+	runWorkload(t, c, iters)
 	if err := c.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +532,7 @@ func TestClusterAllRootsDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runWorkload(t, c, clients, iters)
+	runWorkload(t, c, iters)
 	done := make(chan struct{})
 	go func() {
 		c.WaitIteration(iters - 1)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/storage"
@@ -107,6 +108,19 @@ func (m *Manifest) Name() string { return m.Object + ManifestSuffix }
 
 // IsManifestName reports whether an object name denotes a manifest.
 func IsManifestName(name string) bool { return strings.HasSuffix(name, ManifestSuffix) }
+
+// ObjectIteration parses the iteration number out of a root object's or
+// manifest's name, "<job>-rootNNN-itNNNNNN[-manifest]" — the inverse of
+// the write path's objectName. ok is false for any other name.
+func ObjectIteration(name string) (it int, ok bool) {
+	name = strings.TrimSuffix(name, ManifestSuffix)
+	i := strings.LastIndex(name, "-it")
+	if i < 0 || !strings.Contains(name[:i], "-root") {
+		return 0, false
+	}
+	it, err := strconv.Atoi(name[i+len("-it"):])
+	return it, err == nil && it >= 0
+}
 
 // newManifest builds the manifest for a normalized batch about to be
 // stored under object name obj.

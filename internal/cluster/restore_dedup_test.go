@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/des"
@@ -49,25 +48,9 @@ func runDedupWorkload(t *testing.T, store storage.ObjectStore, nodes, clients, i
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for n := 0; n < nodes; n++ {
-		for s := 0; s < clients; s++ {
-			wg.Add(1)
-			go func(n, s int) {
-				defer wg.Done()
-				cl := c.Client(n, s)
-				for it := 0; it < iters; it++ {
-					if err := cl.Write("theta", it, payloadDedup(n, s, it)); err != nil {
-						t.Errorf("node %d src %d it %d: %v", n, s, it, err)
-						return
-					}
-					cl.EndIteration(it)
-				}
-			}(n, s)
-		}
+	if err := Drive(c, Workload{Variable: "theta", To: iters, Payload: payloadDedup}); err != nil {
+		t.Error(err)
 	}
-	wg.Wait()
-	c.WaitIteration(iters - 1)
 	if err := c.Shutdown(); err != nil {
 		t.Fatal(err)
 	}

@@ -37,6 +37,11 @@ func TestManifestCodecRoundTrip(t *testing.T) {
 	if !IsManifestName(got.Name()) || IsManifestName(got.Object) {
 		t.Fatal("IsManifestName wrong")
 	}
+	for name, want := range map[string]int{got.Name(): 3, got.Object: 3, "job-it000003": -1, "job-root004-itx": -1} {
+		if it, ok := ObjectIteration(name); ok != (want >= 0) || (ok && it != want) {
+			t.Fatalf("ObjectIteration(%q) = %d, %v", name, it, ok)
+		}
+	}
 	if _, err := DecodeManifest([]byte(`{"format":"other"}`)); err == nil {
 		t.Fatal("wrong format accepted")
 	}
@@ -60,7 +65,7 @@ func runRestoreWorkload(t *testing.T, store storage.ObjectStore, nodes, clients,
 	if err != nil {
 		t.Fatal(err)
 	}
-	runWorkload(t, c, clients, iters)
+	runWorkload(t, c, iters)
 	c.WaitIteration(iters - 1)
 	if err := c.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -337,7 +342,7 @@ func TestRestoreDisabledManifests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runWorkload(t, c, 1, 1)
+	runWorkload(t, c, 1)
 	if err := c.Shutdown(); err != nil {
 		t.Fatal(err)
 	}

@@ -33,23 +33,8 @@ func servicePayload(salt int64, node, source, it int) []byte {
 // write errors (break, don't fail): the evicted tenant's clients die
 // mid-iteration by design.
 func driveDedupTenant(c *Cluster, salt int64, iters int) {
-	var wg sync.WaitGroup
-	for n := 0; n < c.Nodes(); n++ {
-		for s := 0; s < c.ClientsPerNode(); s++ {
-			wg.Add(1)
-			go func(n, s int) {
-				defer wg.Done()
-				cl := c.Client(n, s)
-				for it := 0; it < iters; it++ {
-					if err := cl.Write("theta", it, servicePayload(salt, n, s, it)); err != nil {
-						return
-					}
-					cl.EndIteration(it)
-				}
-			}(n, s)
-		}
-	}
-	wg.Wait()
+	_ = Drive(c, Workload{Variable: "theta", To: iters,
+		Payload: func(n, s, it int) []byte { return servicePayload(salt, n, s, it) }})
 }
 
 // TestServiceDedupSweepEvictRace is the GC-vs-writes race: two tenants

@@ -37,8 +37,7 @@ func driveTenant(t *testing.T, tn *Tenant, iters int) {
 	if c == nil {
 		t.Fatalf("tenant %d has no cluster (state %s)", tn.ID(), tn.State())
 	}
-	driveBrokerCluster(t, c, c.Nodes(), c.ClientsPerNode(), 0, iters)
-	c.WaitIteration(iters - 1)
+	driveBrokerCluster(t, c, 0, iters)
 }
 
 // TestServiceTwoTenantsSharedBrokerNoLeaks is the runtime-face
@@ -319,22 +318,15 @@ func TestServiceEvictionReturnsPooledBuffers(t *testing.T) {
 	// coverage — the merges sit pending holding pooled buffers. (The
 	// silent node must not be the root: Cancel kills nodes one by one,
 	// and a promoted sibling would complete and store the iteration.)
-	var wg sync.WaitGroup
 	for n := 0; n < c.Nodes()-1; n++ {
 		for s := 0; s < c.ClientsPerNode(); s++ {
-			wg.Add(1)
-			go func(n, s int) {
-				defer wg.Done()
-				cl := c.Client(n, s)
-				if err := cl.Write("theta", 0, make([]byte, 16*8)); err != nil {
-					t.Errorf("node %d src %d: %v", n, s, err)
-					return
-				}
-				cl.EndIteration(0)
-			}(n, s)
+			cl := c.Client(n, s)
+			if err := cl.Write("theta", 0, make([]byte, 16*8)); err != nil {
+				t.Fatalf("node %d src %d: %v", n, s, err)
+			}
+			cl.EndIteration(0)
 		}
 	}
-	wg.Wait()
 	if err := waitFor(func() bool { return c.Stats().BatchesForwarded >= 1 }); err != nil {
 		t.Fatalf("no batch in flight before eviction: %v", err)
 	}

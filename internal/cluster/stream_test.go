@@ -34,7 +34,7 @@ func TestStreamingHookDeliversLiveBatches(t *testing.T) {
 	consumerDone := make(chan error, 1)
 	go func() { consumerDone <- consumer.Run() }()
 
-	runWorkload(t, c, clients, iters)
+	runWorkload(t, c, iters)
 	c.WaitIteration(iters - 1)
 	if err := c.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestStreamingHookNeverBlocksWritePath(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		runWorkload(t, c, clients, iters)
+		runWorkload(t, c, iters)
 		c.WaitIteration(iters - 1)
 	}()
 	select {
@@ -169,7 +169,7 @@ func TestStreamSubscriberChurnDuringFailure(t *testing.T) {
 		}(g)
 	}
 
-	runWorkload(t, c, clients, iters)
+	runWorkload(t, c, iters)
 	c.WaitIteration(iters - 1)
 	if err := c.Shutdown(); err != nil {
 		t.Fatal(err)

@@ -10,11 +10,10 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/iostrat"
-	"repro/internal/meta"
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/storage"
-	"repro/internal/topology"
+	"repro/internal/storage/chunk"
 )
 
 // c1TransferBW is the per-stream transfer bandwidth the cost metric
@@ -107,7 +106,7 @@ func RunC1(opts Options) (Report, error) {
 		"policy", "raw_MB", "stored_MB", "ratio", "codec_cpu_ms", "cost_MB")
 	datasets := c1Datasets()
 	costs := map[string]float64{}
-	var adaptiveChoices map[string]string
+	adaptiveChoices := map[string]string{}
 	for _, policy := range c1Policies() {
 		store := storage.NewCompressing(storage.NewMemory(nil, 4, 1e9),
 			storage.CompressionOptions{
@@ -129,6 +128,9 @@ func RunC1(opts Options) (Report, error) {
 				if !bytes.Equal(got, data) {
 					return Report{}, fmt.Errorf("c1: %s round trip of %s differs", policy, name)
 				}
+				if info, ok := store.ObjectCodec(name); ok && policy == storage.AdaptiveCodec {
+					adaptiveChoices[ds.name] = info.Codec
+				}
 			}
 		}
 		acc := store.Accounting()
@@ -137,16 +139,6 @@ func RunC1(opts Options) (Report, error) {
 		sweep.AddRow(policy, float64(acc.ObjectRawBytes)/1e6, float64(acc.ObjectBytes)/1e6,
 			float64(acc.ObjectRawBytes)/float64(acc.ObjectBytes),
 			(acc.EncodeTime+acc.DecodeTime)*1e3, cost/1e6)
-		if policy == storage.AdaptiveCodec {
-			adaptiveChoices = map[string]string{}
-			for it := 0; it < c1Iters; it++ {
-				for _, ds := range datasets {
-					if info, ok := store.ObjectCodec(fmt.Sprintf("c1-%s-it%06d", ds.name, it)); ok {
-						adaptiveChoices[ds.name] = info.Codec
-					}
-				}
-			}
-		}
 	}
 	bestFixed := math.Inf(1)
 	for policy, cost := range costs {
@@ -262,17 +254,6 @@ type c1RoundTripResult struct {
 	manifestCodec bool
 }
 
-// c1ClusterMeta is the tiny per-node configuration of the round-trip
-// cluster: one 64-float variable per client.
-const c1ClusterMeta = `<simulation name="c1">
-  <architecture><dedicated cores="1"/><buffer size="1048576"/></architecture>
-  <data>
-    <parameter name="n" value="64"/>
-    <layout name="row" type="float64" dimensions="n"/>
-    <variable name="theta" layout="row"/>
-  </data>
-</simulation>`
-
 // c1Field is the deterministic payload for (node, source, iteration),
 // compressible and verifiable byte-for-byte after the round trip.
 func c1Field(n, s, it int) []byte {
@@ -293,43 +274,19 @@ func c1RoundTrip(opts Options, kind storage.Kind) (c1RoundTripResult, error) {
 		clients = 2
 		iters   = 2
 	)
-	plat := topology.Platform{Name: "c1", Nodes: nodes, CoresPerNode: clients + 1}
-	inner, cleanup, err := c1Backend(opts, kind)
+	store, cleanup, err := c1Backend(opts, kind)
 	if err != nil {
 		return c1RoundTripResult{}, err
 	}
-	if cleanup != nil {
-		defer cleanup()
-	}
-	store := storage.NewCompressing(inner, storage.CompressionOptions{Codec: storage.AdaptiveCodec})
-	cfg, err := meta.ParseString(c1ClusterMeta)
+	defer cleanup()
+	st, _, err := runtimeLeg{
+		job: "c1", nodes: nodes, clients: clients, floats: 64, iters: iters,
+		cc:      cluster.ClusterConfig{Store: store},
+		payload: c1Field,
+	}.run()
 	if err != nil {
 		return c1RoundTripResult{}, err
 	}
-	c, err := cluster.New(cluster.ClusterConfig{
-		Platform: plat,
-		Fanout:   2,
-		Store:    store,
-	}, cluster.RunSpec{Meta: cfg})
-	if err != nil {
-		return c1RoundTripResult{}, err
-	}
-	for n := 0; n < nodes; n++ {
-		for s := 0; s < clients; s++ {
-			cl := c.Client(n, s)
-			for it := 0; it < iters; it++ {
-				if err := cl.Write("theta", it, c1Field(n, s, it)); err != nil {
-					return c1RoundTripResult{}, err
-				}
-				cl.EndIteration(it)
-			}
-		}
-	}
-	c.WaitIteration(iters - 1)
-	if err := c.Shutdown(); err != nil {
-		return c1RoundTripResult{}, err
-	}
-	st := c.Stats()
 
 	restored, err := cluster.Restore(store, "c1")
 	if err != nil {
@@ -397,25 +354,30 @@ func c1RoundTrip(opts Options, kind storage.Kind) (c1RoundTripResult, error) {
 	return res, nil
 }
 
-// c1Backend builds the inner store for one round-trip run; the
-// returned cleanup (possibly nil) removes temporary artifacts.
-func c1Backend(opts Options, kind storage.Kind) (storage.Backend, func(), error) {
+// c1Backend builds the adaptively compressed store of one round-trip
+// run over the given backend kind; cleanup removes temporary artifacts.
+func c1Backend(opts Options, kind storage.Kind) (store storage.Backend, cleanup func(), err error) {
+	cleanup = func() {}
 	switch kind {
 	case storage.KindMemory:
-		return storage.NewMemory(nil, 4, 1e9), nil, nil
+		store = storage.NewMemory(nil, 4, 1e9)
 	case storage.KindSDF:
 		dir, err := os.MkdirTemp("", "c1-roundtrip-")
 		if err != nil {
 			return nil, nil, err
 		}
-		be, err := storage.NewSDF(nil, 4, 1e9, dir)
-		if err != nil {
-			os.RemoveAll(dir)
+		cleanup = func() { os.RemoveAll(dir) }
+		if store, err = storage.NewSDF(nil, 4, 1e9, dir); err != nil {
+			cleanup()
 			return nil, nil, err
 		}
-		return be, func() { os.RemoveAll(dir) }, nil
 	default:
 		p := opts.platformFor(opts.Scales[0])
-		return storage.NewPFS(des.NewEngine(), p.PFS, rng.New(opts.Seed, 41)), nil, nil
+		store = storage.NewPFS(des.NewEngine(), p.PFS, rng.New(opts.Seed, 41))
 	}
+	if store, err = chunk.Stack(store, storage.AdaptiveCodec, nil); err != nil {
+		cleanup()
+		return nil, nil, err
+	}
+	return store, cleanup, nil
 }

@@ -3,16 +3,13 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/iostrat"
-	"repro/internal/meta"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/storage/chunk"
-	"repro/internal/topology"
 )
 
 // e10Fracs is the overwrite-fraction sweep: the share of the dataset
@@ -21,39 +18,39 @@ import (
 // cross-iteration sharing for the dedup store to find).
 var e10Fracs = []float64{0, 0.25, 0.5, 1}
 
-// e10ClusterMeta uses 2 KiB blocks so each iteration's merged object is
-// large against the chunk size and the boundary dirt around an edit
-// stays a small fraction of the volume.
-const e10ClusterMeta = `<simulation name="e10">
-  <architecture><dedicated cores="1"/><buffer size="4194304"/></architecture>
-  <data>
-    <parameter name="n" value="256"/>
-    <layout name="row" type="float64" dimensions="n"/>
-    <variable name="theta" layout="row"/>
-  </data>
-</simulation>`
-
 // e10ChunkParams keeps chunks small against the 32 KiB per-iteration
 // objects of the runtime sweep, so dedup granularity — not boundary
 // overhead — dominates the measurement.
 var e10ChunkParams = chunk.Params{Min: 256, Avg: 1024, Max: 4096}
 
-// e10Payload builds the 2 KiB block for (node, source, it): blocks
-// whose index falls below the overwrite fraction get fresh pseudorandom
-// content every iteration, the rest stay bit-identical across the run.
-// Content is pseudorandom, never a ramp — low-entropy data would starve
-// the rolling hash of boundaries and turn content-defined chunking into
-// fixed-size cuts.
-func e10Payload(clients int, frac float64, total, node, source, it int) []byte {
-	idx := node*clients + source
-	seed := int64(node)<<20 | int64(source)<<8
-	if idx < int(frac*float64(total)+0.5) {
-		seed |= int64(it+1) << 32
+// e10Floats makes blocks 2 KiB, so each iteration's merged object is
+// large against the chunk size and the boundary dirt around an edit
+// stays a small fraction of the volume.
+const e10Floats = 256
+
+// The runtime sweep's cluster.
+const (
+	e10Nodes   = 8
+	e10Clients = 2
+	e10Iters   = 8
+)
+
+// e10Payload builds the 2 KiB block for (node, source, it) at overwrite
+// fraction frac: blocks whose index falls below the fraction get fresh
+// pseudorandom content every iteration, the rest stay bit-identical
+// across the run. Content is pseudorandom, never a ramp — low-entropy
+// data would starve the rolling hash of boundaries and turn
+// content-defined chunking into fixed-size cuts.
+func e10Payload(frac float64) func(node, source, it int) []byte {
+	return func(node, source, it int) []byte {
+		seed := int64(node)<<20 | int64(source)<<8
+		if node*e10Clients+source < int(frac*e10Nodes*e10Clients+0.5) {
+			seed |= int64(it+1) << 32
+		}
+		p := make([]byte, e10Floats*8)
+		rand.New(rand.NewSource(seed)).Read(p)
+		return p
 	}
-	r := rand.New(rand.NewSource(seed))
-	p := make([]byte, 256*8)
-	r.Read(p)
-	return p
 }
 
 // RunE10 measures content-addressed incremental checkpointing (ROADMAP
@@ -70,72 +67,52 @@ func RunE10(opts Options) (Report, error) {
 	opts = opts.withDefaults()
 	rep := Report{ID: "E10", Title: "incremental checkpoints: dedup, retention GC"}
 
-	const (
-		rtNodes   = 8
-		rtClients = 2
-		rtIters   = 8
-	)
 	rtTable := stats.NewTable(
 		fmt.Sprintf("dedup vs plain store, %d nodes × %d clients, %d iterations, memory store",
-			rtNodes, rtClients, rtIters),
+			e10Nodes, e10Clients, e10Iters),
 		"overwrite_frac", "plain_KB", "dedup_KB", "reduction",
 		"write_ms_plain", "write_ms_dedup", "restore_ms_plain", "restore_ms_dedup", "recovered_frac")
 
+	// leg writes the run at overwrite fraction f into store, restores it
+	// and weighs device, the backend at the bottom of store's stack.
+	type legResult struct {
+		write, restore time.Duration
+		bytes          float64
+		restored       *cluster.Restored
+	}
+	leg := func(f float64, store, device storage.Backend) (l legResult, err error) {
+		if l.write, err = runE10Cluster(f, 0, store); err != nil {
+			return l, err
+		}
+		if l.restored, l.restore, err = restoreClean(store, "e10"); err != nil {
+			return l, err
+		}
+		l.bytes, err = storedBytes(device)
+		return l, err
+	}
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 	minRecovered := 1.0
 	reductionAt25 := 0.0
-	for _, frac := range e10Fracs {
-		f := frac
-		payload := func(node, source, it int) []byte {
-			return e10Payload(rtClients, f, rtNodes*rtClients, node, source, it)
-		}
-
-		plain := storage.NewMemory(nil, 4, 1e9)
-		plainWrite, err := runE10Cluster(rtNodes, rtClients, rtIters, 0, plain, payload)
+	for _, f := range e10Fracs {
+		mem := storage.NewMemory(nil, 4, 1e9)
+		plain, err := leg(f, mem, mem)
 		if err != nil {
 			return Report{}, err
 		}
-		t0 := time.Now()
-		if _, err := cluster.Restore(plain, "e10"); err != nil {
-			return Report{}, err
-		}
-		plainRestore := time.Since(t0)
-		plainBytes, err := storedBytes(plain)
-		if err != nil {
-			return Report{}, err
-		}
-
 		inner := storage.NewMemory(nil, 4, 1e9)
-		ds := chunk.New(inner, chunk.Options{Params: e10ChunkParams})
-		dedupWrite, err := runE10Cluster(rtNodes, rtClients, rtIters, 0, ds, payload)
+		dedup, err := leg(f, chunk.New(inner, chunk.Options{Params: e10ChunkParams}), inner)
 		if err != nil {
-			return Report{}, err
-		}
-		t0 = time.Now()
-		restored, err := cluster.Restore(ds, "e10")
-		if err != nil {
-			return Report{}, err
-		}
-		dedupRestore := time.Since(t0)
-		if len(restored.Problems) > 0 {
-			return Report{}, fmt.Errorf("e10: dedup restore problems at frac %v: %v", f, restored.Problems)
-		}
-		dedupBytes, err := storedBytes(inner)
-		if err != nil {
-			return Report{}, err
+			return Report{}, fmt.Errorf("dedup store at overwrite %v: %w", f, err)
 		}
 
-		recovered := float64(restored.TotalBlocks()) / float64(rtNodes*rtClients*rtIters)
-		if recovered < minRecovered {
-			minRecovered = recovered
-		}
-		reduction := plainBytes / dedupBytes
+		recovered := float64(dedup.restored.TotalBlocks()) / float64(e10Nodes*e10Clients*e10Iters)
+		minRecovered = min(minRecovered, recovered)
+		reduction := plain.bytes / dedup.bytes
 		if f == 0.25 {
 			reductionAt25 = reduction
 		}
-		rtTable.AddRow(f, plainBytes/1e3, dedupBytes/1e3, reduction,
-			float64(plainWrite.Microseconds())/1e3, float64(dedupWrite.Microseconds())/1e3,
-			float64(plainRestore.Microseconds())/1e3, float64(dedupRestore.Microseconds())/1e3,
-			recovered)
+		rtTable.AddRow(f, plain.bytes/1e3, dedup.bytes/1e3, reduction,
+			ms(plain.write), ms(dedup.write), ms(plain.restore), ms(dedup.restore), recovered)
 	}
 
 	// Retention + GC leg at the 25% point: aged iterations are released
@@ -145,12 +122,8 @@ func RunE10(opts Options) (Report, error) {
 	if retain <= 0 {
 		retain = 2
 	}
-	gcInner := storage.NewMemory(nil, 4, 1e9)
-	gcStore := chunk.New(gcInner, chunk.Options{Params: e10ChunkParams})
-	gcPayload := func(node, source, it int) []byte {
-		return e10Payload(rtClients, 0.25, rtNodes*rtClients, node, source, it)
-	}
-	if _, err := runE10Cluster(rtNodes, rtClients, rtIters, retain, gcStore, gcPayload); err != nil {
+	gcStore := chunk.New(storage.NewMemory(nil, 4, 1e9), chunk.Options{Params: e10ChunkParams})
+	if _, err := runE10Cluster(0.25, retain, gcStore); err != nil {
 		return Report{}, err
 	}
 	swept, err := gcStore.Sweep()
@@ -165,9 +138,9 @@ func RunE10(opts Options) (Report, error) {
 	if len(gcRestored.Problems) > 0 {
 		retainedOK = 0
 	}
-	for it := rtIters - retain; it < rtIters; it++ {
+	for it := e10Iters - retain; it < e10Iters; it++ {
 		ri := gcRestored.Iterations[it]
-		if ri == nil || !ri.Complete(rtNodes) {
+		if ri == nil || !ri.Complete(e10Nodes) {
 			retainedOK = 0
 		}
 	}
@@ -272,55 +245,14 @@ func storedBytes(be storage.Backend) (float64, error) {
 	return total, nil
 }
 
-// runE10Cluster drives one runtime cluster over the given store with
-// per-(node,source,iteration) payloads and returns the write wall time.
-func runE10Cluster(nodes, clients, iters, retain int, store storage.ObjectStore, payload func(node, source, it int) []byte) (time.Duration, error) {
-	cfg, err := meta.ParseString(e10ClusterMeta)
-	if err != nil {
-		return 0, err
-	}
-	c, err := cluster.New(cluster.ClusterConfig{
-		Platform: topology.Platform{Name: "e10", Nodes: nodes, CoresPerNode: clients + 1},
-		Fanout:   2,
-		Store:    store,
-	}, cluster.RunSpec{
-		Meta:   cfg,
-		Retain: retain,
-	})
-	if err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for n := 0; n < nodes; n++ {
-		for s := 0; s < clients; s++ {
-			wg.Add(1)
-			go func(n, s int) {
-				defer wg.Done()
-				cl := c.Client(n, s)
-				for it := 0; it < iters; it++ {
-					if err := cl.Write("theta", it, payload(n, s, it)); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("node %d src %d it %d: %w", n, s, it, err)
-						}
-						mu.Unlock()
-						return
-					}
-					cl.EndIteration(it)
-				}
-			}(n, s)
-		}
-	}
-	wg.Wait()
-	c.WaitIteration(iters - 1)
-	if err := c.Shutdown(); err != nil {
-		return 0, err
-	}
-	if firstErr != nil {
-		return 0, firstErr
-	}
-	return time.Since(start), nil
+// runE10Cluster drives the sweep's runtime cluster over the given store at
+// overwrite fraction frac and returns the write wall time.
+func runE10Cluster(frac float64, retain int, store storage.ObjectStore) (time.Duration, error) {
+	_, wall, err := runtimeLeg{
+		job: "e10", nodes: e10Nodes, clients: e10Clients, floats: e10Floats, iters: e10Iters,
+		cc:      cluster.ClusterConfig{Store: store},
+		spec:    cluster.RunSpec{Retain: retain},
+		payload: e10Payload(frac),
+	}.run()
+	return wall, err
 }

@@ -2,28 +2,16 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
+	"slices"
+	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/compress"
 	"repro/internal/iostrat"
-	"repro/internal/meta"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
-
-// e11ClusterMeta describes the runtime-face runs: one float64 row per
-// client, small enough that topology mechanics dominate payload cost.
-const e11ClusterMeta = `<simulation name="e11">
-  <architecture><dedicated cores="1"/><buffer size="4194304"/></architecture>
-  <data>
-    <parameter name="n" value="512"/>
-    <layout name="row" type="float64" dimensions="n"/>
-    <variable name="theta" layout="row"/>
-  </data>
-</simulation>`
 
 // RunE11 sweeps the deterministic workload scenarios of
 // internal/workload against the two tree-adaptation policies, on both
@@ -70,9 +58,7 @@ func RunE11(opts Options) (Report, error) {
 	cores := opts.Scales[0]
 	desCfg := func(sc string, pol iostrat.AdaptPolicy) (iostrat.Config, error) {
 		cfg := opts.strategyConfig(cores)
-		if cfg.Fanout < 2 {
-			cfg.Fanout = 4
-		}
+		cfg.Fanout = opts.treeFanout()
 		tr, err := workload.Generate(workload.Spec{
 			Scenario:   sc,
 			Seed:       opts.Seed,
@@ -114,7 +100,7 @@ func RunE11(opts Options) (Report, error) {
 			// the topologies, which is what this table compares.
 			des.AddRow(sc, string(pol), stats.Median(res.TreeWriteLatencies),
 				stats.GB(res.BytesWritten), res.TreeReforms,
-				minFloat(res.Completeness), res.SkippedIters)
+				slices.Min(res.Completeness), res.SkippedIters)
 		}
 	}
 	rep.Tables = append(rep.Tables, des)
@@ -132,28 +118,15 @@ func RunE11(opts Options) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	fpStable := 0.0
-	if cfgA.Scenario.Fingerprint() == cfgB.Scenario.Fingerprint() {
-		fpStable = 1
-	}
+	fpStable := boolAsFloat(cfgA.Scenario.Fingerprint() == cfgB.Scenario.Fingerprint())
 	again, err := iostrat.Run(iostrat.Damaris, cfgB)
 	if err != nil {
 		return Report{}, err
 	}
 	first := results[legKey{replaySc, replayPol}]
-	identical := 1.0
-	if first.TotalTime != again.TotalTime || first.DrainTime != again.DrainTime ||
-		first.BytesWritten != again.BytesWritten || first.TreeReforms != again.TreeReforms ||
-		len(first.TreeWriteLatencies) != len(again.TreeWriteLatencies) {
-		identical = 0
-	} else {
-		for i := range first.TreeWriteLatencies {
-			if first.TreeWriteLatencies[i] != again.TreeWriteLatencies[i] {
-				identical = 0
-				break
-			}
-		}
-	}
+	identical := boolAsFloat(first.TotalTime == again.TotalTime && first.DrainTime == again.DrainTime &&
+		first.BytesWritten == again.BytesWritten && first.TreeReforms == again.TreeReforms &&
+		slices.Equal(first.TreeWriteLatencies, again.TreeWriteLatencies))
 	rep.Checks = append(rep.Checks,
 		Check{
 			Name:     "trace generation is a pure function of the seed",
@@ -172,7 +145,7 @@ func RunE11(opts Options) (Report, error) {
 		if key.sc == workload.NodeChurn {
 			continue // churn injects real failures; F1 owns that accounting
 		}
-		if c := minFloat(res.Completeness); c < minComp {
+		if c := slices.Min(res.Completeness); c < minComp {
 			minComp = c
 		}
 		if res.LostBytes > maxLost {
@@ -267,7 +240,7 @@ func RunE11(opts Options) (Report, error) {
 type e11Run struct {
 	reforms int
 	epochs  int
-	blocks  int     // distinct (iteration, node, source) blocks stored
+	blocks  int     // blocks restored from the store
 	want    int     // blocks acknowledged by clients
 	frames  int     // streaming frames delivered across re-formations
 	minComp float64 // worst per-iteration completeness
@@ -289,142 +262,60 @@ func runE11Cluster(seed uint64, adapt bool) (e11Run, error) {
 	if err != nil {
 		return e11Run{}, err
 	}
-	metaCfg, err := meta.ParseString(e11ClusterMeta)
-	if err != nil {
-		return e11Run{}, err
-	}
 	mem := storage.NewMemory(nil, 4, 1e9)
 	stream := storage.NewStream()
-	sub := stream.Subscribe(storage.SubOptions{Buffer: nodes * iters})
-	c, err := cluster.New(cluster.ClusterConfig{
-		Platform: topology.Platform{Name: "e11", Nodes: nodes, CoresPerNode: clients + 1},
-		Fanout:   2,
-		Roots:    1,
-		Store:    mem,
-	}, cluster.RunSpec{
-		Meta:  metaCfg,
-		Hooks: []cluster.Hook{cluster.NewStreamingHook(stream)},
-	})
-	if err != nil {
-		return e11Run{}, err
-	}
-
-	var consumerWG sync.WaitGroup
-	consumerWG.Add(1)
-	frames := 0
-	consumerErr := make(chan error, 1)
-	go func() {
-		defer consumerWG.Done()
-		for {
-			msg, err := sub.Recv()
-			if err != nil {
-				if err != storage.ErrStreamClosed && err != storage.ErrSlowConsumer {
-					consumerErr <- err
-				}
-				return
-			}
-			if _, err := cluster.DecodeBatch(msg.Data); err != nil {
-				consumerErr <- err
-				return
-			}
-			frames++
-		}
-	}()
+	run := e11Run{want: nodes * clients * iters}
+	consumed := consumeStream(stream.Subscribe(storage.SubOptions{Buffer: nodes * iters}),
+		func(*cluster.Batch, time.Time) { run.frames++ })
 
 	// The recommendation models the simulated job — kraken-class nominal
 	// bandwidths scaled by the trace's cumulative shift factors, and the
-	// trace's own per-node volume — not the toy payload below.
+	// trace's own per-node volume — not the toy payload the clients write.
 	nominal := topology.Kraken(nodes)
 	fanout, roots := 2, 1
-	row := make([]float64, 512)
-	for it := 0; it < iters; it++ {
-		for i := range row {
-			row[i] = float64(it*len(row) + i)
-		}
-		data := compress.Float64Bytes(row)
-		for n := 0; n < nodes; n++ {
-			for s := 0; s < clients; s++ {
-				if err := c.Client(n, s).Write("theta", it, data); err != nil {
-					return e11Run{}, fmt.Errorf("node %d src %d it %d: %w", n, s, it, err)
+	st, _, err := runtimeLeg{
+		job: "e11", nodes: nodes, clients: clients, floats: 512, iters: iters,
+		cc: cluster.ClusterConfig{Fanout: fanout, Roots: roots, Store: mem},
+		spec: cluster.RunSpec{
+			Hooks:    []cluster.Hook{cluster.NewStreamingHook(stream)},
+			Failures: cluster.NewFailureSchedule().WithTrace(tr),
+		},
+		each: func(c *cluster.Cluster, it int) error {
+			if adapt && len(tr.ShiftsAt(it+1)) > 0 {
+				// The shift lands next iteration and this one is settled:
+				// observe the new bandwidths and re-form ahead of the step.
+				nodeBytes := tr.Iters[it].BytesPerCore * float64(clients)
+				f, r := cluster.RecommendTopology(nodes, nodeBytes,
+					nominal.NICBandwidth*tr.NICFactorAt(it+1),
+					nominal.PFS.OSTBandwidth*tr.PFSFactorAt(it+1), nominal.PFS.OSTs)
+				if f != fanout || r != roots {
+					if _, err := c.Reform(f, r); err != nil {
+						return fmt.Errorf("reform (%d, %d): %w", f, r, err)
+					}
+					fanout, roots = f, r
 				}
-				c.Client(n, s).EndIteration(it)
 			}
-		}
-		if adapt && len(tr.ShiftsAt(it+1)) > 0 {
-			// The shift lands next iteration: settle this one, observe
-			// the new bandwidths, and re-form ahead of the step.
-			c.WaitIteration(it)
-			nodeBytes := tr.Iters[it].BytesPerCore * float64(clients)
-			f, r := cluster.RecommendTopology(nodes, nodeBytes,
-				nominal.NICBandwidth*tr.NICFactorAt(it+1),
-				nominal.PFS.OSTBandwidth*tr.PFSFactorAt(it+1), nominal.PFS.OSTs)
-			if f != fanout || r != roots {
-				if _, err := c.Reform(f, r); err != nil {
-					return e11Run{}, fmt.Errorf("reform (%d, %d): %w", f, r, err)
-				}
-				fanout, roots = f, r
-			}
-		}
-	}
-	c.WaitIteration(iters - 1)
-	if err := c.Shutdown(); err != nil {
-		return e11Run{}, err
-	}
+			run.epochs = c.Epochs()
+			return nil
+		},
+	}.run()
 	stream.Close()
-	consumerWG.Wait()
-	select {
-	case err := <-consumerErr:
+	if cerr := consumed(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return e11Run{}, err
-	default:
 	}
 
-	minComp := 1.0
-	for _, frac := range c.Stats().Completeness {
-		if frac < minComp {
-			minComp = frac
-		}
+	restored, _, err := restoreClean(mem, "e11")
+	if err != nil {
+		return e11Run{}, err
 	}
-	run := e11Run{
-		reforms: c.Stats().TreeReforms,
-		epochs:  c.Epochs(),
-		want:    nodes * clients * iters,
-		frames:  frames,
-		minComp: minComp,
+	run.blocks = restored.TotalBlocks()
+	run.reforms = st.TreeReforms
+	run.minComp = 1
+	for _, frac := range st.Completeness {
+		run.minComp = min(run.minComp, frac)
 	}
-	seen := map[[3]int]bool{}
-	for _, name := range mem.ObjectNames() {
-		if cluster.IsManifestName(name) {
-			continue
-		}
-		obj, ok := mem.Object(name)
-		if !ok {
-			continue
-		}
-		b, err := cluster.DecodeBatch(obj)
-		if err != nil {
-			return e11Run{}, fmt.Errorf("decode %s: %w", name, err)
-		}
-		for _, blk := range b.Blocks {
-			key := [3]int{b.Iteration, blk.Node, blk.Source}
-			if seen[key] {
-				return e11Run{}, fmt.Errorf("iteration %d: block (node %d, source %d) stored twice",
-					b.Iteration, blk.Node, blk.Source)
-			}
-			seen[key] = true
-		}
-	}
-	run.blocks = len(seen)
 	return run, nil
-}
-
-// minFloat returns the smallest element (1 for an empty slice, the
-// neutral completeness).
-func minFloat(xs []float64) float64 {
-	m := 1.0
-	for i, x := range xs {
-		if i == 0 || x < m {
-			m = x
-		}
-	}
-	return m
 }

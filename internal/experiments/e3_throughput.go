@@ -59,6 +59,7 @@ func RunE3(opts Options) (Report, error) {
 	return rep, nil
 }
 
+// boolAsFloat turns a pass/fail condition into a Check's Measured value.
 func boolAsFloat(b bool) float64 {
 	if b {
 		return 1

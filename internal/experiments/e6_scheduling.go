@@ -2,17 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/des"
 	"repro/internal/iostrat"
-	"repro/internal/meta"
 	"repro/internal/stats"
 	"repro/internal/storage"
-	"repro/internal/topology"
 )
 
 // RunE6 reproduces §IV.D's scheduling claim and extends it across tree
@@ -159,10 +155,7 @@ var e6CrossPolicies = []iostrat.Scheduling{
 func runE6CrossRoots(opts Options, rep *Report) error {
 	cores := opts.maxScale()
 	plat := opts.platformFor(cores)
-	fanout := opts.Fanout
-	if fanout < 2 {
-		fanout = 4
-	}
+	fanout := opts.treeFanout()
 	table := stats.NewTable(
 		fmt.Sprintf("cross-root scheduling, %d nodes, fanout %d (DES)", plat.Nodes, fanout),
 		"roots", "layout", "scheduling", "write_lat_s", "write_tail_sd_s",
@@ -241,46 +234,43 @@ func runE6CrossRoots(opts Options, rep *Report) error {
 	return nil
 }
 
-// e6RuntimeMeta is the per-node configuration of the runtime face.
-const e6RuntimeMeta = `<simulation name="e6">
-  <architecture><dedicated cores="1"/><buffer size="1048576"/></architecture>
-  <data>
-    <parameter name="n" value="256"/>
-    <layout name="row" type="float64" dimensions="n"/>
-    <variable name="theta" layout="row"/>
-  </data>
-</simulation>`
-
-// pacedStore models the physical storage target behind the runtime
+// pacedStore models the physical storage target behind a runtime
 // cluster: each Put costs a fixed service time, and concurrent streams
-// on the same target interfere — n overlapping streams degrade the
-// target to 1/(1+alpha·(n-1)) of peak, so every stream's service
-// inflates to n·(1+alpha·(n-1))×. The ledger (total applied service,
-// per-iteration spans) is what the E6 runtime comparison reads.
+// interfere — n overlapping streams degrade the target to
+// 1/(1+alpha·(n-1)) of peak, so every stream's service inflates to
+// n·(1+alpha·(n-1))×; at alpha 0 it is a plain write latency. The ledger
+// (total applied service, per-iteration spans) is what the E6 runtime
+// comparison reads. It deliberately does not implement storage.VecStore,
+// so the cluster write path issues one flattened Put per object.
 type pacedStore struct {
-	inner    storage.ObjectStore
-	targetOf func(name string) int
-	service  time.Duration
-	alpha    float64
+	inner   storage.ObjectStore
+	service time.Duration
+	alpha   float64
 
 	mu        sync.Mutex
-	active    map[int]int
+	active    int
 	total     time.Duration
 	iterStart map[int]time.Time
 	iterEnd   map[int]time.Time
-	iterOf    func(name string) int
+}
+
+func newPacedStore(inner storage.ObjectStore, service time.Duration, alpha float64) *pacedStore {
+	return &pacedStore{inner: inner, service: service, alpha: alpha,
+		iterStart: map[int]time.Time{}, iterEnd: map[int]time.Time{}}
 }
 
 func (ps *pacedStore) Put(name string, data []byte) error {
-	target := ps.targetOf(name)
+	it, ok := cluster.ObjectIteration(name)
+	if !ok {
+		it = -1 // not a root object: outside every iteration's span
+	}
 	ps.mu.Lock()
-	n := ps.active[target] + 1
-	ps.active[target] = n
+	ps.active++
+	n := float64(ps.active)
 	// Interference inflates the service by n(1+alpha(n-1)) — the same
 	// processor-sharing shape as the pfs model's OSTs.
-	applied := time.Duration(float64(ps.service) * float64(n) * (1 + ps.alpha*float64(n-1)))
+	applied := time.Duration(float64(ps.service) * n * (1 + ps.alpha*(n-1)))
 	ps.total += applied
-	it := ps.iterOf(name)
 	now := time.Now()
 	if s, ok := ps.iterStart[it]; !ok || now.Before(s) {
 		ps.iterStart[it] = now
@@ -290,7 +280,7 @@ func (ps *pacedStore) Put(name string, data []byte) error {
 	time.Sleep(applied)
 
 	ps.mu.Lock()
-	ps.active[target]--
+	ps.active--
 	end := time.Now()
 	if e, ok := ps.iterEnd[it]; !ok || end.After(e) {
 		ps.iterEnd[it] = end
@@ -313,74 +303,6 @@ func (ps *pacedStore) iterSpans(iters int) []float64 {
 		}
 	}
 	return spans
-}
-
-// perRootBrokers emulates per-backend tokens on the runtime face: every
-// root arbitrates against itself only, so roots of different trees can
-// still hit the same paced target at once. It is the runtime mirror of
-// iostrat.SchedOSTToken's per-stream base token.
-type perRootBrokers struct {
-	mu      sync.Mutex
-	targets int
-	brokers map[int]*storage.Broker
-}
-
-func newPerRootBrokers(targets int) *perRootBrokers {
-	return &perRootBrokers{targets: targets, brokers: map[int]*storage.Broker{}}
-}
-
-func (pb *perRootBrokers) forHolder(holder int) *storage.Broker {
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	b, ok := pb.brokers[holder]
-	if !ok {
-		b = storage.NewBroker(storage.BrokerOptions{
-			Policy:  storage.PolicyPerTarget,
-			Targets: pb.targets,
-		})
-		pb.brokers[holder] = b
-	}
-	return b
-}
-
-// AcquireSim implements storage.TokenBroker (unused on the real face).
-func (pb *perRootBrokers) AcquireSim(p *des.Proc, req storage.TokenRequest) storage.TokenGrant {
-	panic("perRootBrokers: DES face not supported")
-}
-
-// Acquire implements storage.TokenBroker.
-func (pb *perRootBrokers) Acquire(req storage.TokenRequest) storage.TokenGrant {
-	return pb.forHolder(req.Holder).Acquire(req)
-}
-
-// ReleaseHolder implements storage.TokenBroker.
-func (pb *perRootBrokers) ReleaseHolder(holder int) int {
-	return pb.forHolder(holder).ReleaseHolder(holder)
-}
-
-// Outstanding implements storage.TokenBroker.
-func (pb *perRootBrokers) Outstanding() int {
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	n := 0
-	for _, b := range pb.brokers {
-		n += b.Outstanding()
-	}
-	return n
-}
-
-// Stats implements storage.TokenBroker.
-func (pb *perRootBrokers) Stats() storage.BrokerStats {
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	var merged storage.BrokerStats
-	for _, b := range pb.brokers {
-		s := b.Stats()
-		merged.Grants += s.Grants
-		merged.ContendedGrants += s.ContendedGrants
-		merged.WaitTime += s.WaitTime
-	}
-	return merged
 }
 
 // runE6Runtime compares per-backend tokens against the shared cluster
@@ -406,72 +328,33 @@ func runE6Runtime(opts Options, rep *Report) error {
 		contends int
 	}
 	run := func(shared bool) (rtResult, error) {
-		cfg, err := meta.ParseString(e6RuntimeMeta)
-		if err != nil {
-			return rtResult{}, err
-		}
 		// Both trees collide on one paced target, mirroring the DES
 		// sweep's overlapped stripe windows.
-		paced := &pacedStore{
-			inner:     storage.NewMemory(nil, 1, 1e9),
-			targetOf:  func(string) int { return 0 },
-			service:   rtService,
-			alpha:     rtAlpha,
-			active:    map[int]int{},
-			iterStart: map[int]time.Time{},
-			iterEnd:   map[int]time.Time{},
-			iterOf:    iterFromObjectName,
-		}
+		paced := newPacedStore(storage.NewMemory(nil, 1, 1e9), rtService, rtAlpha)
+		// Per-backend tokens arbitrate each root against itself only —
+		// the runtime mirror of iostrat.SchedOSTToken's per-stream base
+		// token. A root stores one object at a time, so its private token
+		// is never waited on and roots of different trees still hit the
+		// paced target at once: no broker at all.
 		var broker storage.TokenBroker
 		if shared {
 			broker = storage.NewBroker(storage.BrokerOptions{
 				Policy:  storage.PolicyDeadline,
 				Targets: 1,
 			})
-		} else {
-			broker = newPerRootBrokers(1)
 		}
-		c, err := cluster.New(cluster.ClusterConfig{
-			Platform:         topology.Platform{Name: "e6", Nodes: rtNodes, CoresPerNode: rtClients + 1},
-			Fanout:           2,
-			Roots:            rtRoots,
-			Store:            paced,
-			Broker:           broker,
-			DisableManifests: true,
-		}, cluster.RunSpec{Meta: cfg})
+		st, _, err := runtimeLeg{
+			job: "e6", nodes: rtNodes, clients: rtClients, floats: 256, iters: rtIters,
+			cc: cluster.ClusterConfig{
+				Roots:            rtRoots,
+				Store:            paced,
+				Broker:           broker,
+				DisableManifests: true,
+			},
+		}.run()
 		if err != nil {
 			return rtResult{}, err
 		}
-		data := make([]byte, 256*8)
-		var wg sync.WaitGroup
-		errs := make(chan error, rtNodes*rtClients)
-		for n := 0; n < rtNodes; n++ {
-			for s := 0; s < rtClients; s++ {
-				wg.Add(1)
-				go func(n, s int) {
-					defer wg.Done()
-					cl := c.Client(n, s)
-					for it := 0; it < rtIters; it++ {
-						if err := cl.Write("theta", it, data); err != nil {
-							errs <- fmt.Errorf("node %d src %d it %d: %w", n, s, it, err)
-							return
-						}
-						cl.EndIteration(it)
-					}
-				}(n, s)
-			}
-		}
-		wg.Wait()
-		c.WaitIteration(rtIters - 1)
-		if err := c.Shutdown(); err != nil {
-			return rtResult{}, err
-		}
-		select {
-		case err := <-errs:
-			return rtResult{}, err
-		default:
-		}
-		st := c.Stats()
 		contends := 0
 		for _, n := range st.RootContention {
 			contends += n
@@ -519,18 +402,4 @@ func runE6Runtime(opts Options, rep *Report) error {
 		},
 	)
 	return nil
-}
-
-// iterFromObjectName parses the trailing iteration number of a root
-// object name ("job-rootNNN-itNNNNNN"); -1 when absent.
-func iterFromObjectName(name string) int {
-	i := strings.LastIndex(name, "-root")
-	if i < 0 {
-		return -1
-	}
-	var root, it int
-	if n, _ := fmt.Sscanf(name[i:], "-root%d-it%d", &root, &it); n == 2 {
-		return it
-	}
-	return -1
 }

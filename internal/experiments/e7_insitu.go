@@ -164,8 +164,9 @@ func RunE7(opts Options) (Report, error) {
 }
 
 // timeCavitySteps advances the cavity and returns per-step wall times;
-// analyze, when non-nil, runs synchronously after every step (the
-// VisIt-style coupling).
+// analyze, when non-nil, runs inside every timed step: the whole
+// pipeline for the VisIt-style coupling, only the hand-off to the
+// dedicated core for the Damaris one.
 func timeCavitySteps(gridN, steps int, analyze func(*nek.Solver, int) error) ([]float64, error) {
 	params := nek.DefaultParams()
 	params.N = gridN
@@ -245,19 +246,9 @@ func timeDamarisCoupled(gridN, steps, segmentBytes int, analysisDelay time.Durat
 	if err != nil {
 		return nil, 0, err
 	}
-	params := nek.DefaultParams()
-	params.N = gridN
-	params.PressureIters = 8
-	solver, err := nek.New(params)
-	if err != nil {
-		return nil, 0, err
-	}
 	client := node.Client(0)
-	times := make([]float64, 0, steps)
 	skipped := 0
-	for s := 0; s < steps; s++ {
-		t0 := time.Now()
-		solver.Step()
+	times, err := timeCavitySteps(gridN, steps, func(solver *nek.Solver, s int) error {
 		dropped := false
 		for _, f := range solver.Fields() {
 			if werr := client.Write(f.Name, s, compress.Float64Bytes(f.Data)); werr != nil {
@@ -268,9 +259,12 @@ func timeDamarisCoupled(gridN, steps, segmentBytes int, analysisDelay time.Durat
 			skipped++
 		}
 		client.EndIteration(s)
-		times = append(times, time.Since(t0).Seconds())
+		return nil
+	})
+	if serr := node.Shutdown(); err == nil {
+		err = serr
 	}
-	if err := node.Shutdown(); err != nil {
+	if err != nil {
 		return nil, 0, err
 	}
 	return times, skipped, nil

@@ -2,30 +2,15 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/compress"
 	"repro/internal/iostrat"
-	"repro/internal/meta"
 	"repro/internal/stats"
 	"repro/internal/storage"
-	"repro/internal/topology"
 )
-
-// e7sClusterMeta is the per-node description of the runtime-face runs:
-// one float64 row per client, small enough that the paced store's
-// artificial write delay dominates every other cost.
-const e7sClusterMeta = `<simulation name="e7s">
-  <architecture><dedicated cores="1"/><buffer size="4194304"/></architecture>
-  <data>
-    <parameter name="n" value="512"/>
-    <layout name="row" type="float64" dimensions="n"/>
-    <variable name="theta" layout="row"/>
-  </data>
-</simulation>`
 
 // e7sWriteDelay is the paced store's per-object write latency on the
 // runtime face — the gap a streaming consumer gets to skip.
@@ -83,23 +68,21 @@ func RunE7S(opts Options) (Report, error) {
 			rtNodes, rtClients, e7sWriteDelay),
 		"consumer_path", "mean_latency_ms", "p95_latency_ms", "frames")
 	rt.AddRow("streaming hook", stats.Mean(fast.streamLat)*1e3,
-		stats.Percentile(sorted(fast.streamLat), 95)*1e3, len(fast.streamLat))
+		stats.Summarize(fast.streamLat).P95*1e3, len(fast.streamLat))
 	rt.AddRow("file-then-read", stats.Mean(fast.fileLat)*1e3,
-		stats.Percentile(sorted(fast.fileLat), 95)*1e3, len(fast.fileLat))
+		stats.Summarize(fast.fileLat).P95*1e3, len(fast.fileLat))
 
 	rtSlow := stats.NewTable(
 		fmt.Sprintf("runtime face: slow consumer under %s (buffer %d)", slowPolicy, slowBuf),
 		"consumer", "frames_received", "frames_dropped", "objects_written", "mean_step_ms")
-	rtSlow.AddRow("fast", len(fast.streamLat), fast.dropped, fast.objects, stats.Mean(fast.stepTimes)*1e3)
-	rtSlow.AddRow("slow", len(slow.streamLat), slow.dropped, slow.objects, stats.Mean(slow.stepTimes)*1e3)
+	rtSlow.AddRow("fast", len(fast.streamLat), fast.dropped, fast.objects, stats.Mean(fast.fileLat)*1e3)
+	rtSlow.AddRow("slow", len(slow.streamLat), slow.dropped, slow.objects, stats.Mean(slow.fileLat)*1e3)
 
 	// ---- DES face: virtual-time freshness at multi-node scale. ----
 	cores := opts.Scales[0]
 	desCfg := func(mode iostrat.InSituMode, bw float64, pol storage.SlowPolicy, buf int) iostrat.Config {
 		cfg := opts.strategyConfig(cores)
-		if cfg.Fanout < 2 {
-			cfg.Fanout = 4
-		}
+		cfg.Fanout = opts.treeFanout()
 		cfg.InSitu = iostrat.InSituConfig{
 			Mode: mode, AnalysisBandwidth: bw, Policy: pol, Buffer: buf,
 		}
@@ -168,6 +151,13 @@ func RunE7S(opts Options) (Report, error) {
 			res.StreamBlockTime, stats.Mean(res.TreeWriteLatencies))
 	}
 
+	// The slow consumer must shed at least one frame without slowing
+	// production beyond a tight band — except under block, which sheds
+	// nothing and stalls instead: backpressure is the point there.
+	minDrops, stepBand := 1.0, 3.0
+	if slowPolicy == storage.Block {
+		minDrops, stepBand = 0, 1000
+	}
 	rep.Tables = []*stats.Table{rt, rtSlow, des, desPol}
 	rep.Checks = []Check{
 		{
@@ -185,13 +175,13 @@ func RunE7S(opts Options) (Report, error) {
 			Name:     "runtime: slow consumer sheds frames",
 			Paper:    "skip iterations to keep up (§V.C.1)",
 			Measured: float64(slow.dropped + (rtIters - len(slow.streamLat))),
-			Unit:     "frames", Lo: minDropsExpected(slowPolicy),
+			Unit:     "frames", Lo: minDrops,
 		},
 		{
 			Name:     "runtime: production pace unaffected by slow consumer",
 			Paper:    "no performance impact on the simulation (§V.C.1)",
-			Measured: stats.Mean(slow.stepTimes) / stats.Mean(fast.stepTimes),
-			Unit:     "x", Lo: 0, Hi: slowStepBand(slowPolicy),
+			Measured: stats.Mean(slow.fileLat) / stats.Mean(fast.fileLat),
+			Unit:     "x", Lo: 0, Hi: stepBand,
 		},
 		{
 			Name:     "DES: streaming freshness advantage",
@@ -208,7 +198,7 @@ func RunE7S(opts Options) (Report, error) {
 	}
 	// The per-policy checks only apply when that policy actually ran:
 	// -stream-policy pins the sweep to a single leg.
-	if hasPolicy(policies, storage.DropOldest) {
+	if slices.Contains(policies, storage.DropOldest) {
 		rep.Checks = append(rep.Checks,
 			Check{
 				Name:     "DES: drop-oldest never blocks the publisher",
@@ -221,7 +211,7 @@ func RunE7S(opts Options) (Report, error) {
 				Measured: float64(desDrop.FramesDropped), Unit: "frames", Lo: 1,
 			})
 	}
-	if hasPolicy(policies, storage.Block) {
+	if slices.Contains(policies, storage.Block) {
 		rep.Checks = append(rep.Checks, Check{
 			Name:     "DES: block policy measures real backpressure",
 			Paper:    "blocking coupling stalls the pipeline (§V.A)",
@@ -231,52 +221,15 @@ func RunE7S(opts Options) (Report, error) {
 	return rep, nil
 }
 
-// minDropsExpected returns how many shed frames the slow-consumer leg
-// must see: the block policy sheds nothing (it stalls instead).
-func minDropsExpected(pol storage.SlowPolicy) float64 {
-	if pol == storage.Block {
-		return 0
-	}
-	return 1
-}
-
-// slowStepBand is the accepted production-slowdown band for the slow
-// consumer: tight for the shedding policies (the write path must be
-// untouched), opened wide under block (backpressure is the point).
-func slowStepBand(pol storage.SlowPolicy) float64 {
-	if pol == storage.Block {
-		return 1000
-	}
-	return 3
-}
-
-func hasPolicy(pols []storage.SlowPolicy, want storage.SlowPolicy) bool {
-	for _, p := range pols {
-		if p == want {
-			return true
-		}
-	}
-	return false
-}
-
-func sorted(xs []float64) []float64 {
-	out := append([]float64(nil), xs...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // e7sRun is one runtime-face measurement: per-frame latencies on both
-// consumer paths plus the producer's step times.
+// consumer paths, from the moment the iteration's production began.
 type e7sRun struct {
 	streamLat []float64 // streaming-hook frame latency, seconds
-	fileLat   []float64 // file-then-read frame latency, seconds
-	stepTimes []float64 // producer-side per-iteration wall time
-	dropped   int       // frames shed by the subscriber queue
-	objects   int       // root objects the store accepted
+	// fileLat is the file-then-read frame latency, seconds — in a
+	// lockstep run also the producer's per-iteration step time.
+	fileLat []float64
+	dropped int // frames shed by the subscriber queue
+	objects int // root objects the store accepted
 }
 
 // e7sConsumer abstracts the subscriber side of a runtime run.
@@ -299,135 +252,80 @@ func slowConsumer(pol storage.SlowPolicy, buffer int) e7sConsumer {
 	}
 }
 
-// delayedStore delays every Put by a fixed wall-clock amount — a
-// stand-in for a storage system whose write latency dwarfs aggregation
-// (E6's pacedStore models contention; here only the latency gap
-// matters). It deliberately does not implement storage.VecStore, so
-// the cluster write path issues one flattened Put per root object.
-type delayedStore struct {
-	inner storage.ObjectStore
-	delay time.Duration
-}
-
-func (s *delayedStore) Put(name string, data []byte) error {
-	time.Sleep(s.delay)
-	return s.inner.Put(name, data)
-}
-
 // runE7SCluster drives one runtime cluster through a paced store with a
 // streaming hook attached and measures, per iteration, how long each
 // consumer path waits for the data.
 func runE7SCluster(nodes, clients, iters int, cons e7sConsumer) (e7sRun, error) {
-	metaCfg, err := meta.ParseString(e7sClusterMeta)
-	if err != nil {
-		return e7sRun{}, err
-	}
 	mem := storage.NewMemory(nil, 4, 1e9)
 	stream := storage.NewStream()
 	sub := stream.Subscribe(cons.opts)
-	c, err := cluster.New(cluster.ClusterConfig{
-		Platform: topology.Platform{Name: "e7s", Nodes: nodes, CoresPerNode: clients + 1},
-		Fanout:   nodes, // one tree, one root: one object per iteration
-		Store:    &delayedStore{inner: mem, delay: e7sWriteDelay},
-	}, cluster.RunSpec{
-		Meta:  metaCfg,
-		Hooks: []cluster.Hook{cluster.NewStreamingHook(stream)},
-	})
-	if err != nil {
-		return e7sRun{}, err
-	}
 
-	// prodDone[it] is closed with the production timestamp once every
-	// client has ended iteration it — the zero point both latencies are
-	// measured from.
-	prodTime := make([]time.Time, iters)
+	// began[it] is when the first client asked for iteration it's payload
+	// — the zero point both latencies are measured from.
 	var mu sync.Mutex
+	began := make([]time.Time, iters)
+	ramp := rampPayload(512)
 	run := e7sRun{}
 
 	// The streaming consumer: receives merged batches as roots finish
 	// aggregating, before the paced write completes.
-	var consumerWG sync.WaitGroup
-	consumerWG.Add(1)
-	consumerErr := make(chan error, 1)
-	go func() {
-		defer consumerWG.Done()
-		for {
-			msg, err := sub.Recv()
+	consumed := consumeStream(sub, func(b *cluster.Batch, at time.Time) {
+		time.Sleep(cons.delay)
+		mu.Lock()
+		run.streamLat = append(run.streamLat, at.Sub(began[b.Iteration]).Seconds())
+		mu.Unlock()
+	})
+
+	st, _, err := runtimeLeg{
+		job: "e7s", nodes: nodes, clients: clients, floats: 512, iters: iters,
+		cc: cluster.ClusterConfig{
+			Fanout: nodes, // one tree, one root: one object per iteration
+			// alpha 0: a storage system whose write latency dwarfs
+			// aggregation; only the latency gap matters here.
+			Store: newPacedStore(mem, e7sWriteDelay, 0),
+		},
+		spec: cluster.RunSpec{Hooks: []cluster.Hook{cluster.NewStreamingHook(stream)}},
+		payload: func(node, source, it int) []byte {
+			mu.Lock()
+			if began[it].IsZero() {
+				began[it] = time.Now()
+			}
+			mu.Unlock()
+			return ramp(node, source, it)
+		},
+		// The file-then-read consumer: the root write is done, now read
+		// the object back — it pays the paced store's latency.
+		each: func(_ *cluster.Cluster, it int) error {
+			names, err := mem.List("e7s-root")
 			if err != nil {
-				if err != storage.ErrStreamClosed && err != storage.ErrSlowConsumer {
-					consumerErr <- err
+				return err
+			}
+			got := false
+			for _, name := range names {
+				if at, ok := cluster.ObjectIteration(name); ok && at == it && !cluster.IsManifestName(name) {
+					if _, err := mem.Get(name); err != nil {
+						return err
+					}
+					got = true
 				}
-				return
 			}
-			now := time.Now()
-			b, err := cluster.DecodeBatch(msg.Data)
-			if err != nil {
-				consumerErr <- err
-				return
-			}
-			if cons.delay > 0 {
-				time.Sleep(cons.delay)
+			if !got {
+				return fmt.Errorf("iteration %d: no root object stored", it)
 			}
 			mu.Lock()
-			run.streamLat = append(run.streamLat, now.Sub(prodTime[b.Iteration]).Seconds())
+			run.fileLat = append(run.fileLat, time.Since(began[it]).Seconds())
 			mu.Unlock()
-		}
-	}()
-
-	payload := make([]float64, 512)
-	for it := 0; it < iters; it++ {
-		step0 := time.Now()
-		for i := range payload {
-			payload[i] = float64(it*len(payload) + i)
-		}
-		data := compress.Float64Bytes(payload)
-		for n := 0; n < nodes; n++ {
-			for s := 0; s < clients; s++ {
-				if err := c.Client(n, s).Write("theta", it, data); err != nil {
-					return e7sRun{}, fmt.Errorf("node %d src %d it %d: %w", n, s, it, err)
-				}
-			}
-		}
-		prodTime[it] = time.Now()
-		for n := 0; n < nodes; n++ {
-			for s := 0; s < clients; s++ {
-				c.Client(n, s).EndIteration(it)
-			}
-		}
-		// The file-then-read consumer: wait for the root write, then
-		// read the object back — it pays the paced store's latency.
-		c.WaitIteration(it)
-		names, err := mem.List("e7s-root")
-		if err != nil {
-			return e7sRun{}, err
-		}
-		got := false
-		for _, name := range names {
-			if strings.HasSuffix(name, fmt.Sprintf("-it%06d", it)) {
-				if _, err := mem.Get(name); err != nil {
-					return e7sRun{}, err
-				}
-				got = true
-			}
-		}
-		if !got {
-			return e7sRun{}, fmt.Errorf("iteration %d: no root object stored", it)
-		}
-		run.fileLat = append(run.fileLat, time.Since(prodTime[it]).Seconds())
-		run.stepTimes = append(run.stepTimes, time.Since(step0).Seconds())
-	}
-
-	if err := c.Shutdown(); err != nil {
-		return e7sRun{}, err
-	}
+			return nil
+		},
+	}.run()
 	stream.Close()
-	consumerWG.Wait()
-	select {
-	case err := <-consumerErr:
+	if cerr := consumed(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return e7sRun{}, err
-	default:
 	}
 	run.dropped = int(sub.Dropped())
-	run.objects = c.Stats().ObjectsWritten
+	run.objects = st.ObjectsWritten
 	return run, nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/iostrat"
-	"repro/internal/meta"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/topology"
@@ -171,16 +170,6 @@ func runE9DES(opts Options, rep *Report) error {
 	return nil
 }
 
-// e9Meta is the per-tenant runtime configuration.
-const e9Meta = `<simulation name="e9">
-  <architecture><dedicated cores="1"/><buffer size="1048576"/></architecture>
-  <data>
-    <parameter name="n" value="64"/>
-    <layout name="row" type="float64" dimensions="n"/>
-    <variable name="theta" layout="row"/>
-  </data>
-</simulation>`
-
 // runE9Runtime is the runtime face: two real tenant clusters on one
 // shared sharded broker, checking the token accounting closes.
 func runE9Runtime(opts Options, rep *Report) error {
@@ -208,7 +197,7 @@ func runE9Runtime(opts Options, rep *Report) error {
 	names := []string{"alpha", "beta"}
 	tenants := make([]*cluster.Tenant, len(names))
 	for i, name := range names {
-		mc, err := meta.ParseString(e9Meta)
+		mc, err := runtimeMeta("e9", 64)
 		if err != nil {
 			return err
 		}
@@ -230,12 +219,14 @@ func runE9Runtime(opts Options, rep *Report) error {
 		wg.Add(1)
 		go func(tn *cluster.Tenant) {
 			defer wg.Done()
-			if err := driveE9Tenant(tn, rtIters); err != nil {
-				errs <- err
-				return
+			// Finish on every path: it is what shuts a failed run's
+			// cluster down.
+			err := driveE9Tenant(tn, rtIters)
+			if ferr := tn.Finish(); err == nil && ferr != nil {
+				err = fmt.Errorf("tenant %d finish: %w", tn.ID(), ferr)
 			}
-			if err := tn.Finish(); err != nil {
-				errs <- fmt.Errorf("tenant %d finish: %w", tn.ID(), err)
+			if err != nil {
+				errs <- err
 			}
 		}(tn)
 	}
@@ -287,55 +278,23 @@ func runE9Runtime(opts Options, rep *Report) error {
 	return nil
 }
 
-// driveE9Tenant pushes rtIters iterations through every client of a
+// driveE9Tenant pushes iters iterations through every client of a
 // tenant's cluster.
 func driveE9Tenant(tn *cluster.Tenant, iters int) error {
 	c := tn.Cluster()
 	if c == nil {
 		return fmt.Errorf("tenant %d has no cluster (state %s)", tn.ID(), tn.State())
 	}
-	data := make([]byte, 64*8)
-	var wg sync.WaitGroup
-	errs := make(chan error, c.Nodes()*c.ClientsPerNode())
-	for n := 0; n < c.Nodes(); n++ {
-		for s := 0; s < c.ClientsPerNode(); s++ {
-			wg.Add(1)
-			go func(n, s int) {
-				defer wg.Done()
-				cl := c.Client(n, s)
-				for it := 0; it < iters; it++ {
-					if err := cl.Write("theta", it, data); err != nil {
-						errs <- fmt.Errorf("tenant %d node %d src %d it %d: %w",
-							tn.ID(), n, s, it, err)
-						return
-					}
-					cl.EndIteration(it)
-				}
-			}(n, s)
-		}
+	if err := cluster.Drive(c, cluster.Workload{Variable: "theta", To: iters, Payload: rampPayload(64)}); err != nil {
+		return fmt.Errorf("tenant %d: %w", tn.ID(), err)
 	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return err
-	default:
-	}
-	c.WaitIteration(iters - 1)
 	return nil
 }
 
 // e9Namespaces counts distinct JobName prefixes in the shared store.
-func e9Namespaces(store storage.ObjectStore) int {
-	reader, ok := store.(storage.ObjectReader)
-	if !ok {
-		return 0
-	}
-	names, err := reader.List("")
-	if err != nil {
-		return 0
-	}
+func e9Namespaces(store *storage.Memory) int {
 	seen := map[string]bool{}
-	for _, n := range names {
+	for _, n := range store.ObjectNames() {
 		if i := strings.IndexByte(n, '-'); i > 0 {
 			seen[n[:i]] = true
 		}

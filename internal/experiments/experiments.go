@@ -185,14 +185,21 @@ func (o Options) strategyConfig(cores int) iostrat.Config {
 			panic(fmt.Sprintf("experiments: %v", err))
 		}
 		cfg.Scenario = tr
-		if cfg.Fanout < 2 {
-			cfg.Fanout = 4 // scenario traces ride the aggregation tree
-		}
+		cfg.Fanout = o.treeFanout() // scenario traces ride the aggregation tree
 	}
 	if o.Adapt != "" {
 		cfg.Adapt = iostrat.AdaptPolicy(o.Adapt)
 	}
 	return cfg
+}
+
+// treeFanout is the aggregation-tree fanout of the legs that only exist
+// in tree mode: the -fanout option when it enables the tree, else 4.
+func (o Options) treeFanout() int {
+	if o.Fanout >= 2 {
+		return o.Fanout
+	}
+	return 4
 }
 
 // maxScale returns the largest core count in the sweep.

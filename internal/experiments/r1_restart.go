@@ -1,33 +1,19 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"path/filepath"
-	"sync"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/iostrat"
-	"repro/internal/meta"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/storage/chunk"
-	"repro/internal/topology"
 )
 
 // r1Rates are the node-failure rates swept by the runtime restore side.
 var r1Rates = []float64{0, 0.25}
-
-// r1ClusterMeta mirrors F1's per-node configuration: one 512-byte
-// variable per client, so block counts are easy to reason about.
-const r1ClusterMeta = `<simulation name="r1">
-  <architecture><dedicated cores="1"/><buffer size="1048576"/></architecture>
-  <data>
-    <parameter name="n" value="64"/>
-    <layout name="row" type="float64" dimensions="n"/>
-    <variable name="theta" layout="row"/>
-  </data>
-</simulation>`
 
 // RunR1 exercises the object read path end to end (ROADMAP "object
 // read path" item): a runtime cluster writes N iterations of objects
@@ -49,9 +35,16 @@ func RunR1(opts Options) (Report, error) {
 		rtIters   = 4
 		rtFailAt  = rtIters / 2
 	)
+	stores := make([]storage.Backend, len(r1Rates))
+	for i := range stores {
+		var err error
+		if stores[i], err = r1Store(opts, i); err != nil {
+			return Report{}, err
+		}
+	}
 	rtTable := stats.NewTable(
 		fmt.Sprintf("restore-from-objects, %d nodes × %d clients, %d iterations, %s store",
-			rtNodes, rtClients, rtIters, r1StoreName(opts)),
+			rtNodes, rtClients, rtIters, stores[0].Name()),
 		"fail_rate", "nodes_failed", "blocks_lost", "manifests", "blocks_recovered",
 		"recovered_frac", "latest_ckpt", "restore_ms")
 
@@ -65,27 +58,18 @@ func RunR1(opts Options) (Report, error) {
 	}
 	var rtRuns []rtRun
 	for i, rate := range r1Rates {
-		sched := cluster.NewFailureSchedule()
-		for k := 0; k < int(rate*rtNodes+0.5); k++ {
-			// Spread deaths over the tree, keeping node 0 (a root) alive.
-			sched.Add(1+(k*3)%(rtNodes-1), rtFailAt)
-		}
-		store, err := r1Store(opts, i)
+		store := stores[i]
+		st, _, err := runtimeLeg{
+			job: "r1", nodes: rtNodes, clients: rtClients, floats: 64, iters: rtIters,
+			cc:   cluster.ClusterConfig{Store: store},
+			spec: cluster.RunSpec{Failures: spreadFailures(rtNodes, rate, rtFailAt)},
+		}.run()
 		if err != nil {
 			return Report{}, err
 		}
-		st, err := runR1Cluster(rtNodes, rtClients, rtIters, sched, store)
+		restored, restoreWall, err := restoreClean(store, "r1")
 		if err != nil {
 			return Report{}, err
-		}
-		t0 := time.Now()
-		restored, err := cluster.Restore(store, "r1")
-		if err != nil {
-			return Report{}, err
-		}
-		restoreWall := time.Since(t0)
-		if len(restored.Problems) > 0 {
-			return Report{}, fmt.Errorf("r1: restore problems: %v", restored.Problems)
 		}
 		run := rtRun{
 			st:        st,
@@ -107,13 +91,10 @@ func RunR1(opts Options) (Report, error) {
 	// cost the skip policy hides (recomputing what it dropped).
 	cores := opts.maxScale()
 	plat := opts.platformFor(cores)
-	fanout := opts.Fanout
-	if fanout < 2 {
-		fanout = 4
-	}
+	fanout := opts.treeFanout()
 	desTable := stats.NewTable(
 		fmt.Sprintf("DES restart-read model, %d nodes, fanout %d, backend %s",
-			plat.Nodes, fanout, orDefault(opts.Backend, string(storage.KindPFS))),
+			plat.Nodes, fanout, cmp.Or(opts.Backend, string(storage.KindPFS))),
 		"policy", "restart_read_s", "restart_total_s", "read_GB", "loss_frac", "recompute_equiv_s")
 
 	treeCfg := opts.strategyConfig(cores)
@@ -160,10 +141,7 @@ func RunR1(opts Options) (Report, error) {
 	if want := topFail.produced - topFail.st.BlocksLost; want > 0 {
 		exactNonLost = float64(topFail.recovered) / float64(want)
 	}
-	latestOK := 0.0
-	if noFail.latestOK && noFail.latest == rtIters-1 {
-		latestOK = 1
-	}
+	latestOK := boolAsFloat(noFail.latestOK && noFail.latest == rtIters-1)
 	wantBytes := iostrat.CM1Workload(opts.Iterations).NodeBytes(plat.CoresPerNode) *
 		float64(plat.Nodes)
 	rep.Checks = []Check{
@@ -201,28 +179,6 @@ func RunR1(opts Options) (Report, error) {
 	return rep, nil
 }
 
-// r1StoreName names the runtime store kind for the table title.
-func r1StoreName(opts Options) string {
-	name := "memory"
-	if storage.Kind(opts.Backend) == storage.KindSDF {
-		name = "sdf"
-	}
-	if opts.Codec != "" {
-		name += "+" + opts.Codec
-	}
-	if opts.Dedup {
-		name += "+dedup"
-	}
-	return name
-}
-
-func orDefault(s, d string) string {
-	if s == "" {
-		return d
-	}
-	return s
-}
-
 // r1Store builds the object store for one runtime run. Memory by
 // default; with -backend sdf the objects land on disk under
 // BackendDir/fail<i>, ready for `damaris-bench -restart-from`. With
@@ -230,7 +186,7 @@ func orDefault(s, d string) string {
 // compressed-store restart round trip: objects are framed on the way
 // in and must restore byte-for-byte on the way out.
 func r1Store(opts Options, run int) (storage.Backend, error) {
-	var be storage.Backend
+	var be storage.Backend = storage.NewMemory(nil, 4, 1e9)
 	if storage.Kind(opts.Backend) == storage.KindSDF {
 		dir := opts.BackendDir
 		if dir == "" {
@@ -241,74 +197,10 @@ func r1Store(opts Options, run int) (storage.Backend, error) {
 			return nil, err
 		}
 		be = sdfBe
-	} else {
-		be = storage.NewMemory(nil, 4, 1e9)
 	}
-	if opts.Codec != "" {
-		if err := storage.ValidateCodecName(opts.Codec); err != nil {
-			return nil, err
-		}
-		be = storage.NewCompressing(be, storage.CompressionOptions{Codec: opts.Codec})
-	}
+	var dedup *chunk.Options
 	if opts.Dedup {
-		be = chunk.New(be, chunk.Options{})
+		dedup = &chunk.Options{}
 	}
-	return be, nil
-}
-
-// runR1Cluster drives a real cluster through the workload and returns
-// its stats; the objects and manifests stay behind in store for the
-// restore pass.
-func runR1Cluster(nodes, clients, iters int, sched *cluster.FailureSchedule, store storage.ObjectStore) (cluster.Stats, error) {
-	cfg, err := meta.ParseString(r1ClusterMeta)
-	if err != nil {
-		return cluster.Stats{}, err
-	}
-	c, err := cluster.New(cluster.ClusterConfig{
-		Platform: topology.Platform{Name: "r1", Nodes: nodes, CoresPerNode: clients + 1},
-		Fanout:   2,
-		Store:    store,
-	}, cluster.RunSpec{
-		Meta:     cfg,
-		Failures: sched,
-	})
-	if err != nil {
-		return cluster.Stats{}, err
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	data := make([]byte, 64*8)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	for n := 0; n < nodes; n++ {
-		for s := 0; s < clients; s++ {
-			wg.Add(1)
-			go func(n, s int) {
-				defer wg.Done()
-				cl := c.Client(n, s)
-				for it := 0; it < iters; it++ {
-					if err := cl.Write("theta", it, data); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("node %d src %d it %d: %w", n, s, it, err)
-						}
-						mu.Unlock()
-						return
-					}
-					cl.EndIteration(it)
-				}
-			}(n, s)
-		}
-	}
-	wg.Wait()
-	c.WaitIteration(iters - 1)
-	if err := c.Shutdown(); err != nil {
-		return cluster.Stats{}, err
-	}
-	if firstErr != nil {
-		return cluster.Stats{}, firstErr
-	}
-	return c.Stats(), nil
+	return chunk.Stack(be, opts.Codec, dedup)
 }

@@ -1,33 +1,56 @@
 package iostrat
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/meta"
 	"repro/internal/storage"
 	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
+// churn generates the node-churn trace for a seed; its node losses reach
+// both faces through FailureSchedule.WithTrace.
+func churn(t *testing.T, seed uint64, nodes, iters int) *workload.Trace {
+	t.Helper()
+	tr, err := workload.Generate(workload.Spec{
+		Scenario: workload.NodeChurn, Seed: seed, Iterations: iters, Nodes: nodes,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 // TestFacesAgreeUnderFailures puts the same (nodes, fanout, roots,
-// failure schedule) through both drivers of cluster.Forest — the
-// runtime cluster with real clients, goroutines and bytes, and the DES
-// model in virtual time — and requires the same protocol-level
-// outcome: per-iteration completeness, nodes failed and edges
-// re-routed. The runtime side must also conserve blocks: everything
-// produced is either restored from the store or counted in BlocksLost.
+// failure schedule or scenario trace) through both drivers of
+// cluster.Forest — the runtime cluster with real clients, goroutines
+// and bytes, and the DES model in virtual time — and requires the same
+// protocol-level outcome: per-iteration completeness, nodes failed and
+// edges re-routed. The runtime side must also conserve blocks:
+// everything produced is either restored from the store or counted in
+// BlocksLost.
 func TestFacesAgreeUnderFailures(t *testing.T) {
 	const clients, iters = 2, 4
 	for _, tc := range []struct {
 		name                 string
 		nodes, fanout, roots int
 		failures             *cluster.FailureSchedule
+		trace                *workload.Trace
 	}{
-		{"interior death", 9, 2, 1, cluster.NewFailureSchedule().Add(1, 1)},
-		{"root death with promotion", 12, 2, 2, cluster.NewFailureSchedule().Add(6, 1)},
+		{"interior death", 9, 2, 1, cluster.NewFailureSchedule().Add(1, 1), nil},
+		{"root death with promotion", 12, 2, 2, cluster.NewFailureSchedule().Add(6, 1), nil},
 		// 3 drains into 1, then 1 dies: the chain is chased to the root.
-		{"two deaths on one drain chain", 15, 2, 1, cluster.NewFailureSchedule().Add(3, 1).Add(1, 2)},
+		{"two deaths on one drain chain", 15, 2, 1, cluster.NewFailureSchedule().Add(3, 1).Add(1, 2), nil},
+		// F1's runtime schedules (experiments.spreadFailures at rates 0.15
+		// and 0.3 of 8 nodes) and its seeded DES-leg draw at quick scale.
+		{"F1 runtime rate 0.15", 8, 2, 1, cluster.NewFailureSchedule().Add(1, 2), nil},
+		{"F1 runtime rate 0.3", 8, 2, 1, cluster.NewFailureSchedule().Add(1, 2).Add(4, 2), nil},
+		{"F1 DES draw rate 0.3", 16, 4, 1, cluster.RandomFailures(16, iters, 0.3, 2013+2*7919), nil},
+		{"node-churn seed 7", 16, 2, 1, nil, churn(t, 7, 16, iters)},
+		{"node-churn seed 2013", 24, 4, 2, nil, churn(t, 2013, 24, iters)},
+		{"node-churn seed 11 over a schedule", 16, 2, 2, cluster.NewFailureSchedule().Add(5, 3), churn(t, 11, 16, iters)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plat := topology.Kraken(tc.nodes)
@@ -35,7 +58,7 @@ func TestFacesAgreeUnderFailures(t *testing.T) {
 			w := CM1Workload(iters)
 			w.ComputeTime = 50
 			des, err := Run(Damaris, Config{Platform: plat, Workload: w, Seed: 7,
-				Fanout: tc.fanout, AggRoots: tc.roots, Failures: tc.failures})
+				Fanout: tc.fanout, AggRoots: tc.roots, Failures: tc.failures, Scenario: tc.trace})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,30 +80,19 @@ func TestFacesAgreeUnderFailures(t *testing.T) {
 				Fanout:   tc.fanout,
 				Roots:    tc.roots,
 				Store:    store,
-			}, cluster.RunSpec{Meta: cfg, Failures: tc.failures})
+			}, cluster.RunSpec{Meta: cfg, Failures: tc.failures.WithTrace(tc.trace)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Iterations run in lockstep, as the DES face's step barrier
 			// runs them: the order of the deaths — and with it the edges
 			// each one moves — is then the schedule's, not the scheduler's.
-			for it := 0; it < iters; it++ {
-				var wg sync.WaitGroup
-				for n := 0; n < tc.nodes; n++ {
-					for s := 0; s < clients; s++ {
-						wg.Add(1)
-						go func(n, s int) {
-							defer wg.Done()
-							cl := c.Client(n, s)
-							if err := cl.Write("theta", it, make([]byte, 512)); err != nil {
-								t.Errorf("node %d src %d it %d: %v", n, s, it, err)
-							}
-							cl.EndIteration(it)
-						}(n, s)
-					}
-				}
-				wg.Wait()
-				c.WaitIteration(it)
+			block := make([]byte, 512)
+			err = cluster.Drive(c, cluster.Workload{Variable: "theta", To: iters,
+				Payload:       func(int, int, int) []byte { return block },
+				EachIteration: func(int) error { return nil }})
+			if err != nil {
+				t.Error(err)
 			}
 			if err := c.Shutdown(); err != nil {
 				t.Fatal(err)

@@ -242,22 +242,7 @@ func runDamaris(cfg Config) (Result, error) {
 		varsAt = func(it int) int { return trace.Iters[it].VarsPerCore }
 	}
 
-	// Scenario node losses merge into the failure schedule; on a node
-	// listed twice the earliest death wins, as always.
-	failures := cfg.Failures
-	if trace != nil {
-		if losses := trace.NodeLosses(); len(losses) > 0 {
-			merged := cluster.NewFailureSchedule()
-			for _, n := range cfg.Failures.Nodes() {
-				k, _ := cfg.Failures.At(n)
-				merged.Add(n, k)
-			}
-			for _, l := range losses {
-				merged.Add(l.Node, l.Iteration)
-			}
-			failures = merged
-		}
-	}
+	failures := cfg.Failures.WithTrace(trace)
 
 	treeMode := cfg.Fanout >= 2
 

@@ -311,14 +311,12 @@ func (c Config) newBackend(eng *des.Engine, r *rng.Stream) (be, base storage.Cos
 		return nil, nil, err
 	}
 	base = store
-	if c.Codec != "" {
-		if err := storage.ValidateCodecName(c.Codec); err != nil {
-			return nil, nil, err
-		}
-		store = storage.NewCompressing(store, storage.CompressionOptions{Codec: c.Codec})
-	}
+	var dedup *chunk.Options
 	if c.Dedup {
-		store = chunk.New(store, chunk.Options{AssumedNewFraction: c.DedupNewFraction})
+		dedup = &chunk.Options{AssumedNewFraction: c.DedupNewFraction}
+	}
+	if store, err = chunk.Stack(store, c.Codec, dedup); err != nil {
+		return nil, nil, err
 	}
 	be = store
 	if c.testWrapBackend != nil {

@@ -125,6 +125,30 @@ func New(inner storage.Backend, opts Options) *Store {
 	return s
 }
 
+// Stack wraps base with the reduction layers in their one legal order,
+// base → Compressing → Store (see "Layering" above): the compression
+// pipeline when codec is non-empty (a codec name or
+// storage.AdaptiveCodec), the dedup store when dedup is non-nil.
+func Stack(base storage.Backend, codec string, dedup *Options) (storage.Backend, error) {
+	if codec != "" {
+		if err := storage.ValidateCodecName(codec); err != nil {
+			return nil, err
+		}
+		base = storage.NewCompressing(base, storage.CompressionOptions{Codec: codec})
+	}
+	if dedup != nil {
+		base = New(base, *dedup)
+	}
+	return base, nil
+}
+
+// ReadStack is the stack that reads any store, however it was written:
+// recipes reassemble, framed objects decode, plain objects pass through
+// both layers untouched.
+func ReadStack(base storage.Backend) storage.Backend {
+	return New(storage.NewCompressing(base, storage.CompressionOptions{}), Options{})
+}
+
 // Name implements Backend: the inner name tagged with the dedup layer.
 func (s *Store) Name() string { return s.inner.Name() + "+dedup" }
 
