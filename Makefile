@@ -63,14 +63,15 @@ adapt-race:
 # Repeated passes over what a single -count=1 run misses. Under the
 # race detector: tenants finishing while other roots are still inside
 # the broker's accounting (the E9 pinned-admission race showed up about
-# once in six runs), the service lifecycle, both brokers and the
-# stream's Seq order under racing publishers. Without it, at -count=200
+# once in six runs), the service lifecycle, both brokers, the stream's
+# Seq order under racing publishers and the codec selector's first
+# Puts racing on one dataset. Without it, at -count=200
 # (~5 s): the three routing-protocol tests that flaked 1-3 % until
 # Forest decided the late-drain rule — they guard its rules 1 and 2.
 race-stress:
 	$(GO) test -race -count=10 -run 'TestE9PinnedAdmission' ./internal/experiments
 	$(GO) test -race -count=10 -run 'Service' ./internal/cluster
-	$(GO) test -race -count=10 -run 'Broker|Sharded|TestStreamPublishSeqOrder' ./internal/storage
+	$(GO) test -race -count=10 -run 'Broker|Sharded|TestStreamPublishSeqOrder|TestCompressingConcurrentChoice' ./internal/storage
 	$(GO) test -count=200 -run 'TestClusterInteriorFailure|TestRestoreAfterFailure|TestAdaptReformRaceWithStreaming' ./internal/cluster
 
 # Experiment smoke matrix — one target per experiment so a broken
@@ -142,6 +143,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchCodec$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzManifestV2Decode$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 10s ./internal/storage
+	$(GO) test -run '^$$' -fuzz '^FuzzCodecDecode$$' -fuzztime 10s ./internal/compress
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkFrameDecode$$' -fuzztime 10s ./internal/storage/chunk
 
 # Static analysis at pinned versions (fetches the tools on demand, so

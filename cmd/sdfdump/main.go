@@ -143,6 +143,15 @@ func getDecoded(stack, inner storage.ObjectReader, name string) (data []byte, no
 			return nil, "", err
 		}
 		note = fmt.Sprintf(" codec=%s %d->%dB (%.2fx)", h.Codec, h.RawSize, h.EncodedSize, h.Ratio())
+		// A frame is a vector of parts; the ones its codec refused or
+		// could not shrink stay raw.
+		rawParts := 0
+		for _, p := range h.Parts {
+			if p.ElemSize == 0 {
+				rawParts++
+			}
+		}
+		note += fmt.Sprintf(" parts=%d (%d raw)", len(h.Parts), rawParts)
 	}
 	if !chunk.IsRecipe(decoded) {
 		return decoded, note, nil

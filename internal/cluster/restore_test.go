@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
+	"repro/internal/compress"
 	"repro/internal/des"
+	"repro/internal/meta"
 	"repro/internal/rng"
 	"repro/internal/storage"
 	"repro/internal/topology"
@@ -437,6 +440,95 @@ func TestRestoreCompressedStore(t *testing.T) {
 					fresh.TotalBlocks(), fresh.Problems, r.TotalBlocks())
 			}
 		})
+	}
+}
+
+// TestRestoreLargeBlocksChooseDelta: a root object of 128 KiB
+// smooth-float blocks reaches the adaptive store as a segment list, each
+// block becomes its own element-aligned frame part, and the selector —
+// sampling a block, not the headers in front of it — picks delta: the
+// store holds under a quarter of the raw bytes, restores byte-exact, and
+// each manifest's codec story is the stored frame's.
+func TestRestoreLargeBlocksChooseDelta(t *testing.T) {
+	const nodes, clients, iters, elems = 4, 1, 3, 16 << 10
+	cfg, err := meta.ParseString(fmt.Sprintf(`<simulation name="bigblocks">
+	  <architecture><dedicated cores="1"/><buffer size="1048576"/></architecture>
+	  <data>
+	    <parameter name="n" value="%d"/>
+	    <layout name="row" type="float64" dimensions="n"/>
+	    <variable name="theta" layout="row"/>
+	  </data>
+	</simulation>`, elems))
+	if err != nil {
+		t.Fatal(err)
+	}
+	field := func(node, source, it int) []byte {
+		xs := make([]float64, elems)
+		for i := range xs {
+			v := 280 + 10*float64(node) + 6*math.Sin(float64(i+97*it)/(50+float64(source)))
+			xs[i] = math.Round(v*1024) / 1024 // 2^-10 resolution: 18 significant bits
+		}
+		return compress.Float64Bytes(xs)
+	}
+	inner := storage.NewMemory(nil, 4, 1e9)
+	store := storage.NewCompressing(inner, storage.CompressionOptions{})
+	c, err := New(ClusterConfig{Platform: testPlatform(nodes, clients+1), Fanout: 2, Store: store},
+		RunSpec{Meta: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	derr := Drive(c, Workload{Variable: "theta", To: iters, Payload: field})
+	if err := errors.Join(derr, c.Shutdown()); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := Restore(store, "bigblocks")
+	if err != nil || len(r.Problems) != 0 {
+		t.Fatalf("restore: %v, problems %v", err, r.Problems)
+	}
+	if got, want := r.TotalBlocks(), nodes*clients*iters; got != want {
+		t.Fatalf("recovered %d blocks, want %d", got, want)
+	}
+	for it, ri := range r.Iterations {
+		for _, blk := range ri.Blocks {
+			if !bytes.Equal(blk.Data, field(blk.Node, blk.Source, it)) {
+				t.Fatalf("iteration %d block (%d,%d) differs after restore", it, blk.Node, blk.Source)
+			}
+		}
+	}
+	names, err := store.List("bigblocks-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if !IsManifestName(name) {
+			continue
+		}
+		data, err := store.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := DecodeManifest(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Codec != "delta" || m.EncodedBytes*4 >= m.RawBytes {
+			t.Fatalf("%s: stored as %s %d -> %d bytes, want delta under a quarter",
+				m.Object, m.Codec, m.RawBytes, m.EncodedBytes)
+		}
+		obj, err := inner.Get(m.Object)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, _, err := storage.ParseFrameHeader(obj)
+		if err != nil || h.Codec != m.Codec || int64(h.RawSize) != m.RawBytes ||
+			int64(h.EncodedSize) != m.EncodedBytes || len(h.Parts) < len(m.Blocks) {
+			t.Fatalf("%s: frame %+v (%v) disagrees with manifest %s %d -> %d",
+				m.Object, h, err, m.Codec, m.RawBytes, m.EncodedBytes)
+		}
+	}
+	if r.Manifests != iters {
+		t.Fatalf("restore consumed %d manifests, want %d", r.Manifests, iters)
 	}
 }
 

@@ -117,7 +117,8 @@ func gorillaEncode(src []byte, width int) []byte {
 		lzBits = 5
 	}
 	n := len(src) / width
-	var w bitWriter
+	// Half the input holds any field worth encoding without regrowth.
+	w := bitWriter{buf: make([]byte, 0, len(src)/2+8)}
 	var prev uint64
 	for i := 0; i < n; i++ {
 		v := readWord(src[i*width:], width)
@@ -129,17 +130,16 @@ func gorillaEncode(src []byte, width int) []byte {
 		x := v ^ prev
 		prev = v
 		if x == 0 {
-			w.writeBit(0)
+			w.writeBits(0, 1)
 			continue
 		}
-		w.writeBit(1)
 		lead := uint(bits.LeadingZeros64(x)) - (64 - bitsPerWord)
 		if lead >= bitsPerWord {
 			lead = bitsPerWord - 1
 		}
-		sig := bitsPerWord - lead
-		w.writeBits(uint64(lead), lzBits)
-		w.writeBits(x, sig)
+		// Control bit 1 and the leading-zero count go out together.
+		w.writeBits(1<<lzBits|uint64(lead), lzBits+1)
+		w.writeBits(x, bitsPerWord-lead)
 	}
 	return w.finish()
 }
@@ -164,18 +164,20 @@ func gorillaDecode(enc []byte, dstSize, width int) ([]byte, error) {
 			writeWord(out[0:], v, width)
 			continue
 		}
-		ctrl, ok := r.readBit()
-		if !ok {
-			return nil, io.ErrUnexpectedEOF
-		}
-		if ctrl == 0 {
+		// One look decides the control bit and, behind a set one, the
+		// leading-zero count.
+		head := r.peek()
+		if head>>63 == 0 {
+			if !r.skip(1) {
+				return nil, io.ErrUnexpectedEOF
+			}
 			writeWord(out[i*width:], prev, width)
 			continue
 		}
-		lead, ok := r.readBits(lzBits)
-		if !ok {
+		if !r.skip(1 + lzBits) {
 			return nil, io.ErrUnexpectedEOF
 		}
+		lead := head << 1 >> (64 - lzBits)
 		sig := bitsPerWord - uint(lead)
 		x, ok := r.readBits(sig)
 		if !ok {
@@ -202,27 +204,55 @@ func writeWord(b []byte, v uint64, width int) {
 	binary.LittleEndian.PutUint32(b, uint32(v))
 }
 
-// Delta encodes 8-byte integers as zig-zag deltas in varint form.
+// Delta encodes 8-byte integers as zig-zag deltas in varint form, after
+// shifting out the trailing zero bits every element shares: one leading
+// byte holds the shift, the deltas of the (arithmetically) shifted
+// values follow. A float64 field kept to a physical resolution carries
+// 17–18 significant bits above 34 or more zero ones, so its deltas cost
+// one or two bytes instead of six or seven; integer data has shift 0
+// and pays the one byte.
 type Delta struct{}
 
 // Name implements Codec.
 func (Delta) Name() string { return "delta" }
+
+// zigzag maps a signed delta to the unsigned value its varint encodes.
+func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 
 // Encode implements Codec.
 func (Delta) Encode(src []byte, elemSize int) ([]byte, error) {
 	if elemSize != 8 {
 		return nil, fmt.Errorf("compress: delta supports 8-byte integers, got %d", elemSize)
 	}
-	n := len(src) / 8
-	out := make([]byte, 0, len(src)/4)
+	src = src[:len(src)&^7]
+	var or uint64
+	for i := 0; i < len(src); i += 8 {
+		or |= binary.LittleEndian.Uint64(src[i:])
+	}
+	shift := uint(bits.TrailingZeros64(or)) & 63 // all-zero input: 64 → 0
+	// Size the output exactly: the encoding is held until the store has
+	// written it, and an append-grown buffer would hold twice the bytes.
+	size := 1
 	var prev int64
-	var tmp [binary.MaxVarintLen64]byte
-	for i := 0; i < n; i++ {
-		v := int64(binary.LittleEndian.Uint64(src[i*8:]))
-		d := v - prev
+	for i := 0; i < len(src); i += 8 {
+		v := int64(binary.LittleEndian.Uint64(src[i:])) >> shift
+		size += (bits.Len64(zigzag(v-prev)|1) + 6) / 7
 		prev = v
-		k := binary.PutVarint(tmp[:], d)
-		out = append(out, tmp[:k]...)
+	}
+	out := make([]byte, size)
+	out[0] = byte(shift)
+	pos := 1
+	prev = 0
+	for i := 0; i < len(src); i += 8 {
+		v := int64(binary.LittleEndian.Uint64(src[i:])) >> shift
+		z := zigzag(v - prev)
+		prev = v
+		if z < 0x80 {
+			out[pos] = byte(z)
+			pos++
+			continue
+		}
+		pos += binary.PutUvarint(out[pos:], z)
 	}
 	return out, nil
 }
@@ -232,18 +262,32 @@ func (Delta) Decode(enc []byte, dstSize, elemSize int) ([]byte, error) {
 	if elemSize != 8 {
 		return nil, fmt.Errorf("compress: delta supports 8-byte integers, got %d", elemSize)
 	}
-	n := dstSize / 8
+	if len(enc) == 0 || enc[0] > 63 {
+		return nil, fmt.Errorf("compress: delta stream without a valid shift byte")
+	}
+	shift := uint(enc[0])
 	out := make([]byte, dstSize)
 	var prev int64
-	pos := 0
-	for i := 0; i < n; i++ {
-		d, k := binary.Varint(enc[pos:])
-		if k <= 0 {
+	pos := 1
+	for i := 0; i+8 <= dstSize; i += 8 {
+		if pos >= len(enc) {
 			return nil, io.ErrUnexpectedEOF
 		}
-		pos += k
-		prev += d
-		binary.LittleEndian.PutUint64(out[i*8:], uint64(prev))
+		z := uint64(enc[pos])
+		if z < 0x80 {
+			pos++
+		} else {
+			var k int
+			if z, k = binary.Uvarint(enc[pos:]); k <= 0 {
+				return nil, io.ErrUnexpectedEOF
+			}
+			pos += k
+		}
+		prev += int64(z>>1) ^ -int64(z&1)
+		binary.LittleEndian.PutUint64(out[i:], uint64(prev)<<shift)
+	}
+	if pos != len(enc) {
+		return nil, fmt.Errorf("compress: delta stream has %d trailing bytes", len(enc)-pos)
 	}
 	return out, nil
 }
@@ -275,7 +319,7 @@ func (RLE) Decode(enc []byte, dstSize, _ int) ([]byte, error) {
 		return nil, fmt.Errorf("compress: truncated RLE stream")
 	}
 	out := make([]byte, 0, dstSize)
-	for i := 0; i < len(enc); i += 2 {
+	for i := 0; i < len(enc) && len(out) <= dstSize; i += 2 {
 		run := int(enc[i]) + 1
 		for k := 0; k < run; k++ {
 			out = append(out, enc[i+1])
@@ -313,20 +357,13 @@ func (Flate) Encode(src []byte, _ int) ([]byte, error) {
 func (Flate) Decode(enc []byte, dstSize, _ int) ([]byte, error) {
 	fr := flate.NewReader(bytes.NewReader(enc))
 	defer fr.Close()
-	out := make([]byte, 0, dstSize)
-	buf := make([]byte, 32<<10)
-	for {
-		n, err := fr.Read(buf)
-		out = append(out, buf[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
+	out := make([]byte, dstSize)
+	if _, err := io.ReadFull(fr, out); err != nil {
+		return nil, err
 	}
-	if len(out) != dstSize {
-		return nil, fmt.Errorf("compress: flate decoded %d bytes, want %d", len(out), dstSize)
+	// The stream must end where the caller said the payload does.
+	if n, err := fr.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		return nil, fmt.Errorf("compress: flate stream runs past %d bytes (%v)", dstSize, err)
 	}
 	return out, nil
 }

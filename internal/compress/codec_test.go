@@ -2,8 +2,10 @@ package compress
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -84,11 +86,7 @@ func TestGorillaRoundTripFloat64(t *testing.T) {
 }
 
 func TestGorillaRoundTripFloat32(t *testing.T) {
-	xs := make([]byte, 4000)
-	for i := 0; i < 1000; i++ {
-		binary.LittleEndian.PutUint32(xs[i*4:], math.Float32bits(float32(i)*0.5))
-	}
-	roundTrip(t, Gorilla{}, xs, 4)
+	roundTrip(t, Gorilla{}, float32Ramp(), 4)
 }
 
 func TestGorillaCompressesSmoothData(t *testing.T) {
@@ -233,3 +231,191 @@ func BenchmarkFlateEncodeSmooth(b *testing.B) {
 		Flate{}.Encode(src, 1)
 	}
 }
+
+// float32Ramp is the float32 vector of TestGorillaRoundTripFloat32.
+func float32Ramp() []byte {
+	xs := make([]byte, 4000)
+	for i := 0; i < 1000; i++ {
+		binary.LittleEndian.PutUint32(xs[i*4:], math.Float32bits(float32(i)*0.5))
+	}
+	return xs
+}
+
+// TestGorillaStreamGolden pins the Gorilla bit stream: the hashes were
+// recorded with the bit-at-a-time writer, so a faster bitWriter must
+// produce the same bytes and stores written before it stay readable.
+func TestGorillaStreamGolden(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		src  []byte
+		elem int
+		size int
+		sum  string
+	}{
+		{"smooth", smoothField(10000), 8, 61196, "78f171dcc11596278e373c2a1c131c5316c3a89aad2e209772526d696de715a3"},
+		{"sparse", sparseField(10000), 8, 2795, "65f13ba0261c2471fbfe03155079af7d80b29afe5bb5a9065c71d2c3c941d03b"},
+		{"float32", float32Ramp(), 4, 2879, "aa3d84f7e01bed1b4ea4cd7e06fdc9f51856255ce141e9805fc0a97255644f05"},
+	} {
+		enc := roundTrip(t, Gorilla{}, c.src, c.elem)
+		if got := fmt.Sprintf("%x", sha256.Sum256(enc)); len(enc) != c.size || got != c.sum {
+			t.Errorf("%s: gorilla stream changed: %d bytes, sha256 %s", c.name, len(enc), got)
+		}
+	}
+}
+
+// TestBitsRoundTripAllWidths drives the accumulator writer and reader
+// through every width at every bit offset, including the reads that
+// straddle nine bytes.
+func TestBitsRoundTripAllWidths(t *testing.T) {
+	for lead := uint(0); lead < 8; lead++ {
+		var w bitWriter
+		w.writeBits(0, lead)
+		for n := uint(1); n <= 64; n++ {
+			w.writeBits(0xA5A5A5A5A5A5A5A5^uint64(n), n)
+		}
+		r := bitReader{buf: w.finish()}
+		r.readBits(lead)
+		for n := uint(1); n <= 64; n++ {
+			want := (0xA5A5A5A5A5A5A5A5 ^ uint64(n)) & (1<<n - 1)
+			if got, ok := r.readBits(n); !ok || got != want {
+				t.Fatalf("lead %d width %d: read %x, %v; want %x", lead, n, got, ok, want)
+			}
+		}
+		if _, ok := r.readBits(8); ok {
+			t.Fatalf("lead %d: read past the end of the stream", lead)
+		}
+	}
+}
+
+// roundedField returns a smooth field kept to 2^-10 resolution, the way
+// a simulation's physical fields carry far fewer significant bits (18
+// here) than a float64 holds.
+func roundedField(n int) []byte {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = math.Round((300+8*math.Sin(float64(i)/60))*1024) / 1024
+	}
+	return Float64Bytes(xs)
+}
+
+func int64Bytes(vals ...int64) []byte {
+	src := make([]byte, len(vals)*8)
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(src[i*8:], uint64(v))
+	}
+	return src
+}
+
+// TestDeltaShift: the trailing zero bits all elements share are shifted
+// out before the deltas are taken, whatever the sign of the elements.
+func TestDeltaShift(t *testing.T) {
+	monotonic := make([]int64, 4096) // storage's monotonicInts
+	for i, v := 0, int64(0); i < len(monotonic); i++ {
+		v += int64(1 + i%17)
+		monotonic[i] = v
+	}
+	for _, c := range []struct {
+		name     string
+		src      []byte
+		shift    byte
+		maxBytes int
+	}{
+		{"rounded floats", roundedField(16384), 34, 16384 * 8 / 4},
+		{"all zero", make([]byte, 800), 0, 101},
+		{"top bit only", int64Bytes(math.MinInt64, math.MinInt64, 0, math.MinInt64), 63, 5},
+		{"negative", int64Bytes(-4096, -8192, -4096, -1<<40), 12, 12},
+		{"mixed sign", int64Bytes(-64, 64, -128, 192, 0, math.MinInt64, math.MaxInt64&^63), 6, 40},
+		// Integer data pays the shift byte and nothing else.
+		{"monotonic ints", int64Bytes(monotonic...), 0, len(monotonic) + 1},
+		{"empty", nil, 0, 1},
+	} {
+		enc := roundTrip(t, Delta{}, c.src, 8)
+		if enc[0] != c.shift {
+			t.Errorf("%s: shift %d, want %d", c.name, enc[0], c.shift)
+		}
+		if len(enc) > c.maxBytes {
+			t.Errorf("%s: %d -> %d bytes, want at most %d", c.name, len(c.src), len(enc), c.maxBytes)
+		}
+		if cap(enc) != len(enc) {
+			t.Errorf("%s: output capacity %d for %d bytes", c.name, cap(enc), len(enc))
+		}
+	}
+}
+
+// TestDeltaRejectsDamagedStreams: the shift byte and the stream length
+// are checked, so a stream of another layout is an error, not garbage.
+func TestDeltaRejectsDamagedStreams(t *testing.T) {
+	enc, _ := Delta{}.Encode(int64Bytes(1, 2, 300), 8)
+	for name, bad := range map[string][]byte{
+		"empty":      nil,
+		"shift 64":   append([]byte{64}, enc[1:]...),
+		"truncated":  enc[:len(enc)-1],
+		"trailing":   append(append([]byte{}, enc...), 0),
+		"open tail":  append(append([]byte{}, enc[:len(enc)-1]...), 0x80),
+		"no payload": enc[:1],
+	} {
+		if _, err := (Delta{}).Decode(bad, 24, 8); err == nil {
+			t.Errorf("%s: damaged delta stream decoded", name)
+		}
+	}
+}
+
+// FuzzCodecDecode feeds arbitrary bytes to every codec's decoder at both
+// element widths: a decoder must return an error or exactly the number
+// of bytes it was asked for — never panic, never read or allocate past
+// what the claimed size allows (the bit reader's nine-byte straddle and
+// delta's shift byte are the classic sites).
+func FuzzCodecDecode(f *testing.F) {
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{64, 1, 2, 3}, uint16(24))
+	f.Add(bytes.Repeat([]byte{0xff}, 40), uint16(64))
+	for _, name := range Names() {
+		c, _ := ByName(name)
+		for _, src := range [][]byte{smoothField(64), sparseField(64), int64Bytes(-8, 8, 1<<40)} {
+			if enc, err := c.Encode(src, 8); err == nil {
+				f.Add(enc, uint16(len(src)))
+				f.Add(enc[:len(enc)/2], uint16(len(src)))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, enc []byte, size uint16) {
+		for _, name := range Names() {
+			c, _ := ByName(name)
+			for _, elem := range []int{4, 8} {
+				dstSize := int(size) / elem * elem
+				dec, err := c.Decode(enc, dstSize, elem)
+				if err == nil && len(dec) != dstSize {
+					t.Fatalf("%s/%d: decoded %d bytes, asked for %d", name, elem, len(dec), dstSize)
+				}
+			}
+		}
+	})
+}
+
+func benchCodec(b *testing.B, c Codec, src []byte, decode bool) {
+	enc, err := c.Encode(src, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(src)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if decode {
+			_, err = c.Decode(enc, len(src), 8)
+		} else {
+			_, err = c.Encode(src, 8)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkGorillaEncodeRounded(b *testing.B) {
+	benchCodec(b, Gorilla{}, roundedField(100000), false)
+}
+func BenchmarkGorillaDecodeRounded(b *testing.B) {
+	benchCodec(b, Gorilla{}, roundedField(100000), true)
+}
+func BenchmarkDeltaEncodeRounded(b *testing.B) { benchCodec(b, Delta{}, roundedField(100000), false) }
+func BenchmarkDeltaDecodeRounded(b *testing.B) { benchCodec(b, Delta{}, roundedField(100000), true) }

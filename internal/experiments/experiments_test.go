@@ -389,6 +389,51 @@ func TestR1SDFArtifacts(t *testing.T) {
 	}
 }
 
+// TestR1AdaptiveStoreSmallBlocks is the small-block guard of the
+// part-by-part frame: R1's quick root object is sixteen 512-byte blocks,
+// every segment is below the stand-alone size, so the object is encoded
+// whole and costs no more than it did as a one-piece frame (432 bytes
+// for the 8,540-byte object; encoding each segment alone cost 5,080).
+func TestR1AdaptiveStoreSmallBlocks(t *testing.T) {
+	opts := quick()
+	opts.Backend = "sdf"
+	opts.Codec = storage.AdaptiveCodec
+	opts.BackendDir = t.TempDir()
+	if rep, err := RunR1(opts); err != nil || !rep.AllPass() {
+		t.Fatalf("R1 over the adaptive store: %v\n%s", err, rep.String())
+	}
+	base, err := storage.NewSDF(nil, 1, 1e9, filepath.Join(opts.BackendDir, "fail0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := storage.NewCompressing(base, storage.CompressionOptions{})
+	names, err := store.List("r1-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifests := 0
+	for _, name := range names {
+		if !cluster.IsManifestName(name) {
+			continue
+		}
+		data, err := store.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := cluster.DecodeManifest(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		manifests++
+		if m.RawBytes != 8540 || m.EncodedBytes > 432 {
+			t.Errorf("%s: %s %d -> %d bytes, want 8540 -> at most 432", m.Object, m.Codec, m.RawBytes, m.EncodedBytes)
+		}
+	}
+	if manifests != 4 {
+		t.Fatalf("found %d manifests, want 4", manifests)
+	}
+}
+
 func TestC1Quick(t *testing.T) {
 	rep, err := RunC1(quick())
 	if err != nil {

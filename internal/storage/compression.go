@@ -2,11 +2,10 @@ package storage
 
 import (
 	"fmt"
-	"math"
 	"regexp"
+	"slices"
 	"sync"
 
-	"repro/internal/buf"
 	"repro/internal/compress"
 )
 
@@ -190,60 +189,103 @@ func (c *Compressing) Name() string {
 	return c.inner.Name() + "+" + c.opts.Codec
 }
 
-// cpuCost converts codec CPU seconds for n raw bytes into
-// transfer-byte equivalents under the configured bandwidth, discounted
-// by the spare-time weight.
-func (c *Compressing) cpuCost(p CodecProfile, n float64) float64 {
-	if p.EncodeRate <= 0 {
-		return 0
-	}
-	return n / p.EncodeRate * c.opts.TransferBandwidth * DefaultCPUCostWeight
-}
-
 // score is the selector's objective for one candidate on a sample:
-// encoded bytes moved plus the transfer equivalent of the encode CPU.
-// Lower is better; "none" scores exactly the raw size.
+// encoded bytes moved plus the transfer-byte equivalent of the encode
+// CPU under the configured bandwidth, discounted by the spare-time
+// weight. Lower is better; "none" scores exactly the raw size.
 func (c *Compressing) score(codec string, encLen int, rawLen float64) float64 {
-	prof := defaultProfiles[codec]
-	return float64(encLen) + c.cpuCost(prof, rawLen)
+	var cpu float64
+	charge(&cpu, defaultProfiles[codec].EncodeRate, rawLen)
+	return float64(encLen) + cpu*c.opts.TransferBandwidth*DefaultCPUCostWeight
 }
 
-// chooseFor resolves the codec name for one object, consulting and
-// filling the per-dataset cache in adaptive mode. sample is a
-// contiguous prefix of the payload (the scatter-gather path hands in
-// only that much; Put hands in the whole object) and total is the full
-// payload length, which drives the element-width heuristic. Only the
-// codec is cached — the element width is re-derived per payload,
-// because later objects of the same dataset can have different sizes
-// (a partial batch after a failure shrinks the root object). Callers
-// hold c.mu.
-func (c *Compressing) chooseFor(name string, sample []byte, total int) (string, error) {
-	if c.opts.Codec != AdaptiveCodec {
-		if _, err := compress.ByName(c.opts.Codec); err != nil {
-			return "", err
+// standaloneBytes is the segment size from which a segment of a
+// scatter-gather write becomes its own frame part: DEFLATE's window, so
+// a part that large loses nothing by being encoded alone.
+const standaloneBytes = 32 << 10
+
+// partsOf groups a segment list into the parts the frame encodes one by
+// one, as sub-lists of segs: a segment of standaloneBytes or more is a
+// part as it stands, each run of smaller segments is one part. A root
+// object of large blocks thus becomes [headers][block][header][block]…
+// with every block element-aligned at offset 0 of its part, and an
+// object of tiny blocks is one part — the whole object.
+func partsOf(segs [][]byte) [][][]byte {
+	parts := make([][][]byte, 0, len(segs))
+	for i := 0; i < len(segs); {
+		j := i + 1
+		if len(segs[i]) < standaloneBytes {
+			for j < len(segs) && len(segs[j]) < standaloneBytes {
+				j++
+			}
 		}
-		return c.opts.Codec, nil
+		parts = append(parts, segs[i:j])
+		i = j
+	}
+	return parts
+}
+
+// contiguous returns a part's bytes in one slice: the segment itself
+// when there is only one, a gathered copy of a run of small ones.
+func contiguous(part [][]byte) []byte {
+	if len(part) == 1 {
+		return part[0]
+	}
+	return FlattenSegs(part)
+}
+
+// chooseFor resolves the codec name for one object: the configured one,
+// or in adaptive mode the dataset's cached choice, made on first sight.
+// The trial sample is a prefix of the first stand-alone part — a block
+// payload, not the headers in front of it — or of the only part when
+// the object has none. Only the codec is cached; the element width is re-derived per
+// part, because later objects of the same dataset can have different
+// sizes (a partial batch after a failure shrinks the root object). The
+// trial encodes run outside c.mu, so a dataset's first Put does not
+// stall the other writers of the store; when two race, the first to
+// insert wins and a dataset still has exactly one choice.
+func (c *Compressing) chooseFor(name string, parts [][][]byte) string {
+	if c.opts.Codec != AdaptiveCodec {
+		return c.opts.Codec
 	}
 	key := datasetKey(name)
-	if codec, ok := c.choice[key]; ok {
-		return codec, nil
+	c.mu.Lock()
+	chosen, ok := c.choice[key]
+	c.mu.Unlock()
+	if ok {
+		return chosen
 	}
-	elem := elemSizeFor(total)
-	if len(sample) > c.opts.SampleBytes {
-		sample = sample[:c.opts.SampleBytes]
+	var sample []byte
+	if len(parts) > 0 {
+		standalone := func(p [][]byte) bool { return len(p[0]) >= standaloneBytes }
+		sample = contiguous(parts[max(0, slices.IndexFunc(parts, standalone))])
 	}
-	if n := len(sample) - len(sample)%elem; n != len(sample) {
-		sample = sample[:n] // element-structured codecs need whole elements
+	best, trialCPU := c.trial(sample)
+	c.mu.Lock()
+	// Trial encodes are real codec work on the dedicated core; charge
+	// them so the adaptive path's advantage is honest.
+	c.encodeTime += trialCPU
+	if chosen, ok = c.choice[key]; !ok {
+		chosen = best
+		c.choice[key] = best
 	}
-	best := "none"
+	c.mu.Unlock()
+	return chosen
+}
+
+// trial encodes a prefix of part with every candidate and returns the
+// one minimizing the selection score, plus the modelled CPU seconds the
+// trials cost.
+func (c *Compressing) trial(part []byte) (best string, cpu float64) {
+	elem := elemSizeFor(len(part))
+	sample := part[:min(len(part), c.opts.SampleBytes)]
+	sample = sample[:len(sample)-len(sample)%elem] // element codecs need whole elements
+	best = "none"
 	bestScore := c.score("none", len(sample), float64(len(sample)))
 	for _, cand := range compress.Names() {
-		if cand == "none" {
-			continue
-		}
 		codec, err := compress.ByName(cand)
-		if err != nil {
-			return "", err
+		if cand == "none" || err != nil {
+			continue
 		}
 		enc, err := codec.Encode(sample, elem)
 		if err != nil {
@@ -251,140 +293,71 @@ func (c *Compressing) chooseFor(name string, sample []byte, total int) (string, 
 			// (e.g. delta on non-8-byte data): not a choice.
 			continue
 		}
-		// Trial encodes are real codec work on the dedicated core;
-		// charge them so the adaptive path's advantage is honest.
-		c.chargeEncode(defaultProfiles[cand], float64(len(sample)))
+		charge(&cpu, defaultProfiles[cand].EncodeRate, float64(len(sample)))
 		if s := c.score(cand, len(enc), float64(len(sample))); s < bestScore {
 			bestScore = s
 			best = cand
 		}
 	}
-	c.choice[key] = best
-	return best, nil
+	return best, cpu
 }
 
-// chargeEncode accounts codec CPU for n raw bytes. Callers hold c.mu.
-func (c *Compressing) chargeEncode(p CodecProfile, n float64) float64 {
-	if p.EncodeRate <= 0 {
+// charge adds the codec CPU seconds of n raw bytes at rate (0 = free)
+// to total and returns them. Callers hold c.mu for the ledger totals.
+func charge(total *float64, rate, n float64) float64 {
+	if rate <= 0 {
 		return 0
 	}
-	t := n / p.EncodeRate
-	c.encodeTime += t
-	return t
+	*total += n / rate
+	return n / rate
 }
 
-// chargeDecode accounts codec CPU for n raw bytes. Callers hold c.mu.
-func (c *Compressing) chargeDecode(p CodecProfile, n float64) float64 {
-	if p.DecodeRate <= 0 {
-		return 0
-	}
-	t := n / p.DecodeRate
-	c.decodeTime += t
-	return t
-}
-
-// Put implements ObjectStore: encode with the chosen codec, frame, and
-// hand the framed object to the inner backend. An object the chosen
-// codec cannot handle (element width does not divide this payload) or
-// whose encoding does not pay for itself (framed size ≥ raw size)
-// falls back to a "none" frame, so it costs only the header — a cached
-// per-dataset choice never makes a later Put fail.
+// Put implements ObjectStore: the object is stored as a one-part frame.
 func (c *Compressing) Put(name string, data []byte) error {
-	c.mu.Lock()
-	used, err := c.chooseFor(name, data, len(data))
-	c.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	framed, err := EncodeFrame(used, data, elemSizeFor(len(data)))
-	if err != nil {
-		// The codec is registered (chooseFor validated it), so the
-		// failure is a capability mismatch with this payload.
-		framed, err = EncodeFrame("none", data, 1)
-		if err != nil {
-			return err
-		}
-		used = "none"
-	}
-	if used != "none" && len(framed) >= len(data) {
-		if framed, err = EncodeFrame("none", data, 1); err != nil {
-			return err
-		}
-		used = "none"
-	}
-	if err := c.inner.Put(name, framed); err != nil {
-		return err
-	}
-	c.recordPut(name, used, int64(len(data)), int64(len(framed)-frameHeaderLen(used)))
-	return nil
+	return c.PutVec(name, [][]byte{data})
 }
 
 // PutVec implements VecStore: the compression pipeline's share of the
-// zero-copy aggregation path. The codec choice runs on a contiguous
-// sample prefix (no flatten needed to decide). When the choice is
-// "none" — incompressible data, or the framed form would not pay — the
-// frame header goes out as its own leading segment and the payload
-// segments pass through to the inner backend untouched: the whole
-// write moves headers, not payloads. Only a payload that actually
-// compresses is gathered into one buffer for the codec.
+// zero-copy aggregation path. The segment list is the element-aligned
+// structure of the object, so it is encoded part by part (see partsOf)
+// with the dataset's codec and the element width of each part, never
+// flattened first. A part the codec cannot handle (element width does
+// not divide it) or does not shrink is stored raw in place, its
+// segments aliased into the inner write — a cached per-dataset choice
+// never makes a later Put fail, and a "none" choice is the same loop
+// with every part raw: the write moves a header and a part table, not
+// payloads.
 func (c *Compressing) PutVec(name string, segs [][]byte) error {
 	total := SegsLen(segs)
-	sample, free := sampleFromSegs(segs, c.opts.SampleBytes)
-	c.mu.Lock()
-	used, err := c.chooseFor(name, sample, total)
-	c.mu.Unlock()
-	free()
-	if err != nil {
+	if err := checkFrameSize(total); err != nil {
 		return err
 	}
-	if used != "none" {
-		flat := FlattenSegs(segs)
-		framed, ferr := EncodeFrame(used, flat, elemSizeFor(total))
-		if ferr == nil && len(framed) < total {
-			if err := c.inner.Put(name, framed); err != nil {
-				return err
+	parts := partsOf(segs)
+	used := c.chooseFor(name, parts)
+	codec, err := compress.ByName(used)
+	if err != nil {
+		return err // a fixed codec the registry does not know
+	}
+	var w frameWriter
+	for _, part := range parts {
+		if used != "none" {
+			data := contiguous(part)
+			elem := elemSizeFor(len(data))
+			if enc, err := codec.Encode(data, elem); err == nil && len(enc) < len(data) {
+				w.add(len(data), elem, enc)
+				continue
 			}
-			c.recordPut(name, used, int64(total), int64(len(framed)-frameHeaderLen(used)))
-			return nil
 		}
-		// Capability mismatch with this payload, or the encoding does
-		// not pay: fall through to the pass-through frame.
+		w.add(SegsLen(part), 0, part...)
+	}
+	if !w.encoded {
 		used = "none"
 	}
-	if int64(total) > math.MaxUint32 {
-		return fmt.Errorf("storage: %d-byte payload exceeds the 4 GiB frame limit", total)
-	}
-	vec := make([][]byte, 0, len(segs)+1)
-	vec = append(vec, appendFrameHeader(make([]byte, 0, frameHeaderLen("none")), "none", total, 1))
-	vec = append(vec, segs...)
-	if err := PutVec(c.inner, name, vec); err != nil {
+	if err := PutVec(c.inner, name, w.finish(used)); err != nil {
 		return err
 	}
-	c.recordPut(name, "none", int64(total), int64(total))
+	c.recordPut(name, used, int64(total), int64(w.encLen))
 	return nil
-}
-
-// sampleFromSegs returns a contiguous prefix of up to limit payload
-// bytes for the codec selector, avoiding a copy when the first segment
-// alone covers it. free returns the scratch buffer (if any) to the
-// buffer pool.
-func sampleFromSegs(segs [][]byte, limit int) (sample []byte, free func()) {
-	total := SegsLen(segs)
-	if total < limit {
-		limit = total
-	}
-	if len(segs) > 0 && len(segs[0]) >= limit {
-		return segs[0][:limit], func() {}
-	}
-	s := buf.Get(limit)
-	n := 0
-	for _, seg := range segs {
-		if n == limit {
-			break
-		}
-		n += copy(s[n:], seg)
-	}
-	return s[:n], func() { buf.Put(s) }
 }
 
 // recordPut accounts one stored object: codec CPU, the per-object
@@ -392,7 +365,7 @@ func sampleFromSegs(segs [][]byte, limit int) (sample []byte, free func()) {
 func (c *Compressing) recordPut(name, used string, rawBytes, encBytes int64) {
 	info := CodecInfo{Codec: used, RawBytes: rawBytes, EncodedBytes: encBytes}
 	c.mu.Lock()
-	c.chargeEncode(defaultProfiles[used], float64(rawBytes))
+	charge(&c.encodeTime, defaultProfiles[used].EncodeRate, float64(rawBytes))
 	c.info[name] = info
 	c.objects++
 	c.rawBytes += info.RawBytes
@@ -403,11 +376,6 @@ func (c *Compressing) recordPut(name, used string, rawBytes, encBytes int64) {
 	pc.EncodedBytes += info.EncodedBytes
 	c.perCodec[used] = pc
 	c.mu.Unlock()
-}
-
-// frameHeaderLen is the frame envelope size for a codec name.
-func frameHeaderLen(codec string) int {
-	return len(frameMagic) + 1 + len(codec) + 8
 }
 
 // Get implements ObjectReader: fetch from the inner backend and
@@ -427,7 +395,7 @@ func (c *Compressing) Get(name string) ([]byte, error) {
 		return nil, fmt.Errorf("storage: object %q: %w", name, err)
 	}
 	c.mu.Lock()
-	c.chargeDecode(defaultProfiles[h.Codec], float64(len(raw)))
+	charge(&c.decodeTime, defaultProfiles[h.Codec].DecodeRate, float64(len(raw)))
 	c.mu.Unlock()
 	return raw, nil
 }
@@ -493,7 +461,7 @@ func (c *Compressing) desEncode(bytes float64) (wait, encoded float64) {
 	prof := c.desProfile()
 	encoded = bytes / prof.AssumedRatio
 	c.mu.Lock()
-	wait = c.chargeEncode(prof, bytes)
+	wait = charge(&c.encodeTime, prof.EncodeRate, bytes)
 	c.bytesSaved += bytes - encoded
 	c.mu.Unlock()
 	return wait, encoded
@@ -506,7 +474,7 @@ func (c *Compressing) desDecode(bytes float64) (wait, encoded float64) {
 	prof := c.desProfile()
 	encoded = bytes / prof.AssumedRatio
 	c.mu.Lock()
-	wait = c.chargeDecode(prof, bytes)
+	wait = charge(&c.decodeTime, prof.DecodeRate, bytes)
 	c.mu.Unlock()
 	return wait, encoded
 }
