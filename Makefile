@@ -19,46 +19,17 @@ PPROF_PKG ?= .
 
 .PHONY: build test vet fmt fmt-check bench loc \
 	pprof-cpu pprof-alloc cover-check tidy-check \
-	failure-race service-race chunk-race stream-race adapt-race race-stress failure-smoke restart-smoke c1-smoke fuzz-smoke lint docs-check \
+	race-stress failure-smoke restart-smoke c1-smoke fuzz-smoke lint docs-check \
 	smoke-e1 smoke-e6 smoke-e6-cross smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 ci
 
 build:
 	$(GO) build ./...
 
+# test is the whole suite under the race detector — the failure,
+# multi-tenant service, dedup GC, streaming and re-formation races
+# included; race-stress below is the repeated (-count=N) pass.
 test:
 	$(GO) test -race ./...
-
-# Focused race-detector pass over the failure/re-routing paths (also
-# covered by `test`, kept separate so CI reports them distinctly).
-failure-race:
-	$(GO) test -race -run 'Failure|Reroute|Partial|Tree' ./internal/cluster ./internal/iostrat
-
-# Focused race-detector pass over the multi-tenant service: concurrent
-# admission, the 4-tenant smoke, shared-broker accounting, eviction.
-# (internal/cluster's service files also sit under cover-check's floor.)
-service-race:
-	$(GO) test -race -run 'Service' ./internal/cluster ./internal/iostrat
-
-# Focused race-detector pass over the dedup chunk store: refcount GC
-# sweeps racing tenant writes and evictions, concurrent retain/release,
-# the restore matrix over the dedup stack.
-chunk-race:
-	$(GO) test -race -run 'Chunk|Dedup' ./internal/cluster ./internal/storage/chunk
-
-# Focused race-detector pass over the streaming pipeline: the hub's
-# publisher vs slow-consumer policies and subscriber churn
-# (internal/storage), the streaming hook racing the store write and
-# root failure (internal/cluster), the DES in-situ mirror
-# (internal/iostrat) — see docs/STREAMING.md.
-stream-race:
-	$(GO) test -race -run 'Stream|Subscri|Publish|SlowPolicy|Block|Sample|TryRecv|InSitu' ./internal/storage ./internal/cluster ./internal/iostrat
-
-# Focused race-detector pass over mid-run tree re-formation: the epoch
-# fence racing concurrent writers, streaming subscribers, and failure
-# overlays, plus the scenario-driven DES adaptation paths (see
-# docs/SCENARIOS.md).
-adapt-race:
-	$(GO) test -race -run 'Adapt|Reform|Scenario' ./internal/cluster ./internal/iostrat
 
 # Repeated passes over what a single -count=1 run misses. Under the
 # race detector: tenants finishing while other roots are still inside
@@ -217,5 +188,5 @@ loc:
 tidy-check:
 	$(GO) mod tidy -diff
 
-ci: build vet fmt-check tidy-check docs-check test failure-race service-race chunk-race stream-race adapt-race race-stress cover-check loc bench \
+ci: build vet fmt-check tidy-check docs-check test race-stress cover-check loc bench \
 	smoke-e1 smoke-e6 smoke-e6-cross smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 fuzz-smoke

@@ -96,7 +96,10 @@ func main() {
 	}
 	sort.Ints(its)
 	for _, it := range its {
-		obj, _ := store.Object(fmt.Sprintf("failuredemo-root000-it%06d", it))
+		obj, err := store.Get(fmt.Sprintf("failuredemo-root000-it%06d", it))
+		if err != nil {
+			log.Fatal(err)
+		}
 		b, err := cluster.DecodeBatch(obj)
 		if err != nil {
 			log.Fatal(err)

@@ -1,5 +1,7 @@
 package cluster
 
+import "fmt"
+
 // Reform re-forms the aggregation forest mid-run with a new fanout and
 // root count, returning the first iteration the new topology routes.
 // Iterations below that fence keep flowing through their original
@@ -41,73 +43,17 @@ func (c *Cluster) Epochs() int {
 	return c.forest.Epochs()
 }
 
-// RecommendTopology picks an aggregation forest shape — fanout and
-// root count — from observed bandwidths: nodeBytes is one node's
-// output per iteration, nicBW the observed per-hop interconnect
-// bandwidth, streamBW the observed bandwidth of one root's PFS stripe
-// stream, and targets the number of storage targets (OSTs). It
-// balances the two costs the dedicated-core design trades between:
-//
-//   - store-and-forward volume up the tree — a slow NIC wants a
-//     flatter forest (more roots, smaller subtrees);
-//   - stream concurrency on the file system — a slow or contended PFS
-//     wants fewer, larger sequential streams per the paper's §IV.
-//
-// The model mirrors the DES cost faces (serialization per hop, stripe
-// windows per root, sequential-efficiency loss once streams share a
-// target) closely enough to rank candidates; the experiment E11 checks
-// the ranking against the simulated outcome.
-func RecommendTopology(nodes int, nodeBytes, nicBW, streamBW float64, targets int) (fanout, roots int) {
-	if nodes <= 1 {
-		return 2, 1
-	}
-	if nicBW <= 0 {
-		nicBW = 1
-	}
-	if streamBW <= 0 {
-		streamBW = 1
-	}
-	if targets < 1 {
-		targets = 1
-	}
-	best := -1.0
-	fanout, roots = 2, 1
-	for r := 1; r <= nodes; r *= 2 {
-		sub := (nodes + r - 1) / r
-		stripes := StripeWidth(0, targets, r)
-		// Per-root write time: the subtree's bytes over the root's
-		// stripe window, derated once the forest's streams outnumber
-		// the targets (sequential efficiency loss per shared OST).
-		streams := r * stripes
-		eff := 1.0
-		if streams > targets {
-			perOST := float64(streams) / float64(targets)
-			eff = 1 / perOST / (1 + 0.3*(perOST-1))
-		}
-		pfsT := float64(sub) * nodeBytes / (float64(stripes) * streamBW * eff)
-		for _, f := range []int{2, 3, 4, 8} {
-			if f >= sub && f > 2 {
-				break
-			}
-			total := aggChainTime(sub, f, nodeBytes, nicBW) + pfsT
-			if best < 0 || total < best {
-				best = total
-				fanout, roots = f, r
-			}
+// Adapt is the runtime driver of an Adapter: called once iteration it
+// is stored, it asks a for a recommendation against the current shape
+// and re-forms the forest when one comes back.
+func (c *Cluster) Adapt(a *Adapter, it int) error {
+	c.mu.Lock()
+	fanout, roots := c.forest.Shape()
+	c.mu.Unlock()
+	if f, r, ok := a.Recommend(it, fanout, roots); ok {
+		if _, err := c.Reform(f, r); err != nil {
+			return fmt.Errorf("cluster: adapt after iteration %d: %w", it, err)
 		}
 	}
-	return fanout, roots
-}
-
-// aggChainTime is the critical-path store-and-forward time for one
-// subtree of s nodes with the given fanout: each level serializes its
-// subtree's bytes over one NIC before the level above can forward.
-func aggChainTime(s, fanout int, nodeBytes, nicBW float64) float64 {
-	t := 0.0
-	for s > 1 {
-		child := (s - 1 + fanout - 1) / fanout
-		t += float64(child) * nodeBytes / nicBW
-		s = child
-	}
-	return t
+	return nil
 }

@@ -13,9 +13,9 @@ import (
 func collectBlocks(t *testing.T, store *storage.Memory) map[int]map[[2]int]bool {
 	t.Helper()
 	got := map[int]map[[2]int]bool{}
-	for _, name := range dataNames(store.ObjectNames()) {
-		obj, ok := store.Object(name)
-		if !ok {
+	for _, name := range dataNames(allNames(t, store)) {
+		obj, err := store.Get(name)
+		if err != nil {
 			t.Fatalf("listed object %s vanished", name)
 		}
 		b, err := DecodeBatch(obj)
@@ -101,7 +101,7 @@ func TestReformMidRunCompleteness(t *testing.T) {
 // TestAdaptReformRaceWithStreaming re-forms the tree continuously while
 // every client writes concurrently and a streaming subscriber consumes
 // merged batches — the race the Forest's epoch fence must survive (run
-// under -race by `make adapt-race`, at -count=200 by `make race-stress`).
+// under -race by `make test`, at -count=200 by `make race-stress`).
 func TestAdaptReformRaceWithStreaming(t *testing.T) {
 	const nodes, clients, iters = 10, 2, 8
 	store := storage.NewMemory(nil, 4, 1e9)

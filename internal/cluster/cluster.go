@@ -190,7 +190,7 @@ func newTenantCluster(cc ClusterConfig, spec RunSpec, tenant int) (*Cluster, err
 	if cc.Store == nil {
 		return nil, fmt.Errorf("cluster: nil object store")
 	}
-	clients := cc.Platform.CoresPerNode - cc.DedicatedPerNode
+	clients := cc.Platform.CoresPerNode - dedicatedPerNode
 	if clients <= 0 {
 		return nil, fmt.Errorf("cluster: %d cores/node leaves no simulation cores",
 			cc.Platform.CoresPerNode)
@@ -259,7 +259,7 @@ func (c *Cluster) Nodes() int { return len(c.nodes) }
 // ClientsPerNode returns the simulation client count on each node —
 // what a driver loops over when it writes through Client.
 func (c *Cluster) ClientsPerNode() int {
-	return c.cc.Platform.CoresPerNode - c.cc.DedicatedPerNode
+	return c.cc.Platform.CoresPerNode - dedicatedPerNode
 }
 
 // Node returns one node's middleware instance.
@@ -701,18 +701,14 @@ func (a *aggregator) store(b *Batch, covers []int, partial bool, window int) {
 		if c.spec.Deadline > 0 {
 			deadline += c.spec.Deadline
 		}
-		// Windows are BrokerStripes targets wide, side by side in ordinal
-		// order: a promoted root claims what the dead root claimed.
-		targets := make([]int, max(c.cc.BrokerStripes, 1))
-		for i := range targets {
-			targets[i] = window*len(targets) + i
-		}
+		// One broker target per root window, in ordinal order: a promoted
+		// root claims what the dead root claimed.
 		grant := c.cc.Broker.Acquire(storage.TokenRequest{
 			Holder:   c.holderBase + a.node,
 			Tenant:   c.tenant,
 			Priority: c.spec.Priority,
 			Weight:   c.spec.Weight,
-			Targets:  targets,
+			Targets:  []int{window},
 			Deadline: deadline,
 			Bytes:    float64(b.Bytes()),
 		})

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"sync"
 	"testing"
 
@@ -127,6 +126,16 @@ func testPlatform(nodes, coresPerNode int) topology.Platform {
 	return topology.Platform{Name: "test", Nodes: nodes, CoresPerNode: coresPerNode}
 }
 
+// allNames lists every object in store, ascending.
+func allNames(t *testing.T, store storage.ObjectReader) []string {
+	t.Helper()
+	names, err := store.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
 // dataNames filters manifest objects out of a store listing.
 func dataNames(names []string) []string {
 	var out []string
@@ -181,14 +190,14 @@ func TestClusterFanInCorrectness(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	names := dataNames(store.ObjectNames())
+	names := dataNames(allNames(t, store))
 	if len(names) != iters {
 		t.Fatalf("stored %d data objects, want %d (one per iteration): %v", len(names), iters, names)
 	}
 	for it := 0; it < iters; it++ {
 		name := fmt.Sprintf("clustertest-root000-it%06d", it)
-		obj, ok := store.Object(name)
-		if !ok {
+		obj, err := store.Get(name)
+		if err != nil {
 			t.Fatalf("missing object %s (have %v)", name, names)
 		}
 		b, err := DecodeBatch(obj)
@@ -256,7 +265,7 @@ func TestClusterMultiRoot(t *testing.T) {
 	if err := c.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(dataNames(store.ObjectNames())); n != roots*iters {
+	if n := len(dataNames(allNames(t, store))); n != roots*iters {
 		t.Fatalf("stored %d data objects, want %d", n, roots*iters)
 	}
 	// The union of the four subtree objects must cover every node
@@ -264,8 +273,8 @@ func TestClusterMultiRoot(t *testing.T) {
 	for it := 0; it < iters; it++ {
 		covered := map[int]bool{}
 		for _, root := range c.Tree().Roots() {
-			obj, ok := store.Object(fmt.Sprintf("clustertest-root%03d-it%06d", root, it))
-			if !ok {
+			obj, err := store.Get(fmt.Sprintf("clustertest-root%03d-it%06d", root, it))
+			if err != nil {
 				t.Fatalf("missing object for root %d it %d", root, it)
 			}
 			b, err := DecodeBatch(obj)
@@ -307,14 +316,10 @@ func TestBackendSwapEquivalence(t *testing.T) {
 		if err := c.Shutdown(); err != nil {
 			t.Fatal(err)
 		}
-		type reader interface {
-			Object(string) ([]byte, bool)
-			ObjectNames() []string
-		}
 		out := map[string][]byte{}
-		for _, name := range store.(reader).ObjectNames() {
-			data, ok := store.(reader).Object(name)
-			if !ok {
+		for _, name := range allNames(t, store.(storage.ObjectReader)) {
+			data, err := store.(storage.ObjectReader).Get(name)
+			if err != nil {
 				t.Fatalf("object %s vanished", name)
 			}
 			out[name] = data
@@ -446,10 +451,8 @@ func TestClusterDeterministicObjects(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := map[string][]byte{}
-		names := store.ObjectNames()
-		sort.Strings(names)
-		for _, n := range names {
-			d, _ := store.Object(n)
+		for _, n := range allNames(t, store) {
+			d, _ := store.Get(n)
 			out[n] = d
 		}
 		return out

@@ -196,8 +196,8 @@ func TestClusterInteriorFailure(t *testing.T) {
 	}
 
 	for it := 0; it < iters; it++ {
-		obj, ok := store.Object(fmt.Sprintf("clustertest-root000-it%06d", it))
-		if !ok {
+		obj, err := store.Get(fmt.Sprintf("clustertest-root000-it%06d", it))
+		if err != nil {
 			t.Fatalf("missing root object for iteration %d", it)
 		}
 		b, err := DecodeBatch(obj)
@@ -279,8 +279,8 @@ func TestClusterRootFailure(t *testing.T) {
 	// Every iteration after the death must be stored by the promoted
 	// root and cover the subtree minus the dead node.
 	for it := failAt; it < iters; it++ {
-		obj, ok := store.Object(fmt.Sprintf("clustertest-root007-it%06d", it))
-		if !ok {
+		obj, err := store.Get(fmt.Sprintf("clustertest-root007-it%06d", it))
+		if err != nil {
 			t.Fatalf("promoted root stored nothing for iteration %d", it)
 		}
 		b, err := DecodeBatch(obj)
@@ -336,8 +336,8 @@ func TestClusterEmptyScheduleIdentical(t *testing.T) {
 			}
 		}
 		out := map[string][]byte{}
-		for _, n := range store.ObjectNames() {
-			d, _ := store.Object(n)
+		for _, n := range allNames(t, store) {
+			d, _ := store.Get(n)
 			out[n] = d // manifests included: they must be deterministic too
 		}
 		return out
@@ -383,8 +383,8 @@ func TestClusterCascadingFailures(t *testing.T) {
 		t.Errorf("ReroutedEdges = %d, want 4", st.ReroutedEdges)
 	}
 	// Final iteration: everything except the two dead nodes.
-	obj, ok := store.Object(fmt.Sprintf("clustertest-root000-it%06d", iters-1))
-	if !ok {
+	obj, err := store.Get(fmt.Sprintf("clustertest-root000-it%06d", iters-1))
+	if err != nil {
 		t.Fatal("missing final object")
 	}
 	b, err := DecodeBatch(obj)
@@ -444,8 +444,8 @@ func TestPartialIterationsCountedOncePerIteration(t *testing.T) {
 			st.PartialIterations)
 	}
 	// The straggler data itself must have been stored, not dropped.
-	obj, ok := store.Object("clustertest-root000-it000001")
-	if !ok {
+	obj, err := store.Get("clustertest-root000-it000001")
+	if err != nil {
 		t.Fatal("straggler iteration not stored")
 	}
 	b, err := DecodeBatch(obj)

@@ -17,13 +17,10 @@ import (
 // with it.
 type ClusterConfig struct {
 	// Platform sizes the cluster: Nodes core.Node instances with
-	// CoresPerNode-DedicatedPerNode simulation clients each. Under a
-	// Service, this is the whole machine; each tenant runs on a slice of
-	// it (RunSpec.Quota.Nodes).
+	// CoresPerNode-1 simulation clients each (one core per node is
+	// dedicated). Under a Service, this is the whole machine; each tenant
+	// runs on a slice of it (RunSpec.Quota.Nodes).
 	Platform topology.Platform
-	// DedicatedPerNode is the number of cores per node devoted to data
-	// management (default 1).
-	DedicatedPerNode int
 	// Fanout is the children-per-node limit of the aggregation trees
 	// (default 2).
 	Fanout int
@@ -41,9 +38,6 @@ type ClusterConfig struct {
 	// grants, and reclaims per tenant, and ReleaseHolder on a killed
 	// node never touches another tenant's tokens.
 	Broker storage.TokenBroker
-	// BrokerStripes is how many broker targets each root's write claims
-	// (default 1): the runtime mirror of the DES stripe window.
-	BrokerStripes int
 	// DisableManifests turns off the per-iteration manifest objects
 	// roots write alongside their data objects.
 	DisableManifests bool
@@ -53,12 +47,13 @@ type ClusterConfig struct {
 	Logger *log.Logger
 }
 
+// dedicatedPerNode is the number of cores per node devoted to data
+// management: one, as every <dedicated cores="1"/> configuration says.
+const dedicatedPerNode = 1
+
 // withDefaults fills the zero values in place (value receiver: callers
 // keep their copy unchanged).
 func (cc ClusterConfig) withDefaults() ClusterConfig {
-	if cc.DedicatedPerNode <= 0 {
-		cc.DedicatedPerNode = 1
-	}
 	if cc.Fanout <= 0 {
 		cc.Fanout = 2
 	}
@@ -74,11 +69,10 @@ func (cc ClusterConfig) withDefaults() ClusterConfig {
 // Quota bounds one tenant's draw on the shared substrate. Zero values
 // mean unlimited (single-tenant runs keep today's semantics).
 type Quota struct {
-	// Nodes is the number of platform nodes (hence dedicated cores, at
-	// DedicatedPerNode each) the tenant asks for. 0 = the whole
-	// platform. The Service admits the tenant only when that many nodes'
-	// dedicated cores are free — or degrades the ask under
-	// AdmitDegrade.
+	// Nodes is the number of platform nodes (hence dedicated cores, one
+	// each) the tenant asks for. 0 = the whole platform. The Service
+	// admits the tenant only when that many nodes' dedicated cores are
+	// free — or degrades the ask under AdmitDegrade.
 	Nodes int
 	// MaxBytes caps the encoded bytes the tenant may store. Once a
 	// root's next object would cross the cap, the object is dropped —

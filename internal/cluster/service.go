@@ -59,7 +59,7 @@ type ServiceOptions struct {
 // topology.Platform, a shared (ideally sharded) storage.TokenBroker and
 // a shared object store, and admits N concurrent tenant runs that
 // borrow slices of them. Admission is counted in dedicated cores: each
-// platform node carries DedicatedPerNode dedicated cores, a tenant's
+// platform node carries one dedicated core, a tenant's
 // Quota.Nodes claims that many nodes' worth, and when the claim exceeds
 // what is free the Admission policy decides — queue (FIFO or EDF),
 // reject, or degrade to a smaller slice. Cross-tenant interference at

@@ -44,7 +44,7 @@ func driveDedupTenant(c *Cluster, salt int64, iters int) {
 // mid-iteration. No chunk referenced by a retained manifest may ever be
 // collected: after the dust settles, A's retained window and every
 // iteration B managed to store must restore byte-identical. Run under
-// -race via the chunk-race make target.
+// -race via `make test`.
 func TestServiceDedupSweepEvictRace(t *testing.T) {
 	const (
 		aIters, aRetain = 8, 2

@@ -392,8 +392,8 @@ func TestServiceQuotaMaxBytes(t *testing.T) {
 	}
 }
 
-// TestServiceFourTenantSmoke is the race-detector smoke (make
-// service-race): four tenants admitted, driven, and finished fully
+// TestServiceFourTenantSmoke is the race-detector smoke (make test,
+// make race-stress): four tenants admitted, driven, and finished fully
 // concurrently on one shared broker and store.
 func TestServiceFourTenantSmoke(t *testing.T) {
 	const iters = 2

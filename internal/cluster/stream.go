@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -62,32 +63,42 @@ func NewStreamConsumer(sub *storage.Subscription, pipe insitu.Pipeline) *StreamC
 	return &StreamConsumer{sub: sub, pipe: pipe}
 }
 
-// Run receives and analyzes until the stream reaches a terminal state.
-// It returns nil after a clean close (storage.ErrStreamClosed drained)
-// and storage.ErrSlowConsumer if the consumer was detached for holding
-// a Block-policy publisher past its timeout. Callers typically run it
-// on its own goroutine, concurrent with the cluster writing.
-func (sc *StreamConsumer) Run() error {
+// ConsumeStream is the one receive-and-decode loop of a stream
+// subscriber: it hands every batch sub receives to onBatch until the
+// subscription reaches a terminal state. A closed stream (or a
+// cancelled subscription) is the clean end and returns nil, once the
+// queued backlog is drained; everything else is the consumer's failure
+// and is returned — storage.ErrSlowConsumer when a Block-policy
+// subscriber was detached for holding a publisher past its timeout (it
+// missed frames; a caller that provokes the detach on purpose tests for
+// it with errors.Is), a payload that does not decode, or onBatch's own
+// error.
+func ConsumeStream(sub *storage.Subscription, onBatch func(msg storage.StreamMsg, b *Batch) error) error {
 	for {
-		msg, err := sc.sub.Recv()
+		msg, err := sub.Recv()
+		if errors.Is(err, storage.ErrStreamClosed) {
+			return nil
+		}
 		if err != nil {
-			if err == storage.ErrStreamClosed {
-				return nil
-			}
 			return err
 		}
-		if aerr := sc.analyze(msg); aerr != nil {
-			return fmt.Errorf("cluster: stream consumer on %s: %w", msg.Name, aerr)
+		b, err := DecodeBatch(msg.Data)
+		if err == nil {
+			err = onBatch(msg, b)
+		}
+		if err != nil {
+			return fmt.Errorf("cluster: stream consumer on %s: %w", msg.Name, err)
 		}
 	}
 }
 
-// analyze decodes one streamed batch and runs the pipeline per variable.
-func (sc *StreamConsumer) analyze(msg storage.StreamMsg) error {
-	b, err := DecodeBatch(msg.Data)
-	if err != nil {
-		return err
-	}
+// Run receives and analyzes until the stream reaches a terminal state,
+// as ConsumeStream defines it. Callers typically run it on its own
+// goroutine, concurrent with the cluster writing.
+func (sc *StreamConsumer) Run() error { return ConsumeStream(sc.sub, sc.analyze) }
+
+// analyze runs the pipeline per variable of one streamed batch.
+func (sc *StreamConsumer) analyze(msg storage.StreamMsg, b *Batch) error {
 	// Blocks arrive normalized (node, source, variable); group payloads
 	// per variable preserving that order so reruns are deterministic.
 	order := make([]string, 0, 4)

@@ -117,8 +117,8 @@ func TestStreamingHookNeverBlocksWritePath(t *testing.T) {
 	}
 }
 
-// TestStreamSubscriberChurnDuringFailure is the churn race (`make
-// stream-race`): subscribers attach and cancel continuously while a
+// TestStreamSubscriberChurnDuringFailure is the churn race (under -race
+// in `make test`): subscribers attach and cancel continuously while a
 // multi-root cluster loses a root mid-run and re-routes its subtree.
 // The run must complete and publication must keep flowing to whoever
 // is subscribed at the moment a surviving root emits.

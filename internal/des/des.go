@@ -313,19 +313,6 @@ func (p *Proc) Wait(d float64) {
 	p.yield()
 }
 
-// WaitUntil advances the process to absolute time t (>= Now).
-func (p *Proc) WaitUntil(t float64) {
-	if t < p.eng.now {
-		panic("des: WaitUntil into the past")
-	}
-	p.eng.schedule(t, p, nil)
-	p.yield()
-}
-
-// PendingEvents returns the number of scheduled events (diagnostics;
-// canceled timers are removed structurally, so they never count).
-func (e *Engine) PendingEvents() int { return len(e.events) }
-
 // Run executes events until the heap is empty. It returns the final clock
 // value. Run panics if processes remain blocked with no pending events
 // (a modeling deadlock).
@@ -410,12 +397,6 @@ func (e *Engine) NewResource(capacity int) *Resource {
 	}
 	return &Resource{eng: e, capacity: capacity}
 }
-
-// Available returns the number of free units.
-func (r *Resource) Available() int { return r.capacity - r.inUse }
-
-// QueueLen returns the number of waiting processes.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
 
 // Acquire blocks until n units are available and takes them. FIFO: a
 // request never overtakes an earlier one even if fewer units would fit.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/iostrat"
@@ -21,8 +20,8 @@ import (
 //     strategy in tree mode, the trace driving per-iteration volumes,
 //     compute cadence, bandwidth steps, and node churn in virtual time;
 //   - runtime face: a real cluster replays a NIC-step trace with a
-//     streaming subscriber attached, re-forming the tree mid-run from
-//     cluster.RecommendTopology when the shift lands.
+//     streaming subscriber attached, re-forming the tree mid-run on the
+//     recommendation of the same cluster.Adapter the DES face steers by.
 //
 // The headline checks: the same seed replays bit-identically, adaptive
 // beats static on aggregate write latency on a mid-run platform shift,
@@ -228,7 +227,7 @@ func RunE11(opts Options) (Report, error) {
 		})
 	if adaptRT {
 		rep.Checks = append(rep.Checks, Check{
-			Name:     "runtime: tree re-formed when the shift landed",
+			Name:     "runtime: adaptive leg re-formed the tree",
 			Paper:    "topology follows observed bandwidth",
 			Measured: float64(rt.reforms), Unit: "reforms", Lo: 1,
 		})
@@ -248,9 +247,9 @@ type e11Run struct {
 
 // runE11Cluster replays a NIC-step trace on a real cluster: every
 // client writes each iteration, a streaming subscriber consumes merged
-// batches throughout, and — on the adaptive leg — the topology is
-// re-formed from RecommendTopology the moment the trace's bandwidth
-// step lands, using the shifted factors as the observed bandwidths.
+// batches throughout, and — on the adaptive leg — a cluster.Adapter, the
+// controller the DES face steers by, is fed the trace's bandwidths and
+// re-forms the topology through Cluster.Adapt.
 func runE11Cluster(seed uint64, adapt bool) (e11Run, error) {
 	const nodes, clients, iters = 8, 2, 8
 	tr, err := workload.Generate(workload.Spec{
@@ -266,33 +265,32 @@ func runE11Cluster(seed uint64, adapt bool) (e11Run, error) {
 	stream := storage.NewStream()
 	run := e11Run{want: nodes * clients * iters}
 	consumed := consumeStream(stream.Subscribe(storage.SubOptions{Buffer: nodes * iters}),
-		func(*cluster.Batch, time.Time) { run.frames++ })
+		func(*cluster.Batch) { run.frames++ })
 
-	// The recommendation models the simulated job — kraken-class nominal
+	// The controller models the simulated job — kraken-class nominal
 	// bandwidths scaled by the trace's cumulative shift factors, and the
 	// trace's own per-node volume — not the toy payload the clients write.
 	nominal := topology.Kraken(nodes)
-	fanout, roots := 2, 1
+	ad := cluster.NewAdapter(nodes, nominal.PFS.OSTs, iters, nominal.NICBandwidth, nominal.PFS.OSTBandwidth,
+		func(it int) float64 { return tr.Iters[it].BytesPerCore * float64(nominal.CoresPerNode) })
 	st, _, err := runtimeLeg{
 		job: "e11", nodes: nodes, clients: clients, floats: 512, iters: iters,
-		cc: cluster.ClusterConfig{Fanout: fanout, Roots: roots, Store: mem},
+		cc: cluster.ClusterConfig{Fanout: 2, Roots: 1, Store: mem},
 		spec: cluster.RunSpec{
 			Hooks:    []cluster.Hook{cluster.NewStreamingHook(stream)},
 			Failures: cluster.NewFailureSchedule().WithTrace(tr),
 		},
 		each: func(c *cluster.Cluster, it int) error {
-			if adapt && len(tr.ShiftsAt(it+1)) > 0 {
-				// The shift lands next iteration and this one is settled:
-				// observe the new bandwidths and re-form ahead of the step.
-				nodeBytes := tr.Iters[it].BytesPerCore * float64(clients)
-				f, r := cluster.RecommendTopology(nodes, nodeBytes,
-					nominal.NICBandwidth*tr.NICFactorAt(it+1),
-					nominal.PFS.OSTBandwidth*tr.PFSFactorAt(it+1), nominal.PFS.OSTs)
-				if f != fanout || r != roots {
-					if _, err := c.Reform(f, r); err != nil {
-						return fmt.Errorf("reform (%d, %d): %w", f, r, err)
-					}
-					fanout, roots = f, r
+			if adapt {
+				// Iteration it is settled: what its transfers ran at is one
+				// observation each, a shift that landed in it a disturbance.
+				if len(tr.ShiftsAt(it)) > 0 {
+					ad.Disturb()
+				}
+				ad.ObserveNIC(nominal.NICBandwidth * tr.NICFactorAt(it))
+				ad.ObservePFS(nominal.PFS.OSTBandwidth * tr.PFSFactorAt(it))
+				if err := c.Adapt(ad, it); err != nil {
+					return err
 				}
 			}
 			run.epochs = c.Epochs()

@@ -294,7 +294,8 @@ func driveE9Tenant(tn *cluster.Tenant, iters int) error {
 // e9Namespaces counts distinct JobName prefixes in the shared store.
 func e9Namespaces(store *storage.Memory) int {
 	seen := map[string]bool{}
-	for _, n := range store.ObjectNames() {
+	names, _ := store.List("") // a Memory listing cannot fail
+	for _, n := range names {
 		if i := strings.IndexByte(n, '-'); i > 0 {
 			seen[n[:i]] = true
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -114,30 +113,17 @@ func spreadFailures(nodes int, rate float64, at int) *cluster.FailureSchedule {
 	return sched
 }
 
-// consumeStream drains sub on its own goroutine until the stream closes
-// or detaches it, handing every decoded frame and its arrival time to
-// onFrame. The returned wait blocks until that goroutine has exited and
-// reports what stopped it, if not the stream's end.
-func consumeStream(sub *storage.Subscription, onFrame func(b *cluster.Batch, at time.Time)) (wait func() error) {
+// consumeStream runs cluster.ConsumeStream over sub on its own
+// goroutine, handing every decoded frame to onFrame. The returned wait
+// blocks until that goroutine has exited and reports what stopped it,
+// if not the stream's end.
+func consumeStream(sub *storage.Subscription, onFrame func(b *cluster.Batch)) (wait func() error) {
 	done := make(chan error, 1)
 	go func() {
-		for {
-			msg, err := sub.Recv()
-			if err != nil {
-				if errors.Is(err, storage.ErrStreamClosed) || errors.Is(err, storage.ErrSlowConsumer) {
-					err = nil
-				}
-				done <- err
-				return
-			}
-			at := time.Now()
-			b, err := cluster.DecodeBatch(msg.Data)
-			if err != nil {
-				done <- err
-				return
-			}
-			onFrame(b, at)
-		}
+		done <- cluster.ConsumeStream(sub, func(_ storage.StreamMsg, b *cluster.Batch) error {
+			onFrame(b)
+			return nil
+		})
 	}()
 	return func() error { return <-done }
 }

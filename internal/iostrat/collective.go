@@ -11,12 +11,16 @@ import (
 // runCollective models two-phase collective I/O into a single shared file
 // (the paper's §II "collective I/O" baseline): one aggregator per node
 // first receives the node's data over the network, then all aggregators
-// write the shared file in barriered rounds of CollectiveBuffer bytes.
+// write the shared file in barriered rounds of collectiveBuffer bytes.
 // File extents map round-robin onto OSTs, so each round every OST serves
 // ~nAggs/nOSTs interleaved shared-file streams under extent locking, and
 // the barrier lets the slowest OST pace everyone — the two mechanisms
 // behind the approach's collapse at scale.
 func runCollective(cfg Config) (Result, error) {
+	// collectiveBuffer is the per-aggregator bytes written per two-phase
+	// round (ROMIO's cb_buffer_size scale).
+	const collectiveBuffer = 16e6
+
 	eng := des.NewEngine()
 	root := rng.New(cfg.Seed, 2)
 	be, _, err := cfg.newBackend(eng, root.Named("pfs"))
@@ -29,7 +33,7 @@ func runCollective(cfg Config) (Result, error) {
 	ranks := plat.Cores()
 	nAggs := plat.Nodes
 	nodeBytes := w.NodeBytes(plat.CoresPerNode)
-	rounds := int(math.Ceil(nodeBytes / cfg.CollectiveBuffer))
+	rounds := int(math.Ceil(nodeBytes / collectiveBuffer))
 
 	res := Result{Approach: Collective, Platform: plat, Workload: w, Backend: cfg.Backend}
 	res.IOTimes = make([]float64, w.Iterations)
@@ -66,8 +70,8 @@ func runCollective(cfg Config) (Result, error) {
 					}
 					be.Open(p)
 					for round := 0; round < rounds; round++ {
-						chunk := cfg.CollectiveBuffer
-						if rem := nodeBytes - float64(round)*cfg.CollectiveBuffer; rem < chunk {
+						chunk := collectiveBuffer
+						if rem := nodeBytes - float64(round)*collectiveBuffer; rem < chunk {
 							chunk = rem
 						}
 						// Extent → OST mapping: round-robin striping of the

@@ -1,6 +1,7 @@
 package iostrat
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -21,6 +22,34 @@ func churn(t *testing.T, seed uint64, nodes, iters int) *workload.Trace {
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// runtimeFace builds the runtime side of a cross-face comparison: a real
+// cluster of nodes x clients writing job "crossface" into a memory store.
+func runtimeFace(t *testing.T, nodes, clients, fanout, roots int, failures *cluster.FailureSchedule) (*cluster.Cluster, *storage.Memory) {
+	t.Helper()
+	cfg, err := meta.ParseString(`<simulation name="crossface">
+	  <architecture><dedicated cores="1"/><buffer size="1048576"/></architecture>
+	  <data>
+	    <parameter name="n" value="64"/>
+	    <layout name="row" type="float64" dimensions="n"/>
+	    <variable name="theta" layout="row"/>
+	  </data>
+	</simulation>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := storage.NewMemory(nil, 4, 1e9)
+	c, err := cluster.New(cluster.ClusterConfig{
+		Platform: topology.Platform{Name: "test", Nodes: nodes, CoresPerNode: clients + 1},
+		Fanout:   fanout,
+		Roots:    roots,
+		Store:    store,
+	}, cluster.RunSpec{Meta: cfg, Failures: failures})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, store
 }
 
 // TestFacesAgreeUnderFailures puts the same (nodes, fanout, roots,
@@ -63,27 +92,7 @@ func TestFacesAgreeUnderFailures(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			cfg, err := meta.ParseString(`<simulation name="crossface">
-			  <architecture><dedicated cores="1"/><buffer size="1048576"/></architecture>
-			  <data>
-			    <parameter name="n" value="64"/>
-			    <layout name="row" type="float64" dimensions="n"/>
-			    <variable name="theta" layout="row"/>
-			  </data>
-			</simulation>`)
-			if err != nil {
-				t.Fatal(err)
-			}
-			store := storage.NewMemory(nil, 4, 1e9)
-			c, err := cluster.New(cluster.ClusterConfig{
-				Platform: topology.Platform{Name: "test", Nodes: tc.nodes, CoresPerNode: clients + 1},
-				Fanout:   tc.fanout,
-				Roots:    tc.roots,
-				Store:    store,
-			}, cluster.RunSpec{Meta: cfg, Failures: tc.failures.WithTrace(tc.trace)})
-			if err != nil {
-				t.Fatal(err)
-			}
+			c, store := runtimeFace(t, tc.nodes, clients, tc.fanout, tc.roots, tc.failures.WithTrace(tc.trace))
 			// Iterations run in lockstep, as the DES face's step barrier
 			// runs them: the order of the deaths — and with it the edges
 			// each one moves — is then the schedule's, not the scheduler's.
@@ -124,5 +133,100 @@ func TestFacesAgreeUnderFailures(t *testing.T) {
 				t.Errorf("produced %d blocks, restored %d + lost %d", produced, r.TotalBlocks(), rt.BlocksLost)
 			}
 		})
+	}
+}
+
+// TestFacesAgreeOnAdaptation feeds one observation sequence — a NIC
+// that drops to a quarter of its bandwidth at iteration 2 — to both
+// drivers of cluster.Adapter: the DES face's treeRun.adapt applying
+// recommendations to its own Forest, and Cluster.Adapt re-forming a
+// real cluster between lockstep iterations. Both must land the same
+// topology, epoch for epoch, after every iteration, and the runtime run
+// must lose nothing to the re-formations.
+func TestFacesAgreeOnAdaptation(t *testing.T) {
+	const nodes, clients, iters, targets, shiftAt = 8, 2, 8, 32, 2
+	plat := topology.Kraken(nodes)
+	newAdapter := func() *cluster.Adapter {
+		return cluster.NewAdapter(nodes, targets, iters, plat.NICBandwidth, plat.PFS.OSTBandwidth,
+			func(int) float64 { return 38e6 * float64(plat.CoresPerNode) })
+	}
+	// observe is what iteration it tells the controller: one NIC sample
+	// per forwarding node, one PFS sample, and the shift as a disturbance.
+	observe := func(a *cluster.Adapter, it int) {
+		nic := plat.NICBandwidth
+		if it >= shiftAt {
+			nic /= 4
+		}
+		if it == shiftAt {
+			a.Disturb()
+		}
+		for n := 1; n < nodes; n++ {
+			a.ObserveNIC(nic)
+		}
+		a.ObservePFS(plat.PFS.OSTBandwidth)
+	}
+	// shape renders a topology as its parent vector.
+	shape := func(tree cluster.Tree) string {
+		parents := make([]int, nodes)
+		for n := range parents {
+			if p, ok := tree.Parent(n); ok {
+				parents[n] = p
+			} else {
+				parents[n] = -1
+			}
+		}
+		return fmt.Sprint(parents)
+	}
+
+	// DES driver, stepped by hand: Flush moves the forest's fence the way
+	// a root routing the iteration does.
+	tr := &treeRun{cfg: Config{Adapt: AdaptAdaptive}, res: &Result{},
+		forest: cluster.NewForest(nodes, 2, 1), adapter: newAdapter()}
+	var desShapes []string
+	for it := 0; it < iters; it++ {
+		tr.forest.Flush(0, it)
+		observe(tr.adapter, it)
+		tr.adapt(it)
+		desShapes = append(desShapes, fmt.Sprint(tr.forest.Epochs(), shape(tr.forest.Tree())))
+	}
+	if tr.res.TreeReforms < 2 {
+		t.Fatalf("DES driver re-formed %d times, want the start-up and the shift re-formation: %v",
+			tr.res.TreeReforms, desShapes)
+	}
+
+	c, store := runtimeFace(t, nodes, clients, 2, 1, nil)
+	ad := newAdapter()
+	var rtShapes []string
+	block := make([]byte, 512)
+	err := cluster.Drive(c, cluster.Workload{Variable: "theta", To: iters,
+		Payload: func(int, int, int) []byte { return block },
+		EachIteration: func(it int) error {
+			observe(ad, it)
+			err := c.Adapt(ad, it)
+			rtShapes = append(rtShapes, fmt.Sprint(c.Epochs(), shape(c.Tree())))
+			return err
+		}})
+	if err != nil {
+		t.Error(err)
+	}
+	if err := c.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	for it := range desShapes {
+		if it >= len(rtShapes) || rtShapes[it] != desShapes[it] {
+			t.Fatalf("after iteration %d: runtime topology %v, DES %v", it, rtShapes, desShapes)
+		}
+	}
+	rt := c.Stats()
+	if rt.TreeReforms != tr.res.TreeReforms {
+		t.Errorf("runtime re-formed %d times, DES %d", rt.TreeReforms, tr.res.TreeReforms)
+	}
+	r, err := cluster.Restore(store, "crossface")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if produced := nodes * clients * iters; r.TotalBlocks() != produced || rt.BlocksLost != 0 {
+		t.Errorf("produced %d blocks, restored %d, lost %d", produced, r.TotalBlocks(), rt.BlocksLost)
 	}
 }

@@ -11,6 +11,11 @@ import (
 	"repro/internal/workload"
 )
 
+// dedicatedPerNode is the number of cores per node removed from
+// computation and devoted to I/O, as in every configuration the paper
+// evaluates.
+const dedicatedPerNode = 1
+
 // parked is the DES face's condition variable: at most one process waits
 // on it, and whoever changes what it waits for wakes it to look again.
 type parked struct{ f *des.Future }
@@ -218,8 +223,7 @@ func runDamaris(cfg Config) (Result, error) {
 	}
 
 	w := cfg.Workload
-	dedicated := cfg.DedicatedPerNode
-	computePerNode := plat.CoresPerNode - dedicated
+	computePerNode := plat.CoresPerNode - dedicatedPerNode
 	if computePerNode <= 0 {
 		panic("iostrat: no compute cores left on the node")
 	}
@@ -267,9 +271,11 @@ func runDamaris(cfg Config) (Result, error) {
 	// Platform shifts: rank 0 applies the trace's cumulative factors at
 	// the phase start of the shift's iteration. NIC shifts scale the
 	// tree-mode forward bandwidth; PFS shifts reach the storage model
-	// through the backend stack; both (and rejoins) mark the adaptive
-	// controller dirty so it re-evaluates the forest shape.
+	// through the backend stack; both (and rejoins) disturb the adaptation
+	// controller so it re-evaluates the forest shape.
 	var tr *treeRun
+	adapter := cluster.NewAdapter(plat.Nodes, be.Targets(), w.Iterations,
+		plat.NICBandwidth, plat.PFS.OSTBandwidth, nodeBytesAt)
 	shifter, _ := baseBE.(bandwidthShifter)
 	curNIC, curPFS := 1.0, 1.0
 	applyShifts := func(it int) {
@@ -280,24 +286,22 @@ func runDamaris(cfg Config) (Result, error) {
 			curNIC = f
 			if tr != nil {
 				tr.nicFactor = f
-				tr.adaptDirty = true
 			}
+			adapter.Disturb()
 		}
 		if f := trace.PFSFactorAt(it); f != curPFS {
 			curPFS = f
 			if shifter != nil {
 				shifter.SetBandwidthFactor(f)
 			}
-			if tr != nil {
-				tr.adaptDirty = true
-			}
+			adapter.Disturb()
 		}
 		for _, s := range trace.ShiftsAt(it) {
 			// A rejoin does not resurrect the node's I/O stack on this
 			// face, but it is a topology event the adaptive policy
 			// re-evaluates on.
-			if s.Kind == workload.ShiftNodeRejoin && tr != nil {
-				tr.adaptDirty = true
+			if s.Kind == workload.ShiftNodeRejoin {
+				adapter.Disturb()
 			}
 		}
 	}
@@ -352,23 +356,20 @@ func runDamaris(cfg Config) (Result, error) {
 	// the same work, so busy time is attributed to the node's pool).
 	if treeMode {
 		tr = &treeRun{
-			cfg:         cfg,
-			eng:         eng,
-			be:          be,
-			schedule:    schedule,
-			res:         &res,
-			aggs:        make([]*desAgg, plat.Nodes),
-			failures:    failures,
-			forest:      cluster.NewForest(plat.Nodes, cfg.Fanout, cfg.AggRoots),
-			writeEnd:    make([]float64, w.Iterations),
-			phaseStart:  phaseStart,
-			computeAt:   computeAt,
-			nodeBytesAt: nodeBytesAt,
-			nicFactor:   1,
-			obsNIC:      plat.NICBandwidth,
-			obsPFS:      plat.PFS.OSTBandwidth,
-			lastAdapt:   -adaptCooldown,
-			liveNodes:   plat.Nodes,
+			cfg:        cfg,
+			eng:        eng,
+			be:         be,
+			schedule:   schedule,
+			res:        &res,
+			aggs:       make([]*desAgg, plat.Nodes),
+			failures:   failures,
+			forest:     cluster.NewForest(plat.Nodes, cfg.Fanout, cfg.AggRoots),
+			writeEnd:   make([]float64, w.Iterations),
+			phaseStart: phaseStart,
+			computeAt:  computeAt,
+			nicFactor:  1,
+			adapter:    adapter,
+			liveNodes:  plat.Nodes,
 		}
 		for n := range tr.aggs {
 			tr.aggs[n] = &desAgg{covered: map[int]map[int]bool{}, bytes: map[int]float64{}}
@@ -439,7 +440,7 @@ func runDamaris(cfg Config) (Result, error) {
 	res.HashCPUTime = acc.ChunkHashTime
 	res.SchedWaitTime = acc.TokenWaitTime
 	res.RootContention = bs.ContendedGrants
-	res.DedicatedTotal = float64(plat.Nodes*dedicated) * drainEnd
+	res.DedicatedTotal = float64(plat.Nodes*dedicatedPerNode) * drainEnd
 	for _, s := range shms {
 		res.SkippedIters += s.skipped
 	}
@@ -465,19 +466,15 @@ func runDamaris(cfg Config) (Result, error) {
 			res.LostBytes += s.lost
 		}
 		for _, q := range tr.insituQs {
-			res.FramesDropped += q.dropped
+			res.FramesDropped += int(q.frames.Dropped())
 		}
 	}
 	return res, nil
 }
 
-// adaptCooldown is the minimum iteration spacing between adaptation
-// decisions that were not forced by a platform shift or node death.
-const adaptCooldown = 2
-
 // treeRun bundles the state shared by every dedicated core of a
 // tree-mode run: the routing forest, the per-node aggregators, the
-// shared write scheduler, the adaptation controller state and the
+// shared write scheduler, the adaptation controller and the
 // per-iteration measurements.
 type treeRun struct {
 	cfg      Config
@@ -492,20 +489,17 @@ type treeRun struct {
 	// driven here from the single simulation thread.
 	forest *cluster.Forest
 
-	writeEnd    []float64 // per iteration, last root-write completion
-	phaseStart  []float64
-	computeAt   func(it int) float64
-	nodeBytesAt func(it int) float64
+	writeEnd   []float64 // per iteration, last root-write completion
+	phaseStart []float64
+	computeAt  func(it int) float64
 
-	// Adaptation state (AdaptAdaptive): EWMAs of the observed NIC and
-	// per-stream PFS bandwidths, the dirty flag platform shifts and
-	// deaths raise, and the last iteration a decision ran. nicFactor is
-	// the trace's current cumulative NIC multiplier (1 without shifts).
-	nicFactor  float64
-	obsNIC     float64
-	obsPFS     float64
-	adaptDirty bool
-	lastAdapt  int
+	// nicFactor is the trace's current cumulative NIC multiplier (1
+	// without shifts). adapter is the controller shared with the runtime
+	// face: every timed forward and root stripe write is one observation,
+	// every platform shift, death and rejoin one disturbance; its
+	// recommendations are applied only under AdaptAdaptive.
+	nicFactor float64
+	adapter   *cluster.Adapter
 
 	// insituQs holds one analysis frame queue per root ordinal (nil
 	// when Config.InSitu is off); liveNodes counts dedicated cores
@@ -522,27 +516,16 @@ func (tr *treeRun) stripes(it int) int {
 	return cluster.StripeWidth(tr.cfg.RootStripes, tr.be.Targets(), tr.forest.Windows(it))
 }
 
-// maybeAdapt re-derives the forest shape from the bandwidths observed
-// so far and re-forms the tree when the recommendation moved — right
-// after a platform shift or node death, otherwise at most every
-// adaptCooldown iterations. Called at a root once its write completes,
-// i.e. exactly when a fresh PFS observation exists.
-func (tr *treeRun) maybeAdapt(it int) {
+// adapt re-forms the tree when the adaptation controller recommends a
+// new shape. Called at a root once its write completes, i.e. exactly
+// when a fresh PFS observation exists.
+func (tr *treeRun) adapt(it int) {
 	if tr.cfg.Adapt != AdaptAdaptive {
 		return
 	}
-	if !tr.adaptDirty && it < tr.lastAdapt+adaptCooldown {
-		return
-	}
-	tr.adaptDirty = false
-	tr.lastAdapt = it
-	next := it + 1
-	if next >= tr.cfg.Workload.Iterations {
-		return
-	}
-	fanout, roots := cluster.RecommendTopology(tr.cfg.Platform.Nodes,
-		tr.nodeBytesAt(next), tr.obsNIC, tr.obsPFS, tr.be.Targets())
-	if curFanout, curRoots := tr.forest.Shape(); fanout == curFanout && roots == curRoots {
+	curFanout, curRoots := tr.forest.Shape()
+	fanout, roots, ok := tr.adapter.Recommend(it, curFanout, curRoots)
+	if !ok {
 		return
 	}
 	// The new epoch opens at the forest's fence; a shape that would leave
@@ -552,11 +535,6 @@ func (tr *treeRun) maybeAdapt(it int) {
 		tr.growInsitu(tr.forest.Windows(from))
 	}
 }
-
-// observeNIC and observePFS fold one measured transfer into the EWMAs
-// the adaptation controller steers by (0.7 history, 0.3 new sample).
-func (tr *treeRun) observeNIC(bw float64) { tr.obsNIC = 0.7*tr.obsNIC + 0.3*bw }
-func (tr *treeRun) observePFS(bw float64) { tr.obsPFS = 0.7*tr.obsPFS + 0.3*bw }
 
 // nodeDone retires one dedicated core; the last one out closes every
 // in-situ queue so consumers drain their backlog and exit (the engine
@@ -627,7 +605,7 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 				tSend := p.Now()
 				p.Wait(subtree/(plat.NICBandwidth*tr.nicFactor) + plat.NICLatency)
 				if el := p.Now() - tSend; el > 0 {
-					tr.observeNIC(subtree / el)
+					tr.adapter.ObserveNIC(subtree / el)
 				}
 			}
 			// The parent may have died during the transfer: the forest then
@@ -670,7 +648,7 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 					tw := p.Now()
 					stripeAcross(p, be.WriteAsync, base, stripes, be.Targets(), per)
 					if el := p.Now() - tw; el > 0 {
-						tr.observePFS(per / float64(stripes) / el)
+						tr.adapter.ObservePFS(per / float64(stripes) / el)
 					}
 					be.Close(p)
 					release()
@@ -679,7 +657,7 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 				if p.Now() > tr.writeEnd[item.iter] {
 					tr.writeEnd[item.iter] = p.Now()
 				}
-				tr.maybeAdapt(item.iter)
+				tr.adapt(item.iter)
 			}
 			if cfg.InSitu.Mode == InSituFile {
 				// File-then-read coupling: the frame is only announced
@@ -742,5 +720,5 @@ func (tr *treeRun) failNode(shm *nodeShm, node int, item shmIter) {
 		other.waiting.wake()
 	}
 	// The machine shrank: an adaptive run may want a different forest.
-	tr.adaptDirty = true
+	tr.adapter.Disturb()
 }

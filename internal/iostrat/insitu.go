@@ -93,18 +93,15 @@ func (c InSituConfig) validate(treeMode bool) error {
 
 // insituQ is the DES counterpart of a storage.Subscription: one root's
 // bounded frame queue between its dedicated core (publisher) and its
-// analysis consumer proc, with des.Future parking instead of mutexes —
-// the same discipline as nodeShm. One publisher (the node currently
-// owning the root ordinal) and one consumer per queue.
+// analysis consumer proc. The shared storage.StreamQueue decides what a
+// full queue does; this face only waits, on des.Future parking instead
+// of channels — the same discipline as nodeShm. One publisher (the node
+// currently owning the root ordinal) and one consumer per queue.
 type insituQ struct {
-	eng      *des.Engine
-	capacity int
-	policy   storage.SlowPolicy
-	pending  []shmIter
-	waiting  parked // consumer, on an empty queue
-	space    parked // Block-policy publisher, on a full queue
-	closed   bool
-	dropped  int
+	eng     *des.Engine
+	frames  *storage.StreamQueue[shmIter]
+	waiting parked // consumer, on an empty queue
+	space   parked // Block-policy publisher, on a full queue
 }
 
 // publish offers one frame under the queue's policy and returns how
@@ -112,48 +109,38 @@ type insituQ struct {
 func (q *insituQ) publish(p *des.Proc, item shmIter) float64 {
 	blocked := 0.0
 	for {
-		if q.closed {
-			return blocked
-		}
-		if len(q.pending) < q.capacity {
-			q.pending = append(q.pending, item)
-			q.waiting.wake()
-			return blocked
-		}
-		switch q.policy {
-		case storage.Sample:
-			q.dropped++
-			return blocked
-		case storage.Block:
+		switch q.frames.Offer(item) {
+		case storage.MustWait:
 			t0 := p.Now()
 			q.space.wait(p, q.eng)
 			blocked += p.Now() - t0
-		default: // storage.DropOldest
-			q.pending = q.pending[1:]
-			q.dropped++
+			continue
+		case storage.Queued, storage.Evicted:
+			q.waiting.wake()
 		}
+		return blocked
 	}
 }
 
 // take blocks the consumer until a frame is pending, draining the
 // backlog before honouring closure.
 func (q *insituQ) take(p *des.Proc) (shmIter, bool) {
-	for len(q.pending) == 0 {
-		if q.closed {
+	for {
+		if item, ok := q.frames.Take(); ok {
+			q.space.wake()
+			return item, true
+		}
+		if q.frames.IsClosed() {
 			return shmIter{}, false
 		}
 		q.waiting.wait(p, q.eng)
 	}
-	item := q.pending[0]
-	q.pending = q.pending[1:]
-	q.space.wake()
-	return item, true
 }
 
 // close ends the stream: the consumer drains what is queued and exits;
 // a parked Block publisher is released.
 func (q *insituQ) close() {
-	q.closed = true
+	q.frames.Close()
 	q.waiting.wake()
 	q.space.wake()
 }
@@ -184,9 +171,8 @@ func (tr *treeRun) growInsitu(numRoots int) {
 	}
 	for len(tr.insituQs) < numRoots {
 		q := &insituQ{
-			eng:      tr.eng,
-			capacity: tr.cfg.InSitu.Buffer,
-			policy:   tr.cfg.InSitu.Policy,
+			eng:    tr.eng,
+			frames: storage.NewStreamQueue[shmIter](tr.cfg.InSitu.Buffer, tr.cfg.InSitu.Policy),
 		}
 		tr.insituQs = append(tr.insituQs, q)
 		ord := len(tr.insituQs) - 1

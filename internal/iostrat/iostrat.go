@@ -18,7 +18,6 @@ package iostrat
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/des"
@@ -157,9 +156,6 @@ type Config struct {
 
 	// Damaris options.
 
-	// DedicatedPerNode is the number of cores per node removed from
-	// computation and devoted to I/O (default 1).
-	DedicatedPerNode int
 	// ShmCapacity is the per-node shared-memory segment size in bytes
 	// (default: 4× the per-iteration node output).
 	ShmCapacity float64
@@ -233,21 +229,12 @@ type Config struct {
 	// (default AdaptStatic). See AdaptPolicy.
 	Adapt AdaptPolicy
 
-	// Collective options.
-
-	// CollectiveBuffer is the per-aggregator bytes written per two-phase
-	// round (default 16 MB, ROMIO's cb_buffer_size scale).
-	CollectiveBuffer float64
-
 	// testWrapBackend, when set (tests only), wraps the run's backend
 	// outermost, so probes observe every strategy-level operation.
 	testWrapBackend func(storage.CostModel) storage.CostModel
 }
 
 func (c Config) withDefaults() Config {
-	if c.DedicatedPerNode == 0 {
-		c.DedicatedPerNode = 1
-	}
 	if c.Scenario != nil {
 		// The trace overrides the flat workload: its first iteration
 		// seeds the base numbers (reports, stretch math), the trace
@@ -284,9 +271,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Codec == "none" {
 		c.Codec = ""
-	}
-	if c.CollectiveBuffer == 0 {
-		c.CollectiveBuffer = 16e6
 	}
 	if c.Backend == "" {
 		c.Backend = storage.KindPFS
@@ -503,23 +487,6 @@ func (r Result) IdleFraction() float64 {
 		return 0
 	}
 	return 1 - r.DedicatedBusy/r.DedicatedTotal
-}
-
-// RankByThroughput returns the given approaches sorted by their
-// measured value, best first — the cross-backend ordering contract the
-// cluster-layer tests assert.
-func RankByThroughput(th map[Approach]float64) []Approach {
-	ranked := make([]Approach, 0, len(th))
-	for a := range th {
-		ranked = append(ranked, a)
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if th[ranked[i]] != th[ranked[j]] {
-			return th[ranked[i]] > th[ranked[j]]
-		}
-		return ranked[i] < ranked[j] // deterministic tiebreak
-	})
-	return ranked
 }
 
 // Run executes the named approach under cfg and returns its measurements.

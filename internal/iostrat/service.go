@@ -41,24 +41,22 @@ type ServiceConfig struct {
 	// Workload is the per-job base workload; big jobs scale its
 	// iteration count.
 	Workload Workload
-	// BigJobFraction of jobs are "big": BigJobFactor× the base
-	// iterations AND BigJobFactor× the node ask (clamped to the
-	// machine). The bimodal mix is what makes admission ordering
-	// matter — under FIFO a wide job at the head convoys everything
-	// behind it (defaults 0.25 and 4).
-	BigJobFraction float64
-	BigJobFactor   int
 	// DeadlineSlack sets each job's completion deadline to
 	// arrival + slack × its ideal (unqueued) runtime (default 1.5).
 	// Under AdmitDeadline, shorter jobs therefore carry earlier
 	// deadlines and go first — EDF degrades to shortest-job-first on
 	// this mix, which is exactly what flattens the tail.
 	DeadlineSlack float64
-	// WriteSlots is how many jobs the PFS serves at full stripe speed
-	// concurrently; more writers queue on the shared broker (default
-	// max(2, OSTs/64)).
-	WriteSlots int
 }
+
+// bigJobFraction of jobs are "big": bigJobFactor× the base iterations
+// AND bigJobFactor× the node ask (clamped to the machine). The bimodal
+// mix is what makes admission ordering matter — under FIFO a wide job at
+// the head convoys everything behind it.
+const (
+	bigJobFraction = 0.25
+	bigJobFactor   = 4
+)
 
 func (c ServiceConfig) withDefaults() ServiceConfig {
 	if c.NodesPerJob <= 0 {
@@ -70,20 +68,8 @@ func (c ServiceConfig) withDefaults() ServiceConfig {
 	if c.Admission == "" {
 		c.Admission = cluster.AdmitFIFO
 	}
-	if c.BigJobFraction == 0 {
-		c.BigJobFraction = 0.25
-	}
-	if c.BigJobFactor <= 0 {
-		c.BigJobFactor = 4
-	}
 	if c.DeadlineSlack <= 0 {
 		c.DeadlineSlack = 1.5
-	}
-	if c.WriteSlots <= 0 {
-		c.WriteSlots = c.Platform.PFS.OSTs / 64
-		if c.WriteSlots < 2 {
-			c.WriteSlots = 2
-		}
 	}
 	return c
 }
@@ -190,19 +176,22 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 	arrivals := root.Named("arrivals")
 	mix := root.Named("mix")
 
-	// The shared write broker: WriteSlots stripe windows, deadline
-	// arbitration among admitted tenants (the E6 result, applied
-	// cross-tenant). Holder = tenant id — one lightweight writer each.
+	// The shared write broker: writeSlots stripe windows — how many jobs
+	// the PFS serves at full stripe speed concurrently, more writers queue
+	// — with deadline arbitration among admitted tenants (the E6 result,
+	// applied cross-tenant). Holder = tenant id — one lightweight writer
+	// each.
+	writeSlots := max(2, cfg.Platform.PFS.OSTs/64)
 	broker := storage.NewBroker(storage.BrokerOptions{
 		Policy:  storage.PolicyDeadline,
-		Targets: cfg.WriteSlots,
+		Targets: writeSlots,
 		Engine:  eng,
 	})
 
 	// Per-writer bandwidth when every slot is busy: the OST array's
 	// sequential capacity divided by the concurrent slots.
 	perWriterBW := cfg.Platform.PFS.OSTBandwidth * float64(cfg.Platform.PFS.OSTs) /
-		float64(cfg.WriteSlots)
+		float64(writeSlots)
 	if perWriterBW <= 0 {
 		return ServiceResult{}, fmt.Errorf("iostrat: platform has no PFS bandwidth")
 	}
@@ -220,9 +209,9 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 		}
 		iters := cfg.Workload.Iterations
 		need := cfg.NodesPerJob
-		if mix.Float64() < cfg.BigJobFraction {
-			iters *= cfg.BigJobFactor
-			need *= cfg.BigJobFactor
+		if mix.Float64() < bigJobFraction {
+			iters *= bigJobFactor
+			need *= bigJobFactor
 		}
 		if need > cfg.Platform.Nodes {
 			need = cfg.Platform.Nodes
@@ -265,7 +254,7 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 				g := broker.AcquireSim(p, storage.TokenRequest{
 					Holder:   j.res.ID,
 					Tenant:   j.res.ID,
-					Targets:  []int{j.res.ID % cfg.WriteSlots},
+					Targets:  []int{j.res.ID % writeSlots},
 					Deadline: j.res.Deadline,
 					Bytes:    jobBytes,
 				})

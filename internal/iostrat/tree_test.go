@@ -1,6 +1,7 @@
 package iostrat
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/cluster"
@@ -154,7 +155,8 @@ func TestBackendSwapOrderingConsistent(t *testing.T) {
 			}
 			th[a] = res.Throughput()
 		}
-		ranked := RankByThroughput(th)
+		ranked := []Approach{FilePerProcess, Collective, Damaris}
+		sort.SliceStable(ranked, func(i, j int) bool { return th[ranked[i]] > th[ranked[j]] })
 		if ranked[0] != Damaris {
 			t.Errorf("%s: Damaris not on top: dam=%v fpp=%v coll=%v",
 				kind, th[Damaris], th[FilePerProcess], th[Collective])

@@ -110,9 +110,6 @@ func (fs *FS) TotalBytesRead() float64 { return fs.totalBytesRead }
 // MDSOps returns the number of metadata operations served.
 func (fs *FS) MDSOps() int { return fs.mdsOps }
 
-// MDSQueueLen returns the number of requests waiting at the MDS.
-func (fs *FS) MDSQueueLen() int { return fs.mds.QueueLen() }
-
 // BeginPhase draws fresh per-OST congestion factors, modeling interference
 // from other applications sharing the storage system during this I/O
 // phase. Call it once per application I/O phase.

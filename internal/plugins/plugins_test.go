@@ -278,9 +278,9 @@ func TestSDFWriterThroughStore(t *testing.T) {
 	if w.FilesWritten() != 2 {
 		t.Fatalf("files written = %d, want 2", w.FilesWritten())
 	}
-	obj, ok := store.Object("plugtest-node0000-it000001")
-	if !ok {
-		t.Fatalf("object missing from store (have %v)", store.ObjectNames())
+	obj, err := store.Get("plugtest-node0000-it000001")
+	if err != nil {
+		t.Fatalf("object missing from store: %v", err)
 	}
 	// The object is a complete SDF file: parse it from memory.
 	r, err := sdf.NewReader(bytes.NewReader(obj), int64(len(obj)))

@@ -264,11 +264,3 @@ func FormatFloat(v float64) string {
 // GB formats a byte count in gigabytes (base 10⁹, as storage vendors and
 // the paper use).
 func GB(bytes float64) float64 { return bytes / 1e9 }
-
-// GBps formats a throughput in GB/s given bytes and seconds.
-func GBps(bytes, seconds float64) float64 {
-	if seconds == 0 {
-		return 0
-	}
-	return bytes / 1e9 / seconds
-}

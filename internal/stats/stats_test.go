@@ -133,12 +133,3 @@ func TestFormatFloat(t *testing.T) {
 		}
 	}
 }
-
-func TestGBps(t *testing.T) {
-	if g := GBps(10e9, 2); g != 5 {
-		t.Fatalf("GBps = %v", g)
-	}
-	if g := GBps(1, 0); g != 0 {
-		t.Fatalf("GBps with zero time = %v", g)
-	}
-}

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -598,14 +597,4 @@ func copyFloatMap(m map[int]float64) map[int]float64 {
 		c[k] = v
 	}
 	return c
-}
-
-// ValidateTokenPolicy rejects unknown policy names before a run starts.
-func ValidateTokenPolicy(p TokenPolicy) error {
-	switch p {
-	case PolicyPerTarget, PolicyGlobal, PolicyDeadline, PolicyFairShare:
-		return nil
-	default:
-		return fmt.Errorf("storage: unknown token policy %q", p)
-	}
 }

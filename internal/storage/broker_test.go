@@ -269,17 +269,6 @@ func TestBrokerReleaseIdempotent(t *testing.T) {
 	}
 }
 
-func TestValidateTokenPolicy(t *testing.T) {
-	for _, p := range []TokenPolicy{PolicyPerTarget, PolicyGlobal, PolicyDeadline} {
-		if err := ValidateTokenPolicy(p); err != nil {
-			t.Fatalf("valid policy %q rejected: %v", p, err)
-		}
-	}
-	if err := ValidateTokenPolicy("nonsense"); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-}
-
 func TestAccountingAddBroker(t *testing.T) {
 	var acc Accounting
 	acc.AddBroker(BrokerStats{Grants: 3, WaitTime: 1.5, GrantsByTarget: map[int]int{2: 3}})

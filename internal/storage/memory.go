@@ -220,7 +220,7 @@ type Memory struct {
 
 // NewMemory builds a memory backend with the given number of targets
 // and per-target bandwidth. eng may be nil when only the object face
-// (Put/Object) is used.
+// (Put/Get) is used.
 func NewMemory(eng *des.Engine, targets int, bandwidth float64) *Memory {
 	return &Memory{
 		simModel: newSimModel(eng, targets, bandwidth),
@@ -292,19 +292,6 @@ func (b *Memory) List(prefix string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// Object returns a stored object's bytes (the pre-Get boolean API, kept
-// for existing callers).
-func (b *Memory) Object(name string) ([]byte, bool) {
-	d, err := b.Get(name)
-	return d, err == nil
-}
-
-// ObjectNames returns the names of all stored objects.
-func (b *Memory) ObjectNames() []string {
-	names, _ := b.List("")
-	return names
 }
 
 // Accounting implements Backend.

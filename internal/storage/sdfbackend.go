@@ -222,25 +222,6 @@ func (b *SDF) List(prefix string) ([]string, error) {
 	return names, nil
 }
 
-// Object reads a stored object back from its SDF file (the pre-Get
-// boolean API, kept for existing callers).
-func (b *SDF) Object(name string) ([]byte, bool) {
-	data, err := b.Get(name)
-	if err != nil {
-		return nil, false
-	}
-	if data == nil {
-		data = []byte{}
-	}
-	return data, true
-}
-
-// ObjectNames lists the stored objects.
-func (b *SDF) ObjectNames() []string {
-	names, _ := b.List("")
-	return names
-}
-
 func (b *SDF) objectPath(name string) string {
 	// Object names may carry path separators of either convention;
 	// flatten both so every object is one file directly under dir.

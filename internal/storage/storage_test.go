@@ -156,9 +156,8 @@ func TestObjectRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	type store interface {
-		Put(string, []byte) error
-		Object(string) ([]byte, bool)
-		ObjectNames() []string
+		ObjectStore
+		ObjectReader
 		Accounting() Accounting
 	}
 	for name, b := range map[string]store{"memory": mem, "sdf": sdfB} {
@@ -169,18 +168,18 @@ func TestObjectRoundTrip(t *testing.T) {
 		if err := b.Put("empty", nil); err != nil {
 			t.Fatalf("%s: Put empty: %v", name, err)
 		}
-		got, ok := b.Object("job-it000001")
-		if !ok || !bytes.Equal(got, payload) {
-			t.Fatalf("%s: Object round trip failed: ok=%v got=%q", name, ok, got)
+		got, err := b.Get("job-it000001")
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("%s: Get round trip failed: err=%v got=%q", name, err, got)
 		}
-		if e, ok := b.Object("empty"); !ok || len(e) != 0 {
+		if e, err := b.Get("empty"); err != nil || len(e) != 0 {
 			t.Fatalf("%s: empty object round trip failed", name)
 		}
-		if _, ok := b.Object("missing"); ok {
-			t.Fatalf("%s: missing object reported present", name)
+		if _, err := b.Get("missing"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s: Get of a missing object = %v, want ErrNotFound", name, err)
 		}
-		if n := len(b.ObjectNames()); n != 2 {
-			t.Fatalf("%s: ObjectNames = %d, want 2", name, n)
+		if names, err := b.List(""); err != nil || len(names) != 2 {
+			t.Fatalf("%s: List = %v, %v, want 2 names", name, names, err)
 		}
 		acc := b.Accounting()
 		if acc.Objects != 2 || acc.ObjectBytes != int64(len(payload)) {
@@ -392,12 +391,12 @@ func TestSDFOverwriteAccounting(t *testing.T) {
 	if acc.ObjectBytes != 40 {
 		t.Errorf("ObjectBytes = %d, want 40 (latest version only)", acc.ObjectBytes)
 	}
-	data, ok := b.Object("obj")
-	if !ok || len(data) != 40 {
-		t.Fatalf("stored object wrong: ok=%v len=%d", ok, len(data))
+	data, err := b.Get("obj")
+	if err != nil || len(data) != 40 {
+		t.Fatalf("stored object wrong: err=%v len=%d", err, len(data))
 	}
-	if n := len(b.ObjectNames()); n != 1 {
-		t.Errorf("%d files on disk, want 1", n)
+	if names, _ := b.List(""); len(names) != 1 {
+		t.Errorf("%d files on disk, want 1", len(names))
 	}
 }
 
@@ -418,8 +417,8 @@ func TestSDFPathCollisionRejected(t *testing.T) {
 		t.Fatal(`a\b must collide with a/b`)
 	}
 	// The original survives untouched and re-putting it still works.
-	if data, ok := b.Object("a/b"); !ok || len(data) != 1 || data[0] != 1 {
-		t.Fatalf("original object damaged: ok=%v data=%v", ok, data)
+	if data, err := b.Get("a/b"); err != nil || len(data) != 1 || data[0] != 1 {
+		t.Fatalf("original object damaged: err=%v data=%v", err, data)
 	}
 	if err := b.Put("a/b", []byte{9}); err != nil {
 		t.Fatalf("re-put of the owner rejected: %v", err)

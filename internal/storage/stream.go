@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -48,8 +49,7 @@ func SlowPolicies() []SlowPolicy { return []SlowPolicy{DropOldest, Block, Sample
 // ValidateSlowPolicy checks a user-supplied policy name ("" means
 // DropOldest).
 func ValidateSlowPolicy(p string) error {
-	switch SlowPolicy(p) {
-	case "", DropOldest, Block, Sample:
+	if p == "" || slices.Contains(SlowPolicies(), SlowPolicy(p)) {
 		return nil
 	}
 	return fmt.Errorf("storage: unknown slow-consumer policy %q (have %v)", p, SlowPolicies())
@@ -135,10 +135,17 @@ func NewStream() *Stream {
 // subscription is returned already closed (Recv fails fast with
 // ErrStreamClosed).
 func (s *Stream) Subscribe(opts SubOptions) *Subscription {
-	sub := newSubscription(s, opts.withDefaults())
+	opts = opts.withDefaults()
+	sub := &Subscription{
+		stream:   s,
+		patience: opts.BlockTimeout,
+		q:        NewStreamQueue[StreamMsg](opts.Buffer, opts.Policy),
+		notEmpty: make(chan struct{}, 1),
+		notFull:  make(chan struct{}, 1),
+	}
 	s.mu.Lock()
 	if s.closed {
-		sub.closed = true
+		sub.q.Close()
 	} else {
 		s.subs[sub] = struct{}{}
 	}
@@ -222,25 +229,14 @@ func (s *Stream) detach(sub *Subscription) {
 // Recv is single-consumer; the counters and Cancel are safe from any
 // goroutine.
 type Subscription struct {
-	stream *Stream
-	opts   SubOptions
+	stream   *Stream
+	patience time.Duration // a Block publisher's wait before it detaches the subscriber
 
 	mu       sync.Mutex
-	queue    []StreamMsg
-	closed   bool  // no more messages will be queued
-	failed   error // terminal error after the backlog drains
-	dropped  uint64
-	notEmpty chan struct{} // 1-buffered wakeup for Recv
-	notFull  chan struct{} // 1-buffered wakeup for Block publishers
-}
-
-func newSubscription(s *Stream, opts SubOptions) *Subscription {
-	return &Subscription{
-		stream:   s,
-		opts:     opts,
-		notEmpty: make(chan struct{}, 1),
-		notFull:  make(chan struct{}, 1),
-	}
+	q        *StreamQueue[StreamMsg] // closed: no more messages will be queued
+	failed   error                   // terminal error after the backlog drains
+	notEmpty chan struct{}           // 1-buffered wakeup for Recv
+	notFull  chan struct{}           // 1-buffered wakeup for Block publishers
 }
 
 // signal performs a non-blocking send on a 1-buffered wakeup channel.
@@ -252,57 +248,33 @@ func signal(ch chan struct{}) {
 }
 
 // offer enqueues one message under this subscription's slow-consumer
-// policy. Safe for concurrent publishers.
+// policy: the queue decides, this only waits — under Block, for the
+// consumer to make room, up to the subscriber's timeout, then detaches
+// it rather than hold the write path hostage. Safe for concurrent
+// publishers.
 func (c *Subscription) offer(msg StreamMsg) {
-	var timeout <-chan time.Time
 	var timer *time.Timer
-	c.mu.Lock()
 	for {
-		if c.closed {
-			c.mu.Unlock()
+		c.mu.Lock()
+		out := c.q.Offer(msg)
+		c.mu.Unlock()
+		if out != MustWait {
 			if timer != nil {
 				timer.Stop()
+			}
+			if out == Queued || out == Evicted {
+				signal(c.notEmpty)
 			}
 			return
 		}
-		if len(c.queue) < c.opts.Buffer {
-			c.queue = append(c.queue, msg)
-			c.mu.Unlock()
-			if timer != nil {
-				timer.Stop()
-			}
-			signal(c.notEmpty)
-			return
+		if timer == nil {
+			timer = time.NewTimer(c.patience)
 		}
-		switch c.opts.Policy {
-		case Sample:
-			// Drop the newcomer: what stays queued is an in-order
-			// subsample the consumer will still see oldest-first.
-			c.dropped++
-			c.mu.Unlock()
-			if timer != nil {
-				timer.Stop()
-			}
+		select {
+		case <-c.notFull:
+		case <-timer.C:
+			c.close(ErrSlowConsumer)
 			return
-		case Block:
-			// Backpressure: wait for the consumer to make room, up to
-			// the subscriber's timeout — then detach it rather than
-			// hold the write path hostage.
-			if timeout == nil {
-				timer = time.NewTimer(c.opts.BlockTimeout)
-				timeout = timer.C
-			}
-			c.mu.Unlock()
-			select {
-			case <-c.notFull:
-				c.mu.Lock()
-			case <-timeout:
-				c.close(ErrSlowConsumer)
-				return
-			}
-		default: // DropOldest
-			c.queue = c.queue[1:]
-			c.dropped++
 		}
 	}
 }
@@ -314,23 +286,10 @@ func (c *Subscription) offer(msg StreamMsg) {
 // timeout). Recv must not be called concurrently with itself.
 func (c *Subscription) Recv() (StreamMsg, error) {
 	for {
-		c.mu.Lock()
-		if len(c.queue) > 0 {
-			msg := c.queue[0]
-			c.queue = c.queue[1:]
-			c.mu.Unlock()
-			signal(c.notFull)
-			return msg, nil
+		msg, ok, err := c.TryRecv()
+		if ok || err != nil {
+			return msg, err
 		}
-		if c.closed {
-			err := c.failed
-			c.mu.Unlock()
-			if err == nil {
-				err = ErrStreamClosed
-			}
-			return StreamMsg{}, err
-		}
-		c.mu.Unlock()
 		<-c.notEmpty
 	}
 }
@@ -341,13 +300,11 @@ func (c *Subscription) Recv() (StreamMsg, error) {
 func (c *Subscription) TryRecv() (msg StreamMsg, ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.queue) > 0 {
-		msg = c.queue[0]
-		c.queue = c.queue[1:]
+	if msg, ok = c.q.Take(); ok {
 		signal(c.notFull)
 		return msg, true, nil
 	}
-	if c.closed {
+	if c.q.IsClosed() {
 		if err = c.failed; err == nil {
 			err = ErrStreamClosed
 		}
@@ -365,14 +322,14 @@ func (c *Subscription) Cancel() { c.close(nil) }
 func (c *Subscription) Dropped() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.dropped
+	return c.q.Dropped()
 }
 
 // Pending returns the current queue depth.
 func (c *Subscription) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.queue)
+	return c.q.Len()
 }
 
 // close marks the subscription terminal with cause (nil = plain close)
@@ -380,8 +337,8 @@ func (c *Subscription) Pending() int {
 func (c *Subscription) close(cause error) {
 	c.stream.detach(c)
 	c.mu.Lock()
-	if !c.closed {
-		c.closed = true
+	if !c.q.IsClosed() {
+		c.q.Close()
 		c.failed = cause
 	}
 	c.mu.Unlock()

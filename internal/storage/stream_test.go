@@ -213,7 +213,7 @@ func TestTryRecv(t *testing.T) {
 
 // TestStreamChurnRace hammers subscribe/receive/cancel from many
 // goroutines while publishers keep publishing — the storage-side half
-// of the subscriber-churn race (`make stream-race`).
+// of the subscriber-churn race (`make test` runs it under -race).
 func TestStreamChurnRace(t *testing.T) {
 	s := NewStream()
 	stop := make(chan struct{})

@@ -86,10 +86,7 @@ func (p Platform) WithNodes(n int) Platform {
 	return p
 }
 
-const (
-	kb = 1 << 10
-	mb = 1 << 20
-)
+const mb = 1 << 20
 
 // Kraken returns a Kraken-Cray-XT5-like platform: 12 cores per node and a
 // Lustre file system with a single MDS and 336 OSTs.

@@ -90,10 +90,11 @@ type Spec struct {
 	// BaseComputeTime is the unperturbed compute phase in seconds
 	// (default 300).
 	BaseComputeTime float64
-	// BaseVarsPerCore is the unperturbed variable count per core
-	// (default 20).
-	BaseVarsPerCore int
 }
+
+// baseVarsPerCore is the unperturbed variable count per core (the CM1
+// checkpoint shape).
+const baseVarsPerCore = 20
 
 func (s Spec) withDefaults() Spec {
 	if s.Iterations == 0 {
@@ -107,9 +108,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.BaseComputeTime == 0 {
 		s.BaseComputeTime = 300
-	}
-	if s.BaseVarsPerCore == 0 {
-		s.BaseVarsPerCore = 20
 	}
 	return s
 }
@@ -166,7 +164,7 @@ func generate(spec Spec, perm []int) (*Trace, error) {
 		tr.Iters[i] = IterSpec{
 			BytesPerCore: spec.BaseBytesPerCore,
 			ComputeTime:  spec.BaseComputeTime,
-			VarsPerCore:  spec.BaseVarsPerCore,
+			VarsPerCore:  baseVarsPerCore,
 		}
 	}
 	part := rng.NewPartition(spec.Seed)
@@ -241,7 +239,7 @@ func mixPass(s *rng.Stream, spec Spec, tr *Trace) {
 	for i := range tr.Iters {
 		frac := 0.15 + 0.7*s.Float64()
 		tr.Iters[i].ParticleFraction = frac
-		vars := int(float64(spec.BaseVarsPerCore) * (1.2 - frac))
+		vars := int(baseVarsPerCore * (1.2 - frac))
 		if vars < 2 {
 			vars = 2
 		}
