@@ -35,14 +35,16 @@ test:
 # race detector: tenants finishing while other roots are still inside
 # the broker's accounting (the E9 pinned-admission race showed up about
 # once in six runs), the service lifecycle, both brokers, the stream's
-# Seq order under racing publishers and the codec selector's first
-# Puts racing on one dataset. Without it, at -count=200
+# Seq order under racing publishers, the codec selector's first Puts
+# racing on one dataset and chunk-store Gets racing the sweep's pack
+# compaction. Without it, at -count=200
 # (~5 s): the three routing-protocol tests that flaked 1-3 % until
 # Forest decided the late-drain rule — they guard its rules 1 and 2.
 race-stress:
 	$(GO) test -race -count=10 -run 'TestE9PinnedAdmission' ./internal/experiments
 	$(GO) test -race -count=10 -run 'Service' ./internal/cluster
 	$(GO) test -race -count=10 -run 'Broker|Sharded|TestStreamPublishSeqOrder|TestCompressingConcurrentChoice' ./internal/storage
+	$(GO) test -race -count=10 -run 'TestDedupStoreGetSweepRace|TestDedupStoreGetReresolvesAfterCompaction|TestDedupStoreConcurrentSweep' ./internal/storage/chunk
 	$(GO) test -count=200 -run 'TestClusterInteriorFailure|TestRestoreAfterFailure|TestAdaptReformRaceWithStreaming' ./internal/cluster
 
 # Experiment smoke matrix — one target per experiment so a broken

@@ -55,30 +55,22 @@ func main() {
 // ratio (the frame header is self-describing), and objects stored
 // through the dedup chunk store are reassembled from their recipes —
 // both decoded before any manifest/batch parsing, so deduplicated,
-// compressed and plain stores list alike. The content-addressed
-// chunks themselves are summarized in one line rather than listed.
+// compressed and plain stores list alike. The chunk packs themselves
+// are summarized in one line, read from their indexes alone.
 func dumpStore(dir string) error {
 	inner, err := storage.NewSDF(nil, 1, 1e9, dir)
 	if err != nil {
 		return err
 	}
-	// The same read stack -restart-from uses.
+	// The same read stack -restart-from uses; its List hides the packs.
 	stack := chunk.ReadStack(inner)
-	names, err := inner.List("")
+	names, err := stack.List("")
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%s: %d objects\n", dir, len(names))
 	var plain []string
-	chunks, chunkBytes := 0, 0
 	for _, name := range names {
-		if strings.HasPrefix(name, chunk.ChunkObjectName("")) {
-			chunks++
-			if raw, err := inner.Get(name); err == nil {
-				chunkBytes += len(raw)
-			}
-			continue
-		}
 		if !cluster.IsManifestName(name) {
 			plain = append(plain, name)
 			continue
@@ -120,8 +112,12 @@ func dumpStore(dir string) error {
 		}
 		fmt.Printf("  %-44s %s, %d bytes%s\n", name, kind, len(data), codecNote)
 	}
-	if chunks > 0 {
-		fmt.Printf("  chunk/: %d content-addressed chunks, %d bytes stored\n", chunks, chunkBytes)
+	packs, chunks, chunkBytes, err := chunk.Packs(inner)
+	if err != nil {
+		return err
+	}
+	if packs > 0 {
+		fmt.Printf("  chunk/: %d packs, %d chunks, %d bytes\n", packs, chunks, chunkBytes)
 	}
 	return nil
 }

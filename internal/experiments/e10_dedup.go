@@ -227,8 +227,8 @@ func RunE10(opts Options) (Report, error) {
 }
 
 // storedBytes sums the payload sizes of every object a backend holds —
-// chunks, recipes and manifests included — the bytes a capacity planner
-// would see on the device.
+// chunk packs and their indexes, recipes and manifests included — the
+// bytes a capacity planner would see on the device.
 func storedBytes(be storage.Backend) (float64, error) {
 	names, err := be.List("")
 	if err != nil {

@@ -76,6 +76,16 @@ func (p Params) withDefaults() Params {
 // property the dedup layer's cross-run stability rests on.
 var hashTable = buildHashTable(0x2013_0d0a_1e57_ab1e)
 
+// agedTable is hashTable rotated by the window width: a byte's
+// contribution at the moment it leaves the window, having been rotated
+// once per step since it entered.
+var agedTable = func() (t [256]uint64) {
+	for i, v := range hashTable {
+		t[i] = rotN(v, chunkWindow)
+	}
+	return t
+}()
+
 // buildHashTable fills the substitution table from a splitmix64 stream.
 func buildHashTable(seed uint64) [256]uint64 {
 	var t [256]uint64
@@ -108,45 +118,45 @@ func Split(data []byte, p Params) [][]byte {
 		return nil
 	}
 	mask := uint64(p.Avg - 1)
-	var chunks [][]byte
-	start := 0
-	for start < len(data) {
-		rest := data[start:]
-		if len(rest) <= p.Min {
-			chunks = append(chunks, rest)
-			break
+	// Chunks average Min+Avg bytes, so this is one allocation.
+	chunks := make([][]byte, 0, len(data)/p.Avg+1)
+	for len(data) > 0 {
+		n := len(data)
+		if n > p.Min {
+			n = cut(data[:min(n, p.Max)], p.Min, mask)
 		}
-		end := len(rest)
-		if end > p.Max {
-			end = p.Max
-		}
-		// Warm the window over the Min-prefix so the first eligible cut
-		// position already sees a full window of context.
-		var h uint64
-		warm := p.Min - chunkWindow
-		if warm < 0 {
-			warm = 0
-		}
-		for i := warm; i < p.Min; i++ {
-			h = rotl64(h) ^ hashTable[rest[i]]
-		}
-		cut := end
-		for i := p.Min; i < end; i++ {
-			h = rotl64(h) ^ hashTable[rest[i]]
-			if out := i - chunkWindow; out >= warm {
-				// Age the byte leaving the window: rotated once per step
-				// since it entered, i.e. chunkWindow times.
-				h ^= rotN(hashTable[rest[out]], chunkWindow)
-			}
-			if h&mask == mask {
-				cut = i + 1
-				break
-			}
-		}
-		chunks = append(chunks, rest[:cut])
-		start += cut
+		chunks = append(chunks, data[:n])
+		data = data[n:]
 	}
 	return chunks
+}
+
+// cut returns the length of the chunk that starts win: one past the
+// first position at or after minLen where the rolling hash matches
+// mask, or len(win) (the Max clamp) if none does.
+func cut(win []byte, minLen int, mask uint64) int {
+	// Warm the window over the Min-prefix so the first eligible cut
+	// position already sees a full window of context.
+	warm := max(minLen-chunkWindow, 0)
+	var h uint64
+	for _, b := range win[warm:minLen] {
+		h = rotl64(h) ^ hashTable[b]
+	}
+	// Only when Min is shorter than the window do the first positions
+	// have no byte leaving the window yet.
+	i := minLen
+	for ; i < min(warm+chunkWindow, len(win)); i++ {
+		if h = rotl64(h) ^ hashTable[win[i]]; h&mask == mask {
+			return i + 1
+		}
+	}
+	// Steady state: one rotate, the byte entering and the byte leaving.
+	for ; i < len(win); i++ {
+		if h = rotl64(h) ^ hashTable[win[i]] ^ agedTable[win[i-chunkWindow]]; h&mask == mask {
+			return i + 1
+		}
+	}
+	return len(win)
 }
 
 // rotN rotates left by n (n < 64).

@@ -2,6 +2,9 @@ package chunk
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 )
@@ -131,6 +134,52 @@ func TestChunkInsertStability(t *testing.T) {
 	unshared := int64(len(edited)) - sharedBytes(base, mod)
 	if slack := int64(len(ins) + 4*p.Max); unshared > slack {
 		t.Errorf("insert: %d bytes unshared after a %d-byte insert (slack %d)", unshared, len(ins), slack)
+	}
+}
+
+// TestChunkSplitGolden pins Split's cut positions bit for bit: a sha256
+// over the chunk lengths of seeded payloads, recorded before the
+// steady-state loop was rewritten. Any change to the rolling hash, its
+// tables or the Min/Max clamps changes every stored chunk's name, so a
+// mismatch here means deduplication against existing stores is broken.
+func TestChunkSplitGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		p    Params
+		size int
+		want string
+	}{
+		{"default", Params{}, 1 << 20, "b190186950c8a82f5f3a6d8ab5ef71182c4bf8b8dae400b3f7a1d6221b0becc9"},
+		{"e10", Params{Min: 256, Avg: 1024, Max: 4096}, 256 << 10, "99f3887eb8b99c685287c2780c5b7b63e4d8cbad20e42438f1354fe78b80b795"},
+		{"min-below-window", Params{Min: 16, Avg: 64, Max: 256}, 64 << 10, "380608bc0fbd9eca88d9896cf9a98968295ed6c93a77c5b16ce36236cfeb9732"},
+		{"data-at-min", Params{}, DefaultMin, "4077913ec9adce69130c9010afec7d5994a42da4349c958905350a57ba96569d"},
+		{"data-past-min", Params{}, DefaultMin + 1, "0c5353d6fe420cde9b3680b0fdcfa1b33185e3c63e4dfea394aa70b7a88c819d"},
+		{"max-cut", Params{Min: 512, Avg: 4096, Max: 4096}, 64 << 10, "fc8b65dff1aa40676a466a07134587287ad7e3924e812f63bfff2710434619f3"},
+	}
+	for i, c := range cases {
+		h := sha256.New()
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, piece := range Split(payload(seed*100+int64(i), c.size), c.p) {
+				binary.Write(h, binary.LittleEndian, uint32(len(piece)))
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%s: cut digest %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// splitSink keeps BenchmarkSplit's result live.
+var splitSink [][]byte
+
+// BenchmarkSplit measures boundary detection alone on 8 MiB of random
+// bytes at the default parameters.
+func BenchmarkSplit(b *testing.B) {
+	data := payload(1, 8<<20)
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		splitSink = Split(data, Params{})
 	}
 }
 

@@ -2,20 +2,19 @@ package chunk
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"testing"
-
-	"repro/internal/storage"
 )
 
-// FuzzChunkFrameDecode hardens the recipe decoder against hostile
-// stores: corrupt hashes, truncated chunk lists and inflated counts
-// must surface as typed errors — never a panic, and never an
-// allocation the object's own length cannot justify.
+// FuzzChunkFrameDecode hardens the recipe decoder — which also decodes
+// every pack index — against hostile stores: corrupt hashes, truncated
+// chunk lists and inflated counts must surface as typed errors — never a
+// panic, and never an allocation the object's own length cannot justify.
 func FuzzChunkFrameDecode(f *testing.F) {
-	valid, err := EncodeRecipe([]storage.ChunkRef{
-		{Hash: Sum([]byte("alpha")), Bytes: 5},
-		{Hash: Sum([]byte("beta")), Bytes: 2048},
+	valid, err := encodeRecipe([]entry{
+		{sum: sha256.Sum256([]byte("alpha")), size: 5},
+		{sum: sha256.Sum256([]byte("beta")), size: 2048},
 	})
 	if err != nil {
 		f.Fatal(err)
@@ -29,6 +28,24 @@ func FuzzChunkFrameDecode(f *testing.F) {
 	huge := append([]byte(nil), valid...)
 	huge[4], huge[5], huge[6], huge[7] = 0xff, 0xff, 0xff, 0xff // absurd count
 	f.Add(huge)
+	// Pack indexes as a Put writes them: a real store's, whole and cut
+	// at an entry boundary, mid-entry and mid-header.
+	mem := newMem()
+	if err := New(mem, Options{}).Put("obj", payload(3, 24<<10)); err != nil {
+		f.Fatal(err)
+	}
+	indexes, err := indexNames(mem)
+	if err != nil || len(indexes) != 1 {
+		f.Fatalf("want one pack index, got %v (err %v)", indexes, err)
+	}
+	index, err := mem.Get(indexes[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(index)
+	f.Add(index[:recipeHeaderLen+2*recipeEntryLen])
+	f.Add(index[:len(index)-recipeEntryLen/2])
+	f.Add(index[:recipeHeaderLen-3])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		refs, rawSize, err := DecodeRecipe(data)
 		if err != nil {
@@ -44,7 +61,7 @@ func FuzzChunkFrameDecode(f *testing.F) {
 		}
 		var sum int64
 		for _, r := range refs {
-			if r.Bytes <= 0 || len(r.Hash) != 64 {
+			if r.Bytes <= 0 || len(r.Hash) != 2*sha256.Size {
 				t.Fatalf("invalid ref survived decode: %+v", r)
 			}
 			sum += int64(r.Bytes)
@@ -54,7 +71,11 @@ func FuzzChunkFrameDecode(f *testing.F) {
 		}
 		// Round trip: re-encoding a valid decode must reproduce the
 		// canonical bytes, and decode again identically.
-		enc, err := EncodeRecipe(refs)
+		ents, _, err := decodeRecipe(data)
+		if err != nil {
+			t.Fatalf("internal decode disagrees: %v", err)
+		}
+		enc, err := encodeRecipe(ents)
 		if err != nil {
 			t.Fatalf("re-encode of valid decode failed: %v", err)
 		}

@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -19,17 +20,17 @@ import (
 //	offset 12 count × entry: raw SHA-256 hash (32 bytes)
 //	                       + chunk raw size, uint32 little-endian
 //
-// Like the compression frame (DCF1), the recipe carries everything Get
-// needs to reassemble the object, so a store can be read back by a
-// process that knows nothing about how it was written — recipes and
-// chunks are plain objects on the inner backend. Objects written
-// without the dedup store (no magic) pass through untouched.
+// Like the compression frame, the recipe carries everything Get needs
+// to reassemble the object, so a store can be read back by a process
+// that knows nothing about how it was written. Objects written without
+// the dedup store (no magic) pass through untouched. A pack's index
+// (see pack.go) is the same envelope: the recipe of the pack.
 
 // recipeMagic marks (and versions) the chunk-recipe envelope.
 var recipeMagic = []byte("DCK1")
 
 // recipeEntryLen is the per-chunk entry size: raw hash + size field.
-const recipeEntryLen = 32 + 4
+const recipeEntryLen = sha256.Size + 4
 
 // recipeHeaderLen is the fixed envelope prefix: magic + count + raw size.
 const recipeHeaderLen = 4 + 4 + 4
@@ -53,46 +54,48 @@ var ErrCorruptRecipe = errors.New("chunk: corrupt chunk recipe")
 // a sweep racing a foreign process.
 var ErrDanglingChunk = errors.New("chunk: recipe references a missing chunk")
 
+// digest is a chunk's raw SHA-256, the form the store indexes it by.
+type digest [sha256.Size]byte
+
+// entry is one recipe (or pack index) line: a chunk's digest and raw
+// size, in payload (or pack) order.
+type entry struct {
+	sum  digest
+	size int
+}
+
 // IsRecipe reports whether an object starts with the recipe magic.
 func IsRecipe(obj []byte) bool {
 	return len(obj) >= len(recipeMagic) && string(obj[:len(recipeMagic)]) == string(recipeMagic)
 }
 
-// EncodeRecipe serializes a chunk reference list (hex hashes + sizes in
-// payload order) into a recipe object.
-func EncodeRecipe(refs []storage.ChunkRef) ([]byte, error) {
+// encodeRecipe serializes an entry list into a recipe object.
+func encodeRecipe(ents []entry) ([]byte, error) {
 	var total int64
-	for _, r := range refs {
-		if r.Bytes <= 0 {
-			return nil, fmt.Errorf("chunk: recipe entry %q has size %d", r.Hash, r.Bytes)
-		}
-		total += int64(r.Bytes)
+	for _, e := range ents {
+		total += int64(e.size)
 	}
 	if total > int64(^uint32(0)) {
 		return nil, fmt.Errorf("chunk: %d-byte payload exceeds the 4 GiB recipe limit", total)
 	}
-	out := make([]byte, 0, recipeHeaderLen+len(refs)*recipeEntryLen)
+	out := make([]byte, 0, recipeHeaderLen+len(ents)*recipeEntryLen)
 	out = append(out, recipeMagic...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(refs)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(ents)))
 	out = binary.LittleEndian.AppendUint32(out, uint32(total))
-	for _, r := range refs {
-		raw, err := hex.DecodeString(r.Hash)
-		if err != nil || len(raw) != 32 {
-			return nil, fmt.Errorf("chunk: recipe entry hash %q is not 64 hex chars", r.Hash)
-		}
-		out = append(out, raw...)
-		out = binary.LittleEndian.AppendUint32(out, uint32(r.Bytes))
+	for _, e := range ents {
+		out = append(out, e.sum[:]...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(e.size))
 	}
 	return out, nil
 }
 
-// DecodeRecipe parses a recipe object back into its chunk reference
-// list and declared raw size. Objects without the magic return
-// ErrNotChunked; anything structurally damaged returns ErrCorruptRecipe.
-// The chunk-count field is validated against the object's actual length
+// decodeRecipe parses a recipe object back into its entry list and
+// declared raw size. Objects without the magic return ErrNotChunked;
+// anything structurally damaged returns ErrCorruptRecipe. The
+// chunk-count field is validated against the object's actual length
 // before any allocation, so a corrupt count cannot drive a giant
 // allocation.
-func DecodeRecipe(obj []byte) ([]storage.ChunkRef, int64, error) {
+func decodeRecipe(obj []byte) ([]entry, int64, error) {
 	if !IsRecipe(obj) {
 		return nil, 0, fmt.Errorf("%w (%d bytes)", ErrNotChunked, len(obj))
 	}
@@ -107,25 +110,47 @@ func DecodeRecipe(obj []byte) ([]storage.ChunkRef, int64, error) {
 		return nil, 0, fmt.Errorf("%w: %d entries declared, %d bytes of entries held",
 			ErrCorruptRecipe, count, len(rest))
 	}
-	refs := make([]storage.ChunkRef, count)
+	ents := make([]entry, count)
 	var sum int64
-	for i := range refs {
+	for i := range ents {
 		e := rest[i*recipeEntryLen:]
-		size := int(binary.LittleEndian.Uint32(e[32:36]))
+		size := int(binary.LittleEndian.Uint32(e[sha256.Size:recipeEntryLen]))
 		if size <= 0 {
 			return nil, 0, fmt.Errorf("%w: entry %d has size %d", ErrCorruptRecipe, i, size)
 		}
-		refs[i] = storage.ChunkRef{Hash: hex.EncodeToString(e[:32]), Bytes: size}
+		ents[i] = entry{sum: digest(e[:sha256.Size]), size: size}
 		sum += int64(size)
 	}
 	if sum != rawSize {
 		return nil, 0, fmt.Errorf("%w: entries sum to %d bytes, header says %d",
 			ErrCorruptRecipe, sum, rawSize)
 	}
-	return refs, rawSize, nil
+	return ents, rawSize, nil
 }
 
-// ChunkObjectName maps a content hash to the inner-backend object name
-// of its chunk. The "chunk/" prefix keeps the chunk namespace disjoint
-// from recipe/object names (SDF flattens the separator to "_").
-func ChunkObjectName(hash string) string { return "chunk/" + hash }
+// DecodeRecipe parses a recipe object into its chunk references (hex
+// hashes + sizes in payload order) and declared raw size, with
+// decodeRecipe's errors.
+func DecodeRecipe(obj []byte) ([]storage.ChunkRef, int64, error) {
+	ents, rawSize, err := decodeRecipe(obj)
+	if err != nil {
+		return nil, 0, err
+	}
+	return refsOf(ents), rawSize, nil
+}
+
+// refsOf renders an entry list as chunk references. The hex hashes are
+// substrings of one string, so a whole object's references cost two
+// allocations, not one per chunk.
+func refsOf(ents []entry) []storage.ChunkRef {
+	hexes := make([]byte, 0, len(ents)*2*sha256.Size)
+	for _, e := range ents {
+		hexes = hex.AppendEncode(hexes, e.sum[:])
+	}
+	all := string(hexes)
+	refs := make([]storage.ChunkRef, len(ents))
+	for i, e := range ents {
+		refs[i] = storage.ChunkRef{Hash: all[i*2*sha256.Size : (i+1)*2*sha256.Size], Bytes: e.size}
+	}
+	return refs
+}

@@ -1,8 +1,10 @@
 package chunk
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/storage"
@@ -37,19 +39,29 @@ func (o Options) withDefaults() Options {
 }
 
 // chunkEntry is the store's index record for one content-addressed
-// chunk: how many live object recipes reference it (one count per
-// recipe occurrence) and its raw size.
+// chunk: where it is stored and, once this process has stored or
+// retained an object referencing it, how many live object recipes do
+// (one count per recipe occurrence).
 type chunkEntry struct {
 	refs int
-	size int
+	// counted marks refs as meaningful. An entry learnt from a pack
+	// index alone is a location, never a count, and is never collected.
+	counted bool
+	size    int
+	pack    string // "" until located
+	off     int    // offset in pack
 }
 
+// dead reports a chunk this process counted down to no reference.
+func (c chunkEntry) dead() bool { return c.counted && c.refs <= 0 }
+
 // objectEntry is the index record for one stored object: its reference
-// count (Put starts it at one; Retain/Release move it) and the chunk
-// decomposition manifests embed.
+// count (Put starts it at one; Retain/Release move it), its recipe
+// entries (nil for a pass-through object) and sizes.
 type objectEntry struct {
-	refs int
-	info storage.ChunkInfo
+	refs               int
+	ents               []entry
+	rawBytes, newBytes int64
 }
 
 // SweepStats reports what one GC sweep reclaimed.
@@ -67,20 +79,24 @@ type SweepStats struct {
 // backend:
 //
 // Real face: Put splits the payload at content-defined boundaries,
-// stores each chunk the inner backend has not seen under its hash
-// ("chunk/<hex>"), and writes a small recipe (see recipe.go) under the
+// writes the chunks no stored object has yet as one pack with its index
+// (see pack.go), and writes a small recipe (see recipe.go) under the
 // object's own name — so iteration N+1 of a slowly-changing variable
-// costs only its changed chunks. Get transparently reassembles recipes
-// (and passes plain objects through), verifying every chunk against its
+// costs only its changed chunks, in one inner write. Get transparently
+// reassembles recipes (and passes plain objects through), fetching each
+// pack a recipe touches once and verifying every chunk against its
 // hash. Objects smaller than twice the minimum chunk size are stored
 // raw — chunking them could not dedup anything — but still registered
-// for retention, so manifests age out with their data objects.
+// for retention, so manifests age out with their data objects. A fresh
+// process locates chunks by reading the pack indexes it meets a need
+// for; it counts only references it stores or retains itself.
 //
 // GC: every stored object starts with one reference; Retain/Release
-// move the count and Sweep deletes zero-reference objects, then every
-// chunk no live object references. The store's single mutex makes the
-// Put-time dedup check atomic with Sweep's collection, so a chunk can
-// never be judged "already stored" by a Put while a sweep deletes it.
+// move the count and Sweep deletes zero-reference objects, then
+// compacts every pack holding a chunk no live object references. The
+// store's single mutex makes the Put-time dedup check atomic with
+// Sweep's collection, so a chunk can never be judged "already stored"
+// by a Put while a sweep deletes it.
 //
 // Cost face: the inner model under storage.Reduce, with desWrite and
 // desRead as the layer's two cost functions — a write charges chunk+hash
@@ -90,17 +106,17 @@ type SweepStats struct {
 // DedupBytesSaved on top of the inner accounting.
 //
 // Layering: wrap Store outermost (chunk.New(storage.NewCompressing(...)))
-// so each chunk and recipe is compressed individually by the inner
-// pipeline and dedup operates on raw, stable bytes — compressing first
-// would smear a one-byte edit across the whole compressed stream and
-// destroy dedup.
+// so the inner pipeline frames each pack, index and recipe, and dedup
+// operates on raw, stable bytes — compressing first would smear a
+// one-byte edit across the whole compressed stream and destroy dedup.
 type Store struct {
 	storage.CostModel
 	inner storage.Backend
 	opts  Options
 
 	mu      sync.Mutex
-	chunks  map[string]*chunkEntry
+	chunks  map[digest]chunkEntry
+	packs   map[string][]entry // pack name → its index entries
 	objects map[string]*objectEntry
 
 	hashTime     float64
@@ -118,7 +134,8 @@ func New(inner storage.Backend, opts Options) *Store {
 	s := &Store{
 		inner:   inner,
 		opts:    opts.withDefaults(),
-		chunks:  map[string]*chunkEntry{},
+		chunks:  map[digest]chunkEntry{},
+		packs:   map[string][]entry{},
 		objects: map[string]*objectEntry{},
 	}
 	s.CostModel = storage.Reduce(inner, s.desWrite, s.desRead)
@@ -156,9 +173,9 @@ func (s *Store) Name() string { return s.inner.Name() + "+dedup" }
 // (a single chunk would cover the whole object).
 func (s *Store) passThreshold() int { return 2 * s.opts.Params.Min }
 
-// Put implements ObjectStore: chunk, dedup, store new chunks, store the
-// recipe. Small payloads pass through raw unless they would collide
-// with the recipe magic.
+// Put implements ObjectStore: chunk, dedup, store the new chunks as one
+// pack, store the recipe. Small payloads pass through raw unless they
+// would collide with the recipe magic.
 func (s *Store) Put(name string, data []byte) error {
 	if len(data) < s.passThreshold() && !IsRecipe(data) {
 		if err := s.inner.Put(name, data); err != nil {
@@ -166,17 +183,16 @@ func (s *Store) Put(name string, data []byte) error {
 		}
 		n := int64(len(data))
 		s.mu.Lock()
-		s.replaceLocked(name, &objectEntry{refs: 1,
-			info: storage.ChunkInfo{RawBytes: n, NewBytes: n}})
+		s.replaceLocked(name, &objectEntry{refs: 1, rawBytes: n, newBytes: n})
 		s.mu.Unlock()
 		return nil
 	}
 	pieces := Split(data, s.opts.Params)
-	refs := make([]storage.ChunkRef, len(pieces))
+	ents := make([]entry, len(pieces))
 	for i, p := range pieces {
-		refs[i] = storage.ChunkRef{Hash: Sum(p), Bytes: len(p)}
+		ents[i] = entry{sum: sha256.Sum256(p), size: len(p)}
 	}
-	recipe, err := EncodeRecipe(refs)
+	recipe, err := encodeRecipe(ents)
 	if err != nil {
 		return err
 	}
@@ -186,90 +202,144 @@ func (s *Store) Put(name string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.hashTime += float64(len(data)) / DefaultHashRate
-	var newBytes int64
-	for i, p := range pieces {
-		h := refs[i].Hash
-		if e, ok := s.chunks[h]; ok {
-			e.refs++
+	// Every chunk the index does not know goes into this Put's pack; it
+	// is indexed right away (counted, no reference yet), so a repeat
+	// later in the payload is a hit.
+	var fresh []entry
+	var segs [][]byte
+	for i, e := range ents {
+		if _, ok := s.chunks[e.sum]; ok {
 			s.chunksDedup++
-			s.bytesDedup += int64(len(p))
-			s.dedupSaved += float64(len(p))
+			s.bytesDedup += int64(e.size)
+			s.dedupSaved += float64(e.size)
 			continue
 		}
-		if err := s.inner.Put(ChunkObjectName(h), p); err != nil {
-			s.unrefLocked(refs[:i])
+		s.chunks[e.sum] = chunkEntry{counted: true, size: e.size}
+		fresh = append(fresh, e)
+		segs = append(segs, pieces[i])
+	}
+	var newBytes int64
+	if len(fresh) > 0 {
+		if err := s.writePackLocked(fresh, segs, ""); err != nil {
+			for _, e := range fresh {
+				delete(s.chunks, e.sum)
+			}
 			return err
 		}
-		s.chunks[h] = &chunkEntry{refs: 1, size: len(p)}
-		s.chunksStored++
-		s.bytesStored += int64(len(p))
-		newBytes += int64(len(p))
+		newBytes = int64(storage.SegsLen(segs))
+		s.chunksStored += len(fresh)
+		s.bytesStored += newBytes
 	}
 	if err := s.inner.Put(name, recipe); err != nil {
-		s.unrefLocked(refs)
-		return err
+		return err // the pack's chunks stay unreferenced: the next sweep reclaims them
 	}
-	s.replaceLocked(name, &objectEntry{refs: 1, info: storage.ChunkInfo{
-		Chunks:   refs,
-		RawBytes: int64(len(data)),
-		NewBytes: newBytes,
-	}})
+	s.replaceLocked(name, &objectEntry{refs: 1, ents: ents,
+		rawBytes: int64(len(data)), newBytes: newBytes})
 	return nil
 }
 
-// unrefLocked rolls back the chunk references a failed Put took (newly
-// stored chunks drop to zero references and the next sweep reclaims
-// them). Callers hold s.mu.
-func (s *Store) unrefLocked(refs []storage.ChunkRef) {
-	for _, r := range refs {
-		if e, ok := s.chunks[r.Hash]; ok {
-			e.refs--
+// refLocked counts one more reference on each entry's chunk (an
+// unknown chunk joins the index unlocated). Callers hold s.mu.
+func (s *Store) refLocked(ents []entry) {
+	for _, e := range ents {
+		c := s.chunks[e.sum]
+		c.refs++
+		c.counted = true
+		c.size = e.size
+		s.chunks[e.sum] = c
+	}
+}
+
+// unrefLocked drops the chunk references refLocked took. Callers hold
+// s.mu.
+func (s *Store) unrefLocked(ents []entry) {
+	for _, e := range ents {
+		if c, ok := s.chunks[e.sum]; ok {
+			c.refs--
+			s.chunks[e.sum] = c
 		}
 	}
 }
 
-// replaceLocked installs an object's index entry. Overwriting a name
-// drops the old entry's chunk references (its recipe is gone from the
-// backend) but keeps its reference count — the object's identity, and
-// whatever retention pinned it, survives the overwrite. Callers hold
-// s.mu.
+// replaceLocked installs an object's index entry and counts its chunk
+// references. Overwriting a name drops the old entry's chunk references
+// (its recipe is gone from the backend) but keeps its reference count —
+// the object's identity, and whatever retention pinned it, survives the
+// overwrite. Callers hold s.mu.
 func (s *Store) replaceLocked(name string, e *objectEntry) {
+	s.refLocked(e.ents)
 	if old, ok := s.objects[name]; ok {
-		s.unrefLocked(old.info.Chunks)
+		s.unrefLocked(old.ents)
 		e.refs = old.refs
 	}
 	s.objects[name] = e
 }
 
+// chunkLoc is where one recipe entry's bytes are: a pack and an offset.
+type chunkLoc struct {
+	pack string
+	off  int
+}
+
 // Get implements ObjectReader: recipes are transparently reassembled
-// from their chunks — each fetched chunk is verified against its hash —
-// and plain objects pass through byte-for-byte. Get is stateless (it
-// needs no index entry), so a fresh process can restore a store left by
-// an earlier run.
+// from their packs — each pack fetched once, each chunk verified
+// against its hash — and plain objects pass through byte-for-byte. A
+// chunk this process has not located is looked up in the pack indexes,
+// so a fresh process can restore a store left by an earlier run. A pack
+// that disappears under a concurrent compaction is re-resolved once.
 func (s *Store) Get(name string) ([]byte, error) {
 	obj, err := s.inner.Get(name)
 	if err != nil || !IsRecipe(obj) {
 		return obj, err
 	}
-	refs, rawSize, err := DecodeRecipe(obj)
+	ents, rawSize, err := decodeRecipe(obj)
 	if err != nil {
 		return nil, fmt.Errorf("chunk: object %q: %w", name, err)
 	}
-	out := make([]byte, 0, rawSize)
-	for i, r := range refs {
-		cb, err := s.inner.Get(ChunkObjectName(r.Hash))
-		if errors.Is(err, storage.ErrNotFound) {
-			return nil, fmt.Errorf("%w: object %q chunk %d/%d (%s)",
-				ErrDanglingChunk, name, i, len(refs), r.Hash)
+	out := make([]byte, rawSize)
+	at := make([]int, len(ents)) // where entry i lands in out
+	for i := 1; i < len(ents); i++ {
+		at[i] = at[i-1] + ents[i-1].size
+	}
+	locs := make([]chunkLoc, len(ents))
+	todo := make([]int, len(ents))
+	for i := range todo {
+		todo[i] = i
+	}
+	for retry := false; len(todo) > 0; retry = true {
+		if err := s.locate(name, ents, todo, locs); err != nil {
+			return nil, err
 		}
-		if err != nil {
-			return nil, fmt.Errorf("chunk: object %q chunk %d/%d: %w", name, i, len(refs), err)
+		var lost []int // entries whose pack vanished since locate
+		for len(todo) > 0 {
+			pack := locs[todo[0]].pack
+			data, err := s.inner.Get(pack)
+			if err != nil && !errors.Is(err, storage.ErrNotFound) {
+				return nil, fmt.Errorf("chunk: object %q pack %s: %w", name, pack, err)
+			}
+			rest := todo[:0]
+			for _, i := range todo {
+				e, l := ents[i], locs[i]
+				switch {
+				case l.pack != pack:
+					rest = append(rest, i)
+				case err != nil:
+					lost = append(lost, i)
+				case l.off+e.size > len(data) || sha256.Sum256(data[l.off:l.off+e.size]) != e.sum:
+					return nil, fmt.Errorf("%w: object %q chunk %d/%d (%x): stored bytes do not match",
+						ErrCorruptRecipe, name, i, len(ents), e.sum)
+				default:
+					copy(out[at[i]:], data[l.off:l.off+e.size])
+				}
+			}
+			todo = rest
 		}
-		if len(cb) != r.Bytes || Sum(cb) != r.Hash {
-			return nil, fmt.Errorf("%w: object %q chunk %d/%d (%s): stored bytes do not match",
-				ErrCorruptRecipe, name, i, len(refs), r.Hash)
+		if len(lost) > 0 && retry {
+			i := lost[0]
+			return nil, fmt.Errorf("%w: object %q chunk %d/%d (%x): pack %s is gone",
+				ErrDanglingChunk, name, i, len(ents), ents[i].sum, locs[i].pack)
 		}
-		out = append(out, cb...)
+		todo = lost
 	}
 	s.mu.Lock()
 	s.hashTime += float64(rawSize) / DefaultHashRate
@@ -277,9 +347,33 @@ func (s *Store) Get(name string) ([]byte, error) {
 	return out, nil
 }
 
+// locate fills locs for the entries in todo from the chunk index,
+// loading the pack indexes once if some chunk is not located yet.
+func (s *Store) locate(name string, ents []entry, todo []int, locs []chunkLoc) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	loaded := false
+	for _, i := range todo {
+		c := s.chunks[ents[i].sum]
+		if c.pack == "" && !loaded {
+			if err := s.loadIndexesLocked(); err != nil {
+				return fmt.Errorf("chunk: object %q: loading pack indexes: %w", name, err)
+			}
+			loaded = true
+			c = s.chunks[ents[i].sum]
+		}
+		if c.pack == "" {
+			return fmt.Errorf("%w: object %q chunk %d/%d (%x)",
+				ErrDanglingChunk, name, i, len(ents), ents[i].sum)
+		}
+		locs[i] = chunkLoc{c.pack, c.off}
+	}
+	return nil
+}
+
 // List implements ObjectReader, hiding the internal chunk namespace:
-// callers see the logical objects they stored, not the content-addressed
-// pieces behind them.
+// callers see the logical objects they stored, not the packs behind
+// them.
 func (s *Store) List(prefix string) ([]string, error) {
 	names, err := s.inner.List(prefix)
 	if err != nil {
@@ -287,10 +381,9 @@ func (s *Store) List(prefix string) ([]string, error) {
 	}
 	out := names[:0]
 	for _, n := range names {
-		if len(n) >= 6 && n[:6] == "chunk/" {
-			continue
+		if !strings.HasPrefix(n, chunkPrefix) {
+			out = append(out, n)
 		}
-		out = append(out, n)
 	}
 	return out, nil
 }
@@ -310,22 +403,12 @@ func (s *Store) Retain(name string) error {
 	if err != nil {
 		return fmt.Errorf("chunk: retain %q: %w", name, err)
 	}
-	e := &objectEntry{refs: 1}
+	e := &objectEntry{refs: 1, rawBytes: int64(len(obj))}
 	if IsRecipe(obj) {
-		refs, rawSize, err := DecodeRecipe(obj)
-		if err != nil {
+		if e.ents, e.rawBytes, err = decodeRecipe(obj); err != nil {
 			return fmt.Errorf("chunk: retain %q: %w", name, err)
 		}
-		for _, r := range refs {
-			if c, ok := s.chunks[r.Hash]; ok {
-				c.refs++
-			} else {
-				s.chunks[r.Hash] = &chunkEntry{refs: 1, size: r.Bytes}
-			}
-		}
-		e.info = storage.ChunkInfo{Chunks: refs, RawBytes: rawSize}
-	} else {
-		e.info = storage.ChunkInfo{RawBytes: int64(len(obj))}
+		s.refLocked(e.ents)
 	}
 	s.objects[name] = e
 	return nil
@@ -346,11 +429,14 @@ func (s *Store) Release(name string) error {
 }
 
 // Sweep collects garbage: every zero-reference object is deleted from
-// the inner backend and its chunk references dropped; then every chunk
-// no live object references is deleted. The sweep holds the store mutex
-// end to end, so concurrent Puts either complete before it (their
-// references protect their chunks) or start after it — a retained
-// object can never lose a chunk.
+// the inner backend and its chunk references dropped; then every pack
+// holding a chunk no live object references is compacted (deleted when
+// nothing in it survives), so no unreferenced chunk's bytes remain.
+// Chunks this process never counted — located from a pack index, or
+// referenced only by objects it never retained — are kept. The sweep
+// holds the store mutex end to end, so concurrent Puts either complete
+// before it (their references protect their chunks) or start after it
+// — a retained object can never lose a chunk.
 func (s *Store) Sweep() (SweepStats, error) {
 	var stats SweepStats
 	del, ok := s.inner.(storage.ObjectDeleter)
@@ -366,20 +452,35 @@ func (s *Store) Sweep() (SweepStats, error) {
 		if err := del.Delete(name); err != nil && !errors.Is(err, storage.ErrNotFound) {
 			return stats, fmt.Errorf("chunk: sweep %q: %w", name, err)
 		}
-		s.unrefLocked(e.info.Chunks)
+		s.unrefLocked(e.ents)
 		delete(s.objects, name)
 		stats.Objects++
 	}
+	// A dead chunk retained from an earlier run's recipe may sit in a
+	// pack this process has not seen yet.
+	for _, c := range s.chunks {
+		if c.dead() && c.pack == "" {
+			if err := s.loadIndexesLocked(); err != nil {
+				return stats, fmt.Errorf("chunk: sweep: loading pack indexes: %w", err)
+			}
+			break
+		}
+	}
+	packs := make([]string, 0, len(s.packs))
+	for p := range s.packs {
+		packs = append(packs, p)
+	}
+	for _, p := range packs {
+		if err := s.compactLocked(del, p); err != nil {
+			return stats, fmt.Errorf("chunk: sweep pack %s: %w", p, err)
+		}
+	}
 	for h, c := range s.chunks {
-		if c.refs > 0 {
-			continue
+		if c.dead() {
+			delete(s.chunks, h)
+			stats.Chunks++
+			stats.BytesFreed += int64(c.size)
 		}
-		if err := del.Delete(ChunkObjectName(h)); err != nil && !errors.Is(err, storage.ErrNotFound) {
-			return stats, fmt.Errorf("chunk: sweep chunk %s: %w", h, err)
-		}
-		delete(s.chunks, h)
-		stats.Chunks++
-		stats.BytesFreed += int64(c.size)
 	}
 	s.collected += stats.Chunks
 	s.bytesFreed += stats.BytesFreed
@@ -393,10 +494,10 @@ func (s *Store) ObjectChunks(name string) (storage.ChunkInfo, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.objects[name]
-	if !ok || len(e.info.Chunks) == 0 {
+	if !ok || len(e.ents) == 0 {
 		return storage.ChunkInfo{}, false
 	}
-	return e.info, true
+	return storage.ChunkInfo{Chunks: refsOf(e.ents), RawBytes: e.rawBytes, NewBytes: e.newBytes}, true
 }
 
 // desWrite is the layer's write-side storage.TransferCost: it charges

@@ -2,8 +2,10 @@ package chunk
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -90,9 +92,8 @@ func TestDedupStorePassThrough(t *testing.T) {
 			t.Fatalf("List leaked internal chunk object %q", n)
 		}
 	}
-	inner, _ := mem.List("chunk/")
-	if len(inner) == 0 {
-		t.Fatal("no chunk objects landed on the inner backend")
+	if inner, _ := mem.List("chunk/"); len(inner) != 2 {
+		t.Fatalf("want one pack and its index on the inner backend, got %v", inner)
 	}
 }
 
@@ -230,46 +231,384 @@ func TestDedupStoreRetainFreshProcess(t *testing.T) {
 	}
 }
 
-// TestDedupStoreDanglingChunk: a recipe whose chunk was deleted behind
-// the store's back surfaces ErrDanglingChunk, not garbage data.
-func TestDedupStoreDanglingChunk(t *testing.T) {
-	mem := newMem()
-	st := New(mem, Options{})
-	if err := st.Put("obj", payload(14, 16<<10)); err != nil {
-		t.Fatal(err)
+// onePack returns the names of the only pack on inner and its index.
+func onePack(t *testing.T, inner storage.ObjectReader) (pack, index string) {
+	t.Helper()
+	indexes, err := indexNames(inner)
+	if err != nil || len(indexes) != 1 {
+		t.Fatalf("want exactly one pack, got %v (err %v)", indexes, err)
 	}
-	info, ok := st.ObjectChunks("obj")
-	if !ok {
-		t.Fatal("no chunk info")
-	}
-	if err := mem.Delete(ChunkObjectName(info.Chunks[0].Hash)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Get("obj"); !errors.Is(err, ErrDanglingChunk) {
-		t.Fatalf("want ErrDanglingChunk, got %v", err)
-	}
+	return packOf(indexes[0]), indexes[0]
 }
 
-// TestDedupStoreCorruptChunk: a chunk whose stored bytes no longer
-// match its hash is rejected, not silently reassembled.
-func TestDedupStoreCorruptChunk(t *testing.T) {
-	mem := newMem()
-	st := New(mem, Options{})
-	if err := st.Put("obj", payload(15, 16<<10)); err != nil {
-		t.Fatal(err)
-	}
-	info, _ := st.ObjectChunks("obj")
-	name := ChunkObjectName(info.Chunks[0].Hash)
-	raw, err := mem.Get(name)
+// packCount returns how many packs inner holds.
+func packCount(t *testing.T, inner storage.ObjectReader) int {
+	t.Helper()
+	indexes, err := indexNames(inner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[0] ^= 0xff
-	if err := mem.Put(name, raw); err != nil {
+	return len(indexes)
+}
+
+// TestDedupStoreDanglingChunk: a recipe whose pack, or whose pack's
+// index, was deleted behind the store's back surfaces ErrDanglingChunk,
+// not garbage data — in the process that wrote it and in a fresh one
+// that must locate the chunks from the indexes. A lost index loses only
+// locations, which the writing process still holds.
+func TestDedupStoreDanglingChunk(t *testing.T) {
+	for _, victim := range []string{"pack", "index"} {
+		t.Run(victim, func(t *testing.T) {
+			mem := newMem()
+			st := New(mem, Options{})
+			data := payload(14, 16<<10)
+			if err := st.Put("obj", data); err != nil {
+				t.Fatal(err)
+			}
+			pack, index := onePack(t, mem)
+			name := pack
+			if victim == "index" {
+				name = index
+			}
+			if err := mem.Delete(name); err != nil {
+				t.Fatal(err)
+			}
+			got, err := st.Get("obj")
+			switch victim {
+			case "pack":
+				if !errors.Is(err, ErrDanglingChunk) {
+					t.Fatalf("want ErrDanglingChunk, got %v", err)
+				}
+			case "index":
+				if err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("writer lost a location it holds (err %v)", err)
+				}
+			}
+			if _, err := New(mem, Options{}).Get("obj"); !errors.Is(err, ErrDanglingChunk) {
+				t.Fatalf("fresh process: want ErrDanglingChunk, got %v", err)
+			}
+		})
+	}
+}
+
+// TestDedupStoreCorruptChunk: a pack whose bytes no longer match its
+// index — one byte flipped, or cut short — is rejected with
+// ErrCorruptRecipe, not silently reassembled, in the writing process
+// and in a fresh one.
+func TestDedupStoreCorruptChunk(t *testing.T) {
+	damage := map[string]func([]byte) []byte{
+		"flipped":   func(b []byte) []byte { b[len(b)/2] ^= 0xff; return b },
+		"truncated": func(b []byte) []byte { return b[:len(b)-100] },
+	}
+	for how, f := range damage {
+		t.Run(how, func(t *testing.T) {
+			mem := newMem()
+			st := New(mem, Options{})
+			if err := st.Put("obj", payload(15, 16<<10)); err != nil {
+				t.Fatal(err)
+			}
+			pack, _ := onePack(t, mem)
+			raw, err := mem.Get(pack)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mem.Put(pack, f(raw)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Get("obj"); !errors.Is(err, ErrCorruptRecipe) {
+				t.Fatalf("want ErrCorruptRecipe, got %v", err)
+			}
+			if _, err := New(mem, Options{}).Get("obj"); !errors.Is(err, ErrCorruptRecipe) {
+				t.Fatalf("fresh process: want ErrCorruptRecipe, got %v", err)
+			}
+		})
+	}
+}
+
+// innerBytes sums the sizes of the objects named by names on mem.
+func innerBytes(t *testing.T, mem *storage.Memory, names []string) int64 {
+	t.Helper()
+	var n int64
+	for _, name := range names {
+		b, err := mem.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += int64(len(b))
+	}
+	return n
+}
+
+// checkPacksHoldOnly asserts that the packs on mem hold exactly the
+// distinct chunks of the live objects — no unreferenced chunk's bytes
+// remain, none is stored twice — and that every pack matches its index.
+func checkPacksHoldOnly(t *testing.T, mem *storage.Memory, live ...[]byte) {
+	t.Helper()
+	want := map[digest]bool{}
+	var wantBytes int64
+	for _, data := range live {
+		for _, p := range Split(data, Params{}) {
+			if d := digest(sha256.Sum256(p)); !want[d] {
+				want[d] = true
+				wantBytes += int64(len(p))
+			}
+		}
+	}
+	indexes, err := indexNames(mem)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Get("obj"); !errors.Is(err, ErrCorruptRecipe) {
-		t.Fatalf("want ErrCorruptRecipe, got %v", err)
+	held := map[digest]bool{}
+	var packs []string
+	for _, name := range indexes {
+		pack := packOf(name)
+		packs = append(packs, pack)
+		obj, err := mem.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ents, raw, err := decodeRecipe(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if !want[e.sum] || held[e.sum] {
+				t.Fatalf("pack %s holds chunk %x: live=%v, already held=%v", pack, e.sum, want[e.sum], held[e.sum])
+			}
+			held[e.sum] = true
+		}
+		if got := innerBytes(t, mem, []string{pack}); got != raw {
+			t.Fatalf("pack %s is %d bytes, its index says %d", pack, got, raw)
+		}
+	}
+	if len(held) != len(want) {
+		t.Fatalf("packs hold %d of the %d live chunks", len(held), len(want))
+	}
+	if got := innerBytes(t, mem, packs); got != wantBytes {
+		t.Fatalf("packs hold %d bytes, live chunks are %d", got, wantBytes)
+	}
+}
+
+// TestDedupStoreSweepCompactsPacks: after releases and a sweep, a pack
+// whose chunks all died is gone, a pack with some dead chunks is
+// rewritten without them, and the inner store shrinks by exactly the
+// swept recipes, BytesFreed and the index entries that went with them.
+// The survivor restores byte-exact in this process and in a fresh one.
+func TestDedupStoreSweepCompactsPacks(t *testing.T) {
+	mem := newMem()
+	st := New(mem, Options{})
+	base := payload(20, 48<<10)
+	edit := func(seed int64) []byte {
+		b := append([]byte(nil), base...)
+		copy(b[16<<10:], payload(seed, 8<<10))
+		return b
+	}
+	objs := map[string][]byte{"it1": base, "it2": edit(21), "it3": edit(22)}
+	for _, name := range []string{"it1", "it2", "it3"} {
+		if err := st.Put(name, objs[name]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := packCount(t, mem); n != 3 {
+		t.Fatalf("three Puts of new chunks wrote %d packs", n)
+	}
+	indexes0, _ := indexNames(mem)
+	idxBytes0 := innerBytes(t, mem, indexes0)
+	recipes := innerBytes(t, mem, []string{"it1", "it2"})
+	before := mem.Accounting().ObjectBytes
+	for _, name := range []string{"it1", "it2"} {
+		if err := st.Release(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := st.Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Objects != 2 || stats.Chunks == 0 {
+		t.Fatalf("sweep reclaimed %+v", stats)
+	}
+	// it2's pack is all dead; it1's keeps the chunks it3 shares.
+	if n := packCount(t, mem); n != 2 {
+		t.Fatalf("%d packs left, want it1's compacted one and it3's", n)
+	}
+	checkPacksHoldOnly(t, mem, objs["it3"])
+	indexes1, _ := indexNames(mem)
+	idxShrink := idxBytes0 - innerBytes(t, mem, indexes1)
+	if drop := before - mem.Accounting().ObjectBytes; drop != recipes+stats.BytesFreed+idxShrink {
+		t.Fatalf("inner store shrank by %d, want recipes %d + freed %d + index shrink %d",
+			drop, recipes, stats.BytesFreed, idxShrink)
+	}
+	for _, st := range []*Store{st, New(mem, Options{})} {
+		if got, err := st.Get("it3"); err != nil || !bytes.Equal(got, objs["it3"]) {
+			t.Fatalf("survivor broken after compaction (err %v)", err)
+		}
+	}
+}
+
+// TestDedupStoreFreshSweepKeepsUntracked: a fresh process that counts
+// one object down to zero compacts the packs it shares with objects it
+// never retained — their chunks are untracked, so they are copied, not
+// collected — and everything it did not count still restores.
+func TestDedupStoreFreshSweepKeepsUntracked(t *testing.T) {
+	mem := newMem()
+	a, b := payload(30, 32<<10), payload(31, 32<<10)
+	first := New(mem, Options{})
+	// "x" puts the chunks of both "keep" and "drop" into one pack.
+	for _, o := range []struct {
+		name string
+		data []byte
+	}{{"x", append(append([]byte(nil), a...), b...)}, {"keep", a}, {"drop", b}} {
+		if err := first.Put(o.name, o.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := first.Release("x"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Sweep(); err != nil {
+		t.Fatal(err)
+	}
+	checkPacksHoldOnly(t, mem, a, b)
+
+	second := New(mem, Options{})
+	if err := second.Retain("drop"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := second.Release("drop"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := second.Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Objects != 1 || stats.Chunks == 0 {
+		t.Fatalf("fresh sweep reclaimed %+v", stats)
+	}
+	checkPacksHoldOnly(t, mem, a)
+	for _, st := range []*Store{second, New(mem, Options{})} {
+		if got, err := st.Get("keep"); err != nil || !bytes.Equal(got, a) {
+			t.Fatalf("untracked object broken by a fresh sweep (err %v)", err)
+		}
+		if _, err := st.Get("drop"); !errors.Is(err, storage.ErrNotFound) {
+			t.Fatalf("released object still readable (err %v)", err)
+		}
+	}
+}
+
+// sweepOnPackGet runs fn the first time a pack is fetched, before the
+// fetch — the window in which Get has located its chunks but not yet
+// read them. fn may fetch packs itself (a sweep does).
+type sweepOnPackGet struct {
+	*storage.Memory
+	fn func()
+}
+
+func (m *sweepOnPackGet) Get(name string) ([]byte, error) {
+	if fn := m.fn; fn != nil && strings.HasSuffix(name, packSuffix) {
+		m.fn = nil
+		fn()
+	}
+	return m.Memory.Get(name)
+}
+
+// TestDedupStoreGetReresolvesAfterCompaction: a Get that located its
+// chunks in a pack which a sweep then compacts away re-resolves them
+// under the lock and reads them from the new pack.
+func TestDedupStoreGetReresolvesAfterCompaction(t *testing.T) {
+	inner := &sweepOnPackGet{Memory: newMem()}
+	st := New(inner, Options{})
+	base := payload(40, 32<<10)
+	if err := st.Put("old", base); err != nil {
+		t.Fatal(err)
+	}
+	keep := append([]byte(nil), base[:16<<10]...)
+	if err := st.Put("keep", keep); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Release("old"); err != nil {
+		t.Fatal(err)
+	}
+	swept := false
+	inner.fn = func() {
+		stats, err := st.Sweep()
+		swept = err == nil && stats.Chunks > 0
+	}
+	got, err := st.Get("keep")
+	if err != nil || !bytes.Equal(got, keep) {
+		t.Fatalf("Get across a compaction failed (err %v)", err)
+	}
+	if !swept {
+		t.Fatal("the sweep under Get compacted nothing — the race was not exercised")
+	}
+}
+
+// TestDedupStoreGetSweepRace runs readers against a writer whose every
+// round leaves a half-dead pack for the sweep to compact, under -race
+// in `make race-stress`: every Get returns the exact bytes.
+func TestDedupStoreGetSweepRace(t *testing.T) {
+	st := New(newMem(), Options{})
+	const rounds, readers = 30, 3
+	var mu sync.Mutex
+	live := map[string][]byte{}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	errc := make(chan error, readers) // each reader sends at most once
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				mu.Lock()
+				snap := make(map[string][]byte, len(live))
+				for k, v := range live {
+					snap[k] = v
+				}
+				mu.Unlock()
+				for name, want := range snap {
+					got, err := st.Get(name)
+					if err != nil || !bytes.Equal(got, want) {
+						errc <- fmt.Errorf("%s: err %v, exact %v", name, err, bytes.Equal(got, want))
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < rounds; i++ {
+		// The scratch object's pack also holds the first half of the kept
+		// one: releasing the scratch object leaves that pack half dead.
+		scratch := payload(int64(1000+i), 32<<10)
+		keep := append([]byte(nil), scratch[:16<<10]...)
+		name := fmt.Sprintf("keep%02d", i)
+		if err := st.Put("scratch", scratch); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(name, keep); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		live[name] = keep
+		mu.Unlock()
+		if err := st.Release("scratch"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Sweep(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
 	}
 }
 

@@ -126,8 +126,8 @@ type Accounting struct {
 	// seen before (DES face), plus — on the real face — the raw bytes
 	// of chunks deduplicated against already-stored ones.
 	DedupBytesSaved float64
-	// ChunksStored and ChunksDeduped count real chunk objects written
-	// to the inner backend vs chunks satisfied by an existing stored
+	// ChunksStored and ChunksDeduped count real chunks written to the
+	// inner backend (in packs) vs chunks satisfied by an existing stored
 	// copy, with their raw payload volumes.
 	ChunksStored      int
 	ChunksDeduped     int
@@ -203,13 +203,12 @@ type ObjectDeleter interface {
 }
 
 // ChunkRef is one content-addressed chunk reference: the hash that
-// names the chunk object and the chunk's raw payload size. Manifests
-// (cluster manifest v2) embed chunk sets so a restart can see exactly
-// which stored chunks an iteration depends on without fetching any
-// payload.
+// names the chunk and the chunk's raw payload size. Manifests (cluster
+// manifest v2) embed chunk sets so a restart can see exactly which
+// stored chunks an iteration depends on without fetching any payload.
 type ChunkRef struct {
 	// Hash is the chunk's content hash in lowercase hex (SHA-256, 64
-	// characters) — also the suffix of the chunk's object name.
+	// characters).
 	Hash string `json:"hash"`
 	// Bytes is the chunk's raw payload size.
 	Bytes int `json:"bytes"`
