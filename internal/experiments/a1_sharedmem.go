@@ -37,7 +37,7 @@ func RunA1(opts Options) (Report, error) {
 
 	table := stats.NewTable(
 		"moving 256 MB from simulation cores to the data service",
-		"path", "bytes_copied_MB", "copies_per_byte", "wall_ms")
+		"path", "bytes_copied_MB", "copies_per_byte", "wall_ms").Measured("wall_ms")
 	table.AddRow("shared-memory (damaris)", float64(shmCopies)/1e6,
 		float64(shmCopies)/float64(blockSize*blocks), shmTime.Seconds()*1e3)
 	table.AddRow("message-passing", float64(msgCopies)/1e6,

@@ -71,7 +71,8 @@ func RunE10(opts Options) (Report, error) {
 		fmt.Sprintf("dedup vs plain store, %d nodes × %d clients, %d iterations, memory store",
 			e10Nodes, e10Clients, e10Iters),
 		"overwrite_frac", "plain_KB", "dedup_KB", "reduction",
-		"write_ms_plain", "write_ms_dedup", "restore_ms_plain", "restore_ms_dedup", "recovered_frac")
+		"write_ms_plain", "write_ms_dedup", "restore_ms_plain", "restore_ms_dedup", "recovered_frac").
+		Measured("write_ms_plain", "write_ms_dedup", "restore_ms_plain", "restore_ms_dedup")
 
 	// leg writes the run at overwrite fraction f into store, restores it
 	// and weighs device, the backend at the bottom of store's stack.

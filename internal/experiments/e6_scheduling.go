@@ -319,7 +319,8 @@ func runE6Runtime(opts Options, rep *Report) error {
 	table := stats.NewTable(
 		fmt.Sprintf("runtime cluster cross-root scheduling, %d nodes × %d clients, %d iterations",
 			rtNodes, rtClients, rtIters),
-		"scheduling", "write_service_ms", "iter_span_sd_ms", "token_wait_ms", "contended")
+		"scheduling", "write_service_ms", "iter_span_sd_ms", "token_wait_ms", "contended").
+		Measured("write_service_ms", "iter_span_sd_ms", "token_wait_ms", "contended")
 
 	type rtResult struct {
 		service  time.Duration
@@ -387,18 +388,18 @@ func runE6Runtime(opts Options, rep *Report) error {
 			Name:     "runtime cross-root write-time gain",
 			Paper:    "shared broker avoids target interference (service ratio > 1)",
 			Measured: float64(perRoot.service) / float64(shared.service),
-			Unit:     "x", Lo: 1.05, Hi: 0,
+			Unit:     "x", Lo: 1.05, Hi: 0, Timed: true,
 		},
 		Check{
 			Name:     "runtime write-tail spread",
 			Paper:    "serialized grants keep iteration spans steady (per-backend − cluster, ms)",
 			Measured: (stats.StdDev(perRoot.spans) - stats.StdDev(shared.spans)) * 1e3,
-			Unit:     "ms", Lo: -3, Hi: 0,
+			Unit:     "ms", Lo: -3, Hi: 0, Timed: true,
 		},
 		Check{
 			Name:     "runtime cluster broker arbitrated",
 			Paper:    "colliding roots queue on the shared token",
-			Measured: float64(shared.contends), Unit: "grants", Lo: 1, Hi: 0,
+			Measured: float64(shared.contends), Unit: "grants", Lo: 1, Hi: 0, Timed: true,
 		},
 	)
 	return nil

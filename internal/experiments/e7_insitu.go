@@ -67,7 +67,7 @@ func RunE7(opts Options) (Report, error) {
 	damMean := stats.Summarize(damarisTimes[warmup:]).Median
 	couple := stats.NewTable(
 		fmt.Sprintf("measured per-step wall time, %d^3 cavity, %d steps", gridN, steps),
-		"coupling", "mean_step_ms", "slowdown_vs_none")
+		"coupling", "mean_step_ms", "slowdown_vs_none").Measured("mean_step_ms", "slowdown_vs_none")
 	couple.AddRow("none", baseMean*1e3, 1.0)
 	couple.AddRow("visit-sync", syncMean*1e3, syncMean/baseMean)
 	couple.AddRow("damaris-async", damMean*1e3, damMean/baseMean)
@@ -85,7 +85,7 @@ func RunE7(opts Options) (Report, error) {
 	}
 	skipTable := stats.NewTable(
 		"skip policy under an undersized shared-memory segment",
-		"segment", "mean_step_ms", "frames_dropped")
+		"segment", "mean_step_ms", "frames_dropped").Measured("mean_step_ms", "frames_dropped")
 	skipTable.AddRow("ample (64 MB)", damMean*1e3, skipped0)
 	skipTable.AddRow("tight (1 iteration)", stats.Mean(tinyTimes)*1e3, skippedTiny)
 
@@ -96,7 +96,7 @@ func RunE7(opts Options) (Report, error) {
 	// write regardless of N.
 	scaleTable := stats.NewTable(
 		"modeled per-step time at scale (grid5000 preset, measured per-rank costs)",
-		"cores", "visit_sync_s", "damaris_s", "sync_penalty_x")
+		"cores", "visit_sync_s", "damaris_s", "sync_penalty_x").Measured("visit_sync_s", "damaris_s", "sync_penalty_x")
 	r := rng.New(opts.Seed, 77)
 	shmWrite := 0.001 + damMean - baseMean // client-visible damaris cost
 	if shmWrite < 0.0005 {
@@ -129,22 +129,22 @@ func RunE7(opts Options) (Report, error) {
 		{
 			Name:     "sync coupling slowdown (measured)",
 			Paper:    "periodically stopping the application (§V.A)",
-			Measured: syncMean / baseMean, Unit: "x", Lo: 1.25,
+			Measured: syncMean / baseMean, Unit: "x", Lo: 1.25, Timed: true,
 		},
 		{
 			Name:     "Damaris coupling slowdown (measured)",
 			Paper:    "no performance impact on the simulation (§V.C.1)",
-			Measured: damMean / baseMean, Unit: "x", Lo: 0, Hi: 1.5,
+			Measured: damMean / baseMean, Unit: "x", Lo: 0, Hi: 1.5, Timed: true,
 		},
 		{
 			Name:     "Damaris step cost relative to sync coupling",
 			Paper:    "analysis runs in parallel with the simulation (§V.B)",
-			Measured: damMean / syncMean, Unit: "x", Lo: 0, Hi: 0.85,
+			Measured: damMean / syncMean, Unit: "x", Lo: 0, Hi: 0.85, Timed: true,
 		},
 		{
 			Name:     "frames dropped with tight segment",
 			Paper:    "skip iterations to keep up (§V.C.1)",
-			Measured: float64(skippedTiny), Unit: "frames", Lo: 1,
+			Measured: float64(skippedTiny), Unit: "frames", Lo: 1, Timed: true,
 		},
 		{
 			// Blocking on the 20 ms analysis would inflate steps ~20x;
@@ -152,12 +152,12 @@ func RunE7(opts Options) (Report, error) {
 			// distinguishing "skipped" from "blocked".
 			Name:     "simulation never blocks despite drops",
 			Paper:    "loss of data rather than blocking (§V.C.1)",
-			Measured: stats.Summarize(tinyTimes[warmup:]).Median / baseMean, Unit: "x", Lo: 0, Hi: 3,
+			Measured: stats.Summarize(tinyTimes[warmup:]).Median / baseMean, Unit: "x", Lo: 0, Hi: 3, Timed: true,
 		},
 		{
 			Name:     "modeled sync penalty at 800 cores",
 			Paper:    "VisIt synchronous did not scale to 800 cores (§V.C.1)",
-			Measured: worstPenalty, Unit: "x", Lo: 1.5,
+			Measured: worstPenalty, Unit: "x", Lo: 1.5, Timed: true,
 		},
 	}
 	return rep, nil

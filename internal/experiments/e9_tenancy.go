@@ -241,7 +241,7 @@ func runE9Runtime(opts Options, rep *Report) error {
 	table := stats.NewTable(
 		fmt.Sprintf("runtime tenants on one sharded broker, %d nodes × %d clients, %d iterations",
 			rtNodes, rtClients, rtIters),
-		"tenant", "nodes", "token_grants", "objects_written", "token_wait_s")
+		"tenant", "nodes", "token_grants", "objects_written", "token_wait_s").Measured("token_wait_s")
 	sumGrants := 0
 	for i, tn := range tenants {
 		st := ss.PerTenant[tn.ID()]

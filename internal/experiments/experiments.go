@@ -222,6 +222,10 @@ type Check struct {
 	Measured float64
 	Unit     string
 	Lo, Hi   float64 // accepted band; Hi == 0 means "at least Lo"
+	// Timed marks a measurement taken from the wall clock: it, and so
+	// its status, differs between two runs of the same binary, and
+	// Report.Masked hides both.
+	Timed bool
 }
 
 // Pass reports whether the measurement falls inside the band.
@@ -238,12 +242,16 @@ func (c Check) String() string {
 	if !c.Pass() {
 		status = "MISS"
 	}
+	return c.line(status, stats.FormatFloat(c.Measured))
+}
+
+func (c Check) line(status, measured string) string {
 	band := fmt.Sprintf("[%s, %s]", stats.FormatFloat(c.Lo), stats.FormatFloat(c.Hi))
 	if c.Hi == 0 {
 		band = fmt.Sprintf(">= %s", stats.FormatFloat(c.Lo))
 	}
 	return fmt.Sprintf("%s %-38s paper: %-34s measured: %s %s (band %s)",
-		status, c.Name, c.Paper, stats.FormatFloat(c.Measured), c.Unit, band)
+		status, c.Name, c.Paper, measured, c.Unit, band)
 }
 
 // Report bundles an experiment's tables and checks.
@@ -265,15 +273,30 @@ func (r Report) AllPass() bool {
 }
 
 // String renders the full report.
-func (r Report) String() string {
+func (r Report) String() string { return r.render(false) }
+
+// Masked renders the report like String with every measured table
+// cell and every Timed check's status and value replaced by "~": two
+// runs of the same binary print the same masked report.
+func (r Report) Masked() string { return r.render(true) }
+
+func (r Report) render(masked bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "=== %s — %s ===\n", r.ID, r.Title)
 	for _, t := range r.Tables {
-		b.WriteString(t.String())
+		if masked {
+			b.WriteString(t.Masked())
+		} else {
+			b.WriteString(t.String())
+		}
 		b.WriteByte('\n')
 	}
 	for _, c := range r.Checks {
-		b.WriteString(c.String())
+		if masked && c.Timed {
+			b.WriteString(c.line("~   ", "~"))
+		} else {
+			b.WriteString(c.String())
+		}
 		b.WriteByte('\n')
 	}
 	return b.String()

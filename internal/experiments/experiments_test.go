@@ -70,6 +70,11 @@ func TestReportRendering(t *testing.T) {
 	if rep.AllPass() {
 		t.Fatal("AllPass with failing check")
 	}
+	rep.Checks = []Check{{Name: "wall", Measured: 10, Unit: "ms", Lo: 0, Hi: 2, Timed: true}}
+	if out := rep.Masked(); !strings.Contains(out, "~    wall") || strings.Contains(out, "MISS") ||
+		strings.Contains(out, "measured: 10") {
+		t.Fatalf("Masked must hide a timed check's status and value: %q", out)
+	}
 }
 
 func TestE1QuickShape(t *testing.T) {

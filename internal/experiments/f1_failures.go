@@ -90,7 +90,7 @@ func RunF1(opts Options) (Report, error) {
 		fmt.Sprintf("runtime cluster under node failures, %d nodes × %d clients, %d iterations",
 			rtNodes, rtClients, rtIters),
 		"fail_rate", "nodes_failed", "rerouted_edges", "blocks_lost", "loss_frac",
-		"partial_iters", "wall_ms")
+		"partial_iters", "wall_ms").Measured("wall_ms")
 
 	type rtRun struct {
 		sched *cluster.FailureSchedule

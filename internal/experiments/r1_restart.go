@@ -46,7 +46,7 @@ func RunR1(opts Options) (Report, error) {
 		fmt.Sprintf("restore-from-objects, %d nodes × %d clients, %d iterations, %s store",
 			rtNodes, rtClients, rtIters, stores[0].Name()),
 		"fail_rate", "nodes_failed", "blocks_lost", "manifests", "blocks_recovered",
-		"recovered_frac", "latest_ckpt", "restore_ms")
+		"recovered_frac", "latest_ckpt", "restore_ms").Measured("restore_ms")
 
 	type rtRun struct {
 		st        cluster.Stats

@@ -6,6 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -165,14 +166,30 @@ func Min(xs []float64) float64 {
 // Table accumulates rows and renders them with aligned columns, in the
 // style of the tables the experiment harness prints.
 type Table struct {
-	Title   string
-	headers []string
-	rows    [][]string
+	Title    string
+	headers  []string
+	measured []bool
+	rows     [][]string
 }
 
 // NewTable creates a table with the given title and column headers.
 func NewTable(title string, headers ...string) *Table {
-	return &Table{Title: title, headers: headers}
+	return &Table{Title: title, headers: headers, measured: make([]bool, len(headers))}
+}
+
+// Measured flags the named columns as wall-clock measurements: their
+// cells differ between two runs of the same binary, so Masked renders
+// them as "~". It panics on a name that is not a header, and returns t
+// so it chains onto NewTable.
+func (t *Table) Measured(headers ...string) *Table {
+	for _, h := range headers {
+		i := slices.Index(t.headers, h)
+		if i < 0 {
+			panic(fmt.Sprintf("stats: table %q has no column %q", t.Title, h))
+		}
+		t.measured[i] = true
+	}
+	return t
 }
 
 // AddRow appends a row; each cell is rendered with %v.
@@ -195,12 +212,29 @@ func (t *Table) AddRow(cells ...interface{}) {
 func (t *Table) NumRows() int { return len(t.rows) }
 
 // String renders the table with padded columns.
-func (t *Table) String() string {
+func (t *Table) String() string { return t.render(t.rows) }
+
+// Masked renders the table like String with every Measured cell
+// replaced by "~": the run-to-run stable view golden files compare.
+func (t *Table) Masked() string {
+	rows := make([][]string, len(t.rows))
+	for r, row := range t.rows {
+		rows[r] = slices.Clone(row)
+		for i := range rows[r] {
+			if i < len(t.measured) && t.measured[i] {
+				rows[r][i] = "~"
+			}
+		}
+	}
+	return t.render(rows)
+}
+
+func (t *Table) render(rows [][]string) string {
 	widths := make([]int, len(t.headers))
 	for i, h := range t.headers {
 		widths[i] = len(h)
 	}
-	for _, row := range t.rows {
+	for _, row := range rows {
 		for i, cell := range row {
 			if i < len(widths) && len(cell) > widths[i] {
 				widths[i] = len(cell)
@@ -226,7 +260,7 @@ func (t *Table) String() string {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
 	writeRow(sep)
-	for _, row := range t.rows {
+	for _, row := range rows {
 		writeRow(row)
 	}
 	return b.String()

@@ -119,6 +119,23 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
+func TestTableMaskedHidesMeasuredColumns(t *testing.T) {
+	tb := NewTable("", "leg", "wall_ms").Measured("wall_ms")
+	tb.AddRow("a", 12.345)
+	if got, want := tb.Masked(), "leg  wall_ms\n---  -------\na    ~      \n"; got != want {
+		t.Fatalf("Masked = %q, want %q", got, want)
+	}
+	if !strings.Contains(tb.String(), "12.3") {
+		t.Fatalf("String must keep measured cells:\n%s", tb.String())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Measured accepted a column that is not a header")
+		}
+	}()
+	tb.Measured("nope")
+}
+
 func TestFormatFloat(t *testing.T) {
 	cases := map[float64]string{
 		12345:   "12345",
