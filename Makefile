@@ -114,7 +114,7 @@ c1-smoke:
 # one package per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchCodec$$' -fuzztime 10s ./internal/cluster
-	$(GO) test -run '^$$' -fuzz '^FuzzManifestV2Decode$$' -fuzztime 10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzManifestDecode$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecDecode$$' -fuzztime 10s ./internal/compress
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkFrameDecode$$' -fuzztime 10s ./internal/storage/chunk

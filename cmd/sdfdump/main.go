@@ -93,10 +93,6 @@ func dumpStore(dir string) error {
 		if m.Partial {
 			status = " PARTIAL"
 		}
-		if m.Codec != "" {
-			// The manifest also records how its data object was stored.
-			status += fmt.Sprintf(" data-codec=%s %d->%dB", m.Codec, m.RawBytes, m.EncodedBytes)
-		}
 		fmt.Printf("  %-44s job=%s root=%d it=%d covers=%d nodes blocks=%d payload=%dB%s%s\n",
 			name, m.Job, m.Root, m.Iteration, len(m.Covers), len(m.Blocks), bytes, codecNote, status)
 	}
@@ -152,11 +148,11 @@ func getDecoded(stack, inner storage.ObjectReader, name string) (data []byte, no
 	if !chunk.IsRecipe(decoded) {
 		return decoded, note, nil
 	}
-	refs, rawSize, err := chunk.DecodeRecipe(decoded)
+	chunks, rawSize, err := chunk.DecodeRecipe(decoded)
 	if err != nil {
 		return nil, note, err
 	}
-	note += fmt.Sprintf(" dedup=%d chunks %dB raw", len(refs), rawSize)
+	note += fmt.Sprintf(" dedup=%d chunks %dB raw", chunks, rawSize)
 	data, err = stack.Get(name)
 	return data, note, err
 }

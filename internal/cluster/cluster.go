@@ -769,24 +769,6 @@ func (a *aggregator) store(b *Batch, covers []int, partial bool, window int) {
 		// manifest Put degrades the run to unreplayable, not broken —
 		// the data object is already durable.
 		m := newManifest(c.spec.JobName, a.node, name, b, covers, partial)
-		if ci, ok := c.cc.Store.(storage.ObjectCodecInfoer); ok {
-			// A compressing store knows how it just encoded the data
-			// object; the manifest records codec and sizes so a restart
-			// can see the compression story without fetching payloads.
-			if info, known := ci.ObjectCodec(name); known {
-				m.Codec = info.Codec
-				m.RawBytes = info.RawBytes
-				m.EncodedBytes = info.EncodedBytes
-			}
-		}
-		if chi, ok := c.cc.Store.(storage.ObjectChunkInfoer); ok {
-			// A dedup store knows the object's content-addressed chunk
-			// set; the manifest (v2) records it, so a restart can walk
-			// the whole chunk dependency graph from manifests alone.
-			if info, known := chi.ObjectChunks(name); known {
-				m.setChunks(info)
-			}
-		}
 		if merr := c.cc.Store.Put(m.Name(), EncodeManifest(m)); merr != nil {
 			c.fail(fmt.Errorf("storing manifest %s: %w", m.Name(), merr))
 		} else {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/rng"
-	"repro/internal/storage"
 )
 
 // FuzzBatchCodec feeds arbitrary bytes to DecodeBatch; anything it
@@ -53,63 +52,54 @@ func FuzzBatchCodec(f *testing.F) {
 	})
 }
 
-// FuzzManifestV2Decode feeds arbitrary bytes to DecodeManifest: corrupt
-// chunk hashes, truncated chunk lists and format forgeries must surface
-// as the typed manifest errors — never a panic — and anything accepted
-// must round-trip through encode/decode with its chunk set intact.
-func FuzzManifestV2Decode(f *testing.F) {
+// FuzzManifestDecode feeds arbitrary bytes to DecodeManifest: corrupt
+// JSON, truncations and foreign format tags must surface as the typed
+// manifest errors — never a panic — and anything accepted must
+// round-trip through encode/decode to the same bytes. A manifest tagged
+// damaris-manifest-v2 is foreign; a v1 manifest carrying unknown fields
+// (codec sizes, say) decodes with them ignored.
+func FuzzManifestDecode(f *testing.F) {
 	b := &Batch{Iteration: 2, Blocks: []Block{
 		{Node: 0, Source: 0, Variable: "theta", Data: bytes.Repeat([]byte{3}, 64)},
 	}}
-	v1 := newManifest("job", 0, "job-root000-it000002", b, []int{0, 1}, false)
-	f.Add(EncodeManifest(v1))
-	v2 := newManifest("job", 1, "job-root001-it000002", b, []int{0, 1}, false)
-	v2.setChunks(storage.ChunkInfo{
-		Chunks: []storage.ChunkRef{
-			{Hash: "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef", Bytes: 700},
-			{Hash: "fedcba9876543210fedcba9876543210fedcba9876543210fedcba9876543210", Bytes: 324},
-		},
-		RawBytes: 1024,
-		NewBytes: 700,
-	})
-	enc2 := EncodeManifest(v2)
-	f.Add(enc2)
-	f.Add(enc2[:len(enc2)-9]) // truncated chunk list
-	f.Add([]byte(`{"format":"damaris-manifest-v2","chunks":[{"hash":"xyz","bytes":4}],"chunk_raw_bytes":4}`))
-	f.Add([]byte(`{"format":"damaris-manifest-v2","chunks":[{"hash":"0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef","bytes":-1}]}`))
-	f.Add([]byte(`{"format":"damaris-manifest-v1","chunks":[{"hash":"0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef","bytes":4}]}`))
+	v1 := EncodeManifest(newManifest("job", 0, "job-root000-it000002", b, []int{0, 1}, false))
+	v2 := bytes.Replace(v1, []byte(manifestFormat), []byte("damaris-manifest-v2"), 1)
+	v2 = bytes.Replace(v2, []byte(`"blocks":`),
+		[]byte(`"chunks":[{"hash":"0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef","bytes":64}],"blocks":`), 1)
+	if _, err := DecodeManifest(v2); !errors.Is(err, ErrManifestFormat) {
+		f.Fatalf("v2 manifest: err = %v, want ErrManifestFormat", err)
+	}
+	legacy := bytes.Replace(v1, []byte(`"blocks":`),
+		[]byte(`"codec":"delta","raw_bytes":8540,"encoded_bytes":432,"blocks":`), 1)
+	if m, err := DecodeManifest(legacy); err != nil || !bytes.Equal(EncodeManifest(m), v1) {
+		f.Fatalf("legacy v1 manifest with codec fields: err = %v", err)
+	}
+	f.Add(v1)
+	f.Add(v2)
+	f.Add(v1[:len(v1)-9])
+	f.Add(v1[:len(v1)/2])
+	f.Add(legacy)
+	f.Add(EncodeManifest(newManifest("job", 1, "job-root001-it000002", &Batch{Iteration: 2}, nil, true)))
 	f.Add([]byte(`{"format":"damaris-manifest-v9"}`))
 	f.Add([]byte("not json"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeManifest(data)
 		if err != nil {
-			if !errors.Is(err, ErrNotManifest) && !errors.Is(err, ErrManifestFormat) &&
-				!errors.Is(err, ErrBadChunkRef) {
+			if !errors.Is(err, ErrNotManifest) && !errors.Is(err, ErrManifestFormat) {
 				t.Fatalf("untyped decode error: %v", err)
 			}
 			return
 		}
-		var sum int64
-		for _, r := range m.Chunks {
-			if len(r.Hash) != 64 || r.Bytes <= 0 {
-				t.Fatalf("invalid chunk ref survived decode: %+v", r)
-			}
-			sum += int64(r.Bytes)
+		if m.Format != manifestFormat {
+			t.Fatalf("decoded a manifest tagged %q", m.Format)
 		}
-		if len(m.Chunks) > 0 && sum != m.ChunkRawBytes {
-			t.Fatalf("inconsistent chunk sum survived decode: %d vs %d", sum, m.ChunkRawBytes)
-		}
-		m2, err := DecodeManifest(EncodeManifest(m))
+		enc := EncodeManifest(m)
+		m2, err := DecodeManifest(enc)
 		if err != nil {
 			t.Fatalf("re-decode of a valid manifest failed: %v", err)
 		}
-		if m2.Format != m.Format || m2.Iteration != m.Iteration || len(m2.Chunks) != len(m.Chunks) {
-			t.Fatalf("round trip changed shape: %+v vs %+v", m, m2)
-		}
-		for i := range m.Chunks {
-			if m2.Chunks[i] != m.Chunks[i] {
-				t.Fatalf("round trip changed chunk %d: %+v vs %+v", i, m.Chunks[i], m2.Chunks[i])
-			}
+		if enc2 := EncodeManifest(m2); !bytes.Equal(enc, enc2) {
+			t.Fatalf("round trip not stable:\n%s\n%s", enc, enc2)
 		}
 	})
 }

@@ -123,14 +123,6 @@ func fetchBatch(store storage.ObjectReader, m *Manifest) (*Batch, error) {
 	if err != nil {
 		return nil, fmt.Errorf("object %s: %w", m.Object, err)
 	}
-	if len(m.Chunks) > 0 && int64(len(obj)) != m.ChunkRawBytes {
-		// A v2 manifest pins the object's reassembled size: a dedup store
-		// serves exactly the chunk sum, so a mismatch means the store
-		// returned something other than what the manifest indexed (e.g. a
-		// raw recipe read through a non-dedup-aware store).
-		return nil, fmt.Errorf("object %s: %d bytes served, manifest chunks sum to %d",
-			m.Object, len(obj), m.ChunkRawBytes)
-	}
 	b, err := DecodeBatch(obj)
 	if err != nil {
 		return nil, fmt.Errorf("object %s: %w", m.Object, err)

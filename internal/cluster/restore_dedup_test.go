@@ -80,9 +80,8 @@ func checkDedupRestore(t *testing.T, r *Restored, st Stats, nodes, clients, iter
 // TestRestoreDedupMatrix is the dedup round-trip matrix: chunk store
 // over {memory, sdf}, with and without the compression pipeline in
 // between, with and without a mid-run node failure. Every cell must
-// recover exactly the non-lost blocks byte-identical, the manifests
-// must carry the v2 chunk sets, and the stream must actually have
-// deduplicated.
+// recover exactly the non-lost blocks byte-identical, and the stream
+// must actually have deduplicated.
 func TestRestoreDedupMatrix(t *testing.T) {
 	const nodes, clients, iters, failAt = 9, 2, 4, 2
 	for _, backend := range []string{"memory", "sdf"} {
@@ -141,36 +140,6 @@ func TestRestoreDedupMatrix(t *testing.T) {
 					}
 					checkDedupRestore(t, r, stats, nodes, clients, iters)
 
-					// Manifest v2: every stored data object's manifest carries
-					// its chunk set.
-					names, err := st.List("clustertest-")
-					if err != nil {
-						t.Fatal(err)
-					}
-					v2 := 0
-					for _, n := range names {
-						if !IsManifestName(n) {
-							continue
-						}
-						data, err := st.Get(n)
-						if err != nil {
-							t.Fatal(err)
-						}
-						m, err := DecodeManifest(data)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if len(m.Chunks) > 0 {
-							v2++
-							if m.ChunkNewBytes > m.ChunkRawBytes {
-								t.Fatalf("manifest %s: new %d > raw %d", n, m.ChunkNewBytes, m.ChunkRawBytes)
-							}
-						}
-					}
-					if v2 == 0 {
-						t.Fatal("no manifest carried a v2 chunk set")
-					}
-
 					// SDF persists: a fresh stack over the same directory (a
 					// restarted process with empty indexes) must restore too.
 					if backend == "sdf" {
@@ -189,6 +158,75 @@ func TestRestoreDedupMatrix(t *testing.T) {
 						checkDedupRestore(t, r2, stats, nodes, clients, iters)
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestManifestsIdenticalAcrossStacks pins what a manifest is: a record
+// of what the cluster decided, nothing about how the store laid the
+// bytes down. One lockstep workload over memory, memory+codec,
+// memory+dedup and memory+codec+dedup must leave byte-identical
+// manifests (read back through each stack) under the same names.
+func TestManifestsIdenticalAcrossStacks(t *testing.T) {
+	const nodes, clients, iters = 9, 2, 3
+	manifests := func(codec string, dedup *chunk.Options) map[string][]byte {
+		store, err := chunk.Stack(storage.NewMemory(nil, 4, 1e9), codec, dedup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := New(ClusterConfig{
+			Platform: testPlatform(nodes, clients+1),
+			Fanout:   2,
+			Store:    store,
+		}, RunSpec{Meta: testMeta(t)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = Drive(c, Workload{Variable: "theta", To: iters, Payload: payloadDedup,
+			EachIteration: func(int) error { return nil }})
+		if err != nil {
+			t.Error(err)
+		}
+		if err := c.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		names, err := store.List("clustertest-")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]byte{}
+		for _, n := range names {
+			if !IsManifestName(n) {
+				continue
+			}
+			if out[n], err = store.Get(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(out) == 0 {
+			t.Fatalf("codec=%q dedup=%v stored no manifests", codec, dedup != nil)
+		}
+		return out
+	}
+	want := manifests("", nil)
+	for _, stack := range []struct {
+		codec string
+		dedup *chunk.Options
+	}{
+		{storage.AdaptiveCodec, nil},
+		{"", &chunk.Options{}},
+		{storage.AdaptiveCodec, &chunk.Options{}},
+	} {
+		got := manifests(stack.codec, stack.dedup)
+		if len(got) != len(want) {
+			t.Fatalf("codec=%q dedup=%v: %d manifests, plain store has %d",
+				stack.codec, stack.dedup != nil, len(got), len(want))
+		}
+		for n, w := range want {
+			if !bytes.Equal(got[n], w) {
+				t.Fatalf("codec=%q dedup=%v: manifest %s differs from the plain store's\n got %s\nwant %s",
+					stack.codec, stack.dedup != nil, n, got[n], w)
 			}
 		}
 	}

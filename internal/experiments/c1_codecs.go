@@ -108,7 +108,8 @@ func RunC1(opts Options) (Report, error) {
 	costs := map[string]float64{}
 	adaptiveChoices := map[string]string{}
 	for _, policy := range c1Policies() {
-		store := storage.NewCompressing(storage.NewMemory(nil, 4, 1e9),
+		base := storage.NewMemory(nil, 4, 1e9)
+		store := storage.NewCompressing(base,
 			storage.CompressionOptions{
 				Codec:             policy,
 				TransferBandwidth: c1TransferBW,
@@ -128,12 +129,25 @@ func RunC1(opts Options) (Report, error) {
 				if !bytes.Equal(got, data) {
 					return Report{}, fmt.Errorf("c1: %s round trip of %s differs", policy, name)
 				}
-				if info, ok := store.ObjectCodec(name); ok && policy == storage.AdaptiveCodec {
-					adaptiveChoices[ds.name] = info.Codec
-				}
 			}
 		}
 		acc := store.Accounting()
+		if policy == storage.AdaptiveCodec {
+			// Each dataset's last stored frame records the cached choice;
+			// read after the ledger, so the reads do not count as cost.
+			for _, ds := range datasets {
+				name := fmt.Sprintf("c1-%s-it%06d", ds.name, c1Iters-1)
+				obj, err := base.Get(name)
+				if err != nil {
+					return Report{}, fmt.Errorf("c1: base get %s: %w", name, err)
+				}
+				h, _, err := storage.ParseFrameHeader(obj)
+				if err != nil {
+					return Report{}, fmt.Errorf("c1: frame of %s: %w", name, err)
+				}
+				adaptiveChoices[ds.name] = h.Codec
+			}
+		}
 		cost := c1Cost(acc)
 		costs[policy] = cost
 		sweep.AddRow(policy, float64(acc.ObjectRawBytes)/1e6, float64(acc.ObjectBytes)/1e6,
@@ -159,7 +173,7 @@ func RunC1(opts Options) (Report, error) {
 	// ErrNoPayload degradation instead of byte equality.
 	rtTable := stats.NewTable("compressed-store restore round trip (4 nodes × 2 clients × 2 iterations)",
 		"backend", "objects", "manifests", "blocks", "byte_equal", "replayed_iters")
-	byteEqualOK, manifestCodecOK := 1.0, 1.0
+	byteEqualOK, framesOK := 1.0, 1.0
 	for _, kind := range storage.Kinds() {
 		r, err := c1RoundTrip(opts, kind)
 		if err != nil {
@@ -170,8 +184,8 @@ func RunC1(opts Options) (Report, error) {
 			if r.byteEqual != 1 {
 				byteEqualOK = 0
 			}
-			if !r.manifestCodec {
-				manifestCodecOK = 0
+			if !r.framesRecordCodec {
+				framesOK = 0
 			}
 		}
 	}
@@ -225,9 +239,9 @@ func RunC1(opts Options) (Report, error) {
 			Measured: byteEqualOK, Unit: "", Lo: 1, Hi: 1,
 		},
 		{
-			Name:     "manifests record codec and sizes",
+			Name:     "stored frames record codec and sizes",
 			Paper:    "restart sees the compression story",
-			Measured: manifestCodecOK, Unit: "", Lo: 1, Hi: 1,
+			Measured: framesOK, Unit: "", Lo: 1, Hi: 1,
 		},
 		{
 			Name:     "simulation overhead with the pipeline",
@@ -246,12 +260,12 @@ func RunC1(opts Options) (Report, error) {
 
 // c1RoundTripResult summarizes one backend's compressed-store restore.
 type c1RoundTripResult struct {
-	objects       int
-	manifests     int
-	blocks        int
-	byteEqual     float64
-	replayed      int
-	manifestCodec bool
+	objects           int
+	manifests         int
+	blocks            int
+	byteEqual         float64
+	replayed          int
+	framesRecordCodec bool
 }
 
 // c1Field is the deterministic payload for (node, source, iteration),
@@ -274,11 +288,15 @@ func c1RoundTrip(opts Options, kind storage.Kind) (c1RoundTripResult, error) {
 		clients = 2
 		iters   = 2
 	)
-	store, cleanup, err := c1Backend(opts, kind)
+	base, cleanup, err := c1Backend(opts, kind)
 	if err != nil {
 		return c1RoundTripResult{}, err
 	}
 	defer cleanup()
+	store, err := chunk.Stack(base, storage.AdaptiveCodec, nil)
+	if err != nil {
+		return c1RoundTripResult{}, err
+	}
 	st, _, err := runtimeLeg{
 		job: "c1", nodes: nodes, clients: clients, floats: 64, iters: iters,
 		cc:      cluster.ClusterConfig{Store: store},
@@ -329,33 +347,28 @@ func c1RoundTrip(opts Options, kind storage.Kind) (c1RoundTripResult, error) {
 	}); err != nil {
 		return res, err
 	}
-	// Manifests must carry the codec story: re-read them raw.
-	res.manifestCodec = true
-	names, err := store.List("c1-")
+	// Every stored object carries its codec story in its own frame
+	// header: re-read them raw from the base store.
+	res.framesRecordCodec = true
+	names, err := base.List("c1-")
 	if err != nil {
 		return res, err
 	}
 	for _, name := range names {
-		if !cluster.IsManifestName(name) {
-			continue
-		}
-		data, err := store.Get(name)
+		obj, err := base.Get(name)
 		if err != nil {
 			return res, err
 		}
-		m, err := cluster.DecodeManifest(data)
-		if err != nil {
-			return res, err
-		}
-		if m.Codec == "" || m.RawBytes <= 0 || m.EncodedBytes <= 0 {
-			res.manifestCodec = false
+		h, _, err := storage.ParseFrameHeader(obj)
+		if err != nil || h.Codec == "" || h.RawSize <= 0 || h.EncodedSize <= 0 {
+			res.framesRecordCodec = false
 		}
 	}
 	return res, nil
 }
 
-// c1Backend builds the adaptively compressed store of one round-trip
-// run over the given backend kind; cleanup removes temporary artifacts.
+// c1Backend builds the base store of one round-trip run for the given
+// backend kind; cleanup removes temporary artifacts.
 func c1Backend(opts Options, kind storage.Kind) (store storage.Backend, cleanup func(), err error) {
 	cleanup = func() {}
 	switch kind {
@@ -374,10 +387,6 @@ func c1Backend(opts Options, kind storage.Kind) (store storage.Backend, cleanup 
 	default:
 		p := opts.platformFor(opts.Scales[0])
 		store = storage.NewPFS(des.NewEngine(), p.PFS, rng.New(opts.Seed, 41))
-	}
-	if store, err = chunk.Stack(store, storage.AdaptiveCodec, nil); err != nil {
-		cleanup()
-		return nil, nil, err
 	}
 	return store, cleanup, nil
 }

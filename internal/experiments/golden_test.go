@@ -18,6 +18,9 @@ var update = flag.Bool("update", false, "rewrite testdata/quick.golden from this
 //
 //	go test ./internal/experiments -run TestQuickGolden -update
 func TestQuickGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment, runtime legs included")
+	}
 	var b strings.Builder
 	for _, e := range Registry() {
 		rep, err := e.Run(Quick())

@@ -47,7 +47,7 @@ func FuzzChunkFrameDecode(f *testing.F) {
 	f.Add(index[:len(index)-recipeEntryLen/2])
 	f.Add(index[:recipeHeaderLen-3])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		refs, rawSize, err := DecodeRecipe(data)
+		chunks, rawSize, err := DecodeRecipe(data)
 		if err != nil {
 			if !errors.Is(err, ErrNotChunked) && !errors.Is(err, ErrCorruptRecipe) {
 				t.Fatalf("untyped decode error: %v", err)
@@ -56,31 +56,31 @@ func FuzzChunkFrameDecode(f *testing.F) {
 		}
 		// The per-entry footprint bounds any successful decode: a corrupt
 		// count cannot have driven an allocation beyond the input length.
-		if len(refs)*recipeEntryLen > len(data) {
-			t.Fatalf("%d entries decoded from %d bytes", len(refs), len(data))
+		if chunks*recipeEntryLen > len(data) {
+			t.Fatalf("%d entries decoded from %d bytes", chunks, len(data))
+		}
+		ents, raw, err := decodeRecipe(data)
+		if err != nil || len(ents) != chunks || raw != rawSize {
+			t.Fatalf("internal decode disagrees: %d entries, %d bytes (err %v)", len(ents), raw, err)
 		}
 		var sum int64
-		for _, r := range refs {
-			if r.Bytes <= 0 || len(r.Hash) != 2*sha256.Size {
-				t.Fatalf("invalid ref survived decode: %+v", r)
+		for _, e := range ents {
+			if e.size <= 0 {
+				t.Fatalf("invalid entry survived decode: %+v", e)
 			}
-			sum += int64(r.Bytes)
+			sum += int64(e.size)
 		}
 		if sum != rawSize {
 			t.Fatalf("decoded sizes sum to %d, header said %d", sum, rawSize)
 		}
 		// Round trip: re-encoding a valid decode must reproduce the
 		// canonical bytes, and decode again identically.
-		ents, _, err := decodeRecipe(data)
-		if err != nil {
-			t.Fatalf("internal decode disagrees: %v", err)
-		}
 		enc, err := encodeRecipe(ents)
 		if err != nil {
 			t.Fatalf("re-encode of valid decode failed: %v", err)
 		}
-		refs2, raw2, err := DecodeRecipe(enc)
-		if err != nil || raw2 != rawSize || len(refs2) != len(refs) {
+		chunks2, raw2, err := DecodeRecipe(enc)
+		if err != nil || raw2 != rawSize || chunks2 != chunks {
 			t.Fatalf("re-decode mismatch (err %v)", err)
 		}
 		if !bytes.Equal(enc, data) {

@@ -3,11 +3,8 @@ package chunk
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
-
-	"repro/internal/storage"
 )
 
 // The chunk recipe is the self-describing envelope the dedup store
@@ -128,29 +125,9 @@ func decodeRecipe(obj []byte) ([]entry, int64, error) {
 	return ents, rawSize, nil
 }
 
-// DecodeRecipe parses a recipe object into its chunk references (hex
-// hashes + sizes in payload order) and declared raw size, with
-// decodeRecipe's errors.
-func DecodeRecipe(obj []byte) ([]storage.ChunkRef, int64, error) {
+// DecodeRecipe parses a recipe object into its chunk count and declared
+// raw size, with decodeRecipe's errors.
+func DecodeRecipe(obj []byte) (chunks int, rawSize int64, err error) {
 	ents, rawSize, err := decodeRecipe(obj)
-	if err != nil {
-		return nil, 0, err
-	}
-	return refsOf(ents), rawSize, nil
-}
-
-// refsOf renders an entry list as chunk references. The hex hashes are
-// substrings of one string, so a whole object's references cost two
-// allocations, not one per chunk.
-func refsOf(ents []entry) []storage.ChunkRef {
-	hexes := make([]byte, 0, len(ents)*2*sha256.Size)
-	for _, e := range ents {
-		hexes = hex.AppendEncode(hexes, e.sum[:])
-	}
-	all := string(hexes)
-	refs := make([]storage.ChunkRef, len(ents))
-	for i, e := range ents {
-		refs[i] = storage.ChunkRef{Hash: all[i*2*sha256.Size : (i+1)*2*sha256.Size], Bytes: e.size}
-	}
-	return refs
+	return len(ents), rawSize, err
 }

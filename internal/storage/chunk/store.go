@@ -56,12 +56,11 @@ type chunkEntry struct {
 func (c chunkEntry) dead() bool { return c.counted && c.refs <= 0 }
 
 // objectEntry is the index record for one stored object: its reference
-// count (Put starts it at one; Retain/Release move it), its recipe
-// entries (nil for a pass-through object) and sizes.
+// count (Put starts it at one; Retain/Release move it) and its recipe
+// entries (nil for a pass-through object).
 type objectEntry struct {
-	refs               int
-	ents               []entry
-	rawBytes, newBytes int64
+	refs int
+	ents []entry
 }
 
 // SweepStats reports what one GC sweep reclaimed.
@@ -181,9 +180,8 @@ func (s *Store) Put(name string, data []byte) error {
 		if err := s.inner.Put(name, data); err != nil {
 			return err
 		}
-		n := int64(len(data))
 		s.mu.Lock()
-		s.replaceLocked(name, &objectEntry{refs: 1, rawBytes: n, newBytes: n})
+		s.replaceLocked(name, &objectEntry{refs: 1})
 		s.mu.Unlock()
 		return nil
 	}
@@ -218,7 +216,6 @@ func (s *Store) Put(name string, data []byte) error {
 		fresh = append(fresh, e)
 		segs = append(segs, pieces[i])
 	}
-	var newBytes int64
 	if len(fresh) > 0 {
 		if err := s.writePackLocked(fresh, segs, ""); err != nil {
 			for _, e := range fresh {
@@ -226,15 +223,13 @@ func (s *Store) Put(name string, data []byte) error {
 			}
 			return err
 		}
-		newBytes = int64(storage.SegsLen(segs))
 		s.chunksStored += len(fresh)
-		s.bytesStored += newBytes
+		s.bytesStored += int64(storage.SegsLen(segs))
 	}
 	if err := s.inner.Put(name, recipe); err != nil {
 		return err // the pack's chunks stay unreferenced: the next sweep reclaims them
 	}
-	s.replaceLocked(name, &objectEntry{refs: 1, ents: ents,
-		rawBytes: int64(len(data)), newBytes: newBytes})
+	s.replaceLocked(name, &objectEntry{refs: 1, ents: ents})
 	return nil
 }
 
@@ -403,9 +398,9 @@ func (s *Store) Retain(name string) error {
 	if err != nil {
 		return fmt.Errorf("chunk: retain %q: %w", name, err)
 	}
-	e := &objectEntry{refs: 1, rawBytes: int64(len(obj))}
+	e := &objectEntry{refs: 1}
 	if IsRecipe(obj) {
-		if e.ents, e.rawBytes, err = decodeRecipe(obj); err != nil {
+		if e.ents, _, err = decodeRecipe(obj); err != nil {
 			return fmt.Errorf("chunk: retain %q: %w", name, err)
 		}
 		s.refLocked(e.ents)
@@ -485,19 +480,6 @@ func (s *Store) Sweep() (SweepStats, error) {
 	s.collected += stats.Chunks
 	s.bytesFreed += stats.BytesFreed
 	return stats, nil
-}
-
-// ObjectChunks implements storage.ObjectChunkInfoer for chunked objects
-// stored or retained through this process (pass-through objects report
-// ok=false, like the codec infoer does).
-func (s *Store) ObjectChunks(name string) (storage.ChunkInfo, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.objects[name]
-	if !ok || len(e.ents) == 0 {
-		return storage.ChunkInfo{}, false
-	}
-	return storage.ChunkInfo{Chunks: refsOf(e.ents), RawBytes: e.rawBytes, NewBytes: e.newBytes}, true
 }
 
 // desWrite is the layer's write-side storage.TransferCost: it charges

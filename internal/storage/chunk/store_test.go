@@ -31,12 +31,17 @@ func TestDedupStoreRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("round trip mismatch")
 	}
-	info, ok := st.ObjectChunks("obj-it000001")
-	if !ok || len(info.Chunks) < 2 {
-		t.Fatalf("expected a multi-chunk decomposition, got ok=%v chunks=%d", ok, len(info.Chunks))
+	recipe, err := mem.Get("obj-it000001")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if info.RawBytes != int64(len(data)) || info.NewBytes != info.RawBytes {
-		t.Fatalf("first store should be all-new: %+v", info)
+	if chunks, rawSize, err := DecodeRecipe(recipe); err != nil || chunks < 2 || rawSize != int64(len(data)) {
+		t.Fatalf("expected a multi-chunk recipe of %d bytes, got %d chunks, %d bytes (err %v)",
+			len(data), chunks, rawSize, err)
+	}
+	first := st.Accounting()
+	if first.ChunkBytesStored != int64(len(data)) || first.ChunkBytesDeduped != 0 {
+		t.Fatalf("first store should be all-new: %+v", first)
 	}
 
 	// Overwrite a quarter of the payload and store it as the next
@@ -46,15 +51,10 @@ func TestDedupStoreRoundTrip(t *testing.T) {
 	if err := st.Put("obj-it000002", edited); err != nil {
 		t.Fatal(err)
 	}
-	info2, ok := st.ObjectChunks("obj-it000002")
-	if !ok {
-		t.Fatal("second iteration lost its chunk info")
-	}
-	if info2.NewBytes >= info2.RawBytes/2 {
-		t.Fatalf("25%% overwrite stored %d of %d bytes new — dedup not working",
-			info2.NewBytes, info2.RawBytes)
-	}
 	acc := st.Accounting()
+	if fresh := acc.ChunkBytesStored - first.ChunkBytesStored; fresh >= int64(len(edited))/2 {
+		t.Fatalf("25%% overwrite stored %d of %d bytes new — dedup not working", fresh, len(edited))
+	}
 	if acc.ChunksDeduped == 0 || acc.DedupBytesSaved <= 0 {
 		t.Fatalf("dedup counters empty: %+v", acc)
 	}
@@ -73,8 +73,8 @@ func TestDedupStorePassThrough(t *testing.T) {
 	if err := st.Put("job-manifest", small); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.ObjectChunks("job-manifest"); ok {
-		t.Fatal("pass-through object should report no chunk info")
+	if acc := st.Accounting(); acc.ChunksStored != 0 {
+		t.Fatalf("pass-through object stored %d chunks", acc.ChunksStored)
 	}
 	raw, err := mem.Get("job-manifest")
 	if err != nil || !bytes.Equal(raw, small) {

@@ -51,28 +51,6 @@ func Profile(codec string) (CodecProfile, bool) {
 	return p, ok
 }
 
-// CodecInfo records how one object was stored by the compression
-// pipeline; cluster manifests embed it so a restart knows each block
-// container's codec and sizes before fetching any payload.
-type CodecInfo struct {
-	// Codec is the chosen codec name.
-	Codec string
-	// RawBytes and EncodedBytes are the object's payload sizes before
-	// and after encoding (EncodedBytes excludes the frame header).
-	RawBytes     int64
-	EncodedBytes int64
-}
-
-// ObjectCodecInfoer is implemented by stores that can report how an
-// object was encoded (the Compressing wrapper). Consumers test for it
-// with a type assertion, so plain backends keep working unchanged.
-type ObjectCodecInfoer interface {
-	// ObjectCodec reports the codec info recorded when name was stored
-	// through this process, and ok=false for unknown or pass-through
-	// objects.
-	ObjectCodec(name string) (CodecInfo, bool)
-}
-
 // CodecCount is one codec's slice of the per-codec ledger.
 type CodecCount struct {
 	// Objects stored with this codec.
@@ -156,11 +134,7 @@ type Compressing struct {
 
 	mu     sync.Mutex
 	choice map[string]string // dataset key → cached codec choice
-	// info records how each object was stored — one small entry per
-	// object name, the same per-object footprint the inner backends'
-	// accounting maps (sdf/pfs objSize) already keep.
-	info map[string]CodecInfo
-	des  string // lazily chosen cost-face codec ("" until first priced)
+	des    string            // lazily chosen cost-face codec ("" until first priced)
 
 	bytesSaved float64
 	encodeTime float64
@@ -177,7 +151,6 @@ func NewCompressing(inner Backend, opts CompressionOptions) *Compressing {
 		inner:    inner,
 		opts:     opts.withDefaults(),
 		choice:   map[string]string{},
-		info:     map[string]CodecInfo{},
 		perCodec: map[string]CodecCount{},
 	}
 	c.CostModel = Reduce(inner, c.desEncode, c.desDecode)
@@ -356,24 +329,22 @@ func (c *Compressing) PutVec(name string, segs [][]byte) error {
 	if err := PutVec(c.inner, name, w.finish(used)); err != nil {
 		return err
 	}
-	c.recordPut(name, used, int64(total), int64(w.encLen))
+	c.recordPut(used, int64(total), int64(w.encLen))
 	return nil
 }
 
-// recordPut accounts one stored object: codec CPU, the per-object
-// codec info manifests embed, and the per-codec ledger.
-func (c *Compressing) recordPut(name, used string, rawBytes, encBytes int64) {
-	info := CodecInfo{Codec: used, RawBytes: rawBytes, EncodedBytes: encBytes}
+// recordPut accounts one stored object: codec CPU and the per-codec
+// ledger. How the object itself was encoded is in its frame header.
+func (c *Compressing) recordPut(used string, rawBytes, encBytes int64) {
 	c.mu.Lock()
 	charge(&c.encodeTime, defaultProfiles[used].EncodeRate, float64(rawBytes))
-	c.info[name] = info
 	c.objects++
-	c.rawBytes += info.RawBytes
-	c.encBytes += info.EncodedBytes
+	c.rawBytes += rawBytes
+	c.encBytes += encBytes
 	pc := c.perCodec[used]
 	pc.Objects++
-	pc.RawBytes += info.RawBytes
-	pc.EncodedBytes += info.EncodedBytes
+	pc.RawBytes += rawBytes
+	pc.EncodedBytes += encBytes
 	c.perCodec[used] = pc
 	c.mu.Unlock()
 }
@@ -403,28 +374,13 @@ func (c *Compressing) Get(name string) ([]byte, error) {
 // List implements ObjectReader: framing does not rename objects.
 func (c *Compressing) List(prefix string) ([]string, error) { return c.inner.List(prefix) }
 
-// Delete implements ObjectDeleter when the inner backend does,
-// dropping the local codec-info entry either way.
+// Delete implements ObjectDeleter when the inner backend does.
 func (c *Compressing) Delete(name string) error {
 	del, ok := c.inner.(ObjectDeleter)
 	if !ok {
 		return fmt.Errorf("storage: backend %s cannot delete objects", c.inner.Name())
 	}
-	err := del.Delete(name)
-	if err == nil {
-		c.mu.Lock()
-		delete(c.info, name)
-		c.mu.Unlock()
-	}
-	return err
-}
-
-// ObjectCodec implements ObjectCodecInfoer.
-func (c *Compressing) ObjectCodec(name string) (CodecInfo, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	info, ok := c.info[name]
-	return info, ok
+	return del.Delete(name)
 }
 
 // desProfile resolves the single codec the cost face prices. A fixed

@@ -279,10 +279,8 @@ func TestPutVecRoundTripProperty(t *testing.T) {
 				if !slices.Equal(gotParts, wantParts) {
 					t.Fatalf("%s: parts %v, want %v", name, gotParts, wantParts)
 				}
-				info, ok := b.ObjectCodec(name)
-				if !ok || info.Codec != h.Codec || info.RawBytes != int64(len(want)) ||
-					info.EncodedBytes != int64(h.EncodedSize) || h.EncodedSize > len(want) {
-					t.Fatalf("%s: ObjectCodec %+v vs header %+v", name, info, h)
+				if h.RawSize != len(want) || h.EncodedSize > len(want) {
+					t.Fatalf("%s: header %+v for a %d-byte object", name, h, len(want))
 				}
 			}
 		}
@@ -344,7 +342,8 @@ func TestFrameCorruptTable(t *testing.T) {
 // a shared store trial-encode outside the store lock and still end with
 // exactly one cached choice, which every object of the dataset uses.
 func TestCompressingConcurrentChoice(t *testing.T) {
-	b := NewCompressing(NewMemory(nil, 4, 1e8), CompressionOptions{})
+	inner := NewMemory(nil, 4, 1e8)
+	b := NewCompressing(inner, CompressionOptions{})
 	block := roundedFloats(standaloneBytes / 8)
 	const writers = 8
 	var wg sync.WaitGroup
@@ -363,9 +362,8 @@ func TestCompressingConcurrentChoice(t *testing.T) {
 		t.Fatalf("choices cached: %v, want one per dataset", b.choice)
 	}
 	for i := 0; i < writers; i++ {
-		info, ok := b.ObjectCodec(fmt.Sprintf("job-root%03d-it%06d", i%2, i))
-		if !ok || info.Codec != "delta" {
-			t.Fatalf("object %d stored as %+v, want delta", i, info)
+		if h := storedHeader(t, inner, fmt.Sprintf("job-root%03d-it%06d", i%2, i)); h.Codec != "delta" {
+			t.Fatalf("object %d stored as %+v, want delta", i, h)
 		}
 	}
 	if acc := b.Accounting(); acc.ObjectsCompressed != writers || acc.PerCodec["delta"].Objects != writers {

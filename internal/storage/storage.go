@@ -202,39 +202,40 @@ type ObjectDeleter interface {
 	Delete(name string) error
 }
 
-// ChunkRef is one content-addressed chunk reference: the hash that
-// names the chunk and the chunk's raw payload size. Manifests (cluster
-// manifest v2) embed chunk sets so a restart can see exactly which
-// stored chunks an iteration depends on without fetching any payload.
-type ChunkRef struct {
-	// Hash is the chunk's content hash in lowercase hex (SHA-256, 64
-	// characters).
-	Hash string `json:"hash"`
-	// Bytes is the chunk's raw payload size.
-	Bytes int `json:"bytes"`
+// The five declarations below are kept only because the benchmark
+// harness (benchmark/adapter.go) still names them in forwarders. No
+// store implements the two interfaces and nothing outside the benchmark
+// consumes them: how an object was stored is read from the store itself
+// (ParseFrameHeader, the chunk store's recipe). Delete them together
+// with the benchmark's forwarders.
+
+// CodecInfo is the result type of the codec interface; see above.
+type CodecInfo struct {
+	Codec        string
+	RawBytes     int64
+	EncodedBytes int64
 }
 
-// ChunkInfo records how one object was stored by a dedup chunk store.
+// ObjectCodecInfoer is implemented by no store; see above.
+type ObjectCodecInfoer interface {
+	ObjectCodec(name string) (CodecInfo, bool)
+}
+
+// ChunkRef is an element of ChunkInfo; see above.
+type ChunkRef struct {
+	Hash  string `json:"hash"`
+	Bytes int    `json:"bytes"`
+}
+
+// ChunkInfo is the result type of the chunk interface; see above.
 type ChunkInfo struct {
-	// Chunks lists the object's content-addressed chunk references in
-	// payload order (nil for objects stored raw, below the chunking
-	// threshold).
-	Chunks []ChunkRef
-	// RawBytes is the object's payload size before chunking.
+	Chunks   []ChunkRef
 	RawBytes int64
-	// NewBytes is the payload volume actually written to the inner
-	// backend — the chunks no earlier object had already stored.
 	NewBytes int64
 }
 
-// ObjectChunkInfoer is implemented by stores that can report an
-// object's chunk decomposition (the dedup chunk store). Consumers test
-// for it with a type assertion, so plain backends keep working
-// unchanged — the same pattern as ObjectCodecInfoer.
+// ObjectChunkInfoer is implemented by no store; see above.
 type ObjectChunkInfoer interface {
-	// ObjectChunks reports the chunk info recorded when name was stored
-	// through this process, and ok=false for unknown or pass-through
-	// objects.
 	ObjectChunks(name string) (ChunkInfo, bool)
 }
 
