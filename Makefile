@@ -34,7 +34,7 @@ test:
 # Repeated passes over what a single -count=1 run misses. Under the
 # race detector: tenants finishing while other roots are still inside
 # the broker's accounting (the E9 pinned-admission race showed up about
-# once in six runs), the service lifecycle, both brokers, the stream's
+# once in six runs), the service lifecycle, the token broker, the stream's
 # Seq order under racing publishers, the codec selector's first Puts
 # racing on one dataset and chunk-store Gets racing the sweep's pack
 # compaction. Without it, at -count=200
@@ -43,7 +43,7 @@ test:
 race-stress:
 	$(GO) test -race -count=10 -run 'TestE9PinnedAdmission' ./internal/experiments
 	$(GO) test -race -count=10 -run 'Service' ./internal/cluster
-	$(GO) test -race -count=10 -run 'Broker|Sharded|TestStreamPublishSeqOrder|TestCompressingConcurrentChoice' ./internal/storage
+	$(GO) test -race -count=10 -run 'Broker|TestStreamPublishSeqOrder|TestCompressingConcurrentChoice' ./internal/storage
 	$(GO) test -race -count=10 -run 'TestDedupStoreGetSweepRace|TestDedupStoreGetReresolvesAfterCompaction|TestDedupStoreConcurrentSweep' ./internal/storage/chunk
 	$(GO) test -count=200 -run 'TestClusterInteriorFailure|TestRestoreAfterFailure|TestAdaptReformRaceWithStreaming' ./internal/cluster
 

@@ -22,7 +22,7 @@ import (
 	"repro/internal/topology"
 )
 
-// brokerBenchSeq hands each BenchmarkBrokerSharded goroutine its own
+// brokerBenchSeq hands each BenchmarkBroker goroutine its own
 // target.
 var brokerBenchSeq atomic.Int64
 
@@ -328,16 +328,15 @@ func BenchmarkClusterAggregation(b *testing.B) {
 	}
 }
 
-// BenchmarkBrokerSharded measures the cluster-wide token broker under
+// BenchmarkBroker measures the cluster-wide token broker under
 // root-per-target contention, the pattern the runtime cluster
 // generates: 8 writers each acquiring and releasing their own target.
-// The sharded broker gives each a distinct lock to land on.
-func BenchmarkBrokerSharded(b *testing.B) {
+func BenchmarkBroker(b *testing.B) {
 	const writers = 8
-	broker := storage.NewShardedBroker(storage.BrokerOptions{
+	broker := storage.NewBroker(storage.BrokerOptions{
 		Policy:  storage.PolicyPerTarget,
 		Targets: writers,
-	}, writers)
+	})
 	b.RunParallel(func(pb *testing.PB) {
 		// Each goroutine sticks to one target, as each tree root does.
 		target := int(brokerBenchSeq.Add(1)) % writers

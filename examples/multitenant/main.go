@@ -1,6 +1,6 @@
 // Multitenant example: one long-lived cluster.Service hosting three
 // simulations on a shared four-node machine. The service owns the
-// platform, a sharded fair-share token broker, and one object store;
+// platform, one fair-share token broker, and one object store;
 // each tenant borrows a slice of nodes through an admission policy.
 // Two tenants fit side by side; the third oversubscribes the machine
 // and queues until a core frees up — then one running tenant is
@@ -44,10 +44,10 @@ func main() {
 	// The shared substrate: every tenant's dedicated cores arbitrate
 	// their writes on this one broker, fair-share weighted, holder-tagged
 	// so the per-tenant accounting stays exact.
-	broker := storage.NewShardedBroker(storage.BrokerOptions{
+	broker := storage.NewBroker(storage.BrokerOptions{
 		Policy:  storage.PolicyFairShare,
 		Targets: 2,
-	}, 2)
+	})
 	store := storage.NewMemory(nil, 2, 1e9)
 	svc, err := cluster.NewService(cluster.ClusterConfig{
 		Platform: topology.Platform{Name: "demo", Nodes: nodes, CoresPerNode: coresPer},

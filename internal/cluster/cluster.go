@@ -100,20 +100,19 @@ type Stats struct {
 	// for a write token; TokenGrants counts tokens granted.
 	TokenWaitTime float64
 	TokenGrants   int
-	// RootTokenWait splits TokenWaitTime per (tenant-local) root node
-	// id, and RootContention counts each root's grants that had to
-	// queue behind another root — same-tenant or cross-tenant — the
-	// interference the broker absorbed.
-	RootTokenWait  map[int]float64
+	// RootContention counts, per (tenant-local) root node id, the grants
+	// that had to queue behind another root — same-tenant or
+	// cross-tenant — the interference the broker absorbed.
 	RootContention map[int]int
 	// TokensReclaimed counts tokens (held or queued) freed because
 	// their holder was killed by the failure schedule or evicted.
 	TokensReclaimed int
 }
 
-// add accumulates another tenant's counters into s (map fields are
-// summed key-wise; Completeness keys collide only within one tenant, so
-// the union is taken). Used by ServiceStats rollups.
+// add sums another tenant's scalar counters into s. It touches no map
+// field: their keys are tenant-local node ids and iterations, so a
+// key-wise sum across tenants would mix unrelated entries. Used by
+// ServiceStats rollups.
 func (s *Stats) add(o Stats) {
 	s.BatchesForwarded += o.BatchesForwarded
 	s.BytesForwarded += o.BytesForwarded
@@ -289,10 +288,8 @@ func (c *Cluster) Stats() Stats {
 				s.TokenGrants += n
 			}
 		}
-		s.RootTokenWait = map[int]float64{}
 		for h, w := range bs.WaitByHolder {
 			if h >= lo && h < hi {
-				s.RootTokenWait[h-lo] = w
 				s.TokenWaitTime += w
 			}
 		}
@@ -397,9 +394,9 @@ func (c *Cluster) killNode(d, atIter, blocksDropped int) {
 	c.stats.ReroutedEdges += len(edges)
 	if c.cc.Broker != nil {
 		// A dead root must not strand a write token for the rest of the
-		// run: free what it holds, cancel what it queued for. The count
-		// accumulates locally — on a shared broker, the global
-		// HolderReleases tally mixes in other tenants' reclaims.
+		// run: free what it holds, cancel what it queued for.
+		// ReleaseHolder's return value is this holder's reclaim count;
+		// the broker keeps no tally of its own.
 		c.stats.TokensReclaimed += c.cc.Broker.ReleaseHolder(c.holderBase + d)
 	}
 	for i := range c.aggs {

@@ -56,15 +56,15 @@ type ServiceOptions struct {
 }
 
 // Service is a long-lived multi-tenant run host: it owns a shared
-// topology.Platform, a shared (ideally sharded) storage.TokenBroker and
-// a shared object store, and admits N concurrent tenant runs that
-// borrow slices of them. Admission is counted in dedicated cores: each
-// platform node carries one dedicated core, a tenant's
-// Quota.Nodes claims that many nodes' worth, and when the claim exceeds
-// what is free the Admission policy decides — queue (FIFO or EDF),
-// reject, or degrade to a smaller slice. Cross-tenant interference at
-// the storage targets is arbitrated by the shared broker through
-// holder-tagged grants; see ClusterConfig.Broker.
+// topology.Platform, a shared storage.TokenBroker and a shared object
+// store, and admits N concurrent tenant runs that borrow slices of
+// them. Admission is counted in dedicated cores: each platform node
+// carries one dedicated core, a tenant's Quota.Nodes claims that many
+// nodes' worth, and when the claim exceeds what is free the Admission
+// policy decides — queue (FIFO or EDF), reject, or degrade to a
+// smaller slice. Cross-tenant interference at the storage targets is
+// arbitrated by the shared broker through holder-tagged grants; see
+// ClusterConfig.Broker.
 type Service struct {
 	cc ClusterConfig
 
@@ -309,9 +309,10 @@ func (s *Service) releaseLocked(n int) {
 
 // ServiceStats is the cross-tenant rollup: per-tenant Stats plus their
 // sum and the admission counters. PerTenant holds every tenant that
-// ever ran (live ones snapshotted now); Total is their element-wise
-// sum, so on a shared broker the per-tenant token slices add back up to
-// what the broker granted the service as a whole.
+// ever ran (live ones snapshotted now); Total sums their scalar
+// counters only, so on a shared broker the per-tenant token slices add
+// back up to what the broker granted the service as a whole. Total's
+// map fields are nil: their keys are tenant-local.
 type ServiceStats struct {
 	Submitted int
 	Running   int

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -41,8 +43,8 @@ func driveTenant(t *testing.T, tn *Tenant, iters int) {
 }
 
 // TestServiceTwoTenantsSharedBrokerNoLeaks is the runtime-face
-// acceptance test: two concurrent tenants on one shared (sharded)
-// broker complete with zero cross-tenant token leaks — every grant is
+// acceptance test: two concurrent tenants on one shared broker
+// complete with zero cross-tenant token leaks — every grant is
 // reclaimed, each tenant's Stats carve out exactly its own holder
 // span, and the per-tenant slices sum to the ServiceStats rollup and
 // to the broker's own grant total.
@@ -51,10 +53,10 @@ func TestServiceTwoTenantsSharedBrokerNoLeaks(t *testing.T) {
 		iters       = 3
 		rootsPerTen = 2
 	)
-	broker := storage.NewShardedBroker(storage.BrokerOptions{
+	broker := storage.NewBroker(storage.BrokerOptions{
 		Policy:  storage.PolicyFairShare,
 		Targets: 2, // both tenants' root windows collide: real cross-tenant contention
-	}, 2)
+	})
 	svc, err := NewService(ClusterConfig{
 		Platform: topology.Platform{Name: "svc", Nodes: 4, CoresPerNode: 3},
 		Roots:    rootsPerTen,
@@ -103,7 +105,6 @@ func TestServiceTwoTenantsSharedBrokerNoLeaks(t *testing.T) {
 		t.Fatalf("completed %d running %d, want 2/0", ss.Completed, ss.Running)
 	}
 	wantGrants := iters * rootsPerTen
-	sumGrants, sumObjects := 0, 0
 	for id, st := range ss.PerTenant {
 		if st.TokenGrants != wantGrants {
 			t.Errorf("tenant %d: %d token grants, want %d (cross-tenant stat bleed?)",
@@ -112,13 +113,8 @@ func TestServiceTwoTenantsSharedBrokerNoLeaks(t *testing.T) {
 		if st.ObjectsWritten != wantGrants {
 			t.Errorf("tenant %d: %d objects, want %d", id, st.ObjectsWritten, wantGrants)
 		}
-		sumGrants += st.TokenGrants
-		sumObjects += st.ObjectsWritten
 	}
-	if ss.Total.TokenGrants != sumGrants || ss.Total.ObjectsWritten != sumObjects {
-		t.Fatalf("Total (%d grants, %d objects) != per-tenant sum (%d, %d)",
-			ss.Total.TokenGrants, ss.Total.ObjectsWritten, sumGrants, sumObjects)
-	}
+	checkTotal(t, ss)
 	if bs := broker.Stats(); bs.Grants != ss.Total.TokenGrants {
 		t.Fatalf("broker granted %d, tenants account %d — grants unaccounted",
 			bs.Grants, ss.Total.TokenGrants)
@@ -135,6 +131,42 @@ func TestServiceTwoTenantsSharedBrokerNoLeaks(t *testing.T) {
 	}
 	if len(seen) != 2 {
 		t.Fatalf("want 2 tenant namespaces in the shared store, got %v", seen)
+	}
+}
+
+// checkTotal asserts that ServiceStats.Total is the per-tenant sum of
+// every scalar Stats field and leaves every map field nil: map keys are
+// tenant-local node ids and iterations, so no cross-tenant sum of them
+// means anything.
+func checkTotal(t *testing.T, ss ServiceStats) {
+	t.Helper()
+	total := reflect.ValueOf(ss.Total)
+	for i := 0; i < total.NumField(); i++ {
+		f, name := total.Field(i), total.Type().Field(i).Name
+		switch f.Kind() {
+		case reflect.Map:
+			if !f.IsNil() {
+				t.Errorf("Total.%s = %v, want nil", name, f.Interface())
+			}
+		case reflect.Int, reflect.Int64:
+			var sum int64
+			for _, st := range ss.PerTenant {
+				sum += reflect.ValueOf(st).Field(i).Int()
+			}
+			if f.Int() != sum {
+				t.Errorf("Total.%s = %d, per-tenant sum %d", name, f.Int(), sum)
+			}
+		case reflect.Float64:
+			var sum float64
+			for _, st := range ss.PerTenant {
+				sum += reflect.ValueOf(st).Field(i).Float()
+			}
+			if math.Abs(f.Float()-sum) > 1e-9*math.Max(1, math.Abs(sum)) {
+				t.Errorf("Total.%s = %g, per-tenant sum %g", name, f.Float(), sum)
+			}
+		default:
+			t.Fatalf("Total.%s: unhandled kind %s", name, f.Kind())
+		}
 	}
 }
 
@@ -397,10 +429,10 @@ func TestServiceQuotaMaxBytes(t *testing.T) {
 // concurrently on one shared broker and store.
 func TestServiceFourTenantSmoke(t *testing.T) {
 	const iters = 2
-	broker := storage.NewShardedBroker(storage.BrokerOptions{
+	broker := storage.NewBroker(storage.BrokerOptions{
 		Policy:  storage.PolicyFairShare,
 		Targets: 2,
-	}, 2)
+	})
 	svc, err := NewService(ClusterConfig{
 		Platform: topology.Platform{Name: "svc", Nodes: 4, CoresPerNode: 3},
 		Store:    storage.NewMemory(nil, 4, 1e9),
@@ -444,6 +476,7 @@ func TestServiceFourTenantSmoke(t *testing.T) {
 	if ss.Total.ObjectsWritten != 4*iters {
 		t.Fatalf("total objects %d, want %d", ss.Total.ObjectsWritten, 4*iters)
 	}
+	checkTotal(t, ss)
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}

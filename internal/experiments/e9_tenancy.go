@@ -22,7 +22,7 @@ import (
 // check: under oversubscription, deadline-aware admission (EDF, which
 // degrades to shortest-job-first on a bimodal mix) beats FIFO on the
 // p99 per-iteration write latency. Part two runs two real tenant
-// clusters concurrently on one shared sharded broker and checks the
+// clusters concurrently on one shared fair-share broker and checks the
 // accounting: zero cross-tenant token leaks, per-tenant stats summing
 // to the service rollup and to the broker's own grant total.
 //
@@ -171,7 +171,7 @@ func runE9DES(opts Options, rep *Report) error {
 }
 
 // runE9Runtime is the runtime face: two real tenant clusters on one
-// shared sharded broker, checking the token accounting closes.
+// shared broker, checking the token accounting closes.
 func runE9Runtime(opts Options, rep *Report) error {
 	const (
 		rtNodes   = 4
@@ -179,10 +179,10 @@ func runE9Runtime(opts Options, rep *Report) error {
 		rtRoots   = 2
 		rtIters   = 3
 	)
-	broker := storage.NewShardedBroker(storage.BrokerOptions{
+	broker := storage.NewBroker(storage.BrokerOptions{
 		Policy:  storage.PolicyFairShare,
 		Targets: 2, // both tenants' root windows collide on the same targets
-	}, 2)
+	})
 	store := storage.NewMemory(nil, rtRoots, 1e9)
 	svc, err := cluster.NewService(cluster.ClusterConfig{
 		Platform: topology.Platform{Name: "e9", Nodes: rtNodes, CoresPerNode: rtClients + 1},
@@ -239,7 +239,7 @@ func runE9Runtime(opts Options, rep *Report) error {
 
 	ss := svc.Stats()
 	table := stats.NewTable(
-		fmt.Sprintf("runtime tenants on one sharded broker, %d nodes × %d clients, %d iterations",
+		fmt.Sprintf("runtime tenants on one shared broker, %d nodes × %d clients, %d iterations",
 			rtNodes, rtClients, rtIters),
 		"tenant", "nodes", "token_grants", "objects_written", "token_wait_s").Measured("token_wait_s")
 	sumGrants := 0

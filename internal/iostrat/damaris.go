@@ -431,14 +431,13 @@ func runDamaris(cfg Config) (Result, error) {
 	res.DrainTime = drainEnd
 	acc := be.Accounting()
 	bs := schedule.brokerStats()
-	acc.AddBroker(bs)
 	res.BytesWritten = acc.BytesWritten
 	res.IOWindow = acc.IOBusyTime
 	res.BytesSaved = acc.BytesSaved
 	res.CodecCPUTime = acc.EncodeTime + acc.DecodeTime
 	res.DedupBytesSaved = acc.DedupBytesSaved
 	res.HashCPUTime = acc.ChunkHashTime
-	res.SchedWaitTime = acc.TokenWaitTime
+	res.SchedWaitTime = bs.WaitTime
 	res.RootContention = bs.ContendedGrants
 	res.DedicatedTotal = float64(plat.Nodes*dedicatedPerNode) * drainEnd
 	for _, s := range shms {

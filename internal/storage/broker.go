@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -50,11 +51,10 @@ type TokenRequest struct {
 	// Deadline orders waiters under PolicyDeadline (lower = more
 	// urgent); ignored by the FIFO policies.
 	Deadline float64
-	// Bytes is the payload the grant covers: accounting under most
-	// policies, and the fair-share currency under PolicyFairShare.
+	// Bytes is the payload the grant covers: the fair-share currency
+	// under PolicyFairShare, ignored by the other policies.
 	Bytes float64
-	// Tenant groups holders for cross-run accounting and fair-share
-	// arbitration: every run admitted by a cluster.Service tags its
+	// Tenant groups holders for fair-share arbitration: every run admitted by a cluster.Service tags its
 	// requests with its tenant id. 0 is the untenanted default.
 	Tenant int
 	// Priority orders waiters under PolicyDeadline before the deadline
@@ -66,15 +66,9 @@ type TokenRequest struct {
 	Weight float64
 }
 
-// TokenGrant is the outcome of an acquire: the release handle plus what
-// the wait cost.
+// TokenGrant is the outcome of an acquire: the release handle, or a
+// denial. What the wait cost is in the broker's ledger (BrokerStats).
 type TokenGrant struct {
-	// Wait is how long the requester waited for the grant — virtual
-	// seconds on the DES face, wall-clock seconds on the real face.
-	Wait float64
-	// Contended reports that the grant had to queue behind other
-	// writers (Wait may still be ~0 on the real face).
-	Contended bool
 	// Denied reports that the request was canceled by ReleaseHolder
 	// (the holder's node died while waiting): no token is held and
 	// Release is a no-op.
@@ -102,25 +96,13 @@ type BrokerStats struct {
 	// WaitTime is the total time writers spent waiting for a token
 	// (virtual seconds on the DES face, wall seconds on the real face).
 	WaitTime float64
-	// GrantsByTarget counts grants per storage target.
-	GrantsByTarget map[int]int
 	// GrantsByHolder counts grants per holder, so a run sharing the
 	// broker with other tenants can recover its own grant count.
 	GrantsByHolder map[int]int
-	// BytesByTenant is the payload volume granted per tenant — the
-	// fair-share ledger, and the service's per-tenant bandwidth
-	// accounting.
-	BytesByTenant map[int]float64
 	// WaitByHolder splits WaitTime per holder (tree root).
 	WaitByHolder map[int]float64
 	// ContendedByHolder splits ContendedGrants per holder.
 	ContendedByHolder map[int]int
-	// CanceledRequests counts queued requests canceled by
-	// ReleaseHolder; HolderReleases counts held tokens freed by it.
-	CanceledRequests int
-	HolderReleases   int
-	// MaxQueueLen is the deepest the wait queue ever got.
-	MaxQueueLen int
 }
 
 // TokenBroker arbitrates write tokens across every tree root of a
@@ -171,7 +153,6 @@ type brokerWaiter struct {
 	enq     float64
 	enqWall time.Time
 	denied  bool
-	granted bool
 	fut     *des.Future   // DES face
 	ch      chan struct{} // real face
 }
@@ -188,6 +169,8 @@ type Broker struct {
 	stats   BrokerStats
 	// servedByTenant is the weighted fair-share ledger: granted bytes
 	// divided by request weight, per tenant (PolicyFairShare's sort key).
+	// It spans every target, so "least served" is decided across the
+	// whole service, not per target.
 	servedByTenant map[int]float64
 }
 
@@ -211,11 +194,12 @@ func NewBroker(opts BrokerOptions) *Broker {
 	}
 }
 
-// Policy returns the broker's arbitration policy.
-func (b *Broker) Policy() TokenPolicy { return b.opts.Policy }
-
-// Targets returns the size of the broker's target space.
-func (b *Broker) Targets() int { return b.opts.Targets }
+// NewShardedBroker returns NewBroker(opts); the shard count is ignored.
+// It is kept only because the benchmark harness (benchmark/adapter.go)
+// still calls it. Delete it together with those two calls.
+func NewShardedBroker(opts BrokerOptions, _ int) TokenBroker {
+	return NewBroker(opts)
+}
 
 // now returns the broker clock: virtual when bound to an engine.
 func (b *Broker) now() float64 {
@@ -229,16 +213,10 @@ func (b *Broker) now() float64 {
 // deduplicated, sorted. A nil/empty list means one unspecified slot
 // (target 0 under the exclusive policies).
 func (b *Broker) resolve(targets []int) []int {
-	return resolveTargets(targets, b.opts.Targets)
-}
-
-// resolveTargets is resolve's standalone form, shared with the sharded
-// broker (which must route by resolved target id before any shard's
-// lock is taken).
-func resolveTargets(targets []int, space int) []int {
 	if len(targets) == 0 {
 		return []int{0}
 	}
+	space := b.opts.Targets
 	seen := map[int]bool{}
 	out := make([]int, 0, len(targets))
 	for _, t := range targets {
@@ -280,20 +258,10 @@ func (b *Broker) takeLocked(w *brokerWaiter) {
 		}
 	}
 	b.stats.Grants++
-	if b.stats.GrantsByTarget == nil {
-		b.stats.GrantsByTarget = map[int]int{}
-	}
-	for _, t := range w.targets {
-		b.stats.GrantsByTarget[t]++
-	}
 	if b.stats.GrantsByHolder == nil {
 		b.stats.GrantsByHolder = map[int]int{}
 	}
 	b.stats.GrantsByHolder[w.req.Holder]++
-	if b.stats.BytesByTenant == nil {
-		b.stats.BytesByTenant = map[int]float64{}
-	}
-	b.stats.BytesByTenant[w.req.Tenant] += w.req.Bytes
 	b.servedByTenant[w.req.Tenant] += w.req.Bytes / reqWeight(w.req)
 }
 
@@ -365,7 +333,6 @@ func (b *Broker) dispatchLocked() {
 // wait it paid.
 func (b *Broker) wakeLocked(w *brokerWaiter, denied bool) {
 	w.denied = denied
-	w.granted = !denied
 	var wait float64
 	if b.opts.Engine != nil {
 		wait = b.now() - w.enq
@@ -373,7 +340,17 @@ func (b *Broker) wakeLocked(w *brokerWaiter, denied bool) {
 		wait = time.Since(w.enqWall).Seconds()
 	}
 	if !denied {
-		b.accountWaitLocked(w.req.Holder, wait, true)
+		holder := w.req.Holder
+		b.stats.ContendedGrants++
+		b.stats.WaitTime += wait
+		if b.stats.WaitByHolder == nil {
+			b.stats.WaitByHolder = map[int]float64{}
+		}
+		b.stats.WaitByHolder[holder] += wait
+		if b.stats.ContendedByHolder == nil {
+			b.stats.ContendedByHolder = map[int]int{}
+		}
+		b.stats.ContendedByHolder[holder]++
 	}
 	if w.fut != nil {
 		w.fut.Complete()
@@ -381,23 +358,6 @@ func (b *Broker) wakeLocked(w *brokerWaiter, denied bool) {
 	if w.ch != nil {
 		close(w.ch)
 	}
-}
-
-// accountWaitLocked charges a contended grant's wait to the ledger.
-func (b *Broker) accountWaitLocked(holder int, wait float64, contended bool) {
-	if !contended {
-		return
-	}
-	b.stats.ContendedGrants++
-	b.stats.WaitTime += wait
-	if b.stats.WaitByHolder == nil {
-		b.stats.WaitByHolder = map[int]float64{}
-	}
-	b.stats.WaitByHolder[holder] += wait
-	if b.stats.ContendedByHolder == nil {
-		b.stats.ContendedByHolder = map[int]int{}
-	}
-	b.stats.ContendedByHolder[holder]++
 }
 
 // releaseFor builds the release closure of a granted request.
@@ -444,13 +404,9 @@ func (b *Broker) enqueue(w *brokerWaiter) (immediate bool) {
 	if (b.opts.Policy == PolicyGlobal && len(b.queue) == 0 && b.grantableLocked(w, nil)) ||
 		(b.opts.Policy != PolicyGlobal && b.grantableLocked(w, claimed)) {
 		b.takeLocked(w)
-		w.granted = true
 		return true
 	}
 	b.queue = append(b.queue, w)
-	if len(b.queue) > b.stats.MaxQueueLen {
-		b.stats.MaxQueueLen = len(b.queue)
-	}
 	return false
 }
 
@@ -471,16 +427,7 @@ func (b *Broker) AcquireSim(p *des.Proc, req TokenRequest) TokenGrant {
 	w.fut = b.opts.Engine.NewFuture()
 	b.mu.Unlock()
 	p.Await(w.fut)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if w.denied {
-		return TokenGrant{Denied: true, Wait: b.now() - w.enq}
-	}
-	return TokenGrant{
-		Wait:      b.now() - w.enq,
-		Contended: true,
-		release:   b.releaseFor(w),
-	}
+	return b.grantFor(w)
 }
 
 // Acquire implements TokenBroker (real face): the wait blocks the
@@ -495,13 +442,17 @@ func (b *Broker) Acquire(req TokenRequest) TokenGrant {
 	}
 	b.mu.Unlock()
 	<-w.ch
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	wait := time.Since(w.enqWall).Seconds()
+	return b.grantFor(w)
+}
+
+// grantFor is a woken waiter's outcome. wakeLocked set w.denied before
+// completing the future or closing the channel the waiter blocked on,
+// so reading it needs no lock.
+func (b *Broker) grantFor(w *brokerWaiter) TokenGrant {
 	if w.denied {
-		return TokenGrant{Denied: true, Wait: wait}
+		return TokenGrant{Denied: true}
 	}
-	return TokenGrant{Wait: wait, Contended: true, release: b.releaseFor(w)}
+	return TokenGrant{release: b.releaseFor(w)}
 }
 
 // ReleaseHolder implements TokenBroker: frees held tokens and cancels
@@ -526,11 +477,9 @@ func (b *Broker) ReleaseHolder(holder int) int {
 			}
 		}
 	}
-	b.stats.HolderReleases += freed
 	var rest []*brokerWaiter
 	for _, w := range b.queue {
 		if w.req.Holder == holder {
-			b.stats.CanceledRequests++
 			freed++
 			b.wakeLocked(w, true)
 			continue
@@ -559,42 +508,14 @@ func (b *Broker) QueueLen() int {
 	return len(b.queue)
 }
 
-// Stats implements TokenBroker.
+// Stats implements TokenBroker. Every map is the caller's own copy, so
+// a snapshot can be ranged over while the broker keeps accounting.
 func (b *Broker) Stats() BrokerStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.stats.clone()
-}
-
-// clone deep-copies the ledger: every map is the caller's own, so a
-// snapshot can be ranged over while the broker keeps accounting.
-func (s BrokerStats) clone() BrokerStats {
-	s.GrantsByTarget = copyIntMap(s.GrantsByTarget)
-	s.GrantsByHolder = copyIntMap(s.GrantsByHolder)
-	s.BytesByTenant = copyFloatMap(s.BytesByTenant)
-	s.WaitByHolder = copyFloatMap(s.WaitByHolder)
-	s.ContendedByHolder = copyIntMap(s.ContendedByHolder)
+	s := b.stats
+	s.GrantsByHolder = maps.Clone(s.GrantsByHolder)
+	s.WaitByHolder = maps.Clone(s.WaitByHolder)
+	s.ContendedByHolder = maps.Clone(s.ContendedByHolder)
 	return s
-}
-
-func copyIntMap(m map[int]int) map[int]int {
-	if m == nil {
-		return nil
-	}
-	c := make(map[int]int, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-func copyFloatMap(m map[int]float64) map[int]float64 {
-	if m == nil {
-		return nil
-	}
-	c := make(map[int]float64, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
 }

@@ -137,32 +137,6 @@ type Accounting struct {
 	// reclaimed from the inner backend.
 	ChunksCollected int
 	ChunkBytesFreed int64
-
-	// Token-broker counters, populated only when the run's writes were
-	// arbitrated by a TokenBroker (zero otherwise).
-
-	// TokenGrants counts write tokens granted; TokenWaitTime is the
-	// total time writers spent waiting for one (virtual seconds on the
-	// DES face, wall seconds on the real face).
-	TokenGrants   int
-	TokenWaitTime float64
-	// GrantsByTarget splits TokenGrants per storage target, the
-	// schedule's placement footprint.
-	GrantsByTarget map[int]int
-}
-
-// AddBroker folds a broker's contention ledger into the accounting —
-// the backend moved the bytes, the broker decided when, and one
-// snapshot should tell both stories.
-func (a *Accounting) AddBroker(s BrokerStats) {
-	a.TokenGrants += s.Grants
-	a.TokenWaitTime += s.WaitTime
-	if len(s.GrantsByTarget) > 0 && a.GrantsByTarget == nil {
-		a.GrantsByTarget = map[int]int{}
-	}
-	for t, n := range s.GrantsByTarget {
-		a.GrantsByTarget[t] += n
-	}
 }
 
 // ObjectStore is the real-data write face of a backend: store a named
