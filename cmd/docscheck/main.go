@@ -23,7 +23,10 @@
 //     path readers can actually find;
 //   - every Makefile `smoke-*` target names a registered experiment id
 //     (optionally suffixed `-<mode>`, like smoke-e6-cross), so the CI
-//     smoke matrix cannot drift behind the registry.
+//     smoke matrix cannot drift behind the registry;
+//   - every package under internal/ is imported by a non-test Go file
+//     outside examples/ and outside itself, so a package that only an
+//     example or its own tests reach cannot linger.
 //
 // Usage:
 //
@@ -42,6 +45,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 
 	"repro/internal/experiments"
@@ -61,6 +65,7 @@ func main() {
 	problems = append(problems, checkBenchFlags(*root)...)
 	problems = append(problems, checkDocsReachable(*root)...)
 	problems = append(problems, checkSmokeTargets(*root)...)
+	problems = append(problems, checkInternalImported(*root)...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, p)
@@ -465,5 +470,46 @@ func checkPackageComments(root string) []string {
 	if err != nil {
 		problems = append(problems, fmt.Sprintf("walking %s: %v", root, err))
 	}
+	return problems
+}
+
+// checkInternalImported requires every package under internal/ to be
+// imported (blank imports count) by a non-test Go file outside
+// examples/ and outside the package itself.
+func checkInternalImported(root string) []string {
+	pkgs, imported := map[string]bool{}, map[string]bool{}
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		rel, _ := filepath.Rel(root, p)
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (skipDirs[d.Name()] || rel == "examples"):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go"):
+			return nil
+		}
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		pkgs[dir] = true
+		f, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if dep, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), "repro/"); ok && dep != dir {
+				imported[dep] = true
+			}
+		}
+		return nil
+	})
+	var problems []string
+	for pkg := range pkgs {
+		if strings.HasPrefix(pkg, "internal/") && !imported[pkg] {
+			problems = append(problems, pkg+": imported only by examples/ or its own files; fold or delete it")
+		}
+	}
+	if err != nil {
+		problems = append(problems, fmt.Sprintf("walking %s: %v", root, err))
+	}
+	sort.Strings(problems)
 	return problems
 }

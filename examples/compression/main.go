@@ -39,7 +39,7 @@ func main() {
 
 	params := cm1.DefaultParams()
 	params.NX, params.NY, params.NZ = 32, 32, 24
-	model, err := cm1.New(params, nil)
+	model, err := cm1.New(params)
 	if err != nil {
 		log.Fatal(err)
 	}

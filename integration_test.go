@@ -1,10 +1,10 @@
 package damaris
 
-// Full-stack integration tests: the CM1 proxy running on the in-process
-// MPI runtime across several simulated SMP nodes, writing through the
-// Damaris middleware with the aggregating SDF plugin, then reading every
-// block back from disk and checking it bitwise against the simulation
-// state — the complete §III pipeline end to end.
+// Full-stack integration tests: one CM1 proxy per simulated core across
+// several simulated SMP nodes, writing through the Damaris middleware
+// with the aggregating SDF plugin, then reading every block back from
+// disk and checking it bitwise against the simulation state — the
+// complete §III pipeline end to end.
 
 import (
 	"fmt"
@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/cm1"
 	"repro/internal/compress"
-	"repro/internal/mpi"
 	"repro/internal/sdf"
 )
 
@@ -39,7 +38,7 @@ func TestCM1ThroughDamarisEndToEnd(t *testing.T) {
 	const (
 		nodes        = 2
 		coresPerNode = 4
-		ranks        = nodes * coresPerNode
+		cores        = nodes * coresPerNode
 		steps        = 9
 		outputEvery  = 3
 	)
@@ -56,41 +55,47 @@ func TestCM1ThroughDamarisEndToEnd(t *testing.T) {
 		nodeRuntimes = append(nodeRuntimes, node)
 	}
 
-	// Keep a copy of what each rank wrote last, to verify the read-back.
+	// Keep a copy of what each core wrote last, to verify the read-back.
 	var mu sync.Mutex
 	written := map[string][]float64{} // "var/src" -> data at final output
 
-	mpi.Run(ranks, func(c *mpi.Comm) {
-		params := cm1.DefaultParams()
-		params.NX, params.NY, params.NZ = 8, 8, 6
-		model, err := cm1.New(params, c)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		node := c.Rank() / coresPerNode
-		local := c.Rank() % coresPerNode
-		client := nodeRuntimes[node].Client(local)
-		for step := 1; step <= steps; step++ {
-			model.Step()
-			if step%outputEvery != 0 {
-				continue
+	var wg sync.WaitGroup
+	for core := 0; core < cores; core++ {
+		wg.Add(1)
+		go func(core int) {
+			defer wg.Done()
+			params := cm1.DefaultParams()
+			params.NX, params.NY, params.NZ = 8, 8, 6
+			model, err := cm1.New(params)
+			if err != nil {
+				t.Error(err)
+				return
 			}
-			it := step / outputEvery
-			for _, f := range model.Fields() {
-				if err := client.Write(f.Name, it, compress.Float64Bytes(f.Data)); err != nil {
-					t.Errorf("rank %d write %s: %v", c.Rank(), f.Name, err)
+			node := core / coresPerNode
+			local := core % coresPerNode
+			client := nodeRuntimes[node].Client(local)
+			for step := 1; step <= steps; step++ {
+				model.Step()
+				if step%outputEvery != 0 {
+					continue
 				}
-				if step == steps {
-					mu.Lock()
-					key := fmt.Sprintf("node%d/%s/src%04d", node, f.Name, local)
-					written[key] = append([]float64(nil), f.Data...)
-					mu.Unlock()
+				it := step / outputEvery
+				for _, f := range model.Fields() {
+					if err := client.Write(f.Name, it, compress.Float64Bytes(f.Data)); err != nil {
+						t.Errorf("core %d write %s: %v", core, f.Name, err)
+					}
+					if step == steps {
+						mu.Lock()
+						key := fmt.Sprintf("node%d/%s/src%04d", node, f.Name, local)
+						written[key] = append([]float64(nil), f.Data...)
+						mu.Unlock()
+					}
 				}
+				client.EndIteration(it)
 			}
-			client.EndIteration(it)
-		}
-	})
+		}(core)
+	}
+	wg.Wait()
 	for _, n := range nodeRuntimes {
 		if err := n.Shutdown(); err != nil {
 			t.Fatal(err)

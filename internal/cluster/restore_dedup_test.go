@@ -125,9 +125,9 @@ func TestRestoreDedupMatrix(t *testing.T) {
 					if acc.ChunksDeduped == 0 || acc.DedupBytesSaved <= 0 {
 						t.Fatalf("no dedup happened: %+v", acc)
 					}
-					if !fail && acc.ChunkBytesDeduped <= acc.ChunkBytesStored {
-						t.Fatalf("incremental workload deduped %d bytes vs %d stored — expected most of the stream to repeat",
-							acc.ChunkBytesDeduped, acc.ChunkBytesStored)
+					if !fail && acc.DedupBytesSaved <= float64(acc.ObjectBytes) {
+						t.Fatalf("incremental workload deduped %.0f bytes vs %d stored — expected most of the stream to repeat",
+							acc.DedupBytesSaved, acc.ObjectBytes)
 					}
 
 					// Restore through the same stack.

@@ -1,26 +1,25 @@
 // Package cm1 is a proxy for the CM1 atmospheric model (Bryan & Fritsch
 // 2002) used by the paper's evaluation: a 3-D moist thermodynamic field
 // set (potential temperature θ, water vapor qv, winds u/v/w) advanced by
-// upwind advection, diffusion and a buoyancy update, decomposed in
-// x-slabs across MPI ranks with periodic halo exchange.
+// upwind advection, diffusion and a buoyancy update on one core's
+// periodic grid.
 //
 // Like the real CM1, it is bulk-synchronous with very predictable
-// compute phases, and every rank periodically outputs all of its fields
-// — the workload that drives experiments E1–E5.
+// compute phases, and every core periodically outputs all of its fields
+// — the workload that drives experiments E1–E5. Several cores are
+// several independent models.
 package cm1
 
 import (
 	"fmt"
 	"math"
 
-	"repro/internal/compress"
 	"repro/internal/insitu"
-	"repro/internal/mpi"
 )
 
 // Params configures the proxy.
 type Params struct {
-	// Local grid size per rank (x is the decomposed dimension).
+	// Grid size per core.
 	NX, NY, NZ int
 	// DX is the grid spacing, DT the time step (CFL: U*DT/DX < 1).
 	DX, DT float64
@@ -54,45 +53,36 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Model is one rank's share of the simulation.
+// Model is one core's simulation.
 type Model struct {
-	P    Params
-	comm *mpi.Comm // nil for a serial run
+	P Params
 
 	theta, qv, w insitu.Field
 	scratch      []float64
 	step         int
 }
 
-// New initializes the model with a warm bubble centered in the global
-// domain and a moisture layer. comm may be nil for serial runs; with a
-// communicator, ranks decompose the global x-axis.
-func New(p Params, comm *mpi.Comm) (*Model, error) {
+// New initializes the model with a warm bubble centered in the domain
+// and a moisture layer.
+func New(p Params) (*Model, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	m := &Model{
 		P:       p,
-		comm:    comm,
 		theta:   insitu.NewField("theta", p.NZ, p.NY, p.NX),
 		qv:      insitu.NewField("qv", p.NZ, p.NY, p.NX),
 		w:       insitu.NewField("w", p.NZ, p.NY, p.NX),
 		scratch: make([]float64, p.NZ*p.NY*p.NX),
 	}
-	rank, size := 0, 1
-	if comm != nil {
-		rank, size = comm.Rank(), comm.Size()
-	}
-	globalNX := p.NX * size
-	cx := float64(globalNX)/2 - 0.5
+	cx := float64(p.NX)/2 - 0.5
 	cy := float64(p.NY)/2 - 0.5
 	cz := float64(p.NZ)/3 - 0.5
-	radius := float64(minInt(globalNX, minInt(p.NY, p.NZ))) / 4
+	radius := float64(min(p.NX, p.NY, p.NZ)) / 4
 	for k := 0; k < p.NZ; k++ {
 		for j := 0; j < p.NY; j++ {
 			for i := 0; i < p.NX; i++ {
-				gx := float64(rank*p.NX + i)
-				d := math.Sqrt(sq(gx-cx)+sq(float64(j)-cy)+sq(float64(k)-cz)) / radius
+				d := math.Sqrt(sq(float64(i)-cx)+sq(float64(j)-cy)+sq(float64(k)-cz)) / radius
 				// Warm bubble: +2 K perturbation with cosine falloff.
 				pert := 0.0
 				if d < 1 {
@@ -109,15 +99,8 @@ func New(p Params, comm *mpi.Comm) (*Model, error) {
 
 func sq(x float64) float64 { return x * x }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Step advances the model one time step: halo exchange, upwind
-// x-advection plus diffusion of θ and qv, then the buoyancy update of w.
+// Step advances the model one time step: upwind x-advection plus
+// diffusion of θ and qv, then the buoyancy update of w.
 func (m *Model) Step() {
 	m.advectDiffuse(&m.theta)
 	m.advectDiffuse(&m.qv)
@@ -128,57 +111,14 @@ func (m *Model) Step() {
 // Iteration returns the number of completed steps.
 func (m *Model) Iteration() int { return m.step }
 
-// haloTag distinguishes the two exchange directions.
-const (
-	tagToRight = 201
-	tagToLeft  = 202
-)
-
-// exchangeHalo returns the x-neighbor planes of f: left[k][j] is the
-// plane at global index i-1 of the local i=0 column, right likewise for
-// i = NX. Periodic in x, both across ranks and globally.
-func (m *Model) exchangeHalo(f *insitu.Field) (left, right []float64) {
-	p := m.P
-	planeLen := p.NZ * p.NY
-	myLeft := make([]float64, planeLen)  // my i=0 plane
-	myRight := make([]float64, planeLen) // my i=NX-1 plane
-	for k := 0; k < p.NZ; k++ {
-		for j := 0; j < p.NY; j++ {
-			myLeft[k*p.NY+j] = f.At(k, j, 0)
-			myRight[k*p.NY+j] = f.At(k, j, p.NX-1)
-		}
-	}
-	if m.comm == nil || m.comm.Size() == 1 {
-		return myRight, myLeft // periodic wrap onto self
-	}
-	size := m.comm.Size()
-	leftRank := (m.comm.Rank() + size - 1) % size
-	rightRank := (m.comm.Rank() + 1) % size
-	m.comm.Send(rightRank, tagToRight, compress.Float64Bytes(myRight))
-	m.comm.Send(leftRank, tagToLeft, compress.Float64Bytes(myLeft))
-	fromLeft, _ := m.comm.Recv(leftRank, tagToRight)
-	fromRight, _ := m.comm.Recv(rightRank, tagToLeft)
-	return compress.BytesFloat64(fromLeft), compress.BytesFloat64(fromRight)
-}
-
 // advectDiffuse applies upwind x-advection by U and a 3-D Laplacian
 // diffusion, periodic in every dimension.
 func (m *Model) advectDiffuse(f *insitu.Field) {
 	p := m.P
-	left, right := m.exchangeHalo(f)
 	cAdv := p.U * p.DT / p.DX
 	cDif := p.Nu * p.DT / (p.DX * p.DX)
 	at := func(k, j, i int) float64 {
-		// Periodic lookups with the x halo planes.
-		k = (k + p.NZ) % p.NZ
-		j = (j + p.NY) % p.NY
-		if i < 0 {
-			return left[k*p.NY+j]
-		}
-		if i >= p.NX {
-			return right[k*p.NY+j]
-		}
-		return f.At(k, j, i)
+		return f.At((k+p.NZ)%p.NZ, (j+p.NY)%p.NY, (i+p.NX)%p.NX)
 	}
 	for k := 0; k < p.NZ; k++ {
 		for j := 0; j < p.NY; j++ {
@@ -195,9 +135,9 @@ func (m *Model) advectDiffuse(f *insitu.Field) {
 	copy(f.Data, m.scratch)
 }
 
-// buoyancy updates w from the local θ anomaly (diagnostic vertical
-// motion; it does not feed back into θ so that mass conservation stays
-// exactly testable).
+// buoyancy updates w from the θ anomaly (diagnostic vertical motion;
+// it does not feed back into θ so that mass conservation stays exactly
+// testable).
 func (m *Model) buoyancy() {
 	const g = 9.81
 	p := m.P
@@ -206,7 +146,7 @@ func (m *Model) buoyancy() {
 	}
 }
 
-// Fields returns the rank's output variables in a stable order.
+// Fields returns the model's output variables in a stable order.
 func (m *Model) Fields() []insitu.Field {
 	return []insitu.Field{m.theta, m.qv, m.w}
 }
@@ -214,22 +154,14 @@ func (m *Model) Fields() []insitu.Field {
 // Theta exposes the temperature field (analysis, tests).
 func (m *Model) Theta() insitu.Field { return m.theta }
 
-// LocalMass returns the rank-local sum of θ (a conserved quantity under
-// periodic advection-diffusion).
-func (m *Model) LocalMass() float64 {
+// Mass returns the sum of θ (a conserved quantity under periodic
+// advection-diffusion).
+func (m *Model) Mass() float64 {
 	sum := 0.0
 	for _, v := range m.theta.Data {
 		sum += v
 	}
 	return sum
-}
-
-// GlobalMass reduces LocalMass across ranks (serial: local value).
-func (m *Model) GlobalMass() float64 {
-	if m.comm == nil {
-		return m.LocalMass()
-	}
-	return m.comm.Allreduce(mpi.Sum, m.LocalMass())
 }
 
 // Checksum folds every field into one float for determinism tests.

@@ -3,8 +3,6 @@ package cm1
 import (
 	"math"
 	"testing"
-
-	"repro/internal/mpi"
 )
 
 func TestValidate(t *testing.T) {
@@ -24,7 +22,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestInitialBubble(t *testing.T) {
-	m, err := New(DefaultParams(), nil)
+	m, err := New(DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,12 +45,12 @@ func TestInitialBubble(t *testing.T) {
 }
 
 func TestMassConservationSerial(t *testing.T) {
-	m, _ := New(DefaultParams(), nil)
-	before := m.GlobalMass()
+	m, _ := New(DefaultParams())
+	before := m.Mass()
 	for s := 0; s < 50; s++ {
 		m.Step()
 	}
-	after := m.GlobalMass()
+	after := m.Mass()
 	if rel := math.Abs(after-before) / before; rel > 1e-12 {
 		t.Fatalf("theta mass drifted by %v", rel)
 	}
@@ -61,71 +59,9 @@ func TestMassConservationSerial(t *testing.T) {
 	}
 }
 
-func TestMassConservationParallel(t *testing.T) {
-	mpi.Run(4, func(c *mpi.Comm) {
-		m, err := New(DefaultParams(), c)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		before := m.GlobalMass()
-		for s := 0; s < 20; s++ {
-			m.Step()
-		}
-		after := m.GlobalMass()
-		if rel := math.Abs(after-before) / before; rel > 1e-12 {
-			t.Errorf("rank %d: mass drift %v", c.Rank(), rel)
-		}
-	})
-}
-
-func TestSerialParallelEquivalence(t *testing.T) {
-	// The same global domain computed serially and on 4 ranks must agree
-	// bitwise: halo exchange must be exactly transparent.
-	const ranks = 4
-	p := DefaultParams()
-	serialParams := p
-	serialParams.NX = p.NX * ranks
-	serial, _ := New(serialParams, nil)
-	for s := 0; s < 10; s++ {
-		serial.Step()
-	}
-
-	gathered := make([][]float64, ranks)
-	mpi.Run(ranks, func(c *mpi.Comm) {
-		m, _ := New(p, c)
-		for s := 0; s < 10; s++ {
-			m.Step()
-		}
-		// Send local theta to rank 0.
-		parts := c.Gather(0, float64sToBytes(m.Theta().Data))
-		if c.Rank() == 0 {
-			for r := 0; r < ranks; r++ {
-				gathered[r] = bytesToFloat64s(parts[r])
-			}
-		}
-	})
-
-	for r := 0; r < ranks; r++ {
-		local := gathered[r]
-		for k := 0; k < p.NZ; k++ {
-			for j := 0; j < p.NY; j++ {
-				for i := 0; i < p.NX; i++ {
-					want := serial.Theta().At(k, j, i+r*p.NX)
-					got := local[(k*p.NY+j)*p.NX+i]
-					if want != got {
-						t.Fatalf("rank %d cell (%d,%d,%d): serial %v parallel %v",
-							r, k, j, i, want, got)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func() float64 {
-		m, _ := New(DefaultParams(), nil)
+		m, _ := New(DefaultParams())
 		for s := 0; s < 25; s++ {
 			m.Step()
 		}
@@ -139,7 +75,7 @@ func TestDeterminism(t *testing.T) {
 func TestBubbleAdvectsDownwind(t *testing.T) {
 	p := DefaultParams()
 	p.Nu = 0 // pure advection keeps the bubble tight
-	m, _ := New(p, nil)
+	m, _ := New(p)
 	peakX := func() int {
 		best, bi := -1.0, 0
 		th := m.Theta()
@@ -163,7 +99,7 @@ func TestBubbleAdvectsDownwind(t *testing.T) {
 }
 
 func TestBuoyancyLiftsBubble(t *testing.T) {
-	m, _ := New(DefaultParams(), nil)
+	m, _ := New(DefaultParams())
 	for s := 0; s < 10; s++ {
 		m.Step()
 	}
@@ -180,7 +116,7 @@ func TestBuoyancyLiftsBubble(t *testing.T) {
 }
 
 func TestFieldsStableOrder(t *testing.T) {
-	m, _ := New(DefaultParams(), nil)
+	m, _ := New(DefaultParams())
 	fs := m.Fields()
 	if len(fs) != 3 || fs[0].Name != "theta" || fs[1].Name != "qv" || fs[2].Name != "w" {
 		t.Fatalf("fields = %v", fs)
@@ -195,31 +131,8 @@ func TestFieldsStableOrder(t *testing.T) {
 func BenchmarkStep(b *testing.B) {
 	p := DefaultParams()
 	p.NX, p.NY, p.NZ = 32, 32, 24
-	m, _ := New(p, nil)
+	m, _ := New(p)
 	for i := 0; i < b.N; i++ {
 		m.Step()
 	}
-}
-
-func float64sToBytes(xs []float64) []byte {
-	out := make([]byte, len(xs)*8)
-	for i, x := range xs {
-		u := math.Float64bits(x)
-		for b := 0; b < 8; b++ {
-			out[i*8+b] = byte(u >> (8 * b))
-		}
-	}
-	return out
-}
-
-func bytesToFloat64s(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		var u uint64
-		for k := 0; k < 8; k++ {
-			u |= uint64(b[i*8+k]) << (8 * k)
-		}
-		out[i] = math.Float64frombits(u)
-	}
-	return out
 }

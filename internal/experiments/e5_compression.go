@@ -26,7 +26,7 @@ func RunE5(opts Options) (Report, error) {
 	// Part 1: real ratios on CM1 proxy output after a short spin-up.
 	params := cm1.DefaultParams()
 	params.NX, params.NY, params.NZ = 32, 32, 24
-	model, err := cm1.New(params, nil)
+	model, err := cm1.New(params)
 	if err != nil {
 		return Report{}, err
 	}

@@ -11,7 +11,6 @@
 package plugins
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,7 +22,6 @@ import (
 	"repro/internal/insitu"
 	"repro/internal/meta"
 	"repro/internal/sdf"
-	"repro/internal/storage"
 )
 
 func init() {
@@ -45,10 +43,6 @@ func init() {
 type SDFWriter struct {
 	Dir   string
 	Codec string
-	// Store, when set, receives each aggregated file as one object in
-	// a storage backend (see internal/storage) instead of the local
-	// file system — the path the cluster layer uses.
-	Store storage.ObjectStore
 
 	mu           sync.Mutex
 	filesWritten int
@@ -62,17 +56,6 @@ func NewSDFWriter(dir, codec string) (*SDFWriter, error) {
 		return nil, err
 	}
 	return &SDFWriter{Dir: dir, Codec: codec}, nil
-}
-
-// NewSDFWriterStore returns the plugin writing through a storage
-// backend's object store.
-func NewSDFWriterStore(store storage.ObjectStore, codec string) (*SDFWriter, error) {
-	w, err := NewSDFWriter("", codec)
-	if err != nil {
-		return nil, err
-	}
-	w.Store = store
-	return w, nil
 }
 
 // Name implements core.Plugin.
@@ -103,29 +86,19 @@ func (w *SDFWriter) OnEvent(ctx *core.PluginContext, ev core.Event) error {
 		return nil
 	}
 	name := fmt.Sprintf("%s-node%04d-it%06d", ctx.Config.Name, ctx.NodeID, ev.Iteration)
-	var (
-		out *sdf.Writer
-		buf *bytes.Buffer
-	)
-	if w.Store != nil {
-		buf = &bytes.Buffer{}
-		out = sdf.NewWriter(buf)
-	} else {
-		dir := w.Dir
-		if dir == "" {
-			dir = ctx.OutputDir
-		}
-		if dir == "" {
-			dir = "."
-		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		var err error
-		out, err = sdf.Create(filepath.Join(dir, name+".sdf"))
-		if err != nil {
-			return err
-		}
+	dir := w.Dir
+	if dir == "" {
+		dir = ctx.OutputDir
+	}
+	if dir == "" {
+		dir = "."
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	out, err := sdf.Create(filepath.Join(dir, name+".sdf"))
+	if err != nil {
+		return err
 	}
 	out.SetAttrInt("", "iteration", int64(ev.Iteration))
 	out.SetAttrInt("", "node", int64(ctx.NodeID))
@@ -149,11 +122,6 @@ func (w *SDFWriter) OnEvent(ctx *core.PluginContext, ev core.Event) error {
 	stored := out.BytesWritten()
 	if err := out.Close(); err != nil {
 		return err
-	}
-	if w.Store != nil {
-		if err := w.Store.Put(name, buf.Bytes()); err != nil {
-			return err
-		}
 	}
 	w.mu.Lock()
 	w.filesWritten++

@@ -1,7 +1,6 @@
 package plugins
 
 import (
-	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/meta"
 	"repro/internal/sdf"
-	"repro/internal/storage"
 )
 
 const vizXML = `
@@ -262,39 +260,5 @@ func TestXMLRegistryIntegration(t *testing.T) {
 	files, _ := filepath.Glob(filepath.Join(dir, "*.sdf"))
 	if len(files) != 1 {
 		t.Fatalf("XML-configured writer produced %d files", len(files))
-	}
-}
-
-// TestSDFWriterThroughStore: with a storage backend attached, the
-// aggregated per-iteration file becomes one object in the store and
-// nothing lands on the local file system.
-func TestSDFWriterThroughStore(t *testing.T) {
-	store := storage.NewMemory(nil, 4, 1e9)
-	w, err := NewSDFWriterStore(store, "none")
-	if err != nil {
-		t.Fatal(err)
-	}
-	runNode(t, w, 3, 2)
-	if w.FilesWritten() != 2 {
-		t.Fatalf("files written = %d, want 2", w.FilesWritten())
-	}
-	obj, err := store.Get("plugtest-node0000-it000001")
-	if err != nil {
-		t.Fatalf("object missing from store: %v", err)
-	}
-	// The object is a complete SDF file: parse it from memory.
-	r, err := sdf.NewReader(bytes.NewReader(obj), int64(len(obj)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if got := len(r.Datasets()); got != 3 {
-		t.Fatalf("aggregated datasets = %d, want 3", got)
-	}
-	if it, ok := r.AttrInt("", "iteration"); !ok || it != 1 {
-		t.Fatalf("iteration attr = %d, %v", it, ok)
-	}
-	if acc := store.Accounting(); acc.Objects != 2 {
-		t.Fatalf("store holds %d objects, want 2", acc.Objects)
 	}
 }

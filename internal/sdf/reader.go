@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 
 	"repro/internal/compress"
@@ -117,8 +116,8 @@ func (r *Reader) decodeIndex(buf []byte) error {
 			a.Str = p.str()
 		case 'i':
 			a.Int = int64(p.u64())
-		case 'f':
-			a.Float = math.Float64frombits(p.u64())
+		case 'f': // float attributes are no longer written; skip old ones
+			p.u64()
 		default:
 			if p.err == nil {
 				return fmt.Errorf("sdf: unknown attribute kind %q", a.Kind)
@@ -200,12 +199,6 @@ func (r *Reader) Datasets() []DatasetInfo {
 // Groups returns the registered group paths (sorted).
 func (r *Reader) Groups() []string { return append([]string(nil), r.groups...) }
 
-// Dataset returns the info for one path.
-func (r *Reader) Dataset(path string) (DatasetInfo, bool) {
-	d, ok := r.datasets[cleanPath(path)]
-	return d, ok
-}
-
 // ReadDataset reads, CRC-checks and decompresses a dataset's payload.
 func (r *Reader) ReadDataset(path string) ([]byte, error) {
 	d, ok := r.datasets[cleanPath(path)]
@@ -258,15 +251,6 @@ func (r *Reader) AttrInt(path, key string) (int64, bool) {
 		return 0, false
 	}
 	return a.Int, true
-}
-
-// AttrFloat returns a float attribute.
-func (r *Reader) AttrFloat(path, key string) (float64, bool) {
-	a, ok := r.attrs[[2]string{cleanPath(path), key}]
-	if !ok || a.Kind != 'f' {
-		return 0, false
-	}
-	return a.Float, true
 }
 
 // Close releases the underlying file (if opened via Open).

@@ -2,7 +2,6 @@ package sdf
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -30,7 +29,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	w.SetAttrString("iter0000/theta/rank0000", "unit", "K")
 	w.SetAttrInt("iter0000", "iteration", 0)
-	w.SetAttrFloat("iter0000/theta/rank0000", "dt", 0.5)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +38,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	d, ok := r.Dataset("iter0000/theta/rank0000")
-	if !ok || d.Type != meta.Float64 || len(d.Dims) != 2 || d.Dims[0] != 2 || d.Dims[1] != 3 {
-		t.Fatalf("dataset info = %+v ok=%v", d, ok)
+	d := r.Datasets()[0]
+	if d.Path != "iter0000/theta/rank0000" || d.Type != meta.Float64 || len(d.Dims) != 2 || d.Dims[0] != 2 || d.Dims[1] != 3 {
+		t.Fatalf("dataset info = %+v", d)
 	}
 	if d.Elems() != 6 {
 		t.Fatalf("elems = %d", d.Elems())
@@ -62,17 +60,12 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if it, ok := r.AttrInt("iter0000", "iteration"); !ok || it != 0 {
 		t.Fatalf("iteration attr = %d ok=%v", it, ok)
 	}
-	if dt, ok := r.AttrFloat("iter0000/theta/rank0000", "dt"); !ok || dt != 0.5 {
-		t.Fatalf("dt attr = %v ok=%v", dt, ok)
-	}
 }
 
 func TestGroupsRegisteredWithAncestors(t *testing.T) {
 	path := tempFile(t)
 	w, _ := Create(path)
-	if err := w.CreateGroup("a/b/c"); err != nil {
-		t.Fatal(err)
-	}
+	w.createGroup("a/b/c")
 	data := make([]byte, 8)
 	w.WriteDataset("x/y/ds", meta.Float64, []int{1}, data, "none")
 	w.Close()
@@ -268,60 +261,4 @@ func writeFile(path string, data []byte) error {
 
 func readFile(path string) ([]byte, error) {
 	return os.ReadFile(path)
-}
-
-func TestMergeCombinesRankFiles(t *testing.T) {
-	dir := t.TempDir()
-	var inputs []string
-	for rank := 0; rank < 3; rank++ {
-		path := filepath.Join(dir, fmt.Sprintf("rank%d.sdf", rank))
-		w, err := Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vals := make([]float64, 16)
-		for i := range vals {
-			vals[i] = float64(rank*100 + i)
-		}
-		ds := fmt.Sprintf("theta/src%04d", rank)
-		if err := w.WriteDataset(ds, meta.Float64, []int{16}, compress.Float64Bytes(vals), "none"); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		inputs = append(inputs, path)
-	}
-	out := filepath.Join(dir, "merged.sdf")
-	if err := Merge(out, "gorilla", inputs...); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if len(r.Datasets()) != 3 {
-		t.Fatalf("merged %d datasets, want 3", len(r.Datasets()))
-	}
-	vals, err := r.ReadFloat64s("theta/src0002")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vals[0] != 200 || vals[15] != 215 {
-		t.Fatalf("merged data wrong: %v", vals)
-	}
-	// Re-encoding changed the codec.
-	if d, _ := r.Dataset("theta/src0002"); d.Codec != "gorilla" {
-		t.Fatalf("codec after merge = %s", d.Codec)
-	}
-}
-
-func TestMergeErrors(t *testing.T) {
-	if err := Merge(filepath.Join(t.TempDir(), "o.sdf"), "none"); err == nil {
-		t.Fatal("empty merge accepted")
-	}
-	if err := Merge(filepath.Join(t.TempDir(), "o.sdf"), "none", "/nonexistent.sdf"); err == nil {
-		t.Fatal("missing input accepted")
-	}
 }

@@ -49,13 +49,12 @@ func (d DatasetInfo) Elems() int {
 	return n
 }
 
-// attr is one attribute value; only string, int64 and float64 are stored.
+// attr is one attribute value; only string and int64 are written.
 type attr struct {
 	Path, Key string
-	Kind      byte // 's', 'i', 'f'
+	Kind      byte // 's', 'i'
 	Str       string
 	Int       int64
-	Float     float64
 }
 
 // Writer streams an SDF file.
@@ -100,19 +99,11 @@ func (w *Writer) write(p []byte) {
 	w.err = err
 }
 
-// CreateGroup registers a group path (and its ancestors).
-func (w *Writer) CreateGroup(path string) error {
-	if w.closed {
-		return fmt.Errorf("sdf: writer closed")
-	}
-	path = cleanPath(path)
-	if path == "" {
-		return fmt.Errorf("sdf: empty group path")
-	}
+// createGroup registers a clean group path and its ancestors.
+func (w *Writer) createGroup(path string) {
 	for p := path; p != ""; p = parentPath(p) {
 		w.groups[p] = true
 	}
-	return nil
 }
 
 // WriteDataset appends a dataset. data must hold exactly
@@ -167,9 +158,7 @@ func (w *Writer) WriteDataset(path string, dtype meta.Type, dims []int, data []b
 	}
 	w.datasets = append(w.datasets, info)
 	w.paths[path] = true
-	if p := parentPath(path); p != "" {
-		w.CreateGroup(p)
-	}
+	w.createGroup(parentPath(path))
 	return nil
 }
 
@@ -181,11 +170,6 @@ func (w *Writer) SetAttrString(path, key, v string) {
 // SetAttrInt attaches an integer attribute to a path.
 func (w *Writer) SetAttrInt(path, key string, v int64) {
 	w.attrs = append(w.attrs, attr{Path: cleanPath(path), Key: key, Kind: 'i', Int: v})
-}
-
-// SetAttrFloat attaches a float attribute to a path.
-func (w *Writer) SetAttrFloat(path, key string, v float64) {
-	w.attrs = append(w.attrs, attr{Path: cleanPath(path), Key: key, Kind: 'f', Float: v})
 }
 
 // BytesWritten returns the bytes emitted so far (payloads + header).
@@ -240,8 +224,6 @@ func (w *Writer) encodeIndex() []byte {
 			b.str(a.Str)
 		case 'i':
 			b.u64(uint64(a.Int))
-		case 'f':
-			b.u64(uint64(float64bits(a.Float)))
 		}
 	}
 	groups := make([]string, 0, len(w.groups))
@@ -286,8 +268,4 @@ func parentPath(p string) string {
 		return ""
 	}
 	return p[:i]
-}
-
-func float64bits(f float64) uint64 {
-	return binary.LittleEndian.Uint64(compress.Float64Bytes([]float64{f}))
 }

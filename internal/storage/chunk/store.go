@@ -122,10 +122,6 @@ type Store struct {
 	dedupSaved   float64
 	chunksStored int
 	chunksDedup  int
-	bytesStored  int64
-	bytesDedup   int64
-	collected    int
-	bytesFreed   int64
 }
 
 // New wraps inner with the dedup chunk store.
@@ -208,7 +204,6 @@ func (s *Store) Put(name string, data []byte) error {
 	for i, e := range ents {
 		if _, ok := s.chunks[e.sum]; ok {
 			s.chunksDedup++
-			s.bytesDedup += int64(e.size)
 			s.dedupSaved += float64(e.size)
 			continue
 		}
@@ -224,7 +219,6 @@ func (s *Store) Put(name string, data []byte) error {
 			return err
 		}
 		s.chunksStored += len(fresh)
-		s.bytesStored += int64(storage.SegsLen(segs))
 	}
 	if err := s.inner.Put(name, recipe); err != nil {
 		return err // the pack's chunks stay unreferenced: the next sweep reclaims them
@@ -477,8 +471,6 @@ func (s *Store) Sweep() (SweepStats, error) {
 			stats.BytesFreed += int64(c.size)
 		}
 	}
-	s.collected += stats.Chunks
-	s.bytesFreed += stats.BytesFreed
 	return stats, nil
 }
 
@@ -528,9 +520,5 @@ func (s *Store) Accounting() storage.Accounting {
 	acc.DedupBytesSaved += s.dedupSaved
 	acc.ChunksStored += s.chunksStored
 	acc.ChunksDeduped += s.chunksDedup
-	acc.ChunkBytesStored += s.bytesStored
-	acc.ChunkBytesDeduped += s.bytesDedup
-	acc.ChunksCollected += s.collected
-	acc.ChunkBytesFreed += s.bytesFreed
 	return acc
 }

@@ -35,12 +35,13 @@ func TestDedupStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chunks, rawSize, err := DecodeRecipe(recipe); err != nil || chunks < 2 || rawSize != int64(len(data)) {
+	chunks, rawSize, err := DecodeRecipe(recipe)
+	if err != nil || chunks < 2 || rawSize != int64(len(data)) {
 		t.Fatalf("expected a multi-chunk recipe of %d bytes, got %d chunks, %d bytes (err %v)",
 			len(data), chunks, rawSize, err)
 	}
 	first := st.Accounting()
-	if first.ChunkBytesStored != int64(len(data)) || first.ChunkBytesDeduped != 0 {
+	if first.ChunksStored != chunks || first.ChunksDeduped != 0 {
 		t.Fatalf("first store should be all-new: %+v", first)
 	}
 
@@ -52,7 +53,7 @@ func TestDedupStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	acc := st.Accounting()
-	if fresh := acc.ChunkBytesStored - first.ChunkBytesStored; fresh >= int64(len(edited))/2 {
+	if fresh := acc.ObjectBytes - first.ObjectBytes; fresh >= int64(len(edited))/2 {
 		t.Fatalf("25%% overwrite stored %d of %d bytes new — dedup not working", fresh, len(edited))
 	}
 	if acc.ChunksDeduped == 0 || acc.DedupBytesSaved <= 0 {
@@ -151,16 +152,15 @@ func TestDedupStoreRetainReleaseSweep(t *testing.T) {
 	if err := st.Release("it2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Sweep(); err != nil {
+	if stats, err = st.Sweep(); err != nil {
 		t.Fatal(err)
 	}
 	left, _ := mem.List("chunk/")
 	if len(left) != 0 {
 		t.Fatalf("%d chunks left after everything was released", len(left))
 	}
-	acc := st.Accounting()
-	if acc.ChunksCollected == 0 || acc.ChunkBytesFreed == 0 {
-		t.Fatalf("GC counters empty: %+v", acc)
+	if stats.Chunks == 0 || stats.BytesFreed == 0 {
+		t.Fatalf("last sweep freed nothing: %+v", stats)
 	}
 }
 

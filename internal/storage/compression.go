@@ -51,15 +51,6 @@ func Profile(codec string) (CodecProfile, bool) {
 	return p, ok
 }
 
-// CodecCount is one codec's slice of the per-codec ledger.
-type CodecCount struct {
-	// Objects stored with this codec.
-	Objects int
-	// RawBytes and EncodedBytes they held before and after encoding.
-	RawBytes     int64
-	EncodedBytes int64
-}
-
 // CompressionOptions configure the Compressing wrapper.
 type CompressionOptions struct {
 	// Codec is a fixed codec name, or AdaptiveCodec (also the ""
@@ -125,8 +116,8 @@ func elemSizeFor(n int) int {
 // Cost face: the inner model under Reduce, with desEncode/desDecode as
 // the layer's two cost functions — every transfer charges the codec CPU
 // time on the dedicated core and moves only the encoded volume. The
-// ledger grows BytesSaved, Encode/DecodeTime and per-codec counters on
-// top of the inner accounting.
+// ledger grows BytesSaved, Encode/DecodeTime and the framed-object
+// counters on top of the inner accounting.
 type Compressing struct {
 	CostModel
 	inner Backend
@@ -142,16 +133,14 @@ type Compressing struct {
 	objects    int
 	rawBytes   int64
 	encBytes   int64
-	perCodec   map[string]CodecCount
 }
 
 // NewCompressing wraps inner with the compression pipeline.
 func NewCompressing(inner Backend, opts CompressionOptions) *Compressing {
 	c := &Compressing{
-		inner:    inner,
-		opts:     opts.withDefaults(),
-		choice:   map[string]string{},
-		perCodec: map[string]CodecCount{},
+		inner:  inner,
+		opts:   opts.withDefaults(),
+		choice: map[string]string{},
 	}
 	c.CostModel = Reduce(inner, c.desEncode, c.desDecode)
 	return c
@@ -333,19 +322,14 @@ func (c *Compressing) PutVec(name string, segs [][]byte) error {
 	return nil
 }
 
-// recordPut accounts one stored object: codec CPU and the per-codec
-// ledger. How the object itself was encoded is in its frame header.
+// recordPut accounts one stored object: codec CPU and the object
+// counters. How the object itself was encoded is in its frame header.
 func (c *Compressing) recordPut(used string, rawBytes, encBytes int64) {
 	c.mu.Lock()
 	charge(&c.encodeTime, defaultProfiles[used].EncodeRate, float64(rawBytes))
 	c.objects++
 	c.rawBytes += rawBytes
 	c.encBytes += encBytes
-	pc := c.perCodec[used]
-	pc.Objects++
-	pc.RawBytes += rawBytes
-	pc.EncodedBytes += encBytes
-	c.perCodec[used] = pc
 	c.mu.Unlock()
 }
 
@@ -447,12 +431,6 @@ func (c *Compressing) Accounting() Accounting {
 	acc.ObjectsCompressed = c.objects
 	acc.ObjectRawBytes = c.rawBytes
 	acc.ObjectEncodedBytes = c.encBytes
-	if len(c.perCodec) > 0 {
-		acc.PerCodec = make(map[string]CodecCount, len(c.perCodec))
-		for k, v := range c.perCodec {
-			acc.PerCodec[k] = v
-		}
-	}
 	return acc
 }
 

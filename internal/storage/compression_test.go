@@ -99,9 +99,6 @@ func TestCompressingGetEquality(t *testing.T) {
 				if acc.ObjectsCompressed != len(payloads) {
 					t.Fatalf("ObjectsCompressed = %d, want %d", acc.ObjectsCompressed, len(payloads))
 				}
-				if acc.PerCodec == nil {
-					t.Fatal("PerCodec ledger missing")
-				}
 			})
 		}
 	}

@@ -34,7 +34,6 @@ type simModel struct {
 	mu           sync.Mutex
 	bytesWritten float64
 	bytesRead    float64
-	files        int
 	active       int
 	busySince    float64
 	busyTotal    float64
@@ -95,12 +94,7 @@ func (m *simModel) metaOp(p *des.Proc) {
 }
 
 // Create implements CostModel.
-func (m *simModel) Create(p *des.Proc) {
-	m.mu.Lock()
-	m.files++
-	m.mu.Unlock()
-	m.metaOp(p)
-}
+func (m *simModel) Create(p *des.Proc) { m.metaOp(p) }
 
 // Open implements CostModel.
 func (m *simModel) Open(p *des.Proc) { m.metaOp(p) }
@@ -201,7 +195,6 @@ func (m *simModel) Accounting() Accounting {
 		BytesWritten: m.bytesWritten,
 		BytesRead:    m.bytesRead,
 		IOBusyTime:   busy,
-		FilesCreated: m.files,
 	}
 }
 
@@ -211,11 +204,10 @@ func (m *simModel) Accounting() Accounting {
 type Memory struct {
 	*simModel
 
-	omu      sync.Mutex
-	objects  map[string][]byte
-	objByte  int64
-	objReads int
-	objRead  int64
+	omu     sync.Mutex
+	objects map[string][]byte
+	objByte int64
+	objRead int64
 }
 
 // NewMemory builds a memory backend with the given number of targets
@@ -275,7 +267,6 @@ func (b *Memory) Get(name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	b.objReads++
 	b.objRead += int64(len(d))
 	return append([]byte(nil), d...), nil
 }
@@ -300,7 +291,6 @@ func (b *Memory) Accounting() Accounting {
 	b.omu.Lock()
 	acc.Objects = len(b.objects)
 	acc.ObjectBytes = b.objByte
-	acc.ObjectsRead = b.objReads
 	acc.ObjectReadBytes = b.objRead
 	b.omu.Unlock()
 	return acc

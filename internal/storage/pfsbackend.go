@@ -21,12 +21,10 @@ type PFS struct {
 	eng *des.Engine
 	fs  *pfs.FS
 
-	mu       sync.Mutex
-	creates  int
-	objSize  map[string]int64
-	objByte  int64
-	objReads int
-	objRead  int64
+	mu      sync.Mutex
+	objSize map[string]int64
+	objByte int64
+	objRead int64
 }
 
 // NewPFS wraps a fresh pfs.FS over the given parameters.
@@ -55,12 +53,7 @@ func (b *PFS) Targets() int { return b.fs.OSTCount() }
 func (b *PFS) BeginPhase() { b.fs.BeginPhase() }
 
 // Create implements Backend.
-func (b *PFS) Create(p *des.Proc) {
-	b.mu.Lock()
-	b.creates++
-	b.mu.Unlock()
-	b.fs.Create(p)
-}
+func (b *PFS) Create(p *des.Proc) { b.fs.Create(p) }
 
 // Open implements Backend.
 func (b *PFS) Open(p *des.Proc) { b.fs.Open(p) }
@@ -151,7 +144,6 @@ func (b *PFS) Get(name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	b.objReads++
 	b.objRead += size
 	return nil, fmt.Errorf("%w: %q", ErrNoPayload, name)
 }
@@ -179,10 +171,8 @@ func (b *PFS) Accounting() Accounting {
 		BytesWritten:    b.fs.TotalBytes(),
 		BytesRead:       b.fs.TotalBytesRead(),
 		IOBusyTime:      b.fs.IOBusyTime(),
-		FilesCreated:    b.creates,
 		Objects:         len(b.objSize),
 		ObjectBytes:     b.objByte,
-		ObjectsRead:     b.objReads,
 		ObjectReadBytes: b.objRead,
 	}
 }

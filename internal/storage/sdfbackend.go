@@ -22,12 +22,11 @@ type SDF struct {
 	*simModel
 	dir string
 
-	omu      sync.Mutex
-	objSize  map[string]int64  // object name → stored size (overwrites replace)
-	owner    map[string]string // flattened file name → object name (collision guard)
-	objByte  int64
-	objReads int
-	objRead  int64
+	omu     sync.Mutex
+	objSize map[string]int64  // object name → stored size (overwrites replace)
+	owner   map[string]string // flattened file name → object name (collision guard)
+	objByte int64
+	objRead int64
 }
 
 // NewSDF builds an SDF backend storing objects under dir (created if
@@ -141,7 +140,6 @@ func (b *SDF) Get(name string) ([]byte, error) {
 		}
 	}
 	b.omu.Lock()
-	b.objReads++
 	b.objRead += int64(len(data))
 	b.omu.Unlock()
 	return data, nil
@@ -237,7 +235,6 @@ func (b *SDF) Accounting() Accounting {
 	b.omu.Lock()
 	acc.Objects = len(b.objSize)
 	acc.ObjectBytes = b.objByte
-	acc.ObjectsRead = b.objReads
 	acc.ObjectReadBytes = b.objRead
 	b.omu.Unlock()
 	return acc

@@ -79,18 +79,15 @@ type Accounting struct {
 	// IOBusyTime is the union of time with at least one transfer in
 	// flight; BytesWritten/IOBusyTime is the achieved throughput.
 	IOBusyTime float64
-	// FilesCreated counts simulated file creates (metadata ops).
-	FilesCreated int
 	// BytesRead is the completed simulated read payload in bytes (the
 	// restart path's mirror of BytesWritten).
 	BytesRead float64
 	// Objects and ObjectBytes count real objects stored through Put.
 	Objects     int
 	ObjectBytes int64
-	// ObjectsRead and ObjectReadBytes count real objects served back
-	// through Get (pfs counts the request even though it returns no
+	// ObjectReadBytes counts the real object bytes served back through
+	// Get (pfs counts the recorded size even though it returns no
 	// payload).
-	ObjectsRead     int
 	ObjectReadBytes int64
 
 	// Compression-pipeline counters, populated only when the backend is
@@ -109,9 +106,6 @@ type Accounting struct {
 	ObjectsCompressed  int
 	ObjectRawBytes     int64
 	ObjectEncodedBytes int64
-	// PerCodec splits the object counters by chosen codec (nil when no
-	// framed object was stored).
-	PerCodec map[string]CodecCount
 
 	// Dedup-store counters, populated only when the backend is wrapped
 	// in a content-addressed chunk store (internal/storage/chunk; zero
@@ -128,15 +122,9 @@ type Accounting struct {
 	DedupBytesSaved float64
 	// ChunksStored and ChunksDeduped count real chunks written to the
 	// inner backend (in packs) vs chunks satisfied by an existing stored
-	// copy, with their raw payload volumes.
-	ChunksStored      int
-	ChunksDeduped     int
-	ChunkBytesStored  int64
-	ChunkBytesDeduped int64
-	// ChunksCollected and ChunkBytesFreed count what refcount GC sweeps
-	// reclaimed from the inner backend.
-	ChunksCollected int
-	ChunkBytesFreed int64
+	// copy.
+	ChunksStored  int
+	ChunksDeduped int
 }
 
 // ObjectStore is the real-data write face of a backend: store a named
