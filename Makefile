@@ -20,7 +20,8 @@ PPROF_PKG ?= .
 .PHONY: build test vet fmt fmt-check bench loc \
 	pprof-cpu pprof-alloc cover-check tidy-check \
 	race-stress failure-smoke restart-smoke c1-smoke fuzz-smoke lint docs-check \
-	smoke-e1 smoke-e6 smoke-e6-cross smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 ci
+	smoke-e1 smoke-e6 smoke-e6-cross smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 \
+	smoke-paper ci
 
 build:
 	$(GO) build ./...
@@ -81,6 +82,13 @@ smoke-e7s:
 # plus the runtime-face NIC-step replay with a streaming subscriber.
 smoke-e11:
 	$(GO) run ./cmd/damaris-bench -quick -exp e11
+
+# Every experiment at paper scale (about 20 s), compared with
+# testdata/paper.golden with the wall-clock cells and checks masked —
+# not damaris-bench's exit status, which a timed E7 coupling check
+# can fail on a loaded host.
+smoke-paper:
+	$(GO) test -tags paper -count=1 ./internal/experiments -run TestPaperGolden
 
 smoke-f1: failure-smoke
 
@@ -191,4 +199,5 @@ tidy-check:
 	$(GO) mod tidy -diff
 
 ci: build vet fmt-check tidy-check docs-check test race-stress cover-check loc bench \
-	smoke-e1 smoke-e6 smoke-e6-cross smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 fuzz-smoke
+	smoke-e1 smoke-e6 smoke-e6-cross smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 \
+	smoke-paper fuzz-smoke

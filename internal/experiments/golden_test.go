@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/quick.golden from this run")
+var update = flag.Bool("update", false, "rewrite the golden file of each golden test that runs")
 
 // TestQuickGolden runs every registered experiment at quick scale and
 // compares the masked reports (measured cells and timed checks shown as
@@ -21,9 +21,17 @@ func TestQuickGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment, runtime legs included")
 	}
+	checkGolden(t, "quick.golden", Quick())
+}
+
+// checkGolden runs every registered experiment under opts and compares
+// the masked reports with testdata/<name>, or rewrites that file under
+// -update.
+func checkGolden(t *testing.T, name string, opts Options) {
+	t.Helper()
 	var b strings.Builder
 	for _, e := range Registry() {
-		rep, err := e.Run(Quick())
+		rep, err := e.Run(opts)
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
@@ -31,7 +39,7 @@ func TestQuickGolden(t *testing.T) {
 		b.WriteByte('\n')
 	}
 	got := b.String()
-	path := filepath.Join("testdata", "quick.golden")
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -46,7 +54,7 @@ func TestQuickGolden(t *testing.T) {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
 	if diff := lineDiff(string(want), got); diff != "" {
-		t.Errorf("quick-scale reports differ from %s:\n%s", path, diff)
+		t.Errorf("reports differ from %s:\n%s", path, diff)
 	}
 }
 
