@@ -20,7 +20,7 @@ PPROF_PKG ?= .
 .PHONY: build test vet fmt fmt-check bench loc \
 	pprof-cpu pprof-alloc cover-check tidy-check \
 	race-stress failure-smoke restart-smoke c1-smoke fuzz-smoke lint docs-check \
-	smoke-e1 smoke-e6 smoke-e6-cross smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 \
+	smoke-e1 smoke-e6 smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 \
 	smoke-paper ci
 
 build:
@@ -34,15 +34,15 @@ test:
 
 # Repeated passes over what a single -count=1 run misses. Under the
 # race detector: tenants finishing while other roots are still inside
-# the broker's accounting (the E9 pinned-admission race showed up about
-# once in six runs), the service lifecycle, the token broker, the stream's
+# the broker's accounting (E9's runtime tenant leg; the race showed up
+# about once in six runs), the service lifecycle, the token broker, the stream's
 # Seq order under racing publishers, the codec selector's first Puts
 # racing on one dataset and chunk-store Gets racing the sweep's pack
 # compaction. Without it, at -count=200
 # (~5 s): the three routing-protocol tests that flaked 1-3 % until
 # Forest decided the late-drain rule — they guard its rules 1 and 2.
 race-stress:
-	$(GO) test -race -count=10 -run 'TestE9PinnedAdmission' ./internal/experiments
+	$(GO) test -race -count=10 -run 'TestE9Quick' ./internal/experiments
 	$(GO) test -race -count=10 -run 'Service' ./internal/cluster
 	$(GO) test -race -count=10 -run 'Broker|TestStreamPublishSeqOrder|TestCompressingConcurrentChoice' ./internal/storage
 	$(GO) test -race -count=10 -run 'TestDedupStoreGetSweepRace|TestDedupStoreGetReresolvesAfterCompaction|TestDedupStoreConcurrentSweep' ./internal/storage/chunk
@@ -54,13 +54,10 @@ race-stress:
 smoke-e1:
 	$(GO) run ./cmd/damaris-bench -quick -exp e1
 
+# E6 at smoke scale: the single-backend policy sweep plus the
+# cross-root token sweep on both faces.
 smoke-e6:
 	$(GO) run ./cmd/damaris-bench -quick -exp e6
-
-# The cross-root E6 mode: -sched cluster-token restricts E6 to the
-# cluster-wide token sweep (DES + runtime faces).
-smoke-e6-cross:
-	$(GO) run ./cmd/damaris-bench -quick -exp e6 -sched cluster-token
 
 # E9 multi-tenant admission at smoke scale: the full tenancy × arrival
 # × policy sweep including the EDF-beats-FIFO tail check.
@@ -102,21 +99,21 @@ failure-smoke:
 	$(GO) run ./cmd/damaris-bench -quick -exp f1
 
 # R1 checkpoint/restart experiment at smoke scale: write objects +
-# manifests into an sdf store, restore them, then replay the artifacts
-# through -restart-from (the full object read path end to end).
+# manifests into an sdf store, restore them, replay the artifacts
+# through -restart-from (the full object read path end to end) and list
+# them with sdfdump.
 restart-smoke:
-	$(GO) run ./cmd/damaris-bench -quick -exp r1 -backend sdf -backend-dir out/restart-smoke
+	$(GO) run ./cmd/damaris-bench -quick -exp r1 -backend-dir out/restart-smoke
 	$(GO) run ./cmd/damaris-bench -restart-from out/restart-smoke/fail0
+	$(GO) run ./cmd/sdfdump out/restart-smoke/fail0
 
 # C1 compression smoke: the codec × dataset sweep with the adaptive
-# selector at quick scale, then a compressed-store restart round trip
-# on disk — write framed objects through the adaptive pipeline, replay
-# them via -restart-from, and list them with sdfdump (codec + ratio).
+# selector at quick scale, then the compressed on-disk restart round
+# trip of examples/restart — framed objects through the adaptive
+# pipeline, restored and verified byte for byte via chunk.ReadStack.
 c1-smoke:
 	$(GO) run ./cmd/damaris-bench -quick -exp c1
-	$(GO) run ./cmd/damaris-bench -quick -exp r1 -backend sdf -codec adaptive -backend-dir out/c1-smoke
-	$(GO) run ./cmd/damaris-bench -restart-from out/c1-smoke/fail0
-	$(GO) run ./cmd/sdfdump out/c1-smoke/fail0
+	$(GO) run ./examples/restart
 
 # Short fuzz passes over the object decoders; `go test -fuzz` takes
 # one package per invocation.
@@ -199,5 +196,5 @@ tidy-check:
 	$(GO) mod tidy -diff
 
 ci: build vet fmt-check tidy-check docs-check test race-stress cover-check loc bench \
-	smoke-e1 smoke-e6 smoke-e6-cross smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 \
+	smoke-e1 smoke-e6 smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 \
 	smoke-paper fuzz-smoke

@@ -17,14 +17,15 @@
 //     heading in docs/EXPERIMENTS.md, so a runner cannot land without
 //     its documentation;
 //   - every flag cmd/damaris-bench defines is mentioned in README.md,
-//     so the CLI reference cannot drift behind the binary;
+//     and every -flag on a damaris-bench command line in README.md,
+//     docs/*.md and the Makefile is one it defines, so the CLI reference
+//     and its examples cannot drift from the binary either way;
 //   - every docs/*.md file is reachable from README.md by following
 //     intra-repo markdown links, so a document cannot exist without a
 //     path readers can actually find;
 //   - every Makefile `smoke-*` target names a registered experiment id
-//     (optionally suffixed `-<mode>`, like smoke-e6-cross) or is
-//     smoke-paper, the whole registry at paper scale, so the CI smoke
-//     matrix cannot drift behind the registry;
+//     or is smoke-paper, the whole registry at paper scale, so the CI
+//     smoke matrix cannot drift behind the registry;
 //   - every package under internal/ is imported by a non-test Go file
 //     outside examples/ and outside itself, so a package that only an
 //     example or its own tests reach cannot linger.
@@ -342,6 +343,43 @@ func checkBenchFlags(root string) []string {
 				"%s: damaris-bench flag -%s is not documented", readmePath, name))
 		}
 	}
+	return append(problems, checkBenchExamples(root, flags)...)
+}
+
+// cliFlag matches a -flag token on a command line.
+var cliFlag = regexp.MustCompile(`(?:^|\s)-([a-z][a-z0-9-]*)`)
+
+// checkBenchExamples requires every -flag on a damaris-bench command
+// line in README.md, docs/*.md and the Makefile to be one of flags, the
+// ones the command defines, so a deleted flag cannot linger in an
+// example. A command line runs from "damaris-bench" to the end of the
+// line, a comment, a code span, a table cell or a chained command.
+func checkBenchExamples(root string, flags []string) []string {
+	defined := map[string]bool{}
+	for _, f := range flags {
+		defined[f] = true
+	}
+	files, _ := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	files = append(files, filepath.Join(root, "README.md"), filepath.Join(root, "Makefile"))
+	var problems []string
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("%s: %v", path, err))
+			continue
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, cmd := range strings.Split(line, "damaris-bench")[1:] {
+				cmd = cmd[:strings.IndexAny(cmd+"#", "#`|;&")]
+				for _, m := range cliFlag.FindAllStringSubmatch(cmd, -1) {
+					if !defined[m[1]] {
+						problems = append(problems, fmt.Sprintf(
+							"%s:%d: damaris-bench defines no flag -%s", path, i+1, m[1]))
+					}
+				}
+			}
+		}
+	}
 	return problems
 }
 
@@ -401,10 +439,9 @@ func checkDocsReachable(root string) []string {
 var smokeTarget = regexp.MustCompile(`(?m)^smoke-([a-z0-9-]+):`)
 
 // checkSmokeTargets requires every Makefile smoke-* target to name a
-// registered experiment id, optionally suffixed with a mode (like
-// smoke-e6-cross), so a smoke rule cannot outlive — or precede — its
-// experiment. smoke-paper, which runs every experiment, is the one
-// exception.
+// registered experiment id, so a smoke rule cannot outlive — or
+// precede — its experiment. smoke-paper, which runs every experiment,
+// is the one exception.
 func checkSmokeTargets(root string) []string {
 	path := filepath.Join(root, "Makefile")
 	data, err := os.ReadFile(path)
@@ -417,12 +454,8 @@ func checkSmokeTargets(root string) []string {
 	}
 	var problems []string
 	for _, m := range smokeTarget.FindAllStringSubmatch(string(data), -1) {
-		name := m[1]
-		if registered[name] {
+		if registered[m[1]] {
 			continue
-		}
-		if i := strings.Index(name, "-"); i > 0 && registered[name[:i]] {
-			continue // id + "-<mode>" variant
 		}
 		problems = append(problems, fmt.Sprintf(
 			"%s: smoke target %q names no registered experiment id", path, m[0][:len(m[0])-1]))

@@ -50,10 +50,9 @@
 //
 // Cluster-wide end-of-iteration plugins (cluster.Hook) run at the tree
 // roots with the merged batch. examples/cluster is the runnable
-// version. `damaris-bench -nodes 16 -fanout 4 -backend memory` does not
-// start a Cluster: it runs the paper's experiments on the DES face,
-// with the memory backend's cost model and the DES tree routed by the
-// same cluster.Forest.
+// version. `damaris-bench -nodes 16` does not start a Cluster for the
+// paper's experiments: it runs them on the DES face, whose tree-mode
+// legs route through the same cluster.Forest.
 package damaris
 
 import (

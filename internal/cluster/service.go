@@ -24,7 +24,7 @@ const (
 	AdmitDegrade AdmissionPolicy = "degrade"
 )
 
-// ValidateAdmissionPolicy rejects unknown policy names (flag parsing).
+// ValidateAdmissionPolicy rejects unknown policy names (NewService).
 func ValidateAdmissionPolicy(p AdmissionPolicy) error {
 	switch p {
 	case AdmitFIFO, AdmitDeadline, AdmitReject, AdmitDegrade:

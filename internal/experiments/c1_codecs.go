@@ -193,9 +193,7 @@ func RunC1(opts Options) (Report, error) {
 	// Part 3: the DES face at scale — the §IV.D system effect, priced
 	// through the pipeline instead of E5's abstract ratio knob.
 	cores := opts.maxScale()
-	base := opts.strategyConfig(cores)
-	base.Codec = ""
-	plain, err := iostrat.Run(iostrat.Damaris, base)
+	plain, err := iostrat.Run(iostrat.Damaris, opts.strategyConfig(cores))
 	if err != nil {
 		return Report{}, err
 	}

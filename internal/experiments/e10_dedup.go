@@ -28,11 +28,13 @@ var e10ChunkParams = chunk.Params{Min: 256, Avg: 1024, Max: 4096}
 // stays a small fraction of the volume.
 const e10Floats = 256
 
-// The runtime sweep's cluster.
+// The runtime sweep's cluster, and the GC leg's retention window in
+// iterations.
 const (
 	e10Nodes   = 8
 	e10Clients = 2
 	e10Iters   = 8
+	e10Retain  = 2
 )
 
 // e10Payload builds the 2 KiB block for (node, source, it) at overwrite
@@ -119,12 +121,8 @@ func RunE10(opts Options) (Report, error) {
 	// Retention + GC leg at the 25% point: aged iterations are released
 	// as the run advances, the sweep reclaims them, and the retained
 	// window must still restore completely.
-	retain := opts.Retain
-	if retain <= 0 {
-		retain = 2
-	}
 	gcStore := chunk.New(storage.NewMemory(nil, 4, 1e9), chunk.Options{Params: e10ChunkParams})
-	if _, err := runE10Cluster(0.25, retain, gcStore); err != nil {
+	if _, err := runE10Cluster(0.25, e10Retain, gcStore); err != nil {
 		return Report{}, err
 	}
 	swept, err := gcStore.Sweep()
@@ -139,30 +137,25 @@ func RunE10(opts Options) (Report, error) {
 	if len(gcRestored.Problems) > 0 {
 		retainedOK = 0
 	}
-	for it := e10Iters - retain; it < e10Iters; it++ {
+	for it := e10Iters - e10Retain; it < e10Iters; it++ {
 		ri := gcRestored.Iterations[it]
 		if ri == nil || !ri.Complete(e10Nodes) {
 			retainedOK = 0
 		}
 	}
 	gcTable := stats.NewTable(
-		fmt.Sprintf("retention window %d + GC sweep at overwrite 0.25", retain),
+		fmt.Sprintf("retention window %d + GC sweep at overwrite 0.25", e10Retain),
 		"objects_swept", "chunks_swept", "KB_freed", "iterations_left", "retained_complete")
 	gcTable.AddRow(swept.Objects, swept.Chunks, float64(swept.BytesFreed)/1e3,
 		len(gcRestored.Iterations), retainedOK)
 
-	// DES face: the damaris strategy over the priced dedup store. The
-	// codec pipeline stays off so the comparison isolates the dedup
-	// trade (C1 prices compression).
+	// DES face: the damaris strategy over the priced dedup store.
 	cores := opts.maxScale()
 	desTable := stats.NewTable(
 		fmt.Sprintf("DES damaris, %d cores, dedup store on the dedicated cores",
 			cores),
 		"assumed_new_frac", "written_GB", "reduction", "saved_GB", "hash_cpu_s", "mean_io_s")
-	baseCfg := opts.strategyConfig(cores)
-	baseCfg.Codec = ""
-	baseCfg.Dedup = false
-	baseRes, err := iostrat.Run(iostrat.Damaris, baseCfg)
+	baseRes, err := iostrat.Run(iostrat.Damaris, opts.strategyConfig(cores))
 	if err != nil {
 		return Report{}, err
 	}
@@ -172,7 +165,6 @@ func RunE10(opts Options) (Report, error) {
 	hashCPU := 0.0
 	for _, nf := range []float64{1, 0.5, 0.25} {
 		cfg := opts.strategyConfig(cores)
-		cfg.Codec = ""
 		cfg.Dedup = true
 		cfg.DedupNewFraction = nf
 		res, err := iostrat.Run(iostrat.Damaris, cfg)

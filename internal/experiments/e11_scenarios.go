@@ -31,22 +31,6 @@ func RunE11(opts Options) (Report, error) {
 	opts = opts.withDefaults()
 	rep := Report{ID: "E11", Title: "deterministic scenarios × elastic tree adaptation"}
 
-	scenarios := workload.Scenarios()
-	if opts.Scenario != "" {
-		if err := workload.ValidateScenario(opts.Scenario); err != nil {
-			return Report{}, err
-		}
-		scenarios = []string{opts.Scenario}
-	}
-	policies := iostrat.AdaptPolicies()
-	if opts.Adapt != "" {
-		pol := iostrat.AdaptPolicy(opts.Adapt)
-		if err := iostrat.ValidateAdaptPolicy(pol); err != nil {
-			return Report{}, err
-		}
-		policies = []iostrat.AdaptPolicy{pol}
-	}
-
 	// The generators place their mid-run shifts around n/3 and the
 	// adaptation cooldown needs headroom after that; quick runs would
 	// otherwise end before the step can matter.
@@ -57,7 +41,7 @@ func RunE11(opts Options) (Report, error) {
 	cores := opts.Scales[0]
 	desCfg := func(sc string, pol iostrat.AdaptPolicy) (iostrat.Config, error) {
 		cfg := opts.strategyConfig(cores)
-		cfg.Fanout = opts.treeFanout()
+		cfg.Fanout = treeFanout
 		tr, err := workload.Generate(workload.Spec{
 			Scenario:   sc,
 			Seed:       opts.Seed,
@@ -82,8 +66,8 @@ func RunE11(opts Options) (Report, error) {
 		fmt.Sprintf("DES face: scenario × adaptation at %d cores, %d iterations", cores, iters),
 		"scenario", "adapt", "median_write_latency_s", "bytes_written_gb",
 		"tree_reforms", "min_completeness", "skipped")
-	for _, sc := range scenarios {
-		for _, pol := range policies {
+	for _, sc := range workload.Scenarios() {
+		for _, pol := range iostrat.AdaptPolicies() {
 			cfg, err := desCfg(sc, pol)
 			if err != nil {
 				return Report{}, err
@@ -104,11 +88,9 @@ func RunE11(opts Options) (Report, error) {
 	}
 	rep.Tables = append(rep.Tables, des)
 
-	// ---- Determinism: the same seed must replay bit-identically. ----
-	replaySc, replayPol := scenarios[0], policies[len(policies)-1]
-	if opts.Scenario == "" {
-		replaySc = workload.NICStep // the scenario with the most moving parts
-	}
+	// ---- Determinism: the same seed must replay bit-identically, on
+	// the scenario with the most moving parts. ----
+	replaySc, replayPol := workload.NICStep, iostrat.AdaptAdaptive
 	cfgA, err := desCfg(replaySc, replayPol)
 	if err != nil {
 		return Report{}, err
@@ -164,37 +146,34 @@ func RunE11(opts Options) (Report, error) {
 		})
 
 	// ---- Adaptive vs static on a mid-run platform shift. ----
-	if opts.Scenario == "" && opts.Adapt == "" {
-		st := results[legKey{workload.NICStep, iostrat.AdaptStatic}]
-		ad := results[legKey{workload.NICStep, iostrat.AdaptAdaptive}]
-		rep.Checks = append(rep.Checks,
-			Check{
-				Name:     "adaptive re-forms on the NIC step",
-				Paper:    "topology follows observed bandwidth",
-				Measured: float64(ad.TreeReforms), Unit: "reforms", Lo: 1,
-			},
-			Check{
-				Name:     "static control never re-forms",
-				Paper:    "fixed topology is the baseline",
-				Measured: float64(st.TreeReforms), Unit: "reforms", Lo: 0, Hi: 1e-9,
-			},
-			Check{
-				Name:     "adaptive write-latency advantage on the NIC step",
-				Paper:    "re-formed tree beats the stale shape",
-				Measured: stats.Median(st.TreeWriteLatencies) / stats.Median(ad.TreeWriteLatencies),
-				Unit:     "x", Lo: 1.001,
-			},
-			Check{
-				Name:     "adaptation leaves stored volume unchanged",
-				Paper:    "same data, different route",
-				Measured: ad.BytesWritten / st.BytesWritten,
-				Unit:     "x", Lo: 0.999, Hi: 1.001,
-			})
-	}
+	st := results[legKey{workload.NICStep, iostrat.AdaptStatic}]
+	ad := results[legKey{workload.NICStep, iostrat.AdaptAdaptive}]
+	rep.Checks = append(rep.Checks,
+		Check{
+			Name:     "adaptive re-forms on the NIC step",
+			Paper:    "topology follows observed bandwidth",
+			Measured: float64(ad.TreeReforms), Unit: "reforms", Lo: 1,
+		},
+		Check{
+			Name:     "static control never re-forms",
+			Paper:    "fixed topology is the baseline",
+			Measured: float64(st.TreeReforms), Unit: "reforms", Lo: 0, Hi: 1e-9,
+		},
+		Check{
+			Name:     "adaptive write-latency advantage on the NIC step",
+			Paper:    "re-formed tree beats the stale shape",
+			Measured: stats.Median(st.TreeWriteLatencies) / stats.Median(ad.TreeWriteLatencies),
+			Unit:     "x", Lo: 1.001,
+		},
+		Check{
+			Name:     "adaptation leaves stored volume unchanged",
+			Paper:    "same data, different route",
+			Measured: ad.BytesWritten / st.BytesWritten,
+			Unit:     "x", Lo: 0.999, Hi: 1.001,
+		})
 
 	// ---- Runtime face: real goroutines, mid-run re-formation. ----
-	adaptRT := opts.Adapt != string(iostrat.AdaptStatic)
-	rt, err := runE11Cluster(opts.Seed, adaptRT)
+	rt, err := runE11Cluster(opts.Seed)
 	if err != nil {
 		return Report{}, fmt.Errorf("e11 runtime: %w", err)
 	}
@@ -202,11 +181,7 @@ func RunE11(opts Options) (Report, error) {
 		"runtime face: NIC-step trace replay with streaming subscriber",
 		"leg", "tree_reforms", "epochs", "blocks_stored", "blocks_expected",
 		"stream_frames", "min_completeness")
-	leg := "adaptive"
-	if !adaptRT {
-		leg = "static"
-	}
-	rtTab.AddRow(leg, rt.reforms, rt.epochs, rt.blocks, rt.want, rt.frames, rt.minComp)
+	rtTab.AddRow("adaptive", rt.reforms, rt.epochs, rt.blocks, rt.want, rt.frames, rt.minComp)
 	rep.Tables = append(rep.Tables, rtTab)
 	rep.Checks = append(rep.Checks,
 		Check{
@@ -224,14 +199,12 @@ func RunE11(opts Options) (Report, error) {
 			Name:     "runtime: streaming survives re-formation",
 			Paper:    "composes with the streaming hooks",
 			Measured: float64(rt.frames), Unit: "frames", Lo: 1,
-		})
-	if adaptRT {
-		rep.Checks = append(rep.Checks, Check{
+		},
+		Check{
 			Name:     "runtime: adaptive leg re-formed the tree",
 			Paper:    "topology follows observed bandwidth",
 			Measured: float64(rt.reforms), Unit: "reforms", Lo: 1,
 		})
-	}
 	return rep, nil
 }
 
@@ -247,10 +220,10 @@ type e11Run struct {
 
 // runE11Cluster replays a NIC-step trace on a real cluster: every
 // client writes each iteration, a streaming subscriber consumes merged
-// batches throughout, and — on the adaptive leg — a cluster.Adapter, the
-// controller the DES face steers by, is fed the trace's bandwidths and
-// re-forms the topology through Cluster.Adapt.
-func runE11Cluster(seed uint64, adapt bool) (e11Run, error) {
+// batches throughout, and a cluster.Adapter, the controller the DES face
+// steers by, is fed the trace's bandwidths and re-forms the topology
+// through Cluster.Adapt.
+func runE11Cluster(seed uint64) (e11Run, error) {
 	const nodes, clients, iters = 8, 2, 8
 	tr, err := workload.Generate(workload.Spec{
 		Scenario:   workload.NICStep,
@@ -281,17 +254,15 @@ func runE11Cluster(seed uint64, adapt bool) (e11Run, error) {
 			Failures: cluster.NewFailureSchedule().WithTrace(tr),
 		},
 		each: func(c *cluster.Cluster, it int) error {
-			if adapt {
-				// Iteration it is settled: what its transfers ran at is one
-				// observation each, a shift that landed in it a disturbance.
-				if len(tr.ShiftsAt(it)) > 0 {
-					ad.Disturb()
-				}
-				ad.ObserveNIC(nominal.NICBandwidth * tr.NICFactorAt(it))
-				ad.ObservePFS(nominal.PFS.OSTBandwidth * tr.PFSFactorAt(it))
-				if err := c.Adapt(ad, it); err != nil {
-					return err
-				}
+			// Iteration it is settled: what its transfers ran at is one
+			// observation each, a shift that landed in it a disturbance.
+			if len(tr.ShiftsAt(it)) > 0 {
+				ad.Disturb()
+			}
+			ad.ObserveNIC(nominal.NICBandwidth * tr.NICFactorAt(it))
+			ad.ObservePFS(nominal.PFS.OSTBandwidth * tr.PFSFactorAt(it))
+			if err := c.Adapt(ad, it); err != nil {
+				return err
 			}
 			run.epochs = c.Epochs()
 			return nil

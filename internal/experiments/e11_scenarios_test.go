@@ -19,50 +19,3 @@ func TestE11Quick(t *testing.T) {
 		}
 	}
 }
-
-func TestE11PinnedScenario(t *testing.T) {
-	o := quick()
-	o.Scenario = "amr"
-	o.Adapt = "static"
-	rep, err := RunE11(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A pinned sweep drops the cross-policy comparison checks but must
-	// keep the determinism and loss-accounting ones green.
-	for _, c := range rep.Checks {
-		if !c.Pass() {
-			t.Errorf("check failed: %s", c)
-		}
-	}
-
-	o.Scenario = "bogus"
-	if _, err := RunE11(o); err == nil {
-		t.Fatal("bad Scenario accepted")
-	}
-	o.Scenario = "amr"
-	o.Adapt = "bogus"
-	if _, err := RunE11(o); err == nil {
-		t.Fatal("bad Adapt accepted")
-	}
-}
-
-func TestScenarioOptionsThreadThrough(t *testing.T) {
-	o := quick()
-	o.Scenario = "nic-step"
-	o.Adapt = "adaptive"
-	cfg := o.strategyConfig(o.Scales[0])
-	if cfg.Scenario == nil || cfg.Scenario.Scenario != "nic-step" {
-		t.Fatalf("strategyConfig dropped the scenario: %+v", cfg.Scenario)
-	}
-	if cfg.Scenario.Nodes != cfg.Platform.Nodes {
-		t.Fatalf("trace generated for %d nodes, platform has %d",
-			cfg.Scenario.Nodes, cfg.Platform.Nodes)
-	}
-	if string(cfg.Adapt) != "adaptive" {
-		t.Fatalf("strategyConfig dropped the adapt policy: %q", cfg.Adapt)
-	}
-	if cfg.Fanout < 2 {
-		t.Fatalf("scenario run not forced into tree mode: fanout %d", cfg.Fanout)
-	}
-}

@@ -21,18 +21,11 @@ import (
 // storage.TokenBroker (iostrat.SchedClusterToken) beats per-backend
 // tokens on aggregate write time and write-tail variability once roots
 // contend for the same OSTs.
-//
-// With opts.Scheduling == iostrat.SchedClusterToken only the cross-root
-// part runs — the CI experiment matrix's "e6-cross" mode.
 func RunE6(opts Options) (Report, error) {
 	opts = opts.withDefaults()
 	rep := Report{ID: "E6", Title: "dedicated-core I/O scheduling (§IV.D + cross-root)"}
-	crossOnly := opts.Scheduling == iostrat.SchedClusterToken
-
-	if !crossOnly {
-		if err := runE6Classic(opts, &rep); err != nil {
-			return Report{}, err
-		}
+	if err := runE6Classic(opts, &rep); err != nil {
+		return Report{}, err
 	}
 	if err := runE6CrossRoots(opts, &rep); err != nil {
 		return Report{}, err
@@ -155,9 +148,8 @@ var e6CrossPolicies = []iostrat.Scheduling{
 func runE6CrossRoots(opts Options, rep *Report) error {
 	cores := opts.maxScale()
 	plat := opts.platformFor(cores)
-	fanout := opts.treeFanout()
 	table := stats.NewTable(
-		fmt.Sprintf("cross-root scheduling, %d nodes, fanout %d (DES)", plat.Nodes, fanout),
+		fmt.Sprintf("cross-root scheduling, %d nodes, fanout %d (DES)", plat.Nodes, treeFanout),
 		"roots", "layout", "scheduling", "write_lat_s", "write_tail_sd_s",
 		"sched_wait_s", "contended", "throughput_GB_s")
 
@@ -175,7 +167,7 @@ func runE6CrossRoots(opts Options, rep *Report) error {
 		for _, layout := range e6Layouts {
 			for _, pol := range e6CrossPolicies {
 				cfg := opts.strategyConfig(cores)
-				cfg.Fanout = fanout
+				cfg.Fanout = treeFanout
 				cfg.AggRoots = roots
 				cfg.Scheduling = pol
 				cfg.Platform.PFS.OSTs = e6OSTs(plat.Nodes, roots)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -15,6 +14,10 @@ import (
 // e7sWriteDelay is the paced store's per-object write latency on the
 // runtime face — the gap a streaming consumer gets to skip.
 const e7sWriteDelay = 15 * time.Millisecond
+
+// e7sSlowBuffer is the slow consumer's queue capacity in iterations on
+// both faces: 1, the tightest bound on staleness.
+const e7sSlowBuffer = 1
 
 // RunE7S extends E7 with the streaming pipeline of docs/STREAMING.md:
 // instead of comparing coupled vs uncoupled simulation speed, it
@@ -47,18 +50,7 @@ func RunE7S(opts Options) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("e7s runtime (fast consumer): %w", err)
 	}
-	slowPolicy := storage.DropOldest
-	if opts.StreamPolicy != "" {
-		if err := storage.ValidateSlowPolicy(opts.StreamPolicy); err != nil {
-			return Report{}, err
-		}
-		slowPolicy = storage.SlowPolicy(opts.StreamPolicy)
-	}
-	slowBuf := 1
-	if opts.StreamBuffer > 0 {
-		slowBuf = opts.StreamBuffer
-	}
-	slow, err := runE7SCluster(rtNodes, rtClients, rtIters, slowConsumer(slowPolicy, slowBuf))
+	slow, err := runE7SCluster(rtNodes, rtClients, rtIters, slowConsumer())
 	if err != nil {
 		return Report{}, fmt.Errorf("e7s runtime (slow consumer): %w", err)
 	}
@@ -74,7 +66,7 @@ func RunE7S(opts Options) (Report, error) {
 		stats.Summarize(fast.fileLat).P95*1e3, len(fast.fileLat))
 
 	rtSlow := stats.NewTable(
-		fmt.Sprintf("runtime face: slow consumer under %s (buffer %d)", slowPolicy, slowBuf),
+		fmt.Sprintf("runtime face: slow consumer under %s (buffer %d)", storage.DropOldest, e7sSlowBuffer),
 		"consumer", "frames_received", "frames_dropped", "objects_written", "mean_step_ms").
 		Measured("frames_received", "frames_dropped", "mean_step_ms")
 	rtSlow.AddRow("fast", len(fast.streamLat), fast.dropped, fast.objects, stats.Mean(fast.fileLat)*1e3)
@@ -84,7 +76,7 @@ func RunE7S(opts Options) (Report, error) {
 	cores := opts.Scales[0]
 	desCfg := func(mode iostrat.InSituMode, bw float64, pol storage.SlowPolicy, buf int) iostrat.Config {
 		cfg := opts.strategyConfig(cores)
-		cfg.Fanout = opts.treeFanout()
+		cfg.Fanout = treeFanout
 		cfg.InSitu = iostrat.InSituConfig{
 			Mode: mode, AnalysisBandwidth: bw, Policy: pol, Buffer: buf,
 		}
@@ -121,9 +113,6 @@ func RunE7S(opts Options) (Report, error) {
 		stats.GB(desFile.BytesWritten))
 
 	policies := []storage.SlowPolicy{storage.DropOldest, storage.Block, storage.Sample}
-	if opts.StreamPolicy != "" {
-		policies = []storage.SlowPolicy{slowPolicy}
-	}
 	// The slow-consumer legs need enough iterations that a buffer-1
 	// queue can actually overflow (the consumer drains the first frame
 	// the moment it lands); quick runs would otherwise never shed.
@@ -133,11 +122,11 @@ func RunE7S(opts Options) (Report, error) {
 	}
 	desPol := stats.NewTable(
 		fmt.Sprintf("DES face: slow consumer × policy (stream coupling, buffer %d, %d iterations)",
-			slowBuf, slowIters),
+			e7sSlowBuffer, slowIters),
 		"policy", "frames_analyzed", "frames_dropped", "publisher_block_s", "mean_write_latency_s")
 	desSlow := map[storage.SlowPolicy]iostrat.Result{}
 	for _, pol := range policies {
-		cfg := desCfg(iostrat.InSituStream, slowBW, pol, slowBuf)
+		cfg := desCfg(iostrat.InSituStream, slowBW, pol, e7sSlowBuffer)
 		cfg.Workload.Iterations = slowIters
 		res, err := iostrat.Run(iostrat.Damaris, cfg)
 		if err != nil {
@@ -148,13 +137,7 @@ func RunE7S(opts Options) (Report, error) {
 			res.StreamBlockTime, stats.Mean(res.TreeWriteLatencies))
 	}
 
-	// The slow consumer must shed at least one frame without slowing
-	// production beyond a tight band — except under block, which sheds
-	// nothing and stalls instead: backpressure is the point there.
-	minDrops, stepBand := 1.0, 3.0
-	if slowPolicy == storage.Block {
-		minDrops, stepBand = 0, 1000
-	}
+	desDrop, desBlock := desSlow[storage.DropOldest], desSlow[storage.Block]
 	rep.Tables = []*stats.Table{rt, rtSlow, des, desPol}
 	rep.Checks = []Check{
 		{
@@ -172,13 +155,13 @@ func RunE7S(opts Options) (Report, error) {
 			Name:     "runtime: slow consumer sheds frames",
 			Paper:    "skip iterations to keep up (§V.C.1)",
 			Measured: float64(slow.dropped + (rtIters - len(slow.streamLat))),
-			Unit:     "frames", Lo: minDrops, Timed: true,
+			Unit:     "frames", Lo: 1, Timed: true,
 		},
 		{
 			Name:     "runtime: production pace unaffected by slow consumer",
 			Paper:    "no performance impact on the simulation (§V.C.1)",
 			Measured: stats.Mean(slow.fileLat) / stats.Mean(fast.fileLat),
-			Unit:     "x", Lo: 0, Hi: stepBand, Timed: true,
+			Unit:     "x", Lo: 0, Hi: 3, Timed: true,
 		},
 		{
 			Name:     "DES: streaming freshness advantage",
@@ -192,28 +175,21 @@ func RunE7S(opts Options) (Report, error) {
 			Measured: desStream.BytesWritten / desBase.BytesWritten,
 			Unit:     "x", Lo: 0.999, Hi: 1.001,
 		},
-	}
-	// The per-policy checks only apply when that policy actually ran:
-	// -stream-policy pins the sweep to a single leg.
-	if desDrop, ran := desSlow[storage.DropOldest]; ran {
-		rep.Checks = append(rep.Checks,
-			Check{
-				Name:     "DES: drop-oldest never blocks the publisher",
-				Paper:    "loss of data rather than blocking (§V.C.1)",
-				Measured: desDrop.StreamBlockTime, Unit: "s", Lo: 0, Hi: 1e-9,
-			},
-			Check{
-				Name:     "DES: drop-oldest sheds frames under a slow consumer",
-				Paper:    "skip iterations to keep up (§V.C.1)",
-				Measured: float64(desDrop.FramesDropped), Unit: "frames", Lo: 1,
-			})
-	}
-	if desBlock, ran := desSlow[storage.Block]; ran {
-		rep.Checks = append(rep.Checks, Check{
+		{
+			Name:     "DES: drop-oldest never blocks the publisher",
+			Paper:    "loss of data rather than blocking (§V.C.1)",
+			Measured: desDrop.StreamBlockTime, Unit: "s", Lo: 0, Hi: 1e-9,
+		},
+		{
+			Name:     "DES: drop-oldest sheds frames under a slow consumer",
+			Paper:    "skip iterations to keep up (§V.C.1)",
+			Measured: float64(desDrop.FramesDropped), Unit: "frames", Lo: 1,
+		},
+		{
 			Name:     "DES: block policy measures real backpressure",
 			Paper:    "blocking coupling stalls the pipeline (§V.A)",
 			Measured: desBlock.StreamBlockTime, Unit: "s", Lo: 1e-9,
-		})
+		},
 	}
 	return rep, nil
 }
@@ -241,10 +217,10 @@ func fastConsumer() e7sConsumer {
 }
 
 // slowConsumer processes each frame slower than the producer emits
-// them, forcing the queue policy to act.
-func slowConsumer(pol storage.SlowPolicy, buffer int) e7sConsumer {
+// them, forcing the drop-oldest policy to act.
+func slowConsumer() e7sConsumer {
 	return e7sConsumer{
-		opts:  storage.SubOptions{Buffer: buffer, Policy: pol, BlockTimeout: 50 * time.Millisecond},
+		opts:  storage.SubOptions{Buffer: e7sSlowBuffer, Policy: storage.DropOldest},
 		delay: 3 * e7sWriteDelay,
 	}
 }
@@ -317,9 +293,7 @@ func runE7SCluster(nodes, clients, iters int, cons e7sConsumer) (e7sRun, error) 
 		},
 	}.run()
 	stream.Close()
-	// A block-policy slow consumer is detached on purpose: that is the
-	// leg's outcome, not its failure.
-	if cerr := consumed(); err == nil && !errors.Is(cerr, storage.ErrSlowConsumer) {
+	if cerr := consumed(); err == nil {
 		err = cerr
 	}
 	if err != nil {

@@ -26,27 +26,6 @@ func TestE7SQuick(t *testing.T) {
 	}
 }
 
-func TestE7SPinnedPolicy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock measurement")
-	}
-	o := quick()
-	o.StreamPolicy = "block"
-	o.StreamBuffer = 2
-	rep, err := RunE7S(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range rep.Checks {
-		if strings.HasPrefix(c.Name, "DES: block policy") && !c.Pass() {
-			t.Errorf("pinned block policy measured no backpressure: %s", c)
-		}
-	}
-	if _, err := RunE7S(Options{StreamPolicy: "bogus"}); err == nil {
-		t.Fatal("bad StreamPolicy accepted")
-	}
-}
-
 func TestRegistryCoversEveryRunner(t *testing.T) {
 	seen := map[string]bool{}
 	for _, e := range Registry() {

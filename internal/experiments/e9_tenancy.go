@@ -25,11 +25,6 @@ import (
 // clusters concurrently on one shared fair-share broker and checks the
 // accounting: zero cross-tenant token leaks, per-tenant stats summing
 // to the service rollup and to the broker's own grant total.
-//
-// opts.Tenants, opts.ArrivalRate and opts.Admission (the -tenants,
-// -arrival and -admission bench flags) pin the respective sweep axes;
-// a pinned Admission skips the cross-policy checks, leaving the
-// queue-depth one.
 func RunE9(opts Options) (Report, error) {
 	opts = opts.withDefaults()
 	rep := Report{ID: "E9", Title: "multi-tenant admission & shared-broker accounting"}
@@ -64,25 +59,12 @@ func e9ServiceConfig(opts Options, plat topology.Platform,
 // runE9DES is the DES face: the tenancy × arrival × admission sweep.
 func runE9DES(opts Options, rep *Report) error {
 	plat := opts.platformFor(opts.maxScale())
-	tenants := opts.Tenants
-	if tenants <= 0 {
-		tenants = 24
-	}
-	tenancies := []int{tenants / 2, tenants}
-	if tenancies[0] < 1 {
-		tenancies = tenancies[1:]
-	}
+	tenancies := []int{12, 24}
 	// Light load barely queues; heavy load oversubscribes the machine
 	// several times over — the regime where admission ordering matters.
 	rates := []float64{1.0 / 60, 1.0 / 20}
-	if opts.ArrivalRate > 0 {
-		rates = []float64{opts.ArrivalRate}
-	}
 	policies := []cluster.AdmissionPolicy{
 		cluster.AdmitFIFO, cluster.AdmitDeadline, cluster.AdmitReject, cluster.AdmitDegrade,
-	}
-	if opts.Admission != "" {
-		policies = []cluster.AdmissionPolicy{opts.Admission}
 	}
 
 	table := stats.NewTable(
@@ -116,15 +98,6 @@ func runE9DES(opts Options, rep *Report) error {
 	// Checks read the most oversubscribed point: full tenancy, heaviest
 	// arrival rate.
 	jobs, rate := tenancies[len(tenancies)-1], rates[len(rates)-1]
-	if opts.Admission != "" {
-		pinned := results[key{jobs, rate, opts.Admission}]
-		rep.Checks = append(rep.Checks, Check{
-			Name:     "tenants queued under oversubscription",
-			Paper:    "shared dedicated cores are a contended resource",
-			Measured: float64(pinned.MaxQueued + pinned.Rejected), Unit: "jobs", Lo: 1, Hi: 0,
-		})
-		return nil
-	}
 	fifo := results[key{jobs, rate, cluster.AdmitFIFO}]
 	edf := results[key{jobs, rate, cluster.AdmitDeadline}]
 	rej := results[key{jobs, rate, cluster.AdmitReject}]

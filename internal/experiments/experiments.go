@@ -17,15 +17,14 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cluster"
 	"repro/internal/iostrat"
 	"repro/internal/stats"
-	"repro/internal/storage"
 	"repro/internal/topology"
-	"repro/internal/workload"
 )
 
-// Options control the scale of an experiment run.
+// Options control the scale of an experiment run. Every experiment runs
+// the one design testdata/quick.golden pins; only its size, seed and
+// machine vary.
 type Options struct {
 	// Seed is the root seed for every stochastic input.
 	Seed uint64
@@ -35,69 +34,10 @@ type Options struct {
 	Scales []int
 	// Platform names the preset machine (default "kraken").
 	Platform string
-	// Backend selects the storage backend the strategies write through
-	// ("pfs" default, "memory", "sdf") — see internal/storage.
-	Backend string
-	// BackendDir is the artifact directory for the sdf backend.
+	// BackendDir, when set, makes R1 store its runtime objects as SDF
+	// files under BackendDir/fail<i>, ready for `damaris-bench
+	// -restart-from`; empty keeps them in memory.
 	BackendDir string
-	// Fanout, when >= 2, routes the Damaris strategy through the
-	// cross-node aggregation tree of internal/cluster instead of the
-	// one-file-per-node baseline.
-	Fanout int
-	// FailNodes lists node ids to kill at iteration FailAt in every
-	// tree-mode Damaris run (the -fail-nodes/-fail-at bench flags).
-	// F1 sweeps its own failure rates regardless of these.
-	FailNodes []int
-	// FailAt is the death iteration for FailNodes (default 0).
-	FailAt int
-	// Codec enables the storage compression pipeline (the -codec bench
-	// flag): a codec name fixes the codec for every strategy run and
-	// the R1/C1 runtime stores, "adaptive" selects per dataset, ""
-	// disables it. C1 sweeps its own codecs regardless of this.
-	Codec string
-	// Dedup wraps every run's backend in the content-addressed chunk
-	// store (the -dedup bench flag): DES runs charge chunk/hash CPU and
-	// forward only the assumed-new volume; runtime stores actually
-	// deduplicate. E10 sweeps its own overwrite fractions regardless.
-	Dedup bool
-	// Retain is the checkpoint retention window in iterations for
-	// runtime cluster runs over a dedup store (the -retain bench flag;
-	// 0 = keep everything). E10's GC leg uses it (default 2 there).
-	Retain int
-	// Scheduling coordinates dedicated-core writes in every Damaris run
-	// (the -sched bench flag): "", "none", "ost-token", "global-token"
-	// or "cluster-token". E6 sweeps its own policies regardless; set to
-	// cluster-token it restricts E6 to the cross-root sweep (the CI
-	// matrix's cross-root mode).
-	Scheduling iostrat.Scheduling
-	// Tenants is the number of tenant jobs E9 submits per sweep point
-	// (the -tenants bench flag; default 24 — E9 also sweeps half that).
-	Tenants int
-	// ArrivalRate pins E9's job arrival rate in jobs per second (the
-	// -arrival bench flag); 0 sweeps a light and a heavy rate.
-	ArrivalRate float64
-	// Admission restricts E9's policy sweep to one admission policy
-	// (the -admission bench flag: fifo, deadline, reject, degrade);
-	// empty sweeps all four and runs the cross-policy checks.
-	Admission cluster.AdmissionPolicy
-	// StreamPolicy pins E7S's slow-consumer policy (the -stream-policy
-	// bench flag: drop-oldest, block, sample); empty runs drop-oldest
-	// on the runtime face and sweeps all three on the DES face.
-	StreamPolicy string
-	// StreamBuffer is the per-subscriber queue capacity in iterations
-	// for E7S's slow-consumer legs (the -stream-buffer bench flag;
-	// 0 = 1, the tightest bound on staleness).
-	StreamBuffer int
-	// Scenario names a workload generator (the -scenario bench flag;
-	// see internal/workload and docs/SCENARIOS.md): every DES strategy
-	// run then replays the trace deterministically generated from Seed
-	// for the run's node count, in tree mode. E11 sweeps all scenarios
-	// unless this pins one.
-	Scenario string
-	// Adapt selects the mid-run tree adaptation policy for scenario
-	// runs (the -adapt bench flag: "static" or "adaptive"). E11 sweeps
-	// both unless this pins one.
-	Adapt string
 }
 
 // Default returns the paper-scale options: the Kraken sweep up to 9216
@@ -152,55 +92,20 @@ func (o Options) platformFor(cores int) topology.Platform {
 	return p.WithNodes(cores / p.CoresPerNode)
 }
 
-// strategyConfig builds the iostrat configuration for one scale,
-// carrying the backend and cross-node aggregation options through so
-// the sweep runs on the cluster layer when they are set.
+// strategyConfig builds the iostrat configuration for one scale: the
+// platform, the CM1 workload and the seed. Experiments set the design
+// knobs they sweep on the result.
 func (o Options) strategyConfig(cores int) iostrat.Config {
-	cfg := iostrat.Config{
-		Platform:   o.platformFor(cores),
-		Workload:   iostrat.CM1Workload(o.Iterations),
-		Seed:       o.Seed + uint64(cores),
-		Backend:    storage.Kind(o.Backend),
-		BackendDir: o.BackendDir,
-		Fanout:     o.Fanout,
-		Codec:      o.Codec,
-		Scheduling: o.Scheduling,
-		Dedup:      o.Dedup,
+	return iostrat.Config{
+		Platform: o.platformFor(cores),
+		Workload: iostrat.CM1Workload(o.Iterations),
+		Seed:     o.Seed + uint64(cores),
 	}
-	if len(o.FailNodes) > 0 {
-		sched := cluster.NewFailureSchedule()
-		for _, n := range o.FailNodes {
-			sched.Add(n, o.FailAt)
-		}
-		cfg.Failures = sched
-	}
-	if o.Scenario != "" {
-		tr, err := workload.Generate(workload.Spec{
-			Scenario:   o.Scenario,
-			Seed:       o.Seed,
-			Iterations: o.Iterations,
-			Nodes:      cfg.Platform.Nodes,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
-		cfg.Scenario = tr
-		cfg.Fanout = o.treeFanout() // scenario traces ride the aggregation tree
-	}
-	if o.Adapt != "" {
-		cfg.Adapt = iostrat.AdaptPolicy(o.Adapt)
-	}
-	return cfg
 }
 
 // treeFanout is the aggregation-tree fanout of the legs that only exist
-// in tree mode: the -fanout option when it enables the tree, else 4.
-func (o Options) treeFanout() int {
-	if o.Fanout >= 2 {
-		return o.Fanout
-	}
-	return 4
-}
+// in tree mode.
+const treeFanout = 4
 
 // maxScale returns the largest core count in the sweep.
 func (o Options) maxScale() int {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/iostrat"
 	"repro/internal/storage"
+	"repro/internal/storage/chunk"
 )
 
 // quick returns fast options for tests (small machine, few phases).
@@ -206,28 +207,6 @@ func TestE6QuickGain(t *testing.T) {
 	}
 }
 
-// The cross-only mode (the CI matrix's e6-cross entry) must skip the
-// classic sweep and still pass its checks.
-func TestE6CrossOnlyMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the runtime face paces real writes")
-	}
-	o := quick()
-	o.Scheduling = iostrat.SchedClusterToken
-	rep, err := RunE6(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Tables) != 2 {
-		t.Fatalf("cross-only tables = %d, want 2", len(rep.Tables))
-	}
-	for _, c := range rep.Checks {
-		if strings.HasPrefix(c.Name, "DES") && !c.Pass() {
-			t.Errorf("cross-only check failed: %s", c)
-		}
-	}
-}
-
 func TestE7Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock measurement")
@@ -367,7 +346,6 @@ func TestR1Quick(t *testing.T) {
 // restorable on-disk store behind — the `-restart-from` input.
 func TestR1SDFArtifacts(t *testing.T) {
 	opts := quick()
-	opts.Backend = "sdf"
 	opts.BackendDir = t.TempDir()
 	rep, err := RunR1(opts)
 	if err != nil {
@@ -395,20 +373,22 @@ func TestR1SDFArtifacts(t *testing.T) {
 }
 
 // TestR1AdaptiveStoreSmallBlocks is the small-block guard of the
-// part-by-part frame: R1's quick root object is sixteen 512-byte blocks,
-// every segment is below the stand-alone size, so the object is encoded
-// whole and costs no more than it did as a one-piece frame (432 bytes
-// for the 8,540-byte object; encoding each segment alone cost 5,080).
+// part-by-part frame: R1's quick runtime leg over the adaptive store
+// writes root objects of sixteen 512-byte blocks, every segment is below
+// the stand-alone size, so the object is encoded whole and costs no more
+// than it did as a one-piece frame (432 bytes for the 8,540-byte object;
+// encoding each segment alone cost 5,080).
 func TestR1AdaptiveStoreSmallBlocks(t *testing.T) {
-	opts := quick()
-	opts.Backend = "sdf"
-	opts.Codec = storage.AdaptiveCodec
-	opts.BackendDir = t.TempDir()
-	if rep, err := RunR1(opts); err != nil || !rep.AllPass() {
-		t.Fatalf("R1 over the adaptive store: %v\n%s", err, rep.String())
-	}
-	base, err := storage.NewSDF(nil, 1, 1e9, filepath.Join(opts.BackendDir, "fail0"))
+	base := storage.NewMemory(nil, 4, 1e9)
+	store, err := chunk.Stack(base, storage.AdaptiveCodec, nil)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := (runtimeLeg{job: "r1", nodes: 8, clients: 2, floats: 64, iters: 4,
+		cc: cluster.ClusterConfig{Store: store}}).run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := restoreClean(store, "r1"); err != nil {
 		t.Fatal(err)
 	}
 	names, err := base.List("r1-")
@@ -470,31 +450,6 @@ func TestE9Quick(t *testing.T) {
 	for _, c := range rep.Checks {
 		if !c.Pass() {
 			t.Errorf("E9 check failed at quick scale: %s", c)
-		}
-	}
-}
-
-// TestE9PinnedAdmission is the CI matrix's e9-smoke shape: the -tenants,
-// -arrival and -admission flags pin the sweep to a single point and the
-// cross-policy checks are skipped.
-func TestE9PinnedAdmission(t *testing.T) {
-	o := quick()
-	o.Tenants = 8
-	o.ArrivalRate = 1.0 / 10
-	o.Admission = cluster.AdmitDeadline
-	rep, err := RunE9(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Tables[0].NumRows() != 2 { // 2 tenancies × 1 rate × 1 policy
-		t.Fatalf("pinned sweep rows = %d, want 2", rep.Tables[0].NumRows())
-	}
-	for _, c := range rep.Checks {
-		if strings.HasPrefix(c.Name, "DES deadline") {
-			t.Errorf("pinned admission still ran a cross-policy check: %s", c.Name)
-		}
-		if !c.Pass() {
-			t.Errorf("E9 pinned check failed: %s", c)
 		}
 	}
 }

@@ -30,17 +30,16 @@ func RunF1(opts Options) (Report, error) {
 	rep := Report{ID: "F1", Title: "node-failure injection and subtree re-routing"}
 	cores := opts.maxScale()
 	plat := opts.platformFor(cores)
-	fanout := opts.treeFanout()
 
 	desTable := stats.NewTable(
 		fmt.Sprintf("DES tree-mode Damaris under node failures, %d nodes, fanout %d",
-			plat.Nodes, fanout),
+			plat.Nodes, treeFanout),
 		"policy", "fail_rate", "nodes_failed", "rerouted_edges", "loss_frac",
 		"total_s", "drain_s", "written_GB")
 
 	desCfg := func() iostrat.Config {
 		cfg := opts.strategyConfig(cores)
-		cfg.Fanout = fanout
+		cfg.Fanout = treeFanout
 		return cfg
 	}
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"cmp"
 	"fmt"
 	"path/filepath"
 
@@ -9,7 +8,6 @@ import (
 	"repro/internal/iostrat"
 	"repro/internal/stats"
 	"repro/internal/storage"
-	"repro/internal/storage/chunk"
 )
 
 // r1Rates are the node-failure rates swept by the runtime restore side.
@@ -91,18 +89,13 @@ func RunR1(opts Options) (Report, error) {
 	// cost the skip policy hides (recomputing what it dropped).
 	cores := opts.maxScale()
 	plat := opts.platformFor(cores)
-	fanout := opts.treeFanout()
 	desTable := stats.NewTable(
-		fmt.Sprintf("DES restart-read model, %d nodes, fanout %d, backend %s",
-			plat.Nodes, fanout, cmp.Or(opts.Backend, string(storage.KindPFS))),
+		fmt.Sprintf("DES restart-read model, %d nodes, fanout %d, backend pfs", plat.Nodes, treeFanout),
 		"policy", "restart_read_s", "restart_total_s", "read_GB", "loss_frac", "recompute_equiv_s")
 
+	// The DES model here prices the *layout* of the restart read.
 	treeCfg := opts.strategyConfig(cores)
-	treeCfg.Fanout = fanout
-	// The DES model here prices the *layout* of the restart read; its
-	// checks compare against raw checkpoint bytes, so the compression
-	// pipeline stays off regardless of -codec (C1 prices that trade).
-	treeCfg.Codec = ""
+	treeCfg.Fanout = treeFanout
 	treeRes, err := iostrat.RestartRead(treeCfg)
 	if err != nil {
 		return Report{}, err
@@ -110,10 +103,7 @@ func RunR1(opts Options) (Report, error) {
 	desTable.AddRow("restart tree-striped", treeRes.ReadTime, treeRes.TotalTime,
 		stats.GB(treeRes.BytesRead), 0.0, 0.0)
 
-	flatCfg := opts.strategyConfig(cores)
-	flatCfg.Fanout = 0
-	flatCfg.Codec = ""
-	flatRes, err := iostrat.RestartRead(flatCfg)
+	flatRes, err := iostrat.RestartRead(opts.strategyConfig(cores))
 	if err != nil {
 		return Report{}, err
 	}
@@ -124,7 +114,7 @@ func RunR1(opts Options) (Report, error) {
 	// iterations; nothing to read back, but the dropped share must be
 	// recomputed to reach the same state a checkpoint read restores.
 	skipCfg := opts.strategyConfig(cores)
-	skipCfg.Fanout = fanout
+	skipCfg.Fanout = treeFanout
 	skipCfg.ShmCapacity = 0.75 * iostrat.CM1Workload(opts.Iterations).NodeBytes(plat.CoresPerNode)
 	skipRes, err := iostrat.Run(iostrat.Damaris, skipCfg)
 	if err != nil {
@@ -179,28 +169,16 @@ func RunR1(opts Options) (Report, error) {
 	return rep, nil
 }
 
-// r1Store builds the object store for one runtime run. Memory by
-// default; with -backend sdf the objects land on disk under
-// BackendDir/fail<i>, ready for `damaris-bench -restart-from`. With
-// -codec set the store runs the compression pipeline, making this the
-// compressed-store restart round trip: objects are framed on the way
-// in and must restore byte-for-byte on the way out.
+// r1Store builds the object store for one runtime run: memory, or with
+// BackendDir set, SDF files under BackendDir/fail<i>, ready for
+// `damaris-bench -restart-from`.
 func r1Store(opts Options, run int) (storage.Backend, error) {
-	var be storage.Backend = storage.NewMemory(nil, 4, 1e9)
-	if storage.Kind(opts.Backend) == storage.KindSDF {
-		dir := opts.BackendDir
-		if dir == "" {
-			dir = "out/r1-objects"
-		}
-		sdfBe, err := storage.NewSDF(nil, 4, 1e9, filepath.Join(dir, fmt.Sprintf("fail%d", run)))
-		if err != nil {
-			return nil, err
-		}
-		be = sdfBe
+	if opts.BackendDir == "" {
+		return storage.NewMemory(nil, 4, 1e9), nil
 	}
-	var dedup *chunk.Options
-	if opts.Dedup {
-		dedup = &chunk.Options{}
+	sdf, err := storage.NewSDF(nil, 4, 1e9, filepath.Join(opts.BackendDir, fmt.Sprintf("fail%d", run)))
+	if err != nil {
+		return nil, err
 	}
-	return chunk.Stack(be, opts.Codec, dedup)
+	return sdf, nil
 }
