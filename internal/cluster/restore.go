@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -58,9 +57,7 @@ type Restored struct {
 // entry point: after a run (including one with node failures), Restore
 // reports exactly which iterations are recoverable and hands back the
 // decoded blocks for replay. Only Get/List are required, so any
-// storage.Backend works; the pure pfs cost model retains no bytes at
-// all, so restoring from it yields an empty result with one problem
-// per unreadable manifest.
+// storage.ObjectReader works.
 func Restore(store storage.ObjectReader, job string) (*Restored, error) {
 	prefix := job
 	if job != "" {
@@ -104,9 +101,7 @@ func Restore(store storage.ObjectReader, job string) (*Restored, error) {
 		b, err := fetchBatch(store, m)
 		if err != nil {
 			ri.PayloadMissing = true
-			if !errors.Is(err, storage.ErrNoPayload) {
-				r.Problems = append(r.Problems, err)
-			}
+			r.Problems = append(r.Problems, err)
 			continue
 		}
 		ri.Blocks = append(ri.Blocks, b.Blocks...)

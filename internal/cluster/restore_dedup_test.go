@@ -6,11 +6,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/des"
-	"repro/internal/rng"
 	"repro/internal/storage"
 	"repro/internal/storage/chunk"
-	"repro/internal/topology"
 )
 
 // payloadDedup builds the 512-byte block for (node, source, it) of the
@@ -229,30 +226,6 @@ func TestManifestsIdenticalAcrossStacks(t *testing.T) {
 					stack.codec, stack.dedup != nil, n, got[n], w)
 			}
 		}
-	}
-}
-
-// TestRestoreDedupPFSDegrades: the dedup store over the pure DES cost
-// model keeps the accounting story (chunks and recipes are accounted,
-// never retained), and a restore degrades exactly like the plain pfs
-// case — empty, one problem per unreadable manifest, no panic.
-func TestRestoreDedupPFSDegrades(t *testing.T) {
-	const nodes, clients, iters = 4, 1, 2
-	plat := topology.Kraken(1)
-	st := chunk.New(storage.NewPFS(des.NewEngine(), plat.PFS, rng.New(7, 1)), chunk.Options{})
-	stats := runDedupWorkload(t, st, nodes, clients, iters, 0, nil)
-	if stats.ObjectsWritten != iters {
-		t.Fatalf("ObjectsWritten = %d, want %d", stats.ObjectsWritten, iters)
-	}
-	r, err := Restore(st, "clustertest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Manifests != 0 || r.TotalBlocks() != 0 {
-		t.Fatalf("recovered something from a payload-free model: %+v", r)
-	}
-	if len(r.Problems) != iters {
-		t.Fatalf("%d problems, want %d: %v", len(r.Problems), iters, r.Problems)
 	}
 }
 

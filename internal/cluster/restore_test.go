@@ -8,11 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/compress"
-	"repro/internal/des"
 	"repro/internal/meta"
-	"repro/internal/rng"
 	"repro/internal/storage"
-	"repro/internal/topology"
 )
 
 func TestManifestCodecRoundTrip(t *testing.T) {
@@ -226,37 +223,6 @@ func TestRestoreFromSDFDirectory(t *testing.T) {
 	}
 	if it, ok := r.LatestComplete(nodes); !ok || it != iters-1 {
 		t.Fatalf("LatestComplete = %d, %v", it, ok)
-	}
-}
-
-// TestRestorePFSNothingRecoverable: the pure DES model retains no
-// payloads at all — not even the manifests — so a restore comes back
-// empty with one problem per unreadable manifest, instead of failing.
-func TestRestorePFSNothingRecoverable(t *testing.T) {
-	const nodes, clients, iters = 4, 1, 2
-	plat := topology.Kraken(1)
-	store := storage.NewPFS(des.NewEngine(), plat.PFS, rng.New(7, 1))
-	st := runRestoreWorkload(t, store, nodes, clients, iters, nil)
-	if st.ManifestsWritten != iters {
-		t.Fatalf("ManifestsWritten = %d, want %d (accounted even on pfs)",
-			st.ManifestsWritten, iters)
-	}
-
-	r, err := Restore(store, "clustertest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Manifests != 0 || len(r.Iterations) != 0 || r.TotalBlocks() != 0 {
-		t.Fatalf("recovered something from a payload-free model: %+v", r)
-	}
-	if _, ok := r.LatestComplete(nodes); ok {
-		t.Fatal("no checkpoint is complete without payloads")
-	}
-	// Every manifest the run stored is visible in the listing but not
-	// readable; each one must surface as a problem, not be dropped
-	// silently.
-	if len(r.Problems) != iters {
-		t.Fatalf("%d problems, want %d: %v", len(r.Problems), iters, r.Problems)
 	}
 }
 

@@ -27,7 +27,7 @@ type ClusterConfig struct {
 	// Roots is the number of aggregation trees per tenant; each root
 	// writes its subtree's merged iterations (default 1).
 	Roots int
-	// Store receives the root objects; any storage.Backend works. Under
+	// Store receives the root objects; any storage.ObjectStore works. Under
 	// a Service it is shared by every tenant — object names stay
 	// disjoint because each carries the tenant's JobName prefix.
 	Store storage.ObjectStore

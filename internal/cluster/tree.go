@@ -4,7 +4,7 @@
 // dedicated cores forward each completed iteration's blocks to their
 // parent; interior nodes batch the subtree's blocks into bigger
 // payloads; tree roots issue few large sequential streams to a
-// storage.Backend and drive cluster-wide end-of-iteration hooks.
+// storage.ObjectStore and drive cluster-wide end-of-iteration hooks.
 //
 // Routing is one protocol, Forest, driven by this package's Cluster and
 // by the discrete-event model of the strategies in internal/iostrat, so

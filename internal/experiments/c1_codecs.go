@@ -8,9 +8,7 @@ import (
 	"os"
 
 	"repro/internal/cluster"
-	"repro/internal/des"
 	"repro/internal/iostrat"
-	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/storage/chunk"
@@ -90,8 +88,8 @@ func c1Cost(acc storage.Accounting) float64 {
 // "backend compression pipeline" item): every fixed codec and the
 // adaptive selector store and read back a mixed float/int/mask
 // workload, scored by CPU charged plus bytes moved; a compressed store
-// is round-tripped through cluster.Restore/Replay on all three
-// backends; and the DES face prices dedicated-core compression at
+// is round-tripped through cluster.Restore/Replay on both object
+// stores; and the DES face prices dedicated-core compression at
 // scale, mirroring E5 on the pipeline instead of the abstract ratio
 // knob.
 func RunC1(opts Options) (Report, error) {
@@ -168,25 +166,30 @@ func RunC1(opts Options) (Report, error) {
 	}
 
 	// Part 2: compressed-store restart round trip through
-	// cluster.Restore/Replay on all three backends. The pfs model
-	// retains no payloads — the round trip there asserts the documented
-	// ErrNoPayload degradation instead of byte equality.
+	// cluster.Restore/Replay on both object stores.
 	rtTable := stats.NewTable("compressed-store restore round trip (4 nodes × 2 clients × 2 iterations)",
 		"backend", "objects", "manifests", "blocks", "byte_equal", "replayed_iters")
+	dir, err := os.MkdirTemp("", "c1-roundtrip-")
+	if err != nil {
+		return Report{}, err
+	}
+	defer os.RemoveAll(dir)
+	sdfStore, err := storage.NewSDF(nil, 4, 1e9, dir)
+	if err != nil {
+		return Report{}, err
+	}
 	byteEqualOK, framesOK := 1.0, 1.0
-	for _, kind := range storage.Kinds() {
-		r, err := c1RoundTrip(opts, kind)
+	for _, base := range []storage.Backend{storage.NewMemory(nil, 4, 1e9), sdfStore} {
+		r, err := c1RoundTrip(base)
 		if err != nil {
-			return Report{}, fmt.Errorf("c1: %s round trip: %w", kind, err)
+			return Report{}, fmt.Errorf("c1: %s round trip: %w", base.Name(), err)
 		}
-		rtTable.AddRow(string(kind), r.objects, r.manifests, r.blocks, r.byteEqual, r.replayed)
-		if kind != storage.KindPFS {
-			if r.byteEqual != 1 {
-				byteEqualOK = 0
-			}
-			if !r.framesRecordCodec {
-				framesOK = 0
-			}
+		rtTable.AddRow(base.Name(), r.objects, r.manifests, r.blocks, r.byteEqual, r.replayed)
+		if r.byteEqual != 1 {
+			byteEqualOK = 0
+		}
+		if !r.framesRecordCodec {
+			framesOK = 0
 		}
 	}
 
@@ -277,20 +280,15 @@ func c1Field(n, s, it int) []byte {
 	return out
 }
 
-// c1RoundTrip writes a small cluster run through a compressed store on
-// the given backend kind, restores it with cluster.Restore, verifies
-// every recovered block byte-for-byte and replays the iterations.
-func c1RoundTrip(opts Options, kind storage.Kind) (c1RoundTripResult, error) {
+// c1RoundTrip writes a small cluster run through a compressed store
+// over base, restores it with cluster.Restore, verifies every recovered
+// block byte-for-byte and replays the iterations.
+func c1RoundTrip(base storage.Backend) (c1RoundTripResult, error) {
 	const (
 		nodes   = 4
 		clients = 2
 		iters   = 2
 	)
-	base, cleanup, err := c1Backend(opts, kind)
-	if err != nil {
-		return c1RoundTripResult{}, err
-	}
-	defer cleanup()
 	store, err := chunk.Stack(base, storage.AdaptiveCodec, nil)
 	if err != nil {
 		return c1RoundTripResult{}, err
@@ -312,15 +310,6 @@ func c1RoundTrip(opts Options, kind storage.Kind) (c1RoundTripResult, error) {
 		objects:   st.ObjectsWritten,
 		manifests: restored.Manifests,
 		blocks:    restored.TotalBlocks(),
-	}
-	if kind == storage.KindPFS {
-		// The pure cost model retains no payloads: the store is known
-		// but not recoverable, the same ErrNoPayload degradation the
-		// uncompressed read path documents.
-		if restored.TotalBlocks() != 0 {
-			return res, fmt.Errorf("pfs restored %d blocks from a payload-free model", restored.TotalBlocks())
-		}
-		return res, nil
 	}
 	if len(restored.Problems) > 0 {
 		return res, fmt.Errorf("restore problems: %v", restored.Problems)
@@ -363,28 +352,4 @@ func c1RoundTrip(opts Options, kind storage.Kind) (c1RoundTripResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// c1Backend builds the base store of one round-trip run for the given
-// backend kind; cleanup removes temporary artifacts.
-func c1Backend(opts Options, kind storage.Kind) (store storage.Backend, cleanup func(), err error) {
-	cleanup = func() {}
-	switch kind {
-	case storage.KindMemory:
-		store = storage.NewMemory(nil, 4, 1e9)
-	case storage.KindSDF:
-		dir, err := os.MkdirTemp("", "c1-roundtrip-")
-		if err != nil {
-			return nil, nil, err
-		}
-		cleanup = func() { os.RemoveAll(dir) }
-		if store, err = storage.NewSDF(nil, 4, 1e9, dir); err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-	default:
-		p := opts.platformFor(opts.Scales[0])
-		store = storage.NewPFS(des.NewEngine(), p.PFS, rng.New(opts.Seed, 41))
-	}
-	return store, cleanup, nil
 }

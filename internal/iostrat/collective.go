@@ -23,7 +23,7 @@ func runCollective(cfg Config) (Result, error) {
 
 	eng := des.NewEngine()
 	root := rng.New(cfg.Seed, 2)
-	be, _, err := cfg.newBackend(eng, root.Named("pfs"))
+	be, _, err := cfg.newCostModel(eng, root.Named("pfs"))
 	if err != nil {
 		return Result{}, err
 	}
@@ -35,7 +35,7 @@ func runCollective(cfg Config) (Result, error) {
 	nodeBytes := w.NodeBytes(plat.CoresPerNode)
 	rounds := int(math.Ceil(nodeBytes / collectiveBuffer))
 
-	res := Result{Approach: Collective, Platform: plat, Workload: w, Backend: cfg.Backend}
+	res := Result{Approach: Collective, Platform: plat, Workload: w}
 	res.IOTimes = make([]float64, w.Iterations)
 	res.RankWriteTimes = make([]float64, 0, ranks*w.Iterations)
 

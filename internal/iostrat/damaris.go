@@ -172,7 +172,7 @@ func sortedIntKeys[V any](m map[int]V) []int {
 }
 
 // bandwidthShifter is the model-level knob scenario PFS shifts reach
-// through the backend stack (implemented by storage.PFS).
+// under the cost stack (implemented by storage.PFS).
 type bandwidthShifter interface{ SetBandwidthFactor(float64) }
 
 // runDamaris models the Damaris approach: per node, CoresPerNode-D
@@ -217,7 +217,7 @@ func runDamaris(cfg Config) (Result, error) {
 	}
 	eng := des.NewEngine()
 	root := rng.New(cfg.Seed, 3)
-	be, baseBE, err := cfg.newBackend(eng, root.Named("pfs"))
+	be, baseBE, err := cfg.newCostModel(eng, root.Named("pfs"))
 	if err != nil {
 		return Result{}, err
 	}
@@ -250,7 +250,7 @@ func runDamaris(cfg Config) (Result, error) {
 
 	treeMode := cfg.Fanout >= 2
 
-	res := Result{Approach: Damaris, Platform: plat, Workload: w, Backend: cfg.Backend}
+	res := Result{Approach: Damaris, Platform: plat, Workload: w}
 	res.IOTimes = make([]float64, w.Iterations)
 	res.RankWriteTimes = make([]float64, 0, nComputeRanks*w.Iterations)
 
@@ -271,7 +271,7 @@ func runDamaris(cfg Config) (Result, error) {
 	// Platform shifts: rank 0 applies the trace's cumulative factors at
 	// the phase start of the shift's iteration. NIC shifts scale the
 	// tree-mode forward bandwidth; PFS shifts reach the storage model
-	// through the backend stack; both (and rejoins) disturb the adaptation
+	// under the cost stack; both (and rejoins) disturb the adaptation
 	// controller so it re-evaluates the forest shape.
 	var tr *treeRun
 	adapter := cluster.NewAdapter(plat.Nodes, be.Targets(), w.Iterations,

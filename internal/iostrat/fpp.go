@@ -14,7 +14,7 @@ import (
 func runFPP(cfg Config) (Result, error) {
 	eng := des.NewEngine()
 	root := rng.New(cfg.Seed, 1)
-	be, _, err := cfg.newBackend(eng, root.Named("pfs"))
+	be, _, err := cfg.newCostModel(eng, root.Named("pfs"))
 	if err != nil {
 		return Result{}, err
 	}
@@ -23,7 +23,7 @@ func runFPP(cfg Config) (Result, error) {
 	w := cfg.Workload
 	ranks := plat.Cores()
 
-	res := Result{Approach: FilePerProcess, Platform: plat, Workload: w, Backend: cfg.Backend}
+	res := Result{Approach: FilePerProcess, Platform: plat, Workload: w}
 	res.IOTimes = make([]float64, w.Iterations)
 	res.RankWriteTimes = make([]float64, 0, ranks*w.Iterations)
 

@@ -147,13 +147,6 @@ type Config struct {
 	Workload Workload
 	Seed     uint64
 
-	// Backend selects the storage model every strategy writes through
-	// (default storage.KindPFS, the paper's Lustre model).
-	Backend storage.Kind
-	// BackendDir is the artifact directory of the sdf backend (unused
-	// by the others).
-	BackendDir string
-
 	// Damaris options.
 
 	// ShmCapacity is the per-node shared-memory segment size in bytes
@@ -180,27 +173,24 @@ type Config struct {
 	// FilesPerIter is the number of files each dedicated core writes per
 	// iteration (default 1; the A2 ablation sweeps it).
 	FilesPerIter int
-	// Codec enables the storage-layer compression pipeline: the backend
-	// is wrapped in storage.Compressing, so every Write/Read charges
-	// real per-codec CPU rates on the dedicated cores and moves only
-	// the encoded volume (and, on backends that persist objects, real
-	// payloads are framed and encoded). "" or "none" disables it; a
-	// codec name fixes the codec; storage.AdaptiveCodec lets the
-	// selector choose (E5, C1).
+	// Codec prices the storage-layer compression pipeline: the PFS
+	// model is wrapped in storage.CodecCost, so every Write/Read charges
+	// the codec's CPU rate on the dedicated cores and moves only the
+	// encoded volume. "" or "none" disables it; a codec name fixes the
+	// codec; storage.AdaptiveCodec lets the selector choose once, from
+	// the profile table (E5, C1).
 	Codec string
-	// Dedup wraps the backend in the content-addressed chunk store
-	// (internal/storage/chunk), outermost — dedup sees raw payload
-	// bytes and individual chunks ride the codec pipeline underneath.
-	// On the DES face every write is charged chunking+hashing CPU on
-	// the dedicated core and only the assumed-new fraction of the
-	// volume (plus recipe overhead) is forwarded to the backend; on
-	// backends that persist objects, payloads are actually
-	// deduplicated (E10).
+	// Dedup prices the content-addressed chunk store: the stack is
+	// wrapped in chunk.Cost, outermost, as the runtime stack wraps
+	// chunk.Store — dedup sees raw payload bytes and its forwarded
+	// volume rides the codec layer underneath. Every write is charged
+	// chunking+hashing CPU on the dedicated core and only the new
+	// fraction of the volume (plus recipe overhead) is forwarded (E10).
 	Dedup bool
-	// DedupNewFraction is the DES-face assumption for the fraction of
-	// each write's chunks not already present in the store (default 1:
-	// every chunk is new, dedup saves nothing). E10's
-	// overwrite-fraction sweep varies it.
+	// DedupNewFraction is the fraction of each write's chunks assumed
+	// not already stored, passed to chunk.Cost (default 1: every chunk
+	// is new, dedup saves nothing). E10's overwrite-fraction sweep
+	// varies it.
 	DedupNewFraction float64
 	// InSitu couples an analysis consumer to every aggregation-tree
 	// root (tree mode only): the DES mirror of the runtime streaming
@@ -229,9 +219,9 @@ type Config struct {
 	// (default AdaptStatic). See AdaptPolicy.
 	Adapt AdaptPolicy
 
-	// testWrapBackend, when set (tests only), wraps the run's backend
-	// outermost, so probes observe every strategy-level operation.
-	testWrapBackend func(storage.CostModel) storage.CostModel
+	// testBase, when set (tests only), builds the base cost model in
+	// place of the PFS model, under the codec and dedup layers.
+	testBase func(*des.Engine, *rng.Stream) storage.CostModel
 }
 
 func (c Config) withDefaults() Config {
@@ -272,9 +262,6 @@ func (c Config) withDefaults() Config {
 	if c.Codec == "none" {
 		c.Codec = ""
 	}
-	if c.Backend == "" {
-		c.Backend = storage.KindPFS
-	}
 	c.InSitu = c.InSitu.withDefaults()
 	if c.Fanout >= 2 && c.AggRoots == 0 {
 		c.AggRoots = c.Platform.Nodes / (c.Fanout * c.Fanout)
@@ -285,28 +272,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// newBackend builds the cost face of the configured storage backend for
-// one run, under the codec and dedup layers when configured. The
-// unwrapped base is returned alongside, so scenario platform shifts can
-// reach model-level knobs (bandwidth factors) through the layers.
-func (c Config) newBackend(eng *des.Engine, r *rng.Stream) (be, base storage.CostModel, err error) {
-	store, err := storage.New(c.Backend, eng, c.Platform, r, c.BackendDir)
-	if err != nil {
-		return nil, nil, err
+// newCostModel builds one run's cost stack: the PFS model (r seeds it),
+// then storage.CodecCost when Codec is set, then chunk.Cost when Dedup
+// is — the runtime stack's order (chunk.Stack). The base is returned
+// alongside, so scenario platform shifts can reach model-level knobs
+// (bandwidth factors) through the layers.
+func (c Config) newCostModel(eng *des.Engine, r *rng.Stream) (cm, base storage.CostModel, err error) {
+	if c.testBase != nil {
+		base = c.testBase(eng, r)
+	} else {
+		base = storage.NewPFS(eng, c.Platform.PFS, r)
 	}
-	base = store
-	var dedup *chunk.Options
+	cm = base
+	if c.Codec != "" {
+		if cm, err = storage.CodecCost(cm, c.Codec); err != nil {
+			return nil, nil, err
+		}
+	}
 	if c.Dedup {
-		dedup = &chunk.Options{AssumedNewFraction: c.DedupNewFraction}
+		cm = chunk.Cost(cm, c.DedupNewFraction)
 	}
-	if store, err = chunk.Stack(store, c.Codec, dedup); err != nil {
-		return nil, nil, err
-	}
-	be = store
-	if c.testWrapBackend != nil {
-		be = c.testWrapBackend(be)
-	}
-	return be, base, nil
+	return cm, base, nil
 }
 
 // Result reports what one strategy run measured.
@@ -314,8 +300,6 @@ type Result struct {
 	Approach Approach
 	Platform topology.Platform
 	Workload Workload
-	// Backend is the storage model the run wrote through.
-	Backend storage.Kind
 
 	// TotalTime is the application run time: start until the last rank
 	// finishes its final iteration (dedicated-core draining excluded, as

@@ -1,8 +1,12 @@
 package iostrat
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/compress"
+	"repro/internal/des"
+	"repro/internal/rng"
 	"repro/internal/storage"
 	"repro/internal/topology"
 )
@@ -15,6 +19,15 @@ func smallConfig() Config {
 	w := CM1Workload(3)
 	w.ComputeTime = 50
 	return Config{Platform: plat, Workload: w, Seed: 99}
+}
+
+// flatModel returns a Config.testBase that prices a run on the
+// deterministic flat cost model storage.Memory carries, sized like the
+// platform's OST array, in place of the PFS model.
+func flatModel(plat topology.Platform) func(*des.Engine, *rng.Stream) storage.CostModel {
+	return func(eng *des.Engine, _ *rng.Stream) storage.CostModel {
+		return storage.NewMemory(eng, plat.PFS.OSTs, plat.PFS.OSTBandwidth)
+	}
 }
 
 func TestRunUnknownApproach(t *testing.T) {
@@ -259,9 +272,9 @@ func TestCodecPipelineWiring(t *testing.T) {
 	}
 
 	bad := cfg
-	bad.Codec = "zstd"
-	if _, err := Run(Damaris, bad); err == nil {
-		t.Fatal("unknown codec must error")
+	bad.Codec = "bogus"
+	if _, err := Run(Damaris, bad); !errors.Is(err, compress.ErrUnknownCodec) {
+		t.Fatalf("unknown codec: err = %v, want ErrUnknownCodec", err)
 	}
 
 	// "none" is a disable alias: the run is the plain run.
@@ -296,5 +309,9 @@ func TestCodecRestartRead(t *testing.T) {
 	ratio := plain.BytesRead / comp.BytesRead
 	if ratio < prof.AssumedRatio*0.99 || ratio > prof.AssumedRatio*1.01 {
 		t.Errorf("restart read ratio = %v, want ~%v", ratio, prof.AssumedRatio)
+	}
+	ccfg.Codec = "bogus"
+	if _, err := RestartRead(ccfg); !errors.Is(err, compress.ErrUnknownCodec) {
+		t.Fatalf("unknown codec: err = %v, want ErrUnknownCodec", err)
 	}
 }

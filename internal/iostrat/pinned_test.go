@@ -44,13 +44,13 @@ func TestReductionLayersPinned(t *testing.T) {
 		name    string
 		fanout  int
 		restart bool
-		backend storage.Kind
+		memory  bool // the flat model in place of the PFS model
 	}{
-		{"damaris-flat", 0, false, storage.KindPFS},
-		{"damaris-tree", 4, false, storage.KindPFS},
-		{"damaris-tree-memory", 4, false, storage.KindMemory},
-		{"restart-flat", 0, true, storage.KindPFS},
-		{"restart-tree", 4, true, storage.KindPFS},
+		{"damaris-flat", 0, false, false},
+		{"damaris-tree", 4, false, false},
+		{"damaris-tree-memory", 4, false, true},
+		{"restart-flat", 0, true, false},
+		{"restart-tree", 4, true, false},
 	}
 	want := map[string]pinned{
 		"damaris-flat/codec":        {165.63149587199138, 167.42674532413668, 4.291454248225811, 3.648e+09, 1.824e+10, 27.36000000000001, 0, 0, 0},
@@ -74,7 +74,10 @@ func TestReductionLayersPinned(t *testing.T) {
 			name := sh.name + "/" + l.name
 			t.Run(name, func(t *testing.T) {
 				cfg := treeConfig()
-				cfg.Fanout, cfg.Backend = sh.fanout, sh.backend
+				cfg.Fanout = sh.fanout
+				if sh.memory {
+					cfg.testBase = flatModel(cfg.Platform)
+				}
 				l.apply(&cfg)
 				var got pinned
 				if sh.restart {

@@ -24,7 +24,7 @@ type RestartResult struct {
 
 // RestartRead is the DES mirror of the object read path: it prices
 // restarting one checkpoint (a single iteration's stored objects) on
-// the configured backend, the inverse of the tree-mode write path. Each
+// the configured cost stack, the inverse of the tree-mode write path. Each
 // aggregation-tree root reads its subtree's object back as striped
 // big-sequential streams — reads share the same per-target queues as
 // writes — then scatters the blocks down the tree over the NIC, each
@@ -37,7 +37,7 @@ func RestartRead(cfg Config) (RestartResult, error) {
 	cfg = cfg.withDefaults()
 	eng := des.NewEngine()
 	root := rng.New(cfg.Seed, 17)
-	be, _, err := cfg.newBackend(eng, root.Named("pfs"))
+	be, _, err := cfg.newCostModel(eng, root.Named("pfs"))
 	if err != nil {
 		return RestartResult{}, err
 	}

@@ -4,17 +4,17 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/storage"
 	"repro/internal/topology"
 )
 
 func restartConfig(nodes, fanout int) Config {
+	plat := topology.Kraken(nodes)
 	return Config{
-		Platform: topology.Kraken(nodes),
+		Platform: plat,
 		Workload: CM1Workload(2),
 		Seed:     7,
-		Backend:  storage.KindMemory,
 		Fanout:   fanout,
+		testBase: flatModel(plat),
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/des"
+	"repro/internal/rng"
 	"repro/internal/storage"
 	"repro/internal/topology"
 )
@@ -102,8 +103,8 @@ func clusterTokenConfig(seed uint64, nodes, fanout, roots, osts int) (Config, *p
 		AggRoots:    roots,
 		RootStripes: osts, // every root stripes the full array: maximal collision
 		Scheduling:  SchedClusterToken,
-		testWrapBackend: func(be storage.CostModel) storage.CostModel {
-			pb.CostModel = be
+		testBase: func(eng *des.Engine, r *rng.Stream) storage.CostModel {
+			pb.CostModel = storage.NewPFS(eng, plat.PFS, r)
 			return pb
 		},
 	}, pb

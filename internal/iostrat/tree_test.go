@@ -139,14 +139,16 @@ func TestDamarisTreeCompression(t *testing.T) {
 	}
 }
 
-// TestBackendSwapOrderingConsistent is the cross-backend contract: at
-// 16 simulated nodes, the aggregate-throughput ordering of the three
-// strategies must be the same whichever backend the run writes
-// through, with Damaris on top.
+// TestBackendSwapOrderingConsistent is the cross-model contract: at 16
+// simulated nodes, the aggregate-throughput ordering of the three
+// strategies must be the same whichever cost model prices the run —
+// the PFS model or the flat one — with Damaris on top.
 func TestBackendSwapOrderingConsistent(t *testing.T) {
-	order := func(kind storage.Kind) []Approach {
+	order := func(kind string) []Approach {
 		cfg := treeConfig()
-		cfg.Backend = kind
+		if kind == "memory" {
+			cfg.testBase = flatModel(cfg.Platform)
+		}
 		th := map[Approach]float64{}
 		for _, a := range []Approach{FilePerProcess, Collective, Damaris} {
 			res, err := Run(a, cfg)
@@ -163,11 +165,11 @@ func TestBackendSwapOrderingConsistent(t *testing.T) {
 		}
 		return ranked
 	}
-	pfsOrder := order(storage.KindPFS)
-	memOrder := order(storage.KindMemory)
+	pfsOrder := order("pfs")
+	memOrder := order("memory")
 	for i := range pfsOrder {
 		if pfsOrder[i] != memOrder[i] {
-			t.Fatalf("throughput ordering differs across backends: pfs=%v memory=%v",
+			t.Fatalf("throughput ordering differs across cost models: pfs=%v memory=%v",
 				pfsOrder, memOrder)
 		}
 	}
@@ -175,7 +177,7 @@ func TestBackendSwapOrderingConsistent(t *testing.T) {
 
 func TestMemoryBackendBitReproducible(t *testing.T) {
 	cfg := treeConfig()
-	cfg.Backend = storage.KindMemory
+	cfg.testBase = flatModel(cfg.Platform)
 	r1, err := Run(Damaris, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -186,18 +188,6 @@ func TestMemoryBackendBitReproducible(t *testing.T) {
 	}
 	if r1.TotalTime != r2.TotalTime || r1.IOWindow != r2.IOWindow {
 		t.Error("memory backend runs differ")
-	}
-}
-
-func TestSDFBackendNeedsDir(t *testing.T) {
-	cfg := treeConfig()
-	cfg.Backend = storage.KindSDF
-	if _, err := Run(Damaris, cfg); err == nil {
-		t.Fatal("sdf backend without BackendDir should error")
-	}
-	cfg.BackendDir = t.TempDir()
-	if _, err := Run(Damaris, cfg); err != nil {
-		t.Fatal(err)
 	}
 }
 

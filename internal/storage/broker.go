@@ -109,7 +109,7 @@ type BrokerStats struct {
 // cluster run. One broker serves one run; all roots share it, which is
 // what makes the schedule cluster-wide rather than per-backend.
 //
-// It has two faces, mirroring storage.Backend: AcquireSim blocks a DES
+// It has two faces, mirroring CostModel and Backend: AcquireSim blocks a DES
 // process in virtual time (the iostrat strategies), Acquire blocks a
 // goroutine in wall time (the runtime cluster layer). A single broker
 // instance serves one face per run.

@@ -1,9 +1,9 @@
 // Package chunk implements content-addressed incremental checkpoints:
 // a content-defined chunker (rolling-hash boundaries with min/avg/max
 // chunk sizes), a content-addressed chunk store layered over any
-// storage.Backend, and reference-counting garbage collection
+// object store (storage.Backend), reference-counting garbage collection
 // (Retain/Release/Sweep) so a long-lived store does not grow without
-// bound.
+// bound, and the store's cost twin for the DES face (Cost).
 //
 // Checkpoint traffic at scale is dominated by bytes that did not
 // change between iterations. The chunker cuts every object at
@@ -12,9 +12,9 @@
 // that span get new hashes — everything else deduplicates against the
 // chunks iteration N already stored. The paper's dedicated-core model
 // (§IV.D) leaves exactly the spare-core budget this costs: chunking and
-// hashing run off the critical path, and the Store's simulated face
-// prices that CPU against dedicated-core spare time the same way the
-// compression pipeline does.
+// hashing run off the critical path, and Cost prices that CPU against
+// dedicated-core spare time the same way storage.CodecCost prices the
+// compression pipeline.
 package chunk
 
 import (

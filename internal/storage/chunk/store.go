@@ -22,19 +22,10 @@ type Options struct {
 	// Params bound the content-defined chunk sizes (zero fields take the
 	// package defaults).
 	Params Params
-	// AssumedNewFraction is the fraction of each simulated write the DES
-	// face assumes has not been stored before and must travel to the
-	// inner backend — the model's stand-in for the overwrite fraction,
-	// the way CodecProfile.AssumedRatio stands in for real compression.
-	// Default 1 (no dedup assumed).
-	AssumedNewFraction float64
 }
 
 func (o Options) withDefaults() Options {
 	o.Params = o.Params.withDefaults()
-	if o.AssumedNewFraction <= 0 || o.AssumedNewFraction > 1 {
-		o.AssumedNewFraction = 1
-	}
 	return o
 }
 
@@ -73,11 +64,10 @@ type SweepStats struct {
 	BytesFreed int64
 }
 
-// Store layers content-addressed deduplication over any inner backend —
-// the incremental-checkpoint path. It has the same two faces as every
-// backend:
+// Store layers content-addressed deduplication over any inner object
+// store — the incremental-checkpoint path. Its cost twin is Cost.
 //
-// Real face: Put splits the payload at content-defined boundaries,
+// Put splits the payload at content-defined boundaries,
 // writes the chunks no stored object has yet as one pack with its index
 // (see pack.go), and writes a small recipe (see recipe.go) under the
 // object's own name — so iteration N+1 of a slowly-changing variable
@@ -97,19 +87,11 @@ type SweepStats struct {
 // Sweep's collection, so a chunk can never be judged "already stored"
 // by a Put while a sweep deletes it.
 //
-// Cost face: the inner model under storage.Reduce, with desWrite and
-// desRead as the layer's two cost functions — a write charges chunk+hash
-// CPU on the dedicated core and forwards only the assumed-new fraction
-// of the volume (plus recipe overhead); a read forwards the full raw
-// volume and charges verify CPU. The ledger grows ChunkHashTime and
-// DedupBytesSaved on top of the inner accounting.
-//
 // Layering: wrap Store outermost (chunk.New(storage.NewCompressing(...)))
 // so the inner pipeline frames each pack, index and recipe, and dedup
 // operates on raw, stable bytes — compressing first would smear a
 // one-byte edit across the whole compressed stream and destroy dedup.
 type Store struct {
-	storage.CostModel
 	inner storage.Backend
 	opts  Options
 
@@ -126,15 +108,13 @@ type Store struct {
 
 // New wraps inner with the dedup chunk store.
 func New(inner storage.Backend, opts Options) *Store {
-	s := &Store{
+	return &Store{
 		inner:   inner,
 		opts:    opts.withDefaults(),
 		chunks:  map[digest]chunkEntry{},
 		packs:   map[string][]entry{},
 		objects: map[string]*objectEntry{},
 	}
-	s.CostModel = storage.Reduce(inner, s.desWrite, s.desRead)
-	return s
 }
 
 // Stack wraps base with the reduction layers in their one legal order,
@@ -472,42 +452,6 @@ func (s *Store) Sweep() (SweepStats, error) {
 		}
 	}
 	return stats, nil
-}
-
-// desWrite is the layer's write-side storage.TransferCost: it charges
-// chunk+hash CPU and returns the wait time plus the deduplicated
-// transfer volume — the assumed-new fraction of the payload, plus one
-// recipe entry per average chunk.
-func (s *Store) desWrite(bytes float64) (wait, forwarded float64) {
-	if bytes <= 0 {
-		return 0, bytes
-	}
-	wait = bytes / DefaultHashRate
-	forwarded = bytes*s.opts.AssumedNewFraction +
-		bytes/float64(s.opts.Params.Avg)*recipeEntryLen + recipeHeaderLen
-	if forwarded > bytes {
-		forwarded = bytes // dedup never inflates a fully-new payload
-	}
-	s.mu.Lock()
-	s.hashTime += wait
-	s.dedupSaved += bytes - forwarded
-	s.mu.Unlock()
-	return wait, forwarded
-}
-
-// desRead is the read-side storage.TransferCost, desWrite's restore
-// mirror: every chunk of the object must travel back regardless of how
-// it deduplicated on the way in, so the full raw volume is forwarded and
-// the verify CPU charged.
-func (s *Store) desRead(bytes float64) (wait, forwarded float64) {
-	if bytes <= 0 {
-		return 0, bytes
-	}
-	wait = bytes / DefaultHashRate
-	s.mu.Lock()
-	s.hashTime += wait
-	s.mu.Unlock()
-	return wait, bytes
 }
 
 // Accounting implements Backend: the inner ledger plus the dedup

@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"repro/internal/des"
+	"repro/internal/rng"
 	"repro/internal/storage"
+	"repro/internal/topology"
 )
 
 func newMem() *storage.Memory { return storage.NewMemory(nil, 4, 1e9) }
@@ -709,13 +711,11 @@ func TestDedupStoreConcurrentSweep(t *testing.T) {
 	}
 }
 
-// TestDedupStoreDESFace: the simulated face charges hash CPU and
-// forwards only the assumed-new fraction of each write, while reads
-// forward the full raw volume.
-func TestDedupStoreDESFace(t *testing.T) {
+// TestDedupCost: the cost twin charges hash CPU and forwards only the
+// new fraction of each write, while reads forward the full raw volume.
+func TestDedupCost(t *testing.T) {
 	eng := des.NewEngine()
-	mem := storage.NewMemory(eng, 4, 1e9)
-	st := New(mem, Options{AssumedNewFraction: 0.25})
+	st := Cost(storage.NewMemory(eng, 4, 1e9), 0.25)
 	const vol = 8 << 20
 	eng.Spawn("writer", func(p *des.Proc) {
 		st.Write(p, 0, vol, storage.BigSequential)
@@ -738,5 +738,31 @@ func TestDedupStoreDESFace(t *testing.T) {
 	}
 	if acc.DedupBytesSaved <= 0 {
 		t.Fatalf("no dedup savings recorded: %+v", acc)
+	}
+}
+
+// TestOneFacePerType: a reduction layer's object store and its cost
+// twin are separate values, and the PFS model is a cost model only —
+// each implements exactly one of the two faces. (Memory and SDF still
+// carry both.)
+func TestOneFacePerType(t *testing.T) {
+	eng := des.NewEngine()
+	mem := storage.NewMemory(eng, 4, 1e9)
+	codec, err := storage.CodecCost(mem, "rle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]any{
+		"Compressing": storage.NewCompressing(mem, storage.CompressionOptions{}),
+		"Store":       New(mem, Options{}),
+		"PFS":         storage.NewPFS(eng, topology.Kraken(1).PFS, rng.New(1, 1)),
+		"CodecCost":   codec,
+		"Cost":        Cost(mem, 1),
+	} {
+		_, cost := v.(storage.CostModel)
+		_, object := v.(storage.Backend)
+		if cost == object {
+			t.Errorf("%s: cost face %v, object face %v; want exactly one", name, cost, object)
+		}
 	}
 }

@@ -62,10 +62,14 @@ type CompressionOptions struct {
 	// TransferBandwidth (bytes/s) converts codec CPU seconds into
 	// transfer-byte equivalents for the ratio×cost score: a codec is
 	// worth choosing when the bytes it saves outweigh the transfer-time
-	// equivalent of its CPU. Default 200 MB/s, the per-stream share a
-	// dedicated core typically sees of the modeled OST array.
+	// equivalent of its CPU. Default defaultTransferBandwidth.
 	TransferBandwidth float64
 }
+
+// defaultTransferBandwidth is the selector's default transfer bandwidth,
+// 200 MB/s: the per-stream share a dedicated core typically sees of the
+// modeled OST array.
+const defaultTransferBandwidth = 200e6
 
 var iterationPart = regexp.MustCompile(`-it\d+`)
 
@@ -84,7 +88,7 @@ func (o CompressionOptions) withDefaults() CompressionOptions {
 		o.SampleBytes = 64 << 10
 	}
 	if o.TransferBandwidth <= 0 {
-		o.TransferBandwidth = 200e6
+		o.TransferBandwidth = defaultTransferBandwidth
 	}
 	return o
 }
@@ -103,31 +107,22 @@ func elemSizeFor(n int) int {
 	}
 }
 
-// Compressing runs the internal/compress codecs on both faces of an
-// inner backend — the §IV.D pipeline on the real data path.
-//
-// Real face: Put trial-encodes a sample per dataset, picks the codec
-// minimizing ratio×cost (bytes moved plus the transfer-equivalent of
-// the codec CPU), caches the choice per dataset, and stores the object
-// framed (see frame.go); Get transparently decodes framed objects and
-// passes unframed ones through, so compressed and plain stores read
-// the same way.
-//
-// Cost face: the inner model under Reduce, with desEncode/desDecode as
-// the layer's two cost functions — every transfer charges the codec CPU
-// time on the dedicated core and moves only the encoded volume. The
-// ledger grows BytesSaved, Encode/DecodeTime and the framed-object
-// counters on top of the inner accounting.
+// Compressing runs the internal/compress codecs on an inner object
+// store — the §IV.D pipeline on the real data path. Put trial-encodes a
+// sample per dataset, picks the codec minimizing ratio×cost (bytes
+// moved plus the transfer-equivalent of the codec CPU), caches the
+// choice per dataset, and stores the object framed (see frame.go); Get
+// transparently decodes framed objects and passes unframed ones
+// through, so compressed and plain stores read the same way. The
+// ledger grows Encode/DecodeTime and the framed-object counters on top
+// of the inner accounting. Its cost twin is CodecCost.
 type Compressing struct {
-	CostModel
 	inner Backend
 	opts  CompressionOptions
 
 	mu     sync.Mutex
 	choice map[string]string // dataset key → cached codec choice
-	des    string            // lazily chosen cost-face codec ("" until first priced)
 
-	bytesSaved float64
 	encodeTime float64
 	decodeTime float64
 	objects    int
@@ -137,13 +132,11 @@ type Compressing struct {
 
 // NewCompressing wraps inner with the compression pipeline.
 func NewCompressing(inner Backend, opts CompressionOptions) *Compressing {
-	c := &Compressing{
+	return &Compressing{
 		inner:  inner,
 		opts:   opts.withDefaults(),
 		choice: map[string]string{},
 	}
-	c.CostModel = Reduce(inner, c.desEncode, c.desDecode)
-	return c
 }
 
 // Name implements Backend: the inner name tagged with the codec mode.
@@ -153,12 +146,12 @@ func (c *Compressing) Name() string {
 
 // score is the selector's objective for one candidate on a sample:
 // encoded bytes moved plus the transfer-byte equivalent of the encode
-// CPU under the configured bandwidth, discounted by the spare-time
-// weight. Lower is better; "none" scores exactly the raw size.
-func (c *Compressing) score(codec string, encLen int, rawLen float64) float64 {
+// CPU at bandwidth bw, discounted by the spare-time weight. Lower is
+// better; "none" scores exactly the raw size.
+func score(codec string, encLen int, rawLen, bw float64) float64 {
 	var cpu float64
 	charge(&cpu, defaultProfiles[codec].EncodeRate, rawLen)
-	return float64(encLen) + cpu*c.opts.TransferBandwidth*DefaultCPUCostWeight
+	return float64(encLen) + cpu*bw*DefaultCPUCostWeight
 }
 
 // standaloneBytes is the segment size from which a segment of a
@@ -242,8 +235,9 @@ func (c *Compressing) trial(part []byte) (best string, cpu float64) {
 	elem := elemSizeFor(len(part))
 	sample := part[:min(len(part), c.opts.SampleBytes)]
 	sample = sample[:len(sample)-len(sample)%elem] // element codecs need whole elements
+	bw := c.opts.TransferBandwidth
 	best = "none"
-	bestScore := c.score("none", len(sample), float64(len(sample)))
+	bestScore := score("none", len(sample), float64(len(sample)), bw)
 	for _, cand := range compress.Names() {
 		codec, err := compress.ByName(cand)
 		if cand == "none" || err != nil {
@@ -256,7 +250,7 @@ func (c *Compressing) trial(part []byte) (best string, cpu float64) {
 			continue
 		}
 		charge(&cpu, defaultProfiles[cand].EncodeRate, float64(len(sample)))
-		if s := c.score(cand, len(enc), float64(len(sample))); s < bestScore {
+		if s := score(cand, len(enc), float64(len(sample)), bw); s < bestScore {
 			bestScore = s
 			best = cand
 		}
@@ -265,7 +259,8 @@ func (c *Compressing) trial(part []byte) (best string, cpu float64) {
 }
 
 // charge adds the codec CPU seconds of n raw bytes at rate (0 = free)
-// to total and returns them. Callers hold c.mu for the ledger totals.
+// to total and returns them. Compressing's callers hold c.mu for its
+// ledger totals.
 func charge(total *float64, rate, n float64) float64 {
 	if rate <= 0 {
 		return 0
@@ -333,10 +328,10 @@ func (c *Compressing) recordPut(used string, rawBytes, encBytes int64) {
 	c.mu.Unlock()
 }
 
-// Get implements ObjectReader: fetch from the inner backend and
+// Get implements ObjectReader: fetch from the inner store and
 // transparently decode framed objects. Unframed objects (a store
 // written without compression) pass through byte-for-byte; inner
-// errors (ErrNotFound, ErrNoPayload) propagate unchanged.
+// errors (ErrNotFound) propagate unchanged.
 func (c *Compressing) Get(name string) ([]byte, error) {
 	obj, err := c.inner.Get(name)
 	if err != nil {
@@ -367,65 +362,12 @@ func (c *Compressing) Delete(name string) error {
 	return del.Delete(name)
 }
 
-// desProfile resolves the single codec the cost face prices. A fixed
-// configuration uses that codec; adaptive mode picks the candidate
-// minimizing assumed-ratio×cost under the configured bandwidth — the
-// same objective as the real face, evaluated on the profile table
-// because no real bytes flow on this face.
-func (c *Compressing) desProfile() CodecProfile {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.des == "" {
-		c.des = c.opts.Codec
-		if c.opts.Codec == AdaptiveCodec {
-			c.des = "none"
-			best := c.score("none", 1<<20, 1<<20)
-			for _, cand := range compress.Names() {
-				prof, ok := defaultProfiles[cand]
-				if !ok || cand == "none" {
-					continue
-				}
-				if s := c.score(cand, int((1<<20)/prof.AssumedRatio), 1<<20); s < best {
-					best = s
-					c.des = cand
-				}
-			}
-		}
-	}
-	return defaultProfiles[c.des]
-}
-
-// desEncode is the layer's write-side TransferCost: it charges encode
-// CPU and returns the wait time plus the shrunken transfer volume.
-func (c *Compressing) desEncode(bytes float64) (wait, encoded float64) {
-	prof := c.desProfile()
-	encoded = bytes / prof.AssumedRatio
-	c.mu.Lock()
-	wait = charge(&c.encodeTime, prof.EncodeRate, bytes)
-	c.bytesSaved += bytes - encoded
-	c.mu.Unlock()
-	return wait, encoded
-}
-
-// desDecode is the read-side TransferCost, desEncode's mirror: the raw
-// volume is reassembled from encoded bytes read back, charging decode
-// CPU.
-func (c *Compressing) desDecode(bytes float64) (wait, encoded float64) {
-	prof := c.desProfile()
-	encoded = bytes / prof.AssumedRatio
-	c.mu.Lock()
-	wait = charge(&c.decodeTime, prof.DecodeRate, bytes)
-	c.mu.Unlock()
-	return wait, encoded
-}
-
 // Accounting implements Backend: the inner ledger plus the
 // compression counters.
 func (c *Compressing) Accounting() Accounting {
 	acc := c.inner.Accounting()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	acc.BytesSaved = c.bytesSaved
 	acc.EncodeTime = c.encodeTime
 	acc.DecodeTime = c.decodeTime
 	acc.ObjectsCompressed = c.objects
@@ -442,4 +384,70 @@ func ValidateCodecName(name string) error {
 	}
 	_, err := compress.ByName(name)
 	return err
+}
+
+// codecCost is the compression pipeline's cost twin: the inner model
+// under Reduce with encode/decode as the layer's two cost functions,
+// and its ledger overlaid on the inner accounting. The engine runs one
+// process at a time, so the ledger needs no lock.
+type codecCost struct {
+	CostModel
+	prof CodecProfile
+
+	bytesSaved float64
+	encodeTime float64
+	decodeTime float64
+}
+
+// CodecCost prices the compression pipeline on the cost face: every
+// transfer through it charges the codec's CPU time on the dedicated
+// core and moves only the encoded volume (raw / AssumedRatio) to inner.
+// codec is a registered codec name or AdaptiveCodec ("" too), which
+// picks one codec here, once: the candidate minimizing the selector's
+// score over the profile table at the default transfer bandwidth — the
+// object face's objective, evaluated where no real bytes exist.
+func CodecCost(inner CostModel, codec string) (CostModel, error) {
+	if err := ValidateCodecName(codec); err != nil {
+		return nil, err
+	}
+	if codec == "" || codec == AdaptiveCodec {
+		codec = "none"
+		best := score("none", 1<<20, 1<<20, defaultTransferBandwidth)
+		for _, cand := range compress.Names() {
+			prof, ok := defaultProfiles[cand]
+			if !ok || cand == "none" {
+				continue
+			}
+			if s := score(cand, int((1<<20)/prof.AssumedRatio), 1<<20, defaultTransferBandwidth); s < best {
+				best, codec = s, cand
+			}
+		}
+	}
+	c := &codecCost{prof: defaultProfiles[codec]}
+	c.CostModel = Reduce(inner, c.encode, c.decode)
+	return c, nil
+}
+
+// encode is the layer's write-side TransferCost: it charges encode CPU
+// and returns the wait time plus the shrunken transfer volume.
+func (c *codecCost) encode(bytes float64) (wait, encoded float64) {
+	encoded = bytes / c.prof.AssumedRatio
+	c.bytesSaved += bytes - encoded
+	return charge(&c.encodeTime, c.prof.EncodeRate, bytes), encoded
+}
+
+// decode is the read-side TransferCost, encode's mirror: the raw volume
+// is reassembled from encoded bytes read back, charging decode CPU.
+func (c *codecCost) decode(bytes float64) (wait, encoded float64) {
+	return charge(&c.decodeTime, c.prof.DecodeRate, bytes), bytes / c.prof.AssumedRatio
+}
+
+// Accounting implements CostModel: the inner ledger plus the codec
+// counters.
+func (c *codecCost) Accounting() Accounting {
+	acc := c.CostModel.Accounting()
+	acc.BytesSaved = c.bytesSaved
+	acc.EncodeTime = c.encodeTime
+	acc.DecodeTime = c.decodeTime
+	return acc
 }

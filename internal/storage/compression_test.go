@@ -57,10 +57,8 @@ func incompressible(n int) []byte {
 	return out
 }
 
-// TestCompressingGetEquality: on every backend, Get of an object
-// stored with compression enabled returns the original bytes (the pfs
-// model retains no payloads and must keep its documented ErrNoPayload
-// contract instead).
+// TestCompressingGetEquality: on every object store, Get of an object
+// stored with compression enabled returns the original bytes.
 func TestCompressingGetEquality(t *testing.T) {
 	payloads := map[string][]byte{
 		"floats-it000001": smoothFloats(4096),
@@ -69,22 +67,15 @@ func TestCompressingGetEquality(t *testing.T) {
 		"noise-it000001":  incompressible(4 << 10),
 		"empty-it000001":  {},
 	}
-	for _, kind := range Kinds() {
+	for _, kind := range storeKinds {
 		for _, codecName := range append(compress.Names(), AdaptiveCodec) {
-			t.Run(string(kind)+"/"+codecName, func(t *testing.T) {
-				inner := newBackend(t, kind, des.NewEngine())
-				b := NewCompressing(inner, CompressionOptions{Codec: codecName})
+			t.Run(kind+"/"+codecName, func(t *testing.T) {
+				b := NewCompressing(newStore(t, kind), CompressionOptions{Codec: codecName})
 				for name, raw := range payloads {
 					if err := b.Put(name, raw); err != nil {
 						t.Fatalf("Put(%s): %v", name, err)
 					}
 					got, err := b.Get(name)
-					if kind == KindPFS {
-						if !errors.Is(err, ErrNoPayload) {
-							t.Fatalf("pfs Get(%s) must report ErrNoPayload, got %v", name, err)
-						}
-						continue
-					}
 					if err != nil {
 						t.Fatalf("Get(%s): %v", name, err)
 					}
@@ -239,7 +230,8 @@ func TestCompressingCorruptObject(t *testing.T) {
 }
 
 // TestCompressingUnknownCodecConfig: a bad fixed codec surfaces the
-// shared sentinel on the first Put (and from ValidateCodecName).
+// shared sentinel on the first Put, from ValidateCodecName and from
+// CodecCost.
 func TestCompressingUnknownCodecConfig(t *testing.T) {
 	b := NewCompressing(NewMemory(nil, 4, 1e8), CompressionOptions{Codec: "bogus"})
 	if err := b.Put("x", []byte("y")); !errors.Is(err, compress.ErrUnknownCodec) {
@@ -251,17 +243,22 @@ func TestCompressingUnknownCodecConfig(t *testing.T) {
 	if err := ValidateCodecName(AdaptiveCodec); err != nil {
 		t.Fatalf("ValidateCodecName(adaptive) = %v", err)
 	}
+	if _, err := CodecCost(NewMemory(des.NewEngine(), 4, 1e8), "bogus"); !errors.Is(err, compress.ErrUnknownCodec) {
+		t.Fatalf("CodecCost(bogus) = %v, want ErrUnknownCodec", err)
+	}
 }
 
-// TestCompressingDESFace: on the simulated face, Write charges encode
-// CPU on the dedicated core, moves only the encoded volume to the
-// inner backend, and the ledger records the trade; Read mirrors it.
-// Two identical runs are bit-identical.
-func TestCompressingDESFace(t *testing.T) {
+// TestCodecCost: on the cost face, Write charges encode CPU on the
+// dedicated core, moves only the encoded volume to the inner model,
+// and the ledger records the trade; Read mirrors it. Two identical runs
+// are bit-identical.
+func TestCodecCost(t *testing.T) {
 	run := func() (float64, Accounting) {
 		eng := des.NewEngine()
-		inner := NewMemory(eng, 4, 1e8)
-		b := NewCompressing(inner, CompressionOptions{Codec: "gorilla"})
+		b, err := CodecCost(NewMemory(eng, 4, 1e8), "gorilla")
+		if err != nil {
+			t.Fatal(err)
+		}
 		eng.Spawn("dedicated", func(p *des.Proc) {
 			b.BeginPhase()
 			b.Create(p)
@@ -317,7 +314,7 @@ func TestCompressingDESFace(t *testing.T) {
 	}
 	end2, acc2 := run()
 	if end != end2 || acc.BytesWritten != acc2.BytesWritten || acc.EncodeTime != acc2.EncodeTime {
-		t.Errorf("compressing DES face not deterministic")
+		t.Errorf("codec cost model not deterministic")
 	}
 }
 

@@ -238,9 +238,9 @@ func TestPutVecRoundTripProperty(t *testing.T) {
 		sparseMask,
 	}
 	r := rand.New(rand.NewSource(23))
-	for _, kind := range []Kind{KindMemory, KindSDF} {
+	for _, kind := range storeKinds {
 		for _, codecName := range append(compress.Names(), AdaptiveCodec) {
-			inner := newBackend(t, kind, nil)
+			inner := newStore(t, kind)
 			b := NewCompressing(inner, CompressionOptions{Codec: codecName})
 			for trial := 0; trial < 12; trial++ {
 				segs := make([][]byte, r.Intn(7))

@@ -221,7 +221,7 @@ func NewMemory(eng *des.Engine, targets int, bandwidth float64) *Memory {
 }
 
 // Name implements Backend.
-func (b *Memory) Name() string { return string(KindMemory) }
+func (b *Memory) Name() string { return "memory" }
 
 // Put implements ObjectStore: the object is kept in memory.
 func (b *Memory) Put(name string, data []byte) error {

@@ -54,7 +54,7 @@ func NewSDF(eng *des.Engine, targets int, bandwidth float64, dir string) (*SDF, 
 func (b *SDF) Dir() string { return b.dir }
 
 // Name implements Backend.
-func (b *SDF) Name() string { return string(KindSDF) }
+func (b *SDF) Name() string { return "sdf" }
 
 // Put implements ObjectStore: the object becomes one SDF file.
 // Overwriting an existing name replaces the object (accounted once,

@@ -1,27 +1,26 @@
-// Package storage abstracts where aggregated output lands. The three
-// I/O strategies, the experiments and the cluster layer write through
-// the Backend interface instead of calling the pfs model directly, so a
-// run can target:
+// Package storage abstracts where aggregated output lands. It has two
+// faces, and a type serves one of them:
 //
-//   - the discrete-event Lustre model (KindPFS) — the paper's storage
-//     substrate with metadata serialization, pattern-dependent OST
-//     efficiency, jitter and congestion;
-//   - a deterministic in-memory model (KindMemory) — no jitter, fixed
-//     pattern efficiencies, fast and bit-reproducible, for tests;
-//   - a local-filesystem SDF store (KindSDF) — same deterministic cost
-//     model, but real objects are persisted as SDF files via
-//     internal/sdf, so small runs leave inspectable artifacts.
+//   - The cost face (CostModel: Create/Open/Close/Write/Read...,
+//     *des.Proc-blocking) charges virtual time and feeds the cost
+//     ledger; it is all the iostrat strategies depend on. PFS is the
+//     paper's storage substrate, the discrete-event Lustre model with
+//     metadata serialization, pattern-dependent OST efficiency, jitter
+//     and congestion. CodecCost prices the compression pipeline on top
+//     of any cost model.
+//   - The object face (Backend: Put/Get/List plus a ledger) stores and
+//     serves real bytes; the runtime cluster layer, the restart path and
+//     plugins depend on it. Memory keeps objects in a map; SDF persists
+//     each as an SDF file via internal/sdf, so small runs leave
+//     inspectable artifacts. Compressing frames and encodes objects over
+//     either.
 //
-// A Backend is the composition of two independent faces. The cost face
-// (CostModel: Create/Open/Close/Write/Read..., *des.Proc-blocking)
-// charges virtual time and feeds the cost accounting; it is all the
-// iostrat strategies depend on. The object faces (ObjectStore,
-// ObjectReader: Put/Get/List) store and serve actual bytes and are what
-// the runtime cluster layer, restart path and plugins depend on; on the
-// pure DES model they degrade to accounting only (Get returns
-// ErrNoPayload). A reduction layer (Compressing, the chunk store) is a
-// codec on the object faces plus two cost functions on the cost face,
-// applied by Reduce — it never re-implements a transfer method.
+// A reduction layer is two values: an object-store wrapper (Compressing,
+// chunk.Store) and a cost twin (CodecCost, chunk.Cost) that applies the
+// layer's two cost functions with Reduce — neither re-implements the
+// other's face. Memory and SDF still carry both faces: each embeds a
+// deterministic flat cost model (no jitter, fixed pattern efficiencies,
+// bit-reproducible).
 package storage
 
 import (
@@ -30,19 +29,11 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/rng"
-	"repro/internal/topology"
 )
 
 // ErrNotFound is returned by Get when no object with the given name was
 // ever stored. Callers should test with errors.Is.
 var ErrNotFound = errors.New("storage: object not found")
-
-// ErrNoPayload is returned by Get on backends that account objects
-// without retaining their bytes (the pure pfs cost model): the object
-// exists — List sees it, the read is charged to the ledger — but there
-// is nothing to hand back. Restart paths treat it as "known but not
-// recoverable from this backend".
-var ErrNoPayload = errors.New("storage: object payload not retained")
 
 // Pattern classifies a write stream's access pattern; it mirrors the
 // pfs patterns so every backend can price concurrency the same way.
@@ -72,7 +63,8 @@ func (p Pattern) String() string {
 	}
 }
 
-// Accounting is the cost ledger every backend maintains.
+// Accounting is the ledger of a cost model or an object store: each
+// fills the fields of its face.
 type Accounting struct {
 	// BytesWritten is the completed simulated payload in bytes.
 	BytesWritten float64
@@ -86,19 +78,18 @@ type Accounting struct {
 	Objects     int
 	ObjectBytes int64
 	// ObjectReadBytes counts the real object bytes served back through
-	// Get (pfs counts the recorded size even though it returns no
-	// payload).
+	// Get.
 	ObjectReadBytes int64
 
-	// Compression-pipeline counters, populated only when the backend is
-	// wrapped in Compressing (zero otherwise).
+	// Compression-pipeline counters, populated only under CodecCost or
+	// Compressing (zero otherwise).
 
 	// BytesSaved is the simulated payload kept off the NIC/PFS transfer
-	// by encoding on the DES face (raw minus encoded volume).
+	// by encoding on the cost face (raw minus encoded volume).
 	BytesSaved float64
 	// EncodeTime and DecodeTime are the codec CPU seconds charged on
 	// the dedicated cores — the §IV.D spare time spent to earn
-	// BytesSaved (both faces contribute; trial encodes count too).
+	// BytesSaved (on the object face trial encodes count too).
 	EncodeTime float64
 	DecodeTime float64
 	// ObjectsCompressed counts real objects stored framed, with their
@@ -107,9 +98,8 @@ type Accounting struct {
 	ObjectRawBytes     int64
 	ObjectEncodedBytes int64
 
-	// Dedup-store counters, populated only when the backend is wrapped
-	// in a content-addressed chunk store (internal/storage/chunk; zero
-	// otherwise).
+	// Dedup counters, populated only under the content-addressed chunk
+	// store or its cost twin (internal/storage/chunk; zero otherwise).
 
 	// ChunkHashTime is the chunking + hashing CPU seconds charged on
 	// the dedicated cores — like the codec times, §IV.D spare time
@@ -117,8 +107,8 @@ type Accounting struct {
 	ChunkHashTime float64
 	// DedupBytesSaved is the simulated payload kept off the NIC/PFS
 	// transfer because the chunk store only forwards bytes it has not
-	// seen before (DES face), plus — on the real face — the raw bytes
-	// of chunks deduplicated against already-stored ones.
+	// seen before (cost face), or the raw bytes of chunks deduplicated
+	// against already-stored ones (object face).
 	DedupBytesSaved float64
 	// ChunksStored and ChunksDeduped count real chunks written to the
 	// inner backend (in packs) vs chunks satisfied by an existing stored
@@ -127,7 +117,7 @@ type Accounting struct {
 	ChunksDeduped int
 }
 
-// ObjectStore is the real-data write face of a backend: store a named
+// ObjectStore is the real-data write face of a store: store a named
 // blob. Every Backend implements it; consumers that only persist
 // objects (the cluster layer, plugins) should depend on this narrow
 // interface.
@@ -137,23 +127,22 @@ type ObjectStore interface {
 	Put(name string, data []byte) error
 }
 
-// ObjectReader is the real-data read face of a backend: fetch objects
+// ObjectReader is the real-data read face of a store: fetch objects
 // back and enumerate what is stored. Restart/replay consumers
 // (cluster.Restore, sdfdump's store listing) should depend on this
 // narrow interface.
 type ObjectReader interface {
 	// Get returns a stored object's bytes. It returns ErrNotFound for a
-	// name never stored and ErrNoPayload on backends that account
-	// objects without retaining bytes. Implementations must be safe for
-	// concurrent use.
+	// name never stored. Implementations must be safe for concurrent
+	// use.
 	Get(name string) ([]byte, error)
 	// List returns the stored object names with the given prefix,
 	// ascending ("" lists everything).
 	List(prefix string) ([]string, error)
 }
 
-// ObjectDeleter is the optional delete face of a backend: remove a
-// stored object by name. The built-in backends implement it; wrappers
+// ObjectDeleter is the optional delete face of a store: remove a
+// stored object by name. Memory and SDF implement it; wrappers
 // (Compressing, the chunk store) forward it to their inner backend.
 // Garbage collection (chunk.Store.Sweep) depends on it — a store
 // without it can only drop objects from its index, not free bytes.
@@ -221,8 +210,10 @@ type Retainer interface {
 // treat the concatenation of segs as the object's bytes and must own
 // their copy by the time PutVec returns — callers are free to recycle
 // the segment buffers immediately afterwards. Stores that can do better
-// than gather-then-Put implement it (Memory, PFS, Compressing); callers
-// go through the PutVec helper, which flattens for everyone else.
+// than gather-then-Put implement it (Memory, Compressing); callers go
+// through the PutVec helper, which flattens for everyone else. SDF does
+// not implement it, so every object written to SDF is gathered into one
+// buffer first: a second full copy of the payload.
 type VecStore interface {
 	// PutVec durably stores the concatenation of segs under name.
 	// Implementations must be safe for concurrent use.
@@ -265,7 +256,7 @@ func FlattenSegs(segs [][]byte) []byte {
 // iostrat strategies depend on this face alone.
 type CostModel interface {
 	// Engine returns the DES engine the model charges time on (nil for a
-	// backend built for its object faces only).
+	// Memory or SDF store built for its object face only).
 	Engine() *des.Engine
 	// Targets returns the number of independent storage targets (OSTs,
 	// disks); placement indices are taken modulo this.
@@ -307,44 +298,15 @@ type CostModel interface {
 	Accounting() Accounting
 }
 
-// Backend is a storage target: the cost face and the object faces of
-// one store, composed. Code that needs only one of them should depend
-// on that face.
+// Backend is an object store: the object faces plus the store's ledger
+// and name. The reduction layers (Compressing, chunk.Store) wrap one
+// and are one. Code that needs only one face should depend on it.
 type Backend interface {
-	CostModel
 	ObjectStore
 	ObjectReader
 
-	// Name identifies the backend kind in logs and reports.
+	// Accounting returns a snapshot of the store's ledger.
+	Accounting() Accounting
+	// Name identifies the store in logs and reports.
 	Name() string
-}
-
-// Kind names a backend implementation.
-type Kind string
-
-// The built-in backends.
-const (
-	KindPFS    Kind = "pfs"
-	KindMemory Kind = "memory"
-	KindSDF    Kind = "sdf"
-)
-
-// Kinds lists the built-in backend kinds.
-func Kinds() []Kind { return []Kind{KindPFS, KindMemory, KindSDF} }
-
-// New builds the named backend sized for the platform's storage system.
-// eng is the DES engine of the run; r seeds stochastic models (only the
-// pfs backend draws from it); dir is the artifact directory of the SDF
-// backend (unused by the others).
-func New(kind Kind, eng *des.Engine, plat topology.Platform, r *rng.Stream, dir string) (Backend, error) {
-	switch kind {
-	case KindPFS, "":
-		return NewPFS(eng, plat.PFS, r), nil
-	case KindMemory:
-		return NewMemory(eng, plat.PFS.OSTs, plat.PFS.OSTBandwidth), nil
-	case KindSDF:
-		return NewSDF(eng, plat.PFS.OSTs, plat.PFS.OSTBandwidth, dir)
-	default:
-		return nil, fmt.Errorf("storage: unknown backend kind %q", kind)
-	}
 }

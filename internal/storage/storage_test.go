@@ -18,19 +18,42 @@ func testPlatform() topology.Platform {
 	return p
 }
 
-func newBackend(t *testing.T, kind Kind, eng *des.Engine) Backend {
+// costKinds name the cost models the cost-face tests run on, and
+// storeKinds the object stores the object-face tests run on.
+var (
+	costKinds  = []string{"pfs", "memory", "sdf"}
+	storeKinds = []string{"memory", "sdf"}
+)
+
+// newCostModel builds the named cost model on eng, sized for
+// testPlatform's storage system.
+func newCostModel(t *testing.T, kind string, eng *des.Engine) CostModel {
 	t.Helper()
-	b, err := New(kind, eng, testPlatform(), rng.New(7, 1), t.TempDir())
+	p := testPlatform().PFS
+	if kind == "pfs" {
+		return NewPFS(eng, p, rng.New(7, 1))
+	}
+	if kind == "memory" {
+		return NewMemory(eng, p.OSTs, p.OSTBandwidth)
+	}
+	b, err := NewSDF(eng, p.OSTs, p.OSTBandwidth, t.TempDir())
 	if err != nil {
-		t.Fatalf("New(%s): %v", kind, err)
+		t.Fatal(err)
 	}
 	return b
 }
 
-func TestNewUnknownKind(t *testing.T) {
-	if _, err := New("bogus", des.NewEngine(), testPlatform(), rng.New(1, 1), ""); err == nil {
-		t.Fatal("unknown kind should error")
+// newStore builds the named object store.
+func newStore(t *testing.T, kind string) Backend {
+	t.Helper()
+	if kind == "memory" {
+		return NewMemory(nil, 4, 1e8)
 	}
+	b, err := NewSDF(nil, 4, 1e8, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestSDFNeedsDir(t *testing.T) {
@@ -40,12 +63,12 @@ func TestSDFNeedsDir(t *testing.T) {
 }
 
 // TestSimulatedFaceAccounting drives the full simulated life cycle on
-// every backend and checks the ledger.
+// every cost model and checks the ledger.
 func TestSimulatedFaceAccounting(t *testing.T) {
-	for _, kind := range Kinds() {
-		t.Run(string(kind), func(t *testing.T) {
+	for _, kind := range costKinds {
+		t.Run(kind, func(t *testing.T) {
 			eng := des.NewEngine()
-			b := newBackend(t, kind, eng)
+			b := newCostModel(t, kind, eng)
 			const files, perFile = 3, 5e6
 			eng.Spawn("writer", func(p *des.Proc) {
 				b.BeginPhase()
@@ -72,10 +95,10 @@ func TestSimulatedFaceAccounting(t *testing.T) {
 
 // TestWriteAsyncCompletes exercises the future-returning write path.
 func TestWriteAsyncCompletes(t *testing.T) {
-	for _, kind := range Kinds() {
-		t.Run(string(kind), func(t *testing.T) {
+	for _, kind := range costKinds {
+		t.Run(kind, func(t *testing.T) {
 			eng := des.NewEngine()
-			b := newBackend(t, kind, eng)
+			b := newCostModel(t, kind, eng)
 			var done bool
 			eng.Spawn("writer", func(p *des.Proc) {
 				f := b.WriteAsync(0, 1e6, BigSequential)
@@ -93,16 +116,16 @@ func TestWriteAsyncCompletes(t *testing.T) {
 	}
 }
 
-// TestPatternOrdering checks that every backend prices the paper's three
+// TestPatternOrdering checks that every cost model prices the paper's three
 // access patterns in the same order: big-sequential streams beat small
 // files, which beat extent-locked shared files.
 func TestPatternOrdering(t *testing.T) {
-	for _, kind := range Kinds() {
-		t.Run(string(kind), func(t *testing.T) {
+	for _, kind := range costKinds {
+		t.Run(kind, func(t *testing.T) {
 			times := map[Pattern]float64{}
 			for _, pat := range []Pattern{BigSequential, SmallFile, SharedFile} {
 				eng := des.NewEngine()
-				b := newBackend(t, kind, eng)
+				b := newCostModel(t, kind, eng)
 				// Several concurrent streams so pattern-dependent
 				// concurrency penalties apply.
 				for s := 0; s < 4; s++ {
@@ -144,20 +167,11 @@ func TestMemoryDeterminism(t *testing.T) {
 	}
 }
 
-// TestObjectRoundTrip stores and reads back real objects on the two
-// backends that persist payloads.
+// TestObjectRoundTrip stores and reads back real objects on every
+// object store.
 func TestObjectRoundTrip(t *testing.T) {
-	mem := NewMemory(nil, 4, 1e8)
-	sdfB, err := NewSDF(nil, 4, 1e8, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	type store interface {
-		ObjectStore
-		ObjectReader
-		Accounting() Accounting
-	}
-	for name, b := range map[string]store{"memory": mem, "sdf": sdfB} {
+	for _, name := range storeKinds {
+		b := newStore(t, name)
 		payload := []byte("damaris iteration payload \x00\x01\x02")
 		if err := b.Put("job-it000001", payload); err != nil {
 			t.Fatalf("%s: Put: %v", name, err)
@@ -188,22 +202,9 @@ func TestObjectRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPFSPutAccountsOnly: the DES model has no real storage; Put must
-// succeed and only move the ledger.
-func TestPFSPutAccountsOnly(t *testing.T) {
-	b := NewPFS(des.NewEngine(), testPlatform().PFS, rng.New(3, 1))
-	if err := b.Put("obj", make([]byte, 128)); err != nil {
-		t.Fatal(err)
-	}
-	acc := b.Accounting()
-	if acc.Objects != 1 || acc.ObjectBytes != 128 {
-		t.Fatalf("accounting = %+v", acc)
-	}
-}
-
 func TestPlaceFile(t *testing.T) {
-	for _, kind := range Kinds() {
-		b := newBackend(t, kind, des.NewEngine())
+	for _, kind := range costKinds {
+		b := newCostModel(t, kind, des.NewEngine())
 		r := rng.New(11, 2)
 		osts := b.PlaceFile(3, r)
 		if len(osts) != 3 {
@@ -232,13 +233,12 @@ func TestPatternString(t *testing.T) {
 	}
 }
 
-// TestGetListRoundTrip drives the full real read face on every
-// backend: Put → List → Get, with the pfs model accounting the read
-// but returning ErrNoPayload instead of bytes.
+// TestGetListRoundTrip drives the full real read face on every object
+// store: Put → List → Get.
 func TestGetListRoundTrip(t *testing.T) {
-	for _, kind := range Kinds() {
-		t.Run(string(kind), func(t *testing.T) {
-			b := newBackend(t, kind, des.NewEngine())
+	for _, kind := range storeKinds {
+		t.Run(kind, func(t *testing.T) {
+			b := newStore(t, kind)
 			payload := []byte("iteration state \x00\x7f")
 			objects := map[string][]byte{
 				"job-root000-it000000": payload,
@@ -271,14 +271,8 @@ func TestGetListRoundTrip(t *testing.T) {
 			}
 
 			got, err := b.Get("job-root000-it000000")
-			if kind == KindPFS {
-				if !errors.Is(err, ErrNoPayload) {
-					t.Fatalf("pfs Get must report ErrNoPayload, got %v", err)
-				}
-			} else {
-				if err != nil || !bytes.Equal(got, payload) {
-					t.Fatalf("Get round trip failed: %q, %v", got, err)
-				}
+			if err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("Get round trip failed: %q, %v", got, err)
 			}
 			if _, err := b.Get("never-stored"); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("missing object: got %v, want ErrNotFound", err)
@@ -293,12 +287,12 @@ func TestGetListRoundTrip(t *testing.T) {
 }
 
 // TestSimulatedReadFace: the restart path's Read/ReadAsync mirror of
-// the write face, on every backend.
+// the write face, on every cost model.
 func TestSimulatedReadFace(t *testing.T) {
-	for _, kind := range Kinds() {
-		t.Run(string(kind), func(t *testing.T) {
+	for _, kind := range costKinds {
+		t.Run(kind, func(t *testing.T) {
 			eng := des.NewEngine()
-			b := newBackend(t, kind, eng)
+			b := newCostModel(t, kind, eng)
 			const perRead = 5e6
 			eng.Spawn("reader", func(p *des.Proc) {
 				b.BeginPhase()
