@@ -35,7 +35,8 @@ test:
 # Repeated passes over what a single -count=1 run misses. Under the
 # race detector: tenants finishing while other roots are still inside
 # the broker's accounting (E9's runtime tenant leg; the race showed up
-# about once in six runs), the service lifecycle, the token broker, the stream's
+# about once in six runs), the service lifecycle, Restore's fetch workers
+# against its serial List-order merge, the token broker, the stream's
 # Seq order under racing publishers, the codec selector's first Puts
 # racing on one dataset and chunk-store Gets racing the sweep's pack
 # compaction. Without it, at -count=200
@@ -43,7 +44,7 @@ test:
 # Forest decided the late-drain rule — they guard its rules 1 and 2.
 race-stress:
 	$(GO) test -race -count=10 -run 'TestE9Quick' ./internal/experiments
-	$(GO) test -race -count=10 -run 'Service' ./internal/cluster
+	$(GO) test -race -count=10 -run 'Service|TestRestoreConcurrentMatchesSerial' ./internal/cluster
 	$(GO) test -race -count=10 -run 'Broker|TestStreamPublishSeqOrder|TestCompressingConcurrentChoice' ./internal/storage
 	$(GO) test -race -count=10 -run 'TestDedupStoreGetSweepRace|TestDedupStoreGetReresolvesAfterCompaction|TestDedupStoreConcurrentSweep' ./internal/storage/chunk
 	$(GO) test -count=200 -run 'TestClusterInteriorFailure|TestRestoreAfterFailure|TestAdaptReformRaceWithStreaming' ./internal/cluster
@@ -123,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecDecode$$' -fuzztime 10s ./internal/compress
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkFrameDecode$$' -fuzztime 10s ./internal/storage/chunk
+	$(GO) test -run '^$$' -fuzz '^FuzzSDFReader$$' -fuzztime 10s ./internal/sdf
 
 # Static analysis at pinned versions (fetches the tools on demand, so
 # it needs network access; CI runs it as its own job).

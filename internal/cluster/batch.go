@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/buf"
@@ -16,7 +15,7 @@ type Block struct {
 	Node     int    // node the block originated on
 	Source   int    // simulation core within that node
 	Variable string // variable name
-	Data     []byte // payload (copied out of shared memory)
+	Data     []byte // payload (copied out of shared memory; DecodeBatch aliases the object)
 }
 
 // Batch is the unit forwarded between dedicated cores: every block of
@@ -135,64 +134,59 @@ func EncodeBatch(b *Batch) []byte {
 	return out
 }
 
-// DecodeBatch parses an object produced by EncodeBatch.
+// DecodeBatch parses an object produced by EncodeBatch. Block payloads
+// alias data instead of copying it: each is capped at its own length,
+// so an append to one block reallocates rather than overwrite the next,
+// but the batch is valid only while data is, and data must not change
+// while the batch is in use.
 func DecodeBatch(data []byte) (*Batch, error) {
-	r := bytes.NewReader(data)
-	head := make([]byte, len(batchMagic))
-	if _, err := r.Read(head); err != nil || !bytes.Equal(head, batchMagic) {
+	if !bytes.HasPrefix(data, batchMagic) {
 		return nil, fmt.Errorf("cluster: not a batch object")
 	}
-	readU32 := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(r, binary.LittleEndian, &v)
-		return v, err
+	c := cursor{rest: data[len(batchMagic):]}
+	it, n := c.u32("batch header"), c.u32("batch header")
+	if c.short != "" {
+		return nil, fmt.Errorf("cluster: truncated %s", c.short)
 	}
-	it, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("cluster: truncated batch header")
-	}
-	n, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("cluster: truncated batch header")
-	}
-	b := &Batch{Iteration: int(it)}
+	// A block takes at least 16 bytes, which bounds what a corrupt count
+	// can pre-allocate.
+	b := &Batch{Iteration: int(it), Blocks: make([]Block, 0, int(min(uint64(n), uint64(len(c.rest)/16))))}
 	for i := uint32(0); i < n; i++ {
-		var blk Block
-		node, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: truncated block %d", i)
+		node, src := c.u32("block"), c.u32("block")
+		name := c.take(c.u32("block"), "variable name in block")
+		payload := c.take(c.u32("block"), "payload in block")
+		if c.short != "" {
+			return nil, fmt.Errorf("cluster: truncated %s %d", c.short, i)
 		}
-		src, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: truncated block %d", i)
-		}
-		blk.Node, blk.Source = int(node), int(src)
-		vlen, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: truncated block %d", i)
-		}
-		// Bound every length by the bytes actually left so a corrupted
-		// length field cannot trigger a giant allocation.
-		if int64(vlen) > int64(r.Len()) {
-			return nil, fmt.Errorf("cluster: truncated variable name in block %d", i)
-		}
-		vbuf := make([]byte, vlen)
-		if _, err := io.ReadFull(r, vbuf); err != nil {
-			return nil, fmt.Errorf("cluster: truncated variable name in block %d", i)
-		}
-		blk.Variable = string(vbuf)
-		dlen, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: truncated block %d", i)
-		}
-		if int64(dlen) > int64(r.Len()) {
-			return nil, fmt.Errorf("cluster: truncated payload in block %d", i)
-		}
-		blk.Data = make([]byte, dlen)
-		if _, err := io.ReadFull(r, blk.Data); err != nil {
-			return nil, fmt.Errorf("cluster: truncated payload in block %d", i)
-		}
-		b.Blocks = append(b.Blocks, blk)
+		b.Blocks = append(b.Blocks, Block{Node: int(node), Source: int(src), Variable: string(name), Data: payload})
 	}
 	return b, nil
+}
+
+// cursor reads a batch object front to back. The first read past the
+// end records in short what it was reading; it and every later read
+// yield nil.
+type cursor struct {
+	rest  []byte
+	short string
+}
+
+// take returns the next n bytes, capped at n.
+func (c *cursor) take(n uint32, what string) []byte {
+	if c.short == "" && uint64(n) > uint64(len(c.rest)) {
+		c.short = what
+	}
+	if c.short != "" {
+		return nil
+	}
+	s := c.rest[:n:n]
+	c.rest = c.rest[n:]
+	return s
+}
+
+func (c *cursor) u32(what string) uint32 {
+	if s := c.take(4, what); s != nil {
+		return binary.LittleEndian.Uint32(s)
+	}
+	return 0
 }

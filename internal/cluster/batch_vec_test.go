@@ -85,6 +85,46 @@ func TestEncodeBatchVecAliasesPayloads(t *testing.T) {
 	}
 }
 
+// TestDecodeBatchAliasesInput pins the read side's zero-copy contract:
+// decoded payloads share the object's backing array, and each is capped
+// at its own length, so an append to block i reallocates instead of
+// overwriting block i+1 (or the header in front of it).
+func TestDecodeBatchAliasesInput(t *testing.T) {
+	enc := EncodeBatch(&Batch{Iteration: 4, Blocks: []Block{
+		{Node: 0, Source: 0, Variable: "a", Data: []byte{1, 2, 3, 4}},
+		{Node: 0, Source: 1, Variable: "a", Data: []byte{5, 6, 7}},
+		{Node: 1, Source: 0, Variable: "b", Data: []byte{8}},
+	}})
+	dec, err := DecodeBatch(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := bytes.Clone(enc)
+	for i, blk := range dec.Blocks {
+		blk.Data[0] ^= 0xFF
+		aliased := !bytes.Equal(enc, before)
+		blk.Data[0] ^= 0xFF
+		if !aliased {
+			t.Fatalf("block %d payload is a copy, not an alias of the object", i)
+		}
+		if cap(blk.Data) != len(blk.Data) {
+			t.Fatalf("block %d: cap %d exceeds len %d", i, cap(blk.Data), len(blk.Data))
+		}
+	}
+	for i := range dec.Blocks {
+		grown := append(dec.Blocks[i].Data, 0xEE, 0xEE, 0xEE, 0xEE)
+		if &grown[0] == &dec.Blocks[i].Data[0] {
+			t.Fatalf("append to block %d did not reallocate", i)
+		}
+	}
+	if !bytes.Equal(enc, before) {
+		t.Fatal("appending to a decoded block overwrote the object")
+	}
+	if !bytes.Equal(dec.Blocks[1].Data, []byte{5, 6, 7}) || !bytes.Equal(dec.Blocks[2].Data, []byte{8}) {
+		t.Fatalf("appending to a block changed its successor: %v", dec.Blocks)
+	}
+}
+
 // TestEncodeBatchVecEmpty covers the degenerate batch: header only.
 func TestEncodeBatchVecEmpty(t *testing.T) {
 	b := &Batch{Iteration: 9}

@@ -96,8 +96,26 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	if !bytes.Equal(got.Blocks[2].Data, []byte{1, 2, 3}) {
 		t.Fatal("payload corrupted")
 	}
-	if _, err := DecodeBatch(enc[:len(enc)-2]); err == nil {
-		t.Fatal("truncated batch should error")
+	// Every cut names where the object ended. Layout: 12-byte header,
+	// then per block 12 bytes of ids and name length, the name, a 4-byte
+	// payload length and the payload — (0,0,"p") at 12–29,
+	// (2,0,"theta") at 29–51, (2,1,"theta") at 51–75.
+	for _, tc := range []struct {
+		cut  int
+		want string
+	}{
+		{3, "cluster: not a batch object"},
+		{10, "cluster: truncated batch header"},
+		{20, "cluster: truncated block 0"},
+		{24, "cluster: truncated variable name in block 0"},
+		{27, "cluster: truncated block 0"},
+		{45, "cluster: truncated variable name in block 1"},
+		{73, "cluster: truncated payload in block 2"},
+		{len(enc) - 2, "cluster: truncated payload in block 2"},
+	} {
+		if _, err := DecodeBatch(enc[:tc.cut]); err == nil || err.Error() != tc.want {
+			t.Errorf("cut at %d: err = %v, want %q", tc.cut, err, tc.want)
+		}
 	}
 	if _, err := DecodeBatch([]byte("not a batch")); err == nil {
 		t.Fatal("bad magic should error")

@@ -25,6 +25,11 @@ func FuzzBatchCodec(f *testing.F) {
 	}})
 	f.Add(enc)
 	f.Add(enc[:len(enc)-3])
+	// A block count of 2^31 + 1: negative as a 32-bit int, so the
+	// pre-allocation must bound it unsigned.
+	huge := append([]byte(nil), enc...)
+	huge[8], huge[9], huge[10], huge[11] = 1, 0, 0, 0x80
+	f.Add(huge)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := DecodeBatch(data)
 		if err != nil {

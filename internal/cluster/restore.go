@@ -2,7 +2,11 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/storage"
 )
@@ -57,7 +61,9 @@ type Restored struct {
 // entry point: after a run (including one with node failures), Restore
 // reports exactly which iterations are recoverable and hands back the
 // decoded blocks for replay. Only Get/List are required, so any
-// storage.ObjectReader works.
+// storage.ObjectReader works. Up to GOMAXPROCS workers fetch manifests
+// and their objects; the results merge in List order, so the Restored
+// value, Problems' order included, does not depend on GOMAXPROCS.
 func Restore(store storage.ObjectReader, job string) (*Restored, error) {
 	prefix := job
 	if job != "" {
@@ -67,25 +73,27 @@ func Restore(store storage.ObjectReader, job string) (*Restored, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: restore: listing %q: %w", prefix, err)
 	}
+	names = slices.DeleteFunc(names, func(name string) bool { return !IsManifestName(name) })
+	got := make([]fetched, len(names))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(names)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(got)); i = next.Add(1) - 1 {
+				got[i] = fetch(store, job, names[i])
+			}
+		}()
+	}
+	wg.Wait()
 	r := &Restored{Job: job, Iterations: map[int]*RestoredIteration{}}
-	for _, name := range names {
-		if !IsManifestName(name) {
-			continue
+	for _, f := range got {
+		if f.err != nil {
+			r.Problems = append(r.Problems, f.err)
 		}
-		data, err := store.Get(name)
-		if err != nil {
-			r.Problems = append(r.Problems, fmt.Errorf("manifest %s: %w", name, err))
-			continue
-		}
-		m, err := DecodeManifest(data)
-		if err != nil {
-			r.Problems = append(r.Problems, fmt.Errorf("manifest %s: %w", name, err))
-			continue
-		}
-		if job != "" && m.Job != job {
-			// The prefix scan can catch a job whose name extends the
-			// requested one (e.g. "exp-v2" under "exp"); mixing two
-			// runs' blocks would corrupt the restored state.
+		m := f.manifest
+		if m == nil {
 			continue
 		}
 		r.Manifests++
@@ -98,13 +106,8 @@ func Restore(store storage.ObjectReader, job string) (*Restored, error) {
 			ri.Covers[n] = true
 		}
 		ri.Partial = ri.Partial || m.Partial
-		b, err := fetchBatch(store, m)
-		if err != nil {
-			ri.PayloadMissing = true
-			r.Problems = append(r.Problems, err)
-			continue
-		}
-		ri.Blocks = append(ri.Blocks, b.Blocks...)
+		ri.PayloadMissing = ri.PayloadMissing || f.err != nil
+		ri.Blocks = append(ri.Blocks, f.blocks...)
 	}
 	for _, ri := range r.Iterations {
 		(&Batch{Iteration: ri.Iteration, Blocks: ri.Blocks}).normalize()
@@ -112,21 +115,44 @@ func Restore(store storage.ObjectReader, job string) (*Restored, error) {
 	return r, nil
 }
 
-// fetchBatch reads and validates one manifest's data object.
-func fetchBatch(store storage.ObjectReader, m *Manifest) (*Batch, error) {
+// fetched is one manifest's outcome. manifest is nil when it could not
+// be read (err says why) or belongs to another job; otherwise err is its
+// data object's problem, or blocks holds the object's blocks.
+type fetched struct {
+	manifest *Manifest
+	blocks   []Block
+	err      error
+}
+
+// fetch reads one manifest and, when it belongs to job, its data object.
+func fetch(store storage.ObjectReader, job, name string) fetched {
+	data, err := store.Get(name)
+	var m *Manifest
+	if err == nil {
+		m, err = DecodeManifest(data)
+	}
+	if err != nil {
+		return fetched{err: fmt.Errorf("manifest %s: %w", name, err)}
+	}
+	if job != "" && m.Job != job {
+		// The prefix scan can catch a job whose name extends the
+		// requested one (e.g. "exp-v2" under "exp"); mixing two runs'
+		// blocks would corrupt the restored state.
+		return fetched{}
+	}
 	obj, err := store.Get(m.Object)
+	var b *Batch
+	if err == nil {
+		b, err = DecodeBatch(obj)
+	}
+	if err == nil && (b.Iteration != m.Iteration || len(b.Blocks) != len(m.Blocks)) {
+		err = fmt.Errorf("holds iteration %d with %d blocks, manifest says %d/%d",
+			b.Iteration, len(b.Blocks), m.Iteration, len(m.Blocks))
+	}
 	if err != nil {
-		return nil, fmt.Errorf("object %s: %w", m.Object, err)
+		return fetched{manifest: m, err: fmt.Errorf("object %s: %w", m.Object, err)}
 	}
-	b, err := DecodeBatch(obj)
-	if err != nil {
-		return nil, fmt.Errorf("object %s: %w", m.Object, err)
-	}
-	if b.Iteration != m.Iteration || len(b.Blocks) != len(m.Blocks) {
-		return nil, fmt.Errorf("object %s: holds iteration %d with %d blocks, manifest says %d/%d",
-			m.Object, b.Iteration, len(b.Blocks), m.Iteration, len(m.Blocks))
-	}
-	return b, nil
+	return fetched{manifest: m, blocks: b.Blocks}
 }
 
 // IterationNumbers returns the restored iteration numbers ascending.

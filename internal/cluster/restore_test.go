@@ -5,7 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/compress"
 	"repro/internal/meta"
@@ -306,6 +310,69 @@ func TestRestoreJobIsolation(t *testing.T) {
 	}
 	if r2.Manifests != 1 || len(r2.NodeBlocks(0)[2]) != 1 {
 		t.Fatalf("extended job broken: %d manifests", r2.Manifests)
+	}
+}
+
+// slowStore delays every Get of an iteration-6 object by 2 ms, so with
+// several workers the fetches after it in List order finish first.
+type slowStore struct{ *storage.Memory }
+
+func (s slowStore) Get(name string) ([]byte, error) {
+	if strings.Contains(name, "-it000006") {
+		time.Sleep(2 * time.Millisecond)
+	}
+	return s.Memory.Get(name)
+}
+
+// TestRestoreConcurrentMatchesSerial: Restore's fetch workers change
+// its speed and nothing else. Over a store of 38 objects holding one
+// missing data object, one corrupt manifest and one manifest of a job
+// whose name extends the requested one, Restore at GOMAXPROCS 1 and 4
+// returns deeply equal results, with Problems in List order.
+func TestRestoreConcurrentMatchesSerial(t *testing.T) {
+	mem := storage.NewMemory(nil, 4, 1e9)
+	put := func(job string, root, it int) {
+		b := &Batch{Iteration: it, Blocks: []Block{
+			{Node: root, Source: 0, Variable: "theta", Data: payload(root, 0, it)},
+			{Node: root + 1, Source: 0, Variable: "theta", Data: payload(root+1, 0, it)},
+		}}
+		name := fmt.Sprintf("%s-root%03d-it%06d", job, root, it)
+		m := newManifest(job, root, name, b, []int{root, root + 1}, root == 2 && it == 3)
+		if err := errors.Join(mem.Put(name, EncodeBatch(b)), mem.Put(m.Name(), EncodeManifest(m))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for it := 0; it < 9; it++ {
+		put("exp", 0, it)
+		put("exp", 2, it)
+	}
+	put("exp-v2", 0, 0)
+	if err := errors.Join(mem.Delete("exp-root000-it000006"),
+		mem.Put("exp-root000-it000007-manifest", []byte("not json"))); err != nil {
+		t.Fatal(err)
+	}
+	restore := func(procs int) *Restored {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		r, err := Restore(slowStore{mem}, "exp")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	serial, concurrent := restore(1), restore(4)
+	if !reflect.DeepEqual(serial, concurrent) {
+		t.Fatalf("GOMAXPROCS 4 restored %+v\nGOMAXPROCS 1 restored %+v", concurrent, serial)
+	}
+	// The slow iteration-6 fetch finishes last but merges first.
+	if p := concurrent.Problems; len(p) != 2 || !strings.Contains(p[0].Error(), "object exp-root000-it000006:") ||
+		!strings.Contains(p[1].Error(), "manifest exp-root000-it000007-manifest:") {
+		t.Fatalf("problems %v, want the missing object, then the corrupt manifest", p)
+	}
+	if serial.Manifests != 17 || serial.TotalBlocks() != 32 || len(serial.Iterations) != 9 ||
+		!serial.Iterations[6].PayloadMissing || !serial.Iterations[3].Partial {
+		t.Fatalf("restored %d manifests, %d blocks, %d iterations; it 6 missing %v, it 3 partial %v",
+			serial.Manifests, serial.TotalBlocks(), len(serial.Iterations),
+			serial.Iterations[6].PayloadMissing, serial.Iterations[3].Partial)
 	}
 }
 

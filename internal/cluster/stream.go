@@ -72,7 +72,8 @@ func NewStreamConsumer(sub *storage.Subscription, pipe insitu.Pipeline) *StreamC
 // subscriber was detached for holding a publisher past its timeout (it
 // missed frames; a caller that provokes the detach on purpose tests for
 // it with errors.Is), a payload that does not decode, or onBatch's own
-// error.
+// error. The batch's blocks alias msg.Data, which every subscriber
+// shares: onBatch must treat the payloads as read-only.
 func ConsumeStream(sub *storage.Subscription, onBatch func(msg storage.StreamMsg, b *Batch) error) error {
 	for {
 		msg, err := sub.Recv()

@@ -21,6 +21,7 @@ type Codec interface {
 	// element-structured codecs).
 	Encode(src []byte, elemSize int) ([]byte, error)
 	// Decode decompresses enc; dstSize is the expected decoded length.
+	// The result may alias enc (None returns enc itself).
 	Decode(enc []byte, dstSize, elemSize int) ([]byte, error)
 }
 
@@ -74,12 +75,12 @@ func (None) Encode(src []byte, _ int) ([]byte, error) {
 	return append([]byte(nil), src...), nil
 }
 
-// Decode implements Codec.
+// Decode implements Codec. It returns enc itself, without a copy.
 func (None) Decode(enc []byte, dstSize, _ int) ([]byte, error) {
 	if len(enc) != dstSize {
 		return nil, fmt.Errorf("compress: none codec size mismatch: %d vs %d", len(enc), dstSize)
 	}
-	return append([]byte(nil), enc...), nil
+	return enc, nil
 }
 
 // Gorilla is an XOR-based float codec: each value is XORed with its

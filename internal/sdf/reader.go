@@ -76,13 +76,15 @@ func NewReader(src io.ReaderAt, size int64) (*Reader, error) {
 		datasets: map[string]DatasetInfo{},
 		attrs:    map[[2]string]attr{},
 	}
-	if err := r.decodeIndex(idx); err != nil {
+	if err := r.decodeIndex(idx, indexOff); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-func (r *Reader) decodeIndex(buf []byte) error {
+// decodeIndex parses the index; every dataset must lie in the payload
+// region, between the header and indexOff.
+func (r *Reader) decodeIndex(buf []byte, indexOff int64) error {
 	p := parser{buf: buf}
 	nds := p.u32()
 	for i := uint32(0); i < nds && p.err == nil; i++ {
@@ -102,6 +104,10 @@ func (r *Reader) decodeIndex(buf []byte) error {
 		d.EncSize = int64(p.u64())
 		d.Offset = int64(p.u64())
 		d.CRC = p.u32()
+		if p.err == nil && (d.Offset < int64(len(magic)) || d.EncSize < 0 || d.RawSize < 0 ||
+			d.EncSize > indexOff-d.Offset) {
+			return fmt.Errorf("sdf: dataset %q lies outside the payload region", d.Path)
+		}
 		r.datasets[d.Path] = d
 		r.order = append(r.order, d.Path)
 	}
@@ -200,6 +206,8 @@ func (r *Reader) Datasets() []DatasetInfo {
 func (r *Reader) Groups() []string { return append([]string(nil), r.groups...) }
 
 // ReadDataset reads, CRC-checks and decompresses a dataset's payload.
+// A "none" dataset is returned as the buffer it was read into (None.Decode
+// does not copy); the caller owns it.
 func (r *Reader) ReadDataset(path string) ([]byte, error) {
 	d, ok := r.datasets[cleanPath(path)]
 	if !ok {

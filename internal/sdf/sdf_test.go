@@ -162,6 +162,9 @@ func TestOpenRejectsUnclosedFile(t *testing.T) {
 	}
 }
 
+// TestCorruptPayloadDetected: the "none" read path returns the buffer it
+// read without decoding it, so the CRC is its only guard — a flipped
+// payload byte must still fail the read.
 func TestCorruptPayloadDetected(t *testing.T) {
 	path := tempFile(t)
 	w, _ := Create(path)
@@ -244,6 +247,123 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// fileBytes returns the bytes of an in-memory SDF file that write
+// filled, or nil when writing or closing failed.
+func fileBytes(write func(w *Writer) error) []byte {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if err := write(w); err != nil || w.Close() != nil {
+		return nil
+	}
+	return buf.Bytes()
+}
+
+// TestWriteDatasetVecMatchesFlat: the file format does not depend on how
+// a payload is segmented. For random segmentations, empty segments
+// included, and for "none" and two real codecs, WriteDatasetVec writes
+// the same bytes as WriteDataset of the concatenation, and the file
+// reads back to the payload.
+func TestWriteDatasetVecMatchesFlat(t *testing.T) {
+	if err := quick.Check(func(vals []float64, cuts []uint8, pick uint8) bool {
+		if len(vals) == 0 {
+			vals = []float64{0}
+		}
+		codec := []string{"none", "gorilla", "flate"}[int(pick)%3]
+		data := compress.Float64Bytes(vals)
+		var segs [][]byte
+		rest := data
+		for _, c := range cuts {
+			n := min(int(c)%17, len(rest)) // 0 yields an empty segment
+			segs, rest = append(segs, rest[:n]), rest[n:]
+		}
+		segs = append(segs, rest)
+		dims := []int{len(vals)}
+		flat := fileBytes(func(w *Writer) error { return w.WriteDataset("v", meta.Float64, dims, data, codec) })
+		vec := fileBytes(func(w *Writer) error { return w.WriteDatasetVec("v", meta.Float64, dims, segs, codec) })
+		if flat == nil || !bytes.Equal(flat, vec) {
+			return false
+		}
+		r, err := NewReader(bytes.NewReader(vec), int64(len(vec)))
+		if err != nil {
+			return false
+		}
+		got, err := r.ReadDataset("v")
+		return err == nil && bytes.Equal(got, data)
+	}, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNoneIndexMismatchRejected: the "none" read path hands back the
+// buffer it read, so it must not trust an index whose sizes disagree —
+// under a valid index checksum, a dataset whose EncSize differs from its
+// RawSize fails on read, and one that runs past the payload region
+// fails on open.
+func TestNoneIndexMismatchRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		tamper   func(d *DatasetInfo)
+		openFail bool
+	}{
+		{"raw size", func(d *DatasetInfo) { d.RawSize-- }, false},
+		{"encoded size", func(d *DatasetInfo) { d.EncSize, d.RawSize = 1<<40, 1<<40 }, true},
+		{"offset", func(d *DatasetInfo) { d.Offset = -1 }, true},
+	} {
+		file := fileBytes(func(w *Writer) error {
+			err := w.WriteDataset("v", meta.Uint8, []int{16}, make([]byte, 16), "none")
+			tc.tamper(&w.datasets[0])
+			return err
+		})
+		r, err := NewReader(bytes.NewReader(file), int64(len(file)))
+		if tc.openFail {
+			if err == nil {
+				t.Errorf("%s: tampered index opened", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got, err := r.ReadDataset("v"); err == nil {
+			t.Errorf("%s: read %d bytes from a dataset whose index disagrees with its payload", tc.name, len(got))
+		}
+	}
+}
+
+// FuzzSDFReader feeds arbitrary bytes to NewReader and then ReadDataset:
+// a corrupt file must fail with an error, never a panic, and a "none"
+// dataset that reads back returns exactly RawSize bytes.
+func FuzzSDFReader(f *testing.F) {
+	vals := make([]float64, 64)
+	for i := range vals {
+		vals[i] = 250 + math.Sin(float64(i)/8)
+	}
+	data := compress.Float64Bytes(vals)
+	for _, codec := range []string{"none", "gorilla", "flate", "rle"} {
+		f.Add(fileBytes(func(w *Writer) error {
+			w.SetAttrString("g", "unit", "K")
+			w.SetAttrInt("", "size", int64(len(data)))
+			if err := w.WriteDataset("g/v", meta.Float64, []int{8, 8}, data, codec); err != nil {
+				return err
+			}
+			return w.WriteDatasetVec("raw", meta.Uint8, []int{len(data)}, [][]byte{data[:5], nil, data[5:]}, "none")
+		}))
+	}
+	f.Add([]byte("SDFv1\x00\x00\x00"))
+	f.Fuzz(func(t *testing.T, file []byte) {
+		r, err := NewReader(bytes.NewReader(file), int64(len(file)))
+		if err != nil {
+			return
+		}
+		for _, d := range r.Datasets() {
+			got, err := r.ReadDataset(d.Path)
+			if err == nil && d.Codec == "none" && int64(len(got)) != d.RawSize {
+				t.Fatalf("%s: read %d bytes of a %d-byte none dataset", d.Path, len(got), d.RawSize)
+			}
+		}
+	})
+}
+
 func BenchmarkWriteDatasetNone(b *testing.B) {
 	data := make([]byte, 1<<20)
 	for i := 0; i < b.N; i++ {
@@ -253,6 +373,42 @@ func BenchmarkWriteDatasetNone(b *testing.B) {
 		w.Close()
 	}
 	b.SetBytes(1 << 20)
+}
+
+// BenchmarkWriteDatasetVecNone writes the same mebibyte as a batch
+// object's segment list: 64 payloads of 16 KiB, each behind its own
+// small header segment.
+func BenchmarkWriteDatasetVecNone(b *testing.B) {
+	data := make([]byte, 1<<20)
+	header := make([]byte, 20)
+	var segs [][]byte
+	for off := 0; off < len(data); off += 16 << 10 {
+		segs = append(segs, header, data[off:off+16<<10])
+	}
+	n := len(data) + 64*len(header)
+	for i := 0; i < b.N; i++ {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		w.WriteDatasetVec("v", meta.Uint8, []int{n}, segs, "none")
+		w.Close()
+	}
+	b.SetBytes(int64(n))
+}
+
+func BenchmarkReadDatasetNone(b *testing.B) {
+	data := make([]byte, 1<<20)
+	file := fileBytes(func(w *Writer) error { return w.WriteDataset("v", meta.Uint8, []int{len(data)}, data, "none") })
+	r, err := NewReader(bytes.NewReader(file), int64(len(file)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(1 << 20)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.ReadDataset("v"); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func writeFile(path string, data []byte) error {

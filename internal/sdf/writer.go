@@ -11,6 +11,7 @@
 package sdf
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -110,6 +111,16 @@ func (w *Writer) createGroup(path string) {
 // product(dims) × dtype.Size() bytes; codecName selects the compression
 // codec ("none", "gorilla", "delta", "rle", "flate").
 func (w *Writer) WriteDataset(path string, dtype meta.Type, dims []int, data []byte, codecName string) error {
+	return w.WriteDatasetVec(path, dtype, dims, [][]byte{data}, codecName)
+}
+
+// WriteDatasetVec appends a dataset whose payload is the concatenation
+// of segs, with the same file bytes WriteDataset writes for that
+// concatenation. Under "none" each segment goes to the underlying
+// writer as it is — the payload is never gathered or copied. Other
+// codecs encode the gathered payload; a single segment is encoded in
+// place.
+func (w *Writer) WriteDatasetVec(path string, dtype meta.Type, dims []int, segs [][]byte, codecName string) error {
 	if w.closed {
 		return fmt.Errorf("sdf: writer closed")
 	}
@@ -130,29 +141,46 @@ func (w *Writer) WriteDataset(path string, dtype meta.Type, dims []int, data []b
 		}
 		elems *= d
 	}
-	if want := elems * dtype.Size(); len(data) != want {
+	raw := 0
+	for _, s := range segs {
+		raw += len(s)
+	}
+	if want := elems * dtype.Size(); raw != want {
 		return fmt.Errorf("sdf: dataset %q: %d bytes for dims %v of %s (want %d)",
-			path, len(data), dims, dtype, want)
+			path, raw, dims, dtype, want)
 	}
 	codec, err := compress.ByName(codecName)
 	if err != nil {
 		return err
 	}
-	enc, err := codec.Encode(data, dtype.Size())
-	if err != nil {
-		return fmt.Errorf("sdf: encoding %q: %w", path, err)
+	if codec.Name() != "none" {
+		data := segs[0]
+		if len(segs) > 1 {
+			data = bytes.Join(segs, nil)
+		}
+		enc, err := codec.Encode(data, dtype.Size())
+		if err != nil {
+			return fmt.Errorf("sdf: encoding %q: %w", path, err)
+		}
+		segs = [][]byte{enc}
 	}
 	info := DatasetInfo{
 		Path:    path,
 		Type:    dtype,
 		Dims:    append([]int(nil), dims...),
 		Codec:   codec.Name(),
-		RawSize: int64(len(data)),
-		EncSize: int64(len(enc)),
+		RawSize: int64(raw),
 		Offset:  w.off,
-		CRC:     crc32.ChecksumIEEE(enc),
 	}
-	w.write(enc)
+	// crc32.Update chains to ChecksumIEEE of the concatenation, so a
+	// segmented payload gets the same CRC as its gathered form.
+	for _, s := range segs {
+		info.EncSize += int64(len(s))
+		info.CRC = crc32.Update(info.CRC, crc32.IEEETable, s)
+		if len(s) > 0 {
+			w.write(s)
+		}
+	}
 	if w.err != nil {
 		return w.err
 	}

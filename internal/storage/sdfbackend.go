@@ -57,10 +57,16 @@ func (b *SDF) Dir() string { return b.dir }
 func (b *SDF) Name() string { return "sdf" }
 
 // Put implements ObjectStore: the object becomes one SDF file.
+func (b *SDF) Put(name string, data []byte) error {
+	return b.PutVec(name, [][]byte{data})
+}
+
+// PutVec implements VecStore: the segments are written to the file one
+// after another, never gathered, so the file write is the only copy.
 // Overwriting an existing name replaces the object (accounted once,
 // like Memory.Put); two distinct names that flatten to the same file
 // are rejected instead of silently clobbering each other.
-func (b *SDF) Put(name string, data []byte) error {
+func (b *SDF) PutVec(name string, segs [][]byte) error {
 	if name == "" {
 		return fmt.Errorf("storage: empty object name")
 	}
@@ -77,13 +83,14 @@ func (b *SDF) Put(name string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if len(data) > 0 {
-		if err := w.WriteDataset("data", meta.Uint8, []int{len(data)}, data, "none"); err != nil {
+	size := SegsLen(segs)
+	if size > 0 {
+		if err := w.WriteDatasetVec("data", meta.Uint8, []int{size}, segs, "none"); err != nil {
 			w.Close()
 			return err
 		}
 	}
-	w.SetAttrInt("", "size", int64(len(data)))
+	w.SetAttrInt("", "size", int64(size))
 	w.SetAttrString("", "backend", b.Name())
 	// The unflattened name travels inside the file, so Get and List can
 	// recover it in a fresh process (and Get can reject a name that
@@ -96,8 +103,8 @@ func (b *SDF) Put(name string, data []byte) error {
 	if old, ok := b.objSize[name]; ok {
 		b.objByte -= old
 	}
-	b.objSize[name] = int64(len(data))
-	b.objByte += int64(len(data))
+	b.objSize[name] = int64(size)
+	b.objByte += int64(size)
 	b.omu.Unlock()
 	return nil
 }

@@ -133,8 +133,9 @@ type ObjectStore interface {
 // narrow interface.
 type ObjectReader interface {
 	// Get returns a stored object's bytes. It returns ErrNotFound for a
-	// name never stored. Implementations must be safe for concurrent
-	// use.
+	// name never stored. The returned slice belongs to the caller: the
+	// store keeps no reference to it (cluster.DecodeBatch aliases it).
+	// Implementations must be safe for concurrent use.
 	Get(name string) ([]byte, error)
 	// List returns the stored object names with the given prefix,
 	// ascending ("" lists everything).
@@ -209,11 +210,10 @@ type Retainer interface {
 // bytes arrive as an iovec-style segment list. Implementations must
 // treat the concatenation of segs as the object's bytes and must own
 // their copy by the time PutVec returns — callers are free to recycle
-// the segment buffers immediately afterwards. Stores that can do better
-// than gather-then-Put implement it (Memory, Compressing); callers go
-// through the PutVec helper, which flattens for everyone else. SDF does
-// not implement it, so every object written to SDF is gathered into one
-// buffer first: a second full copy of the payload.
+// the segment buffers immediately afterwards. Memory (one gather), SDF
+// (the segments go to the file as they are) and Compressing (part by
+// part) implement it; callers go through the PutVec helper, which
+// flattens for everyone else.
 type VecStore interface {
 	// PutVec durably stores the concatenation of segs under name.
 	// Implementations must be safe for concurrent use.
