@@ -39,10 +39,12 @@ test:
 # against its serial List-order merge, the token broker, the stream's
 # Seq order under racing publishers, the codec selector's first Puts
 # racing on one dataset and chunk-store Gets racing the sweep's pack
-# compaction. Without it, at -count=200
+# compaction, and the DES engine's process coroutines, which all run
+# on the goroutine that calls Run. Without it, at -count=200
 # (~5 s): the three routing-protocol tests that flaked 1-3 % until
 # Forest decided the late-drain rule — they guard its rules 1 and 2.
 race-stress:
+	$(GO) test -race -count=10 ./internal/des
 	$(GO) test -race -count=10 -run 'TestE9Quick' ./internal/experiments
 	$(GO) test -race -count=10 -run 'Service|TestRestoreConcurrentMatchesSerial' ./internal/cluster
 	$(GO) test -race -count=10 -run 'Broker|TestStreamPublishSeqOrder|TestCompressingConcurrentChoice' ./internal/storage

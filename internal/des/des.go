@@ -4,10 +4,12 @@
 // virtual time.
 //
 // Model: an Engine owns a virtual clock and an event heap. Processes are
-// goroutines that run one at a time — the engine wakes exactly one process
-// and blocks until that process either yields (Wait, Acquire, Await, ...)
-// or terminates, so execution is sequential and, together with (time, seq)
-// event ordering, fully deterministic regardless of the Go scheduler.
+// coroutines (iter.Pull), not goroutines trading channel messages: Run
+// resumes one at a time on its own goroutine, and a process runs until it
+// parks (Wait, Acquire, Await, ...) or returns, so execution is sequential
+// and, together with (time, seq) event ordering, fully deterministic. A
+// panic inside a process leaves Run with the same value; a runtime.Goexit
+// in one (t.Fatal) ends the goroutine that called Run.
 //
 // Callback events (Engine.At) run inline in the engine and may wake
 // processes by completing Futures or releasing Resources.
@@ -15,6 +17,7 @@ package des
 
 import (
 	"fmt"
+	"iter"
 )
 
 // event is a scheduled occurrence: either resume a process or invoke
@@ -40,10 +43,9 @@ type event struct {
 type Engine struct {
 	now    float64
 	seq    uint64
-	events []*event      // indexed binary min-heap on (time, seq)
-	free   []*event      // recycled event structs (see event.gen)
-	ctl    chan struct{} // process → engine: "I yielded or finished"
-	nprocs int           // live processes (diagnostics)
+	events []*event // indexed binary min-heap on (time, seq)
+	free   []*event // recycled event structs (see event.gen)
+	nprocs int      // live processes (diagnostics)
 }
 
 // The indexed heap. Identical ordering to the pre-index implementation
@@ -165,9 +167,7 @@ func (e *Engine) recycle(ev *event) {
 }
 
 // NewEngine returns an engine with the clock at 0.
-func NewEngine() *Engine {
-	return &Engine{ctl: make(chan struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -259,11 +259,12 @@ func (e *Engine) After(d float64, fn func()) *Timer {
 }
 
 // Proc is a simulation process. All Proc methods must be called from the
-// goroutine running the process body.
+// process body.
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
+	eng   *Engine
+	name  string
+	next  func() (struct{}, bool) // resume; false once the body returned
+	yield func(struct{}) bool     // park, back to Run
 }
 
 // Engine returns the engine this process belongs to.
@@ -283,26 +284,22 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnAt creates a process that starts executing at absolute time t.
 func (e *Engine) SpawnAt(t float64, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
-	e.nprocs++
-	go func() {
-		<-p.resume // wait for the engine to start us
+	p := &Proc{eng: e, name: name}
+	// No stop: Run resumes every body to its end, or panics on deadlock.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		fn(p)
-		e.nprocs--
-		e.ctl <- struct{}{} // termination counts as a yield
-	}()
+	})
+	e.nprocs++
 	e.schedule(t, p, nil)
 	return p
 }
 
-// yield hands control back to the engine and blocks until resumed.
+// park hands control back to the engine and blocks until resumed.
 // The caller must already have arranged for a future resume (a scheduled
 // event, a Future completion, or a Resource grant), otherwise the process
 // deadlocks — Run will report it.
-func (p *Proc) yield() {
-	p.eng.ctl <- struct{}{}
-	<-p.resume
-}
+func (p *Proc) park() { p.yield(struct{}{}) }
 
 // Wait advances the process by d virtual seconds (d >= 0).
 func (p *Proc) Wait(d float64) {
@@ -310,7 +307,7 @@ func (p *Proc) Wait(d float64) {
 		panic("des: negative Wait")
 	}
 	p.eng.schedule(p.eng.now+d, p, nil)
-	p.yield()
+	p.park()
 }
 
 // Run executes events until the heap is empty. It returns the final clock
@@ -327,8 +324,9 @@ func (e *Engine) Run() float64 {
 		}
 		proc := ev.proc
 		e.recycle(ev)
-		proc.resume <- struct{}{}
-		<-e.ctl
+		if _, ok := proc.next(); !ok {
+			e.nprocs--
+		}
 	}
 	if e.nprocs > 0 {
 		panic(fmt.Sprintf("des: deadlock: %d process(es) blocked with no pending events", e.nprocs))
@@ -369,7 +367,7 @@ func (p *Proc) Await(f *Future) {
 		return
 	}
 	f.waiters = append(f.waiters, p)
-	p.yield()
+	p.park()
 }
 
 // Resource is a FIFO counting resource (capacity units). Processes Acquire
@@ -409,7 +407,7 @@ func (p *Proc) Acquire(r *Resource, n int) {
 		return
 	}
 	r.waiters = append(r.waiters, resWaiter{proc: p, n: n})
-	p.yield()
+	p.park()
 }
 
 func (r *Resource) take(n int) {
@@ -480,5 +478,5 @@ func (p *Proc) Arrive(b *Barrier) {
 		return
 	}
 	b.waiters = append(b.waiters, p)
-	p.yield()
+	p.park()
 }

@@ -1,8 +1,10 @@
 package des
 
 import (
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 )
 
 func TestClockAdvances(t *testing.T) {
@@ -300,6 +302,49 @@ func TestDeadlockDetection(t *testing.T) {
 		}
 	}()
 	e.Run()
+}
+
+// TestProcPanicSurfacesFromRun checks that a process runs on Run's
+// behalf: its panic leaves Run with the same value instead of killing
+// the binary from a goroutine no one can recover.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("boom", func(p *Proc) {
+		p.Wait(1)
+		panic("boom")
+	})
+	defer func() {
+		if v := recover(); v != "boom" {
+			t.Fatalf("Run panicked with %v, want boom", v)
+		}
+	}()
+	e.Run()
+}
+
+// TestProcGoexitEndsRun checks that runtime.Goexit inside a process (a
+// t.Fatal in a model test) ends the goroutine that called Run instead
+// of leaving Run blocked.
+func TestProcGoexitEndsRun(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("exit", func(p *Proc) {
+		p.Wait(1)
+		runtime.Goexit()
+	})
+	returned := false
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		e.Run()
+		returned = true
+	}()
+	select {
+	case <-ended:
+		if returned {
+			t.Fatal("Run returned normally after a process called Goexit")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run still blocked 10 s after a process called Goexit")
+	}
 }
 
 func TestManyProcessesScale(t *testing.T) {

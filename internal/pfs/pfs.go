@@ -163,20 +163,24 @@ func (fs *FS) Open(p *des.Proc) { fs.metaOp(p, fs.params.MDSOpen) }
 // Close performs a file-close at the MDS (blocking).
 func (fs *FS) Close(p *des.Proc) { fs.metaOp(p, fs.params.MDSClose) }
 
-// PlaceFile chooses stripeCount distinct OSTs for a new file, mimicking
-// Lustre's randomized allocator. The choice is drawn from r so placement
-// is reproducible per caller.
+// PlaceFile chooses stripeCount distinct OSTs for a new file (see Place).
 func (fs *FS) PlaceFile(stripeCount int, r *rng.Stream) []int {
-	n := len(fs.osts)
-	if stripeCount >= n {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		return all
+	return Place(len(fs.osts), stripeCount, r)
+}
+
+// Place chooses stripes distinct targets out of n, mimicking Lustre's
+// randomized allocator: every target, in order and without a draw, when
+// stripes >= n; otherwise a draw from r, so placement is reproducible
+// per caller.
+func Place(n, stripes int, r *rng.Stream) []int {
+	if stripes < n {
+		return r.Sample(n, stripes)
 	}
-	perm := r.Perm(n)
-	return perm[:stripeCount]
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	return all
 }
 
 // WriteAsync submits a whole-file write of the given size and pattern to

@@ -12,6 +12,7 @@
 package rng
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 )
@@ -100,6 +101,27 @@ func (s *Stream) Perm(n int) []int {
 		j := s.Intn(i + 1)
 		p[i] = p[j]
 		p[j] = i
+	}
+	return p
+}
+
+// Sample returns k distinct values of [0, n): exactly Perm(n)[:k], and
+// it leaves the stream where Perm(n) leaves it (the same n Intn draws),
+// but it keeps only the first k slots — a later swap matters only when
+// it lands in one of them.
+func (s *Stream) Sample(n, k int) []int {
+	if k < 0 || k > n {
+		panic(fmt.Sprintf("rng: Sample(%d, %d)", n, k))
+	}
+	p := make([]int, k)
+	for i := 0; i < n; i++ {
+		j := s.Intn(i + 1)
+		if i < k {
+			p[i] = p[j]
+			p[j] = i
+		} else if j < k {
+			p[j] = i
+		}
 	}
 	return p
 }

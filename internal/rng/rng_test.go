@@ -188,3 +188,26 @@ func BenchmarkUint64(b *testing.B) {
 		s.Uint64()
 	}
 }
+
+// TestSampleMatchesPermPrefix pins Sample to Perm: the same k values in
+// the same order, and the stream left exactly where Perm leaves it, so
+// swapping one for the other changes no downstream draw.
+func TestSampleMatchesPermPrefix(t *testing.T) {
+	for n := 0; n <= 64; n++ {
+		for k := 0; k <= n; k++ {
+			a, b := New(uint64(1000*n+k), 7), New(uint64(1000*n+k), 7)
+			got, want := a.Sample(n, k), b.Perm(n)[:k]
+			if len(got) != k {
+				t.Fatalf("Sample(%d, %d) returned %d values", n, k, len(got))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("Sample(%d, %d) = %v, want Perm prefix %v", n, k, got, want)
+				}
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("Sample(%d, %d) left the stream elsewhere than Perm(%d)", n, k, n)
+			}
+		}
+	}
+}

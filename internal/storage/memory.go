@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/des"
+	"repro/internal/pfs"
 	"repro/internal/rng"
 )
 
@@ -180,7 +181,7 @@ func (m *simModel) ReadAsync(target int, bytes float64, pat Pattern) *des.Future
 
 // PlaceFile implements CostModel: a reproducible random draw of targets.
 func (m *simModel) PlaceFile(stripes int, r *rng.Stream) []int {
-	return placeUniform(m.Targets(), stripes, r)
+	return pfs.Place(m.Targets(), stripes, r)
 }
 
 // Accounting implements CostModel: the simulated-face ledger.
@@ -294,16 +295,4 @@ func (b *Memory) Accounting() Accounting {
 	acc.ObjectReadBytes = b.objRead
 	b.omu.Unlock()
 	return acc
-}
-
-// placeUniform draws stripes distinct targets out of n.
-func placeUniform(n, stripes int, r *rng.Stream) []int {
-	if stripes >= n {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		return all
-	}
-	return r.Perm(n)[:stripes]
 }
