@@ -104,11 +104,17 @@ failure-smoke:
 # R1 checkpoint/restart experiment at smoke scale: write objects +
 # manifests into an sdf store, restore them, replay the artifacts
 # through -restart-from (the full object read path end to end) and list
-# them with sdfdump.
+# them with sdfdump. Then README's first command, the one-node
+# quickstart, whose store must list one manifest and one data object
+# per iteration.
 restart-smoke:
 	$(GO) run ./cmd/damaris-bench -quick -exp r1 -backend-dir out/restart-smoke
 	$(GO) run ./cmd/damaris-bench -restart-from out/restart-smoke/fail0
 	$(GO) run ./cmd/sdfdump out/restart-smoke/fail0
+	$(GO) run ./examples/quickstart
+	$(GO) run ./cmd/sdfdump quickstart-out | awk '{ print } / job=quickstart /{ m++ } / batch it=/{ b++ } \
+		END { if (m != 3 || b != 3) { print "want 3 manifests and 3 data objects, got " m + 0 " and " b + 0; exit 1 } }'
+	rm -rf quickstart-out
 
 # C1 compression smoke: the codec × dataset sweep with the adaptive
 # selector at quick scale, then the compressed on-disk restart round

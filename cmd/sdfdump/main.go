@@ -1,10 +1,10 @@
 // Command sdfdump inspects SDF files (the repository's HDF5-substitute
-// format): it lists groups, datasets, attributes and compression info,
-// and optionally prints dataset statistics. Given a directory, it
-// treats it as an SDF object store (what the cluster layer's sdf
-// backend writes) and prints a manifest-aware listing: per-iteration
-// checkpoint manifests with their coverage, and the data objects with
-// their sizes.
+// format): it lists groups and datasets, and optionally prints dataset
+// statistics. Given a directory, it treats it as an SDF object store
+// (what the cluster layer's sdf backend writes) and prints a
+// manifest-aware listing: per-iteration checkpoint manifests with their
+// coverage, and the data objects with their sizes and, for framed
+// objects, their codec.
 //
 // Usage:
 //
@@ -168,12 +168,10 @@ func dump(path string, withStats bool) error {
 	if groups := r.Groups(); len(groups) > 0 {
 		fmt.Printf("  groups: %s\n", strings.Join(groups, ", "))
 	}
-	var raw, enc int64
+	var total int64
 	for _, d := range r.Datasets() {
-		raw += d.RawSize
-		enc += d.EncSize
-		fmt.Printf("  %-40s %-8s dims=%v codec=%-7s %8d -> %8d bytes\n",
-			d.Path, d.Type, d.Dims, d.Codec, d.RawSize, d.EncSize)
+		total += d.Size
+		fmt.Printf("  %-40s %-8s dims=%v %8d bytes\n", d.Path, d.Type, d.Dims, d.Size)
 		if withStats && d.Type == "float64" {
 			vals, err := r.ReadFloat64s(d.Path)
 			if err != nil {
@@ -185,9 +183,6 @@ func dump(path string, withStats bool) error {
 				"", m.Min, m.Max, m.Mean, m.Std)
 		}
 	}
-	if enc > 0 {
-		fmt.Printf("  total: %d datasets, %d -> %d bytes (%.2fx)\n",
-			len(r.Datasets()), raw, enc, float64(raw)/float64(enc))
-	}
+	fmt.Printf("  total: %d datasets, %d bytes\n", len(r.Datasets()), total)
 	return nil
 }

@@ -17,28 +17,30 @@
 //	}
 //	node.Shutdown()
 //
-// Everything else — what the variables look like, which plugins run on
-// the dedicated core (aggregated SDF output, compression, statistics,
-// in-situ visualization) — lives in the external XML description, as in
-// the original middleware. See examples/ for complete programs and
-// internal/experiments for the paper's evaluation.
+// What the variables look like and which plugins run on the dedicated
+// core (statistics, in-situ visualization, or user plugins) live in the
+// external XML description, as in the original middleware. See
+// examples/ for complete programs and internal/experiments for the
+// paper's evaluation.
 //
-// # Multi-node quickstart
+// # Storing iterations
 //
-// Past one node, internal/cluster instantiates N such nodes from a
-// topology.Platform and wires their dedicated cores into a k-ary
-// cross-node aggregation forest. Leaf dedicated cores forward each
-// completed iteration's blocks upward, interior nodes batch their
-// subtree, and tree roots store one large sequential object per
-// iteration through a pluggable storage backend (internal/storage:
-// the discrete-event Lustre model, an in-memory store for tests, or
-// local SDF files):
+// Durable output goes through internal/cluster at any node count: it
+// instantiates N such nodes from a topology.Platform and wires their
+// dedicated cores into a k-ary cross-node aggregation forest. Leaf
+// dedicated cores forward each completed iteration's blocks upward,
+// interior nodes batch their subtree, and tree roots store one large
+// sequential object per iteration, plus a manifest, through a storage
+// backend (internal/storage: local SDF files, or an in-memory store for
+// tests), compressed and optionally deduplicated by chunk.Stack. A
+// single node is a one-node cluster (examples/quickstart):
 //
 //	cfg, _ := damaris.ParseConfigString(configXML)
-//	store := storage.NewMemory(nil, 8, 1e9) // or storage.NewSDF(...)
+//	base, _ := storage.NewSDF(nil, 1, 1e9, "out")
+//	store, _ := chunk.Stack(base, storage.AdaptiveCodec, nil)
 //	c, _ := cluster.New(cluster.ClusterConfig{
-//		Platform: topology.Platform{Nodes: 16, CoresPerNode: 4},
-//		Fanout:   4, // children per interior node
+//		Platform: topology.Platform{Nodes: 1, CoresPerNode: cores + 1},
+//		Fanout:   4, // children per interior node, past one node
 //		Store:    store,
 //	}, cluster.RunSpec{Meta: cfg})
 //	client := c.Client(nodeID, coreID)
@@ -47,9 +49,10 @@
 //	...
 //	c.WaitIteration(lastIt)
 //	c.Shutdown()
+//	restored, _ := cluster.Restore(store, cfg.Name) // blocks per iteration
 //
 // Cluster-wide end-of-iteration plugins (cluster.Hook) run at the tree
-// roots with the merged batch. examples/cluster is the runnable
+// roots with the merged batch. examples/cluster is the multi-node
 // version. `damaris-bench -nodes 16` does not start a Cluster for the
 // paper's experiments: it runs them on the DES face, whose tree-mode
 // legs route through the same cluster.Forest.
@@ -62,8 +65,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/meta"
 
-	// Importing the built-in plugins registers them (sdf-writer, stats,
-	// visualize) so XML configurations can name them.
+	// Importing the built-in plugins registers them (stats, visualize)
+	// so XML configurations can name them.
 	_ "repro/internal/plugins"
 )
 

@@ -1,7 +1,9 @@
 // Quickstart: the smallest complete Damaris integration — one node,
-// four simulation cores, the XML-configured sdf-writer plugin running on
-// the dedicated core. Run it and inspect the aggregated output with
-// cmd/sdfdump.
+// four simulation cores and one dedicated core, as a one-node cluster.
+// The dedicated core runs the XML-configured stats plugin and stores
+// each iteration, compressed by the adaptive codec, as an SDF object
+// in quickstart-out/; the program then restores the run from that
+// directory. Inspect the store with `go run ./cmd/sdfdump quickstart-out`.
 package main
 
 import (
@@ -10,7 +12,11 @@ import (
 	"math"
 
 	damaris "repro"
+	"repro/internal/cluster"
 	"repro/internal/compress"
+	"repro/internal/storage"
+	"repro/internal/storage/chunk"
+	"repro/internal/topology"
 )
 
 const configXML = `
@@ -29,38 +35,60 @@ const configXML = `
     <variable name="temperature" layout="grid" mesh="domain" unit="K"/>
   </data>
   <plugins>
-    <plugin name="sdf-writer" event="end_iteration" dir="quickstart-out" codec="gorilla"/>
     <plugin name="stats" event="end_iteration"/>
   </plugins>
 </simulation>`
 
+const (
+	dir        = "quickstart-out"
+	cores      = 4
+	iterations = 3
+)
+
 func main() {
-	const cores = 4
-	node, err := damaris.NewNodeFromXML(configXML, cores, damaris.Options{})
+	cfg, err := damaris.ParseConfigString(configXML)
+	if err != nil {
+		log.Fatal(err)
+	}
+	base, err := storage.NewSDF(nil, 1, 1e9, dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	store, err := chunk.Stack(base, storage.AdaptiveCodec, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	c, err := cluster.New(cluster.ClusterConfig{
+		Platform: topology.Platform{Nodes: 1, CoresPerNode: cores + 1},
+		Store:    store,
+	}, cluster.RunSpec{Meta: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	const iterations = 3
 	for it := 0; it < iterations; it++ {
 		for src := 0; src < cores; src++ {
-			client := node.Client(src)
-			field := computeSlab(src, it)
-			if err := client.Write("temperature", it, field); err != nil {
+			client := c.Client(0, src)
+			if err := client.Write("temperature", it, computeSlab(src, it)); err != nil {
 				log.Fatalf("core %d: %v", src, err)
 			}
 			client.EndIteration(it)
 		}
 	}
-	node.WaitIteration(iterations - 1)
-	if err := node.Shutdown(); err != nil {
+	c.WaitIteration(iterations - 1)
+	if err := c.Shutdown(); err != nil {
 		log.Fatal(err)
 	}
-
-	st := node.Stats()
+	st := c.Node(0).Stats()
 	fmt.Printf("quickstart: %d blocks (%d bytes) handed to the dedicated core\n",
 		st.BlocksWritten, st.BytesWritten)
-	fmt.Printf("aggregated output written to quickstart-out/ (%d iterations)\n", iterations)
+
+	r, err := cluster.Restore(store, cfg.Name)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("restored %d blocks of %d iterations from %s/\n",
+		r.TotalBlocks(), len(r.IterationNumbers()), dir)
 }
 
 // computeSlab stands in for a simulation's compute phase: each core
@@ -68,7 +96,7 @@ func main() {
 func computeSlab(src, it int) []byte {
 	const nz, ny, nx = 16, 24, 24
 	vals := make([]float64, nz*ny*nx)
-	cx := float64((it*4 + src*6) % nxit(nx)) // drifting center
+	cx := float64((it*4 + src*6) % nx) // drifting center
 	for k := 0; k < nz; k++ {
 		for j := 0; j < ny; j++ {
 			for i := 0; i < nx; i++ {
@@ -79,5 +107,3 @@ func computeSlab(src, it int) []byte {
 	}
 	return compress.Float64Bytes(vals)
 }
-
-func nxit(nx int) int { return nx }

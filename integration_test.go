@@ -2,19 +2,23 @@ package damaris
 
 // Full-stack integration tests: one CM1 proxy per simulated core across
 // several simulated SMP nodes, writing through the Damaris middleware
-// with the aggregating SDF plugin, then reading every block back from
+// into a cluster whose root stores each iteration — framed by the
+// adaptive codec — as an SDF object, then restoring every block from
 // disk and checking it bitwise against the simulation state — the
 // complete §III pipeline end to end.
 
 import (
+	"bytes"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/cm1"
 	"repro/internal/compress"
-	"repro/internal/sdf"
+	"repro/internal/storage"
+	"repro/internal/storage/chunk"
+	"repro/internal/topology"
 )
 
 const integrationXML = `
@@ -29,35 +33,40 @@ const integrationXML = `
     <variable name="qv" layout="grid" unit="kg/kg"/>
     <variable name="w" layout="grid" unit="m/s"/>
   </data>
-  <plugins>
-    <plugin name="sdf-writer" event="end_iteration" dir="%s" codec="gorilla"/>
-  </plugins>
 </simulation>`
 
 func TestCM1ThroughDamarisEndToEnd(t *testing.T) {
 	const (
-		nodes        = 2
-		coresPerNode = 4
-		cores        = nodes * coresPerNode
-		steps        = 9
-		outputEvery  = 3
+		nodes          = 2
+		clientsPerNode = 4 // plus one dedicated core per node
+		cores          = nodes * clientsPerNode
+		steps          = 9
+		outputEvery    = 3
 	)
 	dir := t.TempDir()
-
-	// One Damaris node runtime per simulated SMP node, with the
-	// aggregating writer configured from XML.
-	var nodeRuntimes []*Node
-	for n := 0; n < nodes; n++ {
-		node, err := NewNodeFromXML(fmt.Sprintf(integrationXML, dir), coresPerNode, Options{NodeID: n})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodeRuntimes = append(nodeRuntimes, node)
+	cfg, err := ParseConfigString(integrationXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := storage.NewSDF(nil, 1, 1e9, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := chunk.Stack(base, storage.AdaptiveCodec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cluster.New(cluster.ClusterConfig{
+		Platform: topology.Platform{Nodes: nodes, CoresPerNode: clientsPerNode + 1},
+		Store:    store,
+	}, cluster.RunSpec{Meta: cfg})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// Keep a copy of what each core wrote last, to verify the read-back.
 	var mu sync.Mutex
-	written := map[string][]float64{} // "var/src" -> data at final output
+	written := map[string][]byte{} // "node/var/src" -> payload at final output
 
 	var wg sync.WaitGroup
 	for core := 0; core < cores; core++ {
@@ -71,9 +80,9 @@ func TestCM1ThroughDamarisEndToEnd(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			node := core / coresPerNode
-			local := core % coresPerNode
-			client := nodeRuntimes[node].Client(local)
+			node := core / clientsPerNode
+			local := core % clientsPerNode
+			client := c.Client(node, local)
 			for step := 1; step <= steps; step++ {
 				model.Step()
 				if step%outputEvery != 0 {
@@ -81,13 +90,13 @@ func TestCM1ThroughDamarisEndToEnd(t *testing.T) {
 				}
 				it := step / outputEvery
 				for _, f := range model.Fields() {
-					if err := client.Write(f.Name, it, compress.Float64Bytes(f.Data)); err != nil {
+					data := compress.Float64Bytes(f.Data)
+					if err := client.Write(f.Name, it, data); err != nil {
 						t.Errorf("core %d write %s: %v", core, f.Name, err)
 					}
 					if step == steps {
 						mu.Lock()
-						key := fmt.Sprintf("node%d/%s/src%04d", node, f.Name, local)
-						written[key] = append([]float64(nil), f.Data...)
+						written[fmt.Sprintf("node%d/%s/src%04d", node, f.Name, local)] = bytes.Clone(data)
 						mu.Unlock()
 					}
 				}
@@ -96,60 +105,41 @@ func TestCM1ThroughDamarisEndToEnd(t *testing.T) {
 		}(core)
 	}
 	wg.Wait()
-	for _, n := range nodeRuntimes {
-		if err := n.Shutdown(); err != nil {
-			t.Fatal(err)
-		}
+	finalIt := steps / outputEvery
+	c.WaitIteration(finalIt)
+	if err := c.Shutdown(); err != nil {
+		t.Fatal(err)
 	}
 
-	// One aggregated file per node per output phase.
-	files, err := filepath.Glob(filepath.Join(dir, "*.sdf"))
+	// Restore from the directory alone: one manifest per output phase.
+	reopened, err := storage.NewSDF(nil, 1, 1e9, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFiles := nodes * (steps / outputEvery)
-	if len(files) != wantFiles {
-		t.Fatalf("found %d files, want %d", len(files), wantFiles)
+	r, err := cluster.Restore(chunk.ReadStack(reopened), "integration")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := steps / outputEvery; r.Manifests != want || len(r.Problems) != 0 {
+		t.Fatalf("restored %d manifests (problems %v), want %d", r.Manifests, r.Problems, want)
 	}
 
-	// Read back the final iteration of every node and compare bitwise.
-	finalIt := steps / outputEvery
-	for n := 0; n < nodes; n++ {
-		path := filepath.Join(dir, fmt.Sprintf("integration-node%04d-it%06d.sdf", n, finalIt))
-		r, err := sdf.Open(path)
-		if err != nil {
-			t.Fatalf("node %d: %v", n, err)
+	// Compare every block of the final iteration bitwise.
+	final := r.Iterations[finalIt]
+	if final == nil || !final.Complete(nodes) || len(final.Blocks) != 3*cores {
+		t.Fatalf("final iteration restored as %+v, want %d blocks from %d nodes", final, 3*cores, nodes)
+	}
+	for _, b := range final.Blocks {
+		key := fmt.Sprintf("node%d/%s/src%04d", b.Node, b.Variable, b.Source)
+		if want, ok := written[key]; !ok || !bytes.Equal(b.Data, want) {
+			t.Fatalf("%s: restored block differs from what the core wrote", key)
 		}
-		if got := len(r.Datasets()); got != 3*coresPerNode {
-			t.Fatalf("node %d file has %d datasets, want %d", n, got, 3*coresPerNode)
-		}
-		for _, varName := range []string{"theta", "qv", "w"} {
-			for src := 0; src < coresPerNode; src++ {
-				dsPath := fmt.Sprintf("%s/src%04d", varName, src)
-				vals, err := r.ReadFloat64s(dsPath)
-				if err != nil {
-					t.Fatalf("node %d %s: %v", n, dsPath, err)
-				}
-				key := fmt.Sprintf("node%d/%s/src%04d", n, varName, src)
-				want := written[key]
-				if len(vals) != len(want) {
-					t.Fatalf("%s: %d values, want %d", key, len(vals), len(want))
-				}
-				for i := range vals {
-					if vals[i] != want[i] {
-						t.Fatalf("%s: value %d = %v, want %v (gorilla round-trip broke?)",
-							key, i, vals[i], want[i])
-					}
-				}
-			}
-		}
-		r.Close()
 	}
 
 	// The middleware must have returned all shared memory.
-	for n, rt := range nodeRuntimes {
-		if rt.Segment().Allocated() != 0 {
-			t.Errorf("node %d leaked %d bytes of shared memory", n, rt.Segment().Allocated())
+	for n := 0; n < nodes; n++ {
+		if got := c.Node(n).Segment().Allocated(); got != 0 {
+			t.Errorf("node %d leaked %d bytes of shared memory", n, got)
 		}
 	}
 }

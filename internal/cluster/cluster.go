@@ -221,9 +221,8 @@ func newTenantCluster(cc ClusterConfig, spec RunSpec, tenant int) (*Cluster, err
 	for i := range c.nodes {
 		nodeID := i
 		opts := core.Options{
-			NodeID:    nodeID,
-			OutputDir: cc.OutputDir,
-			Logger:    cc.Logger,
+			NodeID: nodeID,
+			Logger: cc.Logger,
 			ExtraPlugins: map[string][]core.Plugin{
 				"end_iteration": {&forwarder{agg: c.aggs[nodeID]}},
 			},

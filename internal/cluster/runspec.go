@@ -41,8 +41,6 @@ type ClusterConfig struct {
 	// DisableManifests turns off the per-iteration manifest objects
 	// roots write alongside their data objects.
 	DisableManifests bool
-	// OutputDir is passed to each node for its local plugins.
-	OutputDir string
 	// Logger defaults to a silent logger.
 	Logger *log.Logger
 }

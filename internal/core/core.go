@@ -104,11 +104,10 @@ func lookupPlugin(name string) (PluginFactory, bool) {
 
 // PluginContext is what a plugin sees of the node.
 type PluginContext struct {
-	Config    *meta.Config
-	Index     *meta.Index
-	NodeID    int
-	OutputDir string
-	Logger    *log.Logger
+	Config *meta.Config
+	Index  *meta.Index
+	NodeID int
+	Logger *log.Logger
 }
 
 // BlockBytes returns the shared-memory bytes of an indexed block.
@@ -153,8 +152,6 @@ type counters struct {
 type Options struct {
 	// NodeID distinguishes nodes in output file names.
 	NodeID int
-	// OutputDir is where I/O plugins write; empty means current dir.
-	OutputDir string
 	// Logger defaults to a silent logger.
 	Logger *log.Logger
 	// ExtraPlugins are instantiated plugins bound to events, in addition
@@ -333,11 +330,10 @@ func (n *Node) serve() {
 
 func (n *Node) firePlugins(event string, ev Event) {
 	ctx := &PluginContext{
-		Config:    n.cfg,
-		Index:     n.index,
-		NodeID:    n.opts.NodeID,
-		OutputDir: n.opts.OutputDir,
-		Logger:    n.opts.Logger,
+		Config: n.cfg,
+		Index:  n.index,
+		NodeID: n.opts.NodeID,
+		Logger: n.opts.Logger,
 	}
 	for _, p := range n.plugins[event] {
 		// A failing plugin must not take down the service: record and

@@ -25,7 +25,7 @@ const sampleXML = `
     <variable name="prof" layout="profile"/>
   </data>
   <plugins>
-    <plugin name="sdf-writer" event="end_iteration" dir="out" codec="none"/>
+    <plugin name="visualize" event="end_iteration" dir="out" bins="16"/>
     <plugin name="stats" event="compute_stats"/>
   </plugins>
 </simulation>`
@@ -94,7 +94,7 @@ func TestParsePlugins(t *testing.T) {
 		t.Fatalf("plugins = %+v", cfg.Plugins)
 	}
 	p := cfg.Plugins[0]
-	if p.Name != "sdf-writer" || p.Event != "end_iteration" || p.Config["dir"] != "out" {
+	if p.Name != "visualize" || p.Event != "end_iteration" || p.Config["dir"] != "out" {
 		t.Fatalf("plugin 0 = %+v", p)
 	}
 	if cfg.Plugins[1].Event != "compute_stats" {

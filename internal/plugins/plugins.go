@@ -1,11 +1,10 @@
-// Package plugins provides the built-in data-management plugins of the
-// middleware, matching the uses the paper reports: aggregated SDF output
-// (the "forward I/O operations to HDF5" case of §III.A), transparent
-// compression (§IV.D), statistics, and in-situ visualization (§V).
+// Package plugins provides the built-in node-local analysis plugins of
+// the middleware: statistics and in-situ visualization (§V). Durable
+// output is not a plugin: the cluster's tree roots store each iteration
+// through a storage.ObjectStore (internal/cluster), at any node count.
 //
 // Importing this package registers every built-in under its XML name:
 //
-//	sdf-writer   dir=<path> codec=<none|gorilla|flate|rle>
 //	stats        (computes per-variable moments each iteration)
 //	visualize    dir=<path> bins=<n> render=<true|false>
 package plugins
@@ -21,114 +20,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/insitu"
 	"repro/internal/meta"
-	"repro/internal/sdf"
 )
 
 func init() {
-	core.RegisterPlugin("sdf-writer", func(cfg map[string]string) (core.Plugin, error) {
-		return NewSDFWriter(cfg["dir"], cfg["codec"])
-	})
 	core.RegisterPlugin("stats", func(cfg map[string]string) (core.Plugin, error) {
 		return NewStats(), nil
 	})
 	core.RegisterPlugin("visualize", func(cfg map[string]string) (core.Plugin, error) {
 		return NewVisualizer(cfg)
 	})
-}
-
-// SDFWriter aggregates every block of an iteration into one SDF file per
-// node — the paper's key I/O behaviour: "group the output of multiple
-// processes into bigger files without the communication overhead of a
-// collective I/O approach" (§IV.B).
-type SDFWriter struct {
-	Dir   string
-	Codec string
-
-	mu           sync.Mutex
-	filesWritten int
-	bytesIn      int64 // raw payload aggregated
-	bytesOut     int64 // bytes on storage
-}
-
-// NewSDFWriter validates the codec name and returns the plugin.
-func NewSDFWriter(dir, codec string) (*SDFWriter, error) {
-	if _, err := compress.ByName(codec); err != nil {
-		return nil, err
-	}
-	return &SDFWriter{Dir: dir, Codec: codec}, nil
-}
-
-// Name implements core.Plugin.
-func (w *SDFWriter) Name() string { return "sdf-writer" }
-
-// FilesWritten returns how many files the plugin produced.
-func (w *SDFWriter) FilesWritten() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.filesWritten
-}
-
-// CompressionRatio returns aggregate raw/stored bytes across all files.
-func (w *SDFWriter) CompressionRatio() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.bytesOut == 0 {
-		return 0
-	}
-	return float64(w.bytesIn) / float64(w.bytesOut)
-}
-
-// OnEvent implements core.Plugin: on end_iteration it writes the
-// node-aggregated file for that iteration.
-func (w *SDFWriter) OnEvent(ctx *core.PluginContext, ev core.Event) error {
-	refs := ctx.Index.Iteration(ev.Iteration)
-	if len(refs) == 0 {
-		return nil
-	}
-	name := fmt.Sprintf("%s-node%04d-it%06d", ctx.Config.Name, ctx.NodeID, ev.Iteration)
-	dir := w.Dir
-	if dir == "" {
-		dir = ctx.OutputDir
-	}
-	if dir == "" {
-		dir = "."
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	out, err := sdf.Create(filepath.Join(dir, name+".sdf"))
-	if err != nil {
-		return err
-	}
-	out.SetAttrInt("", "iteration", int64(ev.Iteration))
-	out.SetAttrInt("", "node", int64(ctx.NodeID))
-	var rawTotal int64
-	for _, ref := range refs {
-		v, ok := ctx.Config.Variables[ref.Key.Variable]
-		if !ok {
-			out.Close()
-			return fmt.Errorf("block for undeclared variable %q", ref.Key.Variable)
-		}
-		path := fmt.Sprintf("%s/src%04d", ref.Key.Variable, ref.Key.Source)
-		if err := out.WriteDataset(path, v.Layout.Type, v.Layout.Dims, ctx.BlockBytes(ref), w.Codec); err != nil {
-			out.Close()
-			return err
-		}
-		if v.Unit != "" {
-			out.SetAttrString(path, "unit", v.Unit)
-		}
-		rawTotal += int64(ref.Size)
-	}
-	stored := out.BytesWritten()
-	if err := out.Close(); err != nil {
-		return err
-	}
-	w.mu.Lock()
-	w.filesWritten++
-	w.bytesIn += rawTotal
-	w.bytesOut += stored
-	w.mu.Unlock()
-	return nil
 }
 
 // Stats computes per-variable moments on the dedicated core each

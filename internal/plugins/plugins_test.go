@@ -9,7 +9,6 @@ import (
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/meta"
-	"repro/internal/sdf"
 )
 
 const vizXML = `
@@ -47,7 +46,6 @@ func runNode(t *testing.T, plugin core.Plugin, clients, iters int) *core.Node {
 		t.Fatal(err)
 	}
 	node, err := core.NewNode(cfg, clients, core.Options{
-		OutputDir:    t.TempDir(),
 		ExtraPlugins: map[string][]core.Plugin{"end_iteration": {plugin}},
 	})
 	if err != nil {
@@ -67,97 +65,6 @@ func runNode(t *testing.T, plugin core.Plugin, clients, iters int) *core.Node {
 		t.Fatal(err)
 	}
 	return node
-}
-
-func TestSDFWriterAggregatesNodeOutput(t *testing.T) {
-	dir := t.TempDir()
-	w, err := NewSDFWriter(dir, "none")
-	if err != nil {
-		t.Fatal(err)
-	}
-	runNode(t, w, 3, 2)
-	if w.FilesWritten() != 2 {
-		t.Fatalf("files written = %d, want 2 (one per iteration)", w.FilesWritten())
-	}
-	// Read back the aggregated file: 3 sources × 1 variable.
-	path := filepath.Join(dir, "plugtest-node0000-it000001.sdf")
-	r, err := sdf.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if got := len(r.Datasets()); got != 3 {
-		t.Fatalf("aggregated datasets = %d, want 3", got)
-	}
-	if it, ok := r.AttrInt("", "iteration"); !ok || it != 1 {
-		t.Fatalf("iteration attr = %d ok=%v", it, ok)
-	}
-	if u, ok := r.AttrString("theta/src0001", "unit"); !ok || u != "K" {
-		t.Fatalf("unit attr = %q ok=%v", u, ok)
-	}
-	vals, err := r.ReadFloat64s("theta/src0002")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 512 {
-		t.Fatalf("dataset has %d values", len(vals))
-	}
-}
-
-func TestSDFWriterCompression(t *testing.T) {
-	// A fully-transcendental field has high-entropy mantissas: gorilla
-	// should still shrink it some, never grow it much.
-	w, err := NewSDFWriter(t.TempDir(), "gorilla")
-	if err != nil {
-		t.Fatal(err)
-	}
-	runNode(t, w, 2, 2)
-	if r := w.CompressionRatio(); r < 1.05 {
-		t.Fatalf("gorilla on smooth fields compressed only %.2fx", r)
-	}
-}
-
-func TestSDFWriterCompressionSparseField(t *testing.T) {
-	// A localized-perturbation field (like cloud water early in a CM1
-	// run) is mostly constant: this is where the paper's 600% comes from.
-	w, err := NewSDFWriter(t.TempDir(), "gorilla")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := meta.ParseString(vizXML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node, err := core.NewNode(cfg, 1, core.Options{
-		ExtraPlugins: map[string][]core.Plugin{"end_iteration": {w}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparse := cubeData(func(k, j, i int) float64 {
-		if k == 4 && j == 4 {
-			return float64(i)
-		}
-		return 0
-	})
-	c := node.Client(0)
-	if err := c.Write("theta", 0, sparse); err != nil {
-		t.Fatal(err)
-	}
-	c.EndIteration(0)
-	node.WaitIteration(0)
-	if err := node.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	if r := w.CompressionRatio(); r < 4 {
-		t.Fatalf("gorilla on sparse field compressed only %.2fx, want >= 4", r)
-	}
-}
-
-func TestSDFWriterRejectsBadCodec(t *testing.T) {
-	if _, err := NewSDFWriter("", "bogus"); err == nil {
-		t.Fatal("bad codec accepted")
-	}
 }
 
 func TestStatsPlugin(t *testing.T) {
@@ -228,6 +135,8 @@ func TestVisualizerConfigValidation(t *testing.T) {
 
 func TestXMLRegistryIntegration(t *testing.T) {
 	// End-to-end: plugins declared purely in XML, resolved via init().
+	// NewNode rejects an unregistered name, and the visualizer's image
+	// shows the XML attributes reached the plugin.
 	dir := t.TempDir()
 	xml := `<simulation name="xmlflow">
 	  <architecture><buffer size="4194304"/></architecture>
@@ -236,8 +145,8 @@ func TestXMLRegistryIntegration(t *testing.T) {
 	    <variable name="theta" layout="cube"/>
 	  </data>
 	  <plugins>
-	    <plugin name="sdf-writer" event="end_iteration" dir="` + dir + `" codec="flate"/>
 	    <plugin name="stats" event="end_iteration"/>
+	    <plugin name="visualize" event="end_iteration" dir="` + dir + `" bins="8"/>
 	  </plugins>
 	</simulation>`
 	cfg, err := meta.ParseString(xml)
@@ -257,8 +166,11 @@ func TestXMLRegistryIntegration(t *testing.T) {
 	if err := node.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*.sdf"))
-	if len(files) != 1 {
-		t.Fatalf("XML-configured writer produced %d files", len(files))
+	if st := node.Stats(); st.PluginErrors != 0 {
+		t.Fatalf("XML-configured plugins failed %d times: %v", st.PluginErrors, node.Errors())
+	}
+	imgs, _ := filepath.Glob(filepath.Join(dir, "*.pgm"))
+	if len(imgs) != 1 {
+		t.Fatalf("XML-configured visualizer rendered %d images, want 1", len(imgs))
 	}
 }

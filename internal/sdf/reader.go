@@ -99,13 +99,19 @@ func (r *Reader) decodeIndex(buf []byte, indexOff int64) error {
 		for j := range d.Dims {
 			d.Dims[j] = int(p.u64())
 		}
-		d.Codec = p.str()
-		d.RawSize = int64(p.u64())
-		d.EncSize = int64(p.u64())
+		codec := p.str()
+		d.Size = int64(p.u64())
+		encSize := int64(p.u64())
 		d.Offset = int64(p.u64())
 		d.CRC = p.u32()
-		if p.err == nil && (d.Offset < int64(len(magic)) || d.EncSize < 0 || d.RawSize < 0 ||
-			d.EncSize > indexOff-d.Offset) {
+		if p.err != nil {
+			break
+		}
+		if codec != storedCodec || encSize != d.Size {
+			return fmt.Errorf("sdf: dataset %q: unsupported codec %q (%d raw, %d stored bytes)",
+				d.Path, codec, d.Size, encSize)
+		}
+		if d.Offset < int64(len(magic)) || d.Size < 0 || d.Size > indexOff-d.Offset {
 			return fmt.Errorf("sdf: dataset %q lies outside the payload region", d.Path)
 		}
 		r.datasets[d.Path] = d
@@ -205,26 +211,21 @@ func (r *Reader) Datasets() []DatasetInfo {
 // Groups returns the registered group paths (sorted).
 func (r *Reader) Groups() []string { return append([]string(nil), r.groups...) }
 
-// ReadDataset reads, CRC-checks and decompresses a dataset's payload.
-// A "none" dataset is returned as the buffer it was read into (None.Decode
-// does not copy); the caller owns it.
+// ReadDataset reads and CRC-checks a dataset's payload into a new
+// buffer the caller owns.
 func (r *Reader) ReadDataset(path string) ([]byte, error) {
 	d, ok := r.datasets[cleanPath(path)]
 	if !ok {
 		return nil, fmt.Errorf("sdf: no dataset %q", path)
 	}
-	enc := make([]byte, d.EncSize)
-	if _, err := r.r.ReadAt(enc, d.Offset); err != nil {
+	data := make([]byte, d.Size)
+	if _, err := r.r.ReadAt(data, d.Offset); err != nil {
 		return nil, fmt.Errorf("sdf: reading %q: %w", path, err)
 	}
-	if crc32.ChecksumIEEE(enc) != d.CRC {
+	if crc32.ChecksumIEEE(data) != d.CRC {
 		return nil, fmt.Errorf("sdf: dataset %q checksum mismatch", path)
 	}
-	codec, err := compress.ByName(d.Codec)
-	if err != nil {
-		return nil, err
-	}
-	return codec.Decode(enc, int(d.RawSize), d.Type.Size())
+	return data, nil
 }
 
 // ReadFloat64s reads a float64 dataset as a slice.

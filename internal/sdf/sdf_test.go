@@ -2,6 +2,8 @@ package sdf
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -86,31 +88,32 @@ func TestGroupsRegisteredWithAncestors(t *testing.T) {
 	}
 }
 
+// TestAllCodecsRoundTripThroughFile: a dataset round-trips through a file
+// on disk. "none" is the only codec SDF stores; the codecs themselves
+// round-trip in internal/compress and inside storage's frames.
 func TestAllCodecsRoundTripThroughFile(t *testing.T) {
 	vals := make([]float64, 4096)
 	for i := range vals {
 		vals[i] = 250 + 10*math.Sin(float64(i)/100)
 	}
 	data := compress.Float64Bytes(vals)
-	for _, codec := range []string{"none", "gorilla", "flate", "rle"} {
-		path := tempFile(t)
-		w, _ := Create(path)
-		if err := w.WriteDataset("v", meta.Float64, []int{4096}, data, codec); err != nil {
-			t.Fatalf("%s: %v", codec, err)
-		}
-		w.Close()
-		r, err := Open(path)
-		if err != nil {
-			t.Fatalf("%s: %v", codec, err)
-		}
-		got, err := r.ReadDataset("v")
-		r.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", codec, err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("%s: data mismatch", codec)
-		}
+	path := tempFile(t)
+	w, _ := Create(path)
+	if err := w.WriteDataset("v", meta.Float64, []int{4096}, data, "none"); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	got, err := r.ReadDataset("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("data mismatch")
 	}
 }
 
@@ -130,8 +133,8 @@ func TestWriterValidation(t *testing.T) {
 	if err := w.WriteDataset("v", meta.Float64, []int{0}, nil, "none"); err == nil {
 		t.Error("zero dim accepted")
 	}
-	if err := w.WriteDataset("v", meta.Float64, []int{2}, data, "bogus"); err == nil {
-		t.Error("unknown codec accepted")
+	if err := w.WriteDataset("v", meta.Float64, []int{2}, data, "gorilla"); err == nil {
+		t.Error("codec other than none accepted")
 	}
 	if err := w.WriteDataset("v", meta.Float64, []int{2}, data, "none"); err != nil {
 		t.Fatal(err)
@@ -219,18 +222,16 @@ func TestReadFloat64sTypeCheck(t *testing.T) {
 }
 
 // TestRoundTripProperty: arbitrary float64 datasets round-trip through an
-// in-memory SDF file with every codec that accepts them.
+// in-memory SDF file.
 func TestRoundTripProperty(t *testing.T) {
-	if err := quick.Check(func(vals []float64, pick uint8) bool {
+	if err := quick.Check(func(vals []float64) bool {
 		if len(vals) == 0 {
 			vals = []float64{0}
 		}
-		codecs := []string{"none", "gorilla", "flate"}
-		codec := codecs[int(pick)%len(codecs)]
 		data := compress.Float64Bytes(vals)
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
-		if err := w.WriteDataset("v", meta.Float64, []int{len(vals)}, data, codec); err != nil {
+		if err := w.WriteDataset("v", meta.Float64, []int{len(vals)}, data, "none"); err != nil {
 			return false
 		}
 		if err := w.Close(); err != nil {
@@ -260,15 +261,13 @@ func fileBytes(write func(w *Writer) error) []byte {
 
 // TestWriteDatasetVecMatchesFlat: the file format does not depend on how
 // a payload is segmented. For random segmentations, empty segments
-// included, and for "none" and two real codecs, WriteDatasetVec writes
-// the same bytes as WriteDataset of the concatenation, and the file
-// reads back to the payload.
+// included, WriteDatasetVec writes the same bytes as WriteDataset of the
+// concatenation, and the file reads back to the payload.
 func TestWriteDatasetVecMatchesFlat(t *testing.T) {
-	if err := quick.Check(func(vals []float64, cuts []uint8, pick uint8) bool {
+	if err := quick.Check(func(vals []float64, cuts []uint8) bool {
 		if len(vals) == 0 {
 			vals = []float64{0}
 		}
-		codec := []string{"none", "gorilla", "flate"}[int(pick)%3]
 		data := compress.Float64Bytes(vals)
 		var segs [][]byte
 		rest := data
@@ -278,8 +277,8 @@ func TestWriteDatasetVecMatchesFlat(t *testing.T) {
 		}
 		segs = append(segs, rest)
 		dims := []int{len(vals)}
-		flat := fileBytes(func(w *Writer) error { return w.WriteDataset("v", meta.Float64, dims, data, codec) })
-		vec := fileBytes(func(w *Writer) error { return w.WriteDatasetVec("v", meta.Float64, dims, segs, codec) })
+		flat := fileBytes(func(w *Writer) error { return w.WriteDataset("v", meta.Float64, dims, data, "none") })
+		vec := fileBytes(func(w *Writer) error { return w.WriteDatasetVec("v", meta.Float64, dims, segs) })
 		if flat == nil || !bytes.Equal(flat, vec) {
 			return false
 		}
@@ -294,26 +293,63 @@ func TestWriteDatasetVecMatchesFlat(t *testing.T) {
 	}
 }
 
-// TestNoneIndexMismatchRejected: the "none" read path hands back the
-// buffer it read, so it must not trust an index whose sizes disagree —
-// under a valid index checksum, a dataset whose EncSize differs from its
-// RawSize fails on read, and one that runs past the payload region
-// fails on open.
+// codecSlot is the codec string every dataset's index entry holds; the
+// raw and encoded sizes follow it.
+var codecSlot = []byte("\x04\x00\x00\x00none")
+
+// nameCodec makes every dataset of an index name codec instead.
+func nameCodec(idx []byte, codec string) []byte {
+	slot := binary.LittleEndian.AppendUint32(nil, uint32(len(codec)))
+	return bytes.ReplaceAll(idx, codecSlot, append(slot, codec...))
+}
+
+// editIndex returns file with its index rewritten by edit and sealed
+// again: same offset, fresh trailer checksum.
+func editIndex(file []byte, edit func(idx []byte) []byte) []byte {
+	indexOff := binary.LittleEndian.Uint64(file[len(file)-20:])
+	idx := edit(bytes.Clone(file[indexOff : len(file)-20]))
+	out := append(file[:indexOff:indexOff], idx...)
+	out = binary.LittleEndian.AppendUint64(out, indexOff)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(idx))
+	return append(out, trailerMagic...)
+}
+
+// TestNoneIndexMismatchRejected: the read path hands back the buffer it
+// read, so it must not trust an index that disagrees with the payload —
+// under a valid index checksum, a dataset whose size is off fails its
+// CRC on read, and one that runs past the payload region fails on open.
+// The index keeps a codec slot and an encoded size only so files stay
+// byte-identical to older ones: naming a codec other than "none", or an
+// encoded size unequal to the raw size, is unsupported input.
 func TestNoneIndexMismatchRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		tamper   func(d *DatasetInfo)
+		edit     func(idx []byte) []byte
 		openFail bool
 	}{
-		{"raw size", func(d *DatasetInfo) { d.RawSize-- }, false},
-		{"encoded size", func(d *DatasetInfo) { d.EncSize, d.RawSize = 1<<40, 1<<40 }, true},
-		{"offset", func(d *DatasetInfo) { d.Offset = -1 }, true},
+		{"short size", func(d *DatasetInfo) { d.Size-- }, nil, false},
+		{"past payload", func(d *DatasetInfo) { d.Size = 1 << 40 }, nil, true},
+		{"offset", func(d *DatasetInfo) { d.Offset = -1 }, nil, true},
+		{"gorilla codec", nil, func(idx []byte) []byte {
+			return nameCodec(idx, "gorilla")
+		}, true},
+		{"encoded size", nil, func(idx []byte) []byte {
+			at := bytes.Index(idx, codecSlot) + len(codecSlot) + 8
+			binary.LittleEndian.PutUint64(idx[at:], binary.LittleEndian.Uint64(idx[at:])-1)
+			return idx
+		}, true},
 	} {
 		file := fileBytes(func(w *Writer) error {
 			err := w.WriteDataset("v", meta.Uint8, []int{16}, make([]byte, 16), "none")
-			tc.tamper(&w.datasets[0])
+			if tc.tamper != nil {
+				tc.tamper(&w.datasets[0])
+			}
 			return err
 		})
+		if tc.edit != nil {
+			file = editIndex(file, tc.edit)
+		}
 		r, err := NewReader(bytes.NewReader(file), int64(len(file)))
 		if tc.openFail {
 			if err == nil {
@@ -331,23 +367,25 @@ func TestNoneIndexMismatchRejected(t *testing.T) {
 }
 
 // FuzzSDFReader feeds arbitrary bytes to NewReader and then ReadDataset:
-// a corrupt file must fail with an error, never a panic, and a "none"
-// dataset that reads back returns exactly RawSize bytes.
+// a corrupt file must fail with an error, never a panic, and a dataset
+// that reads back returns exactly Size bytes. The seeds are one valid
+// file and its variants whose index names each other codec.
 func FuzzSDFReader(f *testing.F) {
 	vals := make([]float64, 64)
 	for i := range vals {
 		vals[i] = 250 + math.Sin(float64(i)/8)
 	}
 	data := compress.Float64Bytes(vals)
+	file := fileBytes(func(w *Writer) error {
+		w.SetAttrString("g", "unit", "K")
+		w.SetAttrInt("", "size", int64(len(data)))
+		if err := w.WriteDataset("g/v", meta.Float64, []int{8, 8}, data, "none"); err != nil {
+			return err
+		}
+		return w.WriteDatasetVec("raw", meta.Uint8, []int{len(data)}, [][]byte{data[:5], nil, data[5:]})
+	})
 	for _, codec := range []string{"none", "gorilla", "flate", "rle"} {
-		f.Add(fileBytes(func(w *Writer) error {
-			w.SetAttrString("g", "unit", "K")
-			w.SetAttrInt("", "size", int64(len(data)))
-			if err := w.WriteDataset("g/v", meta.Float64, []int{8, 8}, data, codec); err != nil {
-				return err
-			}
-			return w.WriteDatasetVec("raw", meta.Uint8, []int{len(data)}, [][]byte{data[:5], nil, data[5:]}, "none")
-		}))
+		f.Add(editIndex(file, func(idx []byte) []byte { return nameCodec(idx, codec) }))
 	}
 	f.Add([]byte("SDFv1\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, file []byte) {
@@ -357,8 +395,8 @@ func FuzzSDFReader(f *testing.F) {
 		}
 		for _, d := range r.Datasets() {
 			got, err := r.ReadDataset(d.Path)
-			if err == nil && d.Codec == "none" && int64(len(got)) != d.RawSize {
-				t.Fatalf("%s: read %d bytes of a %d-byte none dataset", d.Path, len(got), d.RawSize)
+			if err == nil && int64(len(got)) != d.Size {
+				t.Fatalf("%s: read %d bytes of a %d-byte dataset", d.Path, len(got), d.Size)
 			}
 		}
 	})
@@ -389,7 +427,7 @@ func BenchmarkWriteDatasetVecNone(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
-		w.WriteDatasetVec("v", meta.Uint8, []int{n}, segs, "none")
+		w.WriteDatasetVec("v", meta.Uint8, []int{n}, segs)
 		w.Close()
 	}
 	b.SetBytes(int64(n))

@@ -1,7 +1,8 @@
 // Package sdf implements SDF, a self-describing hierarchical scientific
 // data format standing in for HDF5 in this reproduction: groups, typed
-// n-dimensional datasets, string/number attributes, optional per-dataset
-// compression, and CRC-verified reads.
+// n-dimensional datasets, string/number attributes, and CRC-verified
+// reads. Datasets are stored raw: compression belongs to the layer above
+// (storage.Compressing frames an object before it reaches an SDF file).
 //
 // Layout: a small magic header, then dataset payloads appended in write
 // order, then a binary index (datasets, attributes, groups), then a fixed
@@ -11,7 +12,6 @@
 package sdf
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -20,7 +20,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/compress"
 	"repro/internal/meta"
 )
 
@@ -31,15 +30,19 @@ var (
 
 // DatasetInfo describes one stored dataset.
 type DatasetInfo struct {
-	Path    string
-	Type    meta.Type
-	Dims    []int
-	Codec   string
-	RawSize int64
-	EncSize int64
-	Offset  int64
-	CRC     uint32
+	Path   string
+	Type   meta.Type
+	Dims   []int
+	Size   int64 // payload bytes
+	Offset int64
+	CRC    uint32
 }
+
+// storedCodec fills the index's codec slot. The slot, and an encoded
+// size equal to Size, stay in the format so existing files remain valid
+// and new ones are byte-identical to them; the reader rejects any other
+// codec or size.
+const storedCodec = "none"
 
 // Elems returns the number of elements.
 func (d DatasetInfo) Elems() int {
@@ -108,19 +111,21 @@ func (w *Writer) createGroup(path string) {
 }
 
 // WriteDataset appends a dataset. data must hold exactly
-// product(dims) × dtype.Size() bytes; codecName selects the compression
-// codec ("none", "gorilla", "delta", "rle", "flate").
+// product(dims) × dtype.Size() bytes. codecName is vestigial and must be
+// "none"; it goes when the benchmark's call sites are brought up to date
+// (ROADMAP item 16).
 func (w *Writer) WriteDataset(path string, dtype meta.Type, dims []int, data []byte, codecName string) error {
-	return w.WriteDatasetVec(path, dtype, dims, [][]byte{data}, codecName)
+	if codecName != storedCodec {
+		return fmt.Errorf("sdf: dataset %q: codec %q unsupported (SDF stores raw datasets)", path, codecName)
+	}
+	return w.WriteDatasetVec(path, dtype, dims, [][]byte{data})
 }
 
 // WriteDatasetVec appends a dataset whose payload is the concatenation
 // of segs, with the same file bytes WriteDataset writes for that
-// concatenation. Under "none" each segment goes to the underlying
-// writer as it is — the payload is never gathered or copied. Other
-// codecs encode the gathered payload; a single segment is encoded in
-// place.
-func (w *Writer) WriteDatasetVec(path string, dtype meta.Type, dims []int, segs [][]byte, codecName string) error {
+// concatenation. Each segment goes to the underlying writer as it is —
+// the payload is never gathered or copied.
+func (w *Writer) WriteDatasetVec(path string, dtype meta.Type, dims []int, segs [][]byte) error {
 	if w.closed {
 		return fmt.Errorf("sdf: writer closed")
 	}
@@ -149,33 +154,16 @@ func (w *Writer) WriteDatasetVec(path string, dtype meta.Type, dims []int, segs 
 		return fmt.Errorf("sdf: dataset %q: %d bytes for dims %v of %s (want %d)",
 			path, raw, dims, dtype, want)
 	}
-	codec, err := compress.ByName(codecName)
-	if err != nil {
-		return err
-	}
-	if codec.Name() != "none" {
-		data := segs[0]
-		if len(segs) > 1 {
-			data = bytes.Join(segs, nil)
-		}
-		enc, err := codec.Encode(data, dtype.Size())
-		if err != nil {
-			return fmt.Errorf("sdf: encoding %q: %w", path, err)
-		}
-		segs = [][]byte{enc}
-	}
 	info := DatasetInfo{
-		Path:    path,
-		Type:    dtype,
-		Dims:    append([]int(nil), dims...),
-		Codec:   codec.Name(),
-		RawSize: int64(raw),
-		Offset:  w.off,
+		Path:   path,
+		Type:   dtype,
+		Dims:   append([]int(nil), dims...),
+		Size:   int64(raw),
+		Offset: w.off,
 	}
 	// crc32.Update chains to ChecksumIEEE of the concatenation, so a
 	// segmented payload gets the same CRC as its gathered form.
 	for _, s := range segs {
-		info.EncSize += int64(len(s))
 		info.CRC = crc32.Update(info.CRC, crc32.IEEETable, s)
 		if len(s) > 0 {
 			w.write(s)
@@ -199,9 +187,6 @@ func (w *Writer) SetAttrString(path, key, v string) {
 func (w *Writer) SetAttrInt(path, key string, v int64) {
 	w.attrs = append(w.attrs, attr{Path: cleanPath(path), Key: key, Kind: 'i', Int: v})
 }
-
-// BytesWritten returns the bytes emitted so far (payloads + header).
-func (w *Writer) BytesWritten() int64 { return w.off }
 
 // Close writes the index and trailer. The Writer is unusable afterwards.
 func (w *Writer) Close() error {
@@ -236,9 +221,9 @@ func (w *Writer) encodeIndex() []byte {
 		for _, dim := range d.Dims {
 			b.u64(uint64(dim))
 		}
-		b.str(d.Codec)
-		b.u64(uint64(d.RawSize))
-		b.u64(uint64(d.EncSize))
+		b.str(storedCodec)
+		b.u64(uint64(d.Size)) // raw size
+		b.u64(uint64(d.Size)) // encoded size
 		b.u64(uint64(d.Offset))
 		b.u32(d.CRC)
 	}

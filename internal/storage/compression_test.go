@@ -111,31 +111,53 @@ func storedHeader(t *testing.T, inner ObjectReader, name string) FrameHeader {
 	return h
 }
 
+// sparseCube returns an 8×8×8 float64 cube that is zero except for one
+// ramp along x — a localized perturbation, like cloud water early in a
+// CM1 run.
+func sparseCube() []byte {
+	out := make([]byte, 8*8*8*8)
+	for i := 0; i < 8; i++ {
+		binary.LittleEndian.PutUint64(out[((4*8+4)*8+i)*8:], math.Float64bits(float64(i)))
+	}
+	return out
+}
+
 // TestCompressingStoredFramed: what lands on the inner backend is the
-// framed encoding, and its header describes it.
+// framed encoding, and its header describes it. Gorilla shrinks smooth
+// floats, and a mostly-constant field at least 4× — where the paper's
+// 600 % (§IV.D) comes from.
 func TestCompressingStoredFramed(t *testing.T) {
-	inner := NewMemory(nil, 4, 1e8)
-	b := NewCompressing(inner, CompressionOptions{Codec: "gorilla"})
-	raw := smoothFloats(8192)
-	if err := b.Put("theta-it000004", raw); err != nil {
-		t.Fatal(err)
-	}
-	stored, err := inner.Get("theta-it000004")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsFramed(stored) {
-		t.Fatal("inner object is not framed")
-	}
-	h, _, err := ParseFrameHeader(stored)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Codec != "gorilla" || h.RawSize != len(raw) {
-		t.Fatalf("frame header %+v", h)
-	}
-	if len(stored) >= len(raw) || h.EncodedSize >= len(raw) {
-		t.Fatalf("gorilla on smooth floats did not shrink: %d -> %d", len(raw), len(stored))
+	for _, tc := range []struct {
+		name     string
+		raw      []byte
+		minRatio float64
+	}{
+		{"theta-it000004", smoothFloats(8192), 1},
+		{"qc-it000004", sparseCube(), 4},
+	} {
+		inner := NewMemory(nil, 4, 1e8)
+		b := NewCompressing(inner, CompressionOptions{Codec: "gorilla"})
+		if err := b.Put(tc.name, tc.raw); err != nil {
+			t.Fatal(err)
+		}
+		stored, err := inner.Get(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !IsFramed(stored) {
+			t.Fatalf("%s: inner object is not framed", tc.name)
+		}
+		h, _, err := ParseFrameHeader(stored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Codec != "gorilla" || h.RawSize != len(tc.raw) {
+			t.Fatalf("%s: frame header %+v", tc.name, h)
+		}
+		if len(stored) >= len(tc.raw) || h.Ratio() < tc.minRatio {
+			t.Fatalf("%s: gorilla stored %d -> %d bytes (%.2fx), want a shrink of at least %gx",
+				tc.name, len(tc.raw), h.EncodedSize, h.Ratio(), tc.minRatio)
+		}
 	}
 }
 

@@ -85,7 +85,7 @@ func (b *SDF) PutVec(name string, segs [][]byte) error {
 	}
 	size := SegsLen(segs)
 	if size > 0 {
-		if err := w.WriteDatasetVec("data", meta.Uint8, []int{size}, segs, "none"); err != nil {
+		if err := w.WriteDatasetVec("data", meta.Uint8, []int{size}, segs); err != nil {
 			w.Close()
 			return err
 		}
