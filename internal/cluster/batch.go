@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/buf"
 )
@@ -40,18 +42,28 @@ func (b *Batch) merge(o *Batch) {
 }
 
 // normalize sorts blocks by (node, source, variable) so encoded batches
-// are identical regardless of arrival order.
+// are identical regardless of arrival order. A batch already in order —
+// every one the root stored, by the time an encoder or a restore sees
+// it — costs one pass.
 func (b *Batch) normalize() {
-	sort.Slice(b.Blocks, func(i, j int) bool {
-		x, y := b.Blocks[i], b.Blocks[j]
-		if x.Node != y.Node {
-			return x.Node < y.Node
-		}
-		if x.Source != y.Source {
-			return x.Source < y.Source
-		}
-		return x.Variable < y.Variable
-	})
+	if !slices.IsSortedFunc(b.Blocks, compareBlocks) {
+		slices.SortFunc(b.Blocks, compareBlocks)
+	}
+}
+
+// manifestBlock is the block's manifest entry: its identity and size.
+func (blk *Block) manifestBlock() ManifestBlock {
+	return ManifestBlock{Node: blk.Node, Source: blk.Source, Variable: blk.Variable, Bytes: len(blk.Data)}
+}
+
+func compareBlocks(x, y Block) int {
+	if x.Node != y.Node {
+		return cmp.Compare(x.Node, y.Node)
+	}
+	if x.Source != y.Source {
+		return cmp.Compare(x.Source, y.Source)
+	}
+	return strings.Compare(x.Variable, y.Variable)
 }
 
 var batchMagic = []byte("DMB1")
@@ -69,15 +81,6 @@ func (b *Batch) ReleaseBuffers() {
 		b.Blocks[i].Data = nil
 	}
 	b.Blocks = nil
-}
-
-// encodedLen returns the exact EncodeBatch output size.
-func (b *Batch) encodedLen() int {
-	n := len(batchMagic) + 8
-	for _, blk := range b.Blocks {
-		n += 12 + len(blk.Variable) + 4 + len(blk.Data)
-	}
-	return n
 }
 
 // EncodeBatchVec serializes a batch as a scatter-gather segment list:
@@ -103,18 +106,12 @@ func EncodeBatchVec(b *Batch) [][]byte {
 	arena := make([]byte, 0, headerLen)
 	segs := make([][]byte, 0, 1+2*len(b.Blocks))
 
-	arena = append(arena, batchMagic...)
-	arena = binary.LittleEndian.AppendUint32(arena, uint32(b.Iteration))
-	arena = binary.LittleEndian.AppendUint32(arena, uint32(len(b.Blocks)))
+	arena = appendU32(append(arena, batchMagic...), b.Iteration, len(b.Blocks))
 	segs = append(segs, arena)
 	mark := len(arena)
 	for i := range b.Blocks {
 		blk := &b.Blocks[i]
-		arena = binary.LittleEndian.AppendUint32(arena, uint32(blk.Node))
-		arena = binary.LittleEndian.AppendUint32(arena, uint32(blk.Source))
-		arena = binary.LittleEndian.AppendUint32(arena, uint32(len(blk.Variable)))
-		arena = append(arena, blk.Variable...)
-		arena = binary.LittleEndian.AppendUint32(arena, uint32(len(blk.Data)))
+		arena = appendU32(appendStr(appendU32(arena, blk.Node, blk.Source), blk.Variable), len(blk.Data))
 		segs = append(segs, arena[mark:len(arena):len(arena)], blk.Data)
 		mark = len(arena)
 	}
@@ -127,11 +124,7 @@ func EncodeBatchVec(b *Batch) [][]byte {
 // EncodeBatchVec — callers on the hot path should prefer the vector
 // form, which does not copy payloads.
 func EncodeBatch(b *Batch) []byte {
-	out := make([]byte, 0, b.encodedLen())
-	for _, seg := range EncodeBatchVec(b) {
-		out = append(out, seg...)
-	}
-	return out
+	return bytes.Join(EncodeBatchVec(b), nil)
 }
 
 // DecodeBatch parses an object produced by EncodeBatch. Block payloads
@@ -150,7 +143,7 @@ func DecodeBatch(data []byte) (*Batch, error) {
 	}
 	// A block takes at least 16 bytes, which bounds what a corrupt count
 	// can pre-allocate.
-	b := &Batch{Iteration: int(it), Blocks: make([]Block, 0, int(min(uint64(n), uint64(len(c.rest)/16))))}
+	b := &Batch{Iteration: int(it), Blocks: make([]Block, 0, c.room(n, 16))}
 	for i := uint32(0); i < n; i++ {
 		node, src := c.u32("block"), c.u32("block")
 		name := c.take(c.u32("block"), "variable name in block")
@@ -163,9 +156,9 @@ func DecodeBatch(data []byte) (*Batch, error) {
 	return b, nil
 }
 
-// cursor reads a batch object front to back. The first read past the
-// end records in short what it was reading; it and every later read
-// yield nil.
+// cursor reads a batch or manifest object front to back. The first
+// read past the end records in short what it was reading; it and every
+// later read yield nil.
 type cursor struct {
 	rest  []byte
 	short string
@@ -190,3 +183,20 @@ func (c *cursor) u32(what string) uint32 {
 	}
 	return 0
 }
+
+// str reads a u32-length-prefixed string.
+func (c *cursor) str(what string) string { return string(c.take(c.u32(what), what)) }
+
+// room caps a decoded count at what the unread bytes can hold.
+func (c *cursor) room(n uint32, size int) int { return int(min(uint64(n), uint64(len(c.rest)/size))) }
+
+// appendU32 appends each value as a little-endian u32.
+func appendU32(b []byte, vs ...int) []byte {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+	}
+	return b
+}
+
+// appendStr appends a u32-length-prefixed string.
+func appendStr(b []byte, s string) []byte { return append(appendU32(b, len(s)), s...) }

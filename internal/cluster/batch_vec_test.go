@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -135,5 +137,29 @@ func TestEncodeBatchVecEmpty(t *testing.T) {
 	dec, err := DecodeBatch(EncodeBatch(b))
 	if err != nil || dec.Iteration != 9 || len(dec.Blocks) != 0 {
 		t.Fatalf("empty batch round trip: %v, %+v", err, dec)
+	}
+}
+
+// TestNormalizeReversedBatch: a batch in exactly the wrong order comes
+// out in (node, source, variable) order, and sorting it again is a
+// no-op.
+func TestNormalizeReversedBatch(t *testing.T) {
+	var want []Block
+	for node := 0; node < 3; node++ {
+		for src := 0; src < 2; src++ {
+			for _, v := range []string{"p", "theta", "u"} {
+				want = append(want, Block{Node: node, Source: src, Variable: v, Data: []byte{byte(node), byte(src)}})
+			}
+		}
+	}
+	b := &Batch{Blocks: slices.Clone(want)}
+	slices.Reverse(b.Blocks)
+	b.normalize()
+	if !reflect.DeepEqual(b.Blocks, want) {
+		t.Fatalf("normalized reversed batch:\n%+v\nwant\n%+v", b.Blocks, want)
+	}
+	b.normalize()
+	if !reflect.DeepEqual(b.Blocks, want) {
+		t.Fatal("normalizing a sorted batch changed it")
 	}
 }

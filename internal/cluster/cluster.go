@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -437,7 +438,7 @@ func (f *forwarder) OnEvent(ctx *core.PluginContext, ev core.Event) error {
 		c.killNode(f.agg.node, ev.Iteration, len(refs))
 		return nil
 	}
-	b := &Batch{Iteration: ev.Iteration}
+	b := &Batch{Iteration: ev.Iteration, Blocks: make([]Block, 0, len(refs))}
 	for _, ref := range refs {
 		b.Blocks = append(b.Blocks, Block{
 			Node:     ctx.NodeID,
@@ -494,6 +495,7 @@ type aggregator struct {
 	pending map[int]*pendingIter
 	its     []int        // scratch for pendingIterations
 	eof     bool         // the node drained: no more own batches
+	blocks  int          // block count of the last routed batch, to pre-size the next
 	written map[int]bool // iterations whose object actually landed (retention)
 }
 
@@ -546,15 +548,16 @@ func (a *aggregator) run() {
 		case m.eof:
 			a.eof = true
 		case m.batch != nil:
+			// The first batch of an iteration becomes its pending batch,
+			// sized like the last one routed; later ones merge into it.
 			p := a.pending[m.batch.Iteration]
 			if p == nil {
-				p = &pendingIter{
-					batch:   &Batch{Iteration: m.batch.Iteration},
-					covered: map[int]bool{},
-				}
+				m.batch.Blocks = slices.Grow(m.batch.Blocks, max(0, a.blocks-len(m.batch.Blocks)))
+				p = &pendingIter{batch: m.batch, covered: map[int]bool{}}
 				a.pending[m.batch.Iteration] = p
+			} else {
+				p.batch.merge(m.batch)
 			}
-			p.batch.merge(m.batch)
 			for _, n := range m.covers {
 				p.covered[n] = true
 			}
@@ -648,6 +651,7 @@ func (a *aggregator) routePending(flush bool) {
 			continue
 		}
 		delete(a.pending, it)
+		a.blocks = len(p.batch.Blocks)
 		covers := sortedCovers(p.covered)
 		if d.Kind == Store {
 			writes = append(writes, rootWrite{p.batch, covers, d.Window})

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -57,36 +58,59 @@ func FuzzBatchCodec(f *testing.F) {
 	})
 }
 
-// FuzzManifestDecode feeds arbitrary bytes to DecodeManifest: corrupt
-// JSON, truncations and foreign format tags must surface as the typed
-// manifest errors — never a panic — and anything accepted must
-// round-trip through encode/decode to the same bytes. A manifest tagged
-// damaris-manifest-v2 is foreign; a v1 manifest carrying unknown fields
-// (codec sizes, say) decodes with them ignored.
+// FuzzManifestDecode feeds arbitrary bytes to DecodeManifest:
+// truncations, huge counts, trailing bytes and foreign format tags must
+// surface as the typed manifest errors — never a panic or an oversized
+// allocation — and anything accepted must round-trip through
+// encode/decode to the same bytes. A damaris-manifest-v3 tag and a JSON
+// v1 manifest are both ErrManifestFormat.
 func FuzzManifestDecode(f *testing.F) {
 	b := &Batch{Iteration: 2, Blocks: []Block{
 		{Node: 0, Source: 0, Variable: "theta", Data: bytes.Repeat([]byte{3}, 64)},
+		{Node: 1, Source: 1, Variable: "p", Data: nil},
 	}}
-	v1 := EncodeManifest(newManifest("job", 0, "job-root000-it000002", b, []int{0, 1}, false))
-	v2 := bytes.Replace(v1, []byte(manifestFormat), []byte("damaris-manifest-v2"), 1)
-	v2 = bytes.Replace(v2, []byte(`"blocks":`),
-		[]byte(`"chunks":[{"hash":"0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef","bytes":64}],"blocks":`), 1)
-	if _, err := DecodeManifest(v2); !errors.Is(err, ErrManifestFormat) {
-		f.Fatalf("v2 manifest: err = %v, want ErrManifestFormat", err)
+	m := newManifest("job", 0, "job-root000-it000002", b, []int{0, 1}, false)
+	enc := EncodeManifest(m)
+	// Every prefix of a valid manifest, each field boundary included, is
+	// a truncated one.
+	for i := range enc {
+		if _, err := DecodeManifest(enc[:i]); !errors.Is(err, ErrNotManifest) {
+			f.Fatalf("truncated to %d of %d bytes: err = %v, want ErrNotManifest", i, len(enc), err)
+		}
+		f.Add(enc[:i])
 	}
-	legacy := bytes.Replace(v1, []byte(`"blocks":`),
-		[]byte(`"codec":"delta","raw_bytes":8540,"encoded_bytes":432,"blocks":`), 1)
-	if m, err := DecodeManifest(legacy); err != nil || !bytes.Equal(EncodeManifest(m), v1) {
-		f.Fatalf("legacy v1 manifest with codec fields: err = %v", err)
+	v3 := *m
+	v3.Format = "damaris-manifest-v3"
+	v1 := []byte(`{"format":"damaris-manifest-v1","job":"job","root":0,"iteration":2,"object":"job-root000-it000002","covers":[0,1],"partial":false,"blocks":[{"node":0,"source":0,"variable":"theta","bytes":64}]}`)
+	for _, foreign := range [][]byte{EncodeManifest(&v3), v1} {
+		if _, err := DecodeManifest(foreign); !errors.Is(err, ErrManifestFormat) {
+			f.Fatalf("%q: err = %v, want ErrManifestFormat", foreign, err)
+		}
+		f.Add(foreign)
 	}
-	f.Add(v1)
-	f.Add(v2)
-	f.Add(v1[:len(v1)-9])
-	f.Add(v1[:len(v1)/2])
-	f.Add(legacy)
+	// Counts far larger than the data: 2^31+1 covers (negative as a
+	// 32-bit int) and 2^32-1 blocks.
+	coversAt := 4 + len(m.Format) + 4 + len(m.Job) + 8 + 4 + len(m.Object)
+	blocksAt := coversAt + 4 + 4*len(m.Covers) + 1
+	for _, c := range []struct{ at, n int }{{coversAt, 1<<31 + 1}, {blocksAt, 1<<32 - 1}} {
+		huge := bytes.Clone(enc)
+		binary.LittleEndian.PutUint32(huge[c.at:], uint32(c.n))
+		if _, err := DecodeManifest(huge); !errors.Is(err, ErrNotManifest) {
+			f.Fatalf("count %d at %d: err = %v, want ErrNotManifest", c.n, c.at, err)
+		}
+		f.Add(huge)
+	}
+	// A partial flag other than 0 or 1 would not re-encode to itself.
+	flag := bytes.Clone(enc)
+	flag[blocksAt-1] = 2
+	if _, err := DecodeManifest(flag); !errors.Is(err, ErrNotManifest) {
+		f.Fatalf("partial flag 2: err = %v, want ErrNotManifest", err)
+	}
+	f.Add(flag)
+	f.Add(enc)
+	f.Add(append(bytes.Clone(enc), 0))
 	f.Add(EncodeManifest(newManifest("job", 1, "job-root001-it000002", &Batch{Iteration: 2}, nil, true)))
-	f.Add([]byte(`{"format":"damaris-manifest-v9"}`))
-	f.Add([]byte("not json"))
+	f.Add([]byte("not a manifest"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeManifest(data)
 		if err != nil {
@@ -104,7 +128,7 @@ func FuzzManifestDecode(f *testing.F) {
 			t.Fatalf("re-decode of a valid manifest failed: %v", err)
 		}
 		if enc2 := EncodeManifest(m2); !bytes.Equal(enc, enc2) {
-			t.Fatalf("round trip not stable:\n%s\n%s", enc, enc2)
+			t.Fatalf("round trip not stable:\n%x\n%x", enc, enc2)
 		}
 	})
 }

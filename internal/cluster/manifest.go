@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
@@ -13,24 +12,24 @@ import (
 const ManifestSuffix = "-manifest"
 
 // manifestFormat identifies (and versions) the manifest encoding.
-const manifestFormat = "damaris-manifest-v1"
+const manifestFormat = "damaris-manifest-v2"
 
 // ErrNotManifest is returned by DecodeManifest for bytes that do not
-// parse as a manifest object at all.
+// parse as a whole manifest object.
 var ErrNotManifest = errors.New("cluster: not a manifest object")
 
-// ErrManifestFormat is returned for a parsed manifest whose format tag
-// is not manifestFormat — a foreign or future object this code must not
-// guess at.
+// ErrManifestFormat is returned for a manifest of another
+// damaris-manifest version — an older (the JSON v1 layout) or future
+// object this code must not guess at.
 var ErrManifestFormat = errors.New("cluster: unsupported manifest format")
 
 // ManifestBlock describes one block of a stored batch object: its
 // identity and payload size, but not the payload itself.
 type ManifestBlock struct {
-	Node     int    `json:"node"`
-	Source   int    `json:"source"`
-	Variable string `json:"variable"`
-	Bytes    int    `json:"bytes"`
+	Node     int
+	Source   int
+	Variable string
+	Bytes    int
 }
 
 // Manifest is the per-iteration index a tree root stores alongside its
@@ -43,23 +42,23 @@ type ManifestBlock struct {
 // recipe, not copied here.
 type Manifest struct {
 	// Format is manifestFormat; DecodeManifest rejects anything else.
-	Format string `json:"format"`
+	Format string
 	// Job is the cluster's job name (the object-name prefix).
-	Job string `json:"job"`
+	Job string
 	// Root is the tree root that stored the object.
-	Root int `json:"root"`
+	Root int
 	// Iteration is the simulation iteration the object holds.
-	Iteration int `json:"iteration"`
+	Iteration int
 	// Object is the name of the batch data object this manifest indexes.
-	Object string `json:"object"`
+	Object string
 	// Covers lists the origin nodes whose data (possibly zero blocks)
 	// reached this root for the iteration, ascending.
-	Covers []int `json:"covers"`
+	Covers []int
 	// Partial marks an object stored below the root's full live-subtree
 	// coverage (straggler or orphaned data flushed at shutdown).
-	Partial bool `json:"partial"`
+	Partial bool
 	// Blocks indexes the object's blocks in normalized order.
-	Blocks []ManifestBlock `json:"blocks"`
+	Blocks []ManifestBlock
 }
 
 // Name returns the manifest's own object name.
@@ -95,37 +94,71 @@ func newManifest(job string, root int, obj string, b *Batch, covers []int, parti
 		Blocks:    make([]ManifestBlock, 0, len(b.Blocks)),
 	}
 	for _, blk := range b.Blocks {
-		m.Blocks = append(m.Blocks, ManifestBlock{
-			Node:     blk.Node,
-			Source:   blk.Source,
-			Variable: blk.Variable,
-			Bytes:    len(blk.Data),
-		})
+		m.Blocks = append(m.Blocks, blk.manifestBlock())
 	}
 	return m
 }
 
-// EncodeManifest serializes a manifest. Field order is fixed and Covers
-// and Blocks arrive sorted, so equal manifests encode to equal bytes —
-// the same determinism contract EncodeBatch keeps.
+// EncodeManifest serializes a manifest as a little-endian record of its
+// fields in order: strings and lists u32-length-prefixed, Partial one
+// byte, a block DMB1's block header without the payload. Equal
+// manifests encode to equal bytes. m.Format is written as it is.
 func EncodeManifest(m *Manifest) []byte {
-	data, err := json.Marshal(m)
-	if err != nil {
-		// Manifest contains only ints, strings and slices thereof.
-		panic(fmt.Sprintf("cluster: manifest encoding: %v", err))
+	n := 29 + len(m.Format) + len(m.Job) + len(m.Object) + 4*len(m.Covers)
+	for _, blk := range m.Blocks {
+		n += 16 + len(blk.Variable)
 	}
-	return data
+	out := appendStr(appendStr(make([]byte, 0, n), m.Format), m.Job)
+	out = appendStr(appendU32(out, m.Root, m.Iteration), m.Object)
+	out = appendU32(appendU32(out, len(m.Covers)), m.Covers...)
+	partial := byte(0)
+	if m.Partial {
+		partial = 1
+	}
+	out = appendU32(append(out, partial), len(m.Blocks))
+	for _, blk := range m.Blocks {
+		out = appendU32(appendStr(appendU32(out, blk.Node, blk.Source), blk.Variable), blk.Bytes)
+	}
+	return out
 }
 
-// DecodeManifest parses an object produced by EncodeManifest; any
-// other format tag fails with ErrManifestFormat.
+// DecodeManifest parses an object produced by EncodeManifest. Another
+// damaris-manifest version, the JSON v1 layout included, fails with
+// ErrManifestFormat; anything else that is not exactly one well-formed
+// manifest fails with ErrNotManifest.
 func DecodeManifest(data []byte) (*Manifest, error) {
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotManifest, err)
+	if len(data) > 0 && data[0] == '{' {
+		return nil, fmt.Errorf("%w: a JSON damaris-manifest-v1 object (no longer read; rewrite the store)", ErrManifestFormat)
 	}
-	if m.Format != manifestFormat {
+	c := cursor{rest: data}
+	m := &Manifest{Format: c.str("format tag")}
+	switch {
+	case m.Format == manifestFormat: // this layout: read on
+	case strings.HasPrefix(m.Format, "damaris-manifest-"):
 		return nil, fmt.Errorf("%w: %q", ErrManifestFormat, m.Format)
+	default:
+		return nil, fmt.Errorf("%w: format tag %q", ErrNotManifest, m.Format)
 	}
-	return &m, nil
+	m.Job = c.str("job")
+	m.Root, m.Iteration, m.Object = int(c.u32("root")), int(c.u32("iteration")), c.str("object")
+	n := c.u32("covers")
+	for m.Covers = make([]int, 0, c.room(n, 4)); uint32(len(m.Covers)) < n && c.short == ""; {
+		m.Covers = append(m.Covers, int(c.u32("covers")))
+	}
+	partial := c.take(1, "partial flag")
+	m.Partial = partial != nil && partial[0] == 1
+	n = c.u32("blocks")
+	for m.Blocks = make([]ManifestBlock, 0, c.room(n, 16)); uint32(len(m.Blocks)) < n && c.short == ""; {
+		m.Blocks = append(m.Blocks, ManifestBlock{Node: int(c.u32("block")), Source: int(c.u32("block")),
+			Variable: c.str("variable name in block"), Bytes: int(c.u32("block"))})
+	}
+	switch {
+	case c.short != "":
+		return nil, fmt.Errorf("%w: truncated %s", ErrNotManifest, c.short)
+	case partial[0] > 1:
+		return nil, fmt.Errorf("%w: partial flag %d", ErrNotManifest, partial[0])
+	case len(c.rest) > 0:
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrNotManifest, len(c.rest))
+	}
+	return m, nil
 }

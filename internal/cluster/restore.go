@@ -149,6 +149,12 @@ func fetch(store storage.ObjectReader, job, name string) fetched {
 		err = fmt.Errorf("holds iteration %d with %d blocks, manifest says %d/%d",
 			b.Iteration, len(b.Blocks), m.Iteration, len(m.Blocks))
 	}
+	// The object must hold exactly the blocks its manifest lists, in order.
+	for i := 0; err == nil && i < len(b.Blocks); i++ {
+		if got := b.Blocks[i].manifestBlock(); got != m.Blocks[i] {
+			err = fmt.Errorf("block %d is %+v, manifest says %+v", i, got, m.Blocks[i])
+		}
+	}
 	if err != nil {
 		return fetched{manifest: m, err: fmt.Errorf("object %s: %w", m.Object, err)}
 	}

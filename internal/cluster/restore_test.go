@@ -26,6 +26,9 @@ func TestManifestCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !reflect.DeepEqual(got, m) {
+		t.Fatalf("decoded %+v, encoded %+v", got, m)
+	}
 	if got.Job != "job" || got.Root != 4 || got.Iteration != 3 || !got.Partial {
 		t.Fatalf("decoded %+v", got)
 	}
@@ -46,21 +49,86 @@ func TestManifestCodecRoundTrip(t *testing.T) {
 			t.Fatalf("ObjectIteration(%q) = %d, %v", name, it, ok)
 		}
 	}
-	if _, err := DecodeManifest([]byte(`{"format":"other"}`)); err == nil {
-		t.Fatal("wrong format accepted")
+	if _, err := DecodeManifest(append(EncodeManifest(m), 0)); !errors.Is(err, ErrNotManifest) {
+		t.Fatalf("trailing byte: err = %v, want ErrNotManifest", err)
 	}
-	if _, err := DecodeManifest([]byte("not json")); err == nil {
-		t.Fatal("non-JSON accepted")
+	if _, err := DecodeManifest([]byte("not a manifest")); !errors.Is(err, ErrNotManifest) {
+		t.Fatalf("garbage: err = %v, want ErrNotManifest", err)
 	}
-	// A v2-tagged manifest is foreign: Restore records it as a problem.
+	// A v3-tagged manifest is foreign, and a JSON v1 manifest is no
+	// longer read: Restore records each as an ErrManifestFormat problem.
 	store := storage.NewMemory(nil, 1, 1e9)
-	v2 := bytes.Replace(EncodeManifest(m), []byte(manifestFormat), []byte("damaris-manifest-v2"), 1)
-	if err := store.Put(m.Name(), v2); err != nil {
+	v3 := *m
+	v3.Format = "damaris-manifest-v3"
+	v1 := `{"format":"damaris-manifest-v1","job":"job","root":5,"iteration":3,"object":"job-root005-it000003","covers":[1],"partial":false,"blocks":[]}`
+	if err := errors.Join(store.Put(m.Name(), EncodeManifest(&v3)),
+		store.Put("job-root005-it000003-manifest", []byte(v1))); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Restore(store, "job")
-	if err != nil || r.Manifests != 0 || len(r.Problems) != 1 || !errors.Is(r.Problems[0], ErrManifestFormat) {
-		t.Fatalf("restore of a v2 manifest: %v, %d manifests, problems %v", err, r.Manifests, r.Problems)
+	if err != nil || r.Manifests != 0 || len(r.Problems) != 2 {
+		t.Fatalf("restore of v3 and JSON v1 manifests: %v, %d manifests, problems %v", err, r.Manifests, r.Problems)
+	}
+	for _, p := range r.Problems {
+		if !errors.Is(p, ErrManifestFormat) {
+			t.Fatalf("problem %v is not ErrManifestFormat", p)
+		}
+	}
+	if !strings.Contains(r.Problems[1].Error(), "v1") {
+		t.Fatalf("JSON manifest problem does not name v1: %v", r.Problems[1])
+	}
+}
+
+// BenchmarkManifestCodec encodes and decodes the manifest of a
+// 256-block root object, the size a tenants-small root stores.
+func BenchmarkManifestCodec(b *testing.B) {
+	batch := &Batch{Iteration: 12}
+	for i := 0; i < 256; i++ {
+		batch.Blocks = append(batch.Blocks, Block{Node: i / 32, Source: i / 16 % 2,
+			Variable: fmt.Sprint("var", i%16), Data: make([]byte, 512)})
+	}
+	batch.normalize()
+	m := newManifest("tenant0", 0, "tenant0-root000-it000012", batch, []int{0, 1, 2, 3, 4, 5, 6, 7}, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeManifest(EncodeManifest(m)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestRestoreChecksBlockIdentities: a data object with as many blocks
+// as its manifest lists, but a different variable or size in one of
+// them, is a problem and leaves its iteration PayloadMissing.
+func TestRestoreChecksBlockIdentities(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Block)
+	}{
+		{"variable", func(b *Block) { b.Variable = "p" }},
+		{"size", func(b *Block) { b.Data = b.Data[:1] }},
+		{"source", func(b *Block) { b.Source = 7 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := storage.NewMemory(nil, 1, 1e9)
+			b := &Batch{Iteration: 1, Blocks: []Block{
+				{Node: 0, Source: 0, Variable: "theta", Data: []byte{1, 2, 3}},
+				{Node: 1, Source: 0, Variable: "theta", Data: []byte{4, 5, 6}},
+			}}
+			m := newManifest("job", 0, "job-root000-it000001", b, []int{0, 1}, false)
+			tc.mutate(&b.Blocks[1])
+			if err := errors.Join(store.Put(m.Object, EncodeBatch(b)), store.Put(m.Name(), EncodeManifest(m))); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Restore(store, "job")
+			if err != nil || r.Manifests != 1 || len(r.Problems) != 1 {
+				t.Fatalf("restore: %v, %d manifests, problems %v", err, r.Manifests, r.Problems)
+			}
+			if ri := r.Iterations[1]; !ri.PayloadMissing || len(ri.Blocks) != 0 {
+				t.Fatalf("mismatched object restored: %+v", ri)
+			}
+		})
 	}
 }
 

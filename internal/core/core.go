@@ -301,14 +301,16 @@ func (n *Node) serve() {
 		if !ok {
 			return
 		}
+		if ev.Kind == EventWrite {
+			// Blocks are indexed by the client; the event exists so the
+			// server can adapt (prefetch, schedule) — nothing to do, or
+			// to time, in the base middleware.
+			continue
+		}
 		start := time.Now()
 		switch ev.Kind {
 		case EventStop:
 			return
-		case EventWrite:
-			// Blocks are indexed by the client; the event exists so the
-			// server can adapt (prefetch, schedule) — nothing to do in
-			// the base middleware.
 		case EventSignal:
 			n.firePlugins(ev.Name, ev)
 		case EventEndIteration:
@@ -392,12 +394,13 @@ func (c *Client) Write(variable string, iteration int, data []byte) error {
 	if want := v.Layout.SizeBytes(); len(data) != want {
 		return fmt.Errorf("damaris: variable %q expects %d bytes, got %d", variable, want, len(data))
 	}
-	buf, commit, err := c.alloc(variable, iteration, len(data))
+	block, err := c.reserve(iteration, len(data))
 	if err != nil {
 		return err
 	}
-	copy(buf, data)
-	return commit()
+	copy(block.Bytes(), data)
+	c.commit(variable, iteration, block)
+	return nil
 }
 
 // Alloc reserves the block for one variable directly in shared memory so
@@ -408,25 +411,23 @@ func (c *Client) Alloc(variable string, iteration int) ([]byte, func() error, er
 	if !ok {
 		return nil, nil, fmt.Errorf("damaris: unknown variable %q", variable)
 	}
-	return c.allocChecked(variable, iteration, v.Layout.SizeBytes())
-}
-
-func (c *Client) allocChecked(variable string, iteration, size int) ([]byte, func() error, error) {
-	buf, commit, err := c.alloc(variable, iteration, size)
+	block, err := c.reserve(iteration, v.Layout.SizeBytes())
 	if err != nil {
 		return nil, nil, err
 	}
-	return buf, commit, nil
+	return block.Bytes(), func() error { c.commit(variable, iteration, block); return nil }, nil
 }
 
-func (c *Client) alloc(variable string, iteration, size int) ([]byte, func() error, error) {
+// reserve takes size bytes of shared memory for one of the client's
+// blocks of iteration, unless the iteration is already skipped for it.
+func (c *Client) reserve(iteration, size int) (*shm.Block, error) {
 	n := c.node
 	key := skipKey{c.source, iteration}
 	n.skipMu.RLock()
 	skip := n.skipped[key]
 	n.skipMu.RUnlock()
 	if skip {
-		return nil, nil, ErrSkipped
+		return nil, ErrSkipped
 	}
 
 	block, err := n.seg.Alloc(size)
@@ -437,26 +438,25 @@ func (c *Client) alloc(variable string, iteration, size int) ([]byte, func() err
 		n.skipped[key] = true
 		n.skipMu.Unlock()
 		n.stats.skippedWrites.Add(1)
-		return nil, nil, ErrSkipped
+		return nil, ErrSkipped
 	}
-	if err != nil {
-		return nil, nil, err
+	return block, err
+}
+
+// commit indexes a filled block and notifies the dedicated core.
+func (c *Client) commit(variable string, iteration int, block *shm.Block) {
+	n := c.node
+	old, replaced := n.index.Put(meta.BlockRef{
+		Key:  meta.BlockKey{Variable: variable, Source: c.source, Iteration: iteration},
+		Size: block.Len(),
+		Data: block,
+	})
+	if replaced {
+		old.Data.(*shm.Block).Free()
 	}
-	commit := func() error {
-		old, replaced := n.index.Put(meta.BlockRef{
-			Key:  meta.BlockKey{Variable: variable, Source: c.source, Iteration: iteration},
-			Size: size,
-			Data: block,
-		})
-		if replaced {
-			old.Data.(*shm.Block).Free()
-		}
-		n.stats.blocksWritten.Add(1)
-		n.stats.bytesWritten.Add(int64(size))
-		n.queue.Send(Event{Kind: EventWrite, Source: c.source, Iteration: iteration, Name: variable})
-		return nil
-	}
-	return block.Bytes(), commit, nil
+	n.stats.blocksWritten.Add(1)
+	n.stats.bytesWritten.Add(int64(block.Len()))
+	n.queue.Send(Event{Kind: EventWrite, Source: c.source, Iteration: iteration, Name: variable})
 }
 
 // Signal sends a named event to the dedicated core, triggering the

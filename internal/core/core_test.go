@@ -343,6 +343,26 @@ func TestRewriteSameKeyReplacesBlock(t *testing.T) {
 	}
 }
 
+// TestWriteAllocatesOnlyTheBlock: a Write costs one heap allocation,
+// the *shm.Block whose identity carries the double-free check — no
+// commit closure, no index entry of its own.
+func TestWriteAllocatesOnlyTheBlock(t *testing.T) {
+	node, err := NewNode(testConfig(t), 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Shutdown()
+	c, data := node.Client(0), lineData(1)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := c.Write("u", 0, data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("Write allocates %v times, want 1", allocs)
+	}
+}
+
 func BenchmarkClientWrite(b *testing.B) {
 	cfg, _ := meta.ParseString(testXML)
 	cfg.Architecture.BufferSize = 64 << 20

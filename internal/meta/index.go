@@ -1,7 +1,10 @@
 package meta
 
 import (
-	"sort"
+	"cmp"
+	"maps"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -16,15 +19,18 @@ type BlockRef struct {
 
 // Index is the thread-safe metadata structure through which dedicated
 // cores search for the blocks written by simulation cores (§III.B: "all
-// data blocks are indexed in a metadata structure").
+// data blocks are indexed in a metadata structure"). Blocks are bucketed
+// by iteration, so a per-iteration query touches one bucket.
 type Index struct {
-	mu     sync.RWMutex
-	blocks map[BlockKey]BlockRef
+	mu    sync.RWMutex
+	its   map[int]map[BlockKey]BlockRef
+	spare []map[BlockKey]BlockRef // emptied buckets for new iterations; never more than were live at once
+	n     int
 }
 
 // NewIndex creates an empty block index.
 func NewIndex() *Index {
-	return &Index{blocks: make(map[BlockKey]BlockRef)}
+	return &Index{its: make(map[int]map[BlockKey]BlockRef)}
 }
 
 // Put registers a block. A block with the same key replaces the previous
@@ -32,8 +38,20 @@ func NewIndex() *Index {
 func (ix *Index) Put(ref BlockRef) (old BlockRef, replaced bool) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	old, replaced = ix.blocks[ref.Key]
-	ix.blocks[ref.Key] = ref
+	bucket := ix.its[ref.Key.Iteration]
+	if bucket == nil {
+		if n := len(ix.spare); n > 0 {
+			bucket, ix.spare = ix.spare[n-1], ix.spare[:n-1]
+		} else {
+			bucket = make(map[BlockKey]BlockRef)
+		}
+		ix.its[ref.Key.Iteration] = bucket
+	}
+	old, replaced = bucket[ref.Key]
+	bucket[ref.Key] = ref
+	if !replaced {
+		ix.n++
+	}
 	return old, replaced
 }
 
@@ -41,7 +59,7 @@ func (ix *Index) Put(ref BlockRef) (old BlockRef, replaced bool) {
 func (ix *Index) Get(key BlockKey) (BlockRef, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	ref, ok := ix.blocks[key]
+	ref, ok := ix.its[key.Iteration][key]
 	return ref, ok
 }
 
@@ -49,61 +67,52 @@ func (ix *Index) Get(key BlockKey) (BlockRef, bool) {
 func (ix *Index) Len() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.blocks)
+	return ix.n
 }
 
 // Iteration returns every block of the given iteration, sorted by
 // (variable, source) for deterministic consumption.
 func (ix *Index) Iteration(it int) []BlockRef {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	var out []BlockRef
-	for k, ref := range ix.blocks {
-		if k.Iteration == it {
-			out = append(out, ref)
-		}
-	}
-	sortRefs(out)
-	return out
+	return ix.collect(it, func(BlockKey) bool { return true })
 }
 
 // Variable returns every block of one variable at one iteration, sorted
 // by source.
 func (ix *Index) Variable(name string, it int) []BlockRef {
+	return ix.collect(it, func(k BlockKey) bool { return k.Variable == name })
+}
+
+// collect returns iteration it's blocks that keep accepts, sorted by
+// (variable, source).
+func (ix *Index) collect(it int, keep func(BlockKey) bool) []BlockRef {
 	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	var out []BlockRef
-	for k, ref := range ix.blocks {
-		if k.Iteration == it && k.Variable == name {
+	bucket := ix.its[it]
+	out := make([]BlockRef, 0, len(bucket))
+	for k, ref := range bucket {
+		if keep(k) {
 			out = append(out, ref)
 		}
 	}
-	sortRefs(out)
+	ix.mu.RUnlock()
+	slices.SortFunc(out, func(a, b BlockRef) int {
+		return cmp.Or(strings.Compare(a.Key.Variable, b.Key.Variable), cmp.Compare(a.Key.Source, b.Key.Source))
+	})
 	return out
 }
 
-// RemoveIteration removes and returns all blocks of an iteration (the
-// garbage-collection step after a dedicated core has consumed them).
+// RemoveIteration removes and returns all blocks of an iteration,
+// unsorted (the garbage-collection step after a dedicated core has
+// consumed them).
 func (ix *Index) RemoveIteration(it int) []BlockRef {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	var out []BlockRef
-	for k, ref := range ix.blocks {
-		if k.Iteration == it {
-			out = append(out, ref)
-			delete(ix.blocks, k)
-		}
+	bucket := ix.its[it]
+	delete(ix.its, it)
+	ix.n -= len(bucket)
+	out := slices.AppendSeq(make([]BlockRef, 0, len(bucket)), maps.Values(bucket))
+	if bucket != nil {
+		clear(bucket)
+		ix.spare = append(ix.spare, bucket)
 	}
-	sortRefs(out)
 	return out
-}
-
-func sortRefs(refs []BlockRef) {
-	sort.Slice(refs, func(i, j int) bool {
-		a, b := refs[i].Key, refs[j].Key
-		if a.Variable != b.Variable {
-			return a.Variable < b.Variable
-		}
-		return a.Source < b.Source
-	})
 }

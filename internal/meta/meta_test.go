@@ -1,6 +1,8 @@
 package meta
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -223,5 +225,119 @@ func TestIndexRemoveIteration(t *testing.T) {
 	}
 	if ix.Len() != 1 {
 		t.Fatalf("len after remove = %d", ix.Len())
+	}
+}
+
+func TestIndexReplaceInPlaceKeepsLen(t *testing.T) {
+	ix := NewIndex()
+	key := BlockKey{Variable: "u", Source: 1, Iteration: 4}
+	for i := 1; i <= 3; i++ {
+		ix.Put(BlockRef{Key: key, Size: i})
+	}
+	ix.Put(BlockRef{Key: BlockKey{Variable: "v", Source: 1, Iteration: 4}})
+	if ix.Len() != 2 {
+		t.Fatalf("len = %d after replacing one block twice", ix.Len())
+	}
+	if refs := ix.Iteration(4); len(refs) != 2 || refs[0].Size != 3 {
+		t.Fatalf("iteration 4 = %+v", refs)
+	}
+}
+
+func TestIndexRemoveIterationLeavesOthers(t *testing.T) {
+	ix := NewIndex()
+	for it := 0; it < 3; it++ {
+		for src := 0; src < 4; src++ {
+			ix.Put(BlockRef{Key: BlockKey{Variable: "u", Source: src, Iteration: it}})
+		}
+	}
+	if removed := ix.RemoveIteration(1); len(removed) != 4 {
+		t.Fatalf("removed %d blocks", len(removed))
+	}
+	if len(ix.RemoveIteration(1)) != 0 || ix.Len() != 8 {
+		t.Fatalf("second remove or len wrong: len = %d", ix.Len())
+	}
+	for _, it := range []int{0, 2} {
+		if n := len(ix.Iteration(it)); n != 4 {
+			t.Fatalf("iteration %d lost blocks: %d left", it, n)
+		}
+		if _, ok := ix.Get(BlockKey{Variable: "u", Source: 3, Iteration: it}); !ok {
+			t.Fatalf("iteration %d: Get misses a kept block", it)
+		}
+	}
+}
+
+// TestIndexIterationOrderInterleaved: Puts from several sources and
+// iterations, interleaved the way concurrent clients produce them,
+// still come back in (variable, source) order per iteration.
+func TestIndexIterationOrderInterleaved(t *testing.T) {
+	ix := NewIndex()
+	vars := []string{"w", "a", "m"}
+	for step := 0; step < 3*len(vars); step++ {
+		for _, src := range []int{5, 0, 3, 1} {
+			ix.Put(BlockRef{Key: BlockKey{Variable: vars[step%len(vars)], Source: src, Iteration: step / len(vars)}})
+		}
+	}
+	for it := 0; it < 3; it++ {
+		refs := ix.Iteration(it)
+		if len(refs) != 12 {
+			t.Fatalf("iteration %d has %d blocks", it, len(refs))
+		}
+		for i, ref := range refs {
+			want := BlockKey{Variable: []string{"a", "m", "w"}[i/4], Source: []int{0, 1, 3, 5}[i%4], Iteration: it}
+			if ref.Key != want {
+				t.Fatalf("iteration %d position %d: %v, want %v", it, i, ref.Key, want)
+			}
+		}
+	}
+}
+
+// TestIndexConcurrent exercises the index's locking under -race: writers
+// Put into their own iterations while readers query and remove them.
+func TestIndexConcurrent(t *testing.T) {
+	ix := NewIndex()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for it := w; it < 200; it += 4 {
+				for src := 0; src < 8; src++ {
+					ix.Put(BlockRef{Key: BlockKey{Variable: fmt.Sprint("v", src%3), Source: src, Iteration: it}})
+				}
+				if n := len(ix.Iteration(it)); n != 8 {
+					t.Errorf("iteration %d: %d blocks", it, n)
+				}
+				ix.Variable("v1", it)
+				if n := len(ix.RemoveIteration(it)); n != 8 {
+					t.Errorf("iteration %d: removed %d blocks", it, n)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if ix.Len() != 0 {
+		t.Fatalf("len = %d after every iteration was removed", ix.Len())
+	}
+}
+
+// BenchmarkIndexIteration is one node's iteration through the index: 32
+// Puts, the Iteration query a dedicated core makes, and RemoveIteration.
+func BenchmarkIndexIteration(b *testing.B) {
+	ix := NewIndex()
+	vars := make([]string, 16)
+	for i := range vars {
+		vars[i] = fmt.Sprint("var", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		for src := 0; src < 2; src++ {
+			for _, v := range vars {
+				ix.Put(BlockRef{Key: BlockKey{Variable: v, Source: src, Iteration: it}, Size: 512})
+			}
+		}
+		if len(ix.Iteration(it)) != 32 || len(ix.RemoveIteration(it)) != 32 {
+			b.Fatal("lost blocks")
+		}
 	}
 }

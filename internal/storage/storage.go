@@ -24,6 +24,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -242,14 +243,9 @@ func SegsLen(segs [][]byte) int {
 }
 
 // FlattenSegs concatenates a segment list into one freshly allocated
-// buffer (the scatter-gather fallback for contiguous consumers).
-func FlattenSegs(segs [][]byte) []byte {
-	out := make([]byte, 0, SegsLen(segs))
-	for _, s := range segs {
-		out = append(out, s...)
-	}
-	return out
-}
+// buffer (the scatter-gather fallback for contiguous consumers). The
+// buffer is not cleared before the copy; an empty result may be nil.
+func FlattenSegs(segs [][]byte) []byte { return bytes.Join(segs, nil) }
 
 // CostModel is the simulated face of a storage target: operations that
 // charge virtual time on a des.Proc, and the ledger they feed. The
