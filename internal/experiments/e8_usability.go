@@ -15,19 +15,20 @@ import (
 // changes: more than a hundred lines with the VisIt API, fewer than ten
 // with Damaris (one line per shared data object plus the external XML).
 //
-// This repository ships both integrations of the same cavity simulation
-// (examples/insitu/damaris_integration.go and visit_integration.go) with
-// the instrumentation bracketed by BEGIN/END-INSTRUMENTATION markers;
-// the experiment counts the marked lines.
+// This package's tests hold both integrations of the same cavity
+// simulation (damaris_integration_test.go and visit_integration_test.go,
+// run by TestCouplingsRun) with the instrumentation bracketed by
+// BEGIN/END-INSTRUMENTATION markers; the experiment counts the marked
+// lines.
 func RunE8(opts Options) (Report, error) {
 	rep := Report{ID: "E8", Title: "integration effort: Damaris vs VisIt-style coupling (§V.C.2)"}
-	root, err := repoRoot()
+	dir, err := sourceDir()
 	if err != nil {
 		return Report{}, err
 	}
 	files := map[string]string{
-		"damaris": filepath.Join(root, "examples", "insitu", "damaris_integration.go"),
-		"visit":   filepath.Join(root, "examples", "insitu", "visit_integration.go"),
+		"damaris": filepath.Join(dir, "damaris_integration_test.go"),
+		"visit":   filepath.Join(dir, "visit_integration_test.go"),
 	}
 	counts := map[string]int{}
 	table := stats.NewTable(
@@ -62,14 +63,14 @@ func RunE8(opts Options) (Report, error) {
 	return rep, nil
 }
 
-// repoRoot locates the module root from this source file's location.
-func repoRoot() (string, error) {
+// sourceDir locates this package's source directory from this file's
+// location.
+func sourceDir() (string, error) {
 	_, thisFile, _, ok := runtime.Caller(0)
 	if !ok {
 		return "", fmt.Errorf("e8: cannot locate source directory")
 	}
-	// internal/experiments/e8_usability.go → repo root is three up.
-	return filepath.Dir(filepath.Dir(filepath.Dir(thisFile))), nil
+	return filepath.Dir(thisFile), nil
 }
 
 // countInstrumentation counts non-blank, non-comment-only lines between

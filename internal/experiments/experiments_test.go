@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/iostrat"
@@ -237,6 +238,24 @@ func TestE8CountsAreStable(t *testing.T) {
 	rep2, _ := RunE8(quick())
 	if rep.Checks[0].Measured != rep2.Checks[0].Measured {
 		t.Fatal("LoC count not deterministic")
+	}
+}
+
+// TestCouplingsRun runs the two integrations E8 counts, so the lines it
+// measures are lines that work.
+func TestCouplingsRun(t *testing.T) {
+	dir := t.TempDir()
+	for name, run := range map[string]func(steps, gridN int, outDir string) ([]time.Duration, error){
+		"damaris": runDamarisCoupled,
+		"visit":   runVisItCoupled,
+	} {
+		times, err := run(2, 6, filepath.Join(dir, name))
+		if err != nil || len(times) != 2 {
+			t.Fatalf("%s coupling: %d steps, %v", name, len(times), err)
+		}
+		if images, _ := filepath.Glob(filepath.Join(dir, name, "*")); len(images) == 0 {
+			t.Errorf("%s coupling wrote no images", name)
+		}
 	}
 }
 
