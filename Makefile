@@ -19,7 +19,7 @@ PPROF_PKG ?= .
 
 .PHONY: build test vet fmt fmt-check bench loc \
 	pprof-cpu pprof-alloc cover-check tidy-check \
-	race-stress failure-smoke restart-smoke c1-smoke fuzz-smoke lint docs-check \
+	race-stress failure-smoke restart-smoke c1-smoke fuzz-smoke lint \
 	smoke-e1 smoke-e6 smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 \
 	smoke-paper ci
 
@@ -28,7 +28,9 @@ build:
 
 # test is the whole suite under the race detector — the failure,
 # multi-tenant service, dedup GC, streaming and re-formation races
-# included; race-stress below is the repeated (-count=N) pass.
+# included, and so are the Example functions README teaches and the
+# documentation rules of docs_test.go; race-stress below is the
+# repeated (-count=N) pass.
 test:
 	$(GO) test -race ./...
 
@@ -104,25 +106,18 @@ failure-smoke:
 # R1 checkpoint/restart experiment at smoke scale: write objects +
 # manifests into an sdf store, restore them, replay the artifacts
 # through -restart-from (the full object read path end to end) and list
-# them with sdfdump. Then README's first command, the one-node
-# quickstart, whose store must list one manifest and one data object
-# per iteration.
+# them with sdfdump. The one-node quickstart's store is checked by the
+# root package's Example in make test.
 restart-smoke:
 	$(GO) run ./cmd/damaris-bench -quick -exp r1 -backend-dir out/restart-smoke
 	$(GO) run ./cmd/damaris-bench -restart-from out/restart-smoke/fail0
 	$(GO) run ./cmd/sdfdump out/restart-smoke/fail0
-	$(GO) run ./examples/quickstart
-	$(GO) run ./cmd/sdfdump quickstart-out | awk '{ print } / job=quickstart /{ m++ } / batch it=/{ b++ } \
-		END { if (m != 3 || b != 3) { print "want 3 manifests and 3 data objects, got " m + 0 " and " b + 0; exit 1 } }'
-	rm -rf quickstart-out
 
 # C1 compression smoke: the codec × dataset sweep with the adaptive
-# selector at quick scale, then the compressed on-disk restart round
-# trip of examples/restart — framed objects through the adaptive
-# pipeline, restored and verified byte for byte via chunk.ReadStack.
+# selector at quick scale. The compressed on-disk restart round trip is
+# internal/cluster's ExampleRestore, run by make test.
 c1-smoke:
 	$(GO) run ./cmd/damaris-bench -quick -exp c1
-	$(GO) run ./examples/restart
 
 # Short fuzz passes over the object decoders; `go test -fuzz` takes
 # one package per invocation.
@@ -139,11 +134,6 @@ fuzz-smoke:
 lint:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
-
-# Documentation invariants: intra-repo markdown links resolve and every
-# package has a godoc package comment (see cmd/docscheck).
-docs-check:
-	$(GO) run ./cmd/docscheck
 
 vet:
 	$(GO) vet ./...
@@ -205,6 +195,6 @@ loc:
 tidy-check:
 	$(GO) mod tidy -diff
 
-ci: build vet fmt-check tidy-check docs-check test race-stress cover-check loc bench \
+ci: build vet fmt-check tidy-check test race-stress cover-check loc bench \
 	smoke-e1 smoke-e6 smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 \
 	smoke-paper fuzz-smoke

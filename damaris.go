@@ -19,9 +19,9 @@
 //
 // What the variables look like and which plugins run on the dedicated
 // core (statistics, in-situ visualization, or user plugins) live in the
-// external XML description, as in the original middleware. See
-// examples/ for complete programs and internal/experiments for the
-// paper's evaluation.
+// external XML description, as in the original middleware. See the
+// package Example and internal/cluster's examples for complete
+// programs, and internal/experiments for the paper's evaluation.
 //
 // # Storing iterations
 //
@@ -33,7 +33,7 @@
 // sequential object per iteration, plus a manifest, through a storage
 // backend (internal/storage: local SDF files, or an in-memory store for
 // tests), compressed and optionally deduplicated by chunk.Stack. A
-// single node is a one-node cluster (examples/quickstart):
+// single node is a one-node cluster (the package Example):
 //
 //	cfg, _ := damaris.ParseConfigString(configXML)
 //	base, _ := storage.NewSDF(nil, 1, 1e9, "out")
@@ -52,7 +52,7 @@
 //	restored, _ := cluster.Restore(store, cfg.Name) // blocks per iteration
 //
 // Cluster-wide end-of-iteration plugins (cluster.Hook) run at the tree
-// roots with the merged batch. examples/cluster is the multi-node
+// roots with the merged batch. cluster.New's example is the multi-node
 // version. `damaris-bench -nodes 16` does not start a Cluster for the
 // paper's experiments: it runs them on the DES face, whose tree-mode
 // legs route through the same cluster.Forest.

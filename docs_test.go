@@ -1,43 +1,6 @@
-// Command docscheck enforces the repository's documentation
-// invariants, so CI can fail on documentation rot the way it fails on
-// broken code:
-//
-//   - every intra-repo markdown link (and image) resolves to an
-//     existing file or directory;
-//   - every Go package — root, internal/..., cmd/..., examples/... —
-//     carries a package comment ("// Package xxx ..." or a command
-//     comment on package main);
-//   - in the contract packages (see docDepthDirs), every exported
-//     top-level identifier — funcs, methods, types, consts, vars —
-//     carries a doc comment. Those packages are the performance and
-//     streaming surface documented by docs/PERFORMANCE.md and
-//     docs/STREAMING.md, and an undocumented export there is
-//     documentation rot;
-//   - every experiment in experiments.Registry() has its own section
-//     heading in docs/EXPERIMENTS.md, so a runner cannot land without
-//     its documentation;
-//   - every flag cmd/damaris-bench defines is mentioned in README.md,
-//     and every -flag on a damaris-bench command line in README.md,
-//     docs/*.md and the Makefile is one it defines, so the CLI reference
-//     and its examples cannot drift from the binary either way;
-//   - every docs/*.md file is reachable from README.md by following
-//     intra-repo markdown links, so a document cannot exist without a
-//     path readers can actually find;
-//   - every Makefile `smoke-*` target names a registered experiment id
-//     or is smoke-paper, the whole registry at paper scale, so the CI
-//     smoke matrix cannot drift behind the registry;
-//   - every package under internal/ is imported by a non-test Go file
-//     outside examples/ and outside itself, so a package that only an
-//     example or its own tests reach cannot linger.
-//
-// Usage:
-//
-//	docscheck            # check the current directory tree
-//	docscheck -root dir  # check another tree
-package main
+package damaris
 
 import (
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -47,75 +10,145 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
+	"testing"
 
 	"repro/internal/experiments"
 )
 
-// skipDirs are trees that hold no sources or docs of ours.
-var skipDirs = map[string]bool{".git": true, "out": true, "testdata": true}
-
-func main() {
-	root := flag.String("root", ".", "repository root to check")
-	flag.Parse()
-	var problems []string
-	problems = append(problems, checkMarkdownLinks(*root)...)
-	problems = append(problems, checkPackageComments(*root)...)
-	problems = append(problems, checkExportedDocs(*root)...)
-	problems = append(problems, checkExperimentDocs(*root)...)
-	problems = append(problems, checkBenchFlags(*root)...)
-	problems = append(problems, checkDocsReachable(*root)...)
-	problems = append(problems, checkSmokeTargets(*root)...)
-	problems = append(problems, checkInternalImported(*root)...)
-	if len(problems) > 0 {
-		for _, p := range problems {
-			fmt.Fprintln(os.Stderr, p)
-		}
-		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
-		os.Exit(1)
-	}
-	fmt.Println("docscheck: ok")
+// docRules are the repository's documentation invariants, so that
+// documentation rot fails the test suite the way broken code does. Each
+// rule takes a repository root and returns one line per problem.
+var docRules = []struct {
+	name  string
+	check func(root string) []string
+}{
+	{"links", checkMarkdownLinks},
+	{"package-comments", checkPackageComments},
+	{"exported-docs", checkExportedDocs},
+	{"experiment-docs", checkExperimentDocs},
+	{"bench-flags", checkBenchFlags},
+	{"docs-reachable", checkDocsReachable},
+	{"smoke-targets", checkSmokeTargets},
+	{"internal-imported", checkInternalImported},
+	{"go-run", checkGoRun},
 }
+
+func TestDocs(t *testing.T) {
+	for _, r := range docRules {
+		t.Run(r.name, func(t *testing.T) {
+			for _, p := range r.check(".") {
+				t.Error(p)
+			}
+		})
+	}
+}
+
+// TestDocsRulesReject shows that every rule can fail: each case builds
+// a tree with one defect and requires the named rule to report it.
+func TestDocsRulesReject(t *testing.T) {
+	const benchMain = "package main\n\nimport \"flag\"\n\nvar quick = flag.Bool(\"quick\", false, \"\")\n"
+	cases := []struct {
+		check  func(root string) []string
+		defect string
+		files  map[string]string
+		want   string
+	}{
+		{checkMarkdownLinks, "dangling link", map[string]string{"README.md": "see [x](gone.md)\n"}, "broken link"},
+		{checkPackageComments, "no package comment", map[string]string{"a/a.go": "package a\n"}, "package a has no package comment"},
+		{checkExportedDocs, "undocumented export", map[string]string{
+			"internal/des/des.go": "// Package des is a fixture.\npackage des\n\nfunc Run() {}\n"}, "exported function Run has no doc comment"},
+		{checkExperimentDocs, "missing experiment", map[string]string{"docs/EXPERIMENTS.md": "## E1\n"}, "no section heading for experiment E2"},
+		{checkBenchFlags, "undocumented flag", map[string]string{
+			"cmd/damaris-bench/main.go": benchMain, "README.md": "no flags\n"}, "flag -quick is not documented"},
+		{checkBenchFlags, "undefined flag", map[string]string{
+			"cmd/damaris-bench/main.go": benchMain, "README.md": "`damaris-bench -quick -gone`\n"}, "defines no flag -gone"},
+		{checkDocsReachable, "orphan document", map[string]string{"README.md": "# r\n", "docs/x.md": "# x\n"}, "x.md: not reachable"},
+		{checkSmokeTargets, "stray smoke target", map[string]string{"Makefile": "smoke-zz:\n\ttrue\n"}, `"smoke-zz" names no registered`},
+		{checkInternalImported, "unused package", map[string]string{
+			"internal/lonely/l.go": "// Package lonely is a fixture.\npackage lonely\n"}, "internal/lonely: imported only by"},
+		{checkGoRun, "stale run command", map[string]string{"README.md": "```\ngo run ./examples/quickstart\n```\n"}, "go run ./examples/quickstart"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.defect, func(t *testing.T) {
+			root := t.TempDir()
+			for name, body := range tc.files {
+				path := filepath.Join(root, name)
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			problems := tc.check(root)
+			if !slices.ContainsFunc(problems, func(p string) bool { return strings.Contains(p, tc.want) }) {
+				t.Errorf("got %q, want a problem containing %q", problems, tc.want)
+			}
+		})
+	}
+}
+
+// skipDirs are trees that hold no sources or docs of ours.
+var skipDirs = map[string]bool{".git": true, ".bench_build": true, "out": true, "testdata": true}
+
+// nonTest selects the Go files a package is built from.
+func nonTest(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
 
 // mdLink matches inline markdown links and images: [text](target) and
 // ![alt](target), leaving reference-style definitions alone.
 var mdLink = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)(?:\s+"[^"]*")?\)`)
 
-// checkMarkdownLinks resolves every relative link in every .md file.
+// localLinks returns the intra-repo link targets of a markdown text.
+// Fenced code blocks are blanked first: link-like syntax there is an
+// example, not a link.
+func localLinks(md string) []string {
+	lines := strings.Split(md, "\n")
+	fenced := false
+	for i, line := range lines {
+		fence := strings.HasPrefix(strings.TrimSpace(line), "```")
+		fenced = fenced != fence
+		if fence || fenced {
+			lines[i] = ""
+		}
+	}
+	var out []string
+	for _, m := range mdLink.FindAllStringSubmatch(strings.Join(lines, "\n"), -1) {
+		if u, err := url.Parse(m[1]); err != nil || u.Scheme == "" { // not http, https, mailto, ...
+			out = append(out, m[1])
+		}
+	}
+	return out
+}
+
+// checkMarkdownLinks requires every intra-repo link (and image) in
+// every .md file to resolve to an existing file or directory.
 func checkMarkdownLinks(root string) []string {
 	var problems []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
+		switch {
+		case err != nil:
 			return err
-		}
-		if d.IsDir() {
-			if skipDirs[d.Name()] {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(d.Name(), ".md") {
+		case d.IsDir() && skipDirs[d.Name()]:
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(d.Name(), ".md"):
 			return nil
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		// Fenced code blocks show link-like syntax in examples; skip them.
-		for _, m := range mdLink.FindAllStringSubmatch(stripCodeFences(string(data)), -1) {
-			target := m[1]
-			if u, err := url.Parse(target); err == nil && u.Scheme != "" {
-				continue // external: http, https, mailto, ...
-			}
-			target, _, _ = strings.Cut(target, "#")
+		for _, link := range localLinks(string(data)) {
+			target, _, _ := strings.Cut(link, "#")
 			if target == "" {
-				continue // pure fragment: same-file anchor
+				continue // same-file anchor
 			}
 			resolved := filepath.Join(filepath.Dir(path), filepath.FromSlash(target))
 			if _, err := os.Stat(resolved); err != nil {
 				problems = append(problems,
-					fmt.Sprintf("%s: broken link %q (%s does not exist)", path, m[1], resolved))
+					fmt.Sprintf("%s: broken link %q (%s does not exist)", path, link, resolved))
 			}
 		}
 		return nil
@@ -126,33 +159,12 @@ func checkMarkdownLinks(root string) []string {
 	return problems
 }
 
-// stripCodeFences blanks ``` fenced blocks so example snippets inside
-// them are not treated as live links.
-func stripCodeFences(s string) string {
-	var out strings.Builder
-	fenced := false
-	for _, line := range strings.Split(s, "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "```") {
-			fenced = !fenced
-			out.WriteString("\n")
-			continue
-		}
-		if fenced {
-			out.WriteString("\n")
-			continue
-		}
-		out.WriteString(line)
-		out.WriteString("\n")
-	}
-	return out.String()
-}
-
 // docDepthDirs are the packages held to the stricter standard: every
 // exported top-level identifier must carry a doc comment. These are
-// the hot-path packages reworked by the performance pass (see
-// docs/PERFORMANCE.md) plus the streaming/in-situ surface documented
-// by docs/STREAMING.md — their exported surface is the contract the
-// benchmarks, the pooling rules and the subscriber API hang off.
+// the hot-path packages of docs/PERFORMANCE.md plus the streaming and
+// in-situ surface of docs/STREAMING.md — their exported surface is the
+// contract the benchmarks, the pooling rules and the subscriber API
+// hang off.
 var docDepthDirs = []string{
 	"internal/des",
 	"internal/core",
@@ -174,9 +186,7 @@ func checkExportedDocs(root string) []string {
 			continue // package not present in this tree
 		}
 		fset := token.NewFileSet()
-		pkgs, err := parser.ParseDir(fset, path, func(fi os.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, parser.ParseComments)
+		pkgs, err := parser.ParseDir(fset, path, nonTest, parser.ParseComments)
 		if err != nil {
 			problems = append(problems, fmt.Sprintf("parsing %s: %v", path, err))
 			continue
@@ -185,10 +195,8 @@ func checkExportedDocs(root string) []string {
 			for fname, f := range pkg.Files {
 				for _, decl := range f.Decls {
 					for _, p := range undocumentedExports(decl) {
-						pos := fset.Position(p.pos)
-						problems = append(problems, fmt.Sprintf(
-							"%s:%d: exported %s %s has no doc comment",
-							fname, pos.Line, p.kind, p.name))
+						problems = append(problems, fmt.Sprintf("%s:%d: exported %s %s has no doc comment",
+							fname, fset.Position(p.pos).Line, p.kind, p.name))
 					}
 				}
 			}
@@ -287,14 +295,7 @@ func checkExperimentDocs(root string) []string {
 	for _, e := range experiments.Registry() {
 		id := strings.ToUpper(e.ID)
 		re := regexp.MustCompile(`\b` + regexp.QuoteMeta(id) + `\b`)
-		found := false
-		for _, h := range headings {
-			if re.MatchString(h) {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.ContainsFunc(headings, re.MatchString) {
 			problems = append(problems, fmt.Sprintf(
 				"%s: no section heading for experiment %s (%s)", path, id, e.Title))
 		}
@@ -303,31 +304,32 @@ func checkExperimentDocs(root string) []string {
 }
 
 // checkBenchFlags requires every flag cmd/damaris-bench defines to be
-// mentioned in README.md as `-name`, keeping the CLI reference in sync
-// with the binary. Flags are collected from the AST — any flag.Xxx
-// ("name", ...) call — so a new flag cannot land undocumented.
+// mentioned in README.md as `-name`, and every -flag on a damaris-bench
+// command line in README.md, docs/*.md and the Makefile to be one it
+// defines, so the CLI reference and its examples cannot drift from the
+// binary either way. Flags are collected from the AST — any
+// flag.Xxx("name", ...) call.
 func checkBenchFlags(root string) []string {
 	src := filepath.Join(root, "cmd", "damaris-bench", "main.go")
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, src, nil, 0)
+	f, err := parser.ParseFile(token.NewFileSet(), src, nil, 0)
 	if err != nil {
 		return []string{fmt.Sprintf("parsing %s: %v", src, err)}
 	}
+	defined := map[string]bool{}
 	var flags []string
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) == 0 {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if id, ok := sel.X.(*ast.Ident); !ok || id.Name != "flag" {
-			return true
-		}
-		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-			flags = append(flags, strings.Trim(lit.Value, `"`))
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+			id, isIdent := sel.X.(*ast.Ident)
+			lit, isLit := call.Args[0].(*ast.BasicLit)
+			if isIdent && id.Name == "flag" && isLit && lit.Kind == token.STRING {
+				name := strings.Trim(lit.Value, `"`)
+				flags = append(flags, name)
+				defined[name] = true
+			}
 		}
 		return true
 	})
@@ -343,22 +345,29 @@ func checkBenchFlags(root string) []string {
 				"%s: damaris-bench flag -%s is not documented", readmePath, name))
 		}
 	}
-	return append(problems, checkBenchExamples(root, flags)...)
+	// A command line runs from "damaris-bench" to the end of the line, a
+	// comment, a code span, a table cell or a chained command.
+	return append(problems, checkCommandLines(root, func(line string) []string {
+		var bad []string
+		for _, cmd := range strings.Split(line, "damaris-bench")[1:] {
+			cmd = cmd[:strings.IndexAny(cmd+"#", "#`|;&")]
+			for _, m := range cliFlag.FindAllStringSubmatch(cmd, -1) {
+				if !defined[m[1]] {
+					bad = append(bad, "damaris-bench defines no flag -"+m[1])
+				}
+			}
+		}
+		return bad
+	})...)
 }
 
 // cliFlag matches a -flag token on a command line.
 var cliFlag = regexp.MustCompile(`(?:^|\s)-([a-z][a-z0-9-]*)`)
 
-// checkBenchExamples requires every -flag on a damaris-bench command
-// line in README.md, docs/*.md and the Makefile to be one of flags, the
-// ones the command defines, so a deleted flag cannot linger in an
-// example. A command line runs from "damaris-bench" to the end of the
-// line, a comment, a code span, a table cell or a chained command.
-func checkBenchExamples(root string, flags []string) []string {
-	defined := map[string]bool{}
-	for _, f := range flags {
-		defined[f] = true
-	}
+// checkCommandLines runs check over every line of README.md, docs/*.md
+// and the Makefile — where command lines are documented, fenced code
+// included — and returns its problems as path:line: problem.
+func checkCommandLines(root string, check func(line string) []string) []string {
 	files, _ := filepath.Glob(filepath.Join(root, "docs", "*.md"))
 	files = append(files, filepath.Join(root, "README.md"), filepath.Join(root, "Makefile"))
 	var problems []string
@@ -369,18 +378,31 @@ func checkBenchExamples(root string, flags []string) []string {
 			continue
 		}
 		for i, line := range strings.Split(string(data), "\n") {
-			for _, cmd := range strings.Split(line, "damaris-bench")[1:] {
-				cmd = cmd[:strings.IndexAny(cmd+"#", "#`|;&")]
-				for _, m := range cliFlag.FindAllStringSubmatch(cmd, -1) {
-					if !defined[m[1]] {
-						problems = append(problems, fmt.Sprintf(
-							"%s:%d: damaris-bench defines no flag -%s", path, i+1, m[1]))
-					}
-				}
+			for _, p := range check(line) {
+				problems = append(problems, fmt.Sprintf("%s:%d: %s", path, i+1, p))
 			}
 		}
 	}
 	return problems
+}
+
+// goRun matches `go run ./dir` and the Makefile's `$(GO) run ./dir`.
+var goRun = regexp.MustCompile(`(?:\bgo|\$\(GO\)) run(?: -\S+)* (\./[\w./-]*)`)
+
+// checkGoRun requires every `go run ./dir` in README.md, docs/*.md and
+// the Makefile to name a directory holding a main package, so a run
+// command cannot outlive the program it runs.
+func checkGoRun(root string) []string {
+	return checkCommandLines(root, func(line string) []string {
+		var bad []string
+		for _, m := range goRun.FindAllStringSubmatch(line, -1) {
+			pkgs, err := parser.ParseDir(token.NewFileSet(), filepath.Join(root, m[1]), nonTest, parser.PackageClauseOnly)
+			if err != nil || pkgs["main"] == nil {
+				bad = append(bad, fmt.Sprintf("`go run %s` names no directory holding a main package", m[1]))
+			}
+		}
+		return bad
+	})
 }
 
 // checkDocsReachable walks the markdown link graph from README.md and
@@ -392,44 +414,27 @@ func checkDocsReachable(root string) []string {
 		return []string{fmt.Sprintf("%s: %v (required by the docs reachability check)", start, err)}
 	}
 	visited := map[string]bool{}
-	queue := []string{start}
-	for len(queue) > 0 {
-		path := queue[0]
-		queue = queue[1:]
-		abs, err := filepath.Abs(path)
+	for queue := []string{start}; len(queue) > 0; queue = queue[1:] {
+		abs, err := filepath.Abs(queue[0])
 		if err != nil || visited[abs] {
 			continue
 		}
 		visited[abs] = true
-		data, err := os.ReadFile(path)
+		data, err := os.ReadFile(abs)
 		if err != nil {
 			continue // broken links are checkMarkdownLinks' problem
 		}
-		for _, m := range mdLink.FindAllStringSubmatch(stripCodeFences(string(data)), -1) {
-			target := m[1]
-			if u, err := url.Parse(target); err == nil && u.Scheme != "" {
-				continue
+		for _, link := range localLinks(string(data)) {
+			if target, _, _ := strings.Cut(link, "#"); strings.HasSuffix(target, ".md") {
+				queue = append(queue, filepath.Join(filepath.Dir(abs), filepath.FromSlash(target)))
 			}
-			target, _, _ = strings.Cut(target, "#")
-			if !strings.HasSuffix(target, ".md") {
-				continue
-			}
-			queue = append(queue, filepath.Join(filepath.Dir(path), filepath.FromSlash(target)))
 		}
 	}
 	var problems []string
-	docs, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
-	if err != nil {
-		return []string{fmt.Sprintf("globbing docs: %v", err)}
-	}
+	docs, _ := filepath.Glob(filepath.Join(root, "docs", "*.md"))
 	for _, doc := range docs {
-		abs, err := filepath.Abs(doc)
-		if err != nil {
-			continue
-		}
-		if !visited[abs] {
-			problems = append(problems, fmt.Sprintf(
-				"%s: not reachable from README.md via markdown links", doc))
+		if abs, err := filepath.Abs(doc); err == nil && !visited[abs] {
+			problems = append(problems, doc+": not reachable from README.md via markdown links")
 		}
 	}
 	return problems
@@ -454,11 +459,10 @@ func checkSmokeTargets(root string) []string {
 	}
 	var problems []string
 	for _, m := range smokeTarget.FindAllStringSubmatch(string(data), -1) {
-		if registered[m[1]] {
-			continue
+		if !registered[m[1]] {
+			problems = append(problems, fmt.Sprintf(
+				"%s: smoke target %q names no registered experiment id", path, "smoke-"+m[1]))
 		}
-		problems = append(problems, fmt.Sprintf(
-			"%s: smoke target %q names no registered experiment id", path, m[0][:len(m[0])-1]))
 	}
 	return problems
 }
@@ -468,36 +472,25 @@ func checkSmokeTargets(root string) []string {
 func checkPackageComments(root string) []string {
 	var problems []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
+		switch {
+		case err != nil:
 			return err
-		}
-		if !d.IsDir() {
+		case !d.IsDir():
 			return nil
-		}
-		if skipDirs[d.Name()] {
+		case skipDirs[d.Name()]:
 			return filepath.SkipDir
 		}
-		fset := token.NewFileSet()
-		pkgs, err := parser.ParseDir(fset, path, func(fi os.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, parser.ParseComments|parser.PackageClauseOnly)
+		pkgs, err := parser.ParseDir(token.NewFileSet(), path, nonTest, parser.ParseComments|parser.PackageClauseOnly)
 		if err != nil {
 			return fmt.Errorf("parsing %s: %w", path, err)
 		}
 		for name, pkg := range pkgs {
-			if strings.HasSuffix(name, "_test") {
-				continue
-			}
 			documented := false
 			for _, f := range pkg.Files {
-				if f.Doc != nil {
-					documented = true
-					break
-				}
+				documented = documented || f.Doc != nil
 			}
-			if !documented {
-				problems = append(problems,
-					fmt.Sprintf("%s: package %s has no package comment", path, name))
+			if !documented && !strings.HasSuffix(name, "_test") {
+				problems = append(problems, fmt.Sprintf("%s: package %s has no package comment", path, name))
 			}
 		}
 		return nil
@@ -509,8 +502,9 @@ func checkPackageComments(root string) []string {
 }
 
 // checkInternalImported requires every package under internal/ to be
-// imported (blank imports count) by a non-test Go file outside
-// examples/ and outside the package itself.
+// imported (blank imports count) by a non-test Go file outside the
+// package itself, so a package that only its own tests reach cannot
+// linger.
 func checkInternalImported(root string) []string {
 	pkgs, imported := map[string]bool{}, map[string]bool{}
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
@@ -518,7 +512,7 @@ func checkInternalImported(root string) []string {
 		switch {
 		case err != nil:
 			return err
-		case d.IsDir() && (skipDirs[d.Name()] || rel == "examples"):
+		case d.IsDir() && skipDirs[d.Name()]:
 			return filepath.SkipDir
 		case d.IsDir() || !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go"):
 			return nil
@@ -539,7 +533,7 @@ func checkInternalImported(root string) []string {
 	var problems []string
 	for pkg := range pkgs {
 		if strings.HasPrefix(pkg, "internal/") && !imported[pkg] {
-			problems = append(problems, pkg+": imported only by examples/ or its own files; fold or delete it")
+			problems = append(problems, pkg+": imported only by its own files; fold or delete it")
 		}
 	}
 	if err != nil {

@@ -11,9 +11,9 @@ type Entry struct {
 
 // Registry lists every experiment in presentation order. It is the
 // single source of truth consumed by cmd/damaris-bench (to build the
-// -exp dispatch) and cmd/docscheck (to verify each experiment has a
-// docs/EXPERIMENTS.md section) — adding a runner here without
-// documenting it fails CI.
+// -exp dispatch) and the root package's docs_test.go (to verify each
+// experiment has a docs/EXPERIMENTS.md section) — adding a runner here
+// without documenting it fails the test suite.
 func Registry() []Entry {
 	return []Entry{
 		{"e1", "weak-scaling run time (§IV.A)", func(o Options) (Report, error) {
