@@ -40,9 +40,9 @@ test:
 # about once in six runs), the service lifecycle, Restore's fetch workers
 # against its serial List-order merge, the token broker, the stream's
 # Seq order under racing publishers, the codec selector's first Puts
-# racing on one dataset and chunk-store Gets racing the sweep's pack
-# compaction, and the DES engine's process coroutines, which all run
-# on the goroutine that calls Run. Without it, at -count=200
+# racing on one dataset, chunk-store Gets racing the sweep's pack
+# compaction, two roots' PutVecs sharing chunks, and the DES engine's
+# process coroutines, which all run on the goroutine that calls Run. Without it, at -count=200
 # (~5 s): the three routing-protocol tests that flaked 1-3 % until
 # Forest decided the late-drain rule — they guard its rules 1 and 2.
 race-stress:
@@ -50,7 +50,7 @@ race-stress:
 	$(GO) test -race -count=10 -run 'TestE9Quick' ./internal/experiments
 	$(GO) test -race -count=10 -run 'Service|TestRestoreConcurrentMatchesSerial' ./internal/cluster
 	$(GO) test -race -count=10 -run 'Broker|TestStreamPublishSeqOrder|TestCompressingConcurrentChoice' ./internal/storage
-	$(GO) test -race -count=10 -run 'TestDedupStoreGetSweepRace|TestDedupStoreGetReresolvesAfterCompaction|TestDedupStoreConcurrentSweep' ./internal/storage/chunk
+	$(GO) test -race -count=10 -run 'TestDedupStoreGetSweepRace|TestDedupStoreGetReresolvesAfterCompaction|TestDedupStoreConcurrentSweep|TestDedupStoreConcurrentPutVec' ./internal/storage/chunk
 	$(GO) test -count=200 -run 'TestClusterInteriorFailure|TestRestoreAfterFailure|TestAdaptReformRaceWithStreaming' ./internal/cluster
 
 # Experiment smoke matrix — one target per experiment so a broken
@@ -119,14 +119,15 @@ restart-smoke:
 c1-smoke:
 	$(GO) run ./cmd/damaris-bench -quick -exp c1
 
-# Short fuzz passes over the object decoders; `go test -fuzz` takes
-# one package per invocation.
+# Short fuzz passes over the object decoders and the chunk store's
+# segment walk; `go test -fuzz` takes one package per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchCodec$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzManifestDecode$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecDecode$$' -fuzztime 10s ./internal/compress
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkFrameDecode$$' -fuzztime 10s ./internal/storage/chunk
+	$(GO) test -run '^$$' -fuzz '^FuzzSplitSegments$$' -fuzztime 10s ./internal/storage/chunk
 	$(GO) test -run '^$$' -fuzz '^FuzzSDFReader$$' -fuzztime 10s ./internal/sdf
 
 # Static analysis at pinned versions (fetches the tools on demand, so

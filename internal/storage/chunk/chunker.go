@@ -111,24 +111,109 @@ func rotl64(v uint64) uint64 { return v<<1 | v>>63 }
 //
 // The algorithm is a buzhash (cyclic-polynomial) rolling hash over a
 // fixed window; a position is a boundary when the low log2(Avg) bits of
-// the hash are all ones, clamped to [Min, Max].
+// the hash are all ones, clamped to [Min, Max]. Split is the
+// one-segment case of the walk the store's PutVec runs.
 func Split(data []byte, p Params) [][]byte {
 	p = p.withDefaults()
 	if len(data) == 0 {
 		return nil
 	}
-	mask := uint64(p.Avg - 1)
 	// Chunks average Min+Avg bytes, so this is one allocation.
 	chunks := make([][]byte, 0, len(data)/p.Avg+1)
-	for len(data) > 0 {
-		n := len(data)
-		if n > p.Min {
-			n = cut(data[:min(n, p.Max)], p.Min, mask)
-		}
-		chunks = append(chunks, data[:n])
-		data = data[n:]
-	}
+	walk([][]byte{data}, p, func(c []byte) { chunks = append(chunks, c) })
 	return chunks
+}
+
+// walk cuts the concatenation of segs into content-defined chunks, at
+// the positions Split would cut the flattened bytes, and hands each to
+// emit in order; p has its defaults filled. A chunk's cut window (the
+// next Max bytes) that lies inside one segment is cut there, and emit
+// sees a sub-slice of that segment. A window that crosses a segment
+// edge is copied into one reusable Max-byte bridge and cut there;
+// emit's view of that chunk is valid only until emit returns.
+func walk(segs [][]byte, p Params, emit func(chunk []byte)) {
+	mask := uint64(p.Avg - 1)
+	rest := 0
+	for _, seg := range segs {
+		rest += len(seg)
+	}
+	var bridge []byte
+	at := cursor{segs: segs}
+	for rest > 0 {
+		n := min(rest, p.Max)
+		win := at.head()
+		if len(win) >= n {
+			win = win[:n]
+		} else {
+			if bridge == nil {
+				bridge = make([]byte, p.Max)
+			}
+			win = at.peek(bridge[:n])
+		}
+		if n > p.Min {
+			n = cut(win, p.Min, mask)
+		}
+		emit(win[:n])
+		at.skip(n)
+		rest -= n
+	}
+}
+
+// cursor is a read position in a segment list.
+type cursor struct {
+	segs [][]byte
+	i    int  // current segment
+	off  int  // offset in it
+	kept bool // the last piece take appended ends at the cursor
+}
+
+// head returns the unread bytes of the current segment, stepping past
+// exhausted and empty segments. Some byte must be left to read.
+func (c *cursor) head() []byte {
+	for c.off == len(c.segs[c.i]) {
+		c.i, c.off = c.i+1, 0
+	}
+	return c.segs[c.i][c.off:]
+}
+
+// peek copies the next len(dst) bytes into dst without moving.
+func (c *cursor) peek(dst []byte) []byte {
+	i, off := c.i, c.off
+	for n := 0; n < len(dst); i, off = i+1, 0 {
+		n += copy(dst[n:], c.segs[i][off:])
+	}
+	return dst
+}
+
+// skip moves n bytes forward.
+func (c *cursor) skip(n int) {
+	for n > 0 {
+		k := min(n, len(c.head()))
+		c.off += k
+		n -= k
+	}
+	c.kept = false
+}
+
+// take moves n bytes forward and appends the bytes it passes to dst as
+// sub-slices of their segments. Bytes that continue dst's last piece in
+// the same segment grow it, so a run of taken bytes inside one segment
+// is one piece.
+func (c *cursor) take(n int, dst [][]byte) [][]byte {
+	for n > 0 {
+		h := c.head()
+		k := min(n, len(h))
+		if c.kept && c.off > 0 {
+			last := dst[len(dst)-1]
+			dst[len(dst)-1] = last[:len(last)+k]
+		} else {
+			dst = append(dst, h[:k])
+		}
+		c.off += k
+		n -= k
+		c.kept = true
+	}
+	return dst
 }
 
 // cut returns the length of the chunk that starts win: one past the
@@ -142,18 +227,30 @@ func cut(win []byte, minLen int, mask uint64) int {
 	for _, b := range win[warm:minLen] {
 		h = rotl64(h) ^ hashTable[b]
 	}
+	// From here the hash is kept complemented, which commutes with the
+	// rotate and the xors, so a boundary (every mask bit set) is a test
+	// against zero.
+	h = ^h
 	// Only when Min is shorter than the window do the first positions
 	// have no byte leaving the window yet.
 	i := minLen
 	for ; i < min(warm+chunkWindow, len(win)); i++ {
-		if h = rotl64(h) ^ hashTable[win[i]]; h&mask == mask {
+		if h = rotl64(h) ^ hashTable[win[i]]; h&mask == 0 {
 			return i + 1
 		}
 	}
-	// Steady state: one rotate, the byte entering and the byte leaving.
-	for ; i < len(win); i++ {
-		if h = rotl64(h) ^ hashTable[win[i]] ^ agedTable[win[i-chunkWindow]]; h&mask == mask {
-			return i + 1
+	if i == len(win) {
+		return i
+	}
+	// Steady state: the bytes entering and leaving the window, sliced to
+	// one length so the loop carries no bounds check. Their table
+	// entries are combined before they meet the hash, so the
+	// loop-carried chain is one rotate and one xor.
+	in := win[i:]
+	out := win[i-chunkWindow:][:len(in)]
+	for j, b := range in {
+		if h = rotl64(h) ^ (hashTable[b] ^ agedTable[out[j]]); h&mask == 0 {
+			return i + j + 1
 		}
 	}
 	return len(win)

@@ -88,3 +88,26 @@ func FuzzChunkFrameDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSplitSegments: the walk over a segment list cuts the chunks Split
+// cuts from the flattened bytes, wherever the segment edges fall. The
+// payload and the edges come from the input; each byte of cuts is one
+// segment's length, so empty and short segments are common.
+func FuzzSplitSegments(f *testing.F) {
+	f.Add(payload(1, 2<<10), []byte{30, 0, 1, 47, 48, 49, 255})
+	f.Add(payload(2, 600), []byte{0, 0, 16, 64})
+	f.Add([]byte("DCK1 recipe magic"), []byte{2, 2})
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		lens := make([]int, len(cuts))
+		for i, c := range cuts {
+			lens[i] = int(c)
+		}
+		segs := cutAt(data, lens)
+		for _, p := range paramSets {
+			if got, want := walkChunks(segs, p), Split(data, p); !equalChunks(got, want) {
+				t.Fatalf("params %+v: %d segments cut into %d chunks, the flat bytes into %d",
+					p, len(segs), len(got), len(want))
+			}
+		}
+	})
+}

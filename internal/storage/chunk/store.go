@@ -11,10 +11,13 @@ import (
 )
 
 // DefaultHashRate is the dedicated-core chunk+hash throughput in raw
-// bytes per second charged on both faces: rolling-hash boundary
-// detection plus SHA-256 on one core lands near 1 GB/s, an order of
-// magnitude above the flate codec and in the rle/delta band — cheap
-// enough that §IV.D spare time absorbs it.
+// bytes per second charged on both faces: the DES's paper preset, an
+// order of magnitude above the flate codec and in the rle/delta band —
+// cheap enough that §IV.D spare time absorbs it. Measured on one core
+// of a 2-core Xeon with SHA-NI, the cut runs at about 0.7 GB/s,
+// SHA-256 at 0.95 GB/s and both together at 0.4 GB/s. The constant
+// keeps the preset's value (it prices des-kraken and both experiment
+// goldens) until the DES's rates are measured ones.
 const DefaultHashRate = 1e9
 
 // Options configure the dedup Store.
@@ -67,7 +70,8 @@ type SweepStats struct {
 // Store layers content-addressed deduplication over any inner object
 // store — the incremental-checkpoint path. Its cost twin is Cost.
 //
-// Put splits the payload at content-defined boundaries,
+// PutVec (and Put, its one-segment case) splits the payload at
+// content-defined boundaries where it lies in the caller's segments,
 // writes the chunks no stored object has yet as one pack with its index
 // (see pack.go), and writes a small recipe (see recipe.go) under the
 // object's own name — so iteration N+1 of a slowly-changing variable
@@ -148,24 +152,36 @@ func (s *Store) Name() string { return s.inner.Name() + "+dedup" }
 // (a single chunk would cover the whole object).
 func (s *Store) passThreshold() int { return 2 * s.opts.Params.Min }
 
-// Put implements ObjectStore: chunk, dedup, store the new chunks as one
-// pack, store the recipe. Small payloads pass through raw unless they
-// would collide with the recipe magic.
+// Put implements ObjectStore: PutVec of one segment.
 func (s *Store) Put(name string, data []byte) error {
-	if len(data) < s.passThreshold() && !IsRecipe(data) {
-		if err := s.inner.Put(name, data); err != nil {
-			return err
+	return s.PutVec(name, [][]byte{data})
+}
+
+// PutVec implements storage.VecStore: chunk, dedup, store the new
+// chunks as one pack, store the recipe. The segment list is chunked
+// where it lies (see walk) and each chunk is hashed right after its
+// cut; the pack is written as sub-slices of segs, so the payload is
+// never flattened. Small payloads pass through raw unless they would
+// collide with the recipe magic.
+func (s *Store) PutVec(name string, segs [][]byte) error {
+	total := storage.SegsLen(segs)
+	if total < s.passThreshold() {
+		data := storage.FlattenSegs(segs)
+		if !IsRecipe(data) {
+			if err := s.inner.Put(name, data); err != nil {
+				return err
+			}
+			s.mu.Lock()
+			s.replaceLocked(name, &objectEntry{refs: 1})
+			s.mu.Unlock()
+			return nil
 		}
-		s.mu.Lock()
-		s.replaceLocked(name, &objectEntry{refs: 1})
-		s.mu.Unlock()
-		return nil
+		segs = [][]byte{data}
 	}
-	pieces := Split(data, s.opts.Params)
-	ents := make([]entry, len(pieces))
-	for i, p := range pieces {
-		ents[i] = entry{sum: sha256.Sum256(p), size: len(p)}
-	}
+	ents := make([]entry, 0, total/s.opts.Params.Avg+1)
+	walk(segs, s.opts.Params, func(c []byte) {
+		ents = append(ents, entry{sum: sha256.Sum256(c), size: len(c)})
+	})
 	recipe, err := encodeRecipe(ents)
 	if err != nil {
 		return err
@@ -175,24 +191,26 @@ func (s *Store) Put(name string, data []byte) error {
 	// it "already stored" and the recipe landing.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.hashTime += float64(len(data)) / DefaultHashRate
+	s.hashTime += float64(total) / DefaultHashRate
 	// Every chunk the index does not know goes into this Put's pack; it
 	// is indexed right away (counted, no reference yet), so a repeat
 	// later in the payload is a hit.
 	var fresh []entry
-	var segs [][]byte
-	for i, e := range ents {
+	var pack [][]byte
+	at := cursor{segs: segs}
+	for _, e := range ents {
 		if _, ok := s.chunks[e.sum]; ok {
 			s.chunksDedup++
 			s.dedupSaved += float64(e.size)
+			at.skip(e.size)
 			continue
 		}
 		s.chunks[e.sum] = chunkEntry{counted: true, size: e.size}
 		fresh = append(fresh, e)
-		segs = append(segs, pieces[i])
+		pack = at.take(e.size, pack)
 	}
 	if len(fresh) > 0 {
-		if err := s.writePackLocked(fresh, segs, ""); err != nil {
+		if err := s.writePackLocked(fresh, pack, ""); err != nil {
 			for _, e := range fresh {
 				delete(s.chunks, e.sum)
 			}
@@ -208,13 +226,16 @@ func (s *Store) Put(name string, data []byte) error {
 }
 
 // refLocked counts one more reference on each entry's chunk (an
-// unknown chunk joins the index unlocated). Callers hold s.mu.
+// unknown chunk joins the index unlocated). A located chunk keeps the
+// size its pack index gives it. Callers hold s.mu.
 func (s *Store) refLocked(ents []entry) {
 	for _, e := range ents {
 		c := s.chunks[e.sum]
 		c.refs++
 		c.counted = true
-		c.size = e.size
+		if c.pack == "" {
+			c.size = e.size
+		}
 		s.chunks[e.sum] = c
 	}
 }
@@ -265,20 +286,23 @@ func (s *Store) Get(name string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chunk: object %q: %w", name, err)
 	}
-	out := make([]byte, rawSize)
-	at := make([]int, len(ents)) // where entry i lands in out
-	for i := 1; i < len(ents); i++ {
-		at[i] = at[i-1] + ents[i-1].size
-	}
 	locs := make([]chunkLoc, len(ents))
 	todo := make([]int, len(ents))
 	for i := range todo {
 		todo[i] = i
 	}
-	for retry := false; len(todo) > 0; retry = true {
-		if err := s.locate(name, ents, todo, locs); err != nil {
-			return nil, err
-		}
+	// Every entry is located, its size checked against its pack index,
+	// before the output is allocated: a recipe alone cannot make Get
+	// allocate more than the store's indexes vouch for.
+	if err := s.locate(name, ents, todo, locs); err != nil {
+		return nil, err
+	}
+	out := make([]byte, rawSize)
+	at := make([]int, len(ents)) // where entry i lands in out
+	for i := 1; i < len(ents); i++ {
+		at[i] = at[i-1] + ents[i-1].size
+	}
+	for retry := false; ; retry = true {
 		var lost []int // entries whose pack vanished since locate
 		for len(todo) > 0 {
 			pack := locs[todo[0]].pack
@@ -303,12 +327,18 @@ func (s *Store) Get(name string) ([]byte, error) {
 			}
 			todo = rest
 		}
-		if len(lost) > 0 && retry {
+		if len(lost) == 0 {
+			break
+		}
+		if retry {
 			i := lost[0]
 			return nil, fmt.Errorf("%w: object %q chunk %d/%d (%x): pack %s is gone",
 				ErrDanglingChunk, name, i, len(ents), ents[i].sum, locs[i].pack)
 		}
 		todo = lost
+		if err := s.locate(name, ents, todo, locs); err != nil {
+			return nil, err
+		}
 	}
 	s.mu.Lock()
 	s.hashTime += float64(rawSize) / DefaultHashRate
@@ -317,7 +347,9 @@ func (s *Store) Get(name string) ([]byte, error) {
 }
 
 // locate fills locs for the entries in todo from the chunk index,
-// loading the pack indexes once if some chunk is not located yet.
+// loading the pack indexes once if some chunk is not located yet. An
+// entry whose size disagrees with its chunk's pack index entry is
+// ErrCorruptRecipe.
 func (s *Store) locate(name string, ents []entry, todo []int, locs []chunkLoc) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -334,6 +366,10 @@ func (s *Store) locate(name string, ents []entry, todo []int, locs []chunkLoc) e
 		if c.pack == "" {
 			return fmt.Errorf("%w: object %q chunk %d/%d (%x)",
 				ErrDanglingChunk, name, i, len(ents), ents[i].sum)
+		}
+		if c.size != ents[i].size {
+			return fmt.Errorf("%w: object %q chunk %d/%d (%x): %d bytes, its pack index says %d",
+				ErrCorruptRecipe, name, i, len(ents), ents[i].sum, ents[i].size, c.size)
 		}
 		locs[i] = chunkLoc{c.pack, c.off}
 	}

@@ -212,9 +212,10 @@ type Retainer interface {
 // treat the concatenation of segs as the object's bytes and must own
 // their copy by the time PutVec returns — callers are free to recycle
 // the segment buffers immediately afterwards. Memory (one gather), SDF
-// (the segments go to the file as they are) and Compressing (part by
-// part) implement it; callers go through the PutVec helper, which
-// flattens for everyone else.
+// (the segments go to the file as they are), Compressing (part by
+// part) and the chunk store (chunks cut where they lie) implement it;
+// callers go through the PutVec helper, which flattens for everyone
+// else.
 type VecStore interface {
 	// PutVec durably stores the concatenation of segs under name.
 	// Implementations must be safe for concurrent use.
