@@ -41,8 +41,10 @@ test:
 # against its serial List-order merge, the token broker, the stream's
 # Seq order under racing publishers, the codec selector's first Puts
 # racing on one dataset, chunk-store Gets racing the sweep's pack
-# compaction, two roots' PutVecs sharing chunks, and the DES engine's
-# process coroutines, which all run on the goroutine that calls Run. Without it, at -count=200
+# compaction, two roots' PutVecs sharing chunks, the DES engine's
+# process coroutines, which all run on the goroutine that calls Run,
+# and the cross-face tests, whose runtime half drives deaths and
+# re-formations through real aggregator goroutines. Without it, at -count=200
 # (~5 s): the three routing-protocol tests that flaked 1-3 % until
 # Forest decided the late-drain rule — they guard its rules 1 and 2.
 race-stress:
@@ -51,6 +53,7 @@ race-stress:
 	$(GO) test -race -count=10 -run 'Service|TestRestoreConcurrentMatchesSerial' ./internal/cluster
 	$(GO) test -race -count=10 -run 'Broker|TestStreamPublishSeqOrder|TestCompressingConcurrentChoice' ./internal/storage
 	$(GO) test -race -count=10 -run 'TestDedupStoreGetSweepRace|TestDedupStoreGetReresolvesAfterCompaction|TestDedupStoreConcurrentSweep|TestDedupStoreConcurrentPutVec' ./internal/storage/chunk
+	$(GO) test -race -count=10 -run 'TestFacesAgree' ./internal/iostrat
 	$(GO) test -count=200 -run 'TestClusterInteriorFailure|TestRestoreAfterFailure|TestAdaptReformRaceWithStreaming' ./internal/cluster
 
 # Experiment smoke matrix — one target per experiment so a broken
@@ -119,11 +122,13 @@ restart-smoke:
 c1-smoke:
 	$(GO) run ./cmd/damaris-bench -quick -exp c1
 
-# Short fuzz passes over the object decoders and the chunk store's
-# segment walk; `go test -fuzz` takes one package per invocation.
+# Short fuzz passes over the object decoders, the chunk store's segment
+# walk and the aggregation protocol past the exhaustive checker's scope;
+# `go test -fuzz` takes one package per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchCodec$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzManifestDecode$$' -fuzztime 10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzForestEvents$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecDecode$$' -fuzztime 10s ./internal/compress
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkFrameDecode$$' -fuzztime 10s ./internal/storage/chunk

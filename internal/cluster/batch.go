@@ -36,11 +36,6 @@ func (b *Batch) Bytes() int {
 	return n
 }
 
-// merge absorbs another batch of the same iteration.
-func (b *Batch) merge(o *Batch) {
-	b.Blocks = append(b.Blocks, o.Blocks...)
-}
-
 // normalize sorts blocks by (node, source, variable) so encoded batches
 // are identical regardless of arrival order. A batch already in order —
 // every one the root stored, by the time an encoder or a restore sees

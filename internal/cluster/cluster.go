@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/buf"
@@ -160,7 +159,7 @@ type Cluster struct {
 	forest   *Forest
 	stats    Stats
 	partials map[int]bool // iterations stored below full live coverage
-	exited   []bool       // node → aggregator goroutine returned
+	exited   Cover        // nodes whose aggregator goroutine returned
 	errs     []error
 	iterDone *sync.Cond
 }
@@ -205,7 +204,6 @@ func newTenantCluster(cc ClusterConfig, spec RunSpec, tenant int) (*Cluster, err
 		nodes:      make([]*core.Node, cc.Platform.Nodes),
 		aggs:       make([]*aggregator, cc.Platform.Nodes),
 		partials:   map[int]bool{},
-		exited:     make([]bool, cc.Platform.Nodes),
 	}
 	c.iterDone = sync.NewCond(&c.mu)
 
@@ -213,9 +211,10 @@ func newTenantCluster(cc ClusterConfig, spec RunSpec, tenant int) (*Cluster, err
 		a := &aggregator{
 			c:       c,
 			node:    i,
-			pending: map[int]*pendingIter{},
+			self:    CoverOf(i),
 			written: map[int]bool{},
 		}
+		a.gather = NewGather(c.forest, i, a.merge)
 		a.avail = sync.NewCond(&a.mboxMu)
 		c.aggs[i] = a
 	}
@@ -302,9 +301,6 @@ func (c *Cluster) Stats() Stats {
 	}
 	return s
 }
-
-// Tenant returns the tenant id this cluster runs as (0 standalone).
-func (c *Cluster) Tenant() int { return c.tenant }
 
 // objectName is the deterministic name root node stores iteration it
 // under — shared by the write path and the retention release so the two
@@ -410,7 +406,7 @@ func (c *Cluster) killNode(d, atIter, blocksDropped int) {
 // postTo delivers a message to node i's aggregator, counting a batch as
 // lost when that aggregator already exited. Callers hold c.mu.
 func (c *Cluster) postTo(i int, m aggMsg) {
-	if c.exited[i] {
+	if c.exited.Has(i) {
 		if m.batch != nil {
 			c.stats.BlocksLost += len(m.batch.Blocks)
 			m.batch.ReleaseBuffers()
@@ -451,7 +447,7 @@ func (f *forwarder) OnEvent(ctx *core.PluginContext, ev core.Event) error {
 			Data: buf.Clone(ctx.BlockBytes(ref)),
 		})
 	}
-	f.agg.post(aggMsg{batch: b, covers: []int{f.agg.node}})
+	f.agg.post(aggMsg{batch: b, covers: f.agg.self})
 	return nil
 }
 
@@ -461,26 +457,21 @@ func (f *forwarder) OnEvent(ctx *core.PluginContext, ev core.Event) error {
 // — after a death, a re-formation or a sender's exit.
 type aggMsg struct {
 	batch  *Batch
-	covers []int // origin node ids whose data the batch carries
+	covers Cover // origin nodes whose data the batch carries; read-only
 	eof    bool
 	poke   bool
 }
 
-// pendingIter accumulates one iteration's contributions at a node.
-type pendingIter struct {
-	batch   *Batch
-	covered map[int]bool // origin nodes merged so far
-}
-
-// aggregator is one node's position in the aggregation tree: it merges
-// the node's own iteration batches with its children's and hands each
-// merged iteration to the forest's Route decision — forward it upward,
-// store it as a root, or keep waiting. The coverage requirement Route
-// checks shrinks when nodes die, which is what lets the forest re-route
-// around failures without deadlocking.
+// aggregator is one node's position in the aggregation tree: its
+// Gather merges the node's own iteration batches with its children's
+// and puts each merged iteration to the forest's Route decision —
+// forward it upward, store it as a root, or keep waiting. The coverage
+// requirement Route checks shrinks when nodes die, which is what lets
+// the forest re-route around failures without deadlocking.
 type aggregator struct {
 	c    *Cluster
 	node int
+	self Cover // {node}: what the node's own batches cover
 
 	// mboxMu guards this aggregator's mailbox alone, so deliveries to
 	// different nodes never contend with each other (c.mu used to guard
@@ -491,12 +482,19 @@ type aggregator struct {
 	mbox   []aggMsg   // unbounded so posts never block
 	poked  bool       // a poke is queued; pokes are idempotent, one is enough
 
-	// Goroutine-local state (only touched by run()).
-	pending map[int]*pendingIter
-	its     []int        // scratch for pendingIterations
+	// Goroutine-local state (only touched by run()); the gather is
+	// stepped under c.mu, where its routing decisions are made.
+	gather  *Gather[*Batch]
 	eof     bool         // the node drained: no more own batches
 	blocks  int          // block count of the last routed batch, to pre-size the next
 	written map[int]bool // iterations whose object actually landed (retention)
+}
+
+// merge is the gather's merge: the iteration's held batch absorbs in's
+// blocks, growing once to the size of the last batch routed.
+func (a *aggregator) merge(held, in *Batch) *Batch {
+	held.Blocks = append(slices.Grow(held.Blocks, max(len(in.Blocks), a.blocks-len(held.Blocks))), in.Blocks...)
+	return held
 }
 
 // post enqueues a message. Safe with or without c.mu held (routing
@@ -548,19 +546,7 @@ func (a *aggregator) run() {
 		case m.eof:
 			a.eof = true
 		case m.batch != nil:
-			// The first batch of an iteration becomes its pending batch,
-			// sized like the last one routed; later ones merge into it.
-			p := a.pending[m.batch.Iteration]
-			if p == nil {
-				m.batch.Blocks = slices.Grow(m.batch.Blocks, max(0, a.blocks-len(m.batch.Blocks)))
-				p = &pendingIter{batch: m.batch, covered: map[int]bool{}}
-				a.pending[m.batch.Iteration] = p
-			} else {
-				p.batch.merge(m.batch)
-			}
-			for _, n := range m.covers {
-				p.covered[n] = true
-			}
+			a.gather.Deliver(m.batch.Iteration, m.batch, m.covers)
 		}
 		a.routePending(false)
 		if a.finished() {
@@ -575,23 +561,12 @@ func (a *aggregator) run() {
 	// Wake every node that may be waiting on this one for an in-flight
 	// iteration: a parent in any epoch — one from an older topology
 	// included — or, from a dead node, its drain target.
-	for _, to := range c.forest.Receivers(a.node) {
+	for _, to := range c.forest.Receivers(a.node).Nodes(nil) {
 		c.postTo(to, aggMsg{poke: true})
 	}
-	c.exited[a.node] = true
+	c.exited.Add(a.node)
 	c.mu.Unlock()
 	c.wg.Done()
-}
-
-// pendingIterations returns the pending iteration numbers ascending,
-// so routing order (and stored partial objects) is deterministic.
-func (a *aggregator) pendingIterations() []int {
-	a.its = a.its[:0]
-	for it := range a.pending {
-		a.its = append(a.its, it)
-	}
-	sort.Ints(a.its)
-	return a.its
 }
 
 // finished reports whether nothing more can arrive here: the node has
@@ -607,66 +582,47 @@ func (a *aggregator) finished() bool {
 	c := a.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !a.mboxEmpty() {
-		return false
-	}
-	for _, k := range c.forest.Senders(a.node) {
-		if !c.exited[k] {
-			return false
-		}
-	}
-	return true
+	return a.mboxEmpty() && c.exited.Contains(c.forest.Senders(a.node))
 }
 
 // rootWrite is one Store decision, carried out once c.mu is released.
 type rootWrite struct {
 	batch  *Batch
-	covers []int
+	covers Cover
 	window int
 }
 
-// routePending puts every pending iteration to the forest and carries
-// out what it decides: forward to the parent, drain a dead node's
-// holdings, count a loss, or store at a root. flush skips the readiness
-// check and marks root objects partial (the end-of-run flush). Each
-// decision and the post it leads to share one c.mu hold; the stores run
-// after the lock is dropped.
+// routePending steps the gather — every held iteration put to the
+// forest, ascending — and carries out what it decides: forward to the
+// parent, drain a dead node's holdings, count a loss, or store at a
+// root. flush skips the readiness check and marks root objects partial
+// (the end-of-run flush). Each decision and the post it leads to share
+// one c.mu hold; the stores run after the lock is dropped.
 func (a *aggregator) routePending(flush bool) {
-	if len(a.pending) == 0 {
+	if a.gather.Len() == 0 {
 		return
 	}
 	c := a.c
 	var writes []rootWrite
-	its := a.pendingIterations()
 	c.mu.Lock()
-	for _, it := range its {
-		p := a.pending[it]
-		var d Decision
-		if flush {
-			d = c.forest.Flush(a.node, it)
-		} else {
-			d = c.forest.Route(a.node, it, p.covered)
-		}
-		if d.Kind == NotReady {
-			continue
-		}
-		delete(a.pending, it)
-		a.blocks = len(p.batch.Blocks)
-		covers := sortedCovers(p.covered)
+	a.gather.Step(flush, func(_ int, d Decision, b *Batch, covers Cover) bool {
+		a.blocks = len(b.Blocks)
 		if d.Kind == Store {
-			writes = append(writes, rootWrite{p.batch, covers, d.Window})
+			writes = append(writes, rootWrite{b, slices.Clone(covers), d.Window})
 		} else {
-			c.carryOut(d, p.batch, covers)
+			c.carryOut(d, b, covers)
 		}
-	}
+		return false
+	})
 	c.mu.Unlock()
 	for _, w := range writes {
 		a.store(w.batch, w.covers, flush, w.window)
 	}
 }
 
-// carryOut executes a Forward, Drain or Lose. Callers hold c.mu.
-func (c *Cluster) carryOut(d Decision, b *Batch, covers []int) {
+// carryOut executes a Forward, Drain or Lose of a batch covering
+// covers, which the caller may reuse once it returns. Callers hold c.mu.
+func (c *Cluster) carryOut(d Decision, b *Batch, covers Cover) {
 	if d.Kind == Lose {
 		c.stats.BlocksLost += len(b.Blocks)
 		b.ReleaseBuffers()
@@ -674,22 +630,13 @@ func (c *Cluster) carryOut(d Decision, b *Batch, covers []int) {
 	}
 	c.stats.BatchesForwarded++
 	c.stats.BytesForwarded += int64(b.Bytes())
-	c.postTo(d.To, aggMsg{batch: b, covers: covers})
-}
-
-func sortedCovers(covered map[int]bool) []int {
-	covers := make([]int, 0, len(covered))
-	for n := range covered {
-		covers = append(covers, n)
-	}
-	sort.Ints(covers)
-	return covers
+	c.postTo(d.To, aggMsg{batch: b, covers: slices.Clone(covers)})
 }
 
 // store writes a merged batch as this root's object for the iteration,
 // through root window window. partial marks batches flushed without
 // full live coverage.
-func (a *aggregator) store(b *Batch, covers []int, partial bool, window int) {
+func (a *aggregator) store(b *Batch, covers Cover, partial bool, window int) {
 	c := a.c
 	// Cluster-wide write scheduling: claim this root's target window
 	// before touching the store, earliest iteration first, so roots of
@@ -768,7 +715,7 @@ func (a *aggregator) store(b *Batch, covers []int, partial bool, window int) {
 		// Restore navigates by without touching any payload. A failed
 		// manifest Put degrades the run to unreplayable, not broken —
 		// the data object is already durable.
-		m := newManifest(c.spec.JobName, a.node, name, b, covers, partial)
+		m := newManifest(c.spec.JobName, a.node, name, b, covers.Nodes(nil), partial)
 		if merr := c.cc.Store.Put(m.Name(), EncodeManifest(m)); merr != nil {
 			c.fail(fmt.Errorf("storing manifest %s: %w", m.Name(), merr))
 		} else {
@@ -789,7 +736,7 @@ func (a *aggregator) store(b *Batch, covers []int, partial bool, window int) {
 		if manifestStored {
 			c.stats.ManifestsWritten++
 		}
-		storedNodes = len(covers)
+		storedNodes = covers.Len()
 		if partial {
 			c.partials[b.Iteration] = true
 			c.stats.PartialIterations = len(c.partials)

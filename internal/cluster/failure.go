@@ -2,7 +2,8 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/rng"
@@ -26,9 +27,7 @@ func NewFailureSchedule() *FailureSchedule {
 // Add schedules node to die at iteration (clamped to 0) and returns the
 // schedule for chaining. Adding a node twice keeps the earlier death.
 func (s *FailureSchedule) Add(node, iteration int) *FailureSchedule {
-	if iteration < 0 {
-		iteration = 0
-	}
+	iteration = max(iteration, 0)
 	if s.at == nil {
 		s.at = map[int]int{}
 	}
@@ -83,12 +82,7 @@ func (s *FailureSchedule) Nodes() []int {
 	if s == nil {
 		return nil
 	}
-	nodes := make([]int, 0, len(s.at))
-	for n := range s.at {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
-	return nodes
+	return slices.Sorted(maps.Keys(s.at))
 }
 
 // String renders the schedule as "node@iter" pairs, ascending by node.

@@ -79,10 +79,10 @@ func TestTreeFailInterior(t *testing.T) {
 	if dest, ok := tr.DrainTarget(1); !ok || dest != 0 {
 		t.Fatalf("DrainTarget(1) = %d, %v; want 0", dest, ok)
 	}
-	if got := tr.LiveSubtree(0); !equalInts(got, []int{0, 2, 3, 4, 5, 6}) {
+	if got := tr.LiveSubtree(0).Nodes(nil); !equalInts(got, []int{0, 2, 3, 4, 5, 6}) {
 		t.Fatalf("LiveSubtree(0) = %v", got)
 	}
-	if tr.LiveSubtree(1) != nil {
+	if tr.LiveSubtree(1).Len() != 0 {
 		t.Fatal("dead node has no live subtree")
 	}
 }

@@ -1,19 +1,17 @@
 package cluster
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Forest is the aggregation routing protocol, written once and driven
-// by both faces: the runtime Cluster calls it under its mutex, the DES
-// model in internal/iostrat from the single simulation thread. It has
-// no goroutine, lock or clock — events in (Route, Flush, Fail, Reform,
-// RootDone), decisions out — and owns the topology epochs, the failure
-// overlay (a dead node is dead in every epoch, new ones included) and
-// the per-iteration completeness ledger; docs/ARCHITECTURE.md, "The
-// aggregation protocol", has the decision table. Four rules are decided
-// here and nowhere else, each a row of the table in forest_test.go:
+// by both faces through each node's Gather: the runtime Cluster under
+// its mutex, the DES model in internal/iostrat from the single
+// simulation thread. It has no goroutine, lock or clock — events in
+// (Route, Flush, Fail, Reform, RootDone), decisions out — and owns the
+// topology epochs, the failure overlay (a dead node is dead in every
+// epoch, new ones included) and the per-iteration completeness ledger;
+// docs/ARCHITECTURE.md, "The aggregation protocol", has the decision
+// table. Four rules are decided here and nowhere else, each a row of
+// the table in forest_test.go:
 //
 //  1. Late drain. A node that died at iteration k stays in the coverage
 //     requirement, for every iteration below k, of the live node its
@@ -53,7 +51,7 @@ type epoch struct {
 	liveRoots           int
 
 	// Memoised until the next death.
-	required map[int][]int   // node → live subtree
+	required map[int]Cover   // node → live subtree
 	awaited  map[int][]death // live drain target → dead nodes draining there
 }
 
@@ -89,7 +87,7 @@ func NewForest(n, fanout, roots int) *Forest {
 // subtree, so a promoted root inherits the dead root's.
 func (f *Forest) newEpoch(from, fanout, roots int) epoch {
 	e := epoch{from: from, fanout: fanout, roots: roots, tree: NewTree(f.n, fanout, roots),
-		required: map[int][]int{}}
+		required: map[int]Cover{}}
 	for _, d := range f.dead {
 		e.tree.Fail(d.node)
 	}
@@ -123,7 +121,7 @@ func (f *Forest) routing(it int) *epoch {
 
 func (f *Forest) cur() *epoch { return &f.epochs[len(f.epochs)-1] }
 
-func (e *epoch) liveSubtree(node int) []int {
+func (e *epoch) liveSubtree(node int) Cover {
 	req, ok := e.required[node]
 	if !ok {
 		req = e.tree.LiveSubtree(node)
@@ -148,33 +146,31 @@ func (f *Forest) lateDrains(e *epoch, node int) []death {
 }
 
 // Required returns the origin nodes node must have merged before it
-// may route iteration it, ascending: its live subtree in the
-// iteration's epoch plus, by rule 1, every dead node draining into it
-// that died after it. Empty for a dead node, which relays at once.
-func (f *Forest) Required(node, it int) []int {
+// may route iteration it: its live subtree in the iteration's epoch
+// plus, by rule 1, every dead node draining into it that died after
+// it. Empty for a dead node, which relays at once.
+func (f *Forest) Required(node, it int) Cover {
 	e := f.at(it)
-	req := e.liveSubtree(node)
-	base := len(req)
+	var late Cover
 	for _, d := range f.lateDrains(e, node) {
 		if it < d.at {
-			req = append(req[:len(req):len(req)], d.node)
+			late.Add(d.node)
 		}
 	}
-	if len(req) > base {
-		sort.Ints(req)
+	if late == nil {
+		return e.liveSubtree(node)
 	}
-	return req
+	late.Union(e.liveSubtree(node))
+	return late
 }
 
 // Route is the protocol's one decision: whether node may release
 // iteration it given the origin nodes it has covered, and where the
 // batch then goes (rule 2).
-func (f *Forest) Route(node, it int, covered map[int]bool) Decision {
+func (f *Forest) Route(node, it int, covered Cover) Decision {
 	f.routing(it)
-	for _, n := range f.Required(node, it) {
-		if !covered[n] {
-			return Decision{Kind: NotReady}
-		}
+	if !covered.Contains(f.Required(node, it)) {
+		return Decision{Kind: NotReady}
 	}
 	return f.Flush(node, it)
 }
@@ -213,7 +209,7 @@ func (f *Forest) Fail(node, atIter int) (edges []RerouteEdge, ok bool) {
 		e := &f.epochs[i]
 		moved := e.tree.Fail(node)
 		e.liveRoots = len(e.tree.Roots())
-		e.required, e.awaited = map[int][]int{}, nil
+		e.required, e.awaited = map[int]Cover{}, nil
 		if e == routing {
 			edges = moved
 		}
@@ -315,39 +311,37 @@ func (f *Forest) Shape() (fanout, roots int) { return f.cur().fanout, f.cur().ro
 func (f *Forest) Epochs() int { return len(f.epochs) }
 
 // Receivers returns every node that may still expect a delivery from
-// node, ascending: its parent in any epoch while it lives, the live end
-// of its drain chain once dead. A node ending its stream tells these.
-func (f *Forest) Receivers(node int) []int {
-	seen := map[int]bool{}
+// node: its parent in any epoch while it lives, the live end of its
+// drain chain once dead. A node ending its stream tells these.
+func (f *Forest) Receivers(node int) (to Cover) {
 	for i := range f.epochs {
 		t := &f.epochs[i].tree
-		to, ok := t.Parent(node)
+		n, ok := t.Parent(node)
 		if !t.Alive(node) {
-			to, ok = t.DrainTarget(node)
+			n, ok = t.DrainTarget(node)
 		}
 		if ok {
-			seen[to] = true
+			to.Add(n)
 		}
 	}
-	return sortedCovers(seen)
+	return to
 }
 
 // Senders is the inverse: every node that may still deliver to node —
 // its live children in any epoch plus the dead nodes draining into it.
 // The union graph stays acyclic: every tree keeps parent id < child id,
 // re-routing included, and a dead node waits for nobody.
-func (f *Forest) Senders(node int) []int {
-	seen := map[int]bool{}
+func (f *Forest) Senders(node int) (from Cover) {
 	for i := range f.epochs {
 		t := &f.epochs[i].tree
 		for _, k := range t.Children(node) {
-			seen[k] = true
+			from.Add(k)
 		}
 		for _, d := range f.dead {
 			if to, ok := t.DrainTarget(d.node); ok && to == node {
-				seen[d.node] = true
+				from.Add(d.node)
 			}
 		}
 	}
-	return sortedCovers(seen)
+	return from
 }

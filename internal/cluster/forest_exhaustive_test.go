@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// This file checks Forest exhaustively at small scope (ROADMAP item
-// 3(c)). Forest has no goroutine, lock or clock, so a minimal driver can
-// be stepped through every interleaving of its events:
+// This file checks Forest and Gather exhaustively at small scope
+// (ROADMAP item 3(c)). Neither has a goroutine, lock or clock, so a
+// minimal driver — one Gather per node, the same gather machine both
+// faces run — can be stepped through every interleaving of its events:
 //
 //   - begin(n): node n contributes its own block of its next iteration
 //     and asks Route for it (the first ask fences the iteration);
@@ -36,8 +37,12 @@ import (
 //     reaches a node that exited, and every iteration ends Done.
 
 const (
-	xNodes = 5 // largest forest explored
+	xNodes = 5 // largest forest explored exhaustively
 	xIters = 2
+
+	// The driver's arrays hold FuzzForestEvents' larger scope.
+	xMaxNodes = 12
+	xMaxIters = 4
 )
 
 // xShapes are the (fanout, roots) shapes a run starts from (the first
@@ -46,20 +51,29 @@ var xShapes = [][2]int{{2, 1}, {2, 2}, {4, 1}}
 
 // xMsg is one batch in flight: iteration it's blocks of the origin nodes
 // in the covers bitmask, on their way to node to.
-type xMsg struct{ to, it, covers uint8 }
+type xMsg struct {
+	to, it uint8
+	covers uint16
+}
 
-// xState is the driver's whole state; the Forest is part of it.
+// xBatch is the checker's payload: coverage is all it tracks.
+type xBatch struct{}
+
+func mergeX(xBatch, xBatch) xBatch { return xBatch{} }
+
+// xState is the driver's whole state; the Forest and the Gathers are
+// part of it.
 type xState struct {
-	n        int
+	n, iters int
 	f        *Forest
-	pos      [xNodes]uint8         // next iteration the node begins; xIters once its stream ended
-	pending  [xNodes][xIters]uint8 // per node and iteration, origins merged so far (bitmask)
-	inflight []xMsg                // kept sorted: a multiset
-	deaths   uint8                 // deaths and re-formations still allowed
+	g        [xMaxNodes]*Gather[xBatch]
+	pos      [xMaxNodes]uint8 // next iteration the node begins; iters once its stream ended
+	inflight []xMsg           // kept sorted: a multiset
+	deaths   uint8            // deaths and re-formations still allowed
 	reforms  uint8
 	// The ledger: per (origin, iteration), how often the block entered
 	// the protocol, was stored, and was counted lost.
-	delivered, stored, lost [xNodes][xIters]uint8
+	delivered, stored, lost [xMaxNodes][xMaxIters]uint8
 
 	// How the search got here (not part of the state's identity).
 	prev  *xState
@@ -80,6 +94,15 @@ func (e xEvent) String() string {
 	return fmt.Sprintf("%s(%d,%d)", e.kind, e.a, e.b)
 }
 
+// newXState starts a run on a fresh forest of n nodes.
+func newXState(n, iters, fanout, roots int, deaths, reforms uint8) *xState {
+	s := &xState{n: n, iters: iters, f: NewForest(n, fanout, roots), deaths: deaths, reforms: reforms}
+	for node := 0; node < n; node++ {
+		s.g[node] = NewGather(s.f, node, mergeX)
+	}
+	return s
+}
+
 func (s *xState) clone() *xState {
 	c := *s
 	c.inflight = slices.Clone(s.inflight)
@@ -87,7 +110,7 @@ func (s *xState) clone() *xState {
 	f.epochs = make([]epoch, len(s.f.epochs))
 	for i, e := range s.f.epochs {
 		e.tree = e.tree.Clone()
-		e.required, e.awaited = map[int][]int{}, nil // memos
+		e.required, e.awaited = map[int]Cover{}, nil // memos
 		f.epochs[i] = e
 	}
 	f.dead = slices.Clone(s.f.dead)
@@ -96,7 +119,31 @@ func (s *xState) clone() *xState {
 	f.doneRoots = cloneMap(s.f.doneRoots)
 	f.completed = cloneMap(s.f.completed)
 	c.f = &f
+	for node := 0; node < s.n; node++ {
+		g := *s.g[node]
+		g.forest = &f
+		g.held = slices.Clone(g.held)
+		for i := range g.held {
+			g.held[i].cover = slices.Clone(g.held[i].cover)
+		}
+		g.spare = nil
+		c.g[node] = &g
+	}
 	return &c
+}
+
+// bitmask is c as the checker's messages carry it.
+func bitmask(c Cover) uint16 {
+	if len(c) == 0 {
+		return 0
+	}
+	return uint16(c[0])
+}
+
+// held returns what node's gather holds per iteration, as bitmasks.
+func (s *xState) held(node int) (covers [xMaxIters]uint16) {
+	s.g[node].Held(func(it int, _ xBatch, c Cover) { covers[it] = bitmask(c) })
+	return covers
 }
 
 func cloneMap[K comparable, V any](m map[K]V) map[K]V {
@@ -121,19 +168,20 @@ func (s *xState) key() string {
 	}
 	for n := 0; n < s.n; n++ {
 		b = append(b, s.pos[n])
-		for it := 0; it < xIters; it++ {
+		held := s.held(n)
+		for it := 0; it < s.iters; it++ {
 			stored := uint8(0)
 			if f.stored[[2]int{n, it}] {
 				stored = 1
 			}
-			b = append(b, s.pending[n][it], s.delivered[n][it], s.stored[n][it], s.lost[n][it], stored)
+			b = append(b, uint8(held[it]), uint8(held[it]>>8), s.delivered[n][it], s.stored[n][it], s.lost[n][it], stored)
 		}
 	}
-	for it := 0; it < xIters; it++ {
+	for it := 0; it < s.iters; it++ {
 		b = append(b, uint8(f.covered[it]), uint8(f.doneRoots[it]))
 	}
 	for _, m := range s.inflight {
-		b = append(b, m.to, m.it, m.covers)
+		b = append(b, m.to, m.it, uint8(m.covers), uint8(m.covers>>8))
 	}
 	return string(b)
 }
@@ -161,26 +209,27 @@ func (s *xState) send(m xMsg) {
 	s.inflight = slices.Insert(s.inflight, i, m)
 }
 
-// carryOut executes what the forest decided for the batch node holds for
-// iteration it.
-func (s *xState) carryOut(t *testing.T, d Decision, node, it int) {
-	covers := s.pending[node][it]
-	s.pending[node][it] = 0
+// deliver hands a message to its receiver's gather.
+func (s *xState) deliver(m xMsg) {
+	s.g[m.to].Deliver(int(m.it), xBatch{}, Cover{uint64(m.covers)})
+}
+
+// carryOut executes what the forest decided for the batch covering
+// covered that node's gather released for iteration it.
+func (s *xState) carryOut(t *testing.T, d Decision, node, it int, covered Cover) {
 	switch d.Kind {
 	case Store:
-		nodes := 0
 		for o := 0; o < s.n; o++ {
-			if covers&(1<<o) != 0 {
+			if covered.Has(o) {
 				s.stored[o][it]++
-				nodes++
 			}
 		}
-		s.f.RootDone(it, nodes)
+		s.f.RootDone(it, covered.Len())
 	case Forward, Drain:
-		s.send(xMsg{uint8(d.To), uint8(it), covers})
+		s.send(xMsg{uint8(d.To), uint8(it), bitmask(covered)})
 	case Lose:
 		for o := 0; o < s.n; o++ {
-			if covers&(1<<o) != 0 {
+			if covered.Has(o) {
 				s.lost[o][it]++
 			}
 		}
@@ -189,44 +238,33 @@ func (s *xState) carryOut(t *testing.T, d Decision, node, it int) {
 	}
 }
 
-// ask puts what node holds for iteration it to Route and carries the
-// decision out, checking that a Store waited for its requirement.
+// ask has node's gather put what it holds for iteration it to Route and
+// carries the decision out, checking that a Store waited for its
+// requirement.
 func (s *xState) ask(t *testing.T, node, it int) {
-	covers := s.pending[node][it]
-	if covers == 0 {
-		return
-	}
-	covered := map[int]bool{}
-	for o := 0; o < s.n; o++ {
-		if covers&(1<<o) != 0 {
-			covered[o] = true
-		}
-	}
 	required := s.f.Required(node, it)
-	d := s.f.Route(node, it, covered)
+	d, _, covered := s.g[node].Ask(it)
 	if d.Kind == NotReady {
 		return
 	}
 	if d.Kind == Lose && s.f.Alive(node) {
 		// Rules 1 and 4: no root stores ahead of data that is certain to
 		// arrive, so mid-run only a dead end loses anything.
-		s.failf(t, "live node %d lost iteration %d covering %v mid-run", node, it, covered)
+		s.failf(t, "live node %d lost iteration %d covering %v mid-run", node, it, covered.Nodes(nil))
 	}
 	if d.Kind == Store {
-		for _, o := range required {
-			if !covered[o] {
-				s.failf(t, "node %d stored iteration %d covering %v before Required %v was covered",
-					node, it, covered, required)
-			}
+		if !covered.Contains(required) {
+			s.failf(t, "node %d stored iteration %d covering %v before Required %v was covered",
+				node, it, covered.Nodes(nil), required.Nodes(nil))
 		}
 	}
-	s.carryOut(t, d, node, it)
+	s.carryOut(t, d, node, it, covered)
 }
 
 // askAll is the wake-up after a death or a re-formation.
 func (s *xState) askAll(t *testing.T) {
 	for node := 0; node < s.n; node++ {
-		for it := 0; it < xIters; it++ {
+		for it := 0; it < s.iters; it++ {
 			s.ask(t, node, it)
 		}
 	}
@@ -243,19 +281,19 @@ func (s *xState) next(t *testing.T) []*xState {
 	}
 	for node := 0; node < s.n; node++ {
 		node, it := node, int(s.pos[node])
-		if it == xIters {
+		if it == s.iters {
 			continue
 		}
 		branch(xEvent{kind: "begin", a: node, b: it}, func(c *xState) {
 			c.pos[node]++
 			c.delivered[node][it]++
-			c.pending[node][it] |= 1 << node
+			c.g[node].Deliver(it, xBatch{}, Cover{1 << node})
 			c.ask(t, node, it)
 		})
 		if s.deaths > 0 {
 			branch(xEvent{kind: "kill", a: node, b: it}, func(c *xState) {
 				c.deaths--
-				c.pos[node] = xIters
+				c.pos[node] = uint8(s.iters)
 				c.f.Fail(node, it)
 				c.checkWindows(t)
 				c.askAll(t)
@@ -269,7 +307,7 @@ func (s *xState) next(t *testing.T) []*xState {
 		}
 		branch(xEvent{kind: "deliver", msg: m}, func(c *xState) {
 			c.inflight = slices.Delete(c.inflight, i, i+1)
-			c.pending[m.to][m.it] |= m.covers
+			c.deliver(m)
 			c.ask(t, int(m.to), int(m.it))
 		})
 	}
@@ -296,7 +334,7 @@ func (s *xState) next(t *testing.T) []*xState {
 // than it was delivered.
 func (s *xState) checkLedger(t *testing.T) {
 	for o := 0; o < s.n; o++ {
-		for it := 0; it < xIters; it++ {
+		for it := 0; it < s.iters; it++ {
 			if s.stored[o][it]+s.lost[o][it] > s.delivered[o][it] {
 				s.failf(t, "block (%d, %d) delivered %d times, stored %d and lost %d", o, it,
 					s.delivered[o][it], s.stored[o][it], s.lost[o][it])
@@ -308,7 +346,7 @@ func (s *xState) checkLedger(t *testing.T) {
 // checkWindows asserts, after every event that lays windows out or moves
 // them, that they partition the live roots of every iteration's epoch.
 func (s *xState) checkWindows(t *testing.T) {
-	for it := 0; it < xIters; it++ {
+	for it := 0; it < s.iters; it++ {
 		taken := map[int]bool{}
 		for _, r := range s.f.at(it).tree.Roots() {
 			w := s.f.Window(r, it)
@@ -325,40 +363,38 @@ func (s *xState) checkWindows(t *testing.T) {
 // asserts what must hold then.
 func (s *xState) end(t *testing.T) {
 	s = s.clone()
-	var exited [xNodes]bool
+	var exited Cover
 	for left := s.n; left > 0; left-- {
 		node := -1
 		for n := 0; n < s.n && node < 0; n++ {
-			if !exited[n] && !slices.ContainsFunc(s.f.Senders(n), func(k int) bool { return !exited[k] }) {
+			if !exited.Has(n) && exited.Contains(s.f.Senders(n)) {
 				node = n
 			}
 		}
 		if node < 0 {
-			s.failf(t, "Senders never empties: exited %v", exited)
+			s.failf(t, "Senders never empties: exited %v", exited.Nodes(nil))
 		}
-		for it := 0; it < xIters; it++ {
-			if s.pending[node][it] != 0 {
-				d := s.f.Flush(node, it)
-				if d.Kind == Lose && s.f.Alive(node) {
-					s.failf(t, "live node %d lost iteration %d covering %05b at its flush", node, it, s.pending[node][it])
-				}
-				s.carryOut(t, d, node, it)
+		s.g[node].Step(true, func(it int, d Decision, _ xBatch, covered Cover) bool {
+			if d.Kind == Lose && s.f.Alive(node) {
+				s.failf(t, "live node %d lost iteration %d covering %v at its flush", node, it, covered.Nodes(nil))
 			}
-		}
-		exited[node] = true
+			s.carryOut(t, d, node, it, covered)
+			return false
+		})
+		exited.Add(node)
 		// What the flush sent arrives before its receiver — which was
 		// waiting for this node — can exit.
 		for _, m := range s.inflight {
-			if exited[m.to] {
+			if exited.Has(int(m.to)) {
 				s.failf(t, "node %d flushed iteration %d to node %d, which had exited", node, m.it, m.to)
 			}
-			s.pending[m.to][m.it] |= m.covers
+			s.deliver(m)
 		}
 		s.inflight = nil
 	}
 	died := len(s.f.dead) > 0
 	for n := 0; n < s.n; n++ {
-		for it := 0; it < xIters; it++ {
+		for it := 0; it < s.iters; it++ {
 			if s.stored[n][it]+s.lost[n][it] != s.delivered[n][it] {
 				s.failf(t, "block (%d, %d): delivered %d, stored %d, lost %d", n, it,
 					s.delivered[n][it], s.stored[n][it], s.lost[n][it])
@@ -368,7 +404,7 @@ func (s *xState) end(t *testing.T) {
 			}
 		}
 	}
-	for it := 0; it < xIters; it++ {
+	for it := 0; it < s.iters; it++ {
 		if !s.f.Done(it) {
 			s.failf(t, "run ended with iteration %d not done", it)
 		}
@@ -391,7 +427,7 @@ func TestForestExhaustive(t *testing.T) {
 	states, ends := 0, 0
 	for _, sc := range scopes {
 		for _, shape := range xShapes[:2] {
-			start := &xState{n: sc.n, f: NewForest(sc.n, shape[0], shape[1]), deaths: sc.deaths, reforms: sc.reforms}
+			start := newXState(sc.n, xIters, shape[0], shape[1], sc.deaths, sc.reforms)
 			start.checkWindows(t)
 			seen := map[string]bool{start.key(): true}
 			stack := []*xState{start}
@@ -415,4 +451,43 @@ func TestForestExhaustive(t *testing.T) {
 		}
 	}
 	t.Logf("%d states, %d ends of run", states, ends)
+}
+
+// FuzzForestEvents walks one path through the checker's successor
+// function beyond the exhaustive scope: up to 12 nodes, 4 iterations,
+// 2 deaths and 2 re-formations. The first five bytes pick the forest
+// size, the iterations, the deaths and re-formations allowed and the
+// starting shape; each later byte picks the next event, and once the
+// bytes run out the first event left is taken until none is. The
+// invariants are the exhaustive search's, checked after every event and
+// at the end of the run.
+func FuzzForestEvents(f *testing.F) {
+	f.Add([]byte{11, 3, 2, 2, 0})
+	f.Add([]byte{8, 1, 1, 1, 1, 3, 200, 7, 9, 14, 0, 255, 31, 5, 5, 5, 90})
+	f.Add([]byte{6, 2, 2, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
+	f.Add([]byte{11, 3, 0, 2, 1, 250, 13, 77, 2, 2, 2, 40, 41, 42, 43, 44})
+	// Three nodes, one death: a live node loses a batch here at its flush
+	// when rule 1 (late drain) is broken.
+	f.Add([]byte("2110101"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		shape := xShapes[data[4]%2]
+		s := newXState(1+int(data[0])%xMaxNodes, 1+int(data[1])%xMaxIters, shape[0], shape[1], data[2]%3, data[3]%3)
+		s.checkWindows(t)
+		for path := data[5:]; ; {
+			s.checkLedger(t)
+			succ := s.next(t)
+			if len(succ) == 0 {
+				break
+			}
+			pick := 0
+			if len(path) > 0 {
+				pick, path = int(path[0])%len(succ), path[1:]
+			}
+			s = succ[pick]
+		}
+		s.end(t)
+	})
 }

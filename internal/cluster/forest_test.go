@@ -7,13 +7,7 @@ import (
 )
 
 // set builds a coverage set.
-func set(nodes ...int) map[int]bool {
-	m := map[int]bool{}
-	for _, n := range nodes {
-		m[n] = true
-	}
-	return m
-}
+func set(nodes ...int) Cover { return CoverOf(nodes...) }
 
 // forestStep is one event put to a Forest; the zero fields of want are
 // not compared.
@@ -24,7 +18,7 @@ type forestStep struct {
 	fail   *[2]int // node, atIter
 	reform *[2]int // fanout, roots
 
-	covered map[int]bool
+	covered Cover
 
 	want      Decision         // route, flush
 	wantEdges []RerouteEdge    // fail (nil: not compared…
@@ -208,7 +202,7 @@ func TestForestRules(t *testing.T) {
 				switch {
 				case s.route != nil:
 					if got := f.Route(s.route[0], s.route[1], s.covered); got != s.want {
-						t.Fatalf("%s: Route(%d, %d, %v) = %+v, want %+v", where, s.route[0], s.route[1], s.covered, got, s.want)
+						t.Fatalf("%s: Route(%d, %d, %v) = %+v, want %+v", where, s.route[0], s.route[1], s.covered.Nodes(nil), got, s.want)
 					}
 				case s.flush != nil:
 					if got := f.Flush(s.flush[0], s.flush[1]); got != s.want {
@@ -230,7 +224,7 @@ func TestForestRules(t *testing.T) {
 					}
 				}
 				for k, want := range s.required {
-					if got := f.Required(k[0], k[1]); !equalInts(got, want) {
+					if got := f.Required(k[0], k[1]).Nodes(nil); !equalInts(got, want) {
 						t.Fatalf("%s: Required(%d, %d) = %v, want %v", where, k[0], k[1], got, want)
 					}
 				}
@@ -316,20 +310,20 @@ func TestForestSendersAndReceivers(t *testing.T) {
 	if _, err := f.Reform(8, 1); err != nil { // 0 → {1..8} from iteration 1
 		t.Fatal(err)
 	}
-	if got := f.Receivers(8); !equalInts(got, []int{0, 3}) {
+	if got := f.Receivers(8).Nodes(nil); !equalInts(got, []int{0, 3}) {
 		t.Fatalf("Receivers(8) = %v, want [0 3] (a parent per epoch)", got)
 	}
-	if got := f.Senders(3); !equalInts(got, []int{7, 8}) {
+	if got := f.Senders(3).Nodes(nil); !equalInts(got, []int{7, 8}) {
 		t.Fatalf("Senders(3) = %v, want [7 8]", got)
 	}
 	f.Fail(3, 1)
-	if got := f.Senders(1); !equalInts(got, []int{3, 4, 7, 8}) {
+	if got := f.Senders(1).Nodes(nil); !equalInts(got, []int{3, 4, 7, 8}) {
 		t.Fatalf("Senders(1) = %v, want [3 4 7 8] (adopted children and the draining corpse)", got)
 	}
-	if got := f.Receivers(3); !equalInts(got, []int{0, 1}) {
+	if got := f.Receivers(3).Nodes(nil); !equalInts(got, []int{0, 1}) {
 		t.Fatalf("Receivers(3) = %v, want [0 1] (its drain target in each epoch)", got)
 	}
-	if got := f.Senders(3); len(got) != 0 {
+	if got := f.Senders(3); got.Len() != 0 {
 		t.Fatalf("Senders(3) = %v: a dead node waits for nobody", got)
 	}
 }

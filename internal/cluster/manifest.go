@@ -81,7 +81,7 @@ func ObjectIteration(name string) (it int, ok bool) {
 }
 
 // newManifest builds the manifest for a normalized batch about to be
-// stored under object name obj.
+// stored under object name obj; it keeps covers.
 func newManifest(job string, root int, obj string, b *Batch, covers []int, partial bool) *Manifest {
 	m := &Manifest{
 		Format:    manifestFormat,
@@ -89,7 +89,7 @@ func newManifest(job string, root int, obj string, b *Batch, covers []int, parti
 		Root:      root,
 		Iteration: b.Iteration,
 		Object:    obj,
-		Covers:    append([]int(nil), covers...),
+		Covers:    covers,
 		Partial:   partial,
 		Blocks:    make([]ManifestBlock, 0, len(b.Blocks)),
 	}

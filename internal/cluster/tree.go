@@ -39,6 +39,8 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -74,24 +76,11 @@ func NewTree(n, fanout, roots int) Tree {
 	if n <= 0 {
 		panic(fmt.Sprintf("cluster: tree over %d nodes", n))
 	}
-	if fanout < 1 {
-		fanout = 1
-	}
-	if roots < 1 {
-		roots = 1
-	}
-	if roots > n {
-		roots = n
-	}
+	fanout, roots = max(fanout, 1), min(max(roots, 1), n)
+	// The first n%roots subtrees take one node more than the rest.
 	starts := make([]int, roots)
-	base, extra := n/roots, n%roots
-	off := 0
 	for s := range starts {
-		starts[s] = off
-		off += base
-		if s < extra {
-			off++
-		}
+		starts[s] = s*(n/roots) + min(s, n%roots)
 	}
 	return Tree{n: n, fanout: fanout, starts: starts}
 }
@@ -135,9 +124,7 @@ func (t Tree) SubtreeIndex(i int) int {
 // subtree returns the start and size of the base subtree containing
 // node i.
 func (t Tree) subtree(i int) (start, size int) {
-	t.check(i)
-	// Last start <= i.
-	s := sort.SearchInts(t.starts, i+1) - 1
+	s := t.SubtreeIndex(i)
 	start = t.starts[s]
 	if s+1 < len(t.starts) {
 		size = t.starts[s+1] - start
@@ -266,50 +253,30 @@ func (t Tree) DrainTarget(i int) (target int, ok bool) {
 // Clone returns an independent copy of the tree, overlay included.
 func (t Tree) Clone() Tree {
 	c := t
-	c.starts = append([]int(nil), t.starts...)
-	if t.dead != nil {
-		c.dead = make(map[int]bool, len(t.dead))
-		for k, v := range t.dead {
-			c.dead[k] = v
-		}
-		c.reroute = make(map[int]int, len(t.reroute))
-		for k, v := range t.reroute {
-			c.reroute[k] = v
-		}
-		c.drain = make(map[int]int, len(t.drain))
-		for k, v := range t.drain {
-			c.drain[k] = v
-		}
+	c.starts = slices.Clone(t.starts)
+	c.dead, c.reroute, c.drain = maps.Clone(t.dead), maps.Clone(t.reroute), maps.Clone(t.drain)
+	return c
+}
+
+// LiveSubtree returns the live nodes of the subtree rooted at i (empty
+// when i is dead: its children were re-routed away).
+func (t Tree) LiveSubtree(i int) Cover {
+	if t.dead[i] {
+		return nil
+	}
+	c := make(Cover, (t.n+63)/64)
+	for stack := []int{i}; len(stack) > 0; {
+		j := stack[len(stack)-1]
+		stack = append(stack[:len(stack)-1], t.Children(j)...)
+		c.Add(j)
 	}
 	return c
 }
 
-// LiveSubtree returns the live nodes of the subtree rooted at i,
-// ascending (nil when i is dead: its children were re-routed away).
-func (t Tree) LiveSubtree(i int) []int {
-	if t.dead[i] {
-		return nil
-	}
-	var nodes []int
-	var walk func(j int)
-	walk = func(j int) {
-		nodes = append(nodes, j)
-		for _, k := range t.Children(j) {
-			walk(k)
-		}
-	}
-	walk(i)
-	sort.Ints(nodes)
-	return nodes
-}
-
 // IsRoot reports whether node i is a live subtree root.
 func (t Tree) IsRoot(i int) bool {
-	if t.dead[i] {
-		return false
-	}
-	_, ok := t.Parent(i)
-	return !ok
+	_, hasParent := t.Parent(i)
+	return !t.dead[i] && !hasParent
 }
 
 // IsLeaf reports whether node i has no live children.
@@ -317,35 +284,25 @@ func (t Tree) IsLeaf(i int) bool { return len(t.Children(i)) == 0 }
 
 // RootOf returns the root of the subtree containing live node i.
 func (t Tree) RootOf(i int) int {
-	for {
-		p, ok := t.Parent(i)
-		if !ok {
-			return i
-		}
+	for p, ok := t.Parent(i); ok; p, ok = t.Parent(i) {
 		i = p
 	}
+	return i
 }
 
 // Depth returns the number of levels of the deepest live subtree (1
 // when every live node is a root).
 func (t Tree) Depth() int {
-	max := 0
+	deepest := 0
 	for i := 0; i < t.n; i++ {
 		if t.dead[i] {
 			continue
 		}
 		d := 1
-		for j := i; ; {
-			p, ok := t.Parent(j)
-			if !ok {
-				break
-			}
-			j = p
+		for p, ok := t.Parent(i); ok; p, ok = t.Parent(p) {
 			d++
 		}
-		if d > max {
-			max = d
-		}
+		deepest = max(deepest, d)
 	}
-	return max
+	return deepest
 }

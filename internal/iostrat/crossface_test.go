@@ -2,6 +2,7 @@ package iostrat
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/cluster"
@@ -57,9 +58,10 @@ func runtimeFace(t *testing.T, nodes, clients, fanout, roots int, failures *clus
 // cluster.Forest — the runtime cluster with real clients, goroutines
 // and bytes, and the DES model in virtual time — and requires the same
 // protocol-level outcome: per-iteration completeness, nodes failed and
-// edges re-routed. The runtime side must also conserve blocks:
-// everything produced is either restored from the store or counted in
-// BlocksLost.
+// edges re-routed. Both sides must also conserve what they produce: at
+// runtime every block is either restored from the store or counted in
+// BlocksLost; in the DES every byte is written, counted in LostBytes or
+// skipped with its whole iteration.
 func TestFacesAgreeUnderFailures(t *testing.T) {
 	const clients, iters = 2, 4
 	for _, tc := range []struct {
@@ -80,6 +82,7 @@ func TestFacesAgreeUnderFailures(t *testing.T) {
 		{"node-churn seed 7", 16, 2, 1, nil, churn(t, 7, 16, iters)},
 		{"node-churn seed 2013", 24, 4, 2, nil, churn(t, 2013, 24, iters)},
 		{"node-churn seed 11 over a schedule", 16, 2, 2, cluster.NewFailureSchedule().Add(5, 3), churn(t, 11, 16, iters)},
+		{"no failures", 16, 4, 1, nil, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plat := topology.Kraken(tc.nodes)
@@ -91,6 +94,7 @@ func TestFacesAgreeUnderFailures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			desConserves(t, des)
 
 			c, store := runtimeFace(t, tc.nodes, clients, tc.fanout, tc.roots, tc.failures.WithTrace(tc.trace))
 			// Iterations run in lockstep, as the DES face's step barrier
@@ -134,6 +138,46 @@ func TestFacesAgreeUnderFailures(t *testing.T) {
 			}
 		})
 	}
+}
+
+// desConserves checks the DES half of conservation: every byte the
+// nodes produced was written, counted in LostBytes, or skipped with its
+// whole iteration.
+func desConserves(t *testing.T, r Result) {
+	t.Helper()
+	nodeBytes := r.Workload.NodeBytes(r.Platform.CoresPerNode)
+	produced := float64(r.Platform.Nodes*r.Workload.Iterations) * nodeBytes
+	accounted := r.BytesWritten + r.LostBytes + float64(r.SkippedIters)*nodeBytes
+	if math.Abs(accounted-produced) > 1e-12*produced {
+		t.Errorf("DES produced %v bytes, wrote %v + lost %v + skipped %d iterations of %v",
+			produced, r.BytesWritten, r.LostBytes, r.SkippedIters, nodeBytes)
+	}
+}
+
+// TestDESConservesOrphans: a root that dies after its last child, with
+// that child's drained iterations still held, has nowhere to drain them.
+// They stay in its gather and the end-of-run sweep counts them lost —
+// once. The faces part ways on this schedule, so it is not one of
+// TestFacesAgreeUnderFailures' cases: the runtime's promoted root stores
+// the batch drained back to it (completeness 0.5 at iteration 1), while
+// the DES core has moved past that iteration and never asks for it.
+func TestDESConservesOrphans(t *testing.T) {
+	plat := topology.Kraken(2)
+	plat.PFS.OSTs = 32
+	w := CM1Workload(4)
+	w.ComputeTime = 50
+	r, err := Run(Damaris, Config{Platform: plat, Workload: w, Seed: 7, Fanout: 2, AggRoots: 1,
+		Failures: cluster.NewFailureSchedule().Add(0, 1).Add(1, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Node 0 loses iterations 1-3 and node 1 iteration 3 at their deaths;
+	// node 1's iteration 1, forwarded to the dying root and drained back
+	// to it after its own core had moved on, is the orphan.
+	if nodeBytes := w.NodeBytes(plat.CoresPerNode); r.LostBytes != 5*nodeBytes {
+		t.Errorf("LostBytes = %v node iterations, want 5", r.LostBytes/nodeBytes)
+	}
+	desConserves(t, r)
 }
 
 // TestFacesAgreeOnAdaptation feeds one observation sequence — a NIC

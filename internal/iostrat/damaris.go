@@ -2,7 +2,6 @@ package iostrat
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/des"
@@ -115,60 +114,6 @@ func (s *nodeShm) free(bytes float64) { s.occupied -= bytes }
 func (s *nodeShm) close() {
 	s.closed = true
 	s.waiting.wake()
-}
-
-// desAgg collects child-subtree contributions at one node of the
-// aggregation tree (the DES counterpart of cluster's aggregator). Like
-// the runtime aggregator it tracks coverage sets — which origin nodes
-// an iteration's delivered data spans — instead of counting against a
-// fixed child count, so failures that re-route children or shrink the
-// required coverage mid-run cannot wedge a parked dedicated core.
-type desAgg struct {
-	covered map[int]map[int]bool // iteration → origin nodes delivered
-	bytes   map[int]float64
-	waiting parked // the node's dedicated core, on missing coverage
-}
-
-// deliver records a contribution covering the given origin nodes for an
-// iteration and wakes the parked dedicated core to re-check.
-func (a *desAgg) deliver(it int, b float64, covers []int) {
-	for _, n := range covers {
-		a.cover(it, n)
-	}
-	a.bytes[it] += b
-	a.waiting.wake()
-}
-
-// cover marks origin node n as delivered for iteration it without adding
-// bytes: a node's own output arrives through its shm loop, not a child.
-func (a *desAgg) cover(it, n int) {
-	m := a.covered[it]
-	if m == nil {
-		m = map[int]bool{}
-		a.covered[it] = m
-	}
-	m[n] = true
-}
-
-// take consumes iteration it: the merged child volume and the coverage
-// set delivered so far.
-func (a *desAgg) take(it int) (float64, []int) {
-	b := a.bytes[it]
-	covers := sortedIntKeys(a.covered[it])
-	delete(a.covered, it)
-	delete(a.bytes, it)
-	return b, covers
-}
-
-// sortedIntKeys returns m's keys ascending: map iteration order must
-// never leak into the deterministic event schedule.
-func sortedIntKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }
 
 // bandwidthShifter is the model-level knob scenario PFS shifts reach
@@ -361,7 +306,8 @@ func runDamaris(cfg Config) (Result, error) {
 			be:         be,
 			schedule:   schedule,
 			res:        &res,
-			aggs:       make([]*desAgg, plat.Nodes),
+			gathers:    make([]*cluster.Gather[float64], plat.Nodes),
+			waiting:    make([]parked, plat.Nodes),
 			failures:   failures,
 			forest:     cluster.NewForest(plat.Nodes, cfg.Fanout, cfg.AggRoots),
 			writeEnd:   make([]float64, w.Iterations),
@@ -371,8 +317,10 @@ func runDamaris(cfg Config) (Result, error) {
 			adapter:    adapter,
 			liveNodes:  plat.Nodes,
 		}
-		for n := range tr.aggs {
-			tr.aggs[n] = &desAgg{covered: map[int]map[int]bool{}, bytes: map[int]float64{}}
+		for n := range tr.gathers {
+			// A subtree's volume is the sum of its contributions, in
+			// arrival order.
+			tr.gathers[n] = cluster.NewGather(tr.forest, n, func(held, in float64) float64 { return held + in })
 		}
 		// One bounded frame queue and one analysis consumer per root
 		// window — a promoted root inherits its predecessor's queue
@@ -456,10 +404,8 @@ func runDamaris(cfg Config) (Result, error) {
 		// Aggregations nobody consumed (their consumer died or moved on
 		// when the coverage requirement shrank) are lost payload, as is
 		// everything a dead node's shm dropped.
-		for _, a := range tr.aggs {
-			for _, it := range sortedIntKeys(a.bytes) {
-				res.LostBytes += a.bytes[it]
-			}
+		for _, g := range tr.gathers {
+			g.Held(func(_ int, b float64, _ cluster.Cover) { res.LostBytes += b })
 		}
 		for _, s := range shms {
 			res.LostBytes += s.lost
@@ -472,17 +418,21 @@ func runDamaris(cfg Config) (Result, error) {
 }
 
 // treeRun bundles the state shared by every dedicated core of a
-// tree-mode run: the routing forest, the per-node aggregators, the
-// shared write scheduler, the adaptation controller and the
-// per-iteration measurements.
+// tree-mode run: the routing forest, the per-node gathers, the shared
+// write scheduler, the adaptation controller and the per-iteration
+// measurements.
 type treeRun struct {
 	cfg      Config
 	eng      *des.Engine
 	be       storage.CostModel
 	schedule writeScheduler
 	res      *Result
-	aggs     []*desAgg
 	failures *cluster.FailureSchedule
+
+	// Per node: the children's subtree volumes gathered so far, and the
+	// dedicated core parked on missing coverage.
+	gathers []*cluster.Gather[float64]
+	waiting []parked
 
 	// forest is the routing protocol shared with the runtime cluster,
 	// driven here from the single simulation thread.
@@ -569,6 +519,9 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 	plat := cfg.Platform
 	fileSeq := 0
 	failAt, willFail := tr.failures.At(node)
+	// The node's own cover, and that of the batch it has on the wire: the
+	// gather reuses the covers it hands out.
+	self, transit := cluster.CoverOf(node), cluster.Cover(nil)
 
 	for it := 0; it < cfg.Workload.Iterations; it++ {
 		item, ok := shm.take(p)
@@ -579,24 +532,25 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 			tr.failNode(shm, node, item)
 			return
 		}
-		// Routing decision point: the first Route call fences iteration
+		// Routing decision point: the first ask fences iteration
 		// item.iter — from here on it flows through this epoch's tree on
 		// every node. The node then idles (awaiting stragglers is not
 		// work) until the forest says its coverage is met; every wake
 		// re-asks, because a failure elsewhere can shrink the requirement
-		// or re-route this node meanwhile.
-		agg := tr.aggs[node]
-		agg.cover(item.iter, node)
-		d := tr.forest.Route(node, item.iter, agg.covered[item.iter])
+		// or re-route this node meanwhile. The node's own bytes join the
+		// children's after the gather, so a subtree is own + Σchildren.
+		g := tr.gathers[node]
+		g.Deliver(item.iter, 0, self)
+		d, childBytes, covers := g.Ask(item.iter)
 		for d.Kind == cluster.NotReady {
-			agg.waiting.wait(p, tr.eng)
-			d = tr.forest.Route(node, item.iter, agg.covered[item.iter])
+			tr.waiting[node].wait(p, tr.eng)
+			d, childBytes, covers = g.Ask(item.iter)
 		}
-		childBytes, covers := agg.take(item.iter)
 		subtree := item.bytes + childBytes
 
 		t1 := p.Now()
 		if d.Kind == cluster.Forward {
+			transit = append(transit[:0], covers...)
 			if subtree > 0 {
 				// Store-and-forward: the sender serializes the batch onto
 				// its NIC (at the trace's current effective bandwidth);
@@ -611,15 +565,15 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 			// relays along its drain chain, as the runtime's dead
 			// aggregators do, or has nowhere left to send it.
 			if !tr.forest.Alive(d.To) {
-				d = tr.forest.Route(d.To, item.iter, nil)
+				d = tr.forest.Flush(d.To, item.iter)
 			}
 			if d.Kind == cluster.Lose {
 				res.LostBytes += subtree
 			} else {
-				tr.aggs[d.To].deliver(item.iter, subtree, covers)
+				tr.deliver(d.To, item.iter, subtree, transit)
 			}
 		} else {
-			tr.forest.RootDone(item.iter, len(covers))
+			tr.forest.RootDone(item.iter, covers.Len())
 			ord, stripes, numRoots := d.Window, tr.stripes(item.iter), tr.forest.Windows(item.iter)
 			if cfg.InSitu.Mode == InSituStream {
 				// Streaming coupling: the consumer sees the merged frame
@@ -653,9 +607,7 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 					release()
 					res.FilesCreated++
 				}
-				if p.Now() > tr.writeEnd[item.iter] {
-					tr.writeEnd[item.iter] = p.Now()
-				}
+				tr.writeEnd[item.iter] = max(tr.writeEnd[item.iter], p.Now())
 				tr.adapt(item.iter)
 			}
 			if cfg.InSitu.Mode == InSituFile {
@@ -668,6 +620,13 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 		shm.free(item.bytes)
 		res.DedicatedBusy += p.Now() - t1
 	}
+}
+
+// deliver merges a contribution to iteration it into node to's gather
+// and wakes that node's dedicated core to ask again.
+func (tr *treeRun) deliver(to, it int, bytes float64, c cluster.Cover) {
+	tr.gathers[to].Deliver(it, bytes, c)
+	tr.waiting[to].wake()
 }
 
 // stripeAcross runs one big sequential transfer (be.WriteAsync or
@@ -705,18 +664,17 @@ func (tr *treeRun) failNode(shm *nodeShm, node int, item shmIter) {
 	res.LostBytes += item.bytes
 	shm.kill()
 
-	a := tr.aggs[node]
-	for _, it := range sortedIntKeys(a.covered) {
-		if d := tr.forest.Route(node, it, nil); d.Kind == cluster.Drain {
-			tr.aggs[d.To].deliver(it, a.bytes[it], sortedIntKeys(a.covered[it]))
-			delete(a.covered, it)
-			delete(a.bytes, it)
+	tr.gathers[node].Step(true, func(it int, d cluster.Decision, b float64, c cluster.Cover) bool {
+		if d.Kind != cluster.Drain {
+			// An orphan with no drain target stays held; the end-of-run
+			// sweep counts it into LostBytes.
+			return true
 		}
-	}
-	// Orphans with no drain target stay in a.bytes and are swept into
-	// LostBytes after the run.
-	for _, other := range tr.aggs {
-		other.waiting.wake()
+		tr.deliver(d.To, it, b, c)
+		return false
+	})
+	for n := range tr.waiting {
+		tr.waiting[n].wake()
 	}
 	// The machine shrank: an adaptive run may want a different forest.
 	tr.adapter.Disturb()

@@ -82,7 +82,7 @@ func RestartRead(cfg Config) (RestartResult, error) {
 	res.Stripes = stripes
 
 	subtreeBytes := func(n int) float64 {
-		return nodeBytes * float64(len(forest.Required(n, 0)))
+		return nodeBytes * float64(forest.Required(n, 0).Len())
 	}
 	// scatter pushes a node's children their subtree state: the sender
 	// serializes the transfers onto its NIC, each child then forwards
@@ -102,9 +102,7 @@ func RestartRead(cfg Config) (RestartResult, error) {
 			stripeAcross(p, be.ReadAsync, (ordinal*stripes)%be.Targets(), stripes, be.Targets(),
 				subtreeBytes(rootID))
 			be.Close(p)
-			if p.Now() > res.ReadTime {
-				res.ReadTime = p.Now()
-			}
+			res.ReadTime = max(res.ReadTime, p.Now())
 			scatter(p, rootID)
 		})
 	}

@@ -60,10 +60,7 @@ const (
 
 func (c ServiceConfig) withDefaults() ServiceConfig {
 	if c.NodesPerJob <= 0 {
-		c.NodesPerJob = c.Platform.Nodes / 4
-		if c.NodesPerJob < 1 {
-			c.NodesPerJob = 1
-		}
+		c.NodesPerJob = max(c.Platform.Nodes/4, 1)
 	}
 	if c.Admission == "" {
 		c.Admission = cluster.AdmitFIFO
@@ -213,9 +210,7 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 			iters *= bigJobFactor
 			need *= bigJobFactor
 		}
-		if need > cfg.Platform.Nodes {
-			need = cfg.Platform.Nodes
-		}
+		need = min(need, cfg.Platform.Nodes)
 		// Ideal (unqueued, full-grant) runtime prices the deadline.
 		idealWrite := nodeBytes * float64(need) / perWriterBW
 		ideal := float64(iters) * (cfg.Workload.ComputeTime + idealWrite)
@@ -290,9 +285,7 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 				out.Degraded++
 			}
 			out.AdmissionWaitTime += j.res.AdmitTime - j.res.Arrival
-			if j.res.Finish > out.TotalTime {
-				out.TotalTime = j.res.Finish
-			}
+			out.TotalTime = max(out.TotalTime, j.res.Finish)
 			if j.res.MissedDeadline() {
 				out.DeadlinesMissed++
 			}
