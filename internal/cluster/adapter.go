@@ -86,7 +86,9 @@ func RecommendTopology(nodes int, nodeBytes, nicBW, streamBW float64, targets in
 	if streamBW <= 0 {
 		streamBW = 1
 	}
-	targets = max(targets, 1)
+	if targets < 1 {
+		targets = 1
+	}
 	best := -1.0
 	fanout, roots = 2, 1
 	for r := 1; r <= nodes; r *= 2 {

@@ -302,6 +302,9 @@ func (c *Cluster) Stats() Stats {
 	return s
 }
 
+// Tenant returns the tenant id this cluster runs as (0 standalone).
+func (c *Cluster) Tenant() int { return c.tenant }
+
 // objectName is the deterministic name root node stores iteration it
 // under — shared by the write path and the retention release so the two
 // can never drift.
@@ -608,7 +611,7 @@ func (a *aggregator) routePending(flush bool) {
 	a.gather.Step(flush, func(_ int, d Decision, b *Batch, covers Cover) bool {
 		a.blocks = len(b.Blocks)
 		if d.Kind == Store {
-			writes = append(writes, rootWrite{b, slices.Clone(covers), d.Window})
+			writes = append(writes, rootWrite{b, covers, d.Window})
 		} else {
 			c.carryOut(d, b, covers)
 		}
@@ -621,7 +624,7 @@ func (a *aggregator) routePending(flush bool) {
 }
 
 // carryOut executes a Forward, Drain or Lose of a batch covering
-// covers, which the caller may reuse once it returns. Callers hold c.mu.
+// covers. Callers hold c.mu.
 func (c *Cluster) carryOut(d Decision, b *Batch, covers Cover) {
 	if d.Kind == Lose {
 		c.stats.BlocksLost += len(b.Blocks)
@@ -630,7 +633,7 @@ func (c *Cluster) carryOut(d Decision, b *Batch, covers Cover) {
 	}
 	c.stats.BatchesForwarded++
 	c.stats.BytesForwarded += int64(b.Bytes())
-	c.postTo(d.To, aggMsg{batch: b, covers: slices.Clone(covers)})
+	c.postTo(d.To, aggMsg{batch: b, covers: covers})
 }
 
 // store writes a merged batch as this root's object for the iteration,

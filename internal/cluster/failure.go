@@ -2,8 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"maps"
-	"slices"
+	"sort"
 	"strings"
 
 	"repro/internal/rng"
@@ -27,7 +26,9 @@ func NewFailureSchedule() *FailureSchedule {
 // Add schedules node to die at iteration (clamped to 0) and returns the
 // schedule for chaining. Adding a node twice keeps the earlier death.
 func (s *FailureSchedule) Add(node, iteration int) *FailureSchedule {
-	iteration = max(iteration, 0)
+	if iteration < 0 {
+		iteration = 0
+	}
 	if s.at == nil {
 		s.at = map[int]int{}
 	}
@@ -82,7 +83,12 @@ func (s *FailureSchedule) Nodes() []int {
 	if s == nil {
 		return nil
 	}
-	return slices.Sorted(maps.Keys(s.at))
+	nodes := make([]int, 0, len(s.at))
+	for n := range s.at {
+		nodes = append(nodes, n)
+	}
+	sort.Ints(nodes)
+	return nodes
 }
 
 // String renders the schedule as "node@iter" pairs, ascending by node.

@@ -126,7 +126,6 @@ func (s *xState) clone() *xState {
 		for i := range g.held {
 			g.held[i].cover = slices.Clone(g.held[i].cover)
 		}
-		g.spare = nil
 		c.g[node] = &g
 	}
 	return &c

@@ -73,14 +73,13 @@ func (c Cover) Nodes(dst []int) []int {
 // the Cover of its origin nodes. Like Forest it has no goroutine, lock
 // or clock. P is *Batch at runtime, a byte count in the DES and nothing
 // in the exhaustive checker; merge combines a held payload with a
-// delivered one. A Cover that Ask or Step hands out is g's, valid until
-// the next call on g.
+// delivered one. Deliver copies the Cover it is given, so the one Ask or
+// Step hands out with a payload is the caller's to keep or pass on.
 type Gather[P any] struct {
 	forest *Forest
 	node   int
 	merge  func(held, in P) P
 	held   []gatherSlot[P] // ascending by iteration
-	spare  []Cover         // covers of routed iterations, for the next ones
 }
 
 type gatherSlot[P any] struct {
@@ -100,7 +99,9 @@ func (g *Gather[P]) find(it int) (int, bool) {
 }
 
 // Deliver merges a contribution to iteration it carrying the origin
-// nodes in c; the first one for an iteration is held as it is.
+// nodes in c; the first one for an iteration is held as it is, with a
+// copy of c wide enough for every node — the one allocation a held
+// iteration makes.
 func (g *Gather[P]) Deliver(it int, p P, c Cover) {
 	i, ok := g.find(it)
 	if ok {
@@ -108,10 +109,7 @@ func (g *Gather[P]) Deliver(it int, p P, c Cover) {
 		g.held[i].cover.Union(c)
 		return
 	}
-	var cover Cover
-	if n := len(g.spare); n > 0 {
-		cover, g.spare = g.spare[n-1][:0], g.spare[:n-1]
-	}
+	cover := make(Cover, (g.forest.n+63)/64)
 	cover.Union(c)
 	g.held = slices.Insert(g.held, i, gatherSlot[P]{it, p, cover})
 }
@@ -128,7 +126,6 @@ func (g *Gather[P]) Ask(it int) (d Decision, p P, c Cover) {
 	if d = g.forest.Route(g.node, it, s.cover); d.Kind == NotReady {
 		return d, p, nil
 	}
-	g.spare = append(g.spare, s.cover)
 	g.held = slices.Delete(g.held, i, i+1)
 	return d, s.p, s.cover
 }
@@ -148,8 +145,6 @@ func (g *Gather[P]) Step(flush bool, carry func(it int, d Decision, p P, c Cover
 		}
 		if d.Kind == NotReady || carry(s.it, d, s.p, s.cover) {
 			kept = append(kept, s)
-		} else {
-			g.spare = append(g.spare, s.cover)
 		}
 	}
 	clear(g.held[len(kept):])

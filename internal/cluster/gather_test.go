@@ -60,12 +60,13 @@ func TestGatherHoldsAscending(t *testing.T) {
 	}
 }
 
-// TestGatherSteadyStateAllocs: once a node's gather has routed an
-// iteration, every later one — the node's own contribution and its
-// children's delivered, the gather stepped, the merged payload handed
-// off to the parent — allocates nothing. The trees are the benchmark's:
-// tenants-small's 16 nodes at fanout 2 with 2 roots, and des-kraken's
-// 768 at fanout 4.
+// TestGatherSteadyStateAllocs: once every node's gather has routed an
+// iteration, a later one through the whole tree — each node delivers its
+// own contribution, steps, and hands payload and cover to its parent's
+// gather, as both faces do — allocates one thing per node: the Cover
+// that travels up with the payload and is the receiver's to keep. The
+// trees are the benchmark's: tenants-small's 16 nodes at fanout 2 with
+// 2 roots, and des-kraken's 768 at fanout 4.
 func TestGatherSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name                 string
@@ -76,34 +77,40 @@ func TestGatherSteadyStateAllocs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := NewForest(tc.nodes, tc.fanout, tc.roots)
-			tree := f.Tree()
-			const node = 1 // interior: children below, a parent above
-			var subtrees []Cover
-			for _, k := range tree.Children(node) {
-				subtrees = append(subtrees, tree.LiveSubtree(k))
+			gathers := make([]*Gather[float64], tc.nodes)
+			selves := make([]Cover, tc.nodes)
+			for n := range gathers {
+				gathers[n] = NewGather(f, n, func(held, in float64) float64 { return held + in })
+				selves[n] = CoverOf(n)
 			}
-			own := CoverOf(node)
-			g := NewGather(f, node, func(held, in float64) float64 { return held + in })
-			it, handed := 0, 0
+			it, stored := 0, 0.0
 			iteration := func() {
-				g.Deliver(it, 1, own)
-				for _, c := range subtrees {
-					g.Deliver(it, 1, c)
+				// Every parent id is below its children's, so walking the
+				// nodes downward has each subtree ready before its root.
+				for n := tc.nodes - 1; n >= 0; n-- {
+					gathers[n].Deliver(it, 1, selves[n])
+					gathers[n].Step(false, func(it int, d Decision, p float64, c Cover) bool {
+						if d.Kind == Store {
+							stored += p
+						} else {
+							gathers[d.To].Deliver(it, p, c)
+						}
+						return false
+					})
 				}
-				g.Step(false, func(_ int, d Decision, p float64, _ Cover) bool {
-					if d.Kind == Forward && p == float64(1+len(subtrees)) {
-						handed++
-					}
-					return false
-				})
 				it++
 			}
 			iteration()
-			if allocs := testing.AllocsPerRun(100, iteration); allocs != 0 {
-				t.Errorf("%v allocations per steady-state iteration, want 0", allocs)
+			if allocs := testing.AllocsPerRun(20, iteration); allocs != float64(tc.nodes) {
+				t.Errorf("%v allocations per steady-state iteration, want %d: one Cover per node", allocs, tc.nodes)
 			}
-			if handed != it || g.Len() != 0 {
-				t.Fatalf("handed off %d of %d iterations, %d still held", handed, it, g.Len())
+			if want := float64(it * tc.nodes); stored != want {
+				t.Fatalf("roots stored %v node-iterations of %v", stored, want)
+			}
+			for n, g := range gathers {
+				if g.Len() != 0 {
+					t.Fatalf("node %d still holds %d iterations", n, g.Len())
+				}
 			}
 		})
 	}

@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"fmt"
-	"maps"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -163,7 +163,12 @@ func fetch(store storage.ObjectReader, job, name string) fetched {
 
 // IterationNumbers returns the restored iteration numbers ascending.
 func (r *Restored) IterationNumbers() []int {
-	return slices.Sorted(maps.Keys(r.Iterations))
+	its := make([]int, 0, len(r.Iterations))
+	for it := range r.Iterations {
+		its = append(its, it)
+	}
+	sort.Ints(its)
+	return its
 }
 
 // TotalBlocks returns the number of payload blocks recovered across

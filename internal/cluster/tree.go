@@ -39,8 +39,6 @@ package cluster
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 	"sort"
 )
 
@@ -76,11 +74,24 @@ func NewTree(n, fanout, roots int) Tree {
 	if n <= 0 {
 		panic(fmt.Sprintf("cluster: tree over %d nodes", n))
 	}
-	fanout, roots = max(fanout, 1), min(max(roots, 1), n)
-	// The first n%roots subtrees take one node more than the rest.
+	if fanout < 1 {
+		fanout = 1
+	}
+	if roots < 1 {
+		roots = 1
+	}
+	if roots > n {
+		roots = n
+	}
 	starts := make([]int, roots)
+	base, extra := n/roots, n%roots
+	off := 0
 	for s := range starts {
-		starts[s] = s*(n/roots) + min(s, n%roots)
+		starts[s] = off
+		off += base
+		if s < extra {
+			off++
+		}
 	}
 	return Tree{n: n, fanout: fanout, starts: starts}
 }
@@ -124,7 +135,9 @@ func (t Tree) SubtreeIndex(i int) int {
 // subtree returns the start and size of the base subtree containing
 // node i.
 func (t Tree) subtree(i int) (start, size int) {
-	s := t.SubtreeIndex(i)
+	t.check(i)
+	// Last start <= i.
+	s := sort.SearchInts(t.starts, i+1) - 1
 	start = t.starts[s]
 	if s+1 < len(t.starts) {
 		size = t.starts[s+1] - start
@@ -253,8 +266,21 @@ func (t Tree) DrainTarget(i int) (target int, ok bool) {
 // Clone returns an independent copy of the tree, overlay included.
 func (t Tree) Clone() Tree {
 	c := t
-	c.starts = slices.Clone(t.starts)
-	c.dead, c.reroute, c.drain = maps.Clone(t.dead), maps.Clone(t.reroute), maps.Clone(t.drain)
+	c.starts = append([]int(nil), t.starts...)
+	if t.dead != nil {
+		c.dead = make(map[int]bool, len(t.dead))
+		for k, v := range t.dead {
+			c.dead[k] = v
+		}
+		c.reroute = make(map[int]int, len(t.reroute))
+		for k, v := range t.reroute {
+			c.reroute[k] = v
+		}
+		c.drain = make(map[int]int, len(t.drain))
+		for k, v := range t.drain {
+			c.drain[k] = v
+		}
+	}
 	return c
 }
 
@@ -275,8 +301,11 @@ func (t Tree) LiveSubtree(i int) Cover {
 
 // IsRoot reports whether node i is a live subtree root.
 func (t Tree) IsRoot(i int) bool {
-	_, hasParent := t.Parent(i)
-	return !t.dead[i] && !hasParent
+	if t.dead[i] {
+		return false
+	}
+	_, ok := t.Parent(i)
+	return !ok
 }
 
 // IsLeaf reports whether node i has no live children.
@@ -284,25 +313,35 @@ func (t Tree) IsLeaf(i int) bool { return len(t.Children(i)) == 0 }
 
 // RootOf returns the root of the subtree containing live node i.
 func (t Tree) RootOf(i int) int {
-	for p, ok := t.Parent(i); ok; p, ok = t.Parent(i) {
+	for {
+		p, ok := t.Parent(i)
+		if !ok {
+			return i
+		}
 		i = p
 	}
-	return i
 }
 
 // Depth returns the number of levels of the deepest live subtree (1
 // when every live node is a root).
 func (t Tree) Depth() int {
-	deepest := 0
+	max := 0
 	for i := 0; i < t.n; i++ {
 		if t.dead[i] {
 			continue
 		}
 		d := 1
-		for p, ok := t.Parent(i); ok; p, ok = t.Parent(p) {
+		for j := i; ; {
+			p, ok := t.Parent(j)
+			if !ok {
+				break
+			}
+			j = p
 			d++
 		}
-		deepest = max(deepest, d)
+		if d > max {
+			max = d
+		}
 	}
-	return deepest
+	return max
 }

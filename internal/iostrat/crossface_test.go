@@ -171,11 +171,14 @@ func TestDESConservesOrphans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Node 0 loses iterations 1-3 and node 1 iteration 3 at their deaths;
-	// node 1's iteration 1, forwarded to the dying root and drained back
-	// to it after its own core had moved on, is the orphan.
-	if nodeBytes := w.NodeBytes(plat.CoresPerNode); r.LostBytes != 5*nodeBytes {
-		t.Errorf("LostBytes = %v node iterations, want 5", r.LostBytes/nodeBytes)
+	// Node 0 loses iterations 1-3 and node 1 iteration 3 at their deaths.
+	// Node 1's iteration 1, forwarded to the dying root and drained back
+	// to it after its own core had moved on, is the orphan: today the
+	// end-of-run sweep counts it (5 node iterations lost); once the DES
+	// stores it as the runtime does (ROADMAP item 3), 4 are. Conservation
+	// holds either way, so it is counted once.
+	if lost := r.LostBytes / w.NodeBytes(plat.CoresPerNode); lost != 4 && lost != 5 {
+		t.Errorf("LostBytes = %v node iterations, want 4 + the orphan if still swept", lost)
 	}
 	desConserves(t, r)
 }

@@ -519,9 +519,7 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 	plat := cfg.Platform
 	fileSeq := 0
 	failAt, willFail := tr.failures.At(node)
-	// The node's own cover, and that of the batch it has on the wire: the
-	// gather reuses the covers it hands out.
-	self, transit := cluster.CoverOf(node), cluster.Cover(nil)
+	self := cluster.CoverOf(node) // what the node's own output covers
 
 	for it := 0; it < cfg.Workload.Iterations; it++ {
 		item, ok := shm.take(p)
@@ -550,7 +548,6 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 
 		t1 := p.Now()
 		if d.Kind == cluster.Forward {
-			transit = append(transit[:0], covers...)
 			if subtree > 0 {
 				// Store-and-forward: the sender serializes the batch onto
 				// its NIC (at the trace's current effective bandwidth);
@@ -570,7 +567,7 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 			if d.Kind == cluster.Lose {
 				res.LostBytes += subtree
 			} else {
-				tr.deliver(d.To, item.iter, subtree, transit)
+				tr.deliver(d.To, item.iter, subtree, covers)
 			}
 		} else {
 			tr.forest.RootDone(item.iter, covers.Len())
@@ -607,7 +604,9 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 					release()
 					res.FilesCreated++
 				}
-				tr.writeEnd[item.iter] = max(tr.writeEnd[item.iter], p.Now())
+				if p.Now() > tr.writeEnd[item.iter] {
+					tr.writeEnd[item.iter] = p.Now()
+				}
 				tr.adapt(item.iter)
 			}
 			if cfg.InSitu.Mode == InSituFile {

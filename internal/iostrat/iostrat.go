@@ -244,7 +244,9 @@ func (c Config) withDefaults() Config {
 			// Size the segment for the trace's peak iteration (AMR
 			// growth), so scenario volume swings do not turn into §V.C
 			// skips that break the no-loss acceptance checks.
-			peak = max(peak, c.Scenario.MaxBytesPerCore())
+			if m := c.Scenario.MaxBytesPerCore(); m > peak {
+				peak = m
+			}
 		}
 		c.ShmCapacity = 4 * peak * float64(c.Platform.CoresPerNode)
 	}
@@ -262,7 +264,10 @@ func (c Config) withDefaults() Config {
 	}
 	c.InSitu = c.InSitu.withDefaults()
 	if c.Fanout >= 2 && c.AggRoots == 0 {
-		c.AggRoots = max(c.Platform.Nodes/(c.Fanout*c.Fanout), 1)
+		c.AggRoots = c.Platform.Nodes / (c.Fanout * c.Fanout)
+		if c.AggRoots < 1 {
+			c.AggRoots = 1
+		}
 	}
 	return c
 }

@@ -102,7 +102,9 @@ func RestartRead(cfg Config) (RestartResult, error) {
 			stripeAcross(p, be.ReadAsync, (ordinal*stripes)%be.Targets(), stripes, be.Targets(),
 				subtreeBytes(rootID))
 			be.Close(p)
-			res.ReadTime = max(res.ReadTime, p.Now())
+			if p.Now() > res.ReadTime {
+				res.ReadTime = p.Now()
+			}
 			scatter(p, rootID)
 		})
 	}

@@ -60,7 +60,10 @@ const (
 
 func (c ServiceConfig) withDefaults() ServiceConfig {
 	if c.NodesPerJob <= 0 {
-		c.NodesPerJob = max(c.Platform.Nodes/4, 1)
+		c.NodesPerJob = c.Platform.Nodes / 4
+		if c.NodesPerJob < 1 {
+			c.NodesPerJob = 1
+		}
 	}
 	if c.Admission == "" {
 		c.Admission = cluster.AdmitFIFO
@@ -210,7 +213,9 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 			iters *= bigJobFactor
 			need *= bigJobFactor
 		}
-		need = min(need, cfg.Platform.Nodes)
+		if need > cfg.Platform.Nodes {
+			need = cfg.Platform.Nodes
+		}
 		// Ideal (unqueued, full-grant) runtime prices the deadline.
 		idealWrite := nodeBytes * float64(need) / perWriterBW
 		ideal := float64(iters) * (cfg.Workload.ComputeTime + idealWrite)
@@ -285,7 +290,9 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 				out.Degraded++
 			}
 			out.AdmissionWaitTime += j.res.AdmitTime - j.res.Arrival
-			out.TotalTime = max(out.TotalTime, j.res.Finish)
+			if j.res.Finish > out.TotalTime {
+				out.TotalTime = j.res.Finish
+			}
 			if j.res.MissedDeadline() {
 				out.DeadlinesMissed++
 			}
