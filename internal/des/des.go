@@ -1,18 +1,33 @@
-// Package des implements a deterministic process-oriented discrete-event
-// simulation engine, the substrate on which the large-scale experiments of
-// the paper (up to 9216 cores on a Kraken-like machine) are replayed in
+// Package des implements a deterministic discrete-event simulation
+// engine, the substrate on which the large-scale experiments of the
+// paper (up to 9216 cores on a Kraken-like machine) are replayed in
 // virtual time.
 //
-// Model: an Engine owns a virtual clock and an event heap. Processes are
-// coroutines (iter.Pull), not goroutines trading channel messages: Run
-// resumes one at a time on its own goroutine, and a process runs until it
-// parks (Wait, Acquire, Await, ...) or returns, so execution is sequential
-// and, together with (time, seq) event ordering, fully deterministic. A
-// panic inside a process leaves Run with the same value; a runtime.Goexit
-// in one (t.Fatal) ends the goroutine that called Run.
+// Model: an Engine owns a virtual clock and an event heap, and Run fires
+// the events one at a time on its own goroutine, in (time, seq) order,
+// so execution is sequential and fully deterministic. Simulated actors
+// come in two styles that share every primitive:
 //
+//   - A state machine is plain code driven by continuations: it books
+//     its next step with Engine.Wait, Future.Then, Barrier.ArriveThen or
+//     Resource.AcquireThen, and each step runs to completion inside the
+//     event that fires it. It costs no more than the events it books,
+//     which is why the per-core ranks of the strategies — tens of
+//     thousands per paper-scale run — are state machines.
+//   - A process (Proc) is a coroutine (iter.Pull) whose body blocks
+//     (Wait, Await, Arrive, Acquire) until resumed. A Proc earns its
+//     keep where control flow is a loop over blocking steps with
+//     branches a state machine would have to spell out as states: the
+//     per-node dedicated cores, the restart readers, the in-situ
+//     consumers. Proc.Do calls a continuation-form operation (the
+//     storage cost models have no other form) from a process body.
+//
+// Futures, Barriers and Resources keep one FIFO list for both styles:
+// a waking continuation occupies exactly the event a resumed process
+// would. A panic inside a process leaves Run with the same value; a
+// runtime.Goexit in one (t.Fatal) ends the goroutine that called Run.
 // Callback events (Engine.At) run inline in the engine and may wake
-// processes by completing Futures or releasing Resources.
+// waiters by completing Futures or releasing Resources.
 package des
 
 import (
@@ -28,12 +43,20 @@ import (
 // every recycle so a stale Timer handle can never touch an event that
 // now belongs to someone else.
 type event struct {
-	time  float64
-	seq   uint64 // tie-breaker: FIFO among equal-time events
-	proc  *Proc  // non-nil: wake this process
-	fn    func() // non-nil: run this callback in engine context
+	time float64
+	seq  uint64 // tie-breaker: FIFO among equal-time events
+	waiter
 	index int    // heap position; -1 once popped, removed or recycled
 	gen   uint32 // incarnation counter validated by Timer handles
+}
+
+// waiter is what an event or a parked party resumes: a process, or a
+// continuation run in engine context (exactly one is non-nil). Futures,
+// Barriers and Resources keep one FIFO list of them, so processes and
+// continuations wake in arrival order whichever style each one is.
+type waiter struct {
+	proc *Proc
+	fn   func()
 }
 
 // Engine is a discrete-event simulation engine. Create one with NewEngine,
@@ -45,7 +68,11 @@ type Engine struct {
 	seq    uint64
 	events []*event // indexed binary min-heap on (time, seq)
 	free   []*event // recycled event structs (see event.gen)
-	nprocs int      // live processes (diagnostics)
+	nprocs int      // live processes (deadlock diagnostics)
+	nconts int      // continuations parked on a Future, Barrier or Resource (deadlock diagnostics)
+
+	dispatched uint64 // events fired by Run
+	spawned    int    // processes created by Spawn and SpawnAt
 }
 
 // The indexed heap. Identical ordering to the pre-index implementation
@@ -160,8 +187,7 @@ func (e *Engine) newEvent() *event {
 // bump invalidates every Timer handle still pointing at it.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.proc = nil
-	ev.fn = nil
+	ev.waiter = waiter{}
 	ev.index = -1
 	e.free = append(e.free, ev)
 }
@@ -172,29 +198,73 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// schedule books an event at absolute time t, resuming proc or running
-// fn (exactly one is non-nil).
-func (e *Engine) schedule(t float64, proc *Proc, fn func()) *event {
+// EventsDispatched returns the number of events Run has fired so far:
+// process resumes, continuations and callbacks alike.
+func (e *Engine) EventsDispatched() uint64 { return e.dispatched }
+
+// ProcsSpawned returns the number of processes Spawn and SpawnAt have
+// created.
+func (e *Engine) ProcsSpawned() int { return e.spawned }
+
+// schedule books an event at absolute time t that resumes w.
+func (e *Engine) schedule(t float64, w waiter) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("des: scheduling into the past: t=%v now=%v", t, e.now))
 	}
 	ev := e.newEvent()
 	ev.time = t
-	ev.proc = proc
-	ev.fn = fn
+	ev.waiter = w
 	e.seq++
 	ev.seq = e.seq
 	e.heapPush(ev)
 	return ev
 }
 
+// wake books w at the current time, releasing it from a waiter list.
+func (e *Engine) wake(w waiter) {
+	if w.fn != nil {
+		e.nconts--
+	}
+	e.schedule(e.now, w)
+}
+
+// block parks w, which the caller has just queued on a waiter list: a
+// process yields until an event resumes it, a continuation is counted
+// until one runs it, so Run can report either kind left behind.
+func (e *Engine) block(w waiter) {
+	if w.fn != nil {
+		e.nconts++
+		return
+	}
+	w.proc.park()
+}
+
+// ready lets w carry on at once, its condition already met: a
+// continuation runs inline, a process simply returns from its call.
+func (w waiter) ready() {
+	if w.fn != nil {
+		w.fn()
+	}
+}
+
+// Wait runs k d virtual seconds from now (d >= 0): the continuation
+// form of Proc.Wait, booking the same single event. It returns no
+// Timer, so it allocates nothing beyond the recycled event.
+func (e *Engine) Wait(d float64, k func()) {
+	if d < 0 {
+		panic("des: negative Wait")
+	}
+	e.schedule(e.now+d, waiter{fn: k})
+}
+
 // Timer identifies a cancelable, reschedulable callback event booked
-// with At or After. The zero Timer and the nil Timer are inert: every
-// method is a no-op reporting false.
+// with At, After or Set. The zero Timer and the nil Timer are inert:
+// every method is a no-op reporting false.
 type Timer struct {
 	eng *Engine
 	ev  *event
 	gen uint32
+	fn  func()
 }
 
 // pending reports whether the timer's event is still the one it booked
@@ -245,12 +315,30 @@ func (t *Timer) Reschedule(at float64) bool {
 	return true
 }
 
+// NewTimer returns a timer for fn that is not booked yet; Set books it.
+// A component that re-arms one callback over and over binds it once
+// here instead of allocating a Timer per At.
+func (e *Engine) NewTimer(fn func()) *Timer { return &Timer{eng: e, fn: fn} }
+
+// Set books the timer's callback at absolute time at (>= Now): a
+// pending timer is retimed in place (Reschedule), a fired, canceled or
+// never-booked one is booked afresh. Either way the event takes the
+// next sequence number, exactly as Cancel followed by At would.
+func (t *Timer) Set(at float64) {
+	if t.Reschedule(at) {
+		return
+	}
+	t.ev = t.eng.schedule(at, waiter{fn: t.fn})
+	t.gen = t.ev.gen
+}
+
 // At schedules fn to run at absolute virtual time t (>= Now). fn runs in
 // engine context: it must not block, but may complete Futures, release
 // Resources and schedule further events.
 func (e *Engine) At(t float64, fn func()) *Timer {
-	ev := e.schedule(t, nil, fn)
-	return &Timer{eng: e, ev: ev, gen: ev.gen}
+	tm := e.NewTimer(fn)
+	tm.Set(t)
+	return tm
 }
 
 // After schedules fn to run d seconds from now.
@@ -291,8 +379,16 @@ func (e *Engine) SpawnAt(t float64, name string, fn func(p *Proc)) *Proc {
 		fn(p)
 	})
 	e.nprocs++
-	e.schedule(t, p, nil)
+	e.spawned++
+	e.schedule(t, waiter{proc: p})
 	return p
+}
+
+// resume runs the process until it parks or its body returns.
+func (p *Proc) resume() {
+	if _, ok := p.next(); !ok {
+		p.eng.nprocs--
+	}
 }
 
 // park hands control back to the engine and blocks until resumed.
@@ -306,8 +402,30 @@ func (p *Proc) Wait(d float64) {
 	if d < 0 {
 		panic("des: negative Wait")
 	}
-	p.eng.schedule(p.eng.now+d, p, nil)
+	p.eng.schedule(p.eng.now+d, waiter{proc: p})
 	p.park()
+}
+
+// Do runs one continuation-form operation from the process body: it
+// calls start with a continuation k and returns once k has run. A k
+// that runs before start returns costs nothing; a later one resumes
+// the process inside the event that calls it, so the blocking call
+// fires exactly the events of the continuation form and no more.
+func (p *Proc) Do(start func(k func())) {
+	var done, parked bool
+	start(func() {
+		if done {
+			panic("des: Do continuation called twice")
+		}
+		done = true
+		if parked {
+			p.resume()
+		}
+	})
+	if !done {
+		parked = true
+		p.park()
+	}
 }
 
 // Run executes events until the heap is empty. It returns the final clock
@@ -317,28 +435,28 @@ func (e *Engine) Run() float64 {
 	for len(e.events) > 0 {
 		ev := e.heapPop()
 		e.now = ev.time
-		if fn := ev.fn; fn != nil {
-			e.recycle(ev)
-			fn()
-			continue
-		}
-		proc := ev.proc
+		e.dispatched++
+		w := ev.waiter
 		e.recycle(ev)
-		if _, ok := proc.next(); !ok {
-			e.nprocs--
+		if w.fn != nil {
+			w.fn()
+		} else {
+			w.proc.resume()
 		}
 	}
-	if e.nprocs > 0 {
-		panic(fmt.Sprintf("des: deadlock: %d process(es) blocked with no pending events", e.nprocs))
+	if e.nprocs > 0 || e.nconts > 0 {
+		panic(fmt.Sprintf("des: deadlock: %d process(es) and %d continuation(s) blocked with no pending events",
+			e.nprocs, e.nconts))
 	}
 	return e.now
 }
 
-// Future is a one-shot completion signal that processes can Await.
+// Future is a one-shot completion signal that processes can Await and
+// continuations can follow with Then.
 type Future struct {
 	eng     *Engine
 	done    bool
-	waiters []*Proc
+	waiters []waiter
 }
 
 // NewFuture creates an incomplete future.
@@ -355,19 +473,26 @@ func (f *Future) Complete() {
 	}
 	f.done = true
 	for _, w := range f.waiters {
-		f.eng.schedule(f.eng.now, w, nil)
+		f.eng.wake(w)
 	}
 	f.waiters = nil
 }
 
 // Await blocks the process until the future completes. Returns immediately
 // if it already has.
-func (p *Proc) Await(f *Future) {
+func (p *Proc) Await(f *Future) { f.wait(waiter{proc: p}) }
+
+// Then runs k once the future completes: inline if it already has,
+// otherwise in the event Complete books for it.
+func (f *Future) Then(k func()) { f.wait(waiter{fn: k}) }
+
+func (f *Future) wait(w waiter) {
 	if f.done {
+		w.ready()
 		return
 	}
-	f.waiters = append(f.waiters, p)
-	p.park()
+	f.waiters = append(f.waiters, w)
+	f.eng.block(w)
 }
 
 // Resource is a FIFO counting resource (capacity units). Processes Acquire
@@ -384,8 +509,8 @@ type Resource struct {
 }
 
 type resWaiter struct {
-	proc *Proc
-	n    int
+	waiter
+	n int
 }
 
 // NewResource creates a resource with the given capacity (> 0).
@@ -399,15 +524,27 @@ func (e *Engine) NewResource(capacity int) *Resource {
 // Acquire blocks until n units are available and takes them. FIFO: a
 // request never overtakes an earlier one even if fewer units would fit.
 func (p *Proc) Acquire(r *Resource, n int) {
+	r.acquire(n, waiter{proc: p})
+}
+
+// AcquireThen takes n units and runs k: inline when they are free and
+// nobody queues ahead, otherwise in the event Release books once they
+// are granted. FIFO with Acquire.
+func (r *Resource) AcquireThen(n int, k func()) {
+	r.acquire(n, waiter{fn: k})
+}
+
+func (r *Resource) acquire(n int, w waiter) {
 	if n <= 0 || n > r.capacity {
 		panic(fmt.Sprintf("des: Acquire(%d) on resource of capacity %d", n, r.capacity))
 	}
 	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
 		r.take(n)
+		w.ready()
 		return
 	}
-	r.waiters = append(r.waiters, resWaiter{proc: p, n: n})
-	p.park()
+	r.waiters = append(r.waiters, resWaiter{waiter: w, n: n})
+	r.eng.block(w)
 }
 
 func (r *Resource) take(n int) {
@@ -431,7 +568,7 @@ func (r *Resource) Release(n int) {
 		w := r.waiters[0]
 		r.waiters = r.waiters[1:]
 		r.take(w.n)
-		r.eng.schedule(r.eng.now, w.proc, nil)
+		r.eng.wake(w.waiter)
 	}
 }
 
@@ -453,7 +590,7 @@ type Barrier struct {
 	parties int
 	arrived int
 	gen     int
-	waiters []*Proc
+	waiters []waiter
 }
 
 // NewBarrier creates a barrier for the given number of parties (> 0).
@@ -466,17 +603,27 @@ func (e *Engine) NewBarrier(parties int) *Barrier {
 
 // Arrive blocks until all parties have arrived, then releases everyone and
 // resets for the next generation.
-func (p *Proc) Arrive(b *Barrier) {
+func (p *Proc) Arrive(b *Barrier) { b.arrive(waiter{proc: p}) }
+
+// ArriveThen counts one arrival and runs k once all parties have
+// arrived: inline for the last arrival, otherwise in the event that
+// arrival books for it.
+func (b *Barrier) ArriveThen(k func()) { b.arrive(waiter{fn: k}) }
+
+// arrive counts w's arrival. The last one of a generation wakes the
+// earlier ones, resets the barrier and carries on.
+func (b *Barrier) arrive(w waiter) {
 	b.arrived++
-	if b.arrived == b.parties {
-		b.arrived = 0
-		b.gen++
-		for _, w := range b.waiters {
-			b.eng.schedule(b.eng.now, w, nil)
-		}
-		b.waiters = nil
+	if b.arrived < b.parties {
+		b.waiters = append(b.waiters, w)
+		b.eng.block(w)
 		return
 	}
-	b.waiters = append(b.waiters, p)
-	p.park()
+	b.arrived = 0
+	b.gen++
+	for _, q := range b.waiters {
+		b.eng.wake(q)
+	}
+	b.waiters = nil
+	w.ready()
 }

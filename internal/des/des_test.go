@@ -293,15 +293,41 @@ func TestTimeMonotone(t *testing.T) {
 }
 
 func TestDeadlockDetection(t *testing.T) {
-	e := NewEngine()
-	f := e.NewFuture()
-	e.Spawn("stuck", func(p *Proc) { p.Await(f) })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Run did not panic on deadlocked process")
-		}
-	}()
-	e.Run()
+	// Each case leaves one waiter that nothing will ever wake: a process,
+	// or a continuation on each primitive a state machine parks on.
+	cases := map[string]func(e *Engine){
+		"process": func(e *Engine) {
+			f := e.NewFuture()
+			e.Spawn("stuck", func(p *Proc) { p.Await(f) })
+		},
+		"future continuation": func(e *Engine) {
+			f := e.NewFuture()
+			e.At(1, func() { f.Then(func() {}) })
+		},
+		"barrier continuation": func(e *Engine) {
+			b := e.NewBarrier(2)
+			e.At(1, func() { b.ArriveThen(func() {}) })
+		},
+		"resource continuation": func(e *Engine) {
+			r := e.NewResource(1)
+			e.At(1, func() {
+				r.AcquireThen(1, func() {})
+				r.AcquireThen(1, func() {})
+			})
+		},
+	}
+	for name, build := range cases {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine()
+			build(e)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Run did not panic on a waiter left with no pending events")
+				}
+			}()
+			e.Run()
+		})
+	}
 }
 
 // TestProcPanicSurfacesFromRun checks that a process runs on Run's

@@ -6,6 +6,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/rng"
 	"repro/internal/storage"
+	"repro/internal/topology"
 )
 
 // runCollective models two-phase collective I/O into a single shared file
@@ -17,10 +18,6 @@ import (
 // the barrier lets the slowest OST pace everyone — the two mechanisms
 // behind the approach's collapse at scale.
 func runCollective(cfg Config) (Result, error) {
-	// collectiveBuffer is the per-aggregator bytes written per two-phase
-	// round (ROMIO's cb_buffer_size scale).
-	const collectiveBuffer = 16e6
-
 	eng := des.NewEngine()
 	root := rng.New(cfg.Seed, 2)
 	be, _, err := cfg.newCostModel(eng, root.Named("pfs"))
@@ -36,74 +33,24 @@ func runCollective(cfg Config) (Result, error) {
 	rounds := int(math.Ceil(nodeBytes / collectiveBuffer))
 
 	res := Result{Approach: Collective, Platform: plat, Workload: w}
-	res.IOTimes = make([]float64, w.Iterations)
-	res.RankWriteTimes = make([]float64, 0, ranks*w.Iterations)
 
-	stepBarrier := eng.NewBarrier(ranks)
-	aggDone := eng.NewBarrier(nAggs)
-	phaseDone := make([]*des.Future, w.Iterations)
-	for i := range phaseDone {
-		phaseDone[i] = eng.NewFuture()
+	loop := newPhaseLoop(eng, &res, ranks, w.Iterations, w.ComputeJitter,
+		func(int) float64 { return w.ComputeTime }, func(int) { be.BeginPhase() })
+	run := &collectiveRun{
+		be:           be,
+		plat:         plat,
+		bytesPerCore: w.BytesPerCore,
+		nodeBytes:    nodeBytes,
+		rounds:       rounds,
+		aggDone:      eng.NewBarrier(nAggs),
+		phaseDone:    make([]*des.Future, w.Iterations),
 	}
-	phaseStart := make([]float64, w.Iterations)
-
+	for i := range run.phaseDone {
+		run.phaseDone[i] = eng.NewFuture()
+	}
+	compute := root.Named("compute")
 	for r := 0; r < ranks; r++ {
-		rank := r
-		isAgg := rank%plat.CoresPerNode == 0
-		aggIdx := rank / plat.CoresPerNode
-		compRng := root.Named("compute").Child(uint64(rank))
-		eng.Spawn("rank", func(p *des.Proc) {
-			for it := 0; it < w.Iterations; it++ {
-				p.Wait(w.ComputeTime * compRng.UnitLogNormal(w.ComputeJitter))
-				p.Arrive(stepBarrier)
-				if rank == 0 {
-					be.BeginPhase()
-					phaseStart[it] = p.Now()
-				}
-				t0 := p.Now()
-				if isAgg {
-					// Shuffle phase: collect the node's data over the NIC.
-					p.Wait(nodeBytes/plat.NICBandwidth +
-						plat.NICLatency*float64(plat.CoresPerNode))
-					if aggIdx == 0 {
-						be.Create(p) // the shared file
-					}
-					be.Open(p)
-					for round := 0; round < rounds; round++ {
-						chunk := collectiveBuffer
-						if rem := nodeBytes - float64(round)*collectiveBuffer; rem < chunk {
-							chunk = rem
-						}
-						// Extent → OST mapping: round-robin striping of the
-						// shared file across all OSTs. Aggregators pipeline
-						// their rounds independently (ROMIO does not
-						// barrier between rounds); the phase ends when the
-						// slowest aggregator finishes.
-						ost := (aggIdx + round*nAggs) % be.Targets()
-						be.WriteChunk(p, ost, chunk, storage.SharedFile)
-					}
-					be.Close(p)
-					p.Arrive(aggDone)
-					if aggIdx == 0 {
-						phaseDone[it].Complete()
-					}
-				} else {
-					// Send local data to the aggregator, then wait for the
-					// collective write to finish (MPI_File_write_all
-					// returns only when the phase completes).
-					p.Wait(w.BytesPerCore/plat.NICBandwidth + plat.NICLatency)
-					p.Await(phaseDone[it])
-				}
-				res.RankWriteTimes = append(res.RankWriteTimes, p.Now()-t0)
-				p.Arrive(stepBarrier)
-				if rank == 0 {
-					res.IOTimes[it] = p.Now() - phaseStart[it]
-				}
-			}
-			if rank == 0 {
-				res.TotalTime = p.Now()
-			}
-		})
+		run.startRank(loop, r, compute.Child(uint64(r)))
 	}
 	eng.Run()
 
@@ -117,4 +64,103 @@ func runCollective(cfg Config) (Result, error) {
 	res.FilesCreated = w.Iterations
 	res.DrainTime = res.TotalTime
 	return res, nil
+}
+
+// collectiveBuffer is the per-aggregator bytes written per two-phase
+// round (ROMIO's cb_buffer_size scale).
+const collectiveBuffer = 16e6
+
+// collectiveRun is the state the ranks of one collective run share
+// besides their phaseLoop.
+type collectiveRun struct {
+	be           storage.CostModel
+	plat         topology.Platform
+	bytesPerCore float64
+	nodeBytes    float64
+	rounds       int
+	aggDone      *des.Barrier
+	phaseDone    []*des.Future // per iteration, the collective write's end
+}
+
+// collectiveRank is one collective-I/O rank. An aggregator — one per
+// node — collects the node's data over the NIC and writes it into the
+// shared file in rounds; every other rank sends its data to its
+// aggregator and waits for the collective write to end.
+type collectiveRank struct {
+	phaseRank
+	*collectiveRun
+	aggIdx int
+	isAgg  bool
+	round  int
+
+	shuffled, created, nextRound, closed, aggregated, sent func()
+}
+
+// startRank builds a rank's state machine and books its first step.
+func (run *collectiveRun) startRank(loop *phaseLoop, rank int, compRng *rng.Stream) {
+	r := &collectiveRank{
+		collectiveRun: run,
+		aggIdx:        rank / run.plat.CoresPerNode,
+		isAgg:         rank%run.plat.CoresPerNode == 0,
+	}
+	r.init(loop, rank, compRng, r.exchange)
+	r.shuffled = r.onShuffled
+	r.created = func() { r.be.Open(r.nextRound) }
+	r.nextRound = r.writeRound
+	r.closed = func() { r.aggDone.ArriveThen(r.aggregated) }
+	r.aggregated = r.onAggregated
+	r.sent = func() { r.phaseDone[r.it].Then(r.wrote) }
+	r.start()
+}
+
+// exchange is the rank's part of the two-phase shuffle over the NIC:
+// an aggregator collects the node's data, any other rank sends its own.
+func (r *collectiveRank) exchange(int) {
+	plat := r.plat
+	if r.isAgg {
+		// Shuffle phase: collect the node's data over the NIC.
+		r.eng.Wait(r.nodeBytes/plat.NICBandwidth+plat.NICLatency*float64(plat.CoresPerNode), r.shuffled)
+		return
+	}
+	// Send local data to the aggregator, then wait for the collective
+	// write to finish (MPI_File_write_all returns only when the phase
+	// completes).
+	r.eng.Wait(r.bytesPerCore/plat.NICBandwidth+plat.NICLatency, r.sent)
+}
+
+func (r *collectiveRank) onShuffled() {
+	r.round = 0
+	if r.aggIdx == 0 {
+		r.be.Create(r.created) // the shared file
+		return
+	}
+	r.be.Open(r.nextRound)
+}
+
+// writeRound writes the aggregator's next round, or closes the file
+// after the last one.
+func (r *collectiveRank) writeRound() {
+	if r.round == r.rounds {
+		r.be.Close(r.closed)
+		return
+	}
+	chunk := collectiveBuffer
+	if rem := r.nodeBytes - float64(r.round)*collectiveBuffer; rem < chunk {
+		chunk = rem
+	}
+	// Extent → OST mapping: round-robin striping of the shared file
+	// across all OSTs. Aggregators pipeline their rounds independently
+	// (ROMIO does not barrier between rounds); the phase ends when the
+	// slowest aggregator finishes.
+	ost := (r.aggIdx + r.round*r.plat.Nodes) % r.be.Targets()
+	r.round++
+	r.be.WriteChunk(ost, chunk, storage.SharedFile, r.nextRound)
+}
+
+// onAggregated runs once every aggregator has closed the shared file.
+func (r *collectiveRank) onAggregated() {
+	if r.aggIdx == 0 {
+		r.phaseDone[r.it].Complete()
+	}
+	r.wrote()
 }

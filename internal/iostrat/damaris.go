@@ -7,6 +7,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/rng"
 	"repro/internal/storage"
+	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -196,11 +197,6 @@ func runDamaris(cfg Config) (Result, error) {
 	treeMode := cfg.Fanout >= 2
 
 	res := Result{Approach: Damaris, Platform: plat, Workload: w}
-	res.IOTimes = make([]float64, w.Iterations)
-	res.RankWriteTimes = make([]float64, 0, nComputeRanks*w.Iterations)
-
-	stepBarrier := eng.NewBarrier(nComputeRanks)
-	phaseStart := make([]float64, w.Iterations)
 
 	shms := make([]*nodeShm, plat.Nodes)
 	arrived := make([][]int, plat.Nodes) // per node, per iteration rank count
@@ -252,49 +248,29 @@ func runDamaris(cfg Config) (Result, error) {
 	}
 
 	// Simulation cores.
-	var appEnd float64
-	for r := 0; r < nComputeRanks; r++ {
-		rank := r
-		node := rank / computePerNode
-		compRng := root.Named("compute").Child(uint64(rank))
-		eng.Spawn("sim", func(p *des.Proc) {
-			for it := 0; it < w.Iterations; it++ {
-				p.Wait(computeAt(it) * compRng.UnitLogNormal(w.ComputeJitter))
-				p.Arrive(stepBarrier)
-				if rank == 0 {
-					be.BeginPhase()
-					applyShifts(it)
-					phaseStart[it] = p.Now()
-				}
-				// The application-visible "I/O": copy the variables into
-				// the shared-memory segment.
-				t0 := p.Now()
-				nb := nodeBytesAt(it)
-				p.Wait(nb/float64(computePerNode)/plat.ShmBandwidth +
-					float64(varsAt(it))*plat.ShmWriteOverhead)
-				res.RankWriteTimes = append(res.RankWriteTimes, p.Now()-t0)
-				// Last core of the node in this iteration publishes the
-				// node's data to the dedicated core.
-				arrived[node][it]++
-				if arrived[node][it] == computePerNode {
-					if !shms[node].offer(it, nb) && treeMode {
-						// Data lost, but the node must still take part in
-						// the aggregation round.
-						shms[node].offerEmpty(it)
-					}
-				}
-				p.Arrive(stepBarrier)
-				if rank == 0 {
-					res.IOTimes[it] = p.Now() - phaseStart[it]
-				}
-			}
-			if rank == 0 {
-				appEnd = p.Now()
-				for _, s := range shms {
-					s.close()
-				}
-			}
+	loop := newPhaseLoop(eng, &res, nComputeRanks, w.Iterations, w.ComputeJitter, computeAt,
+		func(it int) {
+			be.BeginPhase()
+			applyShifts(it)
 		})
+	loop.finish = func() {
+		for _, s := range shms {
+			s.close()
+		}
+	}
+	phaseStart := loop.phaseStart
+	sims := &simRun{
+		plat:           plat,
+		computePerNode: computePerNode,
+		treeMode:       treeMode,
+		shms:           shms,
+		arrived:        arrived,
+		nodeBytesAt:    nodeBytesAt,
+		varsAt:         varsAt,
+	}
+	compute := root.Named("compute")
+	for r := 0; r < nComputeRanks; r++ {
+		sims.startRank(loop, r, compute.Child(uint64(r)))
 	}
 
 	// Dedicated cores (one writer proc per node; D dedicated cores share
@@ -362,9 +338,9 @@ func runDamaris(cfg Config) (Result, error) {
 						deadline: phaseStart[item.iter] + computeAt(item.iter),
 						bytes:    per,
 					})
-					be.Create(p)
-					be.Write(p, ost, per, pat)
-					be.Close(p)
+					p.Do(be.Create)
+					p.Do(func(k func()) { be.Write(ost, per, pat, k) })
+					p.Do(be.Close)
 					release()
 					res.FilesCreated++
 				}
@@ -375,7 +351,6 @@ func runDamaris(cfg Config) (Result, error) {
 	}
 
 	drainEnd := eng.Run()
-	res.TotalTime = appEnd
 	res.DrainTime = drainEnd
 	acc := be.Accounting()
 	bs := schedule.brokerStats()
@@ -415,6 +390,57 @@ func runDamaris(cfg Config) (Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// simRun is the state the simulation cores of one Damaris run share
+// besides their phaseLoop.
+type simRun struct {
+	plat           topology.Platform
+	computePerNode int
+	treeMode       bool
+	shms           []*nodeShm
+	arrived        [][]int // per node, per iteration rank count
+	nodeBytesAt    func(it int) float64
+	varsAt         func(it int) int
+}
+
+// simRank is one simulation core. Its output work is the
+// application-visible "I/O": copying its variables into the node's
+// shared-memory segment; the last core of the node in hands the node's
+// data to the dedicated core.
+type simRank struct {
+	phaseRank
+	*simRun
+	node   int
+	nb     float64 // this phase's node volume
+	copied func()
+}
+
+// startRank builds a rank's state machine and books its first step.
+func (run *simRun) startRank(loop *phaseLoop, rank int, compRng *rng.Stream) {
+	r := &simRank{simRun: run, node: rank / run.computePerNode}
+	r.init(loop, rank, compRng, r.copyOut)
+	r.copied = r.onCopied
+	r.start()
+}
+
+func (r *simRank) copyOut(it int) {
+	r.nb = r.nodeBytesAt(it)
+	r.eng.Wait(r.nb/float64(r.computePerNode)/r.plat.ShmBandwidth+
+		float64(r.varsAt(it))*r.plat.ShmWriteOverhead, r.copied)
+}
+
+func (r *simRank) onCopied() {
+	it, node := r.it, r.node
+	r.arrived[node][it]++
+	if r.arrived[node][it] == r.computePerNode {
+		if !r.shms[node].offer(it, r.nb) && r.treeMode {
+			// Data lost, but the node must still take part in the
+			// aggregation round.
+			r.shms[node].offerEmpty(it)
+		}
+	}
+	r.wrote()
 }
 
 // treeRun bundles the state shared by every dedicated core of a
@@ -594,13 +620,13 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 						deadline: tr.deadline(item.iter),
 						bytes:    subtree,
 					})
-					be.Create(p)
+					p.Do(be.Create)
 					tw := p.Now()
 					stripeAcross(p, be.WriteAsync, base, stripes, be.Targets(), per)
 					if el := p.Now() - tw; el > 0 {
 						tr.adapter.ObservePFS(per / float64(stripes) / el)
 					}
-					be.Close(p)
+					p.Do(be.Close)
 					release()
 					res.FilesCreated++
 				}

@@ -24,41 +24,16 @@ func runFPP(cfg Config) (Result, error) {
 	ranks := plat.Cores()
 
 	res := Result{Approach: FilePerProcess, Platform: plat, Workload: w}
-	res.IOTimes = make([]float64, w.Iterations)
-	res.RankWriteTimes = make([]float64, 0, ranks*w.Iterations)
 
-	stepBarrier := eng.NewBarrier(ranks)
-	phaseStart := make([]float64, w.Iterations)
-
+	loop := newPhaseLoop(eng, &res, ranks, w.Iterations, w.ComputeJitter,
+		func(int) float64 { return w.ComputeTime }, func(int) { be.BeginPhase() })
+	compute, place := root.Named("compute"), root.Named("place")
 	for r := 0; r < ranks; r++ {
-		rank := r
-		compRng := root.Named("compute").Child(uint64(rank))
-		placeRng := root.Named("place").Child(uint64(rank))
-		eng.Spawn("rank", func(p *des.Proc) {
-			for it := 0; it < w.Iterations; it++ {
-				p.Wait(w.ComputeTime * compRng.UnitLogNormal(w.ComputeJitter))
-				p.Arrive(stepBarrier)
-				if rank == 0 {
-					// First process into the phase: fresh interference
-					// draws and the phase-start timestamp.
-					be.BeginPhase()
-					phaseStart[it] = p.Now()
-				}
-				t0 := p.Now()
-				ost := be.PlaceFile(1, placeRng)[0]
-				be.Create(p)
-				be.Write(p, ost, w.BytesPerCore, storage.SmallFile)
-				be.Close(p)
-				res.RankWriteTimes = append(res.RankWriteTimes, p.Now()-t0)
-				p.Arrive(stepBarrier)
-				if rank == 0 {
-					res.IOTimes[it] = p.Now() - phaseStart[it]
-				}
-			}
-			if rank == 0 {
-				res.TotalTime = p.Now()
-			}
-		})
+		fr := &fppRank{be: be, bytes: w.BytesPerCore, placeRng: place.Child(uint64(r))}
+		fr.init(loop, r, compute.Child(uint64(r)), fr.writeFile)
+		fr.created = func() { fr.be.Write(fr.ost, fr.bytes, storage.SmallFile, fr.written) }
+		fr.written = func() { fr.be.Close(fr.wrote) }
+		fr.start()
 	}
 	eng.Run()
 
@@ -72,4 +47,21 @@ func runFPP(cfg Config) (Result, error) {
 	res.FilesCreated = ranks * w.Iterations
 	res.DrainTime = res.TotalTime
 	return res, nil
+}
+
+// fppRank is one file-per-process rank: its output work creates,
+// writes and closes the rank's own file.
+type fppRank struct {
+	phaseRank
+	be       storage.CostModel
+	bytes    float64
+	placeRng *rng.Stream
+	ost      int // this phase's file placement
+
+	created, written func()
+}
+
+func (r *fppRank) writeFile(int) {
+	r.ost = r.be.PlaceFile(1, r.placeRng)[0]
+	r.be.Create(r.created)
 }

@@ -53,9 +53,9 @@ func RestartRead(cfg Config) (RestartResult, error) {
 		for n := 0; n < plat.Nodes; n++ {
 			node := n
 			eng.Spawn("restart-read", func(p *des.Proc) {
-				be.Open(p)
-				be.Read(p, node%be.Targets(), nodeBytes, storage.BigSequential)
-				be.Close(p)
+				p.Do(be.Open)
+				p.Do(func(k func()) { be.Read(node%be.Targets(), nodeBytes, storage.BigSequential, k) })
+				p.Do(be.Close)
 			})
 		}
 		res.ReadTime = eng.Run()
@@ -98,10 +98,10 @@ func RestartRead(cfg Config) (RestartResult, error) {
 	for i, r := range roots {
 		ordinal, rootID := i, r
 		eng.Spawn("restart-root", func(p *des.Proc) {
-			be.Open(p)
+			p.Do(be.Open)
 			stripeAcross(p, be.ReadAsync, (ordinal*stripes)%be.Targets(), stripes, be.Targets(),
 				subtreeBytes(rootID))
-			be.Close(p)
+			p.Do(be.Close)
 			if p.Now() > res.ReadTime {
 				res.ReadTime = p.Now()
 			}

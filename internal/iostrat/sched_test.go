@@ -35,16 +35,20 @@ func (pb *probeBackend) record(target int, start, end float64) {
 	pb.mu.Unlock()
 }
 
-func (pb *probeBackend) Write(p *des.Proc, target int, bytes float64, pat storage.Pattern) {
-	start := p.Now()
-	pb.CostModel.Write(p, target, bytes, pat)
-	pb.record(target, start, p.Now())
+func (pb *probeBackend) Write(target int, bytes float64, pat storage.Pattern, k func()) {
+	start := pb.Engine().Now()
+	pb.CostModel.Write(target, bytes, pat, func() {
+		pb.record(target, start, pb.Engine().Now())
+		k()
+	})
 }
 
-func (pb *probeBackend) WriteChunk(p *des.Proc, target int, bytes float64, pat storage.Pattern) {
-	start := p.Now()
-	pb.CostModel.WriteChunk(p, target, bytes, pat)
-	pb.record(target, start, p.Now())
+func (pb *probeBackend) WriteChunk(target int, bytes float64, pat storage.Pattern, k func()) {
+	start := pb.Engine().Now()
+	pb.CostModel.WriteChunk(target, bytes, pat, func() {
+		pb.record(target, start, pb.Engine().Now())
+		k()
+	})
 }
 
 func (pb *probeBackend) WriteAsync(target int, bytes float64, pat storage.Pattern) *des.Future {

@@ -95,3 +95,22 @@ func TestStrategiesPinned(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkStrategyRun times one whole run of each pinned strategy on
+// the PFS model at 1,152 cores; allocs/op shows what a run allocates
+// besides the events themselves (make pprof-cpu aims here, see the
+// Makefile).
+func BenchmarkStrategyRun(b *testing.B) {
+	for _, s := range pinnedStrategies {
+		b.Run(s.name, func(b *testing.B) {
+			cfg := pinnedStrategyConfig()
+			cfg.Fanout = s.fanout
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := Run(s.approach, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -86,12 +86,14 @@ func New(eng *des.Engine, params topology.PFSParams, r *rng.Stream) *FS {
 		osts:     make([]*ost, params.OSTs),
 	}
 	for i := range fs.osts {
-		fs.osts[i] = &ost{
+		o := &ost{
 			fs:         fs,
 			id:         i,
 			rng:        r.Child(uint64(i)),
 			congestion: 1,
 		}
+		o.timer = eng.NewTimer(o.complete)
+		fs.osts[i] = o
 	}
 	return fs
 }
@@ -146,22 +148,25 @@ func (fs *FS) SetBandwidthFactor(factor float64) {
 }
 
 // metaOp serializes one metadata operation of the given service time at
-// the MDS.
-func (fs *FS) metaOp(p *des.Proc, service float64) {
-	p.Acquire(fs.mds, 1)
-	fs.mdsOps++
-	p.Wait(service)
-	fs.mds.Release(1)
+// the MDS and runs k once the MDS has released it.
+func (fs *FS) metaOp(service float64, k func()) {
+	fs.mds.AcquireThen(1, func() {
+		fs.mdsOps++
+		fs.eng.Wait(service, func() {
+			fs.mds.Release(1)
+			k()
+		})
+	})
 }
 
-// Create performs a file-create at the MDS (blocking).
-func (fs *FS) Create(p *des.Proc) { fs.metaOp(p, fs.params.MDSCreate) }
+// Create performs a file-create at the MDS, then runs k.
+func (fs *FS) Create(k func()) { fs.metaOp(fs.params.MDSCreate, k) }
 
-// Open performs a file-open at the MDS (blocking).
-func (fs *FS) Open(p *des.Proc) { fs.metaOp(p, fs.params.MDSOpen) }
+// Open performs a file-open at the MDS, then runs k.
+func (fs *FS) Open(k func()) { fs.metaOp(fs.params.MDSOpen, k) }
 
-// Close performs a file-close at the MDS (blocking).
-func (fs *FS) Close(p *des.Proc) { fs.metaOp(p, fs.params.MDSClose) }
+// Close performs a file-close at the MDS, then runs k.
+func (fs *FS) Close(k func()) { fs.metaOp(fs.params.MDSClose, k) }
 
 // PlaceFile chooses stripeCount distinct OSTs for a new file (see Place).
 func (fs *FS) PlaceFile(stripeCount int, r *rng.Stream) []int {
@@ -205,10 +210,10 @@ func (fs *FS) ReadAsync(ostID int, bytes float64, pat Pattern) *des.Future {
 	return fs.submitDir(ostID, bytes, fs.params.FileOverhead, pat, true)
 }
 
-// Read blocks the process until a whole-file read of the given size and
-// pattern from ostID completes.
-func (fs *FS) Read(p *des.Proc, ostID int, bytes float64, pat Pattern) {
-	p.Await(fs.ReadAsync(ostID, bytes, pat))
+// Read runs k once a whole-file read of the given size and pattern from
+// ostID completes.
+func (fs *FS) Read(ostID int, bytes float64, pat Pattern, k func()) {
+	fs.ReadAsync(ostID, bytes, pat).Then(k)
 }
 
 func (fs *FS) submit(ostID int, bytes, fileOverhead float64, pat Pattern) *des.Future {
@@ -248,28 +253,28 @@ func (fs *FS) submitDir(ostID int, bytes, fileOverhead float64, pat Pattern, rea
 		// A straggler episode (stuck RPC, server hiccup) costs wall-clock
 		// time before the request is serviced, independent of the
 		// request's size or the OST's current load.
-		fs.eng.After(straggle, start)
+		fs.eng.Wait(straggle, start)
 	} else {
 		start()
 	}
 	return f
 }
 
-// Write blocks the process until a whole-file write of the given size and
-// pattern to ostID completes.
-func (fs *FS) Write(p *des.Proc, ostID int, bytes float64, pat Pattern) {
-	p.Await(fs.WriteAsync(ostID, bytes, pat))
+// Write runs k once a whole-file write of the given size and pattern to
+// ostID completes.
+func (fs *FS) Write(ostID int, bytes float64, pat Pattern, k func()) {
+	fs.WriteAsync(ostID, bytes, pat).Then(k)
 }
 
-// WriteChunk blocks the process until a chunk write (no per-file
-// overhead) completes.
-func (fs *FS) WriteChunk(p *des.Proc, ostID int, bytes float64, pat Pattern) {
-	p.Await(fs.WriteChunkAsync(ostID, bytes, pat))
+// WriteChunk runs k once a chunk write (no per-file overhead) to ostID
+// completes.
+func (fs *FS) WriteChunk(ostID int, bytes float64, pat Pattern, k func()) {
+	fs.WriteChunkAsync(ostID, bytes, pat).Then(k)
 }
 
-// WriteStriped writes bytes striped evenly over the given OSTs and blocks
-// until every stripe chunk completes.
-func (fs *FS) WriteStriped(p *des.Proc, osts []int, bytes float64, pat Pattern) {
+// WriteStriped writes bytes striped evenly over the given OSTs and runs
+// k once every stripe chunk completes.
+func (fs *FS) WriteStriped(osts []int, bytes float64, pat Pattern, k func()) {
 	if len(osts) == 0 {
 		panic("pfs: WriteStriped with no OSTs")
 	}
@@ -278,9 +283,18 @@ func (fs *FS) WriteStriped(p *des.Proc, osts []int, bytes float64, pat Pattern) 
 	for i, o := range osts {
 		futures[i] = fs.WriteAsync(o, chunk, pat)
 	}
-	for _, f := range futures {
-		p.Await(f)
+	thenAll(futures, k)
+}
+
+// thenAll follows the futures in order and runs k after the last: each
+// one not yet complete when its turn comes costs the one event its
+// completion books.
+func thenAll(futures []*des.Future, k func()) {
+	if len(futures) == 0 {
+		k()
+		return
 	}
+	futures[0].Then(func() { thenAll(futures[1:], k) })
 }
 
 // IOBusyTime returns the union of time during which at least one transfer
@@ -317,8 +331,8 @@ type ost struct {
 	// deterministic.
 	active     []*transfer
 	lastUpdate float64
-	rate       float64 // current per-transfer drain rate (bytes/s)
-	timer      *des.Timer
+	rate       float64    // current per-transfer drain rate (bytes/s)
+	timer      *des.Timer // next completion, bound to complete once
 }
 
 type transfer struct {
@@ -395,13 +409,15 @@ func (o *ost) advance() {
 	}
 }
 
+// complete is the next-completion timer's callback.
+func (o *ost) complete() {
+	o.advance()
+	o.recompute()
+}
+
 // recompute completes any finished transfers, recomputes the shared rate,
 // and schedules the next completion.
 func (o *ost) recompute() {
-	if o.timer != nil {
-		o.timer.Cancel()
-		o.timer = nil
-	}
 	// Complete transfers drained to zero, preserving arrival order.
 	live := o.active[:0]
 	for _, t := range o.active {
@@ -424,6 +440,7 @@ func (o *ost) recompute() {
 	n := len(o.active)
 	if n == 0 {
 		o.rate = 0
+		o.timer.Cancel()
 		return
 	}
 	p := o.fs.params
@@ -439,8 +456,5 @@ func (o *ost) recompute() {
 			min = t.remaining
 		}
 	}
-	o.timer = o.fs.eng.After(min/o.rate, func() {
-		o.advance()
-		o.recompute()
-	})
+	o.timer.Set(o.fs.eng.Now() + min/o.rate)
 }

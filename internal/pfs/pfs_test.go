@@ -26,7 +26,7 @@ func TestSingleStreamAtPeak(t *testing.T) {
 	fs := New(eng, params, rng.New(1, 1))
 	var done float64
 	eng.Spawn("w", func(p *des.Proc) {
-		fs.Write(p, 0, 200e6, BigSequential)
+		p.Do(func(k func()) { fs.Write(0, 200e6, BigSequential, k) })
 		done = p.Now()
 	})
 	eng.Run()
@@ -48,8 +48,8 @@ func TestProcessorSharingSlowdown(t *testing.T) {
 	params.AlphaSeq = 0.5
 	fs := New(eng, params, rng.New(1, 1))
 	var t1, t2 float64
-	eng.Spawn("a", func(p *des.Proc) { fs.Write(p, 0, 100e6, BigSequential); t1 = p.Now() })
-	eng.Spawn("b", func(p *des.Proc) { fs.Write(p, 0, 100e6, BigSequential); t2 = p.Now() })
+	eng.Spawn("a", func(p *des.Proc) { p.Do(func(k func()) { fs.Write(0, 100e6, BigSequential, k) }); t1 = p.Now() })
+	eng.Spawn("b", func(p *des.Proc) { p.Do(func(k func()) { fs.Write(0, 100e6, BigSequential, k) }); t2 = p.Now() })
 	eng.Run()
 	// Aggregate rate = 100 MB/s × 1/(1.5) = 66.7 MB/s for 200 MB → 3 s.
 	if t1 < 2.99 || t1 > 3.01 || t2 < 2.99 || t2 > 3.01 {
@@ -66,8 +66,8 @@ func TestLateArrivalSharesRemainder(t *testing.T) {
 	params.AlphaSeq = 0
 	fs := New(eng, params, rng.New(1, 1))
 	var ta, tb float64
-	eng.Spawn("a", func(p *des.Proc) { fs.Write(p, 0, 100e6, BigSequential); ta = p.Now() })
-	eng.SpawnAt(0.5, "b", func(p *des.Proc) { fs.Write(p, 0, 100e6, BigSequential); tb = p.Now() })
+	eng.Spawn("a", func(p *des.Proc) { p.Do(func(k func()) { fs.Write(0, 100e6, BigSequential, k) }); ta = p.Now() })
+	eng.SpawnAt(0.5, "b", func(p *des.Proc) { p.Do(func(k func()) { fs.Write(0, 100e6, BigSequential, k) }); tb = p.Now() })
 	eng.Run()
 	// A: 50 MB alone (0.5 s) + 50 MB at 50 MB/s (1 s) → 1.5 s.
 	// B: 50 MB at 50 MB/s (until A leaves at 1.5) + 50 MB at 100 MB/s → 2.0 s.
@@ -89,7 +89,7 @@ func TestPatternOrdering(t *testing.T) {
 		var last float64
 		for i := 0; i < 8; i++ {
 			eng.Spawn("w", func(p *des.Proc) {
-				fs.Write(p, 0, 10e6, pat)
+				p.Do(func(k func()) { fs.Write(0, 10e6, pat, k) })
 				if p.Now() > last {
 					last = p.Now()
 				}
@@ -119,7 +119,7 @@ func TestFileOverheadChargedPerFile(t *testing.T) {
 		fs := New(eng, params, rng.New(1, 1))
 		eng.Spawn("w", func(p *des.Proc) {
 			for i := 0; i < files; i++ {
-				fs.Write(p, 0, total/float64(files), BigSequential)
+				p.Do(func(k func()) { fs.Write(0, total/float64(files), BigSequential, k) })
 			}
 		})
 		return eng.Run()
@@ -144,7 +144,7 @@ func TestMDSSerializes(t *testing.T) {
 	const n = 100
 	for i := 0; i < n; i++ {
 		eng.Spawn("c", func(p *des.Proc) {
-			fs.Create(p)
+			p.Do(fs.Create)
 			if p.Now() > last {
 				last = p.Now()
 			}
@@ -189,7 +189,7 @@ func TestWriteStriped(t *testing.T) {
 	fs := New(eng, params, rng.New(1, 1))
 	var done float64
 	eng.Spawn("w", func(p *des.Proc) {
-		fs.WriteStriped(p, []int{0, 1, 2, 3}, 400e6, BigSequential)
+		p.Do(func(k func()) { fs.WriteStriped([]int{0, 1, 2, 3}, 400e6, BigSequential, k) })
 		done = p.Now()
 	})
 	eng.Run()
@@ -218,7 +218,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			ostID := i % 7
 			eng.Spawn("w", func(pr *des.Proc) {
-				fs.Write(pr, ostID, 5e6, SmallFile)
+				pr.Do(func(k func()) { fs.Write(ostID, 5e6, SmallFile, k) })
 				times = append(times, pr.Now())
 			})
 		}
@@ -245,7 +245,7 @@ func TestBeginPhaseCongestionOnlyHurts(t *testing.T) {
 	fs.BeginPhase()
 	var done float64
 	eng.Spawn("w", func(p *des.Proc) {
-		fs.Write(p, 0, 100e6, BigSequential)
+		p.Do(func(k func()) { fs.Write(0, 100e6, BigSequential, k) })
 		done = p.Now()
 	})
 	eng.Run()
@@ -259,7 +259,7 @@ func TestAggregateThroughput(t *testing.T) {
 	params := quietParams()
 	params.OSTBandwidth = 100e6
 	fs := New(eng, params, rng.New(1, 1))
-	eng.Spawn("w", func(p *des.Proc) { fs.Write(p, 0, 100e6, BigSequential) })
+	eng.Spawn("w", func(p *des.Proc) { p.Do(func(k func()) { fs.Write(0, 100e6, BigSequential, k) }) })
 	end := eng.Run()
 	if tp := fs.AggregateThroughput(end); tp < 99e6 || tp > 101e6 {
 		t.Fatalf("throughput = %v, want ≈ 100e6", tp)

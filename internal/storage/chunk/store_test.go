@@ -718,8 +718,8 @@ func TestDedupCost(t *testing.T) {
 	st := Cost(storage.NewMemory(eng, 4, 1e9), 0.25)
 	const vol = 8 << 20
 	eng.Spawn("writer", func(p *des.Proc) {
-		st.Write(p, 0, vol, storage.BigSequential)
-		st.Read(p, 0, vol, storage.BigSequential)
+		p.Do(func(k func()) { st.Write(0, vol, storage.BigSequential, k) })
+		p.Do(func(k func()) { st.Read(0, vol, storage.BigSequential, k) })
 	})
 	eng.Run()
 	acc := st.Accounting()

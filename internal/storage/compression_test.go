@@ -283,11 +283,11 @@ func TestCodecCost(t *testing.T) {
 		}
 		eng.Spawn("dedicated", func(p *des.Proc) {
 			b.BeginPhase()
-			b.Create(p)
-			b.Write(p, 0, 60e6, BigSequential)
-			b.Close(p)
+			p.Do(b.Create)
+			p.Do(func(k func()) { b.Write(0, 60e6, BigSequential, k) })
+			p.Do(b.Close)
 			p.Await(b.WriteAsync(1, 60e6, BigSequential))
-			b.Read(p, 0, 30e6, BigSequential)
+			p.Do(func(k func()) { b.Read(0, 30e6, BigSequential, k) })
 			p.Await(b.ReadAsync(1, 30e6, BigSequential))
 		})
 		end := eng.Run()
@@ -323,11 +323,11 @@ func TestCodecCost(t *testing.T) {
 	plain := NewMemory(engPlain, 4, 1e8)
 	engPlain.Spawn("dedicated", func(p *des.Proc) {
 		plain.BeginPhase()
-		plain.Create(p)
-		plain.Write(p, 0, 60e6/ratio, BigSequential)
-		plain.Close(p)
+		p.Do(plain.Create)
+		p.Do(func(k func()) { plain.Write(0, 60e6/ratio, BigSequential, k) })
+		p.Do(plain.Close)
 		p.Await(plain.WriteAsync(1, 60e6/ratio, BigSequential))
-		plain.Read(p, 0, 30e6/ratio, BigSequential)
+		p.Do(func(k func()) { plain.Read(0, 30e6/ratio, BigSequential, k) })
 		p.Await(plain.ReadAsync(1, 30e6/ratio, BigSequential))
 	})
 	plainEnd := engPlain.Run()

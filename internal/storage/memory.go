@@ -88,20 +88,23 @@ func (m *simModel) eff(pat Pattern) float64 {
 	}
 }
 
-func (m *simModel) metaOp(p *des.Proc) {
-	p.Acquire(m.metaRes, 1)
-	p.Wait(m.metaTime)
-	m.metaRes.Release(1)
+func (m *simModel) metaOp(k func()) {
+	m.metaRes.AcquireThen(1, func() {
+		m.eng.Wait(m.metaTime, func() {
+			m.metaRes.Release(1)
+			k()
+		})
+	})
 }
 
 // Create implements CostModel.
-func (m *simModel) Create(p *des.Proc) { m.metaOp(p) }
+func (m *simModel) Create(k func()) { m.metaOp(k) }
 
 // Open implements CostModel.
-func (m *simModel) Open(p *des.Proc) { m.metaOp(p) }
+func (m *simModel) Open(k func()) { m.metaOp(k) }
 
 // Close implements CostModel.
-func (m *simModel) Close(p *des.Proc) { m.metaOp(p) }
+func (m *simModel) Close(k func()) { m.metaOp(k) }
 
 func (m *simModel) beginTransfer() {
 	m.mu.Lock()
@@ -126,46 +129,51 @@ func (m *simModel) endTransfer(bytes float64, read bool) {
 	m.mu.Unlock()
 }
 
-// transfer serves one stream — write or read — on a target: reads are
-// priced exactly like writes (same per-target FIFO, same pattern
-// efficiency), so the restart path inherits the model's determinism.
-func (m *simModel) transfer(p *des.Proc, target int, bytes float64, pat Pattern, overhead float64, read bool) {
+// transfer serves one stream — write or read — on a target, then runs
+// k: reads are priced exactly like writes (same per-target FIFO, same
+// pattern efficiency), so the restart path inherits the model's
+// determinism.
+func (m *simModel) transfer(target int, bytes float64, pat Pattern, overhead float64, read bool, k func()) {
 	if bytes <= 0 {
+		k()
 		return
 	}
 	t := m.targets[target%len(m.targets)]
-	p.Acquire(t, 1)
-	m.beginTransfer()
-	p.Wait(overhead + bytes/(m.bw*m.eff(pat)))
-	m.endTransfer(bytes, read)
-	t.Release(1)
+	t.AcquireThen(1, func() {
+		m.beginTransfer()
+		m.eng.Wait(overhead+bytes/(m.bw*m.eff(pat)), func() {
+			m.endTransfer(bytes, read)
+			t.Release(1)
+			k()
+		})
+	})
 }
 
 // Write implements CostModel.
-func (m *simModel) Write(p *des.Proc, target int, bytes float64, pat Pattern) {
-	m.transfer(p, target, bytes, pat, m.overhead, false)
+func (m *simModel) Write(target int, bytes float64, pat Pattern, k func()) {
+	m.transfer(target, bytes, pat, m.overhead, false, k)
 }
 
 // WriteChunk implements CostModel.
-func (m *simModel) WriteChunk(p *des.Proc, target int, bytes float64, pat Pattern) {
-	m.transfer(p, target, bytes, pat, 0, false)
+func (m *simModel) WriteChunk(target int, bytes float64, pat Pattern, k func()) {
+	m.transfer(target, bytes, pat, 0, false, k)
 }
 
 // Read implements CostModel.
-func (m *simModel) Read(p *des.Proc, target int, bytes float64, pat Pattern) {
-	m.transfer(p, target, bytes, pat, m.overhead, true)
+func (m *simModel) Read(target int, bytes float64, pat Pattern, k func()) {
+	m.transfer(target, bytes, pat, m.overhead, true, k)
 }
 
+// transferAsync starts a transfer in an event of its own at the current
+// time — it queues for its target after whatever the caller does next
+// in this event — and returns a future completed when it finishes.
 func (m *simModel) transferAsync(target int, bytes float64, pat Pattern, read bool) *des.Future {
 	f := m.eng.NewFuture()
 	if bytes <= 0 {
 		f.Complete()
 		return f
 	}
-	m.eng.Spawn("storage-xfer", func(p *des.Proc) {
-		m.transfer(p, target, bytes, pat, m.overhead, read)
-		f.Complete()
-	})
+	m.eng.Wait(0, func() { m.transfer(target, bytes, pat, m.overhead, read, f.Complete) })
 	return f
 }
 

@@ -34,22 +34,22 @@ func (b *PFS) Targets() int { return b.fs.OSTCount() }
 func (b *PFS) BeginPhase() { b.fs.BeginPhase() }
 
 // Create implements CostModel.
-func (b *PFS) Create(p *des.Proc) { b.fs.Create(p) }
+func (b *PFS) Create(k func()) { b.fs.Create(k) }
 
 // Open implements CostModel.
-func (b *PFS) Open(p *des.Proc) { b.fs.Open(p) }
+func (b *PFS) Open(k func()) { b.fs.Open(k) }
 
 // Close implements CostModel.
-func (b *PFS) Close(p *des.Proc) { b.fs.Close(p) }
+func (b *PFS) Close(k func()) { b.fs.Close(k) }
 
 // Write implements CostModel.
-func (b *PFS) Write(p *des.Proc, target int, bytes float64, pat Pattern) {
-	b.fs.Write(p, target%b.fs.OSTCount(), bytes, pfsPattern(pat))
+func (b *PFS) Write(target int, bytes float64, pat Pattern, k func()) {
+	b.fs.Write(target%b.fs.OSTCount(), bytes, pfsPattern(pat), k)
 }
 
 // WriteChunk implements CostModel.
-func (b *PFS) WriteChunk(p *des.Proc, target int, bytes float64, pat Pattern) {
-	b.fs.WriteChunk(p, target%b.fs.OSTCount(), bytes, pfsPattern(pat))
+func (b *PFS) WriteChunk(target int, bytes float64, pat Pattern, k func()) {
+	b.fs.WriteChunk(target%b.fs.OSTCount(), bytes, pfsPattern(pat), k)
 }
 
 // WriteAsync implements CostModel.
@@ -58,8 +58,8 @@ func (b *PFS) WriteAsync(target int, bytes float64, pat Pattern) *des.Future {
 }
 
 // Read implements CostModel.
-func (b *PFS) Read(p *des.Proc, target int, bytes float64, pat Pattern) {
-	b.fs.Read(p, target%b.fs.OSTCount(), bytes, pfsPattern(pat))
+func (b *PFS) Read(target int, bytes float64, pat Pattern, k func()) {
+	b.fs.Read(target%b.fs.OSTCount(), bytes, pfsPattern(pat), k)
 }
 
 // ReadAsync implements CostModel.

@@ -20,29 +20,32 @@ type reducing struct {
 // Reduce returns inner with a reduction layer on its five transfer
 // methods. A write charges the layer's CPU and then moves the forwarded
 // volume inward; a read moves the forwarded volume back and then
-// charges the CPU. The blocking methods wait on the calling proc — the
-// dedicated core; the async ones have no proc, so a transfer that costs
-// CPU runs in a process of its own on the inner model's engine.
+// charges the CPU. The continuation methods charge the CPU to the
+// caller's own timeline — the dedicated core's; the async ones have no
+// caller to charge, so a transfer that costs CPU runs in a process of
+// its own on the inner model's engine.
 func Reduce(inner CostModel, write, read TransferCost) CostModel {
 	return &reducing{CostModel: inner, write: write, read: read}
 }
 
-// chargeWrite waits the write-side CPU on p and returns the volume to
-// forward.
-func (r *reducing) chargeWrite(p *des.Proc, bytes float64) float64 {
-	cpu, fwd := r.write(bytes)
+// charge runs k after cpu seconds of layer CPU (inline when there are
+// none).
+func (r *reducing) charge(cpu float64, k func()) {
 	if cpu > 0 {
-		p.Wait(cpu)
+		r.Engine().Wait(cpu, k)
+		return
 	}
-	return fwd
+	k()
 }
 
-func (r *reducing) Write(p *des.Proc, target int, bytes float64, pat Pattern) {
-	r.CostModel.Write(p, target, r.chargeWrite(p, bytes), pat)
+func (r *reducing) Write(target int, bytes float64, pat Pattern, k func()) {
+	cpu, fwd := r.write(bytes)
+	r.charge(cpu, func() { r.CostModel.Write(target, fwd, pat, k) })
 }
 
-func (r *reducing) WriteChunk(p *des.Proc, target int, bytes float64, pat Pattern) {
-	r.CostModel.WriteChunk(p, target, r.chargeWrite(p, bytes), pat)
+func (r *reducing) WriteChunk(target int, bytes float64, pat Pattern, k func()) {
+	cpu, fwd := r.write(bytes)
+	r.charge(cpu, func() { r.CostModel.WriteChunk(target, fwd, pat, k) })
 }
 
 func (r *reducing) WriteAsync(target int, bytes float64, pat Pattern) *des.Future {
@@ -56,12 +59,9 @@ func (r *reducing) WriteAsync(target int, bytes float64, pat Pattern) *des.Futur
 	})
 }
 
-func (r *reducing) Read(p *des.Proc, target int, bytes float64, pat Pattern) {
+func (r *reducing) Read(target int, bytes float64, pat Pattern, k func()) {
 	cpu, fwd := r.read(bytes)
-	r.CostModel.Read(p, target, fwd, pat)
-	if cpu > 0 {
-		p.Wait(cpu)
-	}
+	r.CostModel.Read(target, fwd, pat, func() { r.charge(cpu, k) })
 }
 
 func (r *reducing) ReadAsync(target int, bytes float64, pat Pattern) *des.Future {

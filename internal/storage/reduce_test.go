@@ -15,9 +15,9 @@ type forwardProbe struct {
 	last      *des.Future
 }
 
-func (m *forwardProbe) Write(p *des.Proc, target int, bytes float64, pat Pattern) {
+func (m *forwardProbe) Write(target int, bytes float64, pat Pattern, k func()) {
 	m.forwarded = append(m.forwarded, bytes)
-	m.CostModel.Write(p, target, bytes, pat)
+	m.CostModel.Write(target, bytes, pat, k)
 }
 
 func (m *forwardProbe) WriteAsync(target int, bytes float64, pat Pattern) *des.Future {
@@ -26,9 +26,9 @@ func (m *forwardProbe) WriteAsync(target int, bytes float64, pat Pattern) *des.F
 	return m.last
 }
 
-func (m *forwardProbe) Read(p *des.Proc, target int, bytes float64, pat Pattern) {
+func (m *forwardProbe) Read(target int, bytes float64, pat Pattern, k func()) {
 	m.forwarded = append(m.forwarded, bytes)
-	m.CostModel.Read(p, target, bytes, pat)
+	m.CostModel.Read(target, bytes, pat, k)
 }
 
 func (m *forwardProbe) ReadAsync(target int, bytes float64, pat Pattern) *des.Future {
@@ -58,9 +58,9 @@ func TestReduceBlockingAndAsyncAgree(t *testing.T) {
 	var took [4]float64
 	eng.Spawn("dedicated", func(p *des.Proc) {
 		steps := []func(){
-			func() { layer.Write(p, 0, raw, BigSequential) },
+			func() { p.Do(func(k func()) { layer.Write(0, raw, BigSequential, k) }) },
 			func() { p.Await(layer.WriteAsync(0, raw, BigSequential)) },
-			func() { layer.Read(p, 0, raw, BigSequential) },
+			func() { p.Do(func(k func()) { layer.Read(0, raw, BigSequential, k) }) },
 			func() { p.Await(layer.ReadAsync(0, raw, BigSequential)) },
 		}
 		for i, step := range steps {
@@ -89,7 +89,7 @@ func TestReduceBlockingAndAsyncAgree(t *testing.T) {
 	plain := func(bytes float64) float64 { // inner transfer time on an idle target
 		e := des.NewEngine()
 		m := NewMemory(e, 4, 1e8)
-		e.Spawn("w", func(p *des.Proc) { m.Write(p, 0, bytes, BigSequential) })
+		e.Spawn("w", func(p *des.Proc) { p.Do(func(k func()) { m.Write(0, bytes, BigSequential, k) }) })
 		return e.Run()
 	}
 	wantWrite, wantRead := writeCPU+plain(raw/4), readCPU+plain(raw/2)

@@ -1,8 +1,8 @@
 // Package storage abstracts where aggregated output lands. It has two
 // faces, and a type serves one of them:
 //
-//   - The cost face (CostModel: Create/Open/Close/Write/Read...,
-//     *des.Proc-blocking) charges virtual time and feeds the cost
+//   - The cost face (CostModel: Create/Open/Close/Write/Read... in
+//     continuation form) charges virtual time and feeds the cost
 //     ledger; it is all the iostrat strategies depend on. PFS is the
 //     paper's storage substrate, the discrete-event Lustre model with
 //     metadata serialization, pattern-dependent OST efficiency, jitter
@@ -249,8 +249,10 @@ func SegsLen(segs [][]byte) int {
 func FlattenSegs(segs [][]byte) []byte { return bytes.Join(segs, nil) }
 
 // CostModel is the simulated face of a storage target: operations that
-// charge virtual time on a des.Proc, and the ledger they feed. The
-// iostrat strategies depend on this face alone.
+// charge virtual time, and the ledger they feed. The iostrat strategies
+// depend on this face alone. Each operation takes the continuation k it
+// runs once done, inline or from a later event, so a state machine
+// chains them directly; a des.Proc calls one through Proc.Do.
 type CostModel interface {
 	// Engine returns the DES engine the model charges time on (nil for a
 	// Memory or SDF store built for its object face only).
@@ -262,27 +264,27 @@ type CostModel interface {
 	// model redraws per-OST congestion there).
 	BeginPhase()
 
-	// Create, Open and Close are blocking metadata operations.
-	Create(p *des.Proc)
-	Open(p *des.Proc)
-	Close(p *des.Proc)
+	// Create, Open and Close are metadata operations.
+	Create(k func())
+	Open(k func())
+	Close(k func())
 
-	// Write blocks until a whole-file write of bytes with the given
+	// Write runs k once a whole-file write of bytes with the given
 	// pattern to the target completes (per-file overhead charged).
-	Write(p *des.Proc, target int, bytes float64, pat Pattern)
+	Write(target int, bytes float64, pat Pattern, k func())
 	// WriteChunk is Write without the per-file overhead (one round of
 	// an already-open file).
-	WriteChunk(p *des.Proc, target int, bytes float64, pat Pattern)
+	WriteChunk(target int, bytes float64, pat Pattern, k func())
 	// WriteAsync submits a whole-file write and returns a future
 	// completed when the transfer finishes.
 	WriteAsync(target int, bytes float64, pat Pattern) *des.Future
 
-	// Read blocks until a whole-file read of bytes with the given
+	// Read runs k once a whole-file read of bytes with the given
 	// pattern from the target completes (per-file overhead charged) —
 	// the restart path's mirror of Write. Reads flow through the same
 	// per-target queues as writes, so a restart competes with whatever
 	// else the storage system serves.
-	Read(p *des.Proc, target int, bytes float64, pat Pattern)
+	Read(target int, bytes float64, pat Pattern, k func())
 	// ReadAsync submits a whole-file read and returns a future
 	// completed when the transfer finishes.
 	ReadAsync(target int, bytes float64, pat Pattern) *des.Future

@@ -73,9 +73,9 @@ func TestSimulatedFaceAccounting(t *testing.T) {
 			eng.Spawn("writer", func(p *des.Proc) {
 				b.BeginPhase()
 				for i := 0; i < files; i++ {
-					b.Create(p)
-					b.Write(p, i, perFile, BigSequential)
-					b.Close(p)
+					p.Do(b.Create)
+					p.Do(func(k func()) { b.Write(i, perFile, BigSequential, k) })
+					p.Do(b.Close)
 				}
 			})
 			end := eng.Run()
@@ -131,7 +131,7 @@ func TestPatternOrdering(t *testing.T) {
 				for s := 0; s < 4; s++ {
 					target := s
 					eng.Spawn("writer", func(p *des.Proc) {
-						b.Write(p, target, 50e6, pat)
+						p.Do(func(k func()) { b.Write(target, 50e6, pat, k) })
 					})
 				}
 				times[pat] = eng.Run()
@@ -153,9 +153,9 @@ func TestMemoryDeterminism(t *testing.T) {
 		for s := 0; s < 6; s++ {
 			target := s
 			eng.Spawn("w", func(p *des.Proc) {
-				b.Create(p)
-				b.Write(p, target, 3e6, SmallFile)
-				b.Close(p)
+				p.Do(b.Create)
+				p.Do(func(k func()) { b.Write(target, 3e6, SmallFile, k) })
+				p.Do(b.Close)
 			})
 		}
 		return eng.Run(), b.Accounting()
@@ -296,10 +296,10 @@ func TestSimulatedReadFace(t *testing.T) {
 			const perRead = 5e6
 			eng.Spawn("reader", func(p *des.Proc) {
 				b.BeginPhase()
-				b.Open(p)
-				b.Read(p, 0, perRead, BigSequential)
+				p.Do(b.Open)
+				p.Do(func(k func()) { b.Read(0, perRead, BigSequential, k) })
 				p.Await(b.ReadAsync(1, perRead, BigSequential))
-				b.Close(p)
+				p.Do(b.Close)
 			})
 			end := eng.Run()
 			if end <= 0 {
