@@ -123,9 +123,11 @@ c1-smoke:
 	$(GO) run ./cmd/damaris-bench -quick -exp c1
 
 # Short fuzz passes over the object decoders, the chunk store's segment
-# walk and the aggregation protocol past the exhaustive checker's scope;
-# `go test -fuzz` takes one package per invocation.
+# walk, the aggregation protocol past the exhaustive checker's scope and
+# the DES engine's event order; `go test -fuzz` takes one package per
+# invocation.
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime 10s ./internal/des
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchCodec$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzManifestDecode$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzForestEvents$$' -fuzztime 10s ./internal/cluster

@@ -88,6 +88,40 @@ func TestIntnBounds(t *testing.T) {
 	}
 }
 
+// intnRejection is Intn as the plain rejection formula: compute the
+// largest multiple of n below 2^64 and redraw any value at or above it.
+func intnRejection(s *Stream, n int) int {
+	max := uint64(n)
+	limit := math.MaxUint64 - math.MaxUint64%max
+	for {
+		v := s.Uint64()
+		if v < limit {
+			return int(v % max)
+		}
+	}
+}
+
+// TestIntnMatchesRejectionFormula holds Intn to the rejection formula:
+// the same values, and the stream left in the same state, for small n
+// and for n large enough that draws are rejected often (2^62+1 and
+// 3·2^61 reject about one draw in four).
+func TestIntnMatchesRejectionFormula(t *testing.T) {
+	ns := []int{1, 2, 3, 7, 336, 1 << 31, 1<<32 + 1, 1<<62 + 1, 3 << 61, math.MaxInt64 - 1, math.MaxInt64}
+	for seed := uint64(0); seed < 50; seed++ {
+		for _, n := range ns {
+			got, want := New(seed, 11), New(seed, 11)
+			for i := 0; i < 20000; i++ {
+				if g, w := got.Intn(n), intnRejection(want, n); g != w {
+					t.Fatalf("seed %d: draw %d of Intn(%d) = %d, want %d", seed, i, n, g, w)
+				}
+			}
+			if *got != *want {
+				t.Fatalf("seed %d: Intn(%d) left the stream at %+v, want %+v", seed, n, *got, *want)
+			}
+		}
+	}
+}
+
 func TestIntnPanicsOnNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {
