@@ -163,8 +163,9 @@ bench:
 # enough to sample, drop the profile under out/pprof/, and print the
 # top functions. Override PPROF_BENCH/PPROF_PKG to aim elsewhere, e.g.
 #   make pprof-cpu PPROF_BENCH=BenchmarkTimerDispatch PPROF_PKG=./internal/des
-# or, for the DES strategy runs (the four strategies at 1,152 cores):
-#   make pprof-cpu PPROF_BENCH=BenchmarkStrategyRun PPROF_PKG=./internal/iostrat
+# or, for the four write runs of the des-kraken benchmark workload (9,216
+# cores; BenchmarkStrategyRun/1152 is the pinned 1,152-core shape):
+#   make pprof-cpu PPROF_BENCH=BenchmarkStrategyRun/9216 PPROF_PKG=./internal/iostrat
 pprof-cpu:
 	@mkdir -p out/pprof
 	$(GO) test $(PPROF_PKG) -run '^$$' -bench '^$(PPROF_BENCH)$$' -benchtime 2s \

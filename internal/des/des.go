@@ -3,8 +3,8 @@
 // paper (up to 9216 cores on a Kraken-like machine) are replayed in
 // virtual time.
 //
-// Model: an Engine owns a virtual clock and an event heap, and Run fires
-// the events one at a time on its own goroutine, in (time, seq) order,
+// Model: an Engine owns a virtual clock and its pending events, and Run
+// fires them one at a time on its own goroutine, in (time, seq) order,
 // so execution is sequential and fully deterministic. Simulated actors
 // come in two styles that share every primitive:
 //
@@ -28,6 +28,21 @@
 // runtime.Goexit in one (t.Fatal) ends the goroutine that called Run.
 // Callback events (Engine.At) run inline in the engine and may wake
 // waiters by completing Futures or releasing Resources.
+//
+// Pending events live in one of two places. An event booked for a later
+// time goes into an indexed binary heap on (time, seq). An event booked
+// for the current instant — a wake, a zero-delay Wait, a Spawn — goes to
+// the back of the lane, a FIFO slice of the events due now; in the
+// strategy runs that is over half of all events, and the lane books them
+// in O(1) where the heap costs O(log n). Run fires the heap's events at
+// the current time first, then drains the lane, and only then advances
+// the clock to the heap's top. That is exactly (time, seq) order: an
+// event reaches the heap only if it was booked before the clock reached
+// its time, so it precedes every lane event of that instant. Cancelling
+// a heap event removes it in O(log n); cancelling a lane event leaves a
+// tombstone, which Run recycles without firing or counting it. A Timer
+// retimed into the current instant or out of it is cancelled and booked
+// afresh at the back of its new instant, as Cancel followed by At would.
 package des
 
 import (
@@ -36,19 +51,25 @@ import (
 )
 
 // event is a scheduled occurrence: either resume a process or invoke
-// fn. Events live in the engine's indexed heap; index tracks the heap
-// position so Cancel and Reschedule are O(log n) structural updates
-// instead of leaving tombstones for Run to skip. Fired or canceled
-// events are recycled through the engine's freelist — gen is bumped on
-// every recycle so a stale Timer handle can never touch an event that
-// now belongs to someone else.
+// fn. A pending event sits in the engine's indexed heap (index is its
+// position, so Cancel and Reschedule there are O(log n) structural
+// updates) or in the lane (index is inLane). Fired or canceled events
+// are recycled through the engine's freelist — gen is bumped on every
+// recycle so a stale Timer handle can never touch an event that now
+// belongs to someone else.
 type event struct {
 	time float64
 	seq  uint64 // tie-breaker: FIFO among equal-time events
 	waiter
-	index int    // heap position; -1 once popped, removed or recycled
+	index int    // heap position, inLane, or notPending
 	gen   uint32 // incarnation counter validated by Timer handles
 }
+
+// The index of an event that is not in the heap.
+const (
+	notPending = -1 // fired, canceled (a lane tombstone) or recycled
+	inLane     = -2 // due at the current instant, waiting in the lane
+)
 
 // waiter is what an event or a parked party resumes: a process, or a
 // continuation run in engine context (exactly one is non-nil). Futures,
@@ -59,6 +80,8 @@ type waiter struct {
 	fn   func()
 }
 
+func (w waiter) none() bool { return w.proc == nil && w.fn == nil }
+
 // Engine is a discrete-event simulation engine. Create one with NewEngine,
 // spawn processes, then call Run. An Engine must not be used from multiple
 // OS-level contexts at once; all interaction happens either before Run or
@@ -66,7 +89,9 @@ type waiter struct {
 type Engine struct {
 	now    float64
 	seq    uint64
-	events []*event // indexed binary min-heap on (time, seq)
+	events []*event // indexed binary min-heap on (time, seq), all after now
+	lane   []*event // events due at now, in booking order, from head on
+	head   int
 	free   []*event // recycled event structs (see event.gen)
 	nprocs int      // live processes (deadlock diagnostics)
 	nconts int      // continuations parked on a Future, Barrier or Resource (deadlock diagnostics)
@@ -140,30 +165,25 @@ func (e *Engine) heapPop() *event {
 	h[0].index = 0
 	h[last] = nil
 	e.events = h[:last]
-	ev.index = -1
+	ev.index = notPending
 	if last > 0 {
 		e.heapDown(0)
 	}
 	return ev
 }
 
-// heapRemove unlinks a pending event, reporting false when the event
-// is no longer in the heap (already fired or removed).
-func (e *Engine) heapRemove(ev *event) bool {
+// heapRemove unlinks a pending event from the heap.
+func (e *Engine) heapRemove(ev *event) {
 	i := ev.index
-	if i < 0 || i >= len(e.events) || e.events[i] != ev {
-		return false
-	}
 	last := len(e.events) - 1
 	e.heapSwap(i, last)
 	e.events[last] = nil
 	e.events = e.events[:last]
-	ev.index = -1
+	ev.index = notPending
 	if i < last {
 		e.heapDown(i)
 		e.heapUp(i)
 	}
-	return true
 }
 
 // heapFix restores heap order after ev.time changed in place.
@@ -188,8 +208,21 @@ func (e *Engine) newEvent() *event {
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.waiter = waiter{}
-	ev.index = -1
+	ev.index = notPending
 	e.free = append(e.free, ev)
+}
+
+// cancel withdraws a pending event: a heap event is removed and
+// recycled at once, a lane event becomes a tombstone that Run recycles
+// when the lane reaches it.
+func (e *Engine) cancel(ev *event) {
+	if ev.index == inLane {
+		ev.waiter = waiter{}
+		ev.index = notPending
+		return
+	}
+	e.heapRemove(ev)
+	e.recycle(ev)
 }
 
 // NewEngine returns an engine with the clock at 0.
@@ -206,7 +239,8 @@ func (e *Engine) EventsDispatched() uint64 { return e.dispatched }
 // created.
 func (e *Engine) ProcsSpawned() int { return e.spawned }
 
-// schedule books an event at absolute time t that resumes w.
+// schedule books an event at absolute time t that resumes w: at the
+// back of the lane when t is now, into the heap when it is later.
 func (e *Engine) schedule(t float64, w waiter) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("des: scheduling into the past: t=%v now=%v", t, e.now))
@@ -216,7 +250,12 @@ func (e *Engine) schedule(t float64, w waiter) *event {
 	ev.waiter = w
 	e.seq++
 	ev.seq = e.seq
-	e.heapPush(ev)
+	if t == e.now {
+		ev.index = inLane
+		e.lane = append(e.lane, ev)
+	} else {
+		e.heapPush(ev)
+	}
 	return ev
 }
 
@@ -268,38 +307,35 @@ type Timer struct {
 }
 
 // pending reports whether the timer's event is still the one it booked
-// and still in the heap.
+// and still due.
 func (t *Timer) pending() bool {
-	return t != nil && t.ev != nil && t.ev.gen == t.gen && t.ev.index >= 0
+	return t != nil && t.ev != nil && t.ev.gen == t.gen && t.ev.index != notPending
 }
 
 // Pending reports whether the callback is still scheduled (not fired,
 // not canceled).
 func (t *Timer) Pending() bool { return t.pending() }
 
-// Cancel removes the callback from the event heap so it never fires,
-// reporting whether it was still pending. Canceling an already-fired
-// or already-canceled timer is a no-op returning false. The removal is
-// structural (O(log n)) — a canceled event costs nothing at dispatch
-// time and its memory is recycled immediately.
+// Cancel withdraws the callback so it never fires, reporting whether it
+// was still pending. Canceling an already-fired or already-canceled
+// timer is a no-op returning false. A later event is removed from the
+// heap in O(log n) and recycled at once; an event due now leaves a
+// tombstone in the lane, which Run recycles without firing or counting.
 func (t *Timer) Cancel() bool {
 	if !t.pending() {
 		return false
 	}
-	e := t.eng
-	ev := t.ev
-	if !e.heapRemove(ev) {
-		return false
-	}
-	e.recycle(ev)
+	t.eng.cancel(t.ev)
 	return true
 }
 
-// Reschedule moves a still-pending callback to absolute time at
-// (>= Now) in place — an O(log n) heap fix, not a cancel-plus-At — and
-// reports whether the timer was pending. A fired or canceled timer is
-// left alone (false): re-arming it would resurrect an event whose
-// owner has moved on.
+// Reschedule moves a still-pending callback to absolute time at (>=
+// Now) and reports whether the timer was pending. Either way the event
+// goes to the back of its new instant: a retiming within the heap is an
+// O(log n) fix in place, a retiming into or out of the current instant
+// cancels the event and books it afresh. A fired or canceled timer is
+// left alone (false): re-arming it would resurrect an event whose owner
+// has moved on.
 func (t *Timer) Reschedule(at float64) bool {
 	if !t.pending() {
 		return false
@@ -308,10 +344,15 @@ func (t *Timer) Reschedule(at float64) bool {
 	if at < e.now {
 		panic(fmt.Sprintf("des: rescheduling into the past: t=%v now=%v", at, e.now))
 	}
-	t.ev.time = at
-	e.seq++
-	t.ev.seq = e.seq // retimed event goes to the back of its new instant
-	e.heapFix(t.ev)
+	if ev := t.ev; ev.index >= 0 && at > e.now {
+		ev.time = at
+		e.seq++
+		ev.seq = e.seq
+		e.heapFix(ev)
+		return true
+	}
+	e.cancel(t.ev)
+	t.book(at)
 	return true
 }
 
@@ -325,9 +366,13 @@ func (e *Engine) NewTimer(fn func()) *Timer { return &Timer{eng: e, fn: fn} }
 // never-booked one is booked afresh. Either way the event takes the
 // next sequence number, exactly as Cancel followed by At would.
 func (t *Timer) Set(at float64) {
-	if t.Reschedule(at) {
-		return
+	if !t.Reschedule(at) {
+		t.book(at)
 	}
+}
+
+// book schedules the timer's callback as a new event at at.
+func (t *Timer) book(at float64) {
 	t.ev = t.eng.schedule(at, waiter{fn: t.fn})
 	t.gen = t.ev.gen
 }
@@ -428,13 +473,35 @@ func (p *Proc) Do(start func(k func())) {
 	}
 }
 
-// Run executes events until the heap is empty. It returns the final clock
+// Run executes events until none is pending. It returns the final clock
 // value. Run panics if processes remain blocked with no pending events
 // (a modeling deadlock).
 func (e *Engine) Run() float64 {
-	for len(e.events) > 0 {
-		ev := e.heapPop()
-		e.now = ev.time
+	for {
+		var ev *event
+		switch {
+		case len(e.events) > 0 && e.events[0].time == e.now:
+			ev = e.heapPop() // booked before the clock got here: ahead of the lane
+		case e.head < len(e.lane):
+			ev = e.lane[e.head]
+			e.lane[e.head] = nil
+			if e.head++; e.head == len(e.lane) {
+				e.lane, e.head = e.lane[:0], 0
+			}
+			if ev.index != inLane { // a tombstone
+				e.recycle(ev)
+				continue
+			}
+		case len(e.events) > 0:
+			ev = e.heapPop()
+			e.now = ev.time
+		default:
+			if e.nprocs > 0 || e.nconts > 0 {
+				panic(fmt.Sprintf("des: deadlock: %d process(es) and %d continuation(s) blocked with no pending events",
+					e.nprocs, e.nconts))
+			}
+			return e.now
+		}
 		e.dispatched++
 		w := ev.waiter
 		e.recycle(ev)
@@ -444,19 +511,15 @@ func (e *Engine) Run() float64 {
 			w.proc.resume()
 		}
 	}
-	if e.nprocs > 0 || e.nconts > 0 {
-		panic(fmt.Sprintf("des: deadlock: %d process(es) and %d continuation(s) blocked with no pending events",
-			e.nprocs, e.nconts))
-	}
-	return e.now
 }
 
 // Future is a one-shot completion signal that processes can Await and
 // continuations can follow with Then.
 type Future struct {
-	eng     *Engine
-	done    bool
-	waiters []waiter
+	eng   *Engine
+	done  bool
+	first waiter   // held inline: most futures have one follower
+	more  []waiter // the followers after first, in arrival order
 }
 
 // NewFuture creates an incomplete future.
@@ -472,10 +535,14 @@ func (f *Future) Complete() {
 		panic("des: Future completed twice")
 	}
 	f.done = true
-	for _, w := range f.waiters {
+	if !f.first.none() {
+		f.eng.wake(f.first)
+		f.first = waiter{}
+	}
+	for _, w := range f.more {
 		f.eng.wake(w)
 	}
-	f.waiters = nil
+	f.more = nil
 }
 
 // Await blocks the process until the future completes. Returns immediately
@@ -491,7 +558,11 @@ func (f *Future) wait(w waiter) {
 		w.ready()
 		return
 	}
-	f.waiters = append(f.waiters, w)
+	if f.first.none() {
+		f.first = w
+	} else {
+		f.more = append(f.more, w)
+	}
 	f.eng.block(w)
 }
 
@@ -502,7 +573,8 @@ type Resource struct {
 	eng      *Engine
 	capacity int
 	inUse    int
-	waiters  []resWaiter
+	waiters  []resWaiter // the queue is waiters[head:]
+	head     int
 	// Busy accounting for utilization reports.
 	busySince float64
 	busyTotal float64
@@ -538,7 +610,7 @@ func (r *Resource) acquire(n int, w waiter) {
 	if n <= 0 || n > r.capacity {
 		panic(fmt.Sprintf("des: Acquire(%d) on resource of capacity %d", n, r.capacity))
 	}
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
+	if r.head == len(r.waiters) && r.inUse+n <= r.capacity {
 		r.take(n)
 		w.ready()
 		return
@@ -564,9 +636,12 @@ func (r *Resource) Release(n int) {
 	if r.inUse == 0 {
 		r.busyTotal += r.eng.now - r.busySince
 	}
-	for len(r.waiters) > 0 && r.inUse+r.waiters[0].n <= r.capacity {
-		w := r.waiters[0]
-		r.waiters = r.waiters[1:]
+	for r.head < len(r.waiters) && r.inUse+r.waiters[r.head].n <= r.capacity {
+		w := r.waiters[r.head]
+		r.waiters[r.head] = resWaiter{} // a granted waiter is not retained
+		if r.head++; r.head == len(r.waiters) {
+			r.waiters, r.head = r.waiters[:0], 0 // drained: refill from the start
+		}
 		r.take(w.n)
 		r.eng.wake(w.waiter)
 	}
@@ -590,7 +665,7 @@ type Barrier struct {
 	parties int
 	arrived int
 	gen     int
-	waiters []waiter
+	waiters []waiter // sized to parties-1 once, reused every generation
 }
 
 // NewBarrier creates a barrier for the given number of parties (> 0).
@@ -598,7 +673,7 @@ func (e *Engine) NewBarrier(parties int) *Barrier {
 	if parties <= 0 {
 		panic("des: barrier parties must be positive")
 	}
-	return &Barrier{eng: e, parties: parties}
+	return &Barrier{eng: e, parties: parties, waiters: make([]waiter, 0, parties-1)}
 }
 
 // Arrive blocks until all parties have arrived, then releases everyone and
@@ -624,6 +699,7 @@ func (b *Barrier) arrive(w waiter) {
 	for _, q := range b.waiters {
 		b.eng.wake(q)
 	}
-	b.waiters = nil
+	clear(b.waiters)
+	b.waiters = b.waiters[:0]
 	w.ready()
 }

@@ -308,6 +308,13 @@ func TestDeadlockDetection(t *testing.T) {
 			b := e.NewBarrier(2)
 			e.At(1, func() { b.ArriveThen(func() {}) })
 		},
+		"process behind a tombstone": func(e *Engine) {
+			f := e.NewFuture()
+			e.Spawn("stuck", func(p *Proc) {
+				e.At(p.Now(), f.Complete).Cancel()
+				p.Await(f)
+			})
+		},
 		"resource continuation": func(e *Engine) {
 			r := e.NewResource(1)
 			e.At(1, func() {

@@ -14,32 +14,36 @@ import (
 // events its coroutine used to, one for one, so a change to it changed
 // the model or its event order. spawns is a ceiling that may only come
 // down: the per-core ranks spawn nothing, which leaves Damaris one
-// dedicated core per node.
+// dedicated core per node. allocs, for the 1,152-core rows, is a
+// ceiling on the heap allocations of one whole run (testing.AllocsPerRun),
+// set just above the count measured when it was last lowered.
 var desWorkBudgets = map[string]struct {
 	events uint64
 	spawns int
+	allocs float64
 }{
-	"toy/pfs/fpp":              {2394, 0},
-	"toy/pfs/collective":       {2996, 0},
-	"toy/pfs/damaris-flat":     {1287, 8},
-	"toy/pfs/damaris-tree":     {1238, 8},
-	"toy/memory/fpp":           {2450, 0},
-	"toy/memory/collective":    {2316, 0},
-	"toy/memory/damaris-flat":  {1284, 8},
-	"toy/memory/damaris-tree":  {1257, 8},
-	"1152/pfs/fpp":             {20936, 0},
-	"1152/pfs/collective":      {24392, 0},
-	"1152/pfs/damaris-flat":    {10749, 96},
-	"1152/pfs/damaris-tree":    {10456, 96},
-	"1152/memory/fpp":          {20166, 0},
-	"1152/memory/collective":   {19000, 0},
-	"1152/memory/damaris-flat": {10744, 96},
-	"1152/memory/damaris-tree": {10758, 96},
+	"toy/pfs/fpp":              {2394, 0, 0},
+	"toy/pfs/collective":       {2996, 0, 0},
+	"toy/pfs/damaris-flat":     {1287, 8, 0},
+	"toy/pfs/damaris-tree":     {1238, 8, 0},
+	"toy/memory/fpp":           {2450, 0, 0},
+	"toy/memory/collective":    {2316, 0, 0},
+	"toy/memory/damaris-flat":  {1284, 8, 0},
+	"toy/memory/damaris-tree":  {1257, 8, 0},
+	"1152/pfs/fpp":             {20936, 0, 32300},
+	"1152/pfs/collective":      {24392, 0, 31200},
+	"1152/pfs/damaris-flat":    {10749, 96, 17100},
+	"1152/pfs/damaris-tree":    {10456, 96, 16100},
+	"1152/memory/fpp":          {20166, 0, 31300},
+	"1152/memory/collective":   {19000, 0, 29700},
+	"1152/memory/damaris-flat": {10744, 96, 15900},
+	"1152/memory/damaris-tree": {10758, 96, 15800},
 }
 
 // TestDESWorkBudgets runs the four strategies at the 96-core toy shape
 // and at 1,152 cores, on the PFS and the flat model, and holds the
-// engine to desWorkBudgets.
+// engine to desWorkBudgets. AllocsPerRun measures at GOMAXPROCS 1
+// whatever -cpu says, so the ceilings hold at any setting.
 func TestDESWorkBudgets(t *testing.T) {
 	shapes := map[string]func() Config{"toy": smallConfig, "1152": pinnedStrategyConfig}
 	for shape, config := range shapes {
@@ -69,6 +73,17 @@ func TestDESWorkBudgets(t *testing.T) {
 					}
 					if got := eng.ProcsSpawned(); got > want.spawns {
 						t.Errorf("%d processes spawned, ceiling %d", got, want.spawns)
+					}
+					if want.allocs == 0 {
+						return
+					}
+					allocs := testing.AllocsPerRun(2, func() {
+						if _, err := Run(s.approach, cfg); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if allocs > want.allocs {
+						t.Errorf("%v allocations per run, ceiling %v", allocs, want.allocs)
 					}
 				})
 			}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/storage"
 	"repro/internal/topology"
 )
 
@@ -96,21 +97,60 @@ func TestStrategiesPinned(t *testing.T) {
 	}
 }
 
-// BenchmarkStrategyRun times one whole run of each pinned strategy on
-// the PFS model at 1,152 cores; allocs/op shows what a run allocates
-// besides the events themselves (make pprof-cpu aims here, see the
-// Makefile).
-func BenchmarkStrategyRun(b *testing.B) {
-	for _, s := range pinnedStrategies {
-		b.Run(s.name, func(b *testing.B) {
-			cfg := pinnedStrategyConfig()
-			cfg.Fanout = s.fanout
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := Run(s.approach, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// krakenStrategies are the four write runs of the des-kraken benchmark
+// workload, configured as benchmark/adapter.go's desConfig does: 9,216
+// cores at two output phases, and the tree through the cluster-wide
+// token with the adaptive codec and dedup.
+var krakenStrategies = []struct {
+	name     string
+	approach Approach
+	tree     bool
+}{
+	{"damaris", Damaris, false},
+	{"fpp", FilePerProcess, false},
+	{"collective", Collective, false},
+	{"tree", Damaris, true},
+}
+
+func krakenConfig(tree bool) Config {
+	cfg := Config{Platform: topology.Kraken(9216 / 12), Workload: CM1Workload(2), Seed: 2013}
+	if tree {
+		cfg.Fanout = 4
+		cfg.Scheduling = SchedClusterToken
+		cfg.Codec = storage.AdaptiveCodec
+		cfg.Dedup = true
+		cfg.DedupNewFraction = 0.25
 	}
+	return cfg
+}
+
+// BenchmarkStrategyRun times one whole run of each strategy on the PFS
+// model: the pinned strategies at 1,152 cores (BenchmarkStrategyRun/1152)
+// and the des-kraken workload's four write runs at 9,216 cores
+// (BenchmarkStrategyRun/9216), whose FPP spends a larger share drawing
+// OST placements. allocs/op shows what a run allocates besides the
+// events themselves (make pprof-cpu aims here, see the Makefile).
+func BenchmarkStrategyRun(b *testing.B) {
+	run := func(b *testing.B, approach Approach, cfg Config) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := Run(approach, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("1152", func(b *testing.B) {
+		for _, s := range pinnedStrategies {
+			b.Run(s.name, func(b *testing.B) {
+				cfg := pinnedStrategyConfig()
+				cfg.Fanout = s.fanout
+				run(b, s.approach, cfg)
+			})
+		}
+	})
+	b.Run("9216", func(b *testing.B) {
+		for _, s := range krakenStrategies {
+			b.Run(s.name, func(b *testing.B) { run(b, s.approach, krakenConfig(s.tree)) })
+		}
+	})
 }

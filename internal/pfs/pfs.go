@@ -228,36 +228,39 @@ func (fs *FS) submitDir(ostID int, bytes, fileOverhead float64, pat Pattern, rea
 		return f
 	}
 	jitter, straggle := o.drawJitter()
-	start := func() {
-		if fs.activeTransfers == 0 {
-			fs.busySince = fs.eng.Now()
-		}
-		fs.activeTransfers++
-		// The fixed per-file cost is expressed as byte-equivalents at
-		// peak rate, so it flows through the processor-sharing
-		// arithmetic (allocation under load is slower too).
-		overhead := fileOverhead * fs.params.OSTBandwidth
-		t := &transfer{
-			ost:       o,
-			remaining: bytes*jitter + overhead,
-			payload:   bytes,
-			pat:       pat,
-			read:      read,
-			future:    f,
-		}
-		o.advance()
-		o.active = append(o.active, t)
-		o.recompute()
+	// The fixed per-file cost is expressed as byte-equivalents at peak
+	// rate, so it flows through the processor-sharing arithmetic
+	// (allocation under load is slower too).
+	overhead := fileOverhead * fs.params.OSTBandwidth
+	t := &transfer{
+		ost:       o,
+		remaining: bytes*jitter + overhead,
+		payload:   bytes,
+		pat:       pat,
+		read:      read,
+		future:    f,
 	}
 	if straggle > 0 {
 		// A straggler episode (stuck RPC, server hiccup) costs wall-clock
 		// time before the request is serviced, independent of the
 		// request's size or the OST's current load.
-		fs.eng.Wait(straggle, start)
+		fs.eng.Wait(straggle, t.start)
 	} else {
-		start()
+		t.start()
 	}
 	return f
+}
+
+// start puts the transfer in service on its OST.
+func (t *transfer) start() {
+	fs, o := t.ost.fs, t.ost
+	if fs.activeTransfers == 0 {
+		fs.busySince = fs.eng.Now()
+	}
+	fs.activeTransfers++
+	o.advance()
+	o.active = append(o.active, t)
+	o.recompute()
 }
 
 // Write runs k once a whole-file write of the given size and pattern to

@@ -82,13 +82,14 @@ func (s *Stream) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn called with non-positive n")
 	}
-	// Lemire's nearly-divisionless bounded generation on 32 bits is
-	// unnecessary here; simple rejection keeps the stream portable.
+	// Rejection above limit, the largest multiple of n not exceeding
+	// 2^64-1, keeps the stream portable. limit is at least 2^64-n, so a
+	// draw below that (-max) is accepted without the division limit
+	// costs: one division per call, not two.
 	max := uint64(n)
-	limit := math.MaxUint64 - math.MaxUint64%max
 	for {
 		v := s.Uint64()
-		if v < limit {
+		if v < -max || v < math.MaxUint64-math.MaxUint64%max {
 			return int(v % max)
 		}
 	}
