@@ -615,6 +615,13 @@ func (r *Resource) acquire(n int, w waiter) {
 		w.ready()
 		return
 	}
+	if r.head > 0 && len(r.waiters) == cap(r.waiters) {
+		// Full, with granted slots in front: slide the queue down
+		// instead of growing an array that never drains.
+		n := copy(r.waiters, r.waiters[r.head:])
+		clear(r.waiters[n:])
+		r.waiters, r.head = r.waiters[:n], 0
+	}
 	r.waiters = append(r.waiters, resWaiter{waiter: w, n: n})
 	r.eng.block(w)
 }

@@ -156,3 +156,30 @@ func TestResourceReleaseDropsGrantedWaiter(t *testing.T) {
 		}
 	}
 }
+
+// TestResourceQueueStaysCompact checks that a queue which never drains
+// reuses the slots of granted waiters instead of growing without bound.
+func TestResourceQueueStaysCompact(t *testing.T) {
+	e := NewEngine()
+	r := e.NewResource(1)
+	granted := 0
+	var hold func()
+	hold = func() {
+		if granted++; granted < 10000 {
+			r.AcquireThen(1, hold) // queue behind the two already waiting
+		}
+		e.Wait(1, func() { r.Release(1) })
+	}
+	e.At(0, func() {
+		for range 3 {
+			r.AcquireThen(1, hold)
+		}
+	})
+	e.Run()
+	if granted != 10000+2 {
+		t.Fatalf("%d grants, want %d", granted, 10000+2)
+	}
+	if c := cap(r.waiters); c > 8 {
+		t.Fatalf("queue of at most 3 waiters grew to capacity %d", c)
+	}
+}
