@@ -40,7 +40,8 @@ test:
 # about once in six runs), the service lifecycle, Restore's fetch workers
 # against its serial List-order merge, the token broker, the stream's
 # Seq order under racing publishers, the codec selector's first Puts
-# racing on one dataset, chunk-store Gets racing the sweep's pack
+# racing on one dataset, delta encoders sharing the pooled scratch
+# buffers while a reader decodes, chunk-store Gets racing the sweep's pack
 # compaction, two roots' PutVecs sharing chunks, the DES engine's
 # process coroutines, which all run on the goroutine that calls Run,
 # and the cross-face tests, whose runtime half drives deaths and
@@ -51,7 +52,7 @@ race-stress:
 	$(GO) test -race -count=10 ./internal/des
 	$(GO) test -race -count=10 -run 'TestE9Quick' ./internal/experiments
 	$(GO) test -race -count=10 -run 'Service|TestRestoreConcurrentMatchesSerial' ./internal/cluster
-	$(GO) test -race -count=10 -run 'Broker|TestStreamPublishSeqOrder|TestCompressingConcurrentChoice' ./internal/storage
+	$(GO) test -race -count=10 -run 'Broker|TestStreamPublishSeqOrder|TestCompressingConcurrentChoice|TestCompressingConcurrentDelta' ./internal/storage
 	$(GO) test -race -count=10 -run 'TestDedupStoreGetSweepRace|TestDedupStoreGetReresolvesAfterCompaction|TestDedupStoreConcurrentSweep|TestDedupStoreConcurrentPutVec' ./internal/storage/chunk
 	$(GO) test -race -count=10 -run 'TestFacesAgree' ./internal/iostrat
 	$(GO) test -count=200 -run 'TestClusterInteriorFailure|TestRestoreAfterFailure|TestAdaptReformRaceWithStreaming' ./internal/cluster
@@ -166,6 +167,9 @@ bench:
 # or, for the four write runs of the des-kraken benchmark workload (9,216
 # cores; BenchmarkStrategyRun/1152 is the pinned 1,152-core shape):
 #   make pprof-cpu PPROF_BENCH=BenchmarkStrategyRun/9216 PPROF_PKG=./internal/iostrat
+# or, for one root object of the ckpt-codec workload through the
+# adaptive compression pipeline (BenchmarkDecodeFrame is its restore):
+#   make pprof-cpu PPROF_BENCH=BenchmarkCompressingPutVec PPROF_PKG=./internal/storage
 pprof-cpu:
 	@mkdir -p out/pprof
 	$(GO) test $(PPROF_PKG) -run '^$$' -bench '^$(PPROF_BENCH)$$' -benchtime 2s \

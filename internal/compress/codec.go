@@ -9,20 +9,61 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
+
+	"repro/internal/buf"
 )
 
 // Codec is a lossless byte-level compressor. elemSize tells codecs that
-// exploit element structure (Gorilla) how to segment src; byte-oriented
-// codecs ignore it.
+// exploit element structure (Gorilla, Delta) how to segment src;
+// byte-oriented codecs ignore it.
 type Codec interface {
 	// Name is the registry key stored in SDF dataset headers.
 	Name() string
-	// Encode compresses src (len(src) must be a multiple of elemSize for
-	// element-structured codecs).
+	// Encode compresses src. Element-structured codecs return an error
+	// when len(src) is not a multiple of elemSize.
 	Encode(src []byte, elemSize int) ([]byte, error)
-	// Decode decompresses enc; dstSize is the expected decoded length.
-	// The result may alias enc (None returns enc itself).
+	// DecodeInto decompresses enc into dst, whose length is the decoded
+	// size; it writes nothing outside dst. It is the codec's one
+	// decoder. Element-structured codecs return an error when len(dst)
+	// is not a multiple of elemSize.
+	DecodeInto(dst, enc []byte, elemSize int) error
+	// Decode decompresses enc into a new buffer of dstSize bytes through
+	// DecodeInto. The result may alias enc (None returns enc itself).
 	Decode(enc []byte, dstSize, elemSize int) ([]byte, error)
+}
+
+// decode is every codec's Decode but None's: allocate dstSize bytes and
+// decode into them.
+func decode(c Codec, enc []byte, dstSize, elemSize int) ([]byte, error) {
+	dst := make([]byte, dstSize)
+	if err := c.DecodeInto(dst, enc, elemSize); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// checkElems is an element codec's check of an n-byte buffer: elemSize
+// must be one of the widths it supports and divide n, or the codec
+// would drop the tail silently.
+func checkElems(codec string, n, elemSize int, widths ...int) error {
+	if !slices.Contains(widths, elemSize) || n%elemSize != 0 {
+		return &elemError{codec, n, elemSize}
+	}
+	return nil
+}
+
+// elemError is an element codec's refusal of a buffer. The compression
+// pipeline offers every part to its codec and expects refusals (a
+// header part of odd length), so the message is formatted only when
+// read and a refusal costs one allocation.
+type elemError struct {
+	codec       string
+	n, elemSize int
+}
+
+func (e *elemError) Error() string {
+	return fmt.Sprintf("compress: %s cannot take %d bytes as %d-byte elements", e.codec, e.n, e.elemSize)
 }
 
 // ErrUnknownCodec is returned by ByName for a name outside the
@@ -75,6 +116,15 @@ func (None) Encode(src []byte, _ int) ([]byte, error) {
 	return append([]byte(nil), src...), nil
 }
 
+// DecodeInto implements Codec.
+func (None) DecodeInto(dst, enc []byte, _ int) error {
+	if len(enc) != len(dst) {
+		return fmt.Errorf("compress: none codec size mismatch: %d vs %d", len(enc), len(dst))
+	}
+	copy(dst, enc)
+	return nil
+}
+
 // Decode implements Codec. It returns enc itself, without a copy.
 func (None) Decode(enc []byte, dstSize, _ int) ([]byte, error) {
 	if len(enc) != dstSize {
@@ -93,22 +143,23 @@ func (Gorilla) Name() string { return "gorilla" }
 
 // Encode implements Codec.
 func (Gorilla) Encode(src []byte, elemSize int) ([]byte, error) {
-	switch elemSize {
-	case 8:
-		return gorillaEncode(src, 8), nil
-	case 4:
-		return gorillaEncode(src, 4), nil
-	default:
-		return nil, fmt.Errorf("compress: gorilla supports 4- or 8-byte elements, got %d", elemSize)
+	if err := checkElems("gorilla", len(src), elemSize, 4, 8); err != nil {
+		return nil, err
 	}
+	return gorillaEncode(src, elemSize), nil
+}
+
+// DecodeInto implements Codec.
+func (Gorilla) DecodeInto(dst, enc []byte, elemSize int) error {
+	if err := checkElems("gorilla", len(dst), elemSize, 4, 8); err != nil {
+		return err
+	}
+	return gorillaDecode(dst, enc, elemSize)
 }
 
 // Decode implements Codec.
-func (Gorilla) Decode(enc []byte, dstSize, elemSize int) ([]byte, error) {
-	if elemSize != 4 && elemSize != 8 {
-		return nil, fmt.Errorf("compress: gorilla supports 4- or 8-byte elements, got %d", elemSize)
-	}
-	return gorillaDecode(enc, dstSize, elemSize)
+func (g Gorilla) Decode(enc []byte, dstSize, elemSize int) ([]byte, error) {
+	return decode(g, enc, dstSize, elemSize)
 }
 
 func gorillaEncode(src []byte, width int) []byte {
@@ -145,21 +196,20 @@ func gorillaEncode(src []byte, width int) []byte {
 	return w.finish()
 }
 
-func gorillaDecode(enc []byte, dstSize, width int) ([]byte, error) {
+func gorillaDecode(out, enc []byte, width int) error {
 	bitsPerWord := uint(width * 8)
 	lzBits := uint(6)
 	if width == 4 {
 		lzBits = 5
 	}
-	n := dstSize / width
-	out := make([]byte, dstSize)
+	n := len(out) / width
 	r := bitReader{buf: enc}
 	var prev uint64
 	for i := 0; i < n; i++ {
 		if i == 0 {
 			v, ok := r.readBits(bitsPerWord)
 			if !ok {
-				return nil, io.ErrUnexpectedEOF
+				return io.ErrUnexpectedEOF
 			}
 			prev = v
 			writeWord(out[0:], v, width)
@@ -170,24 +220,24 @@ func gorillaDecode(enc []byte, dstSize, width int) ([]byte, error) {
 		head := r.peek()
 		if head>>63 == 0 {
 			if !r.skip(1) {
-				return nil, io.ErrUnexpectedEOF
+				return io.ErrUnexpectedEOF
 			}
 			writeWord(out[i*width:], prev, width)
 			continue
 		}
 		if !r.skip(1 + lzBits) {
-			return nil, io.ErrUnexpectedEOF
+			return io.ErrUnexpectedEOF
 		}
 		lead := head << 1 >> (64 - lzBits)
 		sig := bitsPerWord - uint(lead)
 		x, ok := r.readBits(sig)
 		if !ok {
-			return nil, io.ErrUnexpectedEOF
+			return io.ErrUnexpectedEOF
 		}
 		prev ^= x
 		writeWord(out[i*width:], prev, width)
 	}
-	return out, nil
+	return nil
 }
 
 func readWord(b []byte, width int) uint64 {
@@ -220,77 +270,96 @@ func (Delta) Name() string { return "delta" }
 // zigzag maps a signed delta to the unsigned value its varint encodes.
 func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 
-// Encode implements Codec.
+// Encode implements Codec. One pass finds the shift, one more encodes
+// into a pooled scratch buffer sized for the worst case (ten bytes per
+// element). The result is an exact-size copy of the stream: the store
+// holds the encoding until it has written it, and a worst-case buffer
+// would hold up to ten times the bytes.
 func (Delta) Encode(src []byte, elemSize int) ([]byte, error) {
-	if elemSize != 8 {
-		return nil, fmt.Errorf("compress: delta supports 8-byte integers, got %d", elemSize)
+	if err := checkElems("delta", len(src), elemSize, 8); err != nil {
+		return nil, err
 	}
-	src = src[:len(src)&^7]
-	var or uint64
-	for i := 0; i < len(src); i += 8 {
-		or |= binary.LittleEndian.Uint64(src[i:])
+	var or0, or1, or2, or3 uint64
+	i := 0
+	for ; i+32 <= len(src); i += 32 {
+		or0 |= binary.LittleEndian.Uint64(src[i:])
+		or1 |= binary.LittleEndian.Uint64(src[i+8:])
+		or2 |= binary.LittleEndian.Uint64(src[i+16:])
+		or3 |= binary.LittleEndian.Uint64(src[i+24:])
 	}
-	shift := uint(bits.TrailingZeros64(or)) & 63 // all-zero input: 64 → 0
-	// Size the output exactly: the encoding is held until the store has
-	// written it, and an append-grown buffer would hold twice the bytes.
-	size := 1
-	var prev int64
-	for i := 0; i < len(src); i += 8 {
-		v := int64(binary.LittleEndian.Uint64(src[i:])) >> shift
-		size += (bits.Len64(zigzag(v-prev)|1) + 6) / 7
-		prev = v
+	for ; i < len(src); i += 8 {
+		or0 |= binary.LittleEndian.Uint64(src[i:])
 	}
-	out := make([]byte, size)
-	out[0] = byte(shift)
+	shift := uint(bits.TrailingZeros64(or0|or1|or2|or3)) & 63 // all-zero input: 64 → 0
+	scratch := buf.Get(1 + len(src)/8*binary.MaxVarintLen64)
+	scratch[0] = byte(shift)
 	pos := 1
-	prev = 0
+	var prev int64
 	for i := 0; i < len(src); i += 8 {
 		v := int64(binary.LittleEndian.Uint64(src[i:])) >> shift
 		z := zigzag(v - prev)
 		prev = v
-		if z < 0x80 {
-			out[pos] = byte(z)
+		switch {
+		case z < 1<<7:
+			scratch[pos] = byte(z)
 			pos++
-			continue
+		case z < 1<<14:
+			scratch[pos] = byte(z) | 0x80
+			scratch[pos+1] = byte(z >> 7)
+			pos += 2
+		default:
+			pos += binary.PutUvarint(scratch[pos:], z)
 		}
-		pos += binary.PutUvarint(out[pos:], z)
 	}
+	stream := scratch[:pos]
+	out := make([]byte, len(stream))
+	copy(out, stream)
+	buf.Put(scratch)
 	return out, nil
 }
 
-// Decode implements Codec.
-func (Delta) Decode(enc []byte, dstSize, elemSize int) ([]byte, error) {
-	if elemSize != 8 {
-		return nil, fmt.Errorf("compress: delta supports 8-byte integers, got %d", elemSize)
+// DecodeInto implements Codec. One- and two-byte varints, all a rounded
+// field's deltas, are read inline.
+func (Delta) DecodeInto(dst, enc []byte, elemSize int) error {
+	if err := checkElems("delta", len(dst), elemSize, 8); err != nil {
+		return err
 	}
 	if len(enc) == 0 || enc[0] > 63 {
-		return nil, fmt.Errorf("compress: delta stream without a valid shift byte")
+		return fmt.Errorf("compress: delta stream without a valid shift byte")
 	}
 	shift := uint(enc[0])
-	out := make([]byte, dstSize)
 	var prev int64
 	pos := 1
-	for i := 0; i+8 <= dstSize; i += 8 {
+	for i := 0; i < len(dst); i += 8 {
 		if pos >= len(enc) {
-			return nil, io.ErrUnexpectedEOF
+			return io.ErrUnexpectedEOF
 		}
 		z := uint64(enc[pos])
-		if z < 0x80 {
+		switch {
+		case z < 0x80:
 			pos++
-		} else {
+		case pos+1 < len(enc) && enc[pos+1] < 0x80:
+			z = z&0x7f | uint64(enc[pos+1])<<7
+			pos += 2
+		default:
 			var k int
 			if z, k = binary.Uvarint(enc[pos:]); k <= 0 {
-				return nil, io.ErrUnexpectedEOF
+				return io.ErrUnexpectedEOF
 			}
 			pos += k
 		}
 		prev += int64(z>>1) ^ -int64(z&1)
-		binary.LittleEndian.PutUint64(out[i:], uint64(prev)<<shift)
+		binary.LittleEndian.PutUint64(dst[i:], uint64(prev)<<shift)
 	}
 	if pos != len(enc) {
-		return nil, fmt.Errorf("compress: delta stream has %d trailing bytes", len(enc)-pos)
+		return fmt.Errorf("compress: delta stream has %d trailing bytes", len(enc)-pos)
 	}
-	return out, nil
+	return nil
+}
+
+// Decode implements Codec.
+func (d Delta) Decode(enc []byte, dstSize, elemSize int) ([]byte, error) {
+	return decode(d, enc, dstSize, elemSize)
 }
 
 // RLE is byte-level run-length encoding: (count-1, value) pairs with runs
@@ -314,22 +383,32 @@ func (RLE) Encode(src []byte, _ int) ([]byte, error) {
 	return out, nil
 }
 
-// Decode implements Codec.
-func (RLE) Decode(enc []byte, dstSize, _ int) ([]byte, error) {
+// DecodeInto implements Codec.
+func (RLE) DecodeInto(dst, enc []byte, _ int) error {
 	if len(enc)%2 != 0 {
-		return nil, fmt.Errorf("compress: truncated RLE stream")
+		return fmt.Errorf("compress: truncated RLE stream")
 	}
-	out := make([]byte, 0, dstSize)
-	for i := 0; i < len(enc) && len(out) <= dstSize; i += 2 {
+	n := 0
+	for i := 0; i < len(enc); i += 2 {
 		run := int(enc[i]) + 1
-		for k := 0; k < run; k++ {
-			out = append(out, enc[i+1])
+		if run > len(dst)-n {
+			return fmt.Errorf("compress: RLE stream decodes past %d bytes", len(dst))
 		}
+		b := enc[i+1]
+		for k := n; k < n+run; k++ {
+			dst[k] = b
+		}
+		n += run
 	}
-	if len(out) != dstSize {
-		return nil, fmt.Errorf("compress: RLE decoded %d bytes, want %d", len(out), dstSize)
+	if n != len(dst) {
+		return fmt.Errorf("compress: RLE decoded %d bytes, want %d", n, len(dst))
 	}
-	return out, nil
+	return nil
+}
+
+// Decode implements Codec.
+func (r RLE) Decode(enc []byte, dstSize, elemSize int) ([]byte, error) {
+	return decode(r, enc, dstSize, elemSize)
 }
 
 // Flate wraps the stdlib DEFLATE at the default level.
@@ -340,8 +419,8 @@ func (Flate) Name() string { return "flate" }
 
 // Encode implements Codec.
 func (Flate) Encode(src []byte, _ int) ([]byte, error) {
-	var buf bytes.Buffer
-	fw, err := flate.NewWriter(&buf, flate.DefaultCompression)
+	var out bytes.Buffer
+	fw, err := flate.NewWriter(&out, flate.DefaultCompression)
 	if err != nil {
 		return nil, err
 	}
@@ -351,22 +430,26 @@ func (Flate) Encode(src []byte, _ int) ([]byte, error) {
 	if err := fw.Close(); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return out.Bytes(), nil
 }
 
-// Decode implements Codec.
-func (Flate) Decode(enc []byte, dstSize, _ int) ([]byte, error) {
+// DecodeInto implements Codec.
+func (Flate) DecodeInto(dst, enc []byte, _ int) error {
 	fr := flate.NewReader(bytes.NewReader(enc))
 	defer fr.Close()
-	out := make([]byte, dstSize)
-	if _, err := io.ReadFull(fr, out); err != nil {
-		return nil, err
+	if _, err := io.ReadFull(fr, dst); err != nil {
+		return err
 	}
 	// The stream must end where the caller said the payload does.
 	if n, err := fr.Read(make([]byte, 1)); n != 0 || err != io.EOF {
-		return nil, fmt.Errorf("compress: flate stream runs past %d bytes (%v)", dstSize, err)
+		return fmt.Errorf("compress: flate stream runs past %d bytes (%v)", len(dst), err)
 	}
-	return out, nil
+	return nil
+}
+
+// Decode implements Codec.
+func (f Flate) Decode(enc []byte, dstSize, elemSize int) ([]byte, error) {
+	return decode(f, enc, dstSize, elemSize)
 }
 
 // Float64Bytes reinterprets a float64 slice as little-endian bytes

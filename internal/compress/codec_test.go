@@ -364,7 +364,10 @@ func TestDeltaRejectsDamagedStreams(t *testing.T) {
 // element widths: a decoder must return an error or exactly the number
 // of bytes it was asked for — never panic, never read or allocate past
 // what the claimed size allows (the bit reader's nine-byte straddle and
-// delta's shift byte are the classic sites).
+// delta's shift byte are the classic sites). DecodeInto must agree with
+// Decode — the same success or failure, the same bytes — and write
+// nothing outside dst, which is handed over as the middle of a
+// canary-filled buffer.
 func FuzzCodecDecode(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{64, 1, 2, 3}, uint16(24))
@@ -386,6 +389,19 @@ func FuzzCodecDecode(f *testing.F) {
 				dec, err := c.Decode(enc, dstSize, elem)
 				if err == nil && len(dec) != dstSize {
 					t.Fatalf("%s/%d: decoded %d bytes, asked for %d", name, elem, len(dec), dstSize)
+				}
+				const canary, pad = 0xA5, 16
+				into := bytes.Repeat([]byte{canary}, pad+dstSize+pad)
+				dst := into[pad : pad+dstSize]
+				errInto := c.DecodeInto(dst, enc, elem)
+				if (errInto == nil) != (err == nil) {
+					t.Fatalf("%s/%d: DecodeInto error %v, Decode error %v", name, elem, errInto, err)
+				}
+				if err == nil && !bytes.Equal(dst, dec) {
+					t.Fatalf("%s/%d: DecodeInto and Decode disagree", name, elem)
+				}
+				if bytes.Count(into[:pad], []byte{canary}) != pad || bytes.Count(into[pad+dstSize:], []byte{canary}) != pad {
+					t.Fatalf("%s/%d: DecodeInto wrote outside dst", name, elem)
 				}
 			}
 		}
@@ -419,3 +435,45 @@ func BenchmarkGorillaDecodeRounded(b *testing.B) {
 }
 func BenchmarkDeltaEncodeRounded(b *testing.B) { benchCodec(b, Delta{}, roundedField(100000), false) }
 func BenchmarkDeltaDecodeRounded(b *testing.B) { benchCodec(b, Delta{}, roundedField(100000), true) }
+
+// TestElementCodecsRejectPartialElements: an element codec refuses a
+// buffer that is not a whole number of elements, on both sides — it
+// used to encode the whole elements and let the tail decode as zeros.
+func TestElementCodecsRejectPartialElements(t *testing.T) {
+	src := roundedField(4)
+	for _, c := range []Codec{Delta{}, Gorilla{}} {
+		if _, err := c.Encode(src[:12], 8); err == nil {
+			t.Errorf("%s: encoded 12 bytes as 8-byte elements", c.Name())
+		}
+		enc, err := c.Encode(src[:16], 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.DecodeInto(make([]byte, 12), enc, 8); err == nil {
+			t.Errorf("%s: decoded 8-byte elements into 12 bytes", c.Name())
+		}
+		if _, err := c.Decode(enc, 12, 8); err == nil {
+			t.Errorf("%s: Decode to 12 bytes of 8-byte elements succeeded", c.Name())
+		}
+	}
+	if _, err := (Gorilla{}).Encode(src[:6], 4); err == nil {
+		t.Error("gorilla: encoded 6 bytes as 4-byte elements")
+	}
+}
+
+// TestDeltaEncodeAllocs: once the scratch pool is warm, Delta.Encode
+// allocates only its exact-size result.
+func TestDeltaEncodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	src := roundedField(16384)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := (Delta{}).Encode(src, 8); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("Delta.Encode allocates %v times per call, want 1", allocs)
+	}
+}

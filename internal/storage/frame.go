@@ -234,27 +234,28 @@ func ParseFrameHeader(obj []byte) (FrameHeader, []byte, error) {
 }
 
 // DecodeFrame parses and decodes a framed object back to its raw
-// payload. Objects without the magic return ErrNotFramed; anything the
-// header parser or codec rejects returns ErrCorruptFrame.
+// payload. The raw object is allocated once and every part is decoded,
+// or copied when stored raw, straight into its place in it. Objects
+// without the magic return ErrNotFramed; anything the header parser or
+// codec rejects returns ErrCorruptFrame.
 func DecodeFrame(obj []byte) ([]byte, FrameHeader, error) {
 	h, payload, err := ParseFrameHeader(obj)
 	if err != nil {
 		return nil, FrameHeader{}, err
 	}
 	codec, _ := compress.ByName(h.Codec) // ParseFrameHeader validated the name
-	raw := make([]byte, 0, h.RawSize)
+	raw := make([]byte, h.RawSize)
+	dst := raw
 	for i, p := range h.Parts {
-		enc := payload[:p.EncodedSize]
-		payload = payload[p.EncodedSize:]
+		enc, part := payload[:p.EncodedSize], dst[:p.RawSize]
+		payload, dst = payload[p.EncodedSize:], dst[p.RawSize:]
 		if p.ElemSize == 0 {
-			raw = append(raw, enc...)
+			copy(part, enc)
 			continue
 		}
-		dec, err := codec.Decode(enc, p.RawSize, p.ElemSize)
-		if err != nil {
+		if err := codec.DecodeInto(part, enc, p.ElemSize); err != nil {
 			return nil, h, fmt.Errorf("%w: %s part %d: %v", ErrCorruptFrame, h.Codec, i, err)
 		}
-		raw = append(raw, dec...)
 	}
 	return raw, h, nil
 }
