@@ -42,7 +42,7 @@ test:
 # Seq order under racing publishers, the codec selector's first Puts
 # racing on one dataset, delta encoders sharing the pooled scratch
 # buffers while a reader decodes, chunk-store Gets racing the sweep's pack
-# compaction, two roots' PutVecs sharing chunks, the DES engine's
+# compaction (whole-pack and ranged reads, over Memory and SDF), two roots' PutVecs sharing chunks, the DES engine's
 # process coroutines, which all run on the goroutine that calls Run,
 # and the cross-face tests, whose runtime half drives deaths and
 # re-formations through real aggregator goroutines. Without it, at -count=200
@@ -154,8 +154,9 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# bench is the kernels' smoke run: every Benchmark* function once, so a
-# broken benchmark names itself. It gates nothing — the regression gate
+# bench is the kernels' smoke run: every Benchmark* function once
+# (BenchmarkDedupGet, the dedup restore, included), so a broken
+# benchmark names itself. It gates nothing — the regression gate
 # is the repo benchmark's -collect/-compare (benchmark/README.md).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
@@ -170,6 +171,9 @@ bench:
 # or, for one root object of the ckpt-codec workload through the
 # adaptive compression pipeline (BenchmarkDecodeFrame is its restore):
 #   make pprof-cpu PPROF_BENCH=BenchmarkCompressingPutVec PPROF_PKG=./internal/storage
+# or, for the restore of one root's four iterations of the ckpt-dedup
+# workload through the chunk store's range reads over SDF:
+#   make pprof-cpu PPROF_BENCH=BenchmarkDedupGet PPROF_PKG=./internal/storage/chunk
 pprof-cpu:
 	@mkdir -p out/pprof
 	$(GO) test $(PPROF_PKG) -run '^$$' -bench '^$(PPROF_BENCH)$$' -benchtime 2s \

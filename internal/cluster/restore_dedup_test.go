@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"repro/internal/meta"
 	"repro/internal/storage"
 	"repro/internal/storage/chunk"
 )
@@ -276,5 +278,135 @@ func TestRestoreDedupRetainSweep(t *testing.T) {
 		if _, ok := r.Iterations[it]; ok {
 			t.Fatalf("released iteration %d survived the sweep", it)
 		}
+	}
+}
+
+// dedupRestoreBudget holds a dedup restore to what it restores. reads
+// is object bytes read per restored byte: the packs' chunk runs, plus
+// recipes, manifests and, in a fresh process, the pack indexes; a
+// Get that fetched every pack it touched whole read about 1.4 here.
+// allocs is heap bytes allocated per restored byte, a ceiling just
+// above the count measured when it was set: 1.17 through the writing
+// stack, 1.26 in a fresh process, which also loads the pack indexes
+// (2.7 with the whole-pack Get).
+var dedupRestoreBudget = struct{ reads, allocs float64 }{1.1, 1.35}
+
+// rewriteBlocks is the content of the ckpt-dedup benchmark workload at
+// toy scale: incompressible blocks, a quarter of them drawn fresh each
+// iteration after the first, the rest bit-identical to the iteration
+// before. blocks[it][node*clients+source] is one block.
+func rewriteBlocks(nodes, clients, iters, size int) [][][]byte {
+	r := rand.New(rand.NewSource(2013))
+	n := nodes * clients
+	blocks := make([][][]byte, iters)
+	for it := range blocks {
+		blocks[it] = make([][]byte, n)
+		fresh := r.Perm(n)
+		if it > 0 {
+			fresh = fresh[:n/4]
+			copy(blocks[it], blocks[it-1])
+		}
+		for _, i := range fresh {
+			blocks[it][i] = make([]byte, size)
+			r.Read(blocks[it][i])
+		}
+	}
+	return blocks
+}
+
+// TestDedupRestoreReadBudget restores a toy store of the ckpt-dedup
+// shape — 2 roots, 4 iterations, a quarter of the blocks rewritten per
+// iteration, the chunk store over SDF — through the writing stack and
+// through a fresh process's read stack, and holds both to
+// dedupRestoreBudget: a restore reads about what it restores from the
+// store, not every pack it touches whole, and allocates about its
+// output.
+func TestDedupRestoreReadBudget(t *testing.T) {
+	const nodes, clients, iters, blockBytes = 8, 2, 4, 32 << 10
+	cfg, err := meta.ParseString(fmt.Sprintf(`<simulation name="clustertest">
+	  <architecture><dedicated cores="1"/><buffer size="%d"/></architecture>
+	  <data>
+	    <parameter name="n" value="%d"/>
+	    <layout name="row" type="float64" dimensions="n"/>
+	    <variable name="theta" layout="row"/>
+	  </data>
+	</simulation>`, 4*blockBytes*clients, blockBytes/8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := rewriteBlocks(nodes, clients, iters, blockBytes)
+	dir := t.TempDir()
+	base, err := storage.NewSDF(nil, 4, 1e9, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := chunk.New(base, chunk.Options{})
+	c, err := New(ClusterConfig{
+		Platform: testPlatform(nodes, clients+1),
+		Fanout:   2,
+		Roots:    2,
+		Store:    st,
+	}, RunSpec{Meta: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = Drive(c, Workload{Variable: "theta", To: iters, Payload: func(node, source, it int) []byte {
+		return blocks[it][node*clients+source]
+	}})
+	if err != nil {
+		t.Error(err)
+	}
+	if err := c.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if acc := st.Accounting(); acc.ChunksDeduped == 0 {
+		t.Fatalf("nothing deduplicated: %+v", acc)
+	}
+	fresh, err := storage.NewSDF(nil, 4, 1e9, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, leg := range []struct {
+		name   string
+		base   storage.Backend
+		reader storage.ObjectReader
+	}{
+		{"writer", base, st},
+		{"fresh", fresh, chunk.ReadStack(fresh)},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			read0 := leg.base.Accounting().ObjectReadBytes
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			r, err := Restore(leg.reader, "clustertest")
+			runtime.ReadMemStats(&m1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(r.Problems) != 0 {
+				t.Fatalf("restore problems: %v", r.Problems)
+			}
+			restored := 0
+			for it, ri := range r.Iterations {
+				for _, b := range ri.Blocks {
+					if !bytes.Equal(b.Data, blocks[it][b.Node*clients+b.Source]) {
+						t.Fatalf("iteration %d node %d source %d: restored bytes differ", it, b.Node, b.Source)
+					}
+					restored += len(b.Data)
+				}
+			}
+			if want := nodes * clients * iters * blockBytes; restored != want {
+				t.Fatalf("restored %d block bytes, want %d", restored, want)
+			}
+			reads := float64(leg.base.Accounting().ObjectReadBytes-read0) / float64(restored)
+			allocs := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(restored)
+			t.Logf("%.3f object bytes read and %.3f heap bytes allocated per restored byte", reads, allocs)
+			if reads > dedupRestoreBudget.reads {
+				t.Errorf("%.3f object bytes read per restored byte, ceiling %.2f", reads, dedupRestoreBudget.reads)
+			}
+			if allocs > dedupRestoreBudget.allocs {
+				t.Errorf("%.3f heap bytes allocated per restored byte, ceiling %.2f", allocs, dedupRestoreBudget.allocs)
+			}
+		})
 	}
 }

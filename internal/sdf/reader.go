@@ -3,6 +3,7 @@ package sdf
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -226,6 +227,33 @@ func (r *Reader) ReadDataset(path string) ([]byte, error) {
 		return nil, fmt.Errorf("sdf: dataset %q checksum mismatch", path)
 	}
 	return data, nil
+}
+
+// ErrRange is returned by ReadDatasetAt for a range that does not lie
+// inside the dataset. Callers should test with errors.Is.
+var ErrRange = errors.New("sdf: range outside dataset")
+
+// ReadDatasetAt reads len(dst) bytes of a dataset's payload, starting
+// off bytes into it, straight into dst: one positioned read, no
+// intermediate buffer. A range that does not lie inside the dataset is
+// ErrRange and writes nothing. The dataset's CRC covers its whole
+// payload, so a range is not checked against it: callers verify what
+// they read (the chunk store checks every chunk's SHA-256).
+func (r *Reader) ReadDatasetAt(path string, dst []byte, off int64) error {
+	d, ok := r.datasets[cleanPath(path)]
+	if !ok {
+		return fmt.Errorf("sdf: no dataset %q", path)
+	}
+	if off < 0 || off > d.Size || int64(len(dst)) > d.Size-off {
+		return fmt.Errorf("%w: %q is %d bytes, range [%d, +%d)", ErrRange, path, d.Size, off, len(dst))
+	}
+	if len(dst) == 0 {
+		return nil // an io.ReaderAt may report EOF for an empty read at the end
+	}
+	if _, err := r.r.ReadAt(dst, d.Offset+off); err != nil {
+		return fmt.Errorf("sdf: reading %q: %w", path, err)
+	}
+	return nil
 }
 
 // ReadFloat64s reads a float64 dataset as a slice.

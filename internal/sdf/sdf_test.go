@@ -3,6 +3,7 @@ package sdf
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math"
 	"os"
@@ -398,8 +399,59 @@ func FuzzSDFReader(f *testing.F) {
 			if err == nil && int64(len(got)) != d.Size {
 				t.Fatalf("%s: read %d bytes of a %d-byte dataset", d.Path, len(got), d.Size)
 			}
+			if err == nil {
+				checkRanges(t, r, d, got)
+			}
 		}
 	})
+}
+
+// checkRanges holds ReadDatasetAt to ReadDataset on one dataset whose
+// payload (whole, CRC-checked) is want: every in-bounds range returns
+// exactly the matching slice, and a negative, past-the-end or
+// overflowing range is ErrRange and writes nothing — not even inside
+// dst, let alone the guard bytes around it.
+func checkRanges(t *testing.T, r *Reader, d DatasetInfo, want []byte) {
+	t.Helper()
+	const guard = 8
+	read := func(off, n int64) ([]byte, error) {
+		buf := bytes.Repeat([]byte{0xa5}, int(n)+2*guard)
+		dst := buf[guard : guard+n : guard+n]
+		err := r.ReadDatasetAt(d.Path, dst, off)
+		for i, b := range append(buf[:guard:guard], buf[guard+n:]...) {
+			if b != 0xa5 {
+				t.Fatalf("%s: range [%d, +%d) wrote guard byte %d", d.Path, off, n, i)
+			}
+		}
+		return dst, err
+	}
+	size := d.Size
+	for _, rg := range [][2]int64{
+		{0, size}, {0, 0}, {size, 0}, {0, size / 2}, {size / 3, size - size/3},
+		{size / 2, (size + 1) / 4}, {max(size-1, 0), min(size, 1)},
+	} {
+		got, err := read(rg[0], rg[1])
+		if err != nil || !bytes.Equal(got, want[rg[0]:rg[0]+rg[1]]) {
+			t.Fatalf("%s: range [%d, +%d) of %d bytes: err %v, exact %v",
+				d.Path, rg[0], rg[1], size, err, bytes.Equal(got, want[rg[0]:rg[0]+rg[1]]))
+		}
+	}
+	for _, rg := range [][2]int64{{-1, 1}, {-1, 0}, {size + 1, 0}, {0, size + 1}, {size, 1}, {1 << 62, 2}} {
+		if rg[1] > size+1 {
+			continue // not a buffer to allocate for a fuzzed size
+		}
+		got, err := read(rg[0], rg[1])
+		if !errors.Is(err, ErrRange) {
+			t.Fatalf("%s: range [%d, +%d) of %d bytes: want ErrRange, got %v", d.Path, rg[0], rg[1], size, err)
+		}
+		if !bytes.Equal(got, bytes.Repeat([]byte{0xa5}, len(got))) {
+			t.Fatalf("%s: rejected range [%d, +%d) wrote into dst", d.Path, rg[0], rg[1])
+		}
+	}
+	// An offset near the top of int64: off + len(dst) overflows.
+	if err := r.ReadDatasetAt(d.Path, make([]byte, 2), math.MaxInt64-1); !errors.Is(err, ErrRange) {
+		t.Fatalf("%s: overflowing range: want ErrRange, got %v", d.Path, err)
+	}
 }
 
 func BenchmarkWriteDatasetNone(b *testing.B) {

@@ -313,3 +313,45 @@ func BenchmarkStorePutVec(b *testing.B) {
 		b.StartTimer()
 	}
 }
+
+// BenchmarkDedupGet is the chunk store's restore on the ckpt-dedup
+// root-object shape: four 8 MiB batches of 128 KiB payloads behind
+// 30-byte headers, each rewriting a quarter of the payloads of the one
+// before, stored over SDF; one op Gets all four, so the later ones
+// gather their chunks from up to four packs.
+func BenchmarkDedupGet(b *testing.B) {
+	const n, size, iters = 64, 128 << 10, 4
+	payloads := make([][]byte, n)
+	for i := range payloads {
+		payloads[i] = payload(int64(i), size)
+	}
+	base, err := storage.NewSDF(nil, 4, 1e9, b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := New(base, Options{})
+	r := rand.New(rand.NewSource(1))
+	names := make([]string, iters)
+	var raw int64
+	for it := range names {
+		for i := it % 4; it > 0 && i < n; i += 4 {
+			r.Read(payloads[i])
+		}
+		segs := batchSegs(payloads, it)
+		names[it] = fmt.Sprintf("batch-it%06d", it)
+		if err := st.PutVec(names[it], segs); err != nil {
+			b.Fatal(err)
+		}
+		raw += int64(storage.SegsLen(segs))
+	}
+	b.SetBytes(raw)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for op := 0; op < b.N; op++ {
+		for _, name := range names {
+			if _, err := st.Get(name); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -272,11 +273,15 @@ type chunkLoc struct {
 }
 
 // Get implements ObjectReader: recipes are transparently reassembled
-// from their packs — each pack fetched once, each chunk verified
-// against its hash — and plain objects pass through byte-for-byte. A
-// chunk this process has not located is looked up in the pack indexes,
-// so a fresh process can restore a store left by an earlier run. A pack
-// that disappears under a concurrent compaction is re-resolved once.
+// and plain objects pass through byte-for-byte. Each pack a recipe
+// touches is read once, through storage.ReadRanges: the entries that
+// are adjacent both in the recipe and in the pack form one range, read
+// straight into its place in the output, and every chunk is verified
+// against its hash where it landed. No pack byte the object does not
+// hold is read. A chunk this process has not located is looked up in
+// the pack indexes, so a fresh process can restore a store left by an
+// earlier run. A pack that disappears under a concurrent compaction is
+// re-resolved once.
 func (s *Store) Get(name string) ([]byte, error) {
 	obj, err := s.inner.Get(name)
 	if err != nil || !IsRecipe(obj) {
@@ -302,30 +307,46 @@ func (s *Store) Get(name string) ([]byte, error) {
 	for i := 1; i < len(ents); i++ {
 		at[i] = at[i-1] + ents[i-1].size
 	}
+	var mine []int             // the entries of the pack being read
+	var ranges []storage.Range // their runs, each a window of out
 	for retry := false; ; retry = true {
 		var lost []int // entries whose pack vanished since locate
 		for len(todo) > 0 {
 			pack := locs[todo[0]].pack
-			data, err := s.inner.Get(pack)
-			if err != nil && !errors.Is(err, storage.ErrNotFound) {
-				return nil, fmt.Errorf("chunk: object %q pack %s: %w", name, pack, err)
-			}
+			mine, ranges = mine[:0], ranges[:0]
 			rest := todo[:0]
 			for _, i := range todo {
 				e, l := ents[i], locs[i]
 				switch {
 				case l.pack != pack:
 					rest = append(rest, i)
-				case err != nil:
-					lost = append(lost, i)
-				case l.off+e.size > len(data) || sha256.Sum256(data[l.off:l.off+e.size]) != e.sum:
-					return nil, fmt.Errorf("%w: object %q chunk %d/%d (%x): stored bytes do not match",
-						ErrCorruptRecipe, name, i, len(ents), e.sum)
+					continue
+				case len(mine) > 0 && mine[len(mine)-1] == i-1 && locs[i-1].off+ents[i-1].size == l.off:
+					r := &ranges[len(ranges)-1]
+					r.Dst = r.Dst[:len(r.Dst)+e.size] // the run goes on in out and in the pack
 				default:
-					copy(out[at[i]:], data[l.off:l.off+e.size])
+					ranges = append(ranges, storage.Range{Off: int64(l.off), Dst: out[at[i] : at[i]+e.size]})
 				}
+				mine = append(mine, i)
 			}
 			todo = rest
+			err := storage.ReadRanges(s.inner, pack, ranges)
+			switch {
+			case errors.Is(err, storage.ErrNotFound):
+				lost = append(lost, mine...)
+				continue
+			case errors.Is(err, storage.ErrOutOfRange):
+				return nil, fmt.Errorf("%w: object %q pack %s is shorter than its index: %v",
+					ErrCorruptRecipe, name, pack, err)
+			case err != nil:
+				return nil, fmt.Errorf("chunk: object %q pack %s: %w", name, pack, err)
+			}
+			for _, i := range mine {
+				if e := ents[i]; sha256.Sum256(out[at[i]:at[i]+e.size]) != e.sum {
+					return nil, fmt.Errorf("%w: object %q chunk %d/%d (%x): stored bytes do not match",
+						ErrCorruptRecipe, name, i, len(ents), e.sum)
+				}
+			}
 		}
 		if len(lost) == 0 {
 			break
@@ -335,6 +356,7 @@ func (s *Store) Get(name string) ([]byte, error) {
 			return nil, fmt.Errorf("%w: object %q chunk %d/%d (%x): pack %s is gone",
 				ErrDanglingChunk, name, i, len(ents), ents[i].sum, locs[i].pack)
 		}
+		slices.Sort(lost) // back in recipe order, so runs join again
 		todo = lost
 		if err := s.locate(name, ents, todo, locs); err != nil {
 			return nil, err

@@ -500,50 +500,88 @@ func TestDedupStoreFreshSweepKeepsUntracked(t *testing.T) {
 	}
 }
 
-// sweepOnPackGet runs fn the first time a pack is fetched, before the
-// fetch — the window in which Get has located its chunks but not yet
-// read them. fn may fetch packs itself (a sweep does).
+// rangeBase is an inner store with every face the dedup store uses:
+// Memory and SDF are both one.
+type rangeBase interface {
+	storage.Backend
+	storage.ObjectDeleter
+	storage.RangeReader
+}
+
+// packStoreKinds are the inner stores the pack-read races run over.
+var packStoreKinds = []string{"memory", "sdf"}
+
+// newPackStore builds an empty inner store of one of packStoreKinds.
+func newPackStore(t *testing.T, kind string) rangeBase {
+	t.Helper()
+	if kind == "memory" {
+		return newMem()
+	}
+	sdfStore, err := storage.NewSDF(nil, 4, 1e9, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sdfStore
+}
+
+// sweepOnPackGet runs fn the first time a pack is fetched, whole or by
+// ranges, before the fetch — the window in which Get has located its
+// chunks but not yet read them. fn may fetch packs itself (a sweep
+// does).
 type sweepOnPackGet struct {
-	*storage.Memory
+	rangeBase
 	fn func()
 }
 
-func (m *sweepOnPackGet) Get(name string) ([]byte, error) {
+func (m *sweepOnPackGet) hook(name string) {
 	if fn := m.fn; fn != nil && strings.HasSuffix(name, packSuffix) {
 		m.fn = nil
 		fn()
 	}
-	return m.Memory.Get(name)
+}
+
+func (m *sweepOnPackGet) Get(name string) ([]byte, error) {
+	m.hook(name)
+	return m.rangeBase.Get(name)
+}
+
+func (m *sweepOnPackGet) ReadRanges(name string, rs []storage.Range) error {
+	m.hook(name)
+	return m.rangeBase.ReadRanges(name, rs)
 }
 
 // TestDedupStoreGetReresolvesAfterCompaction: a Get that located its
 // chunks in a pack which a sweep then compacts away re-resolves them
 // under the lock and reads them from the new pack.
 func TestDedupStoreGetReresolvesAfterCompaction(t *testing.T) {
-	inner := &sweepOnPackGet{Memory: newMem()}
-	st := New(inner, Options{})
-	base := payload(40, 32<<10)
-	if err := st.Put("old", base); err != nil {
-		t.Fatal(err)
-	}
-	keep := append([]byte(nil), base[:16<<10]...)
-	if err := st.Put("keep", keep); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Release("old"); err != nil {
-		t.Fatal(err)
-	}
-	swept := false
-	inner.fn = func() {
-		stats, err := st.Sweep()
-		swept = err == nil && stats.Chunks > 0
-	}
-	got, err := st.Get("keep")
-	if err != nil || !bytes.Equal(got, keep) {
-		t.Fatalf("Get across a compaction failed (err %v)", err)
-	}
-	if !swept {
-		t.Fatal("the sweep under Get compacted nothing — the race was not exercised")
+	for _, kind := range packStoreKinds {
+		t.Run(kind, func(t *testing.T) {
+			inner := &sweepOnPackGet{rangeBase: newPackStore(t, kind)}
+			st := New(inner, Options{})
+			base := payload(40, 32<<10)
+			if err := st.Put("old", base); err != nil {
+				t.Fatal(err)
+			}
+			keep := append([]byte(nil), base[:16<<10]...)
+			if err := st.Put("keep", keep); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Release("old"); err != nil {
+				t.Fatal(err)
+			}
+			swept := false
+			inner.fn = func() {
+				stats, err := st.Sweep()
+				swept = err == nil && stats.Chunks > 0
+			}
+			got, err := st.Get("keep")
+			if err != nil || !bytes.Equal(got, keep) {
+				t.Fatalf("Get across a compaction failed (err %v)", err)
+			}
+			if !swept {
+				t.Fatal("the sweep under Get compacted nothing — the race was not exercised")
+			}
+		})
 	}
 }
 
@@ -551,7 +589,13 @@ func TestDedupStoreGetReresolvesAfterCompaction(t *testing.T) {
 // round leaves a half-dead pack for the sweep to compact, under -race
 // in `make race-stress`: every Get returns the exact bytes.
 func TestDedupStoreGetSweepRace(t *testing.T) {
-	st := New(newMem(), Options{})
+	for _, kind := range packStoreKinds {
+		t.Run(kind, func(t *testing.T) { getSweepRace(t, newPackStore(t, kind)) })
+	}
+}
+
+func getSweepRace(t *testing.T, inner storage.Backend) {
+	st := New(inner, Options{})
 	const rounds, readers = 30, 3
 	var mu sync.Mutex
 	live := map[string][]byte{}
@@ -764,5 +808,63 @@ func TestOneFacePerType(t *testing.T) {
 		if cost == object {
 			t.Errorf("%s: cost face %v, object face %v; want exactly one", name, cost, object)
 		}
+	}
+}
+
+// rangeCounter records the ranged reads the dedup store makes.
+type rangeCounter struct {
+	rangeBase
+	packs, ranges int
+	bytes         int64
+}
+
+func (m *rangeCounter) ReadRanges(name string, rs []storage.Range) error {
+	m.packs++
+	m.ranges += len(rs)
+	for _, r := range rs {
+		m.bytes += int64(len(r.Dst))
+	}
+	return m.rangeBase.ReadRanges(name, rs)
+}
+
+// TestDedupStoreGetReadsRuns: a Get reads each pack it touches once,
+// exactly the object's bytes, and joins the chunks that follow each
+// other both in the recipe and in the pack into one range. An edit in
+// the middle of an object leaves it in two packs: the old one holds
+// the runs before and after the edit, the new one the edited run.
+func TestDedupStoreGetReadsRuns(t *testing.T) {
+	for _, kind := range packStoreKinds {
+		t.Run(kind, func(t *testing.T) {
+			inner := &rangeCounter{rangeBase: newPackStore(t, kind)}
+			st := New(inner, Options{})
+			base := payload(50, 64<<10)
+			edit := append([]byte(nil), base...)
+			copy(edit[32<<10:], payload(51, 4<<10))
+			objs := []struct {
+				name string
+				data []byte
+			}{{"it0", base}, {"it1", edit}}
+			for _, o := range objs {
+				if err := st.Put(o.name, o.data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, o := range objs {
+				name, want := o.name, o.data
+				inner.packs, inner.ranges, inner.bytes = 0, 0, 0
+				got, err := st.Get(name)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s: err %v", name, err)
+				}
+				wantPacks, wantRanges := 1, 1
+				if name == "it1" {
+					wantPacks, wantRanges = 2, 3
+				}
+				if inner.packs != wantPacks || inner.ranges != wantRanges || inner.bytes != int64(len(want)) {
+					t.Fatalf("%s: %d packs, %d ranges, %d bytes read; want %d, %d, %d",
+						name, inner.packs, inner.ranges, inner.bytes, wantPacks, wantRanges, len(want))
+				}
+			}
+		})
 	}
 }

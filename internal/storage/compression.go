@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"regexp"
 	"slices"
@@ -348,6 +349,30 @@ func (c *Compressing) Get(name string) ([]byte, error) {
 	charge(&c.decodeTime, defaultProfiles[h.Codec].DecodeRate, float64(len(raw)))
 	c.mu.Unlock()
 	return raw, nil
+}
+
+// ReadRanges implements RangeReader. A probe of the object's first
+// bytes tells framed from unframed: an unframed object's bytes are the
+// inner object's, so its ranges are read through the inner store; a
+// framed object — or one too short to probe — is read through Get,
+// decoded whole, and the ranges are copied out, since frames are not
+// range-addressable. Probing apart from the ranges keeps a framed
+// object from being read twice (a dedup store over the codec frames
+// every pack).
+func (c *Compressing) ReadRanges(name string, rs []Range) error {
+	var magic [len(frameMagic)]byte
+	err := ReadRanges(c.inner, name, []Range{{Dst: magic[:]}})
+	switch {
+	case err == nil && !IsFramed(magic[:]):
+		return ReadRanges(c.inner, name, rs)
+	case err != nil && !errors.Is(err, ErrOutOfRange):
+		return err
+	}
+	obj, err := c.Get(name)
+	if err != nil {
+		return err
+	}
+	return copyRanges(name, obj, rs)
 }
 
 // List implements ObjectReader: framing does not rename objects.

@@ -280,6 +280,22 @@ func (b *Memory) Get(name string) ([]byte, error) {
 	return append([]byte(nil), d...), nil
 }
 
+// ReadRanges implements RangeReader: the ranges are copied out of the
+// stored bytes, and only they count as read.
+func (b *Memory) ReadRanges(name string, rs []Range) error {
+	b.omu.Lock()
+	defer b.omu.Unlock()
+	d, ok := b.objects[name]
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	if err := copyRanges(name, d, rs); err != nil {
+		return err
+	}
+	b.objRead += rangesLen(rs)
+	return nil
+}
+
 // List implements ObjectReader: stored names with the prefix, ascending.
 func (b *Memory) List(prefix string) ([]string, error) {
 	b.omu.Lock()

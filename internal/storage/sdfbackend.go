@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -110,12 +111,56 @@ func (b *SDF) PutVec(name string, segs [][]byte) error {
 }
 
 // Get implements ObjectReader: the object is read back from its SDF
-// file. The name is hardened the same way Put's collision guard is: a
-// request whose name merely flattens to an existing file — the file
-// belongs to a different unflattened name — is rejected as a collision
-// instead of served, whether the owner is known from this process's
-// Puts or only from the name attribute inside the file.
+// file, whose CRC checks the whole payload.
 func (b *SDF) Get(name string) ([]byte, error) {
+	r, err := b.open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	var data []byte
+	if n, ok := r.AttrInt("", "size"); !ok || n > 0 {
+		data, err = r.ReadDataset("data")
+		if err != nil {
+			return nil, fmt.Errorf("storage: object %q: %w", name, err)
+		}
+	}
+	b.countRead(int64(len(data)))
+	return data, nil
+}
+
+// ReadRanges implements RangeReader: one open of the object's SDF file,
+// then one positioned read per range straight into its Dst. The file's
+// CRC covers the whole payload and is not checked here; the caller
+// verifies what it reads (the chunk store hashes every chunk).
+func (b *SDF) ReadRanges(name string, rs []Range) error {
+	r, err := b.open(name)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	if n, ok := r.AttrInt("", "size"); ok && n <= 0 {
+		return copyRanges(name, nil, rs) // an empty object has no dataset
+	}
+	for _, rg := range rs {
+		if err := r.ReadDatasetAt("data", rg.Dst, rg.Off); err != nil {
+			if errors.Is(err, sdf.ErrRange) {
+				return fmt.Errorf("%w: object %q: %v", ErrOutOfRange, name, err)
+			}
+			return fmt.Errorf("storage: object %q: %w", name, err)
+		}
+	}
+	b.countRead(rangesLen(rs))
+	return nil
+}
+
+// open opens the SDF file of a stored object for reading. The name is
+// hardened the same way Put's collision guard is: a request whose name
+// merely flattens to an existing file — the file belongs to a different
+// unflattened name — is rejected as a collision instead of served,
+// whether the owner is known from this process's Puts or only from the
+// name attribute inside the file.
+func (b *SDF) open(name string) (*sdf.Reader, error) {
 	if name == "" {
 		return nil, fmt.Errorf("storage: empty object name")
 	}
@@ -134,22 +179,19 @@ func (b *SDF) Get(name string) ([]byte, error) {
 		}
 		return nil, err
 	}
-	defer r.Close()
 	if stored, ok := r.AttrString("", "name"); ok && stored != name {
+		r.Close()
 		return nil, fmt.Errorf("storage: object %q collides with %q (both flatten to %s)",
 			name, stored, path)
 	}
-	var data []byte
-	if n, ok := r.AttrInt("", "size"); !ok || n > 0 {
-		data, err = r.ReadDataset("data")
-		if err != nil {
-			return nil, fmt.Errorf("storage: object %q: %w", name, err)
-		}
-	}
+	return r, nil
+}
+
+// countRead adds n object bytes served back to the ledger.
+func (b *SDF) countRead(n int64) {
 	b.omu.Lock()
-	b.objRead += int64(len(data))
+	b.objRead += n
 	b.omu.Unlock()
-	return data, nil
 }
 
 // Delete implements ObjectDeleter: the object's SDF file is removed.

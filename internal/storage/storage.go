@@ -234,6 +234,66 @@ func PutVec(store ObjectStore, name string, segs [][]byte) error {
 	return store.Put(name, FlattenSegs(segs))
 }
 
+// ErrOutOfRange is returned by a ranged read for a range that does not
+// lie inside the object. Callers should test with errors.Is.
+var ErrOutOfRange = errors.New("storage: range outside object")
+
+// Range is one piece of a ranged read: the len(Dst) bytes of an object
+// that start Off bytes into it, read into Dst.
+type Range struct {
+	Off int64
+	Dst []byte
+}
+
+// RangeReader is the optional ranged-read face of a store: read pieces
+// of one object straight into the caller's buffers, without fetching
+// the rest of it. Memory and SDF (one open, one positioned read per
+// range) implement it, and so does Compressing; callers go through the
+// ReadRanges helper, which falls back to Get for everyone else.
+type RangeReader interface {
+	// ReadRanges fills every range's Dst from the named object. It
+	// returns ErrNotFound for a name never stored and ErrOutOfRange for
+	// a range that does not lie inside the object; on an error the Dst
+	// contents are undefined. Implementations must be safe for
+	// concurrent use.
+	ReadRanges(name string, rs []Range) error
+}
+
+// ReadRanges reads ranges of one object into their Dst: through the
+// store's RangeReader face when it has one, or by fetching the whole
+// object with Get and copying the ranges out of it.
+func ReadRanges(r ObjectReader, name string, rs []Range) error {
+	if rr, ok := r.(RangeReader); ok {
+		return rr.ReadRanges(name, rs)
+	}
+	obj, err := r.Get(name)
+	if err != nil {
+		return err
+	}
+	return copyRanges(name, obj, rs)
+}
+
+// copyRanges fills each range's Dst from obj, the whole object.
+func copyRanges(name string, obj []byte, rs []Range) error {
+	for _, rg := range rs {
+		if rg.Off < 0 || rg.Off > int64(len(obj)) || int64(len(rg.Dst)) > int64(len(obj))-rg.Off {
+			return fmt.Errorf("%w: object %q is %d bytes, range [%d, +%d)",
+				ErrOutOfRange, name, len(obj), rg.Off, len(rg.Dst))
+		}
+		copy(rg.Dst, obj[rg.Off:])
+	}
+	return nil
+}
+
+// rangesLen returns the total byte length of a range list.
+func rangesLen(rs []Range) int64 {
+	var n int64
+	for _, rg := range rs {
+		n += int64(len(rg.Dst))
+	}
+	return n
+}
+
 // SegsLen returns the total byte length of a segment list.
 func SegsLen(segs [][]byte) int {
 	n := 0
