@@ -9,7 +9,9 @@ import (
 )
 
 // desWorkBudgets is the ratchet table of the engine work one strategy
-// run costs without reduction layers, by shape/model/strategy. events
+// run costs, by shape/model/strategy: the four strategies without
+// reduction layers, and the des-kraken workload's tree configuration
+// (krakenTree) written and restarted on the PFS model. events
 // is exact: a simulated core that is a state machine books the very
 // events its coroutine used to, one for one, so a change to it changed
 // the model or its event order. spawns is a ceiling that may only come
@@ -38,57 +40,87 @@ var desWorkBudgets = map[string]struct {
 	"1152/memory/collective":   {19000, 0, 29700},
 	"1152/memory/damaris-flat": {10744, 96, 15900},
 	"1152/memory/damaris-tree": {10758, 96, 15800},
+	"toy/pfs/kraken-tree":      {1382, 56, 0},
+	"toy/pfs/restart":          {75, 24, 0},
+	"1152/pfs/kraken-tree":     {12478, 768, 27100},
+	"1152/pfs/restart":         {1403, 432, 9300},
+}
+
+// krakenTree is the des-kraken workload's tree configuration: fanout 4,
+// cluster-wide tokens, the adaptive codec and dedup.
+func krakenTree(cfg *Config) {
+	cfg.Fanout = 4
+	cfg.Scheduling = SchedClusterToken
+	cfg.Codec = storage.AdaptiveCodec
+	cfg.Dedup, cfg.DedupNewFraction = true, 0.25
 }
 
 // TestDESWorkBudgets runs the four strategies at the 96-core toy shape
-// and at 1,152 cores, on the PFS and the flat model, and holds the
-// engine to desWorkBudgets. AllocsPerRun measures at GOMAXPROCS 1
-// whatever -cpu says, so the ceilings hold at any setting; under -race
-// only the event and spawn checks run, since the detector allocates on
-// its own account.
+// and at 1,152 cores, on the PFS and the flat model, plus the krakenTree
+// write and restart read on the PFS model, and holds the engine to
+// desWorkBudgets. AllocsPerRun measures at GOMAXPROCS 1 whatever -cpu
+// says, so the ceilings hold at any setting; under -race only the event
+// and spawn checks run, since the detector allocates on its own account.
 func TestDESWorkBudgets(t *testing.T) {
 	shapes := map[string]func() Config{"toy": smallConfig, "1152": pinnedStrategyConfig}
 	for shape, config := range shapes {
 		for _, model := range []string{"pfs", "memory"} {
 			for _, s := range pinnedStrategies {
-				name := shape + "/" + model + "/" + s.name
-				t.Run(name, func(t *testing.T) {
+				checkDESBudget(t, shape+"/"+model+"/"+s.name, model, func() Config {
 					cfg := config()
 					cfg.Fanout = s.fanout
-					// Capture the run's engine through the base-model
-					// hook; its PFS branch builds what the default does.
-					var eng *des.Engine
-					flat := flatModel(cfg.Platform)
-					cfg.testBase = func(e *des.Engine, r *rng.Stream) storage.CostModel {
-						eng = e
-						if model == "memory" {
-							return flat(e, r)
-						}
-						return storage.NewPFS(e, cfg.Platform.PFS, r)
-					}
-					if _, err := Run(s.approach, cfg); err != nil {
-						t.Fatal(err)
-					}
-					want := desWorkBudgets[name]
-					if got := eng.EventsDispatched(); got != want.events {
-						t.Errorf("%d events dispatched, want exactly %d", got, want.events)
-					}
-					if got := eng.ProcsSpawned(); got > want.spawns {
-						t.Errorf("%d processes spawned, ceiling %d", got, want.spawns)
-					}
-					if want.allocs == 0 || raceEnabled {
-						return // the ceilings are plain-build counts
-					}
-					allocs := testing.AllocsPerRun(2, func() {
-						if _, err := Run(s.approach, cfg); err != nil {
-							t.Fatal(err)
-						}
-					})
-					if allocs > want.allocs {
-						t.Errorf("%v allocations per run, ceiling %v", allocs, want.allocs)
-					}
-				})
+					return cfg
+				}, func(cfg Config) error { _, err := Run(s.approach, cfg); return err })
 			}
 		}
+		krakenConfig := func() Config {
+			cfg := config()
+			krakenTree(&cfg)
+			return cfg
+		}
+		checkDESBudget(t, shape+"/pfs/kraken-tree", "pfs", krakenConfig,
+			func(cfg Config) error { _, err := Run(Damaris, cfg); return err })
+		checkDESBudget(t, shape+"/pfs/restart", "pfs", krakenConfig,
+			func(cfg Config) error { _, err := RestartRead(cfg); return err })
 	}
+}
+
+// checkDESBudget runs one desWorkBudgets row: run on config's
+// configuration over the named base model.
+func checkDESBudget(t *testing.T, name, model string, config func() Config, run func(Config) error) {
+	t.Run(name, func(t *testing.T) {
+		cfg := config()
+		// Capture the run's engine through the base-model hook; its PFS
+		// branch builds what the default does.
+		var eng *des.Engine
+		flat := flatModel(cfg.Platform)
+		cfg.testBase = func(e *des.Engine, r *rng.Stream) storage.CostModel {
+			eng = e
+			if model == "memory" {
+				return flat(e, r)
+			}
+			return storage.NewPFS(e, cfg.Platform.PFS, r)
+		}
+		if err := run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		want := desWorkBudgets[name]
+		if got := eng.EventsDispatched(); got != want.events {
+			t.Errorf("%d events dispatched, want exactly %d", got, want.events)
+		}
+		if got := eng.ProcsSpawned(); got > want.spawns {
+			t.Errorf("%d processes spawned, ceiling %d", got, want.spawns)
+		}
+		if want.allocs == 0 || raceEnabled {
+			return // the ceilings are plain-build counts
+		}
+		allocs := testing.AllocsPerRun(2, func() {
+			if err := run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > want.allocs {
+			t.Errorf("%v allocations per run, ceiling %v", allocs, want.allocs)
+		}
+	})
 }
