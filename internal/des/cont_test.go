@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestMixedWaitersWakeFIFO parks processes and continuations
+// TestMixedWaitersWakeFIFO parks Proc adapters and plain continuations
 // alternately on one Future, one Barrier and one Resource and checks
-// that they wake in arrival order, whichever style each one is.
+// that they wake in arrival order, whichever way each one was written.
 func TestMixedWaitersWakeFIFO(t *testing.T) {
 	const n = 4
 	want := []int{0, 1, 2, 3}
@@ -32,7 +32,7 @@ func TestMixedWaitersWakeFIFO(t *testing.T) {
 		e := NewEngine()
 		f := e.NewFuture()
 		var woke []int
-		park(e, &woke, func(p *Proc) { p.Await(f) }, f.Then)
+		park(e, &woke, func(p *Proc) { p.Do(f.Then) }, f.Then)
 		e.At(10, f.Complete)
 		e.Run()
 		if !reflect.DeepEqual(woke, want) {
@@ -44,7 +44,7 @@ func TestMixedWaitersWakeFIFO(t *testing.T) {
 		e := NewEngine()
 		b := e.NewBarrier(n + 1)
 		var woke []int
-		park(e, &woke, func(p *Proc) { p.Arrive(b) }, b.ArriveThen)
+		park(e, &woke, func(p *Proc) { p.Do(b.ArriveThen) }, b.ArriveThen)
 		e.At(10, func() { b.ArriveThen(func() { woke = append(woke, n) }) })
 		e.Run()
 		// The last arrival runs inline, ahead of the wakes it books.
@@ -69,7 +69,7 @@ func TestMixedWaitersWakeFIFO(t *testing.T) {
 			start := float64(i + 1)
 			if i%2 == 0 {
 				e.SpawnAt(start, "w", func(p *Proc) {
-					p.Acquire(r, 1)
+					p.Do(func(k func()) { r.AcquireThen(1, k) })
 					hold(i)
 				})
 				continue
@@ -126,55 +126,79 @@ func TestThenRunsInline(t *testing.T) {
 	e.Run()
 }
 
-// TestDoAddsNoEvent: a blocking call through Proc.Do fires exactly the
-// events of the continuation form — none of its own — whether the
-// continuation runs before start returns or from a later event.
-func TestDoAddsNoEvent(t *testing.T) {
-	events := func(body func(e *Engine, p *Proc)) (uint64, float64) {
+// TestProcFiresContinuationEvents: actors written as Proc bodies, which
+// block in Wait and Do, fire exactly the events of the same actors
+// written as continuations — the same count, each step inside the same
+// event and at the same time — through a synchronous operation, a
+// Resource queue, a Future and a Barrier.
+func TestProcFiresContinuationEvents(t *testing.T) {
+	const n = 3
+	type stamp struct {
+		actor, step int
+		at          float64
+		event       uint64 // events fired before the step ran
+	}
+	run := func(asProcs bool) ([]stamp, uint64) {
 		e := NewEngine()
-		var end float64
-		e.Spawn("p", func(p *Proc) {
-			body(e, p)
-			end = p.Now()
-		})
-		e.Run()
-		return e.EventsDispatched(), end
-	}
-	cases := []struct {
-		name      string
-		do, plain func(e *Engine, p *Proc)
-	}{
-		{"synchronous",
-			func(e *Engine, p *Proc) { p.Do(func(k func()) { k() }) },
-			func(e *Engine, p *Proc) {}},
-		{"wait",
-			func(e *Engine, p *Proc) { p.Do(func(k func()) { e.Wait(2, k) }) },
-			func(e *Engine, p *Proc) { p.Wait(2) }},
-		{"future",
-			func(e *Engine, p *Proc) {
-				f := e.NewFuture()
-				e.At(5, f.Complete)
-				p.Do(f.Then)
-			},
-			func(e *Engine, p *Proc) {
-				f := e.NewFuture()
-				e.At(5, f.Complete)
-				p.Await(f)
-			}},
-	}
-	for _, c := range cases {
-		gotN, gotEnd := events(c.do)
-		wantN, wantEnd := events(c.plain)
-		if gotN != wantN || gotEnd != wantEnd {
-			t.Errorf("%s: Do fired %d events ending at %v, the plain form %d ending at %v",
-				c.name, gotN, gotEnd, wantN, wantEnd)
+		r, f, b := e.NewResource(1), e.NewFuture(), e.NewBarrier(n)
+		e.At(2.5, f.Complete)
+		var trace []stamp
+		mark := func(a, step int) { trace = append(trace, stamp{a, step, e.Now(), e.EventsDispatched()}) }
+		sync := func(k func()) { k() }
+		for a := 0; a < n; a++ {
+			if asProcs {
+				e.Spawn("a", func(p *Proc) {
+					mark(a, 0)
+					p.Wait(float64(a) / 2)
+					p.Do(sync)
+					mark(a, 1)
+					p.Do(func(k func()) { r.AcquireThen(1, k) })
+					mark(a, 2)
+					p.Wait(1)
+					r.Release(1)
+					p.Do(f.Then)
+					mark(a, 3)
+					p.Do(b.ArriveThen)
+					mark(a, 4)
+				})
+				continue
+			}
+			e.Wait(0, func() {
+				mark(a, 0)
+				e.Wait(float64(a)/2, func() {
+					sync(func() {
+						mark(a, 1)
+						r.AcquireThen(1, func() {
+							mark(a, 2)
+							e.Wait(1, func() {
+								r.Release(1)
+								f.Then(func() {
+									mark(a, 3)
+									b.ArriveThen(func() { mark(a, 4) })
+								})
+							})
+						})
+					})
+				})
+			})
 		}
+		e.Run()
+		return trace, e.EventsDispatched()
+	}
+	procTrace, procEvents := run(true)
+	contTrace, contEvents := run(false)
+	if procEvents != contEvents || !reflect.DeepEqual(procTrace, contTrace) {
+		t.Fatalf("processes fired %d events:\n%v\ncontinuations %d:\n%v",
+			procEvents, procTrace, contEvents, contTrace)
+	}
+	if len(procTrace) != 5*n {
+		t.Fatalf("%d steps ran, want %d", len(procTrace), 5*n)
 	}
 }
 
 // TestDoBodyReturnsInResumingEvent: a process whose body returns right
-// after an asynchronous Do ends inside the event that resumed it; the
-// engine must still count it out, or Run would report a deadlock.
+// after an asynchronous Do ends inside the event that resumed it, and
+// Run ends with nothing counted as parked.
 func TestDoBodyReturnsInResumingEvent(t *testing.T) {
 	e := NewEngine()
 	var after []float64
@@ -188,8 +212,8 @@ func TestDoBodyReturnsInResumingEvent(t *testing.T) {
 	if end := e.Run(); end != 2 {
 		t.Fatalf("Run ended at %v, want 2", end)
 	}
-	if e.nprocs != 0 || e.nconts != 0 {
-		t.Fatalf("%d processes and %d continuations still counted after Run", e.nprocs, e.nconts)
+	if e.nconts != 0 {
+		t.Fatalf("%d continuations still counted after Run", e.nconts)
 	}
 	if len(after) != 3 {
 		t.Fatalf("%d bodies finished, want 3", len(after))

@@ -5,29 +5,23 @@
 //
 // Model: an Engine owns a virtual clock and its pending events, and Run
 // fires them one at a time on its own goroutine, in (time, seq) order,
-// so execution is sequential and fully deterministic. Simulated actors
-// come in two styles that share every primitive:
+// so execution is sequential and fully deterministic. Every simulated
+// actor — the per-core ranks, the dedicated cores, the restart readers,
+// the in-situ consumers, the reduction layers' transfers — is a state
+// machine driven by continuations: it books its next step with
+// Engine.Wait, Future.Then, Barrier.ArriveThen or Resource.AcquireThen,
+// and each step runs to completion inside the event that fires it, so an
+// actor costs no more than the events it books. Futures, Barriers and
+// Resources wake their waiting continuations in FIFO order, each in an
+// event of its own; one whose condition already holds runs inline.
+// Callback events (Engine.At) are continuations with a cancelable,
+// reschedulable handle. A panic inside a step leaves Run with the same
+// value.
 //
-//   - A state machine is plain code driven by continuations: it books
-//     its next step with Engine.Wait, Future.Then, Barrier.ArriveThen or
-//     Resource.AcquireThen, and each step runs to completion inside the
-//     event that fires it. It costs no more than the events it books,
-//     which is why the per-core ranks of the strategies — tens of
-//     thousands per paper-scale run — are state machines.
-//   - A process (Proc) is a coroutine (iter.Pull) whose body blocks
-//     (Wait, Await, Arrive, Acquire) until resumed. A Proc earns its
-//     keep where control flow is a loop over blocking steps with
-//     branches a state machine would have to spell out as states: the
-//     per-node dedicated cores, the restart readers, the in-situ
-//     consumers. Proc.Do calls a continuation-form operation (the
-//     storage cost models have no other form) from a process body.
-//
-// Futures, Barriers and Resources keep one FIFO list for both styles:
-// a waking continuation occupies exactly the event a resumed process
-// would. A panic inside a process leaves Run with the same value; a
-// runtime.Goexit in one (t.Fatal) ends the goroutine that called Run.
-// Callback events (Engine.At) run inline in the engine and may wake
-// waiters by completing Futures or releasing Resources.
+// Proc is a small adapter on those primitives for tests and
+// micro-benchmarks: a coroutine (iter.Pull) whose body blocks in
+// Proc.Wait and Proc.Do, each firing exactly the events of its
+// continuation form. No model uses it.
 //
 // Pending events live in one of two places. An event booked for a later
 // time goes into an indexed binary heap on (time, seq). An event booked
@@ -50,17 +44,17 @@ import (
 	"iter"
 )
 
-// event is a scheduled occurrence: either resume a process or invoke
-// fn. A pending event sits in the engine's indexed heap (index is its
+// event is a scheduled occurrence: a continuation, fn, to run at time.
+// A pending event sits in the engine's indexed heap (index is its
 // position, so Cancel and Reschedule there are O(log n) structural
 // updates) or in the lane (index is inLane). Fired or canceled events
 // are recycled through the engine's freelist — gen is bumped on every
 // recycle so a stale Timer handle can never touch an event that now
 // belongs to someone else.
 type event struct {
-	time float64
-	seq  uint64 // tie-breaker: FIFO among equal-time events
-	waiter
+	time  float64
+	seq   uint64 // tie-breaker: FIFO among equal-time events
+	fn    func()
 	index int    // heap position, inLane, or notPending
 	gen   uint32 // incarnation counter validated by Timer handles
 }
@@ -71,21 +65,10 @@ const (
 	inLane     = -2 // due at the current instant, waiting in the lane
 )
 
-// waiter is what an event or a parked party resumes: a process, or a
-// continuation run in engine context (exactly one is non-nil). Futures,
-// Barriers and Resources keep one FIFO list of them, so processes and
-// continuations wake in arrival order whichever style each one is.
-type waiter struct {
-	proc *Proc
-	fn   func()
-}
-
-func (w waiter) none() bool { return w.proc == nil && w.fn == nil }
-
-// Engine is a discrete-event simulation engine. Create one with NewEngine,
-// spawn processes, then call Run. An Engine must not be used from multiple
-// OS-level contexts at once; all interaction happens either before Run or
-// from within processes/callbacks.
+// Engine is a discrete-event simulation engine. Create one with
+// NewEngine, book the actors' first steps, then call Run. An Engine must
+// not be used from multiple OS-level contexts at once; all interaction
+// happens either before Run or from within the events it fires.
 type Engine struct {
 	now    float64
 	seq    uint64
@@ -93,11 +76,10 @@ type Engine struct {
 	lane   []*event // events due at now, in booking order, from head on
 	head   int
 	free   []*event // recycled event structs (see event.gen)
-	nprocs int      // live processes (deadlock diagnostics)
 	nconts int      // continuations parked on a Future, Barrier or Resource (deadlock diagnostics)
 
 	dispatched uint64 // events fired by Run
-	spawned    int    // processes created by Spawn and SpawnAt
+	spawned    int    // Proc adapters created by Spawn and SpawnAt
 }
 
 // The indexed heap. Identical ordering to the pre-index implementation
@@ -207,7 +189,7 @@ func (e *Engine) newEvent() *event {
 // bump invalidates every Timer handle still pointing at it.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.waiter = waiter{}
+	ev.fn = nil
 	ev.index = notPending
 	e.free = append(e.free, ev)
 }
@@ -217,7 +199,7 @@ func (e *Engine) recycle(ev *event) {
 // when the lane reaches it.
 func (e *Engine) cancel(ev *event) {
 	if ev.index == inLane {
-		ev.waiter = waiter{}
+		ev.fn = nil
 		ev.index = notPending
 		return
 	}
@@ -231,23 +213,22 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// EventsDispatched returns the number of events Run has fired so far:
-// process resumes, continuations and callbacks alike.
+// EventsDispatched returns the number of events Run has fired so far.
 func (e *Engine) EventsDispatched() uint64 { return e.dispatched }
 
-// ProcsSpawned returns the number of processes Spawn and SpawnAt have
-// created.
+// ProcsSpawned returns the number of Proc adapters Spawn and SpawnAt
+// have created.
 func (e *Engine) ProcsSpawned() int { return e.spawned }
 
-// schedule books an event at absolute time t that resumes w: at the
-// back of the lane when t is now, into the heap when it is later.
-func (e *Engine) schedule(t float64, w waiter) *event {
+// schedule books an event at absolute time t that runs fn: at the back
+// of the lane when t is now, into the heap when it is later.
+func (e *Engine) schedule(t float64, fn func()) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("des: scheduling into the past: t=%v now=%v", t, e.now))
 	}
 	ev := e.newEvent()
 	ev.time = t
-	ev.waiter = w
+	ev.fn = fn
 	e.seq++
 	ev.seq = e.seq
 	if t == e.now {
@@ -259,41 +240,20 @@ func (e *Engine) schedule(t float64, w waiter) *event {
 	return ev
 }
 
-// wake books w at the current time, releasing it from a waiter list.
-func (e *Engine) wake(w waiter) {
-	if w.fn != nil {
-		e.nconts--
-	}
-	e.schedule(e.now, w)
+// wake books k at the current time, releasing it from a waiter list.
+func (e *Engine) wake(k func()) {
+	e.nconts--
+	e.schedule(e.now, k)
 }
 
-// block parks w, which the caller has just queued on a waiter list: a
-// process yields until an event resumes it, a continuation is counted
-// until one runs it, so Run can report either kind left behind.
-func (e *Engine) block(w waiter) {
-	if w.fn != nil {
-		e.nconts++
-		return
-	}
-	w.proc.park()
-}
-
-// ready lets w carry on at once, its condition already met: a
-// continuation runs inline, a process simply returns from its call.
-func (w waiter) ready() {
-	if w.fn != nil {
-		w.fn()
-	}
-}
-
-// Wait runs k d virtual seconds from now (d >= 0): the continuation
-// form of Proc.Wait, booking the same single event. It returns no
-// Timer, so it allocates nothing beyond the recycled event.
+// Wait runs k d virtual seconds from now (d >= 0), booking one event.
+// It returns no Timer, so it allocates nothing beyond the recycled
+// event.
 func (e *Engine) Wait(d float64, k func()) {
 	if d < 0 {
 		panic("des: negative Wait")
 	}
-	e.schedule(e.now+d, waiter{fn: k})
+	e.schedule(e.now+d, k)
 }
 
 // Timer identifies a cancelable, reschedulable callback event booked
@@ -306,15 +266,11 @@ type Timer struct {
 	fn  func()
 }
 
-// pending reports whether the timer's event is still the one it booked
-// and still due.
-func (t *Timer) pending() bool {
+// Pending reports whether the callback is still scheduled (not fired,
+// not canceled): the timer's event is still the one it booked, and due.
+func (t *Timer) Pending() bool {
 	return t != nil && t.ev != nil && t.ev.gen == t.gen && t.ev.index != notPending
 }
-
-// Pending reports whether the callback is still scheduled (not fired,
-// not canceled).
-func (t *Timer) Pending() bool { return t.pending() }
 
 // Cancel withdraws the callback so it never fires, reporting whether it
 // was still pending. Canceling an already-fired or already-canceled
@@ -322,7 +278,7 @@ func (t *Timer) Pending() bool { return t.pending() }
 // heap in O(log n) and recycled at once; an event due now leaves a
 // tombstone in the lane, which Run recycles without firing or counting.
 func (t *Timer) Cancel() bool {
-	if !t.pending() {
+	if !t.Pending() {
 		return false
 	}
 	t.eng.cancel(t.ev)
@@ -337,7 +293,7 @@ func (t *Timer) Cancel() bool {
 // left alone (false): re-arming it would resurrect an event whose owner
 // has moved on.
 func (t *Timer) Reschedule(at float64) bool {
-	if !t.pending() {
+	if !t.Pending() {
 		return false
 	}
 	e := t.eng
@@ -373,7 +329,7 @@ func (t *Timer) Set(at float64) {
 
 // book schedules the timer's callback as a new event at at.
 func (t *Timer) book(at float64) {
-	t.ev = t.eng.schedule(at, waiter{fn: t.fn})
+	t.ev = t.eng.schedule(at, t.fn)
 	t.gen = t.ev.gen
 }
 
@@ -391,91 +347,9 @@ func (e *Engine) After(d float64, fn func()) *Timer {
 	return e.At(e.now+d, fn)
 }
 
-// Proc is a simulation process. All Proc methods must be called from the
-// process body.
-type Proc struct {
-	eng   *Engine
-	name  string
-	next  func() (struct{}, bool) // resume; false once the body returned
-	yield func(struct{}) bool     // park, back to Run
-}
-
-// Engine returns the engine this process belongs to.
-func (p *Proc) Engine() *Engine { return p.eng }
-
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() float64 { return p.eng.now }
-
-// Spawn creates a process executing fn, starting at the current virtual
-// time (or, during Run, at the moment Spawn is called).
-func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	return e.SpawnAt(e.now, name, fn)
-}
-
-// SpawnAt creates a process that starts executing at absolute time t.
-func (e *Engine) SpawnAt(t float64, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name}
-	// No stop: Run resumes every body to its end, or panics on deadlock.
-	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		fn(p)
-	})
-	e.nprocs++
-	e.spawned++
-	e.schedule(t, waiter{proc: p})
-	return p
-}
-
-// resume runs the process until it parks or its body returns.
-func (p *Proc) resume() {
-	if _, ok := p.next(); !ok {
-		p.eng.nprocs--
-	}
-}
-
-// park hands control back to the engine and blocks until resumed.
-// The caller must already have arranged for a future resume (a scheduled
-// event, a Future completion, or a Resource grant), otherwise the process
-// deadlocks — Run will report it.
-func (p *Proc) park() { p.yield(struct{}{}) }
-
-// Wait advances the process by d virtual seconds (d >= 0).
-func (p *Proc) Wait(d float64) {
-	if d < 0 {
-		panic("des: negative Wait")
-	}
-	p.eng.schedule(p.eng.now+d, waiter{proc: p})
-	p.park()
-}
-
-// Do runs one continuation-form operation from the process body: it
-// calls start with a continuation k and returns once k has run. A k
-// that runs before start returns costs nothing; a later one resumes
-// the process inside the event that calls it, so the blocking call
-// fires exactly the events of the continuation form and no more.
-func (p *Proc) Do(start func(k func())) {
-	var done, parked bool
-	start(func() {
-		if done {
-			panic("des: Do continuation called twice")
-		}
-		done = true
-		if parked {
-			p.resume()
-		}
-	})
-	if !done {
-		parked = true
-		p.park()
-	}
-}
-
 // Run executes events until none is pending. It returns the final clock
-// value. Run panics if processes remain blocked with no pending events
-// (a modeling deadlock).
+// value. Run panics if continuations remain parked on a Future, Barrier
+// or Resource with no pending events (a modeling deadlock).
 func (e *Engine) Run() float64 {
 	for {
 		var ev *event
@@ -496,30 +370,25 @@ func (e *Engine) Run() float64 {
 			ev = e.heapPop()
 			e.now = ev.time
 		default:
-			if e.nprocs > 0 || e.nconts > 0 {
-				panic(fmt.Sprintf("des: deadlock: %d process(es) and %d continuation(s) blocked with no pending events",
-					e.nprocs, e.nconts))
+			if e.nconts > 0 {
+				panic(fmt.Sprintf("des: deadlock: %d continuation(s) blocked with no pending events", e.nconts))
 			}
 			return e.now
 		}
 		e.dispatched++
-		w := ev.waiter
+		fn := ev.fn
 		e.recycle(ev)
-		if w.fn != nil {
-			w.fn()
-		} else {
-			w.proc.resume()
-		}
+		fn()
 	}
 }
 
-// Future is a one-shot completion signal that processes can Await and
-// continuations can follow with Then.
+// Future is a one-shot completion signal that continuations follow
+// with Then.
 type Future struct {
 	eng   *Engine
 	done  bool
-	first waiter   // held inline: most futures have one follower
-	more  []waiter // the followers after first, in arrival order
+	first func()   // held inline: most futures have one follower
+	more  []func() // the followers after first, in arrival order
 }
 
 // NewFuture creates an incomplete future.
@@ -535,9 +404,9 @@ func (f *Future) Complete() {
 		panic("des: Future completed twice")
 	}
 	f.done = true
-	if !f.first.none() {
+	if f.first != nil {
 		f.eng.wake(f.first)
-		f.first = waiter{}
+		f.first = nil
 	}
 	for _, w := range f.more {
 		f.eng.wake(w)
@@ -545,29 +414,23 @@ func (f *Future) Complete() {
 	f.more = nil
 }
 
-// Await blocks the process until the future completes. Returns immediately
-// if it already has.
-func (p *Proc) Await(f *Future) { f.wait(waiter{proc: p}) }
-
 // Then runs k once the future completes: inline if it already has,
 // otherwise in the event Complete books for it.
-func (f *Future) Then(k func()) { f.wait(waiter{fn: k}) }
-
-func (f *Future) wait(w waiter) {
+func (f *Future) Then(k func()) {
 	if f.done {
-		w.ready()
+		k()
 		return
 	}
-	if f.first.none() {
-		f.first = w
+	if f.first == nil {
+		f.first = k
 	} else {
-		f.more = append(f.more, w)
+		f.more = append(f.more, k)
 	}
-	f.eng.block(w)
+	f.eng.nconts++
 }
 
-// Resource is a FIFO counting resource (capacity units). Processes Acquire
-// and Release units; waiters are served in arrival order. It models e.g. a
+// Resource is a FIFO counting resource (capacity units). Continuations
+// acquire and release units; waiters are served in arrival order. It models e.g. a
 // metadata server (capacity 1) or a bounded set of I/O tokens.
 type Resource struct {
 	eng      *Engine
@@ -581,7 +444,7 @@ type Resource struct {
 }
 
 type resWaiter struct {
-	waiter
+	k func()
 	n int
 }
 
@@ -593,26 +456,17 @@ func (e *Engine) NewResource(capacity int) *Resource {
 	return &Resource{eng: e, capacity: capacity}
 }
 
-// Acquire blocks until n units are available and takes them. FIFO: a
-// request never overtakes an earlier one even if fewer units would fit.
-func (p *Proc) Acquire(r *Resource, n int) {
-	r.acquire(n, waiter{proc: p})
-}
-
 // AcquireThen takes n units and runs k: inline when they are free and
 // nobody queues ahead, otherwise in the event Release books once they
-// are granted. FIFO with Acquire.
+// are granted. FIFO: a request never overtakes an earlier one even if
+// fewer units would fit.
 func (r *Resource) AcquireThen(n int, k func()) {
-	r.acquire(n, waiter{fn: k})
-}
-
-func (r *Resource) acquire(n int, w waiter) {
 	if n <= 0 || n > r.capacity {
 		panic(fmt.Sprintf("des: Acquire(%d) on resource of capacity %d", n, r.capacity))
 	}
 	if r.head == len(r.waiters) && r.inUse+n <= r.capacity {
 		r.take(n)
-		w.ready()
+		k()
 		return
 	}
 	if r.head > 0 && len(r.waiters) == cap(r.waiters) {
@@ -622,8 +476,8 @@ func (r *Resource) acquire(n int, w waiter) {
 		clear(r.waiters[n:])
 		r.waiters, r.head = r.waiters[:n], 0
 	}
-	r.waiters = append(r.waiters, resWaiter{waiter: w, n: n})
-	r.eng.block(w)
+	r.waiters = append(r.waiters, resWaiter{k: k, n: n})
+	r.eng.nconts++
 }
 
 func (r *Resource) take(n int) {
@@ -634,7 +488,6 @@ func (r *Resource) take(n int) {
 }
 
 // Release returns n units and grants queued requests in FIFO order.
-// It may be called from a process or an engine callback.
 func (r *Resource) Release(n int) {
 	if n <= 0 || n > r.inUse {
 		panic(fmt.Sprintf("des: Release(%d) with %d in use", n, r.inUse))
@@ -650,7 +503,7 @@ func (r *Resource) Release(n int) {
 			r.waiters, r.head = r.waiters[:0], 0 // drained: refill from the start
 		}
 		r.take(w.n)
-		r.eng.wake(w.waiter)
+		r.eng.wake(w.k)
 	}
 }
 
@@ -671,8 +524,7 @@ type Barrier struct {
 	eng     *Engine
 	parties int
 	arrived int
-	gen     int
-	waiters []waiter // sized to parties-1 once, reused every generation
+	waiters []func() // sized to parties-1 once, reused every generation
 }
 
 // NewBarrier creates a barrier for the given number of parties (> 0).
@@ -680,33 +532,92 @@ func (e *Engine) NewBarrier(parties int) *Barrier {
 	if parties <= 0 {
 		panic("des: barrier parties must be positive")
 	}
-	return &Barrier{eng: e, parties: parties, waiters: make([]waiter, 0, parties-1)}
+	return &Barrier{eng: e, parties: parties, waiters: make([]func(), 0, parties-1)}
 }
-
-// Arrive blocks until all parties have arrived, then releases everyone and
-// resets for the next generation.
-func (p *Proc) Arrive(b *Barrier) { b.arrive(waiter{proc: p}) }
 
 // ArriveThen counts one arrival and runs k once all parties have
 // arrived: inline for the last arrival, otherwise in the event that
-// arrival books for it.
-func (b *Barrier) ArriveThen(k func()) { b.arrive(waiter{fn: k}) }
-
-// arrive counts w's arrival. The last one of a generation wakes the
-// earlier ones, resets the barrier and carries on.
-func (b *Barrier) arrive(w waiter) {
+// arrival books for it. The last arrival of a generation wakes the
+// earlier ones and resets the barrier for the next generation.
+func (b *Barrier) ArriveThen(k func()) {
 	b.arrived++
 	if b.arrived < b.parties {
-		b.waiters = append(b.waiters, w)
-		b.eng.block(w)
+		b.waiters = append(b.waiters, k)
+		b.eng.nconts++
 		return
 	}
 	b.arrived = 0
-	b.gen++
 	for _, q := range b.waiters {
 		b.eng.wake(q)
 	}
 	clear(b.waiters)
 	b.waiters = b.waiters[:0]
-	w.ready()
+	k()
+}
+
+// Proc is a simulation process: a body that blocks in Wait and Do, run
+// as a coroutine whose every resume is a continuation on the engine. It
+// is an adapter for tests and micro-benchmarks, and fires exactly the
+// events of the continuation forms it wraps. All Proc methods must be
+// called from the process body.
+type Proc struct {
+	eng    *Engine
+	name   string
+	resume func() // runs the body until it next blocks or returns
+	yield  func(struct{}) bool
+}
+
+// Name returns the process name given at Spawn.
+func (p *Proc) Name() string { return p.name }
+
+// Now returns the current virtual time.
+func (p *Proc) Now() float64 { return p.eng.now }
+
+// Spawn creates a process executing fn, starting in an event booked at
+// the current time.
+func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
+	return e.SpawnAt(e.now, name, fn)
+}
+
+// SpawnAt creates a process that starts executing at absolute time t.
+func (e *Engine) SpawnAt(t float64, name string, fn func(p *Proc)) *Proc {
+	p := &Proc{eng: e, name: name}
+	// No stop: Run resumes every body to its end, or panics on deadlock.
+	next, _ := iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		fn(p)
+	})
+	p.resume = func() { next() }
+	e.spawned++
+	e.At(t, p.resume)
+	return p
+}
+
+// Wait advances the process by d virtual seconds (d >= 0): Engine.Wait
+// with the rest of the body as its continuation.
+func (p *Proc) Wait(d float64) {
+	p.eng.Wait(d, p.resume)
+	p.yield(struct{}{})
+}
+
+// Do runs one continuation-form operation from the process body: it
+// calls start with a continuation k and returns once k has run. A k
+// that runs before start returns costs nothing; a later one resumes
+// the process inside the event that calls it, so the blocking call
+// fires exactly the events of the continuation form and no more.
+func (p *Proc) Do(start func(k func())) {
+	var done, parked bool
+	start(func() {
+		if done {
+			panic("des: Do continuation called twice")
+		}
+		done = true
+		if parked {
+			p.resume()
+		}
+	})
+	if !done {
+		parked = true
+		p.yield(struct{}{})
+	}
 }

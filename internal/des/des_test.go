@@ -105,7 +105,7 @@ func TestFuture(t *testing.T) {
 	var woke []float64
 	for i := 0; i < 3; i++ {
 		e.Spawn("w", func(p *Proc) {
-			p.Await(f)
+			p.Do(f.Then)
 			woke = append(woke, p.Now())
 		})
 	}
@@ -124,7 +124,7 @@ func TestFuture(t *testing.T) {
 	f2 := e2.NewFuture()
 	f2.Complete()
 	var ok bool
-	e2.Spawn("w", func(p *Proc) { p.Await(f2); ok = p.Now() == 0 })
+	e2.Spawn("w", func(p *Proc) { p.Do(f2.Then); ok = p.Now() == 0 })
 	e2.Run()
 	if !ok {
 		t.Fatal("Await on completed future did not return immediately")
@@ -149,7 +149,7 @@ func TestResourceFIFO(t *testing.T) {
 	var order []string
 	hold := func(name string, start, dur float64) {
 		e.SpawnAt(start, name, func(p *Proc) {
-			p.Acquire(r, 1)
+			p.Do(func(k func()) { r.AcquireThen(1, k) })
 			order = append(order, name+"+")
 			p.Wait(dur)
 			r.Release(1)
@@ -174,7 +174,7 @@ func TestResourceCapacityNeverExceeded(t *testing.T) {
 	inUse, maxInUse := 0, 0
 	for i := 0; i < 20; i++ {
 		e.Spawn("p", func(p *Proc) {
-			p.Acquire(r, 1)
+			p.Do(func(k func()) { r.AcquireThen(1, k) })
 			inUse++
 			if inUse > maxInUse {
 				maxInUse = inUse
@@ -195,7 +195,7 @@ func TestResourceBusyTime(t *testing.T) {
 	r := e.NewResource(1)
 	e.Spawn("p", func(p *Proc) {
 		p.Wait(2)
-		p.Acquire(r, 1)
+		p.Do(func(k func()) { r.AcquireThen(1, k) })
 		p.Wait(3)
 		r.Release(1)
 		p.Wait(4)
@@ -213,17 +213,17 @@ func TestResourceMultiUnit(t *testing.T) {
 	// First request takes both units for 5s; the 2-unit request queued at
 	// t=1 must not be overtaken by the 1-unit request queued at t=2 (FIFO).
 	e.SpawnAt(0, "big", func(p *Proc) {
-		p.Acquire(r, 2)
+		p.Do(func(k func()) { r.AcquireThen(2, k) })
 		p.Wait(5)
 		r.Release(2)
 	})
 	e.SpawnAt(1, "two", func(p *Proc) {
-		p.Acquire(r, 2)
+		p.Do(func(k func()) { r.AcquireThen(2, k) })
 		got = append(got, p.Now())
 		r.Release(2)
 	})
 	e.SpawnAt(2, "one", func(p *Proc) {
-		p.Acquire(r, 1)
+		p.Do(func(k func()) { r.AcquireThen(1, k) })
 		got = append(got, p.Now())
 		r.Release(1)
 	})
@@ -240,7 +240,7 @@ func TestBarrier(t *testing.T) {
 	starts := []float64{1, 4, 9}
 	for _, s := range starts {
 		e.SpawnAt(s, "p", func(p *Proc) {
-			p.Arrive(b)
+			p.Do(b.ArriveThen)
 			released = append(released, p.Now())
 		})
 	}
@@ -263,7 +263,7 @@ func TestBarrierReusable(t *testing.T) {
 		e.Spawn("p", func(p *Proc) {
 			for round := 0; round < 3; round++ {
 				p.Wait(1)
-				p.Arrive(b)
+				p.Do(b.ArriveThen)
 				count++
 			}
 		})
@@ -298,7 +298,7 @@ func TestDeadlockDetection(t *testing.T) {
 	cases := map[string]func(e *Engine){
 		"process": func(e *Engine) {
 			f := e.NewFuture()
-			e.Spawn("stuck", func(p *Proc) { p.Await(f) })
+			e.Spawn("stuck", func(p *Proc) { p.Do(f.Then) })
 		},
 		"future continuation": func(e *Engine) {
 			f := e.NewFuture()
@@ -312,7 +312,7 @@ func TestDeadlockDetection(t *testing.T) {
 			f := e.NewFuture()
 			e.Spawn("stuck", func(p *Proc) {
 				e.At(p.Now(), f.Complete).Cancel()
-				p.Await(f)
+				p.Do(f.Then)
 			})
 		},
 		"resource continuation": func(e *Engine) {

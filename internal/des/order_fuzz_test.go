@@ -251,15 +251,15 @@ func (m *orderModel) block(p *Proc, d float64, idx int) func() {
 	case idx%4 == 1 && len(m.futures) > 0:
 		f := m.futures[idx/4%len(m.futures)]
 		self.inline = m.futureWait(f, self)
-		return func() { p.Await(f.f); resumed() }
+		return func() { p.Do(f.f.Then); resumed() }
 	case idx%4 == 2:
 		b := m.barriers[idx/4%len(m.barriers)]
 		self.inline = m.arrive(b, self)
-		return func() { p.Arrive(b.b); resumed() }
+		return func() { p.Do(b.b.ArriveThen); resumed() }
 	case idx%4 == 3:
 		n := 1 + idx/4%2
 		self.inline = m.acquire(self, n)
-		return func() { p.Acquire(m.res, n); resumed() }
+		return func() { p.Do(func(k func()) { m.res.AcquireThen(n, k) }); resumed() }
 	}
 	m.book(self, m.e.Now()+d)
 	return func() { p.Wait(d); resumed() }

@@ -11,14 +11,14 @@ import (
 // desWorkBudgets is the ratchet table of the engine work one strategy
 // run costs, by shape/model/strategy: the four strategies without
 // reduction layers, and the des-kraken workload's tree configuration
-// (krakenTree) written and restarted on the PFS model. events
-// is exact: a simulated core that is a state machine books the very
-// events its coroutine used to, one for one, so a change to it changed
-// the model or its event order. spawns is a ceiling that may only come
-// down: the per-core ranks spawn nothing, which leaves Damaris one
-// dedicated core per node. allocs, for the 1,152-core rows, is a
-// ceiling on the heap allocations of one whole run (testing.AllocsPerRun),
-// set just above the count measured when it was last lowered.
+// (krakenTree) written and restarted on the PFS model. events is exact:
+// every simulated actor is a state machine that books the very events
+// its coroutine used to, one for one, so a change to it changed the
+// model or its event order. spawns counts des.Proc adapters, which no
+// model uses, so every ceiling is 0. allocs, for the 1,152-core rows,
+// is a ceiling on the heap allocations of one whole run
+// (testing.AllocsPerRun), set just above the count measured when it
+// was last lowered.
 var desWorkBudgets = map[string]struct {
 	events uint64
 	spawns int
@@ -26,34 +26,26 @@ var desWorkBudgets = map[string]struct {
 }{
 	"toy/pfs/fpp":              {2394, 0, 0},
 	"toy/pfs/collective":       {2996, 0, 0},
-	"toy/pfs/damaris-flat":     {1287, 8, 0},
-	"toy/pfs/damaris-tree":     {1238, 8, 0},
+	"toy/pfs/damaris-flat":     {1287, 0, 0},
+	"toy/pfs/damaris-tree":     {1238, 0, 0},
 	"toy/memory/fpp":           {2450, 0, 0},
 	"toy/memory/collective":    {2316, 0, 0},
-	"toy/memory/damaris-flat":  {1284, 8, 0},
-	"toy/memory/damaris-tree":  {1257, 8, 0},
+	"toy/memory/damaris-flat":  {1284, 0, 0},
+	"toy/memory/damaris-tree":  {1257, 0, 0},
 	"1152/pfs/fpp":             {20936, 0, 32300},
 	"1152/pfs/collective":      {24392, 0, 31200},
-	"1152/pfs/damaris-flat":    {10749, 96, 17100},
-	"1152/pfs/damaris-tree":    {10456, 96, 16100},
+	"1152/pfs/damaris-flat":    {10749, 0, 16800},
+	"1152/pfs/damaris-tree":    {10456, 0, 16050},
 	"1152/memory/fpp":          {20166, 0, 31300},
 	"1152/memory/collective":   {19000, 0, 29700},
-	"1152/memory/damaris-flat": {10744, 96, 15900},
-	"1152/memory/damaris-tree": {10758, 96, 15800},
-	"toy/pfs/kraken-tree":      {1382, 56, 0},
-	"toy/pfs/restart":          {75, 24, 0},
-	"1152/pfs/kraken-tree":     {12478, 768, 27100},
-	"1152/pfs/restart":         {1403, 432, 9300},
+	"1152/memory/damaris-flat": {10744, 0, 15600},
+	"1152/memory/damaris-tree": {10758, 0, 15700},
+	"toy/pfs/kraken-tree":      {1382, 0, 0},
+	"toy/pfs/restart":          {75, 0, 0},
+	"1152/pfs/kraken-tree":     {12478, 0, 19600},
+	"1152/pfs/restart":         {1403, 0, 4400},
 }
 
-// krakenTree is the des-kraken workload's tree configuration: fanout 4,
-// cluster-wide tokens, the adaptive codec and dedup.
-func krakenTree(cfg *Config) {
-	cfg.Fanout = 4
-	cfg.Scheduling = SchedClusterToken
-	cfg.Codec = storage.AdaptiveCodec
-	cfg.Dedup, cfg.DedupNewFraction = true, 0.25
-}
 
 // TestDESWorkBudgets runs the four strategies at the 96-core toy shape
 // and at 1,152 cores, on the PFS and the flat model, plus the krakenTree

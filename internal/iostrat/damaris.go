@@ -16,13 +16,14 @@ import (
 // evaluates.
 const dedicatedPerNode = 1
 
-// parked is the DES face's condition variable: at most one process waits
-// on it, and whoever changes what it waits for wakes it to look again.
+// parked is the DES face's condition variable: at most one continuation
+// waits on it, and whoever changes what it waits for wakes it to look
+// again. It waits on a future, so Run reports one nobody wakes.
 type parked struct{ f *des.Future }
 
-func (w *parked) wait(p *des.Proc, eng *des.Engine) {
+func (w *parked) wait(eng *des.Engine, k func()) {
 	w.f = eng.NewFuture()
-	p.Await(w.f)
+	w.f.Then(k)
 }
 
 func (w *parked) wake() {
@@ -93,18 +94,21 @@ func (s *nodeShm) kill() {
 	s.occupied = 0
 }
 
-// take blocks the dedicated core until data is pending, then dequeues one
-// iteration. It returns false when closed and drained.
-func (s *nodeShm) take(p *des.Proc) (shmIter, bool) {
-	for len(s.pending) == 0 {
+// take runs k with the next pending iteration once there is one,
+// parking the dedicated core until then; k gets false when the segment
+// is closed and drained.
+func (s *nodeShm) take(k func(shmIter, bool)) {
+	if len(s.pending) == 0 {
 		if s.closed {
-			return shmIter{}, false
+			k(shmIter{}, false)
+		} else {
+			s.waiting.wait(s.eng, func() { s.take(k) })
 		}
-		s.waiting.wait(p, s.eng)
+		return
 	}
 	it := s.pending[0]
 	s.pending = s.pending[1:]
-	return it, true
+	k(it, true)
 }
 
 // free releases an iteration's bytes after the dedicated core wrote them.
@@ -273,7 +277,7 @@ func runDamaris(cfg Config) (Result, error) {
 		sims.startRank(loop, r, compute.Child(uint64(r)))
 	}
 
-	// Dedicated cores (one writer proc per node; D dedicated cores share
+	// Dedicated cores (one writer loop per node; D dedicated cores share
 	// the same work, so busy time is attributed to the node's pool).
 	if treeMode {
 		tr = &treeRun{
@@ -304,50 +308,40 @@ func runDamaris(cfg Config) (Result, error) {
 		// the root set grow the array mid-run.
 		tr.growInsitu(tr.forest.Windows(0))
 	}
-	for n := 0; n < plat.Nodes; n++ {
-		node := n
+	for node, shm := range shms {
 		if treeMode {
-			eng.Spawn("dedicated", func(p *des.Proc) {
-				tr.runNode(p, shms[node], node)
-			})
+			eng.Wait(0, func() { tr.runNode(shm, node) })
 			continue
 		}
-		eng.Spawn("dedicated", func(p *des.Proc) {
-			fileSeq := 0
-			for {
-				item, ok := shms[node].take(p)
+		fileSeq := 0
+		var next func()
+		next = func() {
+			shm.take(func(item shmIter, ok bool) {
 				if !ok {
 					return
 				}
-				t0 := p.Now()
-				files := cfg.FilesPerIter
-				per := item.bytes / float64(files)
+				t0 := eng.Now()
+				per := item.bytes / float64(cfg.FilesPerIter)
 				pat := storage.BigSequential
 				if per < 64e6 {
 					pat = storage.SmallFile
 				}
-				for f := 0; f < files; f++ {
+				writeFiles(schedule, be, &res, cfg.FilesPerIter, func() (writeReq, func(func())) {
 					// Usage-balanced allocation (Lustre QoS allocator):
 					// spread node files round-robin over the OSTs.
 					ost := (node + fileSeq*plat.Nodes) % be.Targets()
 					fileSeq++
-					release := schedule.acquire(p, writeReq{
-						holder:   node,
-						base:     ost,
-						stripes:  1,
-						deadline: phaseStart[item.iter] + computeAt(item.iter),
-						bytes:    per,
-					})
-					p.Do(be.Create)
-					p.Do(func(k func()) { be.Write(ost, per, pat, k) })
-					p.Do(be.Close)
-					release()
-					res.FilesCreated++
-				}
-				shms[node].free(item.bytes)
-				res.DedicatedBusy += p.Now() - t0
-			}
-		})
+					req := writeReq{holder: node, base: ost, stripes: 1,
+						deadline: phaseStart[item.iter] + computeAt(item.iter), bytes: per}
+					return req, func(k func()) { be.Write(ost, per, pat, k) }
+				}, func() {
+					shm.free(item.bytes)
+					res.DedicatedBusy += eng.Now() - t0
+					next()
+				})
+			})
+		}
+		eng.Wait(0, next)
 	}
 
 	drainEnd := eng.Run()
@@ -478,8 +472,8 @@ type treeRun struct {
 
 	// insituQs holds one analysis frame queue per root ordinal (nil
 	// when Config.InSitu is off); liveNodes counts dedicated cores
-	// still running, so the queues close — releasing the consumer
-	// procs — exactly when no publisher remains.
+	// still running, so the queues close — releasing the consumers —
+	// exactly when no publisher remains.
 	insituQs  []*insituQ
 	liveNodes int
 }
@@ -513,7 +507,7 @@ func (tr *treeRun) adapt(it int) {
 
 // nodeDone retires one dedicated core; the last one out closes every
 // in-situ queue so consumers drain their backlog and exit (the engine
-// treats an eternally parked proc as a deadlock).
+// treats a consumer parked forever as a deadlock).
 func (tr *treeRun) nodeDone() {
 	tr.liveNodes--
 	if tr.liveNodes == 0 {
@@ -538,113 +532,175 @@ func (tr *treeRun) deadline(it int) float64 {
 // epoch, re-read every iteration: a failure elsewhere can re-route this
 // node, and a re-formation can change its role for *later* iterations
 // while the in-flight ones keep their original tree. A node's own
-// scheduled death ends its loop.
-func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
-	defer tr.nodeDone()
-	cfg, be, res := tr.cfg, tr.be, tr.res
-	plat := cfg.Platform
-	fileSeq := 0
+// scheduled death ends its loop. The loop's steps are built once, and
+// each runs inside the event that ends the step before it.
+func (tr *treeRun) runNode(shm *nodeShm, node int) {
 	failAt, willFail := tr.failures.At(node)
 	self := cluster.CoverOf(node) // what the node's own output covers
-
-	for it := 0; it < cfg.Workload.Iterations; it++ {
-		item, ok := shm.take(p)
-		if !ok {
+	g := tr.gathers[node]
+	var c struct { // the loop's state
+		it, fileSeq int
+		item        shmIter
+		t1          float64 // when this iteration's work began
+	}
+	var next, ask func()
+	done := func() {
+		shm.free(c.item.bytes)
+		tr.res.DedicatedBusy += tr.eng.Now() - c.t1
+		next()
+	}
+	// Routing decision point: the first ask fences iteration c.item.iter
+	// — from here on it flows through this epoch's tree on every node.
+	// The node then idles (awaiting stragglers is not work) until the
+	// forest says its coverage is met; every wake re-asks, because a
+	// failure elsewhere can shrink the requirement or re-route this node
+	// meanwhile. The node's own bytes join the children's after the
+	// gather, so a subtree is own + Σchildren.
+	ask = func() {
+		d, childBytes, covers := g.Ask(c.item.iter)
+		if d.Kind == cluster.NotReady {
+			tr.waiting[node].wait(tr.eng, ask)
 			return
 		}
-		if willFail && item.iter >= failAt {
-			tr.failNode(shm, node, item)
-			return
-		}
-		// Routing decision point: the first ask fences iteration
-		// item.iter — from here on it flows through this epoch's tree on
-		// every node. The node then idles (awaiting stragglers is not
-		// work) until the forest says its coverage is met; every wake
-		// re-asks, because a failure elsewhere can shrink the requirement
-		// or re-route this node meanwhile. The node's own bytes join the
-		// children's after the gather, so a subtree is own + Σchildren.
-		g := tr.gathers[node]
-		g.Deliver(item.iter, 0, self)
-		d, childBytes, covers := g.Ask(item.iter)
-		for d.Kind == cluster.NotReady {
-			tr.waiting[node].wait(p, tr.eng)
-			d, childBytes, covers = g.Ask(item.iter)
-		}
-		subtree := item.bytes + childBytes
-
-		t1 := p.Now()
+		subtree := c.item.bytes + childBytes
+		c.t1 = tr.eng.Now()
 		if d.Kind == cluster.Forward {
-			if subtree > 0 {
-				// Store-and-forward: the sender serializes the batch onto
-				// its NIC (at the trace's current effective bandwidth);
-				// the parent sees it after latency.
-				tSend := p.Now()
-				p.Wait(subtree/(plat.NICBandwidth*tr.nicFactor) + plat.NICLatency)
-				if el := p.Now() - tSend; el > 0 {
-					tr.adapter.ObserveNIC(subtree / el)
-				}
-			}
-			// The parent may have died during the transfer: the forest then
-			// relays along its drain chain, as the runtime's dead
-			// aggregators do, or has nowhere left to send it.
-			if !tr.forest.Alive(d.To) {
-				d = tr.forest.Flush(d.To, item.iter)
-			}
-			if d.Kind == cluster.Lose {
-				res.LostBytes += subtree
-			} else {
-				tr.deliver(d.To, item.iter, subtree, covers)
-			}
+			tr.forward(d, c.item.iter, subtree, covers, done)
 		} else {
-			tr.forest.RootDone(item.iter, covers.Len())
-			ord, stripes, numRoots := d.Window, tr.stripes(item.iter), tr.forest.Windows(item.iter)
-			if cfg.InSitu.Mode == InSituStream {
-				// Streaming coupling: the consumer sees the merged frame
-				// the moment aggregation completes, overlapped with the
-				// write below. Only a Block-policy consumer can delay the
-				// write path here (measured in StreamBlockTime).
-				tr.publishInSitu(p, ord, shmIter{iter: item.iter, bytes: subtree})
-			}
-			if subtree > 0 {
-				files := cfg.FilesPerIter
-				per := subtree / float64(files)
-				for f := 0; f < files; f++ {
-					// Spread root files over the target array, stripes-wide
-					// windows per file so roots do not collide.
-					base := ((ord + fileSeq*numRoots) * stripes) % be.Targets()
-					fileSeq++
-					release := tr.schedule.acquire(p, writeReq{
-						holder:   node,
-						base:     base,
-						stripes:  stripes,
-						deadline: tr.deadline(item.iter),
-						bytes:    subtree,
-					})
-					p.Do(be.Create)
-					tw := p.Now()
-					stripeAcross(p, be.WriteAsync, base, stripes, be.Targets(), per)
-					if el := p.Now() - tw; el > 0 {
+			tr.storeRoot(node, &c.fileSeq, d, c.item.iter, subtree, covers, done)
+		}
+	}
+	taken := func(item shmIter, ok bool) {
+		switch {
+		case !ok:
+		case willFail && item.iter >= failAt:
+			tr.failNode(shm, node, item)
+		default:
+			c.item = item
+			g.Deliver(item.iter, 0, self)
+			ask()
+			return
+		}
+		tr.nodeDone()
+	}
+	next = func() {
+		if c.it == tr.cfg.Workload.Iterations {
+			tr.nodeDone()
+			return
+		}
+		c.it++
+		shm.take(taken)
+	}
+	next()
+}
+
+// forward sends a subtree up to d.To, then runs k: store-and-forward,
+// the sender serializes the batch onto its NIC (at the trace's current
+// effective bandwidth) and the parent sees it after latency.
+func (tr *treeRun) forward(d cluster.Decision, it int, subtree float64, covers cluster.Cover, k func()) {
+	if subtree <= 0 {
+		tr.sent(d, it, subtree, covers, k)
+		return
+	}
+	plat := tr.cfg.Platform
+	tSend := tr.eng.Now()
+	tr.eng.Wait(subtree/(plat.NICBandwidth*tr.nicFactor)+plat.NICLatency, func() {
+		if el := tr.eng.Now() - tSend; el > 0 {
+			tr.adapter.ObserveNIC(subtree / el)
+		}
+		tr.sent(d, it, subtree, covers, k)
+	})
+}
+
+// sent hands a forwarded subtree to its parent, then runs k. The parent
+// may have died during the transfer: the forest then relays along its
+// drain chain, as the runtime's dead aggregators do, or has nowhere left
+// to send it.
+func (tr *treeRun) sent(d cluster.Decision, it int, subtree float64, covers cluster.Cover, k func()) {
+	if !tr.forest.Alive(d.To) {
+		d = tr.forest.Flush(d.To, it)
+	}
+	if d.Kind == cluster.Lose {
+		tr.res.LostBytes += subtree
+	} else {
+		tr.deliver(d.To, it, subtree, covers)
+	}
+	k()
+}
+
+// storeRoot stores a root's merged iteration it as FilesPerIter files
+// striped over the root's window, then runs k. Under streaming
+// coupling the in-situ consumer sees the merged frame the moment
+// aggregation completes, overlapped with the write (only a Block-policy
+// consumer can delay the write path, measured in StreamBlockTime);
+// under file-then-read coupling the frame is only announced once the
+// object is durable, and the consumer pays the read-back.
+func (tr *treeRun) storeRoot(node int, fileSeq *int, d cluster.Decision, it int, subtree float64,
+	covers cluster.Cover, k func()) {
+
+	cfg, be := tr.cfg, tr.be
+	tr.forest.RootDone(it, covers.Len())
+	ord, stripes, numRoots := d.Window, tr.stripes(it), tr.forest.Windows(it)
+	frame := shmIter{iter: it, bytes: subtree}
+	tr.publishInSitu(InSituStream, ord, frame, func() {
+		if subtree <= 0 {
+			tr.publishInSitu(InSituFile, ord, frame, k)
+			return
+		}
+		per := subtree / float64(cfg.FilesPerIter)
+		writeFiles(tr.schedule, be, tr.res, cfg.FilesPerIter, func() (writeReq, func(func())) {
+			// Spread root files over the target array, stripes-wide
+			// windows per file so roots do not collide.
+			base := ((ord + *fileSeq*numRoots) * stripes) % be.Targets()
+			*fileSeq++
+			req := writeReq{holder: node, base: base, stripes: stripes, deadline: tr.deadline(it), bytes: subtree}
+			return req, func(k func()) {
+				tw := tr.eng.Now()
+				stripeAcross(be.WriteAsync, base, stripes, be.Targets(), per, func() {
+					if el := tr.eng.Now() - tw; el > 0 {
 						tr.adapter.ObservePFS(per / float64(stripes) / el)
 					}
-					p.Do(be.Close)
-					release()
-					res.FilesCreated++
-				}
-				if p.Now() > tr.writeEnd[item.iter] {
-					tr.writeEnd[item.iter] = p.Now()
-				}
-				tr.adapt(item.iter)
+					k()
+				})
 			}
-			if cfg.InSitu.Mode == InSituFile {
-				// File-then-read coupling: the frame is only announced
-				// once the object is durable; the consumer pays the
-				// read-back before analyzing.
-				tr.publishInSitu(p, ord, shmIter{iter: item.iter, bytes: subtree})
+		}, func() {
+			if tr.eng.Now() > tr.writeEnd[it] {
+				tr.writeEnd[it] = tr.eng.Now()
 			}
+			tr.adapt(it)
+			tr.publishInSitu(InSituFile, ord, frame, k)
+		})
+	})
+}
+
+// writeFiles writes n files one after the other under the run's write
+// scheduler, then runs k. next gives the next file's token request and
+// the write that fills it; each file takes its token, is created,
+// written, closed and counted in res.FilesCreated, and returns its token.
+func writeFiles(schedule writeScheduler, be storage.CostModel, res *Result, n int,
+	next func() (writeReq, func(k func())), k func()) {
+
+	var file func()
+	file = func() {
+		if n == 0 {
+			k()
+			return
 		}
-		shm.free(item.bytes)
-		res.DedicatedBusy += p.Now() - t1
+		n--
+		req, write := next()
+		schedule.acquire(req, func(release func()) {
+			be.Create(func() {
+				write(func() {
+					be.Close(func() {
+						release()
+						res.FilesCreated++
+						file()
+					})
+				})
+			})
+		})
 	}
+	file()
 }
 
 // deliver merges a contribution to iteration it into node to's gather
@@ -654,19 +710,29 @@ func (tr *treeRun) deliver(to, it int, bytes float64, c cluster.Cover) {
 	tr.waiting[to].wake()
 }
 
-// stripeAcross runs one big sequential transfer (be.WriteAsync or
+// stripeAcross starts one big sequential transfer (be.WriteAsync or
 // be.ReadAsync) of bytes split evenly over a root window — stripes
-// targets from base, wrapping at targets — and waits for all of it.
-func stripeAcross(p *des.Proc, io func(int, float64, storage.Pattern) *des.Future,
-	base, stripes, targets int, bytes float64) {
+// targets from base, wrapping at targets — and runs k once all of it is
+// done. It waits for the stripes in order, so a stripe that is done by
+// the time its turn comes costs no event.
+func stripeAcross(io func(int, float64, storage.Pattern) *des.Future,
+	base, stripes, targets int, bytes float64, k func()) {
 
 	futs := make([]*des.Future, stripes)
 	for s := range futs {
 		futs[s] = io((base+s)%targets, bytes/float64(stripes), storage.BigSequential)
 	}
-	for _, f := range futs {
-		p.Await(f)
+	var await func()
+	await = func() {
+		for ; len(futs) > 0; futs = futs[1:] {
+			if !futs[0].Done() {
+				futs[0].Then(await)
+				return
+			}
+		}
+		k()
 	}
+	await()
 }
 
 // failNode executes one scheduled death on the DES side, mirroring

@@ -93,7 +93,7 @@ func (c InSituConfig) validate(treeMode bool) error {
 
 // insituQ is the DES counterpart of a storage.Subscription: one root's
 // bounded frame queue between its dedicated core (publisher) and its
-// analysis consumer proc. The shared storage.StreamQueue decides what a
+// analysis consumer. The shared storage.StreamQueue decides what a
 // full queue does; this face only waits, on des.Future parking instead
 // of channels — the same discipline as nodeShm. One publisher (the node
 // currently owning the root ordinal) and one consumer per queue.
@@ -104,37 +104,20 @@ type insituQ struct {
 	space   parked // Block-policy publisher, on a full queue
 }
 
-// publish offers one frame under the queue's policy and returns how
-// long the publisher was blocked (non-zero only under storage.Block).
-func (q *insituQ) publish(p *des.Proc, item shmIter) float64 {
-	blocked := 0.0
-	for {
-		switch q.frames.Offer(item) {
-		case storage.MustWait:
-			t0 := p.Now()
-			q.space.wait(p, q.eng)
-			blocked += p.Now() - t0
-			continue
-		case storage.Queued, storage.Evicted:
-			q.waiting.wake()
-		}
-		return blocked
+// take runs k with the next frame once one is pending, parking the
+// consumer until then and draining the backlog before honouring
+// closure; k gets false once the queue is closed and drained.
+func (q *insituQ) take(k func(shmIter, bool)) {
+	if item, ok := q.frames.Take(); ok {
+		q.space.wake()
+		k(item, true)
+		return
 	}
-}
-
-// take blocks the consumer until a frame is pending, draining the
-// backlog before honouring closure.
-func (q *insituQ) take(p *des.Proc) (shmIter, bool) {
-	for {
-		if item, ok := q.frames.Take(); ok {
-			q.space.wake()
-			return item, true
-		}
-		if q.frames.IsClosed() {
-			return shmIter{}, false
-		}
-		q.waiting.wait(p, q.eng)
+	if q.frames.IsClosed() {
+		k(shmIter{}, false)
+		return
 	}
+	q.waiting.wait(q.eng, func() { q.take(k) })
 }
 
 // close ends the stream: the consumer drains what is queued and exits;
@@ -145,24 +128,44 @@ func (q *insituQ) close() {
 	q.space.wake()
 }
 
-// publishInSitu hands a completed root frame to the given root
-// ordinal's consumer queue (no-op when in-situ is off), charging any
-// Block-policy wait to the publisher and the run's StreamBlockTime.
-// The caller resolves the ordinal through the frame's topology epoch,
-// so a frame routed by an older tree reaches the queue that root owned.
-func (tr *treeRun) publishInSitu(p *des.Proc, ord int, item shmIter) {
-	if tr.insituQs == nil || item.bytes <= 0 {
+// publishInSitu offers a completed root frame to the given root
+// ordinal's consumer queue under the queue's policy, then runs k. It
+// publishes only under the run's coupling mode (no-op otherwise, and
+// when in-situ is off). A Block-policy publisher waits for queue space,
+// and the wait is charged to the run's StreamBlockTime. The caller
+// resolves the ordinal through the frame's topology epoch, so a frame
+// routed by an older tree reaches the queue that root owned.
+func (tr *treeRun) publishInSitu(mode InSituMode, ord int, item shmIter, k func()) {
+	if tr.cfg.InSitu.Mode != mode || tr.insituQs == nil || item.bytes <= 0 {
+		k()
 		return
 	}
 	q := tr.insituQs[ord]
-	if blocked := q.publish(p, item); blocked > 0 {
-		tr.res.StreamBlockTime += blocked
+	blocked := 0.0
+	var offer func()
+	offer = func() {
+		switch q.frames.Offer(item) {
+		case storage.MustWait:
+			t0 := tr.eng.Now()
+			q.space.wait(tr.eng, func() {
+				blocked += tr.eng.Now() - t0
+				offer()
+			})
+			return
+		case storage.Queued, storage.Evicted:
+			q.waiting.wake()
+		}
+		if blocked > 0 {
+			tr.res.StreamBlockTime += blocked
+		}
+		k()
 	}
+	offer()
 }
 
 // growInsitu widens the per-root-ordinal queue/consumer array to cover
 // numRoots ordinals (no-op when in-situ is off or already wide enough):
-// a re-formation that flattens the forest spawns consumers for the new
+// a re-formation that flattens the forest starts consumers for the new
 // ordinals mid-run, while shrunken root sets keep their extra queues —
 // frames from fenced iterations may still arrive on them.
 func (tr *treeRun) growInsitu(numRoots int) {
@@ -176,38 +179,45 @@ func (tr *treeRun) growInsitu(numRoots int) {
 		}
 		tr.insituQs = append(tr.insituQs, q)
 		ord := len(tr.insituQs) - 1
-		tr.eng.Spawn("insitu", func(p *des.Proc) { tr.runConsumer(p, ord) })
+		tr.eng.Wait(0, func() { tr.runConsumer(q, ord) })
 	}
 }
 
-// runConsumer is one root's analysis consumer: a proc on the root's
+// runConsumer is one root's analysis consumer: a loop on the root's
 // dedicated-core pool that drains the frame queue and pays analysis
 // CPU per frame — §V's visualization running on the cores' spare time.
 // Under InSituFile each frame additionally pays the striped read-back
 // of the root object before any kernel runs (the file-then-read
 // baseline); under InSituStream the frame is already in memory.
-func (tr *treeRun) runConsumer(p *des.Proc, ord int) {
+func (tr *treeRun) runConsumer(q *insituQ, ord int) {
 	cfg, be, res := tr.cfg, tr.be, tr.res
-	q := tr.insituQs[ord]
-	for {
-		item, ok := q.take(p)
-		if !ok {
-			return
-		}
-		if cfg.InSitu.Mode == InSituFile {
+	var next func()
+	next = func() {
+		q.take(func(item shmIter, ok bool) {
+			if !ok {
+				return
+			}
+			analyze := func() {
+				cpu := item.bytes / cfg.InSitu.AnalysisBandwidth
+				tr.eng.Wait(cpu, func() {
+					res.AnalysisCPUTime += cpu
+					res.DedicatedBusy += cpu // analysis rides the dedicated cores
+					res.FramesAnalyzed++
+					res.AnalysisLatencies = append(res.AnalysisLatencies, tr.eng.Now()-tr.phaseStart[item.iter])
+					next()
+				})
+			}
+			if cfg.InSitu.Mode != InSituFile {
+				analyze()
+				return
+			}
 			// Read the just-written root object back through the same
 			// stripe window the write used — the frame's own epoch's,
 			// which a later re-formation does not retarget; the read
 			// competes with whatever the storage system is serving.
 			stripes := tr.stripes(item.iter)
-			stripeAcross(p, be.ReadAsync, (ord*stripes)%be.Targets(), stripes, be.Targets(), item.bytes)
-		}
-		cpu := item.bytes / cfg.InSitu.AnalysisBandwidth
-		p.Wait(cpu)
-		res.AnalysisCPUTime += cpu
-		res.DedicatedBusy += cpu // analysis rides the dedicated cores
-		res.FramesAnalyzed++
-		res.AnalysisLatencies = append(res.AnalysisLatencies,
-			p.Now()-tr.phaseStart[item.iter])
+			stripeAcross(be.ReadAsync, (ord*stripes)%be.Targets(), stripes, be.Targets(), item.bytes, analyze)
+		})
 	}
+	next()
 }

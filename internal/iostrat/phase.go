@@ -42,10 +42,10 @@ func newPhaseLoop(eng *des.Engine, res *Result, ranks, iters int, jitter float64
 	}
 }
 
-// phaseRank is one rank as a run-to-completion state machine, not a
-// process: each step runs inside the event that ends the step before
-// it and books the next, and the steps are bound once, so a rank costs
-// the events it books and nothing per step besides. A strategy embeds
+// phaseRank is one rank as a run-to-completion state machine: each
+// step runs inside the event that ends the step before it and books the
+// next, and the steps are bound once, so a rank costs the events it
+// books and nothing per step besides. A strategy embeds
 // it and supplies output, its output work, which ends by calling wrote.
 type phaseRank struct {
 	*phaseLoop

@@ -50,12 +50,11 @@ func RestartRead(cfg Config) (RestartResult, error) {
 		// Baseline: one file per node, read back in parallel.
 		res.Roots = plat.Nodes
 		res.Stripes = 1
-		for n := 0; n < plat.Nodes; n++ {
-			node := n
-			eng.Spawn("restart-read", func(p *des.Proc) {
-				p.Do(be.Open)
-				p.Do(func(k func()) { be.Read(node%be.Targets(), nodeBytes, storage.BigSequential, k) })
-				p.Do(be.Close)
+		for node := range plat.Nodes {
+			eng.Wait(0, func() {
+				be.Open(func() {
+					be.Read(node%be.Targets(), nodeBytes, storage.BigSequential, func() { be.Close(func() {}) })
+				})
 			})
 		}
 		res.ReadTime = eng.Run()
@@ -84,28 +83,32 @@ func RestartRead(cfg Config) (RestartResult, error) {
 	subtreeBytes := func(n int) float64 {
 		return nodeBytes * float64(forest.Required(n, 0).Len())
 	}
-	// scatter pushes a node's children their subtree state: the sender
-	// serializes the transfers onto its NIC, each child then forwards
-	// its own subtree concurrently.
-	var scatter func(p *des.Proc, node int)
-	scatter = func(p *des.Proc, node int) {
-		for _, k := range tree.Children(node) {
-			p.Wait(subtreeBytes(k)/plat.NICBandwidth + plat.NICLatency)
-			kid := k
-			eng.Spawn("restart-scatter", func(cp *des.Proc) { scatter(cp, kid) })
+	// scatter pushes kids their subtree state: the sender serializes the
+	// transfers onto its NIC, each child then forwards its own subtree
+	// concurrently.
+	var scatter func(kids []int)
+	scatter = func(kids []int) {
+		if len(kids) == 0 {
+			return
 		}
+		eng.Wait(subtreeBytes(kids[0])/plat.NICBandwidth+plat.NICLatency, func() {
+			eng.Wait(0, func() { scatter(tree.Children(kids[0])) })
+			scatter(kids[1:])
+		})
 	}
-	for i, r := range roots {
-		ordinal, rootID := i, r
-		eng.Spawn("restart-root", func(p *des.Proc) {
-			p.Do(be.Open)
-			stripeAcross(p, be.ReadAsync, (ordinal*stripes)%be.Targets(), stripes, be.Targets(),
-				subtreeBytes(rootID))
-			p.Do(be.Close)
-			if p.Now() > res.ReadTime {
-				res.ReadTime = p.Now()
-			}
-			scatter(p, rootID)
+	for ordinal, rootID := range roots {
+		eng.Wait(0, func() {
+			be.Open(func() {
+				stripeAcross(be.ReadAsync, (ordinal*stripes)%be.Targets(), stripes, be.Targets(),
+					subtreeBytes(rootID), func() {
+						be.Close(func() {
+							if eng.Now() > res.ReadTime {
+								res.ReadTime = eng.Now()
+							}
+							scatter(tree.Children(rootID))
+						})
+					})
+			})
 		})
 	}
 	res.TotalTime = eng.Run()

@@ -24,10 +24,11 @@ type writeReq struct {
 	bytes float64
 }
 
-// writeScheduler coordinates dedicated-core writes (E6). acquire blocks
-// until the write may start and returns the matching release.
+// writeScheduler coordinates dedicated-core writes (E6). acquire runs k
+// with the matching release once the write may start: inline when it
+// may start at once, otherwise in the event that grants it.
 type writeScheduler interface {
-	acquire(p *des.Proc, w writeReq) (release func())
+	acquire(w writeReq, k func(release func()))
 	// releaseHolder frees every token a dead node holds or waits for.
 	releaseHolder(node int)
 	// brokerStats exposes the contention ledger (zero for SchedNone).
@@ -36,7 +37,7 @@ type writeScheduler interface {
 
 type nopScheduler struct{}
 
-func (nopScheduler) acquire(*des.Proc, writeReq) func() { return func() {} }
+func (nopScheduler) acquire(_ writeReq, k func(func())) { k(func() {}) }
 func (nopScheduler) releaseHolder(int)                  {}
 func (nopScheduler) brokerStats() storage.BrokerStats   { return storage.BrokerStats{} }
 
@@ -76,7 +77,7 @@ func newScheduler(eng *des.Engine, pol Scheduling, targets int) writeScheduler {
 	}
 }
 
-func (s *brokerScheduler) acquire(p *des.Proc, w writeReq) func() {
+func (s *brokerScheduler) acquire(w writeReq, k func(release func())) {
 	req := storage.TokenRequest{
 		Holder:   w.holder,
 		Deadline: w.deadline,
@@ -90,13 +91,9 @@ func (s *brokerScheduler) acquire(p *des.Proc, w writeReq) func() {
 	} else {
 		req.Targets = []int{w.base}
 	}
-	g := s.broker.AcquireSim(p, req)
-	if g.Denied {
-		// The node died while parked on the queue; there is no token to
-		// return and the caller's write is moot.
-		return func() {}
-	}
-	return g.Release
+	// A grant denied because the node died while parked on the queue
+	// holds no token, and its Release does nothing.
+	s.broker.AcquireSim(req, func(g storage.TokenGrant) { k(g.Release) })
 }
 
 func (s *brokerScheduler) releaseHolder(node int) { s.broker.ReleaseHolder(node) }

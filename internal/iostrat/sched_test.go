@@ -57,7 +57,7 @@ func (pb *probeBackend) WriteAsync(target int, bytes float64, pat storage.Patter
 	inner := pb.CostModel.WriteAsync(target, bytes, pat)
 	done := eng.NewFuture()
 	eng.Spawn("probe", func(p *des.Proc) {
-		p.Await(inner)
+		p.Do(inner.Then)
 		pb.record(target, start, p.Now())
 		done.Complete()
 	})

@@ -1,7 +1,7 @@
 // This file is the multi-tenant service model: the DES face of
 // cluster.Service. Where the runtime face hosts a handful of real
 // tenant clusters, this model prices thousands of queued jobs cheaply —
-// one lightweight process per job, a node-counting admission gate in
+// one small state machine per job, a node-counting admission gate in
 // front of the machine, and a shared deadline broker arbitrating the
 // write phases — so E9 can sweep tenancy × arrival rate × admission
 // policy in virtual time.
@@ -202,6 +202,56 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 	jobs := make([]*desJob, cfg.Jobs)
 	nodeBytes := cfg.Workload.NodeBytes(cfg.Platform.CoresPerNode)
 
+	// run is one admitted (or rejected) job from its grant on: per
+	// iteration, compute, take a write slot from the broker and write.
+	run := func(j *desJob, jitter *rng.Stream, granted int) {
+		if granted == 0 {
+			j.res.Rejected = true
+			return
+		}
+		j.res.AdmitTime = eng.Now()
+		j.res.Nodes = granted
+		j.res.Degraded = granted < j.res.NodesAsked
+		jobBytes := nodeBytes * float64(granted)
+		j.res.LostBytes = nodeBytes * float64(j.res.NodesAsked-granted) * float64(j.res.Iterations)
+		idealWrite := nodeBytes * float64(j.res.NodesAsked) / perWriterBW
+		var iterate func(it int)
+		iterate = func(it int) {
+			if it == j.res.Iterations {
+				j.res.Finish = eng.Now()
+				for _, a := range gate.Release(granted) {
+					jobs[a.ID].granted = a.Nodes
+					jobs[a.ID].fut.Complete()
+				}
+				return
+			}
+			eng.Wait(cfg.Workload.ComputeTime*jitter.UnitLogNormal(cfg.Workload.ComputeJitter), func() {
+				broker.AcquireSim(storage.TokenRequest{
+					Holder:   j.res.ID,
+					Tenant:   j.res.ID,
+					Targets:  []int{j.res.ID % writeSlots},
+					Deadline: j.res.Deadline,
+					Bytes:    jobBytes,
+				}, func(g storage.TokenGrant) {
+					eng.Wait(jobBytes/perWriterBW*
+						jitter.UnitLogNormal(cfg.Platform.PFS.JitterSigma), func() {
+						g.Release()
+						j.res.Bytes += jobBytes
+						// Latency against the job's ideal schedule:
+						// admitted at arrival, never queued, full grant.
+						// Admission and broker waits both surface here —
+						// the tail E9 compares.
+						idealDone := j.res.Arrival +
+							float64(it+1)*(cfg.Workload.ComputeTime+idealWrite)
+						j.res.WriteLatencies = append(j.res.WriteLatencies, eng.Now()-idealDone)
+						iterate(it + 1)
+					})
+				})
+			})
+		}
+		iterate(0)
+	}
+
 	at := 0.0
 	for i := 0; i < cfg.Jobs; i++ {
 		if i > 0 && cfg.ArrivalRate > 0 {
@@ -231,49 +281,15 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 		jobs[i] = j
 
 		jitter := root.Child(uint64(i))
-		eng.SpawnAt(at, fmt.Sprintf("job%d", i), func(p *des.Proc) {
+		eng.At(at, func() {
 			granted, queued := gate.Offer(cluster.Ask{ID: j.res.ID, Nodes: j.res.NodesAsked,
 				Deadline: j.res.Deadline})
-			if queued {
-				j.fut = eng.NewFuture()
-				p.Await(j.fut)
-				granted = j.granted
-			}
-			if granted == 0 {
-				j.res.Rejected = true
+			if !queued {
+				run(j, jitter, granted)
 				return
 			}
-			j.res.AdmitTime = p.Now()
-			j.res.Nodes = granted
-			j.res.Degraded = granted < j.res.NodesAsked
-			jobBytes := nodeBytes * float64(granted)
-			j.res.LostBytes = nodeBytes * float64(j.res.NodesAsked-granted) * float64(j.res.Iterations)
-			idealWrite := nodeBytes * float64(j.res.NodesAsked) / perWriterBW
-			for it := 0; it < j.res.Iterations; it++ {
-				p.Wait(cfg.Workload.ComputeTime * jitter.UnitLogNormal(cfg.Workload.ComputeJitter))
-				g := broker.AcquireSim(p, storage.TokenRequest{
-					Holder:   j.res.ID,
-					Tenant:   j.res.ID,
-					Targets:  []int{j.res.ID % writeSlots},
-					Deadline: j.res.Deadline,
-					Bytes:    jobBytes,
-				})
-				p.Wait(jobBytes / perWriterBW *
-					jitter.UnitLogNormal(cfg.Platform.PFS.JitterSigma))
-				g.Release()
-				j.res.Bytes += jobBytes
-				// Latency against the job's ideal schedule: admitted at
-				// arrival, never queued, full grant. Admission and broker
-				// waits both surface here — the tail E9 compares.
-				idealDone := j.res.Arrival +
-					float64(it+1)*(cfg.Workload.ComputeTime+idealWrite)
-				j.res.WriteLatencies = append(j.res.WriteLatencies, p.Now()-idealDone)
-			}
-			j.res.Finish = p.Now()
-			for _, a := range gate.Release(granted) {
-				jobs[a.ID].granted = a.Nodes
-				jobs[a.ID].fut.Complete()
-			}
+			j.fut = eng.NewFuture()
+			j.fut.Then(func() { run(j, jitter, j.granted) })
 		})
 	}
 	eng.Run()

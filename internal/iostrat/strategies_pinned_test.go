@@ -115,13 +115,18 @@ var krakenStrategies = []struct {
 func krakenConfig(tree bool) Config {
 	cfg := Config{Platform: topology.Kraken(9216 / 12), Workload: CM1Workload(2), Seed: 2013}
 	if tree {
-		cfg.Fanout = 4
-		cfg.Scheduling = SchedClusterToken
-		cfg.Codec = storage.AdaptiveCodec
-		cfg.Dedup = true
-		cfg.DedupNewFraction = 0.25
+		krakenTree(&cfg)
 	}
 	return cfg
+}
+
+// krakenTree is the des-kraken workload's tree configuration: fanout 4,
+// cluster-wide tokens, the adaptive codec and dedup.
+func krakenTree(cfg *Config) {
+	cfg.Fanout = 4
+	cfg.Scheduling = SchedClusterToken
+	cfg.Codec = storage.AdaptiveCodec
+	cfg.Dedup, cfg.DedupNewFraction = true, 0.25
 }
 
 // BenchmarkStrategyRun times one whole run of each strategy on the PFS
@@ -153,4 +158,18 @@ func BenchmarkStrategyRun(b *testing.B) {
 			b.Run(s.name, func(b *testing.B) { run(b, s.approach, krakenConfig(s.tree)) })
 		}
 	})
+}
+
+// BenchmarkRestartRead times one restart read of the des-kraken
+// workload's tree checkpoint at 9,216 cores — RestartRead on
+// krakenConfig(true), the read behind the benchmark's restore_MBps —
+// with its allocations (make pprof-cpu aims here, see the Makefile).
+func BenchmarkRestartRead(b *testing.B) {
+	cfg := krakenConfig(true)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := RestartRead(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -109,13 +109,14 @@ type BrokerStats struct {
 // cluster run. One broker serves one run; all roots share it, which is
 // what makes the schedule cluster-wide rather than per-backend.
 //
-// It has two faces, mirroring CostModel and Backend: AcquireSim blocks a DES
-// process in virtual time (the iostrat strategies), Acquire blocks a
-// goroutine in wall time (the runtime cluster layer). A single broker
-// instance serves one face per run.
+// It has two faces, mirroring CostModel and Backend: AcquireSim hands
+// the grant to a DES continuation in virtual time (the iostrat
+// strategies), Acquire blocks a goroutine in wall time (the runtime
+// cluster layer). A single broker instance serves one face per run.
 type TokenBroker interface {
-	// AcquireSim blocks p until the request is granted (DES face).
-	AcquireSim(p *des.Proc, req TokenRequest) TokenGrant
+	// AcquireSim runs k with the grant once the request is granted or
+	// denied (DES face), inline when it is granted at once.
+	AcquireSim(req TokenRequest, k func(TokenGrant))
 	// Acquire blocks the calling goroutine until the request is granted
 	// or denied (real face).
 	Acquire(req TokenRequest) TokenGrant
@@ -410,10 +411,10 @@ func (b *Broker) enqueue(w *brokerWaiter) (immediate bool) {
 	return false
 }
 
-// AcquireSim implements TokenBroker (DES face): the wait parks the
-// process on a future, so contention costs virtual time exactly where
-// the modeled dedicated core would stall.
-func (b *Broker) AcquireSim(p *des.Proc, req TokenRequest) TokenGrant {
+// AcquireSim implements TokenBroker (DES face): the wait parks k on a
+// future, so contention costs virtual time exactly where the modeled
+// dedicated core would stall.
+func (b *Broker) AcquireSim(req TokenRequest, k func(TokenGrant)) {
 	if b.opts.Engine == nil {
 		panic("storage: AcquireSim on a broker with no engine")
 	}
@@ -422,12 +423,12 @@ func (b *Broker) AcquireSim(p *des.Proc, req TokenRequest) TokenGrant {
 	if b.enqueue(w) {
 		g := TokenGrant{release: b.releaseFor(w)}
 		b.mu.Unlock()
-		return g
+		k(g)
+		return
 	}
 	w.fut = b.opts.Engine.NewFuture()
 	b.mu.Unlock()
-	p.Await(w.fut)
-	return b.grantFor(w)
+	w.fut.Then(func() { k(b.grantFor(w)) })
 }
 
 // Acquire implements TokenBroker (real face): the wait blocks the

@@ -10,6 +10,19 @@ import (
 	"repro/internal/des"
 )
 
+// acquireSim is AcquireSim from a process body: it returns the grant
+// once the continuation has run.
+func acquireSim(p *des.Proc, b *Broker, req TokenRequest) TokenGrant {
+	var g TokenGrant
+	p.Do(func(k func()) {
+		b.AcquireSim(req, func(got TokenGrant) {
+			g = got
+			k()
+		})
+	})
+	return g
+}
+
 func TestBrokerPerTargetSerializes(t *testing.T) {
 	eng := des.NewEngine()
 	b := NewBroker(BrokerOptions{Policy: PolicyPerTarget, Targets: 4, Engine: eng})
@@ -17,7 +30,7 @@ func TestBrokerPerTargetSerializes(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		id := i
 		eng.Spawn("w", func(p *des.Proc) {
-			g := b.AcquireSim(p, TokenRequest{Holder: id, Targets: []int{1}})
+			g := acquireSim(p, b, TokenRequest{Holder: id, Targets: []int{1}})
 			p.Wait(10)
 			order = append(order, id)
 			g.Release()
@@ -48,7 +61,7 @@ func TestBrokerDistinctTargetsOverlap(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		target := i
 		eng.Spawn("w", func(p *des.Proc) {
-			g := b.AcquireSim(p, TokenRequest{Holder: target, Targets: []int{target}})
+			g := acquireSim(p, b, TokenRequest{Holder: target, Targets: []int{target}})
 			p.Wait(10)
 			g.Release()
 		})
@@ -66,7 +79,7 @@ func TestBrokerDeadlineOrdersWaiters(t *testing.T) {
 	// arrival order 1,2,3 but with deadlines 30,10,20.
 	deadlines := map[int]float64{1: 30, 2: 10, 3: 20}
 	eng.Spawn("first", func(p *des.Proc) {
-		g := b.AcquireSim(p, TokenRequest{Holder: 0, Targets: []int{0}, Deadline: 5})
+		g := acquireSim(p, b, TokenRequest{Holder: 0, Targets: []int{0}, Deadline: 5})
 		p.Wait(10)
 		order = append(order, 0)
 		g.Release()
@@ -74,7 +87,7 @@ func TestBrokerDeadlineOrdersWaiters(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		id := i
 		eng.SpawnAt(1, "late", func(p *des.Proc) {
-			g := b.AcquireSim(p, TokenRequest{Holder: id, Targets: []int{0}, Deadline: deadlines[id]})
+			g := acquireSim(p, b, TokenRequest{Holder: id, Targets: []int{0}, Deadline: deadlines[id]})
 			p.Wait(1)
 			order = append(order, id)
 			g.Release()
@@ -96,7 +109,7 @@ func TestBrokerWindowGrantIsAtomic(t *testing.T) {
 	overlapped := false
 	writer := func(holder int, targets []int, start float64) {
 		eng.SpawnAt(start, "w", func(p *des.Proc) {
-			g := b.AcquireSim(p, TokenRequest{Holder: holder, Targets: targets})
+			g := acquireSim(p, b, TokenRequest{Holder: holder, Targets: targets})
 			for _, tg := range targets {
 				active[tg]++
 				if active[tg] > 1 {
@@ -129,12 +142,12 @@ func TestBrokerWideRequestNotStarved(t *testing.T) {
 	b := NewBroker(BrokerOptions{Policy: PolicyPerTarget, Targets: 2, Engine: eng})
 	var wideGranted float64
 	eng.Spawn("narrow0", func(p *des.Proc) {
-		g := b.AcquireSim(p, TokenRequest{Holder: 0, Targets: []int{0}})
+		g := acquireSim(p, b, TokenRequest{Holder: 0, Targets: []int{0}})
 		p.Wait(10)
 		g.Release()
 	})
 	eng.SpawnAt(1, "wide", func(p *des.Proc) {
-		g := b.AcquireSim(p, TokenRequest{Holder: 1, Targets: []int{0, 1}})
+		g := acquireSim(p, b, TokenRequest{Holder: 1, Targets: []int{0, 1}})
 		wideGranted = p.Now()
 		p.Wait(10)
 		g.Release()
@@ -144,7 +157,7 @@ func TestBrokerWideRequestNotStarved(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		at := float64(2 + i)
 		eng.SpawnAt(at, "narrow1", func(p *des.Proc) {
-			g := b.AcquireSim(p, TokenRequest{Holder: 2, Targets: []int{1}})
+			g := acquireSim(p, b, TokenRequest{Holder: 2, Targets: []int{1}})
 			p.Wait(10)
 			g.Release()
 		})
@@ -162,7 +175,7 @@ func TestBrokerGlobalBoundsConcurrency(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		id := i
 		eng.Spawn("w", func(p *des.Proc) {
-			g := b.AcquireSim(p, TokenRequest{Holder: id, Targets: []int{id}})
+			g := acquireSim(p, b, TokenRequest{Holder: id, Targets: []int{id}})
 			active++
 			if active > peak {
 				peak = active
@@ -187,19 +200,19 @@ func TestBrokerReleaseHolderFreesAndCancels(t *testing.T) {
 	deniedSeen := false
 	reclaimed := 0
 	eng.Spawn("doomed", func(p *des.Proc) {
-		b.AcquireSim(p, TokenRequest{Holder: 7, Targets: []int{0}})
+		acquireSim(p, b, TokenRequest{Holder: 7, Targets: []int{0}})
 		// Holder 7 "dies" at t=5 without releasing; ReleaseHolder must
 		// reclaim the token.
 		p.Wait(100)
 	})
 	eng.SpawnAt(1, "doomed-queued", func(p *des.Proc) {
-		g := b.AcquireSim(p, TokenRequest{Holder: 7, Targets: []int{0}})
+		g := acquireSim(p, b, TokenRequest{Holder: 7, Targets: []int{0}})
 		if g.Denied {
 			deniedSeen = true
 		}
 	})
 	eng.SpawnAt(2, "survivor", func(p *des.Proc) {
-		g := b.AcquireSim(p, TokenRequest{Holder: 1, Targets: []int{0}})
+		g := acquireSim(p, b, TokenRequest{Holder: 1, Targets: []int{0}})
 		survivorGranted = p.Now()
 		g.Release()
 	})
@@ -331,7 +344,7 @@ func TestBrokerReleaseIdempotent(t *testing.T) {
 	eng := des.NewEngine()
 	b := NewBroker(BrokerOptions{Policy: PolicyPerTarget, Targets: 1, Engine: eng})
 	eng.Spawn("w", func(p *des.Proc) {
-		g := b.AcquireSim(p, TokenRequest{Holder: 0, Targets: []int{0}})
+		g := acquireSim(p, b, TokenRequest{Holder: 0, Targets: []int{0}})
 		g.Release()
 		g.Release() // second release must be a no-op
 	})
@@ -389,7 +402,7 @@ func TestBrokerFairShareOrdersByServedBytes(t *testing.T) {
 				h := h
 				wantByHolder[h.holder]++
 				eng.SpawnAt(h.at, "w", func(p *des.Proc) {
-					g := b.AcquireSim(p, TokenRequest{
+					g := acquireSim(p, b, TokenRequest{
 						Holder: h.holder, Tenant: h.tenant, Targets: []int{h.tgt},
 						Bytes: h.bytes, Weight: h.weight,
 					})
@@ -417,7 +430,7 @@ func TestBrokerDeadlinePriorityFirst(t *testing.T) {
 	b := NewBroker(BrokerOptions{Policy: PolicyDeadline, Targets: 1, Engine: eng})
 	var order []int
 	eng.Spawn("first", func(p *des.Proc) {
-		g := b.AcquireSim(p, TokenRequest{Holder: 0, Targets: []int{0}, Deadline: 5})
+		g := acquireSim(p, b, TokenRequest{Holder: 0, Targets: []int{0}, Deadline: 5})
 		p.Wait(10)
 		order = append(order, 0)
 		g.Release()
@@ -433,7 +446,7 @@ func TestBrokerDeadlinePriorityFirst(t *testing.T) {
 	for _, s := range specs {
 		s := s
 		eng.SpawnAt(1, "late", func(p *des.Proc) {
-			g := b.AcquireSim(p, TokenRequest{
+			g := acquireSim(p, b, TokenRequest{
 				Holder: s.holder, Priority: s.prio, Targets: []int{0}, Deadline: s.deadline,
 			})
 			p.Wait(1)

@@ -5,7 +5,7 @@ import "repro/internal/storage"
 // cost is the dedup store's cost twin: the inner model under
 // storage.Reduce with write/read as the layer's two cost functions, and
 // its ledger overlaid on the inner accounting. The engine runs one
-// process at a time, so the ledger needs no lock.
+// event at a time, so the ledger needs no lock.
 type cost struct {
 	storage.CostModel
 	newFraction float64

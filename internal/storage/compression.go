@@ -414,7 +414,7 @@ func ValidateCodecName(name string) error {
 // codecCost is the compression pipeline's cost twin: the inner model
 // under Reduce with encode/decode as the layer's two cost functions,
 // and its ledger overlaid on the inner accounting. The engine runs one
-// process at a time, so the ledger needs no lock.
+// event at a time, so the ledger needs no lock.
 type codecCost struct {
 	CostModel
 	prof CodecProfile

@@ -286,9 +286,9 @@ func TestCodecCost(t *testing.T) {
 			p.Do(b.Create)
 			p.Do(func(k func()) { b.Write(0, 60e6, BigSequential, k) })
 			p.Do(b.Close)
-			p.Await(b.WriteAsync(1, 60e6, BigSequential))
+			p.Do(b.WriteAsync(1, 60e6, BigSequential).Then)
 			p.Do(func(k func()) { b.Read(0, 30e6, BigSequential, k) })
-			p.Await(b.ReadAsync(1, 30e6, BigSequential))
+			p.Do(b.ReadAsync(1, 30e6, BigSequential).Then)
 		})
 		end := eng.Run()
 		return end, b.Accounting()
@@ -326,9 +326,9 @@ func TestCodecCost(t *testing.T) {
 		p.Do(plain.Create)
 		p.Do(func(k func()) { plain.Write(0, 60e6/ratio, BigSequential, k) })
 		p.Do(plain.Close)
-		p.Await(plain.WriteAsync(1, 60e6/ratio, BigSequential))
+		p.Do(plain.WriteAsync(1, 60e6/ratio, BigSequential).Then)
 		p.Do(func(k func()) { plain.Read(0, 30e6/ratio, BigSequential, k) })
-		p.Await(plain.ReadAsync(1, 30e6/ratio, BigSequential))
+		p.Do(plain.ReadAsync(1, 30e6/ratio, BigSequential).Then)
 	})
 	plainEnd := engPlain.Run()
 	if end <= plainEnd {

@@ -22,8 +22,9 @@ type reducing struct {
 // volume inward; a read moves the forwarded volume back and then
 // charges the CPU. The continuation methods charge the CPU to the
 // caller's own timeline — the dedicated core's; the async ones have no
-// caller to charge, so a transfer that costs CPU runs in a process of
-// its own on the inner model's engine.
+// caller to charge, so a transfer that costs CPU starts in an event of
+// its own on the inner model's engine and completes its future when
+// both the CPU and the inner transfer are done.
 func Reduce(inner CostModel, write, read TransferCost) CostModel {
 	return &reducing{CostModel: inner, write: write, read: read}
 }
@@ -53,9 +54,8 @@ func (r *reducing) WriteAsync(target int, bytes float64, pat Pattern) *des.Futur
 	if cpu <= 0 {
 		return r.CostModel.WriteAsync(target, fwd, pat)
 	}
-	return r.spawn("reduce-write", func(p *des.Proc) {
-		p.Wait(cpu)
-		p.Await(r.CostModel.WriteAsync(target, fwd, pat))
+	return r.async(func(done func()) {
+		r.charge(cpu, func() { r.CostModel.WriteAsync(target, fwd, pat).Then(done) })
 	})
 }
 
@@ -69,20 +69,16 @@ func (r *reducing) ReadAsync(target int, bytes float64, pat Pattern) *des.Future
 	if cpu <= 0 {
 		return r.CostModel.ReadAsync(target, fwd, pat)
 	}
-	return r.spawn("reduce-read", func(p *des.Proc) {
-		p.Await(r.CostModel.ReadAsync(target, fwd, pat))
-		p.Wait(cpu)
+	return r.async(func(done func()) {
+		r.CostModel.ReadAsync(target, fwd, pat).Then(func() { r.charge(cpu, done) })
 	})
 }
 
-// spawn runs body in its own process and returns a future completed
-// when it returns.
-func (r *reducing) spawn(name string, body func(p *des.Proc)) *des.Future {
+// async starts body in an event of its own at the current time and
+// returns a future that body completes by calling done.
+func (r *reducing) async(body func(done func())) *des.Future {
 	eng := r.Engine()
 	f := eng.NewFuture()
-	eng.Spawn(name, func(p *des.Proc) {
-		body(p)
-		f.Complete()
-	})
+	eng.Wait(0, func() { body(f.Complete) })
 	return f
 }

@@ -59,9 +59,9 @@ func TestReduceBlockingAndAsyncAgree(t *testing.T) {
 	eng.Spawn("dedicated", func(p *des.Proc) {
 		steps := []func(){
 			func() { p.Do(func(k func()) { layer.Write(0, raw, BigSequential, k) }) },
-			func() { p.Await(layer.WriteAsync(0, raw, BigSequential)) },
+			func() { p.Do(layer.WriteAsync(0, raw, BigSequential).Then) },
 			func() { p.Do(func(k func()) { layer.Read(0, raw, BigSequential, k) }) },
-			func() { p.Await(layer.ReadAsync(0, raw, BigSequential)) },
+			func() { p.Do(layer.ReadAsync(0, raw, BigSequential).Then) },
 		}
 		for i, step := range steps {
 			t0 := p.Now()
@@ -71,17 +71,17 @@ func TestReduceBlockingAndAsyncAgree(t *testing.T) {
 		if f := layer.WriteAsync(1, raw, BigSequential); f == probe.last {
 			t.Error("a layer with CPU to charge returned the inner future: CPU not in the async path")
 		} else {
-			p.Await(f)
+			p.Do(f.Then)
 		}
 		if f := free.WriteAsync(1, raw, BigSequential); f != probe.last {
 			t.Error("zero-CPU write spawned a process instead of returning the inner future")
 		} else {
-			p.Await(f)
+			p.Do(f.Then)
 		}
 		if f := free.ReadAsync(1, raw, BigSequential); f != probe.last {
 			t.Error("zero-CPU read spawned a process instead of returning the inner future")
 		} else {
-			p.Await(f)
+			p.Do(f.Then)
 		}
 	})
 	eng.Run()

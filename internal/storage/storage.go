@@ -311,8 +311,8 @@ func FlattenSegs(segs [][]byte) []byte { return bytes.Join(segs, nil) }
 // CostModel is the simulated face of a storage target: operations that
 // charge virtual time, and the ledger they feed. The iostrat strategies
 // depend on this face alone. Each operation takes the continuation k it
-// runs once done, inline or from a later event, so a state machine
-// chains them directly; a des.Proc calls one through Proc.Do.
+// runs once done, inline or from a later event, so the simulated actors
+// — every one a state machine — chain them directly.
 type CostModel interface {
 	// Engine returns the DES engine the model charges time on (nil for a
 	// Memory or SDF store built for its object face only).

@@ -102,7 +102,7 @@ func TestWriteAsyncCompletes(t *testing.T) {
 			var done bool
 			eng.Spawn("writer", func(p *des.Proc) {
 				f := b.WriteAsync(0, 1e6, BigSequential)
-				p.Await(f)
+				p.Do(f.Then)
 				done = true
 			})
 			eng.Run()
@@ -298,7 +298,7 @@ func TestSimulatedReadFace(t *testing.T) {
 				b.BeginPhase()
 				p.Do(b.Open)
 				p.Do(func(k func()) { b.Read(0, perRead, BigSequential, k) })
-				p.Await(b.ReadAsync(1, perRead, BigSequential))
+				p.Do(b.ReadAsync(1, perRead, BigSequential).Then)
 				p.Do(b.Close)
 			})
 			end := eng.Run()
