@@ -17,7 +17,7 @@ COVER_FLOOR ?= 65
 PPROF_BENCH ?= BenchmarkClusterAggregation
 PPROF_PKG ?= .
 
-.PHONY: build test vet fmt fmt-check bench loc \
+.PHONY: build test vet fmt fmt-check bench loc loc-check \
 	pprof-cpu pprof-alloc cover-check tidy-check \
 	race-stress failure-smoke restart-smoke c1-smoke fuzz-smoke lint \
 	smoke-e1 smoke-e6 smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 \
@@ -42,9 +42,9 @@ test:
 # Seq order under racing publishers, the codec selector's first Puts
 # racing on one dataset, delta encoders sharing the pooled scratch
 # buffers while a reader decodes, chunk-store Gets racing the sweep's pack
-# compaction (whole-pack and ranged reads, over Memory and SDF), two roots' PutVecs sharing chunks, the DES engine's
-# process coroutines, which all run on the goroutine that calls Run,
-# and the cross-face tests, whose runtime half drives deaths and
+# compaction (whole-pack and ranged reads, over Memory and SDF), two roots' PutVecs sharing chunks, the DES engine
+# and its Proc adapter's coroutines, which all run on the goroutine that
+# calls Run, and the cross-face tests, whose runtime half drives deaths and
 # re-formations through real aggregator goroutines. Without it, at -count=200
 # (~5 s): the three routing-protocol tests that flaked 1-3 % until
 # Forest decided the late-drain rule — they guard its rules 1 and 2.
@@ -168,6 +168,8 @@ bench:
 # or, for the four write runs of the des-kraken benchmark workload (9,216
 # cores; BenchmarkStrategyRun/1152 is the pinned 1,152-core shape):
 #   make pprof-cpu PPROF_BENCH=BenchmarkStrategyRun/9216 PPROF_PKG=./internal/iostrat
+# or, for its restart read (the read behind its restore_MBps):
+#   make pprof-cpu PPROF_BENCH=BenchmarkRestartRead PPROF_PKG=./internal/iostrat
 # or, for one root object of the ckpt-codec workload through the
 # adaptive compression pipeline (BenchmarkDecodeFrame is its restore):
 #   make pprof-cpu PPROF_BENCH=BenchmarkCompressingPutVec PPROF_PKG=./internal/storage
@@ -201,7 +203,8 @@ cover-check:
 		} }'
 
 # loc prints non-test Go lines per package and for the whole module —
-# the ROADMAP aim-2 scoreboard. Informational: it gates nothing.
+# the ROADMAP aim-2 scoreboard. loc-check gates the same counts against
+# the ceilings in docs/LOC_BUDGET.md (TestLocBudget, also in tier-1).
 loc:
 	@find . -name '*.go' ! -name '*_test.go' -not -path './.git/*' -not -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); d = "."; \
@@ -209,11 +212,14 @@ loc:
 		END { for (d in loc) printf "%7d  %s\n", loc[d], d | "sort -k2"; close("sort -k2"); \
 			printf "%7d  whole module, non-test Go\n", all }'
 
+loc-check:
+	$(GO) test -count=1 -run '^TestLocBudget$$' .
+
 # tidy-check fails when go.mod/go.sum drift from what go mod tidy would
 # write.
 tidy-check:
 	$(GO) mod tidy -diff
 
-ci: build vet fmt-check tidy-check test race-stress cover-check loc bench \
+ci: build vet fmt-check tidy-check test race-stress cover-check loc-check bench \
 	smoke-e1 smoke-e6 smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 \
 	smoke-paper fuzz-smoke

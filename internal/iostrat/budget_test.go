@@ -46,7 +46,6 @@ var desWorkBudgets = map[string]struct {
 	"1152/pfs/restart":         {1403, 0, 4400},
 }
 
-
 // TestDESWorkBudgets runs the four strategies at the 96-core toy shape
 // and at 1,152 cores, on the PFS and the flat model, plus the krakenTree
 // write and restart read on the PFS model, and holds the engine to

@@ -167,7 +167,7 @@ func BenchmarkStrategyRun(b *testing.B) {
 func BenchmarkRestartRead(b *testing.B) {
 	cfg := krakenConfig(true)
 	b.ReportAllocs()
-	for b.Loop() {
+	for range b.N {
 		if _, err := RestartRead(cfg); err != nil {
 			b.Fatal(err)
 		}
