@@ -718,21 +718,28 @@ func (tr *treeRun) deliver(to, it int, bytes float64, c cluster.Cover) {
 func stripeAcross(io func(int, float64, storage.Pattern) *des.Future,
 	base, stripes, targets int, bytes float64, k func()) {
 
-	futs := make([]*des.Future, stripes)
-	for s := range futs {
-		futs[s] = io((base+s)%targets, bytes/float64(stripes), storage.BigSequential)
+	w := &stripeWait{futs: make([]*des.Future, stripes), k: k}
+	for s := range w.futs {
+		w.futs[s] = io((base+s)%targets, bytes/float64(stripes), storage.BigSequential)
 	}
-	var await func()
-	await = func() {
-		for ; len(futs) > 0; futs = futs[1:] {
-			if !futs[0].Done() {
-				futs[0].Then(await)
-				return
-			}
+	w.step = w.await
+	w.await()
+}
+
+// stripeWait is stripeAcross's wait: one step, bound once, per stripe.
+type stripeWait struct {
+	futs    []*des.Future
+	k, step func()
+}
+
+func (w *stripeWait) await() {
+	for ; len(w.futs) > 0; w.futs = w.futs[1:] {
+		if !w.futs[0].Done() {
+			w.futs[0].Then(w.step)
+			return
 		}
-		k()
 	}
-	await()
+	w.k()
 }
 
 // failNode executes one scheduled death on the DES side, mirroring

@@ -63,55 +63,96 @@ func RestartRead(cfg Config) (RestartResult, error) {
 		return res, nil
 	}
 
-	// A restart happens after the deaths: every scheduled node is dead
-	// before iteration 0, so the forest awaits none of them.
-	forest := cluster.NewForest(plat.Nodes, cfg.Fanout, cfg.AggRoots)
-	for _, n := range cfg.Failures.Nodes() {
-		forest.Fail(n, 0)
-	}
-	tree := forest.Tree()
-	roots := tree.Roots()
-	numRoots := len(roots)
-	if numRoots == 0 {
+	roots, kids, size := restartTopology(plat.Nodes, cfg.Fanout, cfg.AggRoots, cfg.Failures)
+	if len(roots) == 0 {
 		// Every root died: nothing stored, nothing to restart from.
 		return res, nil
 	}
-	stripes := cluster.StripeWidth(cfg.RootStripes, be.Targets(), numRoots)
-	res.Roots = numRoots
+	stripes := cluster.StripeWidth(cfg.RootStripes, be.Targets(), len(roots))
+	res.Roots = len(roots)
 	res.Stripes = stripes
-
-	subtreeBytes := func(n int) float64 {
-		return nodeBytes * float64(forest.Required(n, 0).Len())
-	}
-	// scatter pushes kids their subtree state: the sender serializes the
-	// transfers onto its NIC, each child then forwards its own subtree
-	// concurrently.
-	var scatter func(kids []int)
-	scatter = func(kids []int) {
-		if len(kids) == 0 {
-			return
+	bytes := func(n int) float64 { return nodeBytes * float64(size[n]) }
+	// push[n] is node n's one step once it holds its subtree's state: a
+	// child whose transfer just finished pushes on in an event of its
+	// own, and the next one starts — the sender serializes them onto its
+	// NIC. Leaves push nothing and share one step.
+	push, sent := make([]func(), plat.Nodes), make([]int, plat.Nodes)
+	leaf := func() {}
+	for n := range push {
+		push[n] = leaf
+		if len(kids[n]) > 0 {
+			push[n] = func() {
+				if k := sent[n]; k > 0 {
+					eng.Wait(0, push[kids[n][k-1]])
+				}
+				if k := sent[n]; k < len(kids[n]) {
+					sent[n]++
+					eng.Wait(bytes(kids[n][k])/plat.NICBandwidth+plat.NICLatency, push[n])
+				}
+			}
 		}
-		eng.Wait(subtreeBytes(kids[0])/plat.NICBandwidth+plat.NICLatency, func() {
-			eng.Wait(0, func() { scatter(tree.Children(kids[0])) })
-			scatter(kids[1:])
-		})
 	}
-	for ordinal, rootID := range roots {
+	read := be.ReadAsync
+	for ordinal, id := range roots {
 		eng.Wait(0, func() {
 			be.Open(func() {
-				stripeAcross(be.ReadAsync, (ordinal*stripes)%be.Targets(), stripes, be.Targets(),
-					subtreeBytes(rootID), func() {
-						be.Close(func() {
-							if eng.Now() > res.ReadTime {
-								res.ReadTime = eng.Now()
-							}
-							scatter(tree.Children(rootID))
-						})
+				stripeAcross(read, (ordinal*stripes)%be.Targets(), stripes, be.Targets(), bytes(id), func() {
+					be.Close(func() {
+						res.ReadTime = max(res.ReadTime, eng.Now())
+						push[id]()
 					})
+				})
 			})
 		})
 	}
 	res.TotalTime = eng.Run()
 	res.BytesRead = be.Accounting().BytesRead
 	return res, nil
+}
+
+// restartTopology walks the forest a restart reads through once: every
+// scheduled death has happened before it starts. It returns the live
+// roots, ascending, and for every node its live children, ascending as
+// Tree.Children lists them, and the size of its live subtree, which is
+// Forest.Required(n, 0).Len(): a death before iteration 0 leaves no
+// late drain to await. A dead node has neither.
+func restartTopology(nodes, fanout, aggRoots int, failures *cluster.FailureSchedule) (roots []int, kids [][]int, size []int) {
+	tree := cluster.NewTree(nodes, fanout, aggRoots)
+	for _, n := range failures.Nodes() {
+		tree.Fail(n)
+	}
+	// Every live node but a root is its live parent's child: count the
+	// children, cut one array into the lists, fill them in id order.
+	parent, size := make([]int, nodes), make([]int, nodes)
+	for n := range parent {
+		parent[n] = -1
+		if p, ok := tree.Parent(n); ok && tree.Alive(n) {
+			parent[n] = p
+			size[p]++
+		}
+	}
+	all, kids := make([]int, nodes), make([][]int, nodes)
+	for n, c := range size {
+		kids[n], all = all[:0:c], all[c:]
+	}
+	for n, p := range parent {
+		if p >= 0 {
+			kids[p] = append(kids[p], n)
+		}
+	}
+	// Walk down from the roots (in parent's array), then sum the sizes
+	// back up the walk.
+	roots = tree.Roots()
+	order := append(parent[:0], roots...)
+	for i := 0; i < len(order); i++ {
+		order = append(order, kids[order[i]]...)
+	}
+	for i := len(order) - 1; i >= 0; i-- {
+		n := order[i]
+		size[n] = 1
+		for _, c := range kids[n] {
+			size[n] += size[c]
+		}
+	}
+	return roots, kids, size
 }

@@ -1,9 +1,11 @@
 package iostrat
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/rng"
 	"repro/internal/topology"
 )
 
@@ -99,5 +101,40 @@ func TestRestartReadAllRootsDead(t *testing.T) {
 	}
 	if res.BytesRead != 0 || res.TotalTime != 0 {
 		t.Fatalf("read %g bytes from a dead forest: %+v", res.BytesRead, res)
+	}
+}
+
+// TestRestartTopologyMatchesForest: over seeded failure schedules on
+// small forests, the restart's one walk gives every live node the
+// children Tree.Children lists and the live-subtree size
+// Forest.Required(n, 0) counts, and the forest's live roots.
+func TestRestartTopologyMatchesForest(t *testing.T) {
+	for seed := range uint64(200) {
+		r := rng.New(seed, 0)
+		nodes, fanout, aggRoots := 2+r.Intn(30), 2+r.Intn(3), 1+r.Intn(3)
+		sched := cluster.NewFailureSchedule()
+		for range r.Intn(nodes/2 + 1) {
+			sched.Add(r.Intn(nodes), r.Intn(3))
+		}
+		forest := cluster.NewForest(nodes, fanout, aggRoots)
+		for _, n := range sched.Nodes() {
+			forest.Fail(n, 0)
+		}
+		tree := forest.Tree()
+		roots, kids, size := restartTopology(nodes, fanout, aggRoots, sched)
+		if !slices.Equal(roots, tree.Roots()) {
+			t.Fatalf("seed %d (%s): roots %v, forest has %v", seed, sched, roots, tree.Roots())
+		}
+		for n := range nodes {
+			if !tree.Alive(n) {
+				continue
+			}
+			if want := tree.Children(n); !slices.Equal(kids[n], want) {
+				t.Fatalf("seed %d (%s): node %d children %v, want %v", seed, sched, n, kids[n], want)
+			}
+			if want := forest.Required(n, 0).Len(); size[n] != want {
+				t.Fatalf("seed %d (%s): node %d subtree size %d, want %d", seed, sched, n, size[n], want)
+			}
+		}
 	}
 }

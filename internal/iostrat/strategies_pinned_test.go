@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/storage"
 	"repro/internal/topology"
 )
@@ -163,13 +164,28 @@ func BenchmarkStrategyRun(b *testing.B) {
 // BenchmarkRestartRead times one restart read of the des-kraken
 // workload's tree checkpoint at 9,216 cores — RestartRead on
 // krakenConfig(true), the read behind the benchmark's restore_MBps —
-// with its allocations (make pprof-cpu aims here, see the Makefile).
+// with its allocations (make pprof-cpu aims here, see the Makefile):
+// of the whole forest (healthy), and after a quarter of the nodes died
+// spread as R1 spreads them (failures), which reads through a re-routed
+// tree.
 func BenchmarkRestartRead(b *testing.B) {
-	cfg := krakenConfig(true)
-	b.ReportAllocs()
-	for range b.N {
-		if _, err := RestartRead(cfg); err != nil {
-			b.Fatal(err)
-		}
+	dead := cluster.NewFailureSchedule()
+	for k := range 768 / 4 {
+		dead.Add(1+(k*3)%767, 0)
+	}
+	for _, c := range []struct {
+		name     string
+		failures *cluster.FailureSchedule
+	}{{"healthy", nil}, {"failures", dead}} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := krakenConfig(true)
+			cfg.Failures = c.failures
+			b.ReportAllocs()
+			for range b.N {
+				if _, err := RestartRead(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -51,12 +51,7 @@ func (r *reducing) WriteChunk(target int, bytes float64, pat Pattern, k func()) 
 
 func (r *reducing) WriteAsync(target int, bytes float64, pat Pattern) *des.Future {
 	cpu, fwd := r.write(bytes)
-	if cpu <= 0 {
-		return r.CostModel.WriteAsync(target, fwd, pat)
-	}
-	return r.async(func(done func()) {
-		r.charge(cpu, func() { r.CostModel.WriteAsync(target, fwd, pat).Then(done) })
-	})
+	return r.async(transfer{r: r, target: target, fwd: fwd, cpu: cpu, pat: pat, write: true})
 }
 
 func (r *reducing) Read(target int, bytes float64, pat Pattern, k func()) {
@@ -66,19 +61,51 @@ func (r *reducing) Read(target int, bytes float64, pat Pattern, k func()) {
 
 func (r *reducing) ReadAsync(target int, bytes float64, pat Pattern) *des.Future {
 	cpu, fwd := r.read(bytes)
-	if cpu <= 0 {
-		return r.CostModel.ReadAsync(target, fwd, pat)
-	}
-	return r.async(func(done func()) {
-		r.CostModel.ReadAsync(target, fwd, pat).Then(func() { r.charge(cpu, done) })
-	})
+	return r.async(transfer{r: r, target: target, fwd: fwd, cpu: cpu, pat: pat})
 }
 
-// async starts body in an event of its own at the current time and
-// returns a future that body completes by calling done.
-func (r *reducing) async(body func(done func())) *des.Future {
-	eng := r.Engine()
-	f := eng.NewFuture()
-	eng.Wait(0, func() { body(f.Complete) })
-	return f
+// transfer is one async transfer through the layer as a continuation
+// state machine: an event of its own, then the CPU and the inner
+// transfer — in that order for a write, the other way round for a read
+// — then done completes. One bound step books every event.
+type transfer struct {
+	r        *reducing
+	target   int
+	fwd, cpu float64
+	pat      Pattern
+	write    bool
+	stage    int
+	step     func()
+	done     des.Future
+}
+
+// async runs t, or just its inner transfer when it costs no CPU.
+func (r *reducing) async(t transfer) *des.Future {
+	if t.cpu <= 0 {
+		return t.inner()
+	}
+	p := new(transfer)
+	*p = t
+	p.done = *r.Engine().NewFuture() // fresh, copied in before anyone follows it
+	p.step = p.next
+	r.Engine().Wait(0, p.step)
+	return &p.done
+}
+
+func (t *transfer) inner() *des.Future {
+	if t.write {
+		return t.r.CostModel.WriteAsync(t.target, t.fwd, t.pat)
+	}
+	return t.r.CostModel.ReadAsync(t.target, t.fwd, t.pat)
+}
+
+func (t *transfer) next() {
+	switch t.stage++; {
+	case t.stage == 3:
+		t.done.Complete()
+	case t.write == (t.stage == 1): // a write's first step, a read's second
+		t.r.Engine().Wait(t.cpu, t.step)
+	default:
+		t.inner().Then(t.step)
+	}
 }
