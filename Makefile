@@ -168,7 +168,8 @@ bench:
 # or, for the four write runs of the des-kraken benchmark workload (9,216
 # cores; BenchmarkStrategyRun/1152 is the pinned 1,152-core shape):
 #   make pprof-cpu PPROF_BENCH=BenchmarkStrategyRun/9216 PPROF_PKG=./internal/iostrat
-# or, for its restart read (the read behind its restore_MBps):
+# or, for its restart read (the read behind its restore_MBps), whole
+# (/healthy) and through a re-routed tree (/failures):
 #   make pprof-cpu PPROF_BENCH=BenchmarkRestartRead PPROF_PKG=./internal/iostrat
 # or, for one root object of the ckpt-codec workload through the
 # adaptive compression pipeline (BenchmarkDecodeFrame is its restore):
