@@ -37,7 +37,10 @@ test:
 # Repeated passes over what a single -count=1 run misses. Under the
 # race detector: tenants finishing while other roots are still inside
 # the broker's accounting (E9's runtime tenant leg; the race showed up
-# about once in six runs), the service lifecycle, Restore's fetch workers
+# about once in six runs), the service lifecycle (its eviction and quota
+# drop must free every shared-memory block), a failed driver's teardown
+# and a store too slow for the run, whose blocks stay in shared memory
+# until a client skips, Restore's fetch workers
 # against its serial List-order merge, the token broker, the stream's
 # Seq order under racing publishers, the codec selector's first Puts
 # racing on one dataset, delta encoders sharing the pooled scratch
@@ -51,7 +54,7 @@ test:
 race-stress:
 	$(GO) test -race -count=10 ./internal/des
 	$(GO) test -race -count=10 -run 'TestE9Quick' ./internal/experiments
-	$(GO) test -race -count=10 -run 'Service|TestRestoreConcurrentMatchesSerial' ./internal/cluster
+	$(GO) test -race -count=10 -run 'Service|TestRestoreConcurrentMatchesSerial|TestDriveWriteErrorSurfaces|TestSlowStoreSkipsAtTheClient' ./internal/cluster
 	$(GO) test -race -count=10 -run 'Broker|TestStreamPublishSeqOrder|TestCompressingConcurrentChoice|TestCompressingConcurrentDelta' ./internal/storage
 	$(GO) test -race -count=10 -run 'TestDedupStoreGetSweepRace|TestDedupStoreGetReresolvesAfterCompaction|TestDedupStoreConcurrentSweep|TestDedupStoreConcurrentPutVec' ./internal/storage/chunk
 	$(GO) test -race -count=10 -run 'TestFacesAgree' ./internal/iostrat

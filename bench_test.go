@@ -280,9 +280,9 @@ func BenchmarkClientWritePath(b *testing.B) {
 // state: 16 nodes with two simulation cores each push iterations
 // through the binary aggregation tree into a zero-copy accounting
 // store. The cluster is built once outside the timer, so the per-op
-// number is the cost of moving one iteration leaf→root→store (pooled
-// snapshot buffers, scatter-gather framing, no backend copy) — not
-// the cost of standing up 16 nodes.
+// number is the cost of moving one iteration leaf→root→store (shared
+// memory handed up the tree, scatter-gather framing, no backend copy)
+// — not the cost of standing up 16 nodes.
 func BenchmarkClusterAggregation(b *testing.B) {
 	xml := `<simulation name="clusterbench">
 	  <architecture><dedicated cores="1"/><buffer size="8388608"/></architecture>

@@ -1,23 +1,20 @@
-// Package buf provides pooled byte buffers for the hot data path: the
-// per-iteration block payloads that travel from a node's shared-memory
-// segment up the aggregation tree and into a storage backend.
+// Package buf provides pooled byte buffers for scratch space on hot
+// paths: today the delta encoder's worst-case scratch
+// (internal/compress), taken and returned within one Encode call.
 //
-// Without pooling, every iteration of every node allocates (and makes
-// garbage of) one buffer per variable block — at high fan-in the
-// allocator and the GC become the aggregation bottleneck. The pool
-// recycles those buffers through size-class sync.Pools, so a
-// steady-state run reaches an allocation fixed point: iteration N+1
-// reuses the blocks iteration N released.
+// The cluster forwarding path does not use the pool: a batch's payloads
+// alias the origin nodes' shared-memory segments and go back to them
+// once the root's Put returns (see docs/ARCHITECTURE.md, "Data path &
+// memory model"). Clone has no caller in the program; the benchmark's
+// buf.clone_MBps kernel measures the pool with it.
 //
-// Ownership rule (see docs/ARCHITECTURE.md, "Data path & memory
-// model"): a buffer obtained from Get has exactly one owner at a time.
-// The owner may hand it off (the forwarder hands payloads to the
-// aggregation layer, which hands them to the root); whoever holds a
-// buffer when it leaves the data path — the tree root after its
-// backend Put returns, or the failure path when a batch is dropped —
-// must call Put exactly once. Returning a buffer twice, or using it
-// after Put, is a data race the pool does not detect; the race test in
-// buf_test.go exists to catch regressions in the callers.
+// The pool recycles buffers through size-class sync.Pools, so a
+// steady-state caller reaches an allocation fixed point. Ownership
+// rule: a buffer obtained from Get has exactly one owner at a time,
+// who must call Put exactly once when done with it. Returning a buffer
+// twice, or using it after Put, is a data race the pool does not
+// detect; the race test in buf_test.go exists to catch regressions in
+// the callers.
 package buf
 
 import (
@@ -119,8 +116,7 @@ func Put(b []byte) {
 }
 
 // Clone returns a pooled copy of src: Get(len(src)) filled with src's
-// bytes. It is the one-liner the forwarding path uses to snapshot a
-// shared-memory block before the segment frees it.
+// bytes.
 func Clone(src []byte) []byte {
 	dst := Get(len(src))
 	copy(dst, src)

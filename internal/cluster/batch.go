@@ -8,7 +8,7 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/buf"
+	"repro/internal/shm"
 )
 
 // Block is one variable block as it travels up the aggregation tree:
@@ -17,7 +17,11 @@ type Block struct {
 	Node     int    // node the block originated on
 	Source   int    // simulation core within that node
 	Variable string // variable name
-	Data     []byte // payload (copied out of shared memory; DecodeBatch aliases the object)
+	// Data is the payload. On the forwarding path it aliases the origin
+	// node's shared-memory segment until the batch is freed; DecodeBatch
+	// aliases the object.
+	Data  []byte
+	owner *shm.Block // the segment block Data aliases; nil when not in shm
 }
 
 // Batch is the unit forwarded between dedicated cores: every block of
@@ -63,18 +67,17 @@ func compareBlocks(x, y Block) int {
 
 var batchMagic = []byte("DMB1")
 
-// ReleaseBuffers returns every block payload to the buffer pool and
-// clears the batch. It is the end-of-life step for batches whose
-// payloads came from buf.Get (the cluster forwarding path): the root
-// calls it after its store Put returned (every built-in backend owns
-// its own copy by then), and the failure paths call it when a batch is
-// dropped. A hook that wants to keep payload bytes past OnIteration
-// must copy them — the memory is recycled right after the store write.
-func (b *Batch) ReleaseBuffers() {
-	for i := range b.Blocks {
-		buf.Put(b.Blocks[i].Data)
-		b.Blocks[i].Data = nil
+// FreeBlocks returns every block to the shared-memory segment it
+// aliases and clears the batch: the batch's end of life on the
+// forwarding path. The root calls it once its data and manifest Puts
+// returned, and every path that drops a batch calls it instead.
+func (b *Batch) FreeBlocks() {
+	for _, blk := range b.Blocks {
+		if blk.owner != nil {
+			blk.owner.Free()
+		}
 	}
+	clear(b.Blocks)
 	b.Blocks = nil
 }
 

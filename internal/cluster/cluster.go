@@ -5,8 +5,8 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/buf"
 	"repro/internal/core"
+	"repro/internal/shm"
 	"repro/internal/storage"
 )
 
@@ -15,9 +15,9 @@ import (
 // the merged batch still in memory. The batch is normalized before the
 // hook runs, so hooks observe the same (node, source, variable) order
 // that EncodeBatch later stores, regardless of arrival order. Block
-// payloads live in pooled buffers that are recycled right after the
-// iteration is stored — a hook that wants bytes past its own return
-// must copy them.
+// payloads alias the origin nodes' shared-memory segments, which reuse
+// them right after the iteration is stored — a hook that wants bytes
+// past its own return must copy them.
 type Hook interface {
 	// Name identifies the hook in errors.
 	Name() string
@@ -364,8 +364,8 @@ func (c *Cluster) fail(err error) {
 // Cancel evicts the run mid-flight: every node is killed as if the
 // failure schedule had fired, which re-routes nothing (the whole forest
 // dies), reclaims the tenant's broker tokens, drains in-flight merges
-// into the lost-blocks accounting — returning their pooled payload
-// buffers — and then shuts the nodes down. Safe to call at any point,
+// into the lost-blocks accounting — freeing their shared-memory
+// blocks — and then shuts the nodes down. Safe to call at any point,
 // including concurrently with client writes; it is how a Service
 // enforces an eviction.
 func (c *Cluster) Cancel() error {
@@ -412,18 +412,19 @@ func (c *Cluster) postTo(i int, m aggMsg) {
 	if c.exited.Has(i) {
 		if m.batch != nil {
 			c.stats.BlocksLost += len(m.batch.Blocks)
-			m.batch.ReleaseBuffers()
+			m.batch.FreeBlocks()
 		}
 		return
 	}
 	c.aggs[i].post(m)
 }
 
-// forwarder is the per-node plugin that snapshots a completed
-// iteration out of shared memory and hands it to the aggregation
-// layer. It runs on the dedicated core, before the node frees the
-// iteration's blocks. It is also the failure injection point: a node
-// scheduled to die at iteration k drops everything from k on.
+// forwarder is the per-node plugin that takes a completed iteration's
+// blocks from the node and hands them, still in shared memory, to the
+// aggregation layer; each returns to its segment when its batch leaves
+// the data path (FreeBlocks). It runs on the dedicated core and is the
+// failure injection point: a node scheduled to die at iteration k drops
+// everything from k on.
 type forwarder struct{ agg *aggregator }
 
 // Name implements core.Plugin.
@@ -432,23 +433,17 @@ func (f *forwarder) Name() string { return "cluster-forward" }
 // OnEvent implements core.Plugin.
 func (f *forwarder) OnEvent(ctx *core.PluginContext, ev core.Event) error {
 	c := f.agg.c
-	refs := ctx.Index.Iteration(ev.Iteration)
-	if at, ok := c.spec.Failures.At(f.agg.node); ok && ev.Iteration >= at {
-		c.killNode(f.agg.node, ev.Iteration, len(refs))
-		return nil
-	}
+	refs := ctx.Take(ev.Iteration)
 	b := &Batch{Iteration: ev.Iteration, Blocks: make([]Block, 0, len(refs))}
 	for _, ref := range refs {
-		b.Blocks = append(b.Blocks, Block{
-			Node:     ctx.NodeID,
-			Source:   ref.Key.Source,
-			Variable: ref.Key.Variable,
-			// The node frees the shared-memory block right after the
-			// plugins return; the copy decouples aggregation from it.
-			// The snapshot buffer comes from the pool and is recycled
-			// once the batch reaches a root object (or is dropped).
-			Data: buf.Clone(ctx.BlockBytes(ref)),
-		})
+		owner := ref.Data.(*shm.Block)
+		b.Blocks = append(b.Blocks, Block{Node: ctx.NodeID, Source: ref.Key.Source,
+			Variable: ref.Key.Variable, Data: owner.Bytes(), owner: owner})
+	}
+	if at, ok := c.spec.Failures.At(f.agg.node); ok && ev.Iteration >= at {
+		c.killNode(f.agg.node, ev.Iteration, len(b.Blocks))
+		b.FreeBlocks()
+		return nil
 	}
 	f.agg.post(aggMsg{batch: b, covers: f.agg.self})
 	return nil
@@ -494,7 +489,8 @@ type aggregator struct {
 }
 
 // merge is the gather's merge: the iteration's held batch absorbs in's
-// blocks, growing once to the size of the last batch routed.
+// blocks, growing once to the size of the last batch routed. The blocks
+// move, shared memory and all: in is spent and must not be freed.
 func (a *aggregator) merge(held, in *Batch) *Batch {
 	held.Blocks = append(slices.Grow(held.Blocks, max(len(in.Blocks), a.blocks-len(held.Blocks))), in.Blocks...)
 	return held
@@ -628,7 +624,7 @@ func (a *aggregator) routePending(flush bool) {
 func (c *Cluster) carryOut(d Decision, b *Batch, covers Cover) {
 	if d.Kind == Lose {
 		c.stats.BlocksLost += len(b.Blocks)
-		b.ReleaseBuffers()
+		b.FreeBlocks()
 		return
 	}
 	c.stats.BatchesForwarded++
@@ -678,7 +674,7 @@ func (a *aggregator) store(b *Batch, covers Cover, partial bool, window int) {
 	// order, run the cluster-wide hooks on the merged subtree, then the
 	// batch becomes one large sequential object on the backend. The
 	// write is scatter-gather: only the small framing headers are newly
-	// built, payload segments alias the batch's pooled buffers, and the
+	// built, payload segments alias the nodes' shared memory, and the
 	// backend gathers (or discards) them in its own single copy.
 	b.normalize()
 	for _, h := range c.spec.Hooks {
@@ -705,7 +701,7 @@ func (a *aggregator) store(b *Batch, covers Cover, partial bool, window int) {
 		c.mu.Unlock()
 		if over {
 			c.iterDone.Broadcast()
-			b.ReleaseBuffers()
+			b.FreeBlocks()
 			return
 		}
 	}
@@ -726,9 +722,9 @@ func (a *aggregator) store(b *Batch, covers Cover, partial bool, window int) {
 		}
 	}
 	// The store (and the manifest, which reads only block metadata) is
-	// done with the payloads; the pooled buffers go back for the next
-	// iteration's snapshots.
-	b.ReleaseBuffers()
+	// done with the payloads: the blocks go back to their segments for
+	// the clients' next iterations.
+	b.FreeBlocks()
 	c.mu.Lock()
 	storedNodes := 0
 	if err == nil {

@@ -33,7 +33,7 @@ type Workload struct {
 // clients have stopped, without waiting on an iteration the failed client
 // never ended. Drive never calls Shutdown: the cluster stays usable for
 // another range, and the caller shuts it down on every path — that is
-// what releases the goroutines and pooled buffers of a failed run.
+// what releases the goroutines and shared memory of a failed run.
 func Drive(c *Cluster, w Workload) error {
 	lockstep := w.EachIteration != nil
 	// run fans iterations [from, to) out over every client and returns

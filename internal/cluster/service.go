@@ -261,8 +261,8 @@ func (s *Service) rejectLocked(t *Tenant, err error) {
 func (t *Tenant) Finish() error { return t.svc.end(t, TenantDone) }
 
 // Evict cancels a running tenant mid-flight: every node is killed, the
-// tenant's broker tokens are reclaimed, pooled payload buffers of
-// in-flight batches are returned, and the cores go back to the pool.
+// tenant's broker tokens are reclaimed, the shared-memory blocks of
+// in-flight batches are freed, and the cores go back to the pool.
 func (t *Tenant) Evict() error { return t.svc.end(t, TenantEvicted) }
 
 // end is the shared teardown of Finish and Evict.

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/buf"
 	"repro/internal/meta"
 	"repro/internal/storage"
 	"repro/internal/topology"
@@ -326,11 +325,11 @@ func TestServiceAdmissionDeadlineOrder(t *testing.T) {
 	}
 }
 
-// TestServiceEvictionReturnsPooledBuffers is the service-level
-// extension of the PR 6 loss-path tests: a tenant evicted mid-iteration
-// — pending merges parked at aggregators because coverage is
-// incomplete — must return every pooled payload buffer it cloned.
-func TestServiceEvictionReturnsPooledBuffers(t *testing.T) {
+// TestServiceEvictionFreesSharedMemory is the service-level extension
+// of the loss-path tests: a tenant evicted mid-iteration — pending
+// merges parked at aggregators because coverage is incomplete — must
+// return every block of those merges to its node's segment.
+func TestServiceEvictionFreesSharedMemory(t *testing.T) {
 	svc, err := NewService(ClusterConfig{
 		Platform: topology.Platform{Name: "svc", Nodes: 4, CoresPerNode: 3},
 		Store:    storage.NewMemory(nil, 2, 1e9),
@@ -338,7 +337,6 @@ func TestServiceEvictionReturnsPooledBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := buf.Stats()
 	tn, err := svc.Submit(RunSpec{Meta: serviceMeta(t)})
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +345,7 @@ func TestServiceEvictionReturnsPooledBuffers(t *testing.T) {
 
 	// Mid-iteration state: every node except the deepest leaf writes, so
 	// iteration 0 forwards batches up the tree but can never reach full
-	// coverage — the merges sit pending holding pooled buffers. (The
+	// coverage — the merges sit pending holding shared memory. (The
 	// silent node must not be the root: Cancel kills nodes one by one,
 	// and a promoted sibling would complete and store the iteration.)
 	for n := 0; n < c.Nodes()-1; n++ {
@@ -373,10 +371,7 @@ func TestServiceEvictionReturnsPooledBuffers(t *testing.T) {
 	if st.BlocksLost == 0 {
 		t.Fatal("eviction lost nothing; the mid-iteration state never existed")
 	}
-	now := buf.Stats()
-	if gets, puts := now.Gets-base.Gets, now.Puts-base.Puts; gets != puts {
-		t.Fatalf("pooled buffers leaked on eviction: %d gets, %d puts", gets, puts)
-	}
+	segmentsFree(t, c)
 	if ss := svc.Stats(); ss.Evicted != 1 {
 		t.Fatalf("evicted %d, want 1", ss.Evicted)
 	}
@@ -422,6 +417,7 @@ func TestServiceQuotaMaxBytes(t *testing.T) {
 		t.Fatalf("iterations completed %d, want %d — quota drop broke liveness",
 			st.IterationsCompleted, iters)
 	}
+	segmentsFree(t, tn.Cluster())
 }
 
 // TestServiceFourTenantSmoke is the race-detector smoke (make test,

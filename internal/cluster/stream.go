@@ -15,10 +15,11 @@ import (
 // before (and regardless of) the root's store write, so in-situ
 // consumers see an iteration while it is still being written to the
 // backend. The batch is re-encoded into a fresh buffer (hooks may not
-// keep pooled payloads), so publishing costs one payload copy per root
-// per iteration — and only while someone is subscribed. Slow consumers
-// are the subscribers' problem, per their own SlowPolicy: under the
-// default drop-oldest the hook never blocks the write path.
+// keep payloads: they alias shared memory), so publishing costs one
+// payload copy per root per iteration — and only while someone is
+// subscribed. Slow consumers are the subscribers' problem, per their
+// own SlowPolicy: under the default drop-oldest the hook never blocks
+// the write path.
 func NewStreamingHook(s *storage.Stream) Hook {
 	return HookFunc{
 		HookName: "streaming",

@@ -14,7 +14,8 @@
 //
 // When every client of the node has ended an iteration, the server fires
 // the configured end-of-iteration plugins (I/O, compression, analysis,
-// visualization), then frees the iteration's blocks.
+// visualization), then frees the iteration's blocks — all but those a
+// plugin took (PluginContext.Take), which that plugin frees.
 //
 // When the segment is full, Write fails with ErrSkipped and the whole
 // iteration is dropped for that client — the paper's §V.C policy of
@@ -63,7 +64,8 @@ type Plugin interface {
 	// Name identifies the plugin in logs and errors.
 	Name() string
 	// OnEvent is called on the dedicated core. For end_iteration events
-	// the iteration's blocks are in ctx.Index until OnEvent returns.
+	// the iteration's blocks are in ctx.Index until OnEvent returns,
+	// unless it takes them (PluginContext.Take).
 	OnEvent(ctx *PluginContext, ev Event) error
 }
 
@@ -115,6 +117,14 @@ type PluginContext struct {
 // is built around.
 func (ctx *PluginContext) BlockBytes(ref meta.BlockRef) []byte {
 	return ref.Data.(*shm.Block).Bytes()
+}
+
+// Take hands iteration it's blocks to the plugin, unsorted: plugins
+// after this one no longer see them, and the node no longer frees them.
+// Each ref's Data is a *shm.Block that holds its segment space until
+// the plugin calls its Free — exactly once, on every path.
+func (ctx *PluginContext) Take(it int) []meta.BlockRef {
+	return ctx.Index.RemoveIteration(it)
 }
 
 // Stats aggregates what the node measured.
@@ -279,12 +289,16 @@ func (n *Node) WaitIteration(it int) {
 	}
 }
 
-// Shutdown stops the server after all queued events are processed and
-// returns the first plugin error, if any.
+// Shutdown stops the server after all queued events are processed,
+// frees the blocks of iterations that never completed, and returns the
+// first plugin error, if any.
 func (n *Node) Shutdown() error {
 	n.queue.Send(Event{Kind: EventStop})
 	<-n.serverDone
 	n.seg.Close()
+	for _, ref := range n.index.RemoveAll() {
+		ref.Data.(*shm.Block).Free()
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if len(n.errs) > 0 {
@@ -359,8 +373,8 @@ func safeCall(p Plugin, ctx *PluginContext, ev Event) (err error) {
 	return p.OnEvent(ctx, ev)
 }
 
-// collectIteration frees the iteration's blocks after plugins consumed
-// them (the garbage-collection step).
+// collectIteration frees the iteration's blocks that no plugin took,
+// after the plugins ran (the garbage-collection step).
 func (n *Node) collectIteration(it int) {
 	for _, ref := range n.index.RemoveIteration(it) {
 		ref.Data.(*shm.Block).Free()

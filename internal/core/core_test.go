@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/meta"
+	"repro/internal/shm"
 )
 
 const testXML = `
@@ -129,6 +130,71 @@ func TestBlocksFreedAfterIteration(t *testing.T) {
 	}
 	if node.Index().Len() != 0 {
 		t.Fatalf("index still holds %d blocks", node.Index().Len())
+	}
+}
+
+// TestTakenBlocksStayUntilFreed: blocks a plugin takes hold their
+// segment space past the iteration's end, until the plugin frees them;
+// later plugins of the event no longer see them.
+func TestTakenBlocksStayUntilFreed(t *testing.T) {
+	var taken []meta.BlockRef
+	var after int
+	node, err := NewNode(testConfig(t), 1, Options{ExtraPlugins: map[string][]Plugin{"end_iteration": {
+		PluginFunc{PluginName: "take", Fn: func(ctx *PluginContext, ev Event) error {
+			taken = append(taken, ctx.Take(ev.Iteration)...)
+			return nil
+		}},
+		PluginFunc{PluginName: "after", Fn: func(ctx *PluginContext, ev Event) error {
+			after += len(ctx.Index.Iteration(ev.Iteration))
+			return nil
+		}},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := node.Client(0)
+	for it := 0; it < 3; it++ {
+		if err := c.Write("u", it, lineData(float64(it))); err != nil {
+			t.Fatal(err)
+		}
+		c.EndIteration(it)
+	}
+	node.WaitIteration(2)
+	if len(taken) != 3 || after != 0 {
+		t.Fatalf("took %d blocks, later plugin saw %d; want 3, 0", len(taken), after)
+	}
+	if got, want := node.Segment().Allocated(), int64(3*len(lineData(0))); got != want {
+		t.Fatalf("%d bytes allocated with 3 blocks taken, want %d", got, want)
+	}
+	for _, ref := range taken {
+		ref.Data.(*shm.Block).Free()
+	}
+	if err := node.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if got := node.Segment().Allocated(); got != 0 {
+		t.Fatalf("leaked %d bytes of shared memory", got)
+	}
+}
+
+// TestShutdownFreesUnfinishedIterations: blocks of an iteration not
+// every client ended go back to the segment when the node shuts down.
+func TestShutdownFreesUnfinishedIterations(t *testing.T) {
+	node, err := NewNode(testConfig(t), 2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for it := 0; it < 2; it++ {
+		if err := node.Client(0).Write("u", it, lineData(1)); err != nil {
+			t.Fatal(err)
+		}
+		node.Client(0).EndIteration(it)
+	}
+	if err := node.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if got, n := node.Segment().Allocated(), node.Index().Len(); got != 0 || n != 0 {
+		t.Fatalf("after shutdown: %d bytes allocated, %d blocks indexed", got, n)
 	}
 }
 

@@ -110,6 +110,12 @@ func TestFacesAgreeUnderFailures(t *testing.T) {
 			if err := c.Shutdown(); err != nil {
 				t.Fatal(err)
 			}
+			for n := 0; n < c.Nodes(); n++ {
+				// Dead, drained or stored, every block is back in its segment.
+				if got := c.Node(n).Segment().Allocated(); got != 0 {
+					t.Errorf("node %d: %d bytes of shared memory still allocated", n, got)
+				}
+			}
 			rt := c.Stats()
 
 			if rt.NodesFailed != des.NodesFailed || rt.ReroutedEdges != des.ReroutedEdges {

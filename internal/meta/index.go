@@ -101,8 +101,9 @@ func (ix *Index) collect(it int, keep func(BlockKey) bool) []BlockRef {
 }
 
 // RemoveIteration removes and returns all blocks of an iteration,
-// unsorted (the garbage-collection step after a dedicated core has
-// consumed them).
+// unsorted. Whoever removes them owns their data: a plugin that takes
+// the iteration, or the node's garbage-collection step, which frees
+// what no plugin took.
 func (ix *Index) RemoveIteration(it int) []BlockRef {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -114,5 +115,18 @@ func (ix *Index) RemoveIteration(it int) []BlockRef {
 		clear(bucket)
 		ix.spare = append(ix.spare, bucket)
 	}
+	return out
+}
+
+// RemoveAll removes and returns every block left, unsorted: what a
+// node frees of the iterations that never completed when it shuts down.
+func (ix *Index) RemoveAll() (out []BlockRef) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	for _, bucket := range ix.its {
+		out = slices.AppendSeq(out, maps.Values(bucket))
+	}
+	clear(ix.its)
+	ix.n = 0
 	return out
 }

@@ -228,6 +228,20 @@ func TestIndexRemoveIteration(t *testing.T) {
 	}
 }
 
+func TestIndexRemoveAll(t *testing.T) {
+	ix := NewIndex()
+	for it := 0; it < 3; it++ {
+		ix.Put(BlockRef{Key: BlockKey{Variable: "u", Source: 0, Iteration: it}})
+	}
+	if removed := ix.RemoveAll(); len(removed) != 3 || ix.Len() != 0 || len(ix.Iteration(1)) != 0 {
+		t.Fatalf("removed %d, %d left", len(removed), ix.Len())
+	}
+	ix.Put(BlockRef{Key: BlockKey{Variable: "u", Source: 0, Iteration: 1}})
+	if ix.Len() != 1 || len(ix.RemoveIteration(1)) != 1 {
+		t.Fatalf("index unusable after RemoveAll: len %d", ix.Len())
+	}
+}
+
 func TestIndexReplaceInPlaceKeepsLen(t *testing.T) {
 	ix := NewIndex()
 	key := BlockKey{Variable: "u", Source: 1, Iteration: 4}

@@ -66,7 +66,6 @@ type FS struct {
 
 	totalBytes     float64
 	totalBytesRead float64
-	mdsOps         int
 
 	// Union-of-activity accounting: time during which at least one
 	// transfer was in flight anywhere on the file system.
@@ -109,9 +108,6 @@ func (fs *FS) TotalBytes() float64 { return fs.totalBytes }
 // transfers only).
 func (fs *FS) TotalBytesRead() float64 { return fs.totalBytesRead }
 
-// MDSOps returns the number of metadata operations served.
-func (fs *FS) MDSOps() int { return fs.mdsOps }
-
 // BeginPhase draws fresh per-OST congestion factors, modeling interference
 // from other applications sharing the storage system during this I/O
 // phase. Call it once per application I/O phase.
@@ -151,7 +147,6 @@ func (fs *FS) SetBandwidthFactor(factor float64) {
 // the MDS and runs k once the MDS has released it.
 func (fs *FS) metaOp(service float64, k func()) {
 	fs.mds.AcquireThen(1, func() {
-		fs.mdsOps++
 		fs.eng.Wait(service, func() {
 			fs.mds.Release(1)
 			k()
@@ -275,31 +270,6 @@ func (fs *FS) WriteChunk(ostID int, bytes float64, pat Pattern, k func()) {
 	fs.WriteChunkAsync(ostID, bytes, pat).Then(k)
 }
 
-// WriteStriped writes bytes striped evenly over the given OSTs and runs
-// k once every stripe chunk completes.
-func (fs *FS) WriteStriped(osts []int, bytes float64, pat Pattern, k func()) {
-	if len(osts) == 0 {
-		panic("pfs: WriteStriped with no OSTs")
-	}
-	chunk := bytes / float64(len(osts))
-	futures := make([]*des.Future, len(osts))
-	for i, o := range osts {
-		futures[i] = fs.WriteAsync(o, chunk, pat)
-	}
-	thenAll(futures, k)
-}
-
-// thenAll follows the futures in order and runs k after the last: each
-// one not yet complete when its turn comes costs the one event its
-// completion books.
-func thenAll(futures []*des.Future, k func()) {
-	if len(futures) == 0 {
-		k()
-		return
-	}
-	futures[0].Then(func() { thenAll(futures[1:], k) })
-}
-
 // IOBusyTime returns the union of time during which at least one transfer
 // was in flight. BytesWritten / IOBusyTime is the achieved aggregate
 // throughput in the sense of the paper's §IV.C.
@@ -309,15 +279,6 @@ func (fs *FS) IOBusyTime() float64 {
 		t += fs.eng.Now() - fs.busySince
 	}
 	return t
-}
-
-// AggregateThroughput returns completed bytes divided by the elapsed
-// window, in bytes/s.
-func (fs *FS) AggregateThroughput(window float64) float64 {
-	if window <= 0 {
-		return 0
-	}
-	return fs.totalBytes / window
 }
 
 // ost is one object storage target serving its active transfers under
