@@ -20,8 +20,7 @@ PPROF_PKG ?= .
 .PHONY: build test vet fmt fmt-check bench loc loc-check \
 	pprof-cpu pprof-alloc cover-check tidy-check \
 	race-stress failure-smoke restart-smoke c1-smoke fuzz-smoke lint \
-	smoke-e1 smoke-e6 smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 \
-	smoke-paper ci
+	smoke-e1 smoke-e6 smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 ci
 
 build:
 	$(GO) build ./...
@@ -60,44 +59,38 @@ race-stress:
 	$(GO) test -race -count=10 -run 'TestFacesAgree' ./internal/iostrat
 	$(GO) test -count=200 -run 'TestClusterInteriorFailure|TestRestoreAfterFailure|TestAdaptReformRaceWithStreaming' ./internal/cluster
 
-# Experiment smoke matrix — one target per experiment so a broken
-# experiment names itself in the CI job list (ci.yml fans these out via
-# strategy.matrix).
+# Experiment smoke matrix — one target per experiment, each at paper
+# scale, so a broken experiment names itself in the CI job list (ci.yml
+# fans these out via strategy.matrix). Every experiment together is
+# TestPaperGolden, in make test.
 smoke-e1:
-	$(GO) run ./cmd/damaris-bench -quick -exp e1
+	$(GO) run ./cmd/damaris-bench -exp e1
 
-# E6 at smoke scale: the single-backend policy sweep plus the
+# E6 at paper scale: the single-backend policy sweep plus the
 # cross-root token sweep on both faces.
 smoke-e6:
-	$(GO) run ./cmd/damaris-bench -quick -exp e6
+	$(GO) run ./cmd/damaris-bench -exp e6
 
-# E9 multi-tenant admission at smoke scale: the full tenancy × arrival
+# E9 multi-tenant admission at paper scale: the full tenancy × arrival
 # × policy sweep including the EDF-beats-FIFO tail check.
 smoke-e9:
-	$(GO) run ./cmd/damaris-bench -quick -exp e9
+	$(GO) run ./cmd/damaris-bench -exp e9
 
-# E10 incremental checkpoints at smoke scale: the overwrite-fraction
+# E10 incremental checkpoints at paper scale: the overwrite-fraction
 # dedup sweep plus the retention/GC leg, on both faces.
 smoke-e10:
-	$(GO) run ./cmd/damaris-bench -quick -exp e10
+	$(GO) run ./cmd/damaris-bench -exp e10
 
-# E7S streaming pipeline at smoke scale: streaming vs file-then-read on
+# E7S streaming pipeline at paper scale: streaming vs file-then-read on
 # the runtime and DES faces, plus the slow-consumer policy sweep.
 smoke-e7s:
-	$(GO) run ./cmd/damaris-bench -quick -exp e7s
+	$(GO) run ./cmd/damaris-bench -exp e7s
 
-# E11 scenario × adaptation sweep at smoke scale: every deterministic
+# E11 scenario × adaptation sweep at paper scale: every deterministic
 # workload generator under static and adaptive trees on the DES face,
 # plus the runtime-face NIC-step replay with a streaming subscriber.
 smoke-e11:
-	$(GO) run ./cmd/damaris-bench -quick -exp e11
-
-# Every experiment at paper scale (about 20 s), compared with
-# testdata/paper.golden with the wall-clock cells and checks masked —
-# not damaris-bench's exit status, which a timed E7 coupling check
-# can fail on a loaded host.
-smoke-paper:
-	$(GO) test -tags paper -count=1 ./internal/experiments -run TestPaperGolden
+	$(GO) run ./cmd/damaris-bench -exp e11
 
 smoke-f1: failure-smoke
 
@@ -105,26 +98,26 @@ smoke-r1: restart-smoke
 
 smoke-c1: c1-smoke
 
-# F1 failure-injection experiment at smoke scale: small node count,
-# fixed seed, both the DES and the runtime cluster sweeps.
+# F1 failure-injection experiment at paper scale: fixed seed, both the
+# DES and the runtime cluster sweeps.
 failure-smoke:
-	$(GO) run ./cmd/damaris-bench -quick -exp f1
+	$(GO) run ./cmd/damaris-bench -exp f1
 
-# R1 checkpoint/restart experiment at smoke scale: write objects +
+# R1 checkpoint/restart experiment at paper scale: write objects +
 # manifests into an sdf store, restore them, replay the artifacts
 # through -restart-from (the full object read path end to end) and list
 # them with sdfdump. The one-node quickstart's store is checked by the
 # root package's Example in make test.
 restart-smoke:
-	$(GO) run ./cmd/damaris-bench -quick -exp r1 -backend-dir out/restart-smoke
+	$(GO) run ./cmd/damaris-bench -exp r1 -backend-dir out/restart-smoke
 	$(GO) run ./cmd/damaris-bench -restart-from out/restart-smoke/fail0
 	$(GO) run ./cmd/sdfdump out/restart-smoke/fail0
 
 # C1 compression smoke: the codec × dataset sweep with the adaptive
-# selector at quick scale. The compressed on-disk restart round trip is
+# selector at paper scale. The compressed on-disk restart round trip is
 # internal/cluster's ExampleRestore, run by make test.
 c1-smoke:
-	$(GO) run ./cmd/damaris-bench -quick -exp c1
+	$(GO) run ./cmd/damaris-bench -exp c1
 
 # Short fuzz passes over the object decoders, the chunk store's segment
 # walk, the aggregation protocol past the exhaustive checker's scope and
@@ -226,4 +219,4 @@ tidy-check:
 
 ci: build vet fmt-check tidy-check test race-stress cover-check loc-check bench \
 	smoke-e1 smoke-e6 smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 \
-	smoke-paper fuzz-smoke
+	fuzz-smoke

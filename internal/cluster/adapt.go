@@ -13,8 +13,9 @@ import "fmt"
 // Reform lands between "covered" and "route by that epoch". Nodes
 // already killed stay dead in the new epoch, and their pre-death
 // iterations stay awaited there (rule 1). Safe to call concurrently
-// with client writes; it composes with failure re-routing and streaming
-// hooks (the stream's sequence numbers are cluster-wide and continue).
+// with client writes, but not once Shutdown has begun; it composes with
+// failure re-routing and streaming hooks (the stream's sequence numbers
+// are cluster-wide and continue).
 func (c *Cluster) Reform(fanout, roots int) (fromIter int, err error) {
 	c.mu.Lock()
 	fromIter, err = c.forest.Reform(fanout, roots)

@@ -406,17 +406,15 @@ func (c *Cluster) killNode(d, atIter, blocksDropped int) {
 	c.cc.Logger.Printf("cluster: node %d failed, %d edges re-routed", d, len(edges))
 }
 
-// postTo delivers a message to node i's aggregator, counting a batch as
-// lost when that aggregator already exited. Callers hold c.mu.
+// postTo delivers a message to node i's aggregator, dropping a poke to
+// one that exited. No batch can reach an exited one: a node dies only
+// before Shutdown's in-order eof reaches it, when its receivers — a live
+// ancestor or a dead root's first live child — still run
+// (TestForestExhaustive). Callers hold c.mu.
 func (c *Cluster) postTo(i int, m aggMsg) {
-	if c.exited.Has(i) {
-		if m.batch != nil {
-			c.stats.BlocksLost += len(m.batch.Blocks)
-			m.batch.FreeBlocks()
-		}
-		return
+	if !c.exited.Has(i) {
+		c.aggs[i].post(m)
 	}
-	c.aggs[i].post(m)
 }
 
 // forwarder is the per-node plugin that takes a completed iteration's

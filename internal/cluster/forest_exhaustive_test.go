@@ -17,15 +17,22 @@ import (
 //   - deliver(m): a forwarded or drained batch in flight arrives, is
 //     merged, and the receiver asks Route again;
 //   - kill(n): node n dies at its next iteration (Fail), at most once;
-//   - reform(shape): the forest re-forms (Reform), at most once.
+//   - reform(shape): the forest re-forms (Reform), at most once, and
+//     before any node exits;
+//   - exit(n): node n, past Shutdown's eof, with nothing in flight to it
+//     and every one of its Senders exited, flushes what it holds and
+//     exits. Shutdown posts the eofs in node order, each once the node
+//     has nothing left to forward (or has died), so n is past its eof
+//     once nodes 0..n all are; an eof does nothing else, so taking it
+//     as early as that covers every later one.
 //
 // A death and a re-formation wake every node holding data to ask again,
 // as both faces do. Nodes run ahead of each other freely, as the runtime
-// forwarders do. When no event is left the run ends as Shutdown ends it:
-// a node whose Senders have all exited flushes what it still holds and
-// exits. The search walks the reachable state graph — two interleavings
-// that reach the same state continue identically, so every one of them
-// is covered — and asserts in every state and at every end of run:
+// forwarders do, and Shutdown's eofs and exits interleave with the
+// deaths and deliveries of nodes still draining. The search walks the
+// reachable state graph — two interleavings that reach the same state
+// continue identically, so every one of them is covered — and asserts
+// in every state and at every end of run:
 //
 //   - every delivered block meets exactly one end, a Store or a counted
 //     Lose, and only a dead node with nowhere to drain loses anything — a
@@ -33,8 +40,14 @@ import (
 //     are consequences: break one and a live root loses a late batch);
 //   - no Store before Required is covered;
 //   - windows partition the live roots of every iteration's epoch;
-//   - Senders empties: every node gets to exit, nothing a flush sends
-//     reaches a node that exited, and every iteration ends Done.
+//   - Senders empties: every node gets to exit, and every iteration
+//     ends Done;
+//   - no batch is sent to a node that exited, because no node that is
+//     still running has an exited node among its Receivers. A node dies
+//     only before its eof; its Receivers then are a live ancestor, which
+//     has it among its Senders, or — for a dead root — its first live
+//     child, a higher node that Shutdown has not reached. So
+//     Cluster.postTo never sees a batch for an exited aggregator.
 
 const (
 	xNodes = 5 // largest forest explored exhaustively
@@ -71,6 +84,7 @@ type xState struct {
 	inflight []xMsg           // kept sorted: a multiset
 	deaths   uint8            // deaths and re-formations still allowed
 	reforms  uint8
+	exited   uint16 // bitmask of the nodes that exited
 	// The ledger: per (origin, iteration), how often the block entered
 	// the protocol, was stored, and was counted lost.
 	delivered, stored, lost [xMaxNodes][xMaxIters]uint8
@@ -158,7 +172,8 @@ func cloneMap[K comparable, V any](m map[K]V) map[K]V {
 func (s *xState) key() string {
 	f := s.f
 	b := make([]byte, 0, 96)
-	b = append(b, s.deaths, s.reforms, uint8(f.fence+1), uint8(len(f.dead)), uint8(len(f.epochs)))
+	b = append(b, s.deaths, s.reforms, uint8(s.exited), uint8(s.exited>>8),
+		uint8(f.fence+1), uint8(len(f.dead)), uint8(len(f.epochs)))
 	for _, d := range f.dead {
 		b = append(b, uint8(d.node), uint8(d.at))
 	}
@@ -201,7 +216,10 @@ func (s *xState) failf(t *testing.T, format string, args ...any) {
 	t.Fatalf("%s\nforest of %d, after %s", fmt.Sprintf(format, args...), s.n, s.trail())
 }
 
-func (s *xState) send(m xMsg) {
+func (s *xState) send(t *testing.T, m xMsg) {
+	if s.exited&(1<<m.to) != 0 {
+		s.failf(t, "a batch of iteration %d was sent to node %d, which had exited", m.it, m.to)
+	}
 	i, _ := slices.BinarySearchFunc(s.inflight, m, func(a, b xMsg) int {
 		return cmp.Or(cmp.Compare(a.to, b.to), cmp.Compare(a.it, b.it), cmp.Compare(a.covers, b.covers))
 	})
@@ -225,7 +243,7 @@ func (s *xState) carryOut(t *testing.T, d Decision, node, it int, covered Cover)
 		}
 		s.f.RootDone(it, covered.Len())
 	case Forward, Drain:
-		s.send(xMsg{uint8(d.To), uint8(it), bitmask(covered)})
+		s.send(t, xMsg{uint8(d.To), uint8(it), bitmask(covered)})
 	case Lose:
 		for o := 0; o < s.n; o++ {
 			if covered.Has(o) {
@@ -278,6 +296,19 @@ func (s *xState) next(t *testing.T) []*xState {
 		ev(c)
 		out = append(out, c)
 	}
+	// Once no death or re-formation can come, an exit's outcome does not
+	// depend on when it happens — the node has everything it will ever
+	// receive — so the first exit possible is the only successor.
+	structural := s.reforms > 0 && s.exited == 0
+	for node := 0; node < s.n; node++ {
+		structural = structural || s.deaths > 0 && int(s.pos[node]) < s.iters
+	}
+	for node := 0; !structural && node < s.n && int(s.pos[node]) == s.iters; node++ {
+		if s.canExit(node) {
+			branch(xEvent{kind: "exit", a: node}, func(c *xState) { c.exit(t, node) })
+			return out
+		}
+	}
 	for node := 0; node < s.n; node++ {
 		node, it := node, int(s.pos[node])
 		if it == s.iters {
@@ -310,7 +341,7 @@ func (s *xState) next(t *testing.T) []*xState {
 			c.ask(t, int(m.to), int(m.it))
 		})
 	}
-	if s.reforms > 0 {
+	if s.reforms > 0 && s.exited == 0 {
 		curFanout, curRoots := s.f.Shape()
 		for _, shape := range xShapes {
 			shape := shape
@@ -326,12 +357,51 @@ func (s *xState) next(t *testing.T) []*xState {
 			})
 		}
 	}
+	for node := 0; node < s.n && int(s.pos[node]) == s.iters; node++ {
+		if s.canExit(node) {
+			branch(xEvent{kind: "exit", a: node}, func(c *xState) { c.exit(t, node) })
+		}
+	}
 	return out
 }
 
+// canExit reports whether node's aggregator may return, as finished
+// decides it: nothing in flight to it and every sender exited.
+func (s *xState) canExit(node int) bool {
+	if s.exited&(1<<node) != 0 {
+		return false
+	}
+	for _, m := range s.inflight {
+		if int(m.to) == node {
+			return false
+		}
+	}
+	return Cover{uint64(s.exited)}.Contains(s.f.Senders(node))
+}
+
+// exit is the aggregator's last step: flush whatever node holds, then
+// exit.
+func (s *xState) exit(t *testing.T, node int) {
+	s.g[node].Step(true, func(it int, d Decision, _ xBatch, covered Cover) bool {
+		if d.Kind == Lose && s.f.Alive(node) {
+			s.failf(t, "live node %d lost iteration %d covering %v at its flush", node, it, covered.Nodes(nil))
+		}
+		s.carryOut(t, d, node, it, covered)
+		return false
+	})
+	s.exited |= 1 << node
+}
+
 // checkLedger asserts, in every state, that no block has met more ends
-// than it was delivered.
+// than it was delivered and that no running node can still send to an
+// exited one.
 func (s *xState) checkLedger(t *testing.T) {
+	for n := 0; n < s.n; n++ {
+		if s.exited&(1<<n) == 0 && uint16(bitmask(s.f.Receivers(n)))&s.exited != 0 {
+			s.failf(t, "running node %d has receivers %v, exited %v", n,
+				s.f.Receivers(n).Nodes(nil), Cover{uint64(s.exited)}.Nodes(nil))
+		}
+	}
 	for o := 0; o < s.n; o++ {
 		for it := 0; it < s.iters; it++ {
 			if s.stored[o][it]+s.lost[o][it] > s.delivered[o][it] {
@@ -357,39 +427,11 @@ func (s *xState) checkWindows(t *testing.T) {
 	}
 }
 
-// end runs the end of run on a state with no event left — every node
-// whose Senders have exited flushes what it holds and exits — and
-// asserts what must hold then.
+// end asserts what must hold once no event is left: every node exited
+// and every block met exactly one end.
 func (s *xState) end(t *testing.T) {
-	s = s.clone()
-	var exited Cover
-	for left := s.n; left > 0; left-- {
-		node := -1
-		for n := 0; n < s.n && node < 0; n++ {
-			if !exited.Has(n) && exited.Contains(s.f.Senders(n)) {
-				node = n
-			}
-		}
-		if node < 0 {
-			s.failf(t, "Senders never empties: exited %v", exited.Nodes(nil))
-		}
-		s.g[node].Step(true, func(it int, d Decision, _ xBatch, covered Cover) bool {
-			if d.Kind == Lose && s.f.Alive(node) {
-				s.failf(t, "live node %d lost iteration %d covering %v at its flush", node, it, covered.Nodes(nil))
-			}
-			s.carryOut(t, d, node, it, covered)
-			return false
-		})
-		exited.Add(node)
-		// What the flush sent arrives before its receiver — which was
-		// waiting for this node — can exit.
-		for _, m := range s.inflight {
-			if exited.Has(int(m.to)) {
-				s.failf(t, "node %d flushed iteration %d to node %d, which had exited", node, m.it, m.to)
-			}
-			s.deliver(m)
-		}
-		s.inflight = nil
+	if s.exited != 1<<s.n-1 {
+		s.failf(t, "Senders never empties: exited %v", Cover{uint64(s.exited)}.Nodes(nil))
 	}
 	died := len(s.f.dead) > 0
 	for n := 0; n < s.n; n++ {
@@ -411,9 +453,9 @@ func (s *xState) end(t *testing.T) {
 }
 
 // TestForestExhaustive enumerates every interleaving of begin, deliver,
-// death and re-formation over two iterations: one death and one
+// death, re-formation and exit over two iterations: one death and one
 // re-formation on forests of up to four nodes, one death or one
-// re-formation on forests of five (both at five is ~800,000 states, 20 s).
+// re-formation on forests of five.
 func TestForestExhaustive(t *testing.T) {
 	type scope struct {
 		n               int

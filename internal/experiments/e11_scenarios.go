@@ -32,8 +32,8 @@ func RunE11(opts Options) (Report, error) {
 	rep := Report{ID: "E11", Title: "deterministic scenarios × elastic tree adaptation"}
 
 	// The generators place their mid-run shifts around n/3 and the
-	// adaptation cooldown needs headroom after that; quick runs would
-	// otherwise end before the step can matter.
+	// adaptation cooldown needs headroom after that; the paper's 4
+	// output phases would end before the step can matter.
 	iters := opts.Iterations
 	if iters < 8 {
 		iters = 8

@@ -115,7 +115,7 @@ func RunE7S(opts Options) (Report, error) {
 	policies := []storage.SlowPolicy{storage.DropOldest, storage.Block, storage.Sample}
 	// The slow-consumer legs need enough iterations that a buffer-1
 	// queue can actually overflow (the consumer drains the first frame
-	// the moment it lands); quick runs would otherwise never shed.
+	// the moment it lands); the paper's 4 output phases never shed.
 	slowIters := opts.Iterations
 	if slowIters < 6 {
 		slowIters = 6

@@ -38,8 +38,8 @@ func RunE9(opts Options) (Report, error) {
 }
 
 // e9ServiceConfig builds one DES sweep point. The workload is the CM1
-// shape with a shorter compute phase, so a quick run still pushes many
-// jobs through the machine; DeadlineSlack 3 prices deadlines loosely
+// shape with a shorter compute phase, so each job is short and the
+// sweep pushes many of them through the machine; DeadlineSlack 3 prices deadlines loosely
 // enough that EDF can actually meet the ones it prioritizes.
 func e9ServiceConfig(opts Options, plat topology.Platform,
 	jobs int, rate float64, pol cluster.AdmissionPolicy) iostrat.ServiceConfig {

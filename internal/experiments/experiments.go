@@ -23,8 +23,8 @@ import (
 )
 
 // Options control the scale of an experiment run. Every experiment runs
-// the one design testdata/quick.golden pins; only its size, seed and
-// machine vary.
+// the one design testdata/paper.golden pins at Default(); only its
+// size, seed and machine vary.
 type Options struct {
 	// Seed is the root seed for every stochastic input.
 	Seed uint64
@@ -47,16 +47,6 @@ func Default() Options {
 		Seed:       2013,
 		Iterations: 4,
 		Scales:     []int{576, 1152, 2304, 4608, 9216},
-		Platform:   "kraken",
-	}
-}
-
-// Quick returns reduced options for tests: a small machine, few phases.
-func Quick() Options {
-	return Options{
-		Seed:       2013,
-		Iterations: 2,
-		Scales:     []int{96, 192},
 		Platform:   "kraken",
 	}
 }

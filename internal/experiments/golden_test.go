@@ -9,29 +9,21 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden file of each golden test that runs")
+var update = flag.Bool("update", false, "rewrite testdata/paper.golden")
 
-// TestQuickGolden runs every registered experiment at quick scale and
-// compares the masked reports (measured cells and timed checks shown as
-// "~") with testdata/quick.golden. A deliberate change to a simulated
-// number shows up as a reviewable diff of that file:
+// TestPaperGolden runs every registered experiment at paper scale
+// (Default()) and compares the masked reports (measured cells and timed
+// checks shown as "~") with testdata/paper.golden. A deliberate change
+// to a simulated number shows up as a reviewable diff of that file:
 //
-//	go test ./internal/experiments -run TestQuickGolden -update
-func TestQuickGolden(t *testing.T) {
+//	go test ./internal/experiments -run TestPaperGolden -update
+func TestPaperGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment, runtime legs included")
 	}
-	checkGolden(t, "quick.golden", Quick())
-}
-
-// checkGolden runs every registered experiment under opts and compares
-// the masked reports with testdata/<name>, or rewrites that file under
-// -update.
-func checkGolden(t *testing.T, name string, opts Options) {
-	t.Helper()
 	var b strings.Builder
 	for _, e := range Registry() {
-		rep, err := e.Run(opts)
+		rep, err := e.Run(Default())
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
@@ -39,11 +31,8 @@ func checkGolden(t *testing.T, name string, opts Options) {
 		b.WriteByte('\n')
 	}
 	got := b.String()
-	path := filepath.Join("testdata", name)
+	path := filepath.Join("testdata", "paper.golden")
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +40,7 @@ func checkGolden(t *testing.T, name string, opts Options) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
+		t.Fatal(err)
 	}
 	if diff := lineDiff(string(want), got); diff != "" {
 		t.Errorf("reports differ from %s:\n%s", path, diff)
