@@ -37,8 +37,9 @@ test:
 # race detector: tenants finishing while other roots are still inside
 # the broker's accounting (E9's runtime tenant leg; the race showed up
 # about once in six runs), the service lifecycle (its eviction and quota
-# drop must free every shared-memory block), a failed driver's teardown
-# and a store too slow for the run, whose blocks stay in shared memory
+# drop must free every shared-memory block, and a Finish racing an Evict
+# must tear its tenant down and free its nodes once), a failed driver's
+# teardown and a store too slow for the run, whose blocks stay in shared memory
 # until a client skips, Restore's fetch workers
 # against its serial List-order merge, the token broker, the stream's
 # Seq order under racing publishers, the codec selector's first Puts

@@ -12,12 +12,12 @@ package damaris
 // and shape checks come from cmd/damaris-bench.
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/experiments"
-	"repro/internal/iostrat"
 	"repro/internal/storage"
 	"repro/internal/topology"
 )
@@ -51,9 +51,37 @@ func benchOptions() experiments.Options {
 	return o
 }
 
-// reportChecks republishes each check's measured value as a benchmark
-// metric (unit suffixed with the check index for uniqueness) and fails
-// the benchmark if a shape check missed its band.
+// runExperiment runs the registered experiment id b.N times, each on a
+// fresh pass so that every DES leg runs, and returns the last report.
+func runExperiment(b *testing.B, id string) experiments.Report {
+	b.Helper()
+	reg := experiments.Registry()
+	i := slices.IndexFunc(reg, func(e experiments.Entry) bool { return e.ID == id })
+	if i < 0 {
+		b.Fatalf("no experiment %q", id)
+	}
+	var rep experiments.Report
+	for n := 0; n < b.N; n++ {
+		var err error
+		if rep, err = experiments.NewPass(benchOptions()).Run(reg[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return rep
+}
+
+// reportCheck republishes the named check's measured value as a
+// benchmark metric in unit.
+func reportCheck(b *testing.B, rep experiments.Report, name, unit string) {
+	b.Helper()
+	for _, c := range rep.Checks {
+		if c.Name == name {
+			b.ReportMetric(c.Measured, unit)
+		}
+	}
+}
+
+// reportChecks fails the benchmark if a shape check missed its band.
 func reportChecks(b *testing.B, rep experiments.Report) {
 	b.Helper()
 	for _, c := range rep.Checks {
@@ -68,111 +96,50 @@ func reportChecks(b *testing.B, rep experiments.Report) {
 // from 576 to 9216 cores (paper: 3.5× speedup over collective, I/O at
 // 70% of run time, near-perfect Damaris scalability).
 func BenchmarkE1Scalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunE1(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		top := res.Results[9216]
-		speedup := top[iostrat.Collective].TotalTime / top[iostrat.Damaris].TotalTime
-		b.ReportMetric(speedup, "speedup_vs_collective")
-		b.ReportMetric(top[iostrat.Collective].IOFraction(), "collective_io_frac")
-		if i == b.N-1 {
-			reportChecks(b, res.Report)
-		}
-	}
+	rep := runExperiment(b, "e1")
+	reportCheck(b, rep, "Damaris speedup vs collective", "speedup_vs_collective")
+	reportCheck(b, rep, "collective I/O fraction of run time", "collective_io_frac")
+	reportChecks(b, rep)
 }
 
 // BenchmarkE2Variability regenerates §IV.B's variability comparison
 // (paper: orders of magnitude between slowest and fastest writers for
 // synchronous approaches; ~0.1 s scale-independent writes with Damaris).
 func BenchmarkE2Variability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunE2(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportChecks(b, rep)
-		}
-	}
+	reportChecks(b, runExperiment(b, "e2"))
 }
 
 // BenchmarkE3Throughput regenerates §IV.C's aggregate throughput table
 // (paper on Kraken: collective 0.5 GB/s, FPP < 1.7 GB/s, Damaris up to
 // 10 GB/s).
 func BenchmarkE3Throughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunE3(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range rep.Checks {
-			if c.Name == "Damaris throughput" {
-				b.ReportMetric(c.Measured, "damaris_GB_per_s")
-			}
-		}
-		if i == b.N-1 {
-			reportChecks(b, rep)
-		}
-	}
+	rep := runExperiment(b, "e3")
+	reportCheck(b, rep, "Damaris throughput", "damaris_GB_per_s")
+	reportChecks(b, rep)
 }
 
 // BenchmarkE4IdleTime regenerates §IV.D's dedicated-core idle
 // measurement (paper: 92–99% idle).
 func BenchmarkE4IdleTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunE4(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range rep.Checks {
-			if c.Name == "minimum idle fraction across scales" {
-				b.ReportMetric(c.Measured, "min_idle_frac")
-			}
-		}
-		if i == b.N-1 {
-			reportChecks(b, rep)
-		}
-	}
+	rep := runExperiment(b, "e4")
+	reportCheck(b, rep, "minimum idle fraction across scales", "min_idle_frac")
+	reportChecks(b, rep)
 }
 
 // BenchmarkE5Compression regenerates §IV.D's compression result (paper:
 // 600% ratio with no overhead on the simulation).
 func BenchmarkE5Compression(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunE5(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range rep.Checks {
-			if c.Name == "best lossless ratio on CM1 fields" {
-				b.ReportMetric(c.Measured, "compression_ratio")
-			}
-		}
-		if i == b.N-1 {
-			reportChecks(b, rep)
-		}
-	}
+	rep := runExperiment(b, "e5")
+	reportCheck(b, rep, "best lossless ratio on CM1 fields", "compression_ratio")
+	reportChecks(b, rep)
 }
 
 // BenchmarkE6Scheduling regenerates §IV.D's I/O-scheduling result
 // (paper: 12.7 GB/s with coordinated dedicated-core writes).
 func BenchmarkE6Scheduling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunE6(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range rep.Checks {
-			if c.Name == "best scheduled throughput" {
-				b.ReportMetric(c.Measured, "scheduled_GB_per_s")
-			}
-		}
-		if i == b.N-1 {
-			reportChecks(b, rep)
-		}
-	}
+	rep := runExperiment(b, "e6")
+	reportCheck(b, rep, "best scheduled throughput", "scheduled_GB_per_s")
+	reportChecks(b, rep)
 }
 
 // BenchmarkE7InSitu regenerates §V.C.1's in-situ coupling comparison on
@@ -181,15 +148,9 @@ func BenchmarkE6Scheduling(b *testing.B) {
 // Wall-clock ratios are machine-dependent, so only the deterministic
 // checks gate the benchmark.
 func BenchmarkE7InSitu(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunE7(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range rep.Checks {
-			if c.Name == "frames dropped with tight segment" && !c.Pass() {
-				b.Errorf("skip policy check missed: %s", c)
-			}
+	for _, c := range runExperiment(b, "e7").Checks {
+		if c.Name == "frames dropped with tight segment" && !c.Pass() {
+			b.Errorf("skip policy check missed: %s", c)
 		}
 	}
 }
@@ -197,48 +158,21 @@ func BenchmarkE7InSitu(b *testing.B) {
 // BenchmarkE8Usability regenerates §V.C.2's integration-effort count
 // (paper: >100 lines with the VisIt API, <10 with Damaris).
 func BenchmarkE8Usability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunE8(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range rep.Checks {
-			if c.Name == "effort ratio VisIt/Damaris" {
-				b.ReportMetric(c.Measured, "loc_ratio")
-			}
-		}
-		if i == b.N-1 {
-			reportChecks(b, rep)
-		}
-	}
+	rep := runExperiment(b, "e8")
+	reportCheck(b, rep, "effort ratio VisIt/Damaris", "loc_ratio")
+	reportChecks(b, rep)
 }
 
 // BenchmarkA1SharedMemory regenerates the §III.A design-choice ablation:
 // one copy through shared memory vs two through message passing.
 func BenchmarkA1SharedMemory(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunA1(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportChecks(b, rep)
-		}
-	}
+	reportChecks(b, runExperiment(b, "a1"))
 }
 
 // BenchmarkA2Aggregation regenerates the aggregation-granularity
 // ablation behind §IV.B's "group the output into bigger files".
 func BenchmarkA2Aggregation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunA2(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportChecks(b, rep)
-		}
-	}
+	reportChecks(b, runExperiment(b, "a2"))
 }
 
 // BenchmarkClientWritePath measures the public API's hot path: one
@@ -282,7 +216,7 @@ func BenchmarkClientWritePath(b *testing.B) {
 // store. The cluster is built once outside the timer, so the per-op
 // number is the cost of moving one iteration leaf→root→store (shared
 // memory handed up the tree, scatter-gather framing, no backend copy)
-// — not the cost of standing up 16 nodes.
+// plus the root's manifest Put — not the cost of standing up 16 nodes.
 func BenchmarkClusterAggregation(b *testing.B) {
 	xml := `<simulation name="clusterbench">
 	  <architecture><dedicated cores="1"/><buffer size="8388608"/></architecture>
@@ -301,9 +235,6 @@ func BenchmarkClusterAggregation(b *testing.B) {
 		Platform: topology.Platform{Name: "bench", Nodes: nodes, CoresPerNode: clients + 1},
 		Fanout:   2,
 		Store:    &countingStore{},
-		// Manifests are per-iteration metadata writes; the benchmark
-		// isolates the data path.
-		DisableManifests: true,
 	}, cluster.RunSpec{Meta: cfg})
 	if err != nil {
 		b.Fatal(err)

@@ -58,13 +58,11 @@ func main() {
 		return
 	}
 
-	opts := experiments.Default()
-	opts.Seed = *seed
-	opts.Platform = *platform
+	// The pass fills in what is left zero from experiments.Default().
+	opts := experiments.Options{Seed: *seed, Platform: *platform, BackendDir: *bdir}
 	if *iters > 0 {
 		opts.Iterations = *iters
 	}
-	opts.BackendDir = *bdir
 	if *nodes > 0 {
 		plat, ok := topology.ByName(*platform, *nodes)
 		if !ok {
@@ -81,12 +79,13 @@ func main() {
 	all := selected["all"]
 
 	failures := 0
+	pass := experiments.NewPass(opts)
 	for _, r := range experiments.Registry() {
 		if !all && !selected[r.ID] {
 			continue
 		}
 		start := time.Now()
-		rep, err := r.Run(opts)
+		rep, err := pass.Run(r)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", r.ID, err)
 			failures++

@@ -118,12 +118,11 @@ func TestDeadRootReleasesToken(t *testing.T) {
 	// Two single-node trees; node 0 dies at iteration 1, while iteration
 	// 0's store is still gated in flight.
 	c, err := New(ClusterConfig{
-		Platform:         topology.Platform{Name: "broker", Nodes: 2, CoresPerNode: 2},
-		Fanout:           2,
-		Roots:            2,
-		Store:            gate,
-		Broker:           broker,
-		DisableManifests: true,
+		Platform: topology.Platform{Name: "broker", Nodes: 2, CoresPerNode: 2},
+		Fanout:   2,
+		Roots:    2,
+		Store:    gate,
+		Broker:   broker,
 	}, RunSpec{
 		Meta:     cfg,
 		Failures: NewFailureSchedule().Add(0, 1),

@@ -49,8 +49,8 @@ type Stats struct {
 	// ObjectBytes is the encoded size of those objects.
 	ObjectBytes int64
 	// ManifestsWritten counts per-iteration manifest objects stored
-	// alongside the data objects (one per data object unless
-	// ClusterConfig.DisableManifests is set or the manifest Put failed).
+	// alongside the data objects: one per data object, unless its
+	// manifest Put failed.
 	ManifestsWritten int
 	// IterationsCompleted counts iterations all live roots finished.
 	IterationsCompleted int
@@ -707,7 +707,7 @@ func (a *aggregator) store(b *Batch, covers Cover, partial bool, window int) {
 	name := c.objectName(a.node, b.Iteration)
 	err := storage.PutVec(c.cc.Store, name, segs)
 	var manifestStored bool
-	if err == nil && !c.cc.DisableManifests {
+	if err == nil {
 		// The manifest rides along with the data: a small index object
 		// Restore navigates by without touching any payload. A failed
 		// manifest Put degrades the run to unreplayable, not broken —
@@ -782,10 +782,8 @@ func (a *aggregator) releaseAged(it int) {
 	if rt.Release(oldName) == nil {
 		released++
 	}
-	if !c.cc.DisableManifests {
-		if rt.Release(oldName+ManifestSuffix) == nil {
-			released++
-		}
+	if rt.Release(oldName+ManifestSuffix) == nil {
+		released++
 	}
 	if released > 0 {
 		c.mu.Lock()

@@ -444,34 +444,6 @@ func TestRestoreConcurrentMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRestoreDisabledManifests: with manifests off there is nothing to
-// navigate by — the restore comes back empty, not broken.
-func TestRestoreDisabledManifests(t *testing.T) {
-	store := storage.NewMemory(nil, 4, 1e9)
-	c, err := New(ClusterConfig{
-		Platform:         testPlatform(2, 2),
-		Store:            store,
-		DisableManifests: true,
-	}, RunSpec{Meta: testMeta(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runWorkload(t, c, 1)
-	if err := c.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.ManifestsWritten != 0 {
-		t.Fatalf("ManifestsWritten = %d with manifests disabled", st.ManifestsWritten)
-	}
-	r, err := Restore(store, "clustertest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Manifests != 0 || len(r.Iterations) != 0 {
-		t.Fatalf("restored %d manifests, %d iterations", r.Manifests, len(r.Iterations))
-	}
-}
-
 // TestRestoreCompressedStore: a run written through the compression
 // pipeline restores exactly like a plain one — byte-identical blocks,
 // complete checkpoints — and every data object's stored frame records

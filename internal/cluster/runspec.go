@@ -38,9 +38,6 @@ type ClusterConfig struct {
 	// grants, and reclaims per tenant, and ReleaseHolder on a killed
 	// node never touches another tenant's tokens.
 	Broker storage.TokenBroker
-	// DisableManifests turns off the per-iteration manifest objects
-	// roots write alongside their data objects.
-	DisableManifests bool
 	// Logger defaults to a silent logger.
 	Logger *log.Logger
 }

@@ -113,7 +113,8 @@ type Tenant struct {
 	err      error
 	final    Stats // snapshot at Finish/Evict
 
-	decided chan struct{} // closed when state leaves TenantQueued
+	decided  chan struct{} // closed when state leaves TenantQueued
+	teardown sync.Once     // the one Finish or Evict that ends the run
 }
 
 // ID returns the tenant's service-unique id.
@@ -265,7 +266,9 @@ func (t *Tenant) Finish() error { return t.svc.end(t, TenantDone) }
 // in-flight batches are freed, and the cores go back to the pool.
 func (t *Tenant) Evict() error { return t.svc.end(t, TenantEvicted) }
 
-// end is the shared teardown of Finish and Evict.
+// end is the shared teardown of Finish and Evict. The first call on a
+// running tenant tears its cluster down and returns its nodes to the
+// gate; a racing call waits for that teardown and returns its error.
 func (s *Service) end(t *Tenant, final TenantState) error {
 	s.mu.Lock()
 	if t.state != TenantRunning {
@@ -280,23 +283,25 @@ func (s *Service) end(t *Tenant, final TenantState) error {
 	c := t.cluster
 	s.mu.Unlock()
 
-	// Teardown happens outside s.mu: Shutdown drains node goroutines
-	// that may be blocked on broker tokens another tenant holds.
-	var err error
-	if final == TenantEvicted {
-		err = c.Cancel()
-	} else {
-		err = c.Shutdown()
-	}
-	final2 := c.Stats()
+	t.teardown.Do(func() {
+		// Teardown happens outside s.mu: Shutdown drains node goroutines
+		// that may be blocked on broker tokens another tenant holds.
+		var err error
+		if final == TenantEvicted {
+			err = c.Cancel()
+		} else {
+			err = c.Shutdown()
+		}
+		final2 := c.Stats()
 
-	s.mu.Lock()
-	t.state = final
-	t.err = err
-	t.final = final2
-	s.releaseLocked(t.nodes)
-	s.mu.Unlock()
-	return err
+		s.mu.Lock()
+		t.state = final
+		t.err = err
+		t.final = final2
+		s.releaseLocked(t.nodes)
+		s.mu.Unlock()
+	})
+	return t.Err()
 }
 
 // releaseLocked returns n nodes to the gate and starts the queued

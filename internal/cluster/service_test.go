@@ -377,6 +377,59 @@ func TestServiceEvictionFreesSharedMemory(t *testing.T) {
 	}
 }
 
+// TestServiceFinishEvictRace races Finish and Evict on one tenant that
+// holds the whole 4-node machine. One of them tears the cluster down and
+// the nodes go back to the gate once, so of two more 4-node tenants one
+// runs and one queues. A double teardown frees 8 nodes and runs both.
+// The race is repeated because one trial can miss the window.
+func TestServiceFinishEvictRace(t *testing.T) {
+	for trial := 0; trial < 8; trial++ {
+		svc, err := NewService(ClusterConfig{
+			Platform: topology.Platform{Name: "svc", Nodes: 4, CoresPerNode: 3},
+			Store:    storage.NewMemory(nil, 2, 1e9),
+		}, ServiceOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tn, err := svc.Submit(RunSpec{Meta: serviceMeta(t)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, end := range []func() error{tn.Finish, tn.Evict} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if err := end(); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if st := tn.State(); st != TenantDone && st != TenantEvicted {
+			t.Fatalf("trial %d: raced tenant is %s", trial, st)
+		}
+		var states []TenantState
+		for i := 0; i < 2; i++ {
+			next, err := svc.Submit(RunSpec{Meta: serviceMeta(t)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			states = append(states, next.State())
+		}
+		if states[0] != TenantRunning || states[1] != TenantQueued {
+			t.Fatalf("trial %d: two 4-node tenants after the race are %v, want [running queued]",
+				trial, states)
+		}
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestServiceQuotaMaxBytes runs a tenant whose byte budget covers only
 // part of its output: the over-budget objects are skipped (counted, not
 // stored) and the run still completes every iteration.
@@ -384,9 +437,8 @@ func TestServiceQuotaMaxBytes(t *testing.T) {
 	const iters = 4
 	store := storage.NewMemory(nil, 2, 1e9)
 	svc, err := NewService(ClusterConfig{
-		Platform:         topology.Platform{Name: "svc", Nodes: 2, CoresPerNode: 2},
-		Store:            store,
-		DisableManifests: true,
+		Platform: topology.Platform{Name: "svc", Nodes: 2, CoresPerNode: 2},
+		Store:    store,
 	}, ServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -412,6 +464,10 @@ func TestServiceQuotaMaxBytes(t *testing.T) {
 	if st.ObjectsWritten+st.QuotaDroppedObjects != iters {
 		t.Fatalf("stored %d + dropped %d != %d iterations",
 			st.ObjectsWritten, st.QuotaDroppedObjects, iters)
+	}
+	if st.ManifestsWritten != st.ObjectsWritten {
+		t.Fatalf("%d manifests for %d stored objects: a dropped object has none, a stored one has one",
+			st.ManifestsWritten, st.ObjectsWritten)
 	}
 	if st.IterationsCompleted != iters {
 		t.Fatalf("iterations completed %d, want %d — quota drop broke liveness",

@@ -7,7 +7,7 @@ import (
 	"repro/internal/stats"
 )
 
-// RunA1 is the ablation behind the central design choice of §III.A:
+// runA1 is the ablation behind the central design choice of §III.A:
 // Damaris communicates through shared memory so data crosses the
 // client→service boundary with a single copy, where message-passing
 // couplings "involve multiple copies of data".
@@ -22,8 +22,7 @@ import (
 //
 // The copy counts are deterministic; the wall-clock times are reported
 // for context.
-func RunA1(opts Options) (Report, error) {
-	rep := Report{ID: "A1", Title: "ablation: shared memory vs message passing (§III.A)"}
+func runA1(p *Pass, rep *Report) error {
 	const (
 		blockSize = 1 << 20
 		blocks    = 256
@@ -31,7 +30,7 @@ func RunA1(opts Options) (Report, error) {
 
 	shmCopies, shmTime, err := shmPath(blockSize, blocks)
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	msgCopies, msgTime := messagePath(blockSize, blocks)
 
@@ -55,7 +54,7 @@ func RunA1(opts Options) (Report, error) {
 			Measured: float64(msgCopies) / float64(blockSize*blocks), Unit: "", Lo: 2,
 		},
 	}
-	return rep, nil
+	return nil
 }
 
 // shmPath pushes blocks through a real segment: one copy in, consumed in

@@ -7,14 +7,13 @@ import (
 	"repro/internal/stats"
 )
 
-// RunA2 is the aggregation-granularity ablation behind the design choice
+// runA2 is the aggregation-granularity ablation behind the design choice
 // of §IV.B/§IV.C: Damaris groups the output of a whole node into one big
 // file. Fragmenting the same volume into more, smaller files per
 // iteration pays the per-file cost repeatedly and degrades throughput —
 // toward the file-per-process regime.
-func RunA2(opts Options) (Report, error) {
-	opts = opts.withDefaults()
-	rep := Report{ID: "A2", Title: "ablation: aggregation granularity (files per node per iteration)"}
+func runA2(p *Pass, rep *Report) error {
+	opts := p.opts
 	cores := opts.maxScale()
 	plat := opts.platformFor(cores)
 	table := stats.NewTable(
@@ -25,15 +24,11 @@ func RunA2(opts Options) (Report, error) {
 	nodeBytes := iostrat.CM1Workload(1).NodeBytes(plat.CoresPerNode)
 	var first, last float64
 	for i, g := range granularities {
-		cfg := iostrat.Config{
-			Platform:     plat,
-			Workload:     iostrat.CM1Workload(opts.Iterations),
-			Seed:         opts.Seed + uint64(cores),
-			FilesPerIter: g,
-		}
-		r, err := iostrat.Run(iostrat.Damaris, cfg)
+		cfg := opts.strategyConfig(cores)
+		cfg.FilesPerIter = g
+		r, err := p.des(iostrat.Damaris, cfg)
 		if err != nil {
-			return Report{}, err
+			return err
 		}
 		tp := r.Throughput()
 		if i == 0 {
@@ -50,5 +45,5 @@ func RunA2(opts Options) (Report, error) {
 			Measured: first / last, Unit: "x", Lo: 1.2,
 		},
 	}
-	return rep, nil
+	return nil
 }

@@ -84,7 +84,7 @@ func c1Cost(acc storage.Accounting) float64 {
 	return moved + (acc.EncodeTime+acc.DecodeTime)*c1TransferBW*storage.DefaultCPUCostWeight
 }
 
-// RunC1 sweeps the compression pipeline on the real data path (ROADMAP
+// runC1 sweeps the compression pipeline on the real data path (ROADMAP
 // "backend compression pipeline" item): every fixed codec and the
 // adaptive selector store and read back a mixed float/int/mask
 // workload, scored by CPU charged plus bytes moved; a compressed store
@@ -92,9 +92,8 @@ func c1Cost(acc storage.Accounting) float64 {
 // stores; and the DES face prices dedicated-core compression at
 // scale, mirroring E5 on the pipeline instead of the abstract ratio
 // knob.
-func RunC1(opts Options) (Report, error) {
-	opts = opts.withDefaults()
-	rep := Report{ID: "C1", Title: "storage-codec sweep and adaptive selection (§IV.D on the data path)"}
+func runC1(p *Pass, rep *Report) error {
+	opts := p.opts
 
 	// Part 1: codec × dataset sweep on real bytes through a memory
 	// backend, write plus read-back, byte equality enforced throughout.
@@ -118,14 +117,14 @@ func RunC1(opts Options) (Report, error) {
 				name := fmt.Sprintf("c1-%s-it%06d", ds.name, it)
 				data := ds.gen(it)
 				if err := store.Put(name, data); err != nil {
-					return Report{}, fmt.Errorf("c1: %s put %s: %w", policy, name, err)
+					return fmt.Errorf("c1: %s put %s: %w", policy, name, err)
 				}
 				got, err := store.Get(name)
 				if err != nil {
-					return Report{}, fmt.Errorf("c1: %s get %s: %w", policy, name, err)
+					return fmt.Errorf("c1: %s get %s: %w", policy, name, err)
 				}
 				if !bytes.Equal(got, data) {
-					return Report{}, fmt.Errorf("c1: %s round trip of %s differs", policy, name)
+					return fmt.Errorf("c1: %s round trip of %s differs", policy, name)
 				}
 			}
 		}
@@ -137,11 +136,11 @@ func RunC1(opts Options) (Report, error) {
 				name := fmt.Sprintf("c1-%s-it%06d", ds.name, c1Iters-1)
 				obj, err := base.Get(name)
 				if err != nil {
-					return Report{}, fmt.Errorf("c1: base get %s: %w", name, err)
+					return fmt.Errorf("c1: base get %s: %w", name, err)
 				}
 				h, _, err := storage.ParseFrameHeader(obj)
 				if err != nil {
-					return Report{}, fmt.Errorf("c1: frame of %s: %w", name, err)
+					return fmt.Errorf("c1: frame of %s: %w", name, err)
 				}
 				adaptiveChoices[ds.name] = h.Codec
 			}
@@ -171,18 +170,18 @@ func RunC1(opts Options) (Report, error) {
 		"backend", "objects", "manifests", "blocks", "byte_equal", "replayed_iters")
 	dir, err := os.MkdirTemp("", "c1-roundtrip-")
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	defer os.RemoveAll(dir)
 	sdfStore, err := storage.NewSDF(nil, 4, 1e9, dir)
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	byteEqualOK, framesOK := 1.0, 1.0
 	for _, base := range []storage.Backend{storage.NewMemory(nil, 4, 1e9), sdfStore} {
 		r, err := c1RoundTrip(base)
 		if err != nil {
-			return Report{}, fmt.Errorf("c1: %s round trip: %w", base.Name(), err)
+			return fmt.Errorf("c1: %s round trip: %w", base.Name(), err)
 		}
 		rtTable.AddRow(base.Name(), r.objects, r.manifests, r.blocks, r.byteEqual, r.replayed)
 		if r.byteEqual != 1 {
@@ -196,15 +195,15 @@ func RunC1(opts Options) (Report, error) {
 	// Part 3: the DES face at scale — the §IV.D system effect, priced
 	// through the pipeline instead of E5's abstract ratio knob.
 	cores := opts.maxScale()
-	plain, err := iostrat.Run(iostrat.Damaris, opts.strategyConfig(cores))
+	plain, err := p.des(iostrat.Damaris, opts.strategyConfig(cores))
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	withCodec := opts.strategyConfig(cores)
 	withCodec.Codec = "gorilla"
-	compressed, err := iostrat.Run(iostrat.Damaris, withCodec)
+	compressed, err := p.des(iostrat.Damaris, withCodec)
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	desTable := stats.NewTable(
 		fmt.Sprintf("Damaris at %d cores through the compressing backend", cores),
@@ -256,7 +255,7 @@ func RunC1(opts Options) (Report, error) {
 			Lo: gorillaRatio * 0.95, Hi: gorillaRatio * 1.05,
 		},
 	}
-	return rep, nil
+	return nil
 }
 
 // c1RoundTripResult summarizes one backend's compressed-store restore.

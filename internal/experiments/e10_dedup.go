@@ -55,7 +55,7 @@ func e10Payload(frac float64) func(node, source, it int) []byte {
 	}
 }
 
-// RunE10 measures content-addressed incremental checkpointing (ROADMAP
+// runE10 measures content-addressed incremental checkpointing (ROADMAP
 // "incremental checkpoints" item) on both faces. Runtime: a real
 // cluster writes an overwrite-fraction sweep twice — once to a plain
 // store, once through the dedup chunk store — and the table compares
@@ -65,9 +65,8 @@ func e10Payload(frac float64) func(node, source, it int) []byte {
 // with the dedup store priced on the dedicated cores (chunk/hash CPU
 // vs forwarded-volume savings), the §IV.D spare-CPU trade that
 // motivates doing this on the dedicated core at all.
-func RunE10(opts Options) (Report, error) {
-	opts = opts.withDefaults()
-	rep := Report{ID: "E10", Title: "incremental checkpoints: dedup, retention GC"}
+func runE10(p *Pass, rep *Report) error {
+	opts := p.opts
 
 	rtTable := stats.NewTable(
 		fmt.Sprintf("dedup vs plain store, %d nodes × %d clients, %d iterations, memory store",
@@ -100,12 +99,12 @@ func RunE10(opts Options) (Report, error) {
 		mem := storage.NewMemory(nil, 4, 1e9)
 		plain, err := leg(f, mem, mem)
 		if err != nil {
-			return Report{}, err
+			return err
 		}
 		inner := storage.NewMemory(nil, 4, 1e9)
 		dedup, err := leg(f, chunk.New(inner, chunk.Options{Params: e10ChunkParams}), inner)
 		if err != nil {
-			return Report{}, fmt.Errorf("dedup store at overwrite %v: %w", f, err)
+			return fmt.Errorf("dedup store at overwrite %v: %w", f, err)
 		}
 
 		recovered := float64(dedup.restored.TotalBlocks()) / float64(e10Nodes*e10Clients*e10Iters)
@@ -123,15 +122,15 @@ func RunE10(opts Options) (Report, error) {
 	// window must still restore completely.
 	gcStore := chunk.New(storage.NewMemory(nil, 4, 1e9), chunk.Options{Params: e10ChunkParams})
 	if _, err := runE10Cluster(0.25, e10Retain, gcStore); err != nil {
-		return Report{}, err
+		return err
 	}
 	swept, err := gcStore.Sweep()
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	gcRestored, err := cluster.Restore(gcStore, "e10")
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	retainedOK := 1.0
 	if len(gcRestored.Problems) > 0 {
@@ -155,9 +154,9 @@ func RunE10(opts Options) (Report, error) {
 		fmt.Sprintf("DES damaris, %d cores, dedup store on the dedicated cores",
 			cores),
 		"assumed_new_frac", "written_GB", "reduction", "saved_GB", "hash_cpu_s", "mean_io_s")
-	baseRes, err := iostrat.Run(iostrat.Damaris, opts.strategyConfig(cores))
+	baseRes, err := p.des(iostrat.Damaris, opts.strategyConfig(cores))
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	desTable.AddRow(1.0, stats.GB(baseRes.BytesWritten), 1.0, 0.0, 0.0, baseRes.MeanIOTime())
 
@@ -167,9 +166,9 @@ func RunE10(opts Options) (Report, error) {
 		cfg := opts.strategyConfig(cores)
 		cfg.Dedup = true
 		cfg.DedupNewFraction = nf
-		res, err := iostrat.Run(iostrat.Damaris, cfg)
+		res, err := p.des(iostrat.Damaris, cfg)
 		if err != nil {
-			return Report{}, err
+			return err
 		}
 		reduction := 0.0
 		if res.BytesWritten > 0 {
@@ -216,7 +215,7 @@ func RunE10(opts Options) (Report, error) {
 			Measured: hashCPU, Unit: "s", Lo: 1e-9,
 		},
 	}
-	return rep, nil
+	return nil
 }
 
 // storedBytes sums the payload sizes of every object a backend holds —

@@ -12,7 +12,7 @@ import (
 	"repro/internal/workload"
 )
 
-// RunE11 sweeps the deterministic workload scenarios of
+// runE11 sweeps the deterministic workload scenarios of
 // internal/workload against the two tree-adaptation policies, on both
 // faces (docs/SCENARIOS.md has the vocabulary):
 //
@@ -27,9 +27,8 @@ import (
 // beats static on aggregate write latency on a mid-run platform shift,
 // and adaptation never loses acknowledged data — Completeness stays 1
 // on every scenario that injects no failures.
-func RunE11(opts Options) (Report, error) {
-	opts = opts.withDefaults()
-	rep := Report{ID: "E11", Title: "deterministic scenarios × elastic tree adaptation"}
+func runE11(p *Pass, rep *Report) error {
+	opts := p.opts
 
 	// The generators place their mid-run shifts around n/3 and the
 	// adaptation cooldown needs headroom after that; the paper's 4
@@ -70,11 +69,11 @@ func RunE11(opts Options) (Report, error) {
 		for _, pol := range iostrat.AdaptPolicies() {
 			cfg, err := desCfg(sc, pol)
 			if err != nil {
-				return Report{}, err
+				return err
 			}
-			res, err := iostrat.Run(iostrat.Damaris, cfg)
+			res, err := p.des(iostrat.Damaris, cfg)
 			if err != nil {
-				return Report{}, fmt.Errorf("e11 %s/%s: %w", sc, pol, err)
+				return fmt.Errorf("e11 %s/%s: %w", sc, pol, err)
 			}
 			results[legKey{sc, pol}] = res
 			// Median, not mean: per-iteration latency is a max over
@@ -93,16 +92,16 @@ func RunE11(opts Options) (Report, error) {
 	replaySc, replayPol := workload.NICStep, iostrat.AdaptAdaptive
 	cfgA, err := desCfg(replaySc, replayPol)
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	cfgB, err := desCfg(replaySc, replayPol)
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	fpStable := boolAsFloat(cfgA.Scenario.Fingerprint() == cfgB.Scenario.Fingerprint())
-	again, err := iostrat.Run(iostrat.Damaris, cfgB)
+	again, err := p.des(iostrat.Damaris, cfgB)
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	first := results[legKey{replaySc, replayPol}]
 	identical := boolAsFloat(first.TotalTime == again.TotalTime && first.DrainTime == again.DrainTime &&
@@ -175,7 +174,7 @@ func RunE11(opts Options) (Report, error) {
 	// ---- Runtime face: real goroutines, mid-run re-formation. ----
 	rt, err := runE11Cluster(opts.Seed)
 	if err != nil {
-		return Report{}, fmt.Errorf("e11 runtime: %w", err)
+		return fmt.Errorf("e11 runtime: %w", err)
 	}
 	rtTab := stats.NewTable(
 		"runtime face: NIC-step trace replay with streaming subscriber",
@@ -205,7 +204,7 @@ func RunE11(opts Options) (Report, error) {
 			Paper:    "topology follows observed bandwidth",
 			Measured: float64(rt.reforms), Unit: "reforms", Lo: 1,
 		})
-	return rep, nil
+	return nil
 }
 
 // e11Run is one runtime-face measurement.

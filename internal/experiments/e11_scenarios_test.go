@@ -3,10 +3,7 @@ package experiments
 import "testing"
 
 func TestE11Quick(t *testing.T) {
-	rep, err := RunE11(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, quick(), "e11")
 	if rep.ID != "E11" || len(rep.Tables) != 2 {
 		t.Fatalf("unexpected report shape: %s with %d tables", rep.ID, len(rep.Tables))
 	}

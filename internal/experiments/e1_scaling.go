@@ -2,49 +2,39 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/iostrat"
 	"repro/internal/stats"
 )
 
-// E1Result holds the weak-scaling sweep of §IV.A: for each scale and each
-// I/O approach, the run time, the application-visible I/O cost, and the
-// speedup of Damaris over the baselines.
-type E1Result struct {
-	Report
-	// Results indexes the raw strategy results by [scale][approach].
-	Results map[int]map[iostrat.Approach]iostrat.Result
-}
-
 // approaches in presentation order.
 var approaches = []iostrat.Approach{iostrat.FilePerProcess, iostrat.Collective, iostrat.Damaris}
 
-// RunE1 reproduces §IV.A: CM1 weak scaling under the three I/O
+// runE1 reproduces §IV.A: CM1 weak scaling under the three I/O
 // approaches. Paper claims: the collective I/O phase reaches 800 s — 70 %
 // of the run time — at 9216 cores; Damaris scales nearly perfectly since
 // its I/O is asynchronous; the speedup over collective I/O reaches 3.5×.
-func RunE1(opts Options) (E1Result, error) {
-	opts = opts.withDefaults()
-	res := E1Result{
-		Report:  Report{ID: "E1", Title: "CM1 weak scaling by I/O approach (§IV.A)"},
-		Results: make(map[int]map[iostrat.Approach]iostrat.Result),
-	}
+func runE1(p *Pass, rep *Report) error {
+	opts := p.opts
 	table := stats.NewTable(
 		fmt.Sprintf("run time per approach, %s, %d output phases", opts.Platform, opts.Iterations),
 		"cores", "approach", "total_s", "mean_io_s", "max_io_s", "io_frac", "thr_GB_s",
 		"speedup_vs_collective")
 
+	// results indexes the legs by [scale][approach].
+	results := make(map[int]map[iostrat.Approach]iostrat.Result)
 	for _, cores := range opts.Scales {
 		byApproach := make(map[iostrat.Approach]iostrat.Result, len(approaches))
 		cfg := opts.strategyConfig(cores)
 		for _, a := range approaches {
-			r, err := iostrat.Run(a, cfg)
+			r, err := p.des(a, cfg)
 			if err != nil {
-				return E1Result{}, err
+				return err
 			}
 			byApproach[a] = r
 		}
-		res.Results[cores] = byApproach
+		results[cores] = byApproach
 		coll := byApproach[iostrat.Collective]
 		for _, a := range approaches {
 			r := byApproach[a]
@@ -52,14 +42,14 @@ func RunE1(opts Options) (E1Result, error) {
 				r.IOFraction(), stats.GB(r.Throughput()), coll.TotalTime/r.TotalTime)
 		}
 	}
-	res.Tables = []*stats.Table{table}
+	rep.Tables = []*stats.Table{table}
 
-	top := res.Results[opts.maxScale()]
+	top := results[opts.maxScale()]
 	coll, dam := top[iostrat.Collective], top[iostrat.Damaris]
 	// The absolute §IV.A numbers (800 s collective phases, 3.5× speedup)
 	// are contention phenomena of the 9216-core machine, so a sweep that
 	// tops out at another scale MISSes them.
-	res.Checks = []Check{
+	rep.Checks = []Check{
 		{
 			Name:     "collective max I/O phase at top scale",
 			Paper:    "up to 800 s (§IV.A)",
@@ -83,26 +73,17 @@ func RunE1(opts Options) (E1Result, error) {
 		{
 			Name:     "Damaris scalability (runtime growth across sweep)",
 			Paper:    "nearly perfect weak scalability (§IV.A)",
-			Measured: damarisGrowth(res, opts), Unit: "x", Lo: 0.9, Hi: 1.15,
+			Measured: damarisGrowth(results, opts.Scales), Unit: "x", Lo: 0.9, Hi: 1.15,
 		},
 	}
-	return res, nil
+	return nil
 }
 
 // damarisGrowth returns the ratio of Damaris run time at the largest scale
 // to the smallest — 1.0 is perfect weak scaling.
-func damarisGrowth(res E1Result, opts Options) float64 {
-	min, max := opts.Scales[0], opts.Scales[0]
-	for _, s := range opts.Scales {
-		if s < min {
-			min = s
-		}
-		if s > max {
-			max = s
-		}
-	}
-	small := res.Results[min][iostrat.Damaris].TotalTime
-	large := res.Results[max][iostrat.Damaris].TotalTime
+func damarisGrowth(results map[int]map[iostrat.Approach]iostrat.Result, scales []int) float64 {
+	small := results[slices.Min(scales)][iostrat.Damaris].TotalTime
+	large := results[slices.Max(scales)][iostrat.Damaris].TotalTime
 	if small == 0 {
 		return 0
 	}

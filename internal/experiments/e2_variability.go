@@ -7,16 +7,14 @@ import (
 	"repro/internal/stats"
 )
 
-// RunE2 reproduces §IV.B: the variability of the time each process spends
+// runE2 reproduces §IV.B: the variability of the time each process spends
 // writing, per phase and across phases. Paper claims: synchronous
 // approaches show gaps of orders of magnitude between the slowest and the
 // fastest processes and hundreds of seconds of unpredictability across
 // phases, while Damaris cuts the visible write to the ~0.1 s needed to
 // copy into shared memory, independent of scale.
-func RunE2(opts Options) (Report, error) {
-	opts = opts.withDefaults()
-	rep := Report{ID: "E2", Title: "I/O variability (§IV.B)"}
-
+func runE2(p *Pass, rep *Report) error {
+	opts := p.opts
 	perRank := stats.NewTable(
 		fmt.Sprintf("per-rank write time distribution at %d cores", opts.maxScale()),
 		"approach", "mean_s", "std_s", "cov", "min_s", "max_s", "max/min")
@@ -24,19 +22,11 @@ func RunE2(opts Options) (Report, error) {
 		"per-phase I/O duration across iterations (app-visible)",
 		"approach", "mean_s", "std_s", "min_s", "max_s", "range_s")
 
-	cfgAt := func(cores int) iostrat.Config {
-		return iostrat.Config{
-			Platform: opts.platformFor(cores),
-			Workload: iostrat.CM1Workload(opts.Iterations),
-			Seed:     opts.Seed + uint64(cores),
-		}
-	}
-
 	top := make(map[iostrat.Approach]iostrat.Result)
 	for _, a := range approaches {
-		r, err := iostrat.Run(a, cfgAt(opts.maxScale()))
+		r, err := p.des(a, opts.strategyConfig(opts.maxScale()))
 		if err != nil {
-			return Report{}, err
+			return err
 		}
 		top[a] = r
 		rk := stats.Summarize(r.RankWriteTimes)
@@ -47,9 +37,9 @@ func RunE2(opts Options) (Report, error) {
 	rep.Tables = []*stats.Table{perRank, perPhase}
 
 	// Scale independence of the Damaris write: compare smallest vs largest.
-	damSmall, err := iostrat.Run(iostrat.Damaris, cfgAt(opts.Scales[0]))
+	damSmall, err := p.des(iostrat.Damaris, opts.strategyConfig(opts.Scales[0]))
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	smallMean := stats.Summarize(damSmall.RankWriteTimes).Mean
 	largeMean := stats.Summarize(top[iostrat.Damaris].RankWriteTimes).Mean
@@ -91,5 +81,5 @@ func RunE2(opts Options) (Report, error) {
 			Unit:     "", Lo: 0, Hi: 0.05,
 		},
 	}
-	return rep, nil
+	return nil
 }

@@ -7,12 +7,11 @@ import (
 	"repro/internal/stats"
 )
 
-// RunE3 reproduces §IV.C: achieved aggregate write throughput at the
+// runE3 reproduces §IV.C: achieved aggregate write throughput at the
 // largest scale. Paper claims on Kraken: 0.5 GB/s with collective I/O,
 // less than 1.7 GB/s with file-per-process, up to 10 GB/s with Damaris.
-func RunE3(opts Options) (Report, error) {
-	opts = opts.withDefaults()
-	rep := Report{ID: "E3", Title: "aggregate I/O throughput (§IV.C)"}
+func runE3(p *Pass, rep *Report) error {
+	opts := p.opts
 	cores := opts.maxScale()
 	table := stats.NewTable(
 		fmt.Sprintf("achieved aggregate throughput at %d cores (%s)", cores, opts.Platform),
@@ -21,9 +20,9 @@ func RunE3(opts Options) (Report, error) {
 	byApproach := make(map[iostrat.Approach]iostrat.Result)
 	cfg := opts.strategyConfig(cores)
 	for _, a := range approaches {
-		r, err := iostrat.Run(a, cfg)
+		r, err := p.des(a, cfg)
 		if err != nil {
-			return Report{}, err
+			return err
 		}
 		byApproach[a] = r
 		table.AddRow(string(a), stats.GB(r.BytesWritten), r.IOWindow,
@@ -56,7 +55,7 @@ func RunE3(opts Options) (Report, error) {
 			Measured: boolAsFloat(coll < fpp && fpp < dam), Unit: "", Lo: 1, Hi: 1,
 		},
 	}
-	return rep, nil
+	return nil
 }
 
 // boolAsFloat turns a pass/fail condition into a Check's Measured value.

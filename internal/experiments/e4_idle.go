@@ -5,25 +5,19 @@ import (
 	"repro/internal/stats"
 )
 
-// RunE4 reproduces §IV.D's first claim: dedicated cores stay idle 92–99 %
+// runE4 reproduces §IV.D's first claim: dedicated cores stay idle 92–99 %
 // of the time on Kraken with CM1, leaving room for in-situ processing.
-func RunE4(opts Options) (Report, error) {
-	opts = opts.withDefaults()
-	rep := Report{ID: "E4", Title: "dedicated-core idle time (§IV.D)"}
+func runE4(p *Pass, rep *Report) error {
+	opts := p.opts
 	table := stats.NewTable(
 		"dedicated-core utilization across the weak-scaling sweep",
 		"cores", "busy_core_s", "avail_core_s", "idle_frac", "skipped_iters")
 
 	var minIdle, maxIdle float64 = 1, 0
 	for _, cores := range opts.Scales {
-		cfg := iostrat.Config{
-			Platform: opts.platformFor(cores),
-			Workload: iostrat.CM1Workload(opts.Iterations),
-			Seed:     opts.Seed + uint64(cores),
-		}
-		r, err := iostrat.Run(iostrat.Damaris, cfg)
+		r, err := p.des(iostrat.Damaris, opts.strategyConfig(cores))
 		if err != nil {
-			return Report{}, err
+			return err
 		}
 		idle := r.IdleFraction()
 		if idle < minIdle {
@@ -47,5 +41,5 @@ func RunE4(opts Options) (Report, error) {
 			Measured: maxIdle, Unit: "", Lo: 0.9, Hi: 0.999,
 		},
 	}
-	return rep, nil
+	return nil
 }

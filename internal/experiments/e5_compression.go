@@ -9,7 +9,7 @@ import (
 	"repro/internal/stats"
 )
 
-// RunE5 reproduces §IV.D's compression claim: "we used this spare time to
+// runE5 reproduces §IV.D's compression claim: "we used this spare time to
 // add data compression in files, and achieved a 600% compression ratio
 // without any overhead on the simulation."
 //
@@ -19,16 +19,15 @@ import (
 //     cores — the simulation-side overhead (none: the codec runs on
 //     cores the simulation does not use) and that the dedicated cores
 //     still keep up (no skipped iterations).
-func RunE5(opts Options) (Report, error) {
-	opts = opts.withDefaults()
-	rep := Report{ID: "E5", Title: "compression on the dedicated cores (§IV.D)"}
+func runE5(p *Pass, rep *Report) error {
+	opts := p.opts
 
 	// Part 1: real ratios on CM1 proxy output after a short spin-up.
 	params := cm1.DefaultParams()
 	params.NX, params.NY, params.NZ = 32, 32, 24
 	model, err := cm1.New(params)
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	for s := 0; s < 10; s++ {
 		model.Step()
@@ -40,14 +39,14 @@ func RunE5(opts Options) (Report, error) {
 	for _, name := range []string{"gorilla", "flate"} {
 		codec, err := compress.ByName(name)
 		if err != nil {
-			return Report{}, err
+			return err
 		}
 		var raw, enc int
 		for _, f := range model.Fields() {
 			src := compress.Float64Bytes(f.Data)
 			out, err := codec.Encode(src, 8)
 			if err != nil {
-				return Report{}, err
+				return err
 			}
 			raw += len(src)
 			enc += len(out)
@@ -62,20 +61,16 @@ func RunE5(opts Options) (Report, error) {
 	// Part 2: system effect at scale via the DES model, using a ratio in
 	// the measured range.
 	cores := opts.maxScale()
-	base := iostrat.Config{
-		Platform: opts.platformFor(cores),
-		Workload: iostrat.CM1Workload(opts.Iterations),
-		Seed:     opts.Seed + uint64(cores),
-	}
-	plain, err := iostrat.Run(iostrat.Damaris, base)
+	base := opts.strategyConfig(cores)
+	plain, err := p.des(iostrat.Damaris, base)
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	withComp := base
 	withComp.Codec = "gorilla" // assumed ratio 6, the §IV.D 600%
-	compressed, err := iostrat.Run(iostrat.Damaris, withComp)
+	compressed, err := p.des(iostrat.Damaris, withComp)
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	sysTable := stats.NewTable(
 		fmt.Sprintf("Damaris at %d cores with and without dedicated-core compression", cores),
@@ -112,5 +107,5 @@ func RunE5(opts Options) (Report, error) {
 			Measured: plain.BytesWritten / compressed.BytesWritten, Unit: "x", Lo: 5.5, Hi: 6.5,
 		},
 	}
-	return rep, nil
+	return nil
 }

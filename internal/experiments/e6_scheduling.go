@@ -11,7 +11,7 @@ import (
 	"repro/internal/storage"
 )
 
-// RunE6 reproduces §IV.D's scheduling claim and extends it across tree
+// runE6 reproduces §IV.D's scheduling claim and extends it across tree
 // roots. Part one is the paper's single-backend sweep: coordinating the
 // dedicated cores' writes ("a better I/O scheduling schema") raises
 // aggregate throughput from 10 GB/s to 12.7 GB/s on Kraken. Part two is
@@ -21,24 +21,19 @@ import (
 // storage.TokenBroker (iostrat.SchedClusterToken) beats per-backend
 // tokens on aggregate write time and write-tail variability once roots
 // contend for the same OSTs.
-func RunE6(opts Options) (Report, error) {
-	opts = opts.withDefaults()
-	rep := Report{ID: "E6", Title: "dedicated-core I/O scheduling (§IV.D + cross-root)"}
-	if err := runE6Classic(opts, &rep); err != nil {
-		return Report{}, err
+func runE6(p *Pass, rep *Report) error {
+	if err := runE6Classic(p, rep); err != nil {
+		return err
 	}
-	if err := runE6CrossRoots(opts, &rep); err != nil {
-		return Report{}, err
+	if err := runE6CrossRoots(p, rep); err != nil {
+		return err
 	}
-	if err := runE6Runtime(opts, &rep); err != nil {
-		return Report{}, err
-	}
-	return rep, nil
+	return runE6Runtime(rep)
 }
 
 // runE6Classic is the paper's single-backend policy sweep.
-func runE6Classic(opts Options, rep *Report) error {
-	cores := opts.maxScale()
+func runE6Classic(p *Pass, rep *Report) error {
+	cores := p.opts.maxScale()
 	table := stats.NewTable(
 		fmt.Sprintf("Damaris throughput by scheduling policy at %d cores", cores),
 		"scheduling", "throughput_GB_s", "io_window_s", "gain_vs_none")
@@ -46,13 +41,9 @@ func runE6Classic(opts Options, rep *Report) error {
 	policies := []iostrat.Scheduling{iostrat.SchedNone, iostrat.SchedOSTToken, iostrat.SchedGlobalToken}
 	results := make(map[iostrat.Scheduling]iostrat.Result, len(policies))
 	for _, pol := range policies {
-		cfg := iostrat.Config{
-			Platform:   opts.platformFor(cores),
-			Workload:   iostrat.CM1Workload(opts.Iterations),
-			Seed:       opts.Seed + uint64(cores),
-			Scheduling: pol,
-		}
-		r, err := iostrat.Run(iostrat.Damaris, cfg)
+		cfg := p.opts.strategyConfig(cores)
+		cfg.Scheduling = pol
+		r, err := p.des(iostrat.Damaris, cfg)
 		if err != nil {
 			return err
 		}
@@ -140,7 +131,8 @@ var e6CrossPolicies = []iostrat.Scheduling{
 }
 
 // runE6CrossRoots is the DES face of the cross-root sweep.
-func runE6CrossRoots(opts Options, rep *Report) error {
+func runE6CrossRoots(p *Pass, rep *Report) error {
+	opts := p.opts
 	cores := opts.maxScale()
 	plat := opts.platformFor(cores)
 	table := stats.NewTable(
@@ -167,7 +159,7 @@ func runE6CrossRoots(opts Options, rep *Report) error {
 				cfg.Scheduling = pol
 				cfg.Platform.PFS.OSTs = e6OSTs(plat.Nodes, roots)
 				cfg.RootStripes = layout.stripes(cfg.Platform.PFS.OSTs, roots)
-				res, err := iostrat.Run(iostrat.Damaris, cfg)
+				res, err := p.des(iostrat.Damaris, cfg)
 				if err != nil {
 					return err
 				}
@@ -294,7 +286,7 @@ func (ps *pacedStore) iterSpans(iters int) []float64 {
 
 // runE6Runtime compares per-backend tokens against the shared cluster
 // broker on a real multi-root cluster writing through a paced store.
-func runE6Runtime(opts Options, rep *Report) error {
+func runE6Runtime(rep *Report) error {
 	const (
 		rtNodes   = 4
 		rtClients = 2
@@ -334,10 +326,9 @@ func runE6Runtime(opts Options, rep *Report) error {
 		st, _, err := runtimeLeg{
 			job: "e6", nodes: rtNodes, clients: rtClients, floats: 256, iters: rtIters,
 			cc: cluster.ClusterConfig{
-				Roots:            rtRoots,
-				Store:            paced,
-				Broker:           broker,
-				DisableManifests: true,
+				Roots:  rtRoots,
+				Store:  paced,
+				Broker: broker,
 			},
 		}.run()
 		if err != nil {

@@ -29,7 +29,7 @@ const nekCavityXML = `
   </data>
 </simulation>`
 
-// RunE7 reproduces §V.C.1: in-situ visualization of the Nek proxy.
+// runE7 reproduces §V.C.1: in-situ visualization of the Nek proxy.
 // Synchronous VisIt-style coupling stalls the simulation inside every
 // pipeline execution and degrades with scale; the Damaris coupling has
 // no visible impact, and when the analysis cannot keep up the shm-full
@@ -40,9 +40,8 @@ const nekCavityXML = `
 // segment; (3) a scale model of the synchronous coupling's collective
 // render barrier (max over N per-rank jitter draws) versus the
 // scale-independent Damaris write.
-func RunE7(opts Options) (Report, error) {
-	opts = opts.withDefaults()
-	rep := Report{ID: "E7", Title: "in-situ visualization coupling (§V.C.1)"}
+func runE7(p *Pass, rep *Report) error {
+	opts := p.opts
 
 	const (
 		gridN  = 20
@@ -51,15 +50,15 @@ func RunE7(opts Options) (Report, error) {
 	)
 	baseline, err := timeCavitySteps(gridN, steps, nil)
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	syncTimes, err := timeCavitySteps(gridN, steps, syncAnalysis())
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	damarisTimes, skipped0, err := timeDamarisCoupled(gridN, steps, 64<<20, 0)
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 
 	baseMean := stats.Summarize(baseline[warmup:]).Median
@@ -81,7 +80,7 @@ func RunE7(opts Options) (Report, error) {
 	slowAnalysis := time.Duration(4*baseMean*float64(time.Second)) + 20*time.Millisecond
 	tinyTimes, skippedTiny, err := timeDamarisCoupled(gridN, steps, iterBytes+4096, slowAnalysis)
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	skipTable := stats.NewTable(
 		"skip policy under an undersized shared-memory segment",
@@ -160,7 +159,7 @@ func RunE7(opts Options) (Report, error) {
 			Measured: worstPenalty, Unit: "x", Lo: 1.5, Timed: true,
 		},
 	}
-	return rep, nil
+	return nil
 }
 
 // timeCavitySteps advances the cavity and returns per-step wall times;

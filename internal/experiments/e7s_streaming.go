@@ -19,7 +19,7 @@ const e7sWriteDelay = 15 * time.Millisecond
 // both faces: 1, the tightest bound on staleness.
 const e7sSlowBuffer = 1
 
-// RunE7S extends E7 with the streaming pipeline of docs/STREAMING.md:
+// runE7S extends E7 with the streaming pipeline of docs/STREAMING.md:
 // instead of comparing coupled vs uncoupled simulation speed, it
 // compares how *fresh* the data is when the analysis sees it. Two
 // couplings on two faces:
@@ -36,9 +36,8 @@ const e7sSlowBuffer = 1
 // The headline checks: streaming beats file-then-read for a fast
 // consumer on both faces, and a slow consumer under drop-oldest never
 // blocks the write path.
-func RunE7S(opts Options) (Report, error) {
-	opts = opts.withDefaults()
-	rep := Report{ID: "E7S", Title: "streaming in-situ pipeline vs file-then-read (E7 extension)"}
+func runE7S(p *Pass, rep *Report) error {
+	opts := p.opts
 
 	// ---- Runtime face: wall-clock frame freshness. ----
 	const (
@@ -48,11 +47,11 @@ func RunE7S(opts Options) (Report, error) {
 	)
 	fast, err := runE7SCluster(rtNodes, rtClients, rtIters, fastConsumer())
 	if err != nil {
-		return Report{}, fmt.Errorf("e7s runtime (fast consumer): %w", err)
+		return fmt.Errorf("e7s runtime (fast consumer): %w", err)
 	}
 	slow, err := runE7SCluster(rtNodes, rtClients, rtIters, slowConsumer())
 	if err != nil {
-		return Report{}, fmt.Errorf("e7s runtime (slow consumer): %w", err)
+		return fmt.Errorf("e7s runtime (slow consumer): %w", err)
 	}
 
 	rt := stats.NewTable(
@@ -89,19 +88,19 @@ func RunE7S(opts Options) (Report, error) {
 		// must shed or stall within a handful of iterations.
 		slowBW = 2e6
 	)
-	desStream, err := iostrat.Run(iostrat.Damaris, desCfg(iostrat.InSituStream, fastBW, "", 0))
+	desStream, err := p.des(iostrat.Damaris, desCfg(iostrat.InSituStream, fastBW, "", 0))
 	if err != nil {
-		return Report{}, err
+		return err
 	}
-	desFile, err := iostrat.Run(iostrat.Damaris, desCfg(iostrat.InSituFile, fastBW, "", 0))
+	desFile, err := p.des(iostrat.Damaris, desCfg(iostrat.InSituFile, fastBW, "", 0))
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	baseCfg := desCfg(iostrat.InSituOff, fastBW, "", 0)
 	baseCfg.InSitu = iostrat.InSituConfig{}
-	desBase, err := iostrat.Run(iostrat.Damaris, baseCfg)
+	desBase, err := p.des(iostrat.Damaris, baseCfg)
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 
 	des := stats.NewTable(
@@ -128,9 +127,9 @@ func RunE7S(opts Options) (Report, error) {
 	for _, pol := range policies {
 		cfg := desCfg(iostrat.InSituStream, slowBW, pol, e7sSlowBuffer)
 		cfg.Workload.Iterations = slowIters
-		res, err := iostrat.Run(iostrat.Damaris, cfg)
+		res, err := p.des(iostrat.Damaris, cfg)
 		if err != nil {
-			return Report{}, err
+			return err
 		}
 		desSlow[pol] = res
 		desPol.AddRow(string(pol), res.FramesAnalyzed, res.FramesDropped,
@@ -191,7 +190,7 @@ func RunE7S(opts Options) (Report, error) {
 			Measured: desBlock.StreamBlockTime, Unit: "s", Lo: 1e-9,
 		},
 	}
-	return rep, nil
+	return nil
 }
 
 // e7sRun is one runtime-face measurement: per-frame latencies on both

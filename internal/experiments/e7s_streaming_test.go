@@ -9,10 +9,7 @@ func TestE7SQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock measurement")
 	}
-	rep, err := RunE7S(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, quick(), "e7s")
 	if rep.ID != "E7S" || len(rep.Tables) != 4 {
 		t.Fatalf("unexpected report shape: %s with %d tables", rep.ID, len(rep.Tables))
 	}
@@ -29,7 +26,7 @@ func TestE7SQuick(t *testing.T) {
 func TestRegistryCoversEveryRunner(t *testing.T) {
 	seen := map[string]bool{}
 	for _, e := range Registry() {
-		if e.ID == "" || e.Title == "" || e.Run == nil {
+		if e.ID == "" || e.Title == "" || e.body == nil {
 			t.Fatalf("incomplete registry entry: %+v", e)
 		}
 		if e.ID != strings.ToLower(e.ID) {

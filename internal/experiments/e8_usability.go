@@ -10,7 +10,7 @@ import (
 	"repro/internal/stats"
 )
 
-// RunE8 reproduces §V.C.2: the usability comparison. The paper rewrote
+// runE8 reproduces §V.C.2: the usability comparison. The paper rewrote
 // the examples shipped with VisIt using Damaris and counted the code
 // changes: more than a hundred lines with the VisIt API, fewer than ten
 // with Damaris (one line per shared data object plus the external XML).
@@ -20,11 +20,10 @@ import (
 // run by TestCouplingsRun) with the instrumentation bracketed by
 // BEGIN/END-INSTRUMENTATION markers; the experiment counts the marked
 // lines.
-func RunE8(opts Options) (Report, error) {
-	rep := Report{ID: "E8", Title: "integration effort: Damaris vs VisIt-style coupling (§V.C.2)"}
+func runE8(p *Pass, rep *Report) error {
 	dir, err := sourceDir()
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	files := map[string]string{
 		"damaris": filepath.Join(dir, "damaris_integration_test.go"),
@@ -37,7 +36,7 @@ func RunE8(opts Options) (Report, error) {
 	for _, name := range []string{"damaris", "visit"} {
 		n, err := countInstrumentation(files[name])
 		if err != nil {
-			return Report{}, err
+			return err
 		}
 		counts[name] = n
 		table.AddRow(name, filepath.Base(files[name]), n)
@@ -60,7 +59,7 @@ func RunE8(opts Options) (Report, error) {
 			Measured: float64(counts["visit"]) / float64(counts["damaris"]), Unit: "x", Lo: 8,
 		},
 	}
-	return rep, nil
+	return nil
 }
 
 // sourceDir locates this package's source directory from this file's

@@ -12,7 +12,7 @@ import (
 	"repro/internal/topology"
 )
 
-// RunE9 measures multi-tenancy: N simulations sharing one machine, one
+// runE9 measures multi-tenancy: N simulations sharing one machine, one
 // token broker, and one object store through cluster.Service. The paper
 // dedicates cores *within* one job; E9 asks what happens when several
 // such jobs coexist — the dedicated cores become a cluster-wide
@@ -25,16 +25,11 @@ import (
 // clusters concurrently on one shared fair-share broker and checks the
 // accounting: zero cross-tenant token leaks, per-tenant stats summing
 // to the service rollup and to the broker's own grant total.
-func RunE9(opts Options) (Report, error) {
-	opts = opts.withDefaults()
-	rep := Report{ID: "E9", Title: "multi-tenant admission & shared-broker accounting"}
-	if err := runE9DES(opts, &rep); err != nil {
-		return Report{}, err
+func runE9(p *Pass, rep *Report) error {
+	if err := runE9DES(p.opts, rep); err != nil {
+		return err
 	}
-	if err := runE9Runtime(opts, &rep); err != nil {
-		return Report{}, err
-	}
-	return rep, nil
+	return runE9Runtime(rep)
 }
 
 // e9ServiceConfig builds one DES sweep point. The workload is the CM1
@@ -145,7 +140,7 @@ func runE9DES(opts Options, rep *Report) error {
 
 // runE9Runtime is the runtime face: two real tenant clusters on one
 // shared broker, checking the token accounting closes.
-func runE9Runtime(opts Options, rep *Report) error {
+func runE9Runtime(rep *Report) error {
 	const (
 		rtNodes   = 4
 		rtClients = 2

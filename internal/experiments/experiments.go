@@ -1,7 +1,8 @@
-// Package experiments implements the reproduction harness: one runner per
-// quantitative claim of the paper's evaluation (§IV and §V.C), each
+// Package experiments implements the reproduction harness: one experiment
+// per quantitative claim of the paper's evaluation (§IV and §V.C), each
 // producing the table/series the paper reports plus a set of checks
-// comparing the measured shape against the published one.
+// comparing the measured shape against the published one. Every
+// experiment is one Registry entry, run through a Pass.
 //
 // Experiment IDs (docs/EXPERIMENTS.md has the full index):
 //
@@ -15,6 +16,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/iostrat"
@@ -98,15 +100,7 @@ func (o Options) strategyConfig(cores int) iostrat.Config {
 const treeFanout = 4
 
 // maxScale returns the largest core count in the sweep.
-func (o Options) maxScale() int {
-	m := o.Scales[0]
-	for _, s := range o.Scales[1:] {
-		if s > m {
-			m = s
-		}
-	}
-	return m
-}
+func (o Options) maxScale() int { return slices.Max(o.Scales) }
 
 // Check compares one measured quantity against the band implied by the
 // paper's claim. Bands are generous on purpose: the substrate is a

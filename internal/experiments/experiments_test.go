@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -84,32 +86,112 @@ func TestReportRendering(t *testing.T) {
 }
 
 func TestE1QuickShape(t *testing.T) {
-	res, err := RunE1(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tables) == 0 || res.Tables[0].NumRows() != len(quick().Scales)*3 {
+	p := NewPass(quick())
+	rep := runOn(t, p, "e1")
+	if len(rep.Tables) == 0 || rep.Tables[0].NumRows() != len(quick().Scales)*3 {
 		t.Fatalf("E1 table shape wrong")
 	}
 	// Even at toy scale, Damaris must hide I/O and run fastest.
-	for _, scale := range quick().Scales {
-		dam := res.Results[scale][iostrat.Damaris]
-		coll := res.Results[scale][iostrat.Collective]
+	damarisHidesIO(t, p)
+}
+
+// damarisHidesIO reads the E1 legs of pass p at every scale: Damaris'
+// visible I/O stays under a second and it beats collective I/O.
+func damarisHidesIO(t *testing.T, p *Pass) {
+	t.Helper()
+	for _, scale := range p.opts.Scales {
+		dam, coll := leg(t, p, iostrat.Damaris, scale), leg(t, p, iostrat.Collective, scale)
 		if dam.MeanIOTime() > 1 {
-			t.Errorf("scale %d: Damaris visible I/O %v", scale, dam.MeanIOTime())
+			t.Errorf("%s @%d: Damaris visible I/O %v s", p.opts.Platform, scale, dam.MeanIOTime())
 		}
 		if dam.TotalTime >= coll.TotalTime {
-			t.Errorf("scale %d: Damaris (%v) not faster than collective (%v)",
-				scale, dam.TotalTime, coll.TotalTime)
+			t.Errorf("%s @%d: Damaris (%v) not faster than collective (%v)",
+				p.opts.Platform, scale, dam.TotalTime, coll.TotalTime)
 		}
 	}
 }
 
-func TestE2Quick(t *testing.T) {
-	rep, err := RunE2(quick())
+// leg returns pass p's leg of approach a on the default config at cores.
+func leg(t *testing.T, p *Pass, a iostrat.Approach, cores int) iostrat.Result {
+	t.Helper()
+	r, err := p.des(a, p.opts.strategyConfig(cores))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
+
+// TestPassRunsEachLegOnce: one pass runs each distinct DES leg once and
+// serves the repeats, a served result is what a fresh run returns, and
+// legs that differ in any Config field, a pointer's identity included,
+// both run.
+func TestPassRunsEachLegOnce(t *testing.T) {
+	p := NewPass(quick())
+	for _, id := range []string{"e1", "e2", "e3", "e4"} {
+		runOn(t, p, id)
+	}
+	// E1 asks for 3 approaches at 2 scales; E2's four legs, E3's three
+	// and E4's two are among them.
+	if len(p.legs) != 6 || p.requests != 15 {
+		t.Fatalf("E1-E4 ran %d legs for %d requests, want 6 for 15", len(p.legs), p.requests)
+	}
+	top := p.opts.maxScale()
+	cfg := p.opts.strategyConfig(top)
+	fresh, err := iostrat.Run(iostrat.Damaris, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served := leg(t, p, iostrat.Damaris, top); !reflect.DeepEqual(served, fresh) {
+		t.Fatal("served result differs from a fresh run")
+	}
+
+	seed, failA := cfg, cfg
+	seed.Seed++
+	failA.Fanout = treeFanout
+	failB := failA
+	failA.Failures = cluster.NewFailureSchedule()
+	failB.Failures = cluster.NewFailureSchedule()
+	for _, c := range []iostrat.Config{seed, failA, failB} {
+		if _, err := p.des(iostrat.Damaris, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(p.legs) != 9 {
+		t.Fatalf("%d legs after a new seed and two failure schedules, want 9", len(p.legs))
+	}
+
+	// Each E11 leg carries its own freshly generated trace, so none is
+	// served, the replay of the NIC-step leg included.
+	e11 := NewPass(quick())
+	runOn(t, e11, "e11")
+	if len(e11.legs) != e11.requests {
+		t.Fatalf("E11 ran %d legs for %d requests", len(e11.legs), e11.requests)
+	}
+}
+
+// run runs the registered experiment id on a fresh pass over opts.
+func run(t *testing.T, opts Options, id string) Report {
+	t.Helper()
+	return runOn(t, NewPass(opts), id)
+}
+
+// runOn runs the registered experiment id on pass p.
+func runOn(t *testing.T, p *Pass, id string) Report {
+	t.Helper()
+	reg := Registry()
+	i := slices.IndexFunc(reg, func(e Entry) bool { return e.ID == id })
+	if i < 0 {
+		t.Fatalf("no experiment %q", id)
+	}
+	rep, err := p.Run(reg[i])
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	return rep
+}
+
+func TestE2Quick(t *testing.T) {
+	rep := run(t, quick(), "e2")
 	if len(rep.Tables) != 2 {
 		t.Fatalf("E2 tables = %d", len(rep.Tables))
 	}
@@ -125,10 +207,7 @@ func TestE3QuickOrdering(t *testing.T) {
 	// The full collective < FPP < Damaris ordering is a contention
 	// phenomenon that appears at scale (asserted by the paper-scale
 	// bench); at toy scale only the Damaris > collective gap is robust.
-	rep, err := RunE3(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, quick(), "e3")
 	var damaris, collective float64
 	for _, row := range strings.Split(rep.Tables[0].CSV(), "\n") {
 		cells := strings.Split(row, ",")
@@ -158,10 +237,7 @@ func parseFloat(t *testing.T, s string) float64 {
 }
 
 func TestE4Quick(t *testing.T) {
-	rep, err := RunE4(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, quick(), "e4")
 	if len(rep.Tables) != 1 || rep.Tables[0].NumRows() != len(quick().Scales) {
 		t.Fatalf("E4 table shape")
 	}
@@ -173,10 +249,7 @@ func TestE4Quick(t *testing.T) {
 }
 
 func TestE5Quick(t *testing.T) {
-	rep, err := RunE5(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, quick(), "e5")
 	for _, c := range rep.Checks {
 		if !c.Pass() {
 			t.Errorf("E5 check failed: %s", c)
@@ -188,10 +261,7 @@ func TestE6QuickGain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the runtime face paces real writes")
 	}
-	rep, err := RunE6(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, quick(), "e6")
 	// Classic policy sweep, cross-root DES sweep, runtime comparison.
 	if len(rep.Tables) != 3 {
 		t.Fatalf("E6 tables = %d, want 3", len(rep.Tables))
@@ -216,10 +286,7 @@ func TestE7Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock measurement")
 	}
-	rep, err := RunE7(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, quick(), "e7")
 	// Only assert the deterministic parts: frames dropped and the scale
 	// model; absolute wall-clock ratios are machine-dependent.
 	for _, c := range rep.Checks {
@@ -230,16 +297,13 @@ func TestE7Quick(t *testing.T) {
 }
 
 func TestE8CountsAreStable(t *testing.T) {
-	rep, err := RunE8(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, quick(), "e8")
 	for _, c := range rep.Checks {
 		if !c.Pass() {
 			t.Errorf("E8 check failed: %s", c)
 		}
 	}
-	rep2, _ := RunE8(quick())
+	rep2 := run(t, quick(), "e8")
 	if rep.Checks[0].Measured != rep2.Checks[0].Measured {
 		t.Fatal("LoC count not deterministic")
 	}
@@ -264,10 +328,7 @@ func TestCouplingsRun(t *testing.T) {
 }
 
 func TestA1CopySemantics(t *testing.T) {
-	rep, err := RunA1(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, quick(), "a1")
 	for _, c := range rep.Checks {
 		if !c.Pass() {
 			t.Errorf("A1 check failed: %s", c)
@@ -276,10 +337,7 @@ func TestA1CopySemantics(t *testing.T) {
 }
 
 func TestA2QuickMonotone(t *testing.T) {
-	rep, err := RunA2(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, quick(), "a2")
 	if rep.Tables[0].NumRows() != 4 {
 		t.Fatalf("A2 sweep rows = %d", rep.Tables[0].NumRows())
 	}
@@ -292,11 +350,8 @@ func TestCountInstrumentationErrors(t *testing.T) {
 }
 
 func TestDeterministicReports(t *testing.T) {
-	a, err := RunE3(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := RunE3(quick())
+	a := run(t, quick(), "e3")
+	b := run(t, quick(), "e3")
 	if a.Tables[0].CSV() != b.Tables[0].CSV() {
 		t.Fatal("E3 not reproducible across runs")
 	}
@@ -307,39 +362,17 @@ func TestDeterministicReports(t *testing.T) {
 // preset, not just Kraken.
 func TestOtherPlatforms(t *testing.T) {
 	for _, platform := range []string{"grid5000", "power5"} {
-		o := Options{
-			Seed:       2013,
-			Iterations: 2,
-			Platform:   platform,
-		}
-		switch platform {
-		case "grid5000":
-			o.Scales = []int{96, 192} // multiples of 24 cores/node
-		case "power5":
-			o.Scales = []int{96, 192} // multiples of 16 cores/node
-		}
-		res, err := RunE1(o)
-		if err != nil {
-			t.Fatalf("%s: %v", platform, err)
-		}
-		for _, scale := range o.Scales {
-			dam := res.Results[scale][iostrat.Damaris]
-			coll := res.Results[scale][iostrat.Collective]
-			if dam.MeanIOTime() > 1 {
-				t.Errorf("%s @%d: Damaris visible I/O %v s", platform, scale, dam.MeanIOTime())
-			}
-			if dam.TotalTime >= coll.TotalTime {
-				t.Errorf("%s @%d: Damaris not faster than collective", platform, scale)
-			}
-		}
+		// 96 and 192 cores: multiples of 24 (grid5000) and 16 (power5)
+		// cores/node.
+		o := Options{Seed: 2013, Iterations: 2, Scales: []int{96, 192}, Platform: platform}
+		p := NewPass(o)
+		runOn(t, p, "e1")
+		damarisHidesIO(t, p)
 	}
 }
 
 func TestF1Quick(t *testing.T) {
-	rep, err := RunF1(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, quick(), "f1")
 	if len(rep.Tables) != 2 {
 		t.Fatalf("F1 produced %d tables, want 2 (DES + runtime)", len(rep.Tables))
 	}
@@ -351,10 +384,7 @@ func TestF1Quick(t *testing.T) {
 }
 
 func TestR1Quick(t *testing.T) {
-	rep, err := RunR1(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, quick(), "r1")
 	if len(rep.Tables) != 2 {
 		t.Fatalf("R1 produced %d tables, want 2 (restore + DES read model)", len(rep.Tables))
 	}
@@ -370,10 +400,7 @@ func TestR1Quick(t *testing.T) {
 func TestR1SDFArtifacts(t *testing.T) {
 	opts := quick()
 	opts.BackendDir = t.TempDir()
-	rep, err := RunR1(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, opts, "r1")
 	if !rep.AllPass() {
 		t.Fatalf("checks failed:\n%s", rep.String())
 	}
@@ -442,10 +469,7 @@ func TestR1AdaptiveStoreSmallBlocks(t *testing.T) {
 }
 
 func TestC1Quick(t *testing.T) {
-	rep, err := RunC1(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, quick(), "c1")
 	for _, c := range rep.Checks {
 		if !c.Pass() {
 			t.Errorf("C1 check failed: %s", c)
@@ -460,10 +484,7 @@ func TestC1Quick(t *testing.T) {
 // including the acceptance one, EDF beating FIFO on p99 write latency
 // under oversubscription — must hold.
 func TestE9Quick(t *testing.T) {
-	rep, err := RunE9(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, quick(), "e9")
 	if len(rep.Tables) != 2 { // DES sweep + runtime accounting
 		t.Fatalf("E9 produced %d tables, want 2", len(rep.Tables))
 	}

@@ -17,7 +17,7 @@ var f1Rates = []float64{0, 0.15, 0.3}
 // holds exactly one pending iteration, below it every offer fails.
 var f1ShmFactors = []float64{1.0, 0.75}
 
-// RunF1 measures the data-loss / end-to-end-latency trade of losing
+// runF1 measures the data-loss / end-to-end-latency trade of losing
 // aggregation nodes (ROADMAP open item 1): a seeded random failure
 // schedule kills nodes mid-iteration, the tree re-routes their
 // children, and the loss is compared against the paper's §V.C skip
@@ -25,9 +25,8 @@ var f1ShmFactors = []float64{1.0, 0.75}
 // side. The sweep runs on both the DES tree-mode Damaris strategy and
 // the runtime cluster layer, so the simulated and real re-routing
 // arithmetic are exercised side by side.
-func RunF1(opts Options) (Report, error) {
-	opts = opts.withDefaults()
-	rep := Report{ID: "F1", Title: "node-failure injection and subtree re-routing"}
+func runF1(p *Pass, rep *Report) error {
+	opts := p.opts
 	cores := opts.maxScale()
 	plat := opts.platformFor(cores)
 
@@ -54,9 +53,9 @@ func RunF1(opts Options) (Report, error) {
 			sched.Add(plat.Nodes/3, opts.Iterations/2)
 		}
 		cfg.Failures = sched
-		res, err := iostrat.Run(iostrat.Damaris, cfg)
+		res, err := p.des(iostrat.Damaris, cfg)
 		if err != nil {
-			return Report{}, err
+			return err
 		}
 		desRuns = append(desRuns, res)
 		desTable.AddRow("failure+reroute", rate, res.NodesFailed, res.ReroutedEdges,
@@ -68,9 +67,9 @@ func RunF1(opts Options) (Report, error) {
 	for _, factor := range f1ShmFactors {
 		cfg := desCfg()
 		cfg.ShmCapacity = factor * nodeBytes
-		res, err := iostrat.Run(iostrat.Damaris, cfg)
+		res, err := p.des(iostrat.Damaris, cfg)
 		if err != nil {
-			return Report{}, err
+			return err
 		}
 		desTable.AddRow(fmt.Sprintf("skip-policy shm=%.2fx", factor), 0.0,
 			0, 0, res.DataLossFraction(), res.TotalTime, res.DrainTime,
@@ -107,7 +106,7 @@ func RunF1(opts Options) (Report, error) {
 			each: func(*cluster.Cluster, int) error { return nil },
 		}.run()
 		if err != nil {
-			return Report{}, err
+			return err
 		}
 		rtRuns = append(rtRuns, rtRun{sched: sched, st: st})
 		rtTable.AddRow(rate, st.NodesFailed, st.ReroutedEdges, st.BlocksLost,
@@ -165,7 +164,7 @@ func RunF1(opts Options) (Report, error) {
 			Measured: rtCompleted, Unit: "", Lo: 1, Hi: 1,
 		},
 	}
-	return rep, nil
+	return nil
 }
 
 // f1ClusterLoss is the data-loss fraction of a runtime cluster run: the

@@ -12,7 +12,7 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/paper.golden")
 
 // TestPaperGolden runs every registered experiment at paper scale
-// (Default()) and compares the masked reports (measured cells and timed
+// (Default()) through one pass and compares the masked reports (measured cells and timed
 // checks shown as "~") with testdata/paper.golden. A deliberate change
 // to a simulated number shows up as a reviewable diff of that file:
 //
@@ -22,13 +22,20 @@ func TestPaperGolden(t *testing.T) {
 		t.Skip("runs every experiment, runtime legs included")
 	}
 	var b strings.Builder
+	p := NewPass(Default())
 	for _, e := range Registry() {
-		rep, err := e.Run(Default())
+		rep, err := p.Run(e)
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
 		b.WriteString(rep.Masked())
 		b.WriteByte('\n')
+	}
+	// The default 9,216-core Damaris leg alone is asked for by nine
+	// experiments; the pass runs it, and every other shared leg, once.
+	if len(p.legs) > 68 || p.requests != 85 {
+		t.Errorf("pass ran %d DES legs for %d requests, want at most 68 for 85",
+			len(p.legs), p.requests)
 	}
 	got := b.String()
 	path := filepath.Join("testdata", "paper.golden")

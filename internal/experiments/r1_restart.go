@@ -13,7 +13,7 @@ import (
 // r1Rates are the node-failure rates swept by the runtime restore side.
 var r1Rates = []float64{0, 0.25}
 
-// RunR1 exercises the object read path end to end (ROADMAP "object
+// runR1 exercises the object read path end to end (ROADMAP "object
 // read path" item): a runtime cluster writes N iterations of objects
 // plus manifests — optionally losing nodes mid-run — then
 // cluster.Restore reads everything back and the recovered state is
@@ -22,9 +22,8 @@ var r1Rates = []float64{0, 0.25}
 // object reads vs per-node files, the inverse of the write path) and
 // contrasts it with the §V.C skip policy, which avoids checkpoint
 // reads by dropping data that must then be recomputed.
-func RunR1(opts Options) (Report, error) {
-	opts = opts.withDefaults()
-	rep := Report{ID: "R1", Title: "checkpoint/restart from stored objects"}
+func runR1(p *Pass, rep *Report) error {
+	opts := p.opts
 
 	// Runtime side: write with optional failures, restore, compare.
 	const (
@@ -37,7 +36,7 @@ func RunR1(opts Options) (Report, error) {
 	for i := range stores {
 		var err error
 		if stores[i], err = r1Store(opts, i); err != nil {
-			return Report{}, err
+			return err
 		}
 	}
 	rtTable := stats.NewTable(
@@ -63,11 +62,11 @@ func RunR1(opts Options) (Report, error) {
 			spec: cluster.RunSpec{Failures: spreadFailures(rtNodes, rate, rtFailAt)},
 		}.run()
 		if err != nil {
-			return Report{}, err
+			return err
 		}
 		restored, restoreWall, err := restoreClean(store, "r1")
 		if err != nil {
-			return Report{}, err
+			return err
 		}
 		run := rtRun{
 			st:        st,
@@ -98,14 +97,14 @@ func RunR1(opts Options) (Report, error) {
 	treeCfg.Fanout = treeFanout
 	treeRes, err := iostrat.RestartRead(treeCfg)
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	desTable.AddRow("restart tree-striped", treeRes.ReadTime, treeRes.TotalTime,
 		stats.GB(treeRes.BytesRead), 0.0, 0.0)
 
 	flatRes, err := iostrat.RestartRead(opts.strategyConfig(cores))
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	desTable.AddRow("restart per-node files", flatRes.ReadTime, flatRes.TotalTime,
 		stats.GB(flatRes.BytesRead), 0.0, 0.0)
@@ -116,9 +115,9 @@ func RunR1(opts Options) (Report, error) {
 	skipCfg := opts.strategyConfig(cores)
 	skipCfg.Fanout = treeFanout
 	skipCfg.ShmCapacity = 0.75 * iostrat.CM1Workload(opts.Iterations).NodeBytes(plat.CoresPerNode)
-	skipRes, err := iostrat.Run(iostrat.Damaris, skipCfg)
+	skipRes, err := p.des(iostrat.Damaris, skipCfg)
 	if err != nil {
-		return Report{}, err
+		return err
 	}
 	skipLoss := skipRes.DataLossFraction()
 	recompute := skipLoss * float64(opts.Iterations) * skipCfg.Workload.ComputeTime
@@ -166,7 +165,7 @@ func RunR1(opts Options) (Report, error) {
 			Measured: treeRes.ReadTime, Unit: "s", Lo: 1e-9,
 		},
 	}
-	return rep, nil
+	return nil
 }
 
 // r1Store builds the object store for one runtime run: memory, or with

@@ -44,8 +44,8 @@ type runtimeLeg struct {
 	job            string
 	nodes, clients int
 	floats, iters  int
-	// cc carries Fanout, Roots, Store, Broker and DisableManifests; the
-	// platform is derived from nodes × clients.
+	// cc carries Fanout, Roots, Store and Broker; the platform is
+	// derived from nodes × clients.
 	cc cluster.ClusterConfig
 	// spec carries Failures, Hooks and Retain; Meta is derived from job
 	// and floats.
