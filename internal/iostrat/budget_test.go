@@ -28,15 +28,15 @@ var desWorkBudgets = map[string]struct {
 	"toy/pfs/collective":       {2996, 0, 0},
 	"toy/pfs/damaris-flat":     {1287, 0, 0},
 	"toy/pfs/damaris-tree":     {1238, 0, 0},
-	"toy/memory/fpp":           {2450, 0, 0},
+	"toy/memory/fpp":           {2444, 0, 0},
 	"toy/memory/collective":    {2316, 0, 0},
 	"toy/memory/damaris-flat":  {1284, 0, 0},
 	"toy/memory/damaris-tree":  {1257, 0, 0},
-	"1152/pfs/fpp":             {20936, 0, 32300},
+	"1152/pfs/fpp":             {20963, 0, 32300},
 	"1152/pfs/collective":      {24392, 0, 31200},
 	"1152/pfs/damaris-flat":    {10749, 0, 16800},
 	"1152/pfs/damaris-tree":    {10456, 0, 16050},
-	"1152/memory/fpp":          {20166, 0, 31300},
+	"1152/memory/fpp":          {20174, 0, 31300},
 	"1152/memory/collective":   {19000, 0, 29700},
 	"1152/memory/damaris-flat": {10744, 0, 15600},
 	"1152/memory/damaris-tree": {10758, 0, 15700},

@@ -46,9 +46,6 @@ type Partition struct {
 // NewPartition returns a partition rooted at seed.
 func NewPartition(seed uint64) Partition { return Partition{seed: seed} }
 
-// Seed reports the root seed the partition was built from.
-func (p Partition) Seed() uint64 { return p.seed }
-
 // Subsystem returns the named subsystem's own stream — the Entity-0
 // stream of SimulationKey{Seed, name, 0}.
 func (p Partition) Subsystem(name string) *Stream {

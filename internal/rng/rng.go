@@ -20,24 +20,27 @@ import (
 // Stream is a deterministic random number stream. It is not safe for
 // concurrent use; derive one stream per logical entity instead of sharing.
 type Stream struct {
-	state uint64
-	inc   uint64
-	seed  uint64 // construction seed, retained for Named/Child derivation
+	state, inc uint64
+	seed       uint64 // construction seed, retained for Named/Child derivation
 	// spare holds a cached second output of the polar normal transform.
 	spare    float64
 	hasSpare bool
 }
 
-// New returns a stream for the given seed and stream identifier.
-// Distinct stream identifiers select statistically independent sequences
-// for the same seed.
+// New returns a stream for the given seed and stream identifier; distinct
+// identifiers select independent sequences for one seed. It inlines, so a
+// caller that copies the stream out (*r.Child(id)) allocates nothing.
 func New(seed, stream uint64) *Stream {
-	s := &Stream{inc: stream<<1 | 1, seed: seed}
-	s.state = 0
+	s := new(Stream)
+	s.start(seed, stream)
+	return s
+}
+
+func (s *Stream) start(seed, stream uint64) {
+	*s = Stream{inc: stream<<1 | 1, seed: seed}
 	s.Uint32()
 	s.state += seed
 	s.Uint32()
-	return s
 }
 
 // Named derives a child stream from s identified by name. The derivation
@@ -66,16 +69,10 @@ func (s *Stream) Uint32() uint32 {
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.
-func (s *Stream) Uint64() uint64 {
-	hi := uint64(s.Uint32())
-	lo := uint64(s.Uint32())
-	return hi<<32 | lo
-}
+func (s *Stream) Uint64() uint64 { return uint64(s.Uint32())<<32 | uint64(s.Uint32()) }
 
 // Float64 returns a uniform value in [0, 1).
-func (s *Stream) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
-}
+func (s *Stream) Float64() float64 { return float64(s.Uint64()>>11) / (1 << 53) }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (s *Stream) Intn(n int) int {
@@ -100,28 +97,33 @@ func (s *Stream) Perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {
 		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
+		p[i], p[j] = p[j], i
 	}
 	return p
 }
 
-// Sample returns k distinct values of [0, n): exactly Perm(n)[:k], and
-// it leaves the stream where Perm(n) leaves it (the same n Intn draws),
-// but it keeps only the first k slots — a later swap matters only when
-// it lands in one of them.
+// Sample returns a uniformly random ordered k-subset of [0, n): the first
+// k slots of a Fisher–Yates shuffle of the identity, in exactly k Intn
+// draws. The array is virtual: swaps logs the (slot, value) pairs earlier
+// swaps wrote (the last pair of a slot wins), so no cost grows with n.
 func (s *Stream) Sample(n, k int) []int {
 	if k < 0 || k > n {
 		panic(fmt.Sprintf("rng: Sample(%d, %d)", n, k))
 	}
-	p := make([]int, k)
-	for i := 0; i < n; i++ {
-		j := s.Intn(i + 1)
-		if i < k {
-			p[i] = p[j]
-			p[j] = i
-		} else if j < k {
-			p[j] = i
+	p, swaps := make([]int, k), []int(nil)
+	for i := range p {
+		j := i + s.Intn(n-i)
+		vi, vj := i, j
+		for l := 0; l < len(swaps); l += 2 {
+			if swaps[l] == i {
+				vi = swaps[l+1]
+			}
+			if swaps[l] == j {
+				vj = swaps[l+1]
+			}
+		}
+		if p[i] = vj; j != i && i+1 < k {
+			swaps = append(swaps, j, vi)
 		}
 	}
 	return p
