@@ -122,9 +122,9 @@ func leg(t *testing.T, p *Pass, a iostrat.Approach, cores int) iostrat.Result {
 }
 
 // TestPassRunsEachLegOnce: one pass runs each distinct DES leg once and
-// serves the repeats, a served result is what a fresh run returns, and
-// legs that differ in any Config field, a pointer's identity included,
-// both run.
+// serves the repeats, a served result is what a fresh run returns, a
+// leg that spells a default out is served, and legs that differ in any
+// canonical Config field, a pointer's identity included, both run.
 func TestPassRunsEachLegOnce(t *testing.T) {
 	p := NewPass(quick())
 	for _, id := range []string{"e1", "e2", "e3", "e4"} {
@@ -143,6 +143,16 @@ func TestPassRunsEachLegOnce(t *testing.T) {
 	}
 	if served := leg(t, p, iostrat.Damaris, top); !reflect.DeepEqual(served, fresh) {
 		t.Fatal("served result differs from a fresh run")
+	}
+
+	// Spelling a default out is the same leg: the key is canonical.
+	spelled := cfg
+	spelled.Scheduling, spelled.FilesPerIter, spelled.Codec = iostrat.SchedNone, 1, "none"
+	if _, err := p.des(iostrat.Damaris, spelled); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.legs) != 6 {
+		t.Fatalf("%d legs after the default leg with its defaults spelled out, want 6", len(p.legs))
 	}
 
 	seed, failA := cfg, cfg

@@ -74,14 +74,14 @@ func (p *Pass) Run(e Entry) (Report, error) {
 	return rep, nil
 }
 
-// des runs approach a on cfg, once per pass. The key prints every
-// Config field, so two legs share a result only when they are equal
-// field for field, pointers compared by identity (a fresh failure
+// des runs approach a on cfg, once per pass. The key prints every field
+// of cfg.Canonical(), so a leg that spells a default out meets the one
+// that leaves it zero; pointers compare by identity (a fresh failure
 // schedule or scenario trace is a new leg). Results are shared between
 // experiments and must be treated as read-only.
 func (p *Pass) des(a iostrat.Approach, cfg iostrat.Config) (iostrat.Result, error) {
 	p.requests++
-	key := fmt.Sprintf("%s %#v", a, cfg)
+	key := fmt.Sprintf("%s %#v", a, cfg.Canonical())
 	if l, ok := p.legs[key]; ok {
 		return l.res, nil
 	}

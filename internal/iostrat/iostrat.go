@@ -224,7 +224,9 @@ type Config struct {
 	testBase func(*des.Engine, *rng.Stream) storage.CostModel
 }
 
-func (c Config) withDefaults() Config {
+// Canonical returns c with every default filled in, the form Run and
+// RestartRead use: equal canonical forms run the same model.
+func (c Config) Canonical() Config {
 	if c.Scenario != nil {
 		// The trace overrides the flat workload: its first iteration
 		// seeds the base numbers (reports, stretch math), the trace
@@ -475,7 +477,7 @@ func (r Result) IdleFraction() float64 {
 
 // Run executes the named approach under cfg and returns its measurements.
 func Run(a Approach, cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.Canonical()
 	switch a {
 	case FilePerProcess:
 		return runFPP(cfg)

@@ -34,7 +34,7 @@ type RestartResult struct {
 // after the deaths, so dead nodes neither hold data to read nor
 // receive any.
 func RestartRead(cfg Config) (RestartResult, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.Canonical()
 	eng := des.NewEngine()
 	root := rng.New(cfg.Seed, 17)
 	be, _, err := cfg.newCostModel(eng, root.Named("pfs"))
