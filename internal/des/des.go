@@ -3,40 +3,32 @@
 // paper (up to 9216 cores on a Kraken-like machine) are replayed in
 // virtual time.
 //
-// Model: an Engine owns a virtual clock and its pending events, and Run
-// fires them one at a time on its own goroutine, in (time, seq) order,
-// so execution is sequential and fully deterministic. Every simulated
-// actor — the per-core ranks, the dedicated cores, the restart readers,
-// the in-situ consumers, the reduction layers' transfers — is a state
-// machine driven by continuations: it books its next step with
-// Engine.Wait, Future.Then, Barrier.ArriveThen or Resource.AcquireThen,
-// and each step runs to completion inside the event that fires it, so an
-// actor costs no more than the events it books. Futures, Barriers and
-// Resources wake their waiting continuations in FIFO order, each in an
-// event of its own; one whose condition already holds runs inline.
-// Callback events (Engine.At) are continuations with a cancelable,
-// reschedulable handle. A panic inside a step leaves Run with the same
-// value.
+// An event is the tuple (at, kind, seq, actor): a virtual time, a kind,
+// the engine's booking sequence number and an int32 actor index. A kind
+// is a handler registered once per engine (Engine.Handle) and called
+// with the actor index, so a model keeps its actors — ranks, OSTs,
+// transfers — by value in slices and books a step as a kind plus an
+// index, with no closure per actor or per event. Kind 0, the func kind,
+// carries a one-off continuation as a func() (Wait, At, Then). Run fires
+// events one at a time, in (time, kind rank, seq) order; every kind
+// starts at rank 0, which leaves (time, seq), and SetRank orders the
+// kinds due at one instant. Each actor is a state machine: a step books
+// the next (Wait or Post, Future.Then, Barrier.ArriveThen,
+// Resource.AcquireThen, or their Post forms) and runs to completion in
+// the event that fires it. Futures, Barriers and Resources wake waiters
+// in FIFO order, each in an event of its own; one whose condition
+// already holds runs inline. A panic inside a step leaves Run with it.
 //
-// Proc is a small adapter on those primitives for tests and
-// micro-benchmarks: a coroutine (iter.Pull) whose body blocks in
-// Proc.Wait and Proc.Do, each firing exactly the events of its
-// continuation form. No model uses it.
+// Proc adapts those primitives for tests and micro-benchmarks: a
+// coroutine (iter.Pull) whose body blocks in Proc.Wait and Proc.Do,
+// firing exactly the events of its continuation form. No model uses it.
 //
-// Pending events live in one of two places. An event booked for a later
-// time goes into an indexed binary heap on (time, seq). An event booked
-// for the current instant — a wake, a zero-delay Wait, a Spawn — goes to
-// the back of the lane, a FIFO slice of the events due now; in the
-// strategy runs that is over half of all events, and the lane books them
-// in O(1) where the heap costs O(log n). Run fires the heap's events at
-// the current time first, then drains the lane, and only then advances
-// the clock to the heap's top. That is exactly (time, seq) order: an
-// event reaches the heap only if it was booked before the clock reached
-// its time, so it precedes every lane event of that instant. Cancelling
-// a heap event removes it in O(log n); cancelling a lane event leaves a
-// tombstone, which Run recycles without firing or counting it. A Timer
-// retimed into the current instant or out of it is cancelled and booked
-// afresh at the back of its new instant, as Cancel followed by At would.
+// A later event goes into an indexed binary heap; one due now goes to
+// the back of the lane, a FIFO slice, in O(1), unless its rank is below
+// the lane's tail. Run fires the earlier of the heap's top and the
+// lane's head. Cancelling a heap event removes it in O(log n); a lane
+// event leaves a tombstone that Run recycles unfired and uncounted.
+// Events are recycled through a free list refilled 64 at a time.
 package des
 
 import (
@@ -44,17 +36,25 @@ import (
 	"iter"
 )
 
-// event is a scheduled occurrence: a continuation, fn, to run at time.
-// A pending event sits in the engine's indexed heap (index is its
-// position, so Cancel and Reschedule there are O(log n) structural
-// updates) or in the lane (index is inLane). Fired or canceled events
-// are recycled through the engine's freelist — gen is bumped on every
-// recycle so a stale Timer handle can never touch an event that now
+// Kind names an event handler registered with Engine.Handle.
+type Kind int32
+
+// cont is a continuation: fn, or else kind's handler applied to actor.
+type cont struct {
+	fn    func()
+	kind  Kind
+	actor int32
+}
+
+// event is a scheduled continuation, in the heap (index is its
+// position) or in the lane (index is inLane). gen is bumped on every
+// recycle, so a stale Timer handle never touches an event that now
 // belongs to someone else.
 type event struct {
-	time  float64
-	seq   uint64 // tie-breaker: FIFO among equal-time events
-	fn    func()
+	time float64
+	seq  uint64 // tie-breaker: FIFO among equal-time, equal-rank events
+	cont
+	rank  int32
 	index int    // heap position, inLane, or notPending
 	gen   uint32 // incarnation counter validated by Timer handles
 }
@@ -65,31 +65,55 @@ const (
 	inLane     = -2 // due at the current instant, waiting in the lane
 )
 
-// Engine is a discrete-event simulation engine. Create one with
-// NewEngine, book the actors' first steps, then call Run. An Engine must
-// not be used from multiple OS-level contexts at once; all interaction
-// happens either before Run or from within the events it fires.
+// Engine is a discrete-event simulation engine: NewEngine, register
+// handlers, book the actors' first steps, then Run. It is used from one
+// goroutine, before Run or from within the events it fires.
 type Engine struct {
 	now    float64
 	seq    uint64
-	events []*event // indexed binary min-heap on (time, seq), all after now
-	lane   []*event // events due at now, in booking order, from head on
+	events []*event // indexed binary min-heap on (time, rank, seq)
+	lane   []*event // events due at now, in (rank, seq) order, from head on
 	head   int
 	free   []*event // recycled event structs (see event.gen)
 	nconts int      // continuations parked on a Future, Barrier or Resource (deadlock diagnostics)
+
+	handlers []func(actor int32) // kind k's handler is handlers[k-1]
+	ranks    []int32             // and its rank ranks[k-1]
 
 	dispatched uint64 // events fired by Run
 	spawned    int    // Proc adapters created by Spawn and SpawnAt
 }
 
-// The indexed heap. Identical ordering to the pre-index implementation
-// — (time, seq) min-heap, so equal-time events fire in schedule order —
-// but every sift updates event.index, which is what makes removal and
-// retiming of an arbitrary pending event logarithmic.
+// Handle registers fn as the handler of a new kind and returns it. The
+// kind's events call fn with their actor index, at rank 0.
+func (e *Engine) Handle(fn func(actor int32)) Kind {
+	e.handlers = append(e.handlers, fn)
+	e.ranks = append(e.ranks, 0)
+	return Kind(len(e.handlers))
+}
+
+// SetRank sets k's rank (the func kind's is 0): of the events due at one
+// instant, lower ranks fire first. An event keeps its booking's rank.
+func (e *Engine) SetRank(k Kind, rank int32) { e.ranks[k-1] = rank }
+
+// run runs a continuation in the current event.
+func (e *Engine) run(c cont) {
+	if c.fn != nil {
+		c.fn()
+		return
+	}
+	e.handlers[c.kind-1](c.actor)
+}
+
+// The indexed heap: every sift updates event.index, which is what makes
+// removal and retiming of an arbitrary pending event logarithmic.
 
 func (e *Engine) heapLess(a, b *event) bool {
 	if a.time != b.time {
 		return a.time < b.time
+	}
+	if a.rank != b.rank {
+		return a.rank < b.rank
 	}
 	return a.seq < b.seq
 }
@@ -140,66 +164,55 @@ func (e *Engine) heapPush(ev *event) {
 }
 
 func (e *Engine) heapPop() *event {
-	h := e.events
-	ev := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[0].index = 0
-	h[last] = nil
-	e.events = h[:last]
-	ev.index = notPending
-	if last > 0 {
-		e.heapDown(0)
-	}
+	ev := e.events[0]
+	e.heapRemove(ev)
 	return ev
 }
 
 // heapRemove unlinks a pending event from the heap.
 func (e *Engine) heapRemove(ev *event) {
-	i := ev.index
-	last := len(e.events) - 1
+	i, last := ev.index, len(e.events)-1
 	e.heapSwap(i, last)
 	e.events[last] = nil
 	e.events = e.events[:last]
 	ev.index = notPending
 	if i < last {
-		e.heapDown(i)
-		e.heapUp(i)
+		e.heapFix(i)
 	}
 }
 
-// heapFix restores heap order after ev.time changed in place.
-func (e *Engine) heapFix(ev *event) {
-	e.heapDown(ev.index)
-	e.heapUp(ev.index)
+// heapFix restores heap order at position i after its time changed.
+func (e *Engine) heapFix(i int) {
+	e.heapDown(i)
+	e.heapUp(i)
 }
 
-// newEvent takes an event struct off the freelist (or allocates one).
+// newEvent takes an event off the freelist, refilling it a block at a time.
 func (e *Engine) newEvent() *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
+	if len(e.free) == 0 {
+		blk := make([]event, 64)
+		for i := range blk {
+			e.free = append(e.free, &blk[i])
+		}
 	}
-	return &event{}
+	ev := e.free[len(e.free)-1]
+	e.free = e.free[:len(e.free)-1]
+	return ev
 }
 
-// recycle retires a fired or canceled event to the freelist. The gen
-// bump invalidates every Timer handle still pointing at it.
+// recycle retires a fired or canceled event to the freelist.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.fn = nil
+	ev.cont = cont{}
 	ev.index = notPending
 	e.free = append(e.free, ev)
 }
 
-// cancel withdraws a pending event: a heap event is removed and
-// recycled at once, a lane event becomes a tombstone that Run recycles
-// when the lane reaches it.
+// cancel withdraws a pending event: out of the heap at once, or left
+// in the lane as a tombstone.
 func (e *Engine) cancel(ev *event) {
 	if ev.index == inLane {
-		ev.fn = nil
+		ev.cont = cont{}
 		ev.index = notPending
 		return
 	}
@@ -220,18 +233,20 @@ func (e *Engine) EventsDispatched() uint64 { return e.dispatched }
 // have created.
 func (e *Engine) ProcsSpawned() int { return e.spawned }
 
-// schedule books an event at absolute time t that runs fn: at the back
-// of the lane when t is now, into the heap when it is later.
-func (e *Engine) schedule(t float64, fn func()) *event {
+// schedule books c as an event at absolute time t: at the back of the
+// lane when t is now and no lane event outranks it, else into the heap.
+func (e *Engine) schedule(t float64, c cont) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("des: scheduling into the past: t=%v now=%v", t, e.now))
 	}
 	ev := e.newEvent()
-	ev.time = t
-	ev.fn = fn
+	ev.time, ev.cont, ev.rank = t, c, 0
+	if c.fn == nil {
+		ev.rank = e.ranks[c.kind-1]
+	}
 	e.seq++
 	ev.seq = e.seq
-	if t == e.now {
+	if t == e.now && (e.head == len(e.lane) || e.lane[len(e.lane)-1].rank <= ev.rank) {
 		ev.index = inLane
 		e.lane = append(e.lane, ev)
 	} else {
@@ -240,30 +255,34 @@ func (e *Engine) schedule(t float64, fn func()) *event {
 	return ev
 }
 
-// wake books k at the current time, releasing it from a waiter list.
-func (e *Engine) wake(k func()) {
+// wake books c at the current time, releasing it from a waiter list.
+func (e *Engine) wake(c cont) {
 	e.nconts--
-	e.schedule(e.now, k)
+	e.schedule(e.now, c)
 }
 
 // Wait runs k d virtual seconds from now (d >= 0), booking one event.
-// It returns no Timer, so it allocates nothing beyond the recycled
-// event.
-func (e *Engine) Wait(d float64, k func()) {
+func (e *Engine) Wait(d float64, k func()) { e.after(d, cont{fn: k}) }
+
+// Post books an event of kind k for actor d virtual seconds from now
+// (d >= 0): Wait's kind form.
+func (e *Engine) Post(d float64, k Kind, actor int32) { e.after(d, cont{kind: k, actor: actor}) }
+
+func (e *Engine) after(d float64, c cont) {
 	if d < 0 {
 		panic("des: negative Wait")
 	}
-	e.schedule(e.now+d, k)
+	e.schedule(e.now+d, c)
 }
 
-// Timer identifies a cancelable, reschedulable callback event booked
-// with At, After or Set. The zero Timer and the nil Timer are inert:
-// every method is a no-op reporting false.
+// Timer identifies a cancelable, reschedulable event booked with At,
+// After or Set. The zero Timer and the nil Timer are inert: every
+// method is a no-op reporting false.
 type Timer struct {
 	eng *Engine
 	ev  *event
 	gen uint32
-	fn  func()
+	k   cont
 }
 
 // Pending reports whether the callback is still scheduled (not fired,
@@ -273,10 +292,7 @@ func (t *Timer) Pending() bool {
 }
 
 // Cancel withdraws the callback so it never fires, reporting whether it
-// was still pending. Canceling an already-fired or already-canceled
-// timer is a no-op returning false. A later event is removed from the
-// heap in O(log n) and recycled at once; an event due now leaves a
-// tombstone in the lane, which Run recycles without firing or counting.
+// was still pending; on a fired or canceled timer it is a no-op.
 func (t *Timer) Cancel() bool {
 	if !t.Pending() {
 		return false
@@ -286,12 +302,9 @@ func (t *Timer) Cancel() bool {
 }
 
 // Reschedule moves a still-pending callback to absolute time at (>=
-// Now) and reports whether the timer was pending. Either way the event
-// goes to the back of its new instant: a retiming within the heap is an
-// O(log n) fix in place, a retiming into or out of the current instant
-// cancels the event and books it afresh. A fired or canceled timer is
-// left alone (false): re-arming it would resurrect an event whose owner
-// has moved on.
+// Now), at the back of that instant, and reports whether it was pending.
+// A fired or canceled timer is left alone (false): re-arming it would
+// resurrect an event whose owner has moved on.
 func (t *Timer) Reschedule(at float64) bool {
 	if !t.Pending() {
 		return false
@@ -304,7 +317,7 @@ func (t *Timer) Reschedule(at float64) bool {
 		ev.time = at
 		e.seq++
 		ev.seq = e.seq
-		e.heapFix(ev)
+		e.heapFix(ev.index)
 		return true
 	}
 	e.cancel(t.ev)
@@ -312,15 +325,18 @@ func (t *Timer) Reschedule(at float64) bool {
 	return true
 }
 
-// NewTimer returns a timer for fn that is not booked yet; Set books it.
-// A component that re-arms one callback over and over binds it once
-// here instead of allocating a Timer per At.
-func (e *Engine) NewTimer(fn func()) *Timer { return &Timer{eng: e, fn: fn} }
+// NewTimer returns a timer for fn that is not booked yet; Set books it,
+// as often as its owner re-arms it.
+func (e *Engine) NewTimer(fn func()) *Timer { return &Timer{eng: e, k: cont{fn: fn}} }
 
-// Set books the timer's callback at absolute time at (>= Now): a
-// pending timer is retimed in place (Reschedule), a fired, canceled or
-// never-booked one is booked afresh. Either way the event takes the
-// next sequence number, exactly as Cancel followed by At would.
+// PostTimer is NewTimer's kind form, by value, so an actor held in a
+// slice can hold its timer too.
+func (e *Engine) PostTimer(k Kind, actor int32) Timer {
+	return Timer{eng: e, k: cont{kind: k, actor: actor}}
+}
+
+// Set books the timer's callback at absolute time at (>= Now), retimed
+// if pending, as Cancel followed by At would.
 func (t *Timer) Set(at float64) {
 	if !t.Reschedule(at) {
 		t.book(at)
@@ -329,13 +345,12 @@ func (t *Timer) Set(at float64) {
 
 // book schedules the timer's callback as a new event at at.
 func (t *Timer) book(at float64) {
-	t.ev = t.eng.schedule(at, t.fn)
+	t.ev = t.eng.schedule(at, t.k)
 	t.gen = t.ev.gen
 }
 
-// At schedules fn to run at absolute virtual time t (>= Now). fn runs in
-// engine context: it must not block, but may complete Futures, release
-// Resources and schedule further events.
+// At schedules fn to run at absolute virtual time t (>= Now), in engine
+// context: it must not block.
 func (e *Engine) At(t float64, fn func()) *Timer {
 	tm := e.NewTimer(fn)
 	tm.Set(t)
@@ -343,9 +358,7 @@ func (e *Engine) At(t float64, fn func()) *Timer {
 }
 
 // After schedules fn to run d seconds from now.
-func (e *Engine) After(d float64, fn func()) *Timer {
-	return e.At(e.now+d, fn)
-}
+func (e *Engine) After(d float64, fn func()) *Timer { return e.At(e.now+d, fn) }
 
 // Run executes events until none is pending. It returns the final clock
 // value. Run panics if continuations remain parked on a Future, Barrier
@@ -354,8 +367,9 @@ func (e *Engine) Run() float64 {
 	for {
 		var ev *event
 		switch {
-		case len(e.events) > 0 && e.events[0].time == e.now:
-			ev = e.heapPop() // booked before the clock got here: ahead of the lane
+		case len(e.events) > 0 && e.events[0].time == e.now &&
+			(e.head == len(e.lane) || e.heapLess(e.events[0], e.lane[e.head])):
+			ev = e.heapPop()
 		case e.head < len(e.lane):
 			ev = e.lane[e.head]
 			e.lane[e.head] = nil
@@ -376,19 +390,20 @@ func (e *Engine) Run() float64 {
 			return e.now
 		}
 		e.dispatched++
-		fn := ev.fn
+		c := ev.cont
 		e.recycle(ev)
-		fn()
+		e.run(c)
 	}
 }
 
 // Future is a one-shot completion signal that continuations follow
-// with Then.
+// with Then or ThenPost. A zero Future copied from *NewFuture() may be
+// embedded in its owner.
 type Future struct {
 	eng   *Engine
 	done  bool
-	first func()   // held inline: most futures have one follower
-	more  []func() // the followers after first, in arrival order
+	first cont   // held inline: most futures have one follower
+	more  []cont // the followers after first, in arrival order
 }
 
 // NewFuture creates an incomplete future.
@@ -404,9 +419,9 @@ func (f *Future) Complete() {
 		panic("des: Future completed twice")
 	}
 	f.done = true
-	if f.first != nil {
+	if f.first.fn != nil || f.first.kind != 0 {
 		f.eng.wake(f.first)
-		f.first = nil
+		f.first = cont{}
 	}
 	for _, w := range f.more {
 		f.eng.wake(w)
@@ -416,35 +431,36 @@ func (f *Future) Complete() {
 
 // Then runs k once the future completes: inline if it already has,
 // otherwise in the event Complete books for it.
-func (f *Future) Then(k func()) {
+func (f *Future) Then(k func()) { f.then(cont{fn: k}) }
+
+// ThenPost is Then's kind form: actor's handler of kind k follows.
+func (f *Future) ThenPost(k Kind, actor int32) { f.then(cont{kind: k, actor: actor}) }
+
+func (f *Future) then(c cont) {
 	if f.done {
-		k()
+		f.eng.run(c)
 		return
 	}
-	if f.first == nil {
-		f.first = k
+	if f.first.fn == nil && f.first.kind == 0 {
+		f.first = c
 	} else {
-		f.more = append(f.more, k)
+		f.more = append(f.more, c)
 	}
 	f.eng.nconts++
 }
 
-// Resource is a FIFO counting resource (capacity units). Continuations
-// acquire and release units; waiters are served in arrival order. It models e.g. a
-// metadata server (capacity 1) or a bounded set of I/O tokens.
+// Resource is a FIFO counting resource of capacity units, e.g. a
+// metadata server (capacity 1); waiters are served in arrival order.
 type Resource struct {
 	eng      *Engine
 	capacity int
 	inUse    int
 	waiters  []resWaiter // the queue is waiters[head:]
 	head     int
-	// Busy accounting for utilization reports.
-	busySince float64
-	busyTotal float64
 }
 
 type resWaiter struct {
-	k func()
+	k cont
 	n int
 }
 
@@ -457,16 +473,22 @@ func (e *Engine) NewResource(capacity int) *Resource {
 }
 
 // AcquireThen takes n units and runs k: inline when they are free and
-// nobody queues ahead, otherwise in the event Release books once they
-// are granted. FIFO: a request never overtakes an earlier one even if
-// fewer units would fit.
-func (r *Resource) AcquireThen(n int, k func()) {
+// nobody queues ahead, else in the event Release books once they are
+// granted. A request never overtakes an earlier one, even a bigger one.
+func (r *Resource) AcquireThen(n int, k func()) { r.acquire(n, cont{fn: k}) }
+
+// AcquirePost is AcquireThen's kind form: actor's handler of kind k runs.
+func (r *Resource) AcquirePost(n int, k Kind, actor int32) {
+	r.acquire(n, cont{kind: k, actor: actor})
+}
+
+func (r *Resource) acquire(n int, k cont) {
 	if n <= 0 || n > r.capacity {
 		panic(fmt.Sprintf("des: Acquire(%d) on resource of capacity %d", n, r.capacity))
 	}
 	if r.head == len(r.waiters) && r.inUse+n <= r.capacity {
-		r.take(n)
-		k()
+		r.inUse += n
+		r.eng.run(k)
 		return
 	}
 	if r.head > 0 && len(r.waiters) == cap(r.waiters) {
@@ -480,42 +502,21 @@ func (r *Resource) AcquireThen(n int, k func()) {
 	r.eng.nconts++
 }
 
-func (r *Resource) take(n int) {
-	if r.inUse == 0 {
-		r.busySince = r.eng.now
-	}
-	r.inUse += n
-}
-
 // Release returns n units and grants queued requests in FIFO order.
 func (r *Resource) Release(n int) {
 	if n <= 0 || n > r.inUse {
 		panic(fmt.Sprintf("des: Release(%d) with %d in use", n, r.inUse))
 	}
 	r.inUse -= n
-	if r.inUse == 0 {
-		r.busyTotal += r.eng.now - r.busySince
-	}
 	for r.head < len(r.waiters) && r.inUse+r.waiters[r.head].n <= r.capacity {
 		w := r.waiters[r.head]
 		r.waiters[r.head] = resWaiter{} // a granted waiter is not retained
 		if r.head++; r.head == len(r.waiters) {
 			r.waiters, r.head = r.waiters[:0], 0 // drained: refill from the start
 		}
-		r.take(w.n)
+		r.inUse += w.n
 		r.eng.wake(w.k)
 	}
-}
-
-// BusyTime returns the total virtual time during which at least one unit
-// was in use. If the resource is currently busy the open interval is
-// included.
-func (r *Resource) BusyTime() float64 {
-	t := r.busyTotal
-	if r.inUse > 0 {
-		t += r.eng.now - r.busySince
-	}
-	return t
 }
 
 // Barrier is a reusable synchronization barrier for a fixed number of
@@ -524,7 +525,7 @@ type Barrier struct {
 	eng     *Engine
 	parties int
 	arrived int
-	waiters []func() // sized to parties-1 once, reused every generation
+	waiters []cont // sized to parties-1 once, reused every generation
 }
 
 // NewBarrier creates a barrier for the given number of parties (> 0).
@@ -532,14 +533,18 @@ func (e *Engine) NewBarrier(parties int) *Barrier {
 	if parties <= 0 {
 		panic("des: barrier parties must be positive")
 	}
-	return &Barrier{eng: e, parties: parties, waiters: make([]func(), 0, parties-1)}
+	return &Barrier{eng: e, parties: parties, waiters: make([]cont, 0, parties-1)}
 }
 
 // ArriveThen counts one arrival and runs k once all parties have
-// arrived: inline for the last arrival, otherwise in the event that
-// arrival books for it. The last arrival of a generation wakes the
-// earlier ones and resets the barrier for the next generation.
-func (b *Barrier) ArriveThen(k func()) {
+// arrived: inline for the last arrival, which wakes the earlier ones
+// and resets the barrier for the next generation.
+func (b *Barrier) ArriveThen(k func()) { b.arrive(cont{fn: k}) }
+
+// ArrivePost is ArriveThen's kind form: actor's handler of kind k runs.
+func (b *Barrier) ArrivePost(k Kind, actor int32) { b.arrive(cont{kind: k, actor: actor}) }
+
+func (b *Barrier) arrive(k cont) {
 	b.arrived++
 	if b.arrived < b.parties {
 		b.waiters = append(b.waiters, k)
@@ -552,14 +557,12 @@ func (b *Barrier) ArriveThen(k func()) {
 	}
 	clear(b.waiters)
 	b.waiters = b.waiters[:0]
-	k()
+	b.eng.run(k)
 }
 
 // Proc is a simulation process: a body that blocks in Wait and Do, run
-// as a coroutine whose every resume is a continuation on the engine. It
-// is an adapter for tests and micro-benchmarks, and fires exactly the
-// events of the continuation forms it wraps. All Proc methods must be
-// called from the process body.
+// as a coroutine whose every resume is a continuation on the engine. All
+// Proc methods must be called from the process body.
 type Proc struct {
 	eng    *Engine
 	name   string
@@ -575,9 +578,7 @@ func (p *Proc) Now() float64 { return p.eng.now }
 
 // Spawn creates a process executing fn, starting in an event booked at
 // the current time.
-func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	return e.SpawnAt(e.now, name, fn)
-}
+func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc { return e.SpawnAt(e.now, name, fn) }
 
 // SpawnAt creates a process that starts executing at absolute time t.
 func (e *Engine) SpawnAt(t float64, name string, fn func(p *Proc)) *Proc {
@@ -600,11 +601,9 @@ func (p *Proc) Wait(d float64) {
 	p.yield(struct{}{})
 }
 
-// Do runs one continuation-form operation from the process body: it
-// calls start with a continuation k and returns once k has run. A k
-// that runs before start returns costs nothing; a later one resumes
-// the process inside the event that calls it, so the blocking call
-// fires exactly the events of the continuation form and no more.
+// Do calls start with a continuation k and returns once k has run: at
+// once if k ran inside start, else resumed in the event that runs k, so
+// it fires exactly the events of the continuation form.
 func (p *Proc) Do(start func(k func())) {
 	var done, parked bool
 	start(func() {

@@ -190,22 +190,6 @@ func TestResourceCapacityNeverExceeded(t *testing.T) {
 	}
 }
 
-func TestResourceBusyTime(t *testing.T) {
-	e := NewEngine()
-	r := e.NewResource(1)
-	e.Spawn("p", func(p *Proc) {
-		p.Wait(2)
-		p.Do(func(k func()) { r.AcquireThen(1, k) })
-		p.Wait(3)
-		r.Release(1)
-		p.Wait(4)
-	})
-	e.Run()
-	if r.BusyTime() != 3 {
-		t.Fatalf("busy time = %v, want 3", r.BusyTime())
-	}
-}
-
 func TestResourceMultiUnit(t *testing.T) {
 	e := NewEngine()
 	r := e.NewResource(2)

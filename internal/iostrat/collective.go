@@ -34,8 +34,6 @@ func runCollective(cfg Config) (Result, error) {
 
 	res := Result{Approach: Collective, Platform: plat, Workload: w}
 
-	loop := newPhaseLoop(eng, &res, ranks, w.Iterations, w.ComputeJitter,
-		func(int) float64 { return w.ComputeTime }, func(int) { be.BeginPhase() })
 	run := &collectiveRun{
 		be:           be,
 		plat:         plat,
@@ -43,24 +41,24 @@ func runCollective(cfg Config) (Result, error) {
 		nodeBytes:    nodeBytes,
 		rounds:       rounds,
 		aggDone:      eng.NewBarrier(nAggs),
-		phaseDone:    make([]*des.Future, w.Iterations),
+		phaseDone:    make([]des.Future, w.Iterations),
+		ranks:        make([]collectiveRank, ranks),
 	}
+	run.loop = newPhaseLoop(eng, &res, ranks, w.Iterations, w.ComputeJitter, root.Named("compute"),
+		func(int) float64 { return w.ComputeTime }, func(int) { be.BeginPhase() }, run.exchange)
 	for i := range run.phaseDone {
-		run.phaseDone[i] = eng.NewFuture()
+		run.phaseDone[i] = *eng.NewFuture()
 	}
-	compute := root.Named("compute")
-	for r := 0; r < ranks; r++ {
-		run.startRank(loop, r, compute.Child(uint64(r)))
+	for i := 0; i < ranks; i += plat.CoresPerNode {
+		run.ranks[i].step = func() { run.aggregate(int32(i)) }
 	}
+	run.kShuffled = eng.Handle(run.onShuffled)
+	run.kSent = eng.Handle(func(i int32) { run.phaseDone[run.loop.ranks[i].it].ThenPost(run.loop.kWrote, i) })
+	run.kAggregated = eng.Handle(run.onAggregated)
+	run.loop.start()
 	eng.Run()
 
-	acc := be.Accounting()
-	res.BytesWritten = acc.BytesWritten
-	res.IOWindow = acc.IOBusyTime
-	res.BytesSaved = acc.BytesSaved
-	res.CodecCPUTime = acc.EncodeTime + acc.DecodeTime
-	res.DedupBytesSaved = acc.DedupBytesSaved
-	res.HashCPUTime = acc.ChunkHashTime
+	res.account(be)
 	res.FilesCreated = w.Iterations
 	res.DrainTime = res.TotalTime
 	return res, nil
@@ -70,97 +68,91 @@ func runCollective(cfg Config) (Result, error) {
 // round (ROMIO's cb_buffer_size scale).
 const collectiveBuffer = 16e6
 
-// collectiveRun is the state the ranks of one collective run share
-// besides their phaseLoop.
+// collectiveRun is the state the ranks of one collective run share.
 type collectiveRun struct {
+	loop         *phaseLoop
 	be           storage.CostModel
 	plat         topology.Platform
 	bytesPerCore float64
 	nodeBytes    float64
 	rounds       int
 	aggDone      *des.Barrier
-	phaseDone    []*des.Future // per iteration, the collective write's end
+	phaseDone    []des.Future // per iteration, the collective write's end
+	ranks        []collectiveRank
+
+	kShuffled, kSent, kAggregated des.Kind
 }
 
-// collectiveRank is one collective-I/O rank. An aggregator — one per
-// node — collects the node's data over the NIC and writes it into the
-// shared file in rounds; every other rank sends its data to its
-// aggregator and waits for the collective write to end.
+// collectiveRank is one collective-I/O rank's output state. An
+// aggregator — the first rank of each node — collects the node's data
+// over the NIC and writes it into the shared file in rounds, each file
+// operation continued by step, bound once; every other rank sends its
+// data to its aggregator and waits for the collective write to end.
 type collectiveRank struct {
-	phaseRank
-	*collectiveRun
-	aggIdx int
-	isAgg  bool
-	round  int
-
-	shuffled, created, nextRound, closed, aggregated, sent func()
+	round    int
+	creating bool // step continues the shared file's create
+	step     func()
 }
 
-// startRank builds a rank's state machine and books its first step.
-func (run *collectiveRun) startRank(loop *phaseLoop, rank int, compRng *rng.Stream) {
-	r := &collectiveRank{
-		collectiveRun: run,
-		aggIdx:        rank / run.plat.CoresPerNode,
-		isAgg:         rank%run.plat.CoresPerNode == 0,
-	}
-	r.init(loop, rank, compRng, r.exchange)
-	r.shuffled = r.onShuffled
-	r.created = func() { r.be.Open(r.nextRound) }
-	r.nextRound = r.writeRound
-	r.closed = func() { r.aggDone.ArriveThen(r.aggregated) }
-	r.aggregated = r.onAggregated
-	r.sent = func() { r.phaseDone[r.it].Then(r.wrote) }
-	r.start()
-}
-
-// exchange is the rank's part of the two-phase shuffle over the NIC:
-// an aggregator collects the node's data, any other rank sends its own.
-func (r *collectiveRank) exchange(int) {
-	plat := r.plat
-	if r.isAgg {
+// exchange is rank i's part of the two-phase shuffle over the NIC: an
+// aggregator collects the node's data, any other rank sends its own.
+func (run *collectiveRun) exchange(i int32) {
+	plat, eng := run.plat, run.loop.eng
+	if int(i)%plat.CoresPerNode == 0 {
 		// Shuffle phase: collect the node's data over the NIC.
-		r.eng.Wait(r.nodeBytes/plat.NICBandwidth+plat.NICLatency*float64(plat.CoresPerNode), r.shuffled)
+		eng.Post(run.nodeBytes/plat.NICBandwidth+plat.NICLatency*float64(plat.CoresPerNode), run.kShuffled, i)
 		return
 	}
 	// Send local data to the aggregator, then wait for the collective
 	// write to finish (MPI_File_write_all returns only when the phase
 	// completes).
-	r.eng.Wait(r.bytesPerCore/plat.NICBandwidth+plat.NICLatency, r.sent)
+	eng.Post(run.bytesPerCore/plat.NICBandwidth+plat.NICLatency, run.kSent, i)
 }
 
-func (r *collectiveRank) onShuffled() {
-	r.round = 0
-	if r.aggIdx == 0 {
-		r.be.Create(r.created) // the shared file
+func (run *collectiveRun) onShuffled(i int32) {
+	r := &run.ranks[i]
+	r.round, r.creating = 0, i == 0
+	if r.creating {
+		run.be.Create(r.step) // the shared file
 		return
 	}
-	r.be.Open(r.nextRound)
+	run.be.Open(r.step)
 }
 
-// writeRound writes the aggregator's next round, or closes the file
-// after the last one.
-func (r *collectiveRank) writeRound() {
-	if r.round == r.rounds {
-		r.be.Close(r.closed)
-		return
+// aggregate continues aggregator i: it opens the shared file once
+// created, writes its next round once the file is open or the last round
+// is written, closes the file after the last round, and meets the other
+// aggregators once it is closed.
+func (run *collectiveRun) aggregate(i int32) {
+	r := &run.ranks[i]
+	switch {
+	case r.creating:
+		r.creating = false
+		run.be.Open(r.step)
+	case r.round == run.rounds:
+		r.round++
+		run.be.Close(r.step)
+	case r.round > run.rounds:
+		run.aggDone.ArrivePost(run.kAggregated, i)
+	default:
+		chunk := collectiveBuffer
+		if rem := run.nodeBytes - float64(r.round)*collectiveBuffer; rem < chunk {
+			chunk = rem
+		}
+		// Extent → OST mapping: round-robin striping of the shared file
+		// across all OSTs. Aggregators pipeline their rounds independently
+		// (ROMIO does not barrier between rounds); the phase ends when the
+		// slowest aggregator finishes.
+		ost := (int(i)/run.plat.CoresPerNode + r.round*run.plat.Nodes) % run.be.Targets()
+		r.round++
+		run.be.WriteChunk(ost, chunk, storage.SharedFile, r.step)
 	}
-	chunk := collectiveBuffer
-	if rem := r.nodeBytes - float64(r.round)*collectiveBuffer; rem < chunk {
-		chunk = rem
-	}
-	// Extent → OST mapping: round-robin striping of the shared file
-	// across all OSTs. Aggregators pipeline their rounds independently
-	// (ROMIO does not barrier between rounds); the phase ends when the
-	// slowest aggregator finishes.
-	ost := (r.aggIdx + r.round*r.plat.Nodes) % r.be.Targets()
-	r.round++
-	r.be.WriteChunk(ost, chunk, storage.SharedFile, r.nextRound)
 }
 
 // onAggregated runs once every aggregator has closed the shared file.
-func (r *collectiveRank) onAggregated() {
-	if r.aggIdx == 0 {
-		r.phaseDone[r.it].Complete()
+func (run *collectiveRun) onAggregated(i int32) {
+	if i == 0 {
+		run.phaseDone[run.loop.ranks[i].it].Complete()
 	}
-	r.wrote()
+	run.loop.wrote(i)
 }

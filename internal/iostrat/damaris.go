@@ -252,17 +252,6 @@ func runDamaris(cfg Config) (Result, error) {
 	}
 
 	// Simulation cores.
-	loop := newPhaseLoop(eng, &res, nComputeRanks, w.Iterations, w.ComputeJitter, computeAt,
-		func(it int) {
-			be.BeginPhase()
-			applyShifts(it)
-		})
-	loop.finish = func() {
-		for _, s := range shms {
-			s.close()
-		}
-	}
-	phaseStart := loop.phaseStart
 	sims := &simRun{
 		plat:           plat,
 		computePerNode: computePerNode,
@@ -272,10 +261,19 @@ func runDamaris(cfg Config) (Result, error) {
 		nodeBytesAt:    nodeBytesAt,
 		varsAt:         varsAt,
 	}
-	compute := root.Named("compute")
-	for r := 0; r < nComputeRanks; r++ {
-		sims.startRank(loop, r, compute.Child(uint64(r)))
+	sims.loop = newPhaseLoop(eng, &res, nComputeRanks, w.Iterations, w.ComputeJitter, root.Named("compute"),
+		computeAt, func(it int) {
+			be.BeginPhase()
+			applyShifts(it)
+		}, sims.copyOut)
+	sims.loop.finish = func() {
+		for _, s := range shms {
+			s.close()
+		}
 	}
+	sims.kCopied = eng.Handle(sims.onCopied)
+	sims.loop.start()
+	phaseStart := sims.loop.phaseStart
 
 	// Dedicated cores (one writer loop per node; D dedicated cores share
 	// the same work, so busy time is attributed to the node's pool).
@@ -346,14 +344,8 @@ func runDamaris(cfg Config) (Result, error) {
 
 	drainEnd := eng.Run()
 	res.DrainTime = drainEnd
-	acc := be.Accounting()
+	res.account(be)
 	bs := schedule.brokerStats()
-	res.BytesWritten = acc.BytesWritten
-	res.IOWindow = acc.IOBusyTime
-	res.BytesSaved = acc.BytesSaved
-	res.CodecCPUTime = acc.EncodeTime + acc.DecodeTime
-	res.DedupBytesSaved = acc.DedupBytesSaved
-	res.HashCPUTime = acc.ChunkHashTime
 	res.SchedWaitTime = bs.WaitTime
 	res.RootContention = bs.ContendedGrants
 	res.DedicatedTotal = float64(plat.Nodes*dedicatedPerNode) * drainEnd
@@ -386,9 +378,13 @@ func runDamaris(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// simRun is the state the simulation cores of one Damaris run share
-// besides their phaseLoop.
+// simRun is the state the simulation cores of one Damaris run share.
+// A simulation core's output work is the application-visible "I/O":
+// copying its variables into the node's shared-memory segment; the last
+// core of the node in hands the node's data to the dedicated core.
 type simRun struct {
+	loop           *phaseLoop
+	kCopied        des.Kind
 	plat           topology.Platform
 	computePerNode int
 	treeMode       bool
@@ -398,43 +394,23 @@ type simRun struct {
 	varsAt         func(it int) int
 }
 
-// simRank is one simulation core. Its output work is the
-// application-visible "I/O": copying its variables into the node's
-// shared-memory segment; the last core of the node in hands the node's
-// data to the dedicated core.
-type simRank struct {
-	phaseRank
-	*simRun
-	node   int
-	nb     float64 // this phase's node volume
-	copied func()
+func (run *simRun) copyOut(i int32) {
+	it := run.loop.ranks[i].it
+	run.loop.eng.Post(run.nodeBytesAt(it)/float64(run.computePerNode)/run.plat.ShmBandwidth+
+		float64(run.varsAt(it))*run.plat.ShmWriteOverhead, run.kCopied, i)
 }
 
-// startRank builds a rank's state machine and books its first step.
-func (run *simRun) startRank(loop *phaseLoop, rank int, compRng *rng.Stream) {
-	r := &simRank{simRun: run, node: rank / run.computePerNode}
-	r.init(loop, rank, compRng, r.copyOut)
-	r.copied = r.onCopied
-	r.start()
-}
-
-func (r *simRank) copyOut(it int) {
-	r.nb = r.nodeBytesAt(it)
-	r.eng.Wait(r.nb/float64(r.computePerNode)/r.plat.ShmBandwidth+
-		float64(r.varsAt(it))*r.plat.ShmWriteOverhead, r.copied)
-}
-
-func (r *simRank) onCopied() {
-	it, node := r.it, r.node
-	r.arrived[node][it]++
-	if r.arrived[node][it] == r.computePerNode {
-		if !r.shms[node].offer(it, r.nb) && r.treeMode {
+func (run *simRun) onCopied(i int32) {
+	it, node := run.loop.ranks[i].it, int(i)/run.computePerNode
+	run.arrived[node][it]++
+	if run.arrived[node][it] == run.computePerNode {
+		if !run.shms[node].offer(it, run.nodeBytesAt(it)) && run.treeMode {
 			// Data lost, but the node must still take part in the
 			// aggregation round.
-			r.shms[node].offerEmpty(it)
+			run.shms[node].offerEmpty(it)
 		}
 	}
-	r.wrote()
+	run.loop.wrote(i)
 }
 
 // treeRun bundles the state shared by every dedicated core of a

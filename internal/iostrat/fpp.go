@@ -24,44 +24,57 @@ func runFPP(cfg Config) (Result, error) {
 	ranks := plat.Cores()
 
 	res := Result{Approach: FilePerProcess, Platform: plat, Workload: w}
-
-	loop := newPhaseLoop(eng, &res, ranks, w.Iterations, w.ComputeJitter,
-		func(int) float64 { return w.ComputeTime }, func(int) { be.BeginPhase() })
-	compute, place := root.Named("compute"), root.Named("place")
-	for r := 0; r < ranks; r++ {
-		fr := &fppRank{be: be, bytes: w.BytesPerCore, placeRng: place.Child(uint64(r))}
-		fr.init(loop, r, compute.Child(uint64(r)), fr.writeFile)
-		fr.created = func() { fr.be.Write(fr.ost, fr.bytes, storage.SmallFile, fr.written) }
-		fr.written = func() { fr.be.Close(fr.wrote) }
-		fr.start()
+	run := &fppRun{be: be, bytes: w.BytesPerCore, ranks: make([]fppRank, ranks)}
+	run.loop = newPhaseLoop(eng, &res, ranks, w.Iterations, w.ComputeJitter, root.Named("compute"),
+		func(int) float64 { return w.ComputeTime }, func(int) { be.BeginPhase() }, run.writeFile)
+	place := root.Named("place")
+	for i := range run.ranks {
+		run.ranks[i].placeRng = *place.Child(uint64(i))
+		run.ranks[i].step = func() { run.next(int32(i)) }
 	}
+	run.loop.start()
 	eng.Run()
 
-	acc := be.Accounting()
-	res.BytesWritten = acc.BytesWritten
-	res.IOWindow = acc.IOBusyTime
-	res.BytesSaved = acc.BytesSaved
-	res.CodecCPUTime = acc.EncodeTime + acc.DecodeTime
-	res.DedupBytesSaved = acc.DedupBytesSaved
-	res.HashCPUTime = acc.ChunkHashTime
+	res.account(be)
 	res.FilesCreated = ranks * w.Iterations
 	res.DrainTime = res.TotalTime
 	return res, nil
 }
 
-// fppRank is one file-per-process rank: its output work creates,
-// writes and closes the rank's own file.
-type fppRank struct {
-	phaseRank
-	be       storage.CostModel
-	bytes    float64
-	placeRng *rng.Stream
-	ost      int // this phase's file placement
-
-	created, written func()
+// fppRun is the state the ranks of one file-per-process run share.
+type fppRun struct {
+	loop  *phaseLoop
+	be    storage.CostModel
+	bytes float64
+	ranks []fppRank
 }
 
-func (r *fppRank) writeFile(int) {
-	r.ost = r.be.PlaceFile(1, r.placeRng)[0]
-	r.be.Create(r.created)
+// fppRank is one file-per-process rank's output state: its output work
+// creates, writes and closes the rank's own file, and step, bound once,
+// continues each of those operations.
+type fppRank struct {
+	placeRng rng.Stream
+	ost      int // this phase's file placement
+	stage    int // operations done on this phase's file
+	step     func()
+}
+
+func (run *fppRun) writeFile(i int32) {
+	r := &run.ranks[i]
+	r.ost, r.stage = run.be.PlaceFile(1, &r.placeRng)[0], 0
+	run.be.Create(r.step)
+}
+
+// next continues rank i's file: written once created, closed once
+// written, and the rank's output done once closed.
+func (run *fppRun) next(i int32) {
+	r := &run.ranks[i]
+	switch r.stage++; r.stage {
+	case 1:
+		run.be.Write(r.ost, run.bytes, storage.SmallFile, r.step)
+	case 2:
+		run.be.Close(r.step)
+	default:
+		run.loop.wrote(i)
+	}
 }

@@ -405,6 +405,14 @@ type Result struct {
 	AnalysisLatencies []float64
 }
 
+// account copies the cost stack's ledger into r.
+func (r *Result) account(be storage.CostModel) {
+	acc := be.Accounting()
+	r.BytesWritten, r.IOWindow, r.BytesSaved = acc.BytesWritten, acc.IOBusyTime, acc.BytesSaved
+	r.CodecCPUTime = acc.EncodeTime + acc.DecodeTime
+	r.DedupBytesSaved, r.HashCPUTime = acc.DedupBytesSaved, acc.ChunkHashTime
+}
+
 // MeanAnalysisLatency returns the mean end-to-end analysis latency
 // (0 without in-situ frames).
 func (r Result) MeanAnalysisLatency() float64 {

@@ -10,7 +10,9 @@ import (
 // the step barrier, do the rank's output work, and meet them again. The
 // next compute phase starts only when every rank has finished, so a
 // phase costs the slowest rank. Rank 0 stamps the phase boundaries into
-// the Result.
+// the Result. A rank is an index into ranks and each step an event kind
+// registered once, so a rank costs the events it books and nothing
+// besides.
 type phaseLoop struct {
 	eng        *des.Engine
 	res        *Result
@@ -19,94 +21,101 @@ type phaseLoop struct {
 	computeAt  func(it int) float64 // nominal compute time of iteration it
 	step       *des.Barrier
 	phaseStart []float64
-	begin      func(it int) // rank 0, as phase it begins
-	finish     func()       // rank 0, after the last phase (may be nil)
+	begin      func(it int)     // rank 0, as phase it begins
+	output     func(rank int32) // a rank's output work, which ends in wrote
+	finish     func()           // rank 0, after the last phase (may be nil)
+	ranks      []phaseRank
+
+	kIterate, kComputed, kPhase, kWrote, kPhaseEnd des.Kind
 }
 
-// newPhaseLoop builds the frame for ranks ranks over iters iterations,
-// sizing the Result's per-phase and per-rank timings.
-func newPhaseLoop(eng *des.Engine, res *Result, ranks, iters int, jitter float64,
-	computeAt func(int) float64, begin func(int)) *phaseLoop {
+// phaseRank is one rank's place in the frame.
+type phaseRank struct {
+	compRng rng.Stream
+	it      int
+	t0      float64 // this phase's write start
+}
+
+// newPhaseLoop builds the frame for n ranks over iters iterations, rank
+// i drawing its compute noise from compute.Child(i), and sizes the
+// Result's per-phase and per-rank timings.
+func newPhaseLoop(eng *des.Engine, res *Result, n, iters int, jitter float64, compute *rng.Stream,
+	computeAt func(int) float64, begin func(int), output func(int32)) *phaseLoop {
 
 	res.IOTimes = make([]float64, iters)
-	res.RankWriteTimes = make([]float64, 0, ranks*iters)
-	return &phaseLoop{
+	res.RankWriteTimes = make([]float64, 0, n*iters)
+	l := &phaseLoop{
 		eng:        eng,
 		res:        res,
 		iters:      iters,
 		jitter:     jitter,
 		computeAt:  computeAt,
-		step:       eng.NewBarrier(ranks),
+		step:       eng.NewBarrier(n),
 		phaseStart: make([]float64, iters),
 		begin:      begin,
+		output:     output,
+		ranks:      make([]phaseRank, n),
+	}
+	for i := range l.ranks {
+		l.ranks[i].compRng = *compute.Child(uint64(i))
+	}
+	l.kIterate = eng.Handle(l.iterate)
+	l.kComputed = eng.Handle(func(i int32) { l.step.ArrivePost(l.kPhase, i) })
+	l.kPhase = eng.Handle(l.onPhase)
+	l.kWrote = eng.Handle(l.wrote)
+	l.kPhaseEnd = eng.Handle(l.onPhaseEnd)
+	return l
+}
+
+// start books every rank's first step at the current time, in rank
+// order.
+func (l *phaseLoop) start() {
+	for i := range l.ranks {
+		l.eng.Post(0, l.kIterate, int32(i))
 	}
 }
 
-// phaseRank is one rank as a run-to-completion state machine: each
-// step runs inside the event that ends the step before it and books the
-// next, and the steps are bound once, so a rank costs the events it
-// books and nothing per step besides. A strategy embeds
-// it and supplies output, its output work, which ends by calling wrote.
-type phaseRank struct {
-	*phaseLoop
-	rank    int
-	compRng *rng.Stream
-	output  func(it int)
-	it      int
-	t0      float64 // this phase's write start
-
-	computed, phase, wrote, phaseEnd func()
-}
-
-// init binds the rank's frame steps around output.
-func (r *phaseRank) init(l *phaseLoop, rank int, compRng *rng.Stream, output func(it int)) {
-	*r = phaseRank{phaseLoop: l, rank: rank, compRng: compRng, output: output}
-	r.computed = func() { r.step.ArriveThen(r.phase) }
-	r.phase = r.onPhase
-	r.wrote = r.onWrote
-	r.phaseEnd = r.onPhaseEnd
-}
-
-// start books the rank's first step at the current time.
-func (r *phaseRank) start() { r.eng.Wait(0, r.iterate) }
-
-// iterate starts iteration r.it's compute phase, or ends the rank; the
-// end of rank 0 is the end of the application.
-func (r *phaseRank) iterate() {
-	if r.it == r.iters {
-		if r.rank == 0 {
-			r.res.TotalTime = r.eng.Now()
-			if r.finish != nil {
-				r.finish()
+// iterate starts rank i's next compute phase, or ends the rank; the end
+// of rank 0 is the end of the application.
+func (l *phaseLoop) iterate(i int32) {
+	r := &l.ranks[i]
+	if r.it == l.iters {
+		if i == 0 {
+			l.res.TotalTime = l.eng.Now()
+			if l.finish != nil {
+				l.finish()
 			}
 		}
 		return
 	}
-	r.eng.Wait(r.computeAt(r.it)*r.compRng.UnitLogNormal(r.jitter), r.computed)
+	l.eng.Post(l.computeAt(r.it)*r.compRng.UnitLogNormal(l.jitter), l.kComputed, i)
 }
 
 // onPhase runs once every rank has computed: the output phase begins.
-func (r *phaseRank) onPhase() {
-	if r.rank == 0 {
+func (l *phaseLoop) onPhase(i int32) {
+	r := &l.ranks[i]
+	if i == 0 {
 		// First rank into the phase: fresh interference draws and the
 		// phase-start timestamp.
-		r.begin(r.it)
-		r.phaseStart[r.it] = r.eng.Now()
+		l.begin(r.it)
+		l.phaseStart[r.it] = l.eng.Now()
 	}
-	r.t0 = r.eng.Now()
-	r.output(r.it)
+	r.t0 = l.eng.Now()
+	l.output(i)
 }
 
-func (r *phaseRank) onWrote() {
-	r.res.RankWriteTimes = append(r.res.RankWriteTimes, r.eng.Now()-r.t0)
-	r.step.ArriveThen(r.phaseEnd)
+// wrote ends rank i's output work: it meets the other ranks.
+func (l *phaseLoop) wrote(i int32) {
+	l.res.RankWriteTimes = append(l.res.RankWriteTimes, l.eng.Now()-l.ranks[i].t0)
+	l.step.ArrivePost(l.kPhaseEnd, i)
 }
 
 // onPhaseEnd runs once every rank has written: the phase ends.
-func (r *phaseRank) onPhaseEnd() {
-	if r.rank == 0 {
-		r.res.IOTimes[r.it] = r.eng.Now() - r.phaseStart[r.it]
+func (l *phaseLoop) onPhaseEnd(i int32) {
+	r := &l.ranks[i]
+	if i == 0 {
+		l.res.IOTimes[r.it] = l.eng.Now() - l.phaseStart[r.it]
 	}
 	r.it++
-	r.iterate()
+	l.iterate(i)
 }

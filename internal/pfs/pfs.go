@@ -56,16 +56,23 @@ func (p Pattern) String() string {
 	}
 }
 
-// FS is a simulated parallel file system bound to a DES engine.
+// FS is a simulated parallel file system bound to a DES engine. The OSTs
+// are held by value, transfers carved from blocks of 64 (spare), and MDS
+// operations in flight reuse their slots through freeOps.
 type FS struct {
-	eng      *des.Engine
-	params   topology.PFSParams
-	bwFactor float64 // mid-run bandwidth multiplier (SetBandwidthFactor)
-	mds      *des.Resource
-	osts     []*ost
+	eng       *des.Engine
+	params    topology.PFSParams
+	bwFactor  float64 // mid-run bandwidth multiplier (SetBandwidthFactor)
+	mds       *des.Resource
+	osts      []ost
+	transfers []*transfer // the straggling ones, by index
+	spare     []transfer  // the rest of the current block
+	metaOps   []metaOp
+	freeOps   []int32
 
-	totalBytes     float64
-	totalBytesRead float64
+	kStart, kComplete, kMetaHeld, kMetaDone des.Kind
+
+	totalBytes, totalBytesRead float64
 
 	// Union-of-activity accounting: time during which at least one
 	// transfer was in flight anywhere on the file system.
@@ -82,17 +89,16 @@ func New(eng *des.Engine, params topology.PFSParams, r *rng.Stream) *FS {
 		params:   params,
 		bwFactor: 1,
 		mds:      eng.NewResource(1),
-		osts:     make([]*ost, params.OSTs),
+		osts:     make([]ost, params.OSTs),
 	}
+	fs.kStart = eng.Handle(func(i int32) { fs.transfers[i].start() })
+	fs.kComplete = eng.Handle(func(i int32) { fs.osts[i].advance(); fs.osts[i].recompute() })
+	fs.kMetaHeld = eng.Handle(func(i int32) { eng.Post(fs.metaOps[i].service, fs.kMetaDone, i) })
+	fs.kMetaDone = eng.Handle(fs.metaDone)
+	active := make([]*transfer, len(fs.osts)) // one slot per OST to start
 	for i := range fs.osts {
-		o := &ost{
-			fs:         fs,
-			id:         i,
-			rng:        r.Child(uint64(i)),
-			congestion: 1,
-		}
-		o.timer = eng.NewTimer(o.complete)
-		fs.osts[i] = o
+		fs.osts[i] = ost{fs: fs, rng: *r.Child(uint64(i)), congestion: 1,
+			timer: eng.PostTimer(fs.kComplete, int32(i)), active: active[i : i : i+1]}
 	}
 	return fs
 }
@@ -100,19 +106,18 @@ func New(eng *des.Engine, params topology.PFSParams, r *rng.Stream) *FS {
 // OSTCount returns the number of OSTs.
 func (fs *FS) OSTCount() int { return len(fs.osts) }
 
-// TotalBytes returns the number of bytes written so far (completed
-// transfers only).
+// TotalBytes returns the bytes written by completed transfers so far.
 func (fs *FS) TotalBytes() float64 { return fs.totalBytes }
 
-// TotalBytesRead returns the number of bytes read so far (completed
-// transfers only).
+// TotalBytesRead returns the bytes read by completed transfers so far.
 func (fs *FS) TotalBytesRead() float64 { return fs.totalBytesRead }
 
 // BeginPhase draws fresh per-OST congestion factors, modeling interference
 // from other applications sharing the storage system during this I/O
 // phase. Call it once per application I/O phase.
 func (fs *FS) BeginPhase() {
-	for _, o := range fs.osts {
+	for i := range fs.osts {
+		o := &fs.osts[i]
 		o.advance()
 		if fs.params.CongestionSigma > 0 {
 			o.congestion = 1 / o.rng.UnitLogNormal(fs.params.CongestionSigma)
@@ -134,34 +139,51 @@ func (fs *FS) SetBandwidthFactor(factor float64) {
 	if factor <= 0 {
 		return
 	}
-	for _, o := range fs.osts {
-		o.advance()
+	for i := range fs.osts {
+		fs.osts[i].advance()
 	}
 	fs.bwFactor = factor
-	for _, o := range fs.osts {
-		o.recompute()
+	for i := range fs.osts {
+		fs.osts[i].recompute()
 	}
 }
 
-// metaOp serializes one metadata operation of the given service time at
+// metaOp is one metadata operation in flight: it holds the MDS for its
+// service time, then runs k.
+type metaOp struct {
+	service float64
+	k       func()
+}
+
+// meta serializes one metadata operation of the given service time at
 // the MDS and runs k once the MDS has released it.
-func (fs *FS) metaOp(service float64, k func()) {
-	fs.mds.AcquireThen(1, func() {
-		fs.eng.Wait(service, func() {
-			fs.mds.Release(1)
-			k()
-		})
-	})
+func (fs *FS) meta(service float64, k func()) {
+	i := int32(len(fs.metaOps))
+	if n := len(fs.freeOps); n > 0 {
+		i, fs.freeOps = fs.freeOps[n-1], fs.freeOps[:n-1]
+	} else {
+		fs.metaOps = append(fs.metaOps, metaOp{})
+	}
+	fs.metaOps[i] = metaOp{service, k}
+	fs.mds.AcquirePost(1, fs.kMetaHeld, i)
+}
+
+func (fs *FS) metaDone(i int32) {
+	k := fs.metaOps[i].k
+	fs.metaOps[i].k = nil
+	fs.freeOps = append(fs.freeOps, i)
+	fs.mds.Release(1)
+	k()
 }
 
 // Create performs a file-create at the MDS, then runs k.
-func (fs *FS) Create(k func()) { fs.metaOp(fs.params.MDSCreate, k) }
+func (fs *FS) Create(k func()) { fs.meta(fs.params.MDSCreate, k) }
 
 // Open performs a file-open at the MDS, then runs k.
-func (fs *FS) Open(k func()) { fs.metaOp(fs.params.MDSOpen, k) }
+func (fs *FS) Open(k func()) { fs.meta(fs.params.MDSOpen, k) }
 
 // Close performs a file-close at the MDS, then runs k.
-func (fs *FS) Close(k func()) { fs.metaOp(fs.params.MDSClose, k) }
+func (fs *FS) Close(k func()) { fs.meta(fs.params.MDSClose, k) }
 
 // PlaceFile chooses stripeCount distinct OSTs for a new file (see Place).
 func (fs *FS) PlaceFile(stripeCount int, r *rng.Stream) []int {
@@ -187,13 +209,13 @@ func Place(n, stripes int, r *rng.Stream) []int {
 // one OST and returns a future completed when the transfer finishes. The
 // per-file overhead (object allocation, initial seeks) is charged once.
 func (fs *FS) WriteAsync(ostID int, bytes float64, pat Pattern) *des.Future {
-	return fs.submit(ostID, bytes, fs.params.FileOverhead, pat)
+	return fs.submit(ostID, bytes, fs.params.FileOverhead, pat, false)
 }
 
 // WriteChunkAsync submits one chunk of an already-open file (e.g. one
 // two-phase round): no per-file overhead is charged.
 func (fs *FS) WriteChunkAsync(ostID int, bytes float64, pat Pattern) *des.Future {
-	return fs.submit(ostID, bytes, 0, pat)
+	return fs.submit(ostID, bytes, 0, pat, false)
 }
 
 // ReadAsync submits a whole-file read of the given size and pattern to
@@ -202,48 +224,36 @@ func (fs *FS) WriteChunkAsync(ostID int, bytes float64, pat Pattern) *des.Future
 // writes — a restart competes with whatever else the storage system is
 // doing — and are accounted separately (TotalBytesRead).
 func (fs *FS) ReadAsync(ostID int, bytes float64, pat Pattern) *des.Future {
-	return fs.submitDir(ostID, bytes, fs.params.FileOverhead, pat, true)
+	return fs.submit(ostID, bytes, fs.params.FileOverhead, pat, true)
 }
 
-// Read runs k once a whole-file read of the given size and pattern from
-// ostID completes.
-func (fs *FS) Read(ostID int, bytes float64, pat Pattern, k func()) {
-	fs.ReadAsync(ostID, bytes, pat).Then(k)
-}
-
-func (fs *FS) submit(ostID int, bytes, fileOverhead float64, pat Pattern) *des.Future {
-	return fs.submitDir(ostID, bytes, fileOverhead, pat, false)
-}
-
-func (fs *FS) submitDir(ostID int, bytes, fileOverhead float64, pat Pattern, read bool) *des.Future {
-	o := fs.osts[ostID]
-	f := fs.eng.NewFuture()
+func (fs *FS) submit(ostID int, bytes, fileOverhead float64, pat Pattern, read bool) *des.Future {
+	o := &fs.osts[ostID]
+	if len(fs.spare) == 0 {
+		fs.spare = make([]transfer, 64)
+	}
+	t := &fs.spare[0]
+	fs.spare = fs.spare[1:]
+	t.future = *fs.eng.NewFuture()
 	if bytes <= 0 {
-		f.Complete()
-		return f
+		t.future.Complete()
+		return &t.future
 	}
 	jitter, straggle := o.drawJitter()
 	// The fixed per-file cost is expressed as byte-equivalents at peak
 	// rate, so it flows through the processor-sharing arithmetic
 	// (allocation under load is slower too).
-	overhead := fileOverhead * fs.params.OSTBandwidth
-	t := &transfer{
-		ost:       o,
-		remaining: bytes*jitter + overhead,
-		payload:   bytes,
-		pat:       pat,
-		read:      read,
-		future:    f,
-	}
+	t.ost, t.remaining, t.payload, t.pat, t.read = o, bytes*jitter+fileOverhead*fs.params.OSTBandwidth, bytes, pat, read
 	if straggle > 0 {
 		// A straggler episode (stuck RPC, server hiccup) costs wall-clock
 		// time before the request is serviced, independent of the
 		// request's size or the OST's current load.
-		fs.eng.Wait(straggle, t.start)
+		fs.transfers = append(fs.transfers, t)
+		fs.eng.Post(straggle, fs.kStart, int32(len(fs.transfers)-1))
 	} else {
 		t.start()
 	}
-	return f
+	return &t.future
 }
 
 // start puts the transfer in service on its OST.
@@ -264,12 +274,6 @@ func (fs *FS) Write(ostID int, bytes float64, pat Pattern, k func()) {
 	fs.WriteAsync(ostID, bytes, pat).Then(k)
 }
 
-// WriteChunk runs k once a chunk write (no per-file overhead) to ostID
-// completes.
-func (fs *FS) WriteChunk(ostID int, bytes float64, pat Pattern, k func()) {
-	fs.WriteChunkAsync(ostID, bytes, pat).Then(k)
-}
-
 // IOBusyTime returns the union of time during which at least one transfer
 // was in flight. BytesWritten / IOBusyTime is the achieved aggregate
 // throughput in the sense of the paper's §IV.C.
@@ -286,8 +290,7 @@ func (fs *FS) IOBusyTime() float64 {
 // efficiency × congestion) is split equally among active streams.
 type ost struct {
 	fs         *FS
-	id         int
-	rng        *rng.Stream
+	rng        rng.Stream
 	congestion float64
 
 	// active holds in-flight transfers in arrival order; keeping a slice
@@ -295,8 +298,8 @@ type ost struct {
 	// deterministic.
 	active     []*transfer
 	lastUpdate float64
-	rate       float64    // current per-transfer drain rate (bytes/s)
-	timer      *des.Timer // next completion, bound to complete once
+	rate       float64   // current per-transfer drain rate (bytes/s)
+	timer      des.Timer // next completion
 }
 
 type transfer struct {
@@ -305,7 +308,7 @@ type transfer struct {
 	payload   float64 // real bytes (accounted on completion)
 	pat       Pattern
 	read      bool // accounted to TotalBytesRead, not TotalBytes
-	future    *des.Future
+	future    des.Future
 }
 
 // drawJitter returns the multiplicative log-normal service jitter and an
@@ -371,12 +374,6 @@ func (o *ost) advance() {
 			t.remaining = 0
 		}
 	}
-}
-
-// complete is the next-completion timer's callback.
-func (o *ost) complete() {
-	o.advance()
-	o.recompute()
 }
 
 // recompute completes any finished transfers, recomputes the shared rate,

@@ -24,14 +24,6 @@ type simModel struct {
 	metaTime float64 // seconds per metadata op
 	overhead float64 // seconds charged once per file stream
 
-	// Pattern efficiencies: the fraction of target bandwidth a stream
-	// of each pattern achieves. The ordering mirrors the pfs model
-	// (sequential > small files > shared-file extent locking) so the
-	// paper's strategy ranking survives a backend swap.
-	effSeq    float64
-	effSmall  float64
-	effShared float64
-
 	mu           sync.Mutex
 	bytesWritten float64
 	bytesRead    float64
@@ -44,15 +36,7 @@ func newSimModel(eng *des.Engine, targets int, bandwidth float64) *simModel {
 	if targets <= 0 {
 		targets = 1
 	}
-	m := &simModel{
-		eng:       eng,
-		bw:        bandwidth,
-		metaTime:  1e-3,
-		overhead:  0.05,
-		effSeq:    1.0,
-		effSmall:  0.45,
-		effShared: 0.06,
-	}
+	m := &simModel{eng: eng, bw: bandwidth, metaTime: 1e-3, overhead: 0.05}
 	if eng != nil {
 		m.targets = make([]*des.Resource, targets)
 		for i := range m.targets {
@@ -77,16 +61,11 @@ func (m *simModel) Targets() int {
 // BeginPhase implements CostModel (no congestion model: nothing to draw).
 func (m *simModel) BeginPhase() {}
 
-func (m *simModel) eff(pat Pattern) float64 {
-	switch pat {
-	case SmallFile:
-		return m.effSmall
-	case SharedFile:
-		return m.effShared
-	default:
-		return m.effSeq
-	}
-}
+// simEfficiency is the fraction of target bandwidth a stream of each
+// pattern achieves. The ordering mirrors the pfs model (sequential >
+// small files > shared-file extent locking) so the paper's strategy
+// ranking survives a backend swap.
+var simEfficiency = [...]float64{BigSequential: 1.0, SmallFile: 0.45, SharedFile: 0.06}
 
 func (m *simModel) metaOp(k func()) {
 	m.metaRes.AcquireThen(1, func() {
@@ -141,7 +120,7 @@ func (m *simModel) transfer(target int, bytes float64, pat Pattern, overhead flo
 	t := m.targets[target%len(m.targets)]
 	t.AcquireThen(1, func() {
 		m.beginTransfer()
-		m.eng.Wait(overhead+bytes/(m.bw*m.eff(pat)), func() {
+		m.eng.Wait(overhead+bytes/(m.bw*simEfficiency[pat]), func() {
 			m.endTransfer(bytes, read)
 			t.Release(1)
 			k()

@@ -49,7 +49,7 @@ func (b *PFS) Write(target int, bytes float64, pat Pattern, k func()) {
 
 // WriteChunk implements CostModel.
 func (b *PFS) WriteChunk(target int, bytes float64, pat Pattern, k func()) {
-	b.fs.WriteChunk(target%b.fs.OSTCount(), bytes, pfsPattern(pat), k)
+	b.fs.WriteChunkAsync(target%b.fs.OSTCount(), bytes, pfsPattern(pat)).Then(k)
 }
 
 // WriteAsync implements CostModel.
@@ -59,7 +59,7 @@ func (b *PFS) WriteAsync(target int, bytes float64, pat Pattern) *des.Future {
 
 // Read implements CostModel.
 func (b *PFS) Read(target int, bytes float64, pat Pattern, k func()) {
-	b.fs.Read(target%b.fs.OSTCount(), bytes, pfsPattern(pat), k)
+	b.fs.ReadAsync(target%b.fs.OSTCount(), bytes, pfsPattern(pat)).Then(k)
 }
 
 // ReadAsync implements CostModel.

@@ -11,10 +11,16 @@ import "repro/internal/des"
 type TransferCost func(bytes float64) (cpu, forwarded float64)
 
 // reducing is the one implementation of a reduction layer's transfer
-// methods: every other CostModel method is the inner model's.
+// methods: every other CostModel method is the inner model's. Its async
+// transfers are actors indexed in transfers, carved from blocks of 64
+// and kept for the run (their futures are handed out), stepped by one
+// event kind.
 type reducing struct {
 	CostModel
 	write, read TransferCost
+	transfers   []*transfer
+	spare       []transfer
+	step        des.Kind
 }
 
 // Reduce returns inner with a reduction layer on its five transfer
@@ -67,7 +73,7 @@ func (r *reducing) ReadAsync(target int, bytes float64, pat Pattern) *des.Future
 // transfer is one async transfer through the layer as a continuation
 // state machine: an event of its own, then the CPU and the inner
 // transfer — in that order for a write, the other way round for a read
-// — then done completes. One bound step books every event.
+// — then done completes. Each step is the layer's step kind for id.
 type transfer struct {
 	r        *reducing
 	target   int
@@ -75,7 +81,7 @@ type transfer struct {
 	pat      Pattern
 	write    bool
 	stage    int
-	step     func()
+	id       int32
 	done     des.Future
 }
 
@@ -84,11 +90,19 @@ func (r *reducing) async(t transfer) *des.Future {
 	if t.cpu <= 0 {
 		return t.inner()
 	}
-	p := new(transfer)
+	eng := r.Engine()
+	if r.step == 0 {
+		r.step = eng.Handle(func(i int32) { r.transfers[i].next() })
+	}
+	if len(r.spare) == 0 {
+		r.spare = make([]transfer, 64)
+	}
+	p := &r.spare[0]
+	r.spare = r.spare[1:]
+	t.id, t.done = int32(len(r.transfers)), *eng.NewFuture()
 	*p = t
-	p.done = *r.Engine().NewFuture() // fresh, copied in before anyone follows it
-	p.step = p.next
-	r.Engine().Wait(0, p.step)
+	r.transfers = append(r.transfers, p)
+	eng.Post(0, r.step, p.id)
 	return &p.done
 }
 
@@ -104,8 +118,8 @@ func (t *transfer) next() {
 	case t.stage == 3:
 		t.done.Complete()
 	case t.write == (t.stage == 1): // a write's first step, a read's second
-		t.r.Engine().Wait(t.cpu, t.step)
+		t.r.Engine().Post(t.cpu, t.r.step, t.id)
 	default:
-		t.inner().Then(t.step)
+		t.inner().ThenPost(t.r.step, t.id)
 	}
 }
