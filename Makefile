@@ -180,11 +180,16 @@ pprof-cpu:
 		-cpuprofile out/pprof/cpu.prof
 	$(GO) tool pprof -top -nodecount=20 out/pprof/cpu.prof
 
+# pprof-alloc records every allocation (-memprofilerate=1) and prints the
+# top allocation sites by count (alloc_objects), which is what the DES
+# work budgets ceil; e.g. the des-kraken write runs and restart read:
+#   make pprof-alloc PPROF_BENCH=BenchmarkStrategyRun/9216 PPROF_PKG=./internal/iostrat
+#   make pprof-alloc PPROF_BENCH=BenchmarkRestartRead PPROF_PKG=./internal/iostrat
 pprof-alloc:
 	@mkdir -p out/pprof
 	$(GO) test $(PPROF_PKG) -run '^$$' -bench '^$(PPROF_BENCH)$$' -benchtime 2s \
-		-memprofile out/pprof/alloc.prof
-	$(GO) tool pprof -top -nodecount=20 -sample_index=alloc_space out/pprof/alloc.prof
+		-memprofilerate=1 -memprofile out/pprof/alloc.prof
+	$(GO) tool pprof -top -nodecount=20 -sample_index=alloc_objects out/pprof/alloc.prof
 
 # cover-check enforces the checked-in coverage floor over the scheduling
 # core: internal/iostrat + internal/storage (chunk store included) +

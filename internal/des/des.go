@@ -54,8 +54,8 @@ type event struct {
 	time float64
 	seq  uint64 // tie-breaker: FIFO among equal-time, equal-rank events
 	cont
-	rank  int32
 	index int    // heap position, inLane, or notPending
+	rank  int32  // its kind's rank when booked
 	gen   uint32 // incarnation counter validated by Timer handles
 }
 

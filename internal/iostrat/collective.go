@@ -42,15 +42,15 @@ func runCollective(cfg Config) (Result, error) {
 		rounds:       rounds,
 		aggDone:      eng.NewBarrier(nAggs),
 		phaseDone:    make([]des.Future, w.Iterations),
-		ranks:        make([]collectiveRank, ranks),
+		aggs:         make([]collectiveAgg, nAggs),
 	}
 	run.loop = newPhaseLoop(eng, &res, ranks, w.Iterations, w.ComputeJitter, root.Named("compute"),
 		func(int) float64 { return w.ComputeTime }, func(int) { be.BeginPhase() }, run.exchange)
 	for i := range run.phaseDone {
 		run.phaseDone[i] = *eng.NewFuture()
 	}
-	for i := 0; i < ranks; i += plat.CoresPerNode {
-		run.ranks[i].step = func() { run.aggregate(int32(i)) }
+	for n := range run.aggs {
+		run.aggs[n].step = func() { run.aggregate(int32(n * plat.CoresPerNode)) }
 	}
 	run.kShuffled = eng.Handle(run.onShuffled)
 	run.kSent = eng.Handle(func(i int32) { run.phaseDone[run.loop.ranks[i].it].ThenPost(run.loop.kWrote, i) })
@@ -77,18 +77,18 @@ type collectiveRun struct {
 	nodeBytes    float64
 	rounds       int
 	aggDone      *des.Barrier
-	phaseDone    []des.Future // per iteration, the collective write's end
-	ranks        []collectiveRank
+	phaseDone    []des.Future    // per iteration, the collective write's end
+	aggs         []collectiveAgg // per node, its aggregator's
 
 	kShuffled, kSent, kAggregated des.Kind
 }
 
-// collectiveRank is one collective-I/O rank's output state. An
-// aggregator — the first rank of each node — collects the node's data
-// over the NIC and writes it into the shared file in rounds, each file
-// operation continued by step, bound once; every other rank sends its
-// data to its aggregator and waits for the collective write to end.
-type collectiveRank struct {
+// collectiveAgg is an aggregator's output state. The aggregator — the
+// first rank of each node — collects the node's data over the NIC and
+// writes it into the shared file in rounds, each file operation
+// continued by step, bound once; every other rank sends its data to its
+// aggregator and waits for the collective write to end.
+type collectiveAgg struct {
 	round    int
 	creating bool // step continues the shared file's create
 	step     func()
@@ -110,7 +110,7 @@ func (run *collectiveRun) exchange(i int32) {
 }
 
 func (run *collectiveRun) onShuffled(i int32) {
-	r := &run.ranks[i]
+	r := &run.aggs[int(i)/run.plat.CoresPerNode]
 	r.round, r.creating = 0, i == 0
 	if r.creating {
 		run.be.Create(r.step) // the shared file
@@ -124,7 +124,7 @@ func (run *collectiveRun) onShuffled(i int32) {
 // is written, closes the file after the last round, and meets the other
 // aggregators once it is closed.
 func (run *collectiveRun) aggregate(i int32) {
-	r := &run.ranks[i]
+	r := &run.aggs[int(i)/run.plat.CoresPerNode]
 	switch {
 	case r.creating:
 		r.creating = false
