@@ -12,14 +12,15 @@ import (
 // run costs, by shape/model/strategy: the four strategies without
 // reduction layers, and the des-kraken workload's tree configuration
 // (krakenTree) written and restarted on the PFS model, plus the
-// des-kraken restart read itself at 9,216 cores and the 1,152-core flat
-// Damaris run on twice the OSTs (pfs-672), which must allocate exactly
-// what it does on 336. events is exact: every simulated actor is a
-// state machine that books the very events its coroutine used to, one
-// for one, so a change to it changed the model or its event order.
-// spawns counts des.Proc adapters, which no model uses, so every
-// ceiling is 0. allocs, for the 1,152-core and 9,216-core rows and the
-// toy restart, is a ceiling on the heap allocations of one whole run
+// des-kraken restart read itself and a file-per-process run at 9,216
+// cores, and the 1,152-core flat Damaris run on twice the OSTs
+// (pfs-672), which must allocate exactly what it does on 336. events is
+// exact: a run books its events deterministically, so a change to the
+// count changed the model or its event order (a transfer's follower
+// running in an event of its own instead of inline, say). spawns counts
+// des.Proc adapters, which no model uses, so every ceiling is 0.
+// allocs, for the 1,152-core and 9,216-core rows and the toy restart,
+// is a ceiling on the heap allocations of one whole run
 // (testing.AllocsPerRun), set just above the count measured when it was
 // last lowered; 0 checks none.
 var desWorkBudgets = map[string]struct {
@@ -31,29 +32,31 @@ var desWorkBudgets = map[string]struct {
 	"toy/pfs/collective":        {2996, 0, 0},
 	"toy/pfs/damaris-flat":      {1287, 0, 0},
 	"toy/pfs/damaris-tree":      {1238, 0, 0},
-	"toy/memory/fpp":            {2444, 0, 0},
-	"toy/memory/collective":     {2316, 0, 0},
-	"toy/memory/damaris-flat":   {1284, 0, 0},
-	"toy/memory/damaris-tree":   {1257, 0, 0},
-	"1152/pfs/fpp":              {20963, 0, 4300},
+	"toy/memory/fpp":            {2631, 0, 0},
+	"toy/memory/collective":     {2999, 0, 0},
+	"toy/memory/damaris-flat":   {1291, 0, 0},
+	"toy/memory/damaris-tree":   {1233, 0, 0},
+	"1152/pfs/fpp":              {20963, 0, 1900},
 	"1152/pfs/collective":       {24392, 0, 500},
 	"1152/pfs/damaris-flat":     {10749, 0, 3500},
 	"1152/pfs/damaris-tree":     {10456, 0, 3000},
-	"1152/memory/fpp":           {20174, 0, 19000},
-	"1152/memory/collective":    {19000, 0, 12800},
-	"1152/memory/damaris-flat":  {10744, 0, 5000},
-	"1152/memory/damaris-tree":  {10758, 0, 5050},
+	"1152/memory/fpp":           {21903, 0, 2600},
+	"1152/memory/collective":    {24380, 0, 690},
+	"1152/memory/damaris-flat":  {10746, 0, 3750},
+	"1152/memory/damaris-tree":  {10422, 0, 3230},
 	"toy/pfs/kraken-tree":       {1382, 0, 0},
 	"toy/pfs/restart":           {75, 0, 100},
 	"1152/pfs/kraken-tree":      {12478, 0, 3200},
 	"1152/pfs/restart":          {1403, 0, 200},
 	"1152/pfs-672/damaris-flat": {10749, 0, 3500},
 	"9216/pfs/restart":          {4451, 0, 750},
+	"9216/pfs/fpp":              {167094, 0, 11500},
 }
 
 // TestDESWorkBudgets runs the four strategies at the 96-core toy shape
 // and at 1,152 cores, on the PFS and the flat model, plus the krakenTree
-// write and restart read on the PFS model, and holds the engine to
+// write and restart read on the PFS model and the 9,216-core restart
+// read and file-per-process run, and holds the engine to
 // desWorkBudgets. AllocsPerRun measures at GOMAXPROCS 1 whatever -cpu
 // says, so the ceilings hold at any setting; under -race only the event
 // and spawn checks run, since the detector allocates on its own account.
@@ -94,6 +97,8 @@ func TestDESWorkBudgets(t *testing.T) {
 	}
 	checkDESBudget(t, "9216/pfs/restart", "pfs", func() Config { return krakenConfig(true) },
 		func(cfg Config) error { _, err := RestartRead(cfg); return err })
+	checkDESBudget(t, "9216/pfs/fpp", "pfs", func() Config { return krakenConfig(false) },
+		func(cfg Config) error { _, err := Run(FilePerProcess, cfg); return err })
 }
 
 // checkDESBudget runs one desWorkBudgets row: run on config's

@@ -145,7 +145,7 @@ func (run *collectiveRun) aggregate(i int32) {
 		// slowest aggregator finishes.
 		ost := (int(i)/run.plat.CoresPerNode + r.round*run.plat.Nodes) % run.be.Targets()
 		r.round++
-		run.be.WriteChunk(ost, chunk, storage.SharedFile, r.step)
+		run.be.WriteChunk(ost, chunk, storage.SharedFile).Then(r.step)
 	}
 }
 

@@ -331,7 +331,7 @@ func runDamaris(cfg Config) (Result, error) {
 					fileSeq++
 					req := writeReq{holder: node, base: ost, stripes: 1,
 						deadline: phaseStart[item.iter] + computeAt(item.iter), bytes: per}
-					return req, func(k func()) { be.Write(ost, per, pat, k) }
+					return req, func(k func()) { be.Write(ost, per, pat).Then(k) }
 				}, func() {
 					shm.free(item.bytes)
 					res.DedicatedBusy += eng.Now() - t0
@@ -632,7 +632,7 @@ func (tr *treeRun) storeRoot(node int, fileSeq *int, d cluster.Decision, it int,
 			req := writeReq{holder: node, base: base, stripes: stripes, deadline: tr.deadline(it), bytes: subtree}
 			return req, func(k func()) {
 				tw := tr.eng.Now()
-				stripeAcross(be.WriteAsync, base, stripes, be.Targets(), per, func() {
+				stripeAcross(be.Write, base, stripes, be.Targets(), per, func() {
 					if el := tr.eng.Now() - tw; el > 0 {
 						tr.adapter.ObservePFS(per / float64(stripes) / el)
 					}
@@ -686,11 +686,11 @@ func (tr *treeRun) deliver(to, it int, bytes float64, c cluster.Cover) {
 	tr.waiting[to].wake()
 }
 
-// stripeAcross starts one big sequential transfer (be.WriteAsync or
-// be.ReadAsync) of bytes split evenly over a root window — stripes
-// targets from base, wrapping at targets — and runs k once all of it is
-// done. It waits for the stripes in order, so a stripe that is done by
-// the time its turn comes costs no event.
+// stripeAcross starts one big sequential transfer (be.Write or be.Read)
+// of bytes split evenly over a root window — stripes targets from base,
+// wrapping at targets — and runs k once all of it is done. It waits for
+// the stripes in order, so a stripe that is done by the time its turn
+// comes costs no event.
 func stripeAcross(io func(int, float64, storage.Pattern) *des.Future,
 	base, stripes, targets int, bytes float64, k func()) {
 

@@ -61,7 +61,7 @@ type fppRank struct {
 
 func (run *fppRun) writeFile(i int32) {
 	r := &run.ranks[i]
-	r.ost, r.stage = run.be.PlaceFile(1, &r.placeRng)[0], 0
+	r.ost, r.stage = r.placeRng.Intn(run.be.Targets()), 0
 	run.be.Create(r.step)
 }
 
@@ -71,7 +71,7 @@ func (run *fppRun) next(i int32) {
 	r := &run.ranks[i]
 	switch r.stage++; r.stage {
 	case 1:
-		run.be.Write(r.ost, run.bytes, storage.SmallFile, r.step)
+		run.be.Write(r.ost, run.bytes, storage.SmallFile).Then(r.step)
 	case 2:
 		run.be.Close(r.step)
 	default:

@@ -216,7 +216,7 @@ func (tr *treeRun) runConsumer(q *insituQ, ord int) {
 			// which a later re-formation does not retarget; the read
 			// competes with whatever the storage system is serving.
 			stripes := tr.stripes(item.iter)
-			stripeAcross(be.ReadAsync, (ord*stripes)%be.Targets(), stripes, be.Targets(), item.bytes, analyze)
+			stripeAcross(be.Read, (ord*stripes)%be.Targets(), stripes, be.Targets(), item.bytes, analyze)
 		})
 	}
 	next()

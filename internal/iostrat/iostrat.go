@@ -199,12 +199,13 @@ type Config struct {
 	// See InSituConfig. The zero value disables it.
 	InSitu InSituConfig
 	// Failures schedules node deaths in tree mode (nil: none), the DES
-	// mirror of cluster.RunSpec.Failures: when a scheduled node's
-	// dedicated core reaches its death iteration, the node's I/O stack
-	// stops (its output from that iteration on is lost), its children
-	// re-route to its parent (or a promoted sibling when a root dies),
-	// and its in-flight aggregations drain to the re-route target. The
-	// simulation ranks keep computing — the model isolates the
+	// mirror of cluster.RunSpec.Failures; outside it, Run and RestartRead
+	// reject them, a Scenario's node losses included. When a scheduled
+	// node's dedicated core reaches its death iteration, the node's I/O
+	// stack stops (its output from that iteration on is lost), its
+	// children re-route to its parent (or a promoted sibling when a root
+	// dies), and its in-flight aggregations drain to the re-route target.
+	// The simulation ranks keep computing — the model isolates the
 	// I/O-layer data-loss/latency trade of losing aggregation nodes.
 	Failures *cluster.FailureSchedule
 	// Scenario, when non-nil, drives the run from a deterministic
@@ -272,6 +273,15 @@ func (c Config) Canonical() Config {
 		}
 	}
 	return c
+}
+
+// checkFailures rejects node deaths (Failures and the Scenario's node
+// losses) outside tree mode, which alone models them.
+func (c Config) checkFailures(tree bool) error {
+	if !tree && !c.Failures.WithTrace(c.Scenario).Empty() {
+		return fmt.Errorf("iostrat: node failures require tree mode (Fanout >= 2)")
+	}
+	return nil
 }
 
 // newCostModel builds one run's cost stack: the PFS model (r seeds it),
@@ -486,6 +496,9 @@ func (r Result) IdleFraction() float64 {
 // Run executes the named approach under cfg and returns its measurements.
 func Run(a Approach, cfg Config) (Result, error) {
 	cfg = cfg.Canonical()
+	if err := cfg.checkFailures(a == Damaris && cfg.Fanout >= 2); err != nil {
+		return Result{}, err
+	}
 	switch a {
 	case FilePerProcess:
 		return runFPP(cfg)

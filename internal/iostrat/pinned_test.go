@@ -24,8 +24,9 @@ func (p pinned) String() string {
 }
 
 // TestReductionLayersPinned holds the DES face of the codec and dedup
-// layers to the last bit: flat Damaris drives the blocking transfer
-// methods, tree mode and the tree restart the async ones. The expected
+// layers to the last bit: flat Damaris and the flat restart move one
+// file per node through a layer's transfers, tree mode and the tree
+// restart stripe each root's object across a window. The expected
 // values were recorded by running this body at the commit before the
 // layers' transfer methods were folded into one cost middleware
 // (cd67351); the restart rows with failed nodes, which read through a

@@ -4,7 +4,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/rng"
-	"repro/internal/storage"
 )
 
 // RestartResult reports what the restart-read model measured.
@@ -29,12 +28,15 @@ type RestartResult struct {
 // big-sequential streams — reads share the same per-target queues as
 // writes — then scatters the blocks down the tree over the NIC, each
 // sender serializing its children's transfers. With Fanout < 2 every
-// node reads its own per-node file instead (the paper's baseline
-// layout). A failure schedule is applied up front: a restart happens
-// after the deaths, so dead nodes neither hold data to read nor
-// receive any.
+// node is a root that reads its own one-stripe file (the paper's
+// baseline layout), and a failure schedule is rejected. In tree mode it
+// is applied up front: a restart happens after the deaths, so dead
+// nodes neither hold data to read nor receive any.
 func RestartRead(cfg Config) (RestartResult, error) {
 	cfg = cfg.Canonical()
+	if err := cfg.checkFailures(cfg.Fanout >= 2); err != nil {
+		return RestartResult{}, err
+	}
 	eng := des.NewEngine()
 	root := rng.New(cfg.Seed, 17)
 	be, _, err := cfg.newCostModel(eng, root.Named("pfs"))
@@ -46,31 +48,17 @@ func RestartRead(cfg Config) (RestartResult, error) {
 	res := RestartResult{}
 	be.BeginPhase()
 
+	aggRoots, rootStripes := cfg.AggRoots, cfg.RootStripes
 	if cfg.Fanout < 2 {
-		// Baseline: one file per node, read back in parallel.
-		res.Roots = plat.Nodes
-		res.Stripes = 1
-		for node := range plat.Nodes {
-			eng.Wait(0, func() {
-				be.Open(func() {
-					be.Read(node%be.Targets(), nodeBytes, storage.BigSequential, func() { be.Close(func() {}) })
-				})
-			})
-		}
-		res.ReadTime = eng.Run()
-		res.TotalTime = res.ReadTime
-		res.BytesRead = be.Accounting().BytesRead
-		return res, nil
+		aggRoots, rootStripes = plat.Nodes, 1 // the baseline: every node a root
 	}
-
-	roots, kids, size := restartTopology(plat.Nodes, cfg.Fanout, cfg.AggRoots, cfg.Failures)
+	roots, kids, size := restartTopology(plat.Nodes, cfg.Fanout, aggRoots, cfg.Failures)
 	if len(roots) == 0 {
 		// Every root died: nothing stored, nothing to restart from.
 		return res, nil
 	}
-	stripes := cluster.StripeWidth(cfg.RootStripes, be.Targets(), len(roots))
-	res.Roots = len(roots)
-	res.Stripes = stripes
+	stripes := cluster.StripeWidth(rootStripes, be.Targets(), len(roots))
+	res.Roots, res.Stripes = len(roots), stripes
 	bytes := func(n int) float64 { return nodeBytes * float64(size[n]) }
 	// push[n] is node n's one step once it holds its subtree's state: a
 	// child whose transfer just finished pushes on in an event of its
@@ -92,11 +80,10 @@ func RestartRead(cfg Config) (RestartResult, error) {
 			}
 		}
 	}
-	read := be.ReadAsync
 	for ordinal, id := range roots {
 		eng.Wait(0, func() {
 			be.Open(func() {
-				stripeAcross(read, (ordinal*stripes)%be.Targets(), stripes, be.Targets(), bytes(id), func() {
+				stripeAcross(be.Read, (ordinal*stripes)%be.Targets(), stripes, be.Targets(), bytes(id), func() {
 					be.Close(func() {
 						res.ReadTime = max(res.ReadTime, eng.Now())
 						push[id]()

@@ -21,7 +21,7 @@ type writeInterval struct {
 }
 
 // probeBackend wraps a cost model and records every write's target
-// occupancy interval, async submissions included.
+// occupancy interval.
 type probeBackend struct {
 	storage.CostModel
 
@@ -35,33 +35,19 @@ func (pb *probeBackend) record(target int, start, end float64) {
 	pb.mu.Unlock()
 }
 
-func (pb *probeBackend) Write(target int, bytes float64, pat storage.Pattern, k func()) {
-	start := pb.Engine().Now()
-	pb.CostModel.Write(target, bytes, pat, func() {
-		pb.record(target, start, pb.Engine().Now())
-		k()
-	})
+func (pb *probeBackend) Write(target int, bytes float64, pat storage.Pattern) *des.Future {
+	return pb.watch(target, pb.CostModel.Write(target, bytes, pat))
 }
 
-func (pb *probeBackend) WriteChunk(target int, bytes float64, pat storage.Pattern, k func()) {
-	start := pb.Engine().Now()
-	pb.CostModel.WriteChunk(target, bytes, pat, func() {
-		pb.record(target, start, pb.Engine().Now())
-		k()
-	})
+func (pb *probeBackend) WriteChunk(target int, bytes float64, pat storage.Pattern) *des.Future {
+	return pb.watch(target, pb.CostModel.WriteChunk(target, bytes, pat))
 }
 
-func (pb *probeBackend) WriteAsync(target int, bytes float64, pat storage.Pattern) *des.Future {
-	eng := pb.Engine()
-	start := eng.Now()
-	inner := pb.CostModel.WriteAsync(target, bytes, pat)
-	done := eng.NewFuture()
-	eng.Spawn("probe", func(p *des.Proc) {
-		p.Do(inner.Then)
-		pb.record(target, start, p.Now())
-		done.Complete()
-	})
-	return done
+// watch records target's occupancy from now until f completes.
+func (pb *probeBackend) watch(target int, f *des.Future) *des.Future {
+	start := pb.Engine().Now()
+	f.Then(func() { pb.record(target, start, pb.Engine().Now()) })
+	return f
 }
 
 // overlaps returns the number of target-time conflicts: pairs of write

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/storage"
 	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 // treeConfig returns a 16-node machine with cross-node aggregation on.
@@ -327,5 +328,46 @@ func TestDamarisTreeFailureWithSkips(t *testing.T) {
 	}
 	if loss := res.DataLossFraction(); loss <= 0.9 {
 		t.Errorf("DataLossFraction = %v, want near-total loss", loss)
+	}
+}
+
+// TestFailuresRequireTreeMode: only tree mode models node deaths, so
+// every other approach and layout rejects a failure schedule — given
+// directly or as a scenario's node losses — instead of ignoring it.
+func TestFailuresRequireTreeMode(t *testing.T) {
+	run := func(a Approach) func(Config) error {
+		return func(cfg Config) error { _, err := Run(a, cfg); return err }
+	}
+	restart := func(cfg Config) error { _, err := RestartRead(cfg); return err }
+	cases := []struct {
+		name   string
+		fanout int
+		run    func(Config) error
+		ok     bool
+	}{
+		{"fpp", 0, run(FilePerProcess), false},
+		{"fpp-fanout-4", 4, run(FilePerProcess), false},
+		{"collective", 0, run(Collective), false},
+		{"collective-fanout-4", 4, run(Collective), false},
+		{"damaris-flat", 0, run(Damaris), false},
+		{"damaris-fanout-1", 1, run(Damaris), false},
+		{"damaris-tree", 4, run(Damaris), true},
+		{"restart-flat", 0, restart, false},
+		{"restart-tree", 4, restart, true},
+	}
+	for _, c := range cases {
+		for _, deaths := range []string{"failures", "scenario"} {
+			t.Run(c.name+"/"+deaths, func(t *testing.T) {
+				cfg := treeConfig()
+				cfg.Failures = cluster.NewFailureSchedule().Add(0, 1).Add(5, 1)
+				if deaths == "scenario" {
+					cfg = scenarioConfig(t, workload.NodeChurn, AdaptStatic)
+				}
+				cfg.Fanout = c.fanout
+				if err := c.run(cfg); (err == nil) != c.ok {
+					t.Errorf("error %v, want one: %v", err, !c.ok)
+				}
+			})
+		}
 	}
 }

@@ -57,20 +57,17 @@ func (p Pattern) String() string {
 }
 
 // FS is a simulated parallel file system bound to a DES engine. The OSTs
-// are held by value, transfers carved from blocks of 64 (spare), and MDS
-// operations in flight reuse their slots through freeOps.
+// are held by value and transfers carved from blocks of 64 (spare).
 type FS struct {
 	eng       *des.Engine
 	params    topology.PFSParams
 	bwFactor  float64 // mid-run bandwidth multiplier (SetBandwidthFactor)
-	mds       *des.Resource
+	mds       *MDS
 	osts      []ost
 	transfers []*transfer // the straggling ones, by index
 	spare     []transfer  // the rest of the current block
-	metaOps   []metaOp
-	freeOps   []int32
 
-	kStart, kComplete, kMetaHeld, kMetaDone des.Kind
+	kStart, kComplete des.Kind
 
 	totalBytes, totalBytesRead float64
 
@@ -88,13 +85,11 @@ func New(eng *des.Engine, params topology.PFSParams, r *rng.Stream) *FS {
 		eng:      eng,
 		params:   params,
 		bwFactor: 1,
-		mds:      eng.NewResource(1),
+		mds:      NewMDS(eng),
 		osts:     make([]ost, params.OSTs),
 	}
 	fs.kStart = eng.Handle(func(i int32) { fs.transfers[i].start() })
 	fs.kComplete = eng.Handle(func(i int32) { fs.osts[i].advance(); fs.osts[i].recompute() })
-	fs.kMetaHeld = eng.Handle(func(i int32) { eng.Post(fs.metaOps[i].service, fs.kMetaDone, i) })
-	fs.kMetaDone = eng.Handle(fs.metaDone)
 	active := make([]*transfer, len(fs.osts)) // one slot per OST to start
 	for i := range fs.osts {
 		fs.osts[i] = ost{fs: fs, rng: *r.Child(uint64(i)), congestion: 1,
@@ -148,82 +143,79 @@ func (fs *FS) SetBandwidthFactor(factor float64) {
 	}
 }
 
-// metaOp is one metadata operation in flight: it holds the MDS for its
-// service time, then runs k.
+// MDS is a metadata server: a FIFO resource of one unit that each
+// operation holds for its service time before its continuation runs.
+// Operations in flight reuse their slots through free.
+type MDS struct {
+	res        *des.Resource
+	ops        []metaOp
+	free       []int32
+	held, done des.Kind
+}
+
+// metaOp is one metadata operation in flight.
 type metaOp struct {
 	service float64
 	k       func()
 }
 
-// meta serializes one metadata operation of the given service time at
-// the MDS and runs k once the MDS has released it.
-func (fs *FS) meta(service float64, k func()) {
-	i := int32(len(fs.metaOps))
-	if n := len(fs.freeOps); n > 0 {
-		i, fs.freeOps = fs.freeOps[n-1], fs.freeOps[:n-1]
-	} else {
-		fs.metaOps = append(fs.metaOps, metaOp{})
-	}
-	fs.metaOps[i] = metaOp{service, k}
-	fs.mds.AcquirePost(1, fs.kMetaHeld, i)
+// NewMDS returns an idle metadata server on eng.
+func NewMDS(eng *des.Engine) *MDS {
+	m := &MDS{res: eng.NewResource(1)}
+	m.held = eng.Handle(func(i int32) { eng.Post(m.ops[i].service, m.done, i) })
+	m.done = eng.Handle(m.finish)
+	return m
 }
 
-func (fs *FS) metaDone(i int32) {
-	k := fs.metaOps[i].k
-	fs.metaOps[i].k = nil
-	fs.freeOps = append(fs.freeOps, i)
-	fs.mds.Release(1)
+// Serve holds the server for service seconds, once every operation
+// queued before it is done, then releases it and runs k.
+func (m *MDS) Serve(service float64, k func()) {
+	i := int32(len(m.ops))
+	if n := len(m.free); n > 0 {
+		i, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		m.ops = append(m.ops, metaOp{})
+	}
+	m.ops[i] = metaOp{service, k}
+	m.res.AcquirePost(1, m.held, i)
+}
+
+func (m *MDS) finish(i int32) {
+	k := m.ops[i].k
+	m.ops[i].k = nil
+	m.free = append(m.free, i)
+	m.res.Release(1)
 	k()
 }
 
 // Create performs a file-create at the MDS, then runs k.
-func (fs *FS) Create(k func()) { fs.meta(fs.params.MDSCreate, k) }
+func (fs *FS) Create(k func()) { fs.mds.Serve(fs.params.MDSCreate, k) }
 
 // Open performs a file-open at the MDS, then runs k.
-func (fs *FS) Open(k func()) { fs.meta(fs.params.MDSOpen, k) }
+func (fs *FS) Open(k func()) { fs.mds.Serve(fs.params.MDSOpen, k) }
 
 // Close performs a file-close at the MDS, then runs k.
-func (fs *FS) Close(k func()) { fs.meta(fs.params.MDSClose, k) }
+func (fs *FS) Close(k func()) { fs.mds.Serve(fs.params.MDSClose, k) }
 
-// PlaceFile chooses stripeCount distinct OSTs for a new file (see Place).
-func (fs *FS) PlaceFile(stripeCount int, r *rng.Stream) []int {
-	return Place(len(fs.osts), stripeCount, r)
-}
-
-// Place chooses stripes distinct targets out of n, mimicking Lustre's
-// randomized allocator: every target, in order and without a draw, when
-// stripes >= n; otherwise a draw from r, so placement is reproducible
-// per caller.
-func Place(n, stripes int, r *rng.Stream) []int {
-	if stripes < n {
-		return r.Sample(n, stripes)
-	}
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	return all
-}
-
-// WriteAsync submits a whole-file write of the given size and pattern to
-// one OST and returns a future completed when the transfer finishes. The
+// Write submits a whole-file write of the given size and pattern to one
+// OST and returns a future completed when the transfer finishes. The
 // per-file overhead (object allocation, initial seeks) is charged once.
-func (fs *FS) WriteAsync(ostID int, bytes float64, pat Pattern) *des.Future {
+func (fs *FS) Write(ostID int, bytes float64, pat Pattern) *des.Future {
 	return fs.submit(ostID, bytes, fs.params.FileOverhead, pat, false)
 }
 
-// WriteChunkAsync submits one chunk of an already-open file (e.g. one
+// WriteChunk submits one chunk of an already-open file (e.g. one
 // two-phase round): no per-file overhead is charged.
-func (fs *FS) WriteChunkAsync(ostID int, bytes float64, pat Pattern) *des.Future {
+func (fs *FS) WriteChunk(ostID int, bytes float64, pat Pattern) *des.Future {
 	return fs.submit(ostID, bytes, 0, pat, false)
 }
 
-// ReadAsync submits a whole-file read of the given size and pattern to
-// one OST and returns a future completed when the transfer finishes.
-// Reads are served by the same per-OST processor-sharing queues as
-// writes — a restart competes with whatever else the storage system is
-// doing — and are accounted separately (TotalBytesRead).
-func (fs *FS) ReadAsync(ostID int, bytes float64, pat Pattern) *des.Future {
+// Read submits a whole-file read of the given size and pattern to one
+// OST and returns a future completed when the transfer finishes. Reads
+// are served by the same per-OST processor-sharing queues as writes — a
+// restart competes with whatever else the storage system is doing — and
+// are accounted separately (TotalBytesRead).
+func (fs *FS) Read(ostID int, bytes float64, pat Pattern) *des.Future {
 	return fs.submit(ostID, bytes, fs.params.FileOverhead, pat, true)
 }
 
@@ -266,12 +258,6 @@ func (t *transfer) start() {
 	o.advance()
 	o.active = append(o.active, t)
 	o.recompute()
-}
-
-// Write runs k once a whole-file write of the given size and pattern to
-// ostID completes.
-func (fs *FS) Write(ostID int, bytes float64, pat Pattern, k func()) {
-	fs.WriteAsync(ostID, bytes, pat).Then(k)
 }
 
 // IOBusyTime returns the union of time during which at least one transfer

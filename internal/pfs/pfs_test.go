@@ -26,7 +26,7 @@ func TestSingleStreamAtPeak(t *testing.T) {
 	fs := New(eng, params, rng.New(1, 1))
 	var done float64
 	eng.Spawn("w", func(p *des.Proc) {
-		p.Do(func(k func()) { fs.Write(0, 200e6, BigSequential, k) })
+		p.Do(fs.Write(0, 200e6, BigSequential).Then)
 		done = p.Now()
 	})
 	eng.Run()
@@ -48,8 +48,8 @@ func TestProcessorSharingSlowdown(t *testing.T) {
 	params.AlphaSeq = 0.5
 	fs := New(eng, params, rng.New(1, 1))
 	var t1, t2 float64
-	eng.Spawn("a", func(p *des.Proc) { p.Do(func(k func()) { fs.Write(0, 100e6, BigSequential, k) }); t1 = p.Now() })
-	eng.Spawn("b", func(p *des.Proc) { p.Do(func(k func()) { fs.Write(0, 100e6, BigSequential, k) }); t2 = p.Now() })
+	eng.Spawn("a", func(p *des.Proc) { p.Do(fs.Write(0, 100e6, BigSequential).Then); t1 = p.Now() })
+	eng.Spawn("b", func(p *des.Proc) { p.Do(fs.Write(0, 100e6, BigSequential).Then); t2 = p.Now() })
 	eng.Run()
 	// Aggregate rate = 100 MB/s × 1/(1.5) = 66.7 MB/s for 200 MB → 3 s.
 	if t1 < 2.99 || t1 > 3.01 || t2 < 2.99 || t2 > 3.01 {
@@ -66,8 +66,8 @@ func TestLateArrivalSharesRemainder(t *testing.T) {
 	params.AlphaSeq = 0
 	fs := New(eng, params, rng.New(1, 1))
 	var ta, tb float64
-	eng.Spawn("a", func(p *des.Proc) { p.Do(func(k func()) { fs.Write(0, 100e6, BigSequential, k) }); ta = p.Now() })
-	eng.SpawnAt(0.5, "b", func(p *des.Proc) { p.Do(func(k func()) { fs.Write(0, 100e6, BigSequential, k) }); tb = p.Now() })
+	eng.Spawn("a", func(p *des.Proc) { p.Do(fs.Write(0, 100e6, BigSequential).Then); ta = p.Now() })
+	eng.SpawnAt(0.5, "b", func(p *des.Proc) { p.Do(fs.Write(0, 100e6, BigSequential).Then); tb = p.Now() })
 	eng.Run()
 	// A: 50 MB alone (0.5 s) + 50 MB at 50 MB/s (1 s) → 1.5 s.
 	// B: 50 MB at 50 MB/s (until A leaves at 1.5) + 50 MB at 100 MB/s → 2.0 s.
@@ -89,7 +89,7 @@ func TestPatternOrdering(t *testing.T) {
 		var last float64
 		for i := 0; i < 8; i++ {
 			eng.Spawn("w", func(p *des.Proc) {
-				p.Do(func(k func()) { fs.Write(0, 10e6, pat, k) })
+				p.Do(fs.Write(0, 10e6, pat).Then)
 				if p.Now() > last {
 					last = p.Now()
 				}
@@ -119,7 +119,7 @@ func TestFileOverheadChargedPerFile(t *testing.T) {
 		fs := New(eng, params, rng.New(1, 1))
 		eng.Spawn("w", func(p *des.Proc) {
 			for i := 0; i < files; i++ {
-				p.Do(func(k func()) { fs.Write(0, total/float64(files), BigSequential, k) })
+				p.Do(fs.Write(0, total/float64(files), BigSequential).Then)
 			}
 		})
 		return eng.Run()
@@ -157,32 +157,10 @@ func TestMDSSerializes(t *testing.T) {
 	}
 }
 
-func TestPlaceFile(t *testing.T) {
-	eng := des.NewEngine()
-	fs := New(eng, quietParams(), rng.New(1, 1))
-	r := rng.New(7, 7)
-	osts := fs.PlaceFile(4, r)
-	if len(osts) != 4 {
-		t.Fatalf("PlaceFile returned %d OSTs", len(osts))
-	}
-	seen := map[int]bool{}
-	for _, o := range osts {
-		if o < 0 || o >= fs.OSTCount() || seen[o] {
-			t.Fatalf("invalid or duplicate OST %d in %v", o, osts)
-		}
-		seen[o] = true
-	}
-	// Requesting more stripes than OSTs yields all OSTs.
-	all := fs.PlaceFile(10000, r)
-	if len(all) != fs.OSTCount() {
-		t.Fatalf("full-stripe placement returned %d", len(all))
-	}
-}
-
 func TestZeroByteWriteCompletesImmediately(t *testing.T) {
 	eng := des.NewEngine()
 	fs := New(eng, quietParams(), rng.New(1, 1))
-	f := fs.WriteAsync(0, 0, BigSequential)
+	f := fs.Write(0, 0, BigSequential)
 	if !f.Done() {
 		t.Fatal("zero-byte write should complete immediately")
 	}
@@ -198,7 +176,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			ostID := i % 7
 			eng.Spawn("w", func(pr *des.Proc) {
-				pr.Do(func(k func()) { fs.Write(ostID, 5e6, SmallFile, k) })
+				pr.Do(fs.Write(ostID, 5e6, SmallFile).Then)
 				times = append(times, pr.Now())
 			})
 		}
@@ -225,7 +203,7 @@ func TestBeginPhaseCongestionOnlyHurts(t *testing.T) {
 	fs.BeginPhase()
 	var done float64
 	eng.Spawn("w", func(p *des.Proc) {
-		p.Do(func(k func()) { fs.Write(0, 100e6, BigSequential, k) })
+		p.Do(fs.Write(0, 100e6, BigSequential).Then)
 		done = p.Now()
 	})
 	eng.Run()

@@ -12,7 +12,6 @@
 package rng
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math"
 )
@@ -98,33 +97,6 @@ func (s *Stream) Perm(n int) []int {
 	for i := range p {
 		j := s.Intn(i + 1)
 		p[i], p[j] = p[j], i
-	}
-	return p
-}
-
-// Sample returns a uniformly random ordered k-subset of [0, n): the first
-// k slots of a Fisher–Yates shuffle of the identity, in exactly k Intn
-// draws. The array is virtual: swaps logs the (slot, value) pairs earlier
-// swaps wrote (the last pair of a slot wins), so no cost grows with n.
-func (s *Stream) Sample(n, k int) []int {
-	if k < 0 || k > n {
-		panic(fmt.Sprintf("rng: Sample(%d, %d)", n, k))
-	}
-	p, swaps := make([]int, k), []int(nil)
-	for i := range p {
-		j := i + s.Intn(n-i)
-		vi, vj := i, j
-		for l := 0; l < len(swaps); l += 2 {
-			if swaps[l] == i {
-				vi = swaps[l+1]
-			}
-			if swaps[l] == j {
-				vj = swaps[l+1]
-			}
-		}
-		if p[i] = vj; j != i && i+1 < k {
-			swaps = append(swaps, j, vi)
-		}
 	}
 	return p
 }

@@ -1,7 +1,6 @@
 package rng
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -221,64 +220,5 @@ func BenchmarkUint64(b *testing.B) {
 	s := New(1, 1)
 	for i := 0; i < b.N; i++ {
 		s.Uint64()
-	}
-}
-
-// TestSampleDrawsK holds Sample to its contract: a seed fixes the
-// sample, the values are k distinct integers of [0, n), the stream moves
-// on by exactly k Intn draws (Intn(n), Intn(n-1), …), and each slot is
-// uniform over [0, n) — a chi-square bound on the per-slot frequencies
-// at FPP's placement shape (336, 1) and at (8, 3).
-func TestSampleDrawsK(t *testing.T) {
-	for n := 0; n <= 64; n++ {
-		for k := 0; k <= n; k++ {
-			seed := uint64(1000*n + k)
-			a, b, c := New(seed, 7), New(seed, 7), New(seed, 7)
-			got := a.Sample(n, k)
-			if again := b.Sample(n, k); fmt.Sprint(got) != fmt.Sprint(again) {
-				t.Fatalf("Sample(%d, %d) = %v, then %v from the same seed", n, k, got, again)
-			}
-			seen := map[int]bool{}
-			for _, v := range got {
-				if v < 0 || v >= n || seen[v] {
-					t.Fatalf("Sample(%d, %d) = %v: not %d distinct values of [0, %d)", n, k, got, k, n)
-				}
-				seen[v] = true
-			}
-			if len(got) != k {
-				t.Fatalf("Sample(%d, %d) returned %d values", n, k, len(got))
-			}
-			for i := range k {
-				c.Intn(n - i)
-			}
-			if a.Uint64() != c.Uint64() {
-				t.Fatalf("Sample(%d, %d) made other than %d Intn draws", n, k, k)
-			}
-		}
-	}
-	for _, shape := range []struct{ n, k, draws int }{{336, 1, 33600}, {8, 3, 8000}} {
-		counts := make([][]int, shape.k)
-		for i := range counts {
-			counts[i] = make([]int, shape.n)
-		}
-		s := New(2013, uint64(shape.n))
-		for range shape.draws {
-			for i, v := range s.Sample(shape.n, shape.k) {
-				counts[i][v]++
-			}
-		}
-		// k·(n-1) degrees of freedom; allow five standard deviations.
-		want := float64(shape.draws) / float64(shape.n)
-		chi2 := 0.0
-		for _, slot := range counts {
-			for _, c := range slot {
-				chi2 += (float64(c) - want) * (float64(c) - want) / want
-			}
-		}
-		df := float64(shape.k * (shape.n - 1))
-		if bound := df + 5*math.Sqrt(2*df); chi2 > bound {
-			t.Errorf("Sample(%d, %d): chi-square %.1f over %d draws, bound %.1f", shape.n, shape.k, chi2, shape.draws, bound)
-		}
-		t.Logf("Sample(%d, %d): chi-square %.1f at %.0f degrees of freedom", shape.n, shape.k, chi2, df)
 	}
 }

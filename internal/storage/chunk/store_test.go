@@ -762,8 +762,8 @@ func TestDedupCost(t *testing.T) {
 	st := Cost(storage.NewMemory(eng, 4, 1e9), 0.25)
 	const vol = 8 << 20
 	eng.Spawn("writer", func(p *des.Proc) {
-		p.Do(func(k func()) { st.Write(0, vol, storage.BigSequential, k) })
-		p.Do(func(k func()) { st.Read(0, vol, storage.BigSequential, k) })
+		p.Do(st.Write(0, vol, storage.BigSequential).Then)
+		p.Do(st.Read(0, vol, storage.BigSequential).Then)
 	})
 	eng.Run()
 	acc := st.Accounting()

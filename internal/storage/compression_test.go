@@ -284,11 +284,11 @@ func TestCodecCost(t *testing.T) {
 		eng.Spawn("dedicated", func(p *des.Proc) {
 			b.BeginPhase()
 			p.Do(b.Create)
-			p.Do(func(k func()) { b.Write(0, 60e6, BigSequential, k) })
+			p.Do(b.Write(0, 60e6, BigSequential).Then)
 			p.Do(b.Close)
-			p.Do(b.WriteAsync(1, 60e6, BigSequential).Then)
-			p.Do(func(k func()) { b.Read(0, 30e6, BigSequential, k) })
-			p.Do(b.ReadAsync(1, 30e6, BigSequential).Then)
+			p.Do(b.Write(1, 60e6, BigSequential).Then)
+			p.Do(b.Read(0, 30e6, BigSequential).Then)
+			p.Do(b.Read(1, 30e6, BigSequential).Then)
 		})
 		end := eng.Run()
 		return end, b.Accounting()
@@ -324,11 +324,11 @@ func TestCodecCost(t *testing.T) {
 	engPlain.Spawn("dedicated", func(p *des.Proc) {
 		plain.BeginPhase()
 		p.Do(plain.Create)
-		p.Do(func(k func()) { plain.Write(0, 60e6/ratio, BigSequential, k) })
+		p.Do(plain.Write(0, 60e6/ratio, BigSequential).Then)
 		p.Do(plain.Close)
-		p.Do(plain.WriteAsync(1, 60e6/ratio, BigSequential).Then)
-		p.Do(func(k func()) { plain.Read(0, 30e6/ratio, BigSequential, k) })
-		p.Do(plain.ReadAsync(1, 30e6/ratio, BigSequential).Then)
+		p.Do(plain.Write(1, 60e6/ratio, BigSequential).Then)
+		p.Do(plain.Read(0, 30e6/ratio, BigSequential).Then)
+		p.Do(plain.Read(1, 30e6/ratio, BigSequential).Then)
 	})
 	plainEnd := engPlain.Run()
 	if end <= plainEnd {

@@ -8,21 +8,28 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/pfs"
-	"repro/internal/rng"
 )
 
 // simModel is the deterministic cost model shared by the memory and SDF
 // backends, which embed it as their whole cost face: per-target FIFO
 // service at a fixed bandwidth, constant pattern efficiencies, a
-// per-file overhead and a constant metadata service time. No jitter, no
-// congestion — two runs are bit-identical.
+// per-file overhead and a constant metadata service time at one
+// metadata server (a pfs.MDS). No jitter, no congestion — two runs are
+// bit-identical. Its transfers are actors indexed in transfers,
+// carved from blocks of 64 and kept for the run (their futures are
+// handed out), each step an event kind.
 type simModel struct {
 	eng      *des.Engine
 	targets  []*des.Resource
-	metaRes  *des.Resource
+	meta     *pfs.MDS
 	bw       float64 // per-target bandwidth, bytes/s
 	metaTime float64 // seconds per metadata op
 	overhead float64 // seconds charged once per file stream
+
+	transfers          []*simTransfer
+	spare              []simTransfer
+	none               des.Future // completed: a zero-byte transfer's
+	kAcquired, kServed des.Kind
 
 	mu           sync.Mutex
 	bytesWritten float64
@@ -30,6 +37,15 @@ type simModel struct {
 	active       int
 	busySince    float64
 	busyTotal    float64
+}
+
+// simTransfer is one stream in flight: it queues for its target, holds
+// it for its service time, then completes done.
+type simTransfer struct {
+	target         *des.Resource
+	bytes, service float64
+	read           bool
+	done           des.Future
 }
 
 func newSimModel(eng *des.Engine, targets int, bandwidth float64) *simModel {
@@ -42,7 +58,11 @@ func newSimModel(eng *des.Engine, targets int, bandwidth float64) *simModel {
 		for i := range m.targets {
 			m.targets[i] = eng.NewResource(1)
 		}
-		m.metaRes = eng.NewResource(1)
+		m.meta = pfs.NewMDS(eng)
+		m.none = *eng.NewFuture()
+		m.none.Complete()
+		m.kAcquired = eng.Handle(m.acquired)
+		m.kServed = eng.Handle(m.served)
 	}
 	return m
 }
@@ -67,108 +87,78 @@ func (m *simModel) BeginPhase() {}
 // ranking survives a backend swap.
 var simEfficiency = [...]float64{BigSequential: 1.0, SmallFile: 0.45, SharedFile: 0.06}
 
-func (m *simModel) metaOp(k func()) {
-	m.metaRes.AcquireThen(1, func() {
-		m.eng.Wait(m.metaTime, func() {
-			m.metaRes.Release(1)
-			k()
-		})
-	})
-}
-
 // Create implements CostModel.
-func (m *simModel) Create(k func()) { m.metaOp(k) }
+func (m *simModel) Create(k func()) { m.meta.Serve(m.metaTime, k) }
 
 // Open implements CostModel.
-func (m *simModel) Open(k func()) { m.metaOp(k) }
+func (m *simModel) Open(k func()) { m.meta.Serve(m.metaTime, k) }
 
 // Close implements CostModel.
-func (m *simModel) Close(k func()) { m.metaOp(k) }
+func (m *simModel) Close(k func()) { m.meta.Serve(m.metaTime, k) }
 
-func (m *simModel) beginTransfer() {
+// transfer serves one stream — write or read — on a target and returns
+// its future: reads are priced exactly like writes (same per-target
+// FIFO, same pattern efficiency), so the restart path inherits the
+// model's determinism. A stream whose target is free starts at once.
+func (m *simModel) transfer(target int, bytes float64, pat Pattern, overhead float64, read bool) *des.Future {
+	if bytes <= 0 {
+		return &m.none
+	}
+	if len(m.spare) == 0 {
+		m.spare = make([]simTransfer, 64)
+	}
+	t := &m.spare[0]
+	m.spare = m.spare[1:]
+	*t = simTransfer{target: m.targets[target%len(m.targets)], bytes: bytes,
+		service: overhead + bytes/(m.bw*simEfficiency[pat]), read: read, done: *m.eng.NewFuture()}
+	m.transfers = append(m.transfers, t)
+	t.target.AcquirePost(1, m.kAcquired, int32(len(m.transfers)-1))
+	return &t.done
+}
+
+// acquired puts transfer i in service on its target.
+func (m *simModel) acquired(i int32) {
 	m.mu.Lock()
 	if m.active == 0 {
 		m.busySince = m.eng.Now()
 	}
 	m.active++
 	m.mu.Unlock()
+	m.eng.Post(m.transfers[i].service, m.kServed, i)
 }
 
-func (m *simModel) endTransfer(bytes float64, read bool) {
+// served ends transfer i: its bytes are accounted, its target passes to
+// the next stream queued for it, and its future completes.
+func (m *simModel) served(i int32) {
+	t := m.transfers[i]
 	m.mu.Lock()
 	m.active--
 	if m.active == 0 {
 		m.busyTotal += m.eng.Now() - m.busySince
 	}
-	if read {
-		m.bytesRead += bytes
+	if t.read {
+		m.bytesRead += t.bytes
 	} else {
-		m.bytesWritten += bytes
+		m.bytesWritten += t.bytes
 	}
 	m.mu.Unlock()
-}
-
-// transfer serves one stream — write or read — on a target, then runs
-// k: reads are priced exactly like writes (same per-target FIFO, same
-// pattern efficiency), so the restart path inherits the model's
-// determinism.
-func (m *simModel) transfer(target int, bytes float64, pat Pattern, overhead float64, read bool, k func()) {
-	if bytes <= 0 {
-		k()
-		return
-	}
-	t := m.targets[target%len(m.targets)]
-	t.AcquireThen(1, func() {
-		m.beginTransfer()
-		m.eng.Wait(overhead+bytes/(m.bw*simEfficiency[pat]), func() {
-			m.endTransfer(bytes, read)
-			t.Release(1)
-			k()
-		})
-	})
+	t.target.Release(1)
+	t.done.Complete()
 }
 
 // Write implements CostModel.
-func (m *simModel) Write(target int, bytes float64, pat Pattern, k func()) {
-	m.transfer(target, bytes, pat, m.overhead, false, k)
+func (m *simModel) Write(target int, bytes float64, pat Pattern) *des.Future {
+	return m.transfer(target, bytes, pat, m.overhead, false)
 }
 
 // WriteChunk implements CostModel.
-func (m *simModel) WriteChunk(target int, bytes float64, pat Pattern, k func()) {
-	m.transfer(target, bytes, pat, 0, false, k)
+func (m *simModel) WriteChunk(target int, bytes float64, pat Pattern) *des.Future {
+	return m.transfer(target, bytes, pat, 0, false)
 }
 
 // Read implements CostModel.
-func (m *simModel) Read(target int, bytes float64, pat Pattern, k func()) {
-	m.transfer(target, bytes, pat, m.overhead, true, k)
-}
-
-// transferAsync starts a transfer in an event of its own at the current
-// time — it queues for its target after whatever the caller does next
-// in this event — and returns a future completed when it finishes.
-func (m *simModel) transferAsync(target int, bytes float64, pat Pattern, read bool) *des.Future {
-	f := m.eng.NewFuture()
-	if bytes <= 0 {
-		f.Complete()
-		return f
-	}
-	m.eng.Wait(0, func() { m.transfer(target, bytes, pat, m.overhead, read, f.Complete) })
-	return f
-}
-
-// WriteAsync implements CostModel.
-func (m *simModel) WriteAsync(target int, bytes float64, pat Pattern) *des.Future {
-	return m.transferAsync(target, bytes, pat, false)
-}
-
-// ReadAsync implements CostModel.
-func (m *simModel) ReadAsync(target int, bytes float64, pat Pattern) *des.Future {
-	return m.transferAsync(target, bytes, pat, true)
-}
-
-// PlaceFile implements CostModel: a reproducible random draw of targets.
-func (m *simModel) PlaceFile(stripes int, r *rng.Stream) []int {
-	return pfs.Place(m.Targets(), stripes, r)
+func (m *simModel) Read(target int, bytes float64, pat Pattern) *des.Future {
+	return m.transfer(target, bytes, pat, m.overhead, true)
 }
 
 // Accounting implements CostModel: the simulated-face ledger.

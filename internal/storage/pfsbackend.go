@@ -43,33 +43,18 @@ func (b *PFS) Open(k func()) { b.fs.Open(k) }
 func (b *PFS) Close(k func()) { b.fs.Close(k) }
 
 // Write implements CostModel.
-func (b *PFS) Write(target int, bytes float64, pat Pattern, k func()) {
-	b.fs.Write(target%b.fs.OSTCount(), bytes, pfsPattern(pat), k)
+func (b *PFS) Write(target int, bytes float64, pat Pattern) *des.Future {
+	return b.fs.Write(target%b.fs.OSTCount(), bytes, pfsPattern(pat))
 }
 
 // WriteChunk implements CostModel.
-func (b *PFS) WriteChunk(target int, bytes float64, pat Pattern, k func()) {
-	b.fs.WriteChunkAsync(target%b.fs.OSTCount(), bytes, pfsPattern(pat)).Then(k)
-}
-
-// WriteAsync implements CostModel.
-func (b *PFS) WriteAsync(target int, bytes float64, pat Pattern) *des.Future {
-	return b.fs.WriteAsync(target%b.fs.OSTCount(), bytes, pfsPattern(pat))
+func (b *PFS) WriteChunk(target int, bytes float64, pat Pattern) *des.Future {
+	return b.fs.WriteChunk(target%b.fs.OSTCount(), bytes, pfsPattern(pat))
 }
 
 // Read implements CostModel.
-func (b *PFS) Read(target int, bytes float64, pat Pattern, k func()) {
-	b.fs.ReadAsync(target%b.fs.OSTCount(), bytes, pfsPattern(pat)).Then(k)
-}
-
-// ReadAsync implements CostModel.
-func (b *PFS) ReadAsync(target int, bytes float64, pat Pattern) *des.Future {
-	return b.fs.ReadAsync(target%b.fs.OSTCount(), bytes, pfsPattern(pat))
-}
-
-// PlaceFile implements CostModel (Lustre's randomized allocator).
-func (b *PFS) PlaceFile(stripes int, r *rng.Stream) []int {
-	return b.fs.PlaceFile(stripes, r)
+func (b *PFS) Read(target int, bytes float64, pat Pattern) *des.Future {
+	return b.fs.Read(target%b.fs.OSTCount(), bytes, pfsPattern(pat))
 }
 
 // Accounting implements CostModel.

@@ -11,7 +11,7 @@ import "repro/internal/des"
 type TransferCost func(bytes float64) (cpu, forwarded float64)
 
 // reducing is the one implementation of a reduction layer's transfer
-// methods: every other CostModel method is the inner model's. Its async
+// methods: every other CostModel method is the inner model's. Its
 // transfers are actors indexed in transfers, carved from blocks of 64
 // and kept for the run (their futures are handed out), stepped by one
 // event kind.
@@ -23,70 +23,49 @@ type reducing struct {
 	step        des.Kind
 }
 
-// Reduce returns inner with a reduction layer on its five transfer
+// Reduce returns inner with a reduction layer on its three transfer
 // methods. A write charges the layer's CPU and then moves the forwarded
 // volume inward; a read moves the forwarded volume back and then
-// charges the CPU. The continuation methods charge the CPU to the
-// caller's own timeline — the dedicated core's; the async ones have no
-// caller to charge, so a transfer that costs CPU starts in an event of
-// its own on the inner model's engine and completes its future when
-// both the CPU and the inner transfer are done.
+// charges the CPU. A transfer that costs CPU starts in an event of its
+// own on the inner model's engine and completes its future when both
+// the CPU and the inner transfer are done; one that costs none is the
+// inner transfer.
 func Reduce(inner CostModel, write, read TransferCost) CostModel {
 	return &reducing{CostModel: inner, write: write, read: read}
 }
 
-// charge runs k after cpu seconds of layer CPU (inline when there are
-// none).
-func (r *reducing) charge(cpu float64, k func()) {
-	if cpu > 0 {
-		r.Engine().Wait(cpu, k)
-		return
-	}
-	k()
-}
-
-func (r *reducing) Write(target int, bytes float64, pat Pattern, k func()) {
+func (r *reducing) Write(target int, bytes float64, pat Pattern) *des.Future {
 	cpu, fwd := r.write(bytes)
-	r.charge(cpu, func() { r.CostModel.Write(target, fwd, pat, k) })
+	return r.start(transfer{r: r, target: target, fwd: fwd, cpu: cpu, pat: pat, write: true})
 }
 
-func (r *reducing) WriteChunk(target int, bytes float64, pat Pattern, k func()) {
+func (r *reducing) WriteChunk(target int, bytes float64, pat Pattern) *des.Future {
 	cpu, fwd := r.write(bytes)
-	r.charge(cpu, func() { r.CostModel.WriteChunk(target, fwd, pat, k) })
+	return r.start(transfer{r: r, target: target, fwd: fwd, cpu: cpu, pat: pat, write: true, chunk: true})
 }
 
-func (r *reducing) WriteAsync(target int, bytes float64, pat Pattern) *des.Future {
-	cpu, fwd := r.write(bytes)
-	return r.async(transfer{r: r, target: target, fwd: fwd, cpu: cpu, pat: pat, write: true})
-}
-
-func (r *reducing) Read(target int, bytes float64, pat Pattern, k func()) {
+func (r *reducing) Read(target int, bytes float64, pat Pattern) *des.Future {
 	cpu, fwd := r.read(bytes)
-	r.CostModel.Read(target, fwd, pat, func() { r.charge(cpu, k) })
+	return r.start(transfer{r: r, target: target, fwd: fwd, cpu: cpu, pat: pat})
 }
 
-func (r *reducing) ReadAsync(target int, bytes float64, pat Pattern) *des.Future {
-	cpu, fwd := r.read(bytes)
-	return r.async(transfer{r: r, target: target, fwd: fwd, cpu: cpu, pat: pat})
-}
-
-// transfer is one async transfer through the layer as a continuation
-// state machine: an event of its own, then the CPU and the inner
-// transfer — in that order for a write, the other way round for a read
-// — then done completes. Each step is the layer's step kind for id.
+// transfer is one transfer through the layer as a continuation state
+// machine: an event of its own, then the CPU and the inner transfer —
+// in that order for a write, the other way round for a read — then done
+// completes. Each step is the layer's step kind for id.
 type transfer struct {
-	r        *reducing
-	target   int
-	fwd, cpu float64
-	pat      Pattern
-	write    bool
-	stage    int
-	id       int32
-	done     des.Future
+	r            *reducing
+	target       int
+	fwd, cpu     float64
+	pat          Pattern
+	write, chunk bool // chunk: a WriteChunk
+	stage        int
+	id           int32
+	done         des.Future
 }
 
-// async runs t, or just its inner transfer when it costs no CPU.
-func (r *reducing) async(t transfer) *des.Future {
+// start runs t, or just its inner transfer when it costs no CPU.
+func (r *reducing) start(t transfer) *des.Future {
 	if t.cpu <= 0 {
 		return t.inner()
 	}
@@ -107,10 +86,13 @@ func (r *reducing) async(t transfer) *des.Future {
 }
 
 func (t *transfer) inner() *des.Future {
-	if t.write {
-		return t.r.CostModel.WriteAsync(t.target, t.fwd, t.pat)
+	switch {
+	case t.chunk:
+		return t.r.CostModel.WriteChunk(t.target, t.fwd, t.pat)
+	case t.write:
+		return t.r.CostModel.Write(t.target, t.fwd, t.pat)
 	}
-	return t.r.CostModel.ReadAsync(t.target, t.fwd, t.pat)
+	return t.r.CostModel.Read(t.target, t.fwd, t.pat)
 }
 
 func (t *transfer) next() {

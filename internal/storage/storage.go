@@ -1,9 +1,9 @@
 // Package storage abstracts where aggregated output lands. It has two
 // faces, and a type serves one of them:
 //
-//   - The cost face (CostModel: Create/Open/Close/Write/Read... in
-//     continuation form) charges virtual time and feeds the cost
-//     ledger; it is all the iostrat strategies depend on. PFS is the
+//   - The cost face (CostModel: metadata operations that continue,
+//     transfers that return futures) charges virtual time and feeds the
+//     cost ledger; it is all the iostrat strategies depend on. PFS is the
 //     paper's storage substrate, the discrete-event Lustre model with
 //     metadata serialization, pattern-dependent OST efficiency, jitter
 //     and congestion. CodecCost prices the compression pipeline on top
@@ -29,7 +29,6 @@ import (
 	"fmt"
 
 	"repro/internal/des"
-	"repro/internal/rng"
 )
 
 // ErrNotFound is returned by Get when no object with the given name was
@@ -310,9 +309,11 @@ func FlattenSegs(segs [][]byte) []byte { return bytes.Join(segs, nil) }
 
 // CostModel is the simulated face of a storage target: operations that
 // charge virtual time, and the ledger they feed. The iostrat strategies
-// depend on this face alone. Each operation takes the continuation k it
-// runs once done, inline or from a later event, so the simulated actors
-// — every one a state machine — chain them directly.
+// depend on this face alone. Metadata operations continue: each takes
+// the continuation k it runs once done, inline or from a later event.
+// Transfers return futures, completed when they finish, which the
+// simulated actors — every one a state machine — follow with Then or
+// ThenPost; a zero-byte transfer returns a completed one.
 type CostModel interface {
 	// Engine returns the DES engine the model charges time on (nil for a
 	// Memory or SDF store built for its object face only).
@@ -329,29 +330,18 @@ type CostModel interface {
 	Open(k func())
 	Close(k func())
 
-	// Write runs k once a whole-file write of bytes with the given
-	// pattern to the target completes (per-file overhead charged).
-	Write(target int, bytes float64, pat Pattern, k func())
+	// Write submits a whole-file write of bytes with the given pattern
+	// to the target (per-file overhead charged).
+	Write(target int, bytes float64, pat Pattern) *des.Future
 	// WriteChunk is Write without the per-file overhead (one round of
 	// an already-open file).
-	WriteChunk(target int, bytes float64, pat Pattern, k func())
-	// WriteAsync submits a whole-file write and returns a future
-	// completed when the transfer finishes.
-	WriteAsync(target int, bytes float64, pat Pattern) *des.Future
-
-	// Read runs k once a whole-file read of bytes with the given
-	// pattern from the target completes (per-file overhead charged) —
-	// the restart path's mirror of Write. Reads flow through the same
-	// per-target queues as writes, so a restart competes with whatever
-	// else the storage system serves.
-	Read(target int, bytes float64, pat Pattern, k func())
-	// ReadAsync submits a whole-file read and returns a future
-	// completed when the transfer finishes.
-	ReadAsync(target int, bytes float64, pat Pattern) *des.Future
-
-	// PlaceFile chooses stripes distinct targets for a new file, drawn
-	// from r so placement is reproducible per caller.
-	PlaceFile(stripes int, r *rng.Stream) []int
+	WriteChunk(target int, bytes float64, pat Pattern) *des.Future
+	// Read submits a whole-file read of bytes with the given pattern
+	// from the target (per-file overhead charged) — the restart path's
+	// mirror of Write. Reads flow through the same per-target queues as
+	// writes, so a restart competes with whatever else the storage
+	// system serves.
+	Read(target int, bytes float64, pat Pattern) *des.Future
 
 	// Accounting returns a snapshot of the cost ledger.
 	Accounting() Accounting

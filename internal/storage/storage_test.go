@@ -74,7 +74,7 @@ func TestSimulatedFaceAccounting(t *testing.T) {
 				b.BeginPhase()
 				for i := 0; i < files; i++ {
 					p.Do(b.Create)
-					p.Do(func(k func()) { b.Write(i, perFile, BigSequential, k) })
+					p.Do(b.Write(i, perFile, BigSequential).Then)
 					p.Do(b.Close)
 				}
 			})
@@ -88,29 +88,6 @@ func TestSimulatedFaceAccounting(t *testing.T) {
 			}
 			if b.Targets() <= 0 {
 				t.Errorf("Targets = %d", b.Targets())
-			}
-		})
-	}
-}
-
-// TestWriteAsyncCompletes exercises the future-returning write path.
-func TestWriteAsyncCompletes(t *testing.T) {
-	for _, kind := range costKinds {
-		t.Run(kind, func(t *testing.T) {
-			eng := des.NewEngine()
-			b := newCostModel(t, kind, eng)
-			var done bool
-			eng.Spawn("writer", func(p *des.Proc) {
-				f := b.WriteAsync(0, 1e6, BigSequential)
-				p.Do(f.Then)
-				done = true
-			})
-			eng.Run()
-			if !done {
-				t.Fatal("async write never completed")
-			}
-			if got := b.Accounting().BytesWritten; got != 1e6 {
-				t.Errorf("BytesWritten = %v, want 1e6", got)
 			}
 		})
 	}
@@ -131,7 +108,7 @@ func TestPatternOrdering(t *testing.T) {
 				for s := 0; s < 4; s++ {
 					target := s
 					eng.Spawn("writer", func(p *des.Proc) {
-						p.Do(func(k func()) { b.Write(target, 50e6, pat, k) })
+						p.Do(b.Write(target, 50e6, pat).Then)
 					})
 				}
 				times[pat] = eng.Run()
@@ -154,7 +131,7 @@ func TestMemoryDeterminism(t *testing.T) {
 			target := s
 			eng.Spawn("w", func(p *des.Proc) {
 				p.Do(b.Create)
-				p.Do(func(k func()) { b.Write(target, 3e6, SmallFile, k) })
+				p.Do(b.Write(target, 3e6, SmallFile).Then)
 				p.Do(b.Close)
 			})
 		}
@@ -198,27 +175,6 @@ func TestObjectRoundTrip(t *testing.T) {
 		}
 		if err := b.Put("", []byte("x")); err == nil {
 			t.Fatalf("%s: empty name should error", name)
-		}
-	}
-}
-
-func TestPlaceFile(t *testing.T) {
-	for _, kind := range costKinds {
-		b := newCostModel(t, kind, des.NewEngine())
-		r := rng.New(11, 2)
-		osts := b.PlaceFile(3, r)
-		if len(osts) != 3 {
-			t.Fatalf("%s: PlaceFile returned %d targets", kind, len(osts))
-		}
-		seen := map[int]bool{}
-		for _, o := range osts {
-			if o < 0 || o >= b.Targets() || seen[o] {
-				t.Fatalf("%s: bad placement %v", kind, osts)
-			}
-			seen[o] = true
-		}
-		if all := b.PlaceFile(b.Targets()+5, r); len(all) != b.Targets() {
-			t.Fatalf("%s: over-striping returned %d targets", kind, len(all))
 		}
 	}
 }
@@ -286,7 +242,7 @@ func TestGetListRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSimulatedReadFace: the restart path's Read/ReadAsync mirror of
+// TestSimulatedReadFace: the restart path's Read, the mirror of
 // the write face, on every cost model.
 func TestSimulatedReadFace(t *testing.T) {
 	for _, kind := range costKinds {
@@ -297,8 +253,8 @@ func TestSimulatedReadFace(t *testing.T) {
 			eng.Spawn("reader", func(p *des.Proc) {
 				b.BeginPhase()
 				p.Do(b.Open)
-				p.Do(func(k func()) { b.Read(0, perRead, BigSequential, k) })
-				p.Do(b.ReadAsync(1, perRead, BigSequential).Then)
+				p.Do(b.Read(0, perRead, BigSequential).Then)
+				p.Do(b.Read(1, perRead, BigSequential).Then)
 				p.Do(b.Close)
 			})
 			end := eng.Run()
