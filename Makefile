@@ -45,7 +45,8 @@ test:
 # Seq order under racing publishers, the codec selector's first Puts
 # racing on one dataset, delta encoders sharing the pooled scratch
 # buffers while a reader decodes, chunk-store Gets racing the sweep's pack
-# compaction (whole-pack and ranged reads, over Memory and SDF), two roots' PutVecs sharing chunks, the DES engine
+# compaction (whole-pack and ranged reads, over Memory and SDF), two roots' PutVecs sharing chunks,
+# Deletes racing PutVec, Get and Sweep over shared chunks, the DES engine
 # and its Proc adapter's coroutines, which all run on the goroutine that
 # calls Run, and the cross-face tests, whose runtime half drives deaths and
 # re-formations through real aggregator goroutines. Without it, at -count=200
@@ -56,7 +57,7 @@ race-stress:
 	$(GO) test -race -count=10 -run 'TestE9Quick' ./internal/experiments
 	$(GO) test -race -count=10 -run 'Service|TestRestoreConcurrentMatchesSerial|TestDriveWriteErrorSurfaces|TestSlowStoreSkipsAtTheClient' ./internal/cluster
 	$(GO) test -race -count=10 -run 'Broker|TestStreamPublishSeqOrder|TestCompressingConcurrentChoice|TestCompressingConcurrentDelta' ./internal/storage
-	$(GO) test -race -count=10 -run 'TestDedupStoreGetSweepRace|TestDedupStoreGetReresolvesAfterCompaction|TestDedupStoreConcurrentSweep|TestDedupStoreConcurrentPutVec' ./internal/storage/chunk
+	$(GO) test -race -count=10 -run 'TestDedupStoreGetSweepRace|TestDedupStoreGetReresolvesAfterCompaction|TestDedupStoreConcurrentSweep|TestDedupStoreConcurrentPutVec|TestDedupStoreConcurrentDelete' ./internal/storage/chunk
 	$(GO) test -race -count=10 -run 'TestFacesAgree' ./internal/iostrat
 	$(GO) test -count=200 -run 'TestClusterInteriorFailure|TestRestoreAfterFailure|TestAdaptReformRaceWithStreaming' ./internal/cluster
 

@@ -29,8 +29,8 @@ var brokerBenchSeq atomic.Int64
 // countingStore is a sink for aggregation benchmarks: it accounts
 // object sizes and drops the bytes, so the measured cost is the
 // aggregation layer itself, not a particular backend's copy or map.
-// Implementing storage.VecStore makes the root write fully zero-copy —
-// the size comes from the segment lengths alone.
+// Its PutVec keeps the root write fully zero-copy — the size comes
+// from the segment lengths alone.
 type countingStore struct{ bytes atomic.Int64 }
 
 func (s *countingStore) Put(name string, data []byte) error {

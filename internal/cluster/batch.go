@@ -91,7 +91,7 @@ func (b *Batch) FreeBlocks() {
 //
 // The segments alias both the batch's payloads and an internal header
 // buffer, so they are valid only until the batch is mutated or
-// released; hand them to storage.PutVec (or flatten) before either.
+// released; hand them to a store's PutVec (or flatten) before either.
 func EncodeBatchVec(b *Batch) [][]byte {
 	b.normalize()
 	// One contiguous header arena keeps the per-block header segments

@@ -705,7 +705,7 @@ func (a *aggregator) store(b *Batch, covers Cover, partial bool, window int) {
 	}
 
 	name := c.objectName(a.node, b.Iteration)
-	err := storage.PutVec(c.cc.Store, name, segs)
+	err := c.cc.Store.PutVec(name, segs)
 	var manifestStored bool
 	if err == nil {
 		// The manifest rides along with the data: a small index object
@@ -767,7 +767,7 @@ func (a *aggregator) releaseAged(it int) {
 	if ret <= 0 {
 		return
 	}
-	rt, ok := c.cc.Store.(storage.Retainer)
+	rt, ok := c.cc.Store.(storage.Retainer) // the one optional face: only a store with GC has it
 	if !ok {
 		return
 	}

@@ -181,10 +181,10 @@ type gatedStore struct {
 	gate chan struct{}
 }
 
-// PutVec implements storage.VecStore, after the gate opens.
+// PutVec implements storage.ObjectStore, after the gate opens.
 func (s gatedStore) PutVec(name string, segs [][]byte) error {
 	<-s.gate
-	return storage.PutVec(s.Memory, name, segs)
+	return s.Memory.PutVec(name, segs)
 }
 
 // TestSlowStoreSkipsAtTheClient is the paper's back-pressure path: the

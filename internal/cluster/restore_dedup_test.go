@@ -314,13 +314,21 @@ func rewriteBlocks(nodes, clients, iters, size int) [][][]byte {
 	return blocks
 }
 
+// getWrapper is the shape of a wrapper that instruments Get alone over
+// any store (the benchmark's timed base is one): it embeds
+// storage.Backend and overrides Get, so every other face — ReadRanges
+// included — is the wrapped store's.
+type getWrapper struct{ storage.Backend }
+
+func (w getWrapper) Get(name string) ([]byte, error) { return w.Backend.Get(name) }
+
 // TestDedupRestoreReadBudget restores a toy store of the ckpt-dedup
 // shape — 2 roots, 4 iterations, a quarter of the blocks rewritten per
-// iteration, the chunk store over SDF — through the writing stack and
-// through a fresh process's read stack, and holds both to
-// dedupRestoreBudget: a restore reads about what it restores from the
-// store, not every pack it touches whole, and allocates about its
-// output.
+// iteration, the chunk store over SDF — through the writing stack,
+// through a fresh process's read stack, and through a read stack over
+// a getWrapper, and holds all three to dedupRestoreBudget: a restore
+// reads about what it restores from the store, not every pack it
+// touches whole, and allocates about its output.
 func TestDedupRestoreReadBudget(t *testing.T) {
 	const nodes, clients, iters, blockBytes = 8, 2, 4, 32 << 10
 	cfg, err := meta.ParseString(fmt.Sprintf(`<simulation name="clustertest">
@@ -373,6 +381,7 @@ func TestDedupRestoreReadBudget(t *testing.T) {
 	}{
 		{"writer", base, st},
 		{"fresh", fresh, chunk.ReadStack(fresh)},
+		{"wrapped", fresh, chunk.ReadStack(getWrapper{fresh})},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
 			read0 := leg.base.Accounting().ObjectReadBytes

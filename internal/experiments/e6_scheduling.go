@@ -219,8 +219,7 @@ func runE6CrossRoots(p *Pass, rep *Report) error {
 // 1/(1+alpha·(n-1)) of peak, so every stream's service inflates to
 // n·(1+alpha·(n-1))×; at alpha 0 it is a plain write latency. The ledger
 // (total applied service, per-iteration spans) is what the E6 runtime
-// comparison reads. It deliberately does not implement storage.VecStore,
-// so the cluster write path issues one flattened Put per object.
+// comparison reads. PutVec flattens, so each object is one Put.
 type pacedStore struct {
 	inner   storage.ObjectStore
 	service time.Duration
@@ -236,6 +235,10 @@ type pacedStore struct {
 func newPacedStore(inner storage.ObjectStore, service time.Duration, alpha float64) *pacedStore {
 	return &pacedStore{inner: inner, service: service, alpha: alpha,
 		iterStart: map[int]time.Time{}, iterEnd: map[int]time.Time{}}
+}
+
+func (ps *pacedStore) PutVec(name string, segs [][]byte) error {
+	return ps.Put(name, storage.FlattenSegs(segs))
 }
 
 func (ps *pacedStore) Put(name string, data []byte) error {

@@ -25,7 +25,8 @@ import (
 // the index before any recipe that references the pack; a pack is
 // deleted only after its index.
 
-// chunkPrefix is the chunk namespace: List hides it from callers.
+// chunkPrefix is the chunk namespace: List hides it from callers, and
+// PutVec and Delete refuse names inside it with ErrReservedName.
 const chunkPrefix = "chunk/"
 
 const (
@@ -98,14 +99,12 @@ func (s *Store) writePackLocked(ents []entry, segs [][]byte, from string) error 
 		return err
 	}
 	pack := packName(index)
-	if err := storage.PutVec(s.inner, pack, segs); err != nil {
+	if err := s.inner.PutVec(pack, segs); err != nil {
 		return err
 	}
 	if err := s.inner.Put(indexName(pack), index); err != nil {
 		// An index-less pack is invisible to every reader: drop it.
-		if del, ok := s.inner.(storage.ObjectDeleter); ok {
-			_ = del.Delete(pack)
-		}
+		_ = s.inner.Delete(pack)
 		return err
 	}
 	s.addPackLocked(pack, ents, from)
@@ -160,7 +159,7 @@ func (s *Store) loadIndexesLocked() error {
 // untracked ones are copied into a new pack + index first, then the
 // old pair is deleted (the whole pair when nothing survives). Callers
 // hold s.mu.
-func (s *Store) compactLocked(del storage.ObjectDeleter, pack string) error {
+func (s *Store) compactLocked(pack string) error {
 	ents := s.packs[pack]
 	var keep []entry
 	var from []int // keep[i]'s offset in the old pack
@@ -196,7 +195,7 @@ func (s *Store) compactLocked(del storage.ObjectDeleter, pack string) error {
 		}
 	}
 	for _, name := range []string{indexName(pack), pack} {
-		if err := del.Delete(name); err != nil && !errors.Is(err, storage.ErrNotFound) {
+		if err := s.inner.Delete(name); err != nil && !errors.Is(err, storage.ErrNotFound) {
 			return err
 		}
 	}

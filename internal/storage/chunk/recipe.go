@@ -51,6 +51,10 @@ var ErrCorruptRecipe = errors.New("chunk: corrupt chunk recipe")
 // a sweep racing a foreign process.
 var ErrDanglingChunk = errors.New("chunk: recipe references a missing chunk")
 
+// ErrReservedName is returned by a Put or Delete of a caller's name
+// inside the chunk namespace, which holds the store's packs and indexes.
+var ErrReservedName = errors.New("chunk: name inside the chunk namespace")
+
 // digest is a chunk's raw SHA-256, the form the store indexes it by.
 type digest [sha256.Size]byte
 

@@ -158,13 +158,16 @@ func (s *Store) Put(name string, data []byte) error {
 	return s.PutVec(name, [][]byte{data})
 }
 
-// PutVec implements storage.VecStore: chunk, dedup, store the new
-// chunks as one pack, store the recipe. The segment list is chunked
+// PutVec implements ObjectStore: chunk, dedup, store the new chunks as
+// one pack, store the recipe. The segment list is chunked
 // where it lies (see walk) and each chunk is hashed right after its
 // cut; the pack is written as sub-slices of segs, so the payload is
 // never flattened. Small payloads pass through raw unless they would
 // collide with the recipe magic.
 func (s *Store) PutVec(name string, segs [][]byte) error {
+	if strings.HasPrefix(name, chunkPrefix) {
+		return fmt.Errorf("%w: %q", ErrReservedName, name)
+	}
 	total := storage.SegsLen(segs)
 	if total < s.passThreshold() {
 		data := storage.FlattenSegs(segs)
@@ -274,7 +277,7 @@ type chunkLoc struct {
 
 // Get implements ObjectReader: recipes are transparently reassembled
 // and plain objects pass through byte-for-byte. Each pack a recipe
-// touches is read once, through storage.ReadRanges: the entries that
+// touches is read once, through the inner ReadRanges: the entries that
 // are adjacent both in the recipe and in the pack form one range, read
 // straight into its place in the output, and every chunk is verified
 // against its hash where it landed. No pack byte the object does not
@@ -330,7 +333,7 @@ func (s *Store) Get(name string) ([]byte, error) {
 				mine = append(mine, i)
 			}
 			todo = rest
-			err := storage.ReadRanges(s.inner, pack, ranges)
+			err := s.inner.ReadRanges(pack, ranges)
 			switch {
 			case errors.Is(err, storage.ErrNotFound):
 				lost = append(lost, mine...)
@@ -394,6 +397,35 @@ func (s *Store) locate(name string, ents []entry, todo []int, locs []chunkLoc) e
 				ErrCorruptRecipe, name, i, len(ents), ents[i].sum, ents[i].size, c.size)
 		}
 		locs[i] = chunkLoc{c.pack, c.off}
+	}
+	return nil
+}
+
+// ReadRanges implements Backend: Get, then a copy of the ranges (chunks
+// are verified whole, so the object is rebuilt whole).
+func (s *Store) ReadRanges(name string, rs []storage.Range) error {
+	obj, err := s.Get(name)
+	if err != nil {
+		return err
+	}
+	return storage.CopyRanges(name, obj, rs)
+}
+
+// Delete implements Backend: the object leaves the inner store and the
+// index, and the chunks only it held become collectable by the next
+// Sweep.
+func (s *Store) Delete(name string) error {
+	if strings.HasPrefix(name, chunkPrefix) {
+		return fmt.Errorf("%w: %q", ErrReservedName, name)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.inner.Delete(name); err != nil {
+		return err
+	}
+	if e, ok := s.objects[name]; ok {
+		s.unrefLocked(e.ents)
+		delete(s.objects, name)
 	}
 	return nil
 }
@@ -466,17 +498,13 @@ func (s *Store) Release(name string) error {
 // — a retained object can never lose a chunk.
 func (s *Store) Sweep() (SweepStats, error) {
 	var stats SweepStats
-	del, ok := s.inner.(storage.ObjectDeleter)
-	if !ok {
-		return stats, fmt.Errorf("chunk: backend %s cannot delete objects", s.inner.Name())
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for name, e := range s.objects {
 		if e.refs > 0 {
 			continue
 		}
-		if err := del.Delete(name); err != nil && !errors.Is(err, storage.ErrNotFound) {
+		if err := s.inner.Delete(name); err != nil && !errors.Is(err, storage.ErrNotFound) {
 			return stats, fmt.Errorf("chunk: sweep %q: %w", name, err)
 		}
 		s.unrefLocked(e.ents)
@@ -498,7 +526,7 @@ func (s *Store) Sweep() (SweepStats, error) {
 		packs = append(packs, p)
 	}
 	for _, p := range packs {
-		if err := s.compactLocked(del, p); err != nil {
+		if err := s.compactLocked(p); err != nil {
 			return stats, fmt.Errorf("chunk: sweep pack %s: %w", p, err)
 		}
 	}

@@ -500,19 +500,11 @@ func TestDedupStoreFreshSweepKeepsUntracked(t *testing.T) {
 	}
 }
 
-// rangeBase is an inner store with every face the dedup store uses:
-// Memory and SDF are both one.
-type rangeBase interface {
-	storage.Backend
-	storage.ObjectDeleter
-	storage.RangeReader
-}
-
 // packStoreKinds are the inner stores the pack-read races run over.
 var packStoreKinds = []string{"memory", "sdf"}
 
 // newPackStore builds an empty inner store of one of packStoreKinds.
-func newPackStore(t *testing.T, kind string) rangeBase {
+func newPackStore(t *testing.T, kind string) storage.Backend {
 	t.Helper()
 	if kind == "memory" {
 		return newMem()
@@ -529,7 +521,7 @@ func newPackStore(t *testing.T, kind string) rangeBase {
 // chunks but not yet read them. fn may fetch packs itself (a sweep
 // does).
 type sweepOnPackGet struct {
-	rangeBase
+	storage.Backend
 	fn func()
 }
 
@@ -542,12 +534,12 @@ func (m *sweepOnPackGet) hook(name string) {
 
 func (m *sweepOnPackGet) Get(name string) ([]byte, error) {
 	m.hook(name)
-	return m.rangeBase.Get(name)
+	return m.Backend.Get(name)
 }
 
 func (m *sweepOnPackGet) ReadRanges(name string, rs []storage.Range) error {
 	m.hook(name)
-	return m.rangeBase.ReadRanges(name, rs)
+	return m.Backend.ReadRanges(name, rs)
 }
 
 // TestDedupStoreGetReresolvesAfterCompaction: a Get that located its
@@ -556,7 +548,7 @@ func (m *sweepOnPackGet) ReadRanges(name string, rs []storage.Range) error {
 func TestDedupStoreGetReresolvesAfterCompaction(t *testing.T) {
 	for _, kind := range packStoreKinds {
 		t.Run(kind, func(t *testing.T) {
-			inner := &sweepOnPackGet{rangeBase: newPackStore(t, kind)}
+			inner := &sweepOnPackGet{Backend: newPackStore(t, kind)}
 			st := New(inner, Options{})
 			base := payload(40, 32<<10)
 			if err := st.Put("old", base); err != nil {
@@ -813,7 +805,7 @@ func TestOneFacePerType(t *testing.T) {
 
 // rangeCounter records the ranged reads the dedup store makes.
 type rangeCounter struct {
-	rangeBase
+	storage.Backend
 	packs, ranges int
 	bytes         int64
 }
@@ -824,7 +816,7 @@ func (m *rangeCounter) ReadRanges(name string, rs []storage.Range) error {
 	for _, r := range rs {
 		m.bytes += int64(len(r.Dst))
 	}
-	return m.rangeBase.ReadRanges(name, rs)
+	return m.Backend.ReadRanges(name, rs)
 }
 
 // TestDedupStoreGetReadsRuns: a Get reads each pack it touches once,
@@ -835,7 +827,7 @@ func (m *rangeCounter) ReadRanges(name string, rs []storage.Range) error {
 func TestDedupStoreGetReadsRuns(t *testing.T) {
 	for _, kind := range packStoreKinds {
 		t.Run(kind, func(t *testing.T) {
-			inner := &rangeCounter{rangeBase: newPackStore(t, kind)}
+			inner := &rangeCounter{Backend: newPackStore(t, kind)}
 			st := New(inner, Options{})
 			base := payload(50, 64<<10)
 			edit := append([]byte(nil), base...)

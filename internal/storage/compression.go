@@ -275,7 +275,7 @@ func (c *Compressing) Put(name string, data []byte) error {
 	return c.PutVec(name, [][]byte{data})
 }
 
-// PutVec implements VecStore: the compression pipeline's share of the
+// PutVec implements ObjectStore: the compression pipeline's share of the
 // zero-copy aggregation path. The segment list is the element-aligned
 // structure of the object, so it is encoded part by part (see partsOf)
 // with the dataset's codec and the element width of each part, never
@@ -311,7 +311,7 @@ func (c *Compressing) PutVec(name string, segs [][]byte) error {
 	if !w.encoded {
 		used = "none"
 	}
-	if err := PutVec(c.inner, name, w.finish(used)); err != nil {
+	if err := c.inner.PutVec(name, w.finish(used)); err != nil {
 		return err
 	}
 	c.recordPut(used, int64(total), int64(w.encLen))
@@ -351,7 +351,7 @@ func (c *Compressing) Get(name string) ([]byte, error) {
 	return raw, nil
 }
 
-// ReadRanges implements RangeReader. A probe of the object's first
+// ReadRanges implements Backend. A probe of the object's first
 // bytes tells framed from unframed: an unframed object's bytes are the
 // inner object's, so its ranges are read through the inner store; a
 // framed object — or one too short to probe — is read through Get,
@@ -361,10 +361,10 @@ func (c *Compressing) Get(name string) ([]byte, error) {
 // every pack).
 func (c *Compressing) ReadRanges(name string, rs []Range) error {
 	var magic [len(frameMagic)]byte
-	err := ReadRanges(c.inner, name, []Range{{Dst: magic[:]}})
+	err := c.inner.ReadRanges(name, []Range{{Dst: magic[:]}})
 	switch {
 	case err == nil && !IsFramed(magic[:]):
-		return ReadRanges(c.inner, name, rs)
+		return c.inner.ReadRanges(name, rs)
 	case err != nil && !errors.Is(err, ErrOutOfRange):
 		return err
 	}
@@ -372,20 +372,14 @@ func (c *Compressing) ReadRanges(name string, rs []Range) error {
 	if err != nil {
 		return err
 	}
-	return copyRanges(name, obj, rs)
+	return CopyRanges(name, obj, rs)
 }
 
 // List implements ObjectReader: framing does not rename objects.
 func (c *Compressing) List(prefix string) ([]string, error) { return c.inner.List(prefix) }
 
-// Delete implements ObjectDeleter when the inner backend does.
-func (c *Compressing) Delete(name string) error {
-	del, ok := c.inner.(ObjectDeleter)
-	if !ok {
-		return fmt.Errorf("storage: backend %s cannot delete objects", c.inner.Name())
-	}
-	return del.Delete(name)
-}
+// Delete implements Backend: framing does not rename objects.
+func (c *Compressing) Delete(name string) error { return c.inner.Delete(name) }
 
 // Accounting implements Backend: the inner ledger plus the
 // compression counters.

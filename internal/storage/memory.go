@@ -206,7 +206,7 @@ func (b *Memory) Put(name string, data []byte) error {
 	return b.PutVec(name, [][]byte{data})
 }
 
-// PutVec implements VecStore: the segments are gathered with a single
+// PutVec implements ObjectStore: the segments are gathered with a single
 // copy into the one buffer the store keeps — the backend's share of
 // the zero-copy aggregation path (callers never pre-flatten).
 func (b *Memory) PutVec(name string, segs [][]byte) error {
@@ -224,7 +224,7 @@ func (b *Memory) PutVec(name string, segs [][]byte) error {
 	return nil
 }
 
-// Delete implements ObjectDeleter: the object is dropped from memory.
+// Delete implements Backend: the object is dropped from memory.
 func (b *Memory) Delete(name string) error {
 	b.omu.Lock()
 	defer b.omu.Unlock()
@@ -249,7 +249,7 @@ func (b *Memory) Get(name string) ([]byte, error) {
 	return append([]byte(nil), d...), nil
 }
 
-// ReadRanges implements RangeReader: the ranges are copied out of the
+// ReadRanges implements Backend: the ranges are copied out of the
 // stored bytes, and only they count as read.
 func (b *Memory) ReadRanges(name string, rs []Range) error {
 	b.omu.Lock()
@@ -258,7 +258,7 @@ func (b *Memory) ReadRanges(name string, rs []Range) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	if err := copyRanges(name, d, rs); err != nil {
+	if err := CopyRanges(name, d, rs); err != nil {
 		return err
 	}
 	b.objRead += rangesLen(rs)

@@ -62,7 +62,7 @@ func (b *SDF) Put(name string, data []byte) error {
 	return b.PutVec(name, [][]byte{data})
 }
 
-// PutVec implements VecStore: the segments are written to the file one
+// PutVec implements ObjectStore: the segments are written to the file one
 // after another, never gathered, so the file write is the only copy.
 // Overwriting an existing name replaces the object (accounted once,
 // like Memory.Put); two distinct names that flatten to the same file
@@ -129,7 +129,7 @@ func (b *SDF) Get(name string) ([]byte, error) {
 	return data, nil
 }
 
-// ReadRanges implements RangeReader: one open of the object's SDF file,
+// ReadRanges implements Backend: one open of the object's SDF file,
 // then one positioned read per range straight into its Dst. The file's
 // CRC covers the whole payload and is not checked here; the caller
 // verifies what it reads (the chunk store hashes every chunk).
@@ -140,7 +140,7 @@ func (b *SDF) ReadRanges(name string, rs []Range) error {
 	}
 	defer r.Close()
 	if n, ok := r.AttrInt("", "size"); ok && n <= 0 {
-		return copyRanges(name, nil, rs) // an empty object has no dataset
+		return CopyRanges(name, nil, rs) // an empty object has no dataset
 	}
 	for _, rg := range rs {
 		if err := r.ReadDatasetAt("data", rg.Dst, rg.Off); err != nil {
@@ -194,7 +194,7 @@ func (b *SDF) countRead(n int64) {
 	b.omu.Unlock()
 }
 
-// Delete implements ObjectDeleter: the object's SDF file is removed.
+// Delete implements Backend: the object's SDF file is removed.
 // The collision guard applies like Get's — a name that merely flattens
 // to another object's file must not delete that object.
 func (b *SDF) Delete(name string) error {

@@ -8,8 +8,9 @@
 //     metadata serialization, pattern-dependent OST efficiency, jitter
 //     and congestion. CodecCost prices the compression pipeline on top
 //     of any cost model.
-//   - The object face (Backend: Put/Get/List plus a ledger) stores and
-//     serves real bytes; the runtime cluster layer, the restart path and
+//   - The object face (Backend: Put/PutVec, Get/List, ReadRanges and
+//     Delete plus a ledger, every store all of them) stores and serves
+//     real bytes; the runtime cluster layer, the restart path and
 //     plugins depend on it. Memory keeps objects in a map; SDF persists
 //     each as an SDF file via internal/sdf, so small runs leave
 //     inspectable artifacts. Compressing frames and encodes objects over
@@ -118,13 +119,17 @@ type Accounting struct {
 }
 
 // ObjectStore is the real-data write face of a store: store a named
-// blob. Every Backend implements it; consumers that only persist
-// objects (the cluster layer, plugins) should depend on this narrow
-// interface.
+// blob, whole or as an iovec-style segment list. Every Backend
+// implements it; consumers that only persist objects (the cluster
+// layer, plugins) should depend on this narrow interface.
 type ObjectStore interface {
 	// Put durably stores data under name. Implementations must be safe
 	// for concurrent use.
 	Put(name string, data []byte) error
+	// PutVec durably stores the concatenation of segs under name; the
+	// store owns its copy when PutVec returns, so callers may recycle
+	// the segments. Implementations must be safe for concurrent use.
+	PutVec(name string, segs [][]byte) error
 }
 
 // ObjectReader is the real-data read face of a store: fetch objects
@@ -140,18 +145,6 @@ type ObjectReader interface {
 	// List returns the stored object names with the given prefix,
 	// ascending ("" lists everything).
 	List(prefix string) ([]string, error)
-}
-
-// ObjectDeleter is the optional delete face of a store: remove a
-// stored object by name. Memory and SDF implement it; wrappers
-// (Compressing, the chunk store) forward it to their inner backend.
-// Garbage collection (chunk.Store.Sweep) depends on it — a store
-// without it can only drop objects from its index, not free bytes.
-type ObjectDeleter interface {
-	// Delete removes the named object. Deleting a name that was never
-	// stored returns ErrNotFound. Implementations must be safe for
-	// concurrent use.
-	Delete(name string) error
 }
 
 // The five declarations below are kept only because the benchmark
@@ -194,7 +187,8 @@ type ObjectChunkInfoer interface {
 // Retainer is the reference-lifecycle face of a store with garbage
 // collection: objects start live when Put, Retain pins them an extra
 // reference, Release drops one, and a sweep may collect whatever
-// reached zero. Consumers (cluster retention) test for it with a type
+// reached zero. It is the one face a Backend may lack, because only
+// the chunk store has GC; cluster retention tests for it with a type
 // assertion, so stores without GC keep working unchanged.
 type Retainer interface {
 	// Retain adds one reference to a stored object, loading its chunk
@@ -206,31 +200,9 @@ type Retainer interface {
 	Release(name string) error
 }
 
-// VecStore is the scatter-gather write face: store one object whose
-// bytes arrive as an iovec-style segment list. Implementations must
-// treat the concatenation of segs as the object's bytes and must own
-// their copy by the time PutVec returns — callers are free to recycle
-// the segment buffers immediately afterwards. Memory (one gather), SDF
-// (the segments go to the file as they are), Compressing (part by
-// part) and the chunk store (chunks cut where they lie) implement it;
-// callers go through the PutVec helper, which flattens for everyone
-// else.
-type VecStore interface {
-	// PutVec durably stores the concatenation of segs under name.
-	// Implementations must be safe for concurrent use.
-	PutVec(name string, segs [][]byte) error
-}
-
-// PutVec writes a scatter-gather segment list as one object: through
-// the store's VecStore face when it has one (zero or one copy,
-// depending on the backend), or by flattening into a single buffer for
-// a plain ObjectStore. Either way the store owns its bytes when PutVec
-// returns, so callers may recycle the segment buffers.
+// PutVec is store.PutVec, kept for the benchmark harness's callers.
 func PutVec(store ObjectStore, name string, segs [][]byte) error {
-	if vs, ok := store.(VecStore); ok {
-		return vs.PutVec(name, segs)
-	}
-	return store.Put(name, FlattenSegs(segs))
+	return store.PutVec(name, segs)
 }
 
 // ErrOutOfRange is returned by a ranged read for a range that does not
@@ -244,36 +216,9 @@ type Range struct {
 	Dst []byte
 }
 
-// RangeReader is the optional ranged-read face of a store: read pieces
-// of one object straight into the caller's buffers, without fetching
-// the rest of it. Memory and SDF (one open, one positioned read per
-// range) implement it, and so does Compressing; callers go through the
-// ReadRanges helper, which falls back to Get for everyone else.
-type RangeReader interface {
-	// ReadRanges fills every range's Dst from the named object. It
-	// returns ErrNotFound for a name never stored and ErrOutOfRange for
-	// a range that does not lie inside the object; on an error the Dst
-	// contents are undefined. Implementations must be safe for
-	// concurrent use.
-	ReadRanges(name string, rs []Range) error
-}
-
-// ReadRanges reads ranges of one object into their Dst: through the
-// store's RangeReader face when it has one, or by fetching the whole
-// object with Get and copying the ranges out of it.
-func ReadRanges(r ObjectReader, name string, rs []Range) error {
-	if rr, ok := r.(RangeReader); ok {
-		return rr.ReadRanges(name, rs)
-	}
-	obj, err := r.Get(name)
-	if err != nil {
-		return err
-	}
-	return copyRanges(name, obj, rs)
-}
-
-// copyRanges fills each range's Dst from obj, the whole object.
-func copyRanges(name string, obj []byte, rs []Range) error {
+// CopyRanges fills each range's Dst from obj, the whole object: the
+// ranged read of a store that holds or rebuilds objects whole.
+func CopyRanges(name string, obj []byte, rs []Range) error {
 	for _, rg := range rs {
 		if rg.Off < 0 || rg.Off > int64(len(obj)) || int64(len(rg.Dst)) > int64(len(obj))-rg.Off {
 			return fmt.Errorf("%w: object %q is %d bytes, range [%d, +%d)",
@@ -347,12 +292,21 @@ type CostModel interface {
 	Accounting() Accounting
 }
 
-// Backend is an object store: the object faces plus the store's ledger
-// and name. The reduction layers (Compressing, chunk.Store) wrap one
-// and are one. Code that needs only one face should depend on it.
+// Backend is an object store: every object face plus the store's ledger
+// and name. Every store has all of them, so no caller probes for one;
+// the reduction layers (Compressing, chunk.Store) wrap one and are one.
 type Backend interface {
 	ObjectStore
 	ObjectReader
+
+	// ReadRanges fills every range's Dst from the named object. It
+	// returns ErrNotFound for a name never stored and ErrOutOfRange for
+	// a range outside the object; on an error the Dst contents are
+	// undefined. Implementations must be safe for concurrent use.
+	ReadRanges(name string, rs []Range) error
+	// Delete removes the named object, or returns ErrNotFound.
+	// Implementations must be safe for concurrent use.
+	Delete(name string) error
 
 	// Accounting returns a snapshot of the store's ledger.
 	Accounting() Accounting
