@@ -268,6 +268,9 @@ func (e *Engine) Wait(d float64, k func()) { e.after(d, cont{fn: k}) }
 // (d >= 0): Wait's kind form.
 func (e *Engine) Post(d float64, k Kind, actor int32) { e.after(d, cont{kind: k, actor: actor}) }
 
+// PostAt is Post at absolute virtual time t (>= Now).
+func (e *Engine) PostAt(t float64, k Kind, actor int32) { e.schedule(t, cont{kind: k, actor: actor}) }
+
 func (e *Engine) after(d float64, c cont) {
 	if d < 0 {
 		panic("des: negative Wait")
@@ -449,8 +452,8 @@ func (f *Future) then(c cont) {
 	f.eng.nconts++
 }
 
-// Resource is a FIFO counting resource of capacity units, e.g. a
-// metadata server (capacity 1); waiters are served in arrival order.
+// Resource is a FIFO counting resource of capacity units, e.g. a flat
+// cost model's storage target (capacity 1); waiters are served in order.
 type Resource struct {
 	eng      *Engine
 	capacity int

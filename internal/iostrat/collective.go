@@ -41,19 +41,16 @@ func runCollective(cfg Config) (Result, error) {
 		nodeBytes:    nodeBytes,
 		rounds:       rounds,
 		aggDone:      eng.NewBarrier(nAggs),
-		phaseDone:    make([]des.Future, w.Iterations),
 		aggs:         make([]collectiveAgg, nAggs),
 	}
 	run.loop = newPhaseLoop(eng, &res, ranks, w.Iterations, w.ComputeJitter, root.Named("compute"),
-		func(int) float64 { return w.ComputeTime }, func(int) { be.BeginPhase() }, run.exchange)
-	for i := range run.phaseDone {
-		run.phaseDone[i] = *eng.NewFuture()
-	}
+		func(int) float64 { return w.ComputeTime },
+		func(int) { be.BeginPhase(); run.phaseDone = eng.NewFuture() }, run.exchange)
 	for n := range run.aggs {
 		run.aggs[n].step = func() { run.aggregate(int32(n * plat.CoresPerNode)) }
 	}
-	run.kShuffled = eng.Handle(run.onShuffled)
-	run.kSent = eng.Handle(func(i int32) { run.phaseDone[run.loop.ranks[i].it].ThenPost(run.loop.kWrote, i) })
+	run.shuffled = newBatch(eng, nAggs, run.onShuffled)
+	run.sent = newBatch(eng, ranks-nAggs, func(i int32) { run.phaseDone.ThenPost(run.loop.kWrote, i) })
 	run.kAggregated = eng.Handle(run.onAggregated)
 	run.loop.start()
 	eng.Run()
@@ -77,10 +74,11 @@ type collectiveRun struct {
 	nodeBytes    float64
 	rounds       int
 	aggDone      *des.Barrier
-	phaseDone    []des.Future    // per iteration, the collective write's end
+	phaseDone    *des.Future     // this phase's collective write's end
 	aggs         []collectiveAgg // per node, its aggregator's
 
-	kShuffled, kSent, kAggregated des.Kind
+	shuffled, sent *batch // the exchange's steps, which end at one instant per phase
+	kAggregated    des.Kind
 }
 
 // collectiveAgg is an aggregator's output state. The aggregator — the
@@ -97,16 +95,15 @@ type collectiveAgg struct {
 // exchange is rank i's part of the two-phase shuffle over the NIC: an
 // aggregator collects the node's data, any other rank sends its own.
 func (run *collectiveRun) exchange(i int32) {
-	plat, eng := run.plat, run.loop.eng
-	if int(i)%plat.CoresPerNode == 0 {
+	if plat := run.plat; int(i)%plat.CoresPerNode == 0 {
 		// Shuffle phase: collect the node's data over the NIC.
-		eng.Post(run.nodeBytes/plat.NICBandwidth+plat.NICLatency*float64(plat.CoresPerNode), run.kShuffled, i)
+		run.shuffled.post(run.nodeBytes/plat.NICBandwidth+plat.NICLatency*float64(plat.CoresPerNode), i)
 		return
 	}
 	// Send local data to the aggregator, then wait for the collective
 	// write to finish (MPI_File_write_all returns only when the phase
 	// completes).
-	eng.Post(run.bytesPerCore/plat.NICBandwidth+plat.NICLatency, run.kSent, i)
+	run.sent.post(run.bytesPerCore/run.plat.NICBandwidth+run.plat.NICLatency, i)
 }
 
 func (run *collectiveRun) onShuffled(i int32) {
@@ -152,7 +149,7 @@ func (run *collectiveRun) aggregate(i int32) {
 // onAggregated runs once every aggregator has closed the shared file.
 func (run *collectiveRun) onAggregated(i int32) {
 	if i == 0 {
-		run.phaseDone[run.loop.ranks[i].it].Complete()
+		run.phaseDone.Complete()
 	}
 	run.loop.wrote(i)
 }

@@ -203,10 +203,8 @@ func runDamaris(cfg Config) (Result, error) {
 	res := Result{Approach: Damaris, Platform: plat, Workload: w}
 
 	shms := make([]*nodeShm, plat.Nodes)
-	arrived := make([][]int, plat.Nodes) // per node, per iteration rank count
 	for n := range shms {
 		shms[n] = &nodeShm{eng: eng, capacity: cfg.ShmCapacity}
-		arrived[n] = make([]int, w.Iterations)
 	}
 
 	// One broker per run, shared by every dedicated core and tree root:
@@ -257,7 +255,7 @@ func runDamaris(cfg Config) (Result, error) {
 		computePerNode: computePerNode,
 		treeMode:       treeMode,
 		shms:           shms,
-		arrived:        arrived,
+		copies:         make([]int, plat.Nodes),
 		nodeBytesAt:    nodeBytesAt,
 		varsAt:         varsAt,
 	}
@@ -271,7 +269,7 @@ func runDamaris(cfg Config) (Result, error) {
 			s.close()
 		}
 	}
-	sims.kCopied = eng.Handle(sims.onCopied)
+	sims.copied = newBatch(eng, nComputeRanks, sims.onCopied)
 	sims.loop.start()
 	phaseStart := sims.loop.phaseStart
 
@@ -384,26 +382,25 @@ func runDamaris(cfg Config) (Result, error) {
 // core of the node in hands the node's data to the dedicated core.
 type simRun struct {
 	loop           *phaseLoop
-	kCopied        des.Kind
+	copied         *batch
 	plat           topology.Platform
 	computePerNode int
 	treeMode       bool
 	shms           []*nodeShm
-	arrived        [][]int // per node, per iteration rank count
+	copies         []int // per node, the copies done so far
 	nodeBytesAt    func(it int) float64
 	varsAt         func(it int) int
 }
 
 func (run *simRun) copyOut(i int32) {
 	it := run.loop.ranks[i].it
-	run.loop.eng.Post(run.nodeBytesAt(it)/float64(run.computePerNode)/run.plat.ShmBandwidth+
-		float64(run.varsAt(it))*run.plat.ShmWriteOverhead, run.kCopied, i)
+	run.copied.post(run.nodeBytesAt(it)/float64(run.computePerNode)/run.plat.ShmBandwidth+
+		float64(run.varsAt(it))*run.plat.ShmWriteOverhead, i)
 }
 
 func (run *simRun) onCopied(i int32) {
 	it, node := run.loop.ranks[i].it, int(i)/run.computePerNode
-	run.arrived[node][it]++
-	if run.arrived[node][it] == run.computePerNode {
+	if run.copies[node]++; run.copies[node]%run.computePerNode == 0 {
 		if !run.shms[node].offer(it, run.nodeBytesAt(it)) && run.treeMode {
 			// Data lost, but the node must still take part in the
 			// aggregation round.

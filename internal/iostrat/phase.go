@@ -1,44 +1,51 @@
 package iostrat
 
 import (
+	"math"
+
 	"repro/internal/des"
 	"repro/internal/rng"
 )
 
 // phaseLoop is the bulk-synchronous frame every simulated core of the
-// three strategies runs in: per iteration, compute, meet every rank at
-// the step barrier, do the rank's output work, and meet them again. The
-// next compute phase starts only when every rank has finished, so a
+// three strategies runs in: per iteration, compute, meet every rank, do
+// the rank's output work, and meet them again at the step barrier, so a
 // phase costs the slowest rank. Rank 0 stamps the phase boundaries into
-// the Result. A rank is an index into ranks and each step an event kind
-// registered once, so a rank costs the events it books and nothing
-// besides.
+// the Result. Every rank starts computing at one instant (t = 0 or the
+// barrier's release), so a compute phase is one event, not one per rank,
+// that starts the output work in the order a barrier would have woken
+// the ranks: the last arrival first, then the others by (end, booking).
 type phaseLoop struct {
 	eng        *des.Engine
 	res        *Result
-	iters      int
-	jitter     float64              // compute-time log-normal sigma
-	computeAt  func(it int) float64 // nominal compute time of iteration it
+	compute    func(i int32, it int) float64 // rank i's compute time in iteration it
 	step       *des.Barrier
-	phaseStart []float64
+	phaseStart []float64        // per iteration, when its output phase began
 	begin      func(it int)     // rank 0, as phase it begins
 	output     func(rank int32) // a rank's output work, which ends in wrote
 	finish     func()           // rank 0, after the last phase (may be nil)
 	ranks      []phaseRank
+	computing  []computeEnd // this phase's compute ends, in booking order
+	released   []computeEnd // the last phase's, sorted
 
-	kIterate, kComputed, kPhase, kWrote, kPhaseEnd des.Kind
+	kRelease, kWrote, kPhaseEnd des.Kind
 }
 
 // phaseRank is one rank's place in the frame.
 type phaseRank struct {
 	compRng rng.Stream
 	it      int
-	t0      float64 // this phase's write start
+}
+
+// computeEnd is when a rank's compute ends, as math.Float64bits of the time.
+type computeEnd struct {
+	at   uint64
+	rank int32
 }
 
 // newPhaseLoop builds the frame for n ranks over iters iterations, rank
-// i drawing its compute noise from compute.Child(i), and sizes the
-// Result's per-phase and per-rank timings.
+// i computing computeAt(it) times a log-normal draw from compute.Child(i),
+// and sizes the Result's per-phase and per-rank timings.
 func newPhaseLoop(eng *des.Engine, res *Result, n, iters int, jitter float64, compute *rng.Stream,
 	computeAt func(int) float64, begin func(int), output func(int32)) *phaseLoop {
 
@@ -47,39 +54,36 @@ func newPhaseLoop(eng *des.Engine, res *Result, n, iters int, jitter float64, co
 	l := &phaseLoop{
 		eng:        eng,
 		res:        res,
-		iters:      iters,
-		jitter:     jitter,
-		computeAt:  computeAt,
 		step:       eng.NewBarrier(n),
 		phaseStart: make([]float64, iters),
 		begin:      begin,
 		output:     output,
 		ranks:      make([]phaseRank, n),
+		computing:  make([]computeEnd, 0, n),
+		released:   make([]computeEnd, n),
 	}
 	for i := range l.ranks {
 		l.ranks[i].compRng = *compute.Child(uint64(i))
 	}
-	l.kIterate = eng.Handle(l.iterate)
-	l.kComputed = eng.Handle(func(i int32) { l.step.ArrivePost(l.kPhase, i) })
-	l.kPhase = eng.Handle(l.onPhase)
+	l.compute = func(i int32, it int) float64 { return computeAt(it) * l.ranks[i].compRng.UnitLogNormal(jitter) }
+	l.kRelease = eng.Handle(l.release)
 	l.kWrote = eng.Handle(l.wrote)
 	l.kPhaseEnd = eng.Handle(l.onPhaseEnd)
 	return l
 }
 
-// start books every rank's first step at the current time, in rank
-// order.
+// start begins every rank's first compute phase now, in rank order.
 func (l *phaseLoop) start() {
 	for i := range l.ranks {
-		l.eng.Post(0, l.kIterate, int32(i))
+		l.iterate(int32(i))
 	}
 }
 
 // iterate starts rank i's next compute phase, or ends the rank; the end
-// of rank 0 is the end of the application.
+// of rank 0 is the end of the application. The last to start books the release.
 func (l *phaseLoop) iterate(i int32) {
 	r := &l.ranks[i]
-	if r.it == l.iters {
+	if r.it == len(l.phaseStart) {
 		if i == 0 {
 			l.res.TotalTime = l.eng.Now()
 			if l.finish != nil {
@@ -88,25 +92,55 @@ func (l *phaseLoop) iterate(i int32) {
 		}
 		return
 	}
-	l.eng.Post(l.computeAt(r.it)*r.compRng.UnitLogNormal(l.jitter), l.kComputed, i)
+	l.computing = append(l.computing, computeEnd{math.Float64bits(l.eng.Now() + l.compute(i, r.it)), i})
+	if n := len(l.computing); n == len(l.ranks) {
+		l.released, l.computing = sortByEnd(l.computing, l.released[:n])
+		l.eng.PostAt(math.Float64frombits(l.released[n-1].at), l.kRelease, 0)
+	}
 }
 
-// onPhase runs once every rank has computed: the output phase begins.
-func (l *phaseLoop) onPhase(i int32) {
-	r := &l.ranks[i]
-	if i == 0 {
-		// First rank into the phase: fresh interference draws and the
-		// phase-start timestamp.
-		l.begin(r.it)
-		l.phaseStart[r.it] = l.eng.Now()
+// release runs once every rank has computed: the output phase begins,
+// for the last rank to compute first, then for the others in order.
+func (l *phaseLoop) release(int32) {
+	rel, it := l.released, l.ranks[0].it
+	l.phaseStart[it] = l.eng.Now()
+	for j := range rel {
+		i := rel[(j+len(rel)-1)%len(rel)].rank
+		if i == 0 {
+			l.begin(it) // fresh interference draws, as rank 0 starts
+		}
+		l.output(i)
 	}
-	r.t0 = l.eng.Now()
-	l.output(i)
+}
+
+// sortByEnd sorts ends stably by time, with buf (as long) for scratch,
+// and returns the sorted slice and the other one, emptied: an LSD radix
+// sort on the bits of the times, which order as the (non-negative) times do.
+func sortByEnd(ends, buf []computeEnd) (sorted, other []computeEnd) {
+	for shift := 0; shift < 64; shift += 8 {
+		var at [257]int
+		for _, x := range ends {
+			at[int(x.at>>shift&0xff)+1]++
+		}
+		if at[int(ends[0].at>>shift&0xff)+1] == len(ends) {
+			continue // a byte all the times share
+		}
+		for d := 1; d < len(at); d++ {
+			at[d] += at[d-1]
+		}
+		for _, x := range ends {
+			d := x.at >> shift & 0xff
+			buf[at[d]] = x
+			at[d]++
+		}
+		ends, buf = buf, ends
+	}
+	return ends, buf[:0]
 }
 
 // wrote ends rank i's output work: it meets the other ranks.
 func (l *phaseLoop) wrote(i int32) {
-	l.res.RankWriteTimes = append(l.res.RankWriteTimes, l.eng.Now()-l.ranks[i].t0)
+	l.res.RankWriteTimes = append(l.res.RankWriteTimes, l.eng.Now()-l.phaseStart[l.ranks[i].it])
 	l.step.ArrivePost(l.kPhaseEnd, i)
 }
 
@@ -118,4 +152,32 @@ func (l *phaseLoop) onPhaseEnd(i int32) {
 	}
 	r.it++
 	l.iterate(i)
+}
+
+// batch is an output step that ends at one instant for every rank that
+// takes it in a phase: one event runs step for each in posting order, as
+// per-rank events would have, ahead of any zero-delay event at that time.
+type batch struct {
+	eng    *des.Engine
+	kind   des.Kind
+	actors []int32
+}
+
+func newBatch(eng *des.Engine, n int, step func(int32)) *batch {
+	b := &batch{eng: eng, actors: make([]int32, 0, n)}
+	b.kind = eng.Handle(func(int32) {
+		for _, a := range b.actors {
+			step(a)
+		}
+		b.actors = b.actors[:0]
+	})
+	return b
+}
+
+// post runs step for actor d seconds from now, with the batch.
+func (b *batch) post(d float64, actor int32) {
+	if len(b.actors) == 0 {
+		b.eng.Post(d, b.kind, 0)
+	}
+	b.actors = append(b.actors, actor)
 }

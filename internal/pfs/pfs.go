@@ -143,17 +143,17 @@ func (fs *FS) SetBandwidthFactor(factor float64) {
 	}
 }
 
-// MDS is a metadata server: a FIFO resource of one unit that each
-// operation holds for its service time before its continuation runs.
-// Operations in flight reuse their slots through free.
+// MDS is a metadata server: a FIFO server of one operation at a time,
+// each held for its service time before its continuation runs. It keeps
+// one event booked, the end of the operation it serves, ops[head].
 type MDS struct {
-	res        *des.Resource
-	ops        []metaOp
-	free       []int32
-	held, done des.Kind
+	eng  *des.Engine
+	ops  []metaOp // queued operations from head on, reused once drained
+	head int
+	done des.Kind
 }
 
-// metaOp is one metadata operation in flight.
+// metaOp is one queued metadata operation.
 type metaOp struct {
 	service float64
 	k       func()
@@ -161,31 +161,31 @@ type metaOp struct {
 
 // NewMDS returns an idle metadata server on eng.
 func NewMDS(eng *des.Engine) *MDS {
-	m := &MDS{res: eng.NewResource(1)}
-	m.held = eng.Handle(func(i int32) { eng.Post(m.ops[i].service, m.done, i) })
+	m := &MDS{eng: eng}
 	m.done = eng.Handle(m.finish)
 	return m
 }
 
 // Serve holds the server for service seconds, once every operation
-// queued before it is done, then releases it and runs k.
+// queued before it is done, then runs k.
 func (m *MDS) Serve(service float64, k func()) {
-	i := int32(len(m.ops))
-	if n := len(m.free); n > 0 {
-		i, m.free = m.free[n-1], m.free[:n-1]
-	} else {
-		m.ops = append(m.ops, metaOp{})
+	if m.ops = append(m.ops, metaOp{service, k}); len(m.ops) == m.head+1 {
+		m.eng.Post(service, m.done, 0) // idle: served at once
 	}
-	m.ops[i] = metaOp{service, k}
-	m.res.AcquirePost(1, m.held, i)
 }
 
-func (m *MDS) finish(i int32) {
-	k := m.ops[i].k
-	m.ops[i].k = nil
-	m.free = append(m.free, i)
-	m.res.Release(1)
+// finish runs the served operation's continuation, then starts the next
+// one queued, so that its end follows what k booked.
+func (m *MDS) finish(int32) {
+	k := m.ops[m.head].k
+	m.ops[m.head].k = nil
+	if m.head++; m.head == len(m.ops) {
+		m.ops, m.head = m.ops[:0], 0
+		k() // what k queues on the idle server starts in Serve
+		return
+	}
 	k()
+	m.eng.Post(m.ops[m.head].service, m.done, 0)
 }
 
 // Create performs a file-create at the MDS, then runs k.
