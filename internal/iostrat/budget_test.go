@@ -28,29 +28,29 @@ var desWorkBudgets = map[string]struct {
 	spawns int
 	allocs float64
 }{
-	"toy/pfs/fpp":               {2394, 0, 0},
-	"toy/pfs/collective":        {2996, 0, 0},
-	"toy/pfs/damaris-flat":      {1287, 0, 0},
-	"toy/pfs/damaris-tree":      {1238, 0, 0},
-	"toy/memory/fpp":            {2631, 0, 0},
-	"toy/memory/collective":     {2999, 0, 0},
-	"toy/memory/damaris-flat":   {1291, 0, 0},
-	"toy/memory/damaris-tree":   {1233, 0, 0},
-	"1152/pfs/fpp":              {20963, 0, 1900},
-	"1152/pfs/collective":       {24392, 0, 500},
-	"1152/pfs/damaris-flat":     {10749, 0, 3500},
-	"1152/pfs/damaris-tree":     {10456, 0, 3000},
-	"1152/memory/fpp":           {21903, 0, 2600},
-	"1152/memory/collective":    {24380, 0, 690},
-	"1152/memory/damaris-flat":  {10746, 0, 3750},
-	"1152/memory/damaris-tree":  {10422, 0, 3230},
-	"toy/pfs/kraken-tree":       {1382, 0, 0},
+	"toy/pfs/fpp":               {1441, 0, 0},
+	"toy/pfs/collective":        {2024, 0, 0},
+	"toy/pfs/damaris-flat":      {395, 0, 0},
+	"toy/pfs/damaris-tree":      {367, 0, 0},
+	"toy/memory/fpp":            {1680, 0, 0},
+	"toy/memory/collective":     {2022, 0, 0},
+	"toy/memory/damaris-flat":   {395, 0, 0},
+	"toy/memory/damaris-tree":   {362, 0, 0},
+	"1152/pfs/fpp":              {11523, 0, 1900},
+	"1152/pfs/collective":       {16143, 0, 500},
+	"1152/pfs/damaris-flat":     {3171, 0, 3500},
+	"1152/pfs/damaris-tree":     {3060, 0, 3000},
+	"1152/memory/fpp":           {13176, 0, 2600},
+	"1152/memory/collective":    {16132, 0, 690},
+	"1152/memory/damaris-flat":  {3170, 0, 3750},
+	"1152/memory/damaris-tree":  {3026, 0, 3230},
+	"toy/pfs/kraken-tree":       {511, 0, 0},
 	"toy/pfs/restart":           {75, 0, 100},
-	"1152/pfs/kraken-tree":      {12478, 0, 3200},
-	"1152/pfs/restart":          {1403, 0, 200},
-	"1152/pfs-672/damaris-flat": {10749, 0, 3500},
-	"9216/pfs/restart":          {4451, 0, 750},
-	"9216/pfs/fpp":              {167094, 0, 11500},
+	"1152/pfs/kraken-tree":      {5082, 0, 3200},
+	"1152/pfs/restart":          {1398, 0, 200},
+	"1152/pfs-672/damaris-flat": {3171, 0, 3500},
+	"9216/pfs/restart":          {4404, 0, 750},
+	"9216/pfs/fpp":              {92200, 0, 11500},
 }
 
 // TestDESWorkBudgets runs the four strategies at the 96-core toy shape
