@@ -123,10 +123,12 @@ c1-smoke:
 
 # Short fuzz passes over the object decoders, the chunk store's segment
 # walk, the aggregation protocol past the exhaustive checker's scope and
-# the DES engine's event order; `go test -fuzz` takes one package per
-# invocation.
+# the DES engine's event order and the strategies' one-event phase
+# frame against the per-rank frame it replaced; `go test -fuzz` takes
+# one package per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime 10s ./internal/des
+	$(GO) test -run '^$$' -fuzz '^FuzzPhaseRelease$$' -fuzztime 10s ./internal/iostrat
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchCodec$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzManifestDecode$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzForestEvents$$' -fuzztime 10s ./internal/cluster

@@ -28,6 +28,30 @@ func TestKindsFireInTimeThenSeqOrder(t *testing.T) {
 	}
 }
 
+// TestPostAtIsPostAbsolute: PostAt books at an absolute time what
+// Post books relative to now, into the lane when it is due now, and
+// refuses the past.
+func TestPostAtIsPostAbsolute(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	k := e.Handle(func(i int32) { got = append(got, fmt.Sprintf("k%d@%v", i, e.Now())) })
+	e.PostAt(2, k, 1)
+	e.Wait(1, func() {
+		e.PostAt(1, k, 2) // due now: the back of the lane
+		e.PostAt(2, k, 3) // due at 2, after k1
+		defer func() {
+			if recover() == nil {
+				t.Error("PostAt into the past did not panic")
+			}
+		}()
+		e.PostAt(0.5, k, 4)
+	})
+	e.Run()
+	if want := "[k2@1 k1@2 k3@2]"; fmt.Sprint(got) != want {
+		t.Fatalf("fired %v, want %s", got, want)
+	}
+}
+
 // TestSetRankOrdersAnInstant: among the events due at one instant a
 // lower rank fires first, whether they wait in the heap or in the lane;
 // equal ranks keep booking order.

@@ -11,16 +11,16 @@ import (
 // desWorkBudgets is the ratchet table of the engine work one strategy
 // run costs, by shape/model/strategy: the four strategies without
 // reduction layers, and the des-kraken workload's tree configuration
-// (krakenTree) written and restarted on the PFS model, plus the
-// des-kraken restart read itself and a file-per-process run at 9,216
-// cores, and the 1,152-core flat Damaris run on twice the OSTs
-// (pfs-672), which must allocate exactly what it does on 336. events is
-// exact: a run books its events deterministically, so a change to the
-// count changed the model or its event order (a transfer's follower
-// running in an event of its own instead of inline, say). spawns counts
-// des.Proc adapters, which no model uses, so every ceiling is 0.
-// allocs, for the 1,152-core and 9,216-core rows and the toy restart,
-// is a ceiling on the heap allocations of one whole run
+// (krakenTree) written and restarted on the PFS model, plus the whole
+// des-kraken round at 9,216 cores (its restart read and its four write
+// runs, krakenStrategies), and the 1,152-core flat Damaris run on twice
+// the OSTs (pfs-672), which must allocate exactly what it does on 336.
+// events is exact: a run books its events deterministically, so a
+// change to the count changed the model or its event order (a
+// transfer's follower running in an event of its own instead of inline,
+// say). spawns counts des.Proc adapters, which no model uses, so every
+// ceiling is 0. allocs, for the 1,152-core and 9,216-core rows and the
+// toy restart, is a ceiling on the heap allocations of one whole run
 // (testing.AllocsPerRun), set just above the count measured when it was
 // last lowered; 0 checks none.
 var desWorkBudgets = map[string]struct {
@@ -38,25 +38,28 @@ var desWorkBudgets = map[string]struct {
 	"toy/memory/damaris-tree":   {362, 0, 0},
 	"1152/pfs/fpp":              {11523, 0, 1900},
 	"1152/pfs/collective":       {16143, 0, 500},
-	"1152/pfs/damaris-flat":     {3171, 0, 3500},
-	"1152/pfs/damaris-tree":     {3060, 0, 3000},
+	"1152/pfs/damaris-flat":     {3171, 0, 3300},
+	"1152/pfs/damaris-tree":     {3060, 0, 2800},
 	"1152/memory/fpp":           {13176, 0, 2600},
 	"1152/memory/collective":    {16132, 0, 690},
-	"1152/memory/damaris-flat":  {3170, 0, 3750},
-	"1152/memory/damaris-tree":  {3026, 0, 3230},
+	"1152/memory/damaris-flat":  {3170, 0, 3650},
+	"1152/memory/damaris-tree":  {3026, 0, 3150},
 	"toy/pfs/kraken-tree":       {511, 0, 0},
 	"toy/pfs/restart":           {75, 0, 100},
-	"1152/pfs/kraken-tree":      {5082, 0, 3200},
+	"1152/pfs/kraken-tree":      {5082, 0, 3000},
 	"1152/pfs/restart":          {1398, 0, 200},
-	"1152/pfs-672/damaris-flat": {3171, 0, 3500},
-	"9216/pfs/restart":          {4404, 0, 750},
+	"1152/pfs-672/damaris-flat": {3171, 0, 3300},
+	"9216/pfs/restart":          {4404, 0, 720},
 	"9216/pfs/fpp":              {92200, 0, 11500},
+	"9216/pfs/damaris":          {25349, 0, 26300},
+	"9216/pfs/collective":       {129113, 0, 3000},
+	"9216/pfs/tree":             {27048, 0, 23600},
 }
 
 // TestDESWorkBudgets runs the four strategies at the 96-core toy shape
 // and at 1,152 cores, on the PFS and the flat model, plus the krakenTree
-// write and restart read on the PFS model and the 9,216-core restart
-// read and file-per-process run, and holds the engine to
+// write and restart read on the PFS model and the des-kraken round's
+// restart read and four write runs at 9,216 cores, and holds the engine to
 // desWorkBudgets. AllocsPerRun measures at GOMAXPROCS 1 whatever -cpu
 // says, so the ceilings hold at any setting; under -race only the event
 // and spawn checks run, since the detector allocates on its own account.
@@ -97,8 +100,10 @@ func TestDESWorkBudgets(t *testing.T) {
 	}
 	checkDESBudget(t, "9216/pfs/restart", "pfs", func() Config { return krakenConfig(true) },
 		func(cfg Config) error { _, err := RestartRead(cfg); return err })
-	checkDESBudget(t, "9216/pfs/fpp", "pfs", func() Config { return krakenConfig(false) },
-		func(cfg Config) error { _, err := Run(FilePerProcess, cfg); return err })
+	for _, s := range krakenStrategies {
+		checkDESBudget(t, "9216/pfs/"+s.name, "pfs", func() Config { return krakenConfig(s.tree) },
+			func(cfg Config) error { _, err := Run(s.approach, cfg); return err })
+	}
 }
 
 // checkDESBudget runs one desWorkBudgets row: run on config's
