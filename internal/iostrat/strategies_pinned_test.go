@@ -133,9 +133,12 @@ func krakenTree(cfg *Config) {
 // BenchmarkStrategyRun times one whole run of each strategy on the PFS
 // model: the pinned strategies at 1,152 cores (BenchmarkStrategyRun/1152)
 // and the des-kraken workload's four write runs at 9,216 cores
-// (BenchmarkStrategyRun/9216), whose FPP spends a larger share drawing
-// OST placements. allocs/op shows what a run allocates besides the
-// events themselves (make pprof-cpu aims here, see the Makefile).
+// (BenchmarkStrategyRun/9216). A compute phase is one event, so what a
+// run spends per rank is its output work and its wake at the phase's
+// end: an FPP rank's three metadata operations and small-file write, a
+// collective rank's wake on the phase's write. allocs/op shows what a
+// run allocates besides the events themselves (make pprof-cpu aims
+// here, see the Makefile).
 func BenchmarkStrategyRun(b *testing.B) {
 	run := func(b *testing.B, approach Approach, cfg Config) {
 		b.ReportAllocs()
