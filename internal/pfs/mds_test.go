@@ -11,7 +11,7 @@ import (
 
 // TestMDSServesFIFO drives the metadata server through both cost models
 // that share it (the PFS model and the flat model of storage.Memory):
-// an idle server, a burst queued at one instant, operations issued from
+// an idle server, a burst queued at one instant, operations called from
 // inside a continuation (one while others queue, one on the server it
 // has just drained), and a gap after the queue drains. Every
 // continuation must run once, in arrival order, at exactly
@@ -56,9 +56,9 @@ func TestMDSServesFIFO(t *testing.T) {
 				for i := range 5 { // a burst at one instant
 					var then func()
 					switch i {
-					case 2: // issued while the rest of the burst queues
+					case 2: // called while the rest of the burst queues
 						then = func() { create(nil) }
-					case 4: // its follower is the last queued, and issues one on the server it drains
+					case 4: // its follower is the last queued, and calls one on the server it drains
 						then = func() { create(func() { create(nil) }) }
 					}
 					create(then)
