@@ -45,7 +45,7 @@ func runCollective(cfg Config) (Result, error) {
 	}
 	run.loop = newPhaseLoop(eng, &res, ranks, w.Iterations, w.ComputeJitter, root.Named("compute"),
 		func(int) float64 { return w.ComputeTime },
-		func(int) { be.BeginPhase(); run.phaseDone = eng.NewFuture() }, run.exchange)
+		func(int) { be.BeginPhase(); run.phaseDone, run.created = eng.NewFuture(), false }, run.exchange)
 	for n := range run.aggs {
 		run.aggs[n].step = func() { run.aggregate(int32(n * plat.CoresPerNode)) }
 	}
@@ -61,31 +61,29 @@ func runCollective(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// collectiveBuffer is the per-aggregator bytes written per two-phase
-// round (ROMIO's cb_buffer_size scale).
+// collectiveBuffer is an aggregator's bytes per round (ROMIO's cb_buffer_size scale).
 const collectiveBuffer = 16e6
 
 // collectiveRun is the state the ranks of one collective run share.
 type collectiveRun struct {
-	loop         *phaseLoop
-	be           storage.CostModel
-	plat         topology.Platform
-	bytesPerCore float64
-	nodeBytes    float64
-	rounds       int
-	aggDone      *des.Barrier
-	phaseDone    *des.Future     // this phase's collective write's end
-	aggs         []collectiveAgg // per node, its aggregator's
+	loop                    *phaseLoop
+	be                      storage.CostModel
+	plat                    topology.Platform
+	bytesPerCore, nodeBytes float64
+	rounds                  int
+	aggDone                 *des.Barrier
+	phaseDone               *des.Future     // this phase's collective write's end
+	aggs                    []collectiveAgg // per node, its aggregator's
+	created                 bool            // this phase's shared file exists
+	opening                 []int32         // aggregators waiting for it to, in arrival order
 
 	shuffled, sent *batch // the exchange's steps, which end at one instant per phase
 	kAggregated    des.Kind
 }
 
-// collectiveAgg is an aggregator's output state. The aggregator — the
-// first rank of each node — collects the node's data over the NIC and
-// writes it into the shared file in rounds, each file operation
-// continued by step, bound once; every other rank sends its data to its
-// aggregator and waits for the collective write to end.
+// collectiveAgg is an aggregator's output state: the first rank of each
+// node collects the node's data over the NIC and writes it into the
+// shared file in rounds, each file operation continued by step, bound once.
 type collectiveAgg struct {
 	round    int
 	creating bool // step continues the shared file's create
@@ -96,36 +94,38 @@ type collectiveAgg struct {
 // aggregator collects the node's data, any other rank sends its own.
 func (run *collectiveRun) exchange(i int32) {
 	if plat := run.plat; int(i)%plat.CoresPerNode == 0 {
-		// Shuffle phase: collect the node's data over the NIC.
 		run.shuffled.post(run.nodeBytes/plat.NICBandwidth+plat.NICLatency*float64(plat.CoresPerNode), i)
 		return
 	}
-	// Send local data to the aggregator, then wait for the collective
-	// write to finish (MPI_File_write_all returns only when the phase
-	// completes).
+	// Send local data to the aggregator, then wait for the collective write
+	// to finish (MPI_File_write_all returns only when the phase completes).
 	run.sent.post(run.bytesPerCore/run.plat.NICBandwidth+run.plat.NICLatency, i)
 }
 
 func (run *collectiveRun) onShuffled(i int32) {
 	r := &run.aggs[int(i)/run.plat.CoresPerNode]
-	r.round, r.creating = 0, i == 0
-	if r.creating {
+	if r.round, r.creating = 0, i == 0; r.creating {
 		run.be.Create(r.step) // the shared file
-		return
+	} else if run.created {
+		run.be.Open(r.step)
+	} else {
+		run.opening = append(run.opening, i) // opened once created
 	}
-	run.be.Open(r.step)
 }
 
-// aggregate continues aggregator i: it opens the shared file once
-// created, writes its next round once the file is open or the last round
-// is written, closes the file after the last round, and meets the other
-// aggregators once it is closed.
+// aggregate continues aggregator i: it (and those waiting) opens the file
+// once created, writes a round once it is open or a round is written,
+// closes it after the last round, and meets the others once it is closed.
 func (run *collectiveRun) aggregate(i int32) {
 	r := &run.aggs[int(i)/run.plat.CoresPerNode]
 	switch {
 	case r.creating:
-		r.creating = false
+		r.creating, run.created = false, true
 		run.be.Open(r.step)
+		for _, a := range run.opening {
+			run.be.Open(run.aggs[int(a)/run.plat.CoresPerNode].step)
+		}
+		run.opening = run.opening[:0]
 	case r.round == run.rounds:
 		r.round++
 		run.be.Close(r.step)

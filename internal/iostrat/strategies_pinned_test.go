@@ -67,11 +67,11 @@ var pinnedStrategies = []struct {
 func TestStrategiesPinned(t *testing.T) {
 	want := map[string]strategyPin{
 		"fpp/pfs":             {646.9653432340701, 646.9653432340701, 39.7504954236706, 8.7552e+10, 2304, 0xb2dc4f6352d06b00, 0xefb91a777075c212},
-		"collective/pfs":      {933.949056548143, 933.949056548143, 326.16808873774346, 8.7552e+10, 2, 0x29bdc5252dae3350, 0x829d42db975d6d25},
+		"collective/pfs":      {933.9510565481429, 933.9510565481429, 326.1640887377434, 8.7552e+10, 2, 0xd17d3fc1daf3f6f, 0x5f2956ad0123f825},
 		"damaris-flat/pfs":    {662.5851430658903, 678.832398478251, 28.974652423687758, 8.7552e+10, 192, 0x3c9d5affd567e9e9, 0xe94dea437552bba5},
 		"damaris-tree/pfs":    {662.5851430658903, 676.1026118768309, 19.004023931412405, 8.755199999999965e+10, 12, 0x3c9d5affd567e9e9, 0xe94dea437552bba5},
 		"fpp/memory":          {625.4787366992788, 625.4787366992788, 18.26688888887935, 8.7552e+10, 2304, 0xe5444529ba8652cb, 0x333fa85f7417b1d7},
-		"collective/memory":   {759.9739678103945, 759.9739678103945, 152.19199999999495, 8.7552e+10, 2, 0x50fd6a1996ac9c1d, 0x22d01a30c0646f25},
+		"collective/memory":   {759.9739678103945, 759.9739678103945, 152.189999999995, 8.7552e+10, 2, 0x50fd6a1996ac9c1d, 0x22d01a30c0646f25},
 		"damaris-flat/memory": {662.5851430658903, 667.292143065888, 9.409999999995534, 8.7552e+10, 192, 0x3c9d5affd567e9e9, 0xe94dea437552bba5},
 		"damaris-tree/memory": {662.5851430658903, 666.9578673516045, 5.321428571428385, 8.755199999999965e+10, 12, 0x3c9d5affd567e9e9, 0xe94dea437552bba5},
 	}
