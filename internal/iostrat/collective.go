@@ -40,18 +40,18 @@ func runCollective(cfg Config) (Result, error) {
 		bytesPerCore: w.BytesPerCore,
 		nodeBytes:    nodeBytes,
 		rounds:       rounds,
-		aggDone:      eng.NewBarrier(nAggs),
 		aggs:         make([]collectiveAgg, nAggs),
 	}
 	run.loop = newPhaseLoop(eng, &res, ranks, w.Iterations, w.ComputeJitter, root.Named("compute"),
 		func(int) float64 { return w.ComputeTime },
-		func(int) { be.BeginPhase(); run.phaseDone, run.created = eng.NewFuture(), false }, run.exchange)
+		func(int) { be.BeginPhase(); run.written.done, run.created = false, false }, run.exchange)
 	for n := range run.aggs {
 		run.aggs[n].step = func() { run.aggregate(int32(n * plat.CoresPerNode)) }
 	}
-	run.shuffled = newBatch(eng, nAggs, run.onShuffled)
-	run.sent = newBatch(eng, ranks-nAggs, func(i int32) { run.phaseDone.ThenPost(run.loop.kWrote, i) })
-	run.kAggregated = eng.Handle(run.onAggregated)
+	run.shuffled = newWakeList(eng, nAggs, run.onShuffled)
+	run.written = newWakeList(eng, ranks-nAggs, run.loop.wrote)
+	run.sent = newWakeList(eng, ranks-nAggs, run.written.wait)
+	run.aggDone = newWakeList(eng, nAggs, run.onAggregated)
 	run.loop.start()
 	eng.Run()
 
@@ -71,14 +71,13 @@ type collectiveRun struct {
 	plat                    topology.Platform
 	bytesPerCore, nodeBytes float64
 	rounds                  int
-	aggDone                 *des.Barrier
-	phaseDone               *des.Future     // this phase's collective write's end
+	aggDone                 *wakeList       // the aggregators done writing, a barrier
+	written                 *wakeList       // this phase's collective write's end, a future
 	aggs                    []collectiveAgg // per node, its aggregator's
 	created                 bool            // this phase's shared file exists
 	opening                 []int32         // aggregators waiting for it to, in arrival order
 
-	shuffled, sent *batch // the exchange's steps, which end at one instant per phase
-	kAggregated    des.Kind
+	shuffled, sent *wakeList // the exchange's steps, which end at one instant per phase
 }
 
 // collectiveAgg is an aggregator's output state: the first rank of each
@@ -130,7 +129,7 @@ func (run *collectiveRun) aggregate(i int32) {
 		r.round++
 		run.be.Close(r.step)
 	case r.round > run.rounds:
-		run.aggDone.ArrivePost(run.kAggregated, i)
+		run.aggDone.arrive(i)
 	default:
 		chunk := collectiveBuffer
 		if rem := run.nodeBytes - float64(r.round)*collectiveBuffer; rem < chunk {
@@ -149,7 +148,7 @@ func (run *collectiveRun) aggregate(i int32) {
 // onAggregated runs once every aggregator has closed the shared file.
 func (run *collectiveRun) onAggregated(i int32) {
 	if i == 0 {
-		run.phaseDone.Complete()
+		run.written.complete()
 	}
 	run.loop.wrote(i)
 }

@@ -269,7 +269,7 @@ func runDamaris(cfg Config) (Result, error) {
 			s.close()
 		}
 	}
-	sims.copied = newBatch(eng, nComputeRanks, sims.onCopied)
+	sims.copied = newWakeList(eng, nComputeRanks, sims.onCopied)
 	sims.loop.start()
 	phaseStart := sims.loop.phaseStart
 
@@ -382,7 +382,7 @@ func runDamaris(cfg Config) (Result, error) {
 // core of the node in hands the node's data to the dedicated core.
 type simRun struct {
 	loop           *phaseLoop
-	copied         *batch
+	copied         *wakeList
 	plat           topology.Platform
 	computePerNode int
 	treeMode       bool

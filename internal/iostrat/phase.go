@@ -9,26 +9,27 @@ import (
 
 // phaseLoop is the bulk-synchronous frame every simulated core of the
 // three strategies runs in: per iteration, compute, meet every rank, do
-// the rank's output work, and meet them again at the step barrier, so a
+// the rank's output work, and meet them again at the phase's end, so a
 // phase costs the slowest rank. Rank 0 stamps the phase boundaries into
 // the Result. Every rank starts computing at one instant (t = 0 or the
-// barrier's release), so a compute phase is one event, not one per rank,
-// that starts the output work in the order a barrier would have woken
-// the ranks: the last arrival first, then the others by (end, booking).
+// phase end), so a compute phase is one event, not one per rank, that
+// starts the output work in the order a barrier would have woken the
+// ranks: the last arrival first, then the others by (end, booking). The
+// phase end is one event too.
 type phaseLoop struct {
 	eng        *des.Engine
 	res        *Result
 	compute    func(i int32, it int) float64 // rank i's compute time in iteration it
-	step       *des.Barrier
-	phaseStart []float64        // per iteration, when its output phase began
-	begin      func(it int)     // rank 0, as phase it begins
-	output     func(rank int32) // a rank's output work, which ends in wrote
-	finish     func()           // rank 0, after the last phase (may be nil)
+	ended      *wakeList                     // the ranks done writing, a barrier running onPhaseEnd
+	phaseStart []float64                     // per iteration, when its output phase began
+	begin      func(it int)                  // rank 0, as phase it begins
+	output     func(rank int32)              // a rank's output work, which ends in wrote
+	finish     func()                        // rank 0, after the last phase (may be nil)
 	ranks      []phaseRank
 	computing  []computeEnd // this phase's compute ends, in booking order
 	released   []computeEnd // the last phase's, sorted
 
-	kRelease, kWrote, kPhaseEnd des.Kind
+	kRelease des.Kind
 }
 
 // phaseRank is one rank's place in the frame.
@@ -54,7 +55,6 @@ func newPhaseLoop(eng *des.Engine, res *Result, n, iters int, jitter float64, co
 	l := &phaseLoop{
 		eng:        eng,
 		res:        res,
-		step:       eng.NewBarrier(n),
 		phaseStart: make([]float64, iters),
 		begin:      begin,
 		output:     output,
@@ -67,8 +67,7 @@ func newPhaseLoop(eng *des.Engine, res *Result, n, iters int, jitter float64, co
 	}
 	l.compute = func(i int32, it int) float64 { return computeAt(it) * l.ranks[i].compRng.UnitLogNormal(jitter) }
 	l.kRelease = eng.Handle(l.release)
-	l.kWrote = eng.Handle(l.wrote)
-	l.kPhaseEnd = eng.Handle(l.onPhaseEnd)
+	l.ended = newWakeList(eng, n, l.onPhaseEnd)
 	return l
 }
 
@@ -141,7 +140,7 @@ func sortByEnd(ends, buf []computeEnd) (sorted, other []computeEnd) {
 // wrote ends rank i's output work: it meets the other ranks.
 func (l *phaseLoop) wrote(i int32) {
 	l.res.RankWriteTimes = append(l.res.RankWriteTimes, l.eng.Now()-l.phaseStart[l.ranks[i].it])
-	l.step.ArrivePost(l.kPhaseEnd, i)
+	l.ended.arrive(i)
 }
 
 // onPhaseEnd runs once every rank has written: the phase ends.
@@ -154,30 +153,69 @@ func (l *phaseLoop) onPhaseEnd(i int32) {
 	l.iterate(i)
 }
 
-// batch is an output step that ends at one instant for every rank that
-// takes it in a phase: one event runs step for each in posting order, as
-// per-rank events would have, ahead of any zero-delay event at that time.
-type batch struct {
-	eng    *des.Engine
-	kind   des.Kind
-	actors []int32
+// wakeList runs run for a list of actors, in list order, in one event:
+// a batch of steps that end at one instant (post), the wakes of a
+// barrier of parties (arrive) or of a one-shot future (wait, complete).
+// The actors run in the order per-actor events would have fired them,
+// ahead of any zero-delay event they book: nothing comes between wakes
+// booked back to back, or between steps due at one instant booked in a row.
+type wakeList struct {
+	eng            *des.Engine
+	kind           des.Kind
+	run            func(int32)
+	parties        int
+	done           bool // wait's future has completed (the owner resets it)
+	waiting, woken []int32
 }
 
-func newBatch(eng *des.Engine, n int, step func(int32)) *batch {
-	b := &batch{eng: eng, actors: make([]int32, 0, n)}
-	b.kind = eng.Handle(func(int32) {
-		for _, a := range b.actors {
-			step(a)
+func newWakeList(eng *des.Engine, n int, run func(int32)) *wakeList {
+	w := &wakeList{eng: eng, run: run, parties: n, waiting: make([]int32, 0, n), woken: make([]int32, 0, n)}
+	w.kind = eng.Handle(func(int32) {
+		for _, a := range w.woken {
+			w.run(a)
 		}
-		b.actors = b.actors[:0]
+		w.woken = w.woken[:0]
 	})
-	return b
+	return w
 }
 
-// post runs step for actor d seconds from now, with the batch.
-func (b *batch) post(d float64, actor int32) {
-	if len(b.actors) == 0 {
-		b.eng.Post(d, b.kind, 0)
+// post runs actor a d seconds from now, with the batch.
+func (w *wakeList) post(d float64, a int32) {
+	if len(w.woken) == 0 {
+		w.eng.Post(d, w.kind, 0)
 	}
-	b.actors = append(b.actors, actor)
+	w.woken = append(w.woken, a)
+}
+
+// wake books the event that runs every actor waiting so far, if any.
+func (w *wakeList) wake() {
+	if len(w.waiting) > 0 {
+		w.woken, w.waiting = w.waiting, w.woken[:0]
+		w.eng.Post(0, w.kind, 0)
+	}
+}
+
+// arrive counts a at the barrier: the last of the parties to arrive
+// runs inline, after it books the event that runs the others.
+func (w *wakeList) arrive(a int32) {
+	if len(w.waiting)+1 < w.parties {
+		w.waiting = append(w.waiting, a)
+		return
+	}
+	w.wake()
+	w.run(a)
+}
+
+// wait runs a once the future completes: at once if it has.
+func (w *wakeList) wait(a int32) {
+	if w.done {
+		w.run(a)
+		return
+	}
+	w.waiting = append(w.waiting, a)
+}
+
+func (w *wakeList) complete() {
+	w.done = true
+	w.wake()
 }

@@ -10,22 +10,24 @@ import (
 
 // refPhaseLoop is the per-rank frame phaseLoop replaced, kept as the
 // reference FuzzPhaseRelease holds it to: every rank books its compute
-// end as an event of its own and arrives at the step barrier, which
-// starts the last arrival's output work inline and wakes the others,
-// one event each, in arrival order; the output phase ends at the same
-// barrier. It borrows a phaseLoop's state (ranks, compute draws,
-// barrier, hooks) and none of its kinds.
+// end as an event of its own and arrives at a step barrier of its own,
+// which starts the last arrival's output work inline and wakes the
+// others, one event each, in arrival order; the output phase ends at
+// the same barrier, which wakes each rank in an event of its own too.
+// It borrows a phaseLoop's state (ranks, compute draws, hooks) and none
+// of its kinds or gates.
 type refPhaseLoop struct {
 	*phaseLoop
-	t0 []float64 // per rank, this phase's write start
+	step *des.Barrier
+	t0   []float64 // per rank, this phase's write start
 
 	kIterate, kComputed, kPhase, kPhaseEnd des.Kind
 }
 
 func newRefPhaseLoop(l *phaseLoop) *refPhaseLoop {
-	r := &refPhaseLoop{phaseLoop: l, t0: make([]float64, len(l.ranks))}
+	r := &refPhaseLoop{phaseLoop: l, step: l.eng.NewBarrier(len(l.ranks)), t0: make([]float64, len(l.ranks))}
 	r.kIterate = l.eng.Handle(r.iterate)
-	r.kComputed = l.eng.Handle(func(i int32) { l.step.ArrivePost(r.kPhase, i) })
+	r.kComputed = l.eng.Handle(func(i int32) { r.step.ArrivePost(r.kPhase, i) })
 	r.kPhase = l.eng.Handle(r.onPhase)
 	r.kPhaseEnd = l.eng.Handle(r.onPhaseEnd)
 	return r
@@ -76,17 +78,19 @@ func (r *refPhaseLoop) onPhaseEnd(i int32) {
 // iterations, compute times from the production draw (jitter >= 0) or,
 // with jitter < 0, from a table of a few values so that ends tie, and
 // each rank's output work from a few durations, inline included, or, when
-// batched, one per-iteration duration through a batch.
+// batched, one per-iteration duration through a batch. With waits, most
+// ranks end their output work by waiting for rank 0's, as the
+// collective's senders wait for the write that aggregator 0 completes.
 type phaseCase struct {
-	n, iters int
-	jitter   float64
-	batched  bool
-	choice   []byte // per (iteration, rank): the compute and write value
+	n, iters       int
+	jitter         float64
+	batched, waits bool
+	choice         []byte // per (iteration, rank): the compute and write value
 }
 
 // phaseStep is one observation of a frame: kind is "begin" (rank 0's
 // interference draws), "phase" (a rank's output work starts) or "end"
-// (a rank leaves the step barrier).
+// (onPhaseEnd runs for a rank).
 type phaseStep struct {
 	kind string
 	rank int32
@@ -101,7 +105,7 @@ func decodePhaseCase(data []byte) phaseCase {
 		}
 		return 0
 	}
-	c := phaseCase{n: 1 + int(at(0))%40, iters: 1 + int(at(1))%3, batched: at(2)&4 != 0}
+	c := phaseCase{n: 1 + int(at(0))%40, iters: 1 + int(at(1))%3, batched: at(2)&4 != 0, waits: at(2)&8 != 0}
 	c.jitter = [...]float64{0, 0.01, -1, -1}[at(2)%4]
 	if len(data) > 3 {
 		c.choice = data[3:]
@@ -123,10 +127,40 @@ func (c phaseCase) run(ref bool) ([]phaseStep, Result) {
 	eng := des.NewEngine()
 	var res Result
 	var steps []phaseStep
-	var wrote func(int32)
+	var wrote, waited func(int32)
 	var l *phaseLoop
-	writes := newBatch(eng, c.n, func(i int32) { wrote(i) })
-	kWrite := eng.Handle(func(i int32) { wrote(i) })
+	// A rank's write ends in wrote, or under waits in waited: rank 0
+	// completes the phase's write and ends, the others with a choice bit
+	// clear wait for that, through a des.Future in the reference and a
+	// signal in the frame under test.
+	var fut *des.Future
+	var sig *wakeList
+	kWrote := eng.Handle(func(i int32) { wrote(i) })
+	waited = func(i int32) {
+		switch {
+		case i == 0 && ref:
+			fut.Complete()
+		case i == 0:
+			sig.complete()
+		case c.value(i, l.ranks[i].it)&0x40 != 0:
+		case ref:
+			fut.ThenPost(kWrote, i)
+			return
+		default:
+			sig.wait(i)
+			return
+		}
+		wrote(i)
+	}
+	end := func(i int32) {
+		if c.waits {
+			waited(i)
+		} else {
+			wrote(i)
+		}
+	}
+	writes := newWakeList(eng, c.n, end)
+	kWrite := eng.Handle(end)
 	output := func(i int32) {
 		steps = append(steps, phaseStep{"phase", i, eng.Now()})
 		it := l.ranks[i].it
@@ -135,46 +169,55 @@ func (c phaseCase) run(ref bool) ([]phaseStep, Result) {
 			writes.post(0.25*float64(it+1), i)
 		case c.batched:
 			eng.Post(0.25*float64(it+1), kWrite, i)
-		case w < 0:
+		case w < 0 && !c.waits: // a wait starts in an event after begin
 			wrote(i)
 		default:
-			eng.Post(w, kWrite, i)
+			eng.Post(max(w, 0), kWrite, i)
 		}
 	}
-	begin := func(int) { steps = append(steps, phaseStep{"begin", 0, eng.Now()}) }
+	begin := func(int) {
+		steps = append(steps, phaseStep{"begin", 0, eng.Now()})
+		fut = eng.NewFuture()
+		if sig != nil {
+			sig.done = false
+		}
+	}
 	l = newPhaseLoop(eng, &res, c.n, c.iters, c.jitter, rng.New(7, 7).Named("compute"),
 		func(it int) float64 { return float64(1 + it) }, begin, output)
 	if c.jitter < 0 {
 		l.compute = func(i int32, it int) float64 { return [...]float64{1, 1.5, 2, 0.25}[c.value(i, it)%4] }
 	}
-	observe := func(onPhaseEnd func(int32)) des.Kind {
-		return eng.Handle(func(i int32) {
+	observe := func(onPhaseEnd func(int32)) func(int32) {
+		return func(i int32) {
 			steps = append(steps, phaseStep{"end", i, eng.Now()})
 			onPhaseEnd(i)
-		})
+		}
 	}
 	if ref {
 		r := newRefPhaseLoop(l)
-		wrote, r.kPhaseEnd = r.wrote, observe(r.onPhaseEnd)
+		wrote, r.kPhaseEnd = r.wrote, eng.Handle(observe(r.onPhaseEnd))
 		r.start()
 	} else {
-		wrote, l.kPhaseEnd = l.wrote, observe(l.onPhaseEnd)
+		wrote, l.ended.run = l.wrote, observe(l.onPhaseEnd)
+		sig = newWakeList(eng, c.n, l.wrote)
 		l.start()
 	}
 	eng.Run()
 	return steps, res
 }
 
-// FuzzPhaseRelease holds the one-event-per-phase frame (and a batched
-// output step) to the per-rank frame it replaced: the same output and
-// barrier steps, rank by rank, at the same float times, and the same
-// Result timings.
+// FuzzPhaseRelease holds the one-event-per-phase frame (its release and
+// its end, a batched output step and a signal's waits) to the per-rank
+// frame it replaced: the same output starts and phase ends, rank by
+// rank, at the same float times, and the same Result timings.
 func FuzzPhaseRelease(f *testing.F) {
 	f.Add([]byte{8, 1, 0})                                  // ComputeJitter 0: every end ties, booking order decides
 	f.Add([]byte{12, 2, 1, 5, 9, 2, 14, 7})                 // the production draw with jitter
 	f.Add([]byte{17, 2, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 250}) // compute ties and inline writes
 	f.Add([]byte{9, 1, 6, 3, 1, 0, 2})                      // a batched output step
 	f.Add([]byte{0, 2, 3, 1})                               // one rank
+	f.Add([]byte{20, 2, 10, 9, 4, 0x49, 0, 13, 0x47, 2})    // waits on rank 0's write, ties in the compute table
+	f.Add([]byte{11, 3, 13, 1, 0x45, 3})                    // waits after a batched write
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodePhaseCase(data)
 		got, gotRes := c.run(false)
