@@ -28,32 +28,32 @@ var desWorkBudgets = map[string]struct {
 	spawns int
 	allocs float64
 }{
-	"toy/pfs/fpp":               {1441, 0, 0},
-	"toy/pfs/collective":        {2024, 0, 0},
-	"toy/pfs/damaris-flat":      {395, 0, 0},
-	"toy/pfs/damaris-tree":      {367, 0, 0},
-	"toy/memory/fpp":            {1680, 0, 0},
-	"toy/memory/collective":     {2022, 0, 0},
-	"toy/memory/damaris-flat":   {395, 0, 0},
-	"toy/memory/damaris-tree":   {362, 0, 0},
-	"1152/pfs/fpp":              {11523, 0, 1900},
-	"1152/pfs/collective":       {16143, 0, 500},
-	"1152/pfs/damaris-flat":     {3171, 0, 3300},
-	"1152/pfs/damaris-tree":     {3060, 0, 2800},
-	"1152/memory/fpp":           {13176, 0, 2600},
-	"1152/memory/collective":    {16132, 0, 690},
-	"1152/memory/damaris-flat":  {3170, 0, 3650},
-	"1152/memory/damaris-tree":  {3026, 0, 3150},
-	"toy/pfs/kraken-tree":       {511, 0, 0},
+	"toy/pfs/fpp":               {1159, 0, 0},
+	"toy/pfs/collective":        {1463, 0, 0},
+	"toy/pfs/damaris-flat":      {137, 0, 0},
+	"toy/pfs/damaris-tree":      {109, 0, 0},
+	"toy/memory/fpp":            {1398, 0, 0},
+	"toy/memory/collective":     {1461, 0, 0},
+	"toy/memory/damaris-flat":   {137, 0, 0},
+	"toy/memory/damaris-tree":   {104, 0, 0},
+	"1152/pfs/fpp":              {9223, 0, 1900},
+	"1152/pfs/collective":       {11545, 0, 500},
+	"1152/pfs/damaris-flat":     {1063, 0, 3300},
+	"1152/pfs/damaris-tree":     {952, 0, 2800},
+	"1152/memory/fpp":           {10876, 0, 2600},
+	"1152/memory/collective":    {11534, 0, 690},
+	"1152/memory/damaris-flat":  {1062, 0, 3650},
+	"1152/memory/damaris-tree":  {918, 0, 3150},
+	"toy/pfs/kraken-tree":       {253, 0, 0},
 	"toy/pfs/restart":           {75, 0, 100},
-	"1152/pfs/kraken-tree":      {5082, 0, 3000},
+	"1152/pfs/kraken-tree":      {2974, 0, 3000},
 	"1152/pfs/restart":          {1398, 0, 200},
-	"1152/pfs-672/damaris-flat": {3171, 0, 3300},
+	"1152/pfs-672/damaris-flat": {1063, 0, 3300},
 	"9216/pfs/restart":          {4404, 0, 720},
-	"9216/pfs/fpp":              {92200, 0, 11500},
-	"9216/pfs/damaris":          {25349, 0, 26300},
-	"9216/pfs/collective":       {129113, 0, 3000},
-	"9216/pfs/tree":             {27048, 0, 23600},
+	"9216/pfs/fpp":              {73772, 0, 11500},
+	"9216/pfs/damaris":          {8457, 0, 26300},
+	"9216/pfs/collective":       {92259, 0, 3000},
+	"9216/pfs/tree":             {10156, 0, 23600},
 }
 
 // TestDESWorkBudgets runs the four strategies at the 96-core toy shape
