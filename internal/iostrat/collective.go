@@ -45,9 +45,7 @@ func runCollective(cfg Config) (Result, error) {
 	run.loop = newPhaseLoop(eng, &res, ranks, w.Iterations, w.ComputeJitter, root.Named("compute"),
 		func(int) float64 { return w.ComputeTime },
 		func(int) { be.BeginPhase(); run.written.done, run.created = false, false }, run.exchange)
-	for n := range run.aggs {
-		run.aggs[n].step = func() { run.aggregate(int32(n * plat.CoresPerNode)) }
-	}
+	run.step, run.kStep = run.aggregate, eng.Handle(run.aggregate)
 	run.shuffled = newWakeList(eng, nAggs, run.onShuffled)
 	run.written = newWakeList(eng, ranks-nAggs, run.loop.wrote)
 	run.sent = newWakeList(eng, ranks-nAggs, run.written.wait)
@@ -77,16 +75,17 @@ type collectiveRun struct {
 	created                 bool            // this phase's shared file exists
 	opening                 []int32         // aggregators waiting for it to, in arrival order
 
-	shuffled, sent *wakeList // the exchange's steps, which end at one instant per phase
+	shuffled, sent *wakeList   // the exchange's steps, which end at one instant per phase
+	step           func(int32) // aggregate, bound once, continues an aggregator's file operations
+	kStep          des.Kind    // and its kind, a transfer's
 }
 
 // collectiveAgg is an aggregator's output state: the first rank of each
 // node collects the node's data over the NIC and writes it into the
-// shared file in rounds, each file operation continued by step, bound once.
+// shared file in rounds.
 type collectiveAgg struct {
 	round    int
 	creating bool // step continues the shared file's create
-	step     func()
 }
 
 // exchange is rank i's part of the two-phase shuffle over the NIC: an
@@ -104,9 +103,9 @@ func (run *collectiveRun) exchange(i int32) {
 func (run *collectiveRun) onShuffled(i int32) {
 	r := &run.aggs[int(i)/run.plat.CoresPerNode]
 	if r.round, r.creating = 0, i == 0; r.creating {
-		run.be.Create(r.step) // the shared file
+		run.be.Create(run.step, i) // the shared file
 	} else if run.created {
-		run.be.Open(r.step)
+		run.be.Open(run.step, i)
 	} else {
 		run.opening = append(run.opening, i) // opened once created
 	}
@@ -120,14 +119,14 @@ func (run *collectiveRun) aggregate(i int32) {
 	switch {
 	case r.creating:
 		r.creating, run.created = false, true
-		run.be.Open(r.step)
+		run.be.Open(run.step, i)
 		for _, a := range run.opening {
-			run.be.Open(run.aggs[int(a)/run.plat.CoresPerNode].step)
+			run.be.Open(run.step, a)
 		}
 		run.opening = run.opening[:0]
 	case r.round == run.rounds:
 		r.round++
-		run.be.Close(r.step)
+		run.be.Close(run.step, i)
 	case r.round > run.rounds:
 		run.aggDone.arrive(i)
 	default:
@@ -141,7 +140,7 @@ func (run *collectiveRun) aggregate(i int32) {
 		// slowest aggregator finishes.
 		ost := (int(i)/run.plat.CoresPerNode + r.round*run.plat.Nodes) % run.be.Targets()
 		r.round++
-		run.be.WriteChunk(ost, chunk, storage.SharedFile).Then(r.step)
+		run.be.WriteChunk(ost, chunk, storage.SharedFile).ThenPost(run.kStep, i)
 	}
 }
 

@@ -662,15 +662,15 @@ func writeFiles(schedule writeScheduler, be storage.CostModel, res *Result, n in
 		n--
 		req, write := next()
 		schedule.acquire(req, func(release func()) {
-			be.Create(func() {
+			be.Create(func(int32) {
 				write(func() {
-					be.Close(func() {
+					be.Close(func(int32) {
 						release()
 						res.FilesCreated++
 						file()
-					})
+					}, 0)
 				})
-			})
+			}, 0)
 		})
 	}
 	file()

@@ -25,12 +25,12 @@ func runFPP(cfg Config) (Result, error) {
 
 	res := Result{Approach: FilePerProcess, Platform: plat, Workload: w}
 	run := &fppRun{be: be, bytes: w.BytesPerCore, ranks: make([]fppRank, ranks)}
+	run.step, run.kStep = run.next, eng.Handle(run.next)
 	run.loop = newPhaseLoop(eng, &res, ranks, w.Iterations, w.ComputeJitter, root.Named("compute"),
 		func(int) float64 { return w.ComputeTime }, func(int) { be.BeginPhase() }, run.writeFile)
 	place := root.Named("place")
 	for i := range run.ranks {
 		run.ranks[i].placeRng = *place.Child(uint64(i))
-		run.ranks[i].step = func() { run.next(int32(i)) }
 	}
 	run.loop.start()
 	eng.Run()
@@ -41,28 +41,30 @@ func runFPP(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// fppRun is the state the ranks of one file-per-process run share.
+// fppRun is the state the ranks of one file-per-process run share. A
+// rank's output work creates, writes and closes the rank's own file, and
+// next, bound once as step and as the kind kStep, continues each of
+// those operations.
 type fppRun struct {
 	loop  *phaseLoop
 	be    storage.CostModel
 	bytes float64
 	ranks []fppRank
+	step  func(int32)
+	kStep des.Kind
 }
 
-// fppRank is one file-per-process rank's output state: its output work
-// creates, writes and closes the rank's own file, and step, bound once,
-// continues each of those operations.
+// fppRank is one file-per-process rank's output state.
 type fppRank struct {
 	placeRng rng.Stream
 	ost      int // this phase's file placement
 	stage    int // operations done on this phase's file
-	step     func()
 }
 
 func (run *fppRun) writeFile(i int32) {
 	r := &run.ranks[i]
 	r.ost, r.stage = r.placeRng.Intn(run.be.Targets()), 0
-	run.be.Create(r.step)
+	run.be.Create(run.step, i)
 }
 
 // next continues rank i's file: written once created, closed once
@@ -71,9 +73,9 @@ func (run *fppRun) next(i int32) {
 	r := &run.ranks[i]
 	switch r.stage++; r.stage {
 	case 1:
-		run.be.Write(r.ost, run.bytes, storage.SmallFile).Then(r.step)
+		run.be.Write(r.ost, run.bytes, storage.SmallFile).ThenPost(run.kStep, i)
 	case 2:
-		run.be.Close(r.step)
+		run.be.Close(run.step, i)
 	default:
 		run.loop.wrote(i)
 	}

@@ -80,17 +80,17 @@ func RestartRead(cfg Config) (RestartResult, error) {
 			}
 		}
 	}
-	for ordinal, id := range roots {
-		eng.Wait(0, func() {
-			be.Open(func() {
-				stripeAcross(be.Read, (ordinal*stripes)%be.Targets(), stripes, be.Targets(), bytes(id), func() {
-					be.Close(func() {
-						res.ReadTime = max(res.ReadTime, eng.Now())
-						push[id]()
-					})
-				})
-			})
-		})
+	// Each root, by its ordinal, opens its object, reads it and closes it.
+	closed := func(o int32) {
+		res.ReadTime = max(res.ReadTime, eng.Now())
+		push[roots[o]]()
+	}
+	opened := func(o int32) {
+		stripeAcross(be.Read, (int(o)*stripes)%be.Targets(), stripes, be.Targets(), bytes(roots[o]),
+			func() { be.Close(closed, o) })
+	}
+	for ordinal := range roots {
+		eng.Wait(0, func() { be.Open(opened, int32(ordinal)) })
 	}
 	res.TotalTime = eng.Run()
 	res.BytesRead = be.Accounting().BytesRead

@@ -15,7 +15,7 @@ import (
 // inside a continuation (one while others queue, one on the server it
 // has just drained), and a gap after the queue drains. Every
 // continuation must run once, in arrival order, at exactly
-// max(arrival, previous end) + service.
+// max(arrival, previous end) + service, with its own actor index.
 func TestMDSServesFIFO(t *testing.T) {
 	params := topology.Kraken(1).PFS
 	models := []struct {
@@ -36,20 +36,22 @@ func TestMDSServesFIFO(t *testing.T) {
 			be := m.build(eng)
 			var arrivals, ran []float64 // by operation, in Create order
 			var order []int             // operations in the order their k ran
+			var thens []func() // by operation
+			continued := func(op int32) { // the one handler, bound once
+				if ran[op] >= 0 {
+					t.Fatalf("operation %d continued twice", op)
+				}
+				ran[op] = eng.Now()
+				order = append(order, int(op))
+				if thens[op] != nil {
+					thens[op]()
+				}
+			}
 			var create func(then func())
 			create = func(then func()) {
 				op := len(arrivals)
-				arrivals, ran = append(arrivals, eng.Now()), append(ran, -1)
-				be.Create(func() {
-					if ran[op] >= 0 {
-						t.Fatalf("operation %d continued twice", op)
-					}
-					ran[op] = eng.Now()
-					order = append(order, op)
-					if then != nil {
-						then()
-					}
-				})
+				arrivals, ran, thens = append(arrivals, eng.Now()), append(ran, -1), append(thens, then)
+				be.Create(continued, int32(op))
 			}
 			create(nil) // idle server
 			eng.At(0.5, func() {

@@ -144,7 +144,8 @@ func (fs *FS) SetBandwidthFactor(factor float64) {
 }
 
 // MDS is a metadata server: a FIFO server of one operation at a time,
-// each held for its service time before its continuation runs. It keeps
+// each held for its service time before its continuation runs: a
+// handler its caller binds once, applied to an actor index. It keeps
 // one event booked, the end of the operation it serves, ops[head].
 type MDS struct {
 	eng  *des.Engine
@@ -156,7 +157,8 @@ type MDS struct {
 // metaOp is one queued metadata operation.
 type metaOp struct {
 	service float64
-	k       func()
+	k       func(actor int32)
+	actor   int32
 }
 
 // NewMDS returns an idle metadata server on eng.
@@ -167,9 +169,9 @@ func NewMDS(eng *des.Engine) *MDS {
 }
 
 // Serve holds the server for service seconds, once every operation
-// queued before it is done, then runs k.
-func (m *MDS) Serve(service float64, k func()) {
-	if m.ops = append(m.ops, metaOp{service, k}); len(m.ops) == m.head+1 {
+// queued before it is done, then runs k(actor).
+func (m *MDS) Serve(service float64, k func(int32), actor int32) {
+	if m.ops = append(m.ops, metaOp{service, k, actor}); len(m.ops) == m.head+1 {
 		m.eng.Post(service, m.done, 0) // idle: served at once
 	}
 }
@@ -177,25 +179,25 @@ func (m *MDS) Serve(service float64, k func()) {
 // finish runs the served operation's continuation, then starts the next
 // one queued, so that its end follows what k booked.
 func (m *MDS) finish(int32) {
-	k := m.ops[m.head].k
+	op := m.ops[m.head]
 	m.ops[m.head].k = nil
 	if m.head++; m.head == len(m.ops) {
 		m.ops, m.head = m.ops[:0], 0
-		k() // what k queues on the idle server starts in Serve
+		op.k(op.actor) // what k queues on the idle server starts in Serve
 		return
 	}
-	k()
+	op.k(op.actor)
 	m.eng.Post(m.ops[m.head].service, m.done, 0)
 }
 
-// Create performs a file-create at the MDS, then runs k.
-func (fs *FS) Create(k func()) { fs.mds.Serve(fs.params.MDSCreate, k) }
+// Create performs a file-create at the MDS, then runs k(actor).
+func (fs *FS) Create(k func(int32), actor int32) { fs.mds.Serve(fs.params.MDSCreate, k, actor) }
 
-// Open performs a file-open at the MDS, then runs k.
-func (fs *FS) Open(k func()) { fs.mds.Serve(fs.params.MDSOpen, k) }
+// Open performs a file-open at the MDS, then runs k(actor).
+func (fs *FS) Open(k func(int32), actor int32) { fs.mds.Serve(fs.params.MDSOpen, k, actor) }
 
-// Close performs a file-close at the MDS, then runs k.
-func (fs *FS) Close(k func()) { fs.mds.Serve(fs.params.MDSClose, k) }
+// Close performs a file-close at the MDS, then runs k(actor).
+func (fs *FS) Close(k func(int32), actor int32) { fs.mds.Serve(fs.params.MDSClose, k, actor) }
 
 // Write submits a whole-file write of the given size and pattern to one
 // OST and returns a future completed when the transfer finishes. The

@@ -144,7 +144,7 @@ func TestMDSSerializes(t *testing.T) {
 	const n = 100
 	for i := 0; i < n; i++ {
 		eng.Spawn("c", func(p *des.Proc) {
-			p.Do(fs.Create)
+			p.Do(func(k func()) { fs.Create(func(int32) { k() }, 0) })
 			if p.Now() > last {
 				last = p.Now()
 			}

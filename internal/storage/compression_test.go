@@ -283,9 +283,9 @@ func TestCodecCost(t *testing.T) {
 		}
 		eng.Spawn("dedicated", func(p *des.Proc) {
 			b.BeginPhase()
-			p.Do(b.Create)
+			p.Do(metaDo(b.Create))
 			p.Do(b.Write(0, 60e6, BigSequential).Then)
-			p.Do(b.Close)
+			p.Do(metaDo(b.Close))
 			p.Do(b.Write(1, 60e6, BigSequential).Then)
 			p.Do(b.Read(0, 30e6, BigSequential).Then)
 			p.Do(b.Read(1, 30e6, BigSequential).Then)
@@ -323,9 +323,9 @@ func TestCodecCost(t *testing.T) {
 	plain := NewMemory(engPlain, 4, 1e8)
 	engPlain.Spawn("dedicated", func(p *des.Proc) {
 		plain.BeginPhase()
-		p.Do(plain.Create)
+		p.Do(metaDo(plain.Create))
 		p.Do(plain.Write(0, 60e6/ratio, BigSequential).Then)
-		p.Do(plain.Close)
+		p.Do(metaDo(plain.Close))
 		p.Do(plain.Write(1, 60e6/ratio, BigSequential).Then)
 		p.Do(plain.Read(0, 30e6/ratio, BigSequential).Then)
 		p.Do(plain.Read(1, 30e6/ratio, BigSequential).Then)

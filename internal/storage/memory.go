@@ -88,13 +88,13 @@ func (m *simModel) BeginPhase() {}
 var simEfficiency = [...]float64{BigSequential: 1.0, SmallFile: 0.45, SharedFile: 0.06}
 
 // Create implements CostModel.
-func (m *simModel) Create(k func()) { m.meta.Serve(m.metaTime, k) }
+func (m *simModel) Create(k func(int32), actor int32) { m.meta.Serve(m.metaTime, k, actor) }
 
 // Open implements CostModel.
-func (m *simModel) Open(k func()) { m.meta.Serve(m.metaTime, k) }
+func (m *simModel) Open(k func(int32), actor int32) { m.meta.Serve(m.metaTime, k, actor) }
 
 // Close implements CostModel.
-func (m *simModel) Close(k func()) { m.meta.Serve(m.metaTime, k) }
+func (m *simModel) Close(k func(int32), actor int32) { m.meta.Serve(m.metaTime, k, actor) }
 
 // transfer serves one stream — write or read — on a target and returns
 // its future: reads are priced exactly like writes (same per-target

@@ -34,13 +34,13 @@ func (b *PFS) Targets() int { return b.fs.OSTCount() }
 func (b *PFS) BeginPhase() { b.fs.BeginPhase() }
 
 // Create implements CostModel.
-func (b *PFS) Create(k func()) { b.fs.Create(k) }
+func (b *PFS) Create(k func(int32), actor int32) { b.fs.Create(k, actor) }
 
 // Open implements CostModel.
-func (b *PFS) Open(k func()) { b.fs.Open(k) }
+func (b *PFS) Open(k func(int32), actor int32) { b.fs.Open(k, actor) }
 
 // Close implements CostModel.
-func (b *PFS) Close(k func()) { b.fs.Close(k) }
+func (b *PFS) Close(k func(int32), actor int32) { b.fs.Close(k, actor) }
 
 // Write implements CostModel.
 func (b *PFS) Write(target int, bytes float64, pat Pattern) *des.Future {

@@ -254,8 +254,9 @@ func FlattenSegs(segs [][]byte) []byte { return bytes.Join(segs, nil) }
 
 // CostModel is the simulated face of a storage target: operations that
 // charge virtual time, and the ledger they feed. The iostrat strategies
-// depend on this face alone. Metadata operations continue: each takes
-// the continuation k it runs once done, inline or from a later event.
+// depend on this face alone. Metadata operations continue: each takes a
+// handler k, bound once per run, and the actor index it runs k with once
+// done, from a later event.
 // Transfers return futures, completed when they finish, which the
 // simulated actors — every one a state machine — follow with Then or
 // ThenPost; a zero-byte transfer returns a completed one.
@@ -271,9 +272,9 @@ type CostModel interface {
 	BeginPhase()
 
 	// Create, Open and Close are metadata operations.
-	Create(k func())
-	Open(k func())
-	Close(k func())
+	Create(k func(actor int32), actor int32)
+	Open(k func(actor int32), actor int32)
+	Close(k func(actor int32), actor int32)
 
 	// Write submits a whole-file write of bytes with the given pattern
 	// to the target (per-file overhead charged).

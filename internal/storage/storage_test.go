@@ -12,6 +12,11 @@ import (
 	"repro/internal/topology"
 )
 
+// metaDo adapts a metadata operation to des.Proc.Do.
+func metaDo(op func(func(int32), int32)) func(func()) {
+	return func(k func()) { op(func(int32) { k() }, 0) }
+}
+
 func testPlatform() topology.Platform {
 	p := topology.Kraken(4)
 	p.PFS.OSTs = 8
@@ -73,9 +78,9 @@ func TestSimulatedFaceAccounting(t *testing.T) {
 			eng.Spawn("writer", func(p *des.Proc) {
 				b.BeginPhase()
 				for i := 0; i < files; i++ {
-					p.Do(b.Create)
+					p.Do(metaDo(b.Create))
 					p.Do(b.Write(i, perFile, BigSequential).Then)
-					p.Do(b.Close)
+					p.Do(metaDo(b.Close))
 				}
 			})
 			end := eng.Run()
@@ -130,9 +135,9 @@ func TestMemoryDeterminism(t *testing.T) {
 		for s := 0; s < 6; s++ {
 			target := s
 			eng.Spawn("w", func(p *des.Proc) {
-				p.Do(b.Create)
+				p.Do(metaDo(b.Create))
 				p.Do(b.Write(target, 3e6, SmallFile).Then)
-				p.Do(b.Close)
+				p.Do(metaDo(b.Close))
 			})
 		}
 		return eng.Run(), b.Accounting()
@@ -252,10 +257,10 @@ func TestSimulatedReadFace(t *testing.T) {
 			const perRead = 5e6
 			eng.Spawn("reader", func(p *des.Proc) {
 				b.BeginPhase()
-				p.Do(b.Open)
+				p.Do(metaDo(b.Open))
 				p.Do(b.Read(0, perRead, BigSequential).Then)
 				p.Do(b.Read(1, perRead, BigSequential).Then)
-				p.Do(b.Close)
+				p.Do(metaDo(b.Close))
 			})
 			end := eng.Run()
 			if end <= 0 {
