@@ -191,7 +191,7 @@ func TestDESConservesOrphans(t *testing.T) {
 
 // TestFacesAgreeOnAdaptation feeds one observation sequence — a NIC
 // that drops to a quarter of its bandwidth at iteration 2 — to both
-// drivers of cluster.Adapter: the DES face's treeRun.adapt applying
+// drivers of cluster.Adapter: the DES face's damarisRun.adapt applying
 // recommendations to its own Forest, and Cluster.Adapt re-forming a
 // real cluster between lockstep iterations. Both must land the same
 // topology, epoch for epoch, after every iteration, and the runtime run
@@ -233,7 +233,7 @@ func TestFacesAgreeOnAdaptation(t *testing.T) {
 
 	// DES driver, stepped by hand: Flush moves the forest's fence the way
 	// a root routing the iteration does.
-	tr := &treeRun{cfg: Config{Adapt: AdaptAdaptive}, res: &Result{},
+	tr := &damarisRun{cfg: Config{Adapt: AdaptAdaptive}, res: &Result{},
 		forest: cluster.NewForest(nodes, 2, 1), adapter: newAdapter()}
 	var desShapes []string
 	for it := 0; it < iters; it++ {

@@ -2,12 +2,12 @@ package iostrat
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/rng"
 	"repro/internal/storage"
-	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -16,20 +16,20 @@ import (
 // evaluates.
 const dedicatedPerNode = 1
 
-// parked is the DES face's condition variable: at most one continuation
-// waits on it, and whoever changes what it waits for wakes it to look
-// again. It waits on a future, so Run reports one nobody wakes.
-type parked struct{ f *des.Future }
-
-func (w *parked) wait(eng *des.Engine, k func()) {
-	w.f = eng.NewFuture()
-	w.f.Then(k)
+// parked is the DES face's condition variable: at most one actor waits
+// on it, and whoever changes what it waits for wakes it to look again,
+// in an event of the actor's kind booked at the wake.
+type parked struct {
+	eng   *des.Engine
+	kind  des.Kind
+	actor int32
+	on    bool // the actor waits
 }
 
 func (w *parked) wake() {
-	if f := w.f; f != nil {
-		w.f = nil
-		f.Complete()
+	if w.on {
+		w.on = false
+		w.eng.Post(0, w.kind, w.actor)
 	}
 }
 
@@ -38,12 +38,12 @@ func (w *parked) wake() {
 // iterations, and the paper's §V.C policy of *skipping* an iteration
 // (rather than blocking the simulation) when the segment is full.
 type nodeShm struct {
-	eng      *des.Engine
 	capacity float64
 	occupied float64
 	pending  []shmIter
 	waiting  parked // dedicated core, on an empty queue
 	skipped  int
+	copies   int // simulation cores' copies in so far
 	closed   bool
 	dead     bool    // node failed: offers are dropped, not skipped
 	lost     float64 // bytes dropped because the node was dead
@@ -94,21 +94,16 @@ func (s *nodeShm) kill() {
 	s.occupied = 0
 }
 
-// take runs k with the next pending iteration once there is one,
-// parking the dedicated core until then; k gets false when the segment
-// is closed and drained.
-func (s *nodeShm) take(k func(shmIter, bool)) {
+// take pops the next pending iteration. With none pending it reports
+// false and, unless the segment is closed, parks the dedicated core.
+func (s *nodeShm) take() (shmIter, bool) {
 	if len(s.pending) == 0 {
-		if s.closed {
-			k(shmIter{}, false)
-		} else {
-			s.waiting.wait(s.eng, func() { s.take(k) })
-		}
-		return
+		s.waiting.on = !s.closed
+		return shmIter{}, false
 	}
 	it := s.pending[0]
-	s.pending = s.pending[1:]
-	k(it, true)
+	s.pending = append(s.pending[:0], s.pending[1:]...)
+	return it, true
 }
 
 // free releases an iteration's bytes after the dedicated core wrote them.
@@ -196,27 +191,33 @@ func runDamaris(cfg Config) (Result, error) {
 		varsAt = func(it int) int { return trace.Iters[it].VarsPerCore }
 	}
 
-	failures := cfg.Failures.WithTrace(trace)
-
 	treeMode := cfg.Fanout >= 2
 
 	res := Result{Approach: Damaris, Platform: plat, Workload: w}
 
-	shms := make([]*nodeShm, plat.Nodes)
-	for n := range shms {
-		shms[n] = &nodeShm{eng: eng, capacity: cfg.ShmCapacity}
+	// The dedicated cores, by node (D cores share the node's busy time),
+	// share one broker: the schedule is cluster-wide, not per backend
+	// stream. A node's shm queue holds two iterations before it grows.
+	tr := &damarisRun{cfg: cfg, eng: eng, be: be, res: &res, tree: treeMode, nicFactor: 1, liveNodes: plat.Nodes,
+		failures:  cfg.Failures.WithTrace(trace),
+		computeAt: computeAt, nodeBytesAt: nodeBytesAt, varsAt: varsAt, computePerNode: computePerNode,
+		schedule: newScheduler(eng, cfg.Scheduling, be.Targets()),
+		shms:     make([]nodeShm, plat.Nodes), cores: make([]dedicatedCore, plat.Nodes)}
+	tr.step = tr.continueCore
+	tr.kStep, tr.kConsume = eng.Handle(tr.step), eng.Handle(tr.consume)
+	tr.kResume = eng.Handle(func(o int32) { tr.insituQs[o].resume() })
+	pending := make([]shmIter, 2*plat.Nodes)
+	for n := range tr.shms {
+		tr.shms[n] = nodeShm{capacity: cfg.ShmCapacity, pending: pending[2*n : 2*n : 2*n+2],
+			waiting: parked{eng: eng, kind: tr.kStep, actor: int32(n)}}
+		tr.cores[n].asking = tr.shms[n].waiting
 	}
-
-	// One broker per run, shared by every dedicated core and tree root:
-	// the schedule is cluster-wide, not per backend stream.
-	schedule := newScheduler(eng, cfg.Scheduling, be.Targets())
 
 	// Platform shifts: rank 0 applies the trace's cumulative factors at
 	// the phase start of the shift's iteration. NIC shifts scale the
 	// tree-mode forward bandwidth; PFS shifts reach the storage model
 	// under the cost stack; both (and rejoins) disturb the adaptation
 	// controller so it re-evaluates the forest shape.
-	var tr *treeRun
 	adapter := cluster.NewAdapter(plat.Nodes, be.Targets(), w.Iterations,
 		plat.NICBandwidth, plat.PFS.OSTBandwidth, nodeBytesAt)
 	shifter, _ := baseBE.(bandwidthShifter)
@@ -226,10 +227,7 @@ func runDamaris(cfg Config) (Result, error) {
 			return
 		}
 		if f := trace.NICFactorAt(it); f != curNIC {
-			curNIC = f
-			if tr != nil {
-				tr.nicFactor = f
-			}
+			curNIC, tr.nicFactor = f, f
 			adapter.Disturb()
 		}
 		if f := trace.PFSFactorAt(it); f != curPFS {
@@ -250,53 +248,28 @@ func runDamaris(cfg Config) (Result, error) {
 	}
 
 	// Simulation cores.
-	sims := &simRun{
-		plat:           plat,
-		computePerNode: computePerNode,
-		treeMode:       treeMode,
-		shms:           shms,
-		copies:         make([]int, plat.Nodes),
-		nodeBytesAt:    nodeBytesAt,
-		varsAt:         varsAt,
-	}
-	sims.loop = newPhaseLoop(eng, &res, nComputeRanks, w.Iterations, w.ComputeJitter, root.Named("compute"),
+	tr.loop = newPhaseLoop(eng, &res, nComputeRanks, w.Iterations, w.ComputeJitter, root.Named("compute"),
 		computeAt, func(it int) {
 			be.BeginPhase()
 			applyShifts(it)
-		}, sims.copyOut)
-	sims.loop.finish = func() {
-		for _, s := range shms {
-			s.close()
+		}, tr.copyOut)
+	tr.loop.finish = func() {
+		for n := range tr.shms {
+			tr.shms[n].close()
 		}
 	}
-	sims.copied = newWakeList(eng, nComputeRanks, sims.onCopied)
-	sims.loop.start()
-	phaseStart := sims.loop.phaseStart
+	tr.copied = newWakeList(eng, nComputeRanks, tr.onCopied)
+	tr.loop.start()
+	phaseStart := tr.loop.phaseStart
 
-	// Dedicated cores (one writer loop per node; D dedicated cores share
-	// the same work, so busy time is attributed to the node's pool).
 	if treeMode {
-		tr = &treeRun{
-			cfg:        cfg,
-			eng:        eng,
-			be:         be,
-			schedule:   schedule,
-			res:        &res,
-			gathers:    make([]*cluster.Gather[float64], plat.Nodes),
-			waiting:    make([]parked, plat.Nodes),
-			failures:   failures,
-			forest:     cluster.NewForest(plat.Nodes, cfg.Fanout, cfg.AggRoots),
-			writeEnd:   make([]float64, w.Iterations),
-			phaseStart: phaseStart,
-			computeAt:  computeAt,
-			nicFactor:  1,
-			adapter:    adapter,
-			liveNodes:  plat.Nodes,
-		}
+		tr.adapter, tr.forest = adapter, cluster.NewForest(plat.Nodes, cfg.Fanout, cfg.AggRoots)
+		tr.gathers, tr.writeEnd = make([]*cluster.Gather[float64], plat.Nodes), make([]float64, w.Iterations)
 		for n := range tr.gathers {
 			// A subtree's volume is the sum of its contributions, in
 			// arrival order.
 			tr.gathers[n] = cluster.NewGather(tr.forest, n, func(held, in float64) float64 { return held + in })
+			tr.cores[n].self = cluster.CoverOf(n)
 		}
 		// One bounded frame queue and one analysis consumer per root
 		// window — a promoted root inherits its predecessor's queue
@@ -304,51 +277,21 @@ func runDamaris(cfg Config) (Result, error) {
 		// the root set grow the array mid-run.
 		tr.growInsitu(tr.forest.Windows(0))
 	}
-	for node, shm := range shms {
-		if treeMode {
-			eng.Wait(0, func() { tr.runNode(shm, node) })
-			continue
-		}
-		fileSeq := 0
-		var next func()
-		next = func() {
-			shm.take(func(item shmIter, ok bool) {
-				if !ok {
-					return
-				}
-				t0 := eng.Now()
-				per := item.bytes / float64(cfg.FilesPerIter)
-				pat := storage.BigSequential
-				if per < 64e6 {
-					pat = storage.SmallFile
-				}
-				writeFiles(schedule, be, &res, cfg.FilesPerIter, func() (writeReq, func(func())) {
-					// Usage-balanced allocation (Lustre QoS allocator):
-					// spread node files round-robin over the OSTs.
-					ost := (node + fileSeq*plat.Nodes) % be.Targets()
-					fileSeq++
-					req := writeReq{holder: node, base: ost, stripes: 1,
-						deadline: phaseStart[item.iter] + computeAt(item.iter), bytes: per}
-					return req, func(k func()) { be.Write(ost, per, pat).Then(k) }
-				}, func() {
-					shm.free(item.bytes)
-					res.DedicatedBusy += eng.Now() - t0
-					next()
-				})
-			})
-		}
-		eng.Wait(0, next)
+	for n := range tr.cores {
+		eng.Post(0, tr.kStep, int32(n))
 	}
 
 	drainEnd := eng.Run()
 	res.DrainTime = drainEnd
 	res.account(be)
-	bs := schedule.brokerStats()
+	bs := tr.schedule.brokerStats()
 	res.SchedWaitTime = bs.WaitTime
 	res.RootContention = bs.ContendedGrants
 	res.DedicatedTotal = float64(plat.Nodes*dedicatedPerNode) * drainEnd
-	for _, s := range shms {
-		res.SkippedIters += s.skipped
+	for n, s := range tr.shms {
+		if res.SkippedIters += s.skipped; s.waiting.on || tr.cores[n].asking.on {
+			panic(fmt.Sprintf("iostrat: deadlock: node %d's dedicated core is parked at the end", n))
+		}
 	}
 	if treeMode {
 		res.Completeness = make([]float64, w.Iterations)
@@ -366,7 +309,7 @@ func runDamaris(cfg Config) (Result, error) {
 		for _, g := range tr.gathers {
 			g.Held(func(_ int, b float64, _ cluster.Cover) { res.LostBytes += b })
 		}
-		for _, s := range shms {
+		for _, s := range tr.shms {
 			res.LostBytes += s.lost
 		}
 		for _, q := range tr.insituQs {
@@ -376,70 +319,44 @@ func runDamaris(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// simRun is the state the simulation cores of one Damaris run share.
-// A simulation core's output work is the application-visible "I/O":
-// copying its variables into the node's shared-memory segment; the last
-// core of the node in hands the node's data to the dedicated core.
-type simRun struct {
+// damarisRun is the state of one Damaris run. A simulation core's output
+// work, the application-visible "I/O", copies its variables into the
+// node's shm segment; the last core of the node in hands the node's data
+// to the dedicated core. A dedicated core is an actor by node: one
+// handler, step (kind kStep), continues it from its stage after a
+// transfer, a metadata operation, a token grant or a wake.
+type damarisRun struct {
+	cfg            Config
+	eng            *des.Engine
+	be             storage.CostModel
+	schedule       writeScheduler
+	res            *Result
+	failures       *cluster.FailureSchedule
+	tree           bool
 	loop           *phaseLoop
 	copied         *wakeList
-	plat           topology.Platform
 	computePerNode int
-	treeMode       bool
-	shms           []*nodeShm
-	copies         []int // per node, the copies done so far
+	computeAt      func(it int) float64
 	nodeBytesAt    func(it int) float64
 	varsAt         func(it int) int
-}
+	shms           []nodeShm
+	cores          []dedicatedCore
 
-func (run *simRun) copyOut(i int32) {
-	it := run.loop.ranks[i].it
-	run.copied.post(run.nodeBytesAt(it)/float64(run.computePerNode)/run.plat.ShmBandwidth+
-		float64(run.varsAt(it))*run.plat.ShmWriteOverhead, i)
-}
+	step                     func(node int32) // continueCore, bound once
+	kStep, kConsume, kResume des.Kind
 
-func (run *simRun) onCopied(i int32) {
-	it, node := run.loop.ranks[i].it, int(i)/run.computePerNode
-	if run.copies[node]++; run.copies[node]%run.computePerNode == 0 {
-		if !run.shms[node].offer(it, run.nodeBytesAt(it)) && run.treeMode {
-			// Data lost, but the node must still take part in the
-			// aggregation round.
-			run.shms[node].offerEmpty(it)
-		}
-	}
-	run.loop.wrote(i)
-}
-
-// treeRun bundles the state shared by every dedicated core of a
-// tree-mode run: the routing forest, the per-node gathers, the shared
-// write scheduler, the adaptation controller and the per-iteration
-// measurements.
-type treeRun struct {
-	cfg      Config
-	eng      *des.Engine
-	be       storage.CostModel
-	schedule writeScheduler
-	res      *Result
-	failures *cluster.FailureSchedule
-
-	// Per node: the children's subtree volumes gathered so far, and the
-	// dedicated core parked on missing coverage.
-	gathers []*cluster.Gather[float64]
-	waiting []parked
-
-	// forest is the routing protocol shared with the runtime cluster,
-	// driven here from the single simulation thread.
-	forest *cluster.Forest
-
-	writeEnd   []float64 // per iteration, last root-write completion
-	phaseStart []float64
-	computeAt  func(it int) float64
+	// gathers holds, per node, the children's subtree volumes gathered so
+	// far; forest is the routing protocol shared with the runtime
+	// cluster, driven here from the single simulation thread.
+	gathers  []*cluster.Gather[float64]
+	forest   *cluster.Forest
+	writeEnd []float64 // per iteration, last root-write completion
 
 	// nicFactor is the trace's current cumulative NIC multiplier (1
 	// without shifts). adapter is the controller shared with the runtime
 	// face: every timed forward and root stripe write is one observation,
-	// every platform shift, death and rejoin one disturbance; its
-	// recommendations are applied only under AdaptAdaptive.
+	// every shift, death and rejoin one disturbance; only AdaptAdaptive
+	// applies its recommendations.
 	nicFactor float64
 	adapter   *cluster.Adapter
 
@@ -451,17 +368,222 @@ type treeRun struct {
 	liveNodes int
 }
 
+// dedicatedCore is one node's dedicated core. Per iteration it takes the
+// node's output from shm and, in flat mode, writes it as FilesPerIter
+// files; in tree mode it merges it with the children's subtree volumes,
+// then forwards the merge over the NIC or, at a root, stripes it onto the
+// backend. The parent and the coverage requirement come from the
+// iteration's topology epoch, re-read every iteration: a failure can
+// re-route the node, and a re-formation change its role for later
+// iterations. A node's own scheduled death ends its loop.
+type dedicatedCore struct {
+	stage  coreStage
+	asking parked        // tree mode: parked on missing coverage
+	it     int           // tree mode: the iterations taken
+	self   cluster.Cover // tree mode: what the node's own output covers
+
+	item    shmIter // the iteration in hand
+	t0, tw  float64 // when its work began; when the transfer in hand began
+	d       cluster.Decision
+	subtree float64 // tree mode: own bytes plus the children's
+	covers  cluster.Cover
+
+	// The files: how many are left, the next one's number, and the one in
+	// hand's first target, stripes, size, pattern, token and transfers.
+	files, fileSeq, base, stripes int
+	per                           float64
+	pat                           storage.Pattern
+	grant                         storage.TokenGrant
+	written                       stripeWait
+}
+
+// coreStage is what a dedicated core's step does next.
+type coreStage uint8
+
+const (
+	coreTake     coreStage = iota // take the next iteration from shm (also a parked take's wake)
+	coreAsk                       // ask the forest where it goes (a parked ask's wake)
+	coreSent                      // a forwarded merge arrived
+	coreStreamed                  // a root's merge was offered for streaming analysis
+	coreGranted                   // the file's token is granted: create it
+	coreCreated                   // write it
+	coreWritten                   // close it once written
+	coreClosed                    // return its token, then write the next file
+	coreStored                    // a root's merge was offered for analysis of the stored file
+)
+
+func (tr *damarisRun) copyOut(i int32) {
+	it, plat := tr.loop.ranks[i].it, tr.cfg.Platform
+	tr.copied.post(tr.nodeBytesAt(it)/float64(tr.computePerNode)/plat.ShmBandwidth+
+		float64(tr.varsAt(it))*plat.ShmWriteOverhead, i)
+}
+
+func (tr *damarisRun) onCopied(i int32) {
+	it, node := tr.loop.ranks[i].it, int(i)/tr.computePerNode
+	if tr.shms[node].copies++; tr.shms[node].copies%tr.computePerNode == 0 {
+		if !tr.shms[node].offer(it, tr.nodeBytesAt(it)) && tr.tree {
+			// Data lost, but the node must still take part in the
+			// aggregation round.
+			tr.shms[node].offerEmpty(it)
+		}
+	}
+	tr.loop.wrote(i)
+}
+
+// continueCore continues node n's dedicated core from its stage.
+func (tr *damarisRun) continueCore(n int32) {
+	c := &tr.cores[n]
+	switch c.stage {
+	case coreTake:
+		tr.take(n)
+	case coreAsk:
+		tr.ask(n)
+	case coreSent:
+		// The parent may have died during the transfer: the forest then
+		// relays along its drain chain, as the runtime's dead aggregators
+		// do, or has nowhere left to send it.
+		if el := tr.eng.Now() - c.tw; el > 0 {
+			tr.adapter.ObserveNIC(c.subtree / el)
+		}
+		d, it := c.d, c.item.iter
+		if !tr.forest.Alive(d.To) {
+			d = tr.forest.Flush(d.To, it)
+		}
+		if d.Kind == cluster.Lose {
+			tr.res.LostBytes += c.subtree
+		} else {
+			tr.deliver(d.To, it, c.subtree, c.covers)
+		}
+		tr.done(n)
+	case coreStreamed:
+		if c.subtree <= 0 {
+			tr.publish(n, InSituFile, coreStored)
+			return
+		}
+		c.per, c.files = c.subtree/float64(tr.cfg.FilesPerIter), tr.cfg.FilesPerIter
+		tr.nextFile(n)
+	case coreGranted:
+		c.stage = coreCreated
+		tr.be.Create(tr.step, n)
+	case coreCreated:
+		c.stage = coreWritten
+		if !tr.tree {
+			tr.be.Write(c.base, c.per, c.pat).ThenPost(tr.kStep, n)
+			return
+		}
+		c.tw = tr.eng.Now()
+		c.written.start(tr.be.Write, c.base, c.stripes, tr.be.Targets(), c.per)
+		fallthrough
+	case coreWritten:
+		if tr.tree {
+			if !c.written.await(tr.kStep, n) {
+				return
+			}
+			if el := tr.eng.Now() - c.tw; el > 0 {
+				tr.adapter.ObservePFS(c.per / float64(c.stripes) / el)
+			}
+		}
+		c.stage = coreClosed
+		tr.be.Close(tr.step, n)
+	case coreClosed:
+		c.grant.Release()
+		tr.res.FilesCreated++
+		tr.nextFile(n)
+	case coreStored:
+		tr.done(n)
+	}
+}
+
+// take starts node n's next iteration once its segment holds one; a
+// closed, drained segment or (tree mode) the last iteration ends the core.
+func (tr *damarisRun) take(n int32) {
+	c, shm := &tr.cores[n], &tr.shms[n]
+	c.stage = coreTake
+	if tr.tree && c.it == tr.cfg.Workload.Iterations {
+		tr.nodeDone()
+		return
+	}
+	item, ok := shm.take()
+	failAt, willFail := tr.failures.At(int(n))
+	switch {
+	case !ok:
+		if shm.closed && tr.tree {
+			tr.nodeDone()
+		}
+	case !tr.tree:
+		c.item, c.t0 = item, tr.eng.Now()
+		c.per, c.files, c.pat = item.bytes/float64(tr.cfg.FilesPerIter), tr.cfg.FilesPerIter, storage.BigSequential
+		if c.per < 64e6 {
+			c.pat = storage.SmallFile
+		}
+		tr.nextFile(n)
+	case willFail && item.iter >= failAt:
+		tr.failNode(n, item)
+		tr.nodeDone()
+	default:
+		c.item = item
+		c.it++
+		tr.gathers[n].Deliver(item.iter, 0, c.self)
+		tr.ask(n)
+	}
+}
+
+// ask is the routing decision point: the first ask fences iteration
+// c.item.iter — from here on it flows through this epoch's tree on every
+// node. The node then idles (awaiting stragglers is not work) until the
+// forest says its coverage is met; every wake re-asks, because a failure
+// elsewhere can shrink the requirement or re-route this node meanwhile.
+// The node's own bytes join the children's after the gather, so a
+// subtree is own + Σchildren. A node forwards its subtree by
+// store-and-forward: it serializes the batch onto its NIC (at the
+// trace's current effective bandwidth) and the parent sees it after
+// latency. A root stores it as FilesPerIter files striped over the
+// root's window. Under streaming coupling the in-situ consumer sees the
+// merged frame the moment aggregation completes, overlapped with the
+// write (only a Block-policy consumer can delay the write path, measured
+// in StreamBlockTime); under file-then-read coupling the frame is only
+// announced once the object is durable, and the consumer pays the
+// read-back.
+func (tr *damarisRun) ask(n int32) {
+	c, plat := &tr.cores[n], tr.cfg.Platform
+	d, childBytes, covers := tr.gathers[n].Ask(c.item.iter)
+	if d.Kind == cluster.NotReady {
+		c.stage, c.asking.on = coreAsk, true
+		return
+	}
+	c.d, c.subtree, c.covers, c.t0, c.tw = d, c.item.bytes+childBytes, covers, tr.eng.Now(), tr.eng.Now()
+	if d.Kind != cluster.Forward {
+		tr.forest.RootDone(c.item.iter, covers.Len())
+		c.stripes = tr.stripes(c.item.iter)
+		tr.publish(n, InSituStream, coreStreamed)
+		return
+	}
+	if c.stage = coreSent; c.subtree <= 0 {
+		tr.step(n) // sent at once
+		return
+	}
+	tr.eng.Post(c.subtree/(plat.NICBandwidth*tr.nicFactor)+plat.NICLatency, tr.kStep, n)
+}
+
+// done ends node n's iteration, freeing its segment space.
+func (tr *damarisRun) done(n int32) {
+	c := &tr.cores[n]
+	tr.shms[n].free(c.item.bytes)
+	tr.res.DedicatedBusy += tr.eng.Now() - c.t0
+	tr.take(n)
+}
+
 // stripes is the width of a root's stripe window for iteration it: the
 // write path, the in-situ read-back and (through the same rule) the
 // restart-read model all price the layout of the iteration's own epoch.
-func (tr *treeRun) stripes(it int) int {
+func (tr *damarisRun) stripes(it int) int {
 	return cluster.StripeWidth(tr.cfg.RootStripes, tr.be.Targets(), tr.forest.Windows(it))
 }
 
 // adapt re-forms the tree when the adaptation controller recommends a
 // new shape. Called at a root once its write completes, i.e. exactly
 // when a fresh PFS observation exists.
-func (tr *treeRun) adapt(it int) {
+func (tr *damarisRun) adapt(it int) {
 	if tr.cfg.Adapt != AdaptAdaptive {
 		return
 	}
@@ -479,9 +601,9 @@ func (tr *treeRun) adapt(it int) {
 }
 
 // nodeDone retires one dedicated core; the last one out closes every
-// in-situ queue so consumers drain their backlog and exit (the engine
-// treats a consumer parked forever as a deadlock).
-func (tr *treeRun) nodeDone() {
+// in-situ queue so consumers drain their backlog and exit (a consumer
+// parked forever would be a deadlock).
+func (tr *damarisRun) nodeDone() {
 	tr.liveNodes--
 	if tr.liveNodes == 0 {
 		for _, q := range tr.insituQs {
@@ -490,229 +612,75 @@ func (tr *treeRun) nodeDone() {
 	}
 }
 
-// deadline is when iteration it's spare window closes: the next output
-// phase starts roughly one compute phase after this one began, and the
-// cluster schedule wants the write done by then (§IV.C).
-func (tr *treeRun) deadline(it int) float64 {
-	return tr.phaseStart[it] + tr.computeAt(it)
-}
-
-// runNode is one dedicated core's life in tree mode: per iteration,
-// merge the node's own output with the children's subtree volumes, then
-// either forward upward over the NIC or — at a root — stripe the merged
-// payload onto the backend as few large sequential streams. The parent
-// and the coverage requirement come from the iteration's topology
-// epoch, re-read every iteration: a failure elsewhere can re-route this
-// node, and a re-formation can change its role for *later* iterations
-// while the in-flight ones keep their original tree. A node's own
-// scheduled death ends its loop. The loop's steps are built once, and
-// each runs inside the event that ends the step before it.
-func (tr *treeRun) runNode(shm *nodeShm, node int) {
-	failAt, willFail := tr.failures.At(node)
-	self := cluster.CoverOf(node) // what the node's own output covers
-	g := tr.gathers[node]
-	var c struct { // the loop's state
-		it, fileSeq int
-		item        shmIter
-		t1          float64 // when this iteration's work began
-	}
-	var next, ask func()
-	done := func() {
-		shm.free(c.item.bytes)
-		tr.res.DedicatedBusy += tr.eng.Now() - c.t1
-		next()
-	}
-	// Routing decision point: the first ask fences iteration c.item.iter
-	// — from here on it flows through this epoch's tree on every node.
-	// The node then idles (awaiting stragglers is not work) until the
-	// forest says its coverage is met; every wake re-asks, because a
-	// failure elsewhere can shrink the requirement or re-route this node
-	// meanwhile. The node's own bytes join the children's after the
-	// gather, so a subtree is own + Σchildren.
-	ask = func() {
-		d, childBytes, covers := g.Ask(c.item.iter)
-		if d.Kind == cluster.NotReady {
-			tr.waiting[node].wait(tr.eng, ask)
-			return
-		}
-		subtree := c.item.bytes + childBytes
-		c.t1 = tr.eng.Now()
-		if d.Kind == cluster.Forward {
-			tr.forward(d, c.item.iter, subtree, covers, done)
-		} else {
-			tr.storeRoot(node, &c.fileSeq, d, c.item.iter, subtree, covers, done)
-		}
-	}
-	taken := func(item shmIter, ok bool) {
-		switch {
-		case !ok:
-		case willFail && item.iter >= failAt:
-			tr.failNode(shm, node, item)
-		default:
-			c.item = item
-			g.Deliver(item.iter, 0, self)
-			ask()
-			return
-		}
-		tr.nodeDone()
-	}
-	next = func() {
-		if c.it == tr.cfg.Workload.Iterations {
-			tr.nodeDone()
-			return
-		}
-		c.it++
-		shm.take(taken)
-	}
-	next()
-}
-
-// forward sends a subtree up to d.To, then runs k: store-and-forward,
-// the sender serializes the batch onto its NIC (at the trace's current
-// effective bandwidth) and the parent sees it after latency.
-func (tr *treeRun) forward(d cluster.Decision, it int, subtree float64, covers cluster.Cover, k func()) {
-	if subtree <= 0 {
-		tr.sent(d, it, subtree, covers, k)
+// nextFile writes node n's next file under the run's write scheduler, or
+// ends the write after the last: each file takes its token, is created,
+// written, closed and counted, and returns its token.
+func (tr *damarisRun) nextFile(n int32) {
+	c := &tr.cores[n]
+	if c.files == 0 && !tr.tree {
+		tr.done(n)
+		return
+	} else if c.files == 0 { // a root: the controller adapts, analysis reads the file
+		tr.writeEnd[c.item.iter] = max(tr.writeEnd[c.item.iter], tr.eng.Now())
+		tr.adapt(c.item.iter)
+		tr.publish(n, InSituFile, coreStored)
 		return
 	}
-	plat := tr.cfg.Platform
-	tSend := tr.eng.Now()
-	tr.eng.Wait(subtree/(plat.NICBandwidth*tr.nicFactor)+plat.NICLatency, func() {
-		if el := tr.eng.Now() - tSend; el > 0 {
-			tr.adapter.ObserveNIC(subtree / el)
-		}
-		tr.sent(d, it, subtree, covers, k)
-	})
-}
-
-// sent hands a forwarded subtree to its parent, then runs k. The parent
-// may have died during the transfer: the forest then relays along its
-// drain chain, as the runtime's dead aggregators do, or has nowhere left
-// to send it.
-func (tr *treeRun) sent(d cluster.Decision, it int, subtree float64, covers cluster.Cover, k func()) {
-	if !tr.forest.Alive(d.To) {
-		d = tr.forest.Flush(d.To, it)
-	}
-	if d.Kind == cluster.Lose {
-		tr.res.LostBytes += subtree
+	// The iteration's spare window closes roughly one compute phase after
+	// its output phase began, and the schedule wants the write done by
+	// then (§IV.C).
+	c.files--
+	it := c.item.iter
+	req := writeReq{holder: int(n), stripes: 1, deadline: tr.loop.phaseStart[it] + tr.computeAt(it), bytes: c.per}
+	if tr.tree {
+		// Spread root files over the target array, stripes-wide windows
+		// per file so roots do not collide.
+		c.base = ((c.d.Window + c.fileSeq*tr.forest.Windows(it)) * c.stripes) % tr.be.Targets()
+		req.stripes, req.bytes = c.stripes, c.subtree
 	} else {
-		tr.deliver(d.To, it, subtree, covers)
+		// Usage-balanced allocation (Lustre QoS allocator): spread node
+		// files round-robin over the OSTs.
+		c.base = (int(n) + c.fileSeq*tr.cfg.Platform.Nodes) % tr.be.Targets()
 	}
-	k()
-}
-
-// storeRoot stores a root's merged iteration it as FilesPerIter files
-// striped over the root's window, then runs k. Under streaming
-// coupling the in-situ consumer sees the merged frame the moment
-// aggregation completes, overlapped with the write (only a Block-policy
-// consumer can delay the write path, measured in StreamBlockTime);
-// under file-then-read coupling the frame is only announced once the
-// object is durable, and the consumer pays the read-back.
-func (tr *treeRun) storeRoot(node int, fileSeq *int, d cluster.Decision, it int, subtree float64,
-	covers cluster.Cover, k func()) {
-
-	cfg, be := tr.cfg, tr.be
-	tr.forest.RootDone(it, covers.Len())
-	ord, stripes, numRoots := d.Window, tr.stripes(it), tr.forest.Windows(it)
-	frame := shmIter{iter: it, bytes: subtree}
-	tr.publishInSitu(InSituStream, ord, frame, func() {
-		if subtree <= 0 {
-			tr.publishInSitu(InSituFile, ord, frame, k)
-			return
-		}
-		per := subtree / float64(cfg.FilesPerIter)
-		writeFiles(tr.schedule, be, tr.res, cfg.FilesPerIter, func() (writeReq, func(func())) {
-			// Spread root files over the target array, stripes-wide
-			// windows per file so roots do not collide.
-			base := ((ord + *fileSeq*numRoots) * stripes) % be.Targets()
-			*fileSeq++
-			req := writeReq{holder: node, base: base, stripes: stripes, deadline: tr.deadline(it), bytes: subtree}
-			return req, func(k func()) {
-				tw := tr.eng.Now()
-				stripeAcross(be.Write, base, stripes, be.Targets(), per, func() {
-					if el := tr.eng.Now() - tw; el > 0 {
-						tr.adapter.ObservePFS(per / float64(stripes) / el)
-					}
-					k()
-				})
-			}
-		}, func() {
-			if tr.eng.Now() > tr.writeEnd[it] {
-				tr.writeEnd[it] = tr.eng.Now()
-			}
-			tr.adapt(it)
-			tr.publishInSitu(InSituFile, ord, frame, k)
-		})
-	})
-}
-
-// writeFiles writes n files one after the other under the run's write
-// scheduler, then runs k. next gives the next file's token request and
-// the write that fills it; each file takes its token, is created,
-// written, closed and counted in res.FilesCreated, and returns its token.
-func writeFiles(schedule writeScheduler, be storage.CostModel, res *Result, n int,
-	next func() (writeReq, func(k func())), k func()) {
-
-	var file func()
-	file = func() {
-		if n == 0 {
-			k()
-			return
-		}
-		n--
-		req, write := next()
-		schedule.acquire(req, func(release func()) {
-			be.Create(func(int32) {
-				write(func() {
-					be.Close(func(int32) {
-						release()
-						res.FilesCreated++
-						file()
-					}, 0)
-				})
-			}, 0)
-		})
-	}
-	file()
+	req.base = c.base
+	c.fileSeq++
+	c.stage = coreGranted
+	tr.schedule.acquire(req, &c.grant, tr.step, n)
 }
 
 // deliver merges a contribution to iteration it into node to's gather
 // and wakes that node's dedicated core to ask again.
-func (tr *treeRun) deliver(to, it int, bytes float64, c cluster.Cover) {
+func (tr *damarisRun) deliver(to, it int, bytes float64, c cluster.Cover) {
 	tr.gathers[to].Deliver(it, bytes, c)
-	tr.waiting[to].wake()
+	tr.cores[to].asking.wake()
 }
 
-// stripeAcross starts one big sequential transfer (be.Write or be.Read)
-// of bytes split evenly over a root window — stripes targets from base,
-// wrapping at targets — and runs k once all of it is done. It waits for
-// the stripes in order, so a stripe that is done by the time its turn
-// comes costs no event.
-func stripeAcross(io func(int, float64, storage.Pattern) *des.Future,
-	base, stripes, targets int, bytes float64, k func()) {
-
-	w := &stripeWait{futs: make([]*des.Future, stripes), k: k}
-	for s := range w.futs {
-		w.futs[s] = io((base+s)%targets, bytes/float64(stripes), storage.BigSequential)
-	}
-	w.step = w.await
-	w.await()
-}
-
-// stripeWait is stripeAcross's wait: one step, bound once, per stripe.
+// stripeWait is one big sequential transfer (be.Write or be.Read) split
+// evenly over a root window — stripes targets from base, wrapping at
+// targets — waited for in stripe order, so a stripe that is done by the
+// time its turn comes costs no event. Its owner keeps it for reuse.
 type stripeWait struct {
-	futs    []*des.Future
-	k, step func()
+	futs []*des.Future
+	next int
 }
 
-func (w *stripeWait) await() {
-	for ; len(w.futs) > 0; w.futs = w.futs[1:] {
-		if !w.futs[0].Done() {
-			w.futs[0].Then(w.step)
-			return
+func (w *stripeWait) start(io func(int, float64, storage.Pattern) *des.Future, base, stripes, targets int, bytes float64) {
+	w.futs, w.next = slices.Grow(w.futs[:0], stripes), 0
+	for s := range stripes {
+		w.futs = append(w.futs, io((base+s)%targets, bytes/float64(stripes), storage.BigSequential))
+	}
+}
+
+// await reports whether every stripe is done; if not, actor's handler
+// of kind k follows the first one still in flight, to await again.
+func (w *stripeWait) await(k des.Kind, actor int32) bool {
+	for ; w.next < len(w.futs); w.next++ {
+		if f := w.futs[w.next]; !f.Done() {
+			f.ThenPost(k, actor)
+			return false
 		}
 	}
-	w.k()
+	return true
 }
 
 // failNode executes one scheduled death on the DES side, mirroring
@@ -722,18 +690,18 @@ func (w *stripeWait) await() {
 // iteration's drain target with its coverage intact, account the lost
 // own output, and wake every parked dedicated core so it re-asks the
 // forest against its new coverage requirement.
-func (tr *treeRun) failNode(shm *nodeShm, node int, item shmIter) {
+func (tr *damarisRun) failNode(node int32, item shmIter) {
 	res := tr.res
-	edges, _ := tr.forest.Fail(node, item.iter)
+	edges, _ := tr.forest.Fail(int(node), item.iter)
 	res.NodesFailed++
 	res.ReroutedEdges += len(edges)
 	// A dead root must not strand an OST token for the rest of the run:
 	// whatever it held or queued for goes back to the broker.
-	tr.schedule.releaseHolder(node)
+	tr.schedule.releaseHolder(int(node))
 	// The triggering iteration's own output is the mid-iteration loss;
 	// kill() charges whatever else the segment held or receives later.
 	res.LostBytes += item.bytes
-	shm.kill()
+	tr.shms[node].kill()
 
 	tr.gathers[node].Step(true, func(it int, d cluster.Decision, b float64, c cluster.Cover) bool {
 		if d.Kind != cluster.Drain {
@@ -744,8 +712,8 @@ func (tr *treeRun) failNode(shm *nodeShm, node int, item shmIter) {
 		tr.deliver(d.To, it, b, c)
 		return false
 	})
-	for n := range tr.waiting {
-		tr.waiting[n].wake()
+	for n := range tr.cores {
+		tr.cores[n].asking.wake()
 	}
 	// The machine shrank: an adaptive run may want a different forest.
 	tr.adapter.Disturb()

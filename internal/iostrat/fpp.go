@@ -41,20 +41,19 @@ func runFPP(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// fppRun is the state the ranks of one file-per-process run share. A
-// rank's output work creates, writes and closes the rank's own file, and
-// next, bound once as step and as the kind kStep, continues each of
-// those operations.
+// fppRun is the state the ranks of one file-per-process run share.
 type fppRun struct {
 	loop  *phaseLoop
 	be    storage.CostModel
 	bytes float64
 	ranks []fppRank
-	step  func(int32)
-	kStep des.Kind
+	step  func(int32) // next, bound once
+	kStep des.Kind    // and as a kind
 }
 
-// fppRank is one file-per-process rank's output state.
+// fppRank is one file-per-process rank's output state: its output work
+// creates, writes and closes the rank's own file, each operation
+// continued by next.
 type fppRank struct {
 	placeRng rng.Stream
 	ost      int // this phase's file placement

@@ -3,7 +3,6 @@ package iostrat
 import (
 	"fmt"
 
-	"repro/internal/des"
 	"repro/internal/storage"
 )
 
@@ -93,32 +92,27 @@ func (c InSituConfig) validate(treeMode bool) error {
 
 // insituQ is the DES counterpart of a storage.Subscription: one root's
 // bounded frame queue between its dedicated core (publisher) and its
-// analysis consumer. The shared storage.StreamQueue decides what a
-// full queue does; this face only waits, on des.Future parking instead
-// of channels — the same discipline as nodeShm. One publisher (the node
-// currently owning the root ordinal) and one consumer per queue.
+// analysis consumer, an actor of kind kConsume indexed by root ordinal.
+// The shared storage.StreamQueue decides what a full queue does; this
+// face only parks, the same discipline as nodeShm.
 type insituQ struct {
-	eng     *des.Engine
 	frames  *storage.StreamQueue[shmIter]
 	waiting parked // consumer, on an empty queue
 	space   parked // Block-policy publisher, on a full queue
+	resume  func() // that publisher's continuation
+	item    shmIter
+	stage   consumerStage
+	read    stripeWait // InSituFile: the frame's read-back
 }
 
-// take runs k with the next frame once one is pending, parking the
-// consumer until then and draining the backlog before honouring
-// closure; k gets false once the queue is closed and drained.
-func (q *insituQ) take(k func(shmIter, bool)) {
-	if item, ok := q.frames.Take(); ok {
-		q.space.wake()
-		k(item, true)
-		return
-	}
-	if q.frames.IsClosed() {
-		k(shmIter{}, false)
-		return
-	}
-	q.waiting.wait(q.eng, func() { q.take(k) })
-}
+// consumerStage is what an analysis consumer's step does next.
+type consumerStage uint8
+
+const (
+	consumerTake     consumerStage = iota // take the next frame (a parked take's wake)
+	consumerRead                          // analyze it once read back
+	consumerAnalyzed                      // account its analysis, then take the next
+)
 
 // close ends the stream: the consumer drains what is queued and exits;
 // a parked Block publisher is released.
@@ -128,29 +122,27 @@ func (q *insituQ) close() {
 	q.space.wake()
 }
 
-// publishInSitu offers a completed root frame to the given root
-// ordinal's consumer queue under the queue's policy, then runs k. It
-// publishes only under the run's coupling mode (no-op otherwise, and
-// when in-situ is off). A Block-policy publisher waits for queue space,
-// and the wait is charged to the run's StreamBlockTime. The caller
-// resolves the ordinal through the frame's topology epoch, so a frame
-// routed by an older tree reaches the queue that root owned.
-func (tr *treeRun) publishInSitu(mode InSituMode, ord int, item shmIter, k func()) {
-	if tr.cfg.InSitu.Mode != mode || tr.insituQs == nil || item.bytes <= 0 {
-		k()
+// publish offers root n's merged frame, under the run's coupling mode
+// only, to the consumer queue of its epoch's root ordinal (the queue the
+// root owned when an older tree routed it), then continues the core at
+// stage next. A Block-policy publisher waits for queue space, charged to
+// the run's StreamBlockTime.
+func (tr *damarisRun) publish(n int32, mode InSituMode, next coreStage) {
+	c := &tr.cores[n]
+	c.stage = next
+	if tr.cfg.InSitu.Mode != mode || tr.insituQs == nil || c.subtree <= 0 {
+		tr.step(n)
 		return
 	}
-	q := tr.insituQs[ord]
+	q, item := tr.insituQs[c.d.Window], shmIter{iter: c.item.iter, bytes: c.subtree}
 	blocked := 0.0
 	var offer func()
 	offer = func() {
 		switch q.frames.Offer(item) {
 		case storage.MustWait:
 			t0 := tr.eng.Now()
-			q.space.wait(tr.eng, func() {
-				blocked += tr.eng.Now() - t0
-				offer()
-			})
+			q.resume = func() { blocked += tr.eng.Now() - t0; offer() }
+			q.space.on = true
 			return
 		case storage.Queued, storage.Evicted:
 			q.waiting.wake()
@@ -158,7 +150,7 @@ func (tr *treeRun) publishInSitu(mode InSituMode, ord int, item shmIter, k func(
 		if blocked > 0 {
 			tr.res.StreamBlockTime += blocked
 		}
-		k()
+		tr.step(n)
 	}
 	offer()
 }
@@ -168,56 +160,60 @@ func (tr *treeRun) publishInSitu(mode InSituMode, ord int, item shmIter, k func(
 // a re-formation that flattens the forest starts consumers for the new
 // ordinals mid-run, while shrunken root sets keep their extra queues —
 // frames from fenced iterations may still arrive on them.
-func (tr *treeRun) growInsitu(numRoots int) {
+func (tr *damarisRun) growInsitu(numRoots int) {
 	if tr.cfg.InSitu.Mode == InSituOff {
 		return
 	}
 	for len(tr.insituQs) < numRoots {
-		q := &insituQ{
-			eng:    tr.eng,
-			frames: storage.NewStreamQueue[shmIter](tr.cfg.InSitu.Buffer, tr.cfg.InSitu.Policy),
-		}
-		tr.insituQs = append(tr.insituQs, q)
-		ord := len(tr.insituQs) - 1
-		tr.eng.Wait(0, func() { tr.runConsumer(q, ord) })
+		ord := int32(len(tr.insituQs))
+		tr.insituQs = append(tr.insituQs, &insituQ{
+			frames:  storage.NewStreamQueue[shmIter](tr.cfg.InSitu.Buffer, tr.cfg.InSitu.Policy),
+			waiting: parked{eng: tr.eng, kind: tr.kConsume, actor: ord},
+			space:   parked{eng: tr.eng, kind: tr.kResume, actor: ord},
+		})
+		tr.eng.Post(0, tr.kConsume, ord)
 	}
 }
 
-// runConsumer is one root's analysis consumer: a loop on the root's
-// dedicated-core pool that drains the frame queue and pays analysis
-// CPU per frame — §V's visualization running on the cores' spare time.
-// Under InSituFile each frame additionally pays the striped read-back
-// of the root object before any kernel runs (the file-then-read
-// baseline); under InSituStream the frame is already in memory.
-func (tr *treeRun) runConsumer(q *insituQ, ord int) {
-	cfg, be, res := tr.cfg, tr.be, tr.res
-	var next func()
-	next = func() {
-		q.take(func(item shmIter, ok bool) {
+// consume continues root ordinal o's analysis consumer, a loop on the
+// root's dedicated-core pool that drains the frame queue, backlog before
+// closure, and pays analysis CPU per frame — §V's visualization on the
+// cores' spare time. Under InSituFile a frame first pays the striped
+// read-back of the root object (the file-then-read baseline) through
+// its own epoch's stripe window, competing with whatever the storage
+// system serves; under InSituStream it is already in memory.
+func (tr *damarisRun) consume(o int32) {
+	q, cfg, be := tr.insituQs[o], tr.cfg.InSitu, tr.be
+	for {
+		switch q.stage {
+		case consumerTake:
+			item, ok := q.frames.Take()
 			if !ok {
+				if !q.frames.IsClosed() {
+					q.waiting.on = true
+				}
 				return
 			}
-			analyze := func() {
-				cpu := item.bytes / cfg.InSitu.AnalysisBandwidth
-				tr.eng.Wait(cpu, func() {
-					res.AnalysisCPUTime += cpu
-					res.DedicatedBusy += cpu // analysis rides the dedicated cores
-					res.FramesAnalyzed++
-					res.AnalysisLatencies = append(res.AnalysisLatencies, tr.eng.Now()-tr.phaseStart[item.iter])
-					next()
-				})
+			q.space.wake()
+			q.item, q.stage = item, consumerRead
+			if cfg.Mode == InSituFile {
+				stripes := tr.stripes(item.iter)
+				q.read.start(be.Read, (int(o)*stripes)%be.Targets(), stripes, be.Targets(), item.bytes)
 			}
-			if cfg.InSitu.Mode != InSituFile {
-				analyze()
+		case consumerRead:
+			if !q.read.await(tr.kConsume, o) {
 				return
 			}
-			// Read the just-written root object back through the same
-			// stripe window the write used — the frame's own epoch's,
-			// which a later re-formation does not retarget; the read
-			// competes with whatever the storage system is serving.
-			stripes := tr.stripes(item.iter)
-			stripeAcross(be.Read, (ord*stripes)%be.Targets(), stripes, be.Targets(), item.bytes, analyze)
-		})
+			q.stage = consumerAnalyzed
+			tr.eng.Post(q.item.bytes/cfg.AnalysisBandwidth, tr.kConsume, o)
+			return
+		case consumerAnalyzed:
+			cpu := q.item.bytes / cfg.AnalysisBandwidth
+			tr.res.AnalysisCPUTime += cpu
+			tr.res.DedicatedBusy += cpu // analysis rides the dedicated cores
+			tr.res.FramesAnalyzed++
+			tr.res.AnalysisLatencies = append(tr.res.AnalysisLatencies, tr.eng.Now()-tr.loop.phaseStart[q.item.iter])
+			q.stage = consumerTake
+		}
 	}
-	next()
 }

@@ -154,55 +154,44 @@ func (l *phaseLoop) onPhaseEnd(i int32) {
 }
 
 // wakeList runs run for a list of actors, in list order, in one event:
-// a batch of steps that end at one instant (post), the wakes of a
-// barrier of parties (arrive) or of a one-shot future (wait, complete).
-// The actors run in the order per-actor events would have fired them,
-// ahead of any zero-delay event they book: nothing comes between wakes
-// booked back to back, or between steps due at one instant booked in a row.
+// a batch of steps that end at one instant (post), or, in the order of
+// per-actor wakes, those of a barrier (arrive) or a future (wait, complete).
 type wakeList struct {
-	eng            *des.Engine
-	kind           des.Kind
-	run            func(int32)
-	parties        int
-	done           bool // wait's future has completed (the owner resets it)
-	waiting, woken []int32
+	eng     *des.Engine
+	kind    des.Kind
+	run     func(int32)
+	parties int
+	done    bool // the future has completed (its owner resets it)
+	actors  []int32
 }
 
 func newWakeList(eng *des.Engine, n int, run func(int32)) *wakeList {
-	w := &wakeList{eng: eng, run: run, parties: n, waiting: make([]int32, 0, n), woken: make([]int32, 0, n)}
+	w := &wakeList{eng: eng, run: run, parties: n, actors: make([]int32, 0, n)}
 	w.kind = eng.Handle(func(int32) {
-		for _, a := range w.woken {
+		for _, a := range w.actors {
 			w.run(a)
 		}
-		w.woken = w.woken[:0]
+		w.actors = w.actors[:0]
 	})
 	return w
 }
 
 // post runs actor a d seconds from now, with the batch.
 func (w *wakeList) post(d float64, a int32) {
-	if len(w.woken) == 0 {
+	if len(w.actors) == 0 {
 		w.eng.Post(d, w.kind, 0)
 	}
-	w.woken = append(w.woken, a)
-}
-
-// wake books the event that runs every actor waiting so far, if any.
-func (w *wakeList) wake() {
-	if len(w.waiting) > 0 {
-		w.woken, w.waiting = w.waiting, w.woken[:0]
-		w.eng.Post(0, w.kind, 0)
-	}
+	w.actors = append(w.actors, a)
 }
 
 // arrive counts a at the barrier: the last of the parties to arrive
 // runs inline, after it books the event that runs the others.
 func (w *wakeList) arrive(a int32) {
-	if len(w.waiting)+1 < w.parties {
-		w.waiting = append(w.waiting, a)
+	if len(w.actors)+1 < w.parties {
+		w.actors = append(w.actors, a)
 		return
 	}
-	w.wake()
+	w.complete()
 	w.run(a)
 }
 
@@ -212,10 +201,13 @@ func (w *wakeList) wait(a int32) {
 		w.run(a)
 		return
 	}
-	w.waiting = append(w.waiting, a)
+	w.actors = append(w.actors, a)
 }
 
+// complete books the event that runs the waiting actors, if any; later
+// waits run at once.
 func (w *wakeList) complete() {
-	w.done = true
-	w.wake()
+	if w.done = true; len(w.actors) > 0 {
+		w.eng.Post(0, w.kind, 0)
+	}
 }

@@ -81,16 +81,23 @@ func RestartRead(cfg Config) (RestartResult, error) {
 		}
 	}
 	// Each root, by its ordinal, opens its object, reads it and closes it.
+	reads := make([]stripeWait, len(roots))
 	closed := func(o int32) {
 		res.ReadTime = max(res.ReadTime, eng.Now())
 		push[roots[o]]()
 	}
-	opened := func(o int32) {
-		stripeAcross(be.Read, (int(o)*stripes)%be.Targets(), stripes, be.Targets(), bytes(roots[o]),
-			func() { be.Close(closed, o) })
+	var kRead des.Kind
+	read := func(o int32) {
+		if w := &reads[o]; w.futs == nil { // opened: start the read
+			w.start(be.Read, (int(o)*stripes)%be.Targets(), stripes, be.Targets(), bytes(roots[o]))
+		}
+		if reads[o].await(kRead, o) {
+			be.Close(closed, o)
+		}
 	}
+	kRead = eng.Handle(read)
 	for ordinal := range roots {
-		eng.Wait(0, func() { be.Open(opened, int32(ordinal)) })
+		eng.Wait(0, func() { be.Open(read, int32(ordinal)) })
 	}
 	res.TotalTime = eng.Run()
 	res.BytesRead = be.Accounting().BytesRead

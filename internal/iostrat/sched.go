@@ -24,11 +24,13 @@ type writeReq struct {
 	bytes float64
 }
 
-// writeScheduler coordinates dedicated-core writes (E6). acquire runs k
-// with the matching release once the write may start: inline when it
-// may start at once, otherwise in the event that grants it.
+// writeScheduler coordinates dedicated-core writes (E6). acquire sets *g
+// to the grant, which the writer releases once written, and runs
+// k(actor) once the write may start: inline when it may start at once,
+// otherwise in the event that grants it. k and g are the same on every
+// acquire of one actor (its step and its grant).
 type writeScheduler interface {
-	acquire(w writeReq, k func(release func()))
+	acquire(w writeReq, g *storage.TokenGrant, k func(int32), actor int32)
 	// releaseHolder frees every token a dead node holds or waits for.
 	releaseHolder(node int)
 	// brokerStats exposes the contention ledger (zero for SchedNone).
@@ -37,9 +39,9 @@ type writeScheduler interface {
 
 type nopScheduler struct{}
 
-func (nopScheduler) acquire(_ writeReq, k func(func())) { k(func() {}) }
-func (nopScheduler) releaseHolder(int)                  {}
-func (nopScheduler) brokerStats() storage.BrokerStats   { return storage.BrokerStats{} }
+func (nopScheduler) acquire(_ writeReq, _ *storage.TokenGrant, k func(int32), a int32) { k(a) }
+func (nopScheduler) releaseHolder(int)                                                 {}
+func (nopScheduler) brokerStats() storage.BrokerStats                                  { return storage.BrokerStats{} }
 
 // brokerScheduler adapts the cluster-wide storage.TokenBroker to the
 // strategy write paths. All tree roots of a run share the one broker,
@@ -54,7 +56,9 @@ type brokerScheduler struct {
 	broker *storage.Broker
 	// window acquires the full stripe window instead of the base target
 	// (SchedClusterToken).
-	window bool
+	window  bool
+	targets []int                              // a request's, which the broker copies
+	granted map[int32]func(storage.TokenGrant) // per actor, bound at its first acquire
 }
 
 // newScheduler builds the write scheduler for a run, binding the broker
@@ -72,28 +76,24 @@ func newScheduler(eng *des.Engine, pol Scheduling, targets int) writeScheduler {
 		return nopScheduler{}
 	}
 	return &brokerScheduler{
-		broker: storage.NewBroker(opts),
-		window: pol == SchedClusterToken,
+		broker:  storage.NewBroker(opts),
+		window:  pol == SchedClusterToken,
+		granted: map[int32]func(storage.TokenGrant){},
 	}
 }
 
-func (s *brokerScheduler) acquire(w writeReq, k func(release func())) {
-	req := storage.TokenRequest{
-		Holder:   w.holder,
-		Deadline: w.deadline,
-		Bytes:    w.bytes,
-	}
-	if s.window && w.stripes > 1 {
-		req.Targets = make([]int, w.stripes)
-		for i := range req.Targets {
-			req.Targets[i] = w.base + i
-		}
-	} else {
-		req.Targets = []int{w.base}
+func (s *brokerScheduler) acquire(w writeReq, g *storage.TokenGrant, k func(int32), actor int32) {
+	s.targets = append(s.targets[:0], w.base)
+	for i := 1; s.window && i < w.stripes; i++ {
+		s.targets = append(s.targets, w.base+i)
 	}
 	// A grant denied because the node died while parked on the queue
 	// holds no token, and its Release does nothing.
-	s.broker.AcquireSim(req, func(g storage.TokenGrant) { k(g.Release) })
+	if s.granted[actor] == nil {
+		s.granted[actor] = func(gr storage.TokenGrant) { *g = gr; k(actor) }
+	}
+	s.broker.AcquireSim(storage.TokenRequest{Holder: w.holder, Targets: s.targets, Deadline: w.deadline, Bytes: w.bytes},
+		s.granted[actor])
 }
 
 func (s *brokerScheduler) releaseHolder(node int) { s.broker.ReleaseHolder(node) }

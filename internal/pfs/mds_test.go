@@ -34,9 +34,9 @@ func TestMDSServesFIFO(t *testing.T) {
 		t.Run(m.name, func(t *testing.T) {
 			eng := des.NewEngine()
 			be := m.build(eng)
-			var arrivals, ran []float64 // by operation, in Create order
-			var order []int             // operations in the order their k ran
-			var thens []func() // by operation
+			var arrivals, ran []float64   // by operation, in Create order
+			var order []int               // operations in the order their k ran
+			var thens []func()            // by operation
 			continued := func(op int32) { // the one handler, bound once
 				if ran[op] >= 0 {
 					t.Fatalf("operation %d continued twice", op)

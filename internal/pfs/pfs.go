@@ -144,9 +144,8 @@ func (fs *FS) SetBandwidthFactor(factor float64) {
 }
 
 // MDS is a metadata server: a FIFO server of one operation at a time,
-// each held for its service time before its continuation runs: a
-// handler its caller binds once, applied to an actor index. It keeps
-// one event booked, the end of the operation it serves, ops[head].
+// each held for its service time before its continuation, k(actor), runs.
+// It keeps one event booked, the end of the operation it serves, ops[head].
 type MDS struct {
 	eng  *des.Engine
 	ops  []metaOp // queued operations from head on, reused once drained
@@ -179,8 +178,7 @@ func (m *MDS) Serve(service float64, k func(int32), actor int32) {
 // finish runs the served operation's continuation, then starts the next
 // one queued, so that its end follows what k booked.
 func (m *MDS) finish(int32) {
-	op := m.ops[m.head]
-	m.ops[m.head].k = nil
+	op := m.ops[m.head] // its k is a handler bound for the run: no slot to clear
 	if m.head++; m.head == len(m.ops) {
 		m.ops, m.head = m.ops[:0], 0
 		op.k(op.actor) // what k queues on the idle server starts in Serve

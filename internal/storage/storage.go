@@ -254,9 +254,8 @@ func FlattenSegs(segs [][]byte) []byte { return bytes.Join(segs, nil) }
 
 // CostModel is the simulated face of a storage target: operations that
 // charge virtual time, and the ledger they feed. The iostrat strategies
-// depend on this face alone. Metadata operations continue: each takes a
-// handler k, bound once per run, and the actor index it runs k with once
-// done, from a later event.
+// depend on this face alone. Metadata operations continue: each runs its
+// handler k, bound once per run, with actor once done, in a later event.
 // Transfers return futures, completed when they finish, which the
 // simulated actors — every one a state machine — follow with Then or
 // ThenPost; a zero-byte transfer returns a completed one.
