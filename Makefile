@@ -19,7 +19,7 @@ PPROF_PKG ?= .
 
 .PHONY: build test vet fmt fmt-check bench loc loc-check \
 	pprof-cpu pprof-alloc cover-check tidy-check \
-	race-stress failure-smoke restart-smoke c1-smoke fuzz-smoke lint \
+	race-stress budgets failure-smoke restart-smoke c1-smoke fuzz-smoke lint \
 	smoke-e1 smoke-e6 smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 ci
 
 build:
@@ -60,6 +60,14 @@ race-stress:
 	$(GO) test -race -count=10 -run 'TestDedupStoreGetSweepRace|TestDedupStoreGetReresolvesAfterCompaction|TestDedupStoreConcurrentSweep|TestDedupStoreConcurrentPutVec|TestDedupStoreConcurrentDelete' ./internal/storage/chunk
 	$(GO) test -race -count=10 -run 'TestFacesAgree' ./internal/iostrat
 	$(GO) test -count=200 -run 'TestClusterInteriorFailure|TestRestoreAfterFailure|TestAdaptReformRaceWithStreaming' ./internal/cluster
+
+# Allocation ceilings, which skip under the race detector (it allocates
+# on its own account), so make test checks none of them: the DES work
+# budgets' allocation column (TestDESWorkBudgets) and the pooled delta
+# encoder's (TestDeltaEncodeAllocs), without -race.
+budgets:
+	$(GO) test -count=1 -run '^TestDESWorkBudgets$$' ./internal/iostrat
+	$(GO) test -count=1 -run '^TestDeltaEncodeAllocs$$' ./internal/compress
 
 # Experiment smoke matrix — one target per experiment, each at paper
 # scale, so a broken experiment names itself in the CI job list (ci.yml
@@ -227,6 +235,6 @@ loc-check:
 tidy-check:
 	$(GO) mod tidy -diff
 
-ci: build vet fmt-check tidy-check test race-stress cover-check loc-check bench \
+ci: build vet fmt-check tidy-check test race-stress budgets cover-check loc-check bench \
 	smoke-e1 smoke-e6 smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 \
 	fuzz-smoke
