@@ -39,21 +39,21 @@ var desWorkBudgets = map[string]struct {
 	"1152/pfs/fpp":              {9223, 0, 700},
 	"1152/pfs/collective":       {11545, 0, 330},
 	"1152/pfs/damaris-flat":     {1063, 0, 100},
-	"1152/pfs/damaris-tree":     {952, 0, 920},
+	"1152/pfs/damaris-tree":     {952, 0, 890},
 	"1152/memory/fpp":           {10876, 0, 1400},
 	"1152/memory/collective":    {11534, 0, 540},
 	"1152/memory/damaris-flat":  {1062, 0, 450},
-	"1152/memory/damaris-tree":  {918, 0, 1270},
+	"1152/memory/damaris-tree":  {918, 0, 1240},
 	"toy/pfs/kraken-tree":       {253, 0, 0},
-	"toy/pfs/restart":           {75, 0, 100},
-	"1152/pfs/kraken-tree":      {2974, 0, 1100},
-	"1152/pfs/restart":          {1398, 0, 200},
+	"toy/pfs/restart":           {75, 0, 80},
+	"1152/pfs/kraken-tree":      {2974, 0, 1070},
+	"1152/pfs/restart":          {1398, 0, 150},
 	"1152/pfs-672/damaris-flat": {1063, 0, 100},
-	"9216/pfs/restart":          {4404, 0, 620},
+	"9216/pfs/restart":          {4404, 0, 480},
 	"9216/pfs/fpp":              {73772, 0, 1950},
 	"9216/pfs/damaris":          {8457, 0, 690},
 	"9216/pfs/collective":       {92259, 0, 2000},
-	"9216/pfs/tree":             {10156, 0, 8300},
+	"9216/pfs/tree":             {10156, 0, 8100},
 }
 
 // TestDESWorkBudgets runs the four strategies at the 96-core toy shape
