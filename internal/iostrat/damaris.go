@@ -313,7 +313,9 @@ func runDamaris(cfg Config) (Result, error) {
 			res.LostBytes += s.lost
 		}
 		for _, q := range tr.insituQs {
-			res.FramesDropped += int(q.frames.Dropped())
+			if res.FramesDropped += int(q.frames.Dropped()); q.waiting.on || q.space.on {
+				panic("iostrat: deadlock: an in-situ consumer or publisher is parked at the end")
+			}
 		}
 	}
 	return res, nil

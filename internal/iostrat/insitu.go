@@ -189,9 +189,7 @@ func (tr *damarisRun) consume(o int32) {
 		case consumerTake:
 			item, ok := q.frames.Take()
 			if !ok {
-				if !q.frames.IsClosed() {
-					q.waiting.on = true
-				}
+				q.waiting.on = !q.frames.IsClosed()
 				return
 			}
 			q.space.wake()
