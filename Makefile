@@ -42,8 +42,9 @@ test:
 # teardown and a store too slow for the run, whose blocks stay in shared memory
 # until a client skips, Restore's fetch workers
 # against its serial List-order merge, the token broker, the stream's
-# Seq order under racing publishers, the codec selector's first Puts
-# racing on one dataset, delta encoders sharing the pooled scratch
+# Seq order under racing publishers, Memory's Gets and ranged reads
+# copying outside its lock while PutVec and Delete replace the same
+# names, the codec selector's first Puts racing on one dataset, delta encoders sharing the pooled scratch
 # buffers while a reader decodes, chunk-store Gets racing the sweep's pack
 # compaction (whole-pack and ranged reads, over Memory and SDF), two roots' PutVecs sharing chunks,
 # Deletes racing PutVec, Get and Sweep over shared chunks, the DES engine
@@ -56,18 +57,20 @@ race-stress:
 	$(GO) test -race -count=10 ./internal/des
 	$(GO) test -race -count=10 -run 'TestE9Quick' ./internal/experiments
 	$(GO) test -race -count=10 -run 'Service|TestRestoreConcurrentMatchesSerial|TestDriveWriteErrorSurfaces|TestSlowStoreSkipsAtTheClient' ./internal/cluster
-	$(GO) test -race -count=10 -run 'Broker|TestStreamPublishSeqOrder|TestCompressingConcurrentChoice|TestCompressingConcurrentDelta' ./internal/storage
+	$(GO) test -race -count=10 -run 'Broker|TestStreamPublishSeqOrder|TestCompressingConcurrentChoice|TestCompressingConcurrentDelta|TestMemoryConcurrentReadWrite' ./internal/storage
 	$(GO) test -race -count=10 -run 'TestDedupStoreGetSweepRace|TestDedupStoreGetReresolvesAfterCompaction|TestDedupStoreConcurrentSweep|TestDedupStoreConcurrentPutVec|TestDedupStoreConcurrentDelete' ./internal/storage/chunk
 	$(GO) test -race -count=10 -run 'TestFacesAgree' ./internal/iostrat
 	$(GO) test -count=200 -run 'TestClusterInteriorFailure|TestRestoreAfterFailure|TestAdaptReformRaceWithStreaming' ./internal/cluster
 
 # Allocation ceilings, which skip under the race detector (it allocates
 # on its own account), so make test checks none of them: the DES work
-# budgets' allocation column (TestDESWorkBudgets) and the pooled delta
-# encoder's (TestDeltaEncodeAllocs), without -race.
+# budgets' allocation column (TestDESWorkBudgets), the pooled delta
+# encoder's (TestDeltaEncodeAllocs) and a restore's allocations per
+# restored block (TestRestoreAllocBudget), without -race.
 budgets:
 	$(GO) test -count=1 -run '^TestDESWorkBudgets$$' ./internal/iostrat
 	$(GO) test -count=1 -run '^TestDeltaEncodeAllocs$$' ./internal/compress
+	$(GO) test -count=1 -run '^TestRestoreAllocBudget$$' ./internal/cluster
 
 # Experiment smoke matrix — one target per experiment, each at paper
 # scale, so a broken experiment names itself in the CI job list (ci.yml

@@ -130,11 +130,14 @@ func EncodeBatch(b *Batch) []byte {
 // so an append to one block reallocates rather than overwrite the next,
 // but the batch is valid only while data is, and data must not change
 // while the batch is in use.
-func DecodeBatch(data []byte) (*Batch, error) {
+func DecodeBatch(data []byte) (*Batch, error) { return decodeBatch(data, make(map[string]string, 16)) }
+
+// decodeBatch is DecodeBatch interning variable names in names.
+func decodeBatch(data []byte, names map[string]string) (*Batch, error) {
 	if !bytes.HasPrefix(data, batchMagic) {
 		return nil, fmt.Errorf("cluster: not a batch object")
 	}
-	c := cursor{rest: data[len(batchMagic):]}
+	c := cursor{rest: data[len(batchMagic):], names: names}
 	it, n := c.u32("batch header"), c.u32("batch header")
 	if c.short != "" {
 		return nil, fmt.Errorf("cluster: truncated %s", c.short)
@@ -144,22 +147,24 @@ func DecodeBatch(data []byte) (*Batch, error) {
 	b := &Batch{Iteration: int(it), Blocks: make([]Block, 0, c.room(n, 16))}
 	for i := uint32(0); i < n; i++ {
 		node, src := c.u32("block"), c.u32("block")
-		name := c.take(c.u32("block"), "variable name in block")
+		name := c.name(c.u32("block"), "variable name in block")
 		payload := c.take(c.u32("block"), "payload in block")
 		if c.short != "" {
 			return nil, fmt.Errorf("cluster: truncated %s %d", c.short, i)
 		}
-		b.Blocks = append(b.Blocks, Block{Node: int(node), Source: int(src), Variable: string(name), Data: payload})
+		b.Blocks = append(b.Blocks, Block{Node: int(node), Source: int(src), Variable: name, Data: payload})
 	}
 	return b, nil
 }
 
 // cursor reads a batch or manifest object front to back. The first
 // read past the end records in short what it was reading; it and every
-// later read yield nil.
+// later read yield nil. names interns variable names, which repeat over
+// every node and source: one string per distinct name, not per block.
 type cursor struct {
 	rest  []byte
 	short string
+	names map[string]string
 }
 
 // take returns the next n bytes, capped at n.
@@ -184,6 +189,17 @@ func (c *cursor) u32(what string) uint32 {
 
 // str reads a u32-length-prefixed string.
 func (c *cursor) str(what string) string { return string(c.take(c.u32(what), what)) }
+
+// name is take for a variable name of n bytes, interned in names.
+func (c *cursor) name(n uint32, what string) string {
+	b := c.take(n, what)
+	s, ok := c.names[string(b)]
+	if !ok {
+		s = string(b)
+		c.names[s] = s
+	}
+	return s
+}
 
 // room caps a decoded count at what the unread bytes can hold.
 func (c *cursor) room(n uint32, size int) int { return int(min(uint64(n), uint64(len(c.rest)/size))) }

@@ -127,10 +127,15 @@ func EncodeManifest(m *Manifest) []byte {
 // ErrManifestFormat; anything else that is not exactly one well-formed
 // manifest fails with ErrNotManifest.
 func DecodeManifest(data []byte) (*Manifest, error) {
+	return decodeManifest(data, make(map[string]string, 16))
+}
+
+// decodeManifest is DecodeManifest interning variable names in names.
+func decodeManifest(data []byte, names map[string]string) (*Manifest, error) {
 	if len(data) > 0 && data[0] == '{' {
 		return nil, fmt.Errorf("%w: a JSON damaris-manifest-v1 object (no longer read; rewrite the store)", ErrManifestFormat)
 	}
-	c := cursor{rest: data}
+	c := cursor{rest: data, names: names}
 	m := &Manifest{Format: c.str("format tag")}
 	switch {
 	case m.Format == manifestFormat: // this layout: read on
@@ -150,7 +155,7 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	n = c.u32("blocks")
 	for m.Blocks = make([]ManifestBlock, 0, c.room(n, 16)); uint32(len(m.Blocks)) < n && c.short == ""; {
 		m.Blocks = append(m.Blocks, ManifestBlock{Node: int(c.u32("block")), Source: int(c.u32("block")),
-			Variable: c.str("variable name in block"), Bytes: int(c.u32("block"))})
+			Variable: c.name(c.u32("variable name in block"), "variable name in block"), Bytes: int(c.u32("block"))})
 	}
 	switch {
 	case c.short != "":

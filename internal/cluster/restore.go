@@ -81,13 +81,15 @@ func Restore(store storage.ObjectReader, job string) (*Restored, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			interned := map[string]string{}
 			for i := next.Add(1) - 1; i < int64(len(got)); i = next.Add(1) - 1 {
-				got[i] = fetch(store, job, names[i])
+				got[i] = fetch(store, job, names[i], interned)
 			}
 		}()
 	}
 	wg.Wait()
 	r := &Restored{Job: job, Iterations: map[int]*RestoredIteration{}}
+	runs := map[int][][]Block{}
 	for _, f := range got {
 		if f.err != nil {
 			r.Problems = append(r.Problems, f.err)
@@ -107,17 +109,35 @@ func Restore(store storage.ObjectReader, job string) (*Restored, error) {
 		}
 		ri.Partial = ri.Partial || m.Partial
 		ri.PayloadMissing = ri.PayloadMissing || f.err != nil
-		ri.Blocks = append(ri.Blocks, f.blocks...)
+		if len(f.blocks) > 0 {
+			runs[m.Iteration] = append(runs[m.Iteration], f.blocks)
+		}
 	}
-	for _, ri := range r.Iterations {
-		(&Batch{Iteration: ri.Iteration, Blocks: ri.Blocks}).normalize()
+	for it, rs := range runs {
+		r.Iterations[it].Blocks = gather(rs)
 	}
 	return r, nil
 }
 
+// gather joins an iteration's runs, each in normalized order, into one
+// slice of exact size in that order. The runs are ordered by their
+// first block; the whole is sorted only if two adjacent runs overlap,
+// as a re-routed root's cover can interleave with another root's.
+func gather(runs [][]Block) []Block {
+	slices.SortFunc(runs, func(x, y []Block) int { return compareBlocks(x[0], y[0]) })
+	blocks := slices.Concat(runs...)
+	for i := 1; i < len(runs); i++ {
+		if compareBlocks(runs[i-1][len(runs[i-1])-1], runs[i][0]) >= 0 {
+			slices.SortFunc(blocks, compareBlocks)
+			break
+		}
+	}
+	return blocks
+}
+
 // fetched is one manifest's outcome. manifest is nil when it could not
 // be read (err says why) or belongs to another job; otherwise err is its
-// data object's problem, or blocks holds the object's blocks.
+// data object's problem, or blocks holds the object's blocks, ordered.
 type fetched struct {
 	manifest *Manifest
 	blocks   []Block
@@ -125,11 +145,11 @@ type fetched struct {
 }
 
 // fetch reads one manifest and, when it belongs to job, its data object.
-func fetch(store storage.ObjectReader, job, name string) fetched {
+func fetch(store storage.ObjectReader, job, name string, interned map[string]string) fetched {
 	data, err := store.Get(name)
 	var m *Manifest
 	if err == nil {
-		m, err = DecodeManifest(data)
+		m, err = decodeManifest(data, interned)
 	}
 	if err != nil {
 		return fetched{err: fmt.Errorf("manifest %s: %w", name, err)}
@@ -143,7 +163,7 @@ func fetch(store storage.ObjectReader, job, name string) fetched {
 	obj, err := store.Get(m.Object)
 	var b *Batch
 	if err == nil {
-		b, err = DecodeBatch(obj)
+		b, err = decodeBatch(obj, interned)
 	}
 	if err == nil && (b.Iteration != m.Iteration || len(b.Blocks) != len(m.Blocks)) {
 		err = fmt.Errorf("holds iteration %d with %d blocks, manifest says %d/%d",
@@ -158,6 +178,7 @@ func fetch(store storage.ObjectReader, job, name string) fetched {
 	if err != nil {
 		return fetched{manifest: m, err: fmt.Errorf("object %s: %w", m.Object, err)}
 	}
+	b.normalize()
 	return fetched{manifest: m, blocks: b.Blocks}
 }
 

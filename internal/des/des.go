@@ -13,11 +13,11 @@
 // events one at a time, in (time, kind rank, seq) order; every kind
 // starts at rank 0, which leaves (time, seq), and SetRank orders the
 // kinds due at one instant. Each actor is a state machine: a step books
-// the next (Wait or Post, Future.Then, Barrier.ArriveThen,
-// Resource.AcquireThen, or their Post forms) and runs to completion in
-// the event that fires it. Futures, Barriers and Resources wake waiters
-// in FIFO order, each in an event of its own; one whose condition
-// already holds runs inline. A panic inside a step leaves Run with it.
+// the next (Wait or Post, Future.Then or ThenPost, Resource.AcquirePost)
+// and runs to completion in the event that fires it. Futures and
+// Resources wake waiters in FIFO order, each in an event of its own; one
+// whose condition already holds runs inline. A panic inside a step
+// leaves Run with it.
 //
 // Proc adapts those primitives for tests and micro-benchmarks: a
 // coroutine (iter.Pull) whose body blocks in Proc.Wait and Proc.Do,
@@ -75,7 +75,7 @@ type Engine struct {
 	lane   []*event // events due at now, in (rank, seq) order, from head on
 	head   int
 	free   []*event // recycled event structs (see event.gen)
-	nconts int      // continuations parked on a Future, Barrier or Resource (deadlock diagnostics)
+	nconts int      // continuations parked on a Future or Resource (deadlock diagnostics)
 
 	handlers []func(actor int32) // kind k's handler is handlers[k-1]
 	ranks    []int32             // and its rank ranks[k-1]
@@ -364,8 +364,8 @@ func (e *Engine) At(t float64, fn func()) *Timer {
 func (e *Engine) After(d float64, fn func()) *Timer { return e.At(e.now+d, fn) }
 
 // Run executes events until none is pending. It returns the final clock
-// value. Run panics if continuations remain parked on a Future, Barrier
-// or Resource with no pending events (a modeling deadlock).
+// value. Run panics if continuations remain parked on a Future or
+// Resource with no pending events (a modeling deadlock).
 func (e *Engine) Run() float64 {
 	for {
 		var ev *event
@@ -475,15 +475,11 @@ func (e *Engine) NewResource(capacity int) *Resource {
 	return &Resource{eng: e, capacity: capacity}
 }
 
-// AcquireThen takes n units and runs k: inline when they are free and
-// nobody queues ahead, else in the event Release books once they are
-// granted. A request never overtakes an earlier one, even a bigger one.
-func (r *Resource) AcquireThen(n int, k func()) { r.acquire(n, cont{fn: k}) }
-
-// AcquirePost is AcquireThen's kind form: actor's handler of kind k runs.
-func (r *Resource) AcquirePost(n int, k Kind, actor int32) {
-	r.acquire(n, cont{kind: k, actor: actor})
-}
+// AcquirePost takes n units and runs actor's handler of kind k: inline
+// when they are free and nobody queues ahead, else in the event Release
+// books once they are granted. A request never overtakes an earlier
+// one, even a bigger one.
+func (r *Resource) AcquirePost(n int, k Kind, actor int32) { r.acquire(n, cont{kind: k, actor: actor}) }
 
 func (r *Resource) acquire(n int, k cont) {
 	if n <= 0 || n > r.capacity {
@@ -520,47 +516,6 @@ func (r *Resource) Release(n int) {
 		r.inUse += w.n
 		r.eng.wake(w.k)
 	}
-}
-
-// Barrier is a reusable synchronization barrier for a fixed number of
-// parties, used by the collective-I/O model's rounds.
-type Barrier struct {
-	eng     *Engine
-	parties int
-	arrived int
-	waiters []cont // sized to parties-1 once, reused every generation
-}
-
-// NewBarrier creates a barrier for the given number of parties (> 0).
-func (e *Engine) NewBarrier(parties int) *Barrier {
-	if parties <= 0 {
-		panic("des: barrier parties must be positive")
-	}
-	return &Barrier{eng: e, parties: parties, waiters: make([]cont, 0, parties-1)}
-}
-
-// ArriveThen counts one arrival and runs k once all parties have
-// arrived: inline for the last arrival, which wakes the earlier ones
-// and resets the barrier for the next generation.
-func (b *Barrier) ArriveThen(k func()) { b.arrive(cont{fn: k}) }
-
-// ArrivePost is ArriveThen's kind form: actor's handler of kind k runs.
-func (b *Barrier) ArrivePost(k Kind, actor int32) { b.arrive(cont{kind: k, actor: actor}) }
-
-func (b *Barrier) arrive(k cont) {
-	b.arrived++
-	if b.arrived < b.parties {
-		b.waiters = append(b.waiters, k)
-		b.eng.nconts++
-		return
-	}
-	b.arrived = 0
-	for _, q := range b.waiters {
-		b.eng.wake(q)
-	}
-	clear(b.waiters)
-	b.waiters = b.waiters[:0]
-	b.eng.run(k)
 }
 
 // Proc is a simulation process: a body that blocks in Wait and Do, run

@@ -18,18 +18,47 @@ import (
 // of its kinds or gates.
 type refPhaseLoop struct {
 	*phaseLoop
-	step *des.Barrier
-	t0   []float64 // per rank, this phase's write start
+	step     stepBarrier
+	t0       []float64   // per rank, this phase's write start
+	phaseEnd func(int32) // kPhaseEnd's handler
 
 	kIterate, kComputed, kPhase, kPhaseEnd des.Kind
 }
 
+// stepBarrier is the reference frame's reusable barrier over n ranks:
+// every arrival but the last parks its step, a kind for a rank; the
+// last wakes the parked steps in arrival order, each in an event of its
+// own at the current time, then runs its own step inline.
+type stepBarrier struct {
+	eng    *des.Engine
+	n      int
+	parked []parkedStep
+}
+
+type parkedStep struct {
+	k des.Kind
+	i int32
+}
+
+func (b *stepBarrier) arrive(k des.Kind, step func(int32), i int32) {
+	if len(b.parked)+1 < b.n {
+		b.parked = append(b.parked, parkedStep{k, i})
+		return
+	}
+	for _, p := range b.parked {
+		b.eng.Post(0, p.k, p.i)
+	}
+	b.parked = b.parked[:0]
+	step(i)
+}
+
 func newRefPhaseLoop(l *phaseLoop) *refPhaseLoop {
-	r := &refPhaseLoop{phaseLoop: l, step: l.eng.NewBarrier(len(l.ranks)), t0: make([]float64, len(l.ranks))}
+	r := &refPhaseLoop{phaseLoop: l, step: stepBarrier{eng: l.eng, n: len(l.ranks)}, t0: make([]float64, len(l.ranks))}
 	r.kIterate = l.eng.Handle(r.iterate)
-	r.kComputed = l.eng.Handle(func(i int32) { r.step.ArrivePost(r.kPhase, i) })
+	r.kComputed = l.eng.Handle(func(i int32) { r.step.arrive(r.kPhase, r.onPhase, i) })
 	r.kPhase = l.eng.Handle(r.onPhase)
-	r.kPhaseEnd = l.eng.Handle(r.onPhaseEnd)
+	r.phaseEnd = r.onPhaseEnd
+	r.kPhaseEnd = l.eng.Handle(r.phaseEnd)
 	return r
 }
 
@@ -62,7 +91,7 @@ func (r *refPhaseLoop) onPhase(i int32) {
 
 func (r *refPhaseLoop) wrote(i int32) {
 	r.res.RankWriteTimes = append(r.res.RankWriteTimes, r.eng.Now()-r.t0[i])
-	r.step.ArrivePost(r.kPhaseEnd, i)
+	r.step.arrive(r.kPhaseEnd, r.phaseEnd, i)
 }
 
 func (r *refPhaseLoop) onPhaseEnd(i int32) {
@@ -195,7 +224,8 @@ func (c phaseCase) run(ref bool) ([]phaseStep, Result) {
 	}
 	if ref {
 		r := newRefPhaseLoop(l)
-		wrote, r.kPhaseEnd = r.wrote, eng.Handle(observe(r.onPhaseEnd))
+		wrote, r.phaseEnd = r.wrote, observe(r.onPhaseEnd)
+		r.kPhaseEnd = eng.Handle(r.phaseEnd)
 		r.start()
 	} else {
 		wrote, l.ended.run = l.wrote, observe(l.onPhaseEnd)

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/des"
 	"repro/internal/pfs"
@@ -169,23 +170,22 @@ func (m *simModel) Accounting() Accounting {
 	if m.active > 0 {
 		busy += m.eng.Now() - m.busySince
 	}
-	return Accounting{
-		BytesWritten: m.bytesWritten,
-		BytesRead:    m.bytesRead,
-		IOBusyTime:   busy,
-	}
+	return Accounting{BytesWritten: m.bytesWritten, BytesRead: m.bytesRead, IOBusyTime: busy}
 }
 
 // Memory is an in-memory backend: the deterministic cost model for the
 // simulated face, and a plain map for real objects. It is the fast,
-// reproducible choice for tests.
+// reproducible choice for tests. A stored slice is never written once
+// PutVec installs it (PutVec stores a fresh copy; an overwrite or a
+// Delete replaces the map entry, not the bytes), so omu guards only the
+// map and readers copy outside it.
 type Memory struct {
 	*simModel
 
 	omu     sync.Mutex
 	objects map[string][]byte
 	objByte int64
-	objRead int64
+	objRead atomic.Int64
 }
 
 // NewMemory builds a memory backend with the given number of targets
@@ -240,12 +240,12 @@ func (b *Memory) Delete(name string) error {
 // Get implements ObjectReader: a copy of the stored bytes.
 func (b *Memory) Get(name string) ([]byte, error) {
 	b.omu.Lock()
-	defer b.omu.Unlock()
 	d, ok := b.objects[name]
+	b.omu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	b.objRead += int64(len(d))
+	b.objRead.Add(int64(len(d)))
 	return append([]byte(nil), d...), nil
 }
 
@@ -253,15 +253,15 @@ func (b *Memory) Get(name string) ([]byte, error) {
 // stored bytes, and only they count as read.
 func (b *Memory) ReadRanges(name string, rs []Range) error {
 	b.omu.Lock()
-	defer b.omu.Unlock()
 	d, ok := b.objects[name]
+	b.omu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	if err := CopyRanges(name, d, rs); err != nil {
 		return err
 	}
-	b.objRead += rangesLen(rs)
+	b.objRead.Add(rangesLen(rs))
 	return nil
 }
 
@@ -285,7 +285,7 @@ func (b *Memory) Accounting() Accounting {
 	b.omu.Lock()
 	acc.Objects = len(b.objects)
 	acc.ObjectBytes = b.objByte
-	acc.ObjectReadBytes = b.objRead
+	acc.ObjectReadBytes = b.objRead.Load()
 	b.omu.Unlock()
 	return acc
 }
